@@ -59,11 +59,11 @@ bench:
 bench-short:
 	scripts/bench.sh -short /dev/null
 
-# Compare the current BENCH_PR9.json (run `make bench` first) against the
-# committed BENCH_PR8.json baseline; fails on >15% ns/op or allocs/op
+# Compare the newest BENCH_PR<k>.json ledger file (run `make bench` first to
+# refresh it) against the one before it; fails on >15% ns/op or allocs/op
 # regression in any shared benchmark.
 bench-compare:
-	scripts/bench_compare.sh BENCH_PR8.json BENCH_PR9.json
+	scripts/bench_compare.sh "$$(scripts/bench_latest.sh 2)" "$$(scripts/bench_latest.sh 1)"
 
 # Profile the experiment driver end to end; see README "Profiling" for how
 # to read the output. PROFILE_ARGS selects the workload (default fig6).

@@ -35,13 +35,44 @@ func GenColumns(seed int64, n int) tpch.Columns {
 		default: // narrow positive band, the TPC-H-like case
 			key = int64(rng.Intn(n/8 + 1))
 		}
-		c.Append(tpch.Row{
-			OrderKey:      key,
-			CommitDate:    int32(rng.Intn(2557)) - 128, // some negative dates too
-			ShipInstruct:  uint8(rng.Intn(4)),
-			Quantity:      int32(rng.Intn(50)) + 1,
-			ExtendedPrice: float64(rng.Intn(100000)) / 100,
-		})
+		c.Append(genRow(rng, key))
+	}
+	return c
+}
+
+// genRow draws the non-key columns of one audit row.
+func genRow(rng *rand.Rand, key int64) tpch.Row {
+	return tpch.Row{
+		OrderKey:      key,
+		CommitDate:    int32(rng.Intn(2557)) - 128, // some negative dates too
+		ShipInstruct:  uint8(rng.Intn(4)),
+		Quantity:      int32(rng.Intn(50)) + 1,
+		ExtendedPrice: float64(rng.Intn(100000)) / 100,
+	}
+}
+
+// GenClusteredColumns draws a batch whose order keys are non-decreasing
+// runs, the shape of a fact table clustered by its key. GenColumns picks a
+// generator per row, so two neighbouring rows almost never share a key;
+// here every key repeats for a drawn run length — mostly the 1-7 of
+// lineitem, now and then longer than a vectorized block — starting below
+// zero so runs cross the sign boundary. The other columns stay random, so
+// the group and join audits see non-trivial payloads. Deterministic in
+// (seed, n).
+func GenClusteredColumns(seed int64, n int) tpch.Columns {
+	rng := rand.New(rand.NewSource(seed))
+	c := tpch.Columns{}
+	c.Grow(n)
+	key := -int64(n) / 8
+	for c.Len() < n {
+		run := 1 + rng.Intn(7)
+		if rng.Intn(64) == 0 {
+			run = exec.BatchSize + rng.Intn(exec.BatchSize)
+		}
+		for ; run > 0 && c.Len() < n; run-- {
+			c.Append(genRow(rng, key))
+		}
+		key += 1 + int64(rng.Intn(3))
 	}
 	return c
 }

@@ -2,9 +2,11 @@ package check
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"idxflow/internal/exec"
 	"idxflow/internal/tpch"
 )
 
@@ -12,6 +14,23 @@ func TestAuditVectorizedOnAdversarialBatches(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		for _, n := range []int{1, 2, 100, 1023, 1024, 1025, 5000} {
 			cols := GenColumns(seed, n)
+			if err := AuditVectorized(cols); err != nil {
+				t.Fatalf("seed %d n %d: %v", seed, n, err)
+			}
+		}
+	}
+}
+
+func TestAuditVectorizedOnClusteredRuns(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, n := range []int{1, 2, 100, 1024, 1025, 5000} {
+			cols := GenClusteredColumns(seed, n)
+			if cols.Len() != n {
+				t.Fatalf("seed %d: generated %d rows, want %d", seed, cols.Len(), n)
+			}
+			if !slices.IsSorted(cols.OrderKey) {
+				t.Fatalf("seed %d n %d: order keys are not clustered", seed, n)
+			}
 			if err := AuditVectorized(cols); err != nil {
 				t.Fatalf("seed %d n %d: %v", seed, n, err)
 			}
@@ -62,6 +81,15 @@ func TestReportIfDiffCatchesMismatch(t *testing.T) {
 	reportIfDiff(clean, "vec-selftest", []int32{1, 2}, []int32{1, 2})
 	if len(clean.Violations) != 0 {
 		t.Fatal("equal values recorded as violation")
+	}
+	// A hash index whose keys all match but with one position moved between
+	// posting lists — the mistake a run boundary off by one would make.
+	planted := &Report{}
+	reportIfDiff(planted, "vec-build-hash",
+		exec.HashIndex{1: {0, 1}, 2: {2}},
+		exec.HashIndex{1: {0}, 2: {1, 2}})
+	if len(planted.Violations) != 1 {
+		t.Fatal("planted posting-list mismatch not recorded")
 	}
 	// nil vs empty is a real representational difference the audit must not
 	// paper over.

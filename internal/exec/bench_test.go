@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"testing"
 
 	"idxflow/internal/tpch"
@@ -113,6 +114,30 @@ func BenchmarkVecGroup(b *testing.B) {
 		VecGroup(keys, cols.Quantity)
 	}
 }
+
+// BenchmarkVecBuildHash builds over 600k lineitem order keys (the dp_query
+// size): as generated, clustered by order in runs of 1-7 rows, and the same
+// keys shuffled, which takes the build through the radix sort.
+func BenchmarkVecBuildHash(b *testing.B) {
+	clustered := tpch.GenerateColumns(0.1, 21).OrderKey
+	shuffled := append([]int64(nil), clustered...)
+	rand.New(rand.NewSource(21)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for _, c := range []struct {
+		name string
+		keys []int64
+	}{{"clustered", clustered}, {"shuffled", shuffled}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchHash = VecBuildHash(c.keys)
+			}
+		})
+	}
+}
+
+var benchHash HashIndex
 
 func BenchmarkVecHashJoin(b *testing.B) {
 	left := benchRows(b, 10_000)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/bits"
+	"slices"
 
 	"idxflow/internal/bptree"
 )
@@ -88,11 +89,41 @@ func VecLookup[T ColKey](keys []T, k T) (int32, bool) {
 
 // VecBuildHash builds a hash index over a key column without the per-row
 // KeyFunc indirection of BuildHash — the batched "build" half of the O(1)
-// lookup structure of §1.
+// lookup structure of §1. The build is by runs, not by rows: with the keys
+// in sorted order every distinct key is one contiguous run, so the map is
+// sized exactly and takes one insert per distinct key, and each posting
+// list is a sub-slice of one shared position arena instead of a slice grown
+// row by row. A column that is already non-decreasing (a fact table
+// clustered by its key) is its own sorted order and its arena is the
+// identity; any other column goes through the stable radix sort, which
+// keeps positions ascending within a run, as the per-row build leaves them.
+// keys is not modified. Posting lists have cap == len, so appending to one
+// reallocates it rather than writing into its neighbour.
 func VecBuildHash(keys []int64) HashIndex {
-	h := make(HashIndex, len(keys)/4)
-	for i, k := range keys {
-		h[k] = append(h[k], int32(i))
+	sorted := keys
+	var pos []int32
+	if slices.IsSorted(keys) {
+		pos = make([]int32, len(keys))
+		for i := range pos {
+			pos[i] = int32(i)
+		}
+	} else {
+		sorted, pos = VecSortKeysPositions(keys)
+	}
+	runs := 0
+	for i, k := range sorted {
+		if i == 0 || k != sorted[i-1] {
+			runs++
+		}
+	}
+	h := make(HashIndex, runs)
+	for s := 0; s < len(sorted); {
+		e := s + 1
+		for e < len(sorted) && sorted[e] == sorted[s] {
+			e++
+		}
+		h[sorted[s]] = pos[s:e:e]
+		s = e
 	}
 	return h
 }

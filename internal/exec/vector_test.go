@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -211,12 +213,62 @@ func TestVecJoinsGolden(t *testing.T) {
 	}
 }
 
+// TestVecBuildHashGolden holds the run-based build to the per-row scalar
+// build over every key order it branches on: already clustered (identity
+// arena), and the orders that must go through the sort.
 func TestVecBuildHashGolden(t *testing.T) {
-	cols, rows := vecTestColumns(t)
-	a := BuildHash(rows, OrderKey)
-	b := VecBuildHash(cols.OrderKey)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("hash indexes differ")
+	cols, _ := vecTestColumns(t)
+	shuffled := append([]int64(nil), cols.OrderKey...)
+	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	descending := make([]int64, 3000)
+	for i := range descending {
+		descending[i] = int64(len(descending)-i) / 3
+	}
+	for _, c := range []struct {
+		name string
+		keys []int64
+	}{
+		{"clustered", cols.OrderKey},
+		{"shuffled", shuffled},
+		{"key reappears after a gap", []int64{1, 1, 2, 2, 2, 1, 3, 1}},
+		{"descending", descending},
+		{"all equal", []int64{7, 7, 7, 7, 7}},
+		{"single", []int64{42}},
+		{"empty", []int64{}},
+		{"nil", nil},
+		{"extremes clustered", []int64{math.MinInt64, math.MinInt64, -1, 0, math.MaxInt64, math.MaxInt64}},
+		{"extremes unclustered", []int64{math.MaxInt64, 0, math.MinInt64, math.MaxInt64, -1, math.MinInt64}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rows := make([]tpch.Row, len(c.keys))
+			for i, k := range c.keys {
+				rows[i].OrderKey = k
+			}
+			before := append([]int64(nil), c.keys...)
+			got := VecBuildHash(c.keys)
+			if !slices.Equal(c.keys, before) {
+				t.Fatal("VecBuildHash modified its input")
+			}
+			want := BuildHash(rows, OrderKey)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("hash indexes differ: scalar %d keys, vec %d keys", len(want), len(got))
+			}
+			// Posting lists share one arena: growing one must not write
+			// into the list that follows it.
+			for k, list := range got {
+				if cap(list) != len(list) {
+					t.Fatalf("key %d: posting list cap %d != len %d", k, cap(list), len(list))
+				}
+				got[k] = append(list, -1)
+			}
+			for k, list := range got {
+				if !slices.Equal(list[:len(list)-1], want[k]) {
+					t.Fatalf("key %d: posting list changed when a neighbour grew", k)
+				}
+			}
+		})
 	}
 }
 

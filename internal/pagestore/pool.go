@@ -15,6 +15,11 @@ type Pool struct {
 	byID  map[int]*frame
 	order *list.List // front = most recently used
 
+	// spare is a frame outside byID and order, left by a miss whose read
+	// failed; the next miss takes it instead of allocating. It is non-nil
+	// only while fewer than frames pages are resident.
+	spare *frame
+
 	hits, misses int64
 }
 
@@ -22,7 +27,7 @@ type frame struct {
 	id   int
 	page Page
 	pins int
-	el   *list.Element
+	el   *list.Element // nil while the frame is the spare
 }
 
 // NewPool returns a buffer pool of the given number of frames (minimum 1).
@@ -39,6 +44,11 @@ func NewPool(file *File, frames int) *Pool {
 }
 
 // Get pins page id and returns it. Callers must Release it when done.
+//
+// The *Page, and any record slice Page.Get returned from it, is valid only
+// until that Release: a miss at capacity reads the new page into the
+// evicted frame's buffer, so an unpinned page's bytes can become another
+// page's at the next Get. Decode or copy what must outlive the pin.
 func (pl *Pool) Get(id int) (*Page, error) {
 	if fr, ok := pl.byID[id]; ok {
 		pl.hits++
@@ -47,16 +57,31 @@ func (pl *Pool) Get(id int) (*Page, error) {
 		return &fr.page, nil
 	}
 	pl.misses++
+	fr := pl.spare
 	if len(pl.byID) >= pl.frames {
-		if err := pl.evict(); err != nil {
+		var err error
+		if fr, err = pl.evict(); err != nil {
 			return nil, err
 		}
+	} else if fr == nil {
+		fr = new(frame)
 	}
-	fr := &frame{id: id, pins: 1}
+	pl.spare = nil
 	if err := pl.file.ReadPage(id, &fr.page); err != nil {
+		// The victim is gone either way; its frame waits for the next miss.
+		if fr.el != nil {
+			pl.order.Remove(fr.el)
+			fr.el = nil
+		}
+		pl.spare = fr
 		return nil, err
 	}
-	fr.el = pl.order.PushFront(fr)
+	fr.id, fr.pins = id, 1
+	if fr.el != nil {
+		pl.order.MoveToFront(fr.el)
+	} else {
+		fr.el = pl.order.PushFront(fr)
+	}
 	pl.byID[id] = fr
 	return &fr.page, nil
 }
@@ -68,17 +93,17 @@ func (pl *Pool) Release(id int) {
 	}
 }
 
-// evict drops the least recently used unpinned frame.
-func (pl *Pool) evict() error {
+// evict unmaps the least recently used unpinned frame and returns it for
+// reuse. The frame keeps its place in order until Get moves or removes it.
+func (pl *Pool) evict() (*frame, error) {
 	for el := pl.order.Back(); el != nil; el = el.Prev() {
 		fr := el.Value.(*frame)
 		if fr.pins == 0 {
-			pl.order.Remove(el)
 			delete(pl.byID, fr.id)
-			return nil
+			return fr, nil
 		}
 	}
-	return fmt.Errorf("pagestore: all %d frames pinned", pl.frames)
+	return nil, fmt.Errorf("pagestore: all %d frames pinned", pl.frames)
 }
 
 // Stats returns the cumulative hit and miss counts.

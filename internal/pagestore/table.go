@@ -287,11 +287,12 @@ func (c *Cursor) Next() (RID, tpch.Row, bool, error) {
 			rec, okSlot := p.Get(c.slot)
 			slot := c.slot
 			c.slot++
-			c.t.pool.Release(c.page)
 			if !okSlot || rec == nil {
+				c.t.pool.Release(c.page)
 				continue
 			}
-			row, err := DecodeRow(rec)
+			row, err := DecodeRow(rec) // rec aliases the frame: decode before unpinning
+			c.t.pool.Release(c.page)
 			if err != nil {
 				return RID{}, tpch.Row{}, false, err
 			}

@@ -9,7 +9,9 @@
 # comparisons (scripts/bench_compare.sh) don't chase scheduler jitter.
 #
 # Usage:
-#   scripts/bench.sh [output.json]          full run (default BENCH_PR9.json)
+#   scripts/bench.sh [output.json]          full run (default: refresh the newest
+#                                           BENCH_PR<k>.json; name the next one
+#                                           to start a new PR's ledger entry)
 #   scripts/bench.sh -short [output.json]   single-iteration smoke run for CI
 set -eu
 
@@ -20,7 +22,7 @@ if [ "${1:-}" = "-short" ]; then
 	MODE=short
 	shift
 fi
-OUT="${1:-BENCH_PR9.json}"
+OUT="${1:-$(scripts/bench_latest.sh)}"
 
 if [ "$MODE" = "short" ]; then
 	# One iteration per benchmark: proves they all still run without

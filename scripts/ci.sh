@@ -19,6 +19,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# bench/ is a module of its own that `./...` does not reach; its vet and
+# tests compile the frozen benchmark driver against this checkout, so a
+# signature it uses cannot drift unnoticed until benchmark time.
+echo "== benchmark driver (bench/run.sh test) =="
+bench/run.sh test
+
 echo "== go test (with coverage) =="
 go test -coverprofile=coverage.out ./...
 total=$(go tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $NF); print $NF }')
