@@ -1,5 +1,5 @@
-// Command idxflow-loadgen drives a QaaS-mode idxflow-server with
-// concurrent dataflow submissions across many tenants and reports
+// Command idxflow-loadgen drives an idxflow-server with concurrent
+// dataflow submissions across many tenants and reports
 // throughput (dataflows/sec) and admission-to-completion latency
 // quantiles (p50/p95/p99).
 //
@@ -313,10 +313,9 @@ type AuditVerdict struct {
 // WarmStats and BatchStats mirror the warm-start and batching summaries
 // of the server's /v1/qaas report.
 type WarmStats struct {
-	Hits          uint64  `json:"hits"`
-	Misses        uint64  `json:"misses"`
-	Invalidations uint64  `json:"invalidations"`
-	HitRate       float64 `json:"hit_rate"`
+	Hits    uint64  `json:"hits"`
+	Misses  uint64  `json:"misses"`
+	HitRate float64 `json:"hit_rate"`
 }
 
 type BatchStats struct {
@@ -392,8 +391,8 @@ func (s Summary) print(w io.Writer) {
 	fmt.Fprintf(w, "  latency       p50 %.1fms  p95 %.1fms  p99 %.1fms  mean %.1fms\n",
 		s.P50Seconds*1e3, s.P95Seconds*1e3, s.P99Seconds*1e3, s.MeanSeconds*1e3)
 	if s.Warm != nil {
-		fmt.Fprintf(w, "  warm-start    %.1f%% hit rate (%d hits, %d misses, %d invalidations)\n",
-			s.Warm.HitRate*100, s.Warm.Hits, s.Warm.Misses, s.Warm.Invalidations)
+		fmt.Fprintf(w, "  warm-start    %.1f%% hit rate (%d hits, %d misses)\n",
+			s.Warm.HitRate*100, s.Warm.Hits, s.Warm.Misses)
 	}
 	if s.Batch != nil && s.Batch.Batches > 0 {
 		fmt.Fprintf(w, "  batching      %d batches  size p50 %.1f  p95 %.1f  mean %.2f\n",

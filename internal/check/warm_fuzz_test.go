@@ -101,20 +101,15 @@ func FuzzWarmFrontier(f *testing.F) {
 			// Interleave the bookkeeping the service performs between
 			// submissions — none of it may change future frontiers.
 			switch bits % 4 {
-			case 0: // faulted execution, then per-container invalidation
+			case 0: // faulted execution, then adoption of the repaired schedule
 				cfg := sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}
 				if sc.Plan.Len() > 0 {
 					cfg.Faults = sc.Plan.Events
 				}
-				res := sim.Execute(chosen, cfg)
-				for _, c := range res.FaultedContainers {
-					warm.NoteFault(c)
-				}
+				sim.Execute(chosen, cfg)
 				warm.NoteAdoption(chosen)
-			case 1: // adoption plus an out-of-band placement
+			case 1: // adoption alone
 				warm.NoteAdoption(chosen)
-				warm.NotePlacement(chosen.NumSlots())
-				warm.NotePlacement(0)
 			case 2: // caller wipes the returned clones outright
 				for _, s := range wsky {
 					s.CopyFrom(sched.NewSchedule(g, sc.Opts.Pricing, sc.Opts.Spec))

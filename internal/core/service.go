@@ -270,8 +270,7 @@ type Service struct {
 	// Config.AdaptiveFading).
 	fader *gain.AdaptiveFader
 	// warm carries the scheduler's cross-submission state: the last
-	// frontier and per-container lease/idle books, invalidated per
-	// container by faults and out-of-band placements.
+	// frontier and the idle-slot sizing hint.
 	warm *sched.Warm
 }
 
@@ -336,7 +335,7 @@ func (s *Service) Catalog() *data.Catalog { return s.db.Catalog }
 // Clock returns the service time in seconds.
 func (s *Service) Clock() float64 { return s.clock }
 
-// WarmStats snapshots the scheduler's warm-start counters and books.
+// WarmStats snapshots the scheduler's warm-start counters.
 func (s *Service) WarmStats() sched.WarmStats { return s.warm.Stats() }
 
 // effectiveSpeedups scales each usable index's speedups by the indexed
@@ -769,13 +768,7 @@ func (s *Service) SubmitCtx(ctx context.Context, flow *dataflow.Flow) FlowResult
 	// gain clearly exceeds the marginal quantum cost go to a dedicated
 	// extra container, paid for out of pocket.
 	if s.cfg.AllowDedicatedBuilds && (s.cfg.Strategy == Gain || s.cfg.Strategy == GainNoDelete) {
-		before := chosen.NumSlots()
 		s.scheduleDedicatedBuilds(chosen, builds)
-		// Dedicated-build containers are placements made outside the
-		// scheduler: invalidate exactly those warm-book entries.
-		for c := before; c < chosen.NumSlots(); c++ {
-			s.warm.NotePlacement(c)
-		}
 	}
 
 	// Execute with the configured runtime-error and fault injection. The
@@ -830,12 +823,8 @@ func (s *Service) SubmitCtx(ctx context.Context, flow *dataflow.Flow) FlowResult
 	s.metrics.ReplacedOps += run.ReplacedOps
 	s.metrics.WastedQuanta += run.WastedQuanta
 
-	// Warm-start bookkeeping: each fault invalidates exactly the container
-	// it touched in the carried books, then the adopted (post-repair)
-	// schedule re-baselines them.
-	for _, c := range run.FaultedContainers {
-		s.warm.NoteFault(c)
-	}
+	// Warm-start bookkeeping: the adopted (post-repair) schedule sizes
+	// the next run's idle-slot buffers.
 	s.warm.NoteAdoption(chosen)
 
 	// Commit completed index builds to the catalog and storage.

@@ -1,36 +1,26 @@
-// Package extsort implements external merge sort over paged row tables:
-// the classic database answer to "order by without an index" when the data
-// exceeds memory. It is the no-index counterpart the paper's Table 6
-// measures against — O(n log n) with run files and a k-way merge — while
-// the index side just walks sorted B+Tree leaves.
+// Package extsort builds B+Tree indexes out of core: the classic external
+// merge sort — sorted run files, then a k-way merge — applied to the
+// (key, rid) pairs of a paged row table. It is the build-side machinery
+// behind the index path the paper's Table 6 measures.
 //
 // Sorted runs are generated concurrently by a worker pool (each worker
 // sorts and writes its own run file while the reader fills the next
-// buffer), and the k-way merge consumes batches of rows per run instead of
-// single heap-popped rows, so page pins and decode calls amortize over
-// whole batches. BuildIndexStreaming chains the same machinery into
-// bptree.BulkLoader for out-of-core index builds that never hold the full
-// key array in memory.
+// buffer), and the k-way merge consumes a page block of pairs per run
+// instead of single heap-popped entries. BuildIndexStreaming chains that
+// into bptree.BulkLoader, so an index build never holds the full key
+// array in memory.
 package extsort
 
 import (
-	"container/heap"
-	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
-	"sync"
 
-	"idxflow/internal/exec"
-	"idxflow/internal/pagestore"
 	"idxflow/internal/tpch"
 )
 
 // Key extracts the sort key from a row.
 type Key func(r tpch.Row) int64
 
-// Options configures external sorts.
+// Options configures an out-of-core index build.
 type Options struct {
 	// MemRows bounds how many rows are held in memory per sorted run
 	// (minimum 1024). With W workers, up to (W+1)*MemRows rows are
@@ -50,202 +40,6 @@ func (o Options) withDefaults() Options {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
-}
-
-// mergeBatch is the number of rows buffered per run during the k-way
-// merge: each refill pins O(batch/rows-per-page) pages once instead of one
-// pin per row.
-const mergeBatch = 512
-
-// Sort externally sorts in's rows by key into a new paged table at
-// outPath. At most memRows rows are held in memory at a time (minimum
-// 1024); intermediate run files are created in tmpDir and removed before
-// returning. The returned table is flushed, ready for scanning, and
-// created with the same buffer-pool budget as the input (it used to be a
-// hardcoded 8 frames regardless of the input's pool). Run generation is
-// serial; SortParallel fans it out.
-func Sort(in *pagestore.Table, outPath string, key Key, memRows int, tmpDir string) (*pagestore.Table, error) {
-	return sortWith(in, outPath, key, Options{MemRows: memRows, Workers: 1, TmpDir: tmpDir}.withDefaults())
-}
-
-// SortParallel externally sorts like Sort, but generates the sorted runs
-// concurrently with opt.Workers sorters. The merge tie-breaks equal keys
-// by run order, so the output is identical at any worker count.
-func SortParallel(in *pagestore.Table, outPath string, key Key, opt Options) (*pagestore.Table, error) {
-	return sortWith(in, outPath, key, opt.withDefaults())
-}
-
-func sortWith(in *pagestore.Table, outPath string, key Key, opt Options) (*pagestore.Table, error) {
-	runs, err := makeRuns(in, key, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer closeRuns(runs)
-	out, err := pagestore.CreateTable(outPath, in.PoolFrames())
-	if err != nil {
-		return nil, err
-	}
-	if err := merge(runs, out, key); err != nil {
-		out.Close()
-		return nil, err
-	}
-	if err := out.Flush(); err != nil {
-		out.Close()
-		return nil, err
-	}
-	return out, nil
-}
-
-type run struct {
-	table *pagestore.Table
-	path  string
-	idx   int
-}
-
-func closeRuns(runs []run) {
-	for _, r := range runs {
-		r.table.Close()
-		os.Remove(r.path)
-	}
-}
-
-// makeRuns splits the input into sorted run files of at most MemRows rows.
-// The reader fills buffers sequentially (the input table's pool is not
-// concurrency-safe); workers sort and write run files in parallel. Run
-// files are numbered in input order regardless of which worker finishes
-// first.
-func makeRuns(in *pagestore.Table, key Key, opt Options) ([]run, error) {
-	type job struct {
-		rows []tpch.Row
-		idx  int
-	}
-	jobs := make(chan job, opt.Workers)
-	results := make(chan run, opt.Workers)
-	errs := make(chan error, opt.Workers)
-
-	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				rt, err := writeRun(j.rows, j.idx, key, opt.TmpDir)
-				if err != nil {
-					errs <- err
-					return
-				}
-				results <- rt
-			}
-		}()
-	}
-
-	var runs []run
-	collectDone := make(chan struct{})
-	go func() {
-		for r := range results {
-			runs = append(runs, r)
-		}
-		close(collectDone)
-	}()
-
-	// Feed MemRows-sized buffers. A failed worker leaves an error in errs;
-	// stop feeding as soon as one appears.
-	buf := make([]tpch.Row, 0, opt.MemRows)
-	nextIdx := 0
-	var feedErr error
-	scanErr := in.Scan(func(_ pagestore.RID, r tpch.Row) bool {
-		buf = append(buf, r)
-		if len(buf) >= opt.MemRows {
-			select {
-			case feedErr = <-errs:
-				return false
-			case jobs <- job{rows: buf, idx: nextIdx}:
-				nextIdx++
-				buf = make([]tpch.Row, 0, opt.MemRows)
-			}
-			return true
-		}
-		return true
-	})
-	if scanErr == nil && feedErr == nil && len(buf) > 0 {
-		select {
-		case feedErr = <-errs:
-		case jobs <- job{rows: buf, idx: nextIdx}:
-			nextIdx++
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	close(results)
-	<-collectDone
-
-	err := scanErr
-	if err == nil {
-		err = feedErr
-	}
-	if err == nil {
-		select {
-		case err = <-errs:
-		default:
-		}
-	}
-	if err != nil {
-		closeRuns(runs)
-		return nil, err
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].idx < runs[j].idx })
-	return runs, nil
-}
-
-// writeRun sorts one buffer and writes it as a run file.
-func writeRun(rows []tpch.Row, idx int, key Key, tmpDir string) (run, error) {
-	// Extract keys once and sort positions with the vectorized radix sort
-	// instead of a comparison sort with two key calls per probe.
-	keys := make([]int64, len(rows))
-	for i := range rows {
-		keys[i] = key(rows[i])
-	}
-	order := exec.VecSortPositions(keys)
-	path := filepath.Join(tmpDir, fmt.Sprintf("run-%04d.pages", idx))
-	rt, err := pagestore.CreateTable(path, 4)
-	if err != nil {
-		return run{}, err
-	}
-	for _, p := range order {
-		if _, err := rt.Append(rows[p]); err != nil {
-			rt.Close()
-			os.Remove(path)
-			return run{}, err
-		}
-	}
-	if err := rt.Flush(); err != nil {
-		rt.Close()
-		os.Remove(path)
-		return run{}, err
-	}
-	return run{table: rt, path: path, idx: idx}, nil
-}
-
-// runCursor buffers one run's rows in mergeBatch-row batches with their
-// keys extracted, so the merge heap works over in-memory batch heads.
-type runCursor struct {
-	cur  *pagestore.Cursor
-	rows [mergeBatch]tpch.Row
-	keys [mergeBatch]int64
-	n    int // valid rows in the batch
-	pos  int // next row within the batch
-}
-
-func (rc *runCursor) refill(key Key) error {
-	n, err := rc.cur.NextBatch(rc.rows[:], nil)
-	if err != nil {
-		return err
-	}
-	rc.n, rc.pos = n, 0
-	for i := 0; i < n; i++ {
-		rc.keys[i] = key(rc.rows[i])
-	}
-	return nil
 }
 
 // mergeItem is one head-of-run entry in the merge heap.
@@ -271,43 +65,4 @@ func (h *mergeHeap) Pop() interface{} {
 	it := old[n-1]
 	*h = old[:n-1]
 	return it
-}
-
-// merge k-way merges the runs into out, consuming each run in batches.
-func merge(runs []run, out *pagestore.Table, key Key) error {
-	cursors := make([]*runCursor, len(runs))
-	h := make(mergeHeap, 0, len(runs))
-	for i, r := range runs {
-		cursors[i] = &runCursor{cur: r.table.NewCursor()}
-		if err := cursors[i].refill(key); err != nil {
-			return err
-		}
-		if cursors[i].n > 0 {
-			h = append(h, mergeItem{key: cursors[i].keys[0], src: i})
-			cursors[i].pos = 1
-		}
-	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		it := h[0]
-		rc := cursors[it.src]
-		if _, err := out.Append(rc.rows[rc.pos-1]); err != nil {
-			return err
-		}
-		if rc.pos >= rc.n {
-			if err := rc.refill(key); err != nil {
-				return err
-			}
-		}
-		if rc.n == 0 { // run exhausted
-			heap.Pop(&h)
-			continue
-		}
-		// Replace the head in place and sift: one sift-down instead of a
-		// pop+push pair.
-		h[0] = mergeItem{key: rc.keys[rc.pos], src: it.src}
-		rc.pos++
-		heap.Fix(&h, 0)
-	}
-	return nil
 }

@@ -11,6 +11,26 @@ import (
 
 type kv struct{ k, v int64 }
 
+func buildInput(t *testing.T, n int) (*pagestore.Table, []tpch.Row, string) {
+	t.Helper()
+	dir := t.TempDir()
+	rows := tpch.Generate(float64(n)/tpch.RowsPerScale, 11)
+	tab, err := pagestore.CreateTable(filepath.Join(dir, "in.pages"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tab.Close() })
+	for _, r := range rows {
+		if _, err := tab.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return tab, rows, dir
+}
+
 func collectTree(t *testing.T, tr interface {
 	Scan(func(k, v int64) bool)
 }) []kv {
@@ -99,59 +119,5 @@ func TestBuildIndexStreamingEmptyTable(t *testing.T) {
 	}
 	if _, ok := tree.Get(1); ok {
 		t.Fatal("lookup hit in empty tree")
-	}
-}
-
-func TestSortParallelMatchesSerial(t *testing.T) {
-	in, rows, dir := buildInput(t, 6000)
-	key := func(r tpch.Row) int64 { return int64(r.CommitDate) }
-
-	serial, err := Sort(in, filepath.Join(dir, "serial.pages"), key, 1024, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serial.Close()
-	parallel, err := SortParallel(in, filepath.Join(dir, "parallel.pages"), key,
-		Options{MemRows: 1024, Workers: 4, TmpDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parallel.Close()
-
-	collect := func(tab *pagestore.Table) []tpch.Row {
-		out := make([]tpch.Row, 0, len(rows))
-		if err := tab.Scan(func(_ pagestore.RID, r tpch.Row) bool {
-			out = append(out, r)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	sr, pr := collect(serial), collect(parallel)
-	if len(sr) != len(rows) {
-		t.Fatalf("serial rows = %d, want %d", len(sr), len(rows))
-	}
-	// The merge tie-breaks by run order, so worker count cannot change the
-	// output: both tables must be row-for-row identical.
-	if !reflect.DeepEqual(sr, pr) {
-		t.Fatal("parallel sort output differs from serial")
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "run-*.pages"))
-	if len(matches) != 0 {
-		t.Errorf("leftover run files: %v", matches)
-	}
-}
-
-func TestSortOutputPoolMatchesInput(t *testing.T) {
-	in, _, dir := buildInput(t, 2000) // buildInput creates the table with 8 frames
-	out, err := Sort(in, filepath.Join(dir, "pooled.pages"),
-		func(r tpch.Row) int64 { return r.OrderKey }, 1024, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	if out.PoolFrames() != in.PoolFrames() {
-		t.Fatalf("output pool frames = %d, want input's %d", out.PoolFrames(), in.PoolFrames())
 	}
 }

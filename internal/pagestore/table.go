@@ -183,9 +183,7 @@ func (t *Table) Scan(visit func(rid RID, r tpch.Row) bool) error {
 // PoolStats exposes the buffer pool counters.
 func (t *Table) PoolStats() (hits, misses int64) { return t.pool.Stats() }
 
-// PoolFrames returns the capacity of the table's buffer pool, so derived
-// tables (external-sort outputs, rewrites) can be created with the same
-// memory budget as their input instead of a hardcoded guess.
+// PoolFrames returns the capacity of the table's buffer pool.
 func (t *Table) PoolFrames() int { return t.pool.Frames() }
 
 // IOStats exposes the physical page I/O counters.
@@ -214,8 +212,8 @@ func (t *Table) BuildIndex(key func(r tpch.Row) int64) (*bptree.Tree, error) {
 	return bptree.BulkLoadSorted(bptree.DefaultOrder, keys, vals)
 }
 
-// Cursor iterates a table's rows in storage order without callbacks, for
-// streaming consumers like the external sorter's k-way merge.
+// Cursor iterates a table's rows in storage order without callbacks, a
+// batch at a time.
 type Cursor struct {
 	t    *Table
 	page int
@@ -274,40 +272,4 @@ func (c *Cursor) NextBatch(rows []tpch.Row, rids []RID) (int, error) {
 		c.t.pool.Release(c.page)
 	}
 	return filled, nil
-}
-
-// Next returns the next row, or ok=false at the end.
-func (c *Cursor) Next() (RID, tpch.Row, bool, error) {
-	for {
-		if c.page >= 0 && c.slot < c.n {
-			p, err := c.t.pool.Get(c.page)
-			if err != nil {
-				return RID{}, tpch.Row{}, false, err
-			}
-			rec, okSlot := p.Get(c.slot)
-			slot := c.slot
-			c.slot++
-			if !okSlot || rec == nil {
-				c.t.pool.Release(c.page)
-				continue
-			}
-			row, err := DecodeRow(rec) // rec aliases the frame: decode before unpinning
-			c.t.pool.Release(c.page)
-			if err != nil {
-				return RID{}, tpch.Row{}, false, err
-			}
-			return RID{Page: int32(c.page), Slot: int32(slot)}, row, true, nil
-		}
-		c.page++
-		if c.page >= c.t.file.Pages() {
-			return RID{}, tpch.Row{}, false, nil
-		}
-		p, err := c.t.pool.Get(c.page)
-		if err != nil {
-			return RID{}, tpch.Row{}, false, err
-		}
-		c.n = p.NumSlots()
-		c.slot = 0
-		c.t.pool.Release(c.page)
-	}
 }

@@ -48,8 +48,6 @@ func explainFlow(w *strings.Builder, id FlowID, events []Event) {
 		switch e.Kind {
 		case KindFlowAdmitted:
 			fmt.Fprintf(w, "flow %d %q admitted at t=%.1fs (%d operators)\n", id, e.Name, e.T, e.Count)
-		case KindAdvisorProposed:
-			fmt.Fprintf(w, "  advisor proposed %d candidate index(es)\n", e.Count)
 		case KindIndexAdopted:
 			fmt.Fprintf(w, "  adopt %s: weighted gain %.3f (gt=%.3f, gm=%.3f; build %.1fq, %.0f MB; %d record(s) in window W=%.0fs, fade D=%.0fs)\n",
 				e.Name, e.Gain, e.TimeGain, e.MoneyGain, e.BuildQuanta, e.SizeMB, e.Records, e.WindowW, e.FadeD)

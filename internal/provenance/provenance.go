@@ -75,9 +75,6 @@ const (
 	// MoneyQuanta charged, Makespan achieved, WastedQuanta lost to
 	// faults.
 	KindMoneySettled
-	// KindAdvisorProposed: the advisor emitted candidate indexes for a
-	// flow; Count is how many.
-	KindAdvisorProposed
 
 	numKinds
 )
@@ -96,7 +93,6 @@ var kindNames = [numKinds]string{
 	KindFaultInjected:    "fault-injected",
 	KindFaultRecovered:   "fault-recovered",
 	KindMoneySettled:     "money-settled",
-	KindAdvisorProposed:  "advisor-proposed",
 }
 
 // String returns the stable wire name of the kind.

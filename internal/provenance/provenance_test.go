@@ -208,7 +208,6 @@ func TestParseKind(t *testing.T) {
 func TestGoldenJSONL(t *testing.T) {
 	events := []Event{
 		{Seq: 0, Kind: KindFlowAdmitted, Flow: 1, T: 0, Name: "cybershake-0", Count: 9},
-		{Seq: 1, Kind: KindAdvisorProposed, Flow: 1, T: 0, Name: "cybershake-0", Count: 4},
 		{Seq: 2, Kind: KindIndexRejected, Flow: 1, T: 0, Name: "lineitem/orderkey",
 			TimeGain: -0.25, MoneyGain: -0.5, BuildQuanta: 1.25, SizeMB: 64, FadeD: 10, WindowW: 120, Records: 1},
 		{Seq: 3, Kind: KindIndexAdopted, Flow: 1, T: 0, Name: "orders/custkey",

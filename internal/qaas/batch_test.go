@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"idxflow/internal/core"
 	"idxflow/internal/workload"
@@ -68,43 +67,6 @@ func TestBatchCoalescesQueuedAdmissions(t *testing.T) {
 	if r.Batch.P95Size < 2 {
 		t.Fatalf("batch p95 = %g, want >= 2", r.Batch.P95Size)
 	}
-}
-
-// TestBatchWindowWaits verifies a positive BatchWindow holds the batch
-// open for stragglers instead of sealing it immediately.
-func TestBatchWindowWaits(t *testing.T) {
-	cfg := testConfig()
-	cfg.BatchMax = 2
-	cfg.BatchWindow = 500 * time.Millisecond
-	p := New(cfg)
-	// Park the single worker on a blocked admission so it cannot steal the
-	// straggler this test feeds to its own collectBatch call.
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	p.execOverride = func(ad *admission) admissionResult {
-		close(entered)
-		<-release
-		return admissionResult{res: core.FlowResult{Makespan: 1}}
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := p.Submit(context.Background(), "t", dummyFlow()); err != nil {
-			t.Errorf("submit: %v", err)
-		}
-	}()
-	<-entered
-
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		p.queue <- &admission{t: &Tenant{name: "x"}}
-	}()
-	batch := p.collectBatch(&admission{t: &Tenant{name: "x"}})
-	if len(batch) != 2 {
-		t.Fatalf("batch size %d, want 2 (window should wait for the straggler)", len(batch))
-	}
-	close(release)
-	<-done
 }
 
 // TestBatchPreservesSettlementAndIsolation runs real executions through

@@ -46,15 +46,19 @@ import (
 
 // Defaults for the zero Config fields.
 const (
-	DefaultShards         = 16
 	DefaultQueueDepth     = 128
 	DefaultWorkers        = 4
 	DefaultTenantInflight = 32
 	DefaultFleet          = 64
-	DefaultRetryAfter     = time.Second
 	DefaultMaxTenants     = 256
 	DefaultBatchMax       = 8
 )
+
+// tenantShards is the number of stripes in the tenant map.
+const tenantShards = 16
+
+// retryAfter is the backpressure hint returned with every rejection.
+const retryAfter = time.Second
 
 // MaxTenantNameLen bounds tenant identifiers; see ValidateTenantName.
 const MaxTenantNameLen = 64
@@ -100,8 +104,6 @@ type Config struct {
 	// file database workload.NewFileDB(TenantSeed(Seed, t)), which load
 	// generators reproduce client-side to craft valid dataflows.
 	Seed int64
-	// Shards is the number of stripes in the tenant map (default 16).
-	Shards int
 	// QueueDepth bounds the admission queue (default 128); a full queue
 	// rejects with reason "queue-full".
 	QueueDepth int
@@ -137,13 +139,6 @@ type Config struct {
 	// frontier memo instead of re-solving. Negative (or 1) disables
 	// batching: every admission is its own window.
 	BatchMax int
-	// BatchWindow is how long a worker waits for further queued
-	// admissions to join a batch after dequeuing its first (default 0:
-	// coalesce only what is already queued, never add latency).
-	BatchWindow time.Duration
-	// RetryAfter is the backpressure hint returned with rejections
-	// (default 1s).
-	RetryAfter time.Duration
 	// PostExec, when non-nil, is installed on every tenant service; the
 	// server's audit mode hooks check.Audit here. Must be safe for
 	// concurrent use across workers.
@@ -242,9 +237,6 @@ type Pipeline struct {
 // New validates the configuration, starts the worker pool and returns the
 // pipeline. The returned pipeline accepts submissions until Drain.
 func New(cfg Config) *Pipeline {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
@@ -262,9 +254,6 @@ func New(cfg Config) *Pipeline {
 	}
 	if cfg.ProvenanceCapacity <= 0 {
 		cfg.ProvenanceCapacity = provenance.DefaultCapacity
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
 	}
 	if cfg.BatchMax == 0 {
 		cfg.BatchMax = DefaultBatchMax
@@ -291,7 +280,7 @@ func New(cfg Config) *Pipeline {
 	p := &Pipeline{
 		cfg:    cfg,
 		tel:    tel,
-		shards: make([]*shard, cfg.Shards),
+		shards: make([]*shard, tenantShards),
 		queue:  make(chan *admission, cfg.QueueDepth),
 		ledger: newLedger(),
 	}
@@ -467,7 +456,7 @@ func (p *Pipeline) Submit(ctx context.Context, tenantName string, flow *dataflow
 func (p *Pipeline) reject(reason string) *BackpressureError {
 	p.rejected.Add(1)
 	p.ins.rejected.With(reason).Inc()
-	return &BackpressureError{Reason: reason, RetryAfter: p.cfg.RetryAfter}
+	return &BackpressureError{Reason: reason, RetryAfter: retryAfter}
 }
 
 func (p *Pipeline) worker() {
@@ -479,33 +468,11 @@ func (p *Pipeline) worker() {
 }
 
 // collectBatch coalesces up to BatchMax-1 further queued admissions
-// behind the one just dequeued. With no BatchWindow it takes only what is
-// already queued (never adding latency); with a window it waits that long
-// for stragglers to join.
+// behind the one just dequeued. It takes only what is already queued and
+// never waits, so batching adds no latency.
 func (p *Pipeline) collectBatch(first *admission) []*admission {
 	batch := []*admission{first}
-	max := p.cfg.BatchMax
-	if max <= 1 {
-		return batch
-	}
-	if p.cfg.BatchWindow <= 0 {
-		for len(batch) < max {
-			select {
-			case ad, ok := <-p.queue:
-				if !ok {
-					return batch
-				}
-				p.ins.queueDepth.Add(-1)
-				batch = append(batch, ad)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	window := time.NewTimer(p.cfg.BatchWindow)
-	defer window.Stop()
-	for len(batch) < max {
+	for len(batch) < p.cfg.BatchMax {
 		select {
 		case ad, ok := <-p.queue:
 			if !ok {
@@ -513,7 +480,7 @@ func (p *Pipeline) collectBatch(first *admission) []*admission {
 			}
 			p.ins.queueDepth.Add(-1)
 			batch = append(batch, ad)
-		case <-window.C:
+		default:
 			return batch
 		}
 	}

@@ -25,7 +25,7 @@ func testConfig() Config {
 	cc.Telemetry = telemetry.NewRegistry()
 	// Batching off: these tests assert exact queue occupancy, which an
 	// eager batch drain would consume; batch behavior has its own tests.
-	return Config{Core: cc, Seed: 1, Shards: 4, QueueDepth: 4, Workers: 1,
+	return Config{Core: cc, Seed: 1, QueueDepth: 4, Workers: 1,
 		FleetContainers: 8, BatchMax: -1}
 }
 

@@ -48,16 +48,15 @@ type TenantReport struct {
 	// ProvenanceDropped reports ring overwrites; non-zero means the
 	// per-tenant log wrapped and is unsound for auditing.
 	ProvenanceDropped uint64 `json:"provenance_dropped"`
-	// Warm snapshots the tenant scheduler's warm-start counters and books.
+	// Warm snapshots the tenant scheduler's warm-start counters.
 	Warm sched.WarmStats `json:"warm"`
 }
 
 // WarmSummary aggregates every tenant's warm-start counters.
 type WarmSummary struct {
-	Hits          uint64  `json:"hits"`
-	Misses        uint64  `json:"misses"`
-	Invalidations uint64  `json:"invalidations"`
-	HitRate       float64 `json:"hit_rate"`
+	Hits    uint64  `json:"hits"`
+	Misses  uint64  `json:"misses"`
+	HitRate float64 `json:"hit_rate"`
 }
 
 // BatchStats summarizes the batched admission windows the workers ran.
@@ -150,7 +149,6 @@ func (p *Pipeline) Report() Report {
 		})
 		r.Warm.Hits += warm.Hits
 		r.Warm.Misses += warm.Misses
-		r.Warm.Invalidations += warm.Invalidations
 	}
 	if total := r.Warm.Hits + r.Warm.Misses; total > 0 {
 		r.Warm.HitRate = float64(r.Warm.Hits) / float64(total)

@@ -49,9 +49,9 @@ type Options struct {
 	// provenance events emitted by consumers of these options.
 	Now float64
 	// Warm, when non-nil, carries scheduler state across submissions: the
-	// last frontier (replayed on an exact problem match) and per-container
-	// lease/idle books whose capacity hints seed fresh schedules. The
-	// warm path is bit-identical to cold at any Parallelism.
+	// last frontier (replayed on an exact problem match) and an idle-slot
+	// capacity hint that seeds fresh schedules. The warm path is
+	// bit-identical to cold at any Parallelism.
 	Warm *Warm
 }
 

@@ -18,10 +18,8 @@ import (
 //     deterministic, so the replayed frontier is bit-identical to what a
 //     cold run would compute — the equivalence the golden cold-vs-warm
 //     suite and FuzzWarmFrontier verify.
-//   - per-container lease-end and longest-idle-run books of the last
-//     adopted schedule. Placements and faults invalidate only the
-//     containers they touch; the books feed capacity hints back into the
-//     next run (sizing, never semantics) and the /v1/qaas snapshot.
+//   - the idle-slot capacity of the last adopted schedule, fed back into
+//     the next run as a buffer-size hint (sizing, never semantics).
 //
 // A Warm value is owned by one tuner service; methods are safe for the
 // concurrent reporting reads the QaaS pipeline performs.
@@ -31,19 +29,13 @@ type Warm struct {
 	sig      []uint64
 	frontier []*Schedule // owned clones; handed out re-cloned
 
-	// Books of the last adopted schedule, indexed by container.
-	leaseQ  []int
-	maxIdle []float64
-	dirty   []bool
 	// idleHint seeds new schedules' IdleSlots capacity hint.
 	idleHint int
 
-	hits          atomic.Uint64
-	misses        atomic.Uint64
-	invalidations atomic.Uint64
+	hits   atomic.Uint64
+	misses atomic.Uint64
 
-	hitCounter   *telemetry.Counter
-	invalCounter *telemetry.Counter
+	hitCounter *telemetry.Counter
 }
 
 // NewWarm returns an empty warm-start state. reg may be nil; the telemetry
@@ -52,21 +44,14 @@ func NewWarm(reg *telemetry.Registry) *Warm {
 	return &Warm{
 		hitCounter: reg.Counter("idxflow_sched_warm_hits_total",
 			"Warm-frontier memo hits: submissions scheduled by replaying the carried Pareto frontier."),
-		invalCounter: reg.Counter("idxflow_sched_warm_invalidations_total",
-			"Warm-book container invalidations from placements and faults."),
 	}
 }
 
-// WarmStats is a point-in-time snapshot of the warm-start counters and
-// books for reports and the loadgen summary.
+// WarmStats is a point-in-time snapshot of the warm-start counters for
+// reports and the loadgen summary.
 type WarmStats struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Invalidations uint64 `json:"invalidations"`
-	// BookContainers is the number of containers tracked in the lease/idle
-	// books; BookDirty of them have been invalidated since adoption.
-	BookContainers int `json:"book_containers"`
-	BookDirty      int `json:"book_dirty"`
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -77,25 +62,12 @@ func (s WarmStats) HitRate() float64 {
 	return 0
 }
 
-// Stats snapshots the counters and book occupancy.
+// Stats snapshots the counters.
 func (w *Warm) Stats() WarmStats {
 	if w == nil {
 		return WarmStats{}
 	}
-	st := WarmStats{
-		Hits:          w.hits.Load(),
-		Misses:        w.misses.Load(),
-		Invalidations: w.invalidations.Load(),
-	}
-	w.mu.Lock()
-	st.BookContainers = len(w.leaseQ)
-	for _, d := range w.dirty {
-		if d {
-			st.BookDirty++
-		}
-	}
-	w.mu.Unlock()
-	return st
+	return WarmStats{Hits: w.hits.Load(), Misses: w.misses.Load()}
 }
 
 // lookup returns clones of the memoized frontier when sig matches exactly,
@@ -140,54 +112,18 @@ func (w *Warm) store(sig []uint64, frontier []*Schedule) {
 	w.mu.Unlock()
 }
 
-// NoteAdoption rebuilds the per-container books from the schedule the
-// tuner adopted (post-repair when faults struck), clearing all dirty
-// marks: the books now describe reality again.
+// NoteAdoption records the idle-slot capacity of the schedule the tuner
+// adopted (post-repair when faults struck) as the next run's hint.
 func (w *Warm) NoteAdoption(s *Schedule) {
 	if w == nil || s == nil {
 		return
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(s.conts)
-	w.leaseQ = w.leaseQ[:0]
-	w.maxIdle = w.maxIdle[:0]
-	w.dirty = w.dirty[:0]
-	for c := 0; c < n; c++ {
-		if len(s.conts[c]) == 0 {
-			w.leaseQ = append(w.leaseQ, 0)
-			w.maxIdle = append(w.maxIdle, 0)
-		} else {
-			w.leaseQ = append(w.leaseQ, s.leaseEndQuanta(c))
-			w.maxIdle = append(w.maxIdle, s.contSeqIdle(c))
-		}
-		w.dirty = append(w.dirty, false)
-	}
 	w.idleHint = s.idleCap
-}
-
-// NoteFault invalidates container c's book entries: a fault touched it and
-// its lease/idle state no longer matches the plan.
-func (w *Warm) NoteFault(c int) { w.invalidate(c) }
-
-// NotePlacement invalidates container c's book entries after a placement
-// outside the scheduler (e.g. a dedicated build container).
-func (w *Warm) NotePlacement(c int) { w.invalidate(c) }
-
-func (w *Warm) invalidate(c int) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	if c >= 0 && c < len(w.dirty) && !w.dirty[c] {
-		w.dirty[c] = true
-		w.invalidations.Add(1)
-		w.invalCounter.Inc()
-	}
 	w.mu.Unlock()
 }
 
-// seedHints applies the books' capacity hints to a fresh schedule. Hints
+// seedHints applies the carried capacity hint to a fresh schedule. Hints
 // size buffers only — they cannot change any computed value, so the warm
 // path stays bit-identical to cold by construction.
 func (w *Warm) seedHints(s *Schedule) {

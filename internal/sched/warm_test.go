@@ -82,7 +82,6 @@ func TestWarmColdEquivalentAcrossParallelism(t *testing.T) {
 						s.CopyFrom(NewSchedule(g, cold.Pricing, cold.Spec))
 					}
 					warm.Warm.NoteAdoption(sky[0])
-					warm.Warm.NoteFault(0)
 				}
 				if st := warm.Warm.Stats(); st.Hits == 0 {
 					t.Fatalf("seed %d withOpt=%v p=%d: repeated submissions never hit the memo", seed, withOpt, p)
@@ -119,47 +118,31 @@ func TestWarmMetamorphicSubmissionOrder(t *testing.T) {
 	}
 }
 
-// TestWarmBooks exercises the per-container lease/idle books: adoption
-// rebuilds them, faults and placements dirty exactly the touched container
-// once, and re-adoption clears the marks.
-func TestWarmBooks(t *testing.T) {
+// TestWarmIdleHint: adoption carries the adopted schedule's idle-slot
+// capacity into the next fresh schedule as a sizing hint (never shrinking
+// it), and a nil Warm is inert everywhere the service calls it.
+func TestWarmIdleHint(t *testing.T) {
 	g := randomDAG(7, 30, 0)
 	o := warmOpts()
 	sky := NewSkyline(o).Schedule(g)
 	w := o.Warm
 
-	w.NoteAdoption(sky[0])
-	st := w.Stats()
-	if st.BookContainers != sky[0].NumSlots() {
-		t.Fatalf("books track %d containers, schedule has %d slots", st.BookContainers, sky[0].NumSlots())
+	adopted := sky[0]
+	adopted.idleCap = 17
+	w.NoteAdoption(adopted)
+	fresh := NewSchedule(g, o.Pricing, o.Spec)
+	w.seedHints(fresh)
+	if fresh.idleCap != 17 {
+		t.Fatalf("seeded idle capacity = %d, want the adopted schedule's 17", fresh.idleCap)
 	}
-	if st.BookDirty != 0 {
-		t.Fatalf("fresh adoption left %d dirty entries", st.BookDirty)
-	}
-
-	w.NoteFault(0)
-	w.NoteFault(0) // second fault on the same container must not double-count
-	w.NotePlacement(1)
-	w.NoteFault(-1)   // out of range: no-op
-	w.NoteFault(1000) // out of range: no-op
-	st = w.Stats()
-	if st.Invalidations != 2 || st.BookDirty != 2 {
-		t.Fatalf("invalidations=%d dirty=%d, want 2/2", st.Invalidations, st.BookDirty)
+	roomy := NewSchedule(g, o.Pricing, o.Spec)
+	roomy.idleCap = 40
+	w.seedHints(roomy)
+	if roomy.idleCap != 40 {
+		t.Fatalf("hint shrank a larger capacity to %d", roomy.idleCap)
 	}
 
-	w.NoteAdoption(sky[0])
-	if st = w.Stats(); st.BookDirty != 0 {
-		t.Fatalf("re-adoption left %d dirty entries", st.BookDirty)
-	}
-	// The cumulative counter survives re-adoption.
-	if st.Invalidations != 2 {
-		t.Fatalf("invalidations=%d after re-adoption, want 2", st.Invalidations)
-	}
-
-	// A nil Warm is inert everywhere the service calls it.
 	var nw *Warm
-	nw.NoteFault(0)
-	nw.NotePlacement(0)
 	nw.NoteAdoption(sky[0])
 	nw.seedHints(sky[0])
 	if s := nw.Stats(); s != (WarmStats{}) {
@@ -183,14 +166,9 @@ func TestWarmTelemetryCounters(t *testing.T) {
 	o := testOpts()
 	o.Warm = NewWarm(reg)
 	g := randomDAG(9, 20, 0)
-	sky := NewSkyline(o).Schedule(g)
+	NewSkyline(o).Schedule(g)
 	NewSkyline(o).Schedule(g) // hit
-	o.Warm.NoteAdoption(sky[0])
-	o.Warm.NoteFault(0)
 	if v := reg.Counter("idxflow_sched_warm_hits_total", "").Value(); v != 1 {
 		t.Errorf("idxflow_sched_warm_hits_total = %g, want 1", v)
-	}
-	if v := reg.Counter("idxflow_sched_warm_invalidations_total", "").Value(); v != 1 {
-		t.Errorf("idxflow_sched_warm_invalidations_total = %g, want 1", v)
 	}
 }

@@ -8,22 +8,17 @@ import (
 	"idxflow/internal/provenance"
 )
 
-// handleEvents streams the flight recorder's current contents as JSONL —
+// handleEvents streams the tenant's flight recorder contents as JSONL —
 // one header line, then one event per line — optionally filtered:
 //
 //	GET /debug/events?kind=index-adopted   only events of that kind
 //	GET /debug/events?flow=3               only events of that dataflow
 //	GET /debug/events?limit=100            only the last N matching events
 //
-// The snapshot is taken under the recorder's own lock; the server mutex is
+// The snapshot is taken under the recorder's own lock; the tenant lock is
 // not held, so a long-running submission never blocks introspection.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	serveEvents(w, r, s.svc.Provenance())
-}
-
-// serveEvents renders one recorder's filtered snapshot; shared by the
-// sequential handler and the tenant-scoped QaaS handler.
-func serveEvents(w http.ResponseWriter, r *http.Request, rec *provenance.Recorder) {
+	rec := s.recorder(r)
 	events := rec.Snapshot()
 
 	q := r.URL.Query()
@@ -67,22 +62,17 @@ type FlowTrace struct {
 	Events []provenance.Event `json:"events"`
 }
 
-// handleFlow returns every event attributed to the dataflow, in causal
-// (sequence) order. 404 means the flow recorded nothing — unknown ID,
-// recording disabled, or the events already rotated out of the ring.
+// handleFlow returns every event the tenant's recorder attributes to the
+// dataflow, in causal (sequence) order. 404 means the flow recorded
+// nothing — unknown ID or tenant, or the events already rotated out of the
+// ring.
 func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
-	serveFlowTrace(w, r, s.svc.Provenance())
-}
-
-// serveFlowTrace renders one flow's causally-ordered decision chain from
-// the given recorder.
-func serveFlowTrace(w http.ResponseWriter, r *http.Request, rec *provenance.Recorder) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil || id == 0 {
 		http.Error(w, "flow id must be a positive integer", http.StatusBadRequest)
 		return
 	}
-	events := rec.FlowEvents(provenance.FlowID(id))
+	events := s.recorder(r).FlowEvents(provenance.FlowID(id))
 	if len(events) == 0 {
 		http.Error(w, "no events recorded for this flow", http.StatusNotFound)
 		return

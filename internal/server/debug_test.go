@@ -3,47 +3,11 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
-	"idxflow/internal/core"
 	"idxflow/internal/provenance"
-	"idxflow/internal/telemetry"
-	"idxflow/internal/workload"
 )
-
-// debugServer is testServer with an enabled flight recorder wired into the
-// service, as the -events flag does in cmd/idxflow-server.
-func debugServer(t *testing.T) (*Server, *httptest.Server) {
-	t.Helper()
-	db, err := workload.NewFileDB(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Sched.MaxSkyline = 4
-	cfg.Sched.MaxContainers = 10
-	cfg.Telemetry = telemetry.NewRegistry()
-	cfg.Provenance = provenance.NewRecorder(0)
-	s := New(core.NewService(cfg, db), db)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
-
-func submitFlow(t *testing.T, s *Server, ts *httptest.Server) {
-	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/dataflows", "text/plain", strings.NewReader(flowText(s.db)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit status = %d", resp.StatusCode)
-	}
-}
 
 func getEvents(t *testing.T, url string) (provenance.Header, []provenance.Event, int) {
 	t.Helper()
@@ -63,9 +27,10 @@ func getEvents(t *testing.T, url string) (provenance.Header, []provenance.Event,
 }
 
 func TestDebugEventsEndpoint(t *testing.T) {
-	s, ts := debugServer(t)
-	submitFlow(t, s, ts)
-	submitFlow(t, s, ts)
+	s, ts := testServer(t, nil)
+	body := defaultFlow(t, s)
+	submitFlow(t, ts, body)
+	submitFlow(t, ts, body)
 
 	h, events, status := getEvents(t, ts.URL+"/debug/events")
 	if status != http.StatusOK {
@@ -122,9 +87,10 @@ func TestDebugEventsEndpoint(t *testing.T) {
 // TestDebugFlowTrace checks the acceptance property: /debug/flows/{id}
 // returns the complete decision chain for a dataflow in causal order.
 func TestDebugFlowTrace(t *testing.T) {
-	s, ts := debugServer(t)
-	submitFlow(t, s, ts)
-	submitFlow(t, s, ts)
+	s, ts := testServer(t, nil)
+	body := defaultFlow(t, s)
+	submitFlow(t, ts, body)
+	submitFlow(t, ts, body)
 
 	resp, err := http.Get(ts.URL + "/debug/flows/1")
 	if err != nil {
@@ -184,7 +150,7 @@ func TestDebugFlowTrace(t *testing.T) {
 // TestOnShutdownRunsAfterDrain checks the flush hooks fire exactly once,
 // in registration order, after the graceful drain completes.
 func TestOnShutdownRunsAfterDrain(t *testing.T) {
-	s, _ := newTestServer(t)
+	s, _ := testServer(t, nil)
 	var order []string
 	s.OnShutdown(func() { order = append(order, "tracer") })
 	s.OnShutdown(func() { order = append(order, "events") })

@@ -12,6 +12,17 @@ import (
 // after a shutdown signal before closing their connections.
 const DefaultDrainTimeout = 10 * time.Second
 
+// Connection deadlines. A client gets ReadHeaderTimeout to finish its
+// request headers and an idle keep-alive connection is closed after
+// IdleTimeout, so a peer that opens a connection and goes quiet cannot
+// hold it forever. There is deliberately no whole-request ReadTimeout or
+// WriteTimeout: a submission legitimately blocks while it waits in the
+// admission queue and executes.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
 // Serve runs the server's handler on the listener until ctx is cancelled,
 // then drains gracefully: the listener closes immediately (no new
 // connections), in-flight requests get up to drainTimeout to finish, and
@@ -27,7 +38,11 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	if drainTimeout <= 0 {
 		drainTimeout = DefaultDrainTimeout
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	if ready != nil {
@@ -47,20 +62,18 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	if serr := <-errc; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
 		err = serr
 	}
-	// In QaaS mode the HTTP drain only settles the request handlers; the
-	// admission pipeline may still hold queued work whose submitters
-	// disconnected. Complete it before flushing observers so the final
-	// books and event logs are quiescent. The pipeline drain gets its own
-	// deadline: the HTTP drain may have consumed (or exhausted) dctx, and
-	// an already-expired context would cut the pipeline off before it
+	// The HTTP drain only settles the request handlers; the admission
+	// pipeline may still hold queued work whose submitters disconnected.
+	// Complete it before flushing observers so the final books and event
+	// logs are quiescent. The pipeline drain gets its own deadline: the
+	// HTTP drain may have consumed (or exhausted) dctx, and an
+	// already-expired context would cut the pipeline off before it
 	// finished work the HTTP drain just waited for.
-	if s.pipe != nil {
-		pctx, pcancel := context.WithTimeout(context.Background(), drainTimeout)
-		if derr := s.pipe.Drain(pctx); derr != nil && err == nil {
-			err = derr
-		}
-		pcancel()
+	pctx, pcancel := context.WithTimeout(context.Background(), drainTimeout)
+	if derr := s.pipe.Drain(pctx); derr != nil && err == nil {
+		err = derr
 	}
+	pcancel()
 	// In-flight requests are done (or cut off): flush observers now so
 	// traces and event logs capture everything the drain allowed to finish.
 	s.runShutdownHooks()

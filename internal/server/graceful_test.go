@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -12,24 +13,7 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"idxflow/internal/core"
-	"idxflow/internal/telemetry"
-	"idxflow/internal/workload"
 )
-
-func newTestServer(t *testing.T) (*Server, *workload.FileDB) {
-	t.Helper()
-	db, err := workload.NewFileDB(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Sched.MaxSkyline = 4
-	cfg.Sched.MaxContainers = 10
-	cfg.Telemetry = telemetry.NewRegistry()
-	return New(core.NewService(cfg, db), db), db
-}
 
 // startServe runs Serve on an ephemeral listener and returns the base URL,
 // the cancel triggering shutdown, and a channel with Serve's result.
@@ -48,7 +32,8 @@ func startServe(t *testing.T, s *Server) (string, context.CancelFunc, <-chan err
 }
 
 func TestServeDrainsInFlightRequests(t *testing.T) {
-	s, db := newTestServer(t)
+	s, _ := testServer(t, nil)
+	flow := defaultFlow(t, s)
 	url, cancel, done := startServe(t, s)
 
 	// Fire a real dataflow submission — it executes the whole tuning and
@@ -61,7 +46,7 @@ func TestServeDrainsInFlightRequests(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		resp, err := http.Post(url+"/v1/dataflows", "text/plain",
-			strings.NewReader(flowText(db)))
+			strings.NewReader(flow))
 		if err != nil {
 			t.Errorf("in-flight submit failed: %v", err)
 			return
@@ -96,7 +81,7 @@ func TestServeDrainsInFlightRequests(t *testing.T) {
 // driven by signal.NotifyContext — by delivering a real SIGTERM to this
 // process.
 func TestServeStopsOnSignal(t *testing.T) {
-	s, _ := newTestServer(t)
+	s, _ := testServer(t, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -126,5 +111,50 @@ func TestServeStopsOnSignal(t *testing.T) {
 	}
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Error("request after signal shutdown succeeded; listener still open")
+	}
+}
+
+// TestSlowHeaderClientIsCutOff: a client that never finishes its request
+// headers loses its connection after ReadHeaderTimeout, while a
+// well-formed submission arriving meanwhile is served normally.
+func TestSlowHeaderClientIsCutOff(t *testing.T) {
+	t.Parallel()
+	s, _ := testServer(t, nil)
+	flow := defaultFlow(t, s)
+	url, cancel, done := startServe(t, s)
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	slow, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	opened := time.Now()
+	// A request line and one header, but never the blank line ending them.
+	if _, err := io.WriteString(slow, "POST /v1/dataflows HTTP/1.1\r\nHost: idxflow\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(url+"/v1/dataflows", "text/plain", strings.NewReader(flow))
+	if err != nil {
+		t.Fatalf("submit beside a stalled client: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("submit beside a stalled client: status %d", resp.StatusCode)
+	}
+
+	slow.SetReadDeadline(opened.Add(ReadHeaderTimeout + 5*time.Second))
+	_, err = slow.Read(make([]byte, 1))
+	var nerr net.Error
+	if err == nil || (errors.As(err, &nerr) && nerr.Timeout()) {
+		t.Fatalf("stalled connection still open %v after it was opened (read error %v); want the server to close it after %v",
+			time.Since(opened), err, ReadHeaderTimeout)
+	}
+	if held := time.Since(opened); held < ReadHeaderTimeout/2 {
+		t.Errorf("stalled connection closed after %v, long before the %v header deadline", held, ReadHeaderTimeout)
 	}
 }

@@ -24,12 +24,8 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestPrometheusEndpoint(t *testing.T) {
-	s, ts := testServer(t)
-	resp, err := http.Post(ts.URL+"/v1/dataflows", "text/plain", strings.NewReader(flowText(s.db)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	s, ts := testServer(t, nil)
+	submitFlow(t, ts, defaultFlow(t, s))
 
 	r, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -77,7 +73,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 }
 
 func TestMetricsJSONAlias(t *testing.T) {
-	_, ts := testServer(t)
+	_, ts := testServer(t, nil)
 	s1, b1 := get(t, ts.URL+"/v1/metrics")
 	s2, b2 := get(t, ts.URL+"/metrics.json")
 	if s1 != http.StatusOK || s2 != http.StatusOK {
@@ -89,11 +85,11 @@ func TestMetricsJSONAlias(t *testing.T) {
 }
 
 // TestConcurrentSubmitAndScrape hammers submissions and scrapes in
-// parallel; run with -race it verifies the one-lock service access and the
-// registry's internal synchronization.
+// parallel; run with -race it verifies the tenant-locked service access and
+// the registry's internal synchronization.
 func TestConcurrentSubmitAndScrape(t *testing.T) {
-	s, ts := testServer(t)
-	body := flowText(s.db)
+	s, ts := testServer(t, nil)
+	body := defaultFlow(t, s)
 	const submitters, scrapers, rounds = 4, 4, 5
 
 	var wg sync.WaitGroup

@@ -1,56 +1,58 @@
 // Package server exposes the QaaS service over HTTP — the front door of
 // the Fig. 1 architecture: users submit dataflows, the service executes
 // them with online index tuning, and operational state (index set, metrics,
-// tables) is inspectable.
+// tables, decision provenance) is inspectable.
 //
 // Endpoints:
 //
 //	POST /v1/dataflows       submit one dataflow in flowlang format
-//	GET  /v1/indexes         the current index states
-//	GET  /v1/metrics         service counters (JSON)
-//	GET  /v1/tables          the catalog's tables
+//	GET  /v1/indexes         the tenant's index states
+//	GET  /v1/metrics         the tenant's service counters (JSON)
+//	GET  /v1/tables          the tenant's catalog tables
+//	GET  /v1/qaas            pipeline-wide snapshot: queue, fleet, books
 //	GET  /metrics            Prometheus text exposition of the telemetry registry
 //	GET  /metrics.json       alias of /v1/metrics for scrapers expecting JSON
+//	GET  /debug/events       the tenant's decision-provenance log (JSONL)
+//	GET  /debug/flows/{id}   one dataflow's decision chain
+//	GET  /debug/audit        accounting verdict (check.AuditQaaS + in-line audits)
 //	GET  /healthz            liveness
 //
-// The core service processes dataflows sequentially (§3); the server
-// serializes all service access with one mutex accordingly. The telemetry
-// registry is internally synchronized, so /metrics scrapes never block a
-// running submission.
+// Every submission flows through the qaas admission pipeline. A request
+// names its tenant with ?tenant= or the X-Idxflow-Tenant header; one that
+// names none lands on tenant "default", so a single-user client needs no
+// tenant at all. Within a tenant the service processes dataflows
+// sequentially (§3) behind the tenant's lock; the telemetry registry is
+// internally synchronized, so /metrics scrapes never block a running
+// submission.
 package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"idxflow/internal/check"
 	"idxflow/internal/core"
 	"idxflow/internal/data"
 	"idxflow/internal/flowlang"
+	"idxflow/internal/provenance"
 	"idxflow/internal/qaas"
-	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
 
-// Server wraps a core.Service (sequential mode) or a qaas.Pipeline
-// (concurrent multi-tenant mode) with an HTTP API.
+// Server wraps a qaas.Pipeline with an HTTP API.
 type Server struct {
-	mu  sync.Mutex
-	svc *core.Service
-	db  *workload.FileDB
-
-	// pipe, when non-nil, puts the server in QaaS mode: submissions flow
-	// through the concurrent admission pipeline, state endpoints are
-	// tenant-scoped (?tenant= or X-Idxflow-Tenant), and Serve drains the
-	// pipeline after the HTTP drain. auditor optionally collects a
-	// per-execution check.Audit verdict surfaced at /debug/audit.
-	pipe    *qaas.Pipeline
+	pipe *qaas.Pipeline
+	// auditor optionally collects a per-execution check.Audit verdict
+	// surfaced at /debug/audit.
 	auditor *check.ExecAuditor
 
-	submitted int
-	flush     []func()
+	mu    sync.Mutex // guards flush
+	flush []func()
 }
 
 // OnShutdown registers a hook that Serve runs after the graceful drain
@@ -75,54 +77,31 @@ func (s *Server) runShutdownHooks() {
 	}
 }
 
-// New returns a server over the given service and file database.
-func New(svc *core.Service, db *workload.FileDB) *Server {
-	return &Server{svc: svc, db: db}
-}
-
-// NewQaaS returns a server in concurrent multi-tenant mode over the given
-// pipeline. auditor may be nil; when set, every execution is audited via
-// the pipeline's PostExec hook and /debug/audit reports the verdict.
+// NewQaaS returns a server over the given admission pipeline. auditor may
+// be nil; when set, every execution is audited via the pipeline's PostExec
+// hook and /debug/audit reports the verdict.
 func NewQaaS(p *qaas.Pipeline, auditor *check.ExecAuditor) *Server {
 	return &Server{pipe: p, auditor: auditor}
-}
-
-// telemetry returns the registry backing /metrics in either mode.
-func (s *Server) telemetry() *telemetry.Registry {
-	if s.pipe != nil {
-		return s.pipe.Telemetry()
-	}
-	return s.svc.Telemetry()
 }
 
 // Handler returns the HTTP handler with all routes mounted.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	if s.pipe != nil {
-		mux.HandleFunc("POST /v1/dataflows", s.handleSubmitQaaS)
-		mux.HandleFunc("GET /v1/indexes", s.handleIndexesQaaS)
-		mux.HandleFunc("GET /v1/metrics", s.handleMetricsQaaS)
-		mux.HandleFunc("GET /v1/tables", s.handleTablesQaaS)
-		mux.HandleFunc("GET /v1/qaas", s.handleQaaSReport)
-		mux.HandleFunc("GET /metrics.json", s.handleMetricsQaaS)
-		mux.HandleFunc("GET /debug/events", s.handleEventsQaaS)
-		mux.HandleFunc("GET /debug/flows/{id}", s.handleFlowQaaS)
-		mux.HandleFunc("GET /debug/audit", s.handleAudit)
-	} else {
-		mux.HandleFunc("POST /v1/dataflows", s.handleSubmit)
-		mux.HandleFunc("GET /v1/indexes", s.handleIndexes)
-		mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-		mux.HandleFunc("GET /v1/tables", s.handleTables)
-		mux.HandleFunc("GET /metrics.json", s.handleMetrics)
-		mux.HandleFunc("GET /debug/events", s.handleEvents)
-		mux.HandleFunc("GET /debug/flows/{id}", s.handleFlow)
-	}
+	mux.HandleFunc("POST /v1/dataflows", s.handleSubmit)
+	mux.HandleFunc("GET /v1/indexes", s.handleIndexes)
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	mux.HandleFunc("GET /v1/tables", s.handleTables)
+	mux.HandleFunc("GET /v1/qaas", s.handleQaaSReport)
+	mux.HandleFunc("GET /metrics.json", s.handleMetrics)
+	mux.HandleFunc("GET /debug/events", s.handleEvents)
+	mux.HandleFunc("GET /debug/flows/{id}", s.handleFlow)
+	mux.HandleFunc("GET /debug/audit", s.handleAudit)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	reqs := s.telemetry().CounterVec("idxflow_http_requests_total",
+	reqs := s.pipe.Telemetry().CounterVec("idxflow_http_requests_total",
 		"HTTP requests served, by route pattern.", "route")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, pattern := mux.Handler(r); pattern != "" {
@@ -139,9 +118,48 @@ func (s *Server) Handler() http.Handler {
 // no server lock is taken and scrapes cannot delay submissions.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.telemetry().WritePrometheus(w); err != nil {
+	if err := s.pipe.Telemetry().WritePrometheus(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+}
+
+// TenantHeader carries the tenant identifier when the ?tenant= query
+// parameter is absent.
+const TenantHeader = "X-Idxflow-Tenant"
+
+// DefaultTenant is used when a request names no tenant at all, so a
+// single-user client never has to mention one.
+const DefaultTenant = "default"
+
+// tenantOf resolves the request's tenant: ?tenant= wins, then the
+// X-Idxflow-Tenant header, then "default".
+func tenantOf(r *http.Request) string {
+	if t := r.URL.Query().Get("tenant"); t != "" {
+		return t
+	}
+	if t := r.Header.Get(TenantHeader); t != "" {
+		return t
+	}
+	return DefaultTenant
+}
+
+// lookupTenant resolves the request's tenant state without instantiating
+// it: tenant names are untrusted input and each instantiation allocates a
+// full file database, service and provenance ring, so read-only endpoints
+// must never create one. A nil result means "no state yet" — handlers
+// render the natural empty view, which is also what a just-created tenant
+// would show.
+func (s *Server) lookupTenant(r *http.Request) *qaas.Tenant {
+	return s.pipe.Lookup(tenantOf(r))
+}
+
+// recorder returns the tenant's flight recorder, or nil (which reads as an
+// empty log) when the tenant has no state yet.
+func (s *Server) recorder(r *http.Request) *provenance.Recorder {
+	if t := s.lookupTenant(r); t != nil {
+		return t.Recorder()
+	}
+	return nil
 }
 
 // SubmitResponse is the JSON result of a dataflow submission.
@@ -157,20 +175,49 @@ type SubmitResponse struct {
 	IndexesDeleted  []string `json:"indexes_deleted"`
 }
 
+// BackpressureResponse is the 429 body for rejected admissions.
+type BackpressureResponse struct {
+	Error             string  `json:"error"`
+	Reason            string  `json:"reason"`
+	RetryAfterSeconds float64 `json:"retry_after_seconds"`
+}
+
+// handleSubmit admits one dataflow through the concurrent pipeline and
+// blocks until its Algorithm-1 pass completes. Backpressure surfaces as
+// HTTP 429 with a Retry-After header (whole seconds, rounded up per RFC
+// 9110); a client that disconnects while queued gets its execution
+// abandoned uncharged.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	flow, err := flowlang.Parse(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.mu.Lock()
-	if flow.IssuedAt < s.svc.Clock() {
-		flow.IssuedAt = s.svc.Clock()
+	tenant := tenantOf(r)
+	res, err := s.pipe.Submit(r.Context(), tenant, flow)
+	var bp *qaas.BackpressureError
+	switch {
+	case errors.Is(err, qaas.ErrTenantName):
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	case errors.As(err, &bp):
+		secs := int(math.Ceil(bp.RetryAfter.Seconds()))
+		if secs < 1 {
+			secs = 1
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		writeJSON(w, http.StatusTooManyRequests, BackpressureResponse{
+			Error:             bp.Error(),
+			Reason:            bp.Reason,
+			RetryAfterSeconds: bp.RetryAfter.Seconds(),
+		})
+		return
+	case err != nil:
+		// Context cancellation (client gone), tenant capacity reached, or
+		// tenant bootstrap failure.
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
 	}
-	res := s.svc.Submit(flow)
-	s.submitted++
-	s.mu.Unlock()
-
 	writeJSON(w, http.StatusOK, SubmitResponse{
 		Flow:            res.Flow.Name,
 		StartSeconds:    res.Start,
@@ -221,29 +268,36 @@ func indexInfos(cat *data.Catalog, onlyAvailable bool) []IndexInfo {
 
 func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 	onlyAvailable := r.URL.Query().Get("available") == "true"
-	s.mu.Lock()
-	out := indexInfos(s.svc.Catalog(), onlyAvailable)
-	s.mu.Unlock()
+	out := []IndexInfo{}
+	if t := s.lookupTenant(r); t != nil {
+		t.Do(func(svc *core.Service, db *workload.FileDB) {
+			out = indexInfos(svc.Catalog(), onlyAvailable)
+		})
+	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// MetricsResponse summarizes service counters.
+// MetricsResponse is the tenant-scoped /v1/metrics view.
 type MetricsResponse struct {
+	Tenant           string  `json:"tenant"`
 	ClockSeconds     float64 `json:"clock_seconds"`
-	Submitted        int     `json:"dataflows_submitted"`
+	Admitted         int64   `json:"dataflows_admitted"`
 	IndexesAvailable int     `json:"indexes_available"`
 	IndexStorageMB   float64 `json:"index_storage_mb"`
+	VMQuanta         float64 `json:"vm_quanta"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	resp := MetricsResponse{
-		ClockSeconds:     s.svc.Clock(),
-		Submitted:        s.submitted,
-		IndexesAvailable: len(s.svc.Catalog().AvailableSet()),
-		IndexStorageMB:   s.svc.Catalog().BuiltSizeMB(),
+	resp := MetricsResponse{Tenant: tenantOf(r)}
+	if t := s.lookupTenant(r); t != nil {
+		resp.Admitted = t.Admitted()
+		t.Do(func(svc *core.Service, db *workload.FileDB) {
+			resp.ClockSeconds = svc.Clock()
+			resp.IndexesAvailable = len(svc.Catalog().AvailableSet())
+			resp.IndexStorageMB = svc.Catalog().BuiltSizeMB()
+			resp.VMQuanta = svc.Aggregates().VMQuanta
+		})
 	}
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -256,18 +310,66 @@ type TableInfo struct {
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
 	out := []TableInfo{}
-	for _, f := range s.db.Files {
-		out = append(out, TableInfo{
-			Name:       f.Table.Name,
-			Partitions: len(f.Table.Partitions),
-			Records:    f.Table.NumRecords(),
-			SizeMB:     f.Table.SizeMB(),
+	if t := s.lookupTenant(r); t != nil {
+		t.Do(func(svc *core.Service, db *workload.FileDB) {
+			for _, f := range db.Files {
+				out = append(out, TableInfo{
+					Name:       f.Table.Name,
+					Partitions: len(f.Table.Partitions),
+					Records:    f.Table.NumRecords(),
+					SizeMB:     f.Table.SizeMB(),
+				})
+			}
 		})
 	}
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
+}
+
+// handleQaaSReport exposes the pipeline-wide snapshot: queue depth, fleet
+// occupancy, global and per-tenant books, admission counters.
+func (s *Server) handleQaaSReport(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.pipe.Report())
+}
+
+// AuditResponse is the /debug/audit verdict.
+type AuditResponse struct {
+	Clean      bool     `json:"clean"`
+	Violations []string `json:"violations"`
+	// Executions is how many executions the in-line auditor has checked
+	// (-1 when no auditor is installed).
+	Executions int   `json:"executions"`
+	Admitted   int64 `json:"admitted"`
+	Rejected   int64 `json:"rejected"`
+	InFlight   int64 `json:"in_flight"`
+}
+
+// handleAudit runs check.AuditQaaS on a fresh pipeline snapshot, merges
+// the in-line execution auditor's verdict, and reports every violation.
+// The books are only exactly balanced when nothing is in flight; run it
+// against a quiesced (or drained) pipeline for a binding verdict.
+func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
+	rep := s.pipe.Report()
+	resp := AuditResponse{
+		Clean:      true,
+		Violations: []string{},
+		Executions: -1,
+		Admitted:   rep.Admitted,
+		Rejected:   rep.Rejected,
+		InFlight:   rep.InFlight,
+	}
+	if err := check.AuditQaaS(rep); err != nil {
+		resp.Clean = false
+		resp.Violations = append(resp.Violations, err.Error())
+	}
+	if s.auditor != nil {
+		resp.Executions = s.auditor.Executions()
+		if err := s.auditor.Err(); err != nil {
+			resp.Clean = false
+			resp.Violations = append(resp.Violations, err.Error())
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

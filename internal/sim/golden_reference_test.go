@@ -80,26 +80,6 @@ func refResolveFaults(events []fault.Event, s *sched.Schedule) *refFaultState {
 	return fs
 }
 
-// touchedContainers mirrors faultState.touchedContainers for the
-// reference executor: the sorted set of containers the resolved plan
-// faults.
-func (fs *refFaultState) touchedContainers() []int {
-	if fs == nil {
-		return nil
-	}
-	set := make(map[int]bool, len(fs.failAt)+len(fs.slow)+len(fs.storage))
-	for c := range fs.failAt {
-		set[c] = true
-	}
-	for c := range fs.slow {
-		set[c] = true
-	}
-	for c := range fs.storage {
-		set[c] = true
-	}
-	return sortedFaultSet(set)
-}
-
 func (fs *refFaultState) deadAt(c int, t float64) bool {
 	if fs == nil {
 		return false
@@ -155,7 +135,6 @@ func executeReference(s *sched.Schedule, cfg Config) Result {
 	var fs *refFaultState
 	if len(cfg.Faults) > 0 {
 		fs = refResolveFaults(cfg.Faults, s)
-		res.FaultedContainers = fs.touchedContainers()
 	}
 	markInjected := func(e fault.Event) {
 		if !fs.seenInjected[e.Seq] {

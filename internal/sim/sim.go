@@ -194,12 +194,6 @@ type Result struct {
 	// delayed work, cut a lease short, or slowed a container. Planned
 	// events that hit idle or unleased containers are not counted.
 	FaultsInjected int
-	// FaultedContainers is the sorted set of containers the resolved fault
-	// plan touches — kills, stragglers and storage errors alike. It is
-	// derived from the plan, not from which events took effect at runtime,
-	// so it is a deterministic (if conservative) bound on the containers
-	// whose warm-start books a tuner must invalidate.
-	FaultedContainers []int
 	// FaultsRecovered counts absorbed fault effects: every re-placed
 	// dataflow operator, retried transfer and ridden-out straggler.
 	FaultsRecovered int
@@ -213,42 +207,6 @@ type Result struct {
 	// cancelled result carries no other data: the execution never happened
 	// as far as accounting is concerned.
 	Cancelled bool
-}
-
-// sortedFaultSet flattens a container set to the sorted slice Result
-// carries.
-func sortedFaultSet(set map[int]bool) []int {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// touchedContainers lists every container the resolved plan faults —
-// kills, stragglers and storage errors. Derived from the plan rather than
-// from runtime injection marking so the event core and the golden
-// reference executor, which discover injections at different evaluation
-// points, report the identical set.
-func (fs *faultState) touchedContainers() []int {
-	if fs == nil {
-		return nil
-	}
-	set := make(map[int]bool, len(fs.failAt)+len(fs.slow)+len(fs.storage))
-	for c := range fs.failAt {
-		set[c] = true
-	}
-	for c := range fs.slow {
-		set[c] = true
-	}
-	for c := range fs.storage {
-		set[c] = true
-	}
-	return sortedFaultSet(set)
 }
 
 // slowTimeline is one container's straggler events, At-ascending, with a
@@ -683,7 +641,6 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 	var fs *faultState
 	if len(cfg.Faults) > 0 {
 		fs = resolveFaults(cfg.Faults, s)
-		res.FaultedContainers = fs.touchedContainers()
 	}
 	// recording is resolved once per Execute: a disabled recorder costs this
 	// single atomic load and the hot paths never construct events.

@@ -19,6 +19,11 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# No internal package may be reachable only from an example or its own
+# tests (ROADMAP aim 2).
+echo "== reachability =="
+scripts/reachability.sh
+
 # bench/ is a module of its own that `./...` does not reach; its vet and
 # tests compile the frozen benchmark driver against this checkout, so a
 # signature it uses cannot drift unnoticed until benchmark time.
@@ -60,7 +65,7 @@ head -c 200 artifacts/events.jsonl | grep -q '"format":"idxflow-events/1"' || {
 	exit 1
 }
 
-# End-to-end QaaS smoke: race-built server, concurrent multi-tenant burst,
+# End-to-end serving smoke: race-built server, concurrent multi-tenant burst,
 # clean accounting audit required.
 echo "== loadgen smoke =="
 scripts/loadgen_smoke.sh

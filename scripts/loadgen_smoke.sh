@@ -1,5 +1,5 @@
 #!/bin/sh
-# loadgen_smoke.sh — end-to-end smoke of the QaaS admission pipeline: build
+# loadgen_smoke.sh — end-to-end smoke of the admission pipeline: build
 # idxflow-server with the race detector, drive a short concurrent burst
 # through idxflow-loadgen, and require a clean accounting audit with a
 # non-zero admitted count.
@@ -21,7 +21,7 @@ go build -race -o "$BIN/idxflow-server" ./cmd/idxflow-server
 go build -o "$BIN/idxflow-loadgen" ./cmd/idxflow-loadgen
 
 echo "== start server =="
-"$BIN/idxflow-server" -addr "$ADDR" -qaas -workers 4 -queue 64 \
+"$BIN/idxflow-server" -addr "$ADDR" -workers 4 -queue 64 \
 	-tenant-inflight 16 -fleet 16 > "$BIN/server.log" 2>&1 &
 SERVER_PID=$!
 
