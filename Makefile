@@ -60,8 +60,9 @@ bench-short:
 	scripts/bench.sh -short /dev/null
 
 # Compare the newest BENCH_PR<k>.json ledger file (run `make bench` first to
-# refresh it) against the one before it; fails on >15% ns/op or allocs/op
-# regression in any shared benchmark.
+# refresh it) against the one before it; fails when allocs/op rose by more
+# than 1% in any shared benchmark, prints ns/op deltas as advisory, and names
+# the benchmarks that left the ledger.
 bench-compare:
 	scripts/bench_compare.sh "$$(scripts/bench_latest.sh 2)" "$$(scripts/bench_latest.sh 1)"
 

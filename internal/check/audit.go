@@ -571,7 +571,10 @@ func AuditFrontier(skyline []*sched.Schedule) error {
 // gains recomputed independently from the raw history, the weighted
 // combination of Eq. 3, the beneficial test of §5.1, and the contents and
 // order of Rank and NonBeneficial. FadeOverride evaluators are audited
-// through the same override.
+// through the same override. The recomputation below is the oracle for
+// gain's one production walk: it applies the window to every record it is
+// given, so it holds equally over a history trimmed by Evaluator.Record
+// (for now at or after the last recorded When) and an untrimmed one.
 func AuditGain(e *gain.Evaluator, cands []gain.Costs, now float64) error {
 	r := &Report{}
 	pp := e.Params
@@ -695,16 +698,16 @@ func AuditGain(e *gain.Evaluator, cands []gain.Costs, now float64) error {
 		}
 	}
 
-	// Delta-aggregate idempotence: re-evaluating at the same time point is
-	// a pure read of the running sums (Fade(0) = 1, no transitions), so it
-	// must reproduce the earlier floats bit for bit — across the Rank and
-	// NonBeneficial calls the audit itself made in between.
+	// Idempotence: an evaluation reads the history and writes nothing, so
+	// re-evaluating at the same time point must reproduce the earlier
+	// floats bit for bit — across the Rank and NonBeneficial calls the
+	// audit itself made in between.
 	for _, c := range cands {
 		if gt := e.TimeGain(c, now); gt != gts[c.Name] {
-			r.addf("delta-idempotence", "%s: TimeGain drifted %g -> %g at fixed now", c.Name, gts[c.Name], gt)
+			r.addf("evaluation-idempotence", "%s: TimeGain drifted %g -> %g at fixed now", c.Name, gts[c.Name], gt)
 		}
 		if gm := e.MoneyGain(c, now); gm != gms[c.Name] {
-			r.addf("delta-idempotence", "%s: MoneyGain drifted %g -> %g at fixed now", c.Name, gms[c.Name], gm)
+			r.addf("evaluation-idempotence", "%s: MoneyGain drifted %g -> %g at fixed now", c.Name, gms[c.Name], gm)
 		}
 	}
 	return r.Err()

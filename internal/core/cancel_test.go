@@ -78,16 +78,28 @@ func TestAggregatesMatchesRun(t *testing.T) {
 	svcA := NewService(quickConfig(Gain), dbA)
 	svcB := NewService(quickConfig(Gain), dbB)
 
-	var flows []*dataflow.Flow
-	for i := 0; i < 4; i++ {
-		flows = append(flows, genA.Flow(workload.Montage, i, 0))
+	// Four real flows and, in the middle, the degenerate one: an empty graph
+	// schedules onto no container, runs for no time, and is still a result
+	// both sides count.
+	streamOf := func(gen *workload.Generator) []*dataflow.Flow {
+		var flows []*dataflow.Flow
+		for i := 0; i < 4; i++ {
+			if i == 2 {
+				flows = append(flows, &dataflow.Flow{Name: "empty", Graph: dataflow.New()})
+			}
+			flows = append(flows, gen.Flow(workload.Montage, i, 0))
+		}
+		return flows
 	}
-	want := svcA.Run(flows, 1e9)
+	want := svcA.Run(streamOf(genA), 1e9)
 
-	for i := 0; i < 4; i++ {
-		svcB.Submit(genB.Flow(workload.Montage, i, 0))
+	for _, f := range streamOf(genB) {
+		svcB.Submit(f)
 	}
 	got := svcB.Aggregates()
+	if len(got.Results) != 5 || want.FlowsSubmitted != 5 {
+		t.Fatalf("results %d, Run submitted %d, want 5 and 5", len(got.Results), want.FlowsSubmitted)
+	}
 
 	if got.FlowsSubmitted != want.FlowsSubmitted || got.FlowsFinished != want.FlowsFinished {
 		t.Errorf("flows: got %d/%d, want %d/%d",

@@ -247,8 +247,12 @@ type Service struct {
 	clock   float64
 	vmQ     float64
 	metrics Metrics
-	// makespanSum accumulates finished flows' makespans; Run derives
-	// Metrics.MeanMakespan from it so repeated Run calls stay idempotent.
+	// resultsMakespan sums Makespan over metrics.Results as they are
+	// appended; Aggregates derives its MeanMakespan from it.
+	resultsMakespan float64
+	// makespanSum accumulates the makespans of flows Run saw finish inside
+	// its horizon; Run derives Metrics.MeanMakespan from it so repeated Run
+	// calls stay idempotent.
 	makespanSum float64
 	tel         *telemetry.Registry
 	tracer      *telemetry.Tracer
@@ -436,7 +440,7 @@ func (s *Service) recordGains(flow *dataflow.Flow) {
 		if gtd > 0 {
 			s.ins.realGain.Observe(gtd)
 		}
-		s.eval.History.Add(iu.Index, gain.Record{When: s.clock, TimeGain: gtd, MoneyGain: gmd})
+		s.eval.Record(iu.Index, gain.Record{When: s.clock, TimeGain: gtd, MoneyGain: gmd})
 	}
 }
 
@@ -467,19 +471,14 @@ func (s *Service) costsOf(name string) (gain.Costs, *data.BuildState) {
 // candidateNames returns every index that has gain history or built
 // partitions, sorted.
 func (s *Service) candidateNames() []string {
-	set := make(map[string]bool)
-	for _, name := range s.db.Catalog.IndexNames() {
-		st := s.db.Catalog.State(name)
-		if st.BuiltCount() > 0 || len(s.eval.History.Records(name)) > 0 {
-			set[name] = true
+	names := s.db.Catalog.IndexNames() // sorted, distinct, the caller's own
+	keep := names[:0]
+	for _, name := range names {
+		if s.db.Catalog.State(name).BuiltCount() > 0 || len(s.eval.History.Records(name)) > 0 {
+			keep = append(keep, name)
 		}
 	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return keep
 }
 
 // buildCandidate is one index-build partition operator offered to the
@@ -887,6 +886,9 @@ func (s *Service) SubmitCtx(ctx context.Context, flow *dataflow.Flow) FlowResult
 	}
 
 	s.metrics.Results = append(s.metrics.Results, res)
+	s.metrics.TotalOps += res.TotalOps
+	s.metrics.KilledOps += res.BuildsKilled
+	s.resultsMakespan += res.Makespan
 	s.metrics.Timeline = append(s.metrics.Timeline, TimePoint{
 		T:            s.clock,
 		IndexesBuilt: available,
@@ -1081,8 +1083,6 @@ func (s *Service) RunCtx(ctx context.Context, flows []*dataflow.Flow, horizon fl
 			s.metrics.FlowsFinished++
 			s.makespanSum += res.Makespan
 		}
-		s.metrics.TotalOps += res.TotalOps
-		s.metrics.KilledOps += res.BuildsKilled
 	}
 	s.storage.Advance(horizon)
 	m := s.metrics
@@ -1100,24 +1100,18 @@ func (s *Service) RunCtx(ctx context.Context, flows []*dataflow.Flow, horizon fl
 
 // Aggregates derives the run-level Metrics for callers that drive the
 // service through Submit/SubmitCtx directly (e.g. the QaaS worker pool)
-// instead of Run. Every completed submission already appended a FlowResult
-// to Metrics.Results, so the tallies are recomputed from those: each flow
-// counts as submitted and finished, and the derived values (MeanMakespan,
-// VMCost, CostPerFlow) follow exactly as in Run. The caller must serialize
-// this with concurrent submissions to the same service.
+// instead of Run. Every completed submission appended a FlowResult to
+// Metrics.Results and added to the running tallies there, so this reads
+// them without walking the results: each flow counts as submitted and
+// finished, and the derived values (MeanMakespan, VMCost, CostPerFlow)
+// follow exactly as in Run. The caller must serialize this with concurrent
+// submissions to the same service.
 func (s *Service) Aggregates() Metrics {
 	m := s.metrics
 	m.FlowsSubmitted = len(m.Results)
 	m.FlowsFinished = len(m.Results)
-	m.TotalOps, m.KilledOps = 0, 0
-	sum := 0.0
-	for _, r := range m.Results {
-		m.TotalOps += r.TotalOps
-		m.KilledOps += r.BuildsKilled
-		sum += r.Makespan
-	}
 	if m.FlowsFinished > 0 {
-		m.MeanMakespan = sum / float64(m.FlowsFinished)
+		m.MeanMakespan = s.resultsMakespan / float64(m.FlowsFinished)
 	}
 	m.VMQuanta = s.vmQ
 	m.VMCost = s.vmQ * s.cfg.Sched.Pricing.VMPerQuantum

@@ -2,11 +2,12 @@ package gain_test
 
 // External-package wiring of the invariant auditor (internal/check,
 // DESIGN.md §8): the Eq. 2-5 gain model is re-derived independently from
-// the raw update history on generated streams, so evaluator optimizations
-// (memoized faded sums, pruning) can never drift from the paper's
+// the raw update history on generated streams, so the evaluator (its single
+// walk, the history trimmed at Record) can never drift from the paper's
 // definitions unnoticed.
 
 import (
+	"math"
 	"testing"
 
 	"idxflow/internal/check"
@@ -96,23 +97,36 @@ func TestAuditAdaptiveFadeOverride(t *testing.T) {
 	}
 }
 
-// TestAuditAfterPrune: pruning history the window can no longer see must
-// leave the audited gains consistent — the identities hold over whatever
-// records remain.
-func TestAuditAfterPrune(t *testing.T) {
+// TestAuditAfterTrim: a history appended through Evaluator.Record has let
+// go of what the window can no longer see, and the audited identities must
+// hold over what remains exactly as over the full stream.
+func TestAuditAfterTrim(t *testing.T) {
 	p := gain.DefaultParams()
 	p.WindowW = 4
 	p.Pricing = check.Pricing(8)
-	e := gain.NewEvaluator(p)
+	trimmed, full := gain.NewEvaluator(p), gain.NewEvaluator(p)
 	cands := check.CostGrid(4, 19)
-	horizon := int64(40 * p.Pricing.QuantumSeconds)
-	feed(e, cands, 12, horizon, 23)
-	now := float64(horizon)
-	if err := check.AuditGain(e, cands, now); err != nil {
-		t.Fatalf("pre-prune: %v", err)
+	horizon := 40 * p.Pricing.QuantumSeconds
+	var now float64
+	kept, fed := 0, 0
+	for i, c := range cands {
+		for _, rec := range check.UpdateStream(12, horizon, 23+int64(i)) {
+			trimmed.Record(c.Name, rec)
+			full.History.Add(c.Name, rec)
+			now = math.Max(now, rec.When)
+			fed++
+		}
+		kept += len(trimmed.History.Records(c.Name))
 	}
-	e.History.Prune(now - p.WindowW*p.Pricing.QuantumSeconds)
-	if err := check.AuditGain(e, cands, now); err != nil {
-		t.Errorf("post-prune: %v", err)
+	if kept >= fed {
+		t.Fatalf("Record retained %d of %d records; the stream never left the window", kept, fed)
+	}
+	for _, at := range []float64{now, now + horizon/10} {
+		if err := check.AuditGain(full, cands, at); err != nil {
+			t.Fatalf("untrimmed at %g: %v", at, err)
+		}
+		if err := check.AuditGain(trimmed, cands, at); err != nil {
+			t.Errorf("trimmed at %g: %v", at, err)
+		}
 	}
 }

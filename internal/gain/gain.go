@@ -83,18 +83,10 @@ type Costs struct {
 }
 
 // History accumulates the per-index records of issued dataflows (the Hd
-// list of §3 restricted to what the gain model needs).
+// list of §3 restricted to what the gain model needs). Evaluator.Record is
+// the appending entry point that keeps it windowed.
 type History struct {
 	recs map[string][]Record
-	// gen counts structural rewrites (Prune, Replace): operations that
-	// invalidate positional cursors into the record slices. Appends do not
-	// bump it — they preserve every existing record's position, which is
-	// exactly what the delta aggregates rely on.
-	gen uint64
-	// delta holds the per-index running fading aggregates that replace the
-	// O(records) fadedSum walks on the hot path; see delta.go for why they
-	// live here rather than on the Evaluator.
-	delta histDelta
 }
 
 // NewHistory returns an empty history.
@@ -102,7 +94,7 @@ func NewHistory() *History {
 	return &History{recs: make(map[string][]Record)}
 }
 
-// Add appends a record for the named index.
+// Add appends a record for the named index without trimming anything.
 func (h *History) Add(index string, r Record) {
 	h.recs[index] = append(h.recs[index], r)
 }
@@ -154,34 +146,6 @@ func (h *History) Replace(recs map[string][]Record) {
 	for k, rs := range recs {
 		h.recs[k] = append([]Record(nil), rs...)
 	}
-	h.gen++
-}
-
-// Prune drops records older than the given time point in seconds, bounding
-// memory for long-running services. Records inside any active window must
-// not be pruned. Kept records are compacted in place — pruning never
-// allocates.
-func (h *History) Prune(before float64) {
-	pruned := false
-	for k, rs := range h.recs {
-		keep := rs[:0]
-		for _, r := range rs {
-			if r.When >= before {
-				keep = append(keep, r)
-			}
-		}
-		if len(keep) != len(rs) {
-			pruned = true
-		}
-		if len(keep) == 0 {
-			delete(h.recs, k)
-		} else {
-			h.recs[k] = keep
-		}
-	}
-	if pruned {
-		h.gen++
-	}
 }
 
 // Evaluator computes index gains from history.
@@ -210,13 +174,31 @@ func NewEvaluator(p Params) *Evaluator {
 	return &Evaluator{Params: p, History: NewHistory()}
 }
 
-// fadedSum accumulates Σ δ(d,t)·dc(δT_d)·gain over the index's records —
-// the reference O(records) walk. The hot path goes through fadedSums
-// (delta.go), which falls back to this walk whenever the delta algebra
-// does not apply (FadeOverride, unsorted history).
-func (e *Evaluator) fadedSum(index string, now float64, pick func(Record) float64) float64 {
+// Record appends one dataflow's gains for the index (the Hd update of
+// Algorithm 1), first dropping the index's leading records that have left
+// the window [r.When−W, r.When]: Eq. 3's δ(d,t) excludes them from every
+// evaluation at or after r.When, and the service clock that stamps records
+// and evaluations never moves back. Only a prefix is dropped, so a history
+// appended out of order is merely trimmed less, and W <= 0 keeps everything.
+// Evaluating before the last recorded When is outside the contract: records
+// that were still in that earlier window may be gone.
+func (e *Evaluator) Record(index string, r Record) {
+	recs := e.History.recs[index]
+	if w := e.Params.WindowW; w > 0 {
+		q := e.Params.Pricing.QuantumSeconds
+		drop := 0
+		for drop < len(recs) && (r.When-recs[drop].When)/q > w {
+			drop++
+		}
+		recs = recs[drop:]
+	}
+	e.History.recs[index] = append(recs, r)
+}
+
+// fadedSums folds Σ δ(d,t)·dc(δT_d)·gain over the index's records for both
+// gain components, computing each record's fading weight once.
+func (e *Evaluator) fadedSums(index string, now float64) (sumT, sumM float64) {
 	q := e.Params.Pricing.QuantumSeconds
-	var sum float64
 	for _, r := range e.History.Records(index) {
 		sinceQuanta := (now - r.When) / q
 		if sinceQuanta < 0 {
@@ -225,36 +207,45 @@ func (e *Evaluator) fadedSum(index string, now float64, pick func(Record) float6
 		if e.Params.WindowW > 0 && sinceQuanta > e.Params.WindowW {
 			continue // outside [t-W, t]
 		}
+		var f float64
 		if e.FadeOverride != nil {
-			sum += e.FadeOverride(index, sinceQuanta) * pick(r)
+			f = e.FadeOverride(index, sinceQuanta)
 		} else {
-			sum += e.Params.Fade(sinceQuanta) * pick(r)
+			f = e.Params.Fade(sinceQuanta)
 		}
+		sumT += f * r.TimeGain
+		sumM += f * r.MoneyGain
 	}
-	return sum
+	return sumT, sumM
 }
 
-// TimeGain returns gt(idx, t) in quanta (Eq. 5):
+// gains returns gt(idx, t) in quanta (Eq. 5) and gm(idx, t) in dollars
+// (Eq. 4) from one walk over the index's records:
 //
-//	gt = Σ δ(d_i,t)·dc(δT)·gtd(idx, d_i) − ti(idx).
-func (e *Evaluator) TimeGain(c Costs, now float64) float64 {
-	sumT, _ := e.fadedSums(c.Name, now)
-	return sumT - c.BuildQuanta
-}
-
-// MoneyGain returns gm(idx, t) in dollars (Eq. 4):
-//
+//	gt = Σ δ(d_i,t)·dc(δT)·gtd(idx, d_i) − ti(idx)
 //	gm = Σ δ(d_i,t)·dc(δT)·Mc·gmd(idx, d_i) − (Mc·mi(idx) + st(idx, W)).
-func (e *Evaluator) MoneyGain(c Costs, now float64) float64 {
+func (e *Evaluator) gains(c Costs, now float64) (gt, gm float64) {
+	sumT, sumM := e.fadedSums(c.Name, now)
 	mc := e.Params.Pricing.VMPerQuantum
-	_, sumM := e.fadedSums(c.Name, now)
 	sum := sumM * mc
 	w := e.Params.WindowW
 	if w <= 0 {
 		w = 1
 	}
 	storage := e.Params.Pricing.StorageCost(c.SizeMB, w)
-	return sum - (mc*c.BuildMoneyQuanta + storage)
+	return sumT - c.BuildQuanta, sum - (mc*c.BuildMoneyQuanta + storage)
+}
+
+// TimeGain returns gt(idx, t) in quanta (Eq. 5).
+func (e *Evaluator) TimeGain(c Costs, now float64) float64 {
+	gt, _ := e.gains(c, now)
+	return gt
+}
+
+// MoneyGain returns gm(idx, t) in dollars (Eq. 4).
+func (e *Evaluator) MoneyGain(c Costs, now float64) float64 {
+	_, gm := e.gains(c, now)
+	return gm
 }
 
 // Gain returns the weighted gain g(idx, t) of Eq. 3:
@@ -262,13 +253,15 @@ func (e *Evaluator) MoneyGain(c Costs, now float64) float64 {
 //	g = α·Mc·gt(idx, t) + (1−α)·gm(idx, t).
 func (e *Evaluator) Gain(c Costs, now float64) float64 {
 	mc := e.Params.Pricing.VMPerQuantum
-	return e.Params.Alpha*mc*e.TimeGain(c, now) + (1-e.Params.Alpha)*e.MoneyGain(c, now)
+	gt, gm := e.gains(c, now)
+	return e.Params.Alpha*mc*gt + (1-e.Params.Alpha)*gm
 }
 
 // Beneficial reports whether the index is beneficial at time now: both
 // gt > 0 and gm > 0 (§5.1).
 func (e *Evaluator) Beneficial(c Costs, now float64) bool {
-	return e.TimeGain(c, now) > 0 && e.MoneyGain(c, now) > 0
+	gt, gm := e.gains(c, now)
+	return gt > 0 && gm > 0
 }
 
 // Ranked is one index with its gains, as placed in the two-dimensional
@@ -287,8 +280,7 @@ func (e *Evaluator) Rank(candidates []Costs, now float64) []Ranked {
 	recording := e.Provenance.Active()
 	var out []Ranked
 	for _, c := range candidates {
-		gt := e.TimeGain(c, now)
-		gm := e.MoneyGain(c, now)
+		gt, gm := e.gains(c, now)
 		if gt <= 0 || gm <= 0 {
 			if recording {
 				e.Provenance.Append(provenance.Event{
@@ -331,7 +323,6 @@ func (e *Evaluator) Rank(candidates []Costs, now float64) []Ranked {
 	e.Metrics.Counter("idxflow_gain_beneficial_total",
 		"Candidates that passed the beneficial test (gt > 0 and gm > 0).").
 		Add(float64(len(out)))
-	e.flushDeltaUpdates()
 	return out
 }
 
@@ -341,7 +332,7 @@ func (e *Evaluator) Rank(candidates []Costs, now float64) []Ranked {
 func (e *Evaluator) NonBeneficial(candidates []Costs, now float64) []string {
 	var out []string
 	for _, c := range candidates {
-		if e.TimeGain(c, now) <= 0 && e.MoneyGain(c, now) <= 0 {
+		if gt, gm := e.gains(c, now); gt <= 0 && gm <= 0 {
 			out = append(out, c.Name)
 		}
 	}

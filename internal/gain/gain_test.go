@@ -156,20 +156,6 @@ func TestNonBeneficial(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
-	h := NewHistory()
-	h.Add("A", Record{When: 10})
-	h.Add("A", Record{When: 100})
-	h.Add("B", Record{When: 5})
-	h.Prune(50)
-	if got := len(h.Records("A")); got != 1 {
-		t.Errorf("A records after prune = %d, want 1", got)
-	}
-	if got := len(h.Records("B")); got != 0 {
-		t.Errorf("B records after prune = %d, want 0", got)
-	}
-}
-
 // TestGainMonotoneDecayProperty: with no new dataflows, an index's gain
 // never increases over time (the decay of Fig. 3 after the last use).
 func TestGainMonotoneDecayProperty(t *testing.T) {

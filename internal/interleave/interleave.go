@@ -36,37 +36,6 @@ func recordInterleave(opts sched.Options, offered, placed, schedules int) {
 	})
 }
 
-// Run is a contiguous idle period on one container (idle slots merged
-// across interior quantum boundaries: both quanta are already leased, so a
-// build operator may span the boundary, as A1 does in Fig. 2c).
-type Run struct {
-	Container  int
-	Start, End float64
-}
-
-// Size returns the run length in seconds.
-func (r Run) Size() float64 { return r.End - r.Start }
-
-// IdleRuns merges a schedule's per-quantum idle slots into contiguous runs,
-// sorted by container then start. The slot count bounds the run count
-// (merging only shrinks it), so the result is allocated once; IdleSlots
-// itself reuses the schedule's memoized per-container lease ends and its
-// previous result size, keeping the repeated interleaver calls cheap.
-func IdleRuns(s *sched.Schedule) []Run {
-	slots := s.IdleSlots()
-	runs := make([]Run, 0, len(slots))
-	for _, sl := range slots {
-		if n := len(runs); n > 0 &&
-			runs[n-1].Container == sl.Container &&
-			math.Abs(runs[n-1].End-sl.Start) < 1e-9 {
-			runs[n-1].End = sl.End
-			continue
-		}
-		runs = append(runs, Run{Container: sl.Container, Start: sl.Start, End: sl.End})
-	}
-	return runs
-}
-
 // LP is the linear-program based interleaving algorithm (Algorithm 2).
 type LP struct {
 	Scheduler *sched.Skyline
@@ -143,7 +112,7 @@ func packInto(s *sched.Schedule, builds []dataflow.OpID, gains map[dataflow.OpID
 		byID[int(id)] = id
 	}
 
-	runs := IdleRuns(s)
+	runs := s.IdleRuns()
 	sort.SliceStable(runs, func(i, j int) bool { return runs[i].Size() > runs[j].Size() })
 
 	var placed []dataflow.OpID

@@ -22,7 +22,8 @@ type Assignment struct {
 }
 
 // Slot is an idle period inside a leased quantum of a container:
-// f(id, q, c, Sd) of §3. Slots never span quantum boundaries.
+// f(id, q, c, Sd) of §3. The slots IdleSlots returns never span quantum
+// boundaries; IdleRuns merges them into ones that may.
 type Slot struct {
 	Container int
 	Quantum   int // quantum index within the container's lease
@@ -675,6 +676,27 @@ func (s *Schedule) IdleSlots() []Slot {
 	}
 	s.idleCap = len(out)
 	return out
+}
+
+// IdleRuns merges the schedule's per-quantum idle slots into contiguous
+// runs, sorted by container then start: both quanta either side of an
+// interior boundary are already leased, so a build operator may span it, as
+// A1 does in Fig. 2c, but a run never extends a container's lease. A
+// returned Slot may therefore cross quantum boundaries; its Quantum is that
+// of its first piece. The merge is done in place over the IdleSlots result.
+func (s *Schedule) IdleRuns() []Slot {
+	slots := s.IdleSlots()
+	runs := slots[:0]
+	for _, sl := range slots {
+		if n := len(runs); n > 0 &&
+			runs[n-1].Container == sl.Container &&
+			math.Abs(runs[n-1].End-sl.Start) < 1e-9 {
+			runs[n-1].End = sl.End
+			continue
+		}
+		runs = append(runs, sl)
+	}
+	return runs
 }
 
 // appendIdle splits the idle interval [from, to) on container c at quantum

@@ -171,6 +171,83 @@ func TestIdleSlotsClipAtQuantumBoundaries(t *testing.T) {
 	}
 }
 
+func TestIdleRunsMergeAcrossQuanta(t *testing.T) {
+	g := dataflow.New()
+	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
+	b := g.Add(dataflow.Operator{Name: "b", Time: 10})
+	if err := g.Connect(a, b, 0); err != nil {
+		t.Fatal(err)
+	}
+	o := testOpts()
+	s := NewSchedule(g, o.Pricing, o.Spec)
+	s.Append(a, 0, -1)
+	if _, err := s.PlaceAt(b, 0, 100, -1); err != nil {
+		t.Fatal(err)
+	}
+	runs := s.IdleRuns()
+	// Gap [10,100] crosses a boundary but is one run; tail [110,120].
+	if len(runs) != 2 {
+		t.Fatalf("runs = %v, want 2", runs)
+	}
+	if runs[0].Start != 10 || runs[0].End != 100 {
+		t.Errorf("first run = %+v, want [10,100]", runs[0])
+	}
+	if math.Abs(runs[0].Size()-90) > 1e-9 {
+		t.Errorf("run size = %g, want 90", runs[0].Size())
+	}
+}
+
+// Two containers with different lease ends: each container's idle gaps
+// must merge across quantum boundaries independently, and the trailing run
+// on each container must stop at that container's own lease end.
+func TestIdleRunsHeterogeneousLeaseEnds(t *testing.T) {
+	g := dataflow.New()
+	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
+	b := g.Add(dataflow.Operator{Name: "b", Time: 10})
+	c := g.Add(dataflow.Operator{Name: "c", Time: 25})
+	d := g.Add(dataflow.Operator{Name: "d", Time: 30})
+	o := testOpts()
+	s := NewSchedule(g, o.Pricing, o.Spec)
+	// Container 0: busy [0,10] and [100,110] -> lease 120 (2 quanta).
+	s.Append(a, 0, -1)
+	if _, err := s.PlaceAt(b, 0, 100, -1); err != nil {
+		t.Fatal(err)
+	}
+	// Container 1: busy [0,25] and [200,230] -> lease 240 (4 quanta).
+	s.Append(c, 1, -1)
+	if _, err := s.PlaceAt(d, 1, 200, -1); err != nil {
+		t.Fatal(err)
+	}
+	runs := s.IdleRuns()
+	want := []Slot{
+		{Container: 0, Start: 10, End: 100},
+		{Container: 0, Start: 110, End: 120},
+		{Container: 1, Start: 25, End: 200},
+		{Container: 1, Start: 230, End: 240},
+	}
+	if len(runs) != len(want) {
+		t.Fatalf("runs = %+v, want %d runs", runs, len(want))
+	}
+	for i, w := range want {
+		r := runs[i]
+		if r.Container != w.Container ||
+			math.Abs(r.Start-w.Start) > 1e-9 || math.Abs(r.End-w.End) > 1e-9 {
+			t.Errorf("run %d = %+v, want %+v", i, r, w)
+		}
+	}
+	// Calling again (the interleaver's repeated-read pattern) must return
+	// the identical merged runs off the memoized lease ends and size hint.
+	again := s.IdleRuns()
+	if len(again) != len(runs) {
+		t.Fatalf("second IdleRuns = %+v, want same as first", again)
+	}
+	for i := range runs {
+		if again[i] != runs[i] {
+			t.Errorf("second call run %d = %+v, want %+v", i, again[i], runs[i])
+		}
+	}
+}
+
 func TestPlaceAtRejectsOverlap(t *testing.T) {
 	g := dataflow.New()
 	a := g.Add(dataflow.Operator{Name: "a", Time: 30})

@@ -537,28 +537,16 @@ func (sk *Skyline) advance(prev, cands []candidate, prefer func(a, b *candidate)
 // op.
 func placements(s *Schedule, op dataflow.OpID) []Assignment {
 	need := s.Graph.Op(op).Time
-	slots := s.IdleSlots()
 	var out []Assignment
-	// Merge adjacent slots into contiguous runs per container.
-	i := 0
-	for i < len(slots) {
-		j := i
-		end := slots[i].End
-		for j+1 < len(slots) &&
-			slots[j+1].Container == slots[i].Container &&
-			math.Abs(slots[j+1].Start-end) < 1e-9 {
-			j++
-			end = slots[j].End
-		}
-		if end-slots[i].Start >= need-1e-9 {
+	for _, run := range s.IdleRuns() {
+		if run.Size() >= need-1e-9 {
 			out = append(out, Assignment{
 				Op:        op,
-				Container: slots[i].Container,
-				Start:     slots[i].Start,
-				End:       slots[i].Start + need,
+				Container: run.Container,
+				Start:     run.Start,
+				End:       run.Start + need,
 			})
 		}
-		i = j + 1
 	}
 	return out
 }

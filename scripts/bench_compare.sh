@@ -1,24 +1,23 @@
 #!/bin/sh
-# bench_compare.sh — diff two bench.sh JSON summaries and fail loudly on
-# regression. Compares ns/op and allocs/op for every benchmark present in
-# both files and exits non-zero (with a table) if any metric regressed by
-# more than the threshold (default 15%).
-#
-# Sub-100ns benchmarks are exempt from the relative ns/op gate unless the
-# absolute delta also exceeds 100ns: at that scale a 15% threshold is a
-# few nanoseconds, within what code layout and branch-predictor drift move
-# between unrelated builds, so a relative-only gate flags noise rather
-# than regressions. Their allocs/op gate still applies in full.
+# bench_compare.sh — diff two bench.sh JSON summaries. The gate is
+# allocs/op: single-goroutine benchmarks repeat it exactly from run to run,
+# so any benchmark whose allocs/op rose by more than the threshold (default
+# 1%, or from zero) fails the comparison. ns/op deltas are printed as advisory only: on a
+# shared box untouched code drifts past any useful timing threshold within
+# hours (PR 14 measured 20 untouched benchmarks >15% off a two-hour-old
+# snapshot while their allocs/op were exact); timing claims go through
+# bench/run.sh, which normalises by a host-kernel sample. Benchmarks in the
+# baseline but absent from the current file are listed by name, not skipped.
 #
 # Usage:
-#   scripts/bench_compare.sh BASELINE.json CURRENT.json [threshold-pct]
+#   scripts/bench_compare.sh BASELINE.json CURRENT.json [allocs-threshold-pct]
 set -eu
 
 cd "$(dirname "$0")/.."
 
-BASE="${1:?usage: bench_compare.sh BASELINE.json CURRENT.json [threshold-pct]}"
-CURR="${2:?usage: bench_compare.sh BASELINE.json CURRENT.json [threshold-pct]}"
-THRESH="${3:-15}"
+BASE="${1:?usage: bench_compare.sh BASELINE.json CURRENT.json [allocs-threshold-pct]}"
+CURR="${2:?usage: bench_compare.sh BASELINE.json CURRENT.json [allocs-threshold-pct]}"
+THRESH="${3:-1}"
 
 for f in "$BASE" "$CURR"; do
 	if [ ! -f "$f" ]; then
@@ -42,7 +41,7 @@ function parse(line, arr) {
 }
 BEGIN {
 	while ((getline line < basefile) > 0)
-		if (parse(line, b)) { base_ns[b["name"]] = b["ns"]; base_al[b["name"]] = b["allocs"] }
+		if (parse(line, b)) { base_ns[b["name"]] = b["ns"]; base_al[b["name"]] = b["allocs"]; border[++nb] = b["name"] }
 	close(basefile)
 	while ((getline line < currfile) > 0)
 		if (parse(line, c)) { curr_ns[c["name"]] = c["ns"]; curr_al[c["name"]] = c["allocs"]; order[++n] = c["name"] }
@@ -57,15 +56,20 @@ BEGIN {
 		if (base_ns[name] + 0 > 0) dns = (curr_ns[name] - base_ns[name]) / base_ns[name] * 100
 		if (base_al[name] + 0 > 0) dal = (curr_al[name] - base_al[name]) / base_al[name] * 100
 		flag = ""
-		ns_bad = dns > thresh && (base_ns[name] + 0 >= 100 || curr_ns[name] - base_ns[name] > 100)
-		if (ns_bad || dal > thresh) { flag = "  << REGRESSION"; bad++ }
+		if (dal > thresh || (base_al[name] + 0 == 0 && curr_al[name] + 0 > 0)) { flag = "  << ALLOCS REGRESSION"; bad++ }
 		printf "%-40s %15.0f %15.0f %8.1f%% %12.0f %12.0f %8.1f%%%s\n",
 			name, base_ns[name], curr_ns[name], dns, base_al[name], curr_al[name], dal, flag
 	}
+	missing = 0
+	for (i = 1; i <= nb; i++)
+		if (!(border[i] in curr_ns)) {
+			if (!missing++) printf "\nin %s but not in %s:\n", basefile, currfile
+			printf "  %s\n", border[i]
+		}
 	if (bad) {
-		printf "\n%d benchmark(s) regressed more than %s%% vs %s\n", bad, thresh, basefile
+		printf "\n%d benchmark(s) raised allocs/op by more than %s%% vs %s\n", bad, thresh, basefile
 		exit 1
 	}
-	printf "\nno regression beyond %s%% vs %s\n", thresh, basefile
+	printf "\nno allocs/op regression beyond %s%% vs %s (ns/op is advisory)\n", thresh, basefile
 }
 ' </dev/null

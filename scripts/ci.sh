@@ -42,7 +42,9 @@ fi
 
 # The scheduler's worker-pool expansion and the experiment fan-out are
 # concurrent; the race detector runs as its own pass, in short mode to
-# keep the instrumented run fast.
+# keep the instrumented run fast. The pass includes internal/core's
+# TestBenchShapedStream (the pinned 525-flow outcome digest and the
+# windowed-gain-history soak), which -short does not skip.
 echo "== go test -race -short =="
 go test -race -short ./...
 
