@@ -89,7 +89,7 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 		maxTen   = fs.Int("max-tenants", qaas.DefaultMaxTenants, "cap on distinct tenants a server instantiates (-1 disables)")
 		fleet    = fs.Int("fleet", 64, "shared container fleet capacity; also the widest schedule")
 		pace     = fs.Float64("pace", 0, "wall-clock ms of container occupancy per billing quantum of makespan")
-		provCap  = fs.Int("prov-cap", 262144, "per-tenant provenance ring capacity")
+		provCap  = fs.Int("prov-cap", 262144, "per-tenant provenance ring capacity in events: an upper bound, allocated 4096 events at a time")
 		batchMax = fs.Int("batch-max", qaas.DefaultBatchMax, "admissions coalesced per batched window (-1 disables)")
 		audit    = fs.Bool("audit", true, "run check.Audit on every execution, verdict at /debug/audit")
 	)

@@ -196,7 +196,7 @@ func main() {
 	if *verbose {
 		for _, r := range m.Results {
 			fmt.Printf("%-16s start=%8.0fs makespan=%7.1fs money=%5.1fq idx-used=%d builds=%d killed=%d deleted=%d\n",
-				r.Flow.Name, r.Start, r.Makespan, r.MoneyQuanta,
+				r.Name, r.Start, r.Makespan, r.MoneyQuanta,
 				len(r.IndexesUsed), r.BuildsCompleted, r.BuildsKilled, len(r.Deleted))
 		}
 		fmt.Println()

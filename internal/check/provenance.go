@@ -92,7 +92,7 @@ func auditProvenance(r *Report, events []provenance.Event, m core.Metrics) {
 func auditFlowEvents(r *Report, res core.FlowResult, events []provenance.Event) {
 	id := res.FlowID
 	if id == 0 {
-		r.addf("prov-lifecycle", "flow %q has no FlowID", res.Flow.Name)
+		r.addf("prov-lifecycle", "flow %q has no FlowID", res.Name)
 		return
 	}
 	var admitted, scheduled, settled []provenance.Event
@@ -117,9 +117,9 @@ func auditFlowEvents(r *Report, res core.FlowResult, events []provenance.Event) 
 		r.addf("prov-lifecycle", "flow %d has %d admission events, want 1", id, len(admitted))
 		return
 	}
-	if admitted[0].Name != res.Flow.Name {
+	if admitted[0].Name != res.Name {
 		r.addf("prov-lifecycle", "flow %d admitted as %q, result says %q",
-			id, admitted[0].Name, res.Flow.Name)
+			id, admitted[0].Name, res.Name)
 	}
 	// A flow with zero scheduled operators never reached the scheduler; it
 	// has no schedule, settlement or builds to check.

@@ -28,10 +28,10 @@ func TestMetricsInvariants(t *testing.T) {
 			for _, r := range m.Results {
 				sumQ += r.MoneyQuanta
 				if r.End < r.Start {
-					t.Errorf("flow %s ends before it starts", r.Flow.Name)
+					t.Errorf("flow %s ends before it starts", r.Name)
 				}
 				if r.Makespan < 0 {
-					t.Errorf("flow %s negative makespan", r.Flow.Name)
+					t.Errorf("flow %s negative makespan", r.Name)
 				}
 			}
 			if diff := sumQ - m.VMQuanta; diff > 1e-6 || diff < -1e-6 {

@@ -170,7 +170,10 @@ func DefaultConfig() Config {
 
 // FlowResult is the outcome of one dataflow execution.
 type FlowResult struct {
-	Flow *dataflow.Flow
+	// Name is the dataflow's name. The result holds the name and not the
+	// *dataflow.Flow so that Metrics.Results does not keep every parsed
+	// graph alive.
+	Name string
 	// FlowID is the provenance identifier assigned at submission (1, 2,
 	// ... in submission order); every flight-recorder event this
 	// execution produced carries it.
@@ -372,8 +375,11 @@ func (s *Service) effectiveSpeedups(flow *dataflow.Flow) (map[string]bool, []str
 			cp.Speedup[id] = 1 / (f/sp + (1 - f))
 		}
 		scaled = append(scaled, cp)
-		avail[iu.Index] = true
-		used = append(used, iu.Index)
+		// The catalog's own spelling, not iu.Index: that one is a substring
+		// of the submitted body, which FlowResult.IndexesUsed would pin.
+		name := st.Index.Name()
+		avail[name] = true
+		used = append(used, name)
 	}
 	sort.Strings(used)
 	return avail, used, scaled
@@ -606,7 +612,7 @@ func (s *Service) Submit(flow *dataflow.Flow) FlowResult {
 // means context.Background().
 func (s *Service) SubmitCtx(ctx context.Context, flow *dataflow.Flow) FlowResult {
 	if ctx != nil && ctx.Err() != nil {
-		return FlowResult{Flow: flow, Cancelled: true}
+		return FlowResult{Name: flow.Name, Cancelled: true}
 	}
 	s.nextFlow++
 	id := s.nextFlow
@@ -628,7 +634,7 @@ func (s *Service) SubmitCtx(ctx context.Context, flow *dataflow.Flow) FlowResult
 		})
 	}
 	s.applyBatchUpdates()
-	res := FlowResult{Flow: flow, FlowID: id, Start: s.clock}
+	res := FlowResult{Name: flow.Name, FlowID: id, Start: s.clock}
 
 	// Update runtimes with the available indexes (line 1-5 of Alg. 2).
 	// Only the gain-driven strategies rewrite operators to use indexes:

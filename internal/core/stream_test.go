@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"idxflow/internal/gain"
 	"idxflow/internal/workload"
@@ -46,8 +47,18 @@ func TestBenchShapedStream(t *testing.T) {
 	}
 	var starts []float64 // every flow's start, for the per-window maximum
 	var at5, at10, indexes int
+	var used, aliased int // IndexesUsed entries, and those sharing memory with the flow's own strings
 	for seq := 0; seq < 525; seq++ {
-		res := svc.Submit(gen.Flow(workload.Apps[seq%len(workload.Apps)], seq, 0))
+		flow := gen.Flow(workload.Apps[seq%len(workload.Apps)], seq, 0)
+		res := svc.Submit(flow)
+		for _, u := range res.IndexesUsed {
+			used++
+			for _, iu := range flow.Indexes {
+				if unsafe.StringData(iu.Index) == unsafe.StringData(u) {
+					aliased++
+				}
+			}
+		}
 		u64(math.Float64bits(res.Makespan))
 		u64(math.Float64bits(res.MoneyQuanta))
 		u64(uint64(res.BuildsCompleted))
@@ -70,6 +81,15 @@ func TestBenchShapedStream(t *testing.T) {
 	t.Run("golden digest", func(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != goldenFlowDigest {
 			t.Fatalf("flow digest %s, want %s", got, goldenFlowDigest)
+		}
+	})
+
+	// Metrics.Results outlives the flow. A result that named its indexes by
+	// the flow's own strings would keep, for a parsed flow, a line of the
+	// request body alive per entry.
+	t.Run("results do not alias the flow", func(t *testing.T) {
+		if used == 0 || aliased != 0 {
+			t.Errorf("%d of %d IndexesUsed entries share memory with the submitted flow, want 0 of many", aliased, used)
 		}
 	})
 

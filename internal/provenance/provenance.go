@@ -7,8 +7,8 @@
 //
 // The recorder is seed-deterministic: events carry simulated service time,
 // never wall-clock time, so two runs with the same seed produce the same
-// log. Appends take one mutex and copy the event into a preallocated slot;
-// a disabled or nil recorder costs a single atomic load, so recording can
+// log. Appends take one mutex and copy the event into a ring slot; a
+// disabled or nil recorder costs a single atomic load, so recording can
 // stay threaded through hot paths the way nil tracer spans do.
 package provenance
 
@@ -141,9 +141,10 @@ type ParetoPoint struct {
 }
 
 // Event is one recorded decision. It is a single flat struct so the ring
-// buffer holds events by value: appending copies into a preallocated slot
-// and allocates nothing (except FlowScheduled's Alts slice, built once per
-// flow). Fields irrelevant to a kind stay zero and are omitted from JSON.
+// buffer holds events by value: appending copies into a ring slot and, once
+// the slot's chunk exists, allocates nothing (except FlowScheduled's Alts
+// slice, built once per flow). Fields irrelevant to a kind stay zero and
+// are omitted from JSON.
 type Event struct {
 	Seq  uint64  `json:"seq"`
 	Kind Kind    `json:"kind"`
@@ -179,40 +180,54 @@ type Event struct {
 
 // DefaultCapacity is the ring size used by NewRecorder(0) and the
 // package-level recorder: large enough to hold every event of the stock
-// experiment scenarios without wrapping, small enough (~a few MB) to
-// preallocate eagerly.
+// experiment scenarios without wrapping.
 const DefaultCapacity = 16384
 
-// Recorder is the flight recorder: a fixed-capacity ring of Events.
-// Appends are cheap (one mutex, one struct copy) and never allocate once
-// the ring is warm; when the ring is full the oldest events are
-// overwritten, and Snapshot reconstructs seq order across the wrap.
-// A nil Recorder is a valid no-op, as is a disabled one.
+// chunkEvents is how many events one ring chunk holds (≈0.94 MB of
+// Events). The ring grows a chunk at a time rather than by append
+// doubling, which would copy the whole log under the recorder mutex on the
+// submit path and overshoot the capacity.
+const chunkEvents = 4096
+
+// Recorder is the flight recorder: a fixed-capacity ring of Events, held
+// as chunks of chunkEvents slots (the last one shorter when the capacity
+// is not a multiple). A chunk is allocated the first time a slot in it is
+// written, so a recorder costs memory for the events it has seen, up to its
+// capacity; once every chunk exists appends overwrite in place and never
+// allocate. Appends are cheap (one mutex, one struct copy); when the ring
+// is full the oldest events are overwritten, and Snapshot reconstructs seq
+// order across the wrap. A nil Recorder is a valid no-op, as is a disabled
+// one.
 type Recorder struct {
 	enabled atomic.Bool
 
-	mu   sync.Mutex
-	buf  []Event
-	cap  int
-	next uint64 // total events ever appended; buf[next%cap] is the next slot
+	mu     sync.Mutex
+	chunks [][]Event
+	cap    int
+	next   uint64 // total events ever appended; slot next%cap is written next
 }
 
 // NewRecorder returns an enabled recorder with the given ring capacity
-// (DefaultCapacity if capacity <= 0). The ring is preallocated so
-// steady-state appends allocate nothing.
+// (DefaultCapacity if capacity <= 0). The capacity is an upper bound: the
+// ring is allocated chunkEvents events at a time as it fills.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &Recorder{buf: make([]Event, capacity), cap: capacity}
+	r := &Recorder{
+		chunks: make([][]Event, (capacity+chunkEvents-1)/chunkEvents),
+		cap:    capacity,
+	}
 	r.enabled.Store(true)
 	return r
 }
 
-// std is the package-level recorder behind Default(). Its ring is
-// allocated lazily on first enabled append, so binaries that never turn
-// recording on pay nothing.
-var std = &Recorder{cap: DefaultCapacity}
+// std is the package-level recorder behind Default().
+var std = func() *Recorder {
+	r := NewRecorder(DefaultCapacity)
+	r.SetEnabled(false)
+	return r
+}()
 
 // Default returns the package-level recorder. Like telemetry's
 // DefaultTracer it starts disabled — appends cost one atomic load until
@@ -240,13 +255,22 @@ func (r *Recorder) Append(e Event) {
 		return
 	}
 	r.mu.Lock()
-	if r.buf == nil {
-		r.buf = make([]Event, r.cap)
+	slot := int(r.next % uint64(r.cap))
+	ci := slot / chunkEvents
+	c := r.chunks[ci]
+	if c == nil {
+		c = make([]Event, min(chunkEvents, r.cap-ci*chunkEvents))
+		r.chunks[ci] = c
 	}
 	e.Seq = r.next
-	r.buf[r.next%uint64(r.cap)] = e
+	c[slot%chunkEvents] = e
 	r.next++
 	r.mu.Unlock()
+}
+
+// held returns the number of retained events; the caller holds r.mu.
+func (r *Recorder) held() uint64 {
+	return min(r.next, uint64(r.cap))
 }
 
 // Len returns the number of events currently held (≤ capacity).
@@ -256,8 +280,14 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.next < uint64(r.cap) {
-		return int(r.next)
+	return int(r.held())
+}
+
+// Cap returns the ring capacity: the number of events held before the
+// oldest is overwritten.
+func (r *Recorder) Cap() int {
+	if r == nil {
+		return 0
 	}
 	return r.cap
 }
@@ -280,50 +310,88 @@ func (r *Recorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.next <= uint64(r.cap) {
-		return 0
+	return r.next - r.held()
+}
+
+// Filter chooses which retained events Select copies. The zero Filter
+// matches every event. It is data rather than a predicate so that no
+// caller code runs under the recorder's lock.
+type Filter struct {
+	// ByKind restricts the selection to events of Kind.
+	ByKind bool
+	Kind   Kind
+	// ByFlow restricts the selection to events attributed to Flow
+	// (0 selects the unattributed ones).
+	ByFlow bool
+	Flow   FlowID
+}
+
+func (f Filter) matches(e *Event) bool {
+	return (!f.ByKind || e.Kind == f.Kind) && (!f.ByFlow || e.Flow == f.Flow)
+}
+
+// Select walks the retained events in place, in ascending Seq order across
+// any wraparound, and returns copies of those f matches: only what is
+// returned is copied, whatever the ring holds. last ≥ 0 keeps only the
+// newest last matches; negative keeps them all. The result is nil when
+// nothing matches and is safe to keep while appends continue.
+func (r *Recorder) Select(f Filter, last int) []Event {
+	if r == nil {
+		return nil
 	}
-	return r.next - uint64(r.cap)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seq := r.next - r.held()
+	all := f == Filter{}
+	var out []Event
+	if all {
+		// Every event matches, so the newest `last` are the ring's tail.
+		if last >= 0 && uint64(last) < r.next-seq {
+			seq = r.next - uint64(last)
+		}
+		if seq < r.next {
+			out = make([]Event, 0, r.next-seq)
+		}
+	}
+	for seq < r.next {
+		// One run of consecutive slots inside a single chunk.
+		slot := int(seq % uint64(r.cap))
+		c := r.chunks[slot/chunkEvents]
+		run := c[slot%chunkEvents:]
+		if left := r.next - seq; uint64(len(run)) > left {
+			run = run[:left]
+		}
+		if all {
+			out = append(out, run...)
+		} else {
+			for i := range run {
+				if f.matches(&run[i]) {
+					out = append(out, run[i])
+				}
+			}
+		}
+		seq += uint64(len(run))
+	}
+	if last >= 0 && len(out) > last {
+		out = out[len(out)-last:]
+	}
+	return out
 }
 
 // Snapshot returns the retained events in ascending Seq order, handling
 // ring wraparound: after an overwrite the snapshot starts at the oldest
 // surviving event. The returned slice is a copy, safe to keep while
 // appends continue.
-func (r *Recorder) Snapshot() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.next == 0 || r.buf == nil {
-		return nil
-	}
-	c := uint64(r.cap)
-	if r.next <= c {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	// Wrapped: the slot about to be written next holds the oldest event.
-	head := r.next % c
-	out := make([]Event, 0, r.cap)
-	out = append(out, r.buf[head:]...)
-	out = append(out, r.buf[:head]...)
-	return out
-}
+func (r *Recorder) Snapshot() []Event { return r.Select(Filter{}, -1) }
 
 // FlowEvents returns the retained events attributed to one flow, in Seq
 // order — the causally-ordered decision chain behind that dataflow's cost.
 func (r *Recorder) FlowEvents(id FlowID) []Event {
-	var out []Event
-	for _, e := range r.Snapshot() {
-		if e.Flow == id {
-			out = append(out, e)
-		}
-	}
-	return out
+	return r.Select(Filter{ByFlow: true, Flow: id}, -1)
 }
 
-// Reset discards all recorded events and restarts sequence numbering.
+// Reset discards all recorded events and restarts sequence numbering. The
+// chunks already allocated are kept for reuse.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return

@@ -19,7 +19,8 @@ func TestDisabledRecorderIsNoop(t *testing.T) {
 		t.Fatal("nil recorder should be inert")
 	}
 
-	r := &Recorder{cap: 8} // disabled, like Default() before SetEnabled
+	r := NewRecorder(8)
+	r.SetEnabled(false) // like Default() before SetEnabled
 	r.Append(Event{Kind: KindFlowAdmitted})
 	if r.Len() != 0 {
 		t.Fatalf("disabled recorder recorded %d events", r.Len())

@@ -129,7 +129,8 @@ type Config struct {
 	// throughput experiments measure overlap, not just CPU time.
 	PaceMSPerQuantum float64
 	// ProvenanceCapacity is each tenant's flight-recorder ring size
-	// (default provenance.DefaultCapacity). Size it above the expected
+	// (default provenance.DefaultCapacity): an upper bound, which the ring
+	// grows towards as the tenant records events. Size it above the expected
 	// events-per-tenant: a wrapped ring is unsound for AuditProvenance.
 	ProvenanceCapacity int
 	// BatchMax caps how many queued admissions a worker coalesces into one

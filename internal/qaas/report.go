@@ -24,11 +24,11 @@ type Books struct {
 }
 
 // TenantReport is one tenant's consistent snapshot: service aggregates,
-// ledger settlement and the full provenance log, all taken under the
-// tenant lock so they agree with each other. The JSON view (served at
-// /v1/qaas) carries only the scalar summary; Metrics and Events are
-// in-process audit inputs — per-flow results and event logs would dwarf
-// the response at load-test scale.
+// ledger settlement and (in a Report, not a Summary) the full provenance
+// log, all taken under the tenant lock so they agree with each other. The
+// JSON view (served at /v1/qaas) carries only the scalar summary; Metrics
+// and Events are in-process audit inputs — per-flow results and event logs
+// would dwarf the response at load-test scale.
 type TenantReport struct {
 	Tenant string `json:"tenant"`
 	// Admitted counts completed admissions for this tenant.
@@ -43,11 +43,16 @@ type TenantReport struct {
 	// Metrics is core.Service.Aggregates() — its VMQuanta must equal
 	// Settled (check.AuditQaaS invariant qaas-tenant-books).
 	Metrics core.Metrics `json:"-"`
-	// Events is the tenant's provenance log, for check.AuditProvenance.
+	// Events is the tenant's provenance log, for check.AuditProvenance;
+	// nil in a Summary.
 	Events []provenance.Event `json:"-"`
 	// ProvenanceDropped reports ring overwrites; non-zero means the
 	// per-tenant log wrapped and is unsound for auditing.
 	ProvenanceDropped uint64 `json:"provenance_dropped"`
+	// ProvenanceEvents of ProvenanceCapacity ring slots are held: how far
+	// the tenant is from the wrap that makes /debug/audit refuse its log.
+	ProvenanceEvents   int `json:"provenance_events"`
+	ProvenanceCapacity int `json:"provenance_capacity"`
 	// Warm snapshots the tenant scheduler's warm-start counters.
 	Warm sched.WarmStats `json:"warm"`
 }
@@ -104,8 +109,16 @@ func (p *Pipeline) Tenants() []*Tenant {
 // Each tenant's aggregates and provenance log are captured under its lock,
 // so a concurrently executing admission is either fully in or fully out of
 // its tenant's snapshot; use InFlight to tell whether the global books can
-// be balanced exactly.
-func (p *Pipeline) Report() Report {
+// be balanced exactly. It copies every tenant's event log: it is the
+// auditors' input (check.AuditQaaS, /debug/audit), not a status poll.
+func (p *Pipeline) Report() Report { return p.snapshot(true) }
+
+// Summary is Report without the event logs (TenantReport.Events stays
+// nil): every scalar /v1/qaas serves, at a cost independent of how many
+// events the tenants hold.
+func (p *Pipeline) Summary() Report { return p.snapshot(false) }
+
+func (p *Pipeline) snapshot(withEvents bool) Report {
 	var names []string
 	byName := make(map[string]*Tenant)
 	for _, sh := range p.shards {
@@ -131,21 +144,26 @@ func (p *Pipeline) Report() Report {
 		t := byName[n]
 		t.mu.Lock()
 		m := t.svc.Aggregates()
-		ev := t.prov.Snapshot()
-		dropped := t.prov.Dropped()
+		var ev []provenance.Event
+		if withEvents {
+			ev = t.prov.Snapshot()
+		}
+		held, dropped := t.prov.Len(), t.prov.Dropped()
 		warm := t.svc.WarmStats()
 		t.mu.Unlock()
 		r.Tenants = append(r.Tenants, TenantReport{
-			Tenant:            n,
-			Admitted:          t.admitted.Load(),
-			Settled:           books.ByTenant[n],
-			FlowsFinished:     m.FlowsFinished,
-			VMQuanta:          m.VMQuanta,
-			MeanMakespan:      m.MeanMakespan,
-			Metrics:           m,
-			Events:            ev,
-			ProvenanceDropped: dropped,
-			Warm:              warm,
+			Tenant:             n,
+			Admitted:           t.admitted.Load(),
+			Settled:            books.ByTenant[n],
+			FlowsFinished:      m.FlowsFinished,
+			VMQuanta:           m.VMQuanta,
+			MeanMakespan:       m.MeanMakespan,
+			Metrics:            m,
+			Events:             ev,
+			ProvenanceDropped:  dropped,
+			ProvenanceEvents:   held,
+			ProvenanceCapacity: t.prov.Cap(),
+			Warm:               warm,
 		})
 		r.Warm.Hits += warm.Hits
 		r.Warm.Misses += warm.Misses

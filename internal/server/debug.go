@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"sort"
 	"strconv"
 
 	"idxflow/internal/provenance"
@@ -15,20 +14,21 @@ import (
 //	GET /debug/events?flow=3               only events of that dataflow
 //	GET /debug/events?limit=100            only the last N matching events
 //
-// The snapshot is taken under the recorder's own lock; the tenant lock is
-// not held, so a long-running submission never blocks introspection.
+// Only the selected events are copied, under the recorder's own lock; the
+// tenant lock is not held, so a long-running submission never blocks
+// introspection.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	rec := s.recorder(r)
-	events := rec.Snapshot()
 
 	q := r.URL.Query()
+	var f provenance.Filter
 	if ks := q.Get("kind"); ks != "" {
 		kind, err := provenance.ParseKind(ks)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		events = filterEvents(events, func(e provenance.Event) bool { return e.Kind == kind })
+		f.ByKind, f.Kind = true, kind
 	}
 	if fs := q.Get("flow"); fs != "" {
 		id, err := strconv.ParseUint(fs, 10, 64)
@@ -36,18 +36,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "flow must be a non-negative integer", http.StatusBadRequest)
 			return
 		}
-		events = filterEvents(events, func(e provenance.Event) bool { return e.Flow == provenance.FlowID(id) })
+		f.ByFlow, f.Flow = true, provenance.FlowID(id)
 	}
+	last := -1
 	if ls := q.Get("limit"); ls != "" {
 		n, err := strconv.Atoi(ls)
 		if err != nil || n < 0 {
 			http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
 			return
 		}
-		if n < len(events) {
-			events = events[len(events)-n:]
-		}
+		last = n
 	}
+	events := rec.Select(f, last)
 
 	w.Header().Set("Content-Type", "application/jsonl")
 	if err := provenance.WriteLog(w, rec.NewHeader(), events); err != nil {
@@ -77,16 +77,5 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no events recorded for this flow", http.StatusNotFound)
 		return
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
 	writeJSON(w, http.StatusOK, FlowTrace{Flow: provenance.FlowID(id), Events: events})
-}
-
-func filterEvents(events []provenance.Event, keep func(provenance.Event) bool) []provenance.Event {
-	out := events[:0]
-	for _, e := range events {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -77,6 +77,30 @@ func TestDebugEventsEndpoint(t *testing.T) {
 		t.Error("limit did not keep the newest events")
 	}
 
+	// All three together: the last two of flow 2's events of one kind, as
+	// picking them out of the full dump by hand gives.
+	var want []uint64
+	for _, e := range events {
+		if e.Flow == 2 && e.Kind == flow2[len(flow2)-1].Kind {
+			want = append(want, e.Seq)
+		}
+	}
+	_, both, _ := getEvents(t, ts.URL+"/debug/events?flow=2&limit=2&kind="+flow2[len(flow2)-1].Kind.String())
+	if len(want) > 2 {
+		want = want[len(want)-2:]
+	}
+	if len(both) != len(want) {
+		t.Fatalf("flow+kind+limit returned %d events, want %d", len(both), len(want))
+	}
+	for i, e := range both {
+		if e.Seq != want[i] {
+			t.Errorf("flow+kind+limit event %d has seq %d, want %d", i, e.Seq, want[i])
+		}
+	}
+	if _, none, status := getEvents(t, ts.URL+"/debug/events?limit=0"); status != http.StatusOK || len(none) != 0 {
+		t.Errorf("limit=0 returned %d events with status %d, want none and 200", len(none), status)
+	}
+
 	for _, bad := range []string{"?kind=no-such-kind", "?flow=x", "?limit=-1"} {
 		if _, _, status := getEvents(t, ts.URL+"/debug/events"+bad); status != http.StatusBadRequest {
 			t.Errorf("GET /debug/events%s: status %d, want 400", bad, status)

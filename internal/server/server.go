@@ -219,7 +219,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, SubmitResponse{
-		Flow:            res.Flow.Name,
+		Flow:            res.Name,
 		StartSeconds:    res.Start,
 		EndSeconds:      res.End,
 		MakespanSeconds: res.Makespan,
@@ -329,7 +329,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 // handleQaaSReport exposes the pipeline-wide snapshot: queue depth, fleet
 // occupancy, global and per-tenant books, admission counters.
 func (s *Server) handleQaaSReport(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.pipe.Report())
+	writeJSON(w, http.StatusOK, s.pipe.Summary())
 }
 
 // AuditResponse is the /debug/audit verdict.

@@ -340,6 +340,17 @@ func TestQaaSSubmitAndTenantIsolation(t *testing.T) {
 		}
 	}
 
+	// The pipeline snapshot says how full each tenant's provenance ring is.
+	var rep qaas.Report
+	getJSON(t, ts.URL+"/v1/qaas", &rep)
+	if len(rep.Tenants) != 1 || rep.Tenants[0].Tenant != "alice" {
+		t.Fatalf("/v1/qaas lists %+v, want tenant alice alone", rep.Tenants)
+	}
+	if a := rep.Tenants[0]; a.ProvenanceEvents < len(trace.Events) || a.ProvenanceEvents > a.ProvenanceCapacity {
+		t.Errorf("/v1/qaas: alice holds %d of %d provenance events, flow 1 alone recorded %d",
+			a.ProvenanceEvents, a.ProvenanceCapacity, len(trace.Events))
+	}
+
 	// The header route resolves the same way as the query parameter.
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/metrics", nil)
 	req.Header.Set(TenantHeader, "alice")

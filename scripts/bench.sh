@@ -1,10 +1,10 @@
 #!/bin/sh
 # bench.sh — run the Benchmark* suite with -benchmem and emit a JSON
-# summary (name, ns/op, allocs/op) to track the performance trajectory
-# across PRs.
+# summary (name, ns/op, B/op, allocs/op) to track the performance
+# trajectory across PRs.
 #
 # Full runs repeat every benchmark with -count=3 and keep the minimum
-# ns/op and allocs/op per benchmark: the minimum is the least-noisy
+# ns/op, B/op and allocs/op per benchmark: the minimum is the least-noisy
 # estimator of the code's intrinsic cost on a shared machine, so PR-to-PR
 # comparisons (scripts/bench_compare.sh) don't chase scheduler jitter.
 #
@@ -52,19 +52,23 @@ awk '
 /^Benchmark/ && /ns\/op/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
-	ns = ""; allocs = ""
+	ns = ""; bytes = ""; allocs = ""
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op")     ns = $(i-1)
+		if ($i == "B/op")      bytes = $(i-1)
 		if ($i == "allocs/op") allocs = $(i-1)
 	}
 	if (ns == "") next
+	if (bytes == "") bytes = 0
 	if (allocs == "") allocs = 0
 	if (!(name in min_ns)) {
 		order[++n] = name
 		min_ns[name] = ns + 0
+		min_by[name] = bytes + 0
 		min_al[name] = allocs + 0
 	} else {
 		if (ns + 0 < min_ns[name]) min_ns[name] = ns + 0
+		if (bytes + 0 < min_by[name]) min_by[name] = bytes + 0
 		if (allocs + 0 < min_al[name]) min_al[name] = allocs + 0
 	}
 }
@@ -72,8 +76,8 @@ END {
 	print "["
 	for (i = 1; i <= n; i++) {
 		name = order[i]
-		printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s}%s\n",
-			name, min_ns[name], min_al[name], (i < n) ? "," : ""
+		printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n",
+			name, min_ns[name], min_by[name], min_al[name], (i < n) ? "," : ""
 	}
 	print "]"
 }

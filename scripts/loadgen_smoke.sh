@@ -2,7 +2,8 @@
 # loadgen_smoke.sh — end-to-end smoke of the admission pipeline: build
 # idxflow-server with the race detector, drive a short concurrent burst
 # through idxflow-loadgen, and require a clean accounting audit with a
-# non-zero admitted count.
+# non-zero admitted count, and /v1/qaas to say how full each tenant's
+# provenance ring is (needs curl and jq).
 #
 # Usage:
 #   scripts/loadgen_smoke.sh [submissions] [tenants]   (default 160 across 4)
@@ -44,6 +45,20 @@ mkdir -p artifacts
 # every submission (closed loop retries 429s) to have been admitted.
 "$BIN/idxflow-loadgen" -addr "http://$ADDR" -tenants "$TENANTS" -n "$N" \
 	-conns 16 -audit -min-admitted "$N" -json artifacts/loadgen_smoke.json
+
+# An operator reads off /v1/qaas how far each tenant is from the ring wrap
+# that makes /debug/audit refuse its log.
+echo "== /v1/qaas reports every tenant's provenance ring occupancy =="
+curl -fsS "http://$ADDR/v1/qaas" | jq -e --argjson n "$TENANTS" '
+	(.tenants | length) >= $n and all(.tenants[];
+		(.provenance_events | type) == "number" and
+		(.provenance_capacity | type) == "number" and
+		.provenance_events > 0 and .provenance_events <= .provenance_capacity)
+' > /dev/null || {
+	echo "/v1/qaas: provenance_events/provenance_capacity missing or events > capacity:" >&2
+	curl -fsS "http://$ADDR/v1/qaas" >&2
+	exit 1
+}
 
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || {
