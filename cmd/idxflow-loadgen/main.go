@@ -116,10 +116,9 @@ func main() {
 	}
 
 	if q, err := lg.fetchQaaS(); err != nil {
-		log.Printf("idxflow-loadgen: /v1/qaas fetch failed (warm/batch stats omitted): %v", err)
+		log.Printf("idxflow-loadgen: /v1/qaas fetch failed (warm stats omitted): %v", err)
 	} else {
 		s.Warm = &q.Warm
-		s.Batch = &q.Batch
 	}
 
 	fail := false
@@ -310,24 +309,16 @@ type AuditVerdict struct {
 	InFlight   int64    `json:"in_flight"`
 }
 
-// WarmStats and BatchStats mirror the warm-start and batching summaries
-// of the server's /v1/qaas report.
+// WarmStats mirrors the warm-start summary of the server's /v1/qaas
+// report.
 type WarmStats struct {
 	Hits    uint64  `json:"hits"`
 	Misses  uint64  `json:"misses"`
 	HitRate float64 `json:"hit_rate"`
 }
 
-type BatchStats struct {
-	Batches  int64   `json:"batches"`
-	MeanSize float64 `json:"mean_size"`
-	P50Size  float64 `json:"p50_size"`
-	P95Size  float64 `json:"p95_size"`
-}
-
 type QaaSStats struct {
-	Warm  WarmStats  `json:"warm"`
-	Batch BatchStats `json:"batch"`
+	Warm WarmStats `json:"warm"`
 }
 
 func (lg *loadgen) fetchQaaS() (*QaaSStats, error) {
@@ -378,7 +369,6 @@ type Summary struct {
 	P99Seconds      float64       `json:"p99_seconds"`
 	MeanSeconds     float64       `json:"mean_seconds"`
 	Warm            *WarmStats    `json:"warm,omitempty"`
-	Batch           *BatchStats   `json:"batch,omitempty"`
 	Audit           *AuditVerdict `json:"audit,omitempty"`
 }
 
@@ -393,10 +383,6 @@ func (s Summary) print(w io.Writer) {
 	if s.Warm != nil {
 		fmt.Fprintf(w, "  warm-start    %.1f%% hit rate (%d hits, %d misses)\n",
 			s.Warm.HitRate*100, s.Warm.Hits, s.Warm.Misses)
-	}
-	if s.Batch != nil && s.Batch.Batches > 0 {
-		fmt.Fprintf(w, "  batching      %d batches  size p50 %.1f  p95 %.1f  mean %.2f\n",
-			s.Batch.Batches, s.Batch.P50Size, s.Batch.P95Size, s.Batch.MeanSize)
 	}
 	if s.Audit != nil {
 		verdict := "CLEAN"

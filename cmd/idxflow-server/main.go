@@ -26,7 +26,7 @@
 //	               [-trace out.json] [-events out.jsonl]
 //	               [-workers 8] [-queue 256] [-tenant-inflight 64]
 //	               [-max-tenants 256] [-fleet 64] [-pace 0]
-//	               [-prov-cap 262144] [-batch-max 8] [-audit]
+//	               [-prov-cap 262144] [-audit]
 //
 // -qaas is accepted and ignored (the pipeline is the only mode): the
 // benchmark driver under bench/ still passes it.
@@ -90,7 +90,6 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 		fleet    = fs.Int("fleet", 64, "shared container fleet capacity; also the widest schedule")
 		pace     = fs.Float64("pace", 0, "wall-clock ms of container occupancy per billing quantum of makespan")
 		provCap  = fs.Int("prov-cap", 262144, "per-tenant provenance ring capacity in events: an upper bound, allocated 4096 events at a time")
-		batchMax = fs.Int("batch-max", qaas.DefaultBatchMax, "admissions coalesced per batched window (-1 disables)")
 		audit    = fs.Bool("audit", true, "run check.Audit on every execution, verdict at /debug/audit")
 	)
 	fs.Bool("qaas", false, "ignored: the admission pipeline is the only mode")
@@ -129,7 +128,6 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 		FleetContainers:    *fleet,
 		PaceMSPerQuantum:   *pace,
 		ProvenanceCapacity: *provCap,
-		BatchMax:           *batchMax,
 	}
 	if *audit {
 		// Exact replay holds whenever no runtime-error model or fault

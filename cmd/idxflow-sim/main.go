@@ -52,7 +52,6 @@ func main() {
 		errPct    = flag.Float64("error", 0.1, "runtime estimation error fraction (0..1)")
 		faults    = flag.Float64("faults", 0, "fault rate in events/container/quantum (crashes, revocations, storage errors, stragglers)")
 		faultSeed = flag.Int64("fault-seed", 42, "seed for the generated fault plan")
-		parallel  = flag.Int("parallelism", 0, "scheduler worker-pool size (0 = NumCPU, 1 = serial); output is identical at any setting")
 		verbose   = flag.Bool("v", false, "print per-dataflow results")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON span timeline to this file")
 		eventsOut = flag.String("events", "", "write the decision-provenance event log (JSONL) to this file")
@@ -68,7 +67,6 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.RuntimeError = *errPct
-	cfg.Sched.Parallelism = *parallel
 	switch *strategy {
 	case "no-index":
 		cfg.Strategy = core.NoIndex

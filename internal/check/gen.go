@@ -225,8 +225,7 @@ func VMTypes(n int, p cloud.Pricing, seed int64) []cloud.VMType {
 
 // Options draws scheduler options over the given pricing: container cap in
 // [2, 12], skyline cap in [4, 16], heterogeneous types with probability
-// 1/3, serial expansion (audits compare bit-exact results; the schedulers
-// are parallelism-invariant by construction and tested for it elsewhere).
+// 1/3.
 func Options(p cloud.Pricing, seed int64) sched.Options {
 	rng := rand.New(rand.NewSource(seed))
 	opts := sched.Options{
@@ -234,7 +233,6 @@ func Options(p cloud.Pricing, seed int64) sched.Options {
 		Spec:          cloud.DefaultSpec(),
 		MaxContainers: 2 + rng.Intn(11),
 		MaxSkyline:    4 + rng.Intn(13),
-		Parallelism:   1,
 	}
 	if rng.Intn(3) == 0 {
 		opts.Types = VMTypes(2+rng.Intn(2), p, seed+101)

@@ -11,12 +11,11 @@ import (
 // so the scheduling problem repeats — and returns the aggregate metrics.
 // warmOn toggles the scheduler's cross-submission warm state; everything
 // else is identical, so warm and cold runs must agree bit for bit.
-func runWarmSeq(t *testing.T, strategy Strategy, warmOn, faulty bool, parallelism int) (*Service, Metrics) {
+func runWarmSeq(t *testing.T, strategy Strategy, warmOn, faulty bool) (*Service, Metrics) {
 	t.Helper()
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
 	cfg := quickConfig(strategy)
-	cfg.Sched.Parallelism = parallelism
 	if faulty {
 		cfg.Faults = heavyFaultPlan()
 	}
@@ -37,21 +36,19 @@ func runWarmSeq(t *testing.T, strategy Strategy, warmOn, faulty bool, parallelis
 }
 
 // TestServiceWarmMatchesColdGolden is the end-to-end golden equivalence:
-// with and without faults, at Parallelism 1, 2 and 8, a warm-carrying
-// service produces metrics reflect.DeepEqual to a cold service over the
-// same submissions — per-flow results, costs and fault accounting included.
+// with and without faults, a warm-carrying service produces metrics
+// reflect.DeepEqual to a cold service over the same submissions — per-flow
+// results, costs and fault accounting included.
 func TestServiceWarmMatchesColdGolden(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
-		_, cold := runWarmSeq(t, Gain, false, faulty, 1)
+		_, cold := runWarmSeq(t, Gain, false, faulty)
 		if faulty && cold.FaultsInjected == 0 {
 			t.Fatal("fault plan injected nothing; the faulted golden case is dead")
 		}
-		for _, p := range []int{1, 2, 8} {
-			_, warm := runWarmSeq(t, Gain, true, faulty, p)
-			if !reflect.DeepEqual(cold, warm) {
-				t.Errorf("faulty=%v parallelism=%d: warm metrics diverged from cold:\ncold: %+v\nwarm: %+v",
-					faulty, p, cold, warm)
-			}
+		_, warm := runWarmSeq(t, Gain, true, faulty)
+		if !reflect.DeepEqual(cold, warm) {
+			t.Errorf("faulty=%v: warm metrics diverged from cold:\ncold: %+v\nwarm: %+v",
+				faulty, cold, warm)
 		}
 	}
 }
@@ -61,7 +58,7 @@ func TestServiceWarmMatchesColdGolden(t *testing.T) {
 // between identical submissions, so the repeats must hit, and the repeated
 // flow's result must match its first run exactly.
 func TestServiceWarmHitsOnRepeatedFlows(t *testing.T) {
-	svc, m := runWarmSeq(t, NoIndex, true, false, 1)
+	svc, m := runWarmSeq(t, NoIndex, true, false)
 	st := svc.WarmStats()
 	if st.Hits == 0 {
 		t.Fatalf("no warm hits over repeated identical flows: %+v", st)
@@ -78,7 +75,7 @@ func TestServiceWarmHitsOnRepeatedFlows(t *testing.T) {
 // TestServiceWarmStatsNilSafe covers the disabled-warm service: the stats
 // accessor and the adoption note must be inert.
 func TestServiceWarmStatsNilSafe(t *testing.T) {
-	svc, _ := runWarmSeq(t, Gain, false, true, 1)
+	svc, _ := runWarmSeq(t, Gain, false, true)
 	if st := svc.WarmStats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("disabled warm state reported activity: %+v", st)
 	}

@@ -57,17 +57,9 @@ func (l *LP) Interleave(g *dataflow.Graph, gains map[dataflow.OpID]float64) []*s
 	defer span.End()
 	skyline := l.Scheduler.Schedule(g)
 	builds := optionalOps(g)
-	// Each skyline schedule is packed independently (knapsack.Solve is
-	// pure and packInto mutates only its own schedule), so the per-slot
-	// enumeration fans out on the scheduler's worker pool. Counts are
-	// index-addressed to keep the total deterministic.
-	counts := make([]int, len(skyline))
-	sched.ParallelFor(len(skyline), sched.Workers(l.Scheduler.Opts.Parallelism), func(i int) {
-		counts[i] = len(packInto(skyline[i], builds, gains))
-	})
 	placed := 0
-	for _, n := range counts {
-		placed += n
+	for _, sc := range skyline {
+		placed += len(packInto(sc, builds, gains))
 	}
 	l.Scheduler.Opts.Metrics.Counter("idxflow_interleave_build_ops_placed_total",
 		"Index-build operators packed into idle slots across skyline schedules.").

@@ -16,14 +16,13 @@
 // Flow of an admission: Submit reserves the tenant's fair share, enqueues
 // into a bounded queue (backpressure: *BackpressureError carrying a
 // Retry-After hint, surfaced by cmd/idxflow-server as HTTP 429), a worker
-// dequeues and coalesces up to BatchMax queued admissions into one batched
-// window, groups them by tenant, takes each tenant's lock once and runs
-// the group's Algorithm-1 passes back to back via core.Service.SubmitCtx;
-// the fleet semaphore books the chosen schedule's containers for each
-// execution's (paced) duration. Batching amortizes lock traffic and lines
-// repeated scheduling problems up behind the tenant's warm frontier memo;
-// per-admission isolation, provenance and settlement are unchanged. Drain
-// stops new admissions and completes the in-flight ones before shutdown.
+// dequeues one admission, takes its tenant's lock and runs the
+// Algorithm-1 pass via core.Service.SubmitCtx; the fleet semaphore books
+// the chosen schedule's containers for the execution's (paced) duration.
+// The worker pool is the only concurrency of a submit: Workers bounds the
+// passes running at once and QueueDepth bounds the admissions waiting.
+// Drain stops new admissions and completes the in-flight ones before
+// shutdown.
 package qaas
 
 import (
@@ -51,7 +50,6 @@ const (
 	DefaultTenantInflight = 32
 	DefaultFleet          = 64
 	DefaultMaxTenants     = 256
-	DefaultBatchMax       = 8
 )
 
 // tenantShards is the number of stripes in the tenant map.
@@ -108,7 +106,8 @@ type Config struct {
 	// rejects with reason "queue-full".
 	QueueDepth int
 	// Workers is the number of concurrent Algorithm-1 executors
-	// (default 4).
+	// (default 4). A worker blocks on its admission's tenant lock, so
+	// under paced load it should exceed the clients in flight per tenant.
 	Workers int
 	// TenantInflight is the per-tenant fair-share cap on queued plus
 	// executing admissions (default 32); exceeding it rejects with
@@ -133,13 +132,6 @@ type Config struct {
 	// grows towards as the tenant records events. Size it above the expected
 	// events-per-tenant: a wrapped ring is unsound for AuditProvenance.
 	ProvenanceCapacity int
-	// BatchMax caps how many queued admissions a worker coalesces into one
-	// batched window (default 8). Within a batch, admissions for the same
-	// tenant run under a single tenant-lock acquisition back to back —
-	// consecutive identical scheduling problems then hit the tenant's warm
-	// frontier memo instead of re-solving. Negative (or 1) disables
-	// batching: every admission is its own window.
-	BatchMax int
 	// PostExec, when non-nil, is installed on every tenant service; the
 	// server's audit mode hooks check.Audit here. Must be safe for
 	// concurrent use across workers.
@@ -187,7 +179,6 @@ type instruments struct {
 	latency       *telemetry.Histogram
 	fleetInUse    *telemetry.Gauge
 	tenantsGauge  *telemetry.Gauge
-	batchSize     *telemetry.Histogram
 }
 
 // admission is one queued submission.
@@ -228,7 +219,6 @@ type Pipeline struct {
 	admitted    atomic.Int64
 	rejected    atomic.Int64
 	tenantCount atomic.Int64
-	batches     atomic.Int64
 
 	// execOverride replaces the worker's execution step in unit tests
 	// that need controllable timing without running the real tuner.
@@ -255,12 +245,6 @@ func New(cfg Config) *Pipeline {
 	}
 	if cfg.ProvenanceCapacity <= 0 {
 		cfg.ProvenanceCapacity = provenance.DefaultCapacity
-	}
-	if cfg.BatchMax == 0 {
-		cfg.BatchMax = DefaultBatchMax
-	}
-	if cfg.BatchMax < 1 {
-		cfg.BatchMax = 1
 	}
 	if cfg.Core.Sched.MaxContainers <= 0 ||
 		cfg.Core.Sched.MaxContainers > cfg.FleetContainers {
@@ -304,9 +288,6 @@ func New(cfg Config) *Pipeline {
 			"Container-fleet slots currently reserved by executions."),
 		tenantsGauge: tel.Gauge("idxflow_qaas_tenants",
 			"Tenants with instantiated service state."),
-		batchSize: tel.Histogram("idxflow_qaas_batch_size",
-			"Admissions coalesced per batched admission window.",
-			[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}),
 	}
 	p.fleet = newFleet(cfg.FleetContainers, cfg.PaceMSPerQuantum, quantum, p.ins.fleetInUse)
 	p.workers.Add(cfg.Workers)
@@ -464,86 +445,20 @@ func (p *Pipeline) worker() {
 	defer p.workers.Done()
 	for ad := range p.queue {
 		p.ins.queueDepth.Add(-1)
-		p.runBatch(p.collectBatch(ad))
+		p.finish(ad, p.execute(ad))
 	}
 }
 
-// collectBatch coalesces up to BatchMax-1 further queued admissions
-// behind the one just dequeued. It takes only what is already queued and
-// never waits, so batching adds no latency.
-func (p *Pipeline) collectBatch(first *admission) []*admission {
-	batch := []*admission{first}
-	for len(batch) < p.cfg.BatchMax {
-		select {
-		case ad, ok := <-p.queue:
-			if !ok {
-				return batch
-			}
-			p.ins.queueDepth.Add(-1)
-			batch = append(batch, ad)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// runBatch groups a batch's admissions by tenant (preserving arrival
-// order within each group) and runs each group under a single tenant-lock
-// acquisition. Groups of different tenants run concurrently — they contend
-// on nothing but the fleet semaphore, and serializing them on the one
-// worker that collected the batch would throw away exactly the
-// cross-tenant parallelism the worker pool exists for. Per-admission
-// execution, provenance, settlement and completion signalling are
-// unchanged from unbatched operation — batching only amortizes lock
-// traffic and lines identical scheduling problems up behind the tenant's
-// warm frontier memo.
-func (p *Pipeline) runBatch(batch []*admission) {
-	p.ins.batchSize.Observe(float64(len(batch)))
-	p.batches.Add(1)
-	var groups sync.WaitGroup
-	for i := 0; i < len(batch); i++ {
-		if batch[i] == nil {
-			continue
-		}
-		t := batch[i].t
-		group := []*admission{batch[i]}
-		for j := i + 1; j < len(batch); j++ {
-			if batch[j] != nil && batch[j].t == t {
-				group = append(group, batch[j])
-				batch[j] = nil
-			}
-		}
-		groups.Add(1)
-		go func() {
-			defer groups.Done()
-			p.runGroup(t, group)
-		}()
-	}
-	groups.Wait()
-}
-
-// runGroup executes one tenant's admissions of a batch back to back: the
-// tenant lock (taken once) serializes Algorithm-1 passes within the
-// tenant, the fleet hook (called inside SubmitCtx just before execution)
-// serializes the global slot booking.
-func (p *Pipeline) runGroup(t *Tenant, group []*admission) {
+// execute runs one admission: the tenant lock serializes Algorithm-1
+// passes within the tenant, the fleet hook (called inside SubmitCtx just
+// before execution) serializes the global slot booking.
+func (p *Pipeline) execute(ad *admission) admissionResult {
 	if p.execOverride != nil {
-		for _, ad := range group {
-			p.finish(ad, p.execOverride(ad))
-		}
-		return
+		return p.execOverride(ad)
 	}
+	t := ad.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, ad := range group {
-		p.finish(ad, p.runLocked(ad))
-	}
-}
-
-// runLocked executes one admission under the already-held tenant lock.
-func (p *Pipeline) runLocked(ad *admission) admissionResult {
-	t := ad.t
 	res := t.svc.SubmitCtx(ad.ctx, ad.flow)
 	if res.Cancelled {
 		err := ad.ctx.Err()
@@ -563,7 +478,7 @@ func (p *Pipeline) runLocked(ad *admission) admissionResult {
 }
 
 // finish publishes one admission's result and retires its in-flight
-// accounting, in the same order the unbatched worker loop used.
+// accounting.
 func (p *Pipeline) finish(ad *admission, r admissionResult) {
 	if r.err == nil && !r.res.Cancelled {
 		ad.t.admitted.Add(1)

@@ -23,10 +23,8 @@ func testConfig() Config {
 	cc.Sched.MaxContainers = 8
 	cc.MaxBuildOps = 16
 	cc.Telemetry = telemetry.NewRegistry()
-	// Batching off: these tests assert exact queue occupancy, which an
-	// eager batch drain would consume; batch behavior has its own tests.
 	return Config{Core: cc, Seed: 1, QueueDepth: 4, Workers: 1,
-		FleetContainers: 8, BatchMax: -1}
+		FleetContainers: 8}
 }
 
 // dummyFlow builds a trivial one-op flow; override-based tests never
@@ -35,6 +33,18 @@ func dummyFlow() *dataflow.Flow {
 	g := dataflow.New()
 	g.Add(dataflow.Operator{Name: "a", Time: 1})
 	return &dataflow.Flow{Graph: g}
+}
+
+// tenantGenerator returns a generator of flows valid against the file
+// database the pipeline serves for tenant.
+func tenantGenerator(t *testing.T, cfg Config, tenant string) *workload.Generator {
+	t.Helper()
+	seed := TenantSeed(cfg.Seed, tenant)
+	db, err := workload.NewFileDB(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workload.NewGenerator(db, seed)
 }
 
 func TestQueueFullBackpressure(t *testing.T) {
@@ -90,6 +100,61 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 	if got := p.rejected.Load(); got != 1 {
 		t.Errorf("rejected = %d, want 1", got)
+	}
+}
+
+// TestWorkersBoundConcurrentExecutions holds the single worker inside an
+// execution, queues one admission for each of six tenants and releases it:
+// Workers is the bound on concurrent executions, however many tenants wait.
+func TestWorkersBoundConcurrentExecutions(t *testing.T) {
+	cfg := testConfig()
+	cfg.QueueDepth = 8
+	p := New(cfg)
+	entered := make(chan struct{}, 8)
+	release := make(chan struct{})
+	var mu sync.Mutex
+	running, peak := 0, 0
+	p.execOverride = func(ad *admission) admissionResult {
+		mu.Lock()
+		running++
+		peak = max(peak, running)
+		mu.Unlock()
+		entered <- struct{}{}
+		<-release
+		// Long enough for a second execution, were one allowed, to overlap.
+		time.Sleep(2 * time.Millisecond)
+		mu.Lock()
+		running--
+		mu.Unlock()
+		return admissionResult{res: core.FlowResult{Makespan: 1}}
+	}
+
+	var wg sync.WaitGroup
+	submit := func(tenant string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Submit(context.Background(), tenant, dummyFlow()); err != nil {
+				t.Errorf("tenant %s submit failed: %v", tenant, err)
+			}
+		}()
+	}
+	submit("holder")
+	<-entered // the worker is inside the first execution
+	for _, tenant := range []string{"a", "b", "c", "d", "e", "f"} {
+		submit(tenant)
+	}
+	waitFor(t, func() bool { return p.QueueDepth() == 6 })
+	close(release)
+	wg.Wait()
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if got := p.admitted.Load(); got != 7 {
+		t.Errorf("admitted %d, want 7", got)
+	}
+	if peak != 1 {
+		t.Errorf("peak concurrent executions = %d, want 1 (Workers: 1)", peak)
 	}
 }
 
@@ -345,11 +410,7 @@ func TestRealExecutionSettlesBooks(t *testing.T) {
 	tenants := []string{"alpha", "beta"}
 	var wg sync.WaitGroup
 	for _, tn := range tenants {
-		db, err := workload.NewFileDB(TenantSeed(cfg.Seed, tn))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := workload.NewGenerator(db, TenantSeed(cfg.Seed, tn))
+		gen := tenantGenerator(t, cfg, tn)
 		for i := 0; i < 3; i++ {
 			flow := gen.Flow(workload.Montage, i, 0)
 			tn := tn
@@ -456,5 +517,94 @@ func TestAccessorsAndBackpressureError(t *testing.T) {
 	e := &BackpressureError{Reason: "queue-full", RetryAfter: 2 * time.Second}
 	if msg := e.Error(); !strings.Contains(msg, "queue-full") || !strings.Contains(msg, "2s") {
 		t.Errorf("Error() = %q, want reason and retry-after in message", msg)
+	}
+}
+
+// TestBatchPreservesSettlementAndIsolation submits a batch of real
+// executions for two tenants at once through a single worker and checks
+// every tenant's books, the global ledger and the fleet.
+func TestBatchPreservesSettlementAndIsolation(t *testing.T) {
+	cfg := testConfig()
+	cfg.QueueDepth = 16
+	p := New(cfg)
+
+	tenants := []string{"alpha", "beta"}
+	var wg sync.WaitGroup
+	for _, tn := range tenants {
+		gen := tenantGenerator(t, cfg, tn)
+		for i := 0; i < 3; i++ {
+			flow := gen.Flow(workload.Montage, i, 0)
+			tn := tn
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := p.Submit(context.Background(), tn, flow)
+				if err != nil {
+					t.Errorf("tenant %s: %v", tn, err)
+					return
+				}
+				if res.Makespan <= 0 || res.MoneyQuanta <= 0 {
+					t.Errorf("tenant %s: empty result %+v", tn, res)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	r := p.Report()
+	var sum float64
+	for _, tr := range r.Tenants {
+		if tr.Metrics.FlowsFinished != 3 {
+			t.Errorf("tenant %s finished %d flows, want 3", tr.Tenant, tr.Metrics.FlowsFinished)
+		}
+		if tr.Settled != tr.Metrics.VMQuanta {
+			t.Errorf("tenant %s: ledger %g != service books %g", tr.Tenant, tr.Settled, tr.Metrics.VMQuanta)
+		}
+		sum += tr.Settled
+	}
+	if sum != r.Books.Global {
+		t.Errorf("tenant settlements %g != global books %g", sum, r.Books.Global)
+	}
+	if r.Fleet.Reserves != r.Fleet.Releases || r.Fleet.InUse != 0 {
+		t.Errorf("fleet not balanced: %+v", r.Fleet)
+	}
+}
+
+// TestCancelledAdmissionSettlesNothing runs a real (not overridden)
+// execution whose context is already cancelled: the worker still drains
+// the admission, and it is neither counted, charged nor left holding a
+// fleet slot or a share of the tenant's in-flight cap.
+func TestCancelledAdmissionSettlesNothing(t *testing.T) {
+	cfg := testConfig()
+	p := New(cfg)
+	flow := tenantGenerator(t, cfg, "t").Flow(workload.Montage, 0, 0)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := p.Submit(ctx, "t", flow); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled submit: got %v, want context.Canceled", err)
+	}
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	r := p.Report()
+	if r.Admitted != 0 || r.InFlight != 0 {
+		t.Errorf("admitted %d, in flight %d, want 0 and 0", r.Admitted, r.InFlight)
+	}
+	if r.Books.Global != 0 {
+		t.Errorf("global books %g, want 0: a cancelled admission charges nothing", r.Books.Global)
+	}
+	if r.Fleet.InUse != 0 || r.Fleet.Reserves != r.Fleet.Releases {
+		t.Errorf("fleet not balanced: %+v", r.Fleet)
+	}
+	tn, err := p.Tenant("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tn.inflight.Load(); got != 0 {
+		t.Errorf("tenant in-flight = %d, want 0", got)
 	}
 }

@@ -64,14 +64,6 @@ type WarmSummary struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// BatchStats summarizes the batched admission windows the workers ran.
-type BatchStats struct {
-	Batches  int64   `json:"batches"`
-	MeanSize float64 `json:"mean_size"`
-	P50Size  float64 `json:"p50_size"`
-	P95Size  float64 `json:"p95_size"`
-}
-
 // Report is a pipeline-wide snapshot for auditing and the /v1/qaas
 // endpoint.
 type Report struct {
@@ -87,8 +79,6 @@ type Report struct {
 	QueueDepth int `json:"queue_depth"`
 	// Warm aggregates the tenants' warm-start scheduler counters.
 	Warm WarmSummary `json:"warm"`
-	// Batch summarizes the batched admission windows.
-	Batch BatchStats `json:"batch"`
 }
 
 // Tenants returns every instantiated tenant, sorted by name.
@@ -119,18 +109,7 @@ func (p *Pipeline) Report() Report { return p.snapshot(true) }
 func (p *Pipeline) Summary() Report { return p.snapshot(false) }
 
 func (p *Pipeline) snapshot(withEvents bool) Report {
-	var names []string
-	byName := make(map[string]*Tenant)
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		for n, t := range sh.tenants {
-			names = append(names, n)
-			byName[n] = t
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(names)
-
+	tenants := p.Tenants()
 	books := p.ledger.books()
 	r := Report{
 		Fleet:      p.fleet.stats(),
@@ -140,8 +119,8 @@ func (p *Pipeline) snapshot(withEvents bool) Report {
 		Rejected:   p.rejected.Load(),
 		QueueDepth: len(p.queue),
 	}
-	for _, n := range names {
-		t := byName[n]
+	for _, t := range tenants {
+		n := t.name
 		t.mu.Lock()
 		m := t.svc.Aggregates()
 		var ev []provenance.Event
@@ -170,12 +149,6 @@ func (p *Pipeline) snapshot(withEvents bool) Report {
 	}
 	if total := r.Warm.Hits + r.Warm.Misses; total > 0 {
 		r.Warm.HitRate = float64(r.Warm.Hits) / float64(total)
-	}
-	r.Batch = BatchStats{Batches: p.batches.Load()}
-	if c := p.ins.batchSize.Count(); c > 0 {
-		r.Batch.MeanSize = p.ins.batchSize.Sum() / float64(c)
-		r.Batch.P50Size = p.ins.batchSize.Quantile(0.50)
-		r.Batch.P95Size = p.ins.batchSize.Quantile(0.95)
 	}
 	return r
 }

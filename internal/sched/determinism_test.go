@@ -58,35 +58,25 @@ func fingerprint(sky []*Schedule) string {
 	return b.String()
 }
 
-// TestSkylineDeterministicAcrossParallelism is the determinism property
-// test: over seeded random DAGs, Schedule and ScheduleWithOptional must
-// return identical skylines — points, assignments and container types —
-// at Parallelism 1, 2 and 8.
-func TestSkylineDeterministicAcrossParallelism(t *testing.T) {
-	levels := []int{1, 2, 8}
+// TestSkylineDeterministicAcrossRuns is the determinism property test:
+// over seeded random DAGs, two runs of Schedule and of ScheduleWithOptional
+// must return identical skylines — points, assignments and container
+// types. The second run draws its schedules from the pool the first one
+// filled, so state left behind in a recycled schedule shows here.
+func TestSkylineDeterministicAcrossRuns(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, withOpt := range []bool{false, true} {
 			g := randomDAG(seed, 40, 5)
-			var want string
-			for _, p := range levels {
-				opts := testOpts()
-				opts.Parallelism = p
-				sk := NewSkyline(opts)
-				var sky []*Schedule
+			run := func() string {
+				sk := NewSkyline(testOpts())
 				if withOpt {
-					sky = sk.ScheduleWithOptional(g)
-				} else {
-					sky = sk.Schedule(g)
+					return fingerprint(sk.ScheduleWithOptional(g))
 				}
-				got := fingerprint(sky)
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Fatalf("seed %d withOptional=%v: parallelism %d diverged:\n--- p=1 ---\n%s--- p=%d ---\n%s",
-						seed, withOpt, p, want, p, got)
-				}
+				return fingerprint(sk.Schedule(g))
+			}
+			if want, got := run(), run(); got != want {
+				t.Fatalf("seed %d withOptional=%v: second run diverged:\n--- first ---\n%s--- second ---\n%s",
+					seed, withOpt, want, got)
 			}
 		}
 	}
@@ -97,19 +87,13 @@ func TestSkylineDeterministicAcrossParallelism(t *testing.T) {
 // count by the number of types.
 func TestSkylineDeterministicHeterogeneous(t *testing.T) {
 	g := randomDAG(7, 30, 0)
-	var want string
-	for _, p := range []int{1, 2, 8} {
+	run := func() string {
 		opts := testOpts()
-		opts.Parallelism = p
 		opts.Types = cloud.DefaultVMTypes()
-		got := fingerprint(NewSkyline(opts).Schedule(g))
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("heterogeneous skyline diverged at parallelism %d:\n%s\nvs\n%s", p, want, got)
-		}
+		return fingerprint(NewSkyline(opts).Schedule(g))
+	}
+	if want, got := run(), run(); got != want {
+		t.Fatalf("heterogeneous skyline diverged between runs:\n%s\nvs\n%s", want, got)
 	}
 }
 
@@ -257,6 +241,55 @@ func TestCloneAndCopyFromAliasing(t *testing.T) {
 	}
 }
 
+// TestCopiesEqualOriginal proves Clone and CopyFrom carry every field a
+// schedule is observed through, on a schedule that has been through each
+// kind of edit: typed containers, a repair that drops a parked optional
+// operator (and invalidates the makespan cache) and an operator added to
+// the graph after the schedule was created.
+func TestCopiesEqualOriginal(t *testing.T) {
+	o := testOpts()
+	o.Types = cloud.DefaultVMTypes()
+	g := dataflow.New()
+	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
+	b := g.Add(dataflow.Operator{Name: "b", Time: 25})
+	opt := g.Add(dataflow.Operator{Name: "build", Time: 30, Optional: true})
+	if err := g.Connect(a, b, 4); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSchedule(g, o.Pricing, o.Spec)
+	s.Types = o.Types
+	if err := s.SetContainerType(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(a, 0, -1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(b, 1, -1); err != nil {
+		t.Fatal(err)
+	}
+	mustPlace(t, s, opt, 0, 10)
+	if _, err := s.Repair(0, 12); err != nil {
+		t.Fatal(err)
+	}
+	late := g.Add(dataflow.Operator{Name: "late", Time: 7})
+	if _, err := s.Append(late, 1, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := snapshot(s)
+	if got := snapshot(s.Clone()); got != want {
+		t.Errorf("Clone differs from its original:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	replica := getSchedule() // whatever an earlier test left in the pool
+	replica.CopyFrom(s)
+	if got := snapshot(replica); got != want {
+		t.Errorf("CopyFrom replica differs from its original:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
 // TestParetoDuplicateTieBreak is the regression test for deterministic
 // duplicate handling: among equal-objective candidates the survivor must
 // be the one with fewer containers, then the lower op count — regardless
@@ -327,19 +360,4 @@ func mustPlace(t *testing.T, s *Schedule, id dataflow.OpID, c int, start float64
 	if _, err := s.PlaceAt(id, c, start, -1); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestParallelForCoversAllIndices exercises the worker pool itself.
-func TestParallelForCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 64} {
-		n := 100
-		hits := make([]int, n)
-		ParallelFor(n, workers, func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)
-			}
-		}
-	}
-	ParallelFor(0, 4, func(i int) { t.Fatal("fn called for n=0") })
 }

@@ -180,34 +180,15 @@ func (s *Schedule) SetContainerType(c, typeIdx int) error {
 
 // Clone returns a deep copy sharing the immutable graph.
 func (s *Schedule) Clone() *Schedule {
-	c := &Schedule{
-		Graph:    s.Graph,
-		Pricing:  s.Pricing,
-		Spec:     s.Spec,
-		Types:    s.Types,
-		assign:   append([]Assignment(nil), s.assign...),
-		placed:   append([]bool(nil), s.placed...),
-		nPlaced:  s.nPlaced,
-		conts:    make([][]dataflow.OpID, len(s.conts)),
-		contType: append([]int(nil), s.contType...),
-		leaseQ:   append([]int(nil), s.leaseQ...),
-		seqIdleQ: append([]float64(nil), s.seqIdleQ...),
-		idleCap:  s.idleCap,
-		msFirst:  s.msFirst,
-		msLast:   s.msLast,
-		msCount:  s.msCount,
-		msValid:  s.msValid,
-	}
-	for i, ops := range s.conts {
-		c.conts[i] = append([]dataflow.OpID(nil), ops...)
-	}
+	c := new(Schedule)
+	c.CopyFrom(s)
 	return c
 }
 
-// CopyFrom makes s a deep copy of src, reusing s's allocated storage. It is
-// the allocation-lean sibling of Clone used for the scheduler's scratch
-// schedules: a pooled schedule is re-pointed at a skyline member in O(ops)
-// time with no allocations once its map and slices have grown.
+// CopyFrom makes s a deep copy of src, reusing s's allocated storage: a
+// pooled schedule is re-pointed at a skyline member in O(ops) time with no
+// allocations once its slices have grown. It is the one place that lists
+// the fields a copy carries; Clone is CopyFrom into a fresh Schedule.
 func (s *Schedule) CopyFrom(src *Schedule) {
 	s.Graph, s.Pricing, s.Spec, s.Types = src.Graph, src.Pricing, src.Spec, src.Types
 	s.assign = append(s.assign[:0], src.assign...)

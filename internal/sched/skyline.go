@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"idxflow/internal/cloud"
 	"idxflow/internal/dataflow"
@@ -21,12 +22,6 @@ type Options struct {
 	// iterations; 0 means unlimited. Pruning keeps the fastest and the
 	// cheapest ends of the frontier and evenly spaced points between.
 	MaxSkyline int
-	// Parallelism is the number of workers candidate expansion fans out
-	// over. 0 (the zero value) means runtime.NumCPU(); 1 runs the exact
-	// historical serial path. The skyline output is identical at every
-	// setting: expansion results are index-addressed per frontier member
-	// and merged in frontier order before the Pareto filter.
-	Parallelism int
 	// Types, when non-empty, enables the heterogeneous-pool extension:
 	// each fresh container may be leased as any of these VM types, and
 	// the skyline explores the choices (§3: "the scheduler can consider
@@ -51,7 +46,7 @@ type Options struct {
 	// Warm, when non-nil, carries scheduler state across submissions: the
 	// last frontier (replayed on an exact problem match) and an idle-slot
 	// capacity hint that seeds fresh schedules. The warm path is
-	// bit-identical to cold at any Parallelism.
+	// bit-identical to cold.
 	Warm *Warm
 }
 
@@ -139,6 +134,15 @@ func (c *candidate) apply(sched *Schedule) (UndoToken, error) {
 	return tok, err
 }
 
+// schedPool recycles Schedule values between skyline iterations: dropped
+// frontier members return here and materialized survivors are carved from
+// it. CopyFrom reuses the pooled schedule's slice storage, so steady state
+// skyline iterations allocate almost nothing.
+var schedPool = sync.Pool{New: func() any { return new(Schedule) }}
+
+func getSchedule() *Schedule  { return schedPool.Get().(*Schedule) }
+func putSchedule(s *Schedule) { schedPool.Put(s) }
+
 // materialize turns a speculative candidate into an owning one by copying
 // its source into a pooled schedule and replaying the move.
 func (c *candidate) materialize() {
@@ -157,7 +161,7 @@ func (c *candidate) materialize() {
 
 // maxSeqIdle resolves the candidate's §5.3.1 tie-break value, measuring
 // speculatively on the shared source schedule when unmaterialized (apply,
-// measure, undo — callers are serial at this point).
+// measure, undo).
 func (c *candidate) maxSeqIdle() float64 {
 	if c.s != nil {
 		return c.s.MaxSequentialIdle()
@@ -214,10 +218,14 @@ func pareto(cands []candidate, prefer func(a, b *candidate) bool) []candidate {
 }
 
 // prune caps the frontier at max points, always keeping the two endpoints
-// (fastest and cheapest) and evenly spaced interior points.
+// (fastest and cheapest) and evenly spaced interior points. A cap of one
+// keeps the fastest point, the one Fastest would pick.
 func prune(cands []candidate, max int) []candidate {
 	if max <= 0 || len(cands) <= max {
 		return cands
+	}
+	if max == 1 {
+		return cands[:1]
 	}
 	out := make([]candidate, 0, max)
 	step := float64(len(cands)-1) / float64(max-1)
@@ -321,10 +329,6 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 	frontier := sk.Opts.Metrics.Histogram("idxflow_skyline_frontier_size",
 		"Pareto frontier size after each skyline iteration.",
 		telemetry.ExponentialBuckets(1, 2, 8))
-	workers := Workers(sk.Opts.Parallelism)
-	sk.Opts.Metrics.Gauge("idxflow_sched_parallel_workers",
-		"Worker-pool size used for skyline candidate expansion.").
-		Set(float64(workers))
 
 	var wsig []uint64
 	if sk.Opts.Warm != nil {
@@ -398,105 +402,70 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 		}
 	}
 
-	// results[i] receives the candidate expansions of frontier member i.
-	// Workers claim members dynamically but always write to their member's
-	// slot, so the merged candidate order — and with it the Pareto filter's
-	// stable sort and every tie-break — is independent of scheduling.
-	// Backing arrays are kept across iterations; workers truncate their
-	// slot before filling it. The merged candidate set double-buffers:
-	// the surviving frontier aliases the buffer it was filtered in, so
-	// the next iteration fills the other one.
-	results := make([][]candidate, 0, len(sky))
+	// Moves are measured by apply/undo directly on the frontier member's
+	// schedule: Undo restores it exactly before advance() materializes the
+	// survivors, so no member is copied to be probed. Candidates append to
+	// the merged buffer in frontier order, which fixes the Pareto filter's
+	// stable sort and every tie-break. The buffer double-buffers: the
+	// surviving frontier aliases the one it was filtered in, so the next
+	// iteration fills the other.
 	var candsBufs [2][]candidate
 	flip := 0
 
 	for _, st := range order {
 		iterations.Inc()
-		for len(results) < len(sky) {
-			results = append(results, nil)
-		}
-		results = results[:len(sky)]
+		cands := candsBufs[flip][:0]
 		if st.optional {
 			// Union of the previous skyline and every gap placement
 			// (§5.3.2: "the previous skyline is kept and unioned with the
 			// set of schedules S before computing the new skyline").
-			ParallelFor(len(sky), workers, func(i int) {
-				// Each member is claimed by exactly one worker, so moves are
-				// measured by apply/undo directly on the member schedule: the
-				// former per-member scratch copy was restored through the
-				// same Undo path between candidates anyway, and dropping the
-				// O(ops) CopyFrom per member per iteration is one of the
-				// largest wins on the scheduling hot path. Undo restores the
-				// schedule exactly before advance() materializes survivors.
+			cands = append(cands, sky...)
+			for i := range sky {
 				src := sky[i].s
-				local := results[i][:0]
-				results[i] = local
-				places := placements(src, st.id)
-				if len(places) == 0 {
-					return
-				}
-				for _, a := range places {
+				for _, a := range placements(src, st.id) {
 					mv := move{op: st.id, cont: a.Container, start: a.Start, place: true}
 					if _, tok, err := src.PlaceAtSpeculative(mv.op, mv.cont, mv.start, -1); err == nil {
 						p := src.point()
 						src.Undo(tok)
-						local = append(local, candidate{src: src, mv: mv, p: p})
-					}
-				}
-				results[i] = local
-			})
-			cands := append(candsBufs[flip][:0], sky...)
-			for i := range results {
-				cands = append(cands, results[i]...)
-			}
-			candsBufs[flip] = cands
-			flip = 1 - flip
-			candidates.Add(float64(len(cands)))
-			sky = sk.advance(sky, cands, prefer)
-			frontier.Observe(float64(len(sky)))
-			continue
-		}
-		ParallelFor(len(sky), workers, func(i int) {
-			src := sky[i].s
-			// Candidate containers: each already-used container plus one
-			// fresh one (fresh containers are interchangeable); a fresh
-			// container may be leased as any configured VM type.
-			used := src.NumSlots()
-			limit := used + 1
-			if limit > sk.Opts.MaxContainers {
-				limit = sk.Opts.MaxContainers
-			}
-			// Measure moves by apply/undo on the member schedule itself —
-			// see the optional-op expansion above for why this is exact.
-			local := results[i][:0]
-			for cont := 0; cont < limit; cont++ {
-				nTypes := 1
-				if cont >= used && len(sk.Opts.Types) > 1 {
-					nTypes = len(sk.Opts.Types)
-				}
-				for ti := 0; ti < nTypes; ti++ {
-					mv := move{op: st.id, cont: cont, typeIdx: -1}
-					if cont >= used && len(sk.Opts.Types) > 0 {
-						mv.typeIdx = ti
-					}
-					if _, tok, err := src.AppendSpeculative(mv.op, mv.cont, mv.typeIdx, -1); err == nil {
-						p := src.point()
-						src.Undo(tok)
-						local = append(local, candidate{src: src, mv: mv, p: p})
+						cands = append(cands, candidate{src: src, mv: mv, p: p})
 					}
 				}
 			}
-			results[i] = local
-		})
-		cands := candsBufs[flip][:0]
-		for i := range results {
-			cands = append(cands, results[i]...)
+		} else {
+			for i := range sky {
+				src := sky[i].s
+				// Candidate containers: each already-used container plus one
+				// fresh one (fresh containers are interchangeable); a fresh
+				// container may be leased as any configured VM type.
+				used := src.NumSlots()
+				limit := used + 1
+				if limit > sk.Opts.MaxContainers {
+					limit = sk.Opts.MaxContainers
+				}
+				for cont := 0; cont < limit; cont++ {
+					nTypes := 1
+					if cont >= used && len(sk.Opts.Types) > 1 {
+						nTypes = len(sk.Opts.Types)
+					}
+					for ti := 0; ti < nTypes; ti++ {
+						mv := move{op: st.id, cont: cont, typeIdx: -1}
+						if cont >= used && len(sk.Opts.Types) > 0 {
+							mv.typeIdx = ti
+						}
+						if _, tok, err := src.AppendSpeculative(mv.op, mv.cont, mv.typeIdx, -1); err == nil {
+							p := src.point()
+							src.Undo(tok)
+							cands = append(cands, candidate{src: src, mv: mv, p: p})
+						}
+					}
+				}
+			}
+			if len(cands) == 0 {
+				return nil
+			}
 		}
 		candsBufs[flip] = cands
 		flip = 1 - flip
-		if len(cands) == 0 {
-			return nil
-		}
 		candidates.Add(float64(len(cands)))
 		sky = sk.advance(sky, cands, prefer)
 		frontier.Observe(float64(len(sky)))

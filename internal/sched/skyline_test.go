@@ -60,15 +60,21 @@ func TestSkylineIsPareto(t *testing.T) {
 	}
 }
 
-func TestSkylineParallelismHelps(t *testing.T) {
+// independentOps builds n unconnected 30 s operators.
+func independentOps(n int) *dataflow.Graph {
+	g := dataflow.New()
+	for i := 0; i < n; i++ {
+		g.Add(dataflow.Operator{Name: "op", Time: 30})
+	}
+	return g
+}
+
+func TestSkylineSpreadsIndependentOps(t *testing.T) {
 	// 8 independent 30s ops: on one container 240s (4 quanta), on 8
 	// containers 30s. The skyline must contain a schedule faster than
 	// serial and the serial-cheap end must not cost more than the fast end
 	// by definition of Pareto.
-	g := dataflow.New()
-	for i := 0; i < 8; i++ {
-		g.Add(dataflow.Operator{Name: "op", Time: 30})
-	}
+	g := independentOps(8)
 	sky := NewSkyline(testOpts()).Schedule(g)
 	fast := Fastest(sky)
 	cheap := Cheapest(sky)
@@ -84,10 +90,7 @@ func TestSkylineParallelismHelps(t *testing.T) {
 }
 
 func TestSkylineRespectsMaxContainers(t *testing.T) {
-	g := dataflow.New()
-	for i := 0; i < 10; i++ {
-		g.Add(dataflow.Operator{Name: "op", Time: 30})
-	}
+	g := independentOps(10)
 	opts := testOpts()
 	opts.MaxContainers = 2
 	sky := NewSkyline(opts).Schedule(g)
@@ -105,6 +108,25 @@ func TestSkylineMaxSkylineCap(t *testing.T) {
 	sky := NewSkyline(opts).Schedule(g)
 	if len(sky) > 3 {
 		t.Errorf("skyline size %d exceeds cap 3", len(sky))
+	}
+
+	// A cap of one keeps the fastest point of every iteration (prune used
+	// to divide by max-1 and index out of range).
+	g = independentOps(8)
+	opts.MaxSkyline = 1
+	sky = NewSkyline(opts).Schedule(g)
+	if len(sky) != 1 {
+		t.Fatalf("skyline size %d under cap 1, want 1", len(sky))
+	}
+	if sky[0].Assigned() != 8 {
+		t.Errorf("capped schedule holds %d ops, want 8", sky[0].Assigned())
+	}
+	if err := sky[0].Validate(); err != nil {
+		t.Errorf("capped schedule invalid: %v", err)
+	}
+	opts.MaxSkyline = 0
+	if want := Fastest(NewSkyline(opts).Schedule(g)).Makespan(); sky[0].Makespan() > want+1e-9 {
+		t.Errorf("cap 1 makespan %g, uncapped fastest %g", sky[0].Makespan(), want)
 	}
 }
 

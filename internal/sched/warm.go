@@ -159,10 +159,8 @@ func strWord(s string) uint64 {
 
 // warmSig builds the exact signature of a scheduling problem: every
 // operator field the scheduler or the downstream simulator reads, every
-// edge, and every option that shapes the frontier. Parallelism is
-// deliberately excluded — the skyline output is index-addressed and
-// identical at any worker count — as are telemetry, tracing and
-// provenance attribution, which never influence placements.
+// edge, and every option that shapes the frontier. Telemetry, tracing and
+// provenance attribution never influence placements and are excluded.
 func warmSig(g *dataflow.Graph, o *Options, withOptional bool) []uint64 {
 	n := g.Len()
 	sig := make([]uint64, 0, 2*n+16)

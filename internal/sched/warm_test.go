@@ -49,43 +49,39 @@ func TestWarmDistinguishesOptionalMode(t *testing.T) {
 	}
 }
 
-// TestWarmColdEquivalentAcrossParallelism is the golden cold-vs-warm
-// property at Parallelism 1, 2 and 8: over seeded random DAGs, a scheduler
-// carrying warm state across repeated submissions returns exactly the
-// frontier a from-scratch scheduler computes, on both the miss and the hit
-// path, even when the caller mutates the returned schedules in between.
-func TestWarmColdEquivalentAcrossParallelism(t *testing.T) {
+// TestWarmColdEquivalent is the golden cold-vs-warm property: over seeded
+// random DAGs, a scheduler carrying warm state across repeated submissions
+// returns exactly the frontier a from-scratch scheduler computes, on both
+// the miss and the hit path, even when the caller mutates the returned
+// schedules in between.
+func TestWarmColdEquivalent(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, withOpt := range []bool{false, true} {
 			g := randomDAG(seed, 35, 5)
-			for _, p := range []int{1, 2, 8} {
-				cold := testOpts()
-				cold.Parallelism = p
-				warm := warmOpts()
-				warm.Parallelism = p
-				run := func(o Options) []*Schedule {
-					if withOpt {
-						return NewSkyline(o).ScheduleWithOptional(g)
-					}
-					return NewSkyline(o).Schedule(g)
+			cold := testOpts()
+			warm := warmOpts()
+			run := func(o Options) []*Schedule {
+				if withOpt {
+					return NewSkyline(o).ScheduleWithOptional(g)
 				}
-				want := fingerprint(run(cold))
-				for round := 0; round < 3; round++ {
-					sky := run(warm)
-					if got := fingerprint(sky); got != want {
-						t.Fatalf("seed %d withOpt=%v p=%d round %d: warm diverged from cold:\n%s\nvs\n%s",
-							seed, withOpt, p, round, want, got)
-					}
-					// Wipe the returned schedules: the memo hands out
-					// clones, so this must not poison later lookups.
-					for _, s := range sky {
-						s.CopyFrom(NewSchedule(g, cold.Pricing, cold.Spec))
-					}
-					warm.Warm.NoteAdoption(sky[0])
+				return NewSkyline(o).Schedule(g)
+			}
+			want := fingerprint(run(cold))
+			for round := 0; round < 3; round++ {
+				sky := run(warm)
+				if got := fingerprint(sky); got != want {
+					t.Fatalf("seed %d withOpt=%v round %d: warm diverged from cold:\n%s\nvs\n%s",
+						seed, withOpt, round, want, got)
 				}
-				if st := warm.Warm.Stats(); st.Hits == 0 {
-					t.Fatalf("seed %d withOpt=%v p=%d: repeated submissions never hit the memo", seed, withOpt, p)
+				// Wipe the returned schedules: the memo hands out
+				// clones, so this must not poison later lookups.
+				for _, s := range sky {
+					s.CopyFrom(NewSchedule(g, cold.Pricing, cold.Spec))
 				}
+				warm.Warm.NoteAdoption(sky[0])
+			}
+			if st := warm.Warm.Stats(); st.Hits == 0 {
+				t.Fatalf("seed %d withOpt=%v: repeated submissions never hit the memo", seed, withOpt)
 			}
 		}
 	}

@@ -373,10 +373,6 @@ func TestQaaSBackpressure429(t *testing.T) {
 		cfg.Workers = 1
 		cfg.QueueDepth = 1
 		cfg.TenantInflight = -1
-		// Batching would pull the queued admission into the worker's
-		// window and empty the queue; disable it so queue-full
-		// backpressure is observable.
-		cfg.BatchMax = -1
 		// Pace executions so the worker is demonstrably busy while the
 		// queue fills: ~60ms wall per quantum of makespan.
 		cfg.PaceMSPerQuantum = 60

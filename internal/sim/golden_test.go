@@ -32,9 +32,9 @@ func assertGolden(t *testing.T, name string, s *sched.Schedule, mkCfg func() Con
 	}
 }
 
-// goldenSchedule plans a Cybershake flow at the given scheduler
-// parallelism and packs index builds into its idle runs.
-func goldenSchedule(t *testing.T, seed int64, trial, parallelism int, withBuilds bool) *sched.Schedule {
+// goldenSchedule plans a Cybershake flow and packs index builds into its
+// idle runs.
+func goldenSchedule(t *testing.T, seed int64, trial int, withBuilds bool) *sched.Schedule {
 	t.Helper()
 	db, err := workload.NewFileDB(seed)
 	if err != nil {
@@ -53,7 +53,6 @@ func goldenSchedule(t *testing.T, seed int64, trial, parallelism int, withBuilds
 	}
 	opts := sched.DefaultOptions()
 	opts.MaxSkyline = 8
-	opts.Parallelism = parallelism
 	s := sched.Fastest(sched.NewSkyline(opts).Schedule(g))
 	if s == nil {
 		t.Fatal("no schedule")
@@ -65,47 +64,43 @@ func goldenSchedule(t *testing.T, seed int64, trial, parallelism int, withBuilds
 }
 
 func TestGoldenEquivalenceFaultFree(t *testing.T) {
-	for _, par := range []int{1, 2, 8} {
-		for trial := 0; trial < 3; trial++ {
-			s := goldenSchedule(t, 7, trial, par, trial%2 == 0)
-			for _, errPct := range []float64{0, 20, 80} {
-				e := errPct / 100
-				name := fmt.Sprintf("par=%d trial=%d err=%g", par, trial, errPct)
-				assertGolden(t, name, s, func() Config {
-					rng := rand.New(rand.NewSource(int64(trial)*100 + int64(errPct)))
-					return Config{
-						Pricing: cloud.DefaultPricing(), Spec: cloud.DefaultSpec(),
-						Actual: func(op *dataflow.Operator) float64 {
-							return op.Time * (1 + (rng.Float64()*2-1)*e)
-						},
-					}
-				})
-			}
+	for trial := 0; trial < 3; trial++ {
+		s := goldenSchedule(t, 7, trial, trial%2 == 0)
+		for _, errPct := range []float64{0, 20, 80} {
+			e := errPct / 100
+			name := fmt.Sprintf("trial=%d err=%g", trial, errPct)
+			assertGolden(t, name, s, func() Config {
+				rng := rand.New(rand.NewSource(int64(trial)*100 + int64(errPct)))
+				return Config{
+					Pricing: cloud.DefaultPricing(), Spec: cloud.DefaultSpec(),
+					Actual: func(op *dataflow.Operator) float64 {
+						return op.Time * (1 + (rng.Float64()*2-1)*e)
+					},
+				}
+			})
 		}
 	}
 }
 
 func TestGoldenEquivalenceFaulty(t *testing.T) {
-	for _, par := range []int{1, 2, 8} {
-		for _, rate := range []float64{0.1, 0.5, 2.0} {
-			for _, fseed := range []int64{1, 42} {
-				s := goldenSchedule(t, 11, int(fseed)%3, par, true)
-				plan := fault.Generate(fault.DefaultRates(rate, 60, 4000), fseed)
-				if rate >= 0.5 && plan.Len() == 0 {
-					t.Fatalf("rate %g produced an empty plan", rate)
-				}
-				name := fmt.Sprintf("par=%d rate=%g fseed=%d", par, rate, fseed)
-				assertGolden(t, name, s, func() Config {
-					rng := rand.New(rand.NewSource(fseed))
-					return Config{
-						Pricing: cloud.DefaultPricing(), Spec: cloud.DefaultSpec(),
-						Faults: plan.From(0), Backoff: cloud.DefaultBackoff(),
-						Actual: func(op *dataflow.Operator) float64 {
-							return op.Time * (1 + (rng.Float64()*2-1)*0.3)
-						},
-					}
-				})
+	for _, rate := range []float64{0.1, 0.5, 2.0} {
+		for _, fseed := range []int64{1, 42} {
+			s := goldenSchedule(t, 11, int(fseed)%3, true)
+			plan := fault.Generate(fault.DefaultRates(rate, 60, 4000), fseed)
+			if rate >= 0.5 && plan.Len() == 0 {
+				t.Fatalf("rate %g produced an empty plan", rate)
 			}
+			name := fmt.Sprintf("rate=%g fseed=%d", rate, fseed)
+			assertGolden(t, name, s, func() Config {
+				rng := rand.New(rand.NewSource(fseed))
+				return Config{
+					Pricing: cloud.DefaultPricing(), Spec: cloud.DefaultSpec(),
+					Faults: plan.From(0), Backoff: cloud.DefaultBackoff(),
+					Actual: func(op *dataflow.Operator) float64 {
+						return op.Time * (1 + (rng.Float64()*2-1)*0.3)
+					},
+				}
+			})
 		}
 	}
 }

@@ -24,6 +24,11 @@ go build ./...
 echo "== reachability =="
 scripts/reachability.sh
 
+# One Algorithm-1 pass runs on one goroutine: the admission pipeline's
+# -workers is the only concurrency of a submit.
+echo "== Alg. 1 path starts no goroutine =="
+if grep -rn --include='*.go' --exclude='*_test.go' 'go func' internal/sched internal/interleave internal/core internal/gain internal/sim; then exit 1; fi
+
 # bench/ is a module of its own that `./...` does not reach; its vet and
 # tests compile the frozen benchmark driver against this checkout, so a
 # signature it uses cannot drift unnoticed until benchmark time.
@@ -40,20 +45,14 @@ if ! awk -v t="$total" -v b="$baseline" 'BEGIN { exit (t+0 >= b+0) ? 0 : 1 }'; t
 	exit 1
 fi
 
-# The scheduler's worker-pool expansion and the experiment fan-out are
-# concurrent; the race detector runs as its own pass, in short mode to
+# The admission pipeline, the experiment fan-out and the extsort workers
+# are concurrent; the race detector runs as its own pass, in short mode to
 # keep the instrumented run fast. The pass includes internal/core's
 # TestBenchShapedStream (the pinned 525-flow outcome digest and the
-# windowed-gain-history soak), which -short does not skip.
+# windowed-gain-history soak), which -short does not skip, and the golden
+# cold-vs-warm equivalence suites.
 echo "== go test -race -short =="
 go test -race -short ./...
-
-# Warm-start soundness gate: the golden cold-vs-warm equivalence suite
-# (sched frontier memo, service-level metrics with faults, parallelism
-# 1/2/8) must pass under the race detector before anything ships.
-echo "== cold-vs-warm equivalence (race) =="
-go test -race -short -run 'TestWarm|TestServiceWarm|FuzzWarmFrontier' \
-	./internal/sched ./internal/core ./internal/check
 
 # Smoke-run the sim with the flight recorder on: the run must succeed,
 # explain itself, and write a parseable provenance log (the JSONL and
