@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-short vet fmt-check ci cover fuzz-short bench bench-short bench-compare profile clean
+.PHONY: all build test race race-short vet fmt-check ci cover fuzz-short golden-update bench bench-short bench-compare profile clean
 
 all: build
 
@@ -44,6 +44,13 @@ fuzz-short:
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzGainWindow$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzWarmFrontier$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/pagestore -run '^$$' -fuzz '^FuzzColumnPage$$' -fuzztime $(FUZZ_SECONDS)s
+
+# Re-record the golden experiment tables and the idxflow-sim -explain
+# transcript under cmd/*/testdata from the current tree. A refactor must pass
+# them unedited; run this only when a change is meant to move a table.
+golden-update:
+	$(GO) test ./cmd/idxflow-experiments -run '^TestGoldenTables$$' -update
+	$(GO) test ./cmd/idxflow-sim -run '^TestGoldenExplainTranscript$$' -update
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \

@@ -25,11 +25,19 @@
 // fault (robustness under injected container crashes, spot revocations,
 // storage errors and stragglers; -faults and -fault-seed control the
 // sweep), ablation (design-knob sweeps; not in "all"), all.
+//
+// Exit status: 0 on success, 1 when an experiment fails, 2 for a bad flag or
+// an unknown -exp. main is os.Exit(run(args, stdout, stderr)), so the
+// -cpuprofile, -memprofile, -trace and -events files are complete on every
+// one of them; main_test.go drives run in-process against the tables under
+// testdata/ (`make golden-update` re-records them).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -40,22 +48,35 @@ import (
 	"idxflow/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args with its own flag set, prints
+// the selected tables on stdout and diagnostics on stderr, and returns the
+// exit code. Nothing below calls os.Exit, so the deferred profile, trace and
+// event-log writers run on every path, a failing experiment included.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("idxflow-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (params, table4..6, fig3, fig6..14, all)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		horizon  = flag.Float64("horizon", 720, "dynamic-experiment horizon in quanta")
-		scale    = flag.Float64("scale", 0.05, "TPC-H scale factor for table6 (paper: 2)")
-		trials   = flag.Int("trials", 3, "trials per point for fig6/fig7")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON span timeline to this file")
-		events   = flag.String("events", "", "write the decision-provenance event log (JSONL) to this file")
-		faults   = flag.String("faults", "", "comma-separated fault rates (events/container/quantum) for -exp fault; empty = default sweep")
-		faultSd  = flag.Int64("fault-seed", 42, "seed for the generated fault plans of -exp fault")
-		parallel = flag.Int("parallelism", 0, "experiment fan-out pool size (0 = NumCPU, 1 = serial); results are identical at any setting")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		exp      = fs.String("exp", "all", "experiment to run (params, table4..6, fig3, fig6..14, all)")
+		seed     = fs.Int64("seed", 1, "random seed")
+		horizon  = fs.Float64("horizon", 720, "dynamic-experiment horizon in quanta")
+		scale    = fs.Float64("scale", 0.05, "TPC-H scale factor for table6 (paper: 2)")
+		trials   = fs.Int("trials", 3, "trials per point for fig6/fig7")
+		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON span timeline to this file")
+		events   = fs.String("events", "", "write the decision-provenance event log (JSONL) to this file")
+		faults   = fs.String("faults", "", "comma-separated fault rates (events/container/quantum) for -exp fault; empty = default sweep")
+		faultSd  = fs.Int64("fault-seed", 42, "seed for the generated fault plans of -exp fault")
+		parallel = fs.Int("parallelism", 0, "experiment fan-out pool size (0 = NumCPU, 1 = serial); results are identical at any setting")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+		memProf  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	defer profiling.Start(*cpuProf, *memProf)()
 
 	experiments.SetParallelism(*parallel)
@@ -67,15 +88,15 @@ func main() {
 		defer func() {
 			f, err := os.Create(*traceOut)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer f.Close()
 			if err := telemetry.DefaultTracer().WriteChromeTrace(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
-			fmt.Printf("trace: %d spans -> %s (open in chrome://tracing)\n",
+			fmt.Fprintf(stdout, "trace: %d spans -> %s (open in chrome://tracing)\n",
 				telemetry.DefaultTracer().Len(), *traceOut)
 		}()
 	}
@@ -87,20 +108,24 @@ func main() {
 		defer func() {
 			f, err := os.Create(*events)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer f.Close()
 			if err := provenance.Default().WriteJSONL(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
-			fmt.Printf("events: %d recorded (%d retained) -> %s\n",
+			fmt.Fprintf(stdout, "events: %d recorded (%d retained) -> %s\n",
 				provenance.Default().Total(), provenance.Default().Len(), *events)
 		}()
 	}
 
-	run := func(id string) bool {
+	if !anyKnown(*exp) {
+		fmt.Fprintf(stderr, "unknown experiment %q\n", *exp)
+		return 2
+	}
+	selected := func(id string) bool {
 		if id == "ablation" || id == "table6x100" {
 			return *exp == id // too heavy for "all"
 		}
@@ -108,94 +133,91 @@ func main() {
 	}
 	horizonSec := *horizon * 60
 
-	if run("params") {
-		fmt.Println(experiments.Params())
+	if selected("params") {
+		fmt.Fprintln(stdout, experiments.Params())
 	}
-	if run("table4") {
-		fmt.Println(experiments.Table4(*seed, 5))
+	if selected("table4") {
+		fmt.Fprintln(stdout, experiments.Table4(*seed, 5))
 	}
-	if run("table5") {
-		fmt.Println(experiments.Table5())
+	if selected("table5") {
+		fmt.Fprintln(stdout, experiments.Table5())
 	}
-	if run("table6") {
+	if selected("table6") {
 		res, err := experiments.Table6(*scale, *seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "table6:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "table6:", err)
+			return 1
 		}
-		fmt.Println(res.Table)
+		fmt.Fprintln(stdout, res.Table)
 	}
-	if run("table6disk") {
+	if selected("table6disk") {
 		res, err := experiments.Table6Disk(*scale, *seed, 64)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "table6disk:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "table6disk:", err)
+			return 1
 		}
-		fmt.Println(res.Table)
+		fmt.Fprintln(stdout, res.Table)
 	}
-	if run("table6x100") {
+	if selected("table6x100") {
 		res, err := experiments.Table6Scale(*scale*100, *seed, 256)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "table6x100:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "table6x100:", err)
+			return 1
 		}
-		fmt.Println(res.Table)
+		fmt.Fprintln(stdout, res.Table)
 	}
-	if run("fig3") {
-		fmt.Println(experiments.Fig3())
+	if selected("fig3") {
+		fmt.Fprintln(stdout, experiments.Fig3())
 	}
-	if run("fig6") {
-		fmt.Println(experiments.Fig6(*seed, *trials))
+	if selected("fig6") {
+		fmt.Fprintln(stdout, experiments.Fig6(*seed, *trials))
 	}
-	if run("fig7") {
-		fmt.Println(experiments.Fig7(*seed, *trials).Table)
+	if selected("fig7") {
+		fmt.Fprintln(stdout, experiments.Fig7(*seed, *trials).Table)
 	}
-	if run("fig8") {
-		fmt.Println(experiments.Fig8(*seed).Table)
+	if selected("fig8") {
+		fmt.Fprintln(stdout, experiments.Fig8(*seed).Table)
 	}
-	if run("fig9") {
+	if selected("fig9") {
 		res := experiments.Fig9(*seed)
-		fmt.Println(res.Table)
-		fmt.Println(res.Timeline)
+		fmt.Fprintln(stdout, res.Table)
+		fmt.Fprintln(stdout, res.Timeline)
 	}
-	if run("fig10") {
+	if selected("fig10") {
 		_, tab := experiments.Fig10(*seed)
-		fmt.Println(tab)
+		fmt.Fprintln(stdout, tab)
 	}
-	if run("fig11") {
-		fmt.Println(experiments.Fig11(*seed).Table)
+	if selected("fig11") {
+		fmt.Fprintln(stdout, experiments.Fig11(*seed).Table)
 	}
-	if run("fig12") || run("table7") || run("fig13") {
+	if selected("fig12") || selected("table7") || selected("fig13") {
 		res := experiments.Phase(*seed, horizonSec)
-		fmt.Println(res.Finished)
-		fmt.Println(res.Cost)
-		fmt.Println(res.Latency)
-		fmt.Println(res.Ops)
-		fmt.Println(res.Adapt)
+		fmt.Fprintln(stdout, res.Finished)
+		fmt.Fprintln(stdout, res.Cost)
+		fmt.Fprintln(stdout, res.Latency)
+		fmt.Fprintln(stdout, res.Ops)
+		fmt.Fprintln(stdout, res.Adapt)
 	}
-	if run("ablation") {
-		fmt.Println(experiments.Ablations(*seed, horizonSec))
+	if selected("ablation") {
+		fmt.Fprintln(stdout, experiments.Ablations(*seed, horizonSec))
 	}
-	if run("fig14") {
+	if selected("fig14") {
 		res := experiments.Random(*seed, horizonSec)
-		fmt.Println(res.Finished)
-		fmt.Println(res.Cost)
-		fmt.Println(res.Latency)
+		fmt.Fprintln(stdout, res.Finished)
+		fmt.Fprintln(stdout, res.Cost)
+		fmt.Fprintln(stdout, res.Latency)
 	}
-	if run("fault") {
+	if selected("fault") {
 		rates, err := parseRates(*faults)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fault:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "fault:", err)
+			return 1
 		}
 		res := experiments.Fault(*seed, *faultSd, rates, horizonSec)
-		fmt.Println(res.Robustness)
-		fmt.Println(res.Recovery)
+		fmt.Fprintln(stdout, res.Robustness)
+		fmt.Fprintln(stdout, res.Recovery)
 	}
-	if !anyKnown(*exp) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
+	return 0
 }
 
 func anyKnown(id string) bool {

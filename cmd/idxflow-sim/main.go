@@ -16,11 +16,20 @@
 // adoptions/evictions with their Eq. 2–5 gain inputs, build placements,
 // faults, settlements) is written as a JSONL event log. -explain prints the
 // same decisions as a per-dataflow narrative instead.
+//
+// Exit status: 0 on success, 1 when the workload cannot be read or an output
+// file cannot be written, 2 for a bad flag value. main is
+// os.Exit(run(args, stdout, stderr)), so the profile files are complete on
+// every one of them and a failing -events write does not cost the -trace;
+// main_test.go drives run in-process against testdata/explain_h120.golden
+// (`make golden-update` re-records it).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"idxflow/internal/core"
@@ -42,31 +51,50 @@ func (f *flowFiles) Set(v string) error {
 	return nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args with its own flag set, prints
+// the report on stdout and diagnostics on stderr, and returns the exit code.
+// Nothing below calls os.Exit, so the deferred profile writer runs on every
+// path. The service reports into a registry of its own, so the printed
+// quantiles are a function of args alone.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("idxflow-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		strategy  = flag.String("strategy", "gain", "no-index | random | gain-no-delete | gain")
-		generator = flag.String("generator", "phase", "phase | random")
-		algo      = flag.String("algo", "lp", "interleaving algorithm: lp | online")
-		horizon   = flag.Float64("horizon", 720, "horizon in quanta")
-		seed      = flag.Int64("seed", 1, "random seed")
-		errPct    = flag.Float64("error", 0.1, "runtime estimation error fraction (0..1)")
-		faults    = flag.Float64("faults", 0, "fault rate in events/container/quantum (crashes, revocations, storage errors, stragglers)")
-		faultSeed = flag.Int64("fault-seed", 42, "seed for the generated fault plan")
-		verbose   = flag.Bool("v", false, "print per-dataflow results")
-		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON span timeline to this file")
-		eventsOut = flag.String("events", "", "write the decision-provenance event log (JSONL) to this file")
-		explain   = flag.Bool("explain", false, "print a per-dataflow narrative of every tuner decision")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memProf   = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		strategy  = fs.String("strategy", "gain", "no-index | random | gain-no-delete | gain")
+		generator = fs.String("generator", "phase", "phase | random")
+		algo      = fs.String("algo", "lp", "interleaving algorithm: lp | online")
+		horizon   = fs.Float64("horizon", 720, "horizon in quanta")
+		seed      = fs.Int64("seed", 1, "random seed")
+		errPct    = fs.Float64("error", 0.1, "runtime estimation error fraction (0..1)")
+		faults    = fs.Float64("faults", 0, "fault rate in events/container/quantum (crashes, revocations, storage errors, stragglers)")
+		faultSeed = fs.Int64("fault-seed", 42, "seed for the generated fault plan")
+		verbose   = fs.Bool("v", false, "print per-dataflow results")
+		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON span timeline to this file")
+		eventsOut = fs.String("events", "", "write the decision-provenance event log (JSONL) to this file")
+		explain   = fs.Bool("explain", false, "print a per-dataflow narrative of every tuner decision")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+		memProf   = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	var files flowFiles
-	flag.Var(&files, "flow", "flowlang file to submit (repeatable; overrides -generator)")
-	flag.Parse()
+	fs.Var(&files, "flow", "flowlang file to submit (repeatable; overrides -generator)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	defer profiling.Start(*cpuProf, *memProf)()
+	fail := func(code int, a ...any) int {
+		fmt.Fprintln(stderr, a...)
+		return code
+	}
 
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.RuntimeError = *errPct
+	cfg.Telemetry = telemetry.NewRegistry()
 	switch *strategy {
 	case "no-index":
 		cfg.Strategy = core.NoIndex
@@ -77,8 +105,7 @@ func main() {
 	case "gain":
 		cfg.Strategy = core.Gain
 	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
-		os.Exit(2)
+		return fail(2, fmt.Sprintf("unknown strategy %q", *strategy))
 	}
 	switch *algo {
 	case "lp":
@@ -86,14 +113,12 @@ func main() {
 	case "online":
 		cfg.Algo = core.OnlineInterleave
 	default:
-		fmt.Fprintf(os.Stderr, "unknown algo %q\n", *algo)
-		os.Exit(2)
+		return fail(2, fmt.Sprintf("unknown algo %q", *algo))
 	}
 
 	db, err := workload.NewFileDB(*seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	gen := workload.NewGenerator(db, *seed+1)
 	horizonSec := *horizon * 60
@@ -102,14 +127,12 @@ func main() {
 		for _, path := range files {
 			f, err := os.Open(path)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 			flow, perr := flowlang.Parse(f)
 			f.Close()
 			if perr != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", path, perr)
-				os.Exit(1)
+				return fail(1, fmt.Sprintf("%s: %v", path, perr))
 			}
 			flows = append(flows, flow)
 		}
@@ -128,8 +151,7 @@ func main() {
 		case "random":
 			flows = gen.RandomWorkload(horizonSec, 60)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown generator %q\n", *generator)
-			os.Exit(2)
+			return fail(2, fmt.Sprintf("unknown generator %q", *generator))
 		}
 	}
 
@@ -147,80 +169,78 @@ func main() {
 	m := svc.Run(flows, horizonSec)
 
 	if *explain {
-		if err := provenance.Explain(os.Stdout, cfg.Provenance.Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := provenance.Explain(stdout, cfg.Provenance.Snapshot()); err != nil {
+			return fail(1, err)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	// An unwritable -events path does not cost the run its trace: both
+	// writers are tried before the first failure is returned.
+	code := 0
 	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := cfg.Provenance.WriteJSONL(f); err == nil {
-			err = f.Close()
+		if err := writeFile(*eventsOut, cfg.Provenance.WriteJSONL); err != nil {
+			code = fail(1, err)
 		} else {
-			f.Close()
+			fmt.Fprintf(stdout, "events:            %d recorded (%d retained) -> %s\n",
+				cfg.Provenance.Total(), cfg.Provenance.Len(), *eventsOut)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("events:            %d recorded (%d retained) -> %s\n",
-			cfg.Provenance.Total(), cfg.Provenance.Len(), *eventsOut)
 	}
-
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := cfg.Tracer.WriteChromeTrace(f); err == nil {
-			err = f.Close()
+		if err := writeFile(*traceOut, cfg.Tracer.WriteChromeTrace); err != nil {
+			code = fail(1, err)
 		} else {
-			f.Close()
+			fmt.Fprintf(stdout, "trace:             %d spans -> %s (open in chrome://tracing)\n",
+				cfg.Tracer.Len(), *traceOut)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace:             %d spans -> %s (open in chrome://tracing)\n",
-			cfg.Tracer.Len(), *traceOut)
+	}
+	if code != 0 {
+		return code
 	}
 
 	if *verbose {
 		for _, r := range m.Results {
-			fmt.Printf("%-16s start=%8.0fs makespan=%7.1fs money=%5.1fq idx-used=%d builds=%d killed=%d deleted=%d\n",
+			fmt.Fprintf(stdout, "%-16s start=%8.0fs makespan=%7.1fs money=%5.1fq idx-used=%d builds=%d killed=%d deleted=%d\n",
 				r.Name, r.Start, r.Makespan, r.MoneyQuanta,
 				len(r.IndexesUsed), r.BuildsCompleted, r.BuildsKilled, len(r.Deleted))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Printf("strategy:          %s (interleaving: %s)\n", cfg.Strategy, *algo)
-	fmt.Printf("generator:         %s, horizon %g quanta, seed %d\n", *generator, *horizon, *seed)
-	fmt.Printf("dataflows:         %d finished / %d submitted / %d generated\n",
+	fmt.Fprintf(stdout, "strategy:          %s (interleaving: %s)\n", cfg.Strategy, *algo)
+	fmt.Fprintf(stdout, "generator:         %s, horizon %g quanta, seed %d\n", *generator, *horizon, *seed)
+	fmt.Fprintf(stdout, "dataflows:         %d finished / %d submitted / %d generated\n",
 		m.FlowsFinished, m.FlowsSubmitted, len(flows))
-	fmt.Printf("mean makespan:     %.1f s\n", m.MeanMakespan)
+	fmt.Fprintf(stdout, "mean makespan:     %.1f s\n", m.MeanMakespan)
 	if q := quantileLine(svc.Telemetry(), "idxflow_flow_makespan_seconds", "s"); q != "" {
-		fmt.Printf("makespan quantile: %s\n", q)
+		fmt.Fprintf(stdout, "makespan quantile: %s\n", q)
 	}
 	if q := quantileLine(svc.Telemetry(), "idxflow_flow_quanta", "q"); q != "" {
-		fmt.Printf("quanta quantile:   %s\n", q)
+		fmt.Fprintf(stdout, "quanta quantile:   %s\n", q)
 	}
-	fmt.Printf("VM cost:           $%.2f (%.0f quanta)\n", m.VMCost, m.VMQuanta)
-	fmt.Printf("storage cost:      $%.4f\n", m.StorageCost)
-	fmt.Printf("cost per dataflow: $%.3f\n", m.CostPerFlow)
-	fmt.Printf("operators:         %d total, %d killed (%.1f%%)\n",
+	fmt.Fprintf(stdout, "VM cost:           $%.2f (%.0f quanta)\n", m.VMCost, m.VMQuanta)
+	fmt.Fprintf(stdout, "storage cost:      $%.4f\n", m.StorageCost)
+	fmt.Fprintf(stdout, "cost per dataflow: $%.3f\n", m.CostPerFlow)
+	fmt.Fprintf(stdout, "operators:         %d total, %d killed (%.1f%%)\n",
 		m.TotalOps, m.KilledOps, pct(m.KilledOps, m.TotalOps))
 	if *faults > 0 {
-		fmt.Printf("faults:            %d injected, %d recovered, %d ops re-placed, %.1f quanta wasted\n",
+		fmt.Fprintf(stdout, "faults:            %d injected, %d recovered, %d ops re-placed, %.1f quanta wasted\n",
 			m.FaultsInjected, m.FaultsRecovered, m.ReplacedOps, m.WastedQuanta)
 	}
-	fmt.Printf("indexes available: %d (storage %.1f MB)\n",
+	fmt.Fprintf(stdout, "indexes available: %d (storage %.1f MB)\n",
 		len(svc.Catalog().AvailableSet()), svc.Catalog().BuiltSizeMB())
+	return 0
+}
+
+// writeFile creates path and streams write's output into it.
+func writeFile(path string, write func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func pct(a, b int) float64 {
