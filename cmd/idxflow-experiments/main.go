@@ -27,10 +27,9 @@
 // sweep), ablation (design-knob sweeps; not in "all"), all.
 //
 // Exit status: 0 on success, 1 when an experiment fails, 2 for a bad flag or
-// an unknown -exp. main is os.Exit(run(args, stdout, stderr)), so the
-// -cpuprofile, -memprofile, -trace and -events files are complete on every
-// one of them; main_test.go drives run in-process against the tables under
-// testdata/ (`make golden-update` re-records them).
+// an unknown -exp; the profile, trace and event files are complete on every
+// one. main_test.go drives run in-process against the tables under testdata/
+// (`make golden-update` re-records them).
 package main
 
 import (
@@ -39,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -50,10 +50,9 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the whole command: it parses args with its own flag set, prints
-// the selected tables on stdout and diagnostics on stderr, and returns the
-// exit code. Nothing below calls os.Exit, so the deferred profile, trace and
-// event-log writers run on every path, a failing experiment included.
+// run is the whole command and returns its exit code. Nothing below calls
+// os.Exit, so the deferred profile, trace and event-log writers run on every
+// path, a failing experiment included.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("idxflow-experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -84,40 +83,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceOut != "" {
 		// The experiment helpers build their services internally, which
 		// default to the package-level tracer; enabling it captures them all.
-		telemetry.DefaultTracer().SetEnabled(true)
+		tr := telemetry.DefaultTracer()
+		tr.SetEnabled(true)
 		defer func() {
-			f, err := os.Create(*traceOut)
-			if err != nil {
+			if err := profiling.WriteFile(*traceOut, tr.WriteChromeTrace); err != nil {
 				fmt.Fprintln(stderr, err)
 				return
 			}
-			defer f.Close()
-			if err := telemetry.DefaultTracer().WriteChromeTrace(f); err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
-			fmt.Fprintf(stdout, "trace: %d spans -> %s (open in chrome://tracing)\n",
-				telemetry.DefaultTracer().Len(), *traceOut)
+			fmt.Fprintf(stdout, "trace: %d spans -> %s (open in chrome://tracing)\n", tr.Len(), *traceOut)
 		}()
 	}
-
 	if *events != "" {
 		// Same pattern as -trace: the experiment services default to the
 		// package-level recorder, so enabling it captures all of them.
-		provenance.Default().SetEnabled(true)
+		rec := provenance.Default()
+		rec.SetEnabled(true)
 		defer func() {
-			f, err := os.Create(*events)
-			if err != nil {
+			if err := profiling.WriteFile(*events, rec.WriteJSONL); err != nil {
 				fmt.Fprintln(stderr, err)
 				return
 			}
-			defer f.Close()
-			if err := provenance.Default().WriteJSONL(f); err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
-			fmt.Fprintf(stdout, "events: %d recorded (%d retained) -> %s\n",
-				provenance.Default().Total(), provenance.Default().Len(), *events)
+			fmt.Fprintf(stdout, "events: %d recorded (%d retained) -> %s\n", rec.Total(), rec.Len(), *events)
 		}()
 	}
 
@@ -222,12 +208,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func anyKnown(id string) bool {
 	known := "all params table4 table5 table6 table6disk table6x100 fig3 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table7 fig13 fig14 fault ablation"
-	for _, k := range strings.Fields(known) {
-		if id == k {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(strings.Fields(known), id)
 }
 
 // parseRates parses the -faults flag: a comma-separated list of

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"idxflow/internal/flowlang"
+	"idxflow/internal/profiling"
 	"idxflow/internal/qaas"
 	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
@@ -395,15 +396,9 @@ func (s Summary) print(w io.Writer) {
 }
 
 func writeJSONFile(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return profiling.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }

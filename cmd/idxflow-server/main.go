@@ -46,6 +46,7 @@ import (
 
 	"idxflow/internal/check"
 	"idxflow/internal/core"
+	"idxflow/internal/profiling"
 	"idxflow/internal/qaas"
 	"idxflow/internal/server"
 	"idxflow/internal/telemetry"
@@ -98,17 +99,7 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 	}
 
 	cfg := core.DefaultConfig()
-	switch *strategy {
-	case "no-index":
-		cfg.Strategy = core.NoIndex
-	case "random":
-		cfg.Strategy = core.RandomIndex
-	case "gain-no-delete":
-		cfg.Strategy = core.GainNoDelete
-	case "gain":
-		cfg.Strategy = core.Gain
-	default:
-		err := fmt.Errorf("unknown strategy %q", *strategy)
+	if cfg.Strategy, err = core.ParseStrategy(*strategy); err != nil {
 		fmt.Fprintln(stderr, err)
 		return nil, "", 0, err
 	}
@@ -143,7 +134,7 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 			for _, t := range pipe.Tenants() {
 				path := *events + "." + t.Name()
 				rec := t.Recorder()
-				if err := writeFile(path, rec.WriteJSONL); err != nil {
+				if err := profiling.WriteFile(path, rec.WriteJSONL); err != nil {
 					log.Printf("idxflow-server: writing events for %s: %v", t.Name(), err)
 					continue
 				}
@@ -153,7 +144,7 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 	}
 	if *traceOut != "" {
 		srv.OnShutdown(func() {
-			if err := writeFile(*traceOut, cfg.Tracer.WriteChromeTrace); err != nil {
+			if err := profiling.WriteFile(*traceOut, cfg.Tracer.WriteChromeTrace); err != nil {
 				log.Printf("idxflow-server: writing trace: %v", err)
 				return
 			}
@@ -163,17 +154,4 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 	log.Printf("idxflow-server listening on %s (%d workers, queue %d, fleet %d, strategy %s)",
 		*addrF, *workers, *queue, *fleet, cfg.Strategy)
 	return srv, *addrF, *drainF, nil
-}
-
-// writeFile creates path and streams write's output into it.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -18,11 +18,9 @@
 // same decisions as a per-dataflow narrative instead.
 //
 // Exit status: 0 on success, 1 when the workload cannot be read or an output
-// file cannot be written, 2 for a bad flag value. main is
-// os.Exit(run(args, stdout, stderr)), so the profile files are complete on
-// every one of them and a failing -events write does not cost the -trace;
-// main_test.go drives run in-process against testdata/explain_h120.golden
-// (`make golden-update` re-records it).
+// file cannot be written, 2 for a bad flag value; the profile files are
+// complete on every one. main_test.go drives run in-process against
+// testdata/explain_h120.golden (`make golden-update` re-records it).
 package main
 
 import (
@@ -53,11 +51,9 @@ func (f *flowFiles) Set(v string) error {
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the whole command: it parses args with its own flag set, prints
-// the report on stdout and diagnostics on stderr, and returns the exit code.
-// Nothing below calls os.Exit, so the deferred profile writer runs on every
-// path. The service reports into a registry of its own, so the printed
-// quantiles are a function of args alone.
+// run is the whole command and returns its exit code. Nothing below calls
+// os.Exit, so the deferred profile writer runs on every path. The service
+// reports into a registry of its own, so the output is a function of args.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("idxflow-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -95,17 +91,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Seed = *seed
 	cfg.RuntimeError = *errPct
 	cfg.Telemetry = telemetry.NewRegistry()
-	switch *strategy {
-	case "no-index":
-		cfg.Strategy = core.NoIndex
-	case "random":
-		cfg.Strategy = core.RandomIndex
-	case "gain-no-delete":
-		cfg.Strategy = core.GainNoDelete
-	case "gain":
-		cfg.Strategy = core.Gain
-	default:
-		return fail(2, fmt.Sprintf("unknown strategy %q", *strategy))
+	var err error
+	if cfg.Strategy, err = core.ParseStrategy(*strategy); err != nil {
+		return fail(2, err)
 	}
 	switch *algo {
 	case "lp":
@@ -178,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// writers are tried before the first failure is returned.
 	code := 0
 	if *eventsOut != "" {
-		if err := writeFile(*eventsOut, cfg.Provenance.WriteJSONL); err != nil {
+		if err := profiling.WriteFile(*eventsOut, cfg.Provenance.WriteJSONL); err != nil {
 			code = fail(1, err)
 		} else {
 			fmt.Fprintf(stdout, "events:            %d recorded (%d retained) -> %s\n",
@@ -186,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *traceOut != "" {
-		if err := writeFile(*traceOut, cfg.Tracer.WriteChromeTrace); err != nil {
+		if err := profiling.WriteFile(*traceOut, cfg.Tracer.WriteChromeTrace); err != nil {
 			code = fail(1, err)
 		} else {
 			fmt.Fprintf(stdout, "trace:             %d spans -> %s (open in chrome://tracing)\n",
@@ -228,19 +216,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "indexes available: %d (storage %.1f MB)\n",
 		len(svc.Catalog().AvailableSet()), svc.Catalog().BuiltSizeMB())
 	return 0
-}
-
-// writeFile creates path and streams write's output into it.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func pct(a, b int) float64 {

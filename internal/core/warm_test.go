@@ -21,8 +21,7 @@ func runWarmSeq(t *testing.T, strategy Strategy, warmOn, faulty bool) (*Service,
 	}
 	svc := NewService(cfg, db)
 	if !warmOn {
-		svc.warm = nil
-		svc.cfg.Sched.Warm = nil
+		svc.skyline.Opts.Warm = nil // the service's one scheduler holds it
 	}
 	for i := 0; i < 4; i++ {
 		// Submit the same flow object twice: the generator draws from its

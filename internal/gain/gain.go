@@ -156,22 +156,31 @@ type Evaluator struct {
 	// fading function — the hook for the learned controller of
 	// AdaptiveFader (§7 future work).
 	FadeOverride func(index string, quantaSince float64) float64
-	// Metrics, when non-nil, counts ranking activity: candidates
-	// evaluated and how many passed the beneficial test.
-	Metrics *telemetry.Registry
 	// Provenance, when active, receives an index-adopted event per
 	// beneficial candidate and an index-rejected event per candidate that
 	// failed the test, each carrying the Eq. 2–5 inputs (gt, gm, weighted
 	// gain, build cost, window and fading state) that justified it.
 	Provenance *provenance.Recorder
-	// Flow attributes Rank's provenance events to the dataflow whose
-	// submission triggered the ranking (0 = unattributed).
-	Flow provenance.FlowID
+	// At, when non-nil, is the cell Rank reads the dataflow its provenance
+	// events are attributed to from (nil = unattributed).
+	At *provenance.Attribution
+	// Ranking activity: candidates evaluated and how many passed the
+	// beneficial test. Nil-safe no-ops until Instrument binds them.
+	evaluated, beneficial *telemetry.Counter
 }
 
 // NewEvaluator returns an evaluator over a fresh history.
 func NewEvaluator(p Params) *Evaluator {
 	return &Evaluator{Params: p, History: NewHistory()}
+}
+
+// Instrument binds the ranking counters in reg and returns e.
+func (e *Evaluator) Instrument(reg *telemetry.Registry) *Evaluator {
+	e.evaluated = reg.Counter("idxflow_gain_candidates_evaluated_total",
+		"Index candidates evaluated by the gain ranking.")
+	e.beneficial = reg.Counter("idxflow_gain_beneficial_total",
+		"Candidates that passed the beneficial test (gt > 0 and gm > 0).")
+	return e
 }
 
 // Record appends one dataflow's gains for the index (the Hd update of
@@ -278,13 +287,14 @@ type Ranked struct {
 // rank2Dspace step of Algorithm 1).
 func (e *Evaluator) Rank(candidates []Costs, now float64) []Ranked {
 	recording := e.Provenance.Active()
+	flow := e.At.Get().Flow
 	var out []Ranked
 	for _, c := range candidates {
 		gt, gm := e.gains(c, now)
 		if gt <= 0 || gm <= 0 {
 			if recording {
 				e.Provenance.Append(provenance.Event{
-					Kind: provenance.KindIndexRejected, Flow: e.Flow, T: now,
+					Kind: provenance.KindIndexRejected, Flow: flow, T: now,
 					Name: c.Name, TimeGain: gt, MoneyGain: gm,
 					BuildQuanta: c.BuildQuanta, SizeMB: c.SizeMB,
 					FadeD: e.Params.FadeD, WindowW: e.Params.WindowW,
@@ -303,7 +313,7 @@ func (e *Evaluator) Rank(candidates []Costs, now float64) []Ranked {
 		out = append(out, r)
 		if recording {
 			e.Provenance.Append(provenance.Event{
-				Kind: provenance.KindIndexAdopted, Flow: e.Flow, T: now,
+				Kind: provenance.KindIndexAdopted, Flow: flow, T: now,
 				Name: c.Name, TimeGain: gt, MoneyGain: gm, Gain: r.Gain,
 				BuildQuanta: c.BuildQuanta, SizeMB: c.SizeMB,
 				FadeD: e.Params.FadeD, WindowW: e.Params.WindowW,
@@ -317,12 +327,8 @@ func (e *Evaluator) Rank(candidates []Costs, now float64) []Ranked {
 		}
 		return out[i].Costs.Name < out[j].Costs.Name
 	})
-	e.Metrics.Counter("idxflow_gain_candidates_evaluated_total",
-		"Index candidates evaluated by the gain ranking.").
-		Add(float64(len(candidates)))
-	e.Metrics.Counter("idxflow_gain_beneficial_total",
-		"Candidates that passed the beneficial test (gt > 0 and gm > 0).").
-		Add(float64(len(out)))
+	e.evaluated.Add(float64(len(candidates)))
+	e.beneficial.Add(float64(len(out)))
 	return out
 }
 

@@ -16,20 +16,33 @@ import (
 	"idxflow/internal/knapsack"
 	"idxflow/internal/provenance"
 	"idxflow/internal/sched"
+	"idxflow/internal/telemetry"
 )
 
-// recordInterleave emits the per-submission placement summary event: how
-// many of the offered build operators found idle-slot homes across the
-// skyline (§5.3). Called after the parallel packing section, so appends
-// are single-threaded and deterministic.
-func recordInterleave(opts sched.Options, offered, placed, schedules int) {
+// Instruments is the package's one instrument, embedded by the algorithms
+// that report to it. The zero value is a no-op.
+type Instruments struct{ placed *telemetry.Counter }
+
+// Instrument binds the placement counter in reg.
+func (i *Instruments) Instrument(reg *telemetry.Registry) {
+	i.placed = reg.Counter("idxflow_interleave_build_ops_placed_total",
+		"Index-build operators packed into idle slots across skyline schedules.")
+}
+
+// report counts the placements and emits the per-submission placement
+// summary event: how many of the offered build operators found idle-slot
+// homes across the skyline (§5.3). Called once, after every schedule has
+// been packed, on the pass's own goroutine.
+func (i *Instruments) report(opts *sched.Options, offered, placed, schedules int) {
+	i.placed.Add(float64(placed))
 	if !opts.Provenance.Active() {
 		return
 	}
+	at := opts.At.Get()
 	opts.Provenance.Append(provenance.Event{
 		Kind:       provenance.KindInterleaved,
-		Flow:       opts.FlowID,
-		T:          opts.Now,
+		Flow:       at.Flow,
+		T:          at.T,
 		Count:      placed,
 		Records:    offered,
 		Containers: schedules,
@@ -39,6 +52,7 @@ func recordInterleave(opts sched.Options, offered, placed, schedules int) {
 // LP is the linear-program based interleaving algorithm (Algorithm 2).
 type LP struct {
 	Scheduler *sched.Skyline
+	Instruments
 }
 
 // Interleave schedules the non-optional operators of g with the skyline
@@ -51,7 +65,7 @@ type LP struct {
 // of both dataflow and build operators.
 func (l *LP) Interleave(g *dataflow.Graph, gains map[dataflow.OpID]float64) []*sched.Schedule {
 	span := l.Scheduler.Opts.Tracer.StartSpan("interleave.lp")
-	if id := l.Scheduler.Opts.FlowID; id != 0 {
+	if id := l.Scheduler.Opts.At.Get().Flow; id != 0 {
 		span.SetAttr("flow_id", uint64(id))
 	}
 	defer span.End()
@@ -61,10 +75,7 @@ func (l *LP) Interleave(g *dataflow.Graph, gains map[dataflow.OpID]float64) []*s
 	for _, sc := range skyline {
 		placed += len(packInto(sc, builds, gains))
 	}
-	l.Scheduler.Opts.Metrics.Counter("idxflow_interleave_build_ops_placed_total",
-		"Index-build operators packed into idle slots across skyline schedules.").
-		Add(float64(placed))
-	recordInterleave(l.Scheduler.Opts, len(builds), placed, len(skyline))
+	l.report(&l.Scheduler.Opts, len(builds), placed, len(skyline))
 	span.SetAttr("schedules", len(skyline)).SetAttr("builds_offered", len(builds)).SetAttr("builds_placed", placed)
 	return skyline
 }
@@ -158,6 +169,7 @@ func packInto(s *sched.Schedule, builds []dataflow.OpID, gains map[dataflow.OpID
 // by the modified skyline scheduler.
 type Online struct {
 	Scheduler *sched.Skyline
+	Instruments
 }
 
 // Interleave computes the skyline over both dataflow and optional
@@ -166,7 +178,7 @@ type Online struct {
 // skyline dominance rules.
 func (o *Online) Interleave(g *dataflow.Graph, _ map[dataflow.OpID]float64) []*sched.Schedule {
 	span := o.Scheduler.Opts.Tracer.StartSpan("interleave.online")
-	if id := o.Scheduler.Opts.FlowID; id != 0 {
+	if id := o.Scheduler.Opts.At.Get().Flow; id != 0 {
 		span.SetAttr("flow_id", uint64(id))
 	}
 	defer span.End()
@@ -179,10 +191,7 @@ func (o *Online) Interleave(g *dataflow.Graph, _ map[dataflow.OpID]float64) []*s
 			}
 		}
 	}
-	o.Scheduler.Opts.Metrics.Counter("idxflow_interleave_build_ops_placed_total",
-		"Index-build operators packed into idle slots across skyline schedules.").
-		Add(float64(placed))
-	recordInterleave(o.Scheduler.Opts, len(optionalOps(g)), placed, len(skyline))
+	o.report(&o.Scheduler.Opts, len(optionalOps(g)), placed, len(skyline))
 	span.SetAttr("schedules", len(skyline)).SetAttr("builds_placed", placed)
 	return skyline
 }

@@ -4,6 +4,7 @@ package profiling
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -36,16 +37,25 @@ func Start(cpuPath, memPath string) (stop func()) {
 		if memPath == "" {
 			return
 		}
-		f, err := os.Create(memPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-			return
-		}
-		defer f.Close()
 		// Flush pending frees so the profile reflects live data accurately.
 		runtime.GC()
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		write := func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) }
+		if err := WriteFile(memPath, write); err != nil {
 			fmt.Fprintln(os.Stderr, "memprofile:", err)
 		}
 	}
+}
+
+// WriteFile creates path and streams write's output into it: the -trace and
+// -events writers of every command.
+func WriteFile(path string, write func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

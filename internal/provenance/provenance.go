@@ -25,6 +25,23 @@ import (
 // fault injected between submissions).
 type FlowID uint64
 
+// Attribution is what the events and spans of one Algorithm 1 pass share:
+// the dataflow decided for and the service time of the decision. A service
+// writes its one cell of it at each admission; the layers it builds once
+// (gain ranking, scheduler, interleaver) read it through a pointer.
+type Attribution struct {
+	Flow FlowID
+	T    float64
+}
+
+// Get returns the cell's value; a nil cell reads as unattributed.
+func (a *Attribution) Get() Attribution {
+	if a == nil {
+		return Attribution{}
+	}
+	return *a
+}
+
 // Kind discriminates event types. It marshals to/from the stable string
 // names below, which are part of the JSONL format.
 type Kind int

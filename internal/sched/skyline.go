@@ -34,15 +34,12 @@ type Options struct {
 	Tracer *telemetry.Tracer
 	// Provenance, when active, receives decision events from the layers
 	// that consume these options (the interleaver's placement summaries);
-	// the scheduler itself only stamps FlowID onto its spans.
+	// the scheduler itself only stamps the flow id onto its spans.
 	Provenance *provenance.Recorder
-	// FlowID attributes spans and events to the dataflow being scheduled
-	// (0 = unattributed). The service sets it per submission so Chrome
+	// At, when non-nil, is the cell the caller keeps the attribution of the
+	// pass in progress in. A scheduler built once reads it per run, so Chrome
 	// traces and the provenance event log share flow identifiers.
-	FlowID provenance.FlowID
-	// Now is the service time in seconds at scheduling, stamped onto
-	// provenance events emitted by consumers of these options.
-	Now float64
+	At *provenance.Attribution
 	// Warm, when non-nil, carries scheduler state across submissions: the
 	// last frontier (replayed on an exact problem match) and an idle-slot
 	// capacity hint that seeds fresh schedules. The warm path is
@@ -283,9 +280,13 @@ func preferMoreOps(a, b *candidate) bool {
 // time and money objectives.
 type Skyline struct {
 	Opts Options
+	// Bound once from Opts.Metrics; nil-safe no-ops without a registry.
+	iterations, candidates *telemetry.Counter
+	frontier               *telemetry.Histogram
 }
 
-// NewSkyline returns a skyline scheduler with the given options.
+// NewSkyline returns a skyline scheduler with the given options, its
+// instruments bound in opts.Metrics.
 func NewSkyline(opts Options) *Skyline {
 	if opts.MaxContainers <= 0 {
 		opts.MaxContainers = 1
@@ -295,7 +296,16 @@ func NewSkyline(opts Options) *Skyline {
 		// it on, so standalone schedulers trace for free when asked to.
 		opts.Tracer = telemetry.DefaultTracer()
 	}
-	return &Skyline{Opts: opts}
+	return &Skyline{
+		Opts: opts,
+		iterations: opts.Metrics.Counter("idxflow_skyline_iterations_total",
+			"Skyline list-scheduler iterations (one per operator placed)."),
+		candidates: opts.Metrics.Counter("idxflow_skyline_candidates_total",
+			"Candidate partial schedules generated across skyline iterations."),
+		frontier: opts.Metrics.Histogram("idxflow_skyline_frontier_size",
+			"Pareto frontier size after each skyline iteration.",
+			telemetry.ExponentialBuckets(1, 2, 8)),
+	}
 }
 
 // Schedule computes the skyline of execution schedules for the non-optional
@@ -318,17 +328,10 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 	span := sk.Opts.Tracer.StartSpan("sched.skyline").
 		SetAttr("ops", len(g.Ops())).
 		SetAttr("with_optional", withOptional)
-	if sk.Opts.FlowID != 0 {
-		span.SetAttr("flow_id", uint64(sk.Opts.FlowID))
+	if id := sk.Opts.At.Get().Flow; id != 0 {
+		span.SetAttr("flow_id", uint64(id))
 	}
 	defer span.End()
-	iterations := sk.Opts.Metrics.Counter("idxflow_skyline_iterations_total",
-		"Skyline list-scheduler iterations (one per operator placed).")
-	candidates := sk.Opts.Metrics.Counter("idxflow_skyline_candidates_total",
-		"Candidate partial schedules generated across skyline iterations.")
-	frontier := sk.Opts.Metrics.Histogram("idxflow_skyline_frontier_size",
-		"Pareto frontier size after each skyline iteration.",
-		telemetry.ExponentialBuckets(1, 2, 8))
 
 	var wsig []uint64
 	if sk.Opts.Warm != nil {
@@ -413,7 +416,7 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 	flip := 0
 
 	for _, st := range order {
-		iterations.Inc()
+		sk.iterations.Inc()
 		cands := candsBufs[flip][:0]
 		if st.optional {
 			// Union of the previous skyline and every gap placement
@@ -466,9 +469,9 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 		}
 		candsBufs[flip] = cands
 		flip = 1 - flip
-		candidates.Add(float64(len(cands)))
+		sk.candidates.Add(float64(len(cands)))
 		sky = sk.advance(sky, cands, prefer)
-		frontier.Observe(float64(len(sky)))
+		sk.frontier.Observe(float64(len(sky)))
 	}
 
 	span.SetAttr("frontier", len(sky))

@@ -74,9 +74,9 @@ func (t *Tracer) Enabled() bool {
 
 // Span is one in-flight operation. End completes it; SetAttr attaches a
 // key/value rendered into the Chrome trace "args". A nil Span is a no-op.
-// Spans are safe for concurrent use: a span handle may be shared with the
-// worker goroutines of a parallel section that attach attributes while the
-// owner ends it.
+// Spans are safe for concurrent use. Nothing in the tree shares one today (a
+// pass starts, attributes and ends its spans on its own goroutine); the
+// mutex is for a handle that a hook or a future stage hands to another.
 type Span struct {
 	t     *Tracer
 	name  string

@@ -29,6 +29,11 @@ scripts/reachability.sh
 echo "== Alg. 1 path starts no goroutine =="
 if grep -rn --include='*.go' --exclude='*_test.go' 'go func' internal/sched internal/interleave internal/core internal/gain internal/sim; then exit 1; fi
 
+# A service's Config is read-only after NewService: what is true for one
+# submit only lives in its pass, not in the service's configuration.
+echo "== internal/core never assigns through s.cfg =="
+if grep -nE '\bs\.cfg\.[A-Za-z.]+ *=[^=]' $(ls internal/core/*.go | grep -v _test.go); then exit 1; fi
+
 # bench/ is a module of its own that `./...` does not reach; its vet and
 # tests compile the frozen benchmark driver against this checkout, so a
 # signature it uses cannot drift unnoticed until benchmark time.
