@@ -96,7 +96,7 @@ func TestUnknownExperimentStillClosesProfile(t *testing.T) {
 	pprof.StopCPUProfile()
 }
 
-func TestBadFlagsReturnTwo(t *testing.T) {
+func TestBadArgumentsFail(t *testing.T) {
 	for _, args := range [][]string{{"-no-such-flag"}, {"-exp", "fault", "-faults", "x"}} {
 		var stdout, stderr bytes.Buffer
 		code := run(args, &stdout, &stderr)

@@ -309,11 +309,10 @@ func NewService(cfg Config, db *workload.FileDB) *Service {
 	}
 	// Thread the observability handles, the attribution cell and the warm
 	// state through the scheduling layers; cfg is read-only after this.
-	at := new(provenance.Attribution)
 	cfg.Sched.Metrics = cfg.Telemetry
 	cfg.Sched.Tracer = cfg.Tracer
 	cfg.Sched.Provenance = cfg.Provenance
-	cfg.Sched.At = at
+	cfg.Sched.At = new(provenance.Attribution)
 	cfg.Sched.Warm = sched.NewWarm(cfg.Telemetry)
 	s := &Service{
 		cfg:      cfg,
@@ -322,14 +321,14 @@ func NewService(cfg Config, db *workload.FileDB) *Service {
 		storage:  cloud.NewStorage(cfg.Sched.Pricing).Instrument(cfg.Telemetry),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		lastUsed: make(map[string]float64),
-		at:       at,
+		at:       cfg.Sched.At,
 		skyline:  sched.NewSkyline(cfg.Sched),
 		// Also binds the executor's instrument bundle, so the per-query
 		// path hits the registry memo instead of re-resolving handles.
 		ins: newServiceInstruments(cfg.Telemetry),
 	}
 	s.eval.Provenance = cfg.Provenance
-	s.eval.At = at
+	s.eval.At = s.at
 	if cfg.AdaptiveFading {
 		s.fader = gain.NewAdaptiveFader(cfg.Gain.FadeD)
 		s.eval.FadeOverride = s.fader.FadeFor

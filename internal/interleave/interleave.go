@@ -19,12 +19,12 @@ import (
 	"idxflow/internal/telemetry"
 )
 
-// Instruments is the package's one instrument, embedded by the algorithms
+// instruments is the package's one instrument, embedded by the algorithms
 // that report to it. The zero value is a no-op.
-type Instruments struct{ placed *telemetry.Counter }
+type instruments struct{ placed *telemetry.Counter }
 
 // Instrument binds the placement counter in reg.
-func (i *Instruments) Instrument(reg *telemetry.Registry) {
+func (i *instruments) Instrument(reg *telemetry.Registry) {
 	i.placed = reg.Counter("idxflow_interleave_build_ops_placed_total",
 		"Index-build operators packed into idle slots across skyline schedules.")
 }
@@ -33,7 +33,7 @@ func (i *Instruments) Instrument(reg *telemetry.Registry) {
 // summary event: how many of the offered build operators found idle-slot
 // homes across the skyline (§5.3). Called once, after every schedule has
 // been packed, on the pass's own goroutine.
-func (i *Instruments) report(opts *sched.Options, offered, placed, schedules int) {
+func (i *instruments) report(opts *sched.Options, offered, placed, schedules int) {
 	i.placed.Add(float64(placed))
 	if !opts.Provenance.Active() {
 		return
@@ -52,7 +52,7 @@ func (i *Instruments) report(opts *sched.Options, offered, placed, schedules int
 // LP is the linear-program based interleaving algorithm (Algorithm 2).
 type LP struct {
 	Scheduler *sched.Skyline
-	Instruments
+	instruments
 }
 
 // Interleave schedules the non-optional operators of g with the skyline
@@ -169,7 +169,7 @@ func packInto(s *sched.Schedule, builds []dataflow.OpID, gains map[dataflow.OpID
 // by the modified skyline scheduler.
 type Online struct {
 	Scheduler *sched.Skyline
-	Instruments
+	instruments
 }
 
 // Interleave computes the skyline over both dataflow and optional

@@ -1,5 +1,6 @@
 // Package profiling wires the conventional -cpuprofile/-memprofile flags
-// into a command without each main duplicating the pprof plumbing.
+// into a command without each main duplicating the pprof plumbing, and holds
+// the create/stream/close helper their other output-file flags share.
 package profiling
 
 import (

@@ -55,7 +55,8 @@ fi
 # keep the instrumented run fast. The pass includes internal/core's
 # TestBenchShapedStream (the pinned 525-flow outcome digest and the
 # windowed-gain-history soak), which -short does not skip, and the golden
-# cold-vs-warm equivalence suites.
+# cold-vs-warm equivalence suites. -short does skip the golden experiment
+# tables and the sim transcript under cmd/: the plain pass above ran them.
 echo "== go test -race -short =="
 go test -race -short ./...
 
