@@ -38,6 +38,7 @@ FUZZ_SECONDS ?= 5
 fuzz-short:
 	$(GO) test ./internal/bptree -run '^$$' -fuzz '^FuzzTreeAgainstMap$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/flowlang -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_SECONDS)s
+	$(GO) test ./internal/flowlang -run '^$$' -fuzz '^FuzzParseEqualsReference$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzSkyline$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzInterleave$$' -fuzztime $(FUZZ_SECONDS)s

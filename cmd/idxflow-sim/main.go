@@ -214,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			m.FaultsInjected, m.FaultsRecovered, m.ReplacedOps, m.WastedQuanta)
 	}
 	fmt.Fprintf(stdout, "indexes available: %d (storage %.1f MB)\n",
-		len(svc.Catalog().AvailableSet()), svc.Catalog().BuiltSizeMB())
+		svc.Catalog().AvailableCount(), svc.Catalog().BuiltSizeMB())
 	return 0
 }
 

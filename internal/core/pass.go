@@ -223,9 +223,9 @@ func (s *Service) rewrite(p *pass) {
 			cp.Speedup[id] = 1 / (f/sp + (1 - f))
 		}
 		scaled = append(scaled, cp)
-		// The catalog's own spelling, not iu.Index: that one is a substring
-		// of the submitted body, which FlowResult.IndexesUsed would pin.
-		name := st.Index.Name()
+		// The catalog's own string, not iu.Index: the result outlives the
+		// submitted flow and should hold nothing of it.
+		name := st.Name()
 		avail[name] = true
 		p.res.IndexesUsed = append(p.res.IndexesUsed, name)
 	}
@@ -655,7 +655,7 @@ func (s *Service) settle(p *pass) {
 	s.ins.flowQuanta.Observe(run.MoneyQuanta)
 	s.ins.partitionsBuilt.Add(float64(res.BuildsCompleted))
 	s.ins.clockGauge.Set(s.clock)
-	available := len(s.db.Catalog.AvailableSet())
+	available := s.db.Catalog.AvailableCount()
 	s.ins.indexesAvail.Set(float64(available))
 	p.span.SetAttr("makespan_seconds", run.Makespan).
 		SetAttr("money_quanta", run.MoneyQuanta).

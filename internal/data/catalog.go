@@ -21,13 +21,22 @@ type PartState struct {
 // index to be used (§3).
 type BuildState struct {
 	Index *Index
+	name  string // Index.Name(), spelled once
+	// parts holds the built partitions and nothing else: MarkBuilt is its
+	// only writer and stores Built entries, Invalidate deletes, Reset
+	// empties. BuiltCount is therefore its length.
 	parts map[int]*PartState
 }
 
 // NewBuildState returns an all-unbuilt state for idx.
 func NewBuildState(idx *Index) *BuildState {
-	return &BuildState{Index: idx, parts: make(map[int]*PartState)}
+	return &BuildState{Index: idx, name: idx.Name(), parts: make(map[int]*PartState)}
 }
+
+// Name returns the index's canonical name, the catalog's key for this state:
+// one string for the life of the state, where Index.Name() builds a new one
+// per call.
+func (b *BuildState) Name() string { return b.name }
 
 // Part returns the state of index partition id (zero value if untouched).
 func (b *BuildState) Part(id int) PartState {
@@ -38,7 +47,8 @@ func (b *BuildState) Part(id int) PartState {
 }
 
 // MarkBuilt records that the index partition over table partition id was
-// completed at time t against the partition's current version.
+// completed at time t against the partition's current version. It is the
+// only writer of parts.
 func (b *BuildState) MarkBuilt(id int, t float64) error {
 	if id < 0 || id >= len(b.Index.Table.Partitions) {
 		return fmt.Errorf("data: index %s: no table partition %d", b.Index.Name(), id)
@@ -64,15 +74,7 @@ func (b *BuildState) Reset() {
 }
 
 // BuiltCount returns how many index partitions currently exist.
-func (b *BuildState) BuiltCount() int {
-	n := 0
-	for _, s := range b.parts {
-		if s.Built {
-			n++
-		}
-	}
-	return n
-}
+func (b *BuildState) BuiltCount() int { return len(b.parts) }
 
 // BuiltFraction returns the fraction of table partitions whose index
 // partition exists, in [0, 1].
@@ -89,12 +91,13 @@ func (b *BuildState) FullyBuilt() bool {
 	return b.BuiltCount() == len(b.Index.Table.Partitions)
 }
 
-// BuiltSizeMB returns the storage footprint of the built partitions only.
+// BuiltSizeMB returns the storage footprint of the built partitions only,
+// summed in ascending partition id so that it is the same float every time.
 func (b *BuildState) BuiltSizeMB() float64 {
 	var sum float64
-	for id, s := range b.parts {
-		if s.Built && id < len(b.Index.Table.Partitions) {
-			sum += b.Index.PartitionSizeMB(b.Index.Table.Partitions[id])
+	for id, p := range b.Index.Table.Partitions {
+		if _, built := b.parts[id]; built {
+			sum += b.Index.PartitionSizeMB(p)
 		}
 	}
 	return sum
@@ -104,10 +107,8 @@ func (b *BuildState) BuiltSizeMB() float64 {
 // sorted.
 func (b *BuildState) BuiltPaths() []string {
 	var paths []string
-	for id, s := range b.parts {
-		if s.Built {
-			paths = append(paths, b.Index.PartitionPath(id))
-		}
+	for id := range b.parts {
+		paths = append(paths, b.Index.PartitionPath(id))
 	}
 	sort.Strings(paths)
 	return paths
@@ -118,7 +119,7 @@ func (b *BuildState) BuiltPaths() []string {
 func (b *BuildState) MissingPartitions() []int {
 	var ids []int
 	for _, p := range b.Index.Table.Partitions {
-		if s, ok := b.parts[p.ID]; !ok || !s.Built {
+		if _, built := b.parts[p.ID]; !built {
 			ids = append(ids, p.ID)
 		}
 	}
@@ -133,6 +134,9 @@ type Catalog struct {
 	states map[string]*BuildState
 	// byPath maps a partition path to its table, built lazily.
 	byPath map[string]*Table
+	// names is the sorted key set of states, built by the first
+	// IndexNames after a RegisterIndex.
+	names []string
 }
 
 // NewCatalog returns an empty catalog.
@@ -183,29 +187,34 @@ func (c *Catalog) Table(name string) *Table { return c.tables[name] }
 // RegisterIndex adds idx to the potential set. Registering the same name
 // twice is an error.
 func (c *Catalog) RegisterIndex(idx *Index) (*BuildState, error) {
-	name := idx.Name()
+	st := NewBuildState(idx)
+	name := st.name
 	if _, ok := c.states[name]; ok {
 		return nil, fmt.Errorf("data: duplicate index %q", name)
 	}
 	if c.tables[idx.Table.Name] == nil {
 		return nil, fmt.Errorf("data: index %q references unregistered table %q", name, idx.Table.Name)
 	}
-	st := NewBuildState(idx)
 	c.states[name] = st
+	c.names = nil
 	return st, nil
 }
 
 // State returns the build state of the named index, or nil.
 func (c *Catalog) State(name string) *BuildState { return c.states[name] }
 
-// IndexNames returns all registered index names, sorted.
+// IndexNames returns all registered index names, sorted. The slice is the
+// catalog's own, kept until the next RegisterIndex — a submit asks for it
+// three times over a set that never changes — so callers must not modify it.
 func (c *Catalog) IndexNames() []string {
-	names := make([]string, 0, len(c.states))
-	for n := range c.states {
-		names = append(names, n)
+	if c.names == nil {
+		c.names = make([]string, 0, len(c.states))
+		for n := range c.states {
+			c.names = append(c.names, n)
+		}
+		sort.Strings(c.names)
 	}
-	sort.Strings(names)
-	return names
+	return c.names
 }
 
 // Available reports whether the named index has at least one built
@@ -226,6 +235,18 @@ func (c *Catalog) AvailableSet() map[string]bool {
 	return avail
 }
 
+// AvailableCount returns |I(t)|, the size of AvailableSet, without
+// building the set.
+func (c *Catalog) AvailableCount() int {
+	n := 0
+	for _, st := range c.states {
+		if st.BuiltCount() > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Drop deletes all built partitions of the named index and returns their
 // storage paths so the caller can free them from the storage service.
 func (c *Catalog) Drop(name string) []string {
@@ -239,11 +260,11 @@ func (c *Catalog) Drop(name string) []string {
 }
 
 // BuiltSizeMB returns the total storage footprint of all built index
-// partitions across the catalog.
+// partitions across the catalog, summed in IndexNames order.
 func (c *Catalog) BuiltSizeMB() float64 {
 	var sum float64
-	for _, st := range c.states {
-		sum += st.BuiltSizeMB()
+	for _, name := range c.IndexNames() {
+		sum += c.states[name].BuiltSizeMB()
 	}
 	return sum
 }
@@ -265,7 +286,7 @@ func (c *Catalog) ApplyUpdate(table string, pid int) ([]string, error) {
 		if st.Index.Table != t {
 			continue
 		}
-		if s, ok := st.parts[pid]; ok && s.Built {
+		if _, built := st.parts[pid]; built {
 			freed = append(freed, st.Index.PartitionPath(pid))
 			st.Invalidate(pid)
 		}

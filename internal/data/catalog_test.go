@@ -152,3 +152,61 @@ func TestAvailableSet(t *testing.T) {
 		t.Errorf("AvailableSet = %v", set)
 	}
 }
+
+// TestKeptReadsFollowTheirWriters: IndexNames, BuiltCount and AvailableCount
+// are kept facts, not recomputations, so each is checked against a recount
+// after every kind of write that can move it.
+func TestKeptReadsFollowTheirWriters(t *testing.T) {
+	c, tab, idx := catalogFixture(t)
+	if names := c.IndexNames(); len(names) != 1 {
+		t.Fatalf("IndexNames = %v", names)
+	}
+	second, err := NewIndex(tab, "commitdate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RegisterIndex(second); err != nil {
+		t.Fatal(err)
+	}
+	names := c.IndexNames()
+	if len(names) != 2 || names[0] != "lineitem/commitdate" || names[1] != "lineitem/orderkey" {
+		t.Errorf("IndexNames after a second RegisterIndex = %v, want both, sorted", names)
+	}
+	for _, name := range names {
+		if got := c.State(name).Name(); got != name {
+			t.Errorf("State(%q).Name() = %q", name, got)
+		}
+	}
+
+	st := c.State(idx.Name())
+	recount := func(after string) {
+		t.Helper()
+		built := 0
+		for _, p := range tab.Partitions {
+			if st.Part(p.ID).Built {
+				built++
+			}
+		}
+		if got := st.BuiltCount(); got != built {
+			t.Errorf("after %s: BuiltCount = %d, %d partitions are built", after, got, built)
+		}
+		if got, want := c.AvailableCount(), len(c.AvailableSet()); got != want {
+			t.Errorf("after %s: AvailableCount = %d, AvailableSet has %d", after, got, want)
+		}
+	}
+	recount("registration")
+	st.MarkBuilt(0, 10)
+	st.MarkBuilt(2, 11)
+	st.MarkBuilt(2, 12) // again: one partition, not two
+	recount("MarkBuilt")
+	st.Invalidate(0)
+	st.Invalidate(1) // never built
+	recount("Invalidate")
+	if _, err := c.ApplyUpdate("lineitem", 2); err != nil {
+		t.Fatal(err)
+	}
+	recount("ApplyUpdate")
+	st.MarkBuilt(1, 13)
+	st.Reset()
+	recount("Reset")
+}

@@ -7,6 +7,7 @@ package dataflow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -97,11 +98,29 @@ type Graph struct {
 	ops []*Operator // index == OpID
 	out [][]Edge    // index == OpID
 	in  [][]Edge    // index == OpID
+
+	// seen and stack are Connect's cycle-check scratch, kept between calls
+	// so that building a graph edge by edge does not allocate both per
+	// edge. Clone does not copy them.
+	seen  []bool
+	stack []OpID
 }
 
 // New returns an empty dataflow graph.
 func New() *Graph {
 	return &Graph{}
+}
+
+// Grow reserves room for n more operators, so that the Adds that follow do
+// not regrow the per-operator books one append at a time. n <= 0 does
+// nothing.
+func (g *Graph) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	g.ops = slices.Grow(g.ops, n)
+	g.out = slices.Grow(g.out, n)
+	g.in = slices.Grow(g.in, n)
 }
 
 // Add inserts op into the graph, assigning and returning its ID.
@@ -147,23 +166,30 @@ func (g *Graph) reaches(from, to OpID) bool {
 	if from == to {
 		return true
 	}
-	seen := make([]bool, len(g.ops))
-	stack := []OpID{from}
+	if cap(g.seen) < len(g.ops) {
+		g.seen = make([]bool, len(g.ops), cap(g.ops))
+	}
+	g.seen = g.seen[:len(g.ops)]
+	clear(g.seen)
+	found := false
+	stack := append(g.stack[:0], from)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if n == to {
-			return true
+			found = true
+			break
 		}
-		if seen[n] {
+		if g.seen[n] {
 			continue
 		}
-		seen[n] = true
+		g.seen[n] = true
 		for _, e := range g.out[n] {
 			stack = append(stack, e.To)
 		}
 	}
-	return false
+	g.stack = stack[:0]
+	return found
 }
 
 // Op returns the operator with the given ID, or nil if it does not exist.

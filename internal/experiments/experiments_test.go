@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -47,24 +48,49 @@ func TestTable5Shape(t *testing.T) {
 	}
 }
 
+// wallClockShape is how the three Table 6 shape tests assert orderings
+// between wall-clock times of millisecond-scale queries: measure reports
+// the orderings one fresh measurement violates, and the shape holds when any
+// of up to three measurements violates none. One descheduled millisecond
+// inverts a single measurement about once in 40 runs on an idle box, which
+// says nothing about the code under test.
+func wallClockShape(t *testing.T, measure func() (violated []string)) {
+	t.Helper()
+	const attempts = 3
+	for i := 1; ; i++ {
+		violated := measure()
+		if len(violated) == 0 {
+			return
+		}
+		if i == attempts {
+			t.Errorf("in each of %d measurements an ordering failed; in the last: %s", attempts, strings.Join(violated, "; "))
+			return
+		}
+		t.Logf("measurement %d: %s; measuring again", i, strings.Join(violated, "; "))
+	}
+}
+
 func TestTable6Shape(t *testing.T) {
-	res, err := Table6(0.005, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Speedups
-	// The headline ordering of Table 6 must hold even at small scale:
-	// order-by benefits least; point access benefits most.
-	if !(s["Order by"] > 1) {
-		t.Errorf("order-by speedup = %.2f, want > 1", s["Order by"])
-	}
-	if !(s["Lookup"] > s["Order by"]) {
-		t.Errorf("lookup (%.1f) should beat order-by (%.1f)", s["Lookup"], s["Order by"])
-	}
-	if !(s["Select range (small)"] > s["Select range (large)"]) {
-		t.Errorf("small range (%.1f) should beat large range (%.1f)",
-			s["Select range (small)"], s["Select range (large)"])
-	}
+	wallClockShape(t, func() (violated []string) {
+		res, err := Table6(0.005, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Speedups
+		// The headline ordering of Table 6 must hold even at small scale:
+		// order-by benefits least; point access benefits most.
+		if !(s["Order by"] > 1) {
+			violated = append(violated, fmt.Sprintf("order-by speedup = %.2f, want > 1", s["Order by"]))
+		}
+		if !(s["Lookup"] > s["Order by"]) {
+			violated = append(violated, fmt.Sprintf("lookup (%.1f) should beat order-by (%.1f)", s["Lookup"], s["Order by"]))
+		}
+		if !(s["Select range (small)"] > s["Select range (large)"]) {
+			violated = append(violated, fmt.Sprintf("small range (%.1f) should beat large range (%.1f)",
+				s["Select range (small)"], s["Select range (large)"]))
+		}
+		return violated
+	})
 }
 
 func TestFig3Shape(t *testing.T) {

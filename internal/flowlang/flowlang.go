@@ -17,12 +17,14 @@
 package flowlang
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"idxflow/internal/dataflow"
 )
@@ -59,26 +61,66 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("flowlang: line %d: %s", e.Line, e.Msg)
 }
 
-// Parse reads one flow definition.
+// maxLine is the longest line Parse accepts, in bytes before its newline: a
+// line of 1 MiB or more is refused.
+const maxLine = 1<<20 - 1
+
+// Parse reads one flow definition. It reads r to its end into one buffer —
+// sized by r.Len() where the reader has one, as strings.Reader, bytes.Buffer
+// and the server's request body do — and parses a private copy of it as
+// ParseString does; an error of r comes back wrapped, not as a *ParseError.
 func Parse(r io.Reader) (*dataflow.Flow, error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1024*1024), 1024*1024)
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		// MinRead more than announced, so that the read which finds the
+		// end does not have to grow the buffer first.
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("flowlang: read: %w", err)
+	}
+	return ParseString(buf.String())
+}
+
+// ParseString parses a flow from a string, in one pass that allocates per
+// flow and per operator, not per line or token. The strings of the flow that
+// outlive a submit, Flow.Name (every FlowResult keeps it) and IndexUse.Index
+// (a key of the tuner's gain history), are allocations of their own; every
+// other string of the flow — operator names, input and read paths — is a
+// substring of s and keeps s alive for as long as the flow is.
+func ParseString(s string) (*dataflow.Flow, error) {
 	flow := &dataflow.Flow{Graph: dataflow.New()}
-	names := make(map[string]dataflow.OpID)
+	// The counts are exact: a counted line adds its operator, input or
+	// index, or fails the parse. That matters because presizing for a count
+	// of zero would turn a nil slice of the flow into an empty one.
+	nOps, nInputs, nIndexes := countDirectives(s)
+	flow.Graph.Grow(nOps)
+	if nInputs > 0 {
+		flow.Inputs = make([]string, 0, nInputs)
+	}
+	if nIndexes > 0 {
+		flow.Indexes = make([]dataflow.IndexUse, 0, nIndexes)
+	}
+	names := make(map[string]dataflow.OpID, nOps)
 	sawFlow := false
 	lineNo := 0
+	var fields []string // the current line's tokens; reused from line to line
 
 	fail := func(format string, args ...interface{}) error {
 		return &ParseError{Line: lineNo, Msg: fmt.Sprintf(format, args...)}
 	}
 
-	for scanner.Scan() {
+	for rest := s; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		if len(line) > maxLine {
+			return nil, fail("line of %d bytes; the limit is %d", len(line), maxLine)
+		}
+		fields = appendFields(fields[:0], line)
+		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
 		switch fields[0] {
 		case "flow":
 			if sawFlow {
@@ -88,7 +130,7 @@ func Parse(r io.Reader) (*dataflow.Flow, error) {
 				return nil, fail("flow needs a name")
 			}
 			sawFlow = true
-			flow.Name = fields[1]
+			flow.Name = strings.Clone(fields[1])
 			for _, f := range fields[2:] {
 				k, v, err := splitKV(f)
 				if err != nil {
@@ -196,7 +238,11 @@ func Parse(r io.Reader) (*dataflow.Flow, error) {
 			if len(fields) < 3 {
 				return nil, fail("index syntax: index <name> ops=op:speedup,...")
 			}
-			iu := dataflow.IndexUse{Index: fields[1], Speedup: make(map[dataflow.OpID]float64)}
+			pairs := 0
+			for _, f := range fields[2:] {
+				pairs += strings.Count(f, ",") + 1
+			}
+			speedup := make(map[dataflow.OpID]float64, pairs)
 			for _, f := range fields[2:] {
 				k, v, err := splitKV(f)
 				if err != nil {
@@ -205,30 +251,29 @@ func Parse(r io.Reader) (*dataflow.Flow, error) {
 				if k != "ops" {
 					return nil, fail("unknown index attribute %q", k)
 				}
-				for _, pair := range strings.Split(v, ",") {
-					parts := strings.SplitN(pair, ":", 2)
-					if len(parts) != 2 {
+				for more := true; more; {
+					var pair string
+					pair, v, more = strings.Cut(v, ",")
+					name, factor, ok := strings.Cut(pair, ":")
+					if !ok {
 						return nil, fail("index op needs op:speedup, got %q", pair)
 					}
-					id, ok := names[parts[0]]
+					id, ok := names[name]
 					if !ok {
-						return nil, fail("unknown op %q", parts[0])
+						return nil, fail("unknown op %q", name)
 					}
-					sp, err := strconv.ParseFloat(parts[1], 64)
+					sp, err := strconv.ParseFloat(factor, 64)
 					if err != nil {
-						return nil, fail("bad speedup %q", parts[1])
+						return nil, fail("bad speedup %q", factor)
 					}
-					iu.Speedup[id] = sp
+					speedup[id] = sp
 				}
 			}
-			flow.Indexes = append(flow.Indexes, iu)
+			flow.Indexes = append(flow.Indexes, dataflow.IndexUse{Index: strings.Clone(fields[1]), Speedup: speedup})
 
 		default:
 			return nil, fail("unknown directive %q", fields[0])
 		}
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, err
 	}
 	if !sawFlow {
 		return nil, &ParseError{Line: lineNo, Msg: "missing flow line"}
@@ -239,9 +284,65 @@ func Parse(r io.Reader) (*dataflow.Flow, error) {
 	return flow, nil
 }
 
-// ParseString parses a flow from a string.
-func ParseString(s string) (*dataflow.Flow, error) {
-	return Parse(strings.NewReader(s))
+// space returns the width in bytes of the separator that starts at s[i], 0
+// when s[i] belongs to a token. Separators are the white space the strings
+// package splits fields at: the ASCII set on the fast path, unicode.IsSpace
+// from 0x80 up, where an invalid or continuation byte decodes to no space.
+func space(s string, i int) int {
+	c := s[i]
+	if c < utf8.RuneSelf {
+		if c == ' ' || c-'\t' <= '\r'-'\t' {
+			return 1
+		}
+		return 0
+	}
+	if r, w := utf8.DecodeRuneInString(s[i:]); unicode.IsSpace(r) {
+		return w
+	}
+	return 0
+}
+
+// field returns the bounds of the first token of s at or after i, and
+// len(s), len(s) when there is none.
+func field(s string, i int) (start, end int) {
+	for i < len(s) {
+		w := space(s, i)
+		if w == 0 {
+			break
+		}
+		i += w
+	}
+	start = i
+	for i < len(s) && space(s, i) == 0 {
+		i++
+	}
+	return start, i
+}
+
+// appendFields appends the tokens of line to dst, as substrings of it.
+func appendFields(dst []string, line string) []string {
+	for start, end := field(line, 0); start < end; start, end = field(line, end) {
+		dst = append(dst, line[start:end])
+	}
+	return dst
+}
+
+// countDirectives counts the op, input and index lines of s.
+func countDirectives(s string) (ops, inputs, indexes int) {
+	for rest := s; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		start, end := field(line, 0)
+		switch line[start:end] {
+		case "op":
+			ops++
+		case "input":
+			inputs++
+		case "index":
+			indexes++
+		}
+	}
+	return ops, inputs, indexes
 }
 
 // Marshal renders a flow in the flowlang format; Parse(Marshal(f)) is

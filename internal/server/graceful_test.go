@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/signal"
 	"strings"
@@ -156,5 +157,33 @@ func TestSlowHeaderClientIsCutOff(t *testing.T) {
 	}
 	if held := time.Since(opened); held < ReadHeaderTimeout/2 {
 		t.Errorf("stalled connection closed after %v, long before the %v header deadline", held, ReadHeaderTimeout)
+	}
+}
+
+// TestSubmitBodyStatus: what is wrong with a body decides the status. A
+// syntax error is a 400 naming its line, an over-long line included; a body
+// over maxBodyBytes is a 413, not a syntax error; a body with no announced
+// length is read like any other.
+func TestSubmitBodyStatus(t *testing.T) {
+	t.Parallel()
+	s, _ := testServer(t, nil)
+	flow := defaultFlow(t, s)
+	for _, tc := range []struct {
+		name   string
+		body   io.Reader
+		status int
+		want   string // in the response body
+	}{
+		{"valid", strings.NewReader(flow), http.StatusOK, `"flow":"api-test"`},
+		{"valid, chunked", io.MultiReader(strings.NewReader(flow)), http.StatusOK, `"flow":"api-test"`},
+		{"syntax error", strings.NewReader(flow + "zap\n"), http.StatusBadRequest, "line 8: unknown directive"},
+		{"line of 1 MiB", strings.NewReader(flow + "#" + strings.Repeat("x", 1<<20-1)), http.StatusBadRequest, "flowlang: line 8: line of 1048576 bytes"},
+		{"body over the limit", strings.NewReader(flow + strings.Repeat("# padding\n", maxBodyBytes/10)), http.StatusRequestEntityTooLarge, "request body too large"},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/dataflows", tc.body))
+		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: status %d, body %q; want %d with %q", tc.name, rec.Code, rec.Body.String(), tc.status, tc.want)
+		}
 	}
 }

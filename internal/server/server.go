@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -182,14 +183,38 @@ type BackpressureResponse struct {
 	RetryAfterSeconds float64 `json:"retry_after_seconds"`
 }
 
+// maxBodyBytes is the largest dataflow body handleSubmit reads; a larger
+// one is answered 413.
+const maxBodyBytes = 8 << 20
+
+// sizedBody is a request body that tells flowlang.Parse how large a buffer
+// to read it into: its Content-Length, which is the client's claim, so
+// never more than 1 MiB up front, and nothing for a chunked body. Parse
+// grows the buffer when the body turns out longer.
+type sizedBody struct {
+	io.Reader
+	contentLength int64
+}
+
+func (b sizedBody) Len() int { return int(min(max(b.contentLength, 0), 1<<20)) }
+
 // handleSubmit admits one dataflow through the concurrent pipeline and
-// blocks until its Algorithm-1 pass completes. Backpressure surfaces as
+// blocks until its Algorithm-1 pass completes. A body that does not parse
+// is answered 400 with the line of the error, one over maxBodyBytes 413.
+// Backpressure surfaces as
 // HTTP 429 with a Retry-After header (whole seconds, rounded up per RFC
 // 9110); a client that disconnects while queued gets its execution
 // abandoned uncharged.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	flow, err := flowlang.Parse(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
+	flow, err := flowlang.Parse(sizedBody{http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength})
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	case err != nil:
+		// A *flowlang.ParseError, an invalid graph, or a body the client
+		// stopped sending.
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -293,7 +318,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		resp.Admitted = t.Admitted()
 		t.Do(func(svc *core.Service, db *workload.FileDB) {
 			resp.ClockSeconds = svc.Clock()
-			resp.IndexesAvailable = len(svc.Catalog().AvailableSet())
+			resp.IndexesAvailable = svc.Catalog().AvailableCount()
 			resp.IndexStorageMB = svc.Catalog().BuiltSizeMB()
 			resp.VMQuanta = svc.Aggregates().VMQuanta
 		})
