@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-short vet fmt-check ci cover fuzz-short golden-update bench bench-short bench-compare profile clean
+.PHONY: all build test race race-short vet fmt-check ci cover fuzz-short golden-update unreached bench bench-short bench-compare profile clean
 
 all: build
 
@@ -47,11 +47,17 @@ fuzz-short:
 	$(GO) test ./internal/pagestore -run '^$$' -fuzz '^FuzzColumnPage$$' -fuzztime $(FUZZ_SECONDS)s
 
 # Re-record the golden experiment tables and the idxflow-sim -explain
-# transcript under cmd/*/testdata from the current tree. A refactor must pass
+# transcript and -events log under cmd/*/testdata from the current tree. A refactor must pass
 # them unedited; run this only when a change is meant to move a table.
 golden-update:
 	$(GO) test ./cmd/idxflow-experiments -run '^TestGoldenTables$$' -update
-	$(GO) test ./cmd/idxflow-sim -run '^TestGoldenExplainTranscript$$' -update
+	$(GO) test ./cmd/idxflow-sim -run '^TestGolden(ExplainTranscript|EventsJSONL)$$' -update
+
+# Print every function under internal/ that no binary links, allowlisted
+# (scripts/reachability_allow.txt) or not, without failing;
+# scripts/reachability.sh is the failing form CI runs.
+unreached:
+	@scripts/reachability.sh list
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \

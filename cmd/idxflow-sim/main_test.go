@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"idxflow/internal/provenance"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run's output")
@@ -25,6 +28,83 @@ func TestGoldenExplainTranscript(t *testing.T) {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
 	checkGolden(t, filepath.Join("testdata", "explain_h120.golden"), stdout.Bytes())
+}
+
+// TestGoldenEventsJSONL pins the `-events` log of the same run, every field
+// of every event to the last bit, and asserts what the recorder's doc
+// promises: runs of one seed write the same bytes. The header line carries
+// the build's revision and Go version, so the golden holds the event lines
+// only.
+func TestGoldenEventsJSONL(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden files are checked by the plain go test ./...")
+	}
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	var first []byte
+	for i := 0; i < 3; i++ {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-horizon", "120", "-events", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+		}
+		log, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = log
+		} else if !bytes.Equal(log, first) {
+			t.Fatalf("run %d of the same seed wrote a different event log", i+1)
+		}
+	}
+	header, events, _ := bytes.Cut(first, []byte("\n"))
+	if !bytes.Contains(header, []byte(`"format":"idxflow-events/1"`)) {
+		t.Errorf("first line is not the log header: %s", header)
+	}
+	checkGolden(t, filepath.Join("testdata", "events_h120.golden.jsonl"), events)
+}
+
+// TestEvictedIndexIsRebuilt is Fig 13's claim by name, at the full horizon:
+// an index the tuner deleted when it stopped paying is built again, by the
+// same name, when dataflows that want it return. (The golden Fig 13 table
+// shows the same run as a count that falls and then passes its old peak.)
+func TestEvictedIndexIsRebuilt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full 720-quantum phase workload")
+	}
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-events", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	var header provenance.Header
+	if err := dec.Decode(&header); err != nil {
+		t.Fatal(err)
+	}
+	evictedAt := map[string]float64{}
+	evicted, rebuilt := 0, 0
+	for dec.More() {
+		var e provenance.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		switch at, gone := evictedAt[e.Name]; {
+		case e.Kind == provenance.KindIndexEvicted:
+			evictedAt[e.Name] = e.T
+			evicted++
+		case e.Kind == provenance.KindBuildCommitted && gone && e.T > at:
+			delete(evictedAt, e.Name)
+			rebuilt++
+		}
+	}
+	if evicted == 0 || rebuilt == 0 {
+		t.Errorf("%d indexes evicted, %d of them built again later; want both to happen", evicted, rebuilt)
+	}
 }
 
 // checkGolden compares got with the file at path and reports the first line

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 
-	"idxflow/internal/cloud"
 	"idxflow/internal/dataflow"
 	"idxflow/internal/interleave"
 	"idxflow/internal/sched"
@@ -67,16 +66,9 @@ func main() {
 	fmt.Printf("\ninterleaved %d build op(s); idle time %.0fs -> %.0fs; makespan still %.1fs\n",
 		len(placed), beforeIdle, chosen.Fragmentation(), chosen.Makespan())
 
-	// Execute with telemetry: a registry collects executor metrics, and
-	// SizeOf + shared caches enable the container disk-cache model — the
-	// second execution reads the same partitions and hits the cache.
+	// Execute with telemetry: a registry collects the executor's metrics.
 	reg := telemetry.NewRegistry()
-	caches := make(map[int]*cloud.LRUCache)
-	simCfg := sim.Config{
-		Pricing: opts.Pricing, Spec: opts.Spec,
-		Metrics: reg, SizeOf: func(string) float64 { return 64 }, Caches: caches,
-	}
-	res := sim.Execute(chosen, simCfg)
+	res := sim.Execute(chosen, sim.Config{Pricing: opts.Pricing, Spec: opts.Spec, Metrics: reg})
 	fmt.Printf("\nexecution: makespan %.1fs, %g quanta, %d build completed, %d killed\n",
 		res.Makespan, res.MoneyQuanta, len(res.CompletedBuilds), res.Killed)
 	for _, a := range chosen.Assignments() {
@@ -89,16 +81,8 @@ func main() {
 			a.Container, g.Op(a.Op).Name, r.Start, r.End, status)
 	}
 
-	// A re-run of the same dataflow finds its inputs cached on the
-	// containers' local disks.
-	sim.Execute(chosen, simCfg)
-
-	hits := reg.Counter("idxflow_cache_hits_total", "").Value()
-	misses := reg.Counter("idxflow_cache_misses_total", "").Value()
 	idleUsed := beforeIdle - chosen.Fragmentation()
-	fmt.Println("\ntelemetry summary (2 executions):")
-	fmt.Printf("  cache hit rate:        %.0f%% (%g hits, %g misses)\n",
-		100*hits/(hits+misses), hits, misses)
+	fmt.Println("\ntelemetry summary:")
 	fmt.Printf("  idle-slot seconds used for builds: %.0f of %.0f discovered\n",
 		idleUsed, beforeIdle)
 	fmt.Printf("  quanta charged:        %g\n",

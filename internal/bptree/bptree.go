@@ -86,15 +86,10 @@ func (t *Tree) Get(key int64) (int64, bool) {
 	return 0, false
 }
 
-// GetAll returns the values of every entry with the given key, in insertion
-// order within the key run.
-func (t *Tree) GetAll(key int64) []int64 {
-	return t.GetAllAppend(nil, key)
-}
-
-// GetAllAppend appends the values of every entry with the given key to dst
-// and returns it; probe-heavy callers (index joins) reuse one buffer across
-// probes instead of allocating per key.
+// GetAllAppend appends the values of every entry with the given key, in
+// insertion order within the key run, to dst and returns it; probe-heavy
+// callers (index joins) reuse one buffer across probes instead of
+// allocating per key.
 func (t *Tree) GetAllAppend(dst []int64, key int64) []int64 {
 	n := t.findLeaf(key)
 	pos := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
@@ -410,15 +405,6 @@ func NewBulkLoader(order int) *BulkLoader {
 		order = 4
 	}
 	return &BulkLoader{order: order}
-}
-
-// Len returns the number of entries appended so far.
-func (b *BulkLoader) Len() int {
-	n := len(b.curKeys)
-	for _, l := range b.leaves {
-		n += len(l.keys)
-	}
-	return n
 }
 
 // Append adds a sorted batch of entries. The slices are copied; callers

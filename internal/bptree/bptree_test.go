@@ -80,13 +80,13 @@ func TestDuplicateKeys(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	for k := int64(0); k < 5; k++ {
-		vals := tr.GetAll(k)
+		vals := tr.GetAllAppend(nil, k)
 		if len(vals) != 4 {
-			t.Errorf("GetAll(%d) = %v, want 4 values", k, vals)
+			t.Errorf("GetAllAppend(nil, %d) = %v, want 4 values", k, vals)
 		}
 	}
-	if vals := tr.GetAll(99); len(vals) != 0 {
-		t.Errorf("GetAll(99) = %v, want empty", vals)
+	if vals := tr.GetAllAppend(nil, 99); len(vals) != 0 {
+		t.Errorf("GetAllAppend(nil, 99) = %v, want empty", vals)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestAllKeysEqualOversizedLeaf(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := len(tr.GetAll(7)); got != 50 {
-		t.Errorf("GetAll(7) returned %d values, want 50", got)
+	if got := len(tr.GetAllAppend(nil, 7)); got != 50 {
+		t.Errorf("GetAllAppend(nil, 7) returned %d values, want 50", got)
 	}
 }
 
@@ -169,8 +169,8 @@ func TestBulkLoad(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	for k := int64(0); k < 333; k++ {
-		if got := len(tr.GetAll(k)); got != 3 {
-			t.Errorf("GetAll(%d) returned %d values, want 3", k, got)
+		if got := len(tr.GetAllAppend(nil, k)); got != 3 {
+			t.Errorf("GetAllAppend(nil, %d) returned %d values, want 3", k, got)
 		}
 	}
 }
@@ -259,7 +259,7 @@ func TestAgainstReferenceProperty(t *testing.T) {
 			counts[p.Key]++
 		}
 		for k := int64(0); k < 100; k++ {
-			if len(tr.GetAll(k)) != counts[k] {
+			if len(tr.GetAllAppend(nil, k)) != counts[k] {
 				return false
 			}
 		}
@@ -294,7 +294,7 @@ func TestBulkLoadEquivalentToInsertProperty(t *testing.T) {
 			ins.Insert(p.Key, p.Val)
 		}
 		for k := int64(0); k < 200; k++ {
-			if len(bl.GetAll(k)) != len(ins.GetAll(k)) {
+			if len(bl.GetAllAppend(nil, k)) != len(ins.GetAllAppend(nil, k)) {
 				return false
 			}
 		}
@@ -322,8 +322,8 @@ func FuzzTreeAgainstMap(f *testing.F) {
 			t.Fatalf("Validate: %v", err)
 		}
 		for k := int64(0); k < 32; k++ {
-			if got := len(tr.GetAll(k)); got != ref[k] {
-				t.Fatalf("GetAll(%d) = %d entries, want %d", k, got, ref[k])
+			if got := len(tr.GetAllAppend(nil, k)); got != ref[k] {
+				t.Fatalf("GetAllAppend(nil, %d) = %d entries, want %d", k, got, ref[k])
 			}
 		}
 		total := 0

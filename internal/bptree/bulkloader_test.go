@@ -53,9 +53,6 @@ func TestBulkLoaderMatchesBulkLoadSorted(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := bl.Len(); got != n {
-			t.Fatalf("batch %d: Len = %d, want %d", batch, got, n)
-		}
 		tree, err := bl.Finish()
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"idxflow/internal/bptree"
-	"idxflow/internal/cloud"
 	"idxflow/internal/dataflow"
 	"idxflow/internal/fault"
 	"idxflow/internal/gain"
@@ -426,9 +425,8 @@ func AuditSchedule(s *sched.Schedule) error {
 		contIvs[a.Container] = append(contIvs[a.Container], iv{a.Start, a.End})
 	}
 
-	// Money identities: MoneyQuanta is the weighted leased quanta, Money
-	// the same sum in dollars.
-	var wantMQ, wantMoney, wantLease float64
+	// Money identity: MoneyQuanta is the weighted leased quanta.
+	var wantMQ, wantLease float64
 	for c, end := range lastEnd {
 		n := float64(p.Quanta(end))
 		w := 1.0
@@ -436,14 +434,10 @@ func AuditSchedule(s *sched.Schedule) error {
 			w = s.ContainerType(c).PricePerQuantum / p.VMPerQuantum
 		}
 		wantMQ += n * w
-		wantMoney += n * s.ContainerType(c).PricePerQuantum
 		wantLease += n * q
 	}
 	if got := s.MoneyQuanta(); math.Abs(got-wantMQ) > looseEps*math.Max(1, wantMQ) {
 		r.addf("schedule-money", "MoneyQuanta %g, recomputed %g", got, wantMQ)
-	}
-	if got := s.Money(); math.Abs(got-wantMoney) > looseEps*math.Max(1, wantMoney) {
-		r.addf("schedule-money", "Money %g, recomputed %g", got, wantMoney)
 	}
 
 	// Makespan cache against a from-scratch recompute.
@@ -758,34 +752,6 @@ func AuditTree(t *bptree.Tree) error {
 	}
 	if count != t.Len() {
 		r.addf("tree-scan-order", "Scan visited %d entries, Len() = %d", count, t.Len())
-	}
-	return r.Err()
-}
-
-// AuditCaches verifies container cache coherence: every cache respects its
-// capacity and its used-bytes bookkeeping is consistent with its contents.
-func AuditCaches(caches map[int]*cloud.LRUCache) error {
-	r := &Report{}
-	conts := make([]int, 0, len(caches))
-	for c := range caches {
-		conts = append(conts, c)
-	}
-	sort.Ints(conts)
-	for _, c := range conts {
-		lru := caches[c]
-		if lru == nil {
-			continue
-		}
-		if lru.UsedMB() > lru.CapacityMB()+tightEps {
-			r.addf("cache-capacity", "container %d cache holds %g MB over capacity %g MB",
-				c, lru.UsedMB(), lru.CapacityMB())
-		}
-		if lru.UsedMB() < -tightEps {
-			r.addf("cache-capacity", "container %d cache has negative used %g MB", c, lru.UsedMB())
-		}
-		if lru.Len() == 0 && math.Abs(lru.UsedMB()) > tightEps {
-			r.addf("cache-capacity", "container %d empty cache reports %g MB used", c, lru.UsedMB())
-		}
 	}
 	return r.Err()
 }

@@ -5,7 +5,7 @@
 // the paper's claims rest on — Eq. 2-5 gain consistency, §3 quantum/lease
 // accounting, §5.3 non-delaying interleaving, §6.1 execution semantics and
 // the fault-conservation rules of the recovery subsystem — on any realized
-// execution, schedule, gain evaluator, B+Tree or cache state.
+// execution, schedule, gain evaluator or B+Tree.
 //
 // The auditor is wired into the test suites of sim, sched, interleave,
 // gain and fault, and into the fuzz targets of this package, so every

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"idxflow/internal/bptree"
-	"idxflow/internal/cloud"
 	"idxflow/internal/dataflow"
 	"idxflow/internal/gain"
 	"idxflow/internal/sched"
@@ -317,7 +316,7 @@ func TestAuditGainModel(t *testing.T) {
 	}
 }
 
-func TestAuditTreeAndCaches(t *testing.T) {
+func TestAuditTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, order := range []int{4, 5, 8, 33} {
 		tr := bptree.New(order)
@@ -327,17 +326,5 @@ func TestAuditTreeAndCaches(t *testing.T) {
 		if err := AuditTree(tr); err != nil {
 			t.Errorf("order %d: %v", order, err)
 		}
-	}
-
-	caches := map[int]*cloud.LRUCache{}
-	for c := 0; c < 4; c++ {
-		lru := cloud.NewLRUCache(256)
-		for i := 0; i < 40; i++ {
-			lru.Put(string(rune('a'+i%26)), rng.Float64()*64)
-		}
-		caches[c] = lru
-	}
-	if err := AuditCaches(caches); err != nil {
-		t.Error(err)
 	}
 }

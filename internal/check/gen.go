@@ -48,10 +48,6 @@ type GraphConfig struct {
 	Builds int
 	// MaxBuildTime bounds build-operator runtimes (defaults to MaxTime).
 	MaxBuildTime float64
-	// ReadPaths, when positive, gives each dataflow operator up to two
-	// storage reads drawn from a pool of this many paths, exercising the
-	// executor's cache model.
-	ReadPaths int
 }
 
 // DefaultGraphConfig returns a medium workload: 12 operators in 4 layers
@@ -108,14 +104,6 @@ func Graph(shape Shape, cfg GraphConfig, seed int64) *dataflow.Graph {
 			Time:     opTime(cfg.MaxTime),
 			Priority: 1,
 		})
-	}
-	if cfg.ReadPaths > 0 {
-		for _, id := range ids {
-			op := g.Op(id)
-			for r := rng.Intn(3); r > 0; r-- {
-				op.Reads = append(op.Reads, fmt.Sprintf("part-%d", rng.Intn(cfg.ReadPaths)))
-			}
-		}
 	}
 
 	switch shape {

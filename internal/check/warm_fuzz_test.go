@@ -17,7 +17,7 @@ import (
 type schedView struct {
 	Makespan    float64
 	MoneyQuanta float64
-	Types       []int
+	Types       []string
 	Assigns     []sched.Assignment
 }
 
@@ -26,7 +26,7 @@ func viewOf(sky []*sched.Schedule) []schedView {
 	for i, s := range sky {
 		v := schedView{Makespan: s.Makespan(), MoneyQuanta: s.MoneyQuanta()}
 		for c := 0; c < s.NumSlots(); c++ {
-			v.Types = append(v.Types, s.ContainerTypeIndex(c))
+			v.Types = append(v.Types, s.ContainerType(c).Name)
 		}
 		v.Assigns = s.Assignments()
 		sort.Slice(v.Assigns, func(a, b int) bool { return v.Assigns[a].Op < v.Assigns[b].Op })

@@ -1,7 +1,6 @@
 // Package cloud models the IaaS environment of §3 of the paper: homogeneous
 // containers (VMs) charged per time quantum, a persistent storage service
-// charged per MB per quantum, per-container local disks with LRU caching,
-// and a flat network.
+// charged per MB per quantum, and a flat network.
 package cloud
 
 import (
@@ -31,14 +30,6 @@ func DefaultPricing() Pricing {
 	}
 }
 
-// StoragePerQuantumFromMonthly converts a per-GB-per-month storage price MC
-// (e.g. Amazon S3) to the per-GB-per-quantum cost Mst used by the model,
-// following §3: Mst = (MC * 12 * Q) / (365.25 * 24 * 60), with Q in minutes.
-func StoragePerQuantumFromMonthly(perGBMonth, quantumSeconds float64) float64 {
-	qMinutes := quantumSeconds / 60
-	return perGBMonth * 12 * qMinutes / (365.25 * 24 * 60)
-}
-
 // Validate reports an error for non-positive quantum or negative prices.
 func (p Pricing) Validate() error {
 	if p.QuantumSeconds <= 0 {
@@ -64,18 +55,6 @@ func (p Pricing) Quanta(seconds float64) int {
 	return int(math.Ceil(seconds/p.QuantumSeconds - 1e-9))
 }
 
-// InQuanta converts seconds to fractional quanta (the paper reports both
-// time and money in quanta so they share a unit, §3).
-func (p Pricing) InQuanta(seconds float64) float64 {
-	return seconds / p.QuantumSeconds
-}
-
-// VMCost returns the money charged for leasing one container for d seconds,
-// rounded up to whole quanta.
-func (p Pricing) VMCost(seconds float64) float64 {
-	return float64(p.Quanta(seconds)) * p.VMPerQuantum
-}
-
 // StorageCost returns the money charged for storing sizeMB for the given
 // number of (possibly fractional) quanta: stp(idx, p, W) = W * size * Mst.
 func (p Pricing) StorageCost(sizeMB, quanta float64) float64 {
@@ -83,22 +62,6 @@ func (p Pricing) StorageCost(sizeMB, quanta float64) float64 {
 		return 0
 	}
 	return sizeMB * quanta * p.StoragePerMBQuantum
-}
-
-// QuantumStart returns the start time of the quantum containing time t
-// (t >= 0), measuring quanta from a lease that began at leaseStart.
-func (p Pricing) QuantumStart(leaseStart, t float64) float64 {
-	if t < leaseStart {
-		return leaseStart
-	}
-	n := math.Floor((t - leaseStart) / p.QuantumSeconds)
-	return leaseStart + n*p.QuantumSeconds
-}
-
-// QuantumEnd returns the end time of the quantum containing time t for a
-// lease that began at leaseStart.
-func (p Pricing) QuantumEnd(leaseStart, t float64) float64 {
-	return p.QuantumStart(leaseStart, t) + p.QuantumSeconds
 }
 
 // Spec is the fixed capacity of one homogeneous container (§3): the paper's
@@ -164,12 +127,4 @@ func (s Spec) TransferSeconds(sizeMB float64) float64 {
 		return 0
 	}
 	return sizeMB / s.NetMBps
-}
-
-// DiskSeconds returns the time to read or write sizeMB on the local disk.
-func (s Spec) DiskSeconds(sizeMB float64) float64 {
-	if sizeMB <= 0 || s.DiskMBps <= 0 {
-		return 0
-	}
-	return sizeMB / s.DiskMBps
 }

@@ -8,12 +8,10 @@ import (
 )
 
 // Storage models the cloud storage service (§3): a flat namespace of files
-// charged per MB per quantum. It tracks bytes transferred in and out so the
-// simulator can charge storage "by counting the number of bytes transferred
+// charged per MB per quantum, "by counting the number of bytes transferred
 // and charging appropriately over time" (§6.1).
 type Storage struct {
-	files         map[string]float64 // path -> size MB
-	transferredMB float64
+	files map[string]float64 // path -> size MB
 	// costAccrued accumulates storage cost as Advance is called.
 	costAccrued float64
 	// lastQuantum is the quantum timestamp up to which cost was accrued.
@@ -62,27 +60,9 @@ func (s *Storage) Put(path string, sizeMB float64) error {
 		return fmt.Errorf("cloud: negative file size %g for %q", sizeMB, path)
 	}
 	s.files[path] = sizeMB
-	s.transferredMB += sizeMB
 	s.transferCounter.Add(sizeMB)
 	s.syncGauges()
 	return nil
-}
-
-// Get returns the size of path and whether it exists, counting the download
-// as a transfer when it does.
-func (s *Storage) Get(path string) (sizeMB float64, ok bool) {
-	sizeMB, ok = s.files[path]
-	if ok {
-		s.transferredMB += sizeMB
-		s.transferCounter.Add(sizeMB)
-	}
-	return sizeMB, ok
-}
-
-// Stat returns the size of path without counting a transfer.
-func (s *Storage) Stat(path string) (sizeMB float64, ok bool) {
-	sizeMB, ok = s.files[path]
-	return sizeMB, ok
 }
 
 // Delete removes path and reports whether it existed.
@@ -119,9 +99,6 @@ func (s *Storage) Paths() []string {
 	return paths
 }
 
-// TransferredMB returns the cumulative MB moved in and out of the service.
-func (s *Storage) TransferredMB() float64 { return s.transferredMB }
-
 // Advance accrues storage cost from the last accounted time up to now
 // (seconds since service start) at the current stored size, and returns the
 // total accrued cost so far.
@@ -138,25 +115,3 @@ func (s *Storage) Advance(nowSeconds float64) float64 {
 
 // CostAccrued returns the storage cost accrued so far without advancing.
 func (s *Storage) CostAccrued() float64 { return s.costAccrued }
-
-// Files returns a copy of the stored path-to-size map, for serialization.
-func (s *Storage) Files() map[string]float64 {
-	out := make(map[string]float64, len(s.files))
-	for k, v := range s.files {
-		out[k] = v
-	}
-	return out
-}
-
-// Restore overwrites the storage contents and accounting state with a
-// snapshot: the files, the cost accrued so far, and the time point (in
-// seconds) up to which that cost covers. No transfers are counted.
-func (s *Storage) Restore(files map[string]float64, costAccrued, upToSeconds float64) {
-	s.files = make(map[string]float64, len(files))
-	for k, v := range files {
-		s.files[k] = v
-	}
-	s.costAccrued = costAccrued
-	s.lastQuantum = upToSeconds
-	s.syncGauges()
-}

@@ -3,6 +3,8 @@ package cloud
 import (
 	"math"
 	"testing"
+
+	"idxflow/internal/telemetry"
 )
 
 func TestStoragePutGetDelete(t *testing.T) {
@@ -10,17 +12,20 @@ func TestStoragePutGetDelete(t *testing.T) {
 	if err := s.Put("a", 10); err != nil {
 		t.Fatal(err)
 	}
-	if sz, ok := s.Get("a"); !ok || sz != 10 {
-		t.Errorf("Get(a) = %g,%v, want 10,true", sz, ok)
+	if s.Len() != 1 || s.TotalMB() != 10 {
+		t.Errorf("after Put(a, 10): %d files, %g MB, want 1 file of 10 MB", s.Len(), s.TotalMB())
 	}
-	if _, ok := s.Get("missing"); ok {
-		t.Error("Get(missing) = true")
+	if s.Delete("missing") {
+		t.Error("Delete(missing) = true")
 	}
 	if !s.Delete("a") {
 		t.Error("Delete(a) = false")
 	}
 	if s.Delete("a") {
 		t.Error("second Delete(a) = true")
+	}
+	if s.Len() != 0 || s.TotalMB() != 0 {
+		t.Errorf("after Delete(a): %d files, %g MB, want none", s.Len(), s.TotalMB())
 	}
 }
 
@@ -32,12 +37,13 @@ func TestStorageRejectsNegativeSize(t *testing.T) {
 }
 
 func TestStorageTransfersTracked(t *testing.T) {
-	s := NewStorage(DefaultPricing())
-	s.Put("a", 10) // upload: 10
-	s.Get("a")     // download: 10
-	s.Stat("a")    // no transfer
-	if got := s.TransferredMB(); got != 20 {
-		t.Errorf("TransferredMB = %g, want 20", got)
+	reg := telemetry.NewRegistry()
+	s := NewStorage(DefaultPricing()).Instrument(reg)
+	s.Put("a", 10)
+	s.Put("a", 5) // a replaced file is uploaded again
+	s.Delete("a") // no transfer
+	if got := reg.Counter("idxflow_storage_transferred_mb_total", "").Value(); got != 15 {
+		t.Errorf("idxflow_storage_transferred_mb_total = %g, want 15", got)
 	}
 }
 

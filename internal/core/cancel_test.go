@@ -15,7 +15,7 @@ func TestSubmitCtxPreCancelledLeavesServiceUntouched(t *testing.T) {
 	svc := NewService(quickConfig(Gain), db)
 
 	warm := gen.Flow(workload.Montage, 0, 100)
-	if res := svc.Submit(warm); res.Cancelled {
+	if res := svc.SubmitCtx(context.Background(), warm); res.Cancelled {
 		t.Fatal("uncancelled Submit reported Cancelled")
 	}
 	clock, vmQ := svc.Clock(), svc.vmQ
@@ -94,7 +94,7 @@ func TestAggregatesMatchesRun(t *testing.T) {
 	want := svcA.Run(streamOf(genA), 1e9)
 
 	for _, f := range streamOf(genB) {
-		svcB.Submit(f)
+		svcB.SubmitCtx(context.Background(), f)
 	}
 	got := svcB.Aggregates()
 	if len(got.Results) != 5 || want.FlowsSubmitted != 5 {

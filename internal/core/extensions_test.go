@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"idxflow/internal/workload"
@@ -20,7 +21,7 @@ func TestDedicatedBuildsAccelerateColdStart(t *testing.T) {
 		svc := NewService(cfg, db)
 		total := 0
 		for i := 0; i < 3; i++ {
-			res := svc.Submit(gen.Flow(workload.Cybershake, i, svc.Clock()))
+			res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Cybershake, i, svc.Clock()))
 			total += res.BuildsCompleted
 		}
 		return total
@@ -45,7 +46,7 @@ func TestDedicatedBuildsRespectMargin(t *testing.T) {
 		builds := 0
 		var money float64
 		for i := 0; i < 2; i++ {
-			res := svc.Submit(gen.Flow(workload.Montage, i, svc.Clock()))
+			res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 			builds += res.BuildsCompleted
 			money += res.MoneyQuanta
 		}
@@ -74,8 +75,8 @@ func TestAdaptiveFadingRuns(t *testing.T) {
 	}
 	// Alternate apps to provoke deletions and renewed requests.
 	for i := 0; i < 4; i++ {
-		svc.Submit(gen.Flow(workload.Montage, i, svc.Clock()))
-		svc.Submit(gen.Flow(workload.Ligo, 100+i, svc.Clock()))
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Ligo, 100+i, svc.Clock()))
 	}
 	// At least some index should have a non-default controller by now.
 	changed := false
@@ -101,13 +102,13 @@ func TestBatchUpdatesInvalidateIndexes(t *testing.T) {
 	cfg.UpdateFraction = 0.5 // aggressive, to force invalidations
 	svc := NewService(cfg, db)
 	for i := 0; i < 6; i++ {
-		svc.Submit(gen.Flow(workload.Montage, i, svc.Clock()))
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 	}
 	if svc.InvalidatedPartitions == 0 {
 		t.Error("no index partition was invalidated by batch updates")
 	}
 	// The service keeps working and indexes keep getting rebuilt.
-	res := svc.Submit(gen.Flow(workload.Montage, 99, svc.Clock()))
+	res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, 99, svc.Clock()))
 	if res.Makespan <= 0 {
 		t.Error("service broken after updates")
 	}
@@ -119,7 +120,7 @@ func TestBatchUpdatesDisabledByDefault(t *testing.T) {
 	gen := workload.NewGenerator(db, 2)
 	svc := NewService(quickConfig(Gain), db)
 	for i := 0; i < 3; i++ {
-		svc.Submit(gen.Flow(workload.Montage, i, svc.Clock()))
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 	}
 	if svc.InvalidatedPartitions != 0 {
 		t.Errorf("updates applied without configuration: %d", svc.InvalidatedPartitions)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -22,7 +23,7 @@ func runFaulty(t *testing.T, n int) (*Service, *workload.FileDB, Metrics) {
 	cfg.Faults = heavyFaultPlan()
 	svc := NewService(cfg, db)
 	for i := 0; i < n; i++ {
-		svc.Submit(gen.Flow(workload.Montage, i, svc.Clock()))
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 	}
 	// Run with no new flows just aggregates the accumulated metrics.
 	m := svc.Run(nil, svc.Clock()+1)
@@ -46,17 +47,20 @@ func TestFaultInjectionHealsIndexBuilds(t *testing.T) {
 	if built == 0 {
 		t.Error("no index partition was ever built under faults")
 	}
-	if len(db.Catalog.AvailableSet()) == 0 {
+	if db.Catalog.AvailableCount() == 0 {
 		t.Error("no index available after a faulty run")
 	}
 	// No phantom partitions: every partition the catalog says is built
 	// must exist in the storage service — a build killed by a crash must
 	// not have been committed.
-	snap := svc.Snapshot()
-	for name, parts := range snap.Built {
-		idx := db.Catalog.State(name).Index
-		for _, p := range parts {
-			if _, ok := snap.StorageFiles[idx.PartitionPath(p.ID)]; !ok {
+	stored := make(map[string]bool)
+	for _, path := range svc.storage.Paths() {
+		stored[path] = true
+	}
+	for _, name := range db.Catalog.IndexNames() {
+		st := db.Catalog.State(name)
+		for _, p := range st.Index.Table.Partitions {
+			if st.Part(p.ID).Built && !stored[st.Index.PartitionPath(p.ID)] {
 				t.Errorf("index %s partition %d is marked built but has no storage object", name, p.ID)
 			}
 		}
@@ -68,46 +72,5 @@ func TestFaultyRunDeterministic(t *testing.T) {
 	_, _, m2 := runFaulty(t, 5)
 	if !reflect.DeepEqual(m1, m2) {
 		t.Error("identical faulty runs produced different metrics")
-	}
-}
-
-// Satellite: core.Snapshot/RestoreSnapshot round-trip after a faulty run.
-// The restored service must not resurrect partitions whose builds died
-// with a crashed container, and the accounting totals must match.
-func TestSnapshotRoundTripAfterFaultyRun(t *testing.T) {
-	svc, db, m := runFaulty(t, 8)
-	if m.FaultsInjected == 0 {
-		t.Fatal("fault plan injected nothing; the round-trip would not exercise recovery")
-	}
-	snap := svc.Snapshot()
-
-	// Restore into a fresh service over an identical file database.
-	db2 := testDB(t)
-	cfg := quickConfig(Gain)
-	cfg.Faults = heavyFaultPlan()
-	svc2 := NewService(cfg, db2)
-	if err := svc2.RestoreSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same built partitions, partition for partition: nothing lost to a
-	// crash may reappear, nothing built may vanish.
-	for _, name := range db.Catalog.IndexNames() {
-		st1, st2 := db.Catalog.State(name), db2.Catalog.State(name)
-		for _, p := range st1.Index.Table.Partitions {
-			b1, b2 := st1.Part(p.ID).Built, st2.Part(p.ID).Built
-			if b1 != b2 {
-				t.Errorf("index %s partition %d: built=%v restored=%v", name, p.ID, b1, b2)
-			}
-		}
-	}
-	// Accounting round-trips exactly: a second snapshot of the restored
-	// service is identical to the first.
-	snap2 := svc2.Snapshot()
-	if !reflect.DeepEqual(snap, snap2) {
-		t.Error("snapshot of the restored service differs from the original")
-	}
-	if svc2.Clock() != svc.Clock() {
-		t.Errorf("clock %g != %g after restore", svc2.Clock(), svc.Clock())
 	}
 }

@@ -78,13 +78,8 @@ func (p *pass) candidate(op dataflow.OpID) (buildCandidate, bool) {
 	return p.builds[i], true
 }
 
-// Submit processes one dataflow through Algorithm 1 and executes it.
-func (s *Service) Submit(flow *dataflow.Flow) FlowResult {
-	return s.SubmitCtx(context.Background(), flow)
-}
-
-// SubmitCtx is Submit with cancellation; a nil ctx means
-// context.Background(). It is Algorithm 1 for one issued dataflow, a stage
+// SubmitCtx processes one dataflow through Algorithm 1 and executes it,
+// with cancellation; a nil ctx means context.Background(). It is a stage
 // per step over one pass (DESIGN "Submit pipeline" maps the stages to the
 // paper's line numbers). The order is fixed: it is the order the service's
 // RNG is drawn in, the order provenance events get their Seq in and the
@@ -557,7 +552,7 @@ func (s *Service) dedicate(p *pass) {
 func (s *Service) execute(ctx context.Context, p *pass) bool {
 	cfg := sim.Config{
 		Pricing: s.cfg.Sched.Pricing, Spec: s.cfg.Sched.Spec,
-		Faults: s.cfg.Faults.From(p.now), Backoff: s.cfg.Backoff,
+		Faults:  s.cfg.Faults.From(p.now),
 		Metrics: s.cfg.Telemetry, Tracer: s.cfg.Tracer,
 		Provenance: s.cfg.Provenance, FlowID: p.id, ProvenanceT0: p.now,
 		Ctx: ctx,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestSchedulerBuiltOnceAndConfigReadOnly(t *testing.T) {
 	}
 	before := svc.cfg
 	for i := 0; i < 50; i++ {
-		res := svc.Submit(gen.Flow(workload.Apps[i%len(workload.Apps)], i, svc.Clock()))
+		res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Apps[i%len(workload.Apps)], i, svc.Clock()))
 		if res.FlowID != svc.at.Flow || res.Start != svc.at.T {
 			t.Fatalf("submit %d: attribution cell %+v, result flow %d start %g", i, *svc.at, res.FlowID, res.Start)
 		}
@@ -51,7 +52,7 @@ func TestCandidateLookupIsTheOfferOrder(t *testing.T) {
 	gen := workload.NewGenerator(db, 2)
 	svc := NewService(quickConfig(Gain), db)
 	for i := 0; i < 3; i++ {
-		svc.Submit(gen.Flow(workload.Montage, i, svc.Clock()))
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 	}
 	p := svc.admit(gen.Flow(workload.Montage, 3, svc.Clock()))
 	svc.rewrite(p)

@@ -96,9 +96,6 @@ type Config struct {
 	// Builds killed mid-flight are never committed, so their partitions
 	// stay missing and the tuner rebuilds them in later idle slots.
 	Faults *fault.Plan
-	// Backoff is the retry policy for transient storage errors; the zero
-	// value means cloud.DefaultBackoff().
-	Backoff cloud.Backoff
 	// DeletionGraceQuanta adds hysteresis to Algorithm 1's deletion: a
 	// built index is only dropped if, besides having non-positive gains,
 	// it has not been used by any dataflow for this many quanta. Zero

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"idxflow/internal/workload"
@@ -34,7 +35,7 @@ func TestSubmitNoIndexExecutesFlow(t *testing.T) {
 	gen := workload.NewGenerator(db, 2)
 	svc := NewService(quickConfig(NoIndex), db)
 	flow := gen.Flow(workload.Montage, 0, 100)
-	res := svc.Submit(flow)
+	res := svc.SubmitCtx(context.Background(), flow)
 	if res.Makespan <= 0 {
 		t.Errorf("Makespan = %g, want > 0", res.Makespan)
 	}
@@ -47,7 +48,7 @@ func TestSubmitNoIndexExecutesFlow(t *testing.T) {
 	if got := svc.Clock(); got != 100+res.Makespan {
 		t.Errorf("clock = %g, want %g", got, 100+res.Makespan)
 	}
-	if len(db.Catalog.AvailableSet()) != 0 {
+	if db.Catalog.AvailableCount() != 0 {
 		t.Error("NoIndex strategy created indexes")
 	}
 }
@@ -62,7 +63,7 @@ func TestGainStrategyBuildsAndUsesIndexes(t *testing.T) {
 	var firstMakespan, lastMakespan float64
 	for i := 0; i < 6; i++ {
 		flow := gen.Flow(workload.Montage, i, svc.Clock())
-		res := svc.Submit(flow)
+		res := svc.SubmitCtx(context.Background(), flow)
 		builds += res.BuildsCompleted
 		if i == 0 {
 			firstMakespan = res.Makespan
@@ -72,7 +73,7 @@ func TestGainStrategyBuildsAndUsesIndexes(t *testing.T) {
 	if builds == 0 {
 		t.Fatal("gain strategy never built an index partition")
 	}
-	if len(db.Catalog.AvailableSet()) == 0 {
+	if db.Catalog.AvailableCount() == 0 {
 		t.Fatal("no indexes available after builds")
 	}
 	if lastMakespan >= firstMakespan {
@@ -92,15 +93,15 @@ func TestGainStrategyDeletesWhenWorkloadMovesOn(t *testing.T) {
 	svc := NewService(cfg, db)
 
 	for i := 0; i < 5; i++ {
-		svc.Submit(gen.Flow(workload.Montage, i, svc.Clock()))
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 	}
-	if len(db.Catalog.AvailableSet()) == 0 {
+	if db.Catalog.AvailableCount() == 0 {
 		t.Skip("no montage indexes were built in this configuration")
 	}
 	// Switch to ligo; montage indexes should eventually be deleted.
 	deleted := 0
 	for i := 0; i < 8; i++ {
-		res := svc.Submit(gen.Flow(workload.Ligo, 100+i, svc.Clock()))
+		res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Ligo, 100+i, svc.Clock()))
 		deleted += len(res.Deleted)
 	}
 	if deleted == 0 {
@@ -116,16 +117,16 @@ func TestGainNoDeleteKeepsIndexes(t *testing.T) {
 	cfg.Gain.FadeD = 1
 	svc := NewService(cfg, db)
 	for i := 0; i < 5; i++ {
-		svc.Submit(gen.Flow(workload.Montage, i, svc.Clock()))
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 	}
-	before := len(db.Catalog.AvailableSet())
+	before := db.Catalog.AvailableCount()
 	for i := 0; i < 6; i++ {
-		res := svc.Submit(gen.Flow(workload.Ligo, 100+i, svc.Clock()))
+		res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Ligo, 100+i, svc.Clock()))
 		if len(res.Deleted) != 0 {
 			t.Fatalf("GainNoDelete deleted %v", res.Deleted)
 		}
 	}
-	if after := len(db.Catalog.AvailableSet()); after < before {
+	if after := db.Catalog.AvailableCount(); after < before {
 		t.Errorf("index count dropped %d -> %d under no-delete", before, after)
 	}
 }
@@ -136,7 +137,7 @@ func TestRandomStrategyBuildsSomething(t *testing.T) {
 	svc := NewService(quickConfig(RandomIndex), db)
 	builds := 0
 	for i := 0; i < 6; i++ {
-		res := svc.Submit(gen.Flow(workload.Montage, i, svc.Clock()))
+		res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 		builds += res.BuildsCompleted
 	}
 	if builds == 0 {
@@ -173,7 +174,7 @@ func TestRuntimeErrorInjection(t *testing.T) {
 	cfg := quickConfig(NoIndex)
 	cfg.RuntimeError = 0.5
 	svc := NewService(cfg, db)
-	res := svc.Submit(gen.Flow(workload.Montage, 0, 0))
+	res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, 0, 0))
 	if res.Makespan <= 0 {
 		t.Errorf("Makespan = %g", res.Makespan)
 	}
@@ -186,7 +187,7 @@ func TestOnlineInterleaveConfig(t *testing.T) {
 	cfg.Algo = OnlineInterleave
 	svc := NewService(cfg, db)
 	for i := 0; i < 3; i++ {
-		res := svc.Submit(gen.Flow(workload.Montage, i, svc.Clock()))
+		res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 		if res.Makespan <= 0 {
 			t.Fatalf("flow %d failed", i)
 		}
@@ -198,7 +199,7 @@ func TestStorageAccounting(t *testing.T) {
 	gen := workload.NewGenerator(db, 2)
 	svc := NewService(quickConfig(Gain), db)
 	m := svc.Run(gen.RandomWorkload(300, 60), 3000)
-	if m.FlowsFinished > 0 && len(db.Catalog.AvailableSet()) > 0 && m.StorageCost <= 0 {
+	if m.FlowsFinished > 0 && db.Catalog.AvailableCount() > 0 && m.StorageCost <= 0 {
 		t.Error("indexes exist but no storage cost accrued")
 	}
 	if len(m.Timeline) == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,7 +10,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"idxflow/internal/gain"
 	"idxflow/internal/workload"
 )
 
@@ -38,11 +38,12 @@ func TestBenchShapedStream(t *testing.T) {
 		h.Write(buf[:])
 	}
 	retained := func() (records, indexes int) {
-		svc.eval.History.AllFunc(func(_ string, rs []gain.Record) bool {
-			records += len(rs)
-			indexes++
-			return true
-		})
+		for _, name := range db.Catalog.IndexNames() {
+			if rs := svc.eval.History.Records(name); len(rs) > 0 {
+				records += len(rs)
+				indexes++
+			}
+		}
 		return records, indexes
 	}
 	var starts []float64 // every flow's start, for the per-window maximum
@@ -50,7 +51,7 @@ func TestBenchShapedStream(t *testing.T) {
 	var used, aliased int // IndexesUsed entries, and those sharing memory with the flow's own strings
 	for seq := 0; seq < 525; seq++ {
 		flow := gen.Flow(workload.Apps[seq%len(workload.Apps)], seq, 0)
-		res := svc.Submit(flow)
+		res := svc.SubmitCtx(context.Background(), flow)
 		for _, u := range res.IndexesUsed {
 			used++
 			for _, iu := range flow.Indexes {

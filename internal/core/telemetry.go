@@ -1,16 +1,14 @@
 package core
 
 import (
-	"idxflow/internal/cloud"
 	"idxflow/internal/sim"
 	"idxflow/internal/telemetry"
 )
 
 // serviceInstruments are the service-level metric handles, created once at
-// NewService so every family — including the executor and cache families
-// of the lower layers — appears in a Prometheus scrape before the first
-// dataflow is submitted. All handles are nil-safe no-ops when the service
-// runs without a registry.
+// NewService so every family — including the executor's — appears in a
+// Prometheus scrape before the first dataflow is submitted. All handles are
+// nil-safe no-ops when the service runs without a registry.
 type serviceInstruments struct {
 	flowsSubmitted  *telemetry.Counter
 	flowsFinished   *telemetry.Counter
@@ -29,11 +27,9 @@ type serviceInstruments struct {
 }
 
 func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
-	// Pre-create the lower layers' families too: the executor only builds
-	// container caches lazily, and a scrape of a fresh server must still
-	// list every metric name.
+	// Pre-create the executor's families too: a scrape of a fresh server
+	// must still list every metric name.
 	sim.PreregisterMetrics(reg)
-	cloud.CacheMetrics(reg)
 	telemetry.RegisterBuildInfo(reg)
 	quanta := telemetry.ExponentialBuckets(1, 2, 10)
 	gains := telemetry.ExponentialBuckets(0.125, 2, 14)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -78,7 +80,7 @@ func TestServiceMetricsExposition(t *testing.T) {
 	svc := NewService(cfg, db)
 	gen := workload.NewGenerator(db, 2)
 	for i := 0; i < 4; i++ {
-		svc.Submit(gen.Flow(workload.Montage, i, svc.Clock()))
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 	}
 
 	var buf bytes.Buffer
@@ -91,8 +93,6 @@ func TestServiceMetricsExposition(t *testing.T) {
 		"# TYPE idxflow_flow_makespan_seconds histogram",
 		"idxflow_flow_makespan_seconds_count 4",
 		"idxflow_idle_slot_seconds_total",
-		"idxflow_cache_hits_total",   // pre-registered even with no cache traffic
-		"idxflow_cache_misses_total", // likewise
 		"idxflow_skyline_iterations_total",
 		"idxflow_quanta_charged_total",
 		"idxflow_build_ops_offered_total",
@@ -129,16 +129,19 @@ func TestServiceTraceRoundTrip(t *testing.T) {
 	db := testDB(t)
 	svc := NewService(cfg, db)
 	gen := workload.NewGenerator(db, 2)
-	svc.Submit(gen.Flow(workload.Montage, 0, 0))
+	svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, 0, 0))
 
 	var buf bytes.Buffer
 	if err := cfg.Tracer.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	events, err := telemetry.ReadChromeTrace(&buf)
-	if err != nil {
+	var trace struct {
+		TraceEvents []telemetry.Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
 		t.Fatal(err)
 	}
+	events := trace.TraceEvents
 	find := func(name string) *telemetry.Event {
 		for i := range events {
 			if events[i].Name == name {

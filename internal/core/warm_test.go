@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -28,8 +29,8 @@ func runWarmSeq(t *testing.T, strategy Strategy, warmOn, faulty bool) (*Service,
 		// RNG per call, so only reuse yields an identical scheduling
 		// problem (Submit clones the graph before any rewrite).
 		flow := gen.Flow(workload.Apps[i%len(workload.Apps)], i, svc.Clock())
-		svc.Submit(flow)
-		svc.Submit(flow)
+		svc.SubmitCtx(context.Background(), flow)
+		svc.SubmitCtx(context.Background(), flow)
 	}
 	return svc, svc.Run(nil, svc.Clock()+1)
 }

@@ -86,11 +86,6 @@ func (b *BuildState) BuiltFraction() float64 {
 	return float64(b.BuiltCount()) / float64(total)
 }
 
-// FullyBuilt reports whether every partition's index exists.
-func (b *BuildState) FullyBuilt() bool {
-	return b.BuiltCount() == len(b.Index.Table.Partitions)
-}
-
 // BuiltSizeMB returns the storage footprint of the built partitions only,
 // summed in ascending partition id so that it is the same float every time.
 func (b *BuildState) BuiltSizeMB() float64 {
@@ -132,8 +127,6 @@ func (b *BuildState) MissingPartitions() []int {
 type Catalog struct {
 	tables map[string]*Table
 	states map[string]*BuildState
-	// byPath maps a partition path to its table, built lazily.
-	byPath map[string]*Table
 	// names is the sorted key set of states, built by the first
 	// IndexNames after a RegisterIndex.
 	names []string
@@ -153,36 +146,8 @@ func (c *Catalog) AddTable(t *Table) error {
 		return fmt.Errorf("data: duplicate table %q", t.Name)
 	}
 	c.tables[t.Name] = t
-	c.byPath = nil // invalidate the path map
 	return nil
 }
-
-// FindPartition resolves a storage path to its table and partition.
-// Partitions added to a table after its registration are found as long as
-// the lookup map has not been built yet; AddTable invalidates it.
-func (c *Catalog) FindPartition(path string) (*Table, Partition, bool) {
-	if c.byPath == nil {
-		c.byPath = make(map[string]*Table)
-		for _, t := range c.tables {
-			for _, p := range t.Partitions {
-				c.byPath[p.Path] = t
-			}
-		}
-	}
-	t, ok := c.byPath[path]
-	if !ok {
-		return nil, Partition{}, false
-	}
-	for _, p := range t.Partitions {
-		if p.Path == path {
-			return t, p, true
-		}
-	}
-	return nil, Partition{}, false
-}
-
-// Table returns the named table, or nil.
-func (c *Catalog) Table(name string) *Table { return c.tables[name] }
 
 // RegisterIndex adds idx to the potential set. Registering the same name
 // twice is an error.
@@ -224,19 +189,7 @@ func (c *Catalog) Available(name string) bool {
 	return st != nil && st.BuiltCount() > 0
 }
 
-// AvailableSet returns the set I(t) of currently usable indexes.
-func (c *Catalog) AvailableSet() map[string]bool {
-	avail := make(map[string]bool)
-	for n, st := range c.states {
-		if st.BuiltCount() > 0 {
-			avail[n] = true
-		}
-	}
-	return avail
-}
-
-// AvailableCount returns |I(t)|, the size of AvailableSet, without
-// building the set.
+// AvailableCount returns |I(t)|, the number of currently usable indexes.
 func (c *Catalog) AvailableCount() int {
 	n := 0
 	for _, st := range c.states {

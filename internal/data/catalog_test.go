@@ -45,7 +45,7 @@ func TestCatalogRegistration(t *testing.T) {
 func TestBuildStateLifecycle(t *testing.T) {
 	c, _, idx := catalogFixture(t)
 	st := c.State(idx.Name())
-	if st.BuiltCount() != 0 || st.FullyBuilt() {
+	if st.BuiltCount() != 0 {
 		t.Error("fresh state should be unbuilt")
 	}
 	if c.Available(idx.Name()) {
@@ -68,8 +68,8 @@ func TestBuildStateLifecycle(t *testing.T) {
 	}
 	st.MarkBuilt(1, 150)
 	st.MarkBuilt(2, 160)
-	if !st.FullyBuilt() {
-		t.Error("FullyBuilt = false after building all")
+	if st.BuiltCount() != 3 || len(st.MissingPartitions()) != 0 {
+		t.Errorf("BuiltCount = %d with %v missing after building all", st.BuiltCount(), st.MissingPartitions())
 	}
 	if err := st.MarkBuilt(99, 0); err == nil {
 		t.Error("MarkBuilt on unknown partition accepted")
@@ -143,13 +143,13 @@ func TestApplyUpdateInvalidatesIndexes(t *testing.T) {
 
 func TestAvailableSet(t *testing.T) {
 	c, _, idx := catalogFixture(t)
-	if len(c.AvailableSet()) != 0 {
-		t.Error("AvailableSet non-empty on fresh catalog")
+	if c.AvailableCount() != 0 || c.Available(idx.Name()) {
+		t.Error("an index is available on a fresh catalog")
 	}
 	c.State(idx.Name()).MarkBuilt(0, 5)
-	set := c.AvailableSet()
-	if !set[idx.Name()] || len(set) != 1 {
-		t.Errorf("AvailableSet = %v", set)
+	if c.AvailableCount() != 1 || !c.Available(idx.Name()) {
+		t.Errorf("AvailableCount = %d, Available(%s) = %v after one built partition",
+			c.AvailableCount(), idx.Name(), c.Available(idx.Name()))
 	}
 }
 
@@ -190,8 +190,14 @@ func TestKeptReadsFollowTheirWriters(t *testing.T) {
 		if got := st.BuiltCount(); got != built {
 			t.Errorf("after %s: BuiltCount = %d, %d partitions are built", after, got, built)
 		}
-		if got, want := c.AvailableCount(), len(c.AvailableSet()); got != want {
-			t.Errorf("after %s: AvailableCount = %d, AvailableSet has %d", after, got, want)
+		available := 0
+		for _, name := range c.IndexNames() {
+			if c.Available(name) {
+				available++
+			}
+		}
+		if got := c.AvailableCount(); got != available {
+			t.Errorf("after %s: AvailableCount = %d, %d indexes are available", after, got, available)
 		}
 	}
 	recount("registration")

@@ -17,33 +17,13 @@ const DefaultBlockSize = 4096
 // entries.
 const PointerSize = 8
 
-// IndexKind selects the physical index structure (§1 names both: "a B-tree
-// index or ... a hash index").
-type IndexKind int
-
-// The supported index kinds.
-const (
-	// BPlusTree supports lookups, range scans, sorting and grouping; §3
-	// assumes it "without loss of generality".
-	BPlusTree IndexKind = iota
-	// HashIndex supports O(1) lookups only; it cannot serve ranges or
-	// ordered scans.
-	HashIndex
-)
-
-// hashOverhead is the bucket-array and load-factor overhead of a hash
-// index relative to its raw entries.
-const hashOverhead = 1.3
-
 // Index describes an index idx(t, C, T) per §3: an index on table t over
-// the ordered column set C. Creation times T of its partitions are tracked
-// separately by BuildState so that the same descriptor can be shared.
+// the ordered column set C, a B+Tree (§3 assumes it "without loss of
+// generality"). Creation times T of its partitions are tracked separately
+// by BuildState so that the same descriptor can be shared.
 type Index struct {
 	Table   *Table
 	Columns []string
-	// Kind selects the physical structure; the zero value is the paper's
-	// default B+Tree.
-	Kind IndexKind
 	// BlockSize is the disk block size in bytes; DefaultBlockSize if 0.
 	BlockSize float64
 	// BuildConst is C(idx), the per-record CPU constant of the build-time
@@ -55,15 +35,6 @@ type Index struct {
 // NewIndex returns a B+Tree index over the given columns of t. It returns
 // an error if a column is unknown or the column set is empty.
 func NewIndex(t *Table, columns ...string) (*Index, error) {
-	return newIndex(t, BPlusTree, columns)
-}
-
-// NewHashIndex returns a hash index over the given columns of t.
-func NewHashIndex(t *Table, columns ...string) (*Index, error) {
-	return newIndex(t, HashIndex, columns)
-}
-
-func newIndex(t *Table, kind IndexKind, columns []string) (*Index, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("data: index on %s needs at least one column", t.Name)
 	}
@@ -72,18 +43,12 @@ func newIndex(t *Table, kind IndexKind, columns []string) (*Index, error) {
 			return nil, fmt.Errorf("data: table %s has no column %q", t.Name, c)
 		}
 	}
-	return &Index{Table: t, Columns: columns, Kind: kind}, nil
+	return &Index{Table: t, Columns: columns}, nil
 }
 
-// Name returns the canonical index name: "<table>/<col1>+<col2>..." for
-// B+Trees, with an "@hash" suffix for hash indexes so both kinds on the
-// same columns stay distinct.
+// Name returns the canonical index name: "<table>/<col1>+<col2>...".
 func (idx *Index) Name() string {
-	name := idx.Table.Name + "/" + strings.Join(idx.Columns, "+")
-	if idx.Kind == HashIndex {
-		name += "@hash"
-	}
-	return name
+	return idx.Table.Name + "/" + strings.Join(idx.Columns, "+")
 }
 
 // PartitionPath returns the storage path of the index partition built on
@@ -125,15 +90,11 @@ func (idx *Index) Fanout() float64 {
 //	total records incl. non-leaf = sum_{i=0..m} k^i = (k^{m+1}-1)/(k-1),
 //	m = log_k N,  size = total * RecSize,
 //
-// which with k^m = N is (N*k - 1)/(k - 1) * RecSize. Hash indexes store N
-// entries plus bucket-array overhead.
+// which with k^m = N is (N*k - 1)/(k - 1) * RecSize.
 func (idx *Index) PartitionSizeMB(p Partition) float64 {
 	n := float64(p.NumRecords)
 	if n <= 0 {
 		return 0
-	}
-	if idx.Kind == HashIndex {
-		return n * idx.RecSize() * hashOverhead / 1e6
 	}
 	k := idx.Fanout()
 	total := (n*k - 1) / (k - 1)
@@ -173,15 +134,11 @@ func (idx *Index) BuildIOSeconds(p Partition, spec cloud.Spec) float64 {
 }
 
 // BuildCPUSeconds returns the CPU time of building the index on partition
-// p: C(idx) * n * log_k(n) per §3's tip formula for B+Trees; hash indexes
-// build in linear time.
+// p: C(idx) * n * log_k(n) per §3's tip formula for B+Trees.
 func (idx *Index) BuildCPUSeconds(p Partition) float64 {
 	n := float64(p.NumRecords)
 	if n <= 1 {
 		return 0
-	}
-	if idx.Kind == HashIndex {
-		return idx.buildConst() * n
 	}
 	k := idx.Fanout()
 	return idx.buildConst() * n * math.Log(n) / math.Log(k)
@@ -190,22 +147,4 @@ func (idx *Index) BuildCPUSeconds(p Partition) float64 {
 // BuildSeconds returns tip(idx, p) = tio + CPU build time for one partition.
 func (idx *Index) BuildSeconds(p Partition, spec cloud.Spec) float64 {
 	return idx.BuildIOSeconds(p, spec) + idx.BuildCPUSeconds(p)
-}
-
-// TotalBuildSeconds returns ti(idx): the time to build all index partitions
-// sequentially (§3: "computed by adding the time to build all the index
-// partitions").
-func (idx *Index) TotalBuildSeconds(spec cloud.Spec) float64 {
-	var sum float64
-	for _, p := range idx.Table.Partitions {
-		sum += idx.BuildSeconds(p, spec)
-	}
-	return sum
-}
-
-// StorageCost returns st(idx, W): the cost of keeping the whole index
-// stored for W quanta, which is the sum of stp(idx, p, W) = W * size * Mst
-// over its partitions (§3).
-func (idx *Index) StorageCost(pricing cloud.Pricing, quanta float64) float64 {
-	return pricing.StorageCost(idx.SizeMB(), quanta)
 }

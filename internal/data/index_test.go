@@ -118,29 +118,6 @@ func TestWiderKeysBuildSlower(t *testing.T) {
 	}
 }
 
-func TestTotalBuildSeconds(t *testing.T) {
-	tab := lineitemLike()
-	tab.AddPartition(1000, "")
-	tab.AddPartition(1000, "")
-	idx, _ := NewIndex(tab, "orderkey")
-	spec := cloud.DefaultSpec()
-	want := 2 * idx.BuildSeconds(tab.Partitions[0], spec)
-	if got := idx.TotalBuildSeconds(spec); math.Abs(got-want) > 1e-9 {
-		t.Errorf("TotalBuildSeconds = %g, want %g", got, want)
-	}
-}
-
-func TestStorageCost(t *testing.T) {
-	tab := lineitemLike()
-	tab.AddPartition(1_000_000, "")
-	idx, _ := NewIndex(tab, "orderkey")
-	pr := cloud.DefaultPricing()
-	want := pr.StorageCost(idx.SizeMB(), 2)
-	if got := idx.StorageCost(pr, 2); math.Abs(got-want) > 1e-12 {
-		t.Errorf("StorageCost = %g, want %g", got, want)
-	}
-}
-
 // TestIndexSizeMonotoneProperty: index size is monotone in the record count.
 func TestIndexSizeMonotoneProperty(t *testing.T) {
 	tab := lineitemLike()
@@ -156,56 +133,5 @@ func TestIndexSizeMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHashIndex(t *testing.T) {
-	tab := lineitemLike()
-	p := tab.AddPartition(1_000_000, "")
-	h, err := NewHashIndex(tab, "orderkey")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Name() != "lineitem/orderkey@hash" {
-		t.Errorf("Name = %q", h.Name())
-	}
-	b, _ := NewIndex(tab, "orderkey")
-	if h.Name() == b.Name() {
-		t.Error("hash and btree names collide")
-	}
-	// Hash entries carry a constant overhead; the B+Tree adds internal
-	// nodes. Both are within ~2x of raw entries.
-	raw := float64(p.NumRecords) * h.RecSize() / 1e6
-	hs := h.PartitionSizeMB(p)
-	if hs < raw || hs > 2*raw {
-		t.Errorf("hash size %g outside [raw=%g, 2*raw]", hs, raw)
-	}
-	// Hash builds in linear time: cheaper than the B+Tree's n log n.
-	if h.BuildCPUSeconds(p) >= b.BuildCPUSeconds(p) {
-		t.Errorf("hash build (%g) should be cheaper than btree (%g)",
-			h.BuildCPUSeconds(p), b.BuildCPUSeconds(p))
-	}
-	if got := h.PartitionSizeMB(Partition{}); got != 0 {
-		t.Errorf("empty partition size = %g", got)
-	}
-	if _, err := NewHashIndex(tab, "nope"); err == nil {
-		t.Error("hash index on unknown column accepted")
-	}
-}
-
-func TestHashIndexRegistration(t *testing.T) {
-	c := NewCatalog()
-	tab := lineitemLike()
-	tab.AddPartition(1000, "")
-	if err := c.AddTable(tab); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := NewIndex(tab, "orderkey")
-	h, _ := NewHashIndex(tab, "orderkey")
-	if _, err := c.RegisterIndex(b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RegisterIndex(h); err != nil {
-		t.Errorf("hash index alongside btree rejected: %v", err)
 	}
 }

@@ -4,10 +4,7 @@
 // formulas.
 package data
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Column describes one column of a table schema together with its statistic
 // used by the model: the average size of the field in bytes.
@@ -104,23 +101,4 @@ func (t *Table) UpdatePartition(id int) (int, error) {
 	}
 	t.Partitions[id].Version++
 	return t.Partitions[id].Version, nil
-}
-
-// ColumnNames returns the schema's column names in declaration order.
-func (t *Table) ColumnNames() []string {
-	names := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		names[i] = c.Name
-	}
-	return names
-}
-
-// SortedPartitionPaths returns all partition paths, sorted.
-func (t *Table) SortedPartitionPaths() []string {
-	paths := make([]string, len(t.Partitions))
-	for i, p := range t.Partitions {
-		paths[i] = p.Path
-	}
-	sort.Strings(paths)
-	return paths
 }

@@ -26,10 +26,6 @@ func TestTableSchema(t *testing.T) {
 	if _, ok := tab.Column("nope"); ok {
 		t.Error("Column(nope) found")
 	}
-	names := tab.ColumnNames()
-	if len(names) != 4 || names[0] != "orderkey" {
-		t.Errorf("ColumnNames = %v", names)
-	}
 }
 
 func TestAddPartition(t *testing.T) {

@@ -41,18 +41,25 @@ func (f *Flow) UsesIndex(name string) (IndexUse, bool) {
 // TimeSavedBy returns the total operator runtime in seconds that the named
 // index would save on this flow: the sum over accelerated operators of
 // time*(1 - 1/speedup). It returns 0 if the flow does not use the index.
+// The sum runs in ascending operator id, not in map order: float addition
+// is not associative, and the gains recorded for a flow must be the same
+// bits on every run of one seed.
 func (f *Flow) TimeSavedBy(name string) float64 {
 	iu, ok := f.UsesIndex(name)
 	if !ok {
 		return 0
 	}
 	var saved float64
-	for id, s := range iu.Speedup {
-		op := f.Graph.Op(id)
-		if op == nil || s <= 1 {
+	left := len(iu.Speedup)
+	for id := OpID(0); left > 0 && int(id) < f.Graph.Len(); id++ {
+		s, ok := iu.Speedup[id]
+		if !ok {
 			continue
 		}
-		saved += op.Time * (1 - 1/s)
+		left--
+		if s > 1 {
+			saved += f.Graph.Op(id).Time * (1 - 1/s)
+		}
 	}
 	return saved
 }

@@ -229,28 +229,6 @@ func (g *Graph) Out(id OpID) []Edge {
 	return g.out[id]
 }
 
-// Sources returns the operators with no incoming edges, in insertion order.
-func (g *Graph) Sources() []OpID {
-	var src []OpID
-	for id := range g.ops {
-		if len(g.in[id]) == 0 {
-			src = append(src, OpID(id))
-		}
-	}
-	return src
-}
-
-// Sinks returns the operators with no outgoing edges, in insertion order.
-func (g *Graph) Sinks() []OpID {
-	var snk []OpID
-	for id := range g.ops {
-		if len(g.out[id]) == 0 {
-			snk = append(snk, OpID(id))
-		}
-	}
-	return snk
-}
-
 // ErrCycle is returned by TopoSort if the graph contains a cycle. Connect
 // prevents cycles, so this can only happen through direct state corruption.
 var ErrCycle = errors.New("dataflow: graph contains a cycle")
@@ -285,17 +263,6 @@ func (g *Graph) TopoSort() ([]OpID, error) {
 		return nil, ErrCycle
 	}
 	return sorted, nil
-}
-
-// TotalWork returns the sum of the estimated runtimes of all operators,
-// in seconds: the serial execution time on one container, ignoring
-// transfers.
-func (g *Graph) TotalWork() float64 {
-	var sum float64
-	for _, op := range g.ops {
-		sum += op.Time
-	}
-	return sum
 }
 
 // CriticalPath returns the length in seconds of the longest runtime-weighted

@@ -27,8 +27,7 @@ type Kind int
 // The fault kinds the simulator understands.
 const (
 	// ContainerCrash kills a container without warning: in-flight
-	// operators die, un-persisted index-build output is lost, and the
-	// container's local cache is gone.
+	// operators die and un-persisted index-build output is lost.
 	ContainerCrash Kind = iota
 	// SpotRevocation reclaims a spot/preemptible container at time At
 	// after NoticeSeconds of advance warning (the cloud's revocation
@@ -51,11 +50,6 @@ func (k Kind) String() string {
 		return fmt.Sprintf("fault(%d)", int(k))
 	}
 	return kindNames[k]
-}
-
-// Kinds lists every fault kind, in declaration order.
-func Kinds() []Kind {
-	return []Kind{ContainerCrash, SpotRevocation, StorageError, Straggler}
 }
 
 // AnyContainer targets an event at "whichever container is active": the
@@ -92,27 +86,6 @@ type Event struct {
 // container (crash or revocation).
 func (e Event) KillsContainer() bool {
 	return e.Kind == ContainerCrash || e.Kind == SpotRevocation
-}
-
-// Describe renders the event as a short human-readable phrase for explain
-// narratives and debug output.
-func (e Event) Describe() string {
-	target := fmt.Sprintf("container %d", e.Container)
-	if e.Container == AnyContainer {
-		target = "an active container"
-	}
-	switch e.Kind {
-	case ContainerCrash:
-		return fmt.Sprintf("%s crashes at t=%.0fs", target, e.At)
-	case SpotRevocation:
-		return fmt.Sprintf("%s revoked at t=%.0fs (%.0fs notice)", target, e.At, e.NoticeSeconds)
-	case StorageError:
-		return fmt.Sprintf("transient storage error on %s at t=%.0fs (%d retries)", target, e.At, e.Retries)
-	case Straggler:
-		return fmt.Sprintf("%s straggles %.1fx from t=%.0fs", target, e.SlowFactor, e.At)
-	default:
-		return fmt.Sprintf("%s fault on %s at t=%.0fs", e.Kind, target, e.At)
-	}
 }
 
 // Plan is a time-ordered fault schedule in absolute service-time seconds.

@@ -107,8 +107,10 @@ func TestRoundTrip(t *testing.T) {
 	if math.Abs(f2.Graph.CriticalPath()-f.Graph.CriticalPath()) > 1e-9 {
 		t.Errorf("critical path changed: %g vs %g", f2.Graph.CriticalPath(), f.Graph.CriticalPath())
 	}
-	if math.Abs(f2.Graph.TotalWork()-f.Graph.TotalWork()) > 1e-9 {
-		t.Errorf("total work changed")
+	for _, id := range f.Graph.Ops() {
+		if got, want := f2.Graph.Op(id).Time, f.Graph.Op(id).Time; math.Abs(got-want) > 1e-9 {
+			t.Errorf("op %d time changed: %g vs %g", id, got, want)
+		}
 	}
 	if len(f2.Indexes) != len(f.Indexes) {
 		t.Errorf("index count changed")

@@ -103,51 +103,6 @@ func (h *History) Add(index string, r Record) {
 // mutate).
 func (h *History) Records(index string) []Record { return h.recs[index] }
 
-// AllFunc calls fn with every index's records in sorted index order,
-// stopping early when fn returns false. The slices are the history's own —
-// read-only for the callback — so iteration allocates nothing beyond the
-// key ordering.
-func (h *History) AllFunc(fn func(index string, recs []Record) bool) {
-	keys := make([]string, 0, len(h.recs))
-	for k := range h.recs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !fn(k, h.recs[k]) {
-			return
-		}
-	}
-}
-
-// All returns a deep copy of every index's records, for serialization. The
-// copies share one backing array, so the call costs three allocations
-// regardless of index count.
-func (h *History) All() map[string][]Record {
-	total := 0
-	for _, rs := range h.recs {
-		total += len(rs)
-	}
-	out := make(map[string][]Record, len(h.recs))
-	arena := make([]Record, 0, total)
-	h.AllFunc(func(k string, rs []Record) bool {
-		start := len(arena)
-		arena = append(arena, rs...)
-		out[k] = arena[start:len(arena):len(arena)]
-		return true
-	})
-	return out
-}
-
-// Replace overwrites the history with the given records (deep-copied), for
-// restoring a serialized snapshot.
-func (h *History) Replace(recs map[string][]Record) {
-	h.recs = make(map[string][]Record, len(recs))
-	for k, rs := range recs {
-		h.recs[k] = append([]Record(nil), rs...)
-	}
-}
-
 // Evaluator computes index gains from history.
 type Evaluator struct {
 	Params  Params

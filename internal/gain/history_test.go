@@ -22,7 +22,9 @@ var threeCosts = []Costs{
 // retained counts the records an evaluator's history holds.
 func retained(e *Evaluator) int {
 	n := 0
-	e.History.AllFunc(func(_ string, rs []Record) bool { n += len(rs); return true })
+	for _, rs := range e.History.recs {
+		n += len(rs)
+	}
 	return n
 }
 
@@ -56,7 +58,7 @@ func TestTrimmedMatchesUntrimmedRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(w*10 + 1)))
 		now, added := 0.0, 0
 		for step := 0; step < 600; step++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(5) {
 			case 0, 1, 2: // a dataflow records its gains at the clock
 				r := Record{When: now, TimeGain: rng.Float64()*10 - 2, MoneyGain: rng.Float64()*6 - 1}
 				name := threeCosts[rng.Intn(len(threeCosts))].Name
@@ -67,8 +69,6 @@ func TestTrimmedMatchesUntrimmedRandom(t *testing.T) {
 				now += rng.Float64() * q
 			case 4: // and past one: everything recorded so far expires
 				now += (w + 1 + rng.Float64()) * q
-			case 5: // a snapshot round trip keeps what was retained
-				trimmed.History.Replace(trimmed.History.All())
 			}
 			sameEvaluation(t, trimmed, full, now)
 		}
@@ -157,10 +157,10 @@ func TestRecordUnderFadeOverride(t *testing.T) {
 }
 
 // The contract: an evaluation reads no state but the records, so over an
-// untrimmed history (History.Add, or a restored snapshot replaying an
-// earlier clock) time may go backwards and forwards freely; over a Record-ed
-// one, now must be at or after the last recorded When, and at exactly that
-// bound nothing the window still sees has been dropped.
+// untrimmed history (History.Add) time may go backwards and forwards
+// freely; over a Record-ed one, now must be at or after the last recorded
+// When, and at exactly that bound nothing the window still sees has been
+// dropped.
 func TestEvaluationTimeContract(t *testing.T) {
 	p := params()
 	p.WindowW = 4
@@ -174,7 +174,9 @@ func TestEvaluationTimeContract(t *testing.T) {
 	a := threeCosts[0]
 	for _, now := range []float64{15 * q, 5 * q, 20 * q, 5 * q} {
 		fresh := NewEvaluator(p)
-		fresh.History.Replace(full.History.All())
+		for _, r := range full.History.Records("A") {
+			fresh.History.Add("A", r)
+		}
 		if got, want := full.TimeGain(a, now), fresh.TimeGain(a, now); got != want {
 			t.Fatalf("now=%g after moving the clock about: %g, fresh evaluator %g", now, got, want)
 		}
@@ -185,44 +187,6 @@ func TestEvaluationTimeContract(t *testing.T) {
 	// untrimmed, but only 5 remains of those (9−4 = 5).
 	if got, want := trimmed.TimeGain(a, 5*q), full.TimeGain(a, 5*q); got >= want {
 		t.Fatalf("evaluating before the last When: trimmed %g, untrimmed %g; the contract comment is out of date", got, want)
-	}
-}
-
-func TestAllFuncSortedAndShared(t *testing.T) {
-	h := NewHistory()
-	h.Add("b", Record{When: 1})
-	h.Add("a", Record{When: 2})
-	h.Add("a", Record{When: 3})
-	var order []string
-	h.AllFunc(func(k string, rs []Record) bool {
-		order = append(order, k)
-		if &rs[0] != &h.recs[k][0] {
-			t.Errorf("AllFunc copied %s's records", k)
-		}
-		return true
-	})
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("AllFunc order %v, want [a b]", order)
-	}
-	// Early stop.
-	n := 0
-	h.AllFunc(func(string, []Record) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("AllFunc visited %d after stop, want 1", n)
-	}
-}
-
-func TestAllDeepCopies(t *testing.T) {
-	h := NewHistory()
-	h.Add("a", Record{When: 2, TimeGain: 1})
-	h.Add("b", Record{When: 5})
-	cp := h.All()
-	cp["a"][0].TimeGain = 99
-	if h.recs["a"][0].TimeGain != 1 {
-		t.Fatal("All returned shared storage; mutation leaked into history")
-	}
-	if len(cp) != 2 || len(cp["a"]) != 1 || len(cp["b"]) != 1 {
-		t.Fatalf("All shape wrong: %v", cp)
 	}
 }
 

@@ -76,7 +76,6 @@ func TestAuditRandomInterleaving(t *testing.T) {
 		rnd := &interleave.Random{
 			Scheduler: sched.NewSkyline(sc.Opts),
 			Rng:       rand.New(rand.NewSource(seed)),
-			Fraction:  0.7,
 		}
 		for i, s := range rnd.Interleave(sc.Graph, nil) {
 			if err := check.AuditSchedule(s); err != nil {

@@ -8,7 +8,6 @@
 package interleave
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -211,26 +210,19 @@ type Interleaver interface {
 type Random struct {
 	Scheduler *sched.Skyline
 	Rng       *rand.Rand
-	// Fraction of build ops to attempt, in [0,1]. Defaults to 1.
-	Fraction float64
 }
 
 // Interleave implements Interleaver.
 func (r *Random) Interleave(g *dataflow.Graph, _ map[dataflow.OpID]float64) []*sched.Schedule {
 	skyline := r.Scheduler.Schedule(g)
-	frac := r.Fraction
-	if frac <= 0 || frac > 1 {
-		frac = 1
-	}
 	for _, s := range skyline {
 		builds := optionalOps(g)
 		r.Rng.Shuffle(len(builds), func(i, j int) { builds[i], builds[j] = builds[j], builds[i] })
-		n := int(math.Ceil(frac * float64(len(builds))))
 		conts := s.NumSlots()
 		if conts == 0 {
 			break
 		}
-		for _, id := range builds[:n] {
+		for _, id := range builds {
 			if _, err := s.Append(id, r.Rng.Intn(conts), -1); err != nil {
 				continue
 			}

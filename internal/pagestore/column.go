@@ -135,7 +135,6 @@ type ColumnTable struct {
 	// interleave in the file as their write pages fill at different rates).
 	pageIDs [][]int32
 	cur     []*Page // per-column write page
-	rows    int64
 }
 
 // CreateColumnTable creates a columnar table backed by a new page file at
@@ -165,17 +164,8 @@ func CreateColumnTable(path string, poolFrames int, specs ...ColSpec) (*ColumnTa
 	return t, nil
 }
 
-// Columns returns the table's column specs.
-func (t *ColumnTable) Columns() []ColSpec { return t.specs }
-
-// Rows returns the number of appended rows.
-func (t *ColumnTable) Rows() int64 { return t.rows }
-
 // Pages returns the number of flushed pages across all columns.
 func (t *ColumnTable) Pages() int { return t.file.Pages() }
-
-// PoolFrames returns the capacity of the read buffer pool.
-func (t *ColumnTable) PoolFrames() int { return t.pool.Frames() }
 
 // PoolStats exposes the buffer pool counters.
 func (t *ColumnTable) PoolStats() (hits, misses int64) { return t.pool.Stats() }
@@ -210,7 +200,6 @@ func (t *ColumnTable) AppendBatch(cols ...[]int64) error {
 			}
 		}
 	}
-	t.rows += int64(n)
 	return nil
 }
 

@@ -118,9 +118,6 @@ func TestColumnTableRoundTrip(t *testing.T) {
 	if err := ct.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if ct.Rows() != int64(len(rows)) {
-		t.Fatalf("rows = %d, want %d", ct.Rows(), len(rows))
-	}
 
 	check := func(ci int, want func(i int) int64) {
 		t.Helper()
@@ -190,49 +187,5 @@ func TestColumnTableAppendValidation(t *testing.T) {
 	}
 	if _, err := CreateColumnTable(filepath.Join(dir, "z.cols"), 2); err == nil {
 		t.Fatal("zero columns accepted")
-	}
-}
-
-// TestCursorNextBatch checks the batched row cursor agrees with Scan.
-func TestCursorNextBatch(t *testing.T) {
-	dir := t.TempDir()
-	rows := tpch.Generate(0.001, 7)
-	tab, err := CreateTable(filepath.Join(dir, "t.pages"), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tab.Close()
-	var wantRIDs []RID
-	for _, r := range rows {
-		rid, err := tab.Append(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRIDs = append(wantRIDs, rid)
-	}
-	if err := tab.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	cur := tab.NewCursor()
-	buf := make([]tpch.Row, 190) // not a divisor of rows-per-page
-	ridBuf := make([]RID, 190)
-	var gotRows []tpch.Row
-	var gotRIDs []RID
-	for {
-		n, err := cur.NextBatch(buf, ridBuf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-		gotRows = append(gotRows, buf[:n]...)
-		gotRIDs = append(gotRIDs, ridBuf[:n]...)
-	}
-	if !reflect.DeepEqual(gotRows, rows) {
-		t.Fatal("NextBatch rows differ from appended rows")
-	}
-	if !reflect.DeepEqual(gotRIDs, wantRIDs) {
-		t.Fatal("NextBatch RIDs differ from Append RIDs")
 	}
 }

@@ -58,18 +58,6 @@ func (pf *File) Append(p *Page) (int, error) {
 	return id, nil
 }
 
-// WritePage rewrites an existing page in place.
-func (pf *File) WritePage(id int, p *Page) error {
-	if id < 0 || id >= pf.pages {
-		return fmt.Errorf("pagestore: page %d out of range", id)
-	}
-	if _, err := pf.f.WriteAt(p.Bytes(), int64(id)*PageSize); err != nil {
-		return err
-	}
-	pf.Writes++
-	return nil
-}
-
 // ReadPage fills p with the contents of page id.
 func (pf *File) ReadPage(id int, p *Page) error {
 	if id < 0 || id >= pf.pages {
@@ -81,9 +69,6 @@ func (pf *File) ReadPage(id int, p *Page) error {
 	pf.Reads++
 	return nil
 }
-
-// Sync flushes the file to stable storage.
-func (pf *File) Sync() error { return pf.f.Sync() }
 
 // Close closes the underlying file.
 func (pf *File) Close() error { return pf.f.Close() }

@@ -6,10 +6,7 @@
 // can be measured against storage that actually pays for reads.
 package pagestore
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // PageSize is the fixed page size in bytes (a common DBMS default).
 const PageSize = 4096
@@ -98,17 +95,6 @@ func (p *Page) Get(slot int) ([]byte, bool) {
 		return nil, false
 	}
 	return p.buf[off : off+length], true
-}
-
-// Delete marks the slot dead (its space is not reclaimed; a real engine
-// would compact on vacuum).
-func (p *Page) Delete(slot int) error {
-	if slot < 0 || slot >= p.NumSlots() {
-		return fmt.Errorf("pagestore: slot %d out of range", slot)
-	}
-	slotOff := headerSize + slot*slotSize
-	binary.LittleEndian.PutUint16(p.buf[slotOff+2:], 0)
-	return nil
 }
 
 // Bytes exposes the raw page for file I/O.

@@ -108,9 +108,3 @@ func (pl *Pool) evict() (*frame, error) {
 
 // Stats returns the cumulative hit and miss counts.
 func (pl *Pool) Stats() (hits, misses int64) { return pl.hits, pl.misses }
-
-// Frames returns the pool's frame capacity.
-func (pl *Pool) Frames() int { return pl.frames }
-
-// Resident returns how many pages are currently cached.
-func (pl *Pool) Resident() int { return len(pl.byID) }

@@ -47,8 +47,8 @@ func stamp(tb testing.TB, p *Page) int {
 // frame a recycled one).
 func TestScanThroughRecycledFrames(t *testing.T) {
 	tab, rows := buildTable(t, 3000, 2)
-	if tab.Pages() < 4*tab.PoolFrames() {
-		t.Fatalf("table has %d pages, want at least 4x its %d frames", tab.Pages(), tab.PoolFrames())
+	if tab.Pages() < 4*tab.pool.frames {
+		t.Fatalf("table has %d pages, want at least 4x its %d frames", tab.Pages(), tab.pool.frames)
 	}
 	for pass := 0; pass < 2; pass++ {
 		i := 0
@@ -56,8 +56,8 @@ func TestScanThroughRecycledFrames(t *testing.T) {
 			if r != rows[i] {
 				t.Fatalf("pass %d row %d: got %+v, want %+v", pass, i, r, rows[i])
 			}
-			if tab.pool.Resident() > tab.pool.Frames() {
-				t.Fatalf("pass %d: %d pages resident in %d frames", pass, tab.pool.Resident(), tab.pool.Frames())
+			if len(tab.pool.byID) > tab.pool.frames {
+				t.Fatalf("pass %d: %d pages resident in %d frames", pass, len(tab.pool.byID), tab.pool.frames)
 			}
 			i++
 			return true
@@ -90,8 +90,8 @@ func TestScanThroughRecycledFrames(t *testing.T) {
 	if err := ct.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if ct.Pages() < 4*ct.PoolFrames() {
-		t.Fatalf("column table has %d pages, want at least 4x its %d frames", ct.Pages(), ct.PoolFrames())
+	if ct.Pages() < 4*ct.pool.frames {
+		t.Fatalf("column table has %d pages, want at least 4x its %d frames", ct.Pages(), ct.pool.frames)
 	}
 	for pass := 0; pass < 2; pass++ {
 		for ci, want := range [][]int64{keys, qty} {
@@ -101,13 +101,13 @@ func TestScanThroughRecycledFrames(t *testing.T) {
 						t.Fatalf("pass %d column %d row %d: got %d, want %d", pass, ci, base+int64(j), v, want[base+int64(j)])
 					}
 				}
-				return ct.pool.Resident() <= ct.pool.Frames()
+				return len(ct.pool.byID) <= ct.pool.frames
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ct.pool.Resident() > ct.pool.Frames() {
-				t.Fatalf("%d pages resident in %d frames", ct.pool.Resident(), ct.pool.Frames())
+			if len(ct.pool.byID) > ct.pool.frames {
+				t.Fatalf("%d pages resident in %d frames", len(ct.pool.byID), ct.pool.frames)
 			}
 		}
 	}
@@ -139,8 +139,8 @@ func TestPoolNeverRecyclesPinnedFrame(t *testing.T) {
 			if got := stamp(t, held); got != 5 {
 				t.Fatalf("pinned page shows stamp %d after a get of page %d", got, id)
 			}
-			if pool.Resident() > pool.Frames() {
-				t.Fatalf("%d pages resident in %d frames", pool.Resident(), pool.Frames())
+			if len(pool.byID) > pool.frames {
+				t.Fatalf("%d pages resident in %d frames", len(pool.byID), pool.frames)
 			}
 		}
 	}
@@ -176,8 +176,8 @@ func TestPoolFailedReadKeepsFrameAndState(t *testing.T) {
 	}
 	consistent := func(resident int) {
 		t.Helper()
-		if pool.Resident() != resident || pool.order.Len() != resident {
-			t.Fatalf("resident %d, LRU list %d, want both %d", pool.Resident(), pool.order.Len(), resident)
+		if len(pool.byID) != resident || pool.order.Len() != resident {
+			t.Fatalf("resident %d, LRU list %d, want both %d", len(pool.byID), pool.order.Len(), resident)
 		}
 		for el := pool.order.Front(); el != nil; el = el.Next() {
 			fr := el.Value.(*frame)
@@ -234,7 +234,7 @@ func TestPoolMissAtCapacityDoesNotAllocate(t *testing.T) {
 		pool.Release(next)
 		next = (next + 1) % f.Pages()
 	}
-	for i := 0; i < pool.Frames(); i++ {
+	for i := 0; i < pool.frames; i++ {
 		miss()
 	}
 	_, before := pool.Stats()

@@ -183,9 +183,6 @@ func (t *Table) Scan(visit func(rid RID, r tpch.Row) bool) error {
 // PoolStats exposes the buffer pool counters.
 func (t *Table) PoolStats() (hits, misses int64) { return t.pool.Stats() }
 
-// PoolFrames returns the capacity of the table's buffer pool.
-func (t *Table) PoolFrames() int { return t.pool.Frames() }
-
 // IOStats exposes the physical page I/O counters.
 func (t *Table) IOStats() (reads, writes int64) { return t.file.Reads, t.file.Writes }
 
@@ -210,66 +207,4 @@ func (t *Table) BuildIndex(key func(r tpch.Row) int64) (*bptree.Tree, error) {
 	// Stable sort by key; Scan order breaks ties.
 	bptree.SortByKey(keys, vals)
 	return bptree.BulkLoadSorted(bptree.DefaultOrder, keys, vals)
-}
-
-// Cursor iterates a table's rows in storage order without callbacks, a
-// batch at a time.
-type Cursor struct {
-	t    *Table
-	page int
-	slot int
-	n    int // slots in the current page
-}
-
-// NewCursor returns a cursor positioned before the first row.
-func (t *Table) NewCursor() *Cursor {
-	return &Cursor{t: t, page: -1}
-}
-
-// NextBatch decodes up to len(rows) rows into rows (and their RIDs into
-// rids, when non-nil) and returns how many were filled; 0 means the end.
-// Each page is pinned once per batch rather than once per row, so batched
-// consumers pay O(pages) pool traffic instead of O(rows).
-func (c *Cursor) NextBatch(rows []tpch.Row, rids []RID) (int, error) {
-	filled := 0
-	for filled < len(rows) {
-		if c.page < 0 || c.slot >= c.n {
-			c.page++
-			if c.page >= c.t.file.Pages() {
-				return filled, nil
-			}
-			p, err := c.t.pool.Get(c.page)
-			if err != nil {
-				return filled, err
-			}
-			c.n = p.NumSlots()
-			c.slot = 0
-			c.t.pool.Release(c.page)
-			continue
-		}
-		p, err := c.t.pool.Get(c.page)
-		if err != nil {
-			return filled, err
-		}
-		for c.slot < c.n && filled < len(rows) {
-			rec, ok := p.Get(c.slot)
-			slot := c.slot
-			c.slot++
-			if !ok || rec == nil {
-				continue
-			}
-			row, err := DecodeRow(rec)
-			if err != nil {
-				c.t.pool.Release(c.page)
-				return filled, err
-			}
-			rows[filled] = row
-			if rids != nil {
-				rids[filled] = RID{Page: int32(c.page), Slot: int32(slot)}
-			}
-			filled++
-		}
-		c.t.pool.Release(c.page)
-	}
-	return filled, nil
 }

@@ -3,7 +3,6 @@ package provenance
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"idxflow/internal/telemetry"
@@ -44,29 +43,17 @@ func (r *Recorder) NewHeader() Header {
 // An empty recorder still writes the header, so the output is always a
 // valid, attributable log.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
-	return writeJSONL(w, r.NewHeader(), r.Snapshot(), true)
-}
-
-// WriteEventsJSONL writes only the event lines, no header. The golden-file
-// test uses it: build info varies by environment, event bytes do not.
-func WriteEventsJSONL(w io.Writer, events []Event) error {
-	return writeJSONL(w, Header{}, events, false)
+	return WriteLog(w, r.NewHeader(), r.Snapshot())
 }
 
 // WriteLog writes an explicit header and event slice as JSONL — the
 // filtered-export path (/debug/events), where the events are a subset of a
 // recorder's snapshot but the header should still describe the recorder.
 func WriteLog(w io.Writer, h Header, events []Event) error {
-	return writeJSONL(w, h, events, true)
-}
-
-func writeJSONL(w io.Writer, h Header, events []Event, withHeader bool) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if withHeader {
-		if err := enc.Encode(h); err != nil {
-			return err
-		}
+	if err := enc.Encode(h); err != nil {
+		return err
 	}
 	for _, e := range events {
 		if err := enc.Encode(e); err != nil {
@@ -74,41 +61,4 @@ func writeJSONL(w io.Writer, h Header, events []Event, withHeader bool) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL parses a log written by WriteJSONL or WriteEventsJSONL,
-// returning the header (zero-valued when absent) and the events.
-func ReadJSONL(r io.Reader) (Header, []Event, error) {
-	var h Header
-	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	first := true
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if first {
-			first = false
-			var probe struct {
-				Format string `json:"format"`
-			}
-			if err := json.Unmarshal(line, &probe); err == nil && probe.Format != "" {
-				if probe.Format != FormatName {
-					return h, nil, fmt.Errorf("provenance: unsupported log format %q", probe.Format)
-				}
-				if err := json.Unmarshal(line, &h); err != nil {
-					return h, nil, err
-				}
-				continue
-			}
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return h, nil, fmt.Errorf("provenance: bad event line: %w", err)
-		}
-		events = append(events, e)
-	}
-	return h, events, sc.Err()
 }

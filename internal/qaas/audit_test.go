@@ -107,7 +107,7 @@ func TestTenantIsolation(t *testing.T) {
 	}
 	var adopted int
 	ta.Do(func(svc *core.Service, db *workload.FileDB) {
-		adopted = len(db.Catalog.AvailableSet())
+		adopted = db.Catalog.AvailableCount()
 	})
 	if adopted == 0 {
 		t.Fatal("tenant a adopted no indexes; isolation test needs a non-empty catalog")
@@ -120,7 +120,7 @@ func TestTenantIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.Do(func(svc *core.Service, db *workload.FileDB) {
-		if n := len(db.Catalog.AvailableSet()); n != 0 {
+		if n := db.Catalog.AvailableCount(); n != 0 {
 			t.Errorf("tenant b sees %d indexes from tenant a", n)
 		}
 	})

@@ -46,7 +46,7 @@ func fingerprint(sky []*Schedule) string {
 		fmt.Fprintf(&b, "#%d t=%.9f m=%.9f ops=%d conts=%d types=[", i,
 			s.Makespan(), s.MoneyQuanta(), s.Assigned(), s.Containers())
 		for c := 0; c < s.NumSlots(); c++ {
-			fmt.Fprintf(&b, "%d,", s.ContainerTypeIndex(c))
+			fmt.Fprintf(&b, "%s,", s.ContainerType(c).Name)
 		}
 		b.WriteString("]\n")
 		as := s.Assignments()

@@ -150,15 +150,6 @@ func (s *Schedule) ContainerType(c int) cloud.VMType {
 	return s.Types[ti]
 }
 
-// ContainerTypeIndex returns the index into Types of container c (0 when
-// untyped or out of range).
-func (s *Schedule) ContainerTypeIndex(c int) int {
-	if c < len(s.contType) {
-		return s.contType[c]
-	}
-	return 0
-}
-
 // SetContainerType fixes the type of container c before (or at) its first
 // use. Retyping a container that already holds operators is an error: its
 // assignments were computed under the old speed.
@@ -606,17 +597,6 @@ func (s *Schedule) MoneyQuanta() float64 {
 				w = s.ContainerType(c).PricePerQuantum / s.Pricing.VMPerQuantum
 			}
 			total += float64(s.leaseEndQuanta(c)) * w
-		}
-	}
-	return total
-}
-
-// Money returns the monetary cost in dollars.
-func (s *Schedule) Money() float64 {
-	var total float64
-	for c := range s.conts {
-		if len(s.conts[c]) > 0 {
-			total += float64(s.leaseEndQuanta(c)) * s.ContainerType(c).PricePerQuantum
 		}
 	}
 	return total

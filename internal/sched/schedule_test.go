@@ -103,9 +103,6 @@ func TestMakespanAndMoney(t *testing.T) {
 	if got := s.MoneyQuanta(); got != 1 {
 		t.Errorf("MoneyQuanta = %g, want 1", got)
 	}
-	if got := s.Money(); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("Money = %g, want 0.1", got)
-	}
 	if got := s.Containers(); got != 1 {
 		t.Errorf("Containers = %d, want 1", got)
 	}

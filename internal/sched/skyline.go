@@ -83,15 +83,6 @@ func (s *Schedule) point() point {
 
 const eps = 1e-9
 
-// dominates reports whether a is at least as good as b on both objectives
-// and strictly better on one.
-func dominates(a, b point) bool {
-	if a.time > b.time+eps || a.money > b.money+eps {
-		return false
-	}
-	return a.time < b.time-eps || a.money < b.money-eps
-}
-
 // equalObjectives reports whether two points coincide on both objectives.
 func equalObjectives(a, b point) bool {
 	return math.Abs(a.time-b.time) <= eps && math.Abs(a.money-b.money) <= eps
@@ -530,17 +521,6 @@ func Fastest(skyline []*Schedule) *Schedule {
 	var best *Schedule
 	for _, s := range skyline {
 		if best == nil || s.Makespan() < best.Makespan() {
-			best = s
-		}
-	}
-	return best
-}
-
-// Cheapest returns the schedule with the smallest monetary cost.
-func Cheapest(skyline []*Schedule) *Schedule {
-	var best *Schedule
-	for _, s := range skyline {
-		if best == nil || s.MoneyQuanta() < best.MoneyQuanta() {
 			best = s
 		}
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -52,7 +53,8 @@ func TestSkylineIsPareto(t *testing.T) {
 			}
 			pa := point{time: a.Makespan(), money: a.MoneyQuanta()}
 			pb := point{time: b.Makespan(), money: b.MoneyQuanta()}
-			if dominates(pa, pb) {
+			noWorse := pa.time <= pb.time+eps && pa.money <= pb.money+eps
+			if noWorse && (pa.time < pb.time-eps || pa.money < pb.money-eps) {
 				t.Errorf("schedule %d (t=%g,m=%g) dominates %d (t=%g,m=%g)",
 					i, pa.time, pa.money, j, pb.time, pb.money)
 			}
@@ -72,20 +74,18 @@ func independentOps(n int) *dataflow.Graph {
 func TestSkylineSpreadsIndependentOps(t *testing.T) {
 	// 8 independent 30s ops: on one container 240s (4 quanta), on 8
 	// containers 30s. The skyline must contain a schedule faster than
-	// serial and the serial-cheap end must not cost more than the fast end
-	// by definition of Pareto.
+	// serial and one no dearer than serial.
 	g := independentOps(8)
 	sky := NewSkyline(testOpts()).Schedule(g)
-	fast := Fastest(sky)
-	cheap := Cheapest(sky)
-	if fast.Makespan() > 60+1e-9 {
+	if fast := Fastest(sky); fast.Makespan() > 60+1e-9 {
 		t.Errorf("fastest makespan = %g, want <= 60 (parallel)", fast.Makespan())
 	}
-	if cheap.MoneyQuanta() > 4+1e-9 {
-		t.Errorf("cheapest money = %g quanta, want <= 4 (serial)", cheap.MoneyQuanta())
+	least := math.Inf(1)
+	for _, s := range sky {
+		least = math.Min(least, s.MoneyQuanta())
 	}
-	if fast.Makespan() > cheap.Makespan()+1e-9 {
-		t.Error("fastest slower than cheapest")
+	if least > 4+1e-9 {
+		t.Errorf("cheapest money = %g quanta, want <= 4 (serial)", least)
 	}
 }
 

@@ -54,14 +54,6 @@ type WarmStats struct {
 	Misses uint64 `json:"misses"`
 }
 
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
-func (s WarmStats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
-
 // Stats snapshots the counters.
 func (w *Warm) Stats() WarmStats {
 	if w == nil {

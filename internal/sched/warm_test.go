@@ -146,16 +146,6 @@ func TestWarmIdleHint(t *testing.T) {
 	}
 }
 
-// TestWarmHitRate covers the WarmStats helper.
-func TestWarmHitRate(t *testing.T) {
-	if r := (WarmStats{}).HitRate(); r != 0 {
-		t.Fatalf("empty hit rate = %g, want 0", r)
-	}
-	if r := (WarmStats{Hits: 3, Misses: 1}).HitRate(); r != 0.75 {
-		t.Fatalf("hit rate = %g, want 0.75", r)
-	}
-}
-
 // TestWarmTelemetryCounters proves the exported counters move with the memo.
 func TestWarmTelemetryCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()

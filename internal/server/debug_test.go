@@ -19,9 +19,18 @@ func getEvents(t *testing.T, url string) (provenance.Header, []provenance.Event,
 	if resp.StatusCode != http.StatusOK {
 		return provenance.Header{}, nil, resp.StatusCode
 	}
-	h, events, err := provenance.ReadJSONL(resp.Body)
-	if err != nil {
-		t.Fatalf("parse %s: %v", url, err)
+	dec := json.NewDecoder(resp.Body)
+	var h provenance.Header
+	if err := dec.Decode(&h); err != nil {
+		t.Fatalf("parse %s: header line: %v", url, err)
+	}
+	var events []provenance.Event
+	for dec.More() {
+		var e provenance.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatalf("parse %s: event line %d: %v", url, len(events), err)
+		}
+		events = append(events, e)
 	}
 	return h, events, resp.StatusCode
 }

@@ -18,9 +18,17 @@ const DefaultDrainTimeout = 10 * time.Second
 // hold it forever. There is deliberately no whole-request ReadTimeout or
 // WriteTimeout: a submission legitimately blocks while it waits in the
 // admission queue and executes.
+//
+// MaxHeaderBytes bounds a request's line and headers together (net/http
+// reads 4 KiB of slack beyond it); past it the request is answered 431 and
+// its connection closed before any handler runs. A flow travels in the
+// body, which has its own limit (maxBodyBytes), and the only header this
+// server reads is a tenant name, so the limit is far below net/http's
+// 1 MiB default.
 const (
 	ReadHeaderTimeout = 5 * time.Second
 	IdleTimeout       = 2 * time.Minute
+	MaxHeaderBytes    = 64 << 10
 )
 
 // Serve runs the server's handler on the listener until ctx is cancelled,
@@ -42,6 +50,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: ReadHeaderTimeout,
 		IdleTimeout:       IdleTimeout,
+		MaxHeaderBytes:    MaxHeaderBytes,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -157,6 +159,50 @@ func TestSlowHeaderClientIsCutOff(t *testing.T) {
 	}
 	if held := time.Since(opened); held < ReadHeaderTimeout/2 {
 		t.Errorf("stalled connection closed after %v, long before the %v header deadline", held, ReadHeaderTimeout)
+	}
+}
+
+// TestOversizedHeadersAreRefused: a request whose headers exceed
+// MaxHeaderBytes is answered 431 and its connection closed, before a handler
+// runs: the tenant it names is never instantiated.
+func TestOversizedHeadersAreRefused(t *testing.T) {
+	t.Parallel()
+	s, _ := testServer(t, nil)
+	flow := defaultFlow(t, s)
+	url, cancel, done := startServe(t, s)
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	// net/http allows 4 KiB beyond the limit; two limits' worth is past it.
+	// The server may stop reading before the last byte, so a failed write
+	// is not the failure: what it answers is.
+	io.WriteString(conn, "POST /v1/dataflows HTTP/1.1\r\nHost: idxflow\r\n"+
+		TenantHeader+": hog\r\nX-Padding: "+strings.Repeat("x", 2*MaxHeaderBytes)+"\r\n"+
+		"Content-Length: "+strconv.Itoa(len(flow))+"\r\n\r\n"+flow)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no response to oversized headers: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge || !resp.Close {
+		t.Errorf("status %d, Connection: close = %v; want 431 and the connection closed", resp.StatusCode, resp.Close)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		var nerr net.Error
+		if errors.As(err, &nerr) && nerr.Timeout() {
+			t.Errorf("connection still open after the 431")
+		}
+	}
+	if s.pipe.Lookup("hog") != nil {
+		t.Error("the refused request instantiated the tenant it named")
 	}
 }
 

@@ -48,11 +48,17 @@ func TestPrometheusEndpoint(t *testing.T) {
 		"# TYPE idxflow_flow_makespan_seconds histogram",
 		"idxflow_flow_makespan_seconds_bucket{le=\"+Inf\"} 1",
 		"idxflow_idle_slot_seconds_total",
-		"idxflow_cache_hits_total",
 		"idxflow_http_requests_total{route=\"POST /v1/dataflows\"} 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// The executor has no input-read model, so no family may pretend to
+	// count one: a metric that can only read 0 is not exposed.
+	for _, gone := range []string{"idxflow_cache_", "idxflow_sim_transferred_mb_total"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("exposition still lists %s*, which nothing can move", gone)
 		}
 	}
 	// Every line must be a comment or a sample ending in a numeric value

@@ -162,7 +162,7 @@ func TestStorageErrorDelaysWithBackoff(t *testing.T) {
 	cf.Faults = []fault.Event{{Seq: 0, Kind: fault.StorageError, At: 0, Container: 0, Retries: 3}}
 	res := Execute(s, cf)
 	r := res.Ops[a]
-	delay := cf.Backoff.TotalDelay(3, 0)
+	delay := cloud.DefaultBackoff().TotalDelay(3, 0)
 	if delay <= 0 {
 		t.Fatal("expected a positive retry delay")
 	}
@@ -350,7 +350,7 @@ func TestBuildKilledJustPastLeaseEnd(t *testing.T) {
 	}
 }
 
-func TestFaultyRunDeterministicWithCaches(t *testing.T) {
+func TestFaultyRunDeterministic(t *testing.T) {
 	run := func() Result {
 		g := dataflow.New()
 		a := g.Add(dataflow.Operator{Name: "a", Time: 10, Reads: []string{"p1", "p2"}})
@@ -360,16 +360,10 @@ func TestFaultyRunDeterministicWithCaches(t *testing.T) {
 		s.Append(a, 0, -1)
 		s.Append(b, 1, -1)
 		cf := cfg()
-		cf.SizeOf = func(path string) float64 { return 125 }
-		cf.Caches = map[int]*cloud.LRUCache{}
 		cf.Faults = []fault.Event{{Kind: fault.ContainerCrash, At: 5, Container: 0}}
-		res := Execute(s, cf)
-		if _, ok := cf.Caches[0]; ok {
-			panic("crashed container kept its cache")
-		}
-		return res
+		return Execute(s, cf)
 	}
 	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
-		t.Error("faulty runs with caches diverged")
+		t.Error("faulty runs diverged")
 	}
 }

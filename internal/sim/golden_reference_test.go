@@ -102,7 +102,7 @@ func (fs *refFaultState) slowFactor(c int, t float64, mark func(fault.Event)) fl
 	return f
 }
 
-func (fs *refFaultState) storageDelay(c int, t float64, b cloud.Backoff, mark func(fault.Event)) float64 {
+func (fs *refFaultState) storageDelay(c int, t float64, mark func(fault.Event)) float64 {
 	if fs == nil {
 		return 0
 	}
@@ -110,7 +110,7 @@ func (fs *refFaultState) storageDelay(c int, t float64, b cloud.Backoff, mark fu
 	for _, e := range fs.storage[c] {
 		if e.At <= t+timeEps && !fs.consumedStorage[e.Seq] {
 			fs.consumedStorage[e.Seq] = true
-			d += b.TotalDelay(e.Retries, int64(e.Seq))
+			d += cloud.DefaultBackoff().TotalDelay(e.Retries, int64(e.Seq))
 			mark(e)
 		}
 	}
@@ -212,11 +212,6 @@ func executeReference(s *sched.Schedule, cfg Config) Result {
 		rank[id] = i
 	}
 
-	caches := cfg.Caches
-	if caches == nil && cfg.SizeOf != nil {
-		caches = make(map[int]*cloud.LRUCache)
-	}
-
 	pending := make([]pendingFlow, 0, len(flowOps))
 	scheduled := make(map[dataflow.OpID]bool, len(flowOps))
 	for _, a := range flowOps {
@@ -309,25 +304,7 @@ func executeReference(s *sched.Schedule, cfg Config) Result {
 		dur := actual(op) / ctype.SpeedFactor
 		if fs != nil {
 			dur *= fs.slowFactor(c, start, markBoth)
-			dur += fs.storageDelay(c, start, cfg.Backoff, markBoth)
-		}
-		if cfg.SizeOf != nil && len(op.Reads) > 0 {
-			lru := caches[c]
-			if lru == nil {
-				lru = cloud.NewLRUCache(ctype.Spec.DiskMB).Instrument(cfg.Metrics)
-				caches[c] = lru
-			}
-			for _, path := range op.Reads {
-				size := cfg.SizeOf(path)
-				if size <= 0 {
-					continue
-				}
-				if !lru.Get(path) {
-					dur += ctype.Spec.TransferSeconds(size)
-					res.TransferredMB += size
-					lru.Put(path, size)
-				}
-			}
+			dur += fs.storageDelay(c, start, markBoth)
 		}
 		end := start + dur
 		if fs != nil {
@@ -500,12 +477,6 @@ func executeReference(s *sched.Schedule, cfg Config) Result {
 		return res.CompletedBuilds[i] < res.CompletedBuilds[j]
 	})
 
-	if fs != nil && caches != nil {
-		for c := range fs.failAt {
-			delete(caches, c)
-		}
-	}
-
 	ids := make([]dataflow.OpID, 0, len(res.Ops))
 	for id := range res.Ops {
 		ids = append(ids, id)
@@ -551,7 +522,6 @@ func executeReference(s *sched.Schedule, cfg Config) Result {
 
 	ins.quantaCharged.Add(res.MoneyQuanta)
 	ins.fragmentation.Add(res.Fragmentation)
-	ins.transferredMB.Add(res.TransferredMB)
 	ins.wastedQuanta.Add(res.WastedQuanta)
 	return res
 }

@@ -95,7 +95,7 @@ func TestGoldenEquivalenceFaulty(t *testing.T) {
 				rng := rand.New(rand.NewSource(fseed))
 				return Config{
 					Pricing: cloud.DefaultPricing(), Spec: cloud.DefaultSpec(),
-					Faults: plan.From(0), Backoff: cloud.DefaultBackoff(),
+					Faults: plan.From(0),
 					Actual: func(op *dataflow.Operator) float64 {
 						return op.Time * (1 + (rng.Float64()*2-1)*0.3)
 					},
@@ -105,9 +105,9 @@ func TestGoldenEquivalenceFaulty(t *testing.T) {
 	}
 }
 
-func TestGoldenEquivalenceWithCaches(t *testing.T) {
-	// Input-read modelling plus a crash: cache misses transfer partitions,
-	// the failed container loses its cache, re-placed ops re-read.
+func TestGoldenEquivalenceHandPlacedFaults(t *testing.T) {
+	// One crash, one straggler and one storage error at chosen times on a
+	// hand-placed two-container chain.
 	g := dataflow.New()
 	var prev dataflow.OpID
 	for i := 0; i < 8; i++ {
@@ -134,12 +134,10 @@ func TestGoldenEquivalenceWithCaches(t *testing.T) {
 		fault.Event{Kind: fault.Straggler, At: 10, Container: 0, SlowFactor: 1.5},
 		fault.Event{Kind: fault.StorageError, At: 40, Container: 0, Retries: 2},
 	)
-	assertGolden(t, "caches+crash", s, func() Config {
+	assertGolden(t, "crash+straggler+storage", s, func() Config {
 		return Config{
 			Pricing: cloud.DefaultPricing(), Spec: cloud.DefaultSpec(),
-			SizeOf: func(path string) float64 { return float64(20 + len(path)) },
-			Caches: map[int]*cloud.LRUCache{},
-			Faults: plan.From(0), Backoff: cloud.DefaultBackoff(),
+			Faults: plan.From(0),
 		}
 	})
 }

@@ -2,15 +2,15 @@
 // §6.1 of the paper: dataflow operators run at priority 1 and index-build
 // operators at priority -1; negative-priority operators are stopped when a
 // positive-priority operator arrives at their container or the leased
-// quantum expires; containers cache inputs on local disk with LRU
-// replacement; and actual operator runtimes may differ from the estimates
-// the schedule was planned with (the robustness experiment of Fig. 6).
+// quantum expires; and actual operator runtimes may differ from the
+// estimates the schedule was planned with (the robustness experiment of
+// Fig. 6). Input reads are folded into operator runtimes.
 //
 // Beyond the paper's fault-free setting, the executor consumes a
 // fault.Plan: containers crash or are revoked (in-flight operators are
 // killed and re-placed on survivors, partially built index partitions are
-// lost, local caches are wiped), transient storage errors are retried with
-// capped exponential backoff, and stragglers stretch realized runtimes.
+// lost), transient storage errors are retried with capped exponential
+// backoff, and stragglers stretch realized runtimes.
 // Fault handling is deterministic — the same plan and schedule always
 // yield the identical Result.
 //
@@ -52,24 +52,13 @@ type Config struct {
 	// Actual returns the true runtime of an operator in seconds; nil means
 	// the estimates are exact (op.Time).
 	Actual func(op *dataflow.Operator) float64
-	// SizeOf returns the size in MB of a storage path for the input-read
-	// and cache model; nil disables read modelling (inputs are then
-	// assumed to be folded into operator runtimes).
-	SizeOf func(path string) float64
-	// Caches holds per-container LRU caches keyed by container index,
-	// surviving across executions (the paper's containers cache partitions
-	// between dataflows). Nil with SizeOf set means fresh caches.
-	Caches map[int]*cloud.LRUCache
 	// Faults lists fault events with times relative to this execution's
 	// start (the service shifts its absolute fault.Plan via Plan.From);
 	// empty means a fault-free execution.
 	Faults []fault.Event
-	// Backoff is the retry policy for transient storage errors; the zero
-	// value means cloud.DefaultBackoff().
-	Backoff cloud.Backoff
 	// Metrics, when non-nil, receives executor counters and histograms
-	// (operator run/wait times, builds killed, cache traffic, quanta
-	// charged, faults injected and recovered).
+	// (operator run/wait times, builds killed, quanta charged, faults
+	// injected and recovered).
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records an execution span.
 	Tracer *telemetry.Tracer
@@ -99,7 +88,6 @@ type instruments struct {
 	buildsCompleted *telemetry.Counter
 	quantaCharged   *telemetry.Counter
 	fragmentation   *telemetry.Counter
-	transferredMB   *telemetry.Counter
 	faultsInjected  *telemetry.CounterVec
 	recoveries      *telemetry.CounterVec
 	wastedQuanta    *telemetry.Counter
@@ -117,7 +105,7 @@ type instrumentsKey struct{}
 var nilInstruments = newInstruments(nil)
 
 // getInstruments resolves the executor's metric handles once per registry
-// (telemetry.Registry.Memo), instead of re-running ten family lookups on
+// (telemetry.Registry.Memo), instead of re-running nine family lookups on
 // every Execute call.
 func getInstruments(reg *telemetry.Registry) *instruments {
 	if reg == nil {
@@ -145,8 +133,6 @@ func newInstruments(reg *telemetry.Registry) instruments {
 			"VM quanta charged for realized executions (price-weighted)."),
 		fragmentation: reg.Counter("idxflow_fragmentation_seconds_total",
 			"Paid-but-idle container seconds across executions."),
-		transferredMB: reg.Counter("idxflow_sim_transferred_mb_total",
-			"MB read from the storage service on container cache misses."),
 		faultsInjected: reg.CounterVec("idxflow_faults_injected_total",
 			"Fault events that took effect during execution, by fault kind.", "kind"),
 		recoveries: reg.CounterVec("idxflow_recoveries_total",
@@ -187,9 +173,6 @@ type Result struct {
 	Killed int
 	// CompletedBuilds lists the build operators that finished.
 	CompletedBuilds []dataflow.OpID
-	// TransferredMB is the data volume read from the storage service
-	// (cache misses) when SizeOf is configured.
-	TransferredMB float64
 	// FaultsInjected counts fault events that took effect: they killed or
 	// delayed work, cut a lease short, or slowed a container. Planned
 	// events that hit idle or unleased containers are not counted.
@@ -377,8 +360,8 @@ func (fs *faultState) resetSlow(c int) {
 }
 
 // storageDelay consumes every unconsumed storage-error event on c due by
-// t and returns the summed retry backoff.
-func (fs *faultState) storageDelay(c int, t float64, b cloud.Backoff, mark func(fault.Event)) float64 {
+// t and returns the summed retry backoff under cloud.DefaultBackoff.
+func (fs *faultState) storageDelay(c int, t float64, mark func(fault.Event)) float64 {
 	if fs == nil {
 		return 0
 	}
@@ -396,7 +379,7 @@ func (fs *faultState) storageDelay(c int, t float64, b cloud.Backoff, mark func(
 			continue
 		}
 		fs.consumedStorage[e.Seq] = true
-		d += b.TotalDelay(e.Retries, int64(e.Seq))
+		d += cloud.DefaultBackoff().TotalDelay(e.Retries, int64(e.Seq))
 		mark(e)
 	}
 	return d
@@ -780,11 +763,6 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 		}
 	}
 
-	caches := cfg.Caches
-	if caches == nil && cfg.SizeOf != nil {
-		caches = make(map[int]*cloud.LRUCache)
-	}
-
 	// Pass 1: dataflow operators. Work-conserving: each starts as soon as
 	// its predecessors' data has arrived and the previous dataflow
 	// operator on its container has finished. Build operators never delay
@@ -935,27 +913,7 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 		dur := actual(op) / ctype.SpeedFactor
 		if fs != nil {
 			dur *= fs.slowFactor(c, start, markInjected, recoveredSlow)
-			dur += fs.storageDelay(c, start, cfg.Backoff, markBoth)
-		}
-		// Input reads: a cache miss transfers the partition from the
-		// storage service before the operator can run (§6.1).
-		if cfg.SizeOf != nil && len(op.Reads) > 0 {
-			lru := caches[c]
-			if lru == nil {
-				lru = cloud.NewLRUCache(ctype.Spec.DiskMB).Instrument(cfg.Metrics)
-				caches[c] = lru
-			}
-			for _, path := range op.Reads {
-				size := cfg.SizeOf(path)
-				if size <= 0 {
-					continue
-				}
-				if !lru.Get(path) {
-					dur += ctype.Spec.TransferSeconds(size)
-					res.TransferredMB += size
-					lru.Put(path, size)
-				}
-			}
+			dur += fs.storageDelay(c, start, markBoth)
 		}
 		end := start + dur
 		// In-flight at the container's failure time: the work since start
@@ -1190,13 +1148,6 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 		return res.CompletedBuilds[i] < res.CompletedBuilds[j]
 	})
 
-	// A failed container loses its local disk cache.
-	if fs != nil && caches != nil {
-		for c := range fs.failAt {
-			delete(caches, c)
-		}
-	}
-
 	// Aggregate metrics, iterating deterministically so a seeded faulty
 	// run reproduces byte-identical output.
 	sc.ids = sc.ids[:0]
@@ -1242,7 +1193,6 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 
 	ins.quantaCharged.Add(res.MoneyQuanta)
 	ins.fragmentation.Add(res.Fragmentation)
-	ins.transferredMB.Add(res.TransferredMB)
 	ins.wastedQuanta.Add(res.WastedQuanta)
 	span.SetAttr("makespan_seconds", res.Makespan).
 		SetAttr("money_quanta", res.MoneyQuanta).

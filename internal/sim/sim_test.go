@@ -159,46 +159,6 @@ func TestBuildOpKilledByPreemption(t *testing.T) {
 	}
 }
 
-func TestCacheAvoidsRepeatTransfers(t *testing.T) {
-	g := dataflow.New()
-	a := g.Add(dataflow.Operator{Name: "a", Time: 10, Reads: []string{"t/0"}})
-	b := g.Add(dataflow.Operator{Name: "b", Time: 10, Reads: []string{"t/0"}})
-	if err := g.Connect(a, b, 0); err != nil {
-		t.Fatal(err)
-	}
-	o := schedOpts()
-	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	s.Append(b, 0, -1)
-	c := cfg()
-	c.SizeOf = func(path string) float64 { return 125 } // 1 s transfer
-	res := Execute(s, c)
-	// Only the first read transfers: 125 MB once.
-	if math.Abs(res.TransferredMB-125) > 1e-9 {
-		t.Errorf("TransferredMB = %g, want 125", res.TransferredMB)
-	}
-	// a takes 11 s (read+compute), b takes 10 s (cache hit).
-	if got := res.Ops[b].End; math.Abs(got-21) > 1e-9 {
-		t.Errorf("b end = %g, want 21", got)
-	}
-}
-
-func TestCacheMissesAcrossContainers(t *testing.T) {
-	g := dataflow.New()
-	a := g.Add(dataflow.Operator{Name: "a", Time: 10, Reads: []string{"t/0"}})
-	b := g.Add(dataflow.Operator{Name: "b", Time: 10, Reads: []string{"t/0"}})
-	o := schedOpts()
-	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	s.Append(b, 1, -1)
-	c := cfg()
-	c.SizeOf = func(path string) float64 { return 125 }
-	res := Execute(s, c)
-	if math.Abs(res.TransferredMB-250) > 1e-9 {
-		t.Errorf("TransferredMB = %g, want 250 (two containers, two misses)", res.TransferredMB)
-	}
-}
-
 // TestRealizedMatchesPlannedProperty: with exact estimates, realized
 // makespan and money never exceed the plan (work-conserving execution can
 // only shift ops earlier), and with no optional ops nothing is killed.

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -60,16 +59,6 @@ func (t *Tracer) SetEnabled(on bool) {
 		t.epoch = t.now()
 	}
 	t.enabled = on
-}
-
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.enabled
 }
 
 // Span is one in-flight operation. End completes it; SetAttr attaches a
@@ -200,33 +189,4 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
-// WriteJSONL writes one event per line — convenient for grep/jq pipelines.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range t.Events() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadChromeTrace parses a trace written by WriteChromeTrace. It also
-// accepts the bare-array variant of the format.
-func ReadChromeTrace(r io.Reader) ([]Event, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	var obj chromeTrace
-	if err := json.Unmarshal(data, &obj); err == nil && obj.TraceEvents != nil {
-		return obj.TraceEvents, nil
-	}
-	var arr []Event
-	if err := json.Unmarshal(data, &arr); err != nil {
-		return nil, fmt.Errorf("telemetry: not a chrome trace: %w", err)
-	}
-	return arr, nil
 }

@@ -2,8 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,11 +39,12 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadChromeTrace(&buf)
-	if err != nil {
+	var trace chromeTrace
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 {
+	events := trace.TraceEvents
+	if trace.DisplayTimeUnit != "ms" || len(events) != 2 {
 		t.Fatalf("events = %d, want 2", len(events))
 	}
 	// Completion order: inner first.
@@ -67,23 +68,6 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadChromeTraceBareArray(t *testing.T) {
-	events, err := ReadChromeTrace(strings.NewReader(
-		`[{"name":"a","ph":"X","ts":1,"dur":2,"pid":1,"tid":1}]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || events[0].Name != "a" {
-		t.Errorf("events = %+v", events)
-	}
-}
-
-func TestReadChromeTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadChromeTrace(strings.NewReader("not json")); err == nil {
-		t.Error("garbage parsed as a trace")
-	}
-}
-
 func TestDisabledTracerRecordsNothing(t *testing.T) {
 	tr := &Tracer{now: time.Now}
 	sp := tr.StartSpan("x")
@@ -99,20 +83,6 @@ func TestDisabledTracerRecordsNothing(t *testing.T) {
 	tr.StartSpan("y").End()
 	if tr.Len() != 1 {
 		t.Errorf("events after enable = %d, want 1", tr.Len())
-	}
-}
-
-func TestJSONL(t *testing.T) {
-	tr := newFakeTracer(time.Millisecond)
-	tr.StartSpan("a").End()
-	tr.StartSpan("b").End()
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d, want 2", len(lines))
 	}
 }
 

@@ -75,9 +75,9 @@ func TestGraphShapes(t *testing.T) {
 		for _, r := range readers {
 			isReader[r] = true
 		}
-		for _, src := range g.Sources() {
-			if !isReader[src] {
-				t.Errorf("%s source %d is not a reader", app, src)
+		for _, id := range g.Ops() {
+			if len(g.In(id)) == 0 && !isReader[id] {
+				t.Errorf("%s source %d is not a reader", app, id)
 			}
 		}
 		if len(g.Levels()) < 3 {

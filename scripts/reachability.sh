@@ -1,9 +1,17 @@
 #!/bin/sh
-# reachability.sh — every package under internal/ must be reachable from a
-# binary: the commands under cmd/ or the benchmark driver (bench/ is a
-# module of its own). A package only an example or its own tests import is
-# dead weight that still has to build, pass vet and hold coverage, so this
-# fails and names it.
+# reachability.sh — nothing under internal/ that a binary cannot reach, at
+# two granularities. The binaries are the commands under cmd/ and the
+# benchmark driver (bench/ is a module of its own).
+#
+# Packages: every package under internal/ is imported by a binary. A
+# package only an example or its own tests import is dead weight that still
+# has to build, pass vet and hold coverage, so this fails and names it.
+#
+# Functions: every function declared in a non-test file under internal/ is
+# a text symbol of a binary linked with inlining off, or is listed with its
+# reason in scripts/reachability_allow.txt (scripts/unreached.go does the
+# matching). With `list` as the first argument the unreached functions are
+# printed, allowlisted or not, and nothing fails (`make unreached`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,3 +32,14 @@ if [ -n "$unreached" ]; then
 	exit 1
 fi
 echo "reachability: all $(wc -l < "$tmp/all" | tr -d ' ') internal packages are reached from cmd/ or bench/."
+
+mkdir "$tmp/bin"
+go build -gcflags=all=-l -o "$tmp/bin/" ./cmd/...
+(cd bench && GOFLAGS=-mod=readonly go build -gcflags=all=-l -o "$tmp/bin/idxflow-bench" ./cmd/idxflow-bench)
+for b in "$tmp"/bin/*; do
+	go tool nm "$b"
+done > "$tmp/symbols"
+
+list=
+if [ "${1:-}" = list ]; then list=-list; fi
+go run scripts/unreached.go -allow scripts/reachability_allow.txt $list < "$tmp/symbols"
