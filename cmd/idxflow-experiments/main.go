@@ -15,16 +15,14 @@
 // concurrently interleave their events (sequence order is append order,
 // not deterministic across workers).
 //
-// Experiment ids: params, table4, table5, table6, fig3, fig6, fig7, fig8,
-// fig9, fig10, fig11, fig12 (phase workload, includes table7 and fig13),
-// table6disk (Table 6 against the disk-backed paged storage engine),
-// table6x100 (Table 6 at 100x the -scale setting: scalar vs vectorized vs
+// Experiment ids: params, table4, table5, table6 (scalar vs vectorized vs
 // index over disk-backed row and columnar storage with bounded buffer
-// pools; not in "all" — the default -scale 0.05 runs it at scale 5, ~30M
-// rows, and CI smokes it with a reduced -scale), fig14 (random workload),
-// fault (robustness under injected container crashes, spot revocations,
-// storage errors and stragglers; -faults and -fault-seed control the
-// sweep), ablation (design-knob sweeps; not in "all"), all.
+// pools, every answer cross-checked; -scale sets the lineitem size: the
+// default 0.05 is ~300k rows, 5 is ~30M), fig3, fig6, fig7, fig8, fig9,
+// fig10, fig11, fig12 (phase workload, includes table7 and fig13), fig14
+// (random workload), fault (robustness under injected container crashes,
+// spot revocations, storage errors and stragglers; -faults and -fault-seed
+// control the sweep), ablation (design-knob sweeps; not in "all"), all.
 //
 // Exit status: 0 on success, 1 when an experiment fails, 2 for a bad flag or
 // an unknown -exp; the profile, trace and event files are complete on every
@@ -57,10 +55,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("idxflow-experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "all", "experiment to run (params, table4..6, fig3, fig6..14, all)")
+		exp      = fs.String("exp", "all", "experiment to run: "+idList())
 		seed     = fs.Int64("seed", 1, "random seed")
 		horizon  = fs.Float64("horizon", 720, "dynamic-experiment horizon in quanta")
-		scale    = fs.Float64("scale", 0.05, "TPC-H scale factor for table6 (paper: 2)")
+		scale    = fs.Float64("scale", 0.05, "TPC-H scale factor of table6's lineitem (0.05 = ~300k rows; paper: 2)")
 		trials   = fs.Int("trials", 3, "trials per point for fig6/fig7")
 		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON span timeline to this file")
 		events   = fs.String("events", "", "write the decision-provenance event log (JSONL) to this file")
@@ -107,15 +105,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if !anyKnown(*exp) {
+	if !known(*exp) {
 		fmt.Fprintf(stderr, "unknown experiment %q\n", *exp)
 		return 2
 	}
 	selected := func(id string) bool {
-		if id == "ablation" || id == "table6x100" {
-			return *exp == id // too heavy for "all"
-		}
-		return *exp == "all" || *exp == id
+		i := slices.IndexFunc(experimentIDs, func(e experimentID) bool { return e.id == id })
+		return *exp == id || *exp == "all" && !experimentIDs[i].notInAll
 	}
 	horizonSec := *horizon * 60
 
@@ -129,25 +125,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, experiments.Table5())
 	}
 	if selected("table6") {
-		res, err := experiments.Table6(*scale, *seed)
+		res, err := experiments.Table6(*scale, *seed, 256)
 		if err != nil {
-			fmt.Fprintln(stderr, "table6:", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, res.Table)
-	}
-	if selected("table6disk") {
-		res, err := experiments.Table6Disk(*scale, *seed, 64)
-		if err != nil {
-			fmt.Fprintln(stderr, "table6disk:", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, res.Table)
-	}
-	if selected("table6x100") {
-		res, err := experiments.Table6Scale(*scale*100, *seed, 256)
-		if err != nil {
-			fmt.Fprintln(stderr, "table6x100:", err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		fmt.Fprintln(stdout, res.Table)
@@ -206,9 +186,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func anyKnown(id string) bool {
-	known := "all params table4 table5 table6 table6disk table6x100 fig3 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table7 fig13 fig14 fault ablation"
-	return slices.Contains(strings.Fields(known), id)
+// experimentID is one -exp id; notInAll marks the ids too heavy for "all".
+type experimentID struct {
+	id       string
+	notInAll bool
+}
+
+// experimentIDs is every -exp id but "all", in the order "all" runs them.
+// The -exp help text and the unknown-id check are derived from it.
+var experimentIDs = []experimentID{
+	{id: "params"}, {id: "table4"}, {id: "table5"}, {id: "table6"},
+	{id: "fig3"}, {id: "fig6"}, {id: "fig7"}, {id: "fig8"}, {id: "fig9"},
+	{id: "fig10"}, {id: "fig11"}, {id: "fig12"}, {id: "table7"}, {id: "fig13"},
+	{id: "fig14"}, {id: "fault"}, {id: "ablation", notInAll: true},
+}
+
+func known(id string) bool {
+	return id == "all" || slices.ContainsFunc(experimentIDs, func(e experimentID) bool { return e.id == id })
+}
+
+// idList is the -exp help text: every id, the ones "all" skips marked.
+func idList() string {
+	var ids []string
+	for _, e := range experimentIDs {
+		if e.notInAll {
+			ids = append(ids, e.id+" (not in all)")
+		} else {
+			ids = append(ids, e.id)
+		}
+	}
+	return strings.Join(ids, ", ") + " or all"
 }
 
 // parseRates parses the -faults flag: a comma-separated list of

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"flag"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime/pprof"
 	"strings"
 	"testing"
@@ -13,7 +16,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run's output")
 
 // simulatedExps is every experiment whose output is a function of the seed:
-// all but the wall-clock table6* family.
+// all but the wall-clock table6.
 var simulatedExps = []string{
 	"params", "table4", "table5", "fig3", "fig6", "fig7", "fig8", "fig9",
 	"fig10", "fig11", "fig12", "fig14", "fault", "ablation",
@@ -102,6 +105,24 @@ func TestBadArgumentsFail(t *testing.T) {
 		code := run(args, &stdout, &stderr)
 		if code == 0 || stderr.Len() == 0 {
 			t.Errorf("run %v: exit %d, stderr %q", args, code, stderr.String())
+		}
+	}
+}
+
+// TestExperimentIDs: every id of the one declared list passes the -exp
+// check and is named in the package doc.
+func TestExperimentIDs(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := f.Doc.Text()
+	for _, e := range experimentIDs {
+		if !known(e.id) {
+			t.Errorf("-exp %s is rejected", e.id)
+		}
+		if !regexp.MustCompile(`\b` + e.id + `\b`).MatchString(doc) {
+			t.Errorf("the package doc does not name -exp %s", e.id)
 		}
 	}
 }

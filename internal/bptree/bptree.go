@@ -86,44 +86,6 @@ func (t *Tree) Get(key int64) (int64, bool) {
 	return 0, false
 }
 
-// GetAllAppend appends the values of every entry with the given key, in
-// insertion order within the key run, to dst and returns it; probe-heavy
-// callers (index joins) reuse one buffer across probes instead of
-// allocating per key.
-func (t *Tree) GetAllAppend(dst []int64, key int64) []int64 {
-	n := t.findLeaf(key)
-	pos := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-	for pos < len(n.keys) && n.keys[pos] == key {
-		dst = append(dst, n.vals[pos])
-		pos++
-	}
-	return dst
-}
-
-// CountRange returns the number of entries with lo <= key < hi without
-// visiting them individually: fully-covered leaves are counted whole, so
-// the cost is O(log n) plus the number of leaves spanned. Callers use it to
-// size a result slice exactly before a Range scan.
-func (t *Tree) CountRange(lo, hi int64) int {
-	if hi <= lo {
-		return 0
-	}
-	n := t.findLeaf(lo)
-	pos := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
-	count := 0
-	for n != nil {
-		if len(n.keys) > 0 && n.keys[len(n.keys)-1] < hi {
-			count += len(n.keys) - pos
-			n = n.next
-			pos = 0
-			continue
-		}
-		end := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= hi })
-		return count + end - pos
-	}
-	return count
-}
-
 // Range calls visit for every entry with lo <= key < hi, in key order.
 // Iteration stops early if visit returns false.
 func (t *Tree) Range(lo, hi int64, visit func(key, val int64) bool) {

@@ -80,13 +80,12 @@ func TestDuplicateKeys(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	for k := int64(0); k < 5; k++ {
-		vals := tr.GetAllAppend(nil, k)
-		if len(vals) != 4 {
-			t.Errorf("GetAllAppend(nil, %d) = %v, want 4 values", k, vals)
+		if n := keyCount(tr, k); n != 4 {
+			t.Errorf("key %d has %d entries, want 4", k, n)
 		}
 	}
-	if vals := tr.GetAllAppend(nil, 99); len(vals) != 0 {
-		t.Errorf("GetAllAppend(nil, 99) = %v, want empty", vals)
+	if n := keyCount(tr, 99); n != 0 {
+		t.Errorf("key 99 has %d entries, want none", n)
 	}
 }
 
@@ -98,8 +97,8 @@ func TestAllKeysEqualOversizedLeaf(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := len(tr.GetAllAppend(nil, 7)); got != 50 {
-		t.Errorf("GetAllAppend(nil, 7) returned %d values, want 50", got)
+	if got := keyCount(tr, 7); got != 50 {
+		t.Errorf("key 7 has %d entries, want 50", got)
 	}
 }
 
@@ -169,8 +168,8 @@ func TestBulkLoad(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	for k := int64(0); k < 333; k++ {
-		if got := len(tr.GetAllAppend(nil, k)); got != 3 {
-			t.Errorf("GetAllAppend(nil, %d) returned %d values, want 3", k, got)
+		if got := keyCount(tr, k); got != 3 {
+			t.Errorf("key %d has %d entries, want 3", k, got)
 		}
 	}
 }
@@ -253,13 +252,13 @@ func TestAgainstReferenceProperty(t *testing.T) {
 			}
 		}
 
-		// GetAll equivalence on every key value.
+		// Per-key entry counts on every key value.
 		counts := make(map[int64]int)
 		for _, p := range ref {
 			counts[p.Key]++
 		}
 		for k := int64(0); k < 100; k++ {
-			if len(tr.GetAllAppend(nil, k)) != counts[k] {
+			if keyCount(tr, k) != counts[k] {
 				return false
 			}
 		}
@@ -294,7 +293,7 @@ func TestBulkLoadEquivalentToInsertProperty(t *testing.T) {
 			ins.Insert(p.Key, p.Val)
 		}
 		for k := int64(0); k < 200; k++ {
-			if len(bl.GetAllAppend(nil, k)) != len(ins.GetAllAppend(nil, k)) {
+			if keyCount(bl, k) != keyCount(ins, k) {
 				return false
 			}
 		}
@@ -322,8 +321,8 @@ func FuzzTreeAgainstMap(f *testing.F) {
 			t.Fatalf("Validate: %v", err)
 		}
 		for k := int64(0); k < 32; k++ {
-			if got := len(tr.GetAllAppend(nil, k)); got != ref[k] {
-				t.Fatalf("GetAllAppend(nil, %d) = %d entries, want %d", k, got, ref[k])
+			if got := keyCount(tr, k); got != ref[k] {
+				t.Fatalf("key %d has %d entries, want %d", k, got, ref[k])
 			}
 		}
 		total := 0
@@ -406,55 +405,9 @@ func TestSortByKeyStable(t *testing.T) {
 	}
 }
 
-func TestCountRange(t *testing.T) {
-	tr, err := BulkLoadSorted(8, seq(0, 500), seq(0, 500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		lo, hi int64
-		want   int
-	}{
-		{0, 500, 500}, {0, 0, 0}, {100, 100, 0}, {250, 100, 0},
-		{0, 1, 1}, {499, 500, 1}, {100, 350, 250}, {-50, 10, 10},
-		{490, 600, 10}, {600, 700, 0},
-	} {
-		if got := tr.CountRange(tc.lo, tc.hi); got != tc.want {
-			t.Errorf("CountRange(%d, %d) = %d, want %d", tc.lo, tc.hi, got, tc.want)
-		}
-		n := 0
-		tr.Range(tc.lo, tc.hi, func(k, v int64) bool { n++; return true })
-		if n != tc.want {
-			t.Errorf("Range(%d, %d) visited %d, want %d", tc.lo, tc.hi, n, tc.want)
-		}
-	}
-}
-
-func TestGetAllAppendReusesBuffer(t *testing.T) {
-	keys := []int64{1, 1, 1, 2, 3, 3}
-	vals := []int64{10, 11, 12, 20, 30, 31}
-	tr, err := BulkLoadSorted(4, keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]int64, 0, 8)
-	buf = tr.GetAllAppend(buf[:0], 1)
-	if len(buf) != 3 || buf[0] != 10 || buf[2] != 12 {
-		t.Errorf("GetAllAppend(1) = %v", buf)
-	}
-	buf = tr.GetAllAppend(buf[:0], 3)
-	if len(buf) != 2 || buf[0] != 30 || buf[1] != 31 {
-		t.Errorf("GetAllAppend(3) = %v", buf)
-	}
-	if buf = tr.GetAllAppend(buf[:0], 99); len(buf) != 0 {
-		t.Errorf("GetAllAppend(99) = %v, want empty", buf)
-	}
-}
-
-func seq(lo, hi int64) []int64 {
-	out := make([]int64, 0, hi-lo)
-	for v := lo; v < hi; v++ {
-		out = append(out, v)
-	}
-	return out
+// keyCount is the number of entries holding key k.
+func keyCount(tr *Tree, k int64) int {
+	n := 0
+	tr.Range(k, k+1, func(int64, int64) bool { n++; return true })
+	return n
 }

@@ -103,7 +103,7 @@ func summarize(v any) any {
 // AuditVectorized proves the vectorized operators in internal/exec produce
 // results identical to their scalar golden references on the given batch:
 // all five §1 operator categories — lookup, range select, order by,
-// grouping, and the three join strategies — plus the hash-build half. The
+// grouping, and the hash and sort-merge joins — plus the hash-build half. The
 // nested-loop reference is O(n²) and is compared on a bounded prefix; every
 // other pair runs over the full batch. Returns an error listing every
 // category that diverged.
@@ -185,18 +185,10 @@ func auditVectorized(r *Report, cols tpch.Columns) {
 		reportIfDiff(r, c.name, want, got)
 	}
 
-	// Grouping, sort-based and index-order-based.
+	// Grouping.
 	reportIfDiff(r, "vec-group",
 		exec.ScanGroup(rows, exec.OrderKey),
 		exec.VecGroup(cols.OrderKey, cols.Quantity))
-	tree, err := exec.BuildBTree(rows, exec.OrderKey)
-	if err != nil {
-		r.addf("vec-audit-setup", "BuildBTree: %v", err)
-		return
-	}
-	reportIfDiff(r, "vec-group-sorted",
-		exec.IndexGroup(rows, exec.OrderKey, tree),
-		exec.VecGroupSorted(cols.OrderKey, cols.Quantity, exec.IndexOrderBy(tree)))
 
 	// Hash build.
 	reportIfDiff(r, "vec-build-hash",
@@ -222,18 +214,14 @@ func auditVectorized(r *Report, cols tpch.Columns) {
 		exec.VecHashJoin(blk, exec.VecBuildHash(brk)))
 
 	if half > 0 && len(right) > 0 {
-		rtree, err := exec.BuildBTree(right, exec.OrderKey)
-		if err != nil {
-			r.addf("vec-audit-setup", "BuildBTree(right): %v", err)
-			return
-		}
-		reportIfDiff(r, "vec-index-join",
-			exec.IndexJoin(left, exec.OrderKey, rtree),
-			exec.VecIndexJoin(lKeys, rtree))
-
 		ltree, err := exec.BuildBTree(left, exec.OrderKey)
 		if err != nil {
 			r.addf("vec-audit-setup", "BuildBTree(left): %v", err)
+			return
+		}
+		rtree, err := exec.BuildBTree(right, exec.OrderKey)
+		if err != nil {
+			r.addf("vec-audit-setup", "BuildBTree(right): %v", err)
 			return
 		}
 		reportIfDiff(r, "vec-sort-merge-join",

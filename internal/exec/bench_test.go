@@ -20,37 +20,12 @@ func BenchmarkScanOrderBy(b *testing.B) {
 	}
 }
 
-func BenchmarkIndexOrderBy(b *testing.B) {
-	rows := benchRows(b, 50_000)
-	tree, err := BuildBTree(rows, OrderKey)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		IndexOrderBy(tree)
-	}
-}
-
 func BenchmarkScanLookup(b *testing.B) {
 	rows := benchRows(b, 50_000)
 	key := rows[len(rows)-1].OrderKey
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ScanLookup(rows, OrderKey, key)
-	}
-}
-
-func BenchmarkIndexLookup(b *testing.B) {
-	rows := benchRows(b, 50_000)
-	tree, err := BuildBTree(rows, OrderKey)
-	if err != nil {
-		b.Fatal(err)
-	}
-	key := rows[len(rows)-1].OrderKey
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		IndexLookup(tree, key)
 	}
 }
 

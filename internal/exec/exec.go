@@ -1,8 +1,10 @@
 // Package exec implements the five generic operator categories of §1 of the
-// paper — lookup, range select, sorting, grouping and join — each with a
-// plain-scan implementation and an index-assisted implementation. Timing
-// these pairs on the synthetic lineitem table regenerates the Table 6
-// speedups on our substrate.
+// paper — lookup, range select, sorting, grouping and join — as vectorized
+// operators over column slices (vector.go), which the Table 6 experiment
+// and the data-plane benchmark run. The row-at-a-time functions in this file
+// are their scalar references: check.AuditVectorized proves every
+// vectorized operator returns exactly what its reference returns. The index
+// paths of Table 6 walk bptree and pagestore directly.
 package exec
 
 import (
@@ -78,21 +80,9 @@ func ScanOrderBy(rows []tpch.Row, key KeyFunc) []int32 {
 	return out
 }
 
-// IndexOrderBy returns row positions sorted by key by scanning the sorted
-// leaves of the index in O(n) ("Order by" with an index).
-func IndexOrderBy(tree *bptree.Tree) []int32 {
-	out := make([]int32, 0, tree.Len())
-	tree.Scan(func(k, v int64) bool {
-		out = append(out, int32(v))
-		return true
-	})
-	return out
-}
-
 // ScanRange returns the positions of rows with lo <= key < hi via a full
 // scan ("Select range" without an index, O(n)). The result is presized for
-// a few percent selectivity so typical ranges append without reallocating,
-// the same capacity-hint pattern IndexRange and IndexJoin use.
+// a few percent selectivity so typical ranges append without reallocating.
 func ScanRange(rows []tpch.Row, key KeyFunc, lo, hi int64) []int32 {
 	out := make([]int32, 0, len(rows)/16+16)
 	for i, r := range rows {
@@ -100,18 +90,6 @@ func ScanRange(rows []tpch.Row, key KeyFunc, lo, hi int64) []int32 {
 			out = append(out, int32(i))
 		}
 	}
-	return out
-}
-
-// IndexRange returns the positions of rows with lo <= key < hi using the
-// index in O(log n + k). The result is sized exactly up front via
-// CountRange, so the scan appends without reallocating.
-func IndexRange(tree *bptree.Tree, lo, hi int64) []int32 {
-	out := make([]int32, 0, tree.CountRange(lo, hi))
-	tree.Range(lo, hi, func(k, v int64) bool {
-		out = append(out, int32(v))
-		return true
-	})
 	return out
 }
 
@@ -126,13 +104,6 @@ func ScanLookup(rows []tpch.Row, key KeyFunc, k int64) (int32, bool) {
 	return 0, false
 }
 
-// IndexLookup returns the position of the first row with the given key via
-// the B+Tree in O(log n).
-func IndexLookup(tree *bptree.Tree, k int64) (int32, bool) {
-	v, ok := tree.Get(k)
-	return int32(v), ok
-}
-
 // Group is one group of an aggregation: a key, its row count and the sum of
 // the rows' quantities.
 type Group struct {
@@ -142,30 +113,12 @@ type Group struct {
 }
 
 // ScanGroup aggregates rows by key with a sort-based O(n log n) grouping
-// ("Grouping ... can be efficiently performed using sorting", §1).
+// ("Grouping ... can be efficiently performed using sorting", §1): rows
+// arriving in key order are folded into groups.
 func ScanGroup(rows []tpch.Row, key KeyFunc) []Group {
-	order := ScanOrderBy(rows, key)
-	return groupSorted(rows, key, func(visit func(pos int32) bool) {
-		for _, p := range order {
-			if !visit(p) {
-				return
-			}
-		}
-	})
-}
-
-// IndexGroup aggregates rows by key in O(n) by scanning the sorted index.
-func IndexGroup(rows []tpch.Row, key KeyFunc, tree *bptree.Tree) []Group {
-	return groupSorted(rows, key, func(visit func(pos int32) bool) {
-		tree.Scan(func(k, v int64) bool { return visit(int32(v)) })
-	})
-}
-
-// groupSorted folds rows arriving in key order into groups.
-func groupSorted(rows []tpch.Row, key KeyFunc, each func(visit func(pos int32) bool)) []Group {
 	var out []Group
 	var cur *Group
-	each(func(pos int32) bool {
+	for _, pos := range ScanOrderBy(rows, key) {
 		r := rows[pos]
 		k := key(r)
 		if cur == nil || cur.Key != k {
@@ -174,8 +127,7 @@ func groupSorted(rows []tpch.Row, key KeyFunc, each func(visit func(pos int32) b
 		}
 		cur.Count++
 		cur.SumQuantity += int64(r.Quantity)
-		return true
-	})
+	}
 	return out
 }
 
@@ -200,20 +152,6 @@ func NestedLoopJoin(left, right []tpch.Row, lkey, rkey KeyFunc) []JoinPair {
 			if rkey(r) == lk {
 				out = append(out, JoinPair{int32(i), int32(j)})
 			}
-		}
-	}
-	return out
-}
-
-// IndexJoin joins by probing a B+Tree on the right side in O(n log m). One
-// probe buffer is reused across all lookups.
-func IndexJoin(left []tpch.Row, lkey KeyFunc, rightTree *bptree.Tree) []JoinPair {
-	out := make([]JoinPair, 0, len(left))
-	var matches []int64
-	for i, l := range left {
-		matches = rightTree.GetAllAppend(matches[:0], lkey(l))
-		for _, v := range matches {
-			out = append(out, JoinPair{int32(i), int32(v)})
 		}
 	}
 	return out

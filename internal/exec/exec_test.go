@@ -21,7 +21,8 @@ func TestOrderByEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan := ScanOrderBy(rows, OrderKey)
-	idx := IndexOrderBy(tree)
+	var idx []int32 // the index's leaf order
+	tree.Scan(func(k, v int64) bool { idx = append(idx, int32(v)); return true })
 	if len(scan) != len(idx) || len(scan) != len(rows) {
 		t.Fatalf("lengths: scan=%d idx=%d rows=%d", len(scan), len(idx), len(rows))
 	}
@@ -31,9 +32,9 @@ func TestOrderByEquivalence(t *testing.T) {
 		}
 	}
 	// Sorted output.
-	for i := 1; i < len(idx); i++ {
-		if rows[idx[i-1]].OrderKey > rows[idx[i]].OrderKey {
-			t.Fatal("IndexOrderBy output not sorted")
+	for i := 1; i < len(scan); i++ {
+		if rows[scan[i-1]].OrderKey > rows[scan[i]].OrderKey {
+			t.Fatal("ScanOrderBy output not sorted")
 		}
 	}
 }
@@ -46,21 +47,23 @@ func TestRangeEquivalence(t *testing.T) {
 	}
 	lo, hi := int64(100), int64(300)
 	scan := ScanRange(rows, OrderKey, lo, hi)
-	idx := IndexRange(tree, lo, hi)
-	if len(scan) != len(idx) {
-		t.Fatalf("counts differ: scan=%d idx=%d", len(scan), len(idx))
-	}
 	set := make(map[int32]bool, len(scan))
 	for _, p := range scan {
 		set[p] = true
-	}
-	for _, p := range idx {
-		if !set[p] {
-			t.Fatalf("index returned row %d not in scan result", p)
-		}
 		if k := rows[p].OrderKey; k < lo || k >= hi {
 			t.Fatalf("row key %d outside [%d,%d)", k, lo, hi)
 		}
+	}
+	n := 0
+	tree.Range(lo, hi, func(k, v int64) bool {
+		if !set[int32(v)] {
+			t.Fatalf("index holds row %d, not in the scan result", v)
+		}
+		n++
+		return true
+	})
+	if n != len(scan) {
+		t.Fatalf("counts differ: scan=%d idx=%d", len(scan), n)
 	}
 }
 
@@ -73,7 +76,7 @@ func TestLookupEquivalence(t *testing.T) {
 	hash := BuildHash(rows, OrderKey)
 	for _, k := range []int64{1, 50, 200, 999999} {
 		sp, sok := ScanLookup(rows, OrderKey, k)
-		ip, iok := IndexLookup(tree, k)
+		ip, iok := tree.Get(k)
 		if sok != iok {
 			t.Fatalf("Lookup(%d): scan ok=%v, index ok=%v", k, sok, iok)
 		}
@@ -89,27 +92,25 @@ func TestLookupEquivalence(t *testing.T) {
 
 func TestGroupEquivalence(t *testing.T) {
 	rows := testRows(t)
-	tree, err := BuildBTree(rows, OrderKey)
-	if err != nil {
-		t.Fatal(err)
+	want := make(map[int64]Group)
+	for _, r := range rows {
+		g := want[r.OrderKey]
+		g.Key = r.OrderKey
+		g.Count++
+		g.SumQuantity += int64(r.Quantity)
+		want[r.OrderKey] = g
 	}
 	a := ScanGroup(rows, OrderKey)
-	b := IndexGroup(rows, OrderKey, tree)
-	if len(a) != len(b) {
-		t.Fatalf("group counts differ: %d vs %d", len(a), len(b))
+	if len(a) != len(want) {
+		t.Fatalf("group counts differ: %d vs %d", len(a), len(want))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("group %d differs: %+v vs %+v", i, a[i], b[i])
+	for i, g := range a {
+		if g != want[g.Key] {
+			t.Fatalf("group %d differs: %+v vs %+v", i, g, want[g.Key])
 		}
-	}
-	// Totals preserved.
-	var total int64
-	for _, g := range a {
-		total += g.Count
-	}
-	if total != int64(len(rows)) {
-		t.Errorf("group counts sum to %d, want %d", total, len(rows))
+		if i > 0 && a[i-1].Key >= g.Key {
+			t.Fatalf("groups out of key order at %d", i)
+		}
 	}
 }
 
@@ -125,10 +126,9 @@ func TestJoinEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl := NestedLoopJoin(left, right, OrderKey, OrderKey)
-	ij := IndexJoin(left, OrderKey, rtree)
 	sm := SortMergeJoin(ltree, rtree)
-	if len(nl) != len(ij) || len(nl) != len(sm) {
-		t.Fatalf("join sizes differ: nested=%d index=%d merge=%d", len(nl), len(ij), len(sm))
+	if len(nl) != len(sm) {
+		t.Fatalf("join sizes differ: nested=%d merge=%d", len(nl), len(sm))
 	}
 	canon := func(ps []JoinPair) []JoinPair {
 		out := append([]JoinPair(nil), ps...)
@@ -140,10 +140,10 @@ func TestJoinEquivalence(t *testing.T) {
 		})
 		return out
 	}
-	cn, ci, cs := canon(nl), canon(ij), canon(sm)
+	cn, cs := canon(nl), canon(sm)
 	for i := range cn {
-		if cn[i] != ci[i] || cn[i] != cs[i] {
-			t.Fatalf("join pair %d differs: %v / %v / %v", i, cn[i], ci[i], cs[i])
+		if cn[i] != cs[i] {
+			t.Fatalf("join pair %d differs: %v / %v", i, cn[i], cs[i])
 		}
 	}
 }
@@ -166,7 +166,9 @@ func TestRangeEquivalenceProperty(t *testing.T) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			if len(ScanRange(rows, OrderKey, lo, hi)) != len(IndexRange(tree, lo, hi)) {
+			n := 0
+			tree.Range(lo, hi, func(int64, int64) bool { n++; return true })
+			if len(ScanRange(rows, OrderKey, lo, hi)) != n {
 				return false
 			}
 		}
@@ -184,8 +186,9 @@ func TestCommitDateKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	scan := ScanRange(rows, CommitDate, 10, 50)
-	idx := IndexRange(tree, 10, 50)
-	if len(scan) != len(idx) {
-		t.Errorf("commitdate range: scan=%d idx=%d", len(scan), len(idx))
+	n := 0
+	tree.Range(10, 50, func(int64, int64) bool { n++; return true })
+	if len(scan) != n {
+		t.Errorf("commitdate range: scan=%d idx=%d", len(scan), n)
 	}
 }

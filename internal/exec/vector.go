@@ -3,8 +3,6 @@ package exec
 import (
 	"math/bits"
 	"slices"
-
-	"idxflow/internal/bptree"
 )
 
 // Vectorized operators: the same five §1 operator categories as the
@@ -340,26 +338,6 @@ func VecGroup(keys []int64, quantity []int32) []Group {
 	return out
 }
 
-// VecGroupSorted folds an already-sorted position order (for example from
-// an index scan) over the column slices.
-func VecGroupSorted(keys []int64, quantity []int32, order []int32) []Group {
-	if len(order) == 0 {
-		return nil
-	}
-	out := make([]Group, 0, 256)
-	cur := -1
-	for _, p := range order {
-		k := keys[p]
-		if cur < 0 || out[cur].Key != k {
-			out = append(out, Group{Key: k})
-			cur = len(out) - 1
-		}
-		out[cur].Count++
-		out[cur].SumQuantity += int64(quantity[p])
-	}
-	return out
-}
-
 // VecHashJoin probes the right-side hash index with the left key column in
 // BatchSize blocks — the batched probe half of the hash join. Output
 // order matches NestedLoopJoin: left position major, right position minor.
@@ -373,26 +351,6 @@ func VecHashJoin(leftKeys []int64, right HashIndex) []JoinPair {
 		for i, k := range leftKeys[base:end] {
 			for _, rp := range right[k] {
 				out = append(out, JoinPair{int32(base + i), rp})
-			}
-		}
-	}
-	return out
-}
-
-// VecIndexJoin probes a right-side B+Tree with the left key column — the
-// vectorized index join, one reused probe buffer across all blocks.
-func VecIndexJoin(leftKeys []int64, rightTree *bptree.Tree) []JoinPair {
-	out := make([]JoinPair, 0, len(leftKeys))
-	var matches []int64
-	for base := 0; base < len(leftKeys); base += BatchSize {
-		end := base + BatchSize
-		if end > len(leftKeys) {
-			end = len(leftKeys)
-		}
-		for i, k := range leftKeys[base:end] {
-			matches = rightTree.GetAllAppend(matches[:0], k)
-			for _, v := range matches {
-				out = append(out, JoinPair{int32(base + i), int32(v)})
 			}
 		}
 	}

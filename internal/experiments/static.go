@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"idxflow/internal/cloud"
 	"idxflow/internal/data"
 	"idxflow/internal/dataflow"
-	"idxflow/internal/exec"
 	"idxflow/internal/gain"
 	"idxflow/internal/tpch"
 	"idxflow/internal/workload"
@@ -83,89 +81,6 @@ func Table5() *Table {
 		fmt.Sprintf("table size %.2f GB (paper: 1.4 GB), %d partitions of <=128 MB",
 			tab.SizeMB()/1024, len(tab.Partitions)))
 	return t
-}
-
-// Table6Result carries the measured speedups so tests can assert the shape.
-type Table6Result struct {
-	Table    *Table
-	Speedups map[string]float64 // query -> speedup
-}
-
-// Table6 measures the four query speedups of Table 6 on the synthetic
-// lineitem substrate with a real B+Tree: order-by, large range select,
-// small range select and point lookup. Scale 2 is the paper's setting;
-// smaller scales preserve the ordering at lower cost.
-func Table6(scale float64, seed int64) (*Table6Result, error) {
-	rows := tpch.Generate(scale, seed)
-	tree, err := exec.BuildBTree(rows, exec.OrderKey)
-	if err != nil {
-		return nil, err
-	}
-	maxKey := rows[len(rows)-1].OrderKey
-
-	timeIt := func(f func()) float64 {
-		start := time.Now()
-		f()
-		return time.Since(start).Seconds()
-	}
-	// Query bounds mirror the paper's SQL relative to our substrate: the
-	// large range selects ~2% of the keys, the small range ~0.05%, the
-	// lookup a single key. (The paper's absolute bounds are tied to its
-	// disk-resident table; an in-memory scan is far cheaper per row, so
-	// the same selectivities would compress every speedup. These bounds
-	// preserve the ordering lookup > small > large > order-by.)
-	largeLo := maxKey / 3
-	largeHi := largeLo + maxKey/50 + 1
-	smallLo := maxKey / 5
-	smallHi := smallLo + maxKey/2000 + 1
-	lookupKey := maxKey * 2 / 3
-
-	type q struct {
-		name    string
-		noIndex func()
-		index   func()
-	}
-	queries := []q{
-		{"Order by",
-			func() { exec.ScanOrderBy(rows, exec.OrderKey) },
-			func() { exec.IndexOrderBy(tree) }},
-		{"Select range (large)",
-			func() { exec.ScanRange(rows, exec.OrderKey, largeLo, largeHi) },
-			func() { exec.IndexRange(tree, largeLo, largeHi) }},
-		{"Select range (small)",
-			func() { exec.ScanRange(rows, exec.OrderKey, smallLo, smallHi) },
-			func() { exec.IndexRange(tree, smallLo, smallHi) }},
-		{"Lookup",
-			func() { exec.ScanLookup(rows, exec.OrderKey, lookupKey) },
-			func() { exec.IndexLookup(tree, lookupKey) }},
-	}
-
-	res := &Table6Result{
-		Table: &Table{
-			Title:  fmt.Sprintf("Table 6: Index speedup (scale %g, %d rows)", scale, len(rows)),
-			Header: []string{"Query", "No-Index (ms)", "Index (ms)", "Speedup", "Paper Speedup"},
-		},
-		Speedups: make(map[string]float64),
-	}
-	paper := map[string]float64{
-		"Order by": 7.44, "Select range (large)": 94.44,
-		"Select range (small)": 307.50, "Lookup": 627.14,
-	}
-	const trials = 3
-	for _, query := range queries {
-		var noIdx, withIdx float64
-		for i := 0; i < trials; i++ {
-			noIdx += timeIt(query.noIndex)
-			withIdx += timeIt(query.index)
-		}
-		speedup := noIdx / withIdx
-		res.Speedups[query.name] = speedup
-		res.Table.AddRow(query.name, noIdx/trials*1e3, withIdx/trials*1e3,
-			fmt.Sprintf("%.2fx", speedup), fmt.Sprintf("%.2fx", paper[query.name]))
-	}
-	res.Table.Notes = append(res.Table.Notes,
-		"expected shape: lookup > small range > large range > order-by, all >> 1")
-	return res, nil
 }
 
 // Fig3 reproduces the worked example of Table 2 / Fig. 3: the gain over

@@ -4,14 +4,14 @@
 // at once instead of one Algorithm-1 pass at a time.
 //
 // Isolation model: every tenant owns its tuning state — gain history,
-// index catalog, file database and provenance FlowID namespace — behind a
-// striped-lock shard map, so one tenant's feedback never pollutes
-// another's recommendations (the Schnaitter & Polyzotis semi-automatic
-// tuning argument). Two resources stay global and strongly consistent:
-// the container fleet (a counting semaphore with reserve/release audit
-// trails, the only critical section concurrent admissions serialize on)
-// and the money books (per-tenant settlements that must sum to the global
-// ledger, provable by check.AuditQaaS).
+// index catalog, file database and provenance FlowID namespace — held in
+// one tenant map behind one read-write lock, so one tenant's feedback never
+// pollutes another's recommendations (the Schnaitter & Polyzotis
+// semi-automatic tuning argument). Two resources stay global and strongly
+// consistent: the container fleet (a counting semaphore with
+// reserve/release audit trails, the only critical section concurrent
+// admissions serialize on) and the money books (per-tenant settlements that
+// must sum to the global ledger, provable by check.AuditQaaS).
 //
 // Flow of an admission: Submit reserves the tenant's fair share, enqueues
 // into a bounded queue (backpressure: *BackpressureError carrying a
@@ -51,9 +51,6 @@ const (
 	DefaultFleet          = 64
 	DefaultMaxTenants     = 256
 )
-
-// tenantShards is the number of stripes in the tenant map.
-const tenantShards = 16
 
 // retryAfter is the backpressure hint returned with every rejection.
 const retryAfter = time.Second
@@ -165,12 +162,6 @@ type Tenant struct {
 	admitted atomic.Int64
 }
 
-// shard is one stripe of the tenant map.
-type shard struct {
-	mu      sync.RWMutex
-	tenants map[string]*Tenant
-}
-
 type instruments struct {
 	queueDepth    *telemetry.Gauge
 	admitted      *telemetry.Counter
@@ -199,11 +190,16 @@ type admissionResult struct {
 type Pipeline struct {
 	cfg    Config
 	tel    *telemetry.Registry
-	shards []*shard
 	queue  chan *admission
 	fleet  *fleet
 	ledger *ledger
 	ins    instruments
+
+	// tenantsMu guards tenants. A lookup takes the read side once per
+	// submit; creating a tenant takes the write side, at most MaxTenants
+	// times in the pipeline's life.
+	tenantsMu sync.RWMutex
+	tenants   map[string]*Tenant
 
 	// drainMu gates admissions against drain: Submit holds the read
 	// side around the draining check and the enqueue, Drain takes the
@@ -215,10 +211,9 @@ type Pipeline struct {
 	workers  sync.WaitGroup
 	closeq   sync.Once
 
-	inFlight    atomic.Int64
-	admitted    atomic.Int64
-	rejected    atomic.Int64
-	tenantCount atomic.Int64
+	inFlight atomic.Int64
+	admitted atomic.Int64
+	rejected atomic.Int64
 
 	// execOverride replaces the worker's execution step in unit tests
 	// that need controllable timing without running the real tuner.
@@ -263,14 +258,11 @@ func New(cfg Config) *Pipeline {
 	}
 
 	p := &Pipeline{
-		cfg:    cfg,
-		tel:    tel,
-		shards: make([]*shard, tenantShards),
-		queue:  make(chan *admission, cfg.QueueDepth),
-		ledger: newLedger(),
-	}
-	for i := range p.shards {
-		p.shards[i] = &shard{tenants: make(map[string]*Tenant)}
+		cfg:     cfg,
+		tel:     tel,
+		queue:   make(chan *admission, cfg.QueueDepth),
+		ledger:  newLedger(),
+		tenants: make(map[string]*Tenant),
 	}
 	p.ins = instruments{
 		queueDepth: tel.Gauge("idxflow_qaas_queue_depth",
@@ -307,45 +299,30 @@ func TenantSeed(base int64, tenant string) int64 {
 	return base ^ int64(h.Sum64()&0x7fffffffffffffff)
 }
 
-func (p *Pipeline) shardFor(name string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return p.shards[int(h.Sum32())%len(p.shards)]
-}
-
-// Tenant returns tenant name's state, instantiating it on first use
-// (striped lock: only the owning shard is write-locked during creation).
-// The name must pass ValidateTenantName, and creation beyond MaxTenants
-// fails with ErrTenantCapacity — both guard against untrusted request
-// input allocating unbounded per-tenant state.
+// Tenant returns tenant name's state, instantiating it on first use under
+// the tenant map's write lock. The name must pass ValidateTenantName, and
+// creation beyond MaxTenants fails with ErrTenantCapacity — both guard
+// against untrusted request input allocating unbounded per-tenant state.
 func (p *Pipeline) Tenant(name string) (*Tenant, error) {
 	if err := ValidateTenantName(name); err != nil {
 		return nil, err
 	}
-	sh := p.shardFor(name)
-	sh.mu.RLock()
-	t := sh.tenants[name]
-	sh.mu.RUnlock()
-	if t != nil {
+	if t := p.Lookup(name); t != nil {
 		return t, nil
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if t := sh.tenants[name]; t != nil {
+	p.tenantsMu.Lock()
+	defer p.tenantsMu.Unlock()
+	if t := p.tenants[name]; t != nil {
 		return t, nil
 	}
-	// Atomic reserve-then-check keeps the cap exact even when shards
-	// create tenants concurrently.
-	if max := p.cfg.MaxTenants; max > 0 && p.tenantCount.Add(1) > int64(max) {
-		p.tenantCount.Add(-1)
+	if max := p.cfg.MaxTenants; max > 0 && len(p.tenants) >= max {
 		return nil, fmt.Errorf("%w (max %d)", ErrTenantCapacity, max)
 	}
 	t, err := p.newTenant(name)
 	if err != nil {
-		p.tenantCount.Add(-1)
 		return nil, err
 	}
-	sh.tenants[name] = t
+	p.tenants[name] = t
 	p.ins.tenantsGauge.Add(1)
 	return t, nil
 }
@@ -355,10 +332,9 @@ func (p *Pipeline) Tenant(name string) (*Tenant, error) {
 // endpoints resolving untrusted tenant strings) cannot be abused to
 // exhaust memory.
 func (p *Pipeline) Lookup(name string) *Tenant {
-	sh := p.shardFor(name)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.tenants[name]
+	p.tenantsMu.RLock()
+	defer p.tenantsMu.RUnlock()
+	return p.tenants[name]
 }
 
 func (p *Pipeline) newTenant(name string) (*Tenant, error) {

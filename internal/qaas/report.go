@@ -83,14 +83,12 @@ type Report struct {
 
 // Tenants returns every instantiated tenant, sorted by name.
 func (p *Pipeline) Tenants() []*Tenant {
-	var out []*Tenant
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		for _, t := range sh.tenants {
-			out = append(out, t)
-		}
-		sh.mu.RUnlock()
+	p.tenantsMu.RLock()
+	out := make([]*Tenant, 0, len(p.tenants))
+	for _, t := range p.tenants {
+		out = append(out, t)
 	}
+	p.tenantsMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

@@ -27,6 +27,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -398,12 +399,16 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	// Encode before the status line goes out, so a value that cannot be
+	// encoded (a NaN float) is a 500, not a 200 with an error for a body.
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing more to do than note it.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	w.Write(buf.Bytes())
 }
 
 func orEmpty(s []string) []string {
