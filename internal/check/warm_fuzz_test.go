@@ -35,11 +35,11 @@ func viewOf(sky []*sched.Schedule) []schedView {
 	return out
 }
 
-// FuzzWarmFrontier drives one warm-start state through a fuzzed
-// interleaving of submissions, faulted executions, adoptions, invalidations
-// and caller-side mutations of returned schedules, and checks after every
-// submission that the warm frontier is reflect.DeepEqual to a from-scratch
-// cold run and passes the frontier audit.
+// FuzzWarmFrontier drives one reused skyline through a fuzzed interleaving
+// of submissions, faulted executions, invalidations and caller-side
+// mutations of returned schedules, and checks after every submission that
+// its frontier is reflect.DeepEqual to a fresh skyline's and passes the
+// frontier audit.
 func FuzzWarmFrontier(f *testing.F) {
 	f.Add(int64(1), uint64(0), uint64(0))
 	f.Add(int64(4), uint64(1), uint64(0x2d))
@@ -50,7 +50,7 @@ func FuzzWarmFrontier(f *testing.F) {
 	// still decode.
 	f.Fuzz(func(t *testing.T, seed int64, _, mix uint64) {
 		sc := NewScenario(seed, float64(mix%150)/100)
-		warm := sched.NewWarm(nil)
+		warm := sched.NewSkyline(sc.Opts)
 
 		// Three graphs to cycle through; repeats exercise the memo's hit
 		// path, switches its replacement path.
@@ -73,18 +73,14 @@ func FuzzWarmFrontier(f *testing.F) {
 			g := graphs[bits%3]
 			withOpt := bits&0b100 != 0
 
-			warmOpts := sc.Opts
-			warmOpts.Warm = warm
-			coldOpts := sc.Opts
-
-			run := func(o sched.Options) []*sched.Schedule {
+			run := func(sk *sched.Skyline) []*sched.Schedule {
 				if withOpt {
-					return sched.NewSkyline(o).ScheduleWithOptional(g)
+					return sk.ScheduleWithOptional(g)
 				}
-				return sched.NewSkyline(o).Schedule(g)
+				return sk.Schedule(g)
 			}
-			wsky := run(warmOpts)
-			csky := run(coldOpts)
+			wsky := run(warm)
+			csky := run(sched.NewSkyline(sc.Opts))
 			if !reflect.DeepEqual(viewOf(wsky), viewOf(csky)) {
 				t.Fatalf("seed %d step %d (withOpt=%v): warm frontier diverged from cold",
 					seed, step, withOpt)
@@ -100,15 +96,14 @@ func FuzzWarmFrontier(f *testing.F) {
 			// Interleave the bookkeeping the service performs between
 			// submissions — none of it may change future frontiers.
 			switch bits % 4 {
-			case 0: // faulted execution, then adoption of the repaired schedule
+			case 0: // faulted execution of the chosen schedule
 				cfg := sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}
 				if sc.Plan.Len() > 0 {
 					cfg.Faults = sc.Plan.Events
 				}
 				sim.Execute(chosen, cfg)
-				warm.NoteAdoption(chosen)
-			case 1: // adoption alone
-				warm.NoteAdoption(chosen)
+			case 1: // caller repairs the chosen schedule in place
+				chosen.Repair(0, 0)
 			case 2: // caller wipes the returned clones outright
 				for _, s := range wsky {
 					s.CopyFrom(sched.NewSchedule(g, sc.Opts.Pricing, sc.Opts.Spec))

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"idxflow/internal/dataflow"
+	"idxflow/internal/sched"
 	"idxflow/internal/workload"
 )
 
@@ -56,6 +58,39 @@ func TestDedicatedBuildsRespectMargin(t *testing.T) {
 	_, moneyLow := run(1.2)
 	if moneyLow < moneyHuge {
 		t.Errorf("paying for dedicated builds cannot reduce VM cost: %g < %g", moneyLow, moneyHuge)
+	}
+}
+
+// TestDedicatedMarginZeroMeansTwo: an unset DedicatedMargin runs at the
+// documented default of 2, not at the floor of 1 that other values below 1
+// are raised to. The one unplaced build's gain covers its dedicated quantum
+// 1.5 times, so margin 1 builds it and margin 2 does not.
+func TestDedicatedMarginZeroMeansTwo(t *testing.T) {
+	placed := func(margin float64) bool {
+		cfg := quickConfig(Gain)
+		cfg.AllowDedicatedBuilds = true
+		cfg.DedicatedMargin = margin
+		svc := NewService(cfg, testDB(t))
+		pr := cfg.Sched.Pricing
+		g := dataflow.New()
+		scan := g.Add(dataflow.Operator{Name: "scan", Time: 30})
+		build := g.Add(dataflow.Operator{Name: "build", Time: 30, Priority: -1, Optional: true})
+		s := sched.NewSchedule(g, pr, cfg.Sched.Spec)
+		if _, err := s.Append(scan, 0, -1); err != nil {
+			t.Fatal(err)
+		}
+		p := &pass{chosen: s, builds: []buildCandidate{{index: "i", op: build, gain: 1.5 * pr.VMPerQuantum}}}
+		svc.dedicate(p)
+		_, ok := s.Assignment(build)
+		return ok
+	}
+	for _, c := range []struct {
+		margin float64
+		want   bool
+	}{{1, true}, {2, false}, {0, false}, {0.5, true}} {
+		if got := placed(c.margin); got != c.want {
+			t.Errorf("margin %g: build placed = %v, want %v", c.margin, got, c.want)
+		}
 	}
 }
 

@@ -520,7 +520,10 @@ func (s *Service) dedicate(p *pass) {
 		return
 	}
 	margin := s.cfg.DedicatedMargin
-	if margin < 1 {
+	switch {
+	case margin == 0:
+		margin = 2
+	case margin < 1:
 		margin = 1
 	}
 	pr := s.cfg.Sched.Pricing
@@ -554,7 +557,7 @@ func (s *Service) execute(ctx context.Context, p *pass) bool {
 		Pricing: s.cfg.Sched.Pricing, Spec: s.cfg.Sched.Spec,
 		Faults:  s.cfg.Faults.From(p.now),
 		Metrics: s.cfg.Telemetry, Tracer: s.cfg.Tracer,
-		Provenance: s.cfg.Provenance, FlowID: p.id, ProvenanceT0: p.now,
+		Provenance: s.cfg.Provenance, At: s.at,
 		Ctx: ctx,
 	}
 	if e := s.cfg.RuntimeError; e > 0 {
@@ -600,10 +603,6 @@ func (s *Service) commit(p *pass) {
 	s.metrics.FaultsRecovered += run.FaultsRecovered
 	s.metrics.ReplacedOps += run.ReplacedOps
 	s.metrics.WastedQuanta += run.WastedQuanta
-
-	// Warm-start bookkeeping: the adopted (post-repair) schedule sizes
-	// the next run's idle-slot buffers.
-	s.skyline.Opts.Warm.NoteAdoption(p.chosen)
 
 	for _, opID := range run.CompletedBuilds {
 		b, ok := p.candidate(opID)

@@ -41,7 +41,7 @@ func TestSchedulerBuiltOnceAndConfigReadOnly(t *testing.T) {
 		t.Errorf("Config changed across 50 submits:\nbefore %+v\nafter  %+v", before, after)
 	}
 	if svc.WarmStats().Misses == 0 {
-		t.Error("the one scheduler's warm state saw no run")
+		t.Error("the one skyline's memo saw no run")
 	}
 }
 

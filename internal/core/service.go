@@ -110,7 +110,7 @@ type Config struct {
 	// margin (DedicatedMargin, default 2).
 	AllowDedicatedBuilds bool
 	// DedicatedMargin is the required gain/cost ratio for dedicated
-	// builds; values below 1 are raised to 1.
+	// builds; zero means 2, and other values below 1 are raised to 1.
 	DedicatedMargin float64
 	// AdaptiveFading enables the §7 learned per-index fading controller:
 	// indexes deleted and re-requested soon after get a slower fade,
@@ -274,8 +274,8 @@ type Service struct {
 	// current pass's attribution from; admit is its only writer.
 	at *provenance.Attribution
 	// skyline and interleaver are the tenant's scheduler, built once: the
-	// configured §5.3 algorithm over the one Skyline, whose Opts.Warm carries
-	// the last frontier and the idle-slot sizing hint across submissions.
+	// configured §5.3 algorithm over the one Skyline, which carries the last
+	// frontier across submissions.
 	skyline     *sched.Skyline
 	interleaver interleave.Interleaver
 	// lastUsed records, per index, the last service time a dataflow
@@ -304,13 +304,11 @@ func NewService(cfg Config, db *workload.FileDB) *Service {
 	if cfg.Provenance == nil {
 		cfg.Provenance = provenance.Default()
 	}
-	// Thread the observability handles, the attribution cell and the warm
-	// state through the scheduling layers; cfg is read-only after this.
+	// Thread the observability handles and the attribution cell through the
+	// scheduling layers; cfg is read-only after this.
 	cfg.Sched.Metrics = cfg.Telemetry
 	cfg.Sched.Tracer = cfg.Tracer
-	cfg.Sched.Provenance = cfg.Provenance
 	cfg.Sched.At = new(provenance.Attribution)
-	cfg.Sched.Warm = sched.NewWarm(cfg.Telemetry)
 	s := &Service{
 		cfg:      cfg,
 		db:       db,
@@ -334,11 +332,11 @@ func NewService(cfg Config, db *workload.FileDB) *Service {
 	case cfg.Strategy == RandomIndex:
 		s.interleaver = &interleave.Random{Scheduler: s.skyline, Rng: s.rng}
 	case cfg.Algo == OnlineInterleave:
-		on := &interleave.Online{Scheduler: s.skyline}
+		on := &interleave.Online{Scheduler: s.skyline, Provenance: cfg.Provenance}
 		on.Instrument(cfg.Telemetry)
 		s.interleaver = on
 	default:
-		lp := &interleave.LP{Scheduler: s.skyline}
+		lp := &interleave.LP{Scheduler: s.skyline, Provenance: cfg.Provenance}
 		lp.Instrument(cfg.Telemetry)
 		s.interleaver = lp
 	}
@@ -355,7 +353,7 @@ func (s *Service) Catalog() *data.Catalog { return s.db.Catalog }
 func (s *Service) Clock() float64 { return s.clock }
 
 // WarmStats snapshots the scheduler's warm-start counters.
-func (s *Service) WarmStats() sched.WarmStats { return s.skyline.Opts.Warm.Stats() }
+func (s *Service) WarmStats() sched.WarmStats { return s.skyline.WarmStats() }
 
 // Run submits every flow whose execution can finish within the horizon (in
 // seconds) and returns the aggregated metrics. Flows still queued or

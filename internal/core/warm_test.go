@@ -5,13 +5,25 @@ import (
 	"reflect"
 	"testing"
 
+	"idxflow/internal/dataflow"
+	"idxflow/internal/interleave"
+	"idxflow/internal/sched"
 	"idxflow/internal/workload"
 )
 
+// coldLP is the LP interleaver over a fresh skyline per submit, so every
+// schedule is computed from scratch: the cold side of the equivalence.
+type coldLP struct{ opts sched.Options }
+
+func (c coldLP) Interleave(g *dataflow.Graph, gains map[dataflow.OpID]float64) []*sched.Schedule {
+	return (&interleave.LP{Scheduler: sched.NewSkyline(c.opts)}).Interleave(g, gains)
+}
+
 // runWarmSeq runs a fixed submission sequence — every flow submitted twice
 // so the scheduling problem repeats — and returns the aggregate metrics.
-// warmOn toggles the scheduler's cross-submission warm state; everything
-// else is identical, so warm and cold runs must agree bit for bit.
+// warmOn keeps the service's one skyline; off, every submit schedules on a
+// fresh one. Everything else is identical, so warm and cold runs must agree
+// bit for bit.
 func runWarmSeq(t *testing.T, strategy Strategy, warmOn, faulty bool) (*Service, Metrics) {
 	t.Helper()
 	db := testDB(t)
@@ -22,7 +34,7 @@ func runWarmSeq(t *testing.T, strategy Strategy, warmOn, faulty bool) (*Service,
 	}
 	svc := NewService(cfg, db)
 	if !warmOn {
-		svc.skyline.Opts.Warm = nil // the service's one scheduler holds it
+		svc.interleaver = coldLP{svc.skyline.Opts}
 	}
 	for i := 0; i < 4; i++ {
 		// Submit the same flow object twice: the generator draws from its
@@ -41,9 +53,12 @@ func runWarmSeq(t *testing.T, strategy Strategy, warmOn, faulty bool) (*Service,
 // results, costs and fault accounting included.
 func TestServiceWarmMatchesColdGolden(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
-		_, cold := runWarmSeq(t, Gain, false, faulty)
+		coldSvc, cold := runWarmSeq(t, Gain, false, faulty)
 		if faulty && cold.FaultsInjected == 0 {
 			t.Fatal("fault plan injected nothing; the faulted golden case is dead")
+		}
+		if st := coldSvc.WarmStats(); st != (sched.WarmStats{}) {
+			t.Fatalf("the cold side ran on the service's skyline: %+v", st)
 		}
 		_, warm := runWarmSeq(t, Gain, true, faulty)
 		if !reflect.DeepEqual(cold, warm) {
@@ -69,14 +84,5 @@ func TestServiceWarmHitsOnRepeatedFlows(t *testing.T) {
 			t.Errorf("repeat of flow %d diverged: (%g, %g) vs (%g, %g)",
 				i, a.Makespan, a.MoneyQuanta, b.Makespan, b.MoneyQuanta)
 		}
-	}
-}
-
-// TestServiceWarmStatsNilSafe covers the disabled-warm service: the stats
-// accessor and the adoption note must be inert.
-func TestServiceWarmStatsNilSafe(t *testing.T) {
-	svc, _ := runWarmSeq(t, Gain, false, true)
-	if st := svc.WarmStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("disabled warm state reported activity: %+v", st)
 	}
 }

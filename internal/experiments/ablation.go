@@ -68,14 +68,7 @@ func Ablations(seed int64, horizon float64) *Table {
 			panic(err)
 		}
 		gen := workload.NewGenerator(db, seed+1)
-		phases := workload.DefaultPhases()
-		if horizon < Horizon720 {
-			f := horizon / Horizon720
-			for i := range phases {
-				phases[i].Seconds *= f
-			}
-		}
-		flows := gen.PhaseWorkload(phases, 60)
+		flows := phaseFlows(gen, horizon)
 		cfg := core.DefaultConfig()
 		cfg.Sched.MaxSkyline = 4
 		cfg.RuntimeError = 0.1

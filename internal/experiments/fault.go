@@ -61,14 +61,7 @@ func Fault(seed, faultSeed int64, rates []float64, horizon float64) *FaultResult
 			panic(err)
 		}
 		gen := workload.NewGenerator(db, seed+1)
-		phases := workload.DefaultPhases()
-		if horizon < Horizon720 {
-			f := horizon / Horizon720
-			for i := range phases {
-				phases[i].Seconds *= f
-			}
-		}
-		flows := gen.PhaseWorkload(phases, 60)
+		flows := phaseFlows(gen, horizon)
 
 		cfg := core.DefaultConfig()
 		cfg.Strategy = strat

@@ -29,16 +29,17 @@ func (i *instruments) Instrument(reg *telemetry.Registry) {
 }
 
 // report counts the placements and emits the per-submission placement
-// summary event: how many of the offered build operators found idle-slot
-// homes across the skyline (§5.3). Called once, after every schedule has
-// been packed, on the pass's own goroutine.
-func (i *instruments) report(opts *sched.Options, offered, placed, schedules int) {
+// summary event to rec, attributed through the scheduler's cell: how many
+// of the offered build operators found idle-slot homes across the skyline
+// (§5.3). Called once, after every schedule has been packed, on the pass's
+// own goroutine.
+func (i *instruments) report(rec *provenance.Recorder, sk *sched.Skyline, offered, placed, schedules int) {
 	i.placed.Add(float64(placed))
-	if !opts.Provenance.Active() {
+	if !rec.Active() {
 		return
 	}
-	at := opts.At.Get()
-	opts.Provenance.Append(provenance.Event{
+	at := sk.Opts.At.Get()
+	rec.Append(provenance.Event{
 		Kind:       provenance.KindInterleaved,
 		Flow:       at.Flow,
 		T:          at.T,
@@ -51,6 +52,8 @@ func (i *instruments) report(opts *sched.Options, offered, placed, schedules int
 // LP is the linear-program based interleaving algorithm (Algorithm 2).
 type LP struct {
 	Scheduler *sched.Skyline
+	// Provenance, when active, receives the per-submission placement summary.
+	Provenance *provenance.Recorder
 	instruments
 }
 
@@ -74,7 +77,7 @@ func (l *LP) Interleave(g *dataflow.Graph, gains map[dataflow.OpID]float64) []*s
 	for _, sc := range skyline {
 		placed += len(packInto(sc, builds, gains))
 	}
-	l.report(&l.Scheduler.Opts, len(builds), placed, len(skyline))
+	l.report(l.Provenance, l.Scheduler, len(builds), placed, len(skyline))
 	span.SetAttr("schedules", len(skyline)).SetAttr("builds_offered", len(builds)).SetAttr("builds_placed", placed)
 	return skyline
 }
@@ -168,6 +171,8 @@ func packInto(s *sched.Schedule, builds []dataflow.OpID, gains map[dataflow.OpID
 // by the modified skyline scheduler.
 type Online struct {
 	Scheduler *sched.Skyline
+	// Provenance, when active, receives the per-submission placement summary.
+	Provenance *provenance.Recorder
 	instruments
 }
 
@@ -190,7 +195,7 @@ func (o *Online) Interleave(g *dataflow.Graph, _ map[dataflow.OpID]float64) []*s
 			}
 		}
 	}
-	o.report(&o.Scheduler.Opts, len(optionalOps(g)), placed, len(skyline))
+	o.report(o.Provenance, o.Scheduler, len(optionalOps(g)), placed, len(skyline))
 	span.SetAttr("schedules", len(skyline)).SetAttr("builds_placed", placed)
 	return skyline
 }

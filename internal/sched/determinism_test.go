@@ -61,8 +61,7 @@ func fingerprint(sky []*Schedule) string {
 // TestSkylineDeterministicAcrossRuns is the determinism property test:
 // over seeded random DAGs, two runs of Schedule and of ScheduleWithOptional
 // must return identical skylines — points, assignments and container
-// types. The second run draws its schedules from the pool the first one
-// filled, so state left behind in a recycled schedule shows here.
+// types.
 func TestSkylineDeterministicAcrossRuns(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, withOpt := range []bool{false, true} {
@@ -228,7 +227,9 @@ func TestCloneAndCopyFromAliasing(t *testing.T) {
 		t.Errorf("clone mutations leaked into parent:\nbefore:\n%s\nafter:\n%s", before, got)
 	}
 
-	replica := new(Schedule)
+	// The replica is a schedule a skyline run recycled, so its slices hold
+	// another problem's storage.
+	replica := NewSkyline(o).Schedule(randomDAG(3, 40, 0))[0]
 	replica.CopyFrom(parent)
 	if _, err := replica.Append(c, 0, -1); err != nil {
 		t.Fatal(err)
@@ -283,7 +284,9 @@ func TestCopiesEqualOriginal(t *testing.T) {
 	if got := snapshot(s.Clone()); got != want {
 		t.Errorf("Clone differs from its original:\nwant:\n%s\ngot:\n%s", want, got)
 	}
-	replica := getSchedule() // whatever an earlier test left in the pool
+	// A skyline member carries another problem's storage, as a recycled
+	// schedule does.
+	replica := NewSkyline(testOpts()).Schedule(randomDAG(3, 40, 0))[0]
 	replica.CopyFrom(s)
 	if got := snapshot(replica); got != want {
 		t.Errorf("CopyFrom replica differs from its original:\nwant:\n%s\ngot:\n%s", want, got)

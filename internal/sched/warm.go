@@ -2,50 +2,19 @@ package sched
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"idxflow/internal/dataflow"
-	"idxflow/internal/telemetry"
 )
 
-// Warm carries scheduler state across consecutive submissions so the
-// submit→schedule→adopt hot path is incremental instead of from-scratch:
-//
-//   - a frontier memo: the Pareto frontier of the last scheduling problem,
-//     keyed by an exact signature of (graph, options). A lookup hits only
-//     when the full signature matches, and the skyline scheduler is
-//     deterministic, so the replayed frontier is bit-identical to what a
-//     cold run would compute — the equivalence the golden cold-vs-warm
-//     suite and FuzzWarmFrontier verify.
-//   - the idle-slot capacity of the last adopted schedule, fed back into
-//     the next run as a buffer-size hint (sizing, never semantics).
-//
-// A Warm value is owned by one tuner service; methods are safe for the
-// concurrent reporting reads the QaaS pipeline performs.
-type Warm struct {
-	mu sync.Mutex
-
-	sig      []uint64
-	frontier []*Schedule // owned clones; handed out re-cloned
-
-	// idleHint seeds new schedules' IdleSlots capacity hint.
-	idleHint int
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-
-	hitCounter *telemetry.Counter
-}
-
-// NewWarm returns an empty warm-start state. reg may be nil; the telemetry
-// handles degrade to no-ops.
-func NewWarm(reg *telemetry.Registry) *Warm {
-	return &Warm{
-		hitCounter: reg.Counter("idxflow_sched_warm_hits_total",
-			"Warm-frontier memo hits: submissions scheduled by replaying the carried Pareto frontier."),
-	}
-}
+// The warm start. A Skyline remembers the Pareto frontier of its last
+// scheduling problem, keyed by an exact signature of (graph, options), and
+// replays it when the next problem matches the full signature. The skyline
+// scheduler is deterministic, so the replayed frontier is bit-identical to
+// what a cold run would compute — the equivalence the golden cold-vs-warm
+// suites and FuzzWarmFrontier verify. A fresh Skyline is cold; one that has
+// run is warm. One entry bounds the memory: consecutive submissions rarely
+// repeat older-than-last problems.
 
 // WarmStats is a point-in-time snapshot of the warm-start counters for
 // reports and the loadgen summary.
@@ -54,79 +23,38 @@ type WarmStats struct {
 	Misses uint64 `json:"misses"`
 }
 
-// Stats snapshots the counters.
-func (w *Warm) Stats() WarmStats {
-	if w == nil {
-		return WarmStats{}
-	}
-	return WarmStats{Hits: w.hits.Load(), Misses: w.misses.Load()}
+// WarmStats snapshots the memo's counters. Like every Skyline method it
+// must not run concurrently with a schedule.
+func (sk *Skyline) WarmStats() WarmStats {
+	return WarmStats{Hits: sk.hits, Misses: sk.misses}
 }
 
 // lookup returns clones of the memoized frontier when sig matches exactly,
-// or nil. Cloning keeps the memo immune to caller mutation (the
-// interleaver packs build ops into the returned schedules).
-func (w *Warm) lookup(sig []uint64) []*Schedule {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.frontier) == 0 || len(sig) != len(w.sig) {
-		w.misses.Add(1)
+// or nil. Cloning keeps the memo immune to caller mutation (the interleaver
+// packs build ops into the returned schedules), and a clone shares no
+// storage with anything a later run recycles.
+func (sk *Skyline) lookup(sig []uint64) []*Schedule {
+	if len(sk.memo) == 0 || !slices.Equal(sig, sk.sig) {
+		sk.misses++
 		return nil
 	}
-	for i, v := range sig {
-		if w.sig[i] != v {
-			w.misses.Add(1)
-			return nil
-		}
-	}
-	out := make([]*Schedule, len(w.frontier))
-	for i, s := range w.frontier {
+	out := make([]*Schedule, len(sk.memo))
+	for i, s := range sk.memo {
 		out[i] = s.Clone()
 	}
-	w.hits.Add(1)
-	w.hitCounter.Inc()
+	sk.hits++
+	sk.warmHits.Inc()
 	return out
 }
 
-// store memoizes clones of frontier under sig, replacing any previous
-// entry: consecutive submissions rarely repeat older-than-last problems,
-// so one entry bounds the memory.
-func (w *Warm) store(sig []uint64, frontier []*Schedule) {
-	if len(frontier) == 0 {
-		return
-	}
-	clones := make([]*Schedule, len(frontier))
+// store memoizes copies of frontier under sig, taken from the run's free
+// list, as the new entry.
+func (sk *Skyline) store(sig []uint64, frontier []*Schedule, free *freeList) {
+	sk.sig, sk.memo = sig, make([]*Schedule, len(frontier))
 	for i, s := range frontier {
-		clones[i] = s.Clone()
+		sk.memo[i] = free.get()
+		sk.memo[i].CopyFrom(s)
 	}
-	w.mu.Lock()
-	w.sig = append(w.sig[:0], sig...)
-	w.frontier = clones
-	w.mu.Unlock()
-}
-
-// NoteAdoption records the idle-slot capacity of the schedule the tuner
-// adopted (post-repair when faults struck) as the next run's hint.
-func (w *Warm) NoteAdoption(s *Schedule) {
-	if w == nil || s == nil {
-		return
-	}
-	w.mu.Lock()
-	w.idleHint = s.idleCap
-	w.mu.Unlock()
-}
-
-// seedHints applies the carried capacity hint to a fresh schedule. Hints
-// size buffers only — they cannot change any computed value, so the warm
-// path stays bit-identical to cold by construction.
-func (w *Warm) seedHints(s *Schedule) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	if w.idleHint > s.idleCap {
-		s.idleCap = w.idleHint
-	}
-	w.mu.Unlock()
 }
 
 // fnvStep folds one 64-bit word into an FNV-1a style running hash.

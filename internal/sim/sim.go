@@ -66,12 +66,12 @@ type Config struct {
 	// killed mid-execution and faults injected/recovered. A nil or
 	// disabled recorder costs one atomic load per Execute.
 	Provenance *provenance.Recorder
-	// FlowID attributes this execution's provenance events to a dataflow.
-	FlowID provenance.FlowID
-	// ProvenanceT0 is the absolute service time this execution starts at;
-	// event times are ProvenanceT0 plus execution-relative seconds, so the
-	// log shares the service clock with every other layer.
-	ProvenanceT0 float64
+	// At, when non-nil, is the attribution cell of the pass this execution
+	// belongs to, read once per Execute: its Flow tags the span and the
+	// events, and its T is the absolute service time the execution starts
+	// at, so event times are T plus execution-relative seconds and the log
+	// shares the service clock with every other layer.
+	At *provenance.Attribution
 	// Ctx, when non-nil, lets the caller cancel the replay: the event loops
 	// poll it and a cancelled execution returns Result{Cancelled: true}
 	// with no other fields populated, so a drained admission stops cleanly
@@ -554,8 +554,9 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 		cfg.Tracer = telemetry.DefaultTracer()
 	}
 	span := cfg.Tracer.StartSpan("sim.execute").SetAttr("ops", s.Assigned())
-	if cfg.FlowID != 0 {
-		span.SetAttr("flow_id", uint64(cfg.FlowID))
+	attr := cfg.At.Get()
+	if attr.Flow != 0 {
+		span.SetAttr("flow_id", uint64(attr.Flow))
 	}
 	defer span.End()
 	var done <-chan struct{}
@@ -635,8 +636,8 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 			injCounter(e.Kind).Inc()
 			if recording {
 				cfg.Provenance.Append(provenance.Event{
-					Kind: provenance.KindFaultInjected, Flow: cfg.FlowID,
-					T: cfg.ProvenanceT0 + e.At, Name: e.Kind.String(),
+					Kind: provenance.KindFaultInjected, Flow: attr.Flow,
+					T: attr.T + e.At, Name: e.Kind.String(),
 					Container: e.Container, Count: 1,
 				})
 			}
@@ -649,8 +650,8 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 		recCounter(e.Kind).Inc()
 		if recording {
 			cfg.Provenance.Append(provenance.Event{
-				Kind: provenance.KindFaultRecovered, Flow: cfg.FlowID,
-				T: cfg.ProvenanceT0 + e.At, Name: e.Kind.String(),
+				Kind: provenance.KindFaultRecovered, Flow: attr.Flow,
+				T: attr.T + e.At, Name: e.Kind.String(),
 				Container: e.Container, Count: 1,
 			})
 		}
@@ -661,8 +662,8 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 		recCounter(fault.Straggler).Add(float64(n))
 		if recording {
 			cfg.Provenance.Append(provenance.Event{
-				Kind: provenance.KindFaultRecovered, Flow: cfg.FlowID,
-				T: cfg.ProvenanceT0, Name: fault.Straggler.String(), Count: n,
+				Kind: provenance.KindFaultRecovered, Flow: attr.Flow,
+				T: attr.T, Name: fault.Straggler.String(), Count: n,
 			})
 		}
 	}
@@ -709,8 +710,8 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 					ins.buildsKilled.Inc()
 					if recording {
 						cfg.Provenance.Append(provenance.Event{
-							Kind: provenance.KindBuildKilled, Flow: cfg.FlowID,
-							T: cfg.ProvenanceT0 + at, Op: s.Graph.Op(r.Op).Name,
+							Kind: provenance.KindBuildKilled, Flow: attr.Flow,
+							T: attr.T + at, Op: s.Graph.Op(r.Op).Name,
 							Container: f.c, Start: at, End: at, Reason: "fault",
 						})
 					}
@@ -1131,8 +1132,8 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 				ins.buildsKilled.Inc()
 				if recording {
 					cfg.Provenance.Append(provenance.Event{
-						Kind: provenance.KindBuildKilled, Flow: cfg.FlowID,
-						T: cfg.ProvenanceT0 + r.Start, Op: op.Name,
+						Kind: provenance.KindBuildKilled, Flow: attr.Flow,
+						T: attr.T + r.Start, Op: op.Name,
 						Container: c, Start: r.Start, End: r.End, Reason: killReason,
 					})
 				}
