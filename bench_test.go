@@ -122,11 +122,7 @@ func runGain(b *testing.B, mutate func(cfg *core.Config)) {
 			b.Fatal(err)
 		}
 		gen := workload.NewGenerator(db, 2)
-		phases := workload.DefaultPhases()
-		for j := range phases {
-			phases[j].Seconds /= 6
-		}
-		flows := gen.PhaseWorkload(phases, 60)
+		flows := gen.PhaseWorkload(workload.DefaultPhasesFor(dynamicHorizon), 60)
 		cfg := core.DefaultConfig()
 		cfg.Sched.MaxSkyline = 4
 		cfg.RuntimeError = 0.1
@@ -215,7 +211,7 @@ func BenchmarkAblationHeterogeneous(b *testing.B) {
 func BenchmarkAblationExtensions(b *testing.B) {
 	cases := map[string]func(cfg *core.Config){
 		"baseline":  nil,
-		"dedicated": func(cfg *core.Config) { cfg.AllowDedicatedBuilds = true; cfg.DedicatedMargin = 2 },
+		"dedicated": func(cfg *core.Config) { cfg.AllowDedicatedBuilds = true },
 		"adaptive":  func(cfg *core.Config) { cfg.AdaptiveFading = true },
 	}
 	for _, name := range []string{"baseline", "dedicated", "adaptive"} {

@@ -128,14 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		switch *generator {
 		case "phase":
-			phases := workload.DefaultPhases()
-			if horizonSec < 43200 {
-				f := horizonSec / 43200
-				for i := range phases {
-					phases[i].Seconds *= f
-				}
-			}
-			flows = gen.PhaseWorkload(phases, 60)
+			flows = gen.PhaseWorkload(workload.DefaultPhasesFor(horizonSec), 60)
 		case "random":
 			flows = gen.RandomWorkload(horizonSec, 60)
 		default:

@@ -67,8 +67,10 @@ func main() {
 		len(placed), beforeIdle, chosen.Fragmentation(), chosen.Makespan())
 
 	// Execute with telemetry: a registry collects the executor's metrics.
+	// The run is fault-free (nil faults) and cannot be cancelled (nil ctx).
 	reg := telemetry.NewRegistry()
-	res := sim.Execute(chosen, sim.Config{Pricing: opts.Pricing, Spec: opts.Spec, Metrics: reg})
+	exec := sim.New(sim.Config{Pricing: opts.Pricing, Spec: opts.Spec, Metrics: reg})
+	res := exec.Execute(nil, chosen, nil)
 	fmt.Printf("\nexecution: makespan %.1fs, %g quanta, %d build completed, %d killed\n",
 		res.Makespan, res.MoneyQuanta, len(res.CompletedBuilds), res.Killed)
 	for _, a := range chosen.Assignments() {

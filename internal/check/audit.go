@@ -21,8 +21,8 @@ const (
 
 // AuditConfig describes the execution being audited.
 type AuditConfig struct {
-	// Faults are the events handed to sim.Config.Faults (execution-relative
-	// times); nil means the run was fault-free.
+	// Faults are the events handed to (*sim.Executor).Execute
+	// (execution-relative times); nil means the run was fault-free.
 	Faults []fault.Event
 	// Exact asserts that realized equals planned: the run used exact
 	// estimates (Config.Actual nil), no faults and no input-read model, so

@@ -23,11 +23,7 @@ func execScenario(t *testing.T, sc Scenario) ([]sim.Result, []*sched.Schedule) {
 	}
 	results := make([]sim.Result, len(skyline))
 	for i, s := range skyline {
-		cfg := sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}
-		if sc.Plan != nil {
-			cfg.Faults = sc.Plan.Events
-		}
-		results[i] = sim.Execute(s, cfg)
+		results[i] = sim.New(sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}).Execute(nil, s, sc.Plan.From(0))
 	}
 	return results, skyline
 }

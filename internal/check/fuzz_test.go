@@ -32,13 +32,12 @@ func FuzzExecute(f *testing.F) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for i, s := range skyline {
-			cfg := sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}
 			ac := AuditConfig{Exact: true}
 			if sc.Plan.Len() > 0 {
-				cfg.Faults = sc.Plan.Events
 				ac = AuditConfig{Faults: sc.Plan.Events}
 			}
-			if err := Audit(sim.Execute(s, cfg), s, ac); err != nil {
+			res := sim.New(sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}).Execute(nil, s, ac.Faults)
+			if err := Audit(res, s, ac); err != nil {
 				t.Fatalf("seed %d schedule %d: %v", seed, i, err)
 			}
 		}

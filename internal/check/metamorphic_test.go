@@ -156,16 +156,13 @@ func TestMetamorphicFaultRemoval(t *testing.T) {
 		}
 		skyline := sched.NewSkyline(sc.Opts).Schedule(sc.Graph)
 		s := skyline[0]
-		cfg := sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}
-		cfg.Faults = perf
-		full := sim.Execute(s, cfg)
+		ex := sim.New(sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec})
+		full := ex.Execute(nil, s, perf)
 		for drop := range perf {
 			reduced := make([]fault.Event, 0, len(perf)-1)
 			reduced = append(reduced, perf[:drop]...)
 			reduced = append(reduced, perf[drop+1:]...)
-			rcfg := cfg
-			rcfg.Faults = reduced
-			res := sim.Execute(s, rcfg)
+			res := ex.Execute(nil, s, reduced)
 			if res.Makespan > full.Makespan+1e-9*math.Max(1, full.Makespan) {
 				t.Errorf("seed %d: dropping event %d worsened makespan %g -> %g",
 					seed, drop, full.Makespan, res.Makespan)

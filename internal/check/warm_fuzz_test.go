@@ -97,11 +97,7 @@ func FuzzWarmFrontier(f *testing.F) {
 			// submissions — none of it may change future frontiers.
 			switch bits % 4 {
 			case 0: // faulted execution of the chosen schedule
-				cfg := sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}
-				if sc.Plan.Len() > 0 {
-					cfg.Faults = sc.Plan.Events
-				}
-				sim.Execute(chosen, cfg)
+				sim.New(sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}).Execute(nil, chosen, sc.Plan.From(0))
 			case 1: // caller repairs the chosen schedule in place
 				chosen.Repair(0, 0)
 			case 2: // caller wipes the returned clones outright

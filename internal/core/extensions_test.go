@@ -19,7 +19,6 @@ func TestDedicatedBuildsAccelerateColdStart(t *testing.T) {
 		gen := workload.NewGenerator(db, 2)
 		cfg := quickConfig(Gain)
 		cfg.AllowDedicatedBuilds = dedicated
-		cfg.DedicatedMargin = 1.5
 		svc := NewService(cfg, db)
 		total := 0
 		for i := 0; i < 3; i++ {
@@ -35,62 +34,51 @@ func TestDedicatedBuildsAccelerateColdStart(t *testing.T) {
 	}
 }
 
-// TestDedicatedBuildsRespectMargin: with an absurd margin nothing extra is
-// scheduled, so the run matches the plain one.
-func TestDedicatedBuildsRespectMargin(t *testing.T) {
-	run := func(margin float64) (int, float64) {
-		db := testDB(t)
-		gen := workload.NewGenerator(db, 2)
-		cfg := quickConfig(Gain)
-		cfg.AllowDedicatedBuilds = true
-		cfg.DedicatedMargin = margin
-		svc := NewService(cfg, db)
-		builds := 0
-		var money float64
-		for i := 0; i < 2; i++ {
-			res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
-			builds += res.BuildsCompleted
-			money += res.MoneyQuanta
-		}
-		return builds, money
+// dedicatedPlaced drives dedicate with one build the interleaver left
+// unplaced, whose gain is ratio times the quantum a dedicated container for
+// it costs, and reports whether the build was placed.
+func dedicatedPlaced(t *testing.T, ratio float64) bool {
+	t.Helper()
+	cfg := quickConfig(Gain)
+	cfg.AllowDedicatedBuilds = true
+	svc := NewService(cfg, testDB(t))
+	pr := cfg.Sched.Pricing
+	g := dataflow.New()
+	scan := g.Add(dataflow.Operator{Name: "scan", Time: 30})
+	build := g.Add(dataflow.Operator{Name: "build", Time: 30, Priority: -1, Optional: true})
+	s := sched.NewSchedule(g, pr, cfg.Sched.Spec)
+	if _, err := s.Append(scan, 0, -1); err != nil {
+		t.Fatal(err)
 	}
-	_, moneyHuge := run(1e12)
-	_, moneyLow := run(1.2)
-	if moneyLow < moneyHuge {
-		t.Errorf("paying for dedicated builds cannot reduce VM cost: %g < %g", moneyLow, moneyHuge)
+	p := &pass{chosen: s, builds: []buildCandidate{{index: "i", op: build, gain: ratio * pr.VMPerQuantum}}}
+	svc.dedicate(p)
+	_, ok := s.Assignment(build)
+	return ok
+}
+
+// TestDedicatedBuildsRespectMargin: a build whose gain covers its dedicated
+// quantum 1.5 times stays unbuilt, and one that covers it 2.5 times is built.
+func TestDedicatedBuildsRespectMargin(t *testing.T) {
+	if dedicatedPlaced(t, 1.5) {
+		t.Error("a build covering its quantum 1.5x was placed; the margin is 2")
+	}
+	if !dedicatedPlaced(t, 2.5) {
+		t.Error("a build covering its quantum 2.5x was not placed")
 	}
 }
 
-// TestDedicatedMarginZeroMeansTwo: an unset DedicatedMargin runs at the
-// documented default of 2, not at the floor of 1 that other values below 1
-// are raised to. The one unplaced build's gain covers its dedicated quantum
-// 1.5 times, so margin 1 builds it and margin 2 does not.
+// TestDedicatedMarginZeroMeansTwo: the margin is 2 and its boundary is
+// inclusive: a build whose gain is exactly twice its quantum is built, one
+// just below is not.
 func TestDedicatedMarginZeroMeansTwo(t *testing.T) {
-	placed := func(margin float64) bool {
-		cfg := quickConfig(Gain)
-		cfg.AllowDedicatedBuilds = true
-		cfg.DedicatedMargin = margin
-		svc := NewService(cfg, testDB(t))
-		pr := cfg.Sched.Pricing
-		g := dataflow.New()
-		scan := g.Add(dataflow.Operator{Name: "scan", Time: 30})
-		build := g.Add(dataflow.Operator{Name: "build", Time: 30, Priority: -1, Optional: true})
-		s := sched.NewSchedule(g, pr, cfg.Sched.Spec)
-		if _, err := s.Append(scan, 0, -1); err != nil {
-			t.Fatal(err)
-		}
-		p := &pass{chosen: s, builds: []buildCandidate{{index: "i", op: build, gain: 1.5 * pr.VMPerQuantum}}}
-		svc.dedicate(p)
-		_, ok := s.Assignment(build)
-		return ok
+	if dedicatedMargin != 2 {
+		t.Fatalf("dedicatedMargin = %g, want 2", float64(dedicatedMargin))
 	}
-	for _, c := range []struct {
-		margin float64
-		want   bool
-	}{{1, true}, {2, false}, {0, false}, {0.5, true}} {
-		if got := placed(c.margin); got != c.want {
-			t.Errorf("margin %g: build placed = %v, want %v", c.margin, got, c.want)
-		}
+	if !dedicatedPlaced(t, dedicatedMargin) {
+		t.Error("a build covering its quantum exactly 2x was not placed")
+	}
+	if dedicatedPlaced(t, dedicatedMargin*(1-1e-9)) {
+		t.Error("a build covering its quantum just under 2x was placed")
 	}
 }
 

@@ -510,21 +510,18 @@ func (s *Service) recordSchedule(p *pass) {
 	}
 }
 
+// dedicatedMargin is the gain a dedicated build must bring per unit of the
+// marginal quantum cost it adds.
+const dedicatedMargin = 2
+
 // dedicate is the §7 "delayed manner" extension for workloads whose idle
 // slots are too short: builds the interleaver could not fit go onto one
 // extra container of the chosen schedule, paid for out of pocket, highest
-// gain first, while each build's weighted gain exceeds its marginal
-// leased-quantum cost by the configured margin.
+// gain first, while each build's weighted gain covers dedicatedMargin times
+// its marginal leased-quantum cost.
 func (s *Service) dedicate(p *pass) {
 	if !s.cfg.AllowDedicatedBuilds || !s.cfg.Strategy.gainDriven() {
 		return
-	}
-	margin := s.cfg.DedicatedMargin
-	switch {
-	case margin == 0:
-		margin = 2
-	case margin < 1:
-		margin = 1
 	}
 	pr := s.cfg.Sched.Pricing
 	cont := p.chosen.NumSlots()
@@ -537,7 +534,7 @@ func (s *Service) dedicate(p *pass) {
 		}
 		newEnd := end + p.chosen.Graph.Op(b.op).Time
 		marginalCost := float64(pr.Quanta(newEnd)-pr.Quanta(end)) * pr.VMPerQuantum
-		if marginalCost > 0 && b.gain < margin*marginalCost {
+		if marginalCost > 0 && b.gain < dedicatedMargin*marginalCost {
 			continue
 		}
 		if _, err := p.chosen.Append(b.op, cont, -1); err != nil {
@@ -547,24 +544,11 @@ func (s *Service) dedicate(p *pass) {
 	}
 }
 
-// execute runs the chosen schedule and reports whether the run completed
-// (false: ctx was cancelled before or during it). It is the one stage that
-// knows what executes a schedule: the simulator, with the configured
-// runtime-error and fault injection. The fault plan holds absolute service
-// times; the execution sees the window from the decision time on.
+// execute runs the chosen schedule on the tenant's executor and reports
+// whether the run completed (false: ctx was cancelled before or during it).
+// The fault plan holds absolute service times; the execution sees the
+// window from the decision time on.
 func (s *Service) execute(ctx context.Context, p *pass) bool {
-	cfg := sim.Config{
-		Pricing: s.cfg.Sched.Pricing, Spec: s.cfg.Sched.Spec,
-		Faults:  s.cfg.Faults.From(p.now),
-		Metrics: s.cfg.Telemetry, Tracer: s.cfg.Tracer,
-		Provenance: s.cfg.Provenance, At: s.at,
-		Ctx: ctx,
-	}
-	if e := s.cfg.RuntimeError; e > 0 {
-		cfg.Actual = func(op *dataflow.Operator) float64 {
-			return op.Time * (1 + (s.rng.Float64()*2-1)*e)
-		}
-	}
 	// The fleet-reservation critical section: under the QaaS pipeline this
 	// books the schedule's containers out of the shared fleet, and the
 	// release models their occupancy for the realized makespan.
@@ -572,7 +556,7 @@ func (s *Service) execute(ctx context.Context, p *pass) bool {
 	if s.cfg.Reserve != nil {
 		release = s.cfg.Reserve(p.chosen.Containers())
 	}
-	p.run = sim.Execute(p.chosen, cfg)
+	p.run = s.exec.Execute(ctx, p.chosen, s.cfg.Faults.From(p.now))
 	if release != nil {
 		release(p.run.Makespan) // zero for a cancelled run
 	}

@@ -106,12 +106,9 @@ type Config struct {
 	// AllowDedicatedBuilds enables the §7 delayed-building extension:
 	// beneficial index partitions that did not fit any idle slot may be
 	// built on a dedicated extra container — paying real money — when the
-	// weighted gain exceeds the marginal quantum cost by the configured
-	// margin (DedicatedMargin, default 2).
+	// weighted gain is at least dedicatedMargin times the marginal quantum
+	// cost.
 	AllowDedicatedBuilds bool
-	// DedicatedMargin is the required gain/cost ratio for dedicated
-	// builds; zero means 2, and other values below 1 are raised to 1.
-	DedicatedMargin float64
 	// AdaptiveFading enables the §7 learned per-index fading controller:
 	// indexes deleted and re-requested soon after get a slower fade,
 	// indexes idling long past their controller a faster one.
@@ -278,6 +275,9 @@ type Service struct {
 	// frontier across submissions.
 	skyline     *sched.Skyline
 	interleaver interleave.Interleaver
+	// exec is the tenant's executor, built once beside the skyline: it
+	// replays every chosen schedule with the configured runtime error.
+	exec *sim.Executor
 	// lastUsed records, per index, the last service time a dataflow
 	// listed it as potentially useful — the hysteresis input.
 	lastUsed map[string]float64
@@ -318,10 +318,19 @@ func NewService(cfg Config, db *workload.FileDB) *Service {
 		lastUsed: make(map[string]float64),
 		at:       cfg.Sched.At,
 		skyline:  sched.NewSkyline(cfg.Sched),
-		// Also binds the executor's instrument bundle, so the per-query
-		// path hits the registry memo instead of re-resolving handles.
-		ins: newServiceInstruments(cfg.Telemetry),
+		ins:      newServiceInstruments(cfg.Telemetry),
 	}
+	var actual func(op *dataflow.Operator) float64
+	if e := cfg.RuntimeError; e > 0 {
+		actual = func(op *dataflow.Operator) float64 {
+			return op.Time * (1 + (s.rng.Float64()*2-1)*e)
+		}
+	}
+	s.exec = sim.New(sim.Config{
+		Pricing: cfg.Sched.Pricing, Spec: cfg.Sched.Spec, Actual: actual,
+		Metrics: cfg.Telemetry, Tracer: cfg.Tracer,
+		Provenance: cfg.Provenance, At: s.at,
+	})
 	s.eval.Provenance = cfg.Provenance
 	s.eval.At = s.at
 	if cfg.AdaptiveFading {

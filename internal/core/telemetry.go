@@ -1,14 +1,12 @@
 package core
 
-import (
-	"idxflow/internal/sim"
-	"idxflow/internal/telemetry"
-)
+import "idxflow/internal/telemetry"
 
 // serviceInstruments are the service-level metric handles, created once at
-// NewService so every family — including the executor's — appears in a
-// Prometheus scrape before the first dataflow is submitted. All handles are
-// nil-safe no-ops when the service runs without a registry.
+// NewService so every family appears in a Prometheus scrape before the first
+// dataflow is submitted (the executor's families are registered by the
+// sim.New call there). All handles are nil-safe no-ops when the service runs
+// without a registry.
 type serviceInstruments struct {
 	flowsSubmitted  *telemetry.Counter
 	flowsFinished   *telemetry.Counter
@@ -27,9 +25,6 @@ type serviceInstruments struct {
 }
 
 func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
-	// Pre-create the executor's families too: a scrape of a fresh server
-	// must still list every metric name.
-	sim.PreregisterMetrics(reg)
 	telemetry.RegisterBuildInfo(reg)
 	quanta := telemetry.ExponentialBuckets(1, 2, 10)
 	gains := telemetry.ExponentialBuckets(0.125, 2, 14)

@@ -51,10 +51,7 @@ func Ablations(seed int64, horizon float64) *Table {
 	}
 	add("interleaver", "online", func(cfg *core.Config) { cfg.Algo = core.OnlineInterleave })
 	add("pool", "two-tier", func(cfg *core.Config) { cfg.Sched.Types = cloud.DefaultVMTypes() })
-	add("extension", "dedicated-builds", func(cfg *core.Config) {
-		cfg.AllowDedicatedBuilds = true
-		cfg.DedicatedMargin = 2
-	})
+	add("extension", "dedicated-builds", func(cfg *core.Config) { cfg.AllowDedicatedBuilds = true })
 	add("extension", "adaptive-fading", func(cfg *core.Config) { cfg.AdaptiveFading = true })
 	add("extension", "batch-updates", func(cfg *core.Config) {
 		cfg.UpdateEveryQuanta = 60
@@ -68,7 +65,7 @@ func Ablations(seed int64, horizon float64) *Table {
 			panic(err)
 		}
 		gen := workload.NewGenerator(db, seed+1)
-		flows := phaseFlows(gen, horizon)
+		flows := gen.PhaseWorkload(workload.DefaultPhasesFor(horizon), 60)
 		cfg := core.DefaultConfig()
 		cfg.Sched.MaxSkyline = 4
 		cfg.RuntimeError = 0.1

@@ -63,12 +63,8 @@ func TestAuditProvenancePhaseWorkload(t *testing.T) {
 	svc := core.NewService(cfg, db)
 
 	gen := workload.NewGenerator(db, 3)
-	phases := workload.DefaultPhases()
 	horizon := float64(Horizon720) / 8
-	for i := range phases {
-		phases[i].Seconds /= 8
-	}
-	m := svc.Run(gen.PhaseWorkload(phases, 60), horizon)
+	m := svc.Run(gen.PhaseWorkload(workload.DefaultPhasesFor(horizon), 60), horizon)
 	if len(m.Results) == 0 {
 		t.Fatal("phase workload executed no flows")
 	}

@@ -118,22 +118,8 @@ func runDynamic(title string, seed int64, flowsFor func(gen *workload.Generator)
 // seconds (use Horizon720 for the paper's setting).
 func Phase(seed int64, horizon float64) *DynamicResult {
 	return runDynamic("phase", seed, func(gen *workload.Generator) []*dataflow.Flow {
-		return phaseFlows(gen, horizon)
+		return gen.PhaseWorkload(workload.DefaultPhasesFor(horizon), 60)
 	}, horizon)
-}
-
-// phaseFlows generates the phase workload over horizon seconds, with the
-// default phases scaled proportionally when the horizon is shorter than the
-// paper's.
-func phaseFlows(gen *workload.Generator, horizon float64) []*dataflow.Flow {
-	phases := workload.DefaultPhases()
-	if horizon < Horizon720 {
-		f := horizon / Horizon720
-		for i := range phases {
-			phases[i].Seconds *= f
-		}
-	}
-	return gen.PhaseWorkload(phases, 60)
 }
 
 // Random runs the §6.5.2 experiment: the uniform random dataflow generator

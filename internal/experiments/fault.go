@@ -61,7 +61,7 @@ func Fault(seed, faultSeed int64, rates []float64, horizon float64) *FaultResult
 			panic(err)
 		}
 		gen := workload.NewGenerator(db, seed+1)
-		flows := phaseFlows(gen, horizon)
+		flows := gen.PhaseWorkload(workload.DefaultPhasesFor(horizon), 60)
 
 		cfg := core.DefaultConfig()
 		cfg.Strategy = strat

@@ -51,8 +51,8 @@ func scaleGraph(g *dataflow.Graph, timeScale, dataScale float64) *dataflow.Graph
 // the bounded experiment pool: it builds its own workload generator
 // (seeded per trial, so a trial means the same flow at every error level
 // and different trials are distinct samples), draws perturbations from a
-// per-cell seeded rng, and records sim metrics into an isolated registry,
-// so replications are order-independent and the table is deterministic
+// per-cell seeded rng, and replays on its own executor into an isolated
+// registry, so replications are order-independent and the table is deterministic
 // for a given (seed, trials) at any parallelism.
 func Fig6(seed int64, trials int) *Table {
 	errPcts := []float64{0, 10, 20, 40, 60, 80, 100}
@@ -75,15 +75,14 @@ func Fig6(seed int64, trials int) *Table {
 		}
 		e := errPcts[row] / 100
 		rng := rand.New(rand.NewSource(seed + 2 + int64(i)))
-		cfg := sim.Config{
+		run := sim.New(sim.Config{
 			Pricing: opts.Pricing,
 			Spec:    opts.Spec,
 			Metrics: telemetry.NewRegistry(),
 			Actual: func(op *dataflow.Operator) float64 {
 				return op.Time * (1 + (rng.Float64()*2-1)*e)
 			},
-		}
-		run := sim.Execute(s, cfg)
+		}).Execute(nil, s, nil)
 		cells[i] = fig6Cell{
 			dT: pctDiff(run.Makespan, s.Makespan()),
 			dM: pctDiff(run.MoneyQuanta, s.MoneyQuanta()),

@@ -56,8 +56,7 @@ func TestAuditPerKindReplay(t *testing.T) {
 				e.Seq = i
 				only[i] = e
 			}
-			cfg := sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec, Faults: only}
-			res := sim.Execute(s, cfg)
+			res := sim.New(sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}).Execute(nil, s, only)
 			if err := check.Audit(res, s, check.AuditConfig{Faults: only}); err != nil {
 				t.Errorf("seed %d kind %v: %v", seed, kind, err)
 			}
@@ -87,8 +86,7 @@ func TestAuditPlanShiftInvariance(t *testing.T) {
 			continue
 		}
 		s := sched.NewSkyline(sc.Opts).Schedule(sc.Graph)[0]
-		cfg := sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec, Faults: suffix}
-		res := sim.Execute(s, cfg)
+		res := sim.New(sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}).Execute(nil, s, suffix)
 		if err := check.Audit(res, s, check.AuditConfig{Faults: suffix}); err != nil {
 			t.Errorf("seed %d: shifted plan: %v", seed, err)
 		}

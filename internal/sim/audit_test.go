@@ -59,8 +59,7 @@ func TestAuditFaultyReplay(t *testing.T) {
 			continue
 		}
 		for i, s := range sched.NewSkyline(sc.Opts).Schedule(sc.Graph) {
-			cfg := sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec, Faults: sc.Plan.Events}
-			res := sim.Execute(s, cfg)
+			res := sim.New(sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}).Execute(nil, s, sc.Plan.Events)
 			if err := check.Audit(res, s, check.AuditConfig{Faults: sc.Plan.Events}); err != nil {
 				t.Errorf("seed %d schedule %d: %v", seed, i, err)
 			}

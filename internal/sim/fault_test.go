@@ -37,8 +37,7 @@ func TestCrashReplacesPlannedOps(t *testing.T) {
 	cf := cfg()
 	// Container 0 crashes at t=5: a is in-flight (5 s wasted), c has not
 	// started; both move to the surviving container 1.
-	cf.Faults = []fault.Event{{Kind: fault.ContainerCrash, At: 5, Container: 0}}
-	res := Execute(s, cf)
+	res := New(cf).Execute(nil, s, []fault.Event{{Kind: fault.ContainerCrash, At: 5, Container: 0}})
 	for _, id := range []dataflow.OpID{a, c} {
 		r := res.Ops[id]
 		if !r.Completed || r.Container != 1 {
@@ -71,8 +70,7 @@ func TestRevocationNoticeBlocksNewStarts(t *testing.T) {
 	// Revocation of container 0 at t=100 with 30 s notice: a (done at 10)
 	// is unaffected; c would start at 75, inside the notice window, so it
 	// is re-placed on container 1 instead — no work is lost.
-	cf.Faults = []fault.Event{{Kind: fault.SpotRevocation, At: 100, Container: 0, NoticeSeconds: 30}}
-	res := Execute(s, cf)
+	res := New(cf).Execute(nil, s, []fault.Event{{Kind: fault.SpotRevocation, At: 100, Container: 0, NoticeSeconds: 30}})
 	if ra := res.Ops[a]; !ra.Completed || ra.Container != 0 {
 		t.Errorf("a = %+v, want completed on container 0 before the notice", ra)
 	}
@@ -100,8 +98,7 @@ func TestCrashMidOpOpensFreshContainer(t *testing.T) {
 	// repair keeps a (planned end 10 <= 15), but the realized run crosses
 	// the failure: a restarts from scratch on a fresh container.
 	cf.Actual = func(op *dataflow.Operator) float64 { return 20 }
-	cf.Faults = []fault.Event{{Kind: fault.ContainerCrash, At: 15, Container: 0}}
-	res := Execute(s, cf)
+	res := New(cf).Execute(nil, s, []fault.Event{{Kind: fault.ContainerCrash, At: 15, Container: 0}})
 	r := res.Ops[a]
 	if !r.Completed || r.Container == 0 || !r.Replaced {
 		t.Fatalf("a = %+v, want completed on a fresh container", r)
@@ -132,8 +129,7 @@ func TestCrashKillsInFlightBuildPartitionNotCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	cf := cfg()
-	cf.Faults = []fault.Event{{Kind: fault.ContainerCrash, At: 25, Container: 0}}
-	res := Execute(s, cf)
+	res := New(cf).Execute(nil, s, []fault.Event{{Kind: fault.ContainerCrash, At: 25, Container: 0}})
 	r := res.Ops[bi]
 	if !r.Killed || r.Completed {
 		t.Fatalf("build = %+v, want killed by the crash", r)
@@ -159,8 +155,7 @@ func TestStorageErrorDelaysWithBackoff(t *testing.T) {
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
 	s.Append(a, 0, -1)
 	cf := cfg()
-	cf.Faults = []fault.Event{{Seq: 0, Kind: fault.StorageError, At: 0, Container: 0, Retries: 3}}
-	res := Execute(s, cf)
+	res := New(cf).Execute(nil, s, []fault.Event{{Seq: 0, Kind: fault.StorageError, At: 0, Container: 0, Retries: 3}})
 	r := res.Ops[a]
 	delay := cloud.DefaultBackoff().TotalDelay(3, 0)
 	if delay <= 0 {
@@ -185,8 +180,7 @@ func TestStragglerSlowsContainer(t *testing.T) {
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
 	s.Append(a, 0, -1)
 	cf := cfg()
-	cf.Faults = []fault.Event{{Kind: fault.Straggler, At: 0, Container: 0, SlowFactor: 3}}
-	res := Execute(s, cf)
+	res := New(cf).Execute(nil, s, []fault.Event{{Kind: fault.Straggler, At: 0, Container: 0, SlowFactor: 3}})
 	r := res.Ops[a]
 	if !r.Completed || math.Abs(r.End-30) > 1e-9 {
 		t.Errorf("a = %+v, want completed at 30 (3x slowdown)", r)
@@ -200,8 +194,7 @@ func TestStragglerSlowsContainer(t *testing.T) {
 func TestFaultsAfterLeasesHitNothing(t *testing.T) {
 	s, _, _, _ := twoContPlan(t)
 	cf := cfg()
-	cf.Faults = []fault.Event{{Kind: fault.ContainerCrash, At: 1e6, Container: 0}}
-	res := Execute(s, cf)
+	res := New(cf).Execute(nil, s, []fault.Event{{Kind: fault.ContainerCrash, At: 1e6, Container: 0}})
 	base := Execute(s, cfg())
 	if res.FaultsInjected != 0 || res.WastedQuanta != 0 {
 		t.Errorf("injected=%d wasted=%g for a crash far past the leases, want none",
@@ -216,11 +209,10 @@ func TestAnyContainerResolvesDeterministically(t *testing.T) {
 	run := func() Result {
 		s, _, _, _ := twoContPlan(t)
 		cf := cfg()
-		cf.Faults = []fault.Event{
+		return New(cf).Execute(nil, s, []fault.Event{
 			{Seq: 0, Kind: fault.Straggler, At: 0, Container: fault.AnyContainer, SlowFactor: 2},
 			{Seq: 1, Kind: fault.ContainerCrash, At: 30, Container: fault.AnyContainer},
-		}
-		return Execute(s, cf)
+		})
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -249,8 +241,7 @@ func TestFaultAccountingInvariant(t *testing.T) {
 	for i, evs := range events {
 		s, _, _, _ := twoContPlan(t)
 		cf := cfg()
-		cf.Faults = evs
-		res := Execute(s, cf)
+		res := New(cf).Execute(nil, s, evs)
 		if res.FaultsInjected > 0 && res.FaultsRecovered == 0 && res.WastedQuanta == 0 {
 			t.Errorf("case %d: %d faults injected but neither recovered nor accounted as waste",
 				i, res.FaultsInjected)
@@ -360,8 +351,7 @@ func TestFaultyRunDeterministic(t *testing.T) {
 		s.Append(a, 0, -1)
 		s.Append(b, 1, -1)
 		cf := cfg()
-		cf.Faults = []fault.Event{{Kind: fault.ContainerCrash, At: 5, Container: 0}}
-		return Execute(s, cf)
+		return New(cf).Execute(nil, s, []fault.Event{{Kind: fault.ContainerCrash, At: 5, Container: 0}})
 	}
 	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
 		t.Error("faulty runs diverged")

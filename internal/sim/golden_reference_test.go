@@ -119,7 +119,7 @@ func (fs *refFaultState) storageDelay(c int, t float64, mark func(fault.Event)) 
 
 // executeReference is the seed Execute: quadratic pending rescan, per-call
 // fault-list scans, per-call map-backed state.
-func executeReference(s *sched.Schedule, cfg Config) Result {
+func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Result {
 	if cfg.Tracer == nil {
 		cfg.Tracer = telemetry.DefaultTracer()
 	}
@@ -133,8 +133,8 @@ func executeReference(s *sched.Schedule, cfg Config) Result {
 
 	res := Result{Ops: make(map[dataflow.OpID]OpResult, s.Assigned())}
 	var fs *refFaultState
-	if len(cfg.Faults) > 0 {
-		fs = refResolveFaults(cfg.Faults, s)
+	if len(faults) > 0 {
+		fs = refResolveFaults(faults, s)
 	}
 	markInjected := func(e fault.Event) {
 		if !fs.seenInjected[e.Seq] {

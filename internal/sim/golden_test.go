@@ -20,13 +20,13 @@ import (
 	"idxflow/internal/workload"
 )
 
-// assertGolden replays (s, cfg) through both executors. mkCfg rebuilds the
-// config per path so stateful pieces (perturbation rngs, cache maps) do
+// assertGolden replays (s, cfg, faults) through both executors. mkCfg
+// rebuilds the config per path so stateful pieces (perturbation rngs) do
 // not leak between the two replays.
-func assertGolden(t *testing.T, name string, s *sched.Schedule, mkCfg func() Config) {
+func assertGolden(t *testing.T, name string, s *sched.Schedule, faults []fault.Event, mkCfg func() Config) {
 	t.Helper()
-	got := Execute(s, mkCfg())
-	want := executeReference(s, mkCfg())
+	got := New(mkCfg()).Execute(nil, s, faults)
+	want := executeReference(s, mkCfg(), faults)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: event-core Result diverges from reference\n got: %+v\nwant: %+v", name, got, want)
 	}
@@ -34,7 +34,7 @@ func assertGolden(t *testing.T, name string, s *sched.Schedule, mkCfg func() Con
 
 // goldenSchedule plans a Cybershake flow and packs index builds into its
 // idle runs.
-func goldenSchedule(t *testing.T, seed int64, trial int, withBuilds bool) *sched.Schedule {
+func goldenSchedule(t testing.TB, seed int64, trial int, withBuilds bool) *sched.Schedule {
 	t.Helper()
 	db, err := workload.NewFileDB(seed)
 	if err != nil {
@@ -69,7 +69,7 @@ func TestGoldenEquivalenceFaultFree(t *testing.T) {
 		for _, errPct := range []float64{0, 20, 80} {
 			e := errPct / 100
 			name := fmt.Sprintf("trial=%d err=%g", trial, errPct)
-			assertGolden(t, name, s, func() Config {
+			assertGolden(t, name, s, nil, func() Config {
 				rng := rand.New(rand.NewSource(int64(trial)*100 + int64(errPct)))
 				return Config{
 					Pricing: cloud.DefaultPricing(), Spec: cloud.DefaultSpec(),
@@ -91,11 +91,10 @@ func TestGoldenEquivalenceFaulty(t *testing.T) {
 				t.Fatalf("rate %g produced an empty plan", rate)
 			}
 			name := fmt.Sprintf("rate=%g fseed=%d", rate, fseed)
-			assertGolden(t, name, s, func() Config {
+			assertGolden(t, name, s, plan.From(0), func() Config {
 				rng := rand.New(rand.NewSource(fseed))
 				return Config{
 					Pricing: cloud.DefaultPricing(), Spec: cloud.DefaultSpec(),
-					Faults: plan.From(0),
 					Actual: func(op *dataflow.Operator) float64 {
 						return op.Time * (1 + (rng.Float64()*2-1)*0.3)
 					},
@@ -134,12 +133,7 @@ func TestGoldenEquivalenceHandPlacedFaults(t *testing.T) {
 		fault.Event{Kind: fault.Straggler, At: 10, Container: 0, SlowFactor: 1.5},
 		fault.Event{Kind: fault.StorageError, At: 40, Container: 0, Retries: 2},
 	)
-	assertGolden(t, "crash+straggler+storage", s, func() Config {
-		return Config{
-			Pricing: cloud.DefaultPricing(), Spec: cloud.DefaultSpec(),
-			Faults: plan.From(0),
-		}
-	})
+	assertGolden(t, "crash+straggler+storage", s, plan.From(0), cfg)
 }
 
 // --- event-core edge semantics (same behavior as the seed, asserted on
@@ -156,13 +150,8 @@ func TestEventCoreOpCompletesExactlyAtKillPoint(t *testing.T) {
 	s.Append(a, 0, -1) // runs [0, 50]
 	plan := fault.New(fault.Event{Kind: fault.ContainerCrash, At: 50, Container: 0})
 
-	mk := func() Config {
-		c := cfg()
-		c.Faults = plan.From(0)
-		return c
-	}
-	assertGolden(t, "exact-kill-point", s, mk)
-	res := Execute(s, mk())
+	assertGolden(t, "exact-kill-point", s, plan.From(0), cfg)
+	res := New(cfg()).Execute(nil, s, plan.From(0))
 	r := res.Ops[a]
 	if !r.Completed || r.Replaced || r.End != 50 {
 		t.Errorf("op ending exactly at the kill point = %+v, want completed in place at 50", r)
@@ -184,7 +173,7 @@ func TestEventCoreTimeEpsTieDifferentContainers(t *testing.T) {
 	if _, err := s.PlaceAt(b, 1, 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	assertGolden(t, "eps-tie", s, cfg)
+	assertGolden(t, "eps-tie", s, nil, cfg)
 	res := Execute(s, cfg())
 	if !res.Ops[a].Completed || !res.Ops[b].Completed {
 		t.Errorf("tied ops should both complete: %+v %+v", res.Ops[a], res.Ops[b])
@@ -209,13 +198,8 @@ func TestEventCoreBuildPreemptedByPass2(t *testing.T) {
 	// Container 1 dies mid-victim: the victim re-places onto container 0,
 	// arriving in the idle window the build had claimed.
 	plan := fault.New(fault.Event{Kind: fault.ContainerCrash, At: 10, Container: 1})
-	mk := func() Config {
-		c := cfg()
-		c.Faults = plan.From(0)
-		return c
-	}
-	assertGolden(t, "pass2-preemption", s, mk)
-	res := Execute(s, mk())
+	assertGolden(t, "pass2-preemption", s, plan.From(0), cfg)
+	res := New(cfg()).Execute(nil, s, plan.From(0))
 	rv, rb := res.Ops[v], res.Ops[bi]
 	if rv.Container != 0 || rv.Start != 40 || res.ReplacedOps != 1 {
 		t.Fatalf("victim should re-place onto container 0 behind op a: %+v (replaced=%d)", rv, res.ReplacedOps)

@@ -19,16 +19,16 @@
 // per run, so the ready set is an indexed min-heap over (planned order,
 // topological rank) fed by per-operator unmet-predecessor counts, fault
 // plans are pre-resolved into per-container time-sorted timelines advanced
-// by binary search, and all per-replay working state lives in a pooled
-// scratch arena so steady-state replay allocates little beyond the Result
-// it returns.
+// by binary search, and all per-replay working state lives in a scratch
+// arena the Executor owns and reuses, so steady-state replay allocates
+// little beyond the Result it returns.
 package sim
 
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 
 	"idxflow/internal/cloud"
 	"idxflow/internal/dataflow"
@@ -45,22 +45,19 @@ import (
 // package go through this single constant.
 const timeEps = 1e-9
 
-// Config parameterizes an execution.
+// Config is what stays fixed for an executor's owner across its runs.
 type Config struct {
 	Pricing cloud.Pricing
 	Spec    cloud.Spec
 	// Actual returns the true runtime of an operator in seconds; nil means
 	// the estimates are exact (op.Time).
 	Actual func(op *dataflow.Operator) float64
-	// Faults lists fault events with times relative to this execution's
-	// start (the service shifts its absolute fault.Plan via Plan.From);
-	// empty means a fault-free execution.
-	Faults []fault.Event
 	// Metrics, when non-nil, receives executor counters and histograms
 	// (operator run/wait times, builds killed, quanta charged, faults
 	// injected and recovered).
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, records an execution span.
+	// Tracer records an execution span; nil means telemetry.DefaultTracer(),
+	// which is disabled unless a -trace flag enabled it.
 	Tracer *telemetry.Tracer
 	// Provenance, when active, receives flight-recorder events for builds
 	// killed mid-execution and faults injected/recovered. A nil or
@@ -72,12 +69,43 @@ type Config struct {
 	// at, so event times are T plus execution-relative seconds and the log
 	// shares the service clock with every other layer.
 	At *provenance.Attribution
-	// Ctx, when non-nil, lets the caller cancel the replay: the event loops
-	// poll it and a cancelled execution returns Result{Cancelled: true}
-	// with no other fields populated, so a drained admission stops cleanly
-	// instead of running to completion. Nil means never cancelled.
-	Ctx context.Context
 }
+
+// Executor replays schedules under one Config. It binds the instruments
+// once, caches the label handles of the op-kind and fault-kind series as
+// runs first touch them, and owns the scratch arena and the publication
+// buffers every run reuses. Like a sched.Skyline it is used by one
+// goroutine at a time; a service builds one per tenant.
+type Executor struct {
+	cfg         Config
+	ins         instruments
+	opRunByKind [int(dataflow.KindBuildIndex) + 1]*telemetry.Histogram
+	injByKind   [int(fault.Straggler) + 1]*telemetry.Counter
+	recByKind   [int(fault.Straggler) + 1]*telemetry.Counter
+	sc          scratch
+	// tallies and events buffer a run's instrument updates and provenance
+	// events in the order they were produced; publish hands them on once
+	// the run can no longer be cancelled, so a cancelled run leaves no trace
+	// in the registry or the recorder.
+	tallies []tally
+	events  []provenance.Event
+}
+
+// New returns an executor for cfg. It registers the executor's metric
+// families in cfg.Metrics, so they appear in a scrape before the first run.
+func New(cfg Config) *Executor {
+	if cfg.Tracer == nil {
+		cfg.Tracer = telemetry.DefaultTracer()
+	}
+	if cfg.Actual == nil {
+		cfg.Actual = func(op *dataflow.Operator) float64 { return op.Time }
+	}
+	return &Executor{cfg: cfg, ins: newInstruments(cfg.Metrics)}
+}
+
+// Execute runs the planned schedule once, fault-free and uncancellable,
+// on a fresh executor.
+func Execute(s *sched.Schedule, cfg Config) Result { return New(cfg).Execute(nil, s, nil) }
 
 // instruments bundles the executor's metric handles; all fields are
 // nil-safe no-ops when Config.Metrics is nil.
@@ -91,30 +119,6 @@ type instruments struct {
 	faultsInjected  *telemetry.CounterVec
 	recoveries      *telemetry.CounterVec
 	wastedQuanta    *telemetry.Counter
-}
-
-// PreregisterMetrics creates the executor's metric families in reg so
-// they appear in a /metrics scrape before the first execution.
-func PreregisterMetrics(reg *telemetry.Registry) { getInstruments(reg) }
-
-// instrumentsKey memoizes the executor's handle bundle per registry.
-type instrumentsKey struct{}
-
-// nilInstruments backs executions without a registry: every handle is a
-// nil-receiver no-op, so the hot path needs no nil checks.
-var nilInstruments = newInstruments(nil)
-
-// getInstruments resolves the executor's metric handles once per registry
-// (telemetry.Registry.Memo), instead of re-running nine family lookups on
-// every Execute call.
-func getInstruments(reg *telemetry.Registry) *instruments {
-	if reg == nil {
-		return &nilInstruments
-	}
-	return reg.Memo(instrumentsKey{}, func() any {
-		ins := newInstruments(reg)
-		return &ins
-	}).(*instruments)
 }
 
 func newInstruments(reg *telemetry.Registry) instruments {
@@ -140,6 +144,82 @@ func newInstruments(reg *telemetry.Registry) instruments {
 		wastedQuanta: reg.Counter("idxflow_wasted_quanta_total",
 			"Paid compute discarded because of faults (killed work and dead lease tails), in quanta."),
 	}
+}
+
+// family names the instrument a buffered tally updates.
+type family uint8
+
+const (
+	famOpRun family = iota
+	famOpWait
+	famBuildsKilled
+	famBuildsCompleted
+	famFaultsInjected
+	famRecoveries
+)
+
+// tally is one buffered instrument update of a run. kind is the label of
+// the labeled families: a dataflow.Kind for famOpRun, a fault.Kind for
+// famFaultsInjected and famRecoveries.
+type tally struct {
+	to   family
+	kind int
+	v    float64
+}
+
+// note buffers one instrument update; a run without a registry buffers none.
+func (ex *Executor) note(to family, kind int, v float64) {
+	if ex.cfg.Metrics != nil {
+		ex.tallies = append(ex.tallies, tally{to: to, kind: kind, v: v})
+	}
+}
+
+// publish hands the run's buffered updates to the registry and its events
+// to the recorder, in the order the run produced them.
+func (ex *Executor) publish() {
+	for _, t := range ex.tallies {
+		switch t.to {
+		case famOpRun:
+			ex.opRunHist(dataflow.Kind(t.kind)).Observe(t.v)
+		case famOpWait:
+			ex.ins.opWait.Observe(t.v)
+		case famBuildsKilled:
+			ex.ins.buildsKilled.Add(t.v)
+		case famBuildsCompleted:
+			ex.ins.buildsCompleted.Add(t.v)
+		case famFaultsInjected:
+			faultCounter(&ex.injByKind, ex.ins.faultsInjected, fault.Kind(t.kind)).Add(t.v)
+		case famRecoveries:
+			faultCounter(&ex.recByKind, ex.ins.recoveries, fault.Kind(t.kind)).Add(t.v)
+		}
+	}
+	for _, ev := range ex.events {
+		ex.cfg.Provenance.Append(ev)
+	}
+	clear(ex.events) // hold no op names between runs
+}
+
+// opRunHist returns op kind k's run-time series, resolved on first use.
+func (ex *Executor) opRunHist(k dataflow.Kind) *telemetry.Histogram {
+	if k < 0 || int(k) >= len(ex.opRunByKind) {
+		return ex.ins.opRun.With(k.String())
+	}
+	if ex.opRunByKind[k] == nil {
+		ex.opRunByKind[k] = ex.ins.opRun.With(k.String())
+	}
+	return ex.opRunByKind[k]
+}
+
+// faultCounter returns fault kind k's series of vec, resolved on first use
+// and cached in byKind.
+func faultCounter(byKind *[int(fault.Straggler) + 1]*telemetry.Counter, vec *telemetry.CounterVec, k fault.Kind) *telemetry.Counter {
+	if k < 0 || int(k) >= len(byKind) {
+		return vec.With(k.String())
+	}
+	if byKind[k] == nil {
+		byKind[k] = vec.With(k.String())
+	}
+	return byKind[k]
 }
 
 // OpResult is the realized execution of one operator.
@@ -186,7 +266,7 @@ type Result struct {
 	// WastedQuanta is paid compute the faults discarded, in quanta:
 	// partial runs of killed operators plus lease time past a failure.
 	WastedQuanta float64
-	// Cancelled reports that Config.Ctx was cancelled mid-replay. A
+	// Cancelled reports that the run's context was cancelled mid-replay. A
 	// cancelled result carries no other data: the execution never happened
 	// as far as accounting is concerned.
 	Cancelled bool
@@ -508,9 +588,9 @@ type flowPoint struct {
 // slice.
 type contGroup struct{ c, lo, hi int }
 
-// scratch is the per-replay working state of Execute, recycled through a
-// sync.Pool across the thousands of replays the experiments and the
-// tuning loop issue. Per-operator slices are indexed by the dense OpID,
+// scratch is the per-replay working state of Execute, owned by the
+// Executor and reused across the thousands of replays the experiments and
+// the tuning loop issue. Per-operator slices are indexed by the dense OpID,
 // per-container slices by container index (including recovery-opened
 // fresh containers). Nothing in scratch escapes into the returned Result.
 type scratch struct {
@@ -534,8 +614,6 @@ type scratch struct {
 	ids       []dataflow.OpID
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
 // resized returns s with length n and every element zeroed, reusing the
 // backing array when it is large enough.
 func resized[T any](s []T, n int) []T {
@@ -548,83 +626,31 @@ func resized[T any](s []T, n int) []T {
 }
 
 // Execute runs the planned schedule and returns the realized execution.
-func Execute(s *sched.Schedule, cfg Config) Result {
-	if cfg.Tracer == nil {
-		// Disabled unless a -trace flag enabled the package-level tracer.
-		cfg.Tracer = telemetry.DefaultTracer()
-	}
+// faults lists fault events with times relative to this run's start (the
+// service shifts its absolute fault.Plan via Plan.From); empty means a
+// fault-free run. A non-nil ctx lets the caller cancel the replay: the
+// event loops poll it and a cancelled run returns Result{Cancelled: true}
+// with no other fields populated and publishes no metric or event, so a
+// drained admission stops cleanly instead of running to completion.
+func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fault.Event) Result {
+	cfg := &ex.cfg
 	span := cfg.Tracer.StartSpan("sim.execute").SetAttr("ops", s.Assigned())
 	attr := cfg.At.Get()
 	if attr.Flow != 0 {
 		span.SetAttr("flow_id", uint64(attr.Flow))
 	}
 	defer span.End()
-	var done <-chan struct{}
-	if cfg.Ctx != nil {
-		done = cfg.Ctx.Done()
-	}
-	cancelled := func() bool {
-		if done == nil {
-			return false
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
+	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
 	if cancelled() {
 		return Result{Cancelled: true}
 	}
-	ins := getInstruments(cfg.Metrics)
-	actual := cfg.Actual
-	if actual == nil {
-		actual = func(op *dataflow.Operator) float64 { return op.Time }
-	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-
-	// Label-value handles resolved lazily once per Execute (not cached on
-	// the shared instruments bundle: concurrent replays would race, and
-	// eager resolution would create series no replay touched).
-	var opRunByKind [int(dataflow.KindBuildIndex) + 1]*telemetry.Histogram
-	observeRun := func(k dataflow.Kind, v float64) {
-		if k >= 0 && int(k) < len(opRunByKind) {
-			h := opRunByKind[k]
-			if h == nil {
-				h = ins.opRun.With(k.String())
-				opRunByKind[k] = h
-			}
-			h.Observe(v)
-			return
-		}
-		ins.opRun.With(k.String()).Observe(v)
-	}
-	var injByKind, recByKind [int(fault.Straggler) + 1]*telemetry.Counter
-	injCounter := func(k fault.Kind) *telemetry.Counter {
-		if k >= 0 && int(k) < len(injByKind) {
-			if injByKind[k] == nil {
-				injByKind[k] = ins.faultsInjected.With(k.String())
-			}
-			return injByKind[k]
-		}
-		return ins.faultsInjected.With(k.String())
-	}
-	recCounter := func(k fault.Kind) *telemetry.Counter {
-		if k >= 0 && int(k) < len(recByKind) {
-			if recByKind[k] == nil {
-				recByKind[k] = ins.recoveries.With(k.String())
-			}
-			return recByKind[k]
-		}
-		return ins.recoveries.With(k.String())
-	}
+	actual, sc := cfg.Actual, &ex.sc
+	ex.tallies, ex.events = ex.tallies[:0], ex.events[:0]
 
 	res := Result{Ops: make(map[dataflow.OpID]OpResult, s.Assigned())}
 	var fs *faultState
-	if len(cfg.Faults) > 0 {
-		fs = resolveFaults(cfg.Faults, s)
+	if len(faults) > 0 {
+		fs = resolveFaults(faults, s)
 	}
 	// recording is resolved once per Execute: a disabled recorder costs this
 	// single atomic load and the hot paths never construct events.
@@ -633,9 +659,9 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 		if !fs.seenInjected[e.Seq] {
 			fs.seenInjected[e.Seq] = true
 			res.FaultsInjected++
-			injCounter(e.Kind).Inc()
+			ex.note(famFaultsInjected, int(e.Kind), 1)
 			if recording {
-				cfg.Provenance.Append(provenance.Event{
+				ex.events = append(ex.events, provenance.Event{
 					Kind: provenance.KindFaultInjected, Flow: attr.Flow,
 					T: attr.T + e.At, Name: e.Kind.String(),
 					Container: e.Container, Count: 1,
@@ -647,9 +673,9 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 		// Unlike injection, recoveries count per absorbed effect: an event
 		// whose failure forces three operators to move is three recoveries.
 		res.FaultsRecovered++
-		recCounter(e.Kind).Inc()
+		ex.note(famRecoveries, int(e.Kind), 1)
 		if recording {
-			cfg.Provenance.Append(provenance.Event{
+			ex.events = append(ex.events, provenance.Event{
 				Kind: provenance.KindFaultRecovered, Flow: attr.Flow,
 				T: attr.T + e.At, Name: e.Kind.String(),
 				Container: e.Container, Count: 1,
@@ -659,9 +685,9 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 	markBoth := func(e fault.Event) { markInjected(e); markRecovered(e) }
 	recoveredSlow := func(n int) {
 		res.FaultsRecovered += n
-		recCounter(fault.Straggler).Add(float64(n))
+		ex.note(famRecoveries, int(fault.Straggler), float64(n))
 		if recording {
-			cfg.Provenance.Append(provenance.Event{
+			ex.events = append(ex.events, provenance.Event{
 				Kind: provenance.KindFaultRecovered, Flow: attr.Flow,
 				T: attr.T, Name: fault.Straggler.String(), Count: n,
 			})
@@ -707,9 +733,9 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 					at := math.Min(r.Old.Start, f.at)
 					res.Ops[r.Op] = OpResult{Op: r.Op, Container: f.c, Start: at, End: at, Killed: true}
 					res.Killed++
-					ins.buildsKilled.Inc()
+					ex.note(famBuildsKilled, 0, 1)
 					if recording {
-						cfg.Provenance.Append(provenance.Event{
+						ex.events = append(ex.events, provenance.Event{
 							Kind: provenance.KindBuildKilled, Flow: attr.Flow,
 							T: attr.T + at, Op: s.Graph.Op(r.Op).Name,
 							Container: f.c, Start: at, End: at, Reason: "fault",
@@ -910,7 +936,7 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 				continue
 			}
 		}
-		ins.opWait.Observe(start - ready)
+		ex.note(famOpWait, 0, start-ready)
 		dur := actual(op) / ctype.SpeedFactor
 		if fs != nil {
 			dur *= fs.slowFactor(c, start, markInjected, recoveredSlow)
@@ -932,7 +958,7 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 				continue
 			}
 		}
-		observeRun(op.Kind, dur)
+		ex.note(famOpRun, int(op.Kind), dur)
 		r := OpResult{Op: p.op, Container: c, Start: start, End: end, Completed: true}
 		if a, planned := s.Assignment(p.op); !planned || a.Container != c {
 			r.Replaced = true
@@ -1129,25 +1155,23 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 				res.CompletedBuilds = append(res.CompletedBuilds, a.Op)
 			}
 			if r.Killed {
-				ins.buildsKilled.Inc()
+				ex.note(famBuildsKilled, 0, 1)
 				if recording {
-					cfg.Provenance.Append(provenance.Event{
+					ex.events = append(ex.events, provenance.Event{
 						Kind: provenance.KindBuildKilled, Flow: attr.Flow,
 						T: attr.T + r.Start, Op: op.Name,
 						Container: c, Start: r.Start, End: r.End, Reason: killReason,
 					})
 				}
 			} else {
-				ins.buildsCompleted.Inc()
+				ex.note(famBuildsCompleted, 0, 1)
 			}
-			observeRun(op.Kind, r.End-r.Start)
+			ex.note(famOpRun, int(op.Kind), r.End-r.Start)
 			res.Ops[a.Op] = r
 			clock = r.End
 		}
 	}
-	sort.Slice(res.CompletedBuilds, func(i, j int) bool {
-		return res.CompletedBuilds[i] < res.CompletedBuilds[j]
-	})
+	slices.Sort(res.CompletedBuilds)
 
 	// Aggregate metrics, iterating deterministically so a seeded faulty
 	// run reproduces byte-identical output.
@@ -1155,7 +1179,7 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 	for id := range res.Ops {
 		sc.ids = append(sc.ids, id)
 	}
-	sort.Slice(sc.ids, func(i, j int) bool { return sc.ids[i] < sc.ids[j] })
+	slices.Sort(sc.ids)
 	first, last := math.Inf(1), 0.0
 	anyFlow := false
 	var busy float64
@@ -1192,9 +1216,11 @@ func Execute(s *sched.Schedule, cfg Config) Result {
 	}
 	res.Fragmentation = leased - busy
 
-	ins.quantaCharged.Add(res.MoneyQuanta)
-	ins.fragmentation.Add(res.Fragmentation)
-	ins.wastedQuanta.Add(res.WastedQuanta)
+	// Past the last cancellation check: the run happened, so it publishes.
+	ex.publish()
+	ex.ins.quantaCharged.Add(res.MoneyQuanta)
+	ex.ins.fragmentation.Add(res.Fragmentation)
+	ex.ins.wastedQuanta.Add(res.WastedQuanta)
 	span.SetAttr("makespan_seconds", res.Makespan).
 		SetAttr("money_quanta", res.MoneyQuanta).
 		SetAttr("builds_killed", res.Killed).

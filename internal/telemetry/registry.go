@@ -253,7 +253,6 @@ type family struct {
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
-	memo sync.Map // caller-provided key -> memoized instrument bundle
 }
 
 // NewRegistry returns an empty registry.
@@ -266,25 +265,6 @@ var std = NewRegistry()
 // Default returns the package-level registry used by the binaries when no
 // registry is injected.
 func Default() *Registry { return std }
-
-// Memo returns the value cached in this registry under key, calling build
-// and caching its result on first use. It lets hot callers resolve a
-// bundle of instrument handles once per registry instead of re-running the
-// name->family lookups on every operation; because the cache lives on the
-// registry, it dies with it — short-lived per-experiment registries leak
-// nothing. A nil Registry just calls build (the handles it yields are
-// nil-receiver no-ops anyway). Concurrent first calls may each run build,
-// but all callers observe the same stored value.
-func (r *Registry) Memo(key any, build func() any) any {
-	if r == nil {
-		return build()
-	}
-	if v, ok := r.memo.Load(key); ok {
-		return v
-	}
-	v, _ := r.memo.LoadOrStore(key, build())
-	return v
-}
 
 // getFamily gets or creates a family, enforcing kind, label and bucket
 // consistency. Re-registering a name with a different shape is a

@@ -127,16 +127,24 @@ type Phase struct {
 	Seconds float64
 }
 
-// DefaultPhases returns the §6.1 phase schedule: CyberShake for 10000 s,
+// DefaultPhasesFor returns the §6.1 phase schedule: CyberShake for 10000 s,
 // LIGO for 5000 s, Montage for 20000 s, CyberShake again for 8200 s — in
-// total 43200 s = 720 quanta.
-func DefaultPhases() []Phase {
-	return []Phase{
+// total 43200 s = 720 quanta — with every phase scaled by horizon/43200
+// when the horizon (in seconds) is shorter than that.
+func DefaultPhasesFor(horizon float64) []Phase {
+	phases := []Phase{
 		{Cybershake, 10000},
 		{Ligo, 5000},
 		{Montage, 20000},
 		{Cybershake, 8200},
 	}
+	if horizon < 43200 {
+		f := horizon / 43200
+		for i := range phases {
+			phases[i].Seconds *= f
+		}
+	}
+	return phases
 }
 
 // PhaseWorkload generates Poisson arrivals over the phase schedule: each

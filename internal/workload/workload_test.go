@@ -179,7 +179,21 @@ func TestPoissonNextMean(t *testing.T) {
 func TestPhaseWorkload(t *testing.T) {
 	db := newDB(t)
 	gen := NewGenerator(db, 11)
-	flows := gen.PhaseWorkload(DefaultPhases(), 60)
+	// A shorter horizon scales every phase by the same factor; a longer one
+	// keeps the paper's 720 quanta.
+	for _, h := range []float64{7200, 43200, 86400} {
+		var total float64
+		for _, p := range DefaultPhasesFor(h) {
+			total += p.Seconds
+		}
+		if want := math.Min(h, 43200); math.Abs(total-want) > 1e-9 {
+			t.Errorf("DefaultPhasesFor(%g) spans %g s, want %g", h, total, want)
+		}
+	}
+	if got := DefaultPhasesFor(7200)[0].Seconds; math.Abs(got-10000.0/6) > 1e-9 {
+		t.Errorf("first phase at a 7200 s horizon = %g s, want 10000/6", got)
+	}
+	flows := gen.PhaseWorkload(DefaultPhasesFor(43200), 60)
 	if len(flows) < 500 || len(flows) > 900 {
 		t.Errorf("phase workload = %d flows, want ~720", len(flows))
 	}

@@ -25,6 +25,13 @@ go build ./...
 echo "== reachability =="
 scripts/reachability.sh
 
+# The pair runner's verdict rule, re-read from stored runs: a change to the
+# rule or the table shows here as a diff against the recorded summary.
+echo "== pairs.sh verdicts on PAIRS_PR26.json =="
+for w in serve_unique serve_recurring dp_query dp_build; do
+	scripts/pairs.sh --summarize PAIRS_PR26.json "$w"
+done | diff -u scripts/testdata/pairs_PR26.txt -
+
 # One Algorithm-1 pass runs on one goroutine: the admission pipeline's
 # -workers is the only concurrency of a submit.
 echo "== Alg. 1 path starts no goroutine =="
