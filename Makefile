@@ -76,9 +76,14 @@ bench-short:
 # Compare the newest BENCH_PR<k>.json ledger file (run `make bench` first to
 # refresh it) against the one before it; fails when allocs/op rose by more
 # than 1% in any shared benchmark, prints ns/op deltas as advisory, and names
-# the benchmarks that left the ledger.
+# the benchmarks that left the ledger. Then print the pair runner's table for
+# every workload in the newest PAIRS_PR<k>.json, without failing on it.
 bench-compare:
 	scripts/bench_compare.sh "$$(scripts/bench_latest.sh 2)" "$$(scripts/bench_latest.sh 1)"
+	@pairs="$$(scripts/bench_latest.sh 1 PAIRS_PR)" || exit 0; \
+	for w in $$(python3 -c 'import json, sys; print(" ".join(dict.fromkeys(r["workload"] for r in json.load(open(sys.argv[1]))["runs"])))' "$$pairs"); do \
+		scripts/pairs.sh --summarize "$$pairs" "$$w" || true; \
+	done
 
 # Profile the experiment driver end to end; see README "Profiling" for how
 # to read the output. PROFILE_ARGS selects the workload (default fig6).

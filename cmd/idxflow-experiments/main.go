@@ -5,15 +5,13 @@
 // Usage:
 //
 //	idxflow-experiments [-exp id] [-seed n] [-horizon quanta] [-scale s] [-trials n]
-//	                    [-trace out.json] [-events out.jsonl]
+//	                    [-faults rates] [-fault-seed n] [-cpuprofile f] [-memprofile f]
 //
-// With -trace, the package-level tracer is enabled for the whole run and
-// the span timeline of every service the experiments construct is written
-// as Chrome trace-event JSON at exit. With -events, the package-level
-// flight recorder is enabled the same way and the decision-provenance
-// event log is written as JSONL at exit; experiments that run strategies
-// concurrently interleave their events (sequence order is append order,
-// not deterministic across workers).
+// Independent experiment configurations run on a pool of GOMAXPROCS
+// workers; the tables are the same at any pool size. The experiments build
+// their services with no tracer and no flight recorder: a span timeline
+// and a decision-provenance log of one run come from idxflow-sim -trace
+// and -events.
 //
 // Experiment ids: params, table4, table5, table6 (scalar vs vectorized vs
 // index over disk-backed row and columnar storage with bounded buffer
@@ -25,9 +23,9 @@
 // control the sweep), ablation (design-knob sweeps; not in "all"), all.
 //
 // Exit status: 0 on success, 1 when an experiment fails, 2 for a bad flag or
-// an unknown -exp; the profile, trace and event files are complete on every
-// one. main_test.go drives run in-process against the tables under testdata/
-// (`make golden-update` re-records them).
+// an unknown -exp; the profile files are complete on every one. main_test.go
+// drives run in-process against the tables under testdata/ (`make
+// golden-update` re-records them).
 package main
 
 import (
@@ -42,31 +40,26 @@ import (
 
 	"idxflow/internal/experiments"
 	"idxflow/internal/profiling"
-	"idxflow/internal/provenance"
-	"idxflow/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command and returns its exit code. Nothing below calls
-// os.Exit, so the deferred profile, trace and event-log writers run on every
-// path, a failing experiment included.
+// os.Exit, so the deferred profile writers run on every path, a failing
+// experiment included.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("idxflow-experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "all", "experiment to run: "+idList())
-		seed     = fs.Int64("seed", 1, "random seed")
-		horizon  = fs.Float64("horizon", 720, "dynamic-experiment horizon in quanta")
-		scale    = fs.Float64("scale", 0.05, "TPC-H scale factor of table6's lineitem (0.05 = ~300k rows; paper: 2)")
-		trials   = fs.Int("trials", 3, "trials per point for fig6/fig7")
-		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON span timeline to this file")
-		events   = fs.String("events", "", "write the decision-provenance event log (JSONL) to this file")
-		faults   = fs.String("faults", "", "comma-separated fault rates (events/container/quantum) for -exp fault; empty = default sweep")
-		faultSd  = fs.Int64("fault-seed", 42, "seed for the generated fault plans of -exp fault")
-		parallel = fs.Int("parallelism", 0, "experiment fan-out pool size (0 = NumCPU, 1 = serial); results are identical at any setting")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memProf  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
+		exp     = fs.String("exp", "all", "experiment to run: "+idList())
+		seed    = fs.Int64("seed", 1, "random seed")
+		horizon = fs.Float64("horizon", 720, "dynamic-experiment horizon in quanta")
+		scale   = fs.Float64("scale", 0.05, "TPC-H scale factor of table6's lineitem (0.05 = ~300k rows; paper: 2)")
+		trials  = fs.Int("trials", 3, "trials per point for fig6/fig7")
+		faults  = fs.String("faults", "", "comma-separated fault rates (events/container/quantum) for -exp fault; empty = default sweep")
+		faultSd = fs.Int64("fault-seed", 42, "seed for the generated fault plans of -exp fault")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+		memProf = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -75,35 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	defer profiling.Start(*cpuProf, *memProf)()
-
-	experiments.SetParallelism(*parallel)
-
-	if *traceOut != "" {
-		// The experiment helpers build their services internally, which
-		// default to the package-level tracer; enabling it captures them all.
-		tr := telemetry.DefaultTracer()
-		tr.SetEnabled(true)
-		defer func() {
-			if err := profiling.WriteFile(*traceOut, tr.WriteChromeTrace); err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
-			fmt.Fprintf(stdout, "trace: %d spans -> %s (open in chrome://tracing)\n", tr.Len(), *traceOut)
-		}()
-	}
-	if *events != "" {
-		// Same pattern as -trace: the experiment services default to the
-		// package-level recorder, so enabling it captures all of them.
-		rec := provenance.Default()
-		rec.SetEnabled(true)
-		defer func() {
-			if err := profiling.WriteFile(*events, rec.WriteJSONL); err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
-			fmt.Fprintf(stdout, "events: %d recorded (%d retained) -> %s\n", rec.Total(), rec.Len(), *events)
-		}()
-	}
 
 	if !known(*exp) {
 		fmt.Fprintf(stderr, "unknown experiment %q\n", *exp)

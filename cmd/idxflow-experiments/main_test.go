@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"testing"
@@ -25,18 +26,20 @@ var simulatedExps = []string{
 // TestGoldenTables pins the rendered output of every simulated experiment at
 // the default flags to the byte: a refactor of the tuner, the scheduler or
 // the executor that moves one digit of one table fails here. -update records
-// the current output instead. The one flag passed is -parallelism 1: the
-// tables are identical at any setting, and a fan-out over every core while
-// `go test ./...` runs internal/experiments in the next process makes that
-// package's wall-clock Table 6 shape tests fail four times as often.
+// the current output instead. It runs under GOMAXPROCS 1, which sizes the
+// experiment pool to one worker: the tables are identical at any pool size,
+// and a fan-out over every core while `go test ./...` runs
+// internal/experiments in the next process makes that package's wall-clock
+// Table 6 shape tests fail four times as often.
 func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every simulated experiment (~20 s)")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, id := range simulatedExps {
 		t.Run(id, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if code := run([]string{"-exp", id, "-parallelism", "1"}, &stdout, &stderr); code != 0 {
+			if code := run([]string{"-exp", id}, &stdout, &stderr); code != 0 {
 				t.Fatalf("-exp %s: exit %d, stderr:\n%s", id, code, stderr.String())
 			}
 			checkGolden(t, filepath.Join("testdata", id+".golden"), stdout.Bytes())

@@ -104,6 +104,8 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 		return nil, "", 0, err
 	}
 
+	// The registry is this server's own: /metrics reports this server only.
+	cfg.Telemetry = telemetry.NewRegistry()
 	if *traceOut != "" {
 		cfg.Tracer = telemetry.NewTracer()
 	}

@@ -21,9 +21,9 @@ op agg kind=aggregate time=10
 edge scan -> agg size=4
 `
 
-// serveArgs builds a server from args, serves it on an ephemeral port,
-// submits one dataflow naming no tenant and returns each route's answer.
-func serveArgs(t *testing.T, args ...string) map[string]string {
+// start builds a server from args and serves it on an ephemeral port until
+// the test ends; it returns the server's base URL.
+func start(t *testing.T, args ...string) string {
 	t.Helper()
 	srv, _, _, err := build(args, io.Discard)
 	if err != nil {
@@ -38,14 +38,20 @@ func serveArgs(t *testing.T, args ...string) map[string]string {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ctx, ln, 5*time.Second, ready) }()
 	<-ready
-	defer func() {
+	t.Cleanup(func() {
 		cancel()
 		if err := <-done; err != nil {
 			t.Errorf("Serve %v: %v", args, err)
 		}
-	}()
+	})
+	return "http://" + ln.Addr().String()
+}
 
-	url := "http://" + ln.Addr().String()
+// serveArgs builds a server from args, serves it on an ephemeral port,
+// submits one dataflow naming no tenant and returns each route's answer.
+func serveArgs(t *testing.T, args ...string) map[string]string {
+	t.Helper()
+	url := start(t, args...)
 	out := map[string]string{}
 	record := func(route string, resp *http.Response, err error) {
 		t.Helper()
@@ -62,7 +68,7 @@ func serveArgs(t *testing.T, args ...string) map[string]string {
 	resp, err := http.Post(url+"/v1/dataflows", "text/plain", strings.NewReader(bareFlow))
 	record("POST /v1/dataflows", resp, err)
 	for _, path := range []string{
-		"/v1/indexes", "/v1/metrics", "/metrics.json", "/v1/tables",
+		"/v1/indexes", "/v1/metrics", "/v1/tables",
 		"/v1/metrics?tenant=" + server.DefaultTenant,
 		"/debug/flows/1", "/debug/audit", "/healthz", "/no-such-route",
 	} {
@@ -92,6 +98,43 @@ func TestQaaSFlagIsAcceptedAndIgnored(t *testing.T) {
 	}
 	if without["GET /v1/metrics"] != without["GET /v1/metrics?tenant="+server.DefaultTenant] {
 		t.Error("/v1/metrics differs between no tenant and ?tenant=default")
+	}
+}
+
+// TestServersDoNotShareMetrics: each server's /metrics reports that server
+// only. A submission to one server does not show in a second server built
+// in the same process.
+func TestServersDoNotShareMetrics(t *testing.T) {
+	first := start(t)
+	resp, err := http.Post(first+"/v1/dataflows", "text/plain", strings.NewReader(bareFlow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit to the first server: %s", resp.Status)
+	}
+
+	resp, err = http.Get(start(t) + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			samples[name] = value
+		}
+	}
+	if v, ok := samples["idxflow_qaas_admitted_total"]; !ok || v != "0" {
+		t.Errorf("second server: idxflow_qaas_admitted_total = %q (listed %v), want 0", v, ok)
+	}
+	if v, ok := samples["idxflow_flows_submitted_total"]; ok && v != "0" {
+		t.Errorf("second server: idxflow_flows_submitted_total = %s, want absent or 0", v)
 	}
 }
 

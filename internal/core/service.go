@@ -123,19 +123,16 @@ type Config struct {
 	UpdateFraction float64
 	// Telemetry receives the service's metrics and is threaded through
 	// the scheduler, interleaver, executor and storage layers. Nil means
-	// the package-level telemetry.Default() registry; inject a fresh
-	// registry to keep tests isolated.
+	// none.
 	Telemetry *telemetry.Registry
 	// Tracer records nested spans (submit → rank → schedule → execute).
-	// Nil means telemetry.DefaultTracer(), which is disabled until a
-	// -trace flag enables it, so tracing costs one nil check per span.
+	// Nil means none, so tracing costs one nil check per span.
 	Tracer *telemetry.Tracer
 	// Provenance is the decision flight recorder: every consequential
 	// tuner decision (admission, skyline choice, index adoption/eviction,
 	// build placement/commit/kill, fault, settlement) is appended as a
-	// typed event attributed to the submitting flow. Nil means
-	// provenance.Default(), which is disabled until a -events flag enables
-	// it, so recording costs one atomic load per decision site.
+	// typed event attributed to the submitting flow. Nil means none, so
+	// recording costs one nil check per decision site.
 	Provenance *provenance.Recorder
 	// Reserve, when non-nil, is called with the chosen schedule's container
 	// count just before execution and must return a release function that
@@ -294,15 +291,6 @@ type Service struct {
 func NewService(cfg Config, db *workload.FileDB) *Service {
 	if cfg.MaxBuildOps <= 0 {
 		cfg.MaxBuildOps = 64
-	}
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.Default()
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = telemetry.DefaultTracer()
-	}
-	if cfg.Provenance == nil {
-		cfg.Provenance = provenance.Default()
 	}
 	// Thread the observability handles and the attribution cell through the
 	// scheduling layers; cfg is read-only after this.

@@ -3,63 +3,21 @@ package experiments
 import (
 	"runtime"
 	"sync"
-
-	"idxflow/internal/telemetry"
 )
 
-// poolSize is the bound on concurrently running experiment configurations.
-// Guarded by poolMu; 0 means runtime.NumCPU().
-var (
-	poolMu   sync.Mutex
-	poolSize int
-)
-
-// SetParallelism bounds how many independent experiment configurations
-// (grid cells of the ablation, fault and dynamic experiments) run
-// concurrently. n <= 0 restores the default, runtime.NumCPU(); n == 1
-// runs every grid serially.
-func SetParallelism(n int) {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	poolSize = n
-}
-
-// parallelism returns the effective pool bound.
-func parallelism() int {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if poolSize <= 0 {
-		return runtime.NumCPU()
-	}
-	return poolSize
-}
-
-// runJobs executes job(0..n-1) on a bounded worker pool (stdlib only:
-// channels + WaitGroup). Each job is an independent experiment
-// configuration — its own database, generator and telemetry registry — so
-// jobs may run in any order; callers index result slots by job number and
-// assemble tables in deterministic order afterwards. With parallelism 1
-// the jobs run inline in order, matching the historical serial behavior.
+// runJobs executes job(0..n-1) on a worker pool of runtime.GOMAXPROCS(0)
+// goroutines (stdlib only: channels + WaitGroup). Each job is an independent
+// experiment configuration — its own database, generator and telemetry
+// registry — so jobs may run in any order; callers index result slots by job
+// number and assemble tables in deterministic order afterwards, and the
+// tables are the same at any pool size. With one worker the jobs run inline
+// in order.
 func runJobs(n int, job func(i int)) {
-	workers := parallelism()
-	if workers > n {
-		workers = n
-	}
-	gauge := telemetry.Default().Gauge("idxflow_experiments_pool_size",
-		"Worker-pool size used for concurrent experiment fan-out.")
-	depth := telemetry.Default().Gauge("idxflow_experiments_queue_depth",
-		"Experiment grid cells waiting for a pool worker.")
-	gauge.Set(float64(workers))
-	depth.Set(float64(n))
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			depth.Set(float64(n - i - 1))
 			job(i)
 		}
-		depth.Set(0)
 		return
 	}
 	jobs := make(chan int)
@@ -75,9 +33,7 @@ func runJobs(n int, job func(i int)) {
 	}
 	for i := 0; i < n; i++ {
 		jobs <- i
-		depth.Set(float64(n - i - 1))
 	}
 	close(jobs)
 	wg.Wait()
-	depth.Set(0)
 }

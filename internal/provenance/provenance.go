@@ -7,16 +7,16 @@
 //
 // The recorder is seed-deterministic: events carry simulated service time,
 // never wall-clock time, so two runs with the same seed produce the same
-// log. Appends take one mutex and copy the event into a ring slot; a
-// disabled or nil recorder costs a single atomic load, so recording can
-// stay threaded through hot paths the way nil tracer spans do.
+// log. Appends take one mutex and copy the event into a ring slot; a nil
+// recorder is off and costs a single nil check, so recording can stay
+// threaded through hot paths the way nil tracer spans do. There is no
+// package-level recorder: the binary that wants a log creates one.
 package provenance
 
 import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // FlowID identifies one submitted dataflow. IDs are assigned by the
@@ -195,9 +195,8 @@ type Event struct {
 	Alts         []ParetoPoint `json:"alts,omitempty"` // rejected Pareto alternatives
 }
 
-// DefaultCapacity is the ring size used by NewRecorder(0) and the
-// package-level recorder: large enough to hold every event of the stock
-// experiment scenarios without wrapping.
+// DefaultCapacity is the ring size used by NewRecorder(0): large enough to
+// hold every event of the stock experiment scenarios without wrapping.
 const DefaultCapacity = 16384
 
 // chunkEvents is how many events one ring chunk holds (≈0.94 MB of
@@ -213,56 +212,31 @@ const chunkEvents = 4096
 // capacity; once every chunk exists appends overwrite in place and never
 // allocate. Appends are cheap (one mutex, one struct copy); when the ring
 // is full the oldest events are overwritten, and Snapshot reconstructs seq
-// order across the wrap. A nil Recorder is a valid no-op, as is a disabled
-// one.
+// order across the wrap. A nil Recorder is off: a valid no-op.
 type Recorder struct {
-	enabled atomic.Bool
-
 	mu     sync.Mutex
 	chunks [][]Event
 	cap    int
 	next   uint64 // total events ever appended; slot next%cap is written next
 }
 
-// NewRecorder returns an enabled recorder with the given ring capacity
+// NewRecorder returns a recorder with the given ring capacity
 // (DefaultCapacity if capacity <= 0). The capacity is an upper bound: the
 // ring is allocated chunkEvents events at a time as it fills.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	r := &Recorder{
+	return &Recorder{
 		chunks: make([][]Event, (capacity+chunkEvents-1)/chunkEvents),
 		cap:    capacity,
 	}
-	r.enabled.Store(true)
-	return r
 }
 
-// std is the package-level recorder behind Default().
-var std = func() *Recorder {
-	r := NewRecorder(DefaultCapacity)
-	r.SetEnabled(false)
-	return r
-}()
-
-// Default returns the package-level recorder. Like telemetry's
-// DefaultTracer it starts disabled — appends cost one atomic load until
-// SetEnabled(true), which is how the -events CLI flags switch recording on
-// for code that defaulted to this recorder.
-func Default() *Recorder { return std }
-
-// SetEnabled turns recording on or off.
-func (r *Recorder) SetEnabled(on bool) {
-	if r == nil {
-		return
-	}
-	r.enabled.Store(on)
-}
-
-// Active reports whether appends are being recorded. Hot paths use it to
-// skip building events entirely when recording is off.
-func (r *Recorder) Active() bool { return r != nil && r.enabled.Load() }
+// Active reports whether appends are being recorded, that is whether r is
+// non-nil. Hot paths use it to skip building events entirely when
+// recording is off.
+func (r *Recorder) Active() bool { return r != nil }
 
 // Append stamps the event's sequence number and stores it in the ring,
 // overwriting the oldest event when full. Callers set every field except

@@ -94,6 +94,8 @@ type Config struct {
 	// with its own seed, provenance recorder and the pipeline's fleet
 	// hook. Sched.MaxContainers is clamped to FleetContainers so no
 	// single schedule can demand more slots than the fleet owns.
+	// Core.Telemetry is shared by every tenant and the pipeline's own
+	// families; nil means none.
 	Core core.Config
 	// Seed is the base workload seed; tenant t serves the deterministic
 	// file database workload.NewFileDB(TenantSeed(Seed, t)), which load
@@ -189,7 +191,6 @@ type admissionResult struct {
 // Pipeline is the concurrent admission pipeline.
 type Pipeline struct {
 	cfg    Config
-	tel    *telemetry.Registry
 	queue  chan *admission
 	fleet  *fleet
 	ledger *ledger
@@ -248,10 +249,6 @@ func New(cfg Config) *Pipeline {
 		cfg.Core.Sched.MaxContainers = cfg.FleetContainers
 	}
 	tel := cfg.Core.Telemetry
-	if tel == nil {
-		tel = telemetry.Default()
-		cfg.Core.Telemetry = tel
-	}
 	quantum := cfg.Core.Sched.Pricing.QuantumSeconds
 	if quantum <= 0 {
 		quantum = 60
@@ -259,7 +256,6 @@ func New(cfg Config) *Pipeline {
 
 	p := &Pipeline{
 		cfg:     cfg,
-		tel:     tel,
 		queue:   make(chan *admission, cfg.QueueDepth),
 		ledger:  newLedger(),
 		tenants: make(map[string]*Tenant),
@@ -472,8 +468,8 @@ func (p *Pipeline) finish(ad *admission, r admissionResult) {
 func (p *Pipeline) QueueDepth() int { return len(p.queue) }
 
 // Telemetry returns the registry shared by every tenant service and the
-// pipeline's own instrument families.
-func (p *Pipeline) Telemetry() *telemetry.Registry { return p.tel }
+// pipeline's own instrument families: Config.Core.Telemetry, nil for none.
+func (p *Pipeline) Telemetry() *telemetry.Registry { return p.cfg.Core.Telemetry }
 
 // Name returns the tenant's identifier.
 func (t *Tenant) Name() string { return t.name }

@@ -291,11 +291,6 @@ func NewSkyline(opts Options) *Skyline {
 	if opts.MaxContainers <= 0 {
 		opts.MaxContainers = 1
 	}
-	if opts.Tracer == nil {
-		// The package-level tracer is disabled unless a -trace flag turned
-		// it on, so standalone schedulers trace for free when asked to.
-		opts.Tracer = telemetry.DefaultTracer()
-	}
 	return &Skyline{
 		Opts: opts,
 		iterations: opts.Metrics.Counter("idxflow_skyline_iterations_total",

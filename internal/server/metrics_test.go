@@ -78,18 +78,6 @@ func TestPrometheusEndpoint(t *testing.T) {
 	}
 }
 
-func TestMetricsJSONAlias(t *testing.T) {
-	_, ts := testServer(t, nil)
-	s1, b1 := get(t, ts.URL+"/v1/metrics")
-	s2, b2 := get(t, ts.URL+"/metrics.json")
-	if s1 != http.StatusOK || s2 != http.StatusOK {
-		t.Fatalf("status = %d / %d", s1, s2)
-	}
-	if b1 != b2 {
-		t.Errorf("/metrics.json (%q) differs from /v1/metrics (%q)", b2, b1)
-	}
-}
-
 // TestConcurrentSubmitAndScrape hammers submissions and scrapes in
 // parallel; run with -race it verifies the tenant-locked service access and
 // the registry's internal synchronization.

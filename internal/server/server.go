@@ -11,7 +11,6 @@
 //	GET  /v1/tables          the tenant's catalog tables
 //	GET  /v1/qaas            pipeline-wide snapshot: queue, fleet, books
 //	GET  /metrics            Prometheus text exposition of the telemetry registry
-//	GET  /metrics.json       alias of /v1/metrics for scrapers expecting JSON
 //	GET  /debug/events       the tenant's decision-provenance log (JSONL)
 //	GET  /debug/flows/{id}   one dataflow's decision chain
 //	GET  /debug/audit        accounting verdict (check.AuditQaaS + in-line audits)
@@ -94,7 +93,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/tables", s.handleTables)
 	mux.HandleFunc("GET /v1/qaas", s.handleQaaSReport)
-	mux.HandleFunc("GET /metrics.json", s.handleMetrics)
 	mux.HandleFunc("GET /debug/events", s.handleEvents)
 	mux.HandleFunc("GET /debug/flows/{id}", s.handleFlow)
 	mux.HandleFunc("GET /debug/audit", s.handleAudit)

@@ -30,8 +30,8 @@ func testServer(t *testing.T, mutate func(*qaas.Config)) (*Server, *httptest.Ser
 	cc.MaxBuildOps = 16
 	cc.Gain.WindowW = 30
 	cc.Gain.FadeD = 30
-	// A per-test registry keeps counter assertions independent of other
-	// tests sharing the package-level default.
+	// The server's own registry, as idxflow-server builds one: /metrics
+	// assertions read this test's counts only.
 	cc.Telemetry = telemetry.NewRegistry()
 	auditor := &check.ExecAuditor{Exact: true}
 	cfg := qaas.Config{

@@ -15,7 +15,6 @@ import (
 	"idxflow/internal/dataflow"
 	"idxflow/internal/fault"
 	"idxflow/internal/sched"
-	"idxflow/internal/telemetry"
 )
 
 // refFaultState is the seed's faultState: per-container event lists
@@ -120,9 +119,6 @@ func (fs *refFaultState) storageDelay(c int, t float64, mark func(fault.Event)) 
 // executeReference is the seed Execute: quadratic pending rescan, per-call
 // fault-list scans, per-call map-backed state.
 func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Result {
-	if cfg.Tracer == nil {
-		cfg.Tracer = telemetry.DefaultTracer()
-	}
 	span := cfg.Tracer.StartSpan("sim.execute").SetAttr("ops", s.Assigned())
 	defer span.End()
 	ins := newInstruments(cfg.Metrics)

@@ -56,12 +56,11 @@ type Config struct {
 	// (operator run/wait times, builds killed, quanta charged, faults
 	// injected and recovered).
 	Metrics *telemetry.Registry
-	// Tracer records an execution span; nil means telemetry.DefaultTracer(),
-	// which is disabled unless a -trace flag enabled it.
+	// Tracer records an execution span; nil means none.
 	Tracer *telemetry.Tracer
-	// Provenance, when active, receives flight-recorder events for builds
-	// killed mid-execution and faults injected/recovered. A nil or
-	// disabled recorder costs one atomic load per Execute.
+	// Provenance, when non-nil, receives flight-recorder events for builds
+	// killed mid-execution and faults injected/recovered. Nil means none
+	// and costs one nil check per Execute.
 	Provenance *provenance.Recorder
 	// At, when non-nil, is the attribution cell of the pass this execution
 	// belongs to, read once per Execute: its Flow tags the span and the
@@ -94,9 +93,6 @@ type Executor struct {
 // New returns an executor for cfg. It registers the executor's metric
 // families in cfg.Metrics, so they appear in a scrape before the first run.
 func New(cfg Config) *Executor {
-	if cfg.Tracer == nil {
-		cfg.Tracer = telemetry.DefaultTracer()
-	}
 	if cfg.Actual == nil {
 		cfg.Actual = func(op *dataflow.Operator) float64 { return op.Time }
 	}
@@ -652,8 +648,8 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 	if len(faults) > 0 {
 		fs = resolveFaults(faults, s)
 	}
-	// recording is resolved once per Execute: a disabled recorder costs this
-	// single atomic load and the hot paths never construct events.
+	// recording is resolved once per Execute: without a recorder the hot
+	// paths never construct events.
 	recording := cfg.Provenance.Active()
 	markInjected := func(e fault.Event) {
 		if !fs.seenInjected[e.Seq] {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"runtime"
 	"runtime/debug"
+	"strconv"
 )
 
 // BuildInfo identifies the running binary: the module version (or VCS
@@ -48,28 +49,5 @@ func RegisterBuildInfo(r *Registry) {
 	r.GaugeVec("idxflow_build_info",
 		"Build identity of the running binary (constant 1; identity in labels).",
 		"version", "go_version", "gomaxprocs").
-		With(bi.Version, bi.GoVersion, itoa(bi.GOMAXPROCS)).Set(1)
-}
-
-// itoa avoids strconv for the one small int we format here.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+		With(bi.Version, bi.GoVersion, strconv.Itoa(bi.GOMAXPROCS)).Set(1)
 }

@@ -11,8 +11,8 @@
 // branch on "is telemetry configured": a nil *Counter, *Gauge, *Histogram,
 // *Tracer or *Span is a no-op.
 //
-// A package-level Default registry and DefaultTracer serve the binaries;
-// libraries accept an injected *Registry / *Tracer so tests stay isolated.
+// There is no package-level registry or tracer: each binary creates the
+// handles it uses and passes them down, and a nil handle means off.
 package telemetry
 
 import (
@@ -259,12 +259,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
-
-var std = NewRegistry()
-
-// Default returns the package-level registry used by the binaries when no
-// registry is injected.
-func Default() *Registry { return std }
 
 // getFamily gets or creates a family, enforcing kind, label and bucket
 // consistency. Re-registering a name with a different shape is a

@@ -143,8 +143,11 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	c := r.Counter("x_total", "")
 	g := r.Gauge("x", "")
 	h := r.Histogram("x_seconds", "", nil)
-	var tr *Tracer
+	var tr *Tracer // off
 	sp := tr.StartSpan("noop")
+	if sp != nil {
+		t.Error("nil tracer returned a live span")
+	}
 	// None of these may panic.
 	c.Inc()
 	c.Add(2)
@@ -153,7 +156,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	h.Observe(3)
 	sp.SetAttr("k", "v")
 	sp.End()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Len() != 0 {
 		t.Error("nil handles reported non-zero values")
 	}
 	if err := r.WritePrometheus(nil); err != nil {

@@ -22,43 +22,19 @@ type Event struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// Tracer records nested spans. Create one with NewTracer; a nil Tracer,
-// or one that is disabled, hands out nil Spans whose methods are no-ops,
-// so tracing can stay threaded through hot paths at negligible cost.
+// Tracer records nested spans. Create one with NewTracer; a nil Tracer is
+// off: it hands out nil Spans whose methods are no-ops, so tracing can stay
+// threaded through hot paths at the cost of one nil check.
 type Tracer struct {
-	mu      sync.Mutex
-	enabled bool
-	epoch   time.Time
-	events  []Event
-	depth   int // open spans, for the nesting sanity check in tests
-	now     func() time.Time
+	mu     sync.Mutex
+	epoch  time.Time
+	events []Event
+	now    func() time.Time
 }
 
-// NewTracer returns an enabled tracer whose timestamps are relative to
-// now.
+// NewTracer returns a tracer whose timestamps are relative to now.
 func NewTracer() *Tracer {
-	return &Tracer{enabled: true, epoch: time.Now(), now: time.Now}
-}
-
-var stdTracer = &Tracer{epoch: time.Now(), now: time.Now} // disabled until asked for
-
-// DefaultTracer returns the package-level tracer. It starts disabled:
-// spans cost one nil check until SetEnabled(true) — how the -trace CLI
-// flags switch tracing on for code that defaulted to this tracer.
-func DefaultTracer() *Tracer { return stdTracer }
-
-// SetEnabled turns span recording on or off. Enabling resets the epoch so
-// timestamps start near zero.
-func (t *Tracer) SetEnabled(on bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if on && !t.enabled {
-		t.epoch = t.now()
-	}
-	t.enabled = on
+	return &Tracer{epoch: time.Now(), now: time.Now}
 }
 
 // Span is one in-flight operation. End completes it; SetAttr attaches a
@@ -84,11 +60,6 @@ func (t *Tracer) StartSpan(name string) *Span {
 		return nil
 	}
 	t.mu.Lock()
-	if !t.enabled {
-		t.mu.Unlock()
-		return nil
-	}
-	t.depth++
 	now := t.now()
 	t.mu.Unlock()
 	return &Span{t: t, name: name, start: now}
@@ -129,7 +100,6 @@ func (s *Span) End() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	end := t.now()
-	t.depth--
 	t.events = append(t.events, Event{
 		Name:  s.name,
 		Cat:   "idxflow",

@@ -23,7 +23,7 @@ func (c *fakeClock) now() time.Time {
 
 func newFakeTracer(step time.Duration) *Tracer {
 	c := &fakeClock{t: time.Unix(1000, 0), step: step}
-	tr := &Tracer{enabled: true, now: c.now}
+	tr := &Tracer{now: c.now}
 	tr.epoch = c.t
 	return tr
 }
@@ -69,7 +69,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 }
 
 func TestDisabledTracerRecordsNothing(t *testing.T) {
-	tr := &Tracer{now: time.Now}
+	var tr *Tracer // off
 	sp := tr.StartSpan("x")
 	if sp != nil {
 		t.Error("disabled tracer returned a live span")
@@ -79,7 +79,7 @@ func TestDisabledTracerRecordsNothing(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Errorf("events = %d, want 0", tr.Len())
 	}
-	tr.SetEnabled(true)
+	tr = NewTracer()
 	tr.StartSpan("y").End()
 	if tr.Len() != 1 {
 		t.Errorf("events after enable = %d, want 1", tr.Len())
