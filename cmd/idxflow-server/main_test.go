@@ -5,6 +5,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -144,4 +147,79 @@ func TestBuildRejectsBadFlags(t *testing.T) {
 			t.Errorf("build %v succeeded, want an error", args)
 		}
 	}
+}
+
+// TestReadmeMetricTableIsTheServersFamilySet: README's "Metric names" table
+// lists exactly the families a server exposes once a flow has run, so a
+// family added or removed shows here until the table follows it.
+func TestReadmeMetricTableIsTheServersFamilySet(t *testing.T) {
+	url := start(t)
+	resp, err := http.Post(url+"/v1/dataflows", "text/plain", strings.NewReader(bareFlow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	resp, err = http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			served[f[2]] = true
+		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "**Metric names** (prefix `idxflow_`):")
+	if !ok {
+		t.Fatal(`README has no "**Metric names**" table`)
+	}
+	listed := map[string]bool{}
+	name := regexp.MustCompile("`([^`]+)`")
+	for _, line := range strings.Split(strings.TrimLeft(table, "\n"), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			family, _, _ := strings.Cut(m[1], "{")
+			listed["idxflow_"+family] = true
+		}
+	}
+
+	if len(served) == 0 {
+		t.Fatal("the scrape lists no family")
+	}
+	var unlisted, unserved []string
+	for f := range served {
+		if !listed[f] {
+			unlisted = append(unlisted, f)
+		}
+	}
+	for f := range listed {
+		if !served[f] {
+			unserved = append(unserved, f)
+		}
+	}
+	sort.Strings(unlisted)
+	sort.Strings(unserved)
+	if len(unlisted) > 0 {
+		t.Errorf("served but not in README's metric table: %v", unlisted)
+	}
+	if len(unserved) > 0 {
+		t.Errorf("in README's metric table but not served: %v", unserved)
+	}
+	t.Logf("%d families served", len(served))
 }

@@ -206,8 +206,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "faults:            %d injected, %d recovered, %d ops re-placed, %.1f quanta wasted\n",
 			m.FaultsInjected, m.FaultsRecovered, m.ReplacedOps, m.WastedQuanta)
 	}
+	storageMB, _ := svc.Catalog().Footprint()
 	fmt.Fprintf(stdout, "indexes available: %d (storage %.1f MB)\n",
-		svc.Catalog().AvailableCount(), svc.Catalog().BuiltSizeMB())
+		svc.Catalog().AvailableCount(), storageMB)
 	return 0
 }
 

@@ -1,6 +1,8 @@
 // Package cloud models the IaaS environment of §3 of the paper: homogeneous
 // containers (VMs) charged per time quantum, a persistent storage service
-// charged per MB per quantum, and a flat network.
+// charged per MB per quantum, and a flat network. The storage service is a
+// billing meter only: what is stored is the catalog's record (package
+// data), and the meter accrues at the footprint its caller passes.
 package cloud
 
 import (

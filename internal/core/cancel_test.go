@@ -18,7 +18,7 @@ func TestSubmitCtxPreCancelledLeavesServiceUntouched(t *testing.T) {
 	if res := svc.SubmitCtx(context.Background(), warm); res.Cancelled {
 		t.Fatal("uncancelled Submit reported Cancelled")
 	}
-	clock, vmQ := svc.Clock(), svc.vmQ
+	clock, quanta := svc.Clock(), svc.metrics.VMQuanta
 	results := len(svc.metrics.Results)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -33,8 +33,8 @@ func TestSubmitCtxPreCancelledLeavesServiceUntouched(t *testing.T) {
 	if svc.Clock() != clock {
 		t.Errorf("clock moved %g -> %g on cancelled submission", clock, svc.Clock())
 	}
-	if svc.vmQ != vmQ {
-		t.Errorf("quanta charged on cancelled submission: %g -> %g", vmQ, svc.vmQ)
+	if svc.metrics.VMQuanta != quanta {
+		t.Errorf("quanta charged on cancelled submission: %g -> %g", quanta, svc.metrics.VMQuanta)
 	}
 	if len(svc.metrics.Results) != results {
 		t.Error("cancelled submission appended a FlowResult")

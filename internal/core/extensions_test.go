@@ -6,6 +6,7 @@ import (
 
 	"idxflow/internal/dataflow"
 	"idxflow/internal/sched"
+	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
 
@@ -114,20 +115,26 @@ func TestAdaptiveFadingRuns(t *testing.T) {
 	}
 }
 
-// TestBatchUpdatesInvalidateIndexes: periodic updates bump partition
-// versions and delete the index partitions built on them, which the tuner
-// then rebuilds.
+// invalidatedTotal reads idxflow_index_partitions_invalidated_total.
+func invalidatedTotal(reg *telemetry.Registry) float64 {
+	return reg.Counter("idxflow_index_partitions_invalidated_total", "").Value()
+}
+
+// TestBatchUpdatesInvalidateIndexes: periodic updates delete the index
+// partitions built on the updated partitions, which the tuner then
+// rebuilds.
 func TestBatchUpdatesInvalidateIndexes(t *testing.T) {
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
 	cfg := quickConfig(Gain)
 	cfg.UpdateEveryQuanta = 2
 	cfg.UpdateFraction = 0.5 // aggressive, to force invalidations
+	cfg.Telemetry = telemetry.NewRegistry()
 	svc := NewService(cfg, db)
 	for i := 0; i < 6; i++ {
 		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 	}
-	if svc.InvalidatedPartitions == 0 {
+	if invalidatedTotal(cfg.Telemetry) == 0 {
 		t.Error("no index partition was invalidated by batch updates")
 	}
 	// The service keeps working and indexes keep getting rebuilt.
@@ -141,11 +148,13 @@ func TestBatchUpdatesInvalidateIndexes(t *testing.T) {
 func TestBatchUpdatesDisabledByDefault(t *testing.T) {
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
-	svc := NewService(quickConfig(Gain), db)
+	cfg := quickConfig(Gain)
+	cfg.Telemetry = telemetry.NewRegistry()
+	svc := NewService(cfg, db)
 	for i := 0; i < 3; i++ {
 		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 	}
-	if svc.InvalidatedPartitions != 0 {
-		t.Errorf("updates applied without configuration: %d", svc.InvalidatedPartitions)
+	if n := invalidatedTotal(cfg.Telemetry); n != 0 {
+		t.Errorf("updates applied without configuration: %g", n)
 	}
 }

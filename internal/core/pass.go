@@ -161,16 +161,12 @@ func (s *Service) applyBatchUpdates(p *pass) {
 				if s.rng.Float64() >= frac {
 					continue
 				}
-				freed, err := s.db.Catalog.ApplyUpdate(f.Table.Name, part.ID)
+				n, err := s.db.Catalog.ApplyUpdate(f.Table.Name, part.ID)
 				if err != nil {
 					continue
 				}
-				for _, path := range freed {
-					s.storage.Delete(path)
-					s.InvalidatedPartitions++
-					s.ins.invalidated.Inc()
-					invalidated++
-				}
+				s.ins.invalidated.Add(float64(n))
+				invalidated += n
 			}
 		}
 		if invalidated > 0 && p.recording {
@@ -246,7 +242,7 @@ func touchedFraction(st *data.BuildState, touched map[string]bool) float64 {
 			continue
 		}
 		total++
-		if st.Part(part.ID).Built {
+		if st.Built(part.ID) {
 			built++
 		}
 	}
@@ -295,7 +291,6 @@ func (s *Service) recordGains(p *pass) {
 		if idx == nil {
 			continue
 		}
-		s.lastUsed[iu.Index] = p.now
 		if s.fader != nil {
 			s.fader.ObserveRequested(iu.Index, p.now/q)
 		}
@@ -406,7 +401,7 @@ func (s *Service) evict(p *pass) {
 		if !s.db.Catalog.Available(name) {
 			continue
 		}
-		if grace > 0 && p.now-s.lastUsed[name] < grace {
+		if grace > 0 && p.now-s.eval.History.LastWhen(name) < grace {
 			continue
 		}
 		candidates = append(candidates, gain.Costs{Name: name, SizeMB: s.db.Catalog.State(name).Index.SizeMB()})
@@ -425,9 +420,7 @@ func (s *Service) evict(p *pass) {
 				Records: len(s.eval.History.Records(name)),
 			})
 		}
-		for _, path := range s.db.Catalog.Drop(name) {
-			s.storage.Delete(path)
-		}
+		s.db.Catalog.Drop(name)
 		p.res.Deleted = append(p.res.Deleted, name)
 		if s.fader != nil {
 			s.fader.ObserveDeleted(name, p.now/q)
@@ -437,7 +430,7 @@ func (s *Service) evict(p *pass) {
 	if s.fader != nil {
 		// Kept-but-idle indexes suggest the fade is too slow.
 		for _, c := range candidates {
-			if idle := (p.now - s.lastUsed[c.Name]) / q; idle > 0 {
+			if idle := (p.now - s.eval.History.LastWhen(c.Name)) / q; idle > 0 {
 				s.fader.ObserveIdle(c.Name, idle)
 			}
 		}
@@ -582,7 +575,7 @@ func (s *Service) commit(p *pass) {
 	res.FaultsRecovered = run.FaultsRecovered
 	res.ReplacedOps = run.ReplacedOps
 	res.WastedQuanta = run.WastedQuanta
-	s.vmQ += run.MoneyQuanta
+	s.metrics.VMQuanta += run.MoneyQuanta
 	s.metrics.FaultsInjected += run.FaultsInjected
 	s.metrics.FaultsRecovered += run.FaultsRecovered
 	s.metrics.ReplacedOps += run.ReplacedOps
@@ -597,13 +590,13 @@ func (s *Service) commit(p *pass) {
 		if st == nil {
 			continue
 		}
-		if err := st.MarkBuilt(b.pid, p.now); err != nil {
+		if err := st.MarkBuilt(b.pid); err != nil {
 			continue
 		}
 		res.BuildsCompleted++
 		idx := st.Index
 		mb := idx.PartitionSizeMB(idx.Table.Partitions[b.pid])
-		s.storage.Put(idx.PartitionPath(b.pid), mb)
+		s.storage.Upload(mb)
 		if p.recording {
 			s.cfg.Provenance.Append(provenance.Event{
 				Kind: provenance.KindBuildCommitted, Flow: p.id, T: p.now,
@@ -619,7 +612,8 @@ func (s *Service) settle(p *pass) {
 	run, res := &p.run, &p.res
 	s.clock += run.Makespan
 	res.End = s.clock
-	s.storage.Advance(s.clock)
+	mb, parts := s.db.Catalog.Footprint()
+	s.storage.Advance(s.clock, mb, parts)
 	if p.recording {
 		s.cfg.Provenance.Append(provenance.Event{
 			Kind: provenance.KindMoneySettled, Flow: p.id, T: s.clock,
@@ -653,7 +647,7 @@ func (s *Service) settle(p *pass) {
 	s.metrics.Timeline = append(s.metrics.Timeline, TimePoint{
 		T:            s.clock,
 		IndexesBuilt: available,
-		StorageMB:    s.storage.TotalMB(),
+		StorageMB:    mb,
 		StorageCost:  s.storage.CostAccrued(),
 	})
 }

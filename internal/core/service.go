@@ -252,7 +252,6 @@ type Service struct {
 	storage *cloud.Storage
 	rng     *rand.Rand
 	clock   float64
-	vmQ     float64
 	metrics Metrics
 	// resultsMakespan sums Makespan over metrics.Results as they are
 	// appended; Aggregates derives its MeanMakespan from it.
@@ -275,13 +274,8 @@ type Service struct {
 	// exec is the tenant's executor, built once beside the skyline: it
 	// replays every chosen schedule with the configured runtime error.
 	exec *sim.Executor
-	// lastUsed records, per index, the last service time a dataflow
-	// listed it as potentially useful — the hysteresis input.
-	lastUsed map[string]float64
 	// lastUpdate is the service time of the last applied batch update.
 	lastUpdate float64
-	// InvalidatedPartitions counts index partitions lost to batch updates.
-	InvalidatedPartitions int
 	// fader is the learned per-index fading controller (nil unless
 	// Config.AdaptiveFading).
 	fader *gain.AdaptiveFader
@@ -298,15 +292,14 @@ func NewService(cfg Config, db *workload.FileDB) *Service {
 	cfg.Sched.Tracer = cfg.Tracer
 	cfg.Sched.At = new(provenance.Attribution)
 	s := &Service{
-		cfg:      cfg,
-		db:       db,
-		eval:     gain.NewEvaluator(cfg.Gain).Instrument(cfg.Telemetry),
-		storage:  cloud.NewStorage(cfg.Sched.Pricing).Instrument(cfg.Telemetry),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		lastUsed: make(map[string]float64),
-		at:       cfg.Sched.At,
-		skyline:  sched.NewSkyline(cfg.Sched),
-		ins:      newServiceInstruments(cfg.Telemetry),
+		cfg:     cfg,
+		db:      db,
+		eval:    gain.NewEvaluator(cfg.Gain).Instrument(cfg.Telemetry),
+		storage: cloud.NewStorage(cfg.Sched.Pricing).Instrument(cfg.Telemetry),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		at:      cfg.Sched.At,
+		skyline: sched.NewSkyline(cfg.Sched),
+		ins:     newServiceInstruments(cfg.Telemetry),
 	}
 	var actual func(op *dataflow.Operator) float64
 	if e := cfg.RuntimeError; e > 0 {
@@ -388,7 +381,8 @@ func (s *Service) RunCtx(ctx context.Context, flows []*dataflow.Flow, horizon fl
 			s.makespanSum += res.Makespan
 		}
 	}
-	s.storage.Advance(horizon)
+	mb, parts := s.db.Catalog.Footprint()
+	s.storage.Advance(horizon, mb, parts)
 	return s.derive(s.metrics, s.makespanSum)
 }
 
@@ -396,8 +390,7 @@ func (s *Service) RunCtx(ctx context.Context, flows []*dataflow.Flow, horizon fl
 // MeanMakespan from the given makespan sum over m.FlowsFinished, the VM and
 // storage money, CostPerFlow — so Run and Aggregates cannot drift apart.
 func (s *Service) derive(m Metrics, makespanSum float64) Metrics {
-	m.VMQuanta = s.vmQ
-	m.VMCost = s.vmQ * s.cfg.Sched.Pricing.VMPerQuantum
+	m.VMCost = m.VMQuanta * s.cfg.Sched.Pricing.VMPerQuantum
 	m.StorageCost = s.storage.CostAccrued()
 	if m.FlowsFinished > 0 {
 		m.MeanMakespan = makespanSum / float64(m.FlowsFinished)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"idxflow/internal/dataflow"
+	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
 
@@ -204,5 +206,52 @@ func TestStorageAccounting(t *testing.T) {
 	}
 	if len(m.Timeline) == 0 {
 		t.Error("no timeline points recorded")
+	}
+}
+
+// TestStorageGaugesMatchCatalog: the catalog is the one record of built
+// partitions, and after Run the storage gauges read its footprint, with
+// partitions built, evicted and built again on the way.
+func TestStorageGaugesMatchCatalog(t *testing.T) {
+	db := testDB(t)
+	gen := workload.NewGenerator(db, 2)
+	cfg := quickConfig(Gain)
+	cfg.DeletionGraceQuanta = 2
+	cfg.Gain.WindowW = 4
+	cfg.Gain.FadeD = 1
+	cfg.Telemetry = telemetry.NewRegistry()
+	svc := NewService(cfg, db)
+	var flows []*dataflow.Flow
+	for i := 0; i < 4; i++ {
+		flows = append(flows, gen.Flow(workload.Montage, i, 0), gen.Flow(workload.Ligo, 100+i, 0))
+	}
+	m := svc.Run(flows, 1e9)
+	deleted := 0
+	for _, r := range m.Results {
+		deleted += len(r.Deleted)
+	}
+	if deleted == 0 {
+		t.Error("no index was evicted; the run does not exercise Drop")
+	}
+
+	var wantMB float64
+	wantFiles := 0
+	for _, name := range db.Catalog.IndexNames() {
+		st := db.Catalog.State(name)
+		wantMB += st.BuiltSizeMB()
+		for _, p := range st.Index.Table.Partitions {
+			if st.Built(p.ID) {
+				wantFiles++
+			}
+		}
+	}
+	if wantFiles == 0 {
+		t.Fatal("nothing is built at the end of the run")
+	}
+	if got := cfg.Telemetry.Gauge("idxflow_storage_mb", "").Value(); got != wantMB {
+		t.Errorf("idxflow_storage_mb = %g, the catalog's built partitions hold %g MB", got, wantMB)
+	}
+	if got := cfg.Telemetry.Gauge("idxflow_storage_files", "").Value(); got != float64(wantFiles) {
+		t.Errorf("idxflow_storage_files = %g, the catalog has %d built partitions", got, wantFiles)
 	}
 }

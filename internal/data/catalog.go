@@ -5,32 +5,21 @@ import (
 	"sort"
 )
 
-// PartState is the build state of one index partition.
-type PartState struct {
-	// Built reports whether the index partition currently exists.
-	Built bool
-	// BuiltAt is the creation time point in seconds (the T of
-	// idx(t, C, T)); meaningful only when Built.
-	BuiltAt float64
-	// Version is the table-partition version the index was built against.
-	Version int
-}
-
-// BuildState tracks which partitions of an index have been built and when.
-// Indexes are built incrementally: not all partitions need to exist for the
-// index to be used (§3).
+// BuildState is the set of built partitions of one index. Indexes are
+// built incrementally: not all partitions need to exist for the index to be
+// used (§3).
 type BuildState struct {
 	Index *Index
 	name  string // Index.Name(), spelled once
-	// parts holds the built partitions and nothing else: MarkBuilt is its
-	// only writer and stores Built entries, Invalidate deletes, Reset
-	// empties. BuiltCount is therefore its length.
-	parts map[int]*PartState
+	// parts holds the ids of the built partitions: MarkBuilt adds, the
+	// catalog's ApplyUpdate deletes one and Drop empties it. BuiltCount is
+	// therefore its length.
+	parts map[int]struct{}
 }
 
 // NewBuildState returns an all-unbuilt state for idx.
 func NewBuildState(idx *Index) *BuildState {
-	return &BuildState{Index: idx, name: idx.Name(), parts: make(map[int]*PartState)}
+	return &BuildState{Index: idx, name: idx.Name(), parts: make(map[int]struct{})}
 }
 
 // Name returns the index's canonical name, the catalog's key for this state:
@@ -38,39 +27,19 @@ func NewBuildState(idx *Index) *BuildState {
 // per call.
 func (b *BuildState) Name() string { return b.name }
 
-// Part returns the state of index partition id (zero value if untouched).
-func (b *BuildState) Part(id int) PartState {
-	if s, ok := b.parts[id]; ok {
-		return *s
-	}
-	return PartState{}
+// Built reports whether the index partition over table partition id exists.
+func (b *BuildState) Built(id int) bool {
+	_, ok := b.parts[id]
+	return ok
 }
 
-// MarkBuilt records that the index partition over table partition id was
-// completed at time t against the partition's current version. It is the
-// only writer of parts.
-func (b *BuildState) MarkBuilt(id int, t float64) error {
+// MarkBuilt records that the index partition over table partition id exists.
+func (b *BuildState) MarkBuilt(id int) error {
 	if id < 0 || id >= len(b.Index.Table.Partitions) {
-		return fmt.Errorf("data: index %s: no table partition %d", b.Index.Name(), id)
+		return fmt.Errorf("data: index %s: no table partition %d", b.name, id)
 	}
-	b.parts[id] = &PartState{
-		Built:   true,
-		BuiltAt: t,
-		Version: b.Index.Table.Partitions[id].Version,
-	}
+	b.parts[id] = struct{}{}
 	return nil
-}
-
-// Invalidate marks the index partition over table partition id as not built
-// (used when the table partition is updated, §3: "Indexes built on table
-// partitions that are updated are deleted and marked as not built").
-func (b *BuildState) Invalidate(id int) {
-	delete(b.parts, id)
-}
-
-// Reset clears all build state (the index is dropped).
-func (b *BuildState) Reset() {
-	b.parts = make(map[int]*PartState)
 }
 
 // BuiltCount returns how many index partitions currently exist.
@@ -91,22 +60,11 @@ func (b *BuildState) BuiltFraction() float64 {
 func (b *BuildState) BuiltSizeMB() float64 {
 	var sum float64
 	for id, p := range b.Index.Table.Partitions {
-		if _, built := b.parts[id]; built {
+		if b.Built(id) {
 			sum += b.Index.PartitionSizeMB(p)
 		}
 	}
 	return sum
-}
-
-// BuiltPaths returns the storage paths of the built index partitions,
-// sorted.
-func (b *BuildState) BuiltPaths() []string {
-	var paths []string
-	for id := range b.parts {
-		paths = append(paths, b.Index.PartitionPath(id))
-	}
-	sort.Strings(paths)
-	return paths
 }
 
 // MissingPartitions returns the IDs of table partitions whose index
@@ -114,7 +72,7 @@ func (b *BuildState) BuiltPaths() []string {
 func (b *BuildState) MissingPartitions() []int {
 	var ids []int
 	for _, p := range b.Index.Table.Partitions {
-		if _, built := b.parts[p.ID]; !built {
+		if !b.Built(p.ID) {
 			ids = append(ids, p.ID)
 		}
 	}
@@ -123,7 +81,9 @@ func (b *BuildState) MissingPartitions() []int {
 
 // Catalog holds the tables and the evolving index sets of the service: the
 // potential indexes Pi, the available (at least partially built) indexes
-// I(t), and the full history of everything ever registered.
+// I(t), and the full history of everything ever registered. It is the one
+// record of which index partitions are built: the storage service bills
+// its Footprint and keeps no list of its own.
 type Catalog struct {
 	tables map[string]*Table
 	states map[string]*BuildState
@@ -200,50 +160,46 @@ func (c *Catalog) AvailableCount() int {
 	return n
 }
 
-// Drop deletes all built partitions of the named index and returns their
-// storage paths so the caller can free them from the storage service.
-func (c *Catalog) Drop(name string) []string {
-	st := c.states[name]
-	if st == nil {
-		return nil
+// Drop deletes all built partitions of the named index (a no-op for an
+// unknown name).
+func (c *Catalog) Drop(name string) {
+	if st := c.states[name]; st != nil {
+		clear(st.parts)
 	}
-	paths := st.BuiltPaths()
-	st.Reset()
-	return paths
 }
 
-// BuiltSizeMB returns the total storage footprint of all built index
-// partitions across the catalog, summed in IndexNames order.
-func (c *Catalog) BuiltSizeMB() float64 {
-	var sum float64
+// Footprint returns the storage footprint of all built index partitions
+// across the catalog and how many there are. The sum runs in IndexNames
+// order and, within an index, in ascending partition id: float addition is
+// not associative, and the storage cost accrued at this footprint must be
+// bit-identical across repeated runs.
+func (c *Catalog) Footprint() (mb float64, parts int) {
 	for _, name := range c.IndexNames() {
-		sum += c.states[name].BuiltSizeMB()
+		st := c.states[name]
+		mb += st.BuiltSizeMB()
+		parts += st.BuiltCount()
 	}
-	return sum
+	return mb, parts
 }
 
-// ApplyUpdate performs a batch update on partition pid of the named table:
-// it bumps the partition version and invalidates every index partition
-// built on it, returning the storage paths of the invalidated index
-// partitions.
-func (c *Catalog) ApplyUpdate(table string, pid int) ([]string, error) {
+// ApplyUpdate performs a batch update on partition pid of the named table
+// and deletes every index partition built on it (§3: "Indexes built on
+// table partitions that are updated are deleted and marked as not built"),
+// returning how many it deleted.
+func (c *Catalog) ApplyUpdate(table string, pid int) (int, error) {
 	t := c.tables[table]
 	if t == nil {
-		return nil, fmt.Errorf("data: unknown table %q", table)
+		return 0, fmt.Errorf("data: unknown table %q", table)
 	}
-	if _, err := t.UpdatePartition(pid); err != nil {
-		return nil, err
+	if pid < 0 || pid >= len(t.Partitions) {
+		return 0, fmt.Errorf("data: table %s has no partition %d", t.Name, pid)
 	}
-	var freed []string
+	n := 0
 	for _, st := range c.states {
-		if st.Index.Table != t {
-			continue
-		}
-		if _, built := st.parts[pid]; built {
-			freed = append(freed, st.Index.PartitionPath(pid))
-			st.Invalidate(pid)
+		if st.Index.Table == t && st.Built(pid) {
+			delete(st.parts, pid)
+			n++
 		}
 	}
-	sort.Strings(freed)
-	return freed, nil
+	return n, nil
 }

@@ -51,7 +51,7 @@ func TestBuildStateLifecycle(t *testing.T) {
 	if c.Available(idx.Name()) {
 		t.Error("unbuilt index reported available")
 	}
-	if err := st.MarkBuilt(0, 100); err != nil {
+	if err := st.MarkBuilt(0); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Available(idx.Name()) {
@@ -60,77 +60,88 @@ func TestBuildStateLifecycle(t *testing.T) {
 	if got := st.BuiltFraction(); got != 1.0/3 {
 		t.Errorf("BuiltFraction = %g, want 1/3", got)
 	}
-	if ps := st.Part(0); !ps.Built || ps.BuiltAt != 100 {
-		t.Errorf("Part(0) = %+v", ps)
+	if !st.Built(0) || st.Built(1) {
+		t.Errorf("Built(0), Built(1) = %v, %v, want true, false", st.Built(0), st.Built(1))
 	}
 	if missing := st.MissingPartitions(); len(missing) != 2 || missing[0] != 1 || missing[1] != 2 {
 		t.Errorf("MissingPartitions = %v, want [1 2]", missing)
 	}
-	st.MarkBuilt(1, 150)
-	st.MarkBuilt(2, 160)
+	st.MarkBuilt(1)
+	st.MarkBuilt(2)
 	if st.BuiltCount() != 3 || len(st.MissingPartitions()) != 0 {
 		t.Errorf("BuiltCount = %d with %v missing after building all", st.BuiltCount(), st.MissingPartitions())
 	}
-	if err := st.MarkBuilt(99, 0); err == nil {
+	if err := st.MarkBuilt(99); err == nil {
 		t.Error("MarkBuilt on unknown partition accepted")
 	}
 }
 
-func TestBuiltPathsAndSize(t *testing.T) {
+// TestFootprint: the catalog's footprint is the built partitions' sizes
+// and count, across indexes.
+func TestFootprint(t *testing.T) {
 	c, tab, idx := catalogFixture(t)
-	st := c.State(idx.Name())
-	st.MarkBuilt(1, 10)
-	st.MarkBuilt(0, 20)
-	paths := st.BuiltPaths()
-	if len(paths) != 2 || paths[0] != "idx/lineitem/orderkey/0" || paths[1] != "idx/lineitem/orderkey/1" {
-		t.Errorf("BuiltPaths = %v", paths)
+	if mb, parts := c.Footprint(); mb != 0 || parts != 0 {
+		t.Errorf("fresh catalog: Footprint = %g MB, %d parts, want none", mb, parts)
 	}
+	st := c.State(idx.Name())
+	st.MarkBuilt(1)
+	st.MarkBuilt(0)
 	want := 2 * idx.PartitionSizeMB(tab.Partitions[0])
 	if got := st.BuiltSizeMB(); got != want {
 		t.Errorf("BuiltSizeMB = %g, want %g", got, want)
 	}
-	if got := c.BuiltSizeMB(); got != want {
-		t.Errorf("catalog BuiltSizeMB = %g, want %g", got, want)
+	second, err := NewIndex(tab, "commitdate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := c.RegisterIndex(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.MarkBuilt(2)
+	want2 := second.PartitionSizeMB(tab.Partitions[2])
+	// IndexNames order: commitdate's partition, then orderkey's two.
+	if mb, parts := c.Footprint(); mb != want2+want || parts != 3 {
+		t.Errorf("Footprint = %g MB, %d parts, want %g, 3", mb, parts, want2+want)
 	}
 }
 
 func TestDrop(t *testing.T) {
 	c, _, idx := catalogFixture(t)
 	st := c.State(idx.Name())
-	st.MarkBuilt(0, 10)
-	freed := c.Drop(idx.Name())
-	if len(freed) != 1 || freed[0] != "idx/lineitem/orderkey/0" {
-		t.Errorf("Drop freed %v", freed)
-	}
-	if c.Available(idx.Name()) {
+	st.MarkBuilt(0)
+	c.Drop(idx.Name())
+	if c.Available(idx.Name()) || st.Built(0) {
 		t.Error("dropped index still available")
 	}
-	if got := c.Drop("missing"); got != nil {
-		t.Errorf("Drop(missing) = %v, want nil", got)
+	c.Drop("missing") // a no-op
+	st.MarkBuilt(1)
+	if !st.Built(1) || st.BuiltCount() != 1 {
+		t.Error("a dropped index cannot be built again")
 	}
 }
 
 func TestApplyUpdateInvalidatesIndexes(t *testing.T) {
-	c, tab, idx := catalogFixture(t)
+	c, _, idx := catalogFixture(t)
 	st := c.State(idx.Name())
-	st.MarkBuilt(0, 10)
-	st.MarkBuilt(1, 10)
+	st.MarkBuilt(0)
+	st.MarkBuilt(1)
 
-	freed, err := c.ApplyUpdate("lineitem", 0)
+	n, err := c.ApplyUpdate("lineitem", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(freed) != 1 || freed[0] != "idx/lineitem/orderkey/0" {
-		t.Errorf("ApplyUpdate freed %v", freed)
+	if n != 1 {
+		t.Errorf("ApplyUpdate deleted %d index partitions, want 1", n)
 	}
-	if tab.Partitions[0].Version != 1 {
-		t.Errorf("partition version = %d, want 1", tab.Partitions[0].Version)
-	}
-	if ps := st.Part(0); ps.Built {
+	if st.Built(0) {
 		t.Error("index partition 0 still built after update")
 	}
-	if ps := st.Part(1); !ps.Built {
+	if !st.Built(1) {
 		t.Error("index partition 1 lost by unrelated update")
+	}
+	if n, err := c.ApplyUpdate("lineitem", 0); err != nil || n != 0 {
+		t.Errorf("second update of partition 0 = %d, %v, want 0, nil", n, err)
 	}
 
 	if _, err := c.ApplyUpdate("missing", 0); err == nil {
@@ -139,6 +150,9 @@ func TestApplyUpdateInvalidatesIndexes(t *testing.T) {
 	if _, err := c.ApplyUpdate("lineitem", 99); err == nil {
 		t.Error("ApplyUpdate on unknown partition accepted")
 	}
+	if _, err := c.ApplyUpdate("lineitem", -1); err == nil {
+		t.Error("ApplyUpdate on partition -1 accepted")
+	}
 }
 
 func TestAvailableSet(t *testing.T) {
@@ -146,7 +160,7 @@ func TestAvailableSet(t *testing.T) {
 	if c.AvailableCount() != 0 || c.Available(idx.Name()) {
 		t.Error("an index is available on a fresh catalog")
 	}
-	c.State(idx.Name()).MarkBuilt(0, 5)
+	c.State(idx.Name()).MarkBuilt(0)
 	if c.AvailableCount() != 1 || !c.Available(idx.Name()) {
 		t.Errorf("AvailableCount = %d, Available(%s) = %v after one built partition",
 			c.AvailableCount(), idx.Name(), c.Available(idx.Name()))
@@ -183,7 +197,7 @@ func TestKeptReadsFollowTheirWriters(t *testing.T) {
 		t.Helper()
 		built := 0
 		for _, p := range tab.Partitions {
-			if st.Part(p.ID).Built {
+			if st.Built(p.ID) {
 				built++
 			}
 		}
@@ -201,18 +215,18 @@ func TestKeptReadsFollowTheirWriters(t *testing.T) {
 		}
 	}
 	recount("registration")
-	st.MarkBuilt(0, 10)
-	st.MarkBuilt(2, 11)
-	st.MarkBuilt(2, 12) // again: one partition, not two
+	st.MarkBuilt(0)
+	st.MarkBuilt(2)
+	st.MarkBuilt(2) // again: one partition, not two
 	recount("MarkBuilt")
-	st.Invalidate(0)
-	st.Invalidate(1) // never built
-	recount("Invalidate")
 	if _, err := c.ApplyUpdate("lineitem", 2); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.ApplyUpdate("lineitem", 1); err != nil { // never built
+		t.Fatal(err)
+	}
 	recount("ApplyUpdate")
-	st.MarkBuilt(1, 13)
-	st.Reset()
-	recount("Reset")
+	st.MarkBuilt(1)
+	c.Drop(idx.Name())
+	recount("Drop")
 }

@@ -19,8 +19,8 @@ const PointerSize = 8
 
 // Index describes an index idx(t, C, T) per §3: an index on table t over
 // the ordered column set C, a B+Tree (§3 assumes it "without loss of
-// generality"). Creation times T of its partitions are tracked separately
-// by BuildState so that the same descriptor can be shared.
+// generality"). Which of its partitions are built is tracked separately by
+// BuildState so that the same descriptor can be shared.
 type Index struct {
 	Table   *Table
 	Columns []string

@@ -1,7 +1,7 @@
 // Package data implements the data model of §3 of the paper: partitioned
-// tables with column statistics, versioned batch updates, and B+Tree index
-// descriptors with the paper's analytic size, build-time and storage-cost
-// formulas.
+// tables with column statistics, B+Tree index descriptors with the paper's
+// analytic size, build-time and storage-cost formulas, and the catalog,
+// the one record of which index partitions are built.
 package data
 
 import "fmt"
@@ -22,9 +22,6 @@ type Partition struct {
 	NumRecords int64
 	// Path locates the partition in the storage service.
 	Path string
-	// Version counts batch updates; bumping it invalidates indexes built
-	// on the previous version (§3, Data Model).
-	Version int
 }
 
 // Table models t(schema, P, S): a schema, an ordered set of partitions, and
@@ -89,16 +86,4 @@ func (t *Table) SizeMB() float64 {
 // PartitionSizeMB returns the size in MB of one partition.
 func (t *Table) PartitionSizeMB(p Partition) float64 {
 	return float64(p.NumRecords) * t.RecordSize() / 1e6
-}
-
-// UpdatePartition applies a batch update to partition id: it bumps the
-// version (creating "a new version of the table partitions changed,
-// invalidating old versions and indexes built on them", §3) and returns the
-// new version. It returns an error for an unknown partition.
-func (t *Table) UpdatePartition(id int) (int, error) {
-	if id < 0 || id >= len(t.Partitions) {
-		return 0, fmt.Errorf("data: table %s has no partition %d", t.Name, id)
-	}
-	t.Partitions[id].Version++
-	return t.Partitions[id].Version, nil
 }

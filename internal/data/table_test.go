@@ -49,15 +49,3 @@ func TestAddPartition(t *testing.T) {
 		t.Errorf("SizeMB = %g, want %g", got, wantMB)
 	}
 }
-
-func TestUpdatePartitionBumpsVersion(t *testing.T) {
-	tab := lineitemLike()
-	tab.AddPartition(100, "")
-	v, err := tab.UpdatePartition(0)
-	if err != nil || v != 1 {
-		t.Errorf("UpdatePartition = %d,%v, want 1,nil", v, err)
-	}
-	if _, err := tab.UpdatePartition(5); err == nil {
-		t.Error("UpdatePartition(5) on 1-partition table succeeded")
-	}
-}

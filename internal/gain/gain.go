@@ -103,6 +103,17 @@ func (h *History) Add(index string, r Record) {
 // mutate).
 func (h *History) Records(index string) []Record { return h.recs[index] }
 
+// LastWhen returns the When of the index's last record, 0 if it has none.
+// Evaluator.Record appends and trims only a prefix, so under a clock that
+// never moves back this is the last time a dataflow listed the index.
+func (h *History) LastWhen(index string) float64 {
+	recs := h.recs[index]
+	if len(recs) == 0 {
+		return 0
+	}
+	return recs[len(recs)-1].When
+}
+
 // Evaluator computes index gains from history.
 type Evaluator struct {
 	Params  Params

@@ -318,7 +318,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		t.Do(func(svc *core.Service, db *workload.FileDB) {
 			resp.ClockSeconds = svc.Clock()
 			resp.IndexesAvailable = svc.Catalog().AvailableCount()
-			resp.IndexStorageMB = svc.Catalog().BuiltSizeMB()
+			resp.IndexStorageMB, _ = svc.Catalog().Footprint()
 			resp.VMQuanta = svc.Aggregates().VMQuanta
 		})
 	}
