@@ -45,6 +45,7 @@ fuzz-short:
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzGainWindow$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzWarmFrontier$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/pagestore -run '^$$' -fuzz '^FuzzColumnPage$$' -fuzztime $(FUZZ_SECONDS)s
+	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzProbeEqualsApply$$' -fuzztime $(FUZZ_SECONDS)s
 
 # Re-record the golden experiment tables and the idxflow-sim -explain
 # transcript and -events log under cmd/*/testdata from the current tree. A refactor must pass

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -100,6 +101,11 @@ func AuditQaaS(r qaas.Report) error {
 	return rep.Err()
 }
 
+// maxExecViolations bounds the failed executions an ExecAuditor keeps: the
+// first ones name the cause, and a server audits every execution for as
+// long as it runs.
+const maxExecViolations = 64
+
 // ExecAuditor is a thread-safe core.Config.PostExec hook that runs the
 // full cross-layer Audit on every execution a QaaS worker completes, so
 // interleaved admissions get the same §3 scrutiny batch runs get in tests.
@@ -111,7 +117,8 @@ type ExecAuditor struct {
 
 	mu         sync.Mutex
 	executions int
-	violations []Violation
+	violations []Violation // the first maxExecViolations failures
+	dropped    int         // failures past those
 }
 
 // Hook is the PostExec callback: it audits one completed execution
@@ -121,11 +128,15 @@ func (a *ExecAuditor) Hook(chosen *sched.Schedule, run sim.Result) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.executions++
-	if err != nil {
+	switch {
+	case err == nil:
+	case len(a.violations) < maxExecViolations:
 		a.violations = append(a.violations, Violation{
 			Name:   "qaas-exec-audit",
 			Detail: err.Error(),
 		})
+	default:
+		a.dropped++
 	}
 }
 
@@ -137,10 +148,15 @@ func (a *ExecAuditor) Executions() int {
 }
 
 // Err returns nil when every audited execution was clean, otherwise an
-// error listing each failed execution's violations.
+// error listing the first failed executions' violations and ending with
+// how many more failed.
 func (a *ExecAuditor) Err() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	r := &Report{Violations: a.violations}
-	return r.Err()
+	err := r.Err()
+	if a.dropped > 0 {
+		err = fmt.Errorf("%w\n  and %d more", err, a.dropped)
+	}
+	return err
 }

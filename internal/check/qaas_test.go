@@ -118,3 +118,31 @@ func TestExecAuditorHookAndTamper(t *testing.T) {
 		t.Fatalf("Executions() = %d after tamper, want %d", got, len(results)+1)
 	}
 }
+
+// TestExecAuditorBoundsViolations feeds the hook 1,000 failing executions:
+// it keeps the first maxExecViolations, counts the rest, and says how many
+// it dropped at the end of Err.
+func TestExecAuditorBoundsViolations(t *testing.T) {
+	sc := NewScenario(1, 0)
+	results, skyline := execScenario(t, sc)
+	bad := results[0]
+	bad.MoneyQuanta += 7
+	a := &ExecAuditor{Exact: true}
+	const fed = 1000
+	for i := 0; i < fed; i++ {
+		a.Hook(skyline[0], bad)
+	}
+	if got := a.Executions(); got != fed {
+		t.Fatalf("Executions() = %d, want %d", got, fed)
+	}
+	if got := len(a.violations); got != maxExecViolations {
+		t.Fatalf("kept %d violations, want %d", got, maxExecViolations)
+	}
+	err := a.Err()
+	if err == nil {
+		t.Fatal("1,000 failed executions audited clean")
+	}
+	if want := "\n  and 936 more"; !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("Err() does not end with %q:\n%v", want, err)
+	}
+}

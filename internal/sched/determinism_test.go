@@ -335,7 +335,8 @@ func TestParetoDuplicateTieBreak(t *testing.T) {
 		{{s: twoCont, p: pTwo}, {s: oneCont, p: pOne}},
 	}
 	for i, cands := range orders {
-		out := pareto(append([]candidate(nil), cands...), preferSeqIdle)
+		var fb frontierBuf
+		out := fb.pareto(cands, preferSeqIdle)
 		if len(out) != 1 {
 			t.Fatalf("order %d: pareto kept %d candidates, want 1", i, len(out))
 		}

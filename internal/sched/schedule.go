@@ -62,11 +62,10 @@ type Schedule struct {
 	// contType[c] is the index into Types of container c (0 if untyped).
 	contType []int
 
-	// leaseQ memoizes the leased quanta per container (-1 = stale). The
-	// interleaver and the skyline's candidate evaluation call IdleSlots and
-	// MoneyQuanta far more often than they mutate the schedule, so the
-	// ceil-divide per container is paid once per mutation instead of per
-	// read.
+	// leaseQ memoizes the leased quanta per container (-1 = stale).
+	// IdleSlots and the seq-idle walk fill it; MoneyQuanta and probe read
+	// it and recompute a stale entry without storing it, so scoring a
+	// candidate writes nothing to the schedule it reads.
 	leaseQ []int
 	// seqIdleQ memoizes per container the longest contiguous idle run
 	// (-1 = stale), invalidated together with leaseQ. The skyline's
@@ -136,10 +135,11 @@ func (s *Schedule) clearAssign(op dataflow.OpID) {
 
 // ContainerType returns the VM type of container c. With no Types
 // configured it synthesizes the homogeneous default from Spec and Pricing.
-func (s *Schedule) ContainerType(c int) cloud.VMType {
-	if len(s.Types) == 0 {
-		return cloud.VMType{Name: "default", Spec: s.Spec, PricePerQuantum: s.Pricing.VMPerQuantum, SpeedFactor: 1}
-	}
+func (s *Schedule) ContainerType(c int) cloud.VMType { return s.vmType(s.typeIndex(c)) }
+
+// typeIndex returns the index into Types container c is leased as: 0 for a
+// container not yet opened and for an out-of-range entry.
+func (s *Schedule) typeIndex(c int) int {
 	ti := 0
 	if c < len(s.contType) {
 		ti = s.contType[c]
@@ -147,7 +147,25 @@ func (s *Schedule) ContainerType(c int) cloud.VMType {
 	if ti < 0 || ti >= len(s.Types) {
 		ti = 0
 	}
+	return ti
+}
+
+// vmType returns type ti of the pool, or the homogeneous default when the
+// schedule has no pool.
+func (s *Schedule) vmType(ti int) cloud.VMType {
+	if len(s.Types) == 0 {
+		return cloud.VMType{Name: "default", Spec: s.Spec, PricePerQuantum: s.Pricing.VMPerQuantum, SpeedFactor: 1}
+	}
 	return s.Types[ti]
+}
+
+// weight returns type ti's price per quantum relative to the baseline VM
+// price: the factor MoneyQuanta charges a leased quantum of that type.
+func (s *Schedule) weight(ti int) float64 {
+	if len(s.Types) == 0 || s.Pricing.VMPerQuantum <= 0 {
+		return 1
+	}
+	return s.Types[ti].PricePerQuantum / s.Pricing.VMPerQuantum
 }
 
 // SetContainerType fixes the type of container c before (or at) its first
@@ -229,6 +247,12 @@ func (s *Schedule) NumSlots() int { return len(s.conts) }
 // (edge size / network bandwidth when the producer sits elsewhere).
 // It returns an error if a predecessor is unassigned.
 func (s *Schedule) ReadyTime(op dataflow.OpID, c int) (float64, error) {
+	return s.readyOn(op, c, s.ContainerType(c).Spec)
+}
+
+// readyOn is ReadyTime with container c's spec given, so a probe can ask as
+// if c were already leased as another type.
+func (s *Schedule) readyOn(op dataflow.OpID, c int, spec cloud.Spec) (float64, error) {
 	var ready float64
 	for _, e := range s.Graph.In(op) {
 		if !s.isPlaced(e.From) {
@@ -238,7 +262,7 @@ func (s *Schedule) ReadyTime(op dataflow.OpID, c int) (float64, error) {
 		t := pa.End
 		if pa.Container != c {
 			// The receiving container's network link paces the transfer.
-			t += s.ContainerType(c).Spec.TransferSeconds(e.Size)
+			t += spec.TransferSeconds(e.Size)
 		}
 		if t > ready {
 			ready = t
@@ -289,23 +313,27 @@ func (s *Schedule) noteAssigned(a Assignment, optional bool) {
 	s.msCount++
 }
 
-// recomputeMakespan rebuilds the non-optional extent cache from scratch.
-func (s *Schedule) recomputeMakespan() {
-	s.msFirst, s.msLast, s.msCount = math.Inf(1), 0, 0
+// extent returns the non-optional ops' earliest start, latest end and
+// count: the makespan cache when it is valid, a walk of the books when not.
+func (s *Schedule) extent() (first, last float64, count int) {
+	if s.msValid {
+		return s.msFirst, s.msLast, s.msCount
+	}
+	first = math.Inf(1)
 	for id := range s.assign {
 		if !s.placed[id] || s.Graph.Op(dataflow.OpID(id)).Optional {
 			continue
 		}
 		a := s.assign[id]
-		if s.msCount == 0 || a.Start < s.msFirst {
-			s.msFirst = a.Start
+		if count == 0 || a.Start < first {
+			first = a.Start
 		}
-		if s.msCount == 0 || a.End > s.msLast {
-			s.msLast = a.End
+		if count == 0 || a.End > last {
+			last = a.End
 		}
-		s.msCount++
+		count++
 	}
-	s.msValid = true
+	return first, last, count
 }
 
 // UndoToken records how to reverse exactly one speculative placement
@@ -542,13 +570,119 @@ func (s *Schedule) placeAtOp(op dataflow.OpID, c int, start, duration float64) (
 	return a, nil
 }
 
+// probe returns the point that applying mv and calling point() would read —
+// AppendSpeculative for an append, PlaceAtSpeculative for a placement — and
+// whether the move is legal, without writing to s. The skyline scores every
+// candidate this way; only a Pareto survivor replays its move, onto a copy
+// (candidate.materialize). FuzzProbeEqualsApply holds the two to the bit.
+func (s *Schedule) probe(mv move) (point, bool) {
+	o := s.Graph.Op(mv.op)
+	c := mv.cont
+	if o == nil || c < 0 || s.isPlaced(mv.op) {
+		return point{}, false
+	}
+	var ops []dataflow.OpID // c's ops in start order
+	if c < len(s.conts) {
+		ops = s.conts[c]
+	}
+	ti := s.typeIndex(c)
+	if !mv.place && mv.typeIdx >= 0 {
+		// SetContainerType's checks: a pool, a type in it, and no retyping
+		// of a container in use.
+		if len(s.Types) == 0 || mv.typeIdx >= len(s.Types) || len(ops) > 0 && s.contType[c] != mv.typeIdx {
+			return point{}, false
+		}
+		ti = mv.typeIdx
+	}
+	vt := s.vmType(ti)
+	ready, err := s.readyOn(mv.op, c, vt.Spec)
+	if err != nil {
+		return point{}, false
+	}
+	dur := o.Time / vt.SpeedFactor
+
+	var start, end float64
+	evicted := 0
+	last := dataflow.OpID(-1) // the last op c keeps in start order, the new one aside
+	if mv.place {
+		start, end = mv.start, mv.start+dur
+		if start+1e-9 < ready {
+			return point{}, false
+		}
+		pos := sort.Search(len(ops), func(i int) bool { return s.assign[ops[i]].Start >= start })
+		if pos > 0 && s.assign[ops[pos-1]].End > start+1e-9 ||
+			pos < len(ops) && s.assign[ops[pos]].Start < end-1e-9 {
+			return point{}, false
+		}
+		if len(ops) > 0 {
+			last = ops[len(ops)-1]
+		}
+	} else {
+		// appendOp's start: a dataflow op queues behind the container's
+		// dataflow ops only and preempts the builds its interval overlaps.
+		tail := s.lastEnd(c)
+		if !o.Optional {
+			tail = 0
+			for _, id := range ops {
+				if e := s.assign[id].End; !s.Graph.Op(id).Optional && e > tail {
+					tail = e
+				}
+			}
+		}
+		start = math.Max(ready, tail)
+		end = start + dur
+		for _, id := range ops {
+			a := s.assign[id]
+			if !o.Optional && s.Graph.Op(id).Optional && a.End > start+1e-9 && a.Start < end-1e-9 {
+				evicted++
+				continue
+			}
+			last = id
+		}
+	}
+
+	// The new op goes before the first kept op starting at or after it, so
+	// it ends the lease unless the last kept op starts no earlier.
+	leaseEnd := end
+	if last >= 0 && s.assign[last].Start >= start {
+		leaseEnd = s.assign[last].End
+	}
+	p := point{
+		money:   s.money(c, s.Pricing.Quanta(leaseEnd), s.weight(ti)),
+		ops:     s.nPlaced + 1 - evicted,
+		conts:   s.Containers(),
+		seqIdle: -1,
+	}
+	if len(ops) == 0 {
+		p.conts++
+	}
+	first, lastEnd, count := s.extent()
+	if !o.Optional {
+		if count == 0 || start < first {
+			first = start
+		}
+		if count == 0 || end > lastEnd {
+			lastEnd = end
+		}
+		count++
+	}
+	if count > 0 {
+		p.time = lastEnd - first
+	} else if p.time = s.TotalSpan(); end > p.time {
+		// Only optional ops are placed: Makespan falls back to TotalSpan.
+		p.time = end
+	}
+	return p, true
+}
+
 // Makespan returns td(Sd): the time from the first non-optional operator's
 // start to the last non-optional operator's finish (§3). Optional
 // index-build operators do not count: they must not affect the dataflow.
 // For schedules containing only optional ops, all ops count.
 func (s *Schedule) Makespan() float64 {
 	if !s.msValid {
-		s.recomputeMakespan()
+		s.msFirst, s.msLast, s.msCount = s.extent()
+		s.msValid = true
 	}
 	if s.msCount == 0 {
 		return s.TotalSpan()
@@ -588,15 +722,25 @@ func (s *Schedule) leaseEndQuanta(c int) int {
 // relative to the baseline VM price (§3 measures monetary cost in quanta so
 // time and money share a unit; in a heterogeneous pool a quantum of a
 // pricier type counts proportionally more).
-func (s *Schedule) MoneyQuanta() float64 {
+func (s *Schedule) MoneyQuanta() float64 { return s.money(-1, 0, 0) }
+
+// money sums leased quanta times type weight over the used containers in
+// container order, reading the lease memo without filling it. Container
+// sub, when >= 0, counts subQ quanta at weight subW in place of its own
+// term, opened or not: that is how probe prices a move it does not make, in
+// MoneyQuanta's summation order, so the two agree to the bit.
+func (s *Schedule) money(sub, subQ int, subW float64) float64 {
 	var total float64
-	for c := range s.conts {
-		if len(s.conts[c]) > 0 {
-			w := 1.0
-			if len(s.Types) > 0 && s.Pricing.VMPerQuantum > 0 {
-				w = s.ContainerType(c).PricePerQuantum / s.Pricing.VMPerQuantum
+	for c := 0; c < max(len(s.conts), sub+1); c++ {
+		switch {
+		case c == sub:
+			total += float64(subQ) * subW
+		case c < len(s.conts) && len(s.conts[c]) > 0:
+			q := s.leaseQ[c]
+			if q < 0 {
+				q = s.Pricing.Quanta(s.lastEnd(c))
 			}
-			total += float64(s.leaseEndQuanta(c)) * w
+			total += float64(q) * s.weight(s.typeIndex(c))
 		}
 	}
 	return total

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
+	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"idxflow/internal/cloud"
 	"idxflow/internal/dataflow"
@@ -92,7 +94,7 @@ type move struct {
 
 // candidate pairs a schedule with its cached objective point. A candidate
 // is either materialized (s != nil, owning its schedule) or speculative
-// (src + mv describe the placement; p was measured through apply/undo).
+// (src + mv describe the placement; p is src.probe(mv)).
 type candidate struct {
 	s   *Schedule
 	src *Schedule
@@ -101,8 +103,8 @@ type candidate struct {
 }
 
 // apply replays the candidate's move on sched (its source or a copy of
-// it), returning the undo token. The move was legal when the candidate was
-// evaluated, so failures cannot happen on a faithful copy.
+// it), returning the undo token. The move was probed legal on the source,
+// so it applies to a faithful copy.
 func (c *candidate) apply(sched *Schedule) (UndoToken, error) {
 	if c.mv.place {
 		_, tok, err := sched.PlaceAtSpeculative(c.mv.op, c.mv.cont, c.mv.start, -1)
@@ -132,7 +134,10 @@ func (f *freeList) get() *Schedule {
 func (f *freeList) put(s *Schedule) { *f = append(*f, s) }
 
 // materialize turns a speculative candidate into an owning one by copying
-// its source into a recycled schedule and replaying the move.
+// its source into a recycled schedule and replaying the move. The move was
+// probed legal on that source, so a failure is a probe that disagrees with
+// apply: it panics here, naming the move, rather than leave a nil schedule
+// on the frontier for Fastest to trip over later.
 func (c *candidate) materialize(free *freeList) {
 	if c.s != nil {
 		return
@@ -140,9 +145,12 @@ func (c *candidate) materialize(free *freeList) {
 	ns := free.get()
 	ns.CopyFrom(c.src)
 	if _, err := c.apply(ns); err != nil {
-		// Cannot happen: the move was validated against an identical copy.
-		free.put(ns)
-		return
+		kind := "append"
+		if c.mv.place {
+			kind = "place"
+		}
+		panic(fmt.Sprintf("sched: probed %s of op %d on container %d does not apply: %v",
+			kind, c.mv.op, c.mv.cont, err))
 	}
 	c.s = ns
 }
@@ -163,51 +171,70 @@ func (c *candidate) maxSeqIdle() float64 {
 	return v
 }
 
-// byPoint stable-sorts candidates by (time, money) without the per-call
-// closure and reflection swapper of sort.SliceStable.
-type byPoint []candidate
-
-func (c byPoint) Len() int      { return len(c) }
-func (c byPoint) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-func (c byPoint) Less(i, j int) bool {
-	if c[i].p.time != c[j].p.time {
-		return c[i].p.time < c[j].p.time
-	}
-	return c[i].p.money < c[j].p.money
+// paretoKey is one candidate's sort key: its objectives and its index in
+// the candidate slice. The index breaks ties, which makes the order total
+// and equal to a stable sort on the objectives alone.
+type paretoKey struct {
+	time, money float64
+	idx         int
 }
 
-// pareto filters candidates down to the non-dominated frontier. Among
+func cmpParetoKey(a, b paretoKey) int {
+	if c := cmp.Compare(a.time, b.time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.money, b.money); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// frontierBuf is one run's Pareto-filter scratch: the sort keys and two
+// survivor buffers the frontier alternates between, so the previous
+// frontier stays readable while the next one is written.
+type frontierBuf struct {
+	keys []paretoKey
+	out  [2][]candidate
+	flip int
+}
+
+// pareto filters cands down to the non-dominated frontier, fastest first,
+// written to the survivor buffer the previous call did not return. Among
 // candidates with equal objectives one survivor is kept, chosen by prefer
-// (return true if a should beat b). The input slice is sorted and filtered
-// in place: the returned frontier aliases cands' backing array.
-func pareto(cands []candidate, prefer func(a, b *candidate) bool) []candidate {
-	sort.Stable(byPoint(cands))
-	// Survivors arrive in sorted order, so position len(out) never passes
-	// the read cursor i and the filter can compact into cands itself.
-	out := cands[:0]
+// (return true if a should beat b). cands is read in key order and never
+// reordered, so only survivors are copied.
+func (b *frontierBuf) pareto(cands []candidate, prefer func(a, b *candidate) bool) []candidate {
+	keys := b.keys[:0]
+	for i := range cands {
+		keys = append(keys, paretoKey{cands[i].p.time, cands[i].p.money, i})
+	}
+	slices.SortFunc(keys, cmpParetoKey)
+	b.keys = keys
+	out := b.out[b.flip][:0]
 	bestMoney := math.Inf(1)
-	for i := 0; i < len(cands); i++ {
-		c := cands[i]
-		if c.p.money >= bestMoney-eps && !(len(out) > 0 && equalObjectives(out[len(out)-1].p, c.p)) {
-			continue // dominated by an earlier (faster or equal) candidate
-		}
-		if len(out) > 0 && equalObjectives(out[len(out)-1].p, c.p) {
-			if prefer != nil && prefer(&c, &out[len(out)-1]) {
-				out[len(out)-1] = c
+	for _, k := range keys {
+		c := &cands[k.idx]
+		if n := len(out); n > 0 && equalObjectives(out[n-1].p, c.p) {
+			if prefer != nil && prefer(c, &out[n-1]) {
+				out[n-1] = *c
 			}
 			continue
 		}
-		out = append(out, c)
-		if c.p.money < bestMoney {
-			bestMoney = c.p.money
+		if c.p.money >= bestMoney-eps {
+			continue // dominated by an earlier (faster or equal) candidate
 		}
+		out = append(out, *c)
+		bestMoney = c.p.money
 	}
+	b.out[b.flip] = out
+	b.flip = 1 - b.flip
 	return out
 }
 
 // prune caps the frontier at max points, always keeping the two endpoints
 // (fastest and cheapest) and evenly spaced interior points. A cap of one
-// keeps the fastest point, the one Fastest would pick.
+// keeps the fastest point, the one Fastest would pick. It compacts into
+// cands: the kept indices only increase, so a write never passes a read.
 func prune(cands []candidate, max int) []candidate {
 	if max <= 0 || len(cands) <= max {
 		return cands
@@ -215,18 +242,18 @@ func prune(cands []candidate, max int) []candidate {
 	if max == 1 {
 		return cands[:1]
 	}
-	out := make([]candidate, 0, max)
 	step := float64(len(cands)-1) / float64(max-1)
-	prev := -1
+	n, prev := 0, -1
 	for i := 0; i < max; i++ {
 		idx := int(math.Round(float64(i) * step))
 		if idx == prev {
 			continue
 		}
 		prev = idx
-		out = append(out, cands[idx])
+		cands[n] = cands[idx]
+		n++
 	}
-	return out
+	return cands[:n]
 }
 
 // preferCompact is the deterministic duplicate tie-break of last resort:
@@ -402,19 +429,21 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 		}
 	}
 
-	// Moves are measured by apply/undo directly on the frontier member's
-	// schedule: Undo restores it exactly before advance() materializes the
-	// survivors, so no member is copied to be probed. Candidates append to
-	// the merged buffer in frontier order, which fixes the Pareto filter's
-	// stable sort and every tie-break. The buffer double-buffers: the
-	// surviving frontier aliases the one it was filtered in, so the next
-	// iteration fills the other.
-	var candsBufs [2][]candidate
-	flip := 0
+	// A move is scored by probing the frontier member's schedule, which
+	// reads it and writes nothing, so no member is copied or mutated to be
+	// scored; advance() materializes the survivors. Candidates append in
+	// frontier order, which fixes the Pareto filter's order and every
+	// tie-break. The buffer is sized once for the widest dataflow step: at
+	// most MaxSkyline members, each with a candidate per used container
+	// and one per type for a fresh container. Only a gap step or an
+	// uncapped frontier can outgrow it.
+	perMember := min(sk.Opts.MaxContainers, len(flowOps)) - 1 + max(1, len(sk.Opts.Types))
+	cands := make([]candidate, 0, max(1, sk.Opts.MaxSkyline)*perMember)
+	fb := frontierBuf{keys: make([]paretoKey, 0, cap(cands))}
 
 	for _, st := range order {
 		sk.iterations.Inc()
-		cands := candsBufs[flip][:0]
+		cands = cands[:0]
 		if st.optional {
 			// Union of the previous skyline and every gap placement
 			// (§5.3.2: "the previous skyline is kept and unioned with the
@@ -424,9 +453,7 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 				src := sky[i].s
 				for _, a := range placements(src, st.id) {
 					mv := move{op: st.id, cont: a.Container, start: a.Start, place: true}
-					if _, tok, err := src.PlaceAtSpeculative(mv.op, mv.cont, mv.start, -1); err == nil {
-						p := src.point()
-						src.Undo(tok)
+					if p, ok := src.probe(mv); ok {
 						cands = append(cands, candidate{src: src, mv: mv, p: p})
 					}
 				}
@@ -452,9 +479,7 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 						if cont >= used && len(sk.Opts.Types) > 0 {
 							mv.typeIdx = ti
 						}
-						if _, tok, err := src.AppendSpeculative(mv.op, mv.cont, mv.typeIdx, -1); err == nil {
-							p := src.point()
-							src.Undo(tok)
+						if p, ok := src.probe(mv); ok {
 							cands = append(cands, candidate{src: src, mv: mv, p: p})
 						}
 					}
@@ -464,10 +489,8 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 				return nil
 			}
 		}
-		candsBufs[flip] = cands
-		flip = 1 - flip
 		sk.candidates.Add(float64(len(cands)))
-		sky = sk.advance(sky, cands, prefer, &free)
+		sky = sk.advance(sky, cands, &fb, prefer, &free)
 		sk.frontier.Observe(float64(len(sky)))
 	}
 
@@ -483,23 +506,32 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 // advance runs the Pareto filter and frontier prune over the merged
 // candidate set, materializes the survivors, and puts the schedules of
 // dropped previous-frontier members on the run's free list.
-func (sk *Skyline) advance(prev, cands []candidate, prefer func(a, b *candidate) bool, free *freeList) []candidate {
-	next := prune(pareto(cands, prefer), sk.Opts.MaxSkyline)
-	surviving := make(map[*Schedule]bool, len(next))
+func (sk *Skyline) advance(prev, cands []candidate, fb *frontierBuf, prefer func(a, b *candidate) bool, free *freeList) []candidate {
+	next := prune(fb.pareto(cands, prefer), sk.Opts.MaxSkyline)
 	for i := range next {
 		next[i].materialize(free)
-		surviving[next[i].s] = true
 	}
 	// Release in reverse frontier order. The list is LIFO and the next
 	// iteration materializes fastest first, so the fastest survivor gets the
 	// fastest dropped member's storage, the nearest to its own size; forward
 	// order handed it the cheapest member's and allocated 27-60 % more.
 	for i := len(prev) - 1; i >= 0; i-- {
-		if s := prev[i].s; s != nil && !surviving[s] {
+		if s := prev[i].s; s != nil && !holds(next, s) {
 			free.put(s)
 		}
 	}
 	return next
+}
+
+// holds reports whether s is a member of frontier. A frontier has at most
+// MaxSkyline members, so a scan is cheaper than building a set.
+func holds(frontier []candidate, s *Schedule) bool {
+	for i := range frontier {
+		if frontier[i].s == s {
+			return true
+		}
+	}
+	return false
 }
 
 // placements enumerates feasible gap placements for an optional op in s:
