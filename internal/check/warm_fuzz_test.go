@@ -104,14 +104,12 @@ func FuzzWarmFrontier(f *testing.F) {
 				for _, s := range wsky {
 					s.CopyFrom(sched.NewSchedule(g, sc.Opts.Pricing, sc.Opts.Spec))
 				}
-			case 3: // speculative placement + undo round-trip on an unplaced op
+			case 3: // caller appends an unplaced op onto a fresh container
 				for _, id := range g.Ops() {
 					if _, ok := chosen.Assignment(id); ok {
 						continue
 					}
-					if _, tok, err := chosen.AppendSpeculative(id, chosen.NumSlots(), 0, 1); err == nil {
-						chosen.Undo(tok)
-					}
+					chosen.Append(id, chosen.NumSlots())
 					break
 				}
 			}

@@ -48,7 +48,7 @@ func dedicatedPlaced(t *testing.T, ratio float64) bool {
 	scan := g.Add(dataflow.Operator{Name: "scan", Time: 30})
 	build := g.Add(dataflow.Operator{Name: "build", Time: 30, Priority: -1, Optional: true})
 	s := sched.NewSchedule(g, pr, cfg.Sched.Spec)
-	if _, err := s.Append(scan, 0, -1); err != nil {
+	if _, err := s.Append(scan, 0); err != nil {
 		t.Fatal(err)
 	}
 	p := &pass{chosen: s, builds: []buildCandidate{{index: "i", op: build, gain: ratio * pr.VMPerQuantum}}}

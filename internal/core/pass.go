@@ -530,7 +530,7 @@ func (s *Service) dedicate(p *pass) {
 		if marginalCost > 0 && b.gain < dedicatedMargin*marginalCost {
 			continue
 		}
-		if _, err := p.chosen.Append(b.op, cont, -1); err != nil {
+		if _, err := p.chosen.Append(b.op, cont); err != nil {
 			continue
 		}
 		end = newEnd

@@ -148,7 +148,7 @@ func packInto(s *sched.Schedule, builds []dataflow.OpID, gains map[dataflow.OpID
 		cursor := run.Start
 		for _, it := range chosen {
 			id := byID[it.ID]
-			if _, err := s.PlaceAt(id, run.Container, cursor, -1); err != nil {
+			if _, err := s.PlaceAt(id, run.Container, cursor); err != nil {
 				// Should not happen: the slot was sized by the knapsack.
 				continue
 			}
@@ -228,7 +228,7 @@ func (r *Random) Interleave(g *dataflow.Graph, _ map[dataflow.OpID]float64) []*s
 			break
 		}
 		for _, id := range builds {
-			if _, err := s.Append(id, r.Rng.Intn(conts), -1); err != nil {
+			if _, err := s.Append(id, r.Rng.Intn(conts)); err != nil {
 				continue
 			}
 		}

@@ -105,7 +105,7 @@ func TestLPPrefersHighGainBuilds(t *testing.T) {
 	_ = a
 	o := opts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1) // busy [0,55], idle [55,60]
+	s.Append(a, 0) // busy [0,55], idle [55,60]
 	placed := PackSchedule(s, map[dataflow.OpID]float64{hi: 10, lo: 1})
 	if len(placed) != 1 || placed[0] != hi {
 		t.Errorf("placed = %v, want [hi=%d]", placed, hi)

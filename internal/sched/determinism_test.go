@@ -96,104 +96,11 @@ func TestSkylineDeterministicHeterogeneous(t *testing.T) {
 	}
 }
 
-// snapshot captures every observable property of a schedule for undo
-// round-trip comparison.
+// snapshot captures every observable property of a schedule for copy
+// comparison.
 func snapshot(s *Schedule) string {
 	return fingerprint([]*Schedule{s}) + fmt.Sprintf("frag=%.9f seqIdle=%.9f",
 		s.Fragmentation(), s.MaxSequentialIdle())
-}
-
-// TestUndoRoundTrip proves a speculative placement followed by Undo is an
-// exact identity, including the makespan cache, lease memo, container set
-// and evicted optional operators.
-func TestUndoRoundTrip(t *testing.T) {
-	o := testOpts()
-	g := dataflow.New()
-	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
-	b := g.Add(dataflow.Operator{Name: "b", Time: 25})
-	opt := g.Add(dataflow.Operator{Name: "build", Time: 30, Optional: true})
-	if err := g.Connect(a, b, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	s := NewSchedule(g, o.Pricing, o.Spec)
-	if _, err := s.Append(a, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	// Park the optional op right after a, so appending b evicts it.
-	if _, err := s.PlaceAt(opt, 0, 10, -1); err != nil {
-		t.Fatal(err)
-	}
-	before := snapshot(s)
-
-	// Append evicting the optional op, on the existing container.
-	if _, tok, err := s.AppendSpeculative(b, 0, -1, -1); err != nil {
-		t.Fatal(err)
-	} else {
-		if _, ok := s.Assignment(opt); ok {
-			t.Fatal("optional op should have been evicted by the append")
-		}
-		s.Undo(tok)
-	}
-	if got := snapshot(s); got != before {
-		t.Errorf("append+undo is not identity:\nbefore:\n%s\nafter:\n%s", before, got)
-	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("Validate after undo: %v", err)
-	}
-
-	// Append opening a fresh container.
-	if _, tok, err := s.AppendSpeculative(b, 1, -1, -1); err != nil {
-		t.Fatal(err)
-	} else {
-		s.Undo(tok)
-	}
-	if got := snapshot(s); got != before {
-		t.Errorf("fresh-container append+undo is not identity:\nbefore:\n%s\nafter:\n%s", before, got)
-	}
-
-	// PlaceAt into an idle gap and undo.
-	s2 := NewSchedule(g, o.Pricing, o.Spec)
-	if _, err := s2.Append(a, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Append(b, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	before2 := snapshot(s2)
-	if _, tok, err := s2.PlaceAtSpeculative(opt, 0, 35, 10); err != nil {
-		t.Fatal(err)
-	} else {
-		s2.Undo(tok)
-	}
-	if got := snapshot(s2); got != before2 {
-		t.Errorf("placeAt+undo is not identity:\nbefore:\n%s\nafter:\n%s", before2, got)
-	}
-}
-
-// TestUndoRoundTripWithTypes proves retyping a fresh container rolls back.
-func TestUndoRoundTripWithTypes(t *testing.T) {
-	o := testOpts()
-	o.Types = cloud.DefaultVMTypes()
-	g := dataflow.New()
-	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
-	b := g.Add(dataflow.Operator{Name: "b", Time: 20})
-	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Types = o.Types
-	if _, err := s.Append(a, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	before := snapshot(s)
-	for ti := range o.Types {
-		if _, tok, err := s.AppendSpeculative(b, 1, ti, -1); err != nil {
-			t.Fatal(err)
-		} else {
-			s.Undo(tok)
-		}
-		if got := snapshot(s); got != before {
-			t.Errorf("typed append+undo (type %d) is not identity:\nbefore:\n%s\nafter:\n%s", ti, before, got)
-		}
-	}
 }
 
 // TestCloneAndCopyFromAliasing proves mutations on a clone or a CopyFrom
@@ -208,16 +115,16 @@ func TestCloneAndCopyFromAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	parent := NewSchedule(g, o.Pricing, o.Spec)
-	if _, err := parent.Append(a, 0, -1); err != nil {
+	if _, err := parent.Append(a, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := parent.Append(b, 0, -1); err != nil {
+	if _, err := parent.Append(b, 0); err != nil {
 		t.Fatal(err)
 	}
 	before := snapshot(parent)
 
 	clone := parent.Clone()
-	if _, err := clone.Append(c, 1, -1); err != nil {
+	if _, err := clone.Append(c, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := clone.Repair(1, 0); err != nil {
@@ -231,7 +138,7 @@ func TestCloneAndCopyFromAliasing(t *testing.T) {
 	// another problem's storage.
 	replica := NewSkyline(o).Schedule(randomDAG(3, 40, 0))[0]
 	replica.CopyFrom(parent)
-	if _, err := replica.Append(c, 0, -1); err != nil {
+	if _, err := replica.Append(c, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := snapshot(parent); got != before {
@@ -259,13 +166,10 @@ func TestCopiesEqualOriginal(t *testing.T) {
 	}
 	s := NewSchedule(g, o.Pricing, o.Spec)
 	s.Types = o.Types
-	if err := s.SetContainerType(1, 1); err != nil {
+	if _, err := s.Append(a, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(a, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Append(b, 1, -1); err != nil {
+	if _, err := s.make(move{op: b, cont: 1, typeIdx: 1}); err != nil {
 		t.Fatal(err)
 	}
 	mustPlace(t, s, opt, 0, 10)
@@ -273,7 +177,7 @@ func TestCopiesEqualOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	late := g.Add(dataflow.Operator{Name: "late", Time: 7})
-	if _, err := s.Append(late, 1, -1); err != nil {
+	if _, err := s.Append(late, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Validate(); err != nil {
@@ -359,9 +263,58 @@ func TestParetoDuplicateTieBreak(t *testing.T) {
 	}
 }
 
+// TestSeqIdleTieBreakKeepsLongestRun: two candidates tie on time, money,
+// op count and containers and differ only in their longest idle run, one
+// scored off its source (src + mv) and one materialized, in both input
+// orders and both roles. The §5.3.1 tie-break keeps the longer run.
+func TestSeqIdleTieBreakKeepsLongestRun(t *testing.T) {
+	o := testOpts()
+	g := dataflow.New()
+	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
+	build := g.Add(dataflow.Operator{Name: "build", Time: 10, Optional: true})
+	src := NewSchedule(g, o.Pricing, o.Spec)
+	if _, err := src.Append(a, 0); err != nil { // [0,10], one 60 s quantum
+		t.Fatal(err)
+	}
+	// The build at 10 leaves one 40 s run ([20,60]); at 30 it splits the
+	// idle time into two 20 s runs. A build counts in no makespan and both
+	// stay inside the leased quantum, so time and money tie.
+	long := move{op: build, cont: 0, typeIdx: -1, start: 10, place: true}
+	short := move{op: build, cont: 0, typeIdx: -1, start: 30, place: true}
+	for _, longProbed := range []bool{true, false} {
+		spec, mat := short, long
+		if longProbed {
+			spec, mat = long, short
+		}
+		p, ok := src.probe(spec)
+		if !ok {
+			t.Fatalf("probe(%+v) refused", spec)
+		}
+		s := src.Clone()
+		if _, err := s.make(mat); err != nil {
+			t.Fatal(err)
+		}
+		specC, matC := candidate{src: src, mv: spec, p: p}, candidate{s: s, p: s.point()}
+		if !equalObjectives(specC.p, matC.p) || specC.p.ops != matC.p.ops || specC.p.conts != matC.p.conts {
+			t.Fatalf("test setup: %+v and %+v differ before the seq-idle tie-break", specC.p, matC.p)
+		}
+		for _, cands := range [][]candidate{{specC, matC}, {matC, specC}} {
+			var fb frontierBuf
+			out := fb.pareto(cands, preferSeqIdle)
+			if len(out) != 1 {
+				t.Fatalf("pareto kept %d candidates, want 1", len(out))
+			}
+			if got := out[0].s != nil; got == longProbed || out[0].p.seqIdle != 40 {
+				t.Errorf("long run speculative = %v, first = %+v: kept materialized = %v with seqIdle %g, want the 40 s run",
+					longProbed, cands[0].mv, got, out[0].p.seqIdle)
+			}
+		}
+	}
+}
+
 func mustPlace(t *testing.T, s *Schedule, id dataflow.OpID, c int, start float64) {
 	t.Helper()
-	if _, err := s.PlaceAt(id, c, start, -1); err != nil {
+	if _, err := s.PlaceAt(id, c, start); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"idxflow/internal/cloud"
@@ -23,21 +24,20 @@ func TestContainerTypeDefaults(t *testing.T) {
 	if ct.SpeedFactor != 1 || ct.PricePerQuantum != o.Pricing.VMPerQuantum {
 		t.Errorf("default type = %+v", ct)
 	}
-	if err := s.SetContainerType(0, 0); err == nil {
-		t.Error("SetContainerType without a type pool accepted")
-	}
 }
 
-func TestSetContainerType(t *testing.T) {
+// TestContainerTypeRefusals: a move that types its container runs the op at
+// that type's speed, and plan refuses one without a pool, one with a type
+// outside the pool, and one that retypes a container in use; probe and make
+// agree on each and a refused make leaves the schedule as it was.
+func TestContainerTypeRefusals(t *testing.T) {
 	g := dataflow.New()
 	a := g.Add(dataflow.Operator{Name: "a", Time: 60})
+	b := g.Add(dataflow.Operator{Name: "b", Time: 60})
 	o := heteroOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
 	s.Types = o.Types
-	if err := s.SetContainerType(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	as, err := s.Append(a, 0, -1)
+	as, err := s.make(move{op: a, cont: 0, typeIdx: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,13 +45,27 @@ func TestSetContainerType(t *testing.T) {
 	if math.Abs(as.End-30) > 1e-9 {
 		t.Errorf("op end = %g on 2x container, want 30", as.End)
 	}
-	// Retyping a used container fails.
-	if err := s.SetContainerType(0, 0); err == nil {
-		t.Error("retyping a used container accepted")
-	}
-	// Out-of-range type fails.
-	if err := s.SetContainerType(1, 9); err == nil {
-		t.Error("out-of-range type accepted")
+	untyped := NewSchedule(g, o.Pricing, o.Spec)
+	for _, tc := range []struct {
+		name string
+		s    *Schedule
+		mv   move
+		want string
+	}{
+		{"no pool", untyped, move{op: b, cont: 0, typeIdx: 0}, "no type pool"},
+		{"type out of range", s, move{op: b, cont: 1, typeIdx: 9}, "type 9 out of range"},
+		{"retype a used container", s, move{op: b, cont: 0, typeIdx: 0}, "container 0 already in use"},
+	} {
+		if _, ok := tc.s.probe(tc.mv); ok {
+			t.Errorf("%s: probe accepted %+v", tc.name, tc.mv)
+		}
+		before := snapshot(tc.s)
+		if _, err := tc.s.make(tc.mv); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: make(%+v) = %v, want an error naming %q", tc.name, tc.mv, err, tc.want)
+		}
+		if got := snapshot(tc.s); got != before {
+			t.Errorf("%s: refused make changed the schedule:\n%s\nvs\n%s", tc.name, before, got)
+		}
 	}
 }
 
@@ -61,8 +75,7 @@ func TestMoneyWeighsTypePrices(t *testing.T) {
 	o := heteroOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
 	s.Types = o.Types
-	s.SetContainerType(0, 1) // $0.22/quantum
-	s.Append(a, 0, -1)       // 30 s -> 1 quantum
+	s.make(move{op: a, cont: 0, typeIdx: 1}) // $0.22/quantum, 30 s -> 1 quantum
 	// MoneyQuanta is price-normalized: 1 quantum at 2.2x the base price.
 	if got := s.MoneyQuanta(); math.Abs(got-2.2) > 1e-9 {
 		t.Errorf("MoneyQuanta = %g, want 2.2", got)
@@ -118,9 +131,8 @@ func TestHeterogeneousTransfersUseReceiverNet(t *testing.T) {
 	o := heteroOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
 	s.Types = o.Types
-	s.SetContainerType(1, 1) // large: 250 MB/s net
-	s.Append(a, 0, -1)
-	ab, err := s.Append(b, 1, -1)
+	s.Append(a, 0)
+	ab, err := s.make(move{op: b, cont: 1, typeIdx: 1}) // large: 250 MB/s net
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func OnlineLoadBalance(g *dataflow.Graph, opts Options) *Schedule {
 				best = c
 			}
 		}
-		a, err := s.Append(id, best, -1)
+		a, err := s.Append(id, best)
 		if err != nil {
 			return nil
 		}

@@ -19,11 +19,11 @@ func TestAppendIgnoresOptionalTail(t *testing.T) {
 	}
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1) // [0,10]
-	if _, err := s.PlaceAt(build, 0, 10, -1); err != nil {
+	s.Append(a, 0) // [0,10]
+	if _, err := s.PlaceAt(build, 0, 10); err != nil {
 		t.Fatal(err) // [10,50]
 	}
-	ab, err := s.Append(b, 0, -1)
+	ab, err := s.Append(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +48,11 @@ func TestAppendKeepsNonOverlappingOptional(t *testing.T) {
 	b := g.Add(dataflow.Operator{Name: "b", Time: 10})
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1) // [0,10]
-	if _, err := s.PlaceAt(build, 0, 30, -1); err != nil {
+	s.Append(a, 0) // [0,10]
+	if _, err := s.PlaceAt(build, 0, 30); err != nil {
 		t.Fatal(err) // [30,35]
 	}
-	ab, err := s.Append(b, 0, -1)
+	ab, err := s.Append(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +76,9 @@ func TestAppendOptionalStillQueuesAtTail(t *testing.T) {
 	b2 := g.Add(dataflow.Operator{Name: "b2", Time: 5, Optional: true})
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	a1, _ := s.Append(b1, 0, -1)
-	a2, _ := s.Append(b2, 0, -1)
+	s.Append(a, 0)
+	a1, _ := s.Append(b1, 0)
+	a2, _ := s.Append(b2, 0)
 	if a1.Start != 10 || a2.Start != 15 {
 		t.Errorf("optional appends at %g and %g, want 10 and 15", a1.Start, a2.Start)
 	}

@@ -3,8 +3,8 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -16,9 +16,9 @@ import (
 // with index-build ops, in two of three seeds a typed pool with fractional
 // prices, speeds and network rates, a prefix of the dataflow ops appended
 // in topological order onto random (sometimes fresh and typed)
-// containers, builds parked at random instants where later appends evict
-// them, and in one seed of four a repair that leaves the makespan cache
-// stale.
+// containers, builds parked at random instants and just after containers'
+// last ops, where later appends evict them, and in one seed of four a
+// repair that leaves the makespan cache stale.
 func probeSchedule(seed int64) (*Schedule, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	g := randomDAG(seed, 3+rng.Intn(14), []int{0, 2, 3, 5}[rng.Intn(4)])
@@ -45,7 +45,7 @@ func probeSchedule(seed int64) (*Schedule, *rand.Rand) {
 		c := rng.Intn(s.NumSlots() + 1)
 		if g.Op(id).Optional {
 			if rng.Intn(2) == 0 {
-				s.PlaceAt(id, c, 200*rng.Float64(), -1) // an overlap is refused, which is fine
+				s.PlaceAt(id, c, 200*rng.Float64()) // an overlap is refused, which is fine
 			}
 			continue
 		}
@@ -53,10 +53,19 @@ func probeSchedule(seed int64) (*Schedule, *rand.Rand) {
 			continue
 		}
 		flows--
+		mv := move{op: id, cont: c, typeIdx: -1}
 		if c == s.NumSlots() && len(s.Types) > 0 {
-			s.SetContainerType(c, rng.Intn(len(s.Types)))
+			mv.typeIdx = rng.Intn(len(s.Types))
 		}
-		s.Append(id, c, -1) // an unplaced predecessor is refused, which is fine
+		s.make(mv) // an unplaced predecessor is refused, which is fine
+	}
+	// Park the builds still unplaced just after a container's last op, where
+	// the next dataflow append onto it starts and preempts them.
+	for _, id := range topo {
+		if g.Op(id).Optional && !s.isPlaced(id) && s.NumSlots() > 0 {
+			c := rng.Intn(s.NumSlots())
+			s.PlaceAt(id, c, s.lastEnd(c)+20*rng.Float64())
+		}
 	}
 	if rng.Intn(4) == 0 && s.NumSlots() > 0 {
 		s.Repair(rng.Intn(s.NumSlots()), 120*rng.Float64())
@@ -64,60 +73,48 @@ func probeSchedule(seed int64) (*Schedule, *rand.Rand) {
 	return s, rng
 }
 
-// probeState is what a probe must leave as it found it.
-type probeState struct {
-	assigns []Assignment
-	slots   int
-	money   uint64
-}
-
-func stateOf(s *Schedule) probeState {
-	return probeState{s.Assignments(), s.NumSlots(), math.Float64bits(s.MoneyQuanta())}
-}
-
-func (a probeState) equal(b probeState) bool {
-	return slices.Equal(a.assigns, b.assigns) && a.slots == b.slots && a.money == b.money
-}
-
-// probeEqualsApply requires probe(mv) to leave s unchanged and to agree, to
-// the bit, with what applying mv, reading point() and undoing gives.
-func probeEqualsApply(t *testing.T, s *Schedule, mv move) {
+// probeEqualsMake requires probe(mv) and seqIdleAfter(mv) to write nothing
+// to s, memos included, and to agree, to the bit, with what point() and
+// MaxSequentialIdle read after make(mv) on a copy of s. A refused make
+// must leave its copy as it was.
+func probeEqualsMake(t *testing.T, s *Schedule, mv move) {
 	t.Helper()
-	before := stateOf(s)
+	before := s.Clone()
 	got, ok := s.probe(mv)
-	if !stateOf(s).equal(before) {
-		t.Fatalf("probe(%+v) wrote to the schedule", mv)
+	idle := s.seqIdleAfter(mv)
+	if !reflect.DeepEqual(s.Clone(), before) {
+		t.Fatalf("probe or seqIdleAfter(%+v) wrote to the schedule", mv)
 	}
-	c := candidate{mv: mv}
-	tok, err := c.apply(s)
+	c := s.Clone()
+	_, err := c.make(mv)
 	if ok != (err == nil) {
-		t.Fatalf("probe(%+v) legal = %v, apply error = %v", mv, ok, err)
+		t.Fatalf("probe(%+v) legal = %v, make error = %v", mv, ok, err)
 	}
 	if err != nil {
-		if !stateOf(s).equal(before) {
-			t.Fatalf("refused apply(%+v) changed the schedule", mv)
+		if !reflect.DeepEqual(c, before) {
+			t.Fatalf("refused make(%+v) changed the schedule", mv)
 		}
 		return
 	}
-	want := s.point()
-	s.Undo(tok)
-	if !stateOf(s).equal(before) {
-		t.Fatalf("apply(%+v) + Undo is not the identity", mv)
-	}
+	want := c.point()
 	if math.Float64bits(got.time) != math.Float64bits(want.time) ||
 		math.Float64bits(got.money) != math.Float64bits(want.money) ||
 		got.ops != want.ops || got.conts != want.conts || got.seqIdle != want.seqIdle {
-		t.Fatalf("probe(%+v) = %+v, apply + point() = %+v", mv, got, want)
+		t.Fatalf("probe(%+v) = %+v, make + point() = %+v", mv, got, want)
+	}
+	if w := c.MaxSequentialIdle(); math.Float64bits(idle) != math.Float64bits(w) {
+		t.Fatalf("seqIdleAfter(%+v) = %v, make + MaxSequentialIdle() = %v", mv, idle, w)
 	}
 }
 
-// FuzzProbeEqualsApply checks the skyline's read-only probe against the
-// mutating path it replaced, over every append of every operator onto
-// every container (fresh included) as every type (untyped and out of
-// range included), and placements at idle-run starts and ends, lease ends,
-// the origin and a random instant on every container.
+// FuzzProbeEqualsApply checks the skyline's read-only probe and seq-idle
+// tie-break against make on a copy, over every append and placement of
+// every operator onto every container (fresh included) as every type
+// (untyped and out of range included), placements at the origin, the
+// lease end and a random instant, and placements at idle-run starts and
+// ends.
 func FuzzProbeEqualsApply(f *testing.F) {
-	for _, seed := range []int64{1, 2, 3, 4, 7, 11, 42, -5} {
+	for _, seed := range []int64{1, 2, 3, 4, 7, 11, 42, -5, -471} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -126,15 +123,15 @@ func FuzzProbeEqualsApply(f *testing.F) {
 			op := dataflow.OpID(id)
 			for c := 0; c <= s.NumSlots(); c++ {
 				for ti := -1; ti <= len(s.Types); ti++ {
-					probeEqualsApply(t, s, move{op: op, cont: c, typeIdx: ti})
-				}
-				for _, start := range []float64{0, s.lastEnd(c), 300 * rng.Float64()} {
-					probeEqualsApply(t, s, move{op: op, cont: c, start: start, place: true})
+					probeEqualsMake(t, s, move{op: op, cont: c, typeIdx: ti})
+					for _, start := range []float64{0, s.lastEnd(c), 300 * rng.Float64()} {
+						probeEqualsMake(t, s, move{op: op, cont: c, typeIdx: ti, start: start, place: true})
+					}
 				}
 			}
 			for _, run := range s.IdleRuns() {
-				probeEqualsApply(t, s, move{op: op, cont: run.Container, start: run.Start, place: true})
-				probeEqualsApply(t, s, move{op: op, cont: run.Container, start: run.End - s.Graph.Op(op).Time, place: true})
+				probeEqualsMake(t, s, move{op: op, cont: run.Container, typeIdx: -1, start: run.Start, place: true})
+				probeEqualsMake(t, s, move{op: op, cont: run.Container, typeIdx: -1, start: run.End - s.Graph.Op(op).Time, place: true})
 			}
 		}
 	})
@@ -149,15 +146,15 @@ func TestMaterializePanicsOnForgedMove(t *testing.T) {
 	b := g.Add(dataflow.Operator{Name: "b", Time: 10})
 	o := testOpts()
 	src := NewSchedule(g, o.Pricing, o.Spec)
-	if _, err := src.Append(a, 0, -1); err != nil {
+	if _, err := src.Append(a, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		mv   move
 		want string
 	}{
-		{move{op: a, cont: 1, typeIdx: -1}, "probed append of op 0 on container 1"},          // a is placed
-		{move{op: b, cont: 0, start: 5, place: true}, "probed place of op 1 on container 0"}, // overlaps a
+		{move{op: a, cont: 1, typeIdx: -1}, "probed append of op 0 on container 1"},                       // a is placed
+		{move{op: b, cont: 0, typeIdx: -1, start: 5, place: true}, "probed place of op 1 on container 0"}, // overlaps a
 	} {
 		if _, ok := src.probe(tc.mv); ok {
 			t.Fatalf("probe accepted the forged move %+v", tc.mv)

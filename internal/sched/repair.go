@@ -118,8 +118,7 @@ func (s *Schedule) Repair(dead int, at float64) ([]RepairedOp, error) {
 				bestC, bestStart = c, start
 			}
 		}
-		dur := s.Graph.Op(id).Time / s.ContainerType(bestC).SpeedFactor
-		a, perr := s.PlaceAt(id, bestC, bestStart, dur)
+		a, perr := s.PlaceAt(id, bestC, bestStart)
 		if perr != nil {
 			return nil, fmt.Errorf("sched: repair op %d: %w", id, perr)
 		}

@@ -22,16 +22,16 @@ func repairFixture(t *testing.T) (*Schedule, dataflow.OpID, dataflow.OpID, dataf
 		t.Fatal(err)
 	}
 	s := NewSchedule(g, cloud.DefaultPricing(), cloud.DefaultSpec())
-	mustPlace := func(op dataflow.OpID, cont int, start, dur float64) {
+	mustPlace := func(op dataflow.OpID, cont int, start float64) {
 		t.Helper()
-		if _, err := s.PlaceAt(op, cont, start, dur); err != nil {
+		if _, err := s.PlaceAt(op, cont, start); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustPlace(a, 0, 0, 10)
-	mustPlace(b, 1, 0, 15)
-	mustPlace(c, 0, 10, 10)
-	mustPlace(bi, 0, 20, 10)
+	mustPlace(a, 0, 0)
+	mustPlace(b, 1, 0)
+	mustPlace(c, 0, 10)
+	mustPlace(bi, 0, 20)
 	return s, a, b, c, bi
 }
 
@@ -126,7 +126,7 @@ func TestRepairOpensFreshContainerWhenAllDead(t *testing.T) {
 	g := dataflow.New()
 	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
 	s := NewSchedule(g, cloud.DefaultPricing(), cloud.DefaultSpec())
-	if _, err := s.PlaceAt(a, 0, 0, 10); err != nil {
+	if _, err := s.PlaceAt(a, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	reps, err := s.Repair(0, 5)

@@ -63,22 +63,21 @@ type Schedule struct {
 	contType []int
 
 	// leaseQ memoizes the leased quanta per container (-1 = stale).
-	// IdleSlots and the seq-idle walk fill it; MoneyQuanta and probe read
-	// it and recompute a stale entry without storing it, so scoring a
-	// candidate writes nothing to the schedule it reads.
+	// IdleSlots fills it; MoneyQuanta and probe read it and recompute a
+	// stale entry without storing it, so scoring a candidate writes nothing
+	// to the schedule it reads.
 	leaseQ []int
 	// seqIdleQ memoizes per container the longest contiguous idle run
-	// (-1 = stale), invalidated together with leaseQ. The skyline's
-	// §5.3.1 tie-break calls MaxSequentialIdle after single-container
-	// speculative moves, so only the touched container's runs are
-	// re-walked instead of the whole fleet's.
+	// (-1 = stale), invalidated together with leaseQ. MaxSequentialIdle
+	// fills it; the skyline's §5.3.1 tie-break reads it for every container
+	// a move leaves alone and walks only the moved one (seqIdleAfter).
 	seqIdleQ []float64
 	// idleCap sizes the next IdleSlots result: the previous call's slot
 	// count, a pure capacity hint with no correctness role.
 	idleCap int
 	// Makespan cache over the non-optional ops: earliest start, latest end
-	// and count. Maintained incrementally by Append/PlaceAt/Undo;
-	// invalidated by destructive edits (Repair).
+	// and count. Maintained incrementally by make; invalidated by
+	// destructive edits (Repair).
 	msFirst, msLast float64
 	msCount         int
 	msValid         bool
@@ -168,25 +167,6 @@ func (s *Schedule) weight(ti int) float64 {
 	return s.Types[ti].PricePerQuantum / s.Pricing.VMPerQuantum
 }
 
-// SetContainerType fixes the type of container c before (or at) its first
-// use. Retyping a container that already holds operators is an error: its
-// assignments were computed under the old speed.
-func (s *Schedule) SetContainerType(c, typeIdx int) error {
-	if len(s.Types) == 0 {
-		return fmt.Errorf("sched: schedule has no type pool")
-	}
-	if typeIdx < 0 || typeIdx >= len(s.Types) {
-		return fmt.Errorf("sched: type %d out of range", typeIdx)
-	}
-	s.ensureContainer(c)
-	if len(s.conts[c]) > 0 && s.contType[c] != typeIdx {
-		return fmt.Errorf("sched: container %d already in use", c)
-	}
-	s.contType[c] = typeIdx
-	s.invalidateLease(c)
-	return nil
-}
-
 // Clone returns a deep copy sharing the immutable graph.
 func (s *Schedule) Clone() *Schedule {
 	c := new(Schedule)
@@ -250,7 +230,7 @@ func (s *Schedule) ReadyTime(op dataflow.OpID, c int) (float64, error) {
 	return s.readyOn(op, c, s.ContainerType(c).Spec)
 }
 
-// readyOn is ReadyTime with container c's spec given, so a probe can ask as
+// readyOn is ReadyTime with container c's spec given, so plan can ask as
 // if c were already leased as another type.
 func (s *Schedule) readyOn(op dataflow.OpID, c int, spec cloud.Spec) (float64, error) {
 	var ready float64
@@ -336,311 +316,169 @@ func (s *Schedule) extent() (first, last float64, count int) {
 	return first, last, count
 }
 
-// UndoToken records how to reverse exactly one speculative placement
-// (AppendSpeculative or PlaceAtSpeculative): the placed operator, any
-// optional operators the placement evicted, container growth and retyping,
-// and the makespan cache it replaced. Tokens are single-use and only valid
-// as long as no other mutation happened in between — the skyline scheduler
-// applies/undoes strictly LIFO on a scratch schedule.
-type UndoToken struct {
-	op        dataflow.OpID
-	cont      int
-	prevConts int // len(conts) before the mutation
-	prevType  int // contType[cont] before retyping; -1 = untouched
-	evicted   []Assignment
-	placed    bool
-	valid     bool
-	// saved makespan cache
-	msFirst, msLast float64
-	msCount         int
-	msValid         bool
+// opsOn returns container c's ops in start order; none for a container
+// not yet opened.
+func (s *Schedule) opsOn(c int) []dataflow.OpID {
+	if c < len(s.conts) {
+		return s.conts[c]
+	}
+	return nil
 }
 
-// beginUndo snapshots the cheap-to-save state before a speculative
-// placement on container c.
-func (s *Schedule) beginUndo(op dataflow.OpID, c int) UndoToken {
-	tok := UndoToken{
-		op: op, cont: c, prevConts: len(s.conts), prevType: -1, valid: true,
-		msFirst: s.msFirst, msLast: s.msLast, msCount: s.msCount, msValid: s.msValid,
-	}
-	if c < len(s.contType) {
-		tok.prevType = s.contType[c]
-	}
-	return tok
-}
-
-// rollbackShape reverts container growth and retyping recorded in tok.
-func (s *Schedule) rollbackShape(tok UndoToken) {
-	if len(s.conts) > tok.prevConts {
-		s.conts = s.conts[:tok.prevConts]
-		s.contType = s.contType[:tok.prevConts]
-		s.leaseQ = s.leaseQ[:tok.prevConts]
-		s.seqIdleQ = s.seqIdleQ[:tok.prevConts]
-	}
-	if tok.prevType >= 0 && tok.cont < len(s.contType) {
-		s.contType[tok.cont] = tok.prevType
-	}
-}
-
-// Undo reverses the placement recorded in tok, restoring the schedule to
-// its exact prior state (assignments, evicted optional ops, container set,
-// lease memo and makespan cache). Undoing an invalid token is a no-op.
-func (s *Schedule) Undo(tok UndoToken) {
-	if !tok.valid {
-		return
-	}
-	if tok.placed {
-		s.clearAssign(tok.op)
-		ops := s.conts[tok.cont]
-		for i, id := range ops {
-			if id == tok.op {
-				s.conts[tok.cont] = append(ops[:i], ops[i+1:]...)
-				break
-			}
-		}
-		for _, a := range tok.evicted {
-			s.setAssign(a.Op, a)
-			ops := s.conts[tok.cont]
-			pos := sort.Search(len(ops), func(i int) bool { return s.assign[ops[i]].Start >= a.Start })
-			ops = append(ops, 0)
-			copy(ops[pos+1:], ops[pos:])
-			ops[pos] = a.Op
-			s.conts[tok.cont] = ops
-		}
-	}
-	s.rollbackShape(tok)
-	s.invalidateLease(tok.cont)
-	s.msFirst, s.msLast, s.msCount, s.msValid = tok.msFirst, tok.msLast, tok.msCount, tok.msValid
-}
-
-// Append assigns op to container c at the earliest feasible time after the
-// container's current last operator (list scheduling). duration overrides
-// the operator's estimated Time when >= 0.
+// plan returns where mv puts its operator, without writing to s: the index
+// into Types the container runs it as and the interval it occupies, or why
+// the move is illegal. It is the one statement of the placement rule: make
+// applies a plan, probe prices one and seqIdleAfter measures one.
 //
-// A non-optional (dataflow) operator ignores optional index-build operators
-// when computing its start — at runtime priority -1 builds are preempted by
-// dataflow operators (§6.1) — and any optional operators its interval
-// overlaps are evicted from the schedule.
-func (s *Schedule) Append(op dataflow.OpID, c int, duration float64) (Assignment, error) {
-	a, _, err := s.appendOp(op, c, duration, false)
-	return a, err
-}
-
-// AppendSpeculative is Append plus an undo token; when typeIdx >= 0 the
-// container is first typed (the skyline's fresh-container choice), and the
-// token reverts the retyping too. On error the schedule is left untouched.
-func (s *Schedule) AppendSpeculative(op dataflow.OpID, c, typeIdx int, duration float64) (Assignment, UndoToken, error) {
-	tok := s.beginUndo(op, c)
-	if typeIdx >= 0 {
-		if err := s.SetContainerType(c, typeIdx); err != nil {
-			s.rollbackShape(tok)
-			return Assignment{}, UndoToken{}, err
+// mv.typeIdx >= 0 leases the container as that type of the pool. That is
+// refused without a pool, for a type outside it, and for a container in use
+// as another type, whose operators were timed at that type's speed.
+//
+// An append starts once the op's inputs are ready and the container's last
+// op that can delay it has finished: a dataflow op queues behind dataflow
+// ops only, because it preempts the builds its interval overlaps
+// (preempts), and a build queues behind every op. A placement starts at
+// mv.start, which must be no earlier than the ready time and must leave the
+// interval clear of the container's ops.
+func (s *Schedule) plan(mv move) (typeIdx int, start, end float64, err error) {
+	o := s.Graph.Op(mv.op)
+	c := mv.cont
+	switch {
+	case o == nil:
+		return 0, 0, 0, fmt.Errorf("sched: unknown op %d", mv.op)
+	case s.isPlaced(mv.op):
+		return 0, 0, 0, fmt.Errorf("sched: op %d already assigned", mv.op)
+	case c < 0:
+		return 0, 0, 0, fmt.Errorf("sched: container %d out of range", c)
+	}
+	ops := s.opsOn(c)
+	typeIdx = s.typeIndex(c)
+	if mv.typeIdx >= 0 {
+		switch {
+		case len(s.Types) == 0:
+			return 0, 0, 0, fmt.Errorf("sched: schedule has no type pool")
+		case mv.typeIdx >= len(s.Types):
+			return 0, 0, 0, fmt.Errorf("sched: type %d out of range", mv.typeIdx)
+		case len(ops) > 0 && s.contType[c] != mv.typeIdx:
+			return 0, 0, 0, fmt.Errorf("sched: container %d already in use", c)
 		}
+		typeIdx = mv.typeIdx
 	}
-	a, evicted, err := s.appendOp(op, c, duration, true)
+	vt := s.vmType(typeIdx)
+	ready, err := s.readyOn(mv.op, c, vt.Spec)
 	if err != nil {
-		s.rollbackShape(tok)
-		return Assignment{}, UndoToken{}, err
+		return 0, 0, 0, err
 	}
-	tok.placed = true
-	tok.evicted = evicted
-	return a, tok, nil
-}
-
-// appendOp implements Append; with wantEvicted it also collects the
-// optional assignments removed by preemption so callers can undo.
-func (s *Schedule) appendOp(op dataflow.OpID, c int, duration float64, wantEvicted bool) (Assignment, []Assignment, error) {
-	if s.isPlaced(op) {
-		return Assignment{}, nil, fmt.Errorf("sched: op %d already assigned", op)
-	}
-	o := s.Graph.Op(op)
-	if o == nil {
-		return Assignment{}, nil, fmt.Errorf("sched: unknown op %d", op)
-	}
-	s.ensureContainer(c)
-	if duration < 0 {
-		duration = o.Time / s.ContainerType(c).SpeedFactor
-	}
-	ready, err := s.ReadyTime(op, c)
-	if err != nil {
-		return Assignment{}, nil, err
+	dur := o.Time / vt.SpeedFactor
+	if mv.place {
+		start, end = mv.start, mv.start+dur
+		if start+1e-9 < ready {
+			return 0, 0, 0, fmt.Errorf("sched: op %d cannot start at %g before ready time %g", mv.op, start, ready)
+		}
+		pos := sort.Search(len(ops), func(i int) bool { return s.assign[ops[i]].Start >= start })
+		if pos > 0 && s.assign[ops[pos-1]].End > start+1e-9 {
+			return 0, 0, 0, fmt.Errorf("sched: op %d overlaps predecessor interval on container %d", mv.op, c)
+		}
+		if pos < len(ops) && s.assign[ops[pos]].Start < end-1e-9 {
+			return 0, 0, 0, fmt.Errorf("sched: op %d overlaps successor interval on container %d", mv.op, c)
+		}
+		return typeIdx, start, end, nil
 	}
 	tail := s.lastEnd(c)
 	if !o.Optional {
 		tail = 0
-		for _, id := range s.conts[c] {
-			if !s.Graph.Op(id).Optional {
-				if e := s.assign[id].End; e > tail {
-					tail = e
-				}
+		for _, id := range ops {
+			if e := s.assign[id].End; !s.Graph.Op(id).Optional && e > tail {
+				tail = e
 			}
 		}
 	}
-	start := math.Max(ready, tail)
-	end := start + duration
-	var evicted []Assignment
-	if !o.Optional {
-		// Evict optional ops this interval would preempt.
-		kept := s.conts[c][:0]
-		for _, id := range s.conts[c] {
-			a := s.assign[id]
-			if s.Graph.Op(id).Optional && a.End > start+1e-9 && a.Start < end-1e-9 {
-				if wantEvicted {
-					evicted = append(evicted, a)
-				}
+	start = math.Max(ready, tail)
+	return typeIdx, start, start + dur, nil
+}
+
+// preempts reports whether a dataflow op appended over [start, end) evicts
+// op id from the container: id is an index build the interval overlaps. At
+// runtime priority -1 builds yield to dataflow operators (§6.1). Only a
+// dataflow append preempts: a build queues behind every op, and a placement
+// that overlaps an op is refused.
+func (s *Schedule) preempts(id dataflow.OpID, start, end float64) bool {
+	a := s.assign[id]
+	return s.Graph.Op(id).Optional && a.End > start+1e-9 && a.Start < end-1e-9
+}
+
+// make applies mv, the one way an operator joins a schedule: the op takes
+// the type and interval plan gives it, a dataflow append evicts the builds
+// it preempts, and the container's ops stay in start order (an eviction or
+// a placement can put the new op before a later build). A refused move
+// leaves s as it was.
+func (s *Schedule) make(mv move) (Assignment, error) {
+	ti, start, end, err := s.plan(mv)
+	if err != nil {
+		return Assignment{}, err
+	}
+	c, optional := mv.cont, s.Graph.Op(mv.op).Optional
+	s.ensureContainer(c)
+	s.contType[c] = ti
+	ops := s.conts[c]
+	if !mv.place && !optional {
+		kept := ops[:0]
+		for _, id := range ops {
+			if s.preempts(id, start, end) {
 				s.clearAssign(id)
 				continue
 			}
 			kept = append(kept, id)
 		}
-		s.conts[c] = kept
+		ops = kept
 	}
-	a := Assignment{Op: op, Container: c, Start: start, End: end}
-	s.setAssign(op, a)
-	// Keep the container's op list ordered by start time: evictions and
-	// preemption-aware starts can place the new op before a later optional
-	// op.
-	ops := s.conts[c]
+	a := Assignment{Op: mv.op, Container: c, Start: start, End: end}
+	s.setAssign(mv.op, a)
 	pos := sort.Search(len(ops), func(i int) bool { return s.assign[ops[i]].Start >= start })
-	s.conts[c] = append(ops, 0)
-	copy(s.conts[c][pos+1:], s.conts[c][pos:])
-	s.conts[c][pos] = op
+	ops = append(ops, 0)
+	copy(ops[pos+1:], ops[pos:])
+	ops[pos] = mv.op
+	s.conts[c] = ops
 	s.invalidateLease(c)
-	s.noteAssigned(a, o.Optional)
-	return a, evicted, nil
-}
-
-// PlaceAt assigns op to container c at exactly the given start time,
-// provided the interval does not overlap existing ops and respects the
-// op's predecessors. Used to drop index-build operators into idle slots.
-func (s *Schedule) PlaceAt(op dataflow.OpID, c int, start, duration float64) (Assignment, error) {
-	a, err := s.placeAtOp(op, c, start, duration)
-	return a, err
-}
-
-// PlaceAtSpeculative is PlaceAt plus an undo token. On error the schedule
-// is left untouched.
-func (s *Schedule) PlaceAtSpeculative(op dataflow.OpID, c int, start, duration float64) (Assignment, UndoToken, error) {
-	tok := s.beginUndo(op, c)
-	a, err := s.placeAtOp(op, c, start, duration)
-	if err != nil {
-		s.rollbackShape(tok)
-		return Assignment{}, UndoToken{}, err
-	}
-	tok.placed = true
-	return a, tok, nil
-}
-
-func (s *Schedule) placeAtOp(op dataflow.OpID, c int, start, duration float64) (Assignment, error) {
-	if s.isPlaced(op) {
-		return Assignment{}, fmt.Errorf("sched: op %d already assigned", op)
-	}
-	o := s.Graph.Op(op)
-	if o == nil {
-		return Assignment{}, fmt.Errorf("sched: unknown op %d", op)
-	}
-	s.ensureContainer(c)
-	if duration < 0 {
-		duration = o.Time / s.ContainerType(c).SpeedFactor
-	}
-	ready, err := s.ReadyTime(op, c)
-	if err != nil {
-		return Assignment{}, err
-	}
-	if start+1e-9 < ready {
-		return Assignment{}, fmt.Errorf("sched: op %d cannot start at %g before ready time %g", op, start, ready)
-	}
-	end := start + duration
-	// Find the insertion point and check for overlap.
-	ops := s.conts[c]
-	pos := sort.Search(len(ops), func(i int) bool { return s.assign[ops[i]].Start >= start })
-	if pos > 0 && s.assign[ops[pos-1]].End > start+1e-9 {
-		return Assignment{}, fmt.Errorf("sched: op %d overlaps predecessor interval on container %d", op, c)
-	}
-	if pos < len(ops) && s.assign[ops[pos]].Start < end-1e-9 {
-		return Assignment{}, fmt.Errorf("sched: op %d overlaps successor interval on container %d", op, c)
-	}
-	a := Assignment{Op: op, Container: c, Start: start, End: end}
-	s.setAssign(op, a)
-	s.conts[c] = append(ops, 0)
-	copy(s.conts[c][pos+1:], s.conts[c][pos:])
-	s.conts[c][pos] = op
-	s.invalidateLease(c)
-	s.noteAssigned(a, o.Optional)
+	s.noteAssigned(a, optional)
 	return a, nil
 }
 
-// probe returns the point that applying mv and calling point() would read —
-// AppendSpeculative for an append, PlaceAtSpeculative for a placement — and
+// Append assigns op to container c at the earliest time it can start there
+// (list scheduling) and evicts the index builds it preempts: see plan.
+func (s *Schedule) Append(op dataflow.OpID, c int) (Assignment, error) {
+	return s.make(move{op: op, cont: c, typeIdx: -1})
+}
+
+// PlaceAt assigns op to container c at exactly start, provided the op's
+// inputs are ready by then and the interval overlaps none of c's ops. It
+// drops index-build operators into idle slots.
+func (s *Schedule) PlaceAt(op dataflow.OpID, c int, start float64) (Assignment, error) {
+	return s.make(move{op: op, cont: c, typeIdx: -1, start: start, place: true})
+}
+
+// probe returns the point make(mv) followed by point() would read, and
 // whether the move is legal, without writing to s. The skyline scores every
-// candidate this way; only a Pareto survivor replays its move, onto a copy
+// candidate this way; only a Pareto survivor makes its move, on a copy
 // (candidate.materialize). FuzzProbeEqualsApply holds the two to the bit.
 func (s *Schedule) probe(mv move) (point, bool) {
-	o := s.Graph.Op(mv.op)
-	c := mv.cont
-	if o == nil || c < 0 || s.isPlaced(mv.op) {
-		return point{}, false
-	}
-	var ops []dataflow.OpID // c's ops in start order
-	if c < len(s.conts) {
-		ops = s.conts[c]
-	}
-	ti := s.typeIndex(c)
-	if !mv.place && mv.typeIdx >= 0 {
-		// SetContainerType's checks: a pool, a type in it, and no retyping
-		// of a container in use.
-		if len(s.Types) == 0 || mv.typeIdx >= len(s.Types) || len(ops) > 0 && s.contType[c] != mv.typeIdx {
-			return point{}, false
-		}
-		ti = mv.typeIdx
-	}
-	vt := s.vmType(ti)
-	ready, err := s.readyOn(mv.op, c, vt.Spec)
+	ti, start, end, err := s.plan(mv)
 	if err != nil {
 		return point{}, false
 	}
-	dur := o.Time / vt.SpeedFactor
-
-	var start, end float64
+	c := mv.cont
+	optional := s.Graph.Op(mv.op).Optional
+	evicts := !mv.place && !optional
+	ops := s.opsOn(c)
 	evicted := 0
 	last := dataflow.OpID(-1) // the last op c keeps in start order, the new one aside
-	if mv.place {
-		start, end = mv.start, mv.start+dur
-		if start+1e-9 < ready {
-			return point{}, false
+	for _, id := range ops {
+		if evicts && s.preempts(id, start, end) {
+			evicted++
+			continue
 		}
-		pos := sort.Search(len(ops), func(i int) bool { return s.assign[ops[i]].Start >= start })
-		if pos > 0 && s.assign[ops[pos-1]].End > start+1e-9 ||
-			pos < len(ops) && s.assign[ops[pos]].Start < end-1e-9 {
-			return point{}, false
-		}
-		if len(ops) > 0 {
-			last = ops[len(ops)-1]
-		}
-	} else {
-		// appendOp's start: a dataflow op queues behind the container's
-		// dataflow ops only and preempts the builds its interval overlaps.
-		tail := s.lastEnd(c)
-		if !o.Optional {
-			tail = 0
-			for _, id := range ops {
-				if e := s.assign[id].End; !s.Graph.Op(id).Optional && e > tail {
-					tail = e
-				}
-			}
-		}
-		start = math.Max(ready, tail)
-		end = start + dur
-		for _, id := range ops {
-			a := s.assign[id]
-			if !o.Optional && s.Graph.Op(id).Optional && a.End > start+1e-9 && a.Start < end-1e-9 {
-				evicted++
-				continue
-			}
-			last = id
-		}
+		last = id
 	}
-
 	// The new op goes before the first kept op starting at or after it, so
 	// it ends the lease unless the last kept op starts no earlier.
 	leaseEnd := end
@@ -657,7 +495,7 @@ func (s *Schedule) probe(mv move) (point, bool) {
 		p.conts++
 	}
 	first, lastEnd, count := s.extent()
-	if !o.Optional {
+	if !optional {
 		if count == 0 || start < first {
 			first = start
 		}
@@ -704,7 +542,7 @@ func (s *Schedule) TotalSpan() float64 {
 
 // leaseEndQuanta returns the number of leased quanta for container c, which
 // covers its last operator. The value is memoized per container (-1 marks
-// a stale entry) and invalidated by Append/PlaceAt/Undo/Repair.
+// a stale entry) and invalidated by make and Repair.
 func (s *Schedule) leaseEndQuanta(c int) int {
 	if c < len(s.leaseQ) {
 		if q := s.leaseQ[c]; q >= 0 {
@@ -847,11 +685,7 @@ func (s *Schedule) Fragmentation() float64 {
 // compute time is preferred, because index-build operators fit there.
 func (s *Schedule) MaxSequentialIdle() float64 {
 	// Idle runs never span containers, so the maximum is the max over the
-	// per-container books, each memoized alongside the lease memo: after a
-	// single-container speculative move only that container's runs are
-	// re-walked. The re-walk folds the same quantum-split idle pieces
-	// IdleSlots materializes — including the ≤1e-9 sliver drop and the
-	// |prev.End−start|<1e-9 run merge — without allocating the slice.
+	// per-container runs, each memoized until its container changes.
 	var best float64
 	for c := range s.conts {
 		if len(s.conts[c]) == 0 {
@@ -859,7 +693,7 @@ func (s *Schedule) MaxSequentialIdle() float64 {
 		}
 		v := s.seqIdleQ[c]
 		if v < 0 {
-			v = s.contSeqIdle(c)
+			v = s.contSeqIdle(c, Assignment{Op: -1}, false)
 			s.seqIdleQ[c] = v
 		}
 		if v > best {
@@ -869,50 +703,94 @@ func (s *Schedule) MaxSequentialIdle() float64 {
 	return best
 }
 
-// contSeqIdle walks container c's idle gaps and returns its longest
-// contiguous idle run.
-func (s *Schedule) contSeqIdle(c int) float64 {
-	q := s.Pricing.QuantumSeconds
-	leaseEnd := float64(s.leaseEndQuanta(c)) * q
-	var best float64
-	run, prevEnd := 0.0, math.Inf(-1)
-	cursor := 0.0
-	for _, id := range s.conts[c] {
-		a := s.assign[id]
-		if a.Start > cursor {
-			run, prevEnd, best = idleRunFold(q, cursor, a.Start, run, prevEnd, best)
-		}
-		if a.End > cursor {
-			cursor = a.End
-		}
+// seqIdleAfter returns what MaxSequentialIdle would read after make(mv),
+// without writing to s; 0 for a move plan refuses. A move changes only its
+// own container, so the others' runs are read from the memo (walked, not
+// stored, when stale) and only mv.cont is walked, with the new op in it.
+func (s *Schedule) seqIdleAfter(mv move) float64 {
+	_, start, end, err := s.plan(mv)
+	if err != nil {
+		return 0
 	}
-	if cursor < leaseEnd {
-		_, _, best = idleRunFold(q, cursor, leaseEnd, run, prevEnd, best)
+	evicts := !mv.place && !s.Graph.Op(mv.op).Optional
+	best := s.contSeqIdle(mv.cont, Assignment{Op: mv.op, Container: mv.cont, Start: start, End: end}, evicts)
+	for c := range s.conts {
+		if c == mv.cont || len(s.conts[c]) == 0 {
+			continue
+		}
+		v := s.seqIdleQ[c]
+		if v < 0 {
+			v = s.contSeqIdle(c, Assignment{Op: -1}, false)
+		}
+		if v > best {
+			best = v
+		}
 	}
 	return best
 }
 
-// idleRunFold splits the idle gap [from, to) at quantum boundaries exactly
-// like appendIdle and feeds each surviving piece into the sequential-idle
-// run merge, returning the updated (run, prevEnd, best) triple.
-func idleRunFold(q, from, to, run, prevEnd, best float64) (float64, float64, float64) {
+// contSeqIdle returns the longest contiguous idle run on container c before
+// the end of its lease. With in.Op >= 0 it reads c as make would leave it
+// with in placed: in goes before the first op starting at or after it, the
+// builds it preempts are skipped when evicts, and the lease ends with the
+// last op in that order.
+func (s *Schedule) contSeqIdle(c int, in Assignment, evicts bool) float64 {
+	w := idleWalk{q: s.Pricing.QuantumSeconds, prevEnd: math.Inf(-1)}
+	pending := in.Op >= 0
+	for _, id := range s.opsOn(c) {
+		if evicts && s.preempts(id, in.Start, in.End) {
+			continue
+		}
+		a := s.assign[id]
+		if pending && a.Start >= in.Start {
+			w.busy(in)
+			pending = false
+		}
+		w.busy(a)
+	}
+	if pending {
+		w.busy(in)
+	}
+	w.idle(w.cursor, float64(s.Pricing.Quanta(w.last))*w.q)
+	return w.best
+}
+
+// idleWalk folds a container's busy intervals, in start order, into its
+// longest contiguous idle run without materializing a slot: each gap is
+// split at quantum boundaries as appendIdle splits it, pieces of 1e-9 s or
+// less are dropped, and pieces that meet merge as IdleRuns merges them.
+type idleWalk struct {
+	q            float64 // quantum length in seconds
+	cursor, last float64 // the latest end so far; the end of the latest interval
+	run, best    float64 // the current run and the longest one
+	prevEnd      float64 // where the current run ends
+}
+
+func (w *idleWalk) busy(a Assignment) {
+	w.idle(w.cursor, a.Start)
+	if a.End > w.cursor {
+		w.cursor = a.End
+	}
+	w.last = a.End
+}
+
+func (w *idleWalk) idle(from, to float64) {
 	for from < to-1e-9 {
-		qi := quantumIndex(from, q)
-		qEnd := math.Min(float64(qi+1)*q, to)
+		qi := quantumIndex(from, w.q)
+		qEnd := math.Min(float64(qi+1)*w.q, to)
 		if qEnd-from > 1e-9 {
-			if math.Abs(prevEnd-from) < 1e-9 {
-				run += qEnd - from
+			if math.Abs(w.prevEnd-from) < 1e-9 {
+				w.run += qEnd - from
 			} else {
-				run = qEnd - from
+				w.run = qEnd - from
 			}
-			if run > best {
-				best = run
+			if w.run > w.best {
+				w.best = w.run
 			}
-			prevEnd = qEnd
+			w.prevEnd = qEnd
 		}
 		from = qEnd
 	}
-	return run, prevEnd, best
 }
 
 // Validate checks that assignments respect dependency and transfer

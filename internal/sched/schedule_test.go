@@ -37,7 +37,7 @@ func TestAppendSequencesOps(t *testing.T) {
 	g, ids := chain(t)
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	a1, err := s.Append(ids[0], 0, -1)
+	a1, err := s.Append(ids[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestAppendSequencesOps(t *testing.T) {
 		t.Errorf("first op interval = [%g,%g], want [0,10]", a1.Start, a1.End)
 	}
 	// Same container: no transfer delay.
-	a2, err := s.Append(ids[1], 0, -1)
+	a2, err := s.Append(ids[1], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestAppendAddsTransferDelayAcrossContainers(t *testing.T) {
 	g, ids := chain(t)
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(ids[0], 0, -1)
-	a2, err := s.Append(ids[1], 1, -1)
+	s.Append(ids[0], 0)
+	a2, err := s.Append(ids[1], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +76,15 @@ func TestAppendRejectsDuplicatesAndUnknown(t *testing.T) {
 	g, ids := chain(t)
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(ids[0], 0, -1)
-	if _, err := s.Append(ids[0], 1, -1); err == nil {
+	s.Append(ids[0], 0)
+	if _, err := s.Append(ids[0], 1); err == nil {
 		t.Error("duplicate Append accepted")
 	}
-	if _, err := s.Append(999, 0, -1); err == nil {
+	if _, err := s.Append(999, 0); err == nil {
 		t.Error("unknown op accepted")
 	}
 	// Unassigned predecessor.
-	if _, err := s.Append(ids[2], 0, -1); err == nil {
+	if _, err := s.Append(ids[2], 0); err == nil {
 		t.Error("Append with unassigned predecessor accepted")
 	}
 }
@@ -93,9 +93,9 @@ func TestMakespanAndMoney(t *testing.T) {
 	g, ids := chain(t)
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(ids[0], 0, -1)
-	s.Append(ids[1], 0, -1)
-	s.Append(ids[2], 0, -1)
+	s.Append(ids[0], 0)
+	s.Append(ids[1], 0)
+	s.Append(ids[2], 0)
 	if got := s.Makespan(); got != 35 {
 		t.Errorf("Makespan = %g, want 35", got)
 	}
@@ -112,9 +112,9 @@ func TestIdleSlotsAndFragmentation(t *testing.T) {
 	g, ids := chain(t)
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(ids[0], 0, -1) // [0,10] on c0
-	s.Append(ids[1], 1, -1) // [11,31] on c1 (1 s transfer)
-	s.Append(ids[2], 1, -1) // [31,36] on c1
+	s.Append(ids[0], 0) // [0,10] on c0
+	s.Append(ids[1], 1) // [11,31] on c1 (1 s transfer)
+	s.Append(ids[2], 1) // [31,36] on c1
 	// c0: busy [0,10], lease 1 quantum -> idle [10,60] = 50.
 	// c1: busy [11,36], lease 1 quantum -> idle [0,11] + [36,60] = 35.
 	if got := s.Fragmentation(); math.Abs(got-85) > 1e-9 {
@@ -147,10 +147,10 @@ func TestIdleSlotsClipAtQuantumBoundaries(t *testing.T) {
 	}
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
+	s.Append(a, 0)
 	// Place b far into the future on the same container via a stretched
 	// duration op: simulate by placing at 100 with PlaceAt.
-	if _, err := s.PlaceAt(b, 0, 100, -1); err != nil {
+	if _, err := s.PlaceAt(b, 0, 100); err != nil {
 		t.Fatal(err)
 	}
 	// Idle [10,100] crosses the quantum boundary at 60: expect two slots
@@ -177,8 +177,8 @@ func TestIdleRunsMergeAcrossQuanta(t *testing.T) {
 	}
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	if _, err := s.PlaceAt(b, 0, 100, -1); err != nil {
+	s.Append(a, 0)
+	if _, err := s.PlaceAt(b, 0, 100); err != nil {
 		t.Fatal(err)
 	}
 	runs := s.IdleRuns()
@@ -206,13 +206,13 @@ func TestIdleRunsHeterogeneousLeaseEnds(t *testing.T) {
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
 	// Container 0: busy [0,10] and [100,110] -> lease 120 (2 quanta).
-	s.Append(a, 0, -1)
-	if _, err := s.PlaceAt(b, 0, 100, -1); err != nil {
+	s.Append(a, 0)
+	if _, err := s.PlaceAt(b, 0, 100); err != nil {
 		t.Fatal(err)
 	}
 	// Container 1: busy [0,25] and [200,230] -> lease 240 (4 quanta).
-	s.Append(c, 1, -1)
-	if _, err := s.PlaceAt(d, 1, 200, -1); err != nil {
+	s.Append(c, 1)
+	if _, err := s.PlaceAt(d, 1, 200); err != nil {
 		t.Fatal(err)
 	}
 	runs := s.IdleRuns()
@@ -251,11 +251,11 @@ func TestPlaceAtRejectsOverlap(t *testing.T) {
 	b := g.Add(dataflow.Operator{Name: "b", Time: 10})
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1) // [0,30]
-	if _, err := s.PlaceAt(b, 0, 20, -1); err == nil {
+	s.Append(a, 0) // [0,30]
+	if _, err := s.PlaceAt(b, 0, 20); err == nil {
 		t.Error("overlapping PlaceAt accepted")
 	}
-	if _, err := s.PlaceAt(b, 0, 30, -1); err != nil {
+	if _, err := s.PlaceAt(b, 0, 30); err != nil {
 		t.Errorf("adjacent PlaceAt rejected: %v", err)
 	}
 }
@@ -264,11 +264,11 @@ func TestPlaceAtRespectsDependencies(t *testing.T) {
 	g, ids := chain(t)
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(ids[0], 0, -1) // ends 10
-	if _, err := s.PlaceAt(ids[1], 1, 5, -1); err == nil {
+	s.Append(ids[0], 0) // ends 10
+	if _, err := s.PlaceAt(ids[1], 1, 5); err == nil {
 		t.Error("PlaceAt before dependency-ready time accepted")
 	}
-	if _, err := s.PlaceAt(ids[1], 1, 11, -1); err != nil {
+	if _, err := s.PlaceAt(ids[1], 1, 11); err != nil {
 		t.Errorf("feasible PlaceAt rejected: %v", err)
 	}
 }
@@ -279,8 +279,8 @@ func TestMakespanIgnoresOptionalOps(t *testing.T) {
 	bi := g.Add(dataflow.Operator{Name: "build", Time: 40, Optional: true, Priority: -1})
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	if _, err := s.PlaceAt(bi, 0, 10, -1); err != nil {
+	s.Append(a, 0)
+	if _, err := s.PlaceAt(bi, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Makespan(); got != 10 {
@@ -295,9 +295,9 @@ func TestCloneIndependence(t *testing.T) {
 	g, ids := chain(t)
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(ids[0], 0, -1)
+	s.Append(ids[0], 0)
 	c := s.Clone()
-	c.Append(ids[1], 0, -1)
+	c.Append(ids[1], 0)
 	if s.Assigned() != 1 || c.Assigned() != 2 {
 		t.Errorf("Assigned: orig=%d clone=%d, want 1,2", s.Assigned(), c.Assigned())
 	}

@@ -81,9 +81,10 @@ func equalObjectives(a, b point) bool {
 }
 
 // move records how to derive a candidate from its source schedule: either
-// an Append of op onto container cont (typing a fresh container as typeIdx
-// when >= 0), or a PlaceAt of op at start (place == true). Candidates stay
-// unmaterialized — src plus move — until they survive the Pareto filter.
+// an append of op onto container cont, or a placement of op at start
+// (place == true); typeIdx >= 0 leases a fresh container as that type.
+// Schedule.plan says where it puts the op. Candidates stay unmaterialized —
+// src plus move — until they survive the Pareto filter.
 type move struct {
 	op      dataflow.OpID
 	cont    int
@@ -100,18 +101,6 @@ type candidate struct {
 	src *Schedule
 	mv  move
 	p   point
-}
-
-// apply replays the candidate's move on sched (its source or a copy of
-// it), returning the undo token. The move was probed legal on the source,
-// so it applies to a faithful copy.
-func (c *candidate) apply(sched *Schedule) (UndoToken, error) {
-	if c.mv.place {
-		_, tok, err := sched.PlaceAtSpeculative(c.mv.op, c.mv.cont, c.mv.start, -1)
-		return tok, err
-	}
-	_, tok, err := sched.AppendSpeculative(c.mv.op, c.mv.cont, c.mv.typeIdx, -1)
-	return tok, err
 }
 
 // freeList is one run's recycled schedules: the replaced memo entry and
@@ -134,17 +123,17 @@ func (f *freeList) get() *Schedule {
 func (f *freeList) put(s *Schedule) { *f = append(*f, s) }
 
 // materialize turns a speculative candidate into an owning one by copying
-// its source into a recycled schedule and replaying the move. The move was
-// probed legal on that source, so a failure is a probe that disagrees with
-// apply: it panics here, naming the move, rather than leave a nil schedule
-// on the frontier for Fastest to trip over later.
+// its source into a recycled schedule and making the move there. The move
+// was probed legal on that source, so a failure is a probe that disagrees
+// with make: it panics here, naming the move, rather than leave a nil
+// schedule on the frontier for Fastest to trip over later.
 func (c *candidate) materialize(free *freeList) {
 	if c.s != nil {
 		return
 	}
 	ns := free.get()
 	ns.CopyFrom(c.src)
-	if _, err := c.apply(ns); err != nil {
+	if _, err := ns.make(c.mv); err != nil {
 		kind := "append"
 		if c.mv.place {
 			kind = "place"
@@ -152,23 +141,24 @@ func (c *candidate) materialize(free *freeList) {
 		panic(fmt.Sprintf("sched: probed %s of op %d on container %d does not apply: %v",
 			kind, c.mv.op, c.mv.cont, err))
 	}
+	// Fill the seq-idle memo of the one container the move changed, so the
+	// tie-break on the next step's moves reads every container but the
+	// moved one from it.
+	ns.MaxSequentialIdle()
 	c.s = ns
 }
 
-// maxSeqIdle resolves the candidate's §5.3.1 tie-break value, measuring
-// speculatively on the shared source schedule when unmaterialized (apply,
-// measure, undo).
-func (c *candidate) maxSeqIdle() float64 {
-	if c.s != nil {
-		return c.s.MaxSequentialIdle()
+// seqIdle resolves and caches the candidate's §5.3.1 tie-break value,
+// read off the source without writing to it when unmaterialized.
+func (c *candidate) seqIdle() float64 {
+	if c.p.seqIdle < 0 {
+		if c.s != nil {
+			c.p.seqIdle = c.s.MaxSequentialIdle()
+		} else {
+			c.p.seqIdle = c.src.seqIdleAfter(c.mv)
+		}
 	}
-	tok, err := c.apply(c.src)
-	if err != nil {
-		return 0
-	}
-	v := c.src.MaxSequentialIdle()
-	c.src.Undo(tok)
-	return v
+	return c.p.seqIdle
 }
 
 // paretoKey is one candidate's sort key: its objectives and its index in
@@ -272,14 +262,8 @@ func preferCompact(a, b *candidate) bool {
 // preferSeqIdle is the §5.3.1 tie-break: among equal schedules keep the one
 // with the most sequential idle time.
 func preferSeqIdle(a, b *candidate) bool {
-	if a.p.seqIdle < 0 {
-		a.p.seqIdle = a.maxSeqIdle()
-	}
-	if b.p.seqIdle < 0 {
-		b.p.seqIdle = b.maxSeqIdle()
-	}
-	if a.p.seqIdle != b.p.seqIdle {
-		return a.p.seqIdle > b.p.seqIdle
+	if va, vb := a.seqIdle(), b.seqIdle(); va != vb {
+		return va > vb
 	}
 	return preferCompact(a, b)
 }
@@ -452,7 +436,7 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 			for i := range sky {
 				src := sky[i].s
 				for _, a := range placements(src, st.id) {
-					mv := move{op: st.id, cont: a.Container, start: a.Start, place: true}
+					mv := move{op: st.id, cont: a.Container, typeIdx: -1, start: a.Start, place: true}
 					if p, ok := src.probe(mv); ok {
 						cands = append(cands, candidate{src: src, mv: mv, p: p})
 					}

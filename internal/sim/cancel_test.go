@@ -17,7 +17,7 @@ func TestExecutePreCancelledContext(t *testing.T) {
 	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
+	s.Append(a, 0)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -39,8 +39,8 @@ func TestExecuteCancelledMidRun(t *testing.T) {
 	}
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	s.Append(b, 0, -1)
+	s.Append(a, 0)
+	s.Append(b, 0)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	c := cfg()
@@ -73,9 +73,9 @@ func TestCancelledRunPublishesNothing(t *testing.T) {
 	bi := g.Add(dataflow.Operator{Name: "build", Time: 30, Optional: true, Priority: -1})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	s.Append(b, 1, -1)
-	if _, err := s.PlaceAt(bi, 1, 10, -1); err != nil {
+	s.Append(a, 0)
+	s.Append(b, 1)
+	if _, err := s.PlaceAt(bi, 1, 10); err != nil {
 		t.Fatal(err)
 	}
 	// Container 1 crashes while the build is planned to run: the planned
@@ -132,7 +132,7 @@ func TestExecuteNilContextRunsToCompletion(t *testing.T) {
 	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
+	s.Append(a, 0)
 
 	res := Execute(s, cfg())
 	if res.Cancelled {

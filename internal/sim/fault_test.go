@@ -24,9 +24,9 @@ func twoContPlan(t *testing.T) (*sched.Schedule, dataflow.OpID, dataflow.OpID, d
 	}
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	s.Append(b, 1, -1)
-	if _, err := s.PlaceAt(c, 0, 75, -1); err != nil {
+	s.Append(a, 0)
+	s.Append(b, 1)
+	if _, err := s.PlaceAt(c, 0, 75); err != nil {
 		t.Fatal(err)
 	}
 	return s, a, b, c
@@ -92,7 +92,7 @@ func TestCrashMidOpOpensFreshContainer(t *testing.T) {
 	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
+	s.Append(a, 0)
 	cf := cfg()
 	// a actually takes 20 s; its only container crashes at 15. The planned
 	// repair keeps a (planned end 10 <= 15), but the realized run crosses
@@ -124,8 +124,8 @@ func TestCrashKillsInFlightBuildPartitionNotCommitted(t *testing.T) {
 	bi := g.Add(dataflow.Operator{Name: "build", Time: 30, Optional: true, Priority: -1})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	if _, err := s.PlaceAt(bi, 0, 10, -1); err != nil {
+	s.Append(a, 0)
+	if _, err := s.PlaceAt(bi, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	cf := cfg()
@@ -153,7 +153,7 @@ func TestStorageErrorDelaysWithBackoff(t *testing.T) {
 	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
+	s.Append(a, 0)
 	cf := cfg()
 	res := New(cf).Execute(nil, s, []fault.Event{{Seq: 0, Kind: fault.StorageError, At: 0, Container: 0, Retries: 3}})
 	r := res.Ops[a]
@@ -178,7 +178,7 @@ func TestStragglerSlowsContainer(t *testing.T) {
 	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
+	s.Append(a, 0)
 	cf := cfg()
 	res := New(cf).Execute(nil, s, []fault.Event{{Kind: fault.Straggler, At: 0, Container: 0, SlowFactor: 3}})
 	r := res.Ops[a]
@@ -267,8 +267,8 @@ func TestBuildCompletesExactlyAtLeaseEnd(t *testing.T) {
 	bi := g.Add(dataflow.Operator{Name: "build", Time: 50, Optional: true, Priority: -1})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1) // lease ends exactly at 60
-	if _, err := s.PlaceAt(bi, 0, 10, -1); err != nil {
+	s.Append(a, 0) // lease ends exactly at 60
+	if _, err := s.PlaceAt(bi, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	res := Execute(s, cfg())
@@ -295,12 +295,12 @@ func TestBuildCompletesExactlyAtPreemptionPoint(t *testing.T) {
 	bi := g.Add(dataflow.Operator{Name: "build", Time: 30, Optional: true, Priority: -1})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	s.Append(d, 1, -1)
-	if _, err := s.PlaceAt(c, 0, 40, -1); err != nil {
+	s.Append(a, 0)
+	s.Append(d, 1)
+	if _, err := s.PlaceAt(c, 0, 40); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PlaceAt(bi, 0, 10, -1); err != nil {
+	if _, err := s.PlaceAt(bi, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	res := Execute(s, cfg())
@@ -322,8 +322,8 @@ func TestBuildKilledJustPastLeaseEnd(t *testing.T) {
 	bi := g.Add(dataflow.Operator{Name: "build", Time: 50, Optional: true, Priority: -1})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	if _, err := s.PlaceAt(bi, 0, 10, -1); err != nil {
+	s.Append(a, 0)
+	if _, err := s.PlaceAt(bi, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	cf := cfg()
@@ -348,8 +348,8 @@ func TestFaultyRunDeterministic(t *testing.T) {
 		b := g.Add(dataflow.Operator{Name: "b", Time: 10, Reads: []string{"p1"}})
 		o := schedOpts()
 		s := sched.NewSchedule(g, o.Pricing, o.Spec)
-		s.Append(a, 0, -1)
-		s.Append(b, 1, -1)
+		s.Append(a, 0)
+		s.Append(b, 1)
 		cf := cfg()
 		return New(cf).Execute(nil, s, []fault.Event{{Kind: fault.ContainerCrash, At: 5, Container: 0}})
 	}

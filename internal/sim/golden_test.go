@@ -124,7 +124,7 @@ func TestGoldenEquivalenceHandPlacedFaults(t *testing.T) {
 	o := sched.DefaultOptions()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
 	for _, id := range g.Ops() {
-		if _, err := s.Append(id, int(id)%2, -1); err != nil {
+		if _, err := s.Append(id, int(id)%2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestEventCoreOpCompletesExactlyAtKillPoint(t *testing.T) {
 	a := g.Add(dataflow.Operator{Name: "a", Time: 50})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1) // runs [0, 50]
+	s.Append(a, 0) // runs [0, 50]
 	plan := fault.New(fault.Event{Kind: fault.ContainerCrash, At: 50, Container: 0})
 
 	assertGolden(t, "exact-kill-point", s, plan.From(0), cfg)
@@ -167,10 +167,10 @@ func TestEventCoreTimeEpsTieDifferentContainers(t *testing.T) {
 	b := g.Add(dataflow.Operator{Name: "b", Time: 10})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	if _, err := s.PlaceAt(a, 0, 5e-10, 10); err != nil {
+	if _, err := s.PlaceAt(a, 0, 5e-10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PlaceAt(b, 1, 0, 10); err != nil {
+	if _, err := s.PlaceAt(b, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	assertGolden(t, "eps-tie", s, nil, cfg)
@@ -190,9 +190,9 @@ func TestEventCoreBuildPreemptedByPass2(t *testing.T) {
 	bi := g.Add(dataflow.Operator{Name: "build", Time: 55, Optional: true, Priority: -1})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1) // [0, 40] on the surviving container
-	s.Append(v, 1, -1) // [0, 30] on the doomed container
-	if _, err := s.PlaceAt(bi, 0, 40, -1); err != nil {
+	s.Append(a, 0) // [0, 40] on the surviving container
+	s.Append(v, 1) // [0, 30] on the doomed container
+	if _, err := s.PlaceAt(bi, 0, 40); err != nil {
 		t.Fatal(err)
 	}
 	// Container 1 dies mid-victim: the victim re-places onto container 0,

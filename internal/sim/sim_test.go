@@ -34,8 +34,8 @@ func TestExecuteExactEstimatesMatchPlan(t *testing.T) {
 	}
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	s.Append(b, 1, -1)
+	s.Append(a, 0)
+	s.Append(b, 1)
 
 	res := Execute(s, cfg())
 	if math.Abs(res.Makespan-s.Makespan()) > 1e-9 {
@@ -62,8 +62,8 @@ func TestExecuteWithRuntimeErrors(t *testing.T) {
 	}
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	s.Append(b, 0, -1)
+	s.Append(a, 0)
+	s.Append(b, 0)
 
 	c := cfg()
 	c.Actual = func(op *dataflow.Operator) float64 { return op.Time * 2 }
@@ -79,8 +79,8 @@ func TestBuildOpCompletesInGap(t *testing.T) {
 	bi := g.Add(dataflow.Operator{Name: "build", Time: 20, Optional: true, Priority: -1})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1) // [0,10], lease to 60
-	if _, err := s.PlaceAt(bi, 0, 10, -1); err != nil {
+	s.Append(a, 0) // [0,10], lease to 60
+	if _, err := s.PlaceAt(bi, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	res := Execute(s, cfg())
@@ -99,8 +99,8 @@ func TestBuildOpKilledAtLeaseEnd(t *testing.T) {
 	bi := g.Add(dataflow.Operator{Name: "build", Time: 45, Optional: true, Priority: -1})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	if _, err := s.PlaceAt(bi, 0, 10, -1); err != nil {
+	s.Append(a, 0)
+	if _, err := s.PlaceAt(bi, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	c := cfg()
@@ -138,11 +138,11 @@ func TestBuildOpKilledByPreemption(t *testing.T) {
 	bi := g.Add(dataflow.Operator{Name: "build", Time: 30, Optional: true, Priority: -1})
 	o := schedOpts()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Append(a, 0, -1)
-	if _, err := s.PlaceAt(c, 0, 40, -1); err != nil {
+	s.Append(a, 0)
+	if _, err := s.PlaceAt(c, 0, 40); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PlaceAt(bi, 0, 10, -1); err != nil {
+	if _, err := s.PlaceAt(bi, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	res := Execute(s, cfg())
@@ -250,13 +250,10 @@ func TestExecuteHeterogeneousTypes(t *testing.T) {
 	g := dataflow.New()
 	a := g.Add(dataflow.Operator{Name: "a", Time: 60})
 	o := schedOpts()
-	o.Types = cloud.DefaultVMTypes()
 	s := sched.NewSchedule(g, o.Pricing, o.Spec)
-	s.Types = o.Types
-	if err := s.SetContainerType(0, 1); err != nil { // 2x speed, $0.22/q
-		t.Fatal(err)
-	}
-	if _, err := s.Append(a, 0, -1); err != nil {
+	// A one-type pool: every container is the 2x type at $0.22/q.
+	s.Types = cloud.DefaultVMTypes()[1:2]
+	if _, err := s.Append(a, 0); err != nil {
 		t.Fatal(err)
 	}
 	res := Execute(s, cfg())

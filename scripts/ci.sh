@@ -44,6 +44,21 @@ stage_static() {
 		scripts/pairs.sh --summarize PAIRS_PR26.json "$w"
 	done | diff -u scripts/testdata/pairs_PR26.txt -
 
+	# A test, benchmark or fuzz target the docs (the verify skill included)
+	# cite must exist. A cited name only has to be a prefix of a defined
+	# one, so a -bench pattern and a name wrapped at a line end both pass.
+	echo "== test names cited in the docs exist =="
+	defined=$(grep -rhoE --include='*_test.go' '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' . | sed 's/^func //' | sort -u)
+	missing=""
+	for name in $(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' \
+		DESIGN.md README.md EXPERIMENTS.md bench/README.md .[!.]*/skills/verify/SKILL.md | sort -u); do
+		printf '%s\n' "$defined" | grep -q "^$name" || missing="$missing $name"
+	done
+	if [ -n "$missing" ]; then
+		echo "cited in the docs but defined in no _test.go:$missing"
+		exit 1
+	fi
+
 	# One Algorithm-1 pass runs on one goroutine: the admission pipeline's
 	# -workers is the only concurrency of a submit.
 	echo "== Alg. 1 path starts no goroutine =="
