@@ -616,8 +616,9 @@ func AuditGain(e *gain.Evaluator, cands []gain.Costs, now float64) error {
 	gms := make(map[string]float64, len(cands))
 	for _, c := range cands {
 		// Eq. 5: gt = sum(fade * gtd) - ti.
+		ev := e.Evaluate(c, now)
 		wantGT := fadedSum(c.Name, func(rec gain.Record) float64 { return rec.TimeGain }) - c.BuildQuanta
-		gt := e.TimeGain(c, now)
+		gt := ev.TimeGain
 		if math.Abs(gt-wantGT) > looseEps*math.Max(1, math.Abs(wantGT)) {
 			r.addf("eq5-time-gain", "%s: TimeGain %g, recomputed %g", c.Name, gt, wantGT)
 		}
@@ -628,14 +629,16 @@ func AuditGain(e *gain.Evaluator, cands []gain.Costs, now float64) error {
 		}
 		wantGM := mc*fadedSum(c.Name, func(rec gain.Record) float64 { return rec.MoneyGain }) -
 			(mc*c.BuildMoneyQuanta + pp.Pricing.StorageCost(c.SizeMB, w))
-		gm := e.MoneyGain(c, now)
+		gm := ev.MoneyGain
 		if math.Abs(gm-wantGM) > looseEps*math.Max(1, math.Abs(wantGM)) {
 			r.addf("eq4-money-gain", "%s: MoneyGain %g, recomputed %g", c.Name, gm, wantGM)
 		}
 		// Eq. 3: g = alpha*Mc*gt + (1-alpha)*gm.
 		wantG := pp.Alpha*mc*gt + (1-pp.Alpha)*gm
-		if g := e.Gain(c, now); math.Abs(g-wantG) > looseEps*math.Max(1, math.Abs(wantG)) {
-			r.addf("eq3-weighted-gain", "%s: Gain %g, want %g", c.Name, g, wantG)
+		for _, g := range []float64{ev.Gain, e.Gain(c, now)} {
+			if math.Abs(g-wantG) > looseEps*math.Max(1, math.Abs(wantG)) {
+				r.addf("eq3-weighted-gain", "%s: Gain %g, want %g", c.Name, g, wantG)
+			}
 		}
 		// §5.1 beneficial test.
 		if ben := e.Beneficial(c, now); ben != (gt > 0 && gm > 0) {
@@ -671,19 +674,25 @@ func AuditGain(e *gain.Evaluator, cands []gain.Costs, now float64) error {
 	}
 
 	// Deletion test (Algorithm 1): exactly the candidates with both gains
-	// non-positive, sorted, disjoint from the rank.
+	// non-positive, in name order, disjoint from the rank, carrying the very
+	// gains the per-candidate evaluations returned.
 	nonBen := e.NonBeneficial(cands, now)
-	if !sort.StringsAreSorted(nonBen) {
-		r.addf("non-beneficial", "names not sorted: %v", nonBen)
-	}
 	nbSet := map[string]bool{}
-	for _, name := range nonBen {
+	for i, nb := range nonBen {
+		name := nb.Costs.Name
 		nbSet[name] = true
+		if i > 0 && nonBen[i-1].Costs.Name >= name {
+			r.addf("non-beneficial", "names not sorted at %d (%s then %s)", i, nonBen[i-1].Costs.Name, name)
+		}
 		if inRank[name] {
 			r.addf("non-beneficial", "%s both ranked and deletable", name)
 		}
 		if gts[name] > 0 || gms[name] > 0 {
 			r.addf("non-beneficial", "%s deletable with gt=%g gm=%g", name, gts[name], gms[name])
+		}
+		if nb.TimeGain != gts[name] || nb.MoneyGain != gms[name] {
+			r.addf("non-beneficial", "%s deletable with gains (%g, %g), evaluated (%g, %g)",
+				name, nb.TimeGain, nb.MoneyGain, gts[name], gms[name])
 		}
 	}
 	for _, c := range cands {
@@ -697,11 +706,12 @@ func AuditGain(e *gain.Evaluator, cands []gain.Costs, now float64) error {
 	// floats bit for bit — across the Rank and NonBeneficial calls the
 	// audit itself made in between.
 	for _, c := range cands {
-		if gt := e.TimeGain(c, now); gt != gts[c.Name] {
-			r.addf("evaluation-idempotence", "%s: TimeGain drifted %g -> %g at fixed now", c.Name, gts[c.Name], gt)
+		ev := e.Evaluate(c, now)
+		if ev.TimeGain != gts[c.Name] {
+			r.addf("evaluation-idempotence", "%s: TimeGain drifted %g -> %g at fixed now", c.Name, gts[c.Name], ev.TimeGain)
 		}
-		if gm := e.MoneyGain(c, now); gm != gms[c.Name] {
-			r.addf("evaluation-idempotence", "%s: MoneyGain drifted %g -> %g at fixed now", c.Name, gms[c.Name], gm)
+		if ev.MoneyGain != gms[c.Name] {
+			r.addf("evaluation-idempotence", "%s: MoneyGain drifted %g -> %g at fixed now", c.Name, gms[c.Name], ev.MoneyGain)
 		}
 	}
 	return r.Err()

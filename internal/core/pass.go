@@ -8,6 +8,7 @@ import (
 	"idxflow/internal/data"
 	"idxflow/internal/dataflow"
 	"idxflow/internal/gain"
+	"idxflow/internal/interleave"
 	"idxflow/internal/provenance"
 	"idxflow/internal/sched"
 	"idxflow/internal/sim"
@@ -50,17 +51,9 @@ type buildCandidate struct {
 // offerBuild appends the operator building partition pid of st's index to
 // the rewritten graph and to the candidates.
 func (p *pass) offerBuild(s *Service, st *data.BuildState, name string, pid int, gain float64) {
-	path := st.Index.PartitionPath(pid)
-	id := p.g.Add(dataflow.Operator{
-		Name:        "build:" + path,
-		Kind:        dataflow.KindBuildIndex,
-		CPU:         1,
-		Memory:      0.25,
-		Time:        st.Index.BuildSeconds(st.Index.Table.Partitions[pid], s.cfg.Sched.Spec),
-		Priority:    -1,
-		Optional:    true,
-		BuildsIndex: path,
-	})
+	idx := st.Index
+	seconds := idx.BuildSeconds(idx.Table.Partitions[pid], s.cfg.Sched.Spec)
+	id := p.g.Add(dataflow.BuildOp(idx.PartitionPath(pid), seconds))
 	p.builds = append(p.builds, buildCandidate{index: name, pid: pid, op: id, gain: gain})
 }
 
@@ -406,16 +399,16 @@ func (s *Service) evict(p *pass) {
 		}
 		candidates = append(candidates, gain.Costs{Name: name, SizeMB: s.db.Catalog.State(name).Index.SizeMB()})
 	}
-	for _, name := range s.eval.NonBeneficial(candidates, p.now) {
+	for _, r := range s.eval.NonBeneficial(candidates, p.now) {
+		name := r.Costs.Name
 		if p.recording {
-			// Recompute the non-positive gains that justified the drop, so
-			// the event carries the Eq. 4/5 evidence. candidates is sorted.
-			c := candidates[sort.Search(len(candidates), func(i int) bool { return candidates[i].Name >= name })]
+			// The non-positive gains that justified the drop: the event
+			// carries the Eq. 4/5 evidence.
 			s.cfg.Provenance.Append(provenance.Event{
 				Kind: provenance.KindIndexEvicted, Flow: p.id, T: p.now,
 				Name:     name,
-				TimeGain: s.eval.TimeGain(c, p.now), MoneyGain: s.eval.MoneyGain(c, p.now),
-				SizeMB: c.SizeMB,
+				TimeGain: r.TimeGain, MoneyGain: r.MoneyGain,
+				SizeMB: r.Costs.SizeMB,
 				FadeD:  s.cfg.Gain.FadeD, WindowW: s.cfg.Gain.WindowW,
 				Records: len(s.eval.History.Records(name)),
 			})
@@ -437,14 +430,15 @@ func (s *Service) evict(p *pass) {
 	}
 }
 
-// schedule is Alg. 1 lines 10-11: interleave the offered builds and pick the
-// fastest schedule. It reports false when the flow cannot be scheduled.
+// schedule is Alg. 1 lines 10-11: interleave the offered builds with the
+// configured §5.3 algorithm and pick the fastest schedule. It reports false
+// when the flow cannot be scheduled.
 func (s *Service) schedule(p *pass) bool {
-	gains := make(map[dataflow.OpID]float64, len(p.builds))
-	for _, b := range p.builds {
-		gains[b.op] = b.gain
+	if s.cfg.Strategy == RandomIndex {
+		p.skyline = interleave.Random(s.skyline, p.g, s.rng)
+	} else {
+		s.interleave(p)
 	}
-	p.skyline = s.interleaver.Interleave(p.g, gains)
 	p.chosen = sched.Fastest(p.skyline)
 	if p.chosen == nil {
 		return false
@@ -465,6 +459,52 @@ func (s *Service) schedule(p *pass) bool {
 	s.ins.idleUsed.Add(interleavedSecs)
 	s.ins.idleDiscovered.Add(p.chosen.Fragmentation() + interleavedSecs)
 	return true
+}
+
+// interleave computes the skyline with LP (Algorithm 2) or online (§5.3.2)
+// interleaving and reports the pass's placement summary: how many optional
+// operators found a home across the skyline, out of how many the rewritten
+// graph carries (§5.3).
+func (s *Service) interleave(p *pass) {
+	online := s.cfg.Algo == OnlineInterleave
+	name := "interleave.lp"
+	if online {
+		name = "interleave.online"
+	}
+	span := s.cfg.Tracer.StartSpan(name).SetAttr("flow_id", uint64(p.id))
+	placed := 0
+	if online {
+		p.skyline = s.skyline.ScheduleWithOptional(p.g)
+		for _, sc := range p.skyline {
+			for _, a := range sc.Assignments() {
+				if p.g.Op(a.Op).Optional {
+					placed++
+				}
+			}
+		}
+	} else {
+		gains := make(map[dataflow.OpID]float64, len(p.builds))
+		for _, b := range p.builds {
+			gains[b.op] = b.gain
+		}
+		p.skyline, placed = interleave.LP(s.skyline, p.g, gains)
+	}
+	offered := 0
+	for id := range p.g.Len() {
+		if p.g.Op(dataflow.OpID(id)).Optional {
+			offered++
+		}
+	}
+	s.ins.buildOpsPlaced.Add(float64(placed))
+	if p.recording {
+		s.cfg.Provenance.Append(provenance.Event{
+			Kind: provenance.KindInterleaved, Flow: p.id, T: p.now,
+			Count: placed, Records: offered, Containers: len(p.skyline),
+		})
+	}
+	span.SetAttr("schedules", len(p.skyline)).
+		SetAttr("builds_offered", offered).
+		SetAttr("builds_placed", placed).End()
 }
 
 // recordSchedule appends the skyline choice — with the Pareto alternatives

@@ -5,12 +5,14 @@ import (
 	"reflect"
 	"testing"
 
-	"idxflow/internal/interleave"
+	"idxflow/internal/dataflow"
+	"idxflow/internal/provenance"
+	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
 
 // TestSchedulerBuiltOnceAndConfigReadOnly: a service builds its scheduler
-// and interleaver in NewService and never again, and nothing a submit does
+// in NewService and never again, and nothing a submit does
 // is written into the service's Config. At the parent of this test the
 // scheduler was rebuilt per submit from a Config whose Sched.FlowID and
 // Sched.Now were rewritten each time.
@@ -19,9 +21,6 @@ func TestSchedulerBuiltOnceAndConfigReadOnly(t *testing.T) {
 	gen := workload.NewGenerator(db, 2)
 	svc := NewService(quickConfig(Gain), db)
 	sk := svc.skyline
-	if lp, ok := svc.interleaver.(*interleave.LP); !ok || lp.Scheduler != sk {
-		t.Fatalf("interleaver %T does not drive the service's skyline", svc.interleaver)
-	}
 	before := svc.cfg
 	for i := 0; i < 50; i++ {
 		res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Apps[i%len(workload.Apps)], i, svc.Clock()))
@@ -73,5 +72,99 @@ func TestCandidateLookupIsTheOfferOrder(t *testing.T) {
 	}
 	if _, ok := p.candidate(p.builds[len(p.builds)-1].op + 1); ok {
 		t.Error("an id past the last build resolved to a candidate")
+	}
+}
+
+// TestInterleavedSummaryPerPass pins the placement summary of §5.3 a pass
+// reports. Under LP and online interleaving each pass records exactly one
+// interleaved event: Count is the optional operators the returned skyline
+// places, Records the optional operators of the rewritten graph and
+// Containers the skyline size; the placement counter advances by the same
+// Count. The random baseline reports neither.
+func TestInterleavedSummaryPerPass(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		strategy Strategy
+		algo     Interleaving
+		reports  bool
+	}{
+		{"lp", Gain, LPInterleave, true},
+		{"online", Gain, OnlineInterleave, true},
+		{"random", RandomIndex, LPInterleave, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := testDB(t)
+			gen := workload.NewGenerator(db, 2)
+			cfg := quickConfig(tc.strategy)
+			cfg.Algo = tc.algo
+			cfg.Telemetry = telemetry.NewRegistry()
+			cfg.Provenance = provenance.NewRecorder(1 << 16)
+			svc := NewService(cfg, db)
+			counter := cfg.Telemetry.Counter("idxflow_interleave_build_ops_placed_total", "")
+			totalPlaced := 0
+			for i := 0; i < 12; i++ {
+				flow := gen.Flow(workload.Apps[i%len(workload.Apps)], i, svc.Clock())
+				if i%2 == 1 {
+					// An optional operator the flow carries itself, as a
+					// flowlang body may: offered, though not by the tuner.
+					flow.Graph.Add(dataflow.Operator{Name: "own", Time: 5, Priority: -1, Optional: true})
+				}
+				p := svc.admit(flow)
+				svc.rewrite(p)
+				svc.offer(p)
+				svc.evict(p)
+				before := counter.Value()
+				if !svc.schedule(p) {
+					t.Fatalf("pass %d: unschedulable", i)
+				}
+				placed, offered := 0, 0
+				for _, s := range p.skyline {
+					for _, a := range s.Assignments() {
+						if p.g.Op(a.Op).Optional {
+							placed++
+						}
+					}
+				}
+				for _, id := range p.g.Ops() {
+					if p.g.Op(id).Optional {
+						offered++
+					}
+				}
+				totalPlaced += placed
+				var got []provenance.Event
+				for _, e := range cfg.Provenance.FlowEvents(p.id) {
+					if e.Kind == provenance.KindInterleaved {
+						got = append(got, e)
+					}
+				}
+				delta := counter.Value() - before
+				switch {
+				case !tc.reports:
+					if len(got) != 0 || delta != 0 {
+						t.Fatalf("pass %d: random baseline reported %d events, counter +%g", i, len(got), delta)
+					}
+				case len(got) != 1:
+					t.Fatalf("pass %d: %d interleaved events, want 1", i, len(got))
+				default:
+					e := got[0]
+					if e.Count != placed || e.Records != offered || e.Containers != len(p.skyline) || e.T != p.now {
+						t.Errorf("pass %d: event count %d records %d containers %d t %g; want %d %d %d %g",
+							i, e.Count, e.Records, e.Containers, e.T, placed, offered, len(p.skyline), p.now)
+					}
+					if delta != float64(placed) {
+						t.Errorf("pass %d: counter advanced by %g, want %d", i, delta, placed)
+					}
+				}
+				svc.dedicate(p)
+				if !svc.execute(context.Background(), p) {
+					t.Fatalf("pass %d: execution cancelled", i)
+				}
+				svc.commit(p)
+				svc.settle(p)
+			}
+			if totalPlaced == 0 {
+				t.Error("no pass placed a build; the summary is untested")
+			}
+		})
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"idxflow/internal/dataflow"
 	"idxflow/internal/fault"
 	"idxflow/internal/gain"
-	"idxflow/internal/interleave"
 	"idxflow/internal/provenance"
 	"idxflow/internal/sched"
 	"idxflow/internal/sim"
@@ -122,7 +121,7 @@ type Config struct {
 	// update; zero means 1%.
 	UpdateFraction float64
 	// Telemetry receives the service's metrics and is threaded through
-	// the scheduler, interleaver, executor and storage layers. Nil means
+	// the gain, scheduler, executor and storage layers. Nil means
 	// none.
 	Telemetry *telemetry.Registry
 	// Tracer records nested spans (submit → rank → schedule → execute).
@@ -263,14 +262,13 @@ type Service struct {
 	ins         serviceInstruments
 	// nextFlow assigns provenance FlowIDs in submission order.
 	nextFlow provenance.FlowID
-	// at is the cell the evaluator, scheduler and interleaver read the
+	// at is the cell the evaluator, scheduler and executor read the
 	// current pass's attribution from; admit is its only writer.
 	at *provenance.Attribution
-	// skyline and interleaver are the tenant's scheduler, built once: the
-	// configured §5.3 algorithm over the one Skyline, which carries the last
-	// frontier across submissions.
-	skyline     *sched.Skyline
-	interleaver interleave.Interleaver
+	// skyline is the tenant's scheduler, built once: every pass's §5.3
+	// algorithm runs over it, and it carries the last frontier across
+	// submissions.
+	skyline *sched.Skyline
 	// exec is the tenant's executor, built once beside the skyline: it
 	// replays every chosen schedule with the configured runtime error.
 	exec *sim.Executor
@@ -317,18 +315,6 @@ func NewService(cfg Config, db *workload.FileDB) *Service {
 	if cfg.AdaptiveFading {
 		s.fader = gain.NewAdaptiveFader(cfg.Gain.FadeD)
 		s.eval.FadeOverride = s.fader.FadeFor
-	}
-	switch {
-	case cfg.Strategy == RandomIndex:
-		s.interleaver = &interleave.Random{Scheduler: s.skyline, Rng: s.rng}
-	case cfg.Algo == OnlineInterleave:
-		on := &interleave.Online{Scheduler: s.skyline, Provenance: cfg.Provenance}
-		on.Instrument(cfg.Telemetry)
-		s.interleaver = on
-	default:
-		lp := &interleave.LP{Scheduler: s.skyline, Provenance: cfg.Provenance}
-		lp.Instrument(cfg.Telemetry)
-		s.interleaver = lp
 	}
 	return s
 }

@@ -15,6 +15,7 @@ type serviceInstruments struct {
 	idleDiscovered  *telemetry.Counter
 	idleUsed        *telemetry.Counter
 	buildOpsOffered *telemetry.Counter
+	buildOpsPlaced  *telemetry.Counter
 	partitionsBuilt *telemetry.Counter
 	indexesDeleted  *telemetry.Counter
 	invalidated     *telemetry.Counter
@@ -44,6 +45,8 @@ func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
 			"Idle-slot seconds filled with interleaved index-build operators."),
 		buildOpsOffered: reg.Counter("idxflow_build_ops_offered_total",
 			"Index-build partition operators offered to the interleaver."),
+		buildOpsPlaced: reg.Counter("idxflow_interleave_build_ops_placed_total",
+			"Index-build operators packed into idle slots across skyline schedules."),
 		partitionsBuilt: reg.Counter("idxflow_index_partitions_built_total",
 			"Index partitions committed to the catalog after building."),
 		indexesDeleted: reg.Counter("idxflow_indexes_deleted_total",

@@ -6,24 +6,16 @@ import (
 	"testing"
 
 	"idxflow/internal/dataflow"
-	"idxflow/internal/interleave"
 	"idxflow/internal/sched"
 	"idxflow/internal/workload"
 )
 
-// coldLP is the LP interleaver over a fresh skyline per submit, so every
-// schedule is computed from scratch: the cold side of the equivalence.
-type coldLP struct{ opts sched.Options }
-
-func (c coldLP) Interleave(g *dataflow.Graph, gains map[dataflow.OpID]float64) []*sched.Schedule {
-	return (&interleave.LP{Scheduler: sched.NewSkyline(c.opts)}).Interleave(g, gains)
-}
-
 // runWarmSeq runs a fixed submission sequence — every flow submitted twice
 // so the scheduling problem repeats — and returns the aggregate metrics.
 // warmOn keeps the service's one skyline; off, every submit schedules on a
-// fresh one. Everything else is identical, so warm and cold runs must agree
-// bit for bit.
+// fresh one, so every schedule is computed from scratch: the cold side of
+// the equivalence. Everything else is identical, so warm and cold runs must
+// agree bit for bit.
 func runWarmSeq(t *testing.T, strategy Strategy, warmOn, faulty bool) (*Service, Metrics) {
 	t.Helper()
 	db := testDB(t)
@@ -33,16 +25,22 @@ func runWarmSeq(t *testing.T, strategy Strategy, warmOn, faulty bool) (*Service,
 		cfg.Faults = heavyFaultPlan()
 	}
 	svc := NewService(cfg, db)
-	if !warmOn {
-		svc.interleaver = coldLP{svc.skyline.Opts}
+	submit := func(flow *dataflow.Flow) {
+		if !warmOn {
+			svc.skyline = sched.NewSkyline(svc.skyline.Opts)
+		}
+		svc.SubmitCtx(context.Background(), flow)
+		if st := svc.WarmStats(); !warmOn && st.Hits != 0 {
+			t.Fatalf("the cold side hit a warm memo: %+v", st)
+		}
 	}
 	for i := 0; i < 4; i++ {
 		// Submit the same flow object twice: the generator draws from its
 		// RNG per call, so only reuse yields an identical scheduling
 		// problem (Submit clones the graph before any rewrite).
 		flow := gen.Flow(workload.Apps[i%len(workload.Apps)], i, svc.Clock())
-		svc.SubmitCtx(context.Background(), flow)
-		svc.SubmitCtx(context.Background(), flow)
+		submit(flow)
+		submit(flow)
 	}
 	return svc, svc.Run(nil, svc.Clock()+1)
 }
@@ -53,12 +51,9 @@ func runWarmSeq(t *testing.T, strategy Strategy, warmOn, faulty bool) (*Service,
 // results, costs and fault accounting included.
 func TestServiceWarmMatchesColdGolden(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
-		coldSvc, cold := runWarmSeq(t, Gain, false, faulty)
+		_, cold := runWarmSeq(t, Gain, false, faulty)
 		if faulty && cold.FaultsInjected == 0 {
 			t.Fatal("fault plan injected nothing; the faulted golden case is dead")
-		}
-		if st := coldSvc.WarmStats(); st != (sched.WarmStats{}) {
-			t.Fatalf("the cold side ran on the service's skyline: %+v", st)
 		}
 		_, warm := runWarmSeq(t, Gain, true, faulty)
 		if !reflect.DeepEqual(cold, warm) {

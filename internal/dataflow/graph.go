@@ -82,6 +82,23 @@ type Operator struct {
 	BuildsIndex string
 }
 
+// BuildOp returns the operator that builds the index partition at path in
+// the given seconds: one whole CPU and a quarter of the memory, below every
+// dataflow operator's priority and optional, so it only fills idle slots
+// and is the first stopped (§5.3, §6.1).
+func BuildOp(path string, seconds float64) Operator {
+	return Operator{
+		Name:        "build:" + path,
+		Kind:        KindBuildIndex,
+		CPU:         1,
+		Memory:      0.25,
+		Time:        seconds,
+		Priority:    -1,
+		Optional:    true,
+		BuildsIndex: path,
+	}
+}
+
 // Edge is a flow dependency between two operators carrying Size MB of data.
 type Edge struct {
 	From, To OpID

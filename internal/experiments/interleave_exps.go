@@ -37,16 +37,7 @@ func montageWithBuilds(seed int64, maxBuilds int) (*dataflow.Graph, int) {
 				if builds >= maxBuilds {
 					return g, builds
 				}
-				g.Add(dataflow.Operator{
-					Name:        "build:" + idx.PartitionPath(p.ID),
-					Kind:        dataflow.KindBuildIndex,
-					CPU:         1,
-					Memory:      0.25,
-					Time:        idx.BuildSeconds(p, spec),
-					Priority:    -1,
-					Optional:    true,
-					BuildsIndex: idx.PartitionPath(p.ID),
-				})
+				g.Add(dataflow.BuildOp(idx.PartitionPath(p.ID), idx.BuildSeconds(p, spec)))
 				builds++
 			}
 		}
@@ -91,7 +82,7 @@ func Fig8(seed int64) *Fig8Result {
 		Title:  fmt.Sprintf("Fig 8: Index-build ops scheduled per skyline schedule, Montage (%d candidates)", total),
 		Header: []string{"Algorithm", "Money (quanta)", "# Build ops scheduled"},
 	}}
-	lp := (&interleave.LP{Scheduler: sk}).Interleave(g, nil)
+	lp, _ := interleave.LP(sk, g, nil)
 	for _, s := range sortByMoney(lp) {
 		n := countBuilds(g, s)
 		if n > res.MaxLP {
@@ -99,7 +90,7 @@ func Fig8(seed int64) *Fig8Result {
 		}
 		res.Table.AddRow("LP", s.MoneyQuanta(), n)
 	}
-	online := (&interleave.Online{Scheduler: sk}).Interleave(g, nil)
+	online := sk.ScheduleWithOptional(g)
 	for _, s := range sortByMoney(online) {
 		n := countBuilds(g, s)
 		if n > res.MaxOnline {

@@ -194,12 +194,24 @@ func (e *Evaluator) fadedSums(index string, now float64) (sumT, sumM float64) {
 	return sumT, sumM
 }
 
-// gains returns gt(idx, t) in quanta (Eq. 5) and gm(idx, t) in dollars
-// (Eq. 4) from one walk over the index's records:
+// Ranked is one index with its gains, as placed in the two-dimensional
+// space of Fig. 4.
+type Ranked struct {
+	Costs Costs
+	// TimeGain is gt(idx, t) in quanta (Eq. 5), MoneyGain gm(idx, t) in
+	// dollars (Eq. 4) and Gain their weighting g(idx, t) (Eq. 3).
+	TimeGain  float64
+	MoneyGain float64
+	Gain      float64
+}
+
+// Evaluate places index c in the space of Fig. 4 at time now, from one walk
+// over its records:
 //
 //	gt = Σ δ(d_i,t)·dc(δT)·gtd(idx, d_i) − ti(idx)
-//	gm = Σ δ(d_i,t)·dc(δT)·Mc·gmd(idx, d_i) − (Mc·mi(idx) + st(idx, W)).
-func (e *Evaluator) gains(c Costs, now float64) (gt, gm float64) {
+//	gm = Σ δ(d_i,t)·dc(δT)·Mc·gmd(idx, d_i) − (Mc·mi(idx) + st(idx, W))
+//	g  = α·Mc·gt + (1−α)·gm.
+func (e *Evaluator) Evaluate(c Costs, now float64) Ranked {
 	sumT, sumM := e.fadedSums(c.Name, now)
 	mc := e.Params.Pricing.VMPerQuantum
 	sum := sumM * mc
@@ -208,44 +220,18 @@ func (e *Evaluator) gains(c Costs, now float64) (gt, gm float64) {
 		w = 1
 	}
 	storage := e.Params.Pricing.StorageCost(c.SizeMB, w)
-	return sumT - c.BuildQuanta, sum - (mc*c.BuildMoneyQuanta + storage)
+	gt, gm := sumT-c.BuildQuanta, sum-(mc*c.BuildMoneyQuanta+storage)
+	return Ranked{Costs: c, TimeGain: gt, MoneyGain: gm, Gain: e.Params.Alpha*mc*gt + (1-e.Params.Alpha)*gm}
 }
 
-// TimeGain returns gt(idx, t) in quanta (Eq. 5).
-func (e *Evaluator) TimeGain(c Costs, now float64) float64 {
-	gt, _ := e.gains(c, now)
-	return gt
-}
-
-// MoneyGain returns gm(idx, t) in dollars (Eq. 4).
-func (e *Evaluator) MoneyGain(c Costs, now float64) float64 {
-	_, gm := e.gains(c, now)
-	return gm
-}
-
-// Gain returns the weighted gain g(idx, t) of Eq. 3:
-//
-//	g = α·Mc·gt(idx, t) + (1−α)·gm(idx, t).
-func (e *Evaluator) Gain(c Costs, now float64) float64 {
-	mc := e.Params.Pricing.VMPerQuantum
-	gt, gm := e.gains(c, now)
-	return e.Params.Alpha*mc*gt + (1-e.Params.Alpha)*gm
-}
+// Gain returns the weighted gain g(idx, t) of Eq. 3.
+func (e *Evaluator) Gain(c Costs, now float64) float64 { return e.Evaluate(c, now).Gain }
 
 // Beneficial reports whether the index is beneficial at time now: both
 // gt > 0 and gm > 0 (§5.1).
 func (e *Evaluator) Beneficial(c Costs, now float64) bool {
-	gt, gm := e.gains(c, now)
-	return gt > 0 && gm > 0
-}
-
-// Ranked is one index with its gains, as placed in the two-dimensional
-// space of Fig. 4.
-type Ranked struct {
-	Costs     Costs
-	TimeGain  float64
-	MoneyGain float64
-	Gain      float64
+	r := e.Evaluate(c, now)
+	return r.TimeGain > 0 && r.MoneyGain > 0
 }
 
 // Rank evaluates all candidate indexes at time now, filters to the
@@ -256,12 +242,12 @@ func (e *Evaluator) Rank(candidates []Costs, now float64) []Ranked {
 	flow := e.At.Get().Flow
 	var out []Ranked
 	for _, c := range candidates {
-		gt, gm := e.gains(c, now)
-		if gt <= 0 || gm <= 0 {
+		r := e.Evaluate(c, now)
+		if r.TimeGain <= 0 || r.MoneyGain <= 0 {
 			if recording {
 				e.Provenance.Append(provenance.Event{
 					Kind: provenance.KindIndexRejected, Flow: flow, T: now,
-					Name: c.Name, TimeGain: gt, MoneyGain: gm,
+					Name: c.Name, TimeGain: r.TimeGain, MoneyGain: r.MoneyGain,
 					BuildQuanta: c.BuildQuanta, SizeMB: c.SizeMB,
 					FadeD: e.Params.FadeD, WindowW: e.Params.WindowW,
 					Records: len(e.History.Records(c.Name)),
@@ -269,18 +255,11 @@ func (e *Evaluator) Rank(candidates []Costs, now float64) []Ranked {
 			}
 			continue
 		}
-		mc := e.Params.Pricing.VMPerQuantum
-		r := Ranked{
-			Costs:     c,
-			TimeGain:  gt,
-			MoneyGain: gm,
-			Gain:      e.Params.Alpha*mc*gt + (1-e.Params.Alpha)*gm,
-		}
 		out = append(out, r)
 		if recording {
 			e.Provenance.Append(provenance.Event{
 				Kind: provenance.KindIndexAdopted, Flow: flow, T: now,
-				Name: c.Name, TimeGain: gt, MoneyGain: gm, Gain: r.Gain,
+				Name: c.Name, TimeGain: r.TimeGain, MoneyGain: r.MoneyGain, Gain: r.Gain,
 				BuildQuanta: c.BuildQuanta, SizeMB: c.SizeMB,
 				FadeD: e.Params.FadeD, WindowW: e.Params.WindowW,
 				Records: len(e.History.Records(c.Name)),
@@ -298,16 +277,16 @@ func (e *Evaluator) Rank(candidates []Costs, now float64) []Ranked {
 	return out
 }
 
-// NonBeneficial returns the names of candidates whose gains are both
-// non-positive at time now — the deletion test of Algorithm 1 (lines
-// 13-19: indexes with gt <= 0 and gm <= 0 are deleted).
-func (e *Evaluator) NonBeneficial(candidates []Costs, now float64) []string {
-	var out []string
+// NonBeneficial returns the candidates whose gains are both non-positive at
+// time now, with those gains, in name order — the deletion test of
+// Algorithm 1 (lines 13-19: indexes with gt <= 0 and gm <= 0 are deleted).
+func (e *Evaluator) NonBeneficial(candidates []Costs, now float64) []Ranked {
+	var out []Ranked
 	for _, c := range candidates {
-		if gt, gm := e.gains(c, now); gt <= 0 && gm <= 0 {
-			out = append(out, c.Name)
+		if r := e.Evaluate(c, now); r.TimeGain <= 0 && r.MoneyGain <= 0 {
+			out = append(out, r)
 		}
 	}
-	sort.Strings(out)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Costs.Name < out[j].Costs.Name })
 	return out
 }

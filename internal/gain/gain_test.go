@@ -38,11 +38,11 @@ func TestTimeGainSubtractsBuildTime(t *testing.T) {
 	e := NewEvaluator(params())
 	c := Costs{Name: "A", BuildQuanta: 2}
 	// No history: gt = -ti.
-	if got := e.TimeGain(c, 0); got != -2 {
+	if got := e.Evaluate(c, 0).TimeGain; got != -2 {
 		t.Errorf("TimeGain with no history = %g, want -2", got)
 	}
 	e.History.Add("A", Record{When: 0, TimeGain: 5})
-	if got := e.TimeGain(c, 0); got != 3 {
+	if got := e.Evaluate(c, 0).TimeGain; got != 3 {
 		t.Errorf("TimeGain = %g, want 3", got)
 	}
 }
@@ -53,7 +53,7 @@ func TestTimeGainFadesWithAge(t *testing.T) {
 	e.History.Add("A", Record{When: 0, TimeGain: 10})
 	c := Costs{Name: "A"}
 	// After 60 quanta (3600 s) with D=60: 10·e^-1.
-	got := e.TimeGain(c, 3600)
+	got := e.Evaluate(c, 3600).TimeGain
 	want := 10 * math.Exp(-1)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("TimeGain after 60q = %g, want %g", got, want)
@@ -61,7 +61,7 @@ func TestTimeGainFadesWithAge(t *testing.T) {
 	// Records in the future (queued) are unfaded.
 	e2 := NewEvaluator(p)
 	e2.History.Add("A", Record{When: 100, TimeGain: 10})
-	if got := e2.TimeGain(c, 0); got != 10 {
+	if got := e2.Evaluate(c, 0).TimeGain; got != 10 {
 		t.Errorf("queued record gain = %g, want 10", got)
 	}
 }
@@ -72,10 +72,10 @@ func TestWindowExcludesOldRecords(t *testing.T) {
 	e := NewEvaluator(p)
 	e.History.Add("A", Record{When: 0, TimeGain: 10})
 	c := Costs{Name: "A"}
-	if got := e.TimeGain(c, 60); got <= 0 {
+	if got := e.Evaluate(c, 60).TimeGain; got <= 0 {
 		t.Errorf("record at 1q ago with W=2 should count, got %g", got)
 	}
-	if got := e.TimeGain(c, 300); got != 0 {
+	if got := e.Evaluate(c, 300).TimeGain; got != 0 {
 		t.Errorf("record at 5q ago with W=2 should be excluded, gt = %g, want 0", got)
 	}
 }
@@ -86,13 +86,13 @@ func TestMoneyGainIncludesStorageAndBuild(t *testing.T) {
 	e := NewEvaluator(p)
 	c := Costs{Name: "B", BuildMoneyQuanta: 1, SizeMB: 500}
 	// No history: gm = -(Mc*1 + 500MB * 2q * 1e-4) = -(0.1 + 0.1) = -0.2.
-	got := e.MoneyGain(c, 0)
+	got := e.Evaluate(c, 0).MoneyGain
 	if math.Abs(got+0.2) > 1e-12 {
 		t.Errorf("MoneyGain = %g, want -0.2", got)
 	}
 	e.History.Add("B", Record{When: 0, MoneyGain: 5})
 	// 5 quanta * $0.1 = $0.5 gain.
-	got = e.MoneyGain(c, 0)
+	got = e.Evaluate(c, 0).MoneyGain
 	if math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("MoneyGain with history = %g, want 0.3", got)
 	}
@@ -148,11 +148,14 @@ func TestNonBeneficial(t *testing.T) {
 	// "mixed" has positive time gain but negative money gain: kept
 	// (deletion needs both <= 0 per Algorithm 1).
 	e.History.Add("mixed", Record{When: 0, TimeGain: 5, MoneyGain: -9999})
-	del := e.NonBeneficial([]Costs{
-		{Name: "keep"}, {Name: "mixed"}, {Name: "dead", BuildQuanta: 1, BuildMoneyQuanta: 1},
-	}, 0)
-	if len(del) != 1 || del[0] != "dead" {
-		t.Errorf("NonBeneficial = %v, want [dead]", del)
+	dead := Costs{Name: "dead", BuildQuanta: 1, BuildMoneyQuanta: 1}
+	del := e.NonBeneficial([]Costs{{Name: "keep"}, {Name: "mixed"}, dead}, 0)
+	if len(del) != 1 || del[0].Costs != dead {
+		t.Fatalf("NonBeneficial = %+v, want [dead]", del)
+	}
+	// The gains that justified the deletion are the evaluator's own.
+	if got, want := del[0], e.Evaluate(dead, 0); got != want {
+		t.Errorf("dead carries %+v, evaluated %+v", got, want)
 	}
 }
 

@@ -32,12 +32,12 @@ func retained(e *Evaluator) int {
 func sameEvaluation(t *testing.T, trimmed, full *Evaluator, now float64) {
 	t.Helper()
 	for _, c := range threeCosts {
-		gt, gm := trimmed.TimeGain(c, now), trimmed.MoneyGain(c, now)
-		if wt, wm := full.TimeGain(c, now), full.MoneyGain(c, now); gt != wt || gm != wm {
-			t.Fatalf("now=%g %s: trimmed (gt %g, gm %g), untrimmed (gt %g, gm %g)", now, c.Name, gt, gm, wt, wm)
+		got := trimmed.Evaluate(c, now)
+		if want := full.Evaluate(c, now); got != want {
+			t.Fatalf("now=%g %s: trimmed %+v, untrimmed %+v", now, c.Name, got, want)
 		}
 		// An evaluation reads; asking again at the same time repeats it.
-		if gt != trimmed.TimeGain(c, now) || gm != trimmed.MoneyGain(c, now) {
+		if got != trimmed.Evaluate(c, now) {
 			t.Fatalf("now=%g %s: re-evaluation at fixed now drifted", now, c.Name)
 		}
 	}
@@ -151,7 +151,7 @@ func TestRecordUnderFadeOverride(t *testing.T) {
 		}
 	}
 	// At 12q: 6/(1+2) + 3/(1+1), the expired first record contributing 0.
-	if got, want := trimmed.TimeGain(Costs{Name: "C"}, 12*q), 3.5; got < want-1e-12 || got > want+1e-12 {
+	if got, want := trimmed.Evaluate(Costs{Name: "C"}, 12*q).TimeGain, 3.5; got < want-1e-12 || got > want+1e-12 {
 		t.Fatalf("override TimeGain = %g, want %g", got, want)
 	}
 }
@@ -177,7 +177,7 @@ func TestEvaluationTimeContract(t *testing.T) {
 		for _, r := range full.History.Records("A") {
 			fresh.History.Add("A", r)
 		}
-		if got, want := full.TimeGain(a, now), fresh.TimeGain(a, now); got != want {
+		if got, want := full.Evaluate(a, now).TimeGain, fresh.Evaluate(a, now).TimeGain; got != want {
 			t.Fatalf("now=%g after moving the clock about: %g, fresh evaluator %g", now, got, want)
 		}
 	}
@@ -185,7 +185,7 @@ func TestEvaluationTimeContract(t *testing.T) {
 	// Before it, the trimmed history has already let go of records that an
 	// evaluation back then would still have counted: 5q sees records 1..5
 	// untrimmed, but only 5 remains of those (9−4 = 5).
-	if got, want := trimmed.TimeGain(a, 5*q), full.TimeGain(a, 5*q); got >= want {
+	if got, want := trimmed.Evaluate(a, 5*q).TimeGain, full.Evaluate(a, 5*q).TimeGain; got >= want {
 		t.Fatalf("evaluating before the last When: trimmed %g, untrimmed %g; the contract comment is out of date", got, want)
 	}
 }

@@ -1,9 +1,10 @@
 package interleave_test
 
 // External-package wiring of the invariant auditor (internal/check,
-// DESIGN.md §8): all three interleaving algorithms must keep the §5.3
-// guarantee — optional index builds never delay or reprice the dataflow —
-// and their outputs must pass the schedule audit on randomized workloads.
+// DESIGN.md §8): LP, online (the skyline's ScheduleWithOptional) and random
+// interleaving must keep the §5.3 guarantee — optional index builds never
+// delay or reprice the dataflow — and their outputs must pass the schedule
+// audit on randomized workloads.
 
 import (
 	"math"
@@ -31,8 +32,7 @@ func TestAuditLPInterleaving(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
 		sc := check.NewScenario(seed, 0)
 		baseline := sched.NewSkyline(sc.Opts).Schedule(sc.Graph)
-		lp := &interleave.LP{Scheduler: sched.NewSkyline(sc.Opts)}
-		packed := lp.Interleave(sc.Graph, buildGains(sc.Graph))
+		packed, _ := interleave.LP(sched.NewSkyline(sc.Opts), sc.Graph, buildGains(sc.Graph))
 		if len(packed) != len(baseline) {
 			t.Fatalf("seed %d: LP interleaving changed frontier size %d -> %d",
 				seed, len(baseline), len(packed))
@@ -61,8 +61,7 @@ func TestAuditLPInterleaving(t *testing.T) {
 func TestAuditOnlineInterleaving(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
 		sc := check.NewScenario(seed, 0)
-		on := &interleave.Online{Scheduler: sched.NewSkyline(sc.Opts)}
-		for i, s := range on.Interleave(sc.Graph, nil) {
+		for i, s := range sched.NewSkyline(sc.Opts).ScheduleWithOptional(sc.Graph) {
 			if err := check.AuditSchedule(s); err != nil {
 				t.Errorf("seed %d schedule %d: %v", seed, i, err)
 			}
@@ -73,11 +72,8 @@ func TestAuditOnlineInterleaving(t *testing.T) {
 func TestAuditRandomInterleaving(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
 		sc := check.NewScenario(seed, 0)
-		rnd := &interleave.Random{
-			Scheduler: sched.NewSkyline(sc.Opts),
-			Rng:       rand.New(rand.NewSource(seed)),
-		}
-		for i, s := range rnd.Interleave(sc.Graph, nil) {
+		rnd := interleave.Random(sched.NewSkyline(sc.Opts), sc.Graph, rand.New(rand.NewSource(seed)))
+		for i, s := range rnd {
 			if err := check.AuditSchedule(s); err != nil {
 				t.Errorf("seed %d schedule %d: %v", seed, i, err)
 			}

@@ -45,8 +45,7 @@ func flowWithBuilds(t *testing.T, nMid, nBuilds int, buildSec float64) *dataflow
 
 func TestLPInterleavePlacesBuilds(t *testing.T) {
 	g := flowWithBuilds(t, 4, 5, 10)
-	lp := &LP{Scheduler: sched.NewSkyline(opts())}
-	skyline := lp.Interleave(g, nil)
+	skyline, placed := LP(sched.NewSkyline(opts()), g, nil)
 	if len(skyline) == 0 {
 		t.Fatal("empty skyline")
 	}
@@ -74,14 +73,16 @@ func TestLPInterleavePlacesBuilds(t *testing.T) {
 	if best == 0 {
 		t.Error("LP interleaving placed no build operators")
 	}
+	if total := countPlaced(g, skyline); placed != total {
+		t.Errorf("LP reports %d builds placed, the skyline carries %d", placed, total)
+	}
 }
 
 func TestLPInterleaveDoesNotAffectDataflow(t *testing.T) {
 	g := flowWithBuilds(t, 4, 6, 8)
 	sk := sched.NewSkyline(opts())
 	plain := sk.Schedule(g)
-	lp := &LP{Scheduler: sk}
-	packed := lp.Interleave(g, nil)
+	packed, _ := LP(sk, g, nil)
 	if len(plain) != len(packed) {
 		t.Fatalf("skyline sizes differ: %d vs %d", len(plain), len(packed))
 	}
@@ -114,8 +115,7 @@ func TestLPPrefersHighGainBuilds(t *testing.T) {
 
 func TestOnlineInterleave(t *testing.T) {
 	g := flowWithBuilds(t, 4, 4, 10)
-	on := &Online{Scheduler: sched.NewSkyline(opts())}
-	skyline := on.Interleave(g, nil)
+	skyline := sched.NewSkyline(opts()).ScheduleWithOptional(g)
 	if len(skyline) == 0 {
 		t.Fatal("empty skyline")
 	}
@@ -148,8 +148,9 @@ func TestLPSchedulesAtLeastAsManyAsOnline(t *testing.T) {
 		}
 		return best
 	}
-	lpN := countMax((&LP{Scheduler: sk}).Interleave(g, nil))
-	onN := countMax((&Online{Scheduler: sk}).Interleave(g, nil))
+	lp, _ := LP(sk, g, nil)
+	lpN := countMax(lp)
+	onN := countMax(sk.ScheduleWithOptional(g))
 	if lpN < onN {
 		t.Errorf("LP placed %d builds, online placed %d; want LP >= online", lpN, onN)
 	}
@@ -160,11 +161,7 @@ func TestLPSchedulesAtLeastAsManyAsOnline(t *testing.T) {
 
 func TestRandomInterleaveValid(t *testing.T) {
 	g := flowWithBuilds(t, 4, 6, 10)
-	r := &Random{
-		Scheduler: sched.NewSkyline(opts()),
-		Rng:       rand.New(rand.NewSource(42)),
-	}
-	skyline := r.Interleave(g, nil)
+	skyline := Random(sched.NewSkyline(opts()), g, rand.New(rand.NewSource(42)))
 	for _, s := range skyline {
 		if err := s.Validate(); err != nil {
 			t.Errorf("Validate: %v", err)
@@ -173,4 +170,18 @@ func TestRandomInterleaveValid(t *testing.T) {
 			t.Error("broken makespan")
 		}
 	}
+}
+
+// countPlaced returns how many optional operators of g the skyline's
+// schedules place in total.
+func countPlaced(g *dataflow.Graph, skyline []*sched.Schedule) int {
+	n := 0
+	for _, s := range skyline {
+		for _, a := range s.Assignments() {
+			if g.Op(a.Op).Optional {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -166,8 +166,9 @@ type Assignment struct {
 
 // SolvePerSlot packs items into multiple idle slots the way the LP
 // interleaving algorithm does (Algorithm 2): slots are processed in
-// decreasing size order, a knapsack is solved for each, and chosen items
-// are removed from the pool.
+// decreasing size order (ties in slot order), a knapsack is solved for
+// each, and chosen items are removed from the pool. It is the one slot loop
+// of Algorithm 2: interleave.PackSchedule places its PerSlot choices.
 func SolvePerSlot(slots []float64, items []Item) Assignment {
 	order := make([]int, len(slots))
 	for i := range order {
@@ -178,6 +179,9 @@ func SolvePerSlot(slots []float64, items []Item) Assignment {
 	pool := append([]Item(nil), items...)
 	out := Assignment{PerSlot: make([][]int, len(slots))}
 	for _, si := range order {
+		if len(pool) == 0 {
+			break
+		}
 		sol := Solve(slots[si], pool)
 		out.PerSlot[si] = sol.Chosen
 		out.Gain += sol.Gain

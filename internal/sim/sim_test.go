@@ -222,8 +222,7 @@ func TestInterleavedExecution(t *testing.T) {
 			Name: "build", Time: 8, Optional: true, Priority: -1,
 		}))
 	}
-	lp := &interleave.LP{Scheduler: sched.NewSkyline(schedOpts())}
-	skyline := lp.Interleave(g, nil)
+	skyline, _ := interleave.LP(sched.NewSkyline(schedOpts()), g, nil)
 	s := sched.Fastest(skyline)
 	if s == nil {
 		t.Fatal("no schedule")

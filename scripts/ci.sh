@@ -68,6 +68,11 @@ stage_static() {
 	# submit only lives in its pass, not in the service's configuration.
 	echo "== internal/core never assigns through s.cfg =="
 	if grep -nE '\bs\.cfg\.[A-Za-z.]+ *=[^=]' $(ls internal/core/*.go | grep -v _test.go); then exit 1; fi
+
+	# The pass records what its stages did: the interleaving algorithms
+	# return placements, and the schedule stage reports them.
+	echo "== internal/interleave records no event and no metric =="
+	if go list -f '{{join .Imports "\n"}}' ./internal/interleave | grep -E '^idxflow/internal/(provenance|telemetry)$'; then exit 1; fi
 }
 
 # driver: bench/ is a module of its own that `./...` does not reach; its vet
