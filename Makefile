@@ -52,7 +52,7 @@ fuzz-short:
 # them unedited; run this only when a change is meant to move a table.
 golden-update:
 	$(GO) test ./cmd/idxflow-experiments -run '^TestGoldenTables$$' -update
-	$(GO) test ./cmd/idxflow-sim -run '^TestGolden(ExplainTranscript|EventsJSONL)$$' -update
+	$(GO) test ./cmd/idxflow-sim -run '^TestGolden(ExplainTranscript|EventsJSONL|EventsJSONLFaults)$$' -update
 
 # Print every function under internal/ that no binary links, allowlisted
 # (scripts/reachability_allow.txt) or not, without failing;

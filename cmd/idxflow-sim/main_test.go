@@ -36,17 +36,39 @@ func TestGoldenExplainTranscript(t *testing.T) {
 // the build's revision and Go version, so the golden holds the event lines
 // only.
 func TestGoldenEventsJSONL(t *testing.T) {
+	checkEventsGolden(t, filepath.Join("testdata", "events_h120.golden.jsonl"), "-horizon", "120")
+}
+
+// TestGoldenEventsJSONLFaults pins the `-events` log of a faulty online run
+// the same way: it holds the build-killed, fault-injected and
+// fault-recovered events the executor produces, which the fault-free log
+// above has none of.
+func TestGoldenEventsJSONLFaults(t *testing.T) {
+	got := checkEventsGolden(t, filepath.Join("testdata", "events_h60_faults.golden.jsonl"),
+		"-horizon", "60", "-faults", "0.03", "-algo", "online")
+	for _, kind := range []string{"build-killed", "fault-injected", "fault-recovered"} {
+		if !bytes.Contains(got, []byte(`"kind":"`+kind+`"`)) {
+			t.Errorf("the faulty run recorded no %s event", kind)
+		}
+	}
+}
+
+// checkEventsGolden runs idxflow-sim with args and -events three times,
+// requires the same bytes each time, and compares the event lines with the
+// golden at path. It returns those lines.
+func checkEventsGolden(t *testing.T, path string, args ...string) []byte {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("golden files are checked by the plain go test ./...")
 	}
-	path := filepath.Join(t.TempDir(), "events.jsonl")
+	out := filepath.Join(t.TempDir(), "events.jsonl")
 	var first []byte
 	for i := 0; i < 3; i++ {
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-horizon", "120", "-events", path}, &stdout, &stderr); code != 0 {
+		if code := run(append(args, "-events", out), &stdout, &stderr); code != 0 {
 			t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 		}
-		log, err := os.ReadFile(path)
+		log, err := os.ReadFile(out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +82,8 @@ func TestGoldenEventsJSONL(t *testing.T) {
 	if !bytes.Contains(header, []byte(`"format":"idxflow-events/1"`)) {
 		t.Errorf("first line is not the log header: %s", header)
 	}
-	checkGolden(t, filepath.Join("testdata", "events_h120.golden.jsonl"), events)
+	checkGolden(t, path, events)
+	return events
 }
 
 // TestEvictedIndexIsRebuilt is Fig 13's claim by name, at the full horizon:

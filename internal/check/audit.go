@@ -614,9 +614,11 @@ func AuditGain(e *gain.Evaluator, cands []gain.Costs, now float64) error {
 
 	gts := make(map[string]float64, len(cands))
 	gms := make(map[string]float64, len(cands))
+	evals := make([]gain.Ranked, 0, len(cands))
 	for _, c := range cands {
 		// Eq. 5: gt = sum(fade * gtd) - ti.
 		ev := e.Evaluate(c, now)
+		evals = append(evals, ev)
 		wantGT := fadedSum(c.Name, func(rec gain.Record) float64 { return rec.TimeGain }) - c.BuildQuanta
 		gt := ev.TimeGain
 		if math.Abs(gt-wantGT) > looseEps*math.Max(1, math.Abs(wantGT)) {
@@ -641,7 +643,7 @@ func AuditGain(e *gain.Evaluator, cands []gain.Costs, now float64) error {
 			}
 		}
 		// §5.1 beneficial test.
-		if ben := e.Beneficial(c, now); ben != (gt > 0 && gm > 0) {
+		if ben := ev.Beneficial(); ben != (gt > 0 && gm > 0) {
 			r.addf("beneficial-test", "%s: Beneficial=%v with gt=%g gm=%g", c.Name, ben, gt, gm)
 		}
 		gts[c.Name], gms[c.Name] = gt, gm
@@ -649,7 +651,7 @@ func AuditGain(e *gain.Evaluator, cands []gain.Costs, now float64) error {
 
 	// Rank: exactly the beneficial candidates, sorted by descending gain
 	// (ties by name), gains matching the per-candidate evaluations.
-	ranked := e.Rank(cands, now)
+	ranked := gain.Rank(evals)
 	inRank := map[string]bool{}
 	for i, rk := range ranked {
 		inRank[rk.Costs.Name] = true

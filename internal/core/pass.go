@@ -109,8 +109,8 @@ func (s *Service) SubmitCtx(ctx context.Context, flow *dataflow.Flow) FlowResult
 }
 
 // admit assigns the flow its id, catches the clock up with its issue time,
-// which fixes the decision time, publishes both to the layers below and
-// applies the batch updates due by then.
+// which fixes the decision time, and applies the batch updates due by then.
+// Every event and span of the pass carries that id; the stages stamp them.
 func (s *Service) admit(flow *dataflow.Flow) *pass {
 	s.nextFlow++
 	p := &pass{id: s.nextFlow, flow: flow, recording: s.cfg.Provenance.Active()}
@@ -122,7 +122,6 @@ func (s *Service) admit(flow *dataflow.Flow) *pass {
 		s.clock = flow.IssuedAt
 	}
 	p.now = s.clock
-	*s.at = provenance.Attribution{Flow: p.id, T: p.now}
 	if p.recording {
 		s.cfg.Provenance.Append(provenance.Event{
 			Kind: provenance.KindFlowAdmitted, Flow: p.id, T: p.now,
@@ -251,16 +250,12 @@ func (s *Service) offer(p *pass) {
 	switch {
 	case s.cfg.Strategy.gainDriven():
 		s.recordGains(p)
-		// Every index with built partitions or gain history is a candidate.
-		var candidates []gain.Costs
-		for _, name := range s.db.Catalog.IndexNames() {
-			if st := s.db.Catalog.State(name); st.BuiltCount() > 0 || len(s.eval.History.Records(name)) > 0 {
-				candidates = append(candidates, s.costsOf(name, st))
-			}
-		}
-		span := s.cfg.Tracer.StartSpan("service.rank").SetAttr("candidates", len(candidates))
-		ranked := s.eval.Rank(candidates, p.now)
-		span.SetAttr("beneficial", len(ranked)).End()
+		span := s.cfg.Tracer.StartSpan("service.rank")
+		evals := s.evaluate(p)
+		ranked := gain.Rank(evals)
+		span.SetAttr("candidates", len(evals)).SetAttr("beneficial", len(ranked)).End()
+		s.ins.gainEvaluated.Add(float64(len(evals)))
+		s.ins.gainBeneficial.Add(float64(len(ranked)))
 		s.offerRanked(p, ranked)
 	case s.cfg.Strategy == RandomIndex:
 		s.offerRandom(p)
@@ -303,6 +298,38 @@ func (s *Service) recordGains(p *pass) {
 		}
 		s.eval.Record(iu.Index, gain.Record{When: p.now, TimeGain: gtd, MoneyGain: gmd})
 	}
+}
+
+// evaluate places every candidate index in the space of Fig. 4 at the
+// decision time — an index is a candidate when it has built partitions or
+// gain history — and records each verdict of the §5.1 test, adopted or
+// rejected, with the Eq. 2–5 inputs that justified it.
+func (s *Service) evaluate(p *pass) []gain.Ranked {
+	var evals []gain.Ranked
+	for _, name := range s.db.Catalog.IndexNames() {
+		st := s.db.Catalog.State(name)
+		records := len(s.eval.History.Records(name))
+		if st.BuiltCount() == 0 && records == 0 {
+			continue
+		}
+		r := s.eval.Evaluate(s.costsOf(name, st), p.now)
+		evals = append(evals, r)
+		if !p.recording {
+			continue
+		}
+		ev := provenance.Event{
+			Kind: provenance.KindIndexRejected, Flow: p.id, T: p.now,
+			Name: name, TimeGain: r.TimeGain, MoneyGain: r.MoneyGain,
+			BuildQuanta: r.Costs.BuildQuanta, SizeMB: r.Costs.SizeMB,
+			FadeD: s.eval.Params.FadeD, WindowW: s.eval.Params.WindowW,
+			Records: records,
+		}
+		if r.Beneficial() {
+			ev.Kind, ev.Gain = provenance.KindIndexAdopted, r.Gain
+		}
+		s.cfg.Provenance.Append(ev)
+	}
+	return evals
 }
 
 // costsOf returns the gain.Costs of an index at the current state:
@@ -430,12 +457,13 @@ func (s *Service) evict(p *pass) {
 	}
 }
 
-// schedule is Alg. 1 lines 10-11: interleave the offered builds with the
-// configured §5.3 algorithm and pick the fastest schedule. It reports false
-// when the flow cannot be scheduled.
+// schedule is Alg. 1 lines 10-11: compute the skyline, interleave the
+// offered builds with the configured §5.3 algorithm and pick the fastest
+// schedule. It reports false when the flow cannot be scheduled.
 func (s *Service) schedule(p *pass) bool {
 	if s.cfg.Strategy == RandomIndex {
-		p.skyline = interleave.Random(s.skyline, p.g, s.rng)
+		p.skyline = s.runSkyline(p, false)
+		interleave.Random(p.skyline, p.g, s.rng)
 	} else {
 		s.interleave(p)
 	}
@@ -461,6 +489,30 @@ func (s *Service) schedule(p *pass) bool {
 	return true
 }
 
+// runSkyline is the pass's one run of the tenant's skyline scheduler
+// (Alg. 4), with the optional operators of the rewritten graph or without.
+func (s *Service) runSkyline(p *pass, withOptional bool) []*sched.Schedule {
+	span := s.cfg.Tracer.StartSpan("sched.skyline").
+		SetAttr("ops", p.g.Len()).
+		SetAttr("with_optional", withOptional).
+		SetAttr("flow_id", uint64(p.id))
+	hits := s.skyline.WarmStats().Hits
+	var skyline []*sched.Schedule
+	if withOptional {
+		skyline = s.skyline.ScheduleWithOptional(p.g)
+	} else {
+		skyline = s.skyline.Schedule(p.g)
+	}
+	if s.skyline.WarmStats().Hits > hits {
+		span.SetAttr("warm_hit", true)
+	}
+	if skyline != nil {
+		span.SetAttr("frontier", len(skyline))
+	}
+	span.End()
+	return skyline
+}
+
 // interleave computes the skyline with LP (Algorithm 2) or online (§5.3.2)
 // interleaving and reports the pass's placement summary: how many optional
 // operators found a home across the skyline, out of how many the rewritten
@@ -472,9 +524,9 @@ func (s *Service) interleave(p *pass) {
 		name = "interleave.online"
 	}
 	span := s.cfg.Tracer.StartSpan(name).SetAttr("flow_id", uint64(p.id))
+	p.skyline = s.runSkyline(p, online)
 	placed := 0
 	if online {
-		p.skyline = s.skyline.ScheduleWithOptional(p.g)
 		for _, sc := range p.skyline {
 			for _, a := range sc.Assignments() {
 				if p.g.Op(a.Op).Optional {
@@ -487,7 +539,7 @@ func (s *Service) interleave(p *pass) {
 		for _, b := range p.builds {
 			gains[b.op] = b.gain
 		}
-		p.skyline, placed = interleave.LP(s.skyline, p.g, gains)
+		placed = interleave.LP(p.skyline, p.g, gains)
 	}
 	offered := 0
 	for id := range p.g.Len() {
@@ -580,7 +632,8 @@ func (s *Service) dedicate(p *pass) {
 // execute runs the chosen schedule on the tenant's executor and reports
 // whether the run completed (false: ctx was cancelled before or during it).
 // The fault plan holds absolute service times; the execution sees the
-// window from the decision time on.
+// window from the decision time on, and its events are stamped back onto
+// the service clock.
 func (s *Service) execute(ctx context.Context, p *pass) bool {
 	// The fleet-reservation critical section: under the QaaS pipeline this
 	// books the schedule's containers out of the shared fleet, and the
@@ -589,12 +642,35 @@ func (s *Service) execute(ctx context.Context, p *pass) bool {
 	if s.cfg.Reserve != nil {
 		release = s.cfg.Reserve(p.chosen.Containers())
 	}
+	span := s.cfg.Tracer.StartSpan("sim.execute").
+		SetAttr("ops", p.chosen.Assigned()).
+		SetAttr("flow_id", uint64(p.id))
 	p.run = s.exec.Execute(ctx, p.chosen, s.cfg.Faults.From(p.now))
-	if release != nil {
-		release(p.run.Makespan) // zero for a cancelled run
+	run := &p.run
+	if !run.Cancelled {
+		span.SetAttr("makespan_seconds", run.Makespan).
+			SetAttr("money_quanta", run.MoneyQuanta).
+			SetAttr("builds_killed", run.Killed).
+			SetAttr("builds_completed", len(run.CompletedBuilds))
+		if run.FaultsInjected > 0 {
+			span.SetAttr("faults_injected", run.FaultsInjected).
+				SetAttr("faults_recovered", run.FaultsRecovered).
+				SetAttr("ops_replaced", run.ReplacedOps).
+				SetAttr("wasted_quanta", run.WastedQuanta)
+		}
 	}
-	if p.run.Cancelled {
+	span.End()
+	if release != nil {
+		release(run.Makespan) // zero for a cancelled run
+	}
+	if run.Cancelled {
 		return false
+	}
+	if p.recording {
+		for _, ev := range run.Events {
+			ev.Flow, ev.T = p.id, p.now+ev.T
+			s.cfg.Provenance.Append(ev)
+		}
 	}
 	if s.cfg.PostExec != nil {
 		s.cfg.PostExec(p.chosen, p.run)
@@ -636,7 +712,7 @@ func (s *Service) commit(p *pass) {
 		res.BuildsCompleted++
 		idx := st.Index
 		mb := idx.PartitionSizeMB(idx.Table.Partitions[b.pid])
-		s.storage.Upload(mb)
+		s.ins.storageTransferred.Add(mb)
 		if p.recording {
 			s.cfg.Provenance.Append(provenance.Event{
 				Kind: provenance.KindBuildCommitted, Flow: p.id, T: p.now,
@@ -652,8 +728,7 @@ func (s *Service) settle(p *pass) {
 	run, res := &p.run, &p.res
 	s.clock += run.Makespan
 	res.End = s.clock
-	mb, parts := s.db.Catalog.Footprint()
-	s.storage.Advance(s.clock, mb, parts)
+	mb := s.accrueStorage(s.clock)
 	if p.recording {
 		s.cfg.Provenance.Append(provenance.Event{
 			Kind: provenance.KindMoneySettled, Flow: p.id, T: s.clock,
@@ -690,4 +765,15 @@ func (s *Service) settle(p *pass) {
 		StorageMB:    mb,
 		StorageCost:  s.storage.CostAccrued(),
 	})
+}
+
+// accrueStorage advances the storage meter to now at the catalog's current
+// footprint, counts the cost it accrued, sets the footprint gauges and
+// returns the footprint in MB.
+func (s *Service) accrueStorage(now float64) float64 {
+	mb, parts := s.db.Catalog.Footprint()
+	s.ins.storageCost.Add(s.storage.Advance(now, mb))
+	s.ins.storageMB.Set(mb)
+	s.ins.storageFiles.Set(float64(parts))
+	return mb
 }

@@ -23,10 +23,7 @@ func TestSchedulerBuiltOnceAndConfigReadOnly(t *testing.T) {
 	sk := svc.skyline
 	before := svc.cfg
 	for i := 0; i < 50; i++ {
-		res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Apps[i%len(workload.Apps)], i, svc.Clock()))
-		if res.FlowID != svc.at.Flow || res.Start != svc.at.T {
-			t.Fatalf("submit %d: attribution cell %+v, result flow %d start %g", i, *svc.at, res.FlowID, res.Start)
-		}
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Apps[i%len(workload.Apps)], i, svc.Clock()))
 		if svc.skyline != sk {
 			t.Fatalf("submit %d replaced the scheduler", i)
 		}
@@ -41,6 +38,78 @@ func TestSchedulerBuiltOnceAndConfigReadOnly(t *testing.T) {
 	}
 	if svc.WarmStats().Misses == 0 {
 		t.Error("the one skyline's memo saw no run")
+	}
+}
+
+// TestEveryRecordCarriesItsPassFlowID: the pass stamps every event and span
+// it records with its own flow id, the executor's build kills and fault
+// events included, over a faulty run of several flows. Events of one pass
+// follow its flow-admitted event and carry its id, at or after its decision
+// time; a sched.skyline or sim.execute span completes before its pass's
+// service.submit span and carries the same flow_id.
+func TestEveryRecordCarriesItsPassFlowID(t *testing.T) {
+	db := testDB(t)
+	gen := workload.NewGenerator(db, 2)
+	cfg := quickConfig(Gain)
+	cfg.Faults = heavyFaultPlan()
+	cfg.Provenance = provenance.NewRecorder(1 << 16)
+	cfg.Tracer = telemetry.NewTracer()
+	svc := NewService(cfg, db)
+	for i := 0; i < 8; i++ {
+		res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Apps[i%len(workload.Apps)], i, svc.Clock()))
+		if res.FlowID != provenance.FlowID(i+1) {
+			t.Fatalf("submit %d got flow id %d", i, res.FlowID)
+		}
+	}
+
+	var flow provenance.FlowID
+	var admittedAt float64
+	kinds := map[provenance.Kind]int{}
+	for _, e := range cfg.Provenance.Snapshot() {
+		if e.Kind == provenance.KindFlowAdmitted {
+			if e.Flow != flow+1 {
+				t.Fatalf("flow %d admitted after flow %d", e.Flow, flow)
+			}
+			flow, admittedAt = e.Flow, e.T
+		}
+		if e.Flow != flow || e.T < admittedAt {
+			t.Errorf("seq %d %v: flow %d at t=%g inside the pass of flow %d admitted at t=%g",
+				e.Seq, e.Kind, e.Flow, e.T, flow, admittedAt)
+		}
+		kinds[e.Kind]++
+	}
+	if flow != 8 {
+		t.Fatalf("%d flows admitted, want 8", flow)
+	}
+	for _, k := range []provenance.Kind{provenance.KindIndexAdopted, provenance.KindBuildKilled,
+		provenance.KindFaultInjected, provenance.KindFaultRecovered} {
+		if kinds[k] == 0 {
+			t.Errorf("the run recorded no %v event; the test does not cover it", k)
+		}
+	}
+
+	var pending []telemetry.Event
+	spans := map[string]int{}
+	for _, sp := range cfg.Tracer.Events() {
+		switch sp.Name {
+		case "sched.skyline", "sim.execute":
+			pending = append(pending, sp)
+		case "service.submit":
+			if want := uint64(spans["service.submit"] + 1); sp.Args["flow_id"] != want {
+				t.Errorf("submit span %d has flow_id %v", want, sp.Args["flow_id"])
+			}
+			spans[sp.Name]++
+			for _, inner := range pending {
+				if inner.Args["flow_id"] != sp.Args["flow_id"] {
+					t.Errorf("%s span flow_id %v inside the submit of flow %v", inner.Name, inner.Args["flow_id"], sp.Args["flow_id"])
+				}
+				spans[inner.Name]++
+			}
+			pending = pending[:0]
+		}
+	}
+	if len(pending) != 0 || spans["sched.skyline"] != 8 || spans["sim.execute"] != 8 {
+		t.Errorf("spans per submit: %v, %d left outside any submit; want one skyline and one execute per flow", spans, len(pending))
 	}
 }
 

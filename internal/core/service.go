@@ -120,12 +120,12 @@ type Config struct {
 	// UpdateFraction is the fraction of partitions touched per batch
 	// update; zero means 1%.
 	UpdateFraction float64
-	// Telemetry receives the service's metrics and is threaded through
-	// the gain, scheduler, executor and storage layers. Nil means
-	// none.
+	// Telemetry receives the service's metrics; the scheduler and the
+	// executor bind their own families in it. Nil means none.
 	Telemetry *telemetry.Registry
-	// Tracer records nested spans (submit → rank → schedule → execute).
-	// Nil means none, so tracing costs one nil check per span.
+	// Tracer records nested spans (submit → rank → schedule → execute),
+	// all opened by the pass. Nil means none, so tracing costs one nil
+	// check per span.
 	Tracer *telemetry.Tracer
 	// Provenance is the decision flight recorder: every consequential
 	// tuner decision (admission, skyline choice, index adoption/eviction,
@@ -262,9 +262,6 @@ type Service struct {
 	ins         serviceInstruments
 	// nextFlow assigns provenance FlowIDs in submission order.
 	nextFlow provenance.FlowID
-	// at is the cell the evaluator, scheduler and executor read the
-	// current pass's attribution from; admit is its only writer.
-	at *provenance.Attribution
 	// skyline is the tenant's scheduler, built once: every pass's §5.3
 	// algorithm runs over it, and it carries the last frontier across
 	// submissions.
@@ -284,18 +281,15 @@ func NewService(cfg Config, db *workload.FileDB) *Service {
 	if cfg.MaxBuildOps <= 0 {
 		cfg.MaxBuildOps = 64
 	}
-	// Thread the observability handles and the attribution cell through the
-	// scheduling layers; cfg is read-only after this.
+	// The scheduler binds its counters in the service's registry; cfg is
+	// read-only after this.
 	cfg.Sched.Metrics = cfg.Telemetry
-	cfg.Sched.Tracer = cfg.Tracer
-	cfg.Sched.At = new(provenance.Attribution)
 	s := &Service{
 		cfg:     cfg,
 		db:      db,
-		eval:    gain.NewEvaluator(cfg.Gain).Instrument(cfg.Telemetry),
-		storage: cloud.NewStorage(cfg.Sched.Pricing).Instrument(cfg.Telemetry),
+		eval:    gain.NewEvaluator(cfg.Gain),
+		storage: cloud.NewStorage(cfg.Sched.Pricing),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		at:      cfg.Sched.At,
 		skyline: sched.NewSkyline(cfg.Sched),
 		ins:     newServiceInstruments(cfg.Telemetry),
 	}
@@ -307,11 +301,8 @@ func NewService(cfg Config, db *workload.FileDB) *Service {
 	}
 	s.exec = sim.New(sim.Config{
 		Pricing: cfg.Sched.Pricing, Spec: cfg.Sched.Spec, Actual: actual,
-		Metrics: cfg.Telemetry, Tracer: cfg.Tracer,
-		Provenance: cfg.Provenance, At: s.at,
+		Metrics: cfg.Telemetry,
 	})
-	s.eval.Provenance = cfg.Provenance
-	s.eval.At = s.at
 	if cfg.AdaptiveFading {
 		s.fader = gain.NewAdaptiveFader(cfg.Gain.FadeD)
 		s.eval.FadeOverride = s.fader.FadeFor
@@ -367,8 +358,7 @@ func (s *Service) RunCtx(ctx context.Context, flows []*dataflow.Flow, horizon fl
 			s.makespanSum += res.Makespan
 		}
 	}
-	mb, parts := s.db.Catalog.Footprint()
-	s.storage.Advance(horizon, mb, parts)
+	s.accrueStorage(horizon)
 	return s.derive(s.metrics, s.makespanSum)
 }
 

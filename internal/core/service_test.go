@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"idxflow/internal/dataflow"
+	"idxflow/internal/provenance"
 	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
@@ -206,6 +207,66 @@ func TestStorageAccounting(t *testing.T) {
 	}
 	if len(m.Timeline) == 0 {
 		t.Error("no timeline points recorded")
+	}
+}
+
+// TestStorageTransfersTracked: the storage counters count what the pass
+// handed the meter. The transferred MB are the committed builds' sizes, a
+// rebuilt partition counted again, and the cost counter is the meter's
+// accrued cost to the bit.
+func TestStorageTransfersTracked(t *testing.T) {
+	db := testDB(t)
+	gen := workload.NewGenerator(db, 2)
+	cfg := quickConfig(Gain)
+	cfg.Telemetry = telemetry.NewRegistry()
+	cfg.Provenance = provenance.NewRecorder(1 << 16)
+	svc := NewService(cfg, db)
+	svc.Run(gen.RandomWorkload(300, 60), 3000)
+	var committed float64
+	for _, e := range cfg.Provenance.Snapshot() {
+		if e.Kind == provenance.KindBuildCommitted {
+			committed += e.SizeMB
+		}
+	}
+	if committed == 0 {
+		t.Fatal("no build was committed; nothing was transferred")
+	}
+	if got := cfg.Telemetry.Counter("idxflow_storage_transferred_mb_total", "").Value(); got != committed {
+		t.Errorf("idxflow_storage_transferred_mb_total = %g, committed builds hold %g MB", got, committed)
+	}
+	if got, want := cfg.Telemetry.Counter("idxflow_storage_cost_dollars_total", "").Value(), svc.storage.CostAccrued(); got != want || want <= 0 {
+		t.Errorf("idxflow_storage_cost_dollars_total = %g, the meter accrued %g", got, want)
+	}
+}
+
+// TestStorageGaugesFollowSettle: every settle sets the footprint gauges to
+// the catalog's footprint at that point, evictions included.
+func TestStorageGaugesFollowSettle(t *testing.T) {
+	db := testDB(t)
+	gen := workload.NewGenerator(db, 2)
+	cfg := quickConfig(Gain)
+	cfg.DeletionGraceQuanta = 2
+	cfg.Gain.WindowW = 4
+	cfg.Gain.FadeD = 1
+	cfg.Telemetry = telemetry.NewRegistry()
+	svc := NewService(cfg, db)
+	size, files := cfg.Telemetry.Gauge("idxflow_storage_mb", ""), cfg.Telemetry.Gauge("idxflow_storage_files", "")
+	deleted, shrank := 0, false
+	prev := 0.0
+	for i := 0; i < 8; i++ {
+		for _, app := range []workload.App{workload.Montage, workload.Ligo} {
+			res := svc.SubmitCtx(context.Background(), gen.Flow(app, 100*i, svc.Clock()))
+			deleted += len(res.Deleted)
+			mb, parts := db.Catalog.Footprint()
+			if size.Value() != mb || files.Value() != float64(parts) {
+				t.Fatalf("after %s: gauges %g MB in %g files, catalog %g MB in %d", res.Name, size.Value(), files.Value(), mb, parts)
+			}
+			shrank = shrank || mb < prev
+			prev = mb
+		}
+	}
+	if deleted == 0 || !shrank {
+		t.Errorf("%d indexes evicted, footprint shrank: %v; the run does not exercise a falling footprint", deleted, shrank)
 	}
 }
 

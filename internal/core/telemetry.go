@@ -4,9 +4,11 @@ import "idxflow/internal/telemetry"
 
 // serviceInstruments are the service-level metric handles, created once at
 // NewService so every family appears in a Prometheus scrape before the first
-// dataflow is submitted (the executor's families are registered by the
-// sim.New call there). All handles are nil-safe no-ops when the service runs
-// without a registry.
+// dataflow is submitted (the scheduler's and the executor's families are
+// registered by the sched.NewSkyline and sim.New calls there). The pass
+// updates them from what each stage returned: the gain ranking's counts, the
+// storage meter's accrued cost. All handles are nil-safe no-ops when the
+// service runs without a registry.
 type serviceInstruments struct {
 	flowsSubmitted  *telemetry.Counter
 	flowsFinished   *telemetry.Counter
@@ -23,6 +25,16 @@ type serviceInstruments struct {
 	realGain        *telemetry.Histogram
 	clockGauge      *telemetry.Gauge
 	indexesAvail    *telemetry.Gauge
+	// The gain ranking's activity: candidates evaluated and how many
+	// passed the beneficial test.
+	gainEvaluated  *telemetry.Counter
+	gainBeneficial *telemetry.Counter
+	// The storage service: accrued cost, MB committed to it and the
+	// footprint as of the last settle.
+	storageCost        *telemetry.Counter
+	storageTransferred *telemetry.Counter
+	storageMB          *telemetry.Gauge
+	storageFiles       *telemetry.Gauge
 }
 
 func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
@@ -61,5 +73,17 @@ func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
 			"Service time: completion point of the last executed dataflow."),
 		indexesAvail: reg.Gauge("idxflow_indexes_available",
 			"Indexes with at least one built partition."),
+		gainEvaluated: reg.Counter("idxflow_gain_candidates_evaluated_total",
+			"Index candidates evaluated by the gain ranking."),
+		gainBeneficial: reg.Counter("idxflow_gain_beneficial_total",
+			"Candidates that passed the beneficial test (gt > 0 and gm > 0)."),
+		storageCost: reg.Counter("idxflow_storage_cost_dollars_total",
+			"Cumulative storage-service cost accrued, in dollars."),
+		storageTransferred: reg.Counter("idxflow_storage_transferred_mb_total",
+			"Cumulative MB moved in and out of the storage service."),
+		storageMB: reg.Gauge("idxflow_storage_mb",
+			"Bytes currently held in the storage service, in MB."),
+		storageFiles: reg.Gauge("idxflow_storage_files",
+			"Files currently held in the storage service."),
 	}
 }

@@ -61,20 +61,23 @@ type Operator struct {
 	// Time is the estimated runtime in seconds on a dedicated container.
 	Time float64
 
-	// Priority controls preemption in the execution simulator: dataflow
-	// operators run at priority 1, index-build operators at -1 and are
-	// stopped when a positive-priority operator arrives or the leased
-	// quantum expires (§6.1).
+	// Priority is the §6.1 execution priority: dataflow operators run at 1,
+	// index-build operators at -1. The flow language carries it; the
+	// executor decides preemption by Optional, which marks exactly the
+	// priority -1 operators.
 	Priority int
 
-	// Optional marks operators that the online interleaving algorithm may
-	// drop from a schedule without violating the dataflow (§5.3.2). It is
-	// true exactly for index-build operators.
+	// Optional marks operators that the interleaving algorithms may leave
+	// out of a schedule without violating the dataflow (§5.3.2) and that
+	// the executor stops when a dataflow operator arrives at their
+	// container or the leased quantum expires (§6.1). It is true exactly
+	// for index-build operators.
 	Optional bool
 
 	// Reads lists the partition paths this operator consumes from the
-	// storage service. Used by the simulator's cache model and by the
-	// gain model to associate indexes with operators.
+	// storage service, as the flow language and the workload generator
+	// give them. No scheduling or execution decision reads it: input
+	// reads are folded into Time.
 	Reads []string
 
 	// BuildsIndex names the index partition an index-build operator

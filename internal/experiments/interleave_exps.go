@@ -82,7 +82,8 @@ func Fig8(seed int64) *Fig8Result {
 		Title:  fmt.Sprintf("Fig 8: Index-build ops scheduled per skyline schedule, Montage (%d candidates)", total),
 		Header: []string{"Algorithm", "Money (quanta)", "# Build ops scheduled"},
 	}}
-	lp, _ := interleave.LP(sk, g, nil)
+	lp := sk.Schedule(g)
+	interleave.LP(lp, g, nil)
 	for _, s := range sortByMoney(lp) {
 		n := countBuilds(g, s)
 		if n > res.MaxLP {

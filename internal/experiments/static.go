@@ -124,7 +124,7 @@ func Fig3() *Table {
 		now := tq * q
 		e := evalAt(now)
 		t.AddRow(tq, e.Gain(cA, now), e.Gain(cB, now),
-			e.Beneficial(cA, now), e.Beneficial(cB, now))
+			e.Evaluate(cA, now).Beneficial(), e.Evaluate(cB, now).Beneficial())
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: negative at first (storage cost), positive after enough dataflows use the index, fading back to negative")

@@ -9,8 +9,6 @@ import (
 	"sort"
 
 	"idxflow/internal/cloud"
-	"idxflow/internal/provenance"
-	"idxflow/internal/telemetry"
 )
 
 // Params are the tuning knobs of the gain model.
@@ -122,31 +120,11 @@ type Evaluator struct {
 	// fading function — the hook for the learned controller of
 	// AdaptiveFader (§7 future work).
 	FadeOverride func(index string, quantaSince float64) float64
-	// Provenance, when active, receives an index-adopted event per
-	// beneficial candidate and an index-rejected event per candidate that
-	// failed the test, each carrying the Eq. 2–5 inputs (gt, gm, weighted
-	// gain, build cost, window and fading state) that justified it.
-	Provenance *provenance.Recorder
-	// At, when non-nil, is the cell Rank reads the dataflow its provenance
-	// events are attributed to from (nil = unattributed).
-	At *provenance.Attribution
-	// Ranking activity: candidates evaluated and how many passed the
-	// beneficial test. Nil-safe no-ops until Instrument binds them.
-	evaluated, beneficial *telemetry.Counter
 }
 
 // NewEvaluator returns an evaluator over a fresh history.
 func NewEvaluator(p Params) *Evaluator {
 	return &Evaluator{Params: p, History: NewHistory()}
-}
-
-// Instrument binds the ranking counters in reg and returns e.
-func (e *Evaluator) Instrument(reg *telemetry.Registry) *Evaluator {
-	e.evaluated = reg.Counter("idxflow_gain_candidates_evaluated_total",
-		"Index candidates evaluated by the gain ranking.")
-	e.beneficial = reg.Counter("idxflow_gain_beneficial_total",
-		"Candidates that passed the beneficial test (gt > 0 and gm > 0).")
-	return e
 }
 
 // Record appends one dataflow's gains for the index (the Hd update of
@@ -227,43 +205,17 @@ func (e *Evaluator) Evaluate(c Costs, now float64) Ranked {
 // Gain returns the weighted gain g(idx, t) of Eq. 3.
 func (e *Evaluator) Gain(c Costs, now float64) float64 { return e.Evaluate(c, now).Gain }
 
-// Beneficial reports whether the index is beneficial at time now: both
-// gt > 0 and gm > 0 (§5.1).
-func (e *Evaluator) Beneficial(c Costs, now float64) bool {
-	r := e.Evaluate(c, now)
-	return r.TimeGain > 0 && r.MoneyGain > 0
-}
+// Beneficial is the test of §5.1: both gt > 0 and gm > 0.
+func (r Ranked) Beneficial() bool { return r.TimeGain > 0 && r.MoneyGain > 0 }
 
-// Rank evaluates all candidate indexes at time now, filters to the
-// beneficial ones, and sorts them by descending weighted gain (the
-// rank2Dspace step of Algorithm 1).
-func (e *Evaluator) Rank(candidates []Costs, now float64) []Ranked {
-	recording := e.Provenance.Active()
-	flow := e.At.Get().Flow
+// Rank returns the beneficial evaluations sorted by descending weighted
+// gain, ties by name (the rank2Dspace step of Algorithm 1). evals is not
+// modified.
+func Rank(evals []Ranked) []Ranked {
 	var out []Ranked
-	for _, c := range candidates {
-		r := e.Evaluate(c, now)
-		if r.TimeGain <= 0 || r.MoneyGain <= 0 {
-			if recording {
-				e.Provenance.Append(provenance.Event{
-					Kind: provenance.KindIndexRejected, Flow: flow, T: now,
-					Name: c.Name, TimeGain: r.TimeGain, MoneyGain: r.MoneyGain,
-					BuildQuanta: c.BuildQuanta, SizeMB: c.SizeMB,
-					FadeD: e.Params.FadeD, WindowW: e.Params.WindowW,
-					Records: len(e.History.Records(c.Name)),
-				})
-			}
-			continue
-		}
-		out = append(out, r)
-		if recording {
-			e.Provenance.Append(provenance.Event{
-				Kind: provenance.KindIndexAdopted, Flow: flow, T: now,
-				Name: c.Name, TimeGain: r.TimeGain, MoneyGain: r.MoneyGain, Gain: r.Gain,
-				BuildQuanta: c.BuildQuanta, SizeMB: c.SizeMB,
-				FadeD: e.Params.FadeD, WindowW: e.Params.WindowW,
-				Records: len(e.History.Records(c.Name)),
-			})
+	for _, r := range evals {
+		if r.Beneficial() {
+			out = append(out, r)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -272,8 +224,6 @@ func (e *Evaluator) Rank(candidates []Costs, now float64) []Ranked {
 		}
 		return out[i].Costs.Name < out[j].Costs.Name
 	})
-	e.evaluated.Add(float64(len(candidates)))
-	e.beneficial.Add(float64(len(out)))
 	return out
 }
 

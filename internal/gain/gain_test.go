@@ -119,11 +119,11 @@ func TestGainWeighting(t *testing.T) {
 func TestBeneficialRequiresBothPositive(t *testing.T) {
 	e := NewEvaluator(params())
 	e.History.Add("A", Record{When: 0, TimeGain: 5, MoneyGain: -1})
-	if e.Beneficial(Costs{Name: "A"}, 0) {
+	if e.Evaluate(Costs{Name: "A"}, 0).Beneficial() {
 		t.Error("index with negative money gain reported beneficial")
 	}
 	e.History.Add("B", Record{When: 0, TimeGain: 5, MoneyGain: 5})
-	if !e.Beneficial(Costs{Name: "B"}, 0) {
+	if !e.Evaluate(Costs{Name: "B"}, 0).Beneficial() {
 		t.Error("index with both gains positive not beneficial")
 	}
 }
@@ -133,13 +133,23 @@ func TestRankFiltersAndSorts(t *testing.T) {
 	e.History.Add("hi", Record{When: 0, TimeGain: 10, MoneyGain: 10})
 	e.History.Add("lo", Record{When: 0, TimeGain: 1, MoneyGain: 1})
 	e.History.Add("bad", Record{When: 0, TimeGain: -5, MoneyGain: 5})
-	ranked := e.Rank([]Costs{{Name: "lo"}, {Name: "bad"}, {Name: "hi"}}, 0)
+	ranked := rankAt(e, []Costs{{Name: "lo"}, {Name: "bad"}, {Name: "hi"}}, 0)
 	if len(ranked) != 2 {
 		t.Fatalf("ranked %d indexes, want 2", len(ranked))
 	}
 	if ranked[0].Costs.Name != "hi" || ranked[1].Costs.Name != "lo" {
 		t.Errorf("order = %s, %s; want hi, lo", ranked[0].Costs.Name, ranked[1].Costs.Name)
 	}
+}
+
+// rankAt evaluates every candidate at now and ranks the evaluations, as a
+// service pass does.
+func rankAt(e *Evaluator, candidates []Costs, now float64) []Ranked {
+	evals := make([]Ranked, len(candidates))
+	for i, c := range candidates {
+		evals[i] = e.Evaluate(c, now)
+	}
+	return Rank(evals)
 }
 
 func TestNonBeneficial(t *testing.T) {
@@ -195,7 +205,7 @@ func TestFig3Shape(t *testing.T) {
 	e.History.Add("B", Record{When: 50 * q, TimeGain: 3, MoneyGain: 8})
 	cB := Costs{Name: "B", BuildQuanta: 1.5, BuildMoneyQuanta: 1.5, SizeMB: 500}
 
-	atQ := func(tq float64) bool { return e.Beneficial(cB, tq*q) }
+	atQ := func(tq float64) bool { return e.Evaluate(cB, tq*q).Beneficial() }
 	if !atQ(30) {
 		t.Error("B not beneficial at t=30, want beneficial")
 	}

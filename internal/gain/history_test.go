@@ -41,7 +41,7 @@ func sameEvaluation(t *testing.T, trimmed, full *Evaluator, now float64) {
 			t.Fatalf("now=%g %s: re-evaluation at fixed now drifted", now, c.Name)
 		}
 	}
-	if got, want := trimmed.Rank(threeCosts, now), full.Rank(threeCosts, now); !reflect.DeepEqual(got, want) {
+	if got, want := rankAt(trimmed, threeCosts, now), rankAt(full, threeCosts, now); !reflect.DeepEqual(got, want) {
 		t.Fatalf("now=%g: Rank %+v, untrimmed %+v", now, got, want)
 	}
 	if got, want := trimmed.NonBeneficial(threeCosts, now), full.NonBeneficial(threeCosts, now); !reflect.DeepEqual(got, want) {

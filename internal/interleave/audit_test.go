@@ -32,7 +32,8 @@ func TestAuditLPInterleaving(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
 		sc := check.NewScenario(seed, 0)
 		baseline := sched.NewSkyline(sc.Opts).Schedule(sc.Graph)
-		packed, _ := interleave.LP(sched.NewSkyline(sc.Opts), sc.Graph, buildGains(sc.Graph))
+		packed := sched.NewSkyline(sc.Opts).Schedule(sc.Graph)
+		interleave.LP(packed, sc.Graph, buildGains(sc.Graph))
 		if len(packed) != len(baseline) {
 			t.Fatalf("seed %d: LP interleaving changed frontier size %d -> %d",
 				seed, len(baseline), len(packed))
@@ -72,7 +73,8 @@ func TestAuditOnlineInterleaving(t *testing.T) {
 func TestAuditRandomInterleaving(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
 		sc := check.NewScenario(seed, 0)
-		rnd := interleave.Random(sched.NewSkyline(sc.Opts), sc.Graph, rand.New(rand.NewSource(seed)))
+		rnd := sched.NewSkyline(sc.Opts).Schedule(sc.Graph)
+		interleave.Random(rnd, sc.Graph, rand.New(rand.NewSource(seed)))
 		for i, s := range rnd {
 			if err := check.AuditSchedule(s); err != nil {
 				t.Errorf("seed %d schedule %d: %v", seed, i, err)

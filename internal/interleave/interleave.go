@@ -15,19 +15,17 @@ import (
 )
 
 // LP is the linear-program based interleaving algorithm (Algorithm 2): it
-// schedules the non-optional operators of g with sk and then packs the
-// optional (index-build) operators of g into the idle slots of every
-// schedule of the skyline as PackSchedule does. It returns the skyline,
-// whose schedules carry both dataflow and build operators, and the number
-// of build operators placed across it.
-func LP(sk *sched.Skyline, g *dataflow.Graph, gains map[dataflow.OpID]float64) ([]*sched.Schedule, int) {
-	skyline := sk.Schedule(g)
+// packs the optional (index-build) operators of g into the idle slots of
+// every schedule of skyline, the skyline of g's non-optional operators, as
+// PackSchedule does, and returns the number of build operators placed
+// across it.
+func LP(skyline []*sched.Schedule, g *dataflow.Graph, gains map[dataflow.OpID]float64) int {
 	builds := optionalOps(g)
 	placed := 0
 	for _, s := range skyline {
 		placed += len(pack(s, builds, gains))
 	}
-	return skyline, placed
+	return placed
 }
 
 // PackSchedule packs the optional operators of the schedule's graph that it
@@ -92,16 +90,15 @@ func optionalOps(g *dataflow.Graph) []dataflow.OpID {
 	return out
 }
 
-// Random is the baseline of §6: it schedules the dataflow, then "randomly
-// selects indexes from the potential set and randomly assigns them to
-// containers to be built" — each build operator of g is appended to a
-// random container of every skyline schedule with no regard for the idle
-// structure or the gains. Builds that land in the lease tail without room
-// are stopped at quantum expiry by the executor; builds overlapping a
-// dataflow operator's slot are preempted. That wasted work is what Table 7
-// charges the baseline for.
-func Random(sk *sched.Skyline, g *dataflow.Graph, rng *rand.Rand) []*sched.Schedule {
-	skyline := sk.Schedule(g)
+// Random is the baseline of §6: over skyline, the skyline of g's
+// non-optional operators, it "randomly selects indexes from the potential
+// set and randomly assigns them to containers to be built" — each build
+// operator of g is appended to a random container of every schedule with no
+// regard for the idle structure or the gains. Builds that land in the lease
+// tail without room are stopped at quantum expiry by the executor; builds
+// overlapping a dataflow operator's slot are preempted. That wasted work is
+// what Table 7 charges the baseline for.
+func Random(skyline []*sched.Schedule, g *dataflow.Graph, rng *rand.Rand) {
 	for _, s := range skyline {
 		builds := optionalOps(g)
 		rng.Shuffle(len(builds), func(i, j int) { builds[i], builds[j] = builds[j], builds[i] })
@@ -114,5 +111,4 @@ func Random(sk *sched.Skyline, g *dataflow.Graph, rng *rand.Rand) []*sched.Sched
 			_, _ = s.Append(id, rng.Intn(conts))
 		}
 	}
-	return skyline
 }

@@ -45,7 +45,8 @@ func flowWithBuilds(t *testing.T, nMid, nBuilds int, buildSec float64) *dataflow
 
 func TestLPInterleavePlacesBuilds(t *testing.T) {
 	g := flowWithBuilds(t, 4, 5, 10)
-	skyline, placed := LP(sched.NewSkyline(opts()), g, nil)
+	skyline := sched.NewSkyline(opts()).Schedule(g)
+	placed := LP(skyline, g, nil)
 	if len(skyline) == 0 {
 		t.Fatal("empty skyline")
 	}
@@ -82,7 +83,8 @@ func TestLPInterleaveDoesNotAffectDataflow(t *testing.T) {
 	g := flowWithBuilds(t, 4, 6, 8)
 	sk := sched.NewSkyline(opts())
 	plain := sk.Schedule(g)
-	packed, _ := LP(sk, g, nil)
+	packed := sk.Schedule(g)
+	LP(packed, g, nil)
 	if len(plain) != len(packed) {
 		t.Fatalf("skyline sizes differ: %d vs %d", len(plain), len(packed))
 	}
@@ -148,7 +150,8 @@ func TestLPSchedulesAtLeastAsManyAsOnline(t *testing.T) {
 		}
 		return best
 	}
-	lp, _ := LP(sk, g, nil)
+	lp := sk.Schedule(g)
+	LP(lp, g, nil)
 	lpN := countMax(lp)
 	onN := countMax(sk.ScheduleWithOptional(g))
 	if lpN < onN {
@@ -161,7 +164,8 @@ func TestLPSchedulesAtLeastAsManyAsOnline(t *testing.T) {
 
 func TestRandomInterleaveValid(t *testing.T) {
 	g := flowWithBuilds(t, 4, 6, 10)
-	skyline := Random(sched.NewSkyline(opts()), g, rand.New(rand.NewSource(42)))
+	skyline := sched.NewSkyline(opts()).Schedule(g)
+	Random(skyline, g, rand.New(rand.NewSource(42)))
 	for _, s := range skyline {
 		if err := s.Validate(); err != nil {
 			t.Errorf("Validate: %v", err)

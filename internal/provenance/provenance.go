@@ -21,26 +21,9 @@ import (
 
 // FlowID identifies one submitted dataflow. IDs are assigned by the
 // service in submission order starting at 1, so they are stable across
-// runs with the same seed; 0 means "not attributed to a flow" (e.g. a
-// fault injected between submissions).
+// runs with the same seed; 0 means "not attributed to a flow" (the events
+// an executor returns carry 0 until the pass that ran it stamps them).
 type FlowID uint64
-
-// Attribution is what the events and spans of one Algorithm 1 pass share:
-// the dataflow decided for and the service time of the decision. A service
-// writes its one cell of it at each admission; the layers it builds once
-// (gain ranking, scheduler, interleaver) read it through a pointer.
-type Attribution struct {
-	Flow FlowID
-	T    float64
-}
-
-// Get returns the cell's value; a nil cell reads as unattributed.
-func (a *Attribution) Get() Attribution {
-	if a == nil {
-		return Attribution{}
-	}
-	return *a
-}
 
 // Kind discriminates event types. It marshals to/from the stable string
 // names below, which are part of the JSONL format.

@@ -8,7 +8,6 @@ import (
 
 	"idxflow/internal/cloud"
 	"idxflow/internal/dataflow"
-	"idxflow/internal/provenance"
 	"idxflow/internal/telemetry"
 )
 
@@ -31,12 +30,6 @@ type Options struct {
 	// Metrics, when non-nil, receives scheduler counters (skyline
 	// iterations, candidate schedules generated, frontier sizes).
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, records a span per skyline run.
-	Tracer *telemetry.Tracer
-	// At, when non-nil, is the cell the caller keeps the attribution of the
-	// pass in progress in. A scheduler built once reads it per run, so Chrome
-	// traces and the provenance event log share flow identifiers.
-	At *provenance.Attribution
 }
 
 // DefaultOptions returns the Table 3 experiment configuration with a
@@ -333,17 +326,8 @@ func (sk *Skyline) ScheduleWithOptional(g *dataflow.Graph) []*Schedule {
 }
 
 func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
-	span := sk.Opts.Tracer.StartSpan("sched.skyline").
-		SetAttr("ops", len(g.Ops())).
-		SetAttr("with_optional", withOptional)
-	if id := sk.Opts.At.Get().Flow; id != 0 {
-		span.SetAttr("flow_id", uint64(id))
-	}
-	defer span.End()
-
 	sig := warmSig(g, &sk.Opts, withOptional)
 	if warm := sk.lookup(sig); warm != nil {
-		span.SetAttr("warm_hit", true).SetAttr("frontier", len(warm))
 		return warm
 	}
 	// A miss replaces the memo entry, so its schedules are the first storage
@@ -478,7 +462,6 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 		sk.frontier.Observe(float64(len(sky)))
 	}
 
-	span.SetAttr("frontier", len(sky))
 	out := make([]*Schedule, len(sky))
 	for i, c := range sky {
 		out[i] = c.s

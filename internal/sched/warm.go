@@ -77,10 +77,12 @@ func strWord(s string) uint64 {
 	return h
 }
 
-// warmSig builds the exact signature of a scheduling problem: every
-// operator field the scheduler or the downstream simulator reads, every
-// edge, and every option that shapes the frontier. Telemetry, tracing and
-// provenance attribution never influence placements and are excluded.
+// warmSig builds the exact signature of a scheduling problem: every field
+// of every operator but its id, every edge, and every option that shapes the
+// frontier. Some hashed fields (Priority, Reads, BuildsIndex) shape no
+// placement; hashing them too keeps a hit from depending on which fields the
+// scheduler reads. Options.Metrics never influences placements and is
+// excluded.
 func warmSig(g *dataflow.Graph, o *Options, withOptional bool) []uint64 {
 	n := g.Len()
 	sig := make([]uint64, 0, 2*n+16)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,9 +64,9 @@ func TestExecuteCancelledMidRun(t *testing.T) {
 
 // TestCancelledRunPublishesNothing: a run cancelled after a planned repair
 // has dropped a build and after its first operator ran publishes none of
-// what it tallied — no metric moves, no series appears and no event reaches
-// the recorder — since a cancelled run never happened. The same executor's
-// next run publishes as usual.
+// what it tallied — no metric moves, no series appears and its Result
+// carries no event — since a cancelled run never happened. The same
+// executor's next run publishes as usual and returns its events.
 func TestCancelledRunPublishesNothing(t *testing.T) {
 	g := dataflow.New()
 	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
@@ -83,10 +84,9 @@ func TestCancelledRunPublishesNothing(t *testing.T) {
 	faults := []fault.Event{{Kind: fault.ContainerCrash, At: 25, Container: 1}}
 
 	reg := telemetry.NewRegistry()
-	rec := provenance.NewRecorder(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	c := cfg()
-	c.Metrics, c.Provenance = reg, rec
+	c.Metrics = reg
 	c.Actual = func(op *dataflow.Operator) float64 {
 		if ctx.Err() == nil {
 			cancel()
@@ -102,14 +102,15 @@ func TestCancelledRunPublishesNothing(t *testing.T) {
 		return sb.String()
 	}
 	before := scrape()
-	if res := ex.Execute(ctx, s, faults); !res.Cancelled {
+	cancelled := ex.Execute(ctx, s, faults)
+	if !cancelled.Cancelled {
 		t.Fatal("mid-run cancel: Cancelled = false")
 	}
 	if after := scrape(); after != before {
 		t.Errorf("cancelled run moved the registry:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
-	if n := rec.Total(); n != 0 {
-		t.Errorf("cancelled run appended %d events: %+v", n, rec.Snapshot())
+	if len(cancelled.Events) != 0 {
+		t.Errorf("cancelled run returned %d events: %+v", len(cancelled.Events), cancelled.Events)
 	}
 
 	res := ex.Execute(context.Background(), s, faults)
@@ -122,8 +123,15 @@ func TestCancelledRunPublishesNothing(t *testing.T) {
 	if got := reg.CounterVec("idxflow_faults_injected_total", "", "kind").With(fault.ContainerCrash.String()).Value(); got != 1 {
 		t.Errorf("crashes injected after the rerun = %g, want 1", got)
 	}
-	if n := rec.Total(); n == 0 {
-		t.Error("uncancelled rerun recorded no events")
+	var kinds []provenance.Kind
+	for _, e := range res.Events {
+		if e.Flow != 0 {
+			t.Errorf("executor stamped flow %d on %v; the caller stamps it", e.Flow, e.Kind)
+		}
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []provenance.Kind{provenance.KindFaultInjected, provenance.KindBuildKilled}; !slices.Equal(kinds, want) {
+		t.Errorf("rerun events %v, want %v", kinds, want)
 	}
 }
 

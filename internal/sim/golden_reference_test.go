@@ -5,7 +5,11 @@ package sim
 // runs — faulty and fault-free — through both executeReference and the
 // production Execute and requires identical Results, including fault
 // accounting. Do not "improve" this copy: its value is that it is the old
-// behavior, byte for byte.
+// behavior, byte for byte. Only the provenance events the production
+// executor returns in Result.Events were added to it, so the suite pins
+// those too: kill events with their reasons, fault injections and
+// recoveries (a straggler's recoveries as one event per query, as
+// production reports them), containers resolved.
 
 import (
 	"math"
@@ -14,6 +18,7 @@ import (
 	"idxflow/internal/cloud"
 	"idxflow/internal/dataflow"
 	"idxflow/internal/fault"
+	"idxflow/internal/provenance"
 	"idxflow/internal/sched"
 )
 
@@ -61,7 +66,9 @@ func refResolveFaults(events []fault.Event, s *sched.Schedule) *refFaultState {
 				continue
 			}
 			fs.failAt[c] = e.At
-			fs.killEv[c] = e
+			ev := e
+			ev.Container = c
+			fs.killEv[c] = ev
 			fs.noStart[c] = e.At
 			if e.Kind == fault.SpotRevocation && e.NoticeSeconds > 0 {
 				fs.noStart[c] = e.At - e.NoticeSeconds
@@ -87,16 +94,21 @@ func (fs *refFaultState) deadAt(c int, t float64) bool {
 	return ok && t >= fa-timeEps
 }
 
-func (fs *refFaultState) slowFactor(c int, t float64, mark func(fault.Event)) float64 {
+func (fs *refFaultState) slowFactor(c int, t float64, inject func(fault.Event), recovered func(int)) float64 {
 	if fs == nil {
 		return 1
 	}
 	f := 1.0
+	n := 0
 	for _, e := range fs.slow[c] {
 		if e.At <= t+timeEps {
 			f *= e.SlowFactor
-			mark(e)
+			inject(e)
+			n++
 		}
+	}
+	if n > 0 {
+		recovered(n)
 	}
 	return f
 }
@@ -119,8 +131,6 @@ func (fs *refFaultState) storageDelay(c int, t float64, mark func(fault.Event)) 
 // executeReference is the seed Execute: quadratic pending rescan, per-call
 // fault-list scans, per-call map-backed state.
 func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Result {
-	span := cfg.Tracer.StartSpan("sim.execute").SetAttr("ops", s.Assigned())
-	defer span.End()
 	ins := newInstruments(cfg.Metrics)
 	actual := cfg.Actual
 	if actual == nil {
@@ -137,14 +147,29 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 			fs.seenInjected[e.Seq] = true
 			res.FaultsInjected++
 			ins.faultsInjected.With(e.Kind.String()).Inc()
+			res.Events = append(res.Events, provenance.Event{
+				Kind: provenance.KindFaultInjected, T: e.At, Name: e.Kind.String(),
+				Container: e.Container, Count: 1,
+			})
 		}
 	}
 	markRecovered := func(e fault.Event) {
 		fs.seenRecovered[e.Seq] = true
 		res.FaultsRecovered++
 		ins.recoveries.With(e.Kind.String()).Inc()
+		res.Events = append(res.Events, provenance.Event{
+			Kind: provenance.KindFaultRecovered, T: e.At, Name: e.Kind.String(),
+			Container: e.Container, Count: 1,
+		})
 	}
 	markBoth := func(e fault.Event) { markInjected(e); markRecovered(e) }
+	recoveredSlow := func(n int) {
+		res.FaultsRecovered += n
+		ins.recoveries.With(fault.Straggler.String()).Add(float64(n))
+		res.Events = append(res.Events, provenance.Event{
+			Kind: provenance.KindFaultRecovered, Name: fault.Straggler.String(), Count: n,
+		})
+	}
 	addWasted := func(seconds float64) {
 		if seconds > 0 {
 			res.WastedQuanta += seconds / cfg.Pricing.QuantumSeconds
@@ -180,6 +205,10 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 					res.Ops[r.Op] = OpResult{Op: r.Op, Container: f.c, Start: at, End: at, Killed: true}
 					res.Killed++
 					ins.buildsKilled.Inc()
+					res.Events = append(res.Events, provenance.Event{
+						Kind: provenance.KindBuildKilled, T: at, Op: s.Graph.Op(r.Op).Name,
+						Container: f.c, Start: at, End: at, Reason: "fault",
+					})
 				} else {
 					markRecovered(fs.killEv[f.c])
 					res.ReplacedOps++
@@ -299,7 +328,7 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 		ins.opWait.Observe(start - ready)
 		dur := actual(op) / ctype.SpeedFactor
 		if fs != nil {
-			dur *= fs.slowFactor(c, start, markBoth)
+			dur *= fs.slowFactor(c, start, markInjected, recoveredSlow)
 			dur += fs.storageDelay(c, start, markBoth)
 		}
 		end := start + dur
@@ -438,10 +467,11 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 			}
 			dur := actual(op) / s.ContainerType(c).SpeedFactor
 			if fs != nil {
-				dur *= fs.slowFactor(c, start, markBoth)
+				dur *= fs.slowFactor(c, start, markInjected, recoveredSlow)
 			}
 			end := start + dur
 			r := OpResult{Op: a.Op, Container: c, Start: start}
+			reason := "preempted"
 			if start >= kill-timeEps {
 				r.End = start
 				r.Killed = true
@@ -450,6 +480,11 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 				r.End = kill
 				r.Killed = true
 				res.Killed++
+				if faultKill {
+					reason = "fault"
+				} else if kill >= buildKill[c]-timeEps {
+					reason = "expired"
+				}
 				if faultKill {
 					markInjected(fs.killEv[c])
 					addWasted(r.End - r.Start)
@@ -461,6 +496,10 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 			}
 			if r.Killed {
 				ins.buildsKilled.Inc()
+				res.Events = append(res.Events, provenance.Event{
+					Kind: provenance.KindBuildKilled, T: r.Start, Op: op.Name,
+					Container: c, Start: r.Start, End: r.End, Reason: reason,
+				})
 			} else {
 				ins.buildsCompleted.Inc()
 			}

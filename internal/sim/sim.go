@@ -56,18 +56,6 @@ type Config struct {
 	// (operator run/wait times, builds killed, quanta charged, faults
 	// injected and recovered).
 	Metrics *telemetry.Registry
-	// Tracer records an execution span; nil means none.
-	Tracer *telemetry.Tracer
-	// Provenance, when non-nil, receives flight-recorder events for builds
-	// killed mid-execution and faults injected/recovered. Nil means none
-	// and costs one nil check per Execute.
-	Provenance *provenance.Recorder
-	// At, when non-nil, is the attribution cell of the pass this execution
-	// belongs to, read once per Execute: its Flow tags the span and the
-	// events, and its T is the absolute service time the execution starts
-	// at, so event times are T plus execution-relative seconds and the log
-	// shares the service clock with every other layer.
-	At *provenance.Attribution
 }
 
 // Executor replays schedules under one Config. It binds the instruments
@@ -82,12 +70,13 @@ type Executor struct {
 	injByKind   [int(fault.Straggler) + 1]*telemetry.Counter
 	recByKind   [int(fault.Straggler) + 1]*telemetry.Counter
 	sc          scratch
-	// tallies and events buffer a run's instrument updates and provenance
-	// events in the order they were produced; publish hands them on once
-	// the run can no longer be cancelled, so a cancelled run leaves no trace
-	// in the registry or the recorder.
+	// tallies buffers a run's instrument updates in the order they were
+	// produced; publish hands them to the registry once the run can no
+	// longer be cancelled, so a cancelled run leaves no trace there.
 	tallies []tally
-	events  []provenance.Event
+	// events buffers the run's provenance events; a completed Result hands
+	// them out as its Events.
+	events []provenance.Event
 }
 
 // New returns an executor for cfg. It registers the executor's metric
@@ -170,8 +159,8 @@ func (ex *Executor) note(to family, kind int, v float64) {
 	}
 }
 
-// publish hands the run's buffered updates to the registry and its events
-// to the recorder, in the order the run produced them.
+// publish hands the run's buffered updates to the registry in the order the
+// run produced them.
 func (ex *Executor) publish() {
 	for _, t := range ex.tallies {
 		switch t.to {
@@ -189,10 +178,6 @@ func (ex *Executor) publish() {
 			faultCounter(&ex.recByKind, ex.ins.recoveries, fault.Kind(t.kind)).Add(t.v)
 		}
 	}
-	for _, ev := range ex.events {
-		ex.cfg.Provenance.Append(ev)
-	}
-	clear(ex.events) // hold no op names between runs
 }
 
 // opRunHist returns op kind k's run-time series, resolved on first use.
@@ -262,46 +247,40 @@ type Result struct {
 	// WastedQuanta is paid compute the faults discarded, in quanta:
 	// partial runs of killed operators plus lease time past a failure.
 	WastedQuanta float64
+	// Events are the run's provenance events in the order they happened:
+	// builds killed, faults injected and recovered. They name no flow, and
+	// T is seconds since the run's start; the caller stamps both. The slice
+	// is the executor's buffer, valid until its next Execute.
+	Events []provenance.Event
 	// Cancelled reports that the run's context was cancelled mid-replay. A
 	// cancelled result carries no other data: the execution never happened
 	// as far as accounting is concerned.
 	Cancelled bool
 }
 
-// slowTimeline is one container's straggler events, At-ascending, with a
-// cursor over the already-active prefix and the running compound slowdown
-// of that prefix. Query times are non-decreasing within each execution
-// pass, so advancing the cursor by binary search replaces the seed's full
-// per-call rescan; the product is folded in timeline order, so it is the
-// same float expression the rescan computed.
-type slowTimeline struct {
+// timeline is one container's straggler or storage-error events,
+// At-ascending, with a cursor past the prefix already due. Query times are
+// non-decreasing within each execution pass, so the cursor moves by binary
+// search instead of a rescan per query.
+type timeline struct {
 	events []fault.Event
 	cur    int
-	prod   float64
+	// prod is the compound slowdown of a straggler timeline's due prefix,
+	// folded in timeline order.
+	prod float64
 }
 
-// advance activates every event due by t, folding it into the running
-// product and reporting it to inject (first-activation only — injection
-// counting dedups by Seq anyway).
-func (tl *slowTimeline) advance(t float64, inject func(fault.Event)) {
-	if tl.cur >= len(tl.events) || tl.events[tl.cur].At > t+timeEps {
-		return
+// due moves the cursor past every event due by t and returns them; a nil
+// timeline has none.
+func (tl *timeline) due(t float64) []fault.Event {
+	if tl == nil || tl.cur >= len(tl.events) || tl.events[tl.cur].At > t+timeEps {
+		return nil
 	}
-	hi := tl.cur + sort.Search(len(tl.events)-tl.cur, func(i int) bool {
-		return tl.events[tl.cur+i].At > t+timeEps
+	lo := tl.cur
+	tl.cur += sort.Search(len(tl.events)-lo, func(i int) bool {
+		return tl.events[lo+i].At > t+timeEps
 	})
-	for ; tl.cur < hi; tl.cur++ {
-		e := tl.events[tl.cur]
-		tl.prod *= e.SlowFactor
-		inject(e)
-	}
-}
-
-// storageTimeline is one container's transient storage errors,
-// At-ascending, with a cursor over the prefix already due.
-type storageTimeline struct {
-	events []fault.Event
-	cur    int
+	return tl.events[lo:tl.cur]
 }
 
 // faultState indexes a resolved fault plan for one execution.
@@ -313,11 +292,10 @@ type faultState struct {
 	noStart map[int]float64
 	killEv  map[int]fault.Event
 	// slow holds straggler timelines per container, storage the transient
-	// storage errors, both time-sorted and cursor-advanced.
-	slow    map[int]*slowTimeline
-	storage map[int]*storageTimeline
-	// consumedStorage marks storage events (by Seq) already applied.
-	consumedStorage map[int]bool
+	// storage errors. A storage cursor never rewinds, so each storage error
+	// is applied once.
+	slow    map[int]*timeline
+	storage map[int]*timeline
 	// seenInjected marks event Seqs already counted toward the injection
 	// metric, so an event affecting many operators is injected once.
 	seenInjected map[int]bool
@@ -334,9 +312,8 @@ func resolveFaults(events []fault.Event, s *sched.Schedule) *faultState {
 	fs := &faultState{
 		failAt: make(map[int]float64), noStart: make(map[int]float64),
 		killEv: make(map[int]fault.Event),
-		slow:   make(map[int]*slowTimeline), storage: make(map[int]*storageTimeline),
-		consumedStorage: make(map[int]bool),
-		seenInjected:    make(map[int]bool),
+		slow:   make(map[int]*timeline), storage: make(map[int]*timeline),
+		seenInjected: make(map[int]bool),
 	}
 	for c := 0; c < s.NumSlots(); c++ {
 		if s.ContainerOps(c) > 0 {
@@ -372,7 +349,7 @@ func resolveFaults(events []fault.Event, s *sched.Schedule) *faultState {
 			ev.Container = c
 			tl := fs.storage[c]
 			if tl == nil {
-				tl = &storageTimeline{}
+				tl = &timeline{}
 				fs.storage[c] = tl
 			}
 			tl.events = append(tl.events, ev)
@@ -381,7 +358,7 @@ func resolveFaults(events []fault.Event, s *sched.Schedule) *faultState {
 			ev.Container = c
 			tl := fs.slow[c]
 			if tl == nil {
-				tl = &slowTimeline{prod: 1}
+				tl = &timeline{prod: 1}
 				fs.slow[c] = tl
 			}
 			tl.events = append(tl.events, ev)
@@ -409,9 +386,10 @@ func (fs *faultState) deadAt(c int, t float64) bool {
 	return ok && t >= fa-timeEps
 }
 
-// slowFactor returns the compound straggler slowdown active on c at t.
-// Every active event counts as an absorbed effect on every call (the
-// operator rode it out), reported in bulk through recovered.
+// slowFactor returns the compound straggler slowdown active on c at t,
+// reporting each event to inject as it becomes due (injection counting
+// dedups by Seq anyway). Every active event counts as an absorbed effect on
+// every call (the operator rode it out), reported in bulk through recovered.
 func (fs *faultState) slowFactor(c int, t float64, inject func(fault.Event), recovered func(int)) float64 {
 	if fs == nil {
 		return 1
@@ -420,7 +398,10 @@ func (fs *faultState) slowFactor(c int, t float64, inject func(fault.Event), rec
 	if tl == nil {
 		return 1
 	}
-	tl.advance(t, inject)
+	for _, e := range tl.due(t) {
+		tl.prod *= e.SlowFactor
+		inject(e)
+	}
 	if tl.cur > 0 {
 		recovered(tl.cur)
 	}
@@ -435,26 +416,14 @@ func (fs *faultState) resetSlow(c int) {
 	}
 }
 
-// storageDelay consumes every unconsumed storage-error event on c due by
-// t and returns the summed retry backoff under cloud.DefaultBackoff.
+// storageDelay consumes every storage-error event on c due by t and
+// returns the summed retry backoff under cloud.DefaultBackoff.
 func (fs *faultState) storageDelay(c int, t float64, mark func(fault.Event)) float64 {
 	if fs == nil {
 		return 0
 	}
-	tl := fs.storage[c]
-	if tl == nil || tl.cur >= len(tl.events) || tl.events[tl.cur].At > t+timeEps {
-		return 0
-	}
-	hi := tl.cur + sort.Search(len(tl.events)-tl.cur, func(i int) bool {
-		return tl.events[tl.cur+i].At > t+timeEps
-	})
 	var d float64
-	for ; tl.cur < hi; tl.cur++ {
-		e := tl.events[tl.cur]
-		if fs.consumedStorage[e.Seq] {
-			continue
-		}
-		fs.consumedStorage[e.Seq] = true
+	for _, e := range fs.storage[c].due(t) {
 		d += cloud.DefaultBackoff().TotalDelay(e.Retries, int64(e.Seq))
 		mark(e)
 	}
@@ -626,21 +595,16 @@ func resized[T any](s []T, n int) []T {
 // service shifts its absolute fault.Plan via Plan.From); empty means a
 // fault-free run. A non-nil ctx lets the caller cancel the replay: the
 // event loops poll it and a cancelled run returns Result{Cancelled: true}
-// with no other fields populated and publishes no metric or event, so a
-// drained admission stops cleanly instead of running to completion.
+// with no other fields populated, events included, and publishes no metric,
+// so a drained admission stops cleanly instead of running to completion.
 func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fault.Event) Result {
 	cfg := &ex.cfg
-	span := cfg.Tracer.StartSpan("sim.execute").SetAttr("ops", s.Assigned())
-	attr := cfg.At.Get()
-	if attr.Flow != 0 {
-		span.SetAttr("flow_id", uint64(attr.Flow))
-	}
-	defer span.End()
 	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
 	if cancelled() {
 		return Result{Cancelled: true}
 	}
 	actual, sc := cfg.Actual, &ex.sc
+	clear(ex.events) // the last run's events name its operators
 	ex.tallies, ex.events = ex.tallies[:0], ex.events[:0]
 
 	res := Result{Ops: make(map[dataflow.OpID]OpResult, s.Assigned())}
@@ -648,21 +612,15 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 	if len(faults) > 0 {
 		fs = resolveFaults(faults, s)
 	}
-	// recording is resolved once per Execute: without a recorder the hot
-	// paths never construct events.
-	recording := cfg.Provenance.Active()
 	markInjected := func(e fault.Event) {
 		if !fs.seenInjected[e.Seq] {
 			fs.seenInjected[e.Seq] = true
 			res.FaultsInjected++
 			ex.note(famFaultsInjected, int(e.Kind), 1)
-			if recording {
-				ex.events = append(ex.events, provenance.Event{
-					Kind: provenance.KindFaultInjected, Flow: attr.Flow,
-					T: attr.T + e.At, Name: e.Kind.String(),
-					Container: e.Container, Count: 1,
-				})
-			}
+			ex.events = append(ex.events, provenance.Event{
+				Kind: provenance.KindFaultInjected, T: e.At, Name: e.Kind.String(),
+				Container: e.Container, Count: 1,
+			})
 		}
 	}
 	markRecovered := func(e fault.Event) {
@@ -670,24 +628,18 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 		// whose failure forces three operators to move is three recoveries.
 		res.FaultsRecovered++
 		ex.note(famRecoveries, int(e.Kind), 1)
-		if recording {
-			ex.events = append(ex.events, provenance.Event{
-				Kind: provenance.KindFaultRecovered, Flow: attr.Flow,
-				T: attr.T + e.At, Name: e.Kind.String(),
-				Container: e.Container, Count: 1,
-			})
-		}
+		ex.events = append(ex.events, provenance.Event{
+			Kind: provenance.KindFaultRecovered, T: e.At, Name: e.Kind.String(),
+			Container: e.Container, Count: 1,
+		})
 	}
 	markBoth := func(e fault.Event) { markInjected(e); markRecovered(e) }
 	recoveredSlow := func(n int) {
 		res.FaultsRecovered += n
 		ex.note(famRecoveries, int(fault.Straggler), float64(n))
-		if recording {
-			ex.events = append(ex.events, provenance.Event{
-				Kind: provenance.KindFaultRecovered, Flow: attr.Flow,
-				T: attr.T, Name: fault.Straggler.String(), Count: n,
-			})
-		}
+		ex.events = append(ex.events, provenance.Event{
+			Kind: provenance.KindFaultRecovered, Name: fault.Straggler.String(), Count: n,
+		})
 	}
 	addWasted := func(seconds float64) {
 		if seconds > 0 {
@@ -730,13 +682,10 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 					res.Ops[r.Op] = OpResult{Op: r.Op, Container: f.c, Start: at, End: at, Killed: true}
 					res.Killed++
 					ex.note(famBuildsKilled, 0, 1)
-					if recording {
-						ex.events = append(ex.events, provenance.Event{
-							Kind: provenance.KindBuildKilled, Flow: attr.Flow,
-							T: attr.T + at, Op: s.Graph.Op(r.Op).Name,
-							Container: f.c, Start: at, End: at, Reason: "fault",
-						})
-					}
+					ex.events = append(ex.events, provenance.Event{
+						Kind: provenance.KindBuildKilled, T: at, Op: s.Graph.Op(r.Op).Name,
+						Container: f.c, Start: at, End: at, Reason: "fault",
+					})
 				} else {
 					markRecovered(fs.killEv[f.c])
 					res.ReplacedOps++
@@ -1152,13 +1101,10 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 			}
 			if r.Killed {
 				ex.note(famBuildsKilled, 0, 1)
-				if recording {
-					ex.events = append(ex.events, provenance.Event{
-						Kind: provenance.KindBuildKilled, Flow: attr.Flow,
-						T: attr.T + r.Start, Op: op.Name,
-						Container: c, Start: r.Start, End: r.End, Reason: killReason,
-					})
-				}
+				ex.events = append(ex.events, provenance.Event{
+					Kind: provenance.KindBuildKilled, T: r.Start, Op: op.Name,
+					Container: c, Start: r.Start, End: r.End, Reason: killReason,
+				})
 			} else {
 				ex.note(famBuildsCompleted, 0, 1)
 			}
@@ -1217,15 +1163,8 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 	ex.ins.quantaCharged.Add(res.MoneyQuanta)
 	ex.ins.fragmentation.Add(res.Fragmentation)
 	ex.ins.wastedQuanta.Add(res.WastedQuanta)
-	span.SetAttr("makespan_seconds", res.Makespan).
-		SetAttr("money_quanta", res.MoneyQuanta).
-		SetAttr("builds_killed", res.Killed).
-		SetAttr("builds_completed", len(res.CompletedBuilds))
-	if res.FaultsInjected > 0 {
-		span.SetAttr("faults_injected", res.FaultsInjected).
-			SetAttr("faults_recovered", res.FaultsRecovered).
-			SetAttr("ops_replaced", res.ReplacedOps).
-			SetAttr("wasted_quanta", res.WastedQuanta)
+	if len(ex.events) > 0 {
+		res.Events = ex.events
 	}
 	return res
 }

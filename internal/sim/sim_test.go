@@ -3,12 +3,15 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"idxflow/internal/cloud"
 	"idxflow/internal/dataflow"
+	"idxflow/internal/fault"
 	"idxflow/internal/interleave"
+	"idxflow/internal/provenance"
 	"idxflow/internal/sched"
 )
 
@@ -222,7 +225,8 @@ func TestInterleavedExecution(t *testing.T) {
 			Name: "build", Time: 8, Optional: true, Priority: -1,
 		}))
 	}
-	skyline, _ := interleave.LP(sched.NewSkyline(schedOpts()), g, nil)
+	skyline := sched.NewSkyline(schedOpts()).Schedule(g)
+	interleave.LP(skyline, g, nil)
 	s := sched.Fastest(skyline)
 	if s == nil {
 		t.Fatal("no schedule")
@@ -262,5 +266,69 @@ func TestExecuteHeterogeneousTypes(t *testing.T) {
 	// 1 quantum at 2.2x the baseline price.
 	if math.Abs(res.MoneyQuanta-2.2) > 1e-9 {
 		t.Errorf("money = %g, want 2.2", res.MoneyQuanta)
+	}
+}
+
+// TestBuildKillReasons: a run returns one build-killed event per killed
+// build, with the reason that stopped it — the lease expiring under a build
+// that ran long, a dataflow operator arriving at its container, a failure
+// dropping it — container and times relative to the run's start, and the
+// reference executor returns the same events.
+func TestBuildKillReasons(t *testing.T) {
+	g := dataflow.New()
+	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
+	c := g.Add(dataflow.Operator{Name: "c", Time: 10})
+	d := g.Add(dataflow.Operator{Name: "d", Time: 10})
+	e := g.Add(dataflow.Operator{Name: "e", Time: 10})
+	build := func(name string) dataflow.OpID {
+		return g.Add(dataflow.Operator{Name: name, Time: 40, Optional: true, Priority: -1})
+	}
+	long, squeezed, doomed := build("long"), build("squeezed"), build("doomed")
+	o := schedOpts()
+	s := sched.NewSchedule(g, o.Pricing, o.Spec)
+	for _, pl := range []struct {
+		op    dataflow.OpID
+		cont  int
+		start float64
+	}{
+		{a, 0, 0}, {long, 0, 10}, // the lease ends at 60; the build runs to 90
+		{c, 1, 0}, {squeezed, 1, 10}, {d, 1, 50}, // d starts as soon as c ends
+		{e, 2, 0}, {doomed, 2, 10}, // container 2 crashes under the build
+	} {
+		if _, err := s.PlaceAt(pl.op, pl.cont, pl.start); err != nil {
+			t.Fatalf("place %s: %v", g.Op(pl.op).Name, err)
+		}
+	}
+	plan := fault.New(fault.Event{Kind: fault.ContainerCrash, At: 30, Container: 2})
+	mkCfg := func() Config {
+		c := cfg()
+		c.Actual = func(op *dataflow.Operator) float64 {
+			if op.Optional {
+				return 2 * op.Time
+			}
+			return op.Time
+		}
+		return c
+	}
+	assertGolden(t, "kill-reasons", s, plan.From(0), mkCfg)
+
+	res := New(mkCfg()).Execute(nil, s, plan.From(0))
+	got := map[string]provenance.Event{}
+	for _, ev := range res.Events {
+		if ev.Kind == provenance.KindBuildKilled {
+			got[ev.Op] = ev
+		}
+	}
+	for _, want := range []provenance.Event{
+		{Kind: provenance.KindBuildKilled, T: 10, Op: "long", Container: 0, Start: 10, End: 60, Reason: "expired"},
+		{Kind: provenance.KindBuildKilled, T: 10, Op: "squeezed", Container: 1, Start: 10, End: 10, Reason: "preempted"},
+		{Kind: provenance.KindBuildKilled, T: 10, Op: "doomed", Container: 2, Start: 10, End: 10, Reason: "fault"},
+	} {
+		if ev := got[want.Op]; !reflect.DeepEqual(ev, want) {
+			t.Errorf("build %s: event %+v, want %+v", want.Op, ev, want)
+		}
+	}
+	if len(got) != 3 || res.Killed != 3 {
+		t.Errorf("%d kill events for %d killed builds, want 3", len(got), res.Killed)
 	}
 }

@@ -69,10 +69,16 @@ stage_static() {
 	echo "== internal/core never assigns through s.cfg =="
 	if grep -nE '\bs\.cfg\.[A-Za-z.]+ *=[^=]' $(ls internal/core/*.go | grep -v _test.go); then exit 1; fi
 
-	# The pass records what its stages did: the interleaving algorithms
-	# return placements, and the schedule stage reports them.
-	echo "== internal/interleave records no event and no metric =="
-	if go list -f '{{join .Imports "\n"}}' ./internal/interleave | grep -E '^idxflow/internal/(provenance|telemetry)$'; then exit 1; fi
+	# The pass reports what its stages did: the stages return what they
+	# decided, and only internal/core opens spans and appends provenance
+	# events. The gain model, the storage meter and the interleaving
+	# algorithms bind no metric and record nothing.
+	echo "== spans and provenance events are recorded by the pass =="
+	if grep -rnE --include='*.go' --exclude='*_test.go' '\.StartSpan\(|Provenance\.Append\(' internal |
+		grep -vE '^internal/(core|telemetry|provenance)/'; then exit 1; fi
+	echo "== internal/gain, cloud and interleave import neither provenance nor telemetry =="
+	if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/gain ./internal/cloud ./internal/interleave |
+		grep -E 'idxflow/internal/(provenance|telemetry)( |$)'; then exit 1; fi
 }
 
 # driver: bench/ is a module of its own that `./...` does not reach; its vet
