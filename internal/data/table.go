@@ -4,7 +4,7 @@
 // the one record of which index partitions are built.
 package data
 
-import "fmt"
+import "strconv"
 
 // Column describes one column of a table schema together with its statistic
 // used by the model: the average size of the field in bytes.
@@ -42,7 +42,7 @@ func NewTable(name string, cols ...Column) *Table {
 func (t *Table) AddPartition(numRecords int64, path string) Partition {
 	id := len(t.Partitions)
 	if path == "" {
-		path = fmt.Sprintf("%s/%d", t.Name, id)
+		path = t.Name + "/" + strconv.Itoa(id)
 	}
 	p := Partition{ID: id, NumRecords: numRecords, Path: path}
 	t.Partitions = append(t.Partitions, p)

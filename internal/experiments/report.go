@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -26,6 +27,10 @@ func (t *Table) AddRow(cells ...interface{}) {
 		switch v := c.(type) {
 		case float64:
 			row[i] = trimFloat(v)
+		case string:
+			row[i] = v
+		case int:
+			row[i] = strconv.Itoa(v)
 		default:
 			row[i] = fmt.Sprintf("%v", c)
 		}
@@ -34,7 +39,8 @@ func (t *Table) AddRow(cells ...interface{}) {
 }
 
 func trimFloat(v float64) string {
-	s := fmt.Sprintf("%.3f", v)
+	var buf [24]byte
+	s := string(strconv.AppendFloat(buf[:0], v, 'f', 3, 64))
 	s = strings.TrimRight(s, "0")
 	return strings.TrimRight(s, ".")
 }

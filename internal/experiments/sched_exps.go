@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"idxflow/internal/dataflow"
 	"idxflow/internal/sched"
@@ -188,6 +188,6 @@ func Fig7(seed int64, trials int) *Fig7Result {
 	}
 	res.Table.Notes = append(res.Table.Notes,
 		"expected shape: online competitive on CPU-intensive flows; up to ~2x slower and ~4x more expensive on data-intensive flows",
-		fmt.Sprintf("offline scheduler: skyline cap %d, %d containers", opts.MaxSkyline, opts.MaxContainers))
+		"offline scheduler: skyline cap "+strconv.Itoa(opts.MaxSkyline)+", "+strconv.Itoa(opts.MaxContainers)+" containers")
 	return res
 }

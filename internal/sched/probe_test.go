@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,8 +14,9 @@ import (
 )
 
 // probeSchedule builds a random partial schedule from seed: a random DAG
-// with index-build ops, in two of three seeds a typed pool with fractional
-// prices, speeds and network rates, a prefix of the dataflow ops appended
+// with index-build ops, a pool (none, one of fractional prices, speeds and
+// network rates, one of integer weights 1 and 2, or cloud.DefaultVMTypes),
+// a prefix of the dataflow ops appended
 // in topological order onto random (sometimes fresh and typed)
 // containers, builds parked at random instants and just after containers'
 // last ops, where later appends evict them, and in one seed of four a
@@ -24,7 +26,8 @@ func probeSchedule(seed int64) (*Schedule, *rand.Rand) {
 	g := randomDAG(seed, 3+rng.Intn(14), []int{0, 2, 3, 5}[rng.Intn(4)])
 	o := testOpts()
 	s := NewSchedule(g, o.Pricing, o.Spec)
-	if rng.Intn(3) > 0 {
+	switch rng.Intn(4) {
+	case 1:
 		for i := 0; i < 1+rng.Intn(3); i++ {
 			spec := o.Spec
 			spec.NetMBps *= 0.5 + 2*rng.Float64()
@@ -35,6 +38,13 @@ func probeSchedule(seed int64) (*Schedule, *rand.Rand) {
 				SpeedFactor:     0.5 + 2*rng.Float64(),
 			})
 		}
+	case 2:
+		for w := 1; w <= 2; w++ {
+			s.Types = append(s.Types, cloud.VMType{Name: string(rune('0' + w)), Spec: o.Spec,
+				PricePerQuantum: o.Pricing.VMPerQuantum * float64(w), SpeedFactor: float64(w)})
+		}
+	case 3:
+		s.Types = cloud.DefaultVMTypes()
 	}
 	topo, err := g.TopoSort()
 	if err != nil {
@@ -107,12 +117,53 @@ func probeEqualsMake(t *testing.T, s *Schedule, mv move) {
 	}
 }
 
+// checkBooks requires the books make, Repair and CopyFrom keep to equal a
+// recount from the schedule's ops: per container the leased quanta, the
+// latest dataflow end and the build count, the used containers, the
+// weighted quanta total, and, when every weight is an integer, that total
+// as MoneyQuanta's bits summed in container order.
+func checkBooks(t *testing.T, s *Schedule, what string) {
+	t.Helper()
+	quanta, used := 0, 0
+	ordered := 0.0
+	for c, k := range s.conts {
+		var flowEnd float64
+		builds := 0
+		for _, id := range k.ops {
+			if s.Graph.Op(id).Optional {
+				builds++
+			} else if e := s.assign[id].End; e > flowEnd {
+				flowEnd = e
+			}
+		}
+		lease := s.Pricing.Quanta(s.lastEnd(c))
+		if len(k.ops) > 0 {
+			used++
+			quanta += lease * int(s.weight(s.typeIndex(c)))
+			ordered += float64(lease) * s.weight(s.typeIndex(c))
+			if k.lease != lease {
+				t.Fatalf("%s: container %d leases %d quanta, recount %d", what, c, k.lease, lease)
+			}
+		}
+		if k.flowEnd != flowEnd || k.builds != builds {
+			t.Fatalf("%s: container %d books flowEnd %v builds %d, recount %v %d", what, c, k.flowEnd, k.builds, flowEnd, builds)
+		}
+	}
+	if s.quanta != quanta || s.used != used {
+		t.Fatalf("%s: totals quanta %d used %d, recount %d %d", what, s.quanta, s.used, quanta, used)
+	}
+	if got := s.MoneyQuanta(); math.Float64bits(got) != math.Float64bits(ordered) {
+		t.Fatalf("%s: MoneyQuanta %v, ordered sum %v", what, got, ordered)
+	}
+}
+
 // FuzzProbeEqualsApply checks the skyline's read-only probe and seq-idle
 // tie-break against make on a copy, over every append and placement of
 // every operator onto every container (fresh included) as every type
 // (untyped and out of range included), placements at the origin, the
 // lease end and a random instant, and placements at idle-run starts and
-// ends.
+// ends. Then it edits the schedule with random makes, repairs and copies
+// into recycled schedules, and recounts its books after every edit.
 func FuzzProbeEqualsApply(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 4, 7, 11, 42, -5, -471} {
 		f.Add(seed)
@@ -133,6 +184,30 @@ func FuzzProbeEqualsApply(f *testing.F) {
 				probeEqualsMake(t, s, move{op: op, cont: run.Container, typeIdx: -1, start: run.Start, place: true})
 				probeEqualsMake(t, s, move{op: op, cont: run.Container, typeIdx: -1, start: run.End - s.Graph.Op(op).Time, place: true})
 			}
+		}
+		checkBooks(t, s, "built")
+		// A recycled schedule holds another problem's storage.
+		spare, _ := probeSchedule(seed + 1)
+		for i := 0; i < 24; i++ {
+			what := ""
+			switch c := rng.Intn(s.NumSlots() + 2); rng.Intn(5) {
+			case 0:
+				s.Repair(c, 150*rng.Float64())
+				what = fmt.Sprintf("repair of container %d", c)
+			case 1:
+				spare.CopyFrom(s)
+				s, spare = spare, s
+				what = "copy"
+			default:
+				mv := move{op: dataflow.OpID(rng.Intn(s.Graph.Len())), cont: c, typeIdx: rng.Intn(len(s.Types)+1) - 1}
+				if rng.Intn(2) == 0 {
+					mv.start, mv.place = 250*rng.Float64(), true
+				}
+				probeEqualsMake(t, s, mv)
+				s.make(mv) // a refused move is fine
+				what = fmt.Sprintf("make(%+v)", mv)
+			}
+			checkBooks(t, s, what)
 		}
 	})
 }
@@ -167,36 +242,44 @@ func TestMaterializePanicsOnForgedMove(t *testing.T) {
 			}()
 			c := candidate{src: src, mv: tc.mv}
 			var free freeList
-			c.materialize(&free)
+			c.materialize(&free, false)
 		}()
 	}
 }
 
 // TestColdSkylineAllocsIndependentOfProcs: a cold schedule runs on one
 // goroutine with run-local scratch, so what it allocates must not depend
-// on GOMAXPROCS. testing.AllocsPerRun pins GOMAXPROCS to 1 while it
+// on GOMAXPROCS, for a dataflow alone and for an online run whose gap steps
+// place index builds. testing.AllocsPerRun pins GOMAXPROCS to 1 while it
 // measures, so the mallocs are counted here at each setting instead.
 func TestColdSkylineAllocsIndependentOfProcs(t *testing.T) {
-	g := benchGraph(100)
+	flow, online := benchGraph(100), randomDAG(3, 60, 4)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	const runs = 10
-	var got [3]uint64
-	for i, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		schedule := func() { NewSkyline(DefaultOptions()).Schedule(g) }
-		// Warm up, as testing.AllocsPerRun does, and let one collection
-		// start the GC's per-P workers, which are allocations of their own.
-		schedule()
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for r := 0; r < runs; r++ {
-			schedule()
+	for _, tc := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"dataflow", func() { NewSkyline(DefaultOptions()).Schedule(flow) }},
+		{"online", func() { NewSkyline(DefaultOptions()).ScheduleWithOptional(online) }},
+	} {
+		const runs = 10
+		var got [3]uint64
+		for i, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			// Warm up, as testing.AllocsPerRun does, and let one collection
+			// start the GC's per-P workers, which are allocations of their own.
+			tc.schedule()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for r := 0; r < runs; r++ {
+				tc.schedule()
+			}
+			runtime.ReadMemStats(&after)
+			got[i] = (after.Mallocs - before.Mallocs) / runs
 		}
-		runtime.ReadMemStats(&after)
-		got[i] = (after.Mallocs - before.Mallocs) / runs
-	}
-	if got[0] != got[1] || got[1] != got[2] {
-		t.Fatalf("allocs per cold schedule at GOMAXPROCS 1, 2, 4 = %v, want one value", got)
+		if got[0] != got[1] || got[1] != got[2] {
+			t.Fatalf("%s: allocs per cold schedule at GOMAXPROCS 1, 2, 4 = %v, want one value", tc.name, got)
+		}
 	}
 }

@@ -48,9 +48,9 @@ func (s *Schedule) Repair(dead int, at float64) ([]RepairedOp, error) {
 	// Collect orphans: anything on the dead container still running or
 	// not yet started at the failure time.
 	var orphans []dataflow.OpID
-	kept := s.conts[dead][:0]
+	kept := s.conts[dead].ops[:0]
 	repairedAt := make(map[dataflow.OpID]RepairedOp)
-	for _, id := range s.conts[dead] {
+	for _, id := range s.conts[dead].ops {
 		a := s.assign[id]
 		if a.End <= at+1e-9 {
 			kept = append(kept, id)
@@ -64,20 +64,20 @@ func (s *Schedule) Repair(dead int, at float64) ([]RepairedOp, error) {
 		orphans = append(orphans, id)
 		s.clearAssign(id)
 	}
-	s.conts[dead] = kept
+	s.conts[dead].ops = kept
 	if len(orphans) == 0 {
 		return nil, nil
 	}
 	// Orphan deletion shrinks the dead container's extent and removes
-	// non-optional ops: drop the memoized lease end and makespan cache.
-	s.invalidateLease(dead)
+	// non-optional ops: recount its books and drop the makespan cache.
+	s.retally(dead)
 	s.msValid = false
 
 	// Survivors that already hold work; open a fresh container only if
 	// every used container is the dead one.
 	var survivors []int
 	for c := range s.conts {
-		if c != dead && len(s.conts[c]) > 0 {
+		if c != dead && len(s.conts[c].ops) > 0 {
 			survivors = append(survivors, c)
 		}
 	}

@@ -57,21 +57,13 @@ type Schedule struct {
 	assign  []Assignment
 	placed  []bool
 	nPlaced int
-	// conts[c] lists the ops on container c ordered by start time.
-	conts [][]dataflow.OpID
-	// contType[c] is the index into Types of container c (0 if untyped).
-	contType []int
-
-	// leaseQ memoizes the leased quanta per container (-1 = stale).
-	// IdleSlots fills it; MoneyQuanta and probe read it and recompute a
-	// stale entry without storing it, so scoring a candidate writes nothing
-	// to the schedule it reads.
-	leaseQ []int
-	// seqIdleQ memoizes per container the longest contiguous idle run
-	// (-1 = stale), invalidated together with leaseQ. MaxSequentialIdle
-	// fills it; the skyline's §5.3.1 tie-break reads it for every container
-	// a move leaves alone and walks only the moved one (seqIdleAfter).
-	seqIdleQ []float64
+	// conts[c] is container c: its ops and its books.
+	conts []container
+	// quanta is the sum over used containers of leased quanta times the
+	// integer part of the type's weight, and used the number of used
+	// containers. When every weight is an integer (integral), quanta is
+	// MoneyQuanta exactly.
+	quanta, used int
 	// idleCap sizes the next IdleSlots result: the previous call's slot
 	// count, a pure capacity hint with no correctness role.
 	idleCap int
@@ -81,6 +73,25 @@ type Schedule struct {
 	msFirst, msLast float64
 	msCount         int
 	msValid         bool
+}
+
+// container is one container of a schedule: its ops ordered by start time
+// and the books make and Repair keep, so that probe and plan read a
+// container in O(1). The zero value is a container not yet opened.
+type container struct {
+	ops []dataflow.OpID
+	// typ is the index into Types the container is leased as (0 if untyped).
+	typ int
+	// lease is the leased quanta, flowEnd the latest end among the dataflow
+	// ops (0 without one) and builds the number of index-build ops.
+	lease   int
+	flowEnd float64
+	builds  int
+	// seqIdle memoizes the longest contiguous idle run (-1 = stale).
+	// MaxSequentialIdle fills it; the skyline's §5.3.1 tie-break reads it
+	// for every container a move leaves alone and walks only the moved one
+	// (seqIdleAfter).
+	seqIdle float64
 }
 
 // NewSchedule returns an empty schedule for g.
@@ -140,8 +151,8 @@ func (s *Schedule) ContainerType(c int) cloud.VMType { return s.vmType(s.typeInd
 // container not yet opened and for an out-of-range entry.
 func (s *Schedule) typeIndex(c int) int {
 	ti := 0
-	if c < len(s.contType) {
-		ti = s.contType[c]
+	if c < len(s.conts) {
+		ti = s.conts[c].typ
 	}
 	if ti < 0 || ti >= len(s.Types) {
 		ti = 0
@@ -167,6 +178,27 @@ func (s *Schedule) weight(ti int) float64 {
 	return s.Types[ti].PricePerQuantum / s.Pricing.VMPerQuantum
 }
 
+// integral reports whether every type weight is an integer, as it is in a
+// homogeneous schedule. Then every term of MoneyQuanta is an integer, any
+// summation order gives the same bits, and quanta is the sum.
+func (s *Schedule) integral() bool {
+	for ti := range s.Types {
+		if w := s.weight(ti); w != math.Trunc(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// term returns container c's contribution to quanta: its leased quanta
+// times the integer part of its type's weight, 0 while it holds no op.
+func (s *Schedule) term(c int) int {
+	if c >= len(s.conts) || len(s.conts[c].ops) == 0 {
+		return 0
+	}
+	return s.conts[c].lease * int(s.weight(s.typeIndex(c)))
+}
+
 // Clone returns a deep copy sharing the immutable graph.
 func (s *Schedule) Clone() *Schedule {
 	c := new(Schedule)
@@ -183,16 +215,18 @@ func (s *Schedule) CopyFrom(src *Schedule) {
 	s.assign = append(s.assign[:0], src.assign...)
 	s.placed = append(s.placed[:0], src.placed...)
 	s.nPlaced = src.nPlaced
+	// Containers past len(s.conts) keep their op storage for reuse.
+	s.conts = s.conts[:cap(s.conts)]
 	for len(s.conts) < len(src.conts) {
-		s.conts = append(s.conts, nil)
+		s.conts = append(s.conts, container{})
 	}
 	s.conts = s.conts[:len(src.conts)]
 	for i := range src.conts {
-		s.conts[i] = append(s.conts[i][:0], src.conts[i]...)
+		ops := append(s.conts[i].ops[:0], src.conts[i].ops...)
+		s.conts[i] = src.conts[i]
+		s.conts[i].ops = ops
 	}
-	s.contType = append(s.contType[:0], src.contType...)
-	s.leaseQ = append(s.leaseQ[:0], src.leaseQ...)
-	s.seqIdleQ = append(s.seqIdleQ[:0], src.seqIdleQ...)
+	s.quanta, s.used = src.quanta, src.used
 	s.idleCap = src.idleCap
 	s.msFirst, s.msLast, s.msCount, s.msValid = src.msFirst, src.msLast, src.msCount, src.msValid
 }
@@ -209,15 +243,7 @@ func (s *Schedule) Assignment(op dataflow.OpID) (Assignment, bool) {
 func (s *Schedule) Assigned() int { return s.nPlaced }
 
 // Containers returns the number of containers that hold at least one op.
-func (s *Schedule) Containers() int {
-	n := 0
-	for _, ops := range s.conts {
-		if len(ops) > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (s *Schedule) Containers() int { return s.used }
 
 // NumSlots returns len(s.conts): the highest container index ever used + 1.
 func (s *Schedule) NumSlots() int { return len(s.conts) }
@@ -227,12 +253,13 @@ func (s *Schedule) NumSlots() int { return len(s.conts) }
 // (edge size / network bandwidth when the producer sits elsewhere).
 // It returns an error if a predecessor is unassigned.
 func (s *Schedule) ReadyTime(op dataflow.OpID, c int) (float64, error) {
-	return s.readyOn(op, c, s.ContainerType(c).Spec)
+	vt := s.ContainerType(c)
+	return s.readyOn(op, c, &vt.Spec)
 }
 
 // readyOn is ReadyTime with container c's spec given, so plan can ask as
 // if c were already leased as another type.
-func (s *Schedule) readyOn(op dataflow.OpID, c int, spec cloud.Spec) (float64, error) {
+func (s *Schedule) readyOn(op dataflow.OpID, c int, spec *cloud.Spec) (float64, error) {
 	var ready float64
 	for _, e := range s.Graph.In(op) {
 		if !s.isPlaced(e.From) {
@@ -253,29 +280,39 @@ func (s *Schedule) readyOn(op dataflow.OpID, c int, spec cloud.Spec) (float64, e
 
 // lastEnd returns the finish time of the last op on container c (0 if none).
 func (s *Schedule) lastEnd(c int) float64 {
-	if c >= len(s.conts) || len(s.conts[c]) == 0 {
+	if c >= len(s.conts) || len(s.conts[c].ops) == 0 {
 		return 0
 	}
-	last := s.conts[c][len(s.conts[c])-1]
+	last := s.conts[c].ops[len(s.conts[c].ops)-1]
 	return s.assign[last].End
 }
 
 // ensureContainer grows the container list to include index c.
 func (s *Schedule) ensureContainer(c int) {
 	for len(s.conts) <= c {
-		s.conts = append(s.conts, nil)
-		s.contType = append(s.contType, 0)
-		s.leaseQ = append(s.leaseQ, 0)     // empty container leases nothing
-		s.seqIdleQ = append(s.seqIdleQ, 0) // and has no idle runs
+		s.conts = append(s.conts, container{})
 	}
 }
 
-// invalidateLease marks container c's memoized lease quanta and idle-run
-// books stale.
-func (s *Schedule) invalidateLease(c int) {
-	if c >= 0 && c < len(s.leaseQ) {
-		s.leaseQ[c] = -1
-		s.seqIdleQ[c] = -1
+// retally recomputes container c's books from its ops after an edit that
+// removed some, and the schedule's totals from every container's books.
+func (s *Schedule) retally(c int) {
+	s.conts[c].lease = s.Pricing.Quanta(s.lastEnd(c))
+	s.conts[c].flowEnd, s.conts[c].builds = 0, 0
+	for _, id := range s.conts[c].ops {
+		if s.Graph.Op(id).Optional {
+			s.conts[c].builds++
+		} else if e := s.assign[id].End; e > s.conts[c].flowEnd {
+			s.conts[c].flowEnd = e
+		}
+	}
+	s.conts[c].seqIdle = -1
+	s.quanta, s.used = 0, 0
+	for k := range s.conts {
+		if len(s.conts[k].ops) > 0 {
+			s.quanta += s.term(k)
+			s.used++
+		}
 	}
 }
 
@@ -320,7 +357,7 @@ func (s *Schedule) extent() (first, last float64, count int) {
 // not yet opened.
 func (s *Schedule) opsOn(c int) []dataflow.OpID {
 	if c < len(s.conts) {
-		return s.conts[c]
+		return s.conts[c].ops
 	}
 	return nil
 }
@@ -359,17 +396,20 @@ func (s *Schedule) plan(mv move) (typeIdx int, start, end float64, err error) {
 			return 0, 0, 0, fmt.Errorf("sched: schedule has no type pool")
 		case mv.typeIdx >= len(s.Types):
 			return 0, 0, 0, fmt.Errorf("sched: type %d out of range", mv.typeIdx)
-		case len(ops) > 0 && s.contType[c] != mv.typeIdx:
+		case len(ops) > 0 && s.conts[c].typ != mv.typeIdx:
 			return 0, 0, 0, fmt.Errorf("sched: container %d already in use", c)
 		}
 		typeIdx = mv.typeIdx
 	}
-	vt := s.vmType(typeIdx)
-	ready, err := s.readyOn(mv.op, c, vt.Spec)
+	spec, speed := &s.Spec, 1.0
+	if len(s.Types) > 0 {
+		spec, speed = &s.Types[typeIdx].Spec, s.Types[typeIdx].SpeedFactor
+	}
+	ready, err := s.readyOn(mv.op, c, spec)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	dur := o.Time / vt.SpeedFactor
+	dur := o.Time / speed
 	if mv.place {
 		start, end = mv.start, mv.start+dur
 		if start+1e-9 < ready {
@@ -387,10 +427,8 @@ func (s *Schedule) plan(mv move) (typeIdx int, start, end float64, err error) {
 	tail := s.lastEnd(c)
 	if !o.Optional {
 		tail = 0
-		for _, id := range ops {
-			if e := s.assign[id].End; !s.Graph.Op(id).Optional && e > tail {
-				tail = e
-			}
+		if c < len(s.conts) {
+			tail = s.conts[c].flowEnd
 		}
 	}
 	start = math.Max(ready, tail)
@@ -419,13 +457,18 @@ func (s *Schedule) make(mv move) (Assignment, error) {
 	}
 	c, optional := mv.cont, s.Graph.Op(mv.op).Optional
 	s.ensureContainer(c)
-	s.contType[c] = ti
-	ops := s.conts[c]
-	if !mv.place && !optional {
+	ops := s.conts[c].ops
+	if len(ops) == 0 {
+		s.used++
+	}
+	s.quanta -= s.term(c)
+	s.conts[c].typ = ti
+	if !mv.place && !optional && s.conts[c].builds > 0 {
 		kept := ops[:0]
 		for _, id := range ops {
 			if s.preempts(id, start, end) {
 				s.clearAssign(id)
+				s.conts[c].builds--
 				continue
 			}
 			kept = append(kept, id)
@@ -438,8 +481,15 @@ func (s *Schedule) make(mv move) (Assignment, error) {
 	ops = append(ops, 0)
 	copy(ops[pos+1:], ops[pos:])
 	ops[pos] = mv.op
-	s.conts[c] = ops
-	s.invalidateLease(c)
+	s.conts[c].ops = ops
+	if optional {
+		s.conts[c].builds++
+	} else if end > s.conts[c].flowEnd {
+		s.conts[c].flowEnd = end
+	}
+	s.conts[c].lease = s.Pricing.Quanta(s.lastEnd(c))
+	s.quanta += s.term(c)
+	s.conts[c].seqIdle = -1
 	s.noteAssigned(a, optional)
 	return a, nil
 }
@@ -468,16 +518,22 @@ func (s *Schedule) probe(mv move) (point, bool) {
 	}
 	c := mv.cont
 	optional := s.Graph.Op(mv.op).Optional
-	evicts := !mv.place && !optional
 	ops := s.opsOn(c)
 	evicted := 0
 	last := dataflow.OpID(-1) // the last op c keeps in start order, the new one aside
-	for _, id := range ops {
-		if evicts && s.preempts(id, start, end) {
-			evicted++
-			continue
+	if len(ops) > 0 {
+		last = ops[len(ops)-1]
+	}
+	// Only a dataflow append onto a container with builds evicts any.
+	if !mv.place && !optional && len(ops) > 0 && s.conts[c].builds > 0 {
+		last = -1
+		for _, id := range ops {
+			if s.preempts(id, start, end) {
+				evicted++
+				continue
+			}
+			last = id
 		}
-		last = id
 	}
 	// The new op goes before the first kept op starting at or after it, so
 	// it ends the lease unless the last kept op starts no earlier.
@@ -486,9 +542,9 @@ func (s *Schedule) probe(mv move) (point, bool) {
 		leaseEnd = s.assign[last].End
 	}
 	p := point{
-		money:   s.money(c, s.Pricing.Quanta(leaseEnd), s.weight(ti)),
+		money:   s.money(c, s.Pricing.Quanta(leaseEnd), ti),
 		ops:     s.nPlaced + 1 - evicted,
-		conts:   s.Containers(),
+		conts:   s.used,
 		seqIdle: -1,
 	}
 	if len(ops) == 0 {
@@ -540,21 +596,6 @@ func (s *Schedule) TotalSpan() float64 {
 	return last
 }
 
-// leaseEndQuanta returns the number of leased quanta for container c, which
-// covers its last operator. The value is memoized per container (-1 marks
-// a stale entry) and invalidated by make and Repair.
-func (s *Schedule) leaseEndQuanta(c int) int {
-	if c < len(s.leaseQ) {
-		if q := s.leaseQ[c]; q >= 0 {
-			return q
-		}
-		q := s.Pricing.Quanta(s.lastEnd(c))
-		s.leaseQ[c] = q
-		return q
-	}
-	return s.Pricing.Quanta(s.lastEnd(c))
-}
-
 // MoneyQuanta returns md(Sd) in baseline-price quanta: the sum over used
 // containers of the leased quanta, weighted by each container type's price
 // relative to the baseline VM price (§3 measures monetary cost in quanta so
@@ -562,23 +603,28 @@ func (s *Schedule) leaseEndQuanta(c int) int {
 // pricier type counts proportionally more).
 func (s *Schedule) MoneyQuanta() float64 { return s.money(-1, 0, 0) }
 
-// money sums leased quanta times type weight over the used containers in
-// container order, reading the lease memo without filling it. Container
-// sub, when >= 0, counts subQ quanta at weight subW in place of its own
-// term, opened or not: that is how probe prices a move it does not make, in
-// MoneyQuanta's summation order, so the two agree to the bit.
-func (s *Schedule) money(sub, subQ int, subW float64) float64 {
+// money returns the leased quanta times type weight summed over the used
+// containers. Container sub, when >= 0, counts subQ quanta of type subT in
+// place of its own term, opened or not: that is how probe prices a move it
+// does not make. With integral weights every partial sum is an exact
+// integer, so the running total with sub's term swapped is the bits of the
+// ordered sum; other pools sum in container order, as MoneyQuanta does, so
+// the two agree to the bit either way.
+func (s *Schedule) money(sub, subQ, subT int) float64 {
+	if s.integral() {
+		total := s.quanta
+		if sub >= 0 {
+			total += subQ*int(s.weight(subT)) - s.term(sub)
+		}
+		return float64(total)
+	}
 	var total float64
 	for c := 0; c < max(len(s.conts), sub+1); c++ {
 		switch {
 		case c == sub:
-			total += float64(subQ) * subW
-		case c < len(s.conts) && len(s.conts[c]) > 0:
-			q := s.leaseQ[c]
-			if q < 0 {
-				q = s.Pricing.Quanta(s.lastEnd(c))
-			}
-			total += float64(q) * s.weight(s.typeIndex(c))
+			total += float64(subQ) * s.weight(subT)
+		case c < len(s.conts) && len(s.conts[c].ops) > 0:
+			total += float64(s.conts[c].lease) * s.weight(s.typeIndex(c))
 		}
 	}
 	return total
@@ -591,20 +637,22 @@ func (s *Schedule) IdleSlots() []Slot {
 	// idleCap remembers the previous result size: the interleaver calls
 	// IdleSlots repeatedly on a near-constant schedule, so sizing the
 	// result up front replaces log2(n) growth reallocations with one.
-	hint := s.idleCap
-	if hint < 8 {
-		hint = 8
-	}
-	out := make([]Slot, 0, hint)
+	out := s.appendIdleSlots(make([]Slot, 0, max(s.idleCap, 8)))
+	s.idleCap = len(out)
+	return out
+}
+
+// appendIdleSlots appends IdleSlots' result to out and returns it.
+func (s *Schedule) appendIdleSlots(out []Slot) []Slot {
 	q := s.Pricing.QuantumSeconds
 	for c := range s.conts {
-		if len(s.conts[c]) == 0 {
+		if len(s.conts[c].ops) == 0 {
 			continue
 		}
-		leaseEnd := float64(s.leaseEndQuanta(c)) * q
+		leaseEnd := float64(s.conts[c].lease) * q
 		// Build the busy intervals and walk the gaps.
 		cursor := 0.0
-		for _, id := range s.conts[c] {
+		for _, id := range s.conts[c].ops {
 			a := s.assign[id]
 			if a.Start > cursor {
 				out = appendIdle(out, c, q, cursor, a.Start)
@@ -617,7 +665,6 @@ func (s *Schedule) IdleSlots() []Slot {
 			out = appendIdle(out, c, q, cursor, leaseEnd)
 		}
 	}
-	s.idleCap = len(out)
 	return out
 }
 
@@ -626,9 +673,11 @@ func (s *Schedule) IdleSlots() []Slot {
 // interior boundary are already leased, so a build operator may span it, as
 // A1 does in Fig. 2c, but a run never extends a container's lease. A
 // returned Slot may therefore cross quantum boundaries; its Quantum is that
-// of its first piece. The merge is done in place over the IdleSlots result.
-func (s *Schedule) IdleRuns() []Slot {
-	slots := s.IdleSlots()
+// of its first piece.
+func (s *Schedule) IdleRuns() []Slot { return mergeRuns(s.IdleSlots()) }
+
+// mergeRuns merges IdleSlots' slots into IdleRuns' runs in place.
+func mergeRuns(slots []Slot) []Slot {
 	runs := slots[:0]
 	for _, sl := range slots {
 		if n := len(runs); n > 0 &&
@@ -688,13 +737,13 @@ func (s *Schedule) MaxSequentialIdle() float64 {
 	// per-container runs, each memoized until its container changes.
 	var best float64
 	for c := range s.conts {
-		if len(s.conts[c]) == 0 {
+		if len(s.conts[c].ops) == 0 {
 			continue
 		}
-		v := s.seqIdleQ[c]
+		v := s.conts[c].seqIdle
 		if v < 0 {
 			v = s.contSeqIdle(c, Assignment{Op: -1}, false)
-			s.seqIdleQ[c] = v
+			s.conts[c].seqIdle = v
 		}
 		if v > best {
 			best = v
@@ -715,10 +764,10 @@ func (s *Schedule) seqIdleAfter(mv move) float64 {
 	evicts := !mv.place && !s.Graph.Op(mv.op).Optional
 	best := s.contSeqIdle(mv.cont, Assignment{Op: mv.op, Container: mv.cont, Start: start, End: end}, evicts)
 	for c := range s.conts {
-		if c == mv.cont || len(s.conts[c]) == 0 {
+		if c == mv.cont || len(s.conts[c].ops) == 0 {
 			continue
 		}
-		v := s.seqIdleQ[c]
+		v := s.conts[c].seqIdle
 		if v < 0 {
 			v = s.contSeqIdle(c, Assignment{Op: -1}, false)
 		}
@@ -797,7 +846,8 @@ func (w *idleWalk) idle(from, to float64) {
 // constraints, that no two ops overlap on a container, and that every
 // assigned op's interval is consistent.
 func (s *Schedule) Validate() error {
-	for c, ops := range s.conts {
+	for c, k := range s.conts {
+		ops := k.ops
 		for i, id := range ops {
 			a := s.assign[id]
 			if a.Container != c {
@@ -870,5 +920,5 @@ func (s *Schedule) ContainerOps(c int) int {
 	if c < 0 || c >= len(s.conts) {
 		return 0
 	}
-	return len(s.conts[c])
+	return len(s.conts[c].ops)
 }

@@ -88,19 +88,22 @@ type move struct {
 
 // candidate pairs a schedule with its cached objective point. A candidate
 // is either materialized (s != nil, owning its schedule) or speculative
-// (src + mv describe the placement; p is src.probe(mv)).
+// (src + mv describe the placement; p is src.probe(mv)). from is the index
+// in the previous frontier of the member it derives from, or that it is
+// when a gap step carries the member over.
 type candidate struct {
-	s   *Schedule
-	src *Schedule
-	mv  move
-	p   point
+	s    *Schedule
+	src  *Schedule
+	mv   move
+	p    point
+	from int
 }
 
 // freeList is one run's recycled schedules: the replaced memo entry and
-// dropped frontier members go in, and materialized survivors and the new
-// memo entry come out, reusing their slice storage through CopyFrom. It
-// lives only inside Skyline.run, so what a run allocates does not depend on
-// which goroutine ran before it.
+// dropped frontier members go in, and the survivors that copy their source
+// and the new memo entry come out, reusing their slice storage through
+// CopyFrom. It lives only inside Skyline.run, so what a run allocates does
+// not depend on which goroutine ran before it.
 type freeList []*Schedule
 
 func (f *freeList) get() *Schedule {
@@ -115,17 +118,21 @@ func (f *freeList) get() *Schedule {
 
 func (f *freeList) put(s *Schedule) { *f = append(*f, s) }
 
-// materialize turns a speculative candidate into an owning one by copying
-// its source into a recycled schedule and making the move there. The move
-// was probed legal on that source, so a failure is a probe that disagrees
-// with make: it panics here, naming the move, rather than leave a nil
-// schedule on the frontier for Fastest to trip over later.
-func (c *candidate) materialize(free *freeList) {
+// materialize turns a speculative candidate into an owning one by making
+// its move: on its source when the candidate takes the source over (own),
+// else on a copy of the source in a recycled schedule. The move was probed
+// legal on that source, so a failure is a probe that disagrees with make:
+// it panics here, naming the move, rather than leave a nil schedule on the
+// frontier for Fastest to trip over later.
+func (c *candidate) materialize(free *freeList, own bool) {
 	if c.s != nil {
 		return
 	}
-	ns := free.get()
-	ns.CopyFrom(c.src)
+	ns := c.src
+	if !own {
+		ns = free.get()
+		ns.CopyFrom(c.src)
+	}
 	if _, err := ns.make(c.mv); err != nil {
 		kind := "append"
 		if c.mv.place {
@@ -172,7 +179,7 @@ func cmpParetoKey(a, b paretoKey) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
-// frontierBuf is one run's Pareto-filter scratch: the sort keys and two
+// frontierBuf is the Pareto filter's scratch: the sort keys and two
 // survivor buffers the frontier alternates between, so the previous
 // frontier stays readable while the next one is written.
 type frontierBuf struct {
@@ -184,18 +191,23 @@ type frontierBuf struct {
 // pareto filters cands down to the non-dominated frontier, fastest first,
 // written to the survivor buffer the previous call did not return. Among
 // candidates with equal objectives one survivor is kept, chosen by prefer
-// (return true if a should beat b). cands is read in key order and never
-// reordered, so only survivors are copied.
+// (return true if a should beat b). It sorts the keys prefilter leaves,
+// which walk gives the frontier of all of cands.
 func (b *frontierBuf) pareto(cands []candidate, prefer func(a, b *candidate) bool) []candidate {
-	keys := b.keys[:0]
-	for i := range cands {
-		keys = append(keys, paretoKey{cands[i].p.time, cands[i].p.money, i})
-	}
-	slices.SortFunc(keys, cmpParetoKey)
-	b.keys = keys
+	b.keys = prefilter(b.keys[:0], cands, prefer)
+	slices.SortFunc(b.keys, cmpParetoKey)
+	return b.walk(cands, prefer)
+}
+
+// walk is the filter over b.keys in key order: a candidate equal, within
+// eps, to the last survivor folds into it by prefer, one no cheaper than
+// the cheapest survivor so far by more than eps is dominated, and any
+// other one is appended. cands is never reordered, so only survivors are
+// copied.
+func (b *frontierBuf) walk(cands []candidate, prefer func(a, b *candidate) bool) []candidate {
 	out := b.out[b.flip][:0]
 	bestMoney := math.Inf(1)
-	for _, k := range keys {
+	for _, k := range b.keys {
 		c := &cands[k.idx]
 		if n := len(out); n > 0 && equalObjectives(out[n-1].p, c.p) {
 			if prefer != nil && prefer(c, &out[n-1]) {
@@ -212,6 +224,89 @@ func (b *frontierBuf) pareto(cands []candidate, prefer func(a, b *candidate) boo
 	b.out[b.flip] = out
 	b.flip = 1 - b.flip
 	return out
+}
+
+// prefilter appends to keys the keys walk needs to give the frontier of
+// all of cands, one run of candidates with the same source at a time. In a
+// run, f is the fastest candidate (least time, then money) and c the
+// cheapest (least money, then time), each the first in index order.
+//
+//   - A candidate with f's time and money bits, or c's, folds into it by
+//     prefer. The run's equal keys are adjacent in key order (its indices
+//     are contiguous) and meet walk's state alike: all are dropped or all
+//     end in one survivor, and prefer is a strict weak order, so folding
+//     them first gives walk's first maximal element.
+//   - A candidate d is dropped when a (f or c, or the candidate of its bits
+//     that won the fold) has a.time <= d.time, a.money <= d.money, and
+//     d.money - a.money > (2n+2)·eps or, when every money in cands is an
+//     integer, d.time - a.time > (n+2)·eps, n = len(cands). Then a comes
+//     before d and walk drops d without folding it. Proof: each of at most
+//     n folds moves the last survivor by at most eps, so its money is
+//     within n·eps of bestMoney, the money its slot was appended with, and
+//     after a, bestMoney <= a.money + n·eps and never rises. With the money
+//     margin, d.money - eps > bestMoney and the last survivor is more than
+//     eps cheaper than d. With integer money, eps equality is equality, a
+//     survivor's money is its slot's bestMoney, at most a.money <= d.money
+//     after a: below d's, d is dominated and not equal; equal to d's, no
+//     slot was appended since a, so the last survivor came by folds from
+//     the one after a, which started no later than a.time, and ends at
+//     most n·eps later, more than eps before d.time.
+//
+// The candidates carrying f's and c's bits are kept, so each dropped one
+// keeps its dominator. FuzzParetoPrefilter holds pareto to walk over all.
+func prefilter(keys []paretoKey, cands []candidate, prefer func(a, b *candidate) bool) []paretoKey {
+	n := len(cands)
+	integral := true
+	for i := range cands {
+		if m := cands[i].p.money; m != math.Trunc(m) {
+			integral = false
+			break
+		}
+	}
+	moneyGap, timeGap := float64(2*n+2)*eps, float64(n+2)*eps
+	dominates := func(a, d *point) bool {
+		return a.time <= d.time && a.money <= d.money &&
+			(d.money-a.money > moneyGap || integral && d.time-a.time > timeGap)
+	}
+	same := func(a, b *point) bool { return a.time == b.time && a.money == b.money }
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		fast, cheap := lo, lo
+		for ; hi < n && cands[hi].from == cands[lo].from; hi++ {
+			p, f, c := &cands[hi].p, &cands[fast].p, &cands[cheap].p
+			if p.time < f.time || p.time == f.time && p.money < f.money {
+				fast = hi
+			}
+			if p.money < c.money || p.money == c.money && p.time < c.time {
+				cheap = hi
+			}
+		}
+		fp, cp := &cands[fast].p, &cands[cheap].p
+		keepF, keepC := fast, cheap
+		for i := lo; i < hi; i++ {
+			c := &cands[i]
+			switch {
+			case i == fast || i == cheap:
+			case same(&c.p, fp):
+				if prefer != nil && prefer(c, &cands[keepF]) {
+					keepF = i
+				}
+			case same(&c.p, cp):
+				if prefer != nil && prefer(c, &cands[keepC]) {
+					keepC = i
+				}
+			case dominates(fp, &c.p) || dominates(cp, &c.p):
+			default:
+				keys = append(keys, paretoKey{c.p.time, c.p.money, i})
+			}
+		}
+		keys = append(keys, paretoKey{fp.time, fp.money, keepF})
+		if cheap != fast {
+			keys = append(keys, paretoKey{cp.time, cp.money, keepC})
+		}
+		lo = hi
+	}
+	return keys
 }
 
 // prune caps the frontier at max points, always keeping the two endpoints
@@ -287,6 +382,14 @@ type Skyline struct {
 	sig          []uint64
 	memo         []*Schedule
 	hits, misses uint64
+
+	// A cold run's scratch, grown by append and kept from run to run with
+	// no schedule left in it: the candidates, the Pareto filter's buffers,
+	// the survivors per source and a gap step's idle runs.
+	cands []candidate
+	fb    frontierBuf
+	held  []int
+	slots []Slot
 }
 
 // NewSkyline returns a skyline scheduler with the given options, its
@@ -325,6 +428,9 @@ func (sk *Skyline) ScheduleWithOptional(g *dataflow.Graph) []*Schedule {
 	return sk.run(g, true)
 }
 
+// run is Alg. 4: from the empty schedule, one step per operator in steps'
+// order expands the frontier into candidates, scored by probing without
+// writing to any member, and advances it to their Pareto survivors.
 func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 	sig := warmSig(g, &sk.Opts, withOptional)
 	if warm := sk.lookup(sig); warm != nil {
@@ -334,10 +440,78 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 	// this run recycles (a run that fails leaves the memo empty).
 	free := freeList(sk.memo)
 	sk.memo = nil
+	defer sk.dropRefs()
 
-	topo, err := g.TopoSort()
+	order, err := steps(g, withOptional)
 	if err != nil {
 		return nil
+	}
+	prefer := preferSeqIdle
+	if withOptional {
+		prefer = preferMoreOps
+	}
+	if sk.cands == nil {
+		// The first run reserves the widest dataflow step, so a one-shot
+		// Skyline allocates its buffers once instead of by doubling.
+		n := max(1, sk.Opts.MaxSkyline) * (min(sk.Opts.MaxContainers, g.Len()) + max(1, len(sk.Opts.Types)))
+		sk.cands, sk.fb.keys = make([]candidate, 0, n), make([]paretoKey, 0, n)
+		sk.held = make([]int, 0, max(1, sk.Opts.MaxSkyline))
+	}
+	sky := sk.origin(g)
+	for _, st := range order {
+		sk.iterations.Inc()
+		cands := sk.expand(sky, st)
+		if len(cands) == 0 {
+			return nil
+		}
+		sk.candidates.Add(float64(len(cands)))
+		sky = sk.advance(sky, cands, prefer, &free)
+		sk.frontier.Observe(float64(len(sky)))
+	}
+
+	out := make([]*Schedule, len(sky))
+	for i, c := range sky {
+		out[i] = c.s
+	}
+	sk.store(sig, out, &free)
+	return out
+}
+
+// origin returns the one-member frontier Alg. 4 starts from: g's empty
+// schedule over the options' pool.
+func (sk *Skyline) origin(g *dataflow.Graph) []candidate {
+	base := NewSchedule(g, sk.Opts.Pricing, sk.Opts.Spec)
+	base.Types = sk.Opts.Types
+	return []candidate{{s: base, p: base.point()}}
+}
+
+// dropRefs clears the schedule pointers from the scratch, so that between
+// runs a tenant's scratch keeps no schedule alive.
+func (sk *Skyline) dropRefs() {
+	clear(sk.cands[:cap(sk.cands)])
+	for i := range sk.fb.out {
+		clear(sk.fb.out[i][:cap(sk.fb.out[i])])
+	}
+}
+
+// step is one iteration of Alg. 4: the operator it places and whether it is
+// an optional index build.
+type step struct {
+	id       dataflow.OpID
+	optional bool
+}
+
+// steps returns the processing order. With optional ops, they sit in the
+// same ready list as the dataflow operators (§5.3.2): they are available
+// from the start, so they get considered interleaved with the dataflow ops
+// — evenly spread here — and each is considered exactly once, against
+// whatever idle gaps exist at that point. This is what makes the online
+// algorithm schedule fewer builds than LP interleaving (Fig. 8): most
+// fragmentation appears only after the whole dataflow is placed.
+func steps(g *dataflow.Graph, withOptional bool) ([]step, error) {
+	topo, err := g.TopoSort()
+	if err != nil {
+		return nil, err
 	}
 	var flowOps, optOps []dataflow.OpID
 	for _, id := range topo {
@@ -346,28 +520,6 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 		} else {
 			flowOps = append(flowOps, id)
 		}
-	}
-	prefer := preferSeqIdle
-	if withOptional {
-		prefer = preferMoreOps
-	}
-
-	base := NewSchedule(g, sk.Opts.Pricing, sk.Opts.Spec)
-	base.Types = sk.Opts.Types
-	sky := []candidate{{s: base}}
-	sky[0].p = sky[0].s.point()
-
-	// Build the processing order. With optional ops, they sit in the same
-	// ready list as the dataflow operators (§5.3.2): they are available
-	// from the start, so they get considered interleaved with the dataflow
-	// ops — evenly spread here — and each is considered exactly once,
-	// against whatever idle gaps exist at that point. This is what makes
-	// the online algorithm schedule fewer builds than LP interleaving
-	// (Fig. 8): most fragmentation appears only after the whole dataflow
-	// is placed.
-	type step struct {
-		id       dataflow.OpID
-		optional bool
 	}
 	var order []step
 	if withOptional && len(optOps) > 0 && len(flowOps) > 0 {
@@ -396,92 +548,86 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 			}
 		}
 	}
+	return order, nil
+}
 
-	// A move is scored by probing the frontier member's schedule, which
-	// reads it and writes nothing, so no member is copied or mutated to be
-	// scored; advance() materializes the survivors. Candidates append in
-	// frontier order, which fixes the Pareto filter's order and every
-	// tie-break. The buffer is sized once for the widest dataflow step: at
-	// most MaxSkyline members, each with a candidate per used container
-	// and one per type for a fresh container. Only a gap step or an
-	// uncapped frontier can outgrow it.
-	perMember := min(sk.Opts.MaxContainers, len(flowOps)) - 1 + max(1, len(sk.Opts.Types))
-	cands := make([]candidate, 0, max(1, sk.Opts.MaxSkyline)*perMember)
-	fb := frontierBuf{keys: make([]paretoKey, 0, cap(cands))}
-
-	for _, st := range order {
-		sk.iterations.Inc()
-		cands = cands[:0]
-		if st.optional {
-			// Union of the previous skyline and every gap placement
-			// (§5.3.2: "the previous skyline is kept and unioned with the
-			// set of schedules S before computing the new skyline").
-			cands = append(cands, sky...)
-			for i := range sky {
-				src := sky[i].s
-				for _, a := range placements(src, st.id) {
-					mv := move{op: st.id, cont: a.Container, typeIdx: -1, start: a.Start, place: true}
-					if p, ok := src.probe(mv); ok {
-						cands = append(cands, candidate{src: src, mv: mv, p: p})
-					}
+// expand writes step st's candidates over frontier sky into the scratch,
+// in frontier order, which fixes the Pareto filter's order and every
+// tie-break. A dataflow op is appended onto each used container and one
+// fresh one (fresh containers are interchangeable), which may be leased as
+// any pool type. A build is placed at the start of every idle run long
+// enough for it (never extending a lease), and the frontier itself is
+// kept (§5.3.2: "the previous skyline is kept and unioned with the set of
+// schedules S before computing the new skyline").
+func (sk *Skyline) expand(sky []candidate, st step) []candidate {
+	cands := sk.cands[:0]
+	if st.optional {
+		for i := range sky {
+			cands = append(cands, sky[i])
+			cands[len(cands)-1].from = i
+		}
+		for i := range sky {
+			src := sky[i].s
+			need := src.Graph.Op(st.id).Time
+			sk.slots = src.appendIdleSlots(sk.slots[:0])
+			for _, r := range mergeRuns(sk.slots) {
+				if r.Size() < need-1e-9 {
+					continue
 				}
-			}
-		} else {
-			for i := range sky {
-				src := sky[i].s
-				// Candidate containers: each already-used container plus one
-				// fresh one (fresh containers are interchangeable); a fresh
-				// container may be leased as any configured VM type.
-				used := src.NumSlots()
-				limit := used + 1
-				if limit > sk.Opts.MaxContainers {
-					limit = sk.Opts.MaxContainers
+				mv := move{op: st.id, cont: r.Container, typeIdx: -1, start: r.Start, place: true}
+				if p, ok := src.probe(mv); ok {
+					cands = append(cands, candidate{src: src, mv: mv, p: p, from: i})
 				}
-				for cont := 0; cont < limit; cont++ {
-					nTypes := 1
-					if cont >= used && len(sk.Opts.Types) > 1 {
-						nTypes = len(sk.Opts.Types)
-					}
-					for ti := 0; ti < nTypes; ti++ {
-						mv := move{op: st.id, cont: cont, typeIdx: -1}
-						if cont >= used && len(sk.Opts.Types) > 0 {
-							mv.typeIdx = ti
-						}
-						if p, ok := src.probe(mv); ok {
-							cands = append(cands, candidate{src: src, mv: mv, p: p})
-						}
-					}
-				}
-			}
-			if len(cands) == 0 {
-				return nil
 			}
 		}
-		sk.candidates.Add(float64(len(cands)))
-		sky = sk.advance(sky, cands, &fb, prefer, &free)
-		sk.frontier.Observe(float64(len(sky)))
+	} else {
+		types := len(sk.Opts.Types)
+		for i := range sky {
+			src := sky[i].s
+			used := src.NumSlots()
+			for cont := 0; cont < min(used+1, sk.Opts.MaxContainers); cont++ {
+				nTypes := 1
+				if cont >= used && types > 1 {
+					nTypes = types
+				}
+				for ti := 0; ti < nTypes; ti++ {
+					mv := move{op: st.id, cont: cont, typeIdx: -1}
+					if cont >= used && types > 0 {
+						mv.typeIdx = ti
+					}
+					if p, ok := src.probe(mv); ok {
+						cands = append(cands, candidate{src: src, mv: mv, p: p, from: i})
+					}
+				}
+			}
+		}
 	}
-
-	out := make([]*Schedule, len(sky))
-	for i, c := range sky {
-		out[i] = c.s
-	}
-	sk.store(sig, out, &free)
-	return out
+	sk.cands = cands
+	return cands
 }
 
 // advance runs the Pareto filter and frontier prune over the merged
-// candidate set, materializes the survivors, and puts the schedules of
-// dropped previous-frontier members on the run's free list.
-func (sk *Skyline) advance(prev, cands []candidate, fb *frontierBuf, prefer func(a, b *candidate) bool, free *freeList) []candidate {
-	next := prune(fb.pareto(cands, prefer), sk.Opts.MaxSkyline)
+// candidate set and materializes the survivors. A survivor that is the
+// only one from its source takes the source over: it makes its move there
+// instead of on a copy. That is safe because nothing reads a source once
+// its survivors are chosen (pareto resolved every tie-break it needed),
+// and a source that survives as itself, or has a second survivor, is
+// copied from instead. The schedules of the dropped previous members go on
+// the run's free list.
+func (sk *Skyline) advance(prev, cands []candidate, prefer func(a, b *candidate) bool, free *freeList) []candidate {
+	next := prune(sk.fb.pareto(cands, prefer), sk.Opts.MaxSkyline)
+	held := slices.Grow(sk.held[:0], len(prev))[:len(prev)]
+	clear(held)
 	for i := range next {
-		next[i].materialize(free)
+		held[next[i].from]++
+	}
+	sk.held = held
+	for i := range next {
+		next[i].materialize(free, held[next[i].from] == 1)
 	}
 	// Release in reverse frontier order. The list is LIFO and the next
 	// iteration materializes fastest first, so the fastest survivor gets the
-	// fastest dropped member's storage, the nearest to its own size; forward
-	// order handed it the cheapest member's and allocated 27-60 % more.
+	// fastest dropped member's storage, the nearest to its own size.
 	for i := len(prev) - 1; i >= 0; i-- {
 		if s := prev[i].s; s != nil && !holds(next, s) {
 			free.put(s)
@@ -499,26 +645,6 @@ func holds(frontier []candidate, s *Schedule) bool {
 		}
 	}
 	return false
-}
-
-// placements enumerates feasible gap placements for an optional op in s:
-// the earliest position in every contiguous idle run (crossing quantum
-// boundaries but never extending a container's lease) large enough for the
-// op.
-func placements(s *Schedule, op dataflow.OpID) []Assignment {
-	need := s.Graph.Op(op).Time
-	var out []Assignment
-	for _, run := range s.IdleRuns() {
-		if run.Size() >= need-1e-9 {
-			out = append(out, Assignment{
-				Op:        op,
-				Container: run.Container,
-				Start:     run.Start,
-				End:       run.Start + need,
-			})
-		}
-	}
-	return out
 }
 
 // Fastest returns the schedule with the smallest makespan from a skyline

@@ -1,8 +1,8 @@
 package workload
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"idxflow/internal/dataflow"
@@ -15,7 +15,7 @@ func (gen *Generator) Flow(app App, seq int, issuedAt float64) *dataflow.Flow {
 	g, readers := gen.Graph(app)
 	files := gen.db.ByApp(app)
 	flow := &dataflow.Flow{
-		Name:     fmt.Sprintf("%s-%d", app, seq),
+		Name:     app.String() + "-" + strconv.Itoa(seq),
 		Graph:    g,
 		IssuedAt: issuedAt,
 	}

@@ -1,9 +1,9 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"idxflow/internal/data"
 )
@@ -83,7 +83,11 @@ func fileSizeMB(rng *rand.Rand, app App, st Stats) float64 {
 }
 
 func (db *FileDB) addFile(app App, i int, sizeMB float64) (int, error) {
-	name := fmt.Sprintf("%s/f%02d", app, i)
+	num := strconv.Itoa(i)
+	if len(num) < 2 {
+		num = "0" + num
+	}
+	name := app.String() + "/f" + num
 	t := data.NewTable(name, fileColumns()...)
 	recSize := t.RecordSize()
 	totalRows := int64(sizeMB * 1e6 / recSize)

@@ -100,6 +100,14 @@ stage_test() {
 		echo "coverage ${total}% fell below the ${baseline}% baseline (scripts/coverage_baseline.txt)"
 		exit 1
 	fi
+
+	# The skyline's exactness arguments (the read-only probe and the running
+	# books against make, the pre-filtered Pareto filter against the
+	# unfiltered one, audited frontiers) are fuzzed past their seed corpora.
+	echo "== fuzz (5 s each) =="
+	go test ./internal/sched -run '^$' -fuzz '^FuzzProbeEqualsApply$' -fuzztime 5s
+	go test ./internal/sched -run '^$' -fuzz '^FuzzParetoPrefilter$' -fuzztime 5s
+	go test ./internal/check -run '^$' -fuzz '^FuzzSkyline$' -fuzztime 5s
 }
 
 # bench: every Benchmark* runs once, so none of them rots.
