@@ -351,8 +351,11 @@ func buildInternal(order int, leaves []*node) *node {
 // non-decreasing order across all Append calls; Finish assembles the
 // internal levels and returns the tree.
 type BulkLoader struct {
-	order    int
-	leaves   []*node
+	order  int
+	leaves []*node
+	// curKeys and curVals stage the pending leaf. They are reused from leaf
+	// to leaf; seal copies them out at their exact length, so a run of
+	// equal keys that grows a leaf past order leaves no slack behind.
 	curKeys  []int64
 	curVals  []int64
 	lastKey  int64
@@ -366,7 +369,11 @@ func NewBulkLoader(order int) *BulkLoader {
 	if order < 4 {
 		order = 4
 	}
-	return &BulkLoader{order: order}
+	return &BulkLoader{
+		order:   order,
+		curKeys: make([]int64, 0, order),
+		curVals: make([]int64, 0, order),
+	}
 }
 
 // Append adds a sorted batch of entries. The slices are copied; callers
@@ -389,10 +396,6 @@ func (b *BulkLoader) Append(keys, vals []int64) error {
 		if len(b.curKeys) >= b.order && k != b.lastKey {
 			b.seal()
 		}
-		if b.curKeys == nil {
-			b.curKeys = make([]int64, 0, b.order)
-			b.curVals = make([]int64, 0, b.order)
-		}
 		b.curKeys = append(b.curKeys, k)
 		b.curVals = append(b.curVals, vals[i])
 		b.lastKey = k
@@ -401,14 +404,18 @@ func (b *BulkLoader) Append(keys, vals []int64) error {
 	return nil
 }
 
+// seal turns the staged entries into a leaf whose arrays hold exactly
+// them (cap == len).
 func (b *BulkLoader) seal() {
-	b.leaves = append(b.leaves, &node{
+	leaf := &node{
 		leaf: true,
-		keys: b.curKeys[:len(b.curKeys):len(b.curKeys)],
-		vals: b.curVals[:len(b.curVals):len(b.curVals)],
-	})
-	b.curKeys = nil
-	b.curVals = nil
+		keys: make([]int64, len(b.curKeys)),
+		vals: make([]int64, len(b.curVals)),
+	}
+	copy(leaf.keys, b.curKeys)
+	copy(leaf.vals, b.curVals)
+	b.leaves = append(b.leaves, leaf)
+	b.curKeys, b.curVals = b.curKeys[:0], b.curVals[:0]
 }
 
 // Finish seals the pending leaf, links the leaf chain, builds the internal
@@ -432,7 +439,7 @@ func (b *BulkLoader) Finish() (*Tree, error) {
 	}
 	t.size += len(b.leaves[len(b.leaves)-1].keys)
 	t.root = buildInternal(b.order, b.leaves)
-	b.leaves = nil
+	b.leaves, b.curKeys, b.curVals = nil, nil, nil
 	return t, nil
 }
 

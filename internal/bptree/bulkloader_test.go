@@ -77,6 +77,56 @@ func TestBulkLoaderMatchesBulkLoadSorted(t *testing.T) {
 	}
 }
 
+// A run of equal keys grows the pending leaf past order; the sealed leaf
+// must hold its entries in arrays of exactly their length, whatever the
+// staging grew to. Runs of about 59 equal keys across a leaf of 256 are the
+// commit-date index's shape.
+func TestBulkLoaderLeavesExact(t *testing.T) {
+	const n = 40_000
+	keys := make([]int64, n)
+	vals := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i / 59)
+		vals[i] = int64(i)
+	}
+	bl := NewBulkLoader(DefaultOrder)
+	for i := 0; i < n; i += 1024 {
+		end := min(i+1024, n)
+		if err := bl.Append(keys[i:end], vals[i:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree, err := bl.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	leaf := tree.root
+	for !leaf.leaf {
+		leaf = leaf.children[0]
+	}
+	leaves, overflowed, entries := 0, 0, 0
+	for ; leaf != nil; leaf = leaf.next {
+		if cap(leaf.keys) != len(leaf.keys) || cap(leaf.vals) != len(leaf.vals) {
+			t.Fatalf("leaf %d: %d keys in cap %d, %d vals in cap %d",
+				leaves, len(leaf.keys), cap(leaf.keys), len(leaf.vals), cap(leaf.vals))
+		}
+		if len(leaf.keys) > DefaultOrder {
+			overflowed++
+		}
+		leaves++
+		entries += len(leaf.keys)
+	}
+	if entries != n {
+		t.Fatalf("leaf chain holds %d entries, want %d", entries, n)
+	}
+	if overflowed < leaves/2 {
+		t.Fatalf("%d of %d leaves past order: the test must exercise overflowing runs", overflowed, leaves)
+	}
+}
+
 func TestBulkLoaderEmpty(t *testing.T) {
 	bl := NewBulkLoader(DefaultOrder)
 	tree, err := bl.Finish()

@@ -126,54 +126,67 @@ func VecBuildHash(keys []int64) HashIndex {
 	return h
 }
 
-// signBias maps int64 order onto uint64 order for radix sorting.
-const signBias = uint64(1) << 63
+// radixScratch holds the buffers of a stable LSD radix sort that carries a
+// payload of type P beside each key: row positions for the sorts below,
+// packed RIDs for PairSorter. A sorter that keeps one across sorts
+// allocates only when a sort is larger than every sort before it.
+type radixScratch[P int32 | int64] struct {
+	tmpK   []int64
+	tmpP   []P
+	counts [8][256]int32
+}
 
-// radixSortBiased stably sorts the sign-biased images of keys with an LSD
-// radix sort: O(n) per digit, with min/max folded during biasing so only
-// bits.Len64(min^max) worth of digits are histogrammed and single-bucket
-// digits are skipped (typical key columns — dense order keys, day counts —
-// differ in two or three low bytes, so most of the eight passes vanish).
-// Returns the position permutation and, when any pass ran, the sorted
-// biased keys; sortedBiased is nil when the input order is already the
-// stable answer (n < 2 or all keys equal).
-func radixSortBiased(keys []int64) (pos []int32, sortedBiased []uint64) {
+// sort stably sorts keys and permutes pay (len(pay) == len(keys))
+// alongside: an LSD radix sort over the keys' sign-biased images, O(n) per
+// digit, with only bits.Len64(min^max) worth of digits histogrammed and
+// single-bucket digits skipped (typical key columns — dense order keys,
+// day counts — differ in two or three low bytes, so most of the eight
+// passes vanish). Passes alternate between the arguments and the scratch,
+// so it returns the sorted keys and payload from whichever holds them
+// last; both arguments are overwritten. When the input order is already
+// the stable answer (n < 2 or all keys equal) it returns them untouched.
+func (s *radixScratch[P]) sort(keys []int64, pay []P) ([]int64, []P) {
 	n := len(keys)
-	pos = make([]int32, n)
-	for i := range pos {
-		pos[i] = int32(i)
-	}
 	if n < 2 {
-		return pos, nil
+		return keys, pay
 	}
-
-	uk := make([]uint64, n)
-	min, max := ^uint64(0), uint64(0)
-	for i, k := range keys {
-		u := uint64(k) ^ signBias
-		uk[i] = u
-		if u < min {
-			min = u
+	min, max := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		if k < min {
+			min = k
 		}
-		if u > max {
-			max = u
+		if k > max {
+			max = k
 		}
 	}
 	if min == max {
-		return pos, nil // all keys equal; identity order is the stable answer
+		return keys, pay // all keys equal; input order is the stable answer
 	}
-	digits := (bits.Len64(min^max) + 7) / 8
-	counts := make([][256]int32, digits)
-	for _, u := range uk {
+	// Digits are bytes of the keys' sign-biased images, which are in
+	// uint64 order what the keys are in int64 order. The bias flips only
+	// the sign bit, so only digit 7, the top byte, differs from the key's
+	// own byte: its histogram halves swap and its buckets are b^0x80.
+	digits := (bits.Len64(uint64(min)^uint64(max)) + 7) / 8
+	counts := s.counts[:digits]
+	clear(counts)
+	for _, k := range keys {
 		for d := 0; d < digits; d++ {
-			counts[d][byte(u>>(8*uint(d)))]++
+			counts[d][byte(uint64(k)>>(8*uint(d)))]++
+		}
+	}
+	if digits == 8 {
+		top := &counts[7]
+		for b := 0; b < 128; b++ {
+			top[b], top[b+128] = top[b+128], top[b]
 		}
 	}
 
-	tmpK := make([]uint64, n)
-	tmpP := make([]int32, n)
-	srcK, dstK := uk, tmpK
-	srcP, dstP := pos, tmpP
+	if cap(s.tmpK) < n {
+		s.tmpK = make([]int64, n)
+		s.tmpP = make([]P, n)
+	}
+	srcK, dstK := keys, s.tmpK[:n]
+	srcP, dstP := pay, s.tmpP[:n]
 	var offs [256]int32
 	for d := 0; d < digits; d++ {
 		c := &counts[d]
@@ -196,28 +209,41 @@ func radixSortBiased(keys []int64) (pos []int32, sortedBiased []uint64) {
 			offs[b] = sum
 			sum += c[b]
 		}
-		shift := uint(8 * d)
-		for i, u := range srcK {
-			b := byte(u >> shift)
+		shift, flip := uint(8*d), byte(0)
+		if d == 7 {
+			flip = 0x80
+		}
+		for i, k := range srcK {
+			b := byte(uint64(k)>>shift) ^ flip
 			o := offs[b]
 			offs[b] = o + 1
-			dstK[o] = u
+			dstK[o] = k
 			dstP[o] = srcP[i]
 		}
 		srcK, dstK = dstK, srcK
 		srcP, dstP = dstP, srcP
 	}
-	if &srcP[0] != &pos[0] {
-		copy(pos, srcP)
+	return srcK, srcP
+}
+
+// sortPositions radix-sorts a copy of keys with the row positions as the
+// payload; keys is not modified.
+func sortPositions(keys []int64) ([]int64, []int32) {
+	sorted := make([]int64, len(keys))
+	copy(sorted, keys)
+	pos := make([]int32, len(keys))
+	for i := range pos {
+		pos[i] = int32(i)
 	}
-	return pos, srcK
+	var s radixScratch[int32]
+	return s.sort(sorted, pos)
 }
 
 // VecSortPositions returns the row positions stably sorted by key — the
 // vectorized "Order by without an index", replacing the comparison sort of
 // ScanOrderBy with the radix sort above.
 func VecSortPositions(keys []int64) []int32 {
-	pos, _ := radixSortBiased(keys)
+	_, pos := sortPositions(keys)
 	return pos
 }
 
@@ -227,16 +253,26 @@ func VecSortPositions(keys []int64) []int32 {
 // grouping, sorted output) read them sequentially instead of gathering
 // keys[pos[i]] through n random accesses.
 func VecSortKeysPositions(keys []int64) ([]int64, []int32) {
-	pos, biased := radixSortBiased(keys)
-	sorted := make([]int64, len(keys))
-	if biased == nil {
-		copy(sorted, keys) // identity permutation: input order is sorted
-	} else {
-		for i, u := range biased {
-			sorted[i] = int64(u ^ signBias)
-		}
+	return sortPositions(keys)
+}
+
+// PairSorter sorts (key, value) chunks in place with the radix sort of
+// VecSortPositions, the values riding along as its payload, and keeps the
+// sort's buffers from one chunk to the next: the run sort of an out-of-core
+// index build, whose values are packed RIDs. A PairSorter is not safe for
+// concurrent use.
+type PairSorter struct {
+	s radixScratch[int64]
+}
+
+// Sort stably sorts keys ascending in place and permutes vals alongside;
+// len(vals) must equal len(keys).
+func (ps *PairSorter) Sort(keys, vals []int64) {
+	sk, sv := ps.s.sort(keys, vals)
+	if len(keys) > 0 && &sk[0] != &keys[0] { // an odd number of passes ran
+		copy(keys, sk)
+		copy(vals, sv)
 	}
-	return sorted, pos
 }
 
 // countingMaxSpan bounds the key domain for the counting-sort fast path

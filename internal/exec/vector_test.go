@@ -58,43 +58,74 @@ func TestVecSortPositionsGolden(t *testing.T) {
 	}
 }
 
-// TestVecSortPositionsProperty hammers the radix sort with adversarial key
+// adversarialKeys draws a key column of 1–3000 keys from one of five
 // distributions: negatives, duplicates, extremes, already/reverse sorted.
+func adversarialKeys(rng *rand.Rand) []int64 {
+	n := 1 + rng.Intn(3000)
+	keys := make([]int64, n)
+	switch rng.Intn(5) {
+	case 0: // random full-range, negatives included
+		for i := range keys {
+			keys[i] = rng.Int63() - rng.Int63()
+		}
+	case 1: // heavy duplicates
+		for i := range keys {
+			keys[i] = int64(rng.Intn(7)) - 3
+		}
+	case 2: // already sorted
+		for i := range keys {
+			keys[i] = int64(i / 3)
+		}
+	case 3: // reverse sorted
+		for i := range keys {
+			keys[i] = int64(n - i)
+		}
+	default: // extremes
+		choices := []int64{-1 << 63, (1 << 63) - 1, 0, -1, 1}
+		for i := range keys {
+			keys[i] = choices[rng.Intn(len(choices))]
+		}
+	}
+	return keys
+}
+
+// TestVecSortPositionsProperty hammers the radix sort with adversarial key
+// distributions.
 func TestVecSortPositionsProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(3000)
-		keys := make([]int64, n)
-		switch rng.Intn(5) {
-		case 0: // random full-range, negatives included
-			for i := range keys {
-				keys[i] = rng.Int63() - rng.Int63()
-			}
-		case 1: // heavy duplicates
-			for i := range keys {
-				keys[i] = int64(rng.Intn(7)) - 3
-			}
-		case 2: // already sorted
-			for i := range keys {
-				keys[i] = int64(i / 3)
-			}
-		case 3: // reverse sorted
-			for i := range keys {
-				keys[i] = int64(n - i)
-			}
-		default: // extremes
-			choices := []int64{-1 << 63, (1 << 63) - 1, 0, -1, 1}
-			for i := range keys {
-				keys[i] = choices[rng.Intn(len(choices))]
-			}
-		}
-		rows := make([]tpch.Row, n)
+		keys := adversarialKeys(rand.New(rand.NewSource(seed)))
+		rows := make([]tpch.Row, len(keys))
 		for i, k := range keys {
 			rows[i] = tpch.Row{OrderKey: k}
 		}
 		return reflect.DeepEqual(ScanOrderBy(rows, OrderKey), VecSortPositions(keys))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPairSorterMatchesPositions sorts adversarial chunks of growing and
+// shrinking size with one PairSorter, whose buffers every chunk reuses, and
+// requires the keys and values that the gather through VecSortPositions
+// gives.
+func TestPairSorterMatchesPositions(t *testing.T) {
+	var ps PairSorter
+	f := func(seed int64) bool {
+		keys := adversarialKeys(rand.New(rand.NewSource(seed)))
+		vals := make([]int64, len(keys))
+		for i := range vals {
+			vals[i] = seed ^ int64(i)
+		}
+		wantK := make([]int64, len(keys))
+		wantV := make([]int64, len(keys))
+		for i, p := range VecSortPositions(keys) {
+			wantK[i], wantV[i] = keys[p], vals[p]
+		}
+		ps.Sort(keys, vals)
+		return reflect.DeepEqual(keys, wantK) && reflect.DeepEqual(vals, wantV)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

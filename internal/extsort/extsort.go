@@ -5,8 +5,9 @@
 //
 // Sorted runs are generated concurrently by a worker pool (each worker
 // sorts and writes its own run file while the reader fills the next
-// buffer), and the k-way merge consumes a page block of pairs per run
-// instead of single heap-popped entries. BuildIndexStreaming chains that
+// buffer, the buffers recycled through a free list), and the k-way merge
+// consumes a page block of pairs per run instead of single heap-popped
+// entries. BuildIndexStreaming chains that
 // into bptree.BulkLoader, so an index build never holds the full key
 // array in memory.
 package extsort
@@ -48,21 +49,51 @@ type mergeItem struct {
 	src int
 }
 
+// before orders run heads by key, then by run: runs are numbered in scan
+// order, so equal keys leave the merge in scan order at any worker count.
+func (a mergeItem) before(b mergeItem) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.src < b.src
+}
+
+// mergeHeap is a binary min-heap of run heads, sifted in place.
 type mergeHeap []mergeItem
 
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+// init puts h in heap order.
+func (h mergeHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	return h[i].src < h[j].src // deterministic at any worker count
 }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// down sifts the item at i toward the leaves until both children follow it.
+func (h mergeHeap) down(i int) {
+	it := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(it) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = it
+}
+
+// pop removes the head.
+func (h *mergeHeap) pop() {
+	n := len(*h) - 1
+	(*h)[0] = (*h)[n]
+	*h = (*h)[:n]
+	if n > 0 {
+		h.down(0)
+	}
 }

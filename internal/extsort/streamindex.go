@@ -1,7 +1,6 @@
 package extsort
 
 import (
-	"container/heap"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,17 +45,19 @@ func closeIndexRuns(runs []indexRun) {
 	}
 }
 
-// writeIndexRun radix-sorts one chunk of (key, rid) pairs and spills it as
-// a columnar run file: two int64 columns, packed 512 values per page.
-func writeIndexRun(keys, vals []int64, idx int, tmpDir string) (indexRun, error) {
-	order := exec.VecSortPositions(keys)
-	sk := make([]int64, len(keys))
-	sv := make([]int64, len(vals))
-	for i, p := range order {
-		sk[i] = keys[p]
-		sv[i] = vals[p]
-	}
-	path := filepath.Join(tmpDir, fmt.Sprintf("idxrun-%04d.cols", idx))
+// chunk is the buffer of one run's (key, rid) pairs: filled by the scan,
+// sorted in place and spilled by a worker, then recycled.
+type chunk struct {
+	keys, rids []int64
+	idx        int
+}
+
+// writeIndexRun sorts one chunk in place with the worker's sorter and
+// spills it as a columnar run file: two int64 columns, packed 512 values
+// per page.
+func writeIndexRun(ps *exec.PairSorter, c *chunk, tmpDir string) (indexRun, error) {
+	ps.Sort(c.keys, c.rids)
+	path := filepath.Join(tmpDir, fmt.Sprintf("idxrun-%04d.cols", c.idx))
 	rt, err := pagestore.CreateColumnTable(path, 4,
 		pagestore.ColSpec{Name: "key", Width: 8},
 		pagestore.ColSpec{Name: "rid", Width: 8})
@@ -68,24 +69,24 @@ func writeIndexRun(keys, vals []int64, idx int, tmpDir string) (indexRun, error)
 		os.Remove(path)
 		return indexRun{}, err
 	}
-	if err := rt.AppendBatch(sk, sv); err != nil {
+	if err := rt.AppendBatch(c.keys, c.rids); err != nil {
 		return fail(err)
 	}
 	if err := rt.Flush(); err != nil {
 		return fail(err)
 	}
-	return indexRun{table: rt, path: path, idx: idx}, nil
+	return indexRun{table: rt, path: path, idx: c.idx}, nil
 }
 
 // makeIndexRuns scans the table once (the pool is not concurrency-safe)
 // and hands MemRows-sized (key, rid) chunks to a worker pool for sorting
-// and spilling.
+// and spilling. Chunks cycle through a free list of Workers+1 buffers, one
+// filling while each worker sorts another, made on first need; each
+// worker keeps one sorter, so a build allocates its buffers once and not
+// once per run.
 func makeIndexRuns(in *pagestore.Table, key Key, opt Options) ([]indexRun, error) {
-	type job struct {
-		keys, vals []int64
-		idx        int
-	}
-	jobs := make(chan job, opt.Workers)
+	jobs := make(chan *chunk, opt.Workers)
+	free := make(chan *chunk, opt.Workers+1)
 	results := make(chan indexRun, opt.Workers)
 	errs := make(chan error, opt.Workers)
 
@@ -94,8 +95,11 @@ func makeIndexRuns(in *pagestore.Table, key Key, opt Options) ([]indexRun, error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				r, err := writeIndexRun(j.keys, j.vals, j.idx, opt.TmpDir)
+			var ps exec.PairSorter
+			for c := range jobs {
+				r, err := writeIndexRun(&ps, c, opt.TmpDir)
+				c.keys, c.rids = c.keys[:0], c.rids[:0]
+				free <- c // never blocks: at most cap(free) chunks exist
 				if err != nil {
 					errs <- err
 					return
@@ -114,31 +118,57 @@ func makeIndexRuns(in *pagestore.Table, key Key, opt Options) ([]indexRun, error
 		close(collectDone)
 	}()
 
-	keys := make([]int64, 0, opt.MemRows)
-	vals := make([]int64, 0, opt.MemRows)
+	// take returns an empty chunk: a free one, a new one while fewer than
+	// cap(free) exist, or else the next one a worker frees. A worker that
+	// fails frees its chunk and reports, so the wait ends either way.
+	made := 0
+	take := func() (*chunk, error) {
+		select {
+		case c := <-free:
+			return c, nil
+		default:
+		}
+		if made < cap(free) {
+			made++
+			return &chunk{keys: make([]int64, 0, opt.MemRows), rids: make([]int64, 0, opt.MemRows)}, nil
+		}
+		select {
+		case c := <-free:
+			return c, nil
+		case err := <-errs:
+			return nil, err
+		}
+	}
 	nextIdx := 0
+	submit := func(c *chunk) error {
+		c.idx = nextIdx
+		select {
+		case err := <-errs:
+			return err
+		case jobs <- c:
+			nextIdx++
+			return nil
+		}
+	}
+
+	var cur *chunk
 	var feedErr error
 	scanErr := in.Scan(func(rid pagestore.RID, r tpch.Row) bool {
-		keys = append(keys, key(r))
-		vals = append(vals, rid.Pack())
-		if len(keys) >= opt.MemRows {
-			select {
-			case feedErr = <-errs:
+		if cur == nil {
+			if cur, feedErr = take(); feedErr != nil {
 				return false
-			case jobs <- job{keys: keys, vals: vals, idx: nextIdx}:
-				nextIdx++
-				keys = make([]int64, 0, opt.MemRows)
-				vals = make([]int64, 0, opt.MemRows)
 			}
+		}
+		cur.keys = append(cur.keys, key(r))
+		cur.rids = append(cur.rids, rid.Pack())
+		if len(cur.keys) == opt.MemRows {
+			feedErr, cur = submit(cur), nil
+			return feedErr == nil
 		}
 		return true
 	})
-	if scanErr == nil && feedErr == nil && len(keys) > 0 {
-		select {
-		case feedErr = <-errs:
-		case jobs <- job{keys: keys, vals: vals, idx: nextIdx}:
-			nextIdx++
-		}
+	if scanErr == nil && feedErr == nil && cur != nil {
+		feedErr = submit(cur)
 	}
 	close(jobs)
 	wg.Wait()
@@ -213,7 +243,7 @@ func mergeIndexRuns(runs []indexRun) (*bptree.Tree, error) {
 			rc.pos = 1
 		}
 	}
-	heap.Init(&h)
+	h.init()
 
 	loader := bptree.NewBulkLoader(bptree.DefaultOrder)
 	var batchK, batchV [exec.BatchSize]int64
@@ -226,7 +256,7 @@ func mergeIndexRuns(runs []indexRun) (*bptree.Tree, error) {
 		n = 0
 		return err
 	}
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		it := h[0]
 		rc := cursors[it.src]
 		batchK[n] = it.key
@@ -243,12 +273,12 @@ func mergeIndexRuns(runs []indexRun) (*bptree.Tree, error) {
 			}
 		}
 		if len(rc.keys) == 0 { // run exhausted
-			heap.Pop(&h)
+			h.pop()
 			continue
 		}
 		h[0] = mergeItem{key: rc.keys[rc.pos], src: it.src}
 		rc.pos++
-		heap.Fix(&h, 0)
+		h.down(0)
 	}
 	if err := flush(); err != nil {
 		return nil, err

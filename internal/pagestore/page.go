@@ -61,21 +61,22 @@ func (p *Page) FreeSpace() int {
 	return free
 }
 
-// Insert stores rec in the page and returns its slot number. ok is false
-// when the record does not fit.
-func (p *Page) Insert(rec []byte) (slot int, ok bool) {
-	if len(rec) > p.FreeSpace() || len(rec) > 0xFFFF {
-		return 0, false
+// reserve allocates a slot for an n-byte record and returns the record's
+// bytes for the caller to fill in place, so a record is written once,
+// straight into the page. ok is false when n does not fit; a zero-length
+// record is a dead slot.
+func (p *Page) reserve(n int) (rec []byte, slot int, ok bool) {
+	if n > p.FreeSpace() || n > 0xFFFF {
+		return nil, 0, false
 	}
-	n := p.NumSlots()
-	off := p.freeStart() - len(rec)
-	copy(p.buf[off:], rec)
-	slotOff := headerSize + n*slotSize
+	slot = p.NumSlots()
+	off := p.freeStart() - n
+	slotOff := headerSize + slot*slotSize
 	binary.LittleEndian.PutUint16(p.buf[slotOff:], uint16(off))
-	binary.LittleEndian.PutUint16(p.buf[slotOff+2:], uint16(len(rec)))
-	binary.LittleEndian.PutUint16(p.buf[0:2], uint16(n+1))
+	binary.LittleEndian.PutUint16(p.buf[slotOff+2:], uint16(n))
+	binary.LittleEndian.PutUint16(p.buf[0:2], uint16(slot+1))
 	binary.LittleEndian.PutUint16(p.buf[2:4], uint16(off))
-	return n, true
+	return p.buf[off : off+n : off+n], slot, true
 }
 
 // Get returns the record in the given slot. The returned slice aliases the

@@ -22,7 +22,7 @@ func stampedFile(tb testing.TB, pages int) *File {
 	for i := 0; i < pages; i++ {
 		p.Reset()
 		binary.LittleEndian.PutUint64(rec[:], uint64(i))
-		if _, ok := p.Insert(rec[:]); !ok {
+		if _, ok := insert(&p, rec[:]); !ok {
 			tb.Fatal("stamp does not fit an empty page")
 		}
 		if _, err := f.Append(&p); err != nil {
@@ -44,13 +44,36 @@ func stamp(tb testing.TB, p *Page) int {
 // A pool a quarter the size of its table recycles a frame on nearly every
 // get; both layouts must still decode exactly what was written, on the
 // first pass (frames being allocated, then recycled) and the second (every
-// frame a recycled one).
+// frame a recycled one). Every row either pass yields is kept and compared
+// again after both scans end, when each frame has held many other pages
+// since: a Comment that aliased its frame would read another page's bytes.
 func TestScanThroughRecycledFrames(t *testing.T) {
-	tab, rows := buildTable(t, 3000, 2)
+	rows := tpch.Generate(3000.0/tpch.RowsPerScale, 7)
+	rows[0].Comment = ""
+	rows[len(rows)/2].Comment = ""
+	tab, err := CreateTable(filepath.Join(t.TempDir(), "rows.pages"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	for i, r := range rows {
+		if i == 1 || i == len(rows)/3 {
+			if _, ok := insert(&tab.cur, nil); !ok { // a dead slot
+				t.Fatal("dead slot does not fit the write page")
+			}
+		}
+		if _, err := tab.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if tab.Pages() < 4*tab.pool.frames {
 		t.Fatalf("table has %d pages, want at least 4x its %d frames", tab.Pages(), tab.pool.frames)
 	}
-	for pass := 0; pass < 2; pass++ {
+	var kept [2][]tpch.Row
+	for pass := range kept {
 		i := 0
 		err := tab.Scan(func(_ RID, r tpch.Row) bool {
 			if r != rows[i] {
@@ -59,6 +82,7 @@ func TestScanThroughRecycledFrames(t *testing.T) {
 			if len(tab.pool.byID) > tab.pool.frames {
 				t.Fatalf("pass %d: %d pages resident in %d frames", pass, len(tab.pool.byID), tab.pool.frames)
 			}
+			kept[pass] = append(kept[pass], r)
 			i++
 			return true
 		})
@@ -67,6 +91,13 @@ func TestScanThroughRecycledFrames(t *testing.T) {
 		}
 		if i != len(rows) {
 			t.Fatalf("pass %d scanned %d rows, want %d", pass, i, len(rows))
+		}
+	}
+	for pass, got := range kept {
+		for i, r := range got {
+			if r != rows[i] {
+				t.Fatalf("pass %d row %d after both scans: got %+v, want %+v", pass, i, r, rows[i])
+			}
 		}
 	}
 	if hits, misses := tab.PoolStats(); hits != 0 || misses != int64(2*tab.Pages()) {
@@ -110,6 +141,50 @@ func TestScanThroughRecycledFrames(t *testing.T) {
 				t.Fatalf("%d pages resident in %d frames", len(ct.pool.byID), ct.pool.frames)
 			}
 		}
+	}
+}
+
+// Append encodes into the write page and Scan decodes a page at a time:
+// after the first page an append allocates nothing, and a scan allocates
+// at most once per page, for the page's comment string.
+func TestRowPathAllocations(t *testing.T) {
+	rows := tpch.Generate(2000.0/tpch.RowsPerScale, 3)
+	tab, err := CreateTable(filepath.Join(t.TempDir(), "rows.pages"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	i := 0
+	appendNext := func() {
+		if _, err := tab.Append(rows[i%len(rows)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for tab.Pages() == 0 {
+		appendNext()
+	}
+	if avg := testing.AllocsPerRun(len(rows), appendNext); avg != 0 {
+		t.Errorf("Append allocates %.2f objects per row, want 0", avg)
+	}
+	if err := tab.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if tab.Pages() < 10 {
+		t.Fatalf("table has %d pages, want at least 10", tab.Pages())
+	}
+	scanned := 0
+	visit := func(RID, tpch.Row) bool { scanned++; return true }
+	scan := func() {
+		if err := tab.Scan(visit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(3, scan); avg > float64(tab.Pages()) {
+		t.Errorf("Scan of %d pages allocates %.0f objects, want at most one per page", tab.Pages(), avg)
+	}
+	if scanned != 4*int(tab.Rows()) {
+		t.Errorf("scanned %d rows in 4 scans of %d", scanned, tab.Rows())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"idxflow/internal/bptree"
 	"idxflow/internal/tpch"
@@ -24,52 +25,40 @@ func UnpackRID(v int64) RID {
 	return RID{Page: int32(v >> 32), Slot: int32(uint32(v))}
 }
 
-// EncodeRow serializes a lineitem row: fixed-width fields then the
-// variable-length comment.
-func EncodeRow(r tpch.Row) []byte {
-	buf := make([]byte, 8+4+1+4+8+2+len(r.Comment))
-	o := 0
-	binary.LittleEndian.PutUint64(buf[o:], uint64(r.OrderKey))
-	o += 8
-	binary.LittleEndian.PutUint32(buf[o:], uint32(r.CommitDate))
-	o += 4
-	buf[o] = r.ShipInstruct
-	o++
-	binary.LittleEndian.PutUint32(buf[o:], uint32(r.Quantity))
-	o += 4
-	binary.LittleEndian.PutUint64(buf[o:], math.Float64bits(r.ExtendedPrice))
-	o += 8
-	binary.LittleEndian.PutUint16(buf[o:], uint16(len(r.Comment)))
-	o += 2
-	copy(buf[o:], r.Comment)
-	return buf
+// rowFixed is the encoded size of a row's fixed-width fields: order key,
+// commit date, ship instruction, quantity, extended price and the
+// comment's length.
+const rowFixed = 8 + 4 + 1 + 4 + 8 + 2
+
+// appendRow appends the encoding of a lineitem row to dst: fixed-width
+// fields then the variable-length comment, rowFixed+len(r.Comment) bytes.
+func appendRow(dst []byte, r tpch.Row) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.OrderKey))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.CommitDate))
+	dst = append(dst, r.ShipInstruct)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Quantity))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.ExtendedPrice))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Comment)))
+	return append(dst, r.Comment...)
 }
 
-// DecodeRow deserializes a row encoded by EncodeRow.
-func DecodeRow(b []byte) (tpch.Row, error) {
-	const fixed = 8 + 4 + 1 + 4 + 8 + 2
-	if len(b) < fixed {
-		return tpch.Row{}, fmt.Errorf("pagestore: row too short (%d bytes)", len(b))
+// decodeRow decodes a row encoded by appendRow, all but its comment, and
+// returns the comment's bytes, which alias b.
+func decodeRow(b []byte) (tpch.Row, []byte, error) {
+	if len(b) < rowFixed {
+		return tpch.Row{}, nil, fmt.Errorf("pagestore: row too short (%d bytes)", len(b))
 	}
 	var r tpch.Row
-	o := 0
-	r.OrderKey = int64(binary.LittleEndian.Uint64(b[o:]))
-	o += 8
-	r.CommitDate = int32(binary.LittleEndian.Uint32(b[o:]))
-	o += 4
-	r.ShipInstruct = b[o]
-	o++
-	r.Quantity = int32(binary.LittleEndian.Uint32(b[o:]))
-	o += 4
-	r.ExtendedPrice = math.Float64frombits(binary.LittleEndian.Uint64(b[o:]))
-	o += 8
-	n := int(binary.LittleEndian.Uint16(b[o:]))
-	o += 2
-	if len(b) < o+n {
-		return tpch.Row{}, fmt.Errorf("pagestore: truncated comment (%d < %d)", len(b)-o, n)
+	r.OrderKey = int64(binary.LittleEndian.Uint64(b[0:]))
+	r.CommitDate = int32(binary.LittleEndian.Uint32(b[8:]))
+	r.ShipInstruct = b[12]
+	r.Quantity = int32(binary.LittleEndian.Uint32(b[13:]))
+	r.ExtendedPrice = math.Float64frombits(binary.LittleEndian.Uint64(b[17:]))
+	n := int(binary.LittleEndian.Uint16(b[25:]))
+	if len(b) < rowFixed+n {
+		return tpch.Row{}, nil, fmt.Errorf("pagestore: truncated comment (%d < %d)", len(b)-rowFixed, n)
 	}
-	r.Comment = string(b[o : o+n])
-	return r, nil
+	return r, b[rowFixed : rowFixed+n], nil
 }
 
 // Table is a heap of rows in a page file, read through a buffer pool.
@@ -94,20 +83,21 @@ func CreateTable(path string, poolFrames int) (*Table, error) {
 	return t, nil
 }
 
-// Append stores a row and returns its RID. Rows go to the current write
-// page; full pages are flushed to the file.
+// Append stores a row and returns its RID. Rows are encoded straight into
+// the current write page, so an append allocates nothing; full pages are
+// flushed to the file.
 func (t *Table) Append(r tpch.Row) (RID, error) {
-	rec := EncodeRow(r)
-	slot, ok := t.cur.Insert(rec)
+	n := rowFixed + len(r.Comment)
+	rec, slot, ok := t.cur.reserve(n)
 	if !ok {
 		if err := t.flushCur(); err != nil {
 			return RID{}, err
 		}
-		slot, ok = t.cur.Insert(rec)
-		if !ok {
-			return RID{}, fmt.Errorf("pagestore: row of %d bytes exceeds page capacity", len(rec))
+		if rec, slot, ok = t.cur.reserve(n); !ok {
+			return RID{}, fmt.Errorf("pagestore: row of %d bytes exceeds page capacity", n)
 		}
 	}
+	appendRow(rec[:0], r)
 	t.curUsed = true
 	t.rows++
 	return RID{Page: int32(t.file.Pages()), Slot: int32(slot)}, nil
@@ -148,36 +138,84 @@ func (t *Table) Fetch(rid RID) (tpch.Row, error) {
 	if !ok || rec == nil {
 		return tpch.Row{}, fmt.Errorf("pagestore: no row at %+v", rid)
 	}
-	return DecodeRow(rec)
+	r, comment, err := decodeRow(rec)
+	r.Comment = string(comment)
+	return r, err
 }
 
 // Scan visits every row in storage order. Stops early if visit returns
 // false.
+//
+// Scan decodes a page at a time: the page is pinned only while its rows
+// are decoded, and all of its comments are copied into one string, of
+// which every row's Comment is a substring. A page thus costs one
+// allocation however many rows it holds, and a row stays valid after the
+// pool recycles the frame it was read from (a Comment that aliased the
+// frame would then read another page's bytes). A retained Comment keeps
+// its page's comment string alive.
 func (t *Table) Scan(visit func(rid RID, r tpch.Row) bool) error {
+	var buf [maxRowsPerPage]slotRow
+	rows := buf[:0]
 	for pid := 0; pid < t.file.Pages(); pid++ {
-		p, err := t.pool.Get(pid)
-		if err != nil {
-			return err
-		}
-		n := p.NumSlots()
-		for s := 0; s < n; s++ {
-			rec, ok := p.Get(s)
-			if !ok || rec == nil {
-				continue
-			}
-			row, err := DecodeRow(rec)
-			if err != nil {
-				t.pool.Release(pid)
-				return err
-			}
-			if !visit(RID{Page: int32(pid), Slot: int32(s)}, row) {
-				t.pool.Release(pid)
+		var err error
+		rows, err = t.decodePage(pid, rows[:0])
+		for _, sr := range rows {
+			if !visit(RID{Page: int32(pid), Slot: sr.slot}, sr.row) {
 				return nil
 			}
 		}
-		t.pool.Release(pid)
+		if err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// maxRowsPerPage bounds the live slots of a row page: every record holds
+// at least the fixed-width fields.
+const maxRowsPerPage = (PageSize - headerSize) / (slotSize + rowFixed)
+
+// slotRow is one decoded row of a page and its slot.
+type slotRow struct {
+	slot int32
+	row  tpch.Row
+}
+
+// decodePage appends the live rows of page pid to rows, their comments
+// copied into one string. On a corrupt record it returns the rows before
+// it with the error.
+func (t *Table) decodePage(pid int, rows []slotRow) ([]slotRow, error) {
+	p, err := t.pool.Get(pid)
+	if err != nil {
+		return rows, err
+	}
+	defer t.pool.Release(pid)
+	n := p.NumSlots()
+	size := 0
+	for s := 0; s < n; s++ {
+		if rec, _ := p.Get(s); len(rec) > rowFixed {
+			size += len(rec) - rowFixed
+		}
+	}
+	var comments strings.Builder
+	// Grow reserves room for every comment of the page, so the buffer never
+	// moves and each String() below is a prefix of the final string.
+	comments.Grow(size)
+	for s := 0; s < n; s++ {
+		rec, ok := p.Get(s)
+		if !ok || rec == nil {
+			continue
+		}
+		r, comment, err := decodeRow(rec)
+		if err != nil {
+			return rows, err
+		}
+		start := comments.Len()
+		comments.Write(comment)
+		r.Comment = comments.String()[start:]
+		rows = append(rows, slotRow{slot: int32(s), row: r})
+	}
+	return rows, nil
 }
 
 // PoolStats exposes the buffer pool counters.
