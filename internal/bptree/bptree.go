@@ -1,13 +1,15 @@
 // Package bptree implements an in-memory B+Tree with int64 keys and values,
-// supporting bulk loading, insertion, point lookups and sorted range scans.
-// It is the physical index structure behind the query-executor substrate
-// used to measure the index speedups of Table 6 of the paper.
+// built once by bulk loading sorted entries and then read by point lookups
+// and sorted range scans. It is the physical index structure behind the
+// query-executor substrate used to measure the index speedups of Table 6
+// of the paper. A tree is built in one of two ways: BulkLoadSorted over
+// parallel key/value slices in memory, or BulkLoader from sorted batches
+// streamed out of an external sort.
 //
 // Duplicate keys are supported. To keep lookups and range scans exact, a
-// run of equal keys is never split across two leaves; leaf splits shift the
-// split point to a key boundary (and, in the degenerate case of a leaf
-// holding a single key value, the leaf is allowed to grow past the nominal
-// order).
+// run of equal keys is never split across two leaves: a leaf boundary moves
+// past the run (so a leaf holding a single key value may grow past the
+// nominal order).
 package bptree
 
 import (
@@ -20,11 +22,6 @@ import (
 // node of 16-byte entries roughly fills a 4 KB disk block.
 const DefaultOrder = 256
 
-// Pair is a key/value entry.
-type Pair struct {
-	Key, Val int64
-}
-
 type node struct {
 	leaf     bool
 	keys     []int64
@@ -33,19 +30,12 @@ type node struct {
 	next     *node   // leaf chain
 }
 
-// Tree is a B+Tree. The zero value is not usable; call New or BulkLoad.
+// Tree is a B+Tree. The zero value is not usable; build one with
+// BulkLoadSorted or a BulkLoader.
 type Tree struct {
 	root  *node
 	order int // max keys per node (nominal)
 	size  int
-}
-
-// New returns an empty tree. Orders below 4 are raised to 4.
-func New(order int) *Tree {
-	if order < 4 {
-		order = 4
-	}
-	return &Tree{root: &node{leaf: true}, order: order}
 }
 
 // Len returns the number of stored entries.
@@ -65,8 +55,8 @@ func (t *Tree) Height() int {
 }
 
 // findLeaf descends to the leaf that contains key (equal separators send
-// the search right, and splits never divide equal-key runs, so the leaf is
-// unique).
+// the search right, and no leaf boundary divides an equal-key run, so the
+// leaf is unique).
 func (t *Tree) findLeaf(key int64) *node {
 	n := t.root
 	for !n.leaf {
@@ -125,122 +115,10 @@ func (t *Tree) Scan(visit func(key, val int64) bool) {
 	}
 }
 
-// Insert adds an entry. Duplicate keys are allowed; the new entry is placed
-// after existing entries with the same key.
-func (t *Tree) Insert(key, val int64) {
-	sep, right := t.insert(t.root, key, val)
-	if right != nil {
-		t.root = &node{
-			keys:     []int64{sep},
-			children: []*node{t.root, right},
-		}
-	}
-	t.size++
-}
-
-// insert adds the entry under n and returns a separator and new right
-// sibling if n split.
-func (t *Tree) insert(n *node, key, val int64) (int64, *node) {
-	if n.leaf {
-		// Place after the last equal key.
-		pos := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > key })
-		n.keys = append(n.keys, 0)
-		copy(n.keys[pos+1:], n.keys[pos:])
-		n.keys[pos] = key
-		n.vals = append(n.vals, 0)
-		copy(n.vals[pos+1:], n.vals[pos:])
-		n.vals[pos] = val
-		if len(n.keys) <= t.order {
-			return 0, nil
-		}
-		return t.splitLeaf(n)
-	}
-	pos := sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
-	sep, right := t.insert(n.children[pos], key, val)
-	if right == nil {
-		return 0, nil
-	}
-	n.keys = append(n.keys, 0)
-	copy(n.keys[pos+1:], n.keys[pos:])
-	n.keys[pos] = sep
-	n.children = append(n.children, nil)
-	copy(n.children[pos+2:], n.children[pos+1:])
-	n.children[pos+1] = right
-	if len(n.keys) <= t.order {
-		return 0, nil
-	}
-	return t.splitInternal(n)
-}
-
-// splitLeaf splits n at a key boundary near the middle so that no run of
-// equal keys crosses leaves. If the leaf holds a single key value, it is
-// left oversized and no split happens.
-func (t *Tree) splitLeaf(n *node) (int64, *node) {
-	mid := len(n.keys) / 2
-	cut := -1
-	// Search outward from mid for a boundary where keys differ.
-	for d := 0; d < len(n.keys); d++ {
-		if i := mid - d; i >= 1 && n.keys[i] != n.keys[i-1] {
-			cut = i
-			break
-		}
-		if i := mid + d; i >= 1 && i < len(n.keys) && n.keys[i] != n.keys[i-1] {
-			cut = i
-			break
-		}
-	}
-	if cut < 0 {
-		return 0, nil // all keys equal: grow oversized
-	}
-	right := &node{
-		leaf: true,
-		keys: append([]int64(nil), n.keys[cut:]...),
-		vals: append([]int64(nil), n.vals[cut:]...),
-		next: n.next,
-	}
-	n.keys = n.keys[:cut:cut]
-	n.vals = n.vals[:cut:cut]
-	n.next = right
-	return right.keys[0], right
-}
-
-func (t *Tree) splitInternal(n *node) (int64, *node) {
-	mid := len(n.keys) / 2
-	sep := n.keys[mid]
-	right := &node{
-		keys:     append([]int64(nil), n.keys[mid+1:]...),
-		children: append([]*node(nil), n.children[mid+1:]...),
-	}
-	n.keys = n.keys[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
-	return sep, right
-}
-
-// BulkLoad builds a tree from entries sorted by key (ties in any order) in
-// O(n). It returns an error if the entries are not sorted.
-func BulkLoad(order int, pairs []Pair) (*Tree, error) {
-	if order < 4 {
-		order = 4
-	}
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i].Key < pairs[i-1].Key {
-			return nil, fmt.Errorf("bptree: BulkLoad input not sorted at %d", i)
-		}
-	}
-	keys := make([]int64, len(pairs))
-	vals := make([]int64, len(pairs))
-	for i, p := range pairs {
-		keys[i] = p.Key
-		vals[i] = p.Val
-	}
-	return bulkFromSorted(order, keys, vals), nil
-}
-
 // BulkLoadSorted builds a tree in O(n) from parallel key/value slices
-// sorted by key (ties in any order), without materializing []Pair. The
-// inputs are copied once into exactly-sized backing arrays that the leaf
-// level subslices in place, so the whole load performs two data
-// allocations regardless of tree size.
+// sorted by key (ties in any order). The inputs are copied once into
+// exactly-sized backing arrays that the leaf level subslices in place, so
+// the whole load performs two data allocations regardless of tree size.
 func BulkLoadSorted(order int, keys, vals []int64) (*Tree, error) {
 	if order < 4 {
 		order = 4
@@ -277,8 +155,7 @@ func SortByKey(keys, vals []int64) { sort.Stable(kvSorter{keys, vals}) }
 
 // bulkFromSorted builds the tree over already-sorted parallel slices,
 // taking ownership of them: each leaf is a full-capacity subslice of the
-// inputs (later Inserts reallocate on append, so leaves never clobber each
-// other), which makes the leaf level allocation-free.
+// inputs, which makes the leaf level allocation-free.
 func bulkFromSorted(order int, keys, vals []int64) *Tree {
 	t := &Tree{order: order, size: len(keys)}
 	if len(keys) == 0 {
@@ -364,7 +241,7 @@ type BulkLoader struct {
 }
 
 // NewBulkLoader returns a loader for a tree of the given order (orders
-// below 4 are raised to 4, matching New and BulkLoad).
+// below 4 are raised to 4, matching BulkLoadSorted).
 func NewBulkLoader(order int) *BulkLoader {
 	if order < 4 {
 		order = 4
@@ -450,8 +327,8 @@ func minKey(n *node) int64 {
 	return n.keys[0]
 }
 
-// Stats returns the total node count and the leaf count of the tree. Both
-// splits and bulk loading guarantee a minimum internal fanout of two, so a
+// Stats returns the total node count and the leaf count of the tree. Bulk
+// loading guarantees a minimum internal fanout of two, so a
 // valid tree satisfies the §3 geometric-series storage bound
 // nodes <= 2*leaves - 1 (the sum leaves * (1 + 1/2 + 1/4 + ...)) and
 // height <= 1 + ceil(log2(leaves)); the invariant auditor checks both.

@@ -2,13 +2,28 @@ package bptree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// load builds a tree of the given order from entries in arrival order the
+// way the data plane does: SortByKey, then BulkLoadSorted. Equal keys keep
+// their arrival order. The caller's slices are left as they were.
+func load(tb testing.TB, order int, keys, vals []int64) *Tree {
+	tb.Helper()
+	keys, vals = slices.Clone(keys), slices.Clone(vals)
+	SortByKey(keys, vals)
+	tr, err := BulkLoadSorted(order, keys, vals)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
 func TestEmptyTree(t *testing.T) {
-	tr := New(8)
+	tr := load(t, 8, nil, nil)
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d, want 0", tr.Len())
 	}
@@ -26,10 +41,11 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestInsertGet(t *testing.T) {
-	tr := New(4)
+	var keys, vals []int64
 	for i := int64(0); i < 100; i++ {
-		tr.Insert(i*2, i)
+		keys, vals = append(keys, i*2), append(vals, i)
 	}
+	tr := load(t, 4, keys, vals)
 	if tr.Len() != 100 {
 		t.Errorf("Len = %d, want 100", tr.Len())
 	}
@@ -55,10 +71,11 @@ func TestInsertReverseAndRandomOrder(t *testing.T) {
 		"reverse": {9, 8, 7, 6, 5, 4, 3, 2, 1, 0},
 		"random":  {5, 2, 8, 1, 9, 3, 7, 0, 6, 4},
 	} {
-		tr := New(4)
-		for _, k := range keys {
-			tr.Insert(k, k*10)
+		vals := make([]int64, len(keys))
+		for i, k := range keys {
+			vals[i] = k * 10
 		}
+		tr := load(t, 4, keys, vals)
 		if err := tr.Validate(); err != nil {
 			t.Errorf("%s: Validate: %v", name, err)
 		}
@@ -71,11 +88,12 @@ func TestInsertReverseAndRandomOrder(t *testing.T) {
 }
 
 func TestDuplicateKeys(t *testing.T) {
-	tr := New(4)
-	// Insert enough duplicates to force splits around runs.
+	// Enough duplicates that leaf boundaries fall next to runs.
+	var keys, vals []int64
 	for i := int64(0); i < 20; i++ {
-		tr.Insert(i%5, i)
+		keys, vals = append(keys, i%5), append(vals, i)
 	}
+	tr := load(t, 4, keys, vals)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -90,10 +108,11 @@ func TestDuplicateKeys(t *testing.T) {
 }
 
 func TestAllKeysEqualOversizedLeaf(t *testing.T) {
-	tr := New(4)
+	var keys, vals []int64
 	for i := int64(0); i < 50; i++ {
-		tr.Insert(7, i)
+		keys, vals = append(keys, 7), append(vals, i)
 	}
+	tr := load(t, 4, keys, vals)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -103,10 +122,11 @@ func TestAllKeysEqualOversizedLeaf(t *testing.T) {
 }
 
 func TestRange(t *testing.T) {
-	tr := New(8)
+	var keys []int64
 	for i := int64(0); i < 100; i++ {
-		tr.Insert(i, i)
+		keys = append(keys, i)
 	}
+	tr := load(t, 8, keys, keys)
 	var got []int64
 	tr.Range(10, 20, func(k, v int64) bool {
 		got = append(got, k)
@@ -132,11 +152,12 @@ func TestRange(t *testing.T) {
 }
 
 func TestScanIsSorted(t *testing.T) {
-	tr := New(6)
 	rng := rand.New(rand.NewSource(1))
+	var keys, vals []int64
 	for i := 0; i < 500; i++ {
-		tr.Insert(rng.Int63n(200), int64(i))
+		keys, vals = append(keys, rng.Int63n(200)), append(vals, int64(i))
 	}
+	tr := load(t, 6, keys, vals)
 	var prev int64 = -1
 	n := 0
 	tr.Scan(func(k, v int64) bool {
@@ -153,11 +174,11 @@ func TestScanIsSorted(t *testing.T) {
 }
 
 func TestBulkLoad(t *testing.T) {
-	pairs := make([]Pair, 1000)
-	for i := range pairs {
-		pairs[i] = Pair{Key: int64(i / 3), Val: int64(i)} // duplicates
+	keys, vals := make([]int64, 1000), make([]int64, 1000)
+	for i := range keys {
+		keys[i], vals[i] = int64(i/3), int64(i) // duplicates
 	}
-	tr, err := BulkLoad(16, pairs)
+	tr, err := BulkLoadSorted(16, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +196,13 @@ func TestBulkLoad(t *testing.T) {
 }
 
 func TestBulkLoadRejectsUnsorted(t *testing.T) {
-	if _, err := BulkLoad(8, []Pair{{2, 0}, {1, 0}}); err == nil {
-		t.Error("unsorted BulkLoad accepted")
+	if _, err := BulkLoadSorted(8, []int64{2, 1}, []int64{0, 0}); err == nil {
+		t.Error("unsorted BulkLoadSorted accepted")
 	}
 }
 
 func TestBulkLoadEmpty(t *testing.T) {
-	tr, err := BulkLoad(8, nil)
+	tr, err := BulkLoadSorted(8, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +215,11 @@ func TestBulkLoadEmpty(t *testing.T) {
 }
 
 func TestApproxSizeBytes(t *testing.T) {
-	tr := New(8)
+	var keys []int64
 	for i := int64(0); i < 100; i++ {
-		tr.Insert(i, i)
+		keys = append(keys, i)
 	}
+	tr := load(t, 8, keys, keys)
 	sz := tr.ApproxSizeBytes()
 	if sz < 100*16 {
 		t.Errorf("ApproxSizeBytes = %d, want >= %d", sz, 100*16)
@@ -207,17 +229,19 @@ func TestApproxSizeBytes(t *testing.T) {
 // TestAgainstReferenceProperty compares tree behaviour with a sorted-slice
 // reference model under random workloads.
 func TestAgainstReferenceProperty(t *testing.T) {
+	type pair struct{ Key, Val int64 }
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		order := 4 + rng.Intn(12)
-		tr := New(order)
-		var ref []Pair
+		var keys, vals []int64
+		var ref []pair
 		for i := 0; i < 400; i++ {
 			k := rng.Int63n(100)
 			v := int64(i)
-			tr.Insert(k, v)
-			ref = append(ref, Pair{k, v})
+			keys, vals = append(keys, k), append(vals, v)
+			ref = append(ref, pair{k, v})
 		}
+		tr := load(t, order, keys, vals)
 		if err := tr.Validate(); err != nil {
 			t.Logf("Validate: %v", err)
 			return false
@@ -269,54 +293,20 @@ func TestAgainstReferenceProperty(t *testing.T) {
 	}
 }
 
-// TestBulkLoadEquivalentToInsertProperty: a bulk-loaded tree answers
-// identically to an insert-built tree.
-func TestBulkLoadEquivalentToInsertProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(800)
-		pairs := make([]Pair, n)
-		for i := range pairs {
-			pairs[i] = Pair{Key: rng.Int63n(200), Val: int64(i)}
-		}
-		sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-		bl, err := BulkLoad(8, pairs)
-		if err != nil {
-			return false
-		}
-		if err := bl.Validate(); err != nil {
-			t.Logf("bulk Validate: %v", err)
-			return false
-		}
-		ins := New(8)
-		for _, p := range pairs {
-			ins.Insert(p.Key, p.Val)
-		}
-		for k := int64(0); k < 200; k++ {
-			if keyCount(bl, k) != keyCount(ins, k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-// FuzzTreeAgainstMap drives the tree with fuzzer-chosen operations and
-// cross-checks against a map-of-slices reference model.
+// FuzzTreeAgainstMap loads the tree from fuzzer-chosen entries and
+// cross-checks it against a map-of-counts reference model.
 func FuzzTreeAgainstMap(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tr := New(4)
+		var keys, vals []int64
 		ref := make(map[int64]int)
 		for i := 0; i+1 < len(ops); i += 2 {
 			k := int64(ops[i] % 32)
-			tr.Insert(k, int64(ops[i+1]))
+			keys, vals = append(keys, k), append(vals, int64(ops[i+1]))
 			ref[k]++
 		}
+		tr := load(t, 4, keys, vals)
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("Validate: %v", err)
 		}
@@ -333,19 +323,16 @@ func FuzzTreeAgainstMap(f *testing.F) {
 	})
 }
 
+// TestBulkLoadSortedMatchesBulkLoad: a bulk load holds exactly its input.
+// The scan returns the entries in input order, equal keys included, and
+// the tree does not alias the caller's slices.
 func TestBulkLoadSortedMatchesBulkLoad(t *testing.T) {
 	const n = 1000
 	keys := make([]int64, n)
 	vals := make([]int64, n)
-	pairs := make([]Pair, n)
 	for i := 0; i < n; i++ {
 		keys[i] = int64(i / 3) // duplicates
 		vals[i] = int64(i)
-		pairs[i] = Pair{Key: keys[i], Val: vals[i]}
-	}
-	want, err := BulkLoad(16, pairs)
-	if err != nil {
-		t.Fatal(err)
 	}
 	got, err := BulkLoadSorted(16, keys, vals)
 	if err != nil {
@@ -354,20 +341,10 @@ func TestBulkLoadSortedMatchesBulkLoad(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got.Len() != want.Len() || got.Height() != want.Height() {
-		t.Fatalf("shape mismatch: len %d/%d height %d/%d",
-			got.Len(), want.Len(), got.Height(), want.Height())
-	}
-	var a, b []int64
-	want.Scan(func(k, v int64) bool { a = append(a, k, v); return true })
-	got.Scan(func(k, v int64) bool { b = append(b, k, v); return true })
-	if len(a) != len(b) {
-		t.Fatalf("scan lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("scan diverges at %d: %d vs %d", i, a[i], b[i])
-		}
+	var gk, gv []int64
+	got.Scan(func(k, v int64) bool { gk, gv = append(gk, k), append(gv, v); return true })
+	if !slices.Equal(gk, keys) || !slices.Equal(gv, vals) {
+		t.Fatal("scan differs from the loaded entries")
 	}
 	// The loaded tree must not alias the caller's slices.
 	keys[0], vals[0] = 999, 999

@@ -139,9 +139,8 @@ func TestBulkLoaderEmpty(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tree.Insert(5, 50) // still usable as a live tree
-	if v, ok := tree.Get(5); !ok || v != 50 {
-		t.Fatal("insert into empty bulk-loaded tree failed")
+	if _, ok := tree.Get(5); ok {
+		t.Fatal("Get on an empty loaded tree found a value")
 	}
 }
 
@@ -168,36 +167,5 @@ func TestBulkLoaderErrors(t *testing.T) {
 	}
 	if _, err := bl.Finish(); err == nil {
 		t.Fatal("double Finish accepted")
-	}
-}
-
-func TestBulkLoaderInsertAfterFinish(t *testing.T) {
-	bl := NewBulkLoader(8)
-	keys := make([]int64, 100)
-	vals := make([]int64, 100)
-	for i := range keys {
-		keys[i] = int64(i * 2)
-		vals[i] = int64(i)
-	}
-	if err := bl.Append(keys, vals); err != nil {
-		t.Fatal(err)
-	}
-	tree, err := bl.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		tree.Insert(int64(i*2+1), int64(1000+i))
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tree.Len() != 200 {
-		t.Fatalf("Len = %d, want 200", tree.Len())
-	}
-	for i := 0; i < 100; i++ {
-		if v, ok := tree.Get(int64(i*2 + 1)); !ok || v != int64(1000+i) {
-			t.Fatalf("inserted key %d missing", i*2+1)
-		}
 	}
 }

@@ -315,9 +315,14 @@ func TestAuditGainModel(t *testing.T) {
 func TestAuditTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, order := range []int{4, 5, 8, 33} {
-		tr := bptree.New(order)
-		for i := 0; i < 2000; i++ {
-			tr.Insert(int64(rng.Intn(500)), int64(i))
+		keys, vals := make([]int64, 2000), make([]int64, 2000)
+		for i := range keys {
+			keys[i], vals[i] = int64(rng.Intn(500)), int64(i)
+		}
+		bptree.SortByKey(keys, vals)
+		tr, err := bptree.BulkLoadSorted(order, keys, vals)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := AuditTree(tr); err != nil {
 			t.Errorf("order %d: %v", order, err)

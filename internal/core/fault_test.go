@@ -7,6 +7,7 @@ import (
 
 	"idxflow/internal/fault"
 	"idxflow/internal/provenance"
+	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
 
@@ -17,13 +18,14 @@ func heavyFaultPlan() *fault.Plan {
 	return fault.Generate(fault.DefaultRates(0.05, 60, 20000), 32)
 }
 
-func runFaulty(t *testing.T, n int, rec *provenance.Recorder) (*workload.FileDB, Metrics) {
+func runFaulty(t *testing.T, n int, rec *provenance.Recorder, reg *telemetry.Registry) (*workload.FileDB, Metrics) {
 	t.Helper()
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
 	cfg := quickConfig(Gain)
 	cfg.Faults = heavyFaultPlan()
 	cfg.Provenance = rec
+	cfg.Telemetry = reg
 	svc := NewService(cfg, db)
 	for i := 0; i < n; i++ {
 		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
@@ -34,7 +36,7 @@ func runFaulty(t *testing.T, n int, rec *provenance.Recorder) (*workload.FileDB,
 
 func TestFaultInjectionHealsIndexBuilds(t *testing.T) {
 	rec := provenance.NewRecorder(1 << 16)
-	db, m := runFaulty(t, 8, rec)
+	db, m := runFaulty(t, 8, rec, nil)
 	if m.FaultsInjected == 0 {
 		t.Fatal("the heavy fault plan injected nothing; the wiring is dead")
 	}
@@ -107,8 +109,8 @@ func TestFaultInjectionHealsIndexBuilds(t *testing.T) {
 }
 
 func TestFaultyRunDeterministic(t *testing.T) {
-	_, m1 := runFaulty(t, 5, nil)
-	_, m2 := runFaulty(t, 5, nil)
+	_, m1 := runFaulty(t, 5, nil, nil)
+	_, m2 := runFaulty(t, 5, nil, nil)
 	if !reflect.DeepEqual(m1, m2) {
 		t.Error("identical faulty runs produced different metrics")
 	}

@@ -503,8 +503,16 @@ func (s *Service) runSkyline(p *pass, withOptional bool) []*sched.Schedule {
 	} else {
 		skyline = s.skyline.Schedule(p.g)
 	}
+	// A warm hit searched nothing; a cold run adds its search effort.
 	if s.skyline.WarmStats().Hits > hits {
+		s.ins.warmHits.Inc()
 		span.SetAttr("warm_hit", true)
+	}
+	effort := s.skyline.LastRun()
+	s.ins.skylineIterations.Add(float64(effort.Iterations))
+	s.ins.skylineCandidates.Add(float64(effort.Candidates))
+	for _, n := range effort.Frontier {
+		s.ins.skylineFrontier.Observe(float64(n))
 	}
 	if skyline != nil {
 		span.SetAttr("frontier", len(skyline))
@@ -666,6 +674,7 @@ func (s *Service) execute(ctx context.Context, p *pass) bool {
 	if run.Cancelled {
 		return false
 	}
+	s.ins.observeRun(p.chosen.Graph, run)
 	if p.recording {
 		for _, ev := range run.Events {
 			ev.Flow, ev.T = p.id, p.now+ev.T

@@ -120,8 +120,8 @@ type Config struct {
 	// UpdateFraction is the fraction of partitions touched per batch
 	// update; zero means 1%.
 	UpdateFraction float64
-	// Telemetry receives the service's metrics; the scheduler and the
-	// executor bind their own families in it. Nil means none.
+	// Telemetry receives every metric of a submit, all updated by the pass
+	// from what its stages return. Nil means none.
 	Telemetry *telemetry.Registry
 	// Tracer records nested spans (submit → rank → schedule → execute),
 	// all opened by the pass. Nil means none, so tracing costs one nil
@@ -281,9 +281,6 @@ func NewService(cfg Config, db *workload.FileDB) *Service {
 	if cfg.MaxBuildOps <= 0 {
 		cfg.MaxBuildOps = 64
 	}
-	// The scheduler binds its counters in the service's registry; cfg is
-	// read-only after this.
-	cfg.Sched.Metrics = cfg.Telemetry
 	s := &Service{
 		cfg:     cfg,
 		db:      db,
@@ -301,7 +298,6 @@ func NewService(cfg Config, db *workload.FileDB) *Service {
 	}
 	s.exec = sim.New(sim.Config{
 		Pricing: cfg.Sched.Pricing, Spec: cfg.Sched.Spec, Actual: actual,
-		Metrics: cfg.Telemetry,
 	})
 	if cfg.AdaptiveFading {
 		s.fader = gain.NewAdaptiveFader(cfg.Gain.FadeD)

@@ -1,14 +1,19 @@
 package core
 
-import "idxflow/internal/telemetry"
+import (
+	"idxflow/internal/dataflow"
+	"idxflow/internal/provenance"
+	"idxflow/internal/sim"
+	"idxflow/internal/telemetry"
+)
 
-// serviceInstruments are the service-level metric handles, created once at
+// serviceInstruments are every metric handle of a submit, created once at
 // NewService so every family appears in a Prometheus scrape before the first
-// dataflow is submitted (the scheduler's and the executor's families are
-// registered by the sched.NewSkyline and sim.New calls there). The pass
-// updates them from what each stage returned: the gain ranking's counts, the
-// storage meter's accrued cost. All handles are nil-safe no-ops when the
-// service runs without a registry.
+// dataflow is submitted. The scheduler and the executor bind none: the pass
+// updates these from what each stage returned — the gain ranking's counts,
+// the skyline's search effort, the executor's Result, the storage meter's
+// accrued cost. All handles are nil-safe no-ops when the service runs
+// without a registry.
 type serviceInstruments struct {
 	flowsSubmitted  *telemetry.Counter
 	flowsFinished   *telemetry.Counter
@@ -35,6 +40,21 @@ type serviceInstruments struct {
 	storageTransferred *telemetry.Counter
 	storageMB          *telemetry.Gauge
 	storageFiles       *telemetry.Gauge
+	// The skyline scheduler (Alg. 4): warm-memo hits and a cold run's
+	// search effort.
+	warmHits, skylineIterations, skylineCandidates *telemetry.Counter
+	skylineFrontier                                *telemetry.Histogram
+	// The executor (§6.1): build outcomes, the money charged, the faults'
+	// effects and realized operator times.
+	buildsKilled, buildsCompleted              *telemetry.Counter
+	quantaCharged, fragmentation, wastedQuanta *telemetry.Counter
+	faultsInjected, recoveries                 *telemetry.CounterVec
+	opWait                                     *telemetry.Histogram
+
+	// opRunByKind caches opRun's series as runs first touch them, so a
+	// series appears with its first sample.
+	opRun       *telemetry.HistogramVec
+	opRunByKind [int(dataflow.KindBuildIndex) + 1]*telemetry.Histogram
 }
 
 func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
@@ -85,5 +105,75 @@ func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
 			"Bytes currently held in the storage service, in MB."),
 		storageFiles: reg.Gauge("idxflow_storage_files",
 			"Files currently held in the storage service."),
+		warmHits: reg.Counter("idxflow_sched_warm_hits_total",
+			"Warm-frontier memo hits: submissions scheduled by replaying the carried Pareto frontier."),
+		skylineIterations: reg.Counter("idxflow_skyline_iterations_total",
+			"Skyline list-scheduler iterations (one per operator placed)."),
+		skylineCandidates: reg.Counter("idxflow_skyline_candidates_total",
+			"Candidate partial schedules generated across skyline iterations."),
+		skylineFrontier: reg.Histogram("idxflow_skyline_frontier_size",
+			"Pareto frontier size after each skyline iteration.",
+			telemetry.ExponentialBuckets(1, 2, 8)),
+		opRun: reg.HistogramVec("idxflow_op_run_seconds",
+			"Realized operator occupancy per execution, by operator kind.",
+			telemetry.ExponentialBuckets(0.5, 2, 12), "kind"),
+		opWait: reg.Histogram("idxflow_op_wait_seconds",
+			"Time an operator's inputs sat ready while its container was busy.",
+			telemetry.ExponentialBuckets(0.5, 2, 12)),
+		buildsKilled: reg.Counter("idxflow_builds_killed_total",
+			"Index-build operators stopped by preemption, quantum expiry or container failure."),
+		buildsCompleted: reg.Counter("idxflow_builds_completed_total",
+			"Index-build operators that finished inside their idle slot."),
+		quantaCharged: reg.Counter("idxflow_quanta_charged_total",
+			"VM quanta charged for realized executions (price-weighted)."),
+		fragmentation: reg.Counter("idxflow_fragmentation_seconds_total",
+			"Paid-but-idle container seconds across executions."),
+		faultsInjected: reg.CounterVec("idxflow_faults_injected_total",
+			"Fault events that took effect during execution, by fault kind.", "kind"),
+		recoveries: reg.CounterVec("idxflow_recoveries_total",
+			"Fault effects absorbed: re-placed operators, retried transfers, stragglers ridden out.", "kind"),
+		wastedQuanta: reg.Counter("idxflow_wasted_quanta_total",
+			"Paid compute discarded because of faults (killed work and dead lease tails), in quanta."),
 	}
+}
+
+// observeRun adds a completed run of g to the executor families: each
+// operator's occupancy by kind and each dataflow operator's wait, in id
+// order, the run's totals, and its fault events counted by fault kind.
+func (ins *serviceInstruments) observeRun(g *dataflow.Graph, run *sim.Result) {
+	for id := range g.Len() {
+		r, ran := run.Ops[dataflow.OpID(id)]
+		if !ran {
+			continue
+		}
+		op := g.Op(r.Op)
+		ins.opRunOf(op.Kind).Observe(r.End - r.Start)
+		if !op.Optional {
+			ins.opWait.Observe(r.Start - r.Ready)
+		}
+	}
+	ins.buildsKilled.Add(float64(run.Killed))
+	ins.buildsCompleted.Add(float64(len(run.CompletedBuilds)))
+	ins.quantaCharged.Add(run.MoneyQuanta)
+	ins.fragmentation.Add(run.Fragmentation)
+	ins.wastedQuanta.Add(run.WastedQuanta)
+	for _, ev := range run.Events {
+		switch ev.Kind {
+		case provenance.KindFaultInjected:
+			ins.faultsInjected.With(ev.Name).Add(float64(ev.Count))
+		case provenance.KindFaultRecovered:
+			ins.recoveries.With(ev.Name).Add(float64(ev.Count))
+		}
+	}
+}
+
+// opRunOf returns operator kind k's run-time series, resolved on first use.
+func (ins *serviceInstruments) opRunOf(k dataflow.Kind) *telemetry.Histogram {
+	if k < 0 || int(k) >= len(ins.opRunByKind) {
+		return ins.opRun.With(k.String())
+	}
+	if ins.opRunByKind[k] == nil {
+		ins.opRunByKind[k] = ins.opRun.With(k.String())
+	}
+	return ins.opRunByKind[k]
 }

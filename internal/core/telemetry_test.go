@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -168,5 +169,122 @@ func TestServiceTraceRoundTrip(t *testing.T) {
 	}
 	if submit.Phase != "X" || submit.PID != 1 {
 		t.Errorf("unexpected event shape: %+v", submit)
+	}
+}
+
+// scrape returns reg's Prometheus exposition.
+func scrape(t *testing.T, reg *telemetry.Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// seriesSum sums the values of every series of name in an exposition,
+// whatever its labels.
+func seriesSum(t *testing.T, text, name string) float64 {
+	t.Helper()
+	var sum float64
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, name)
+		if !ok || rest == "" || (rest[0] != ' ' && rest[0] != '{') {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("series line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
+// TestCancelledSubmitLeavesScrape: a submit cancelled as its execution
+// starts publishes nothing past that point. Reserve runs just before
+// Execute, so the scrape it takes is what the cancelled run must leave.
+// Under heavyFaultPlan the first Montage flow is the one that loses a
+// container, so the run that never happens had kills and faults to count.
+func TestCancelledSubmitLeavesScrape(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	ctx, cancel := context.WithCancel(context.Background())
+	before := ""
+	cfg := quickConfig(Gain)
+	cfg.Telemetry = reg
+	cfg.Faults = heavyFaultPlan()
+	cfg.Reserve = func(int) func(float64) {
+		before = scrape(t, reg)
+		cancel()
+		return func(float64) {}
+	}
+	db := testDB(t)
+	svc := NewService(cfg, db)
+	if res := svc.SubmitCtx(ctx, workload.NewGenerator(db, 2).Flow(workload.Montage, 0, 0)); !res.Cancelled {
+		t.Fatal("the Reserve hook cancelled the ctx but the submit completed")
+	}
+	if before == "" {
+		t.Fatal("Reserve never ran")
+	}
+	if after := scrape(t, reg); after != before {
+		t.Errorf("the cancelled run moved the scrape:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}
+
+// TestWarmHitCountsNoSearch: a repeat of one flow under NoIndex is the same
+// scheduling problem, so the skyline replays its memo: the warm-hit counter
+// moves by one and the search-effort families not at all.
+func TestWarmHitCountsNoSearch(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := quickConfig(NoIndex)
+	cfg.Telemetry = reg
+	db := testDB(t)
+	svc := NewService(cfg, db)
+	flow := workload.NewGenerator(db, 2).Flow(workload.Montage, 0, 0)
+	svc.SubmitCtx(context.Background(), flow)
+	first := scrape(t, reg)
+	if seriesSum(t, first, "idxflow_skyline_iterations_total") == 0 {
+		t.Fatal("the cold run counted no skyline iteration")
+	}
+	svc.SubmitCtx(context.Background(), flow)
+	second := scrape(t, reg)
+	for name, want := range map[string]float64{
+		"idxflow_sched_warm_hits_total":       1,
+		"idxflow_skyline_iterations_total":    0,
+		"idxflow_skyline_candidates_total":    0,
+		"idxflow_skyline_frontier_size_count": 0,
+		"idxflow_skyline_frontier_size_sum":   0,
+	} {
+		if got := seriesSum(t, second, name) - seriesSum(t, first, name); got != want {
+			t.Errorf("%s moved by %g on the repeat, want %g", name, got, want)
+		}
+	}
+}
+
+// TestExecutorFamiliesMatchAggregates: after a run under heavy faults, each
+// executor family equals the service aggregate it mirrors, both read off
+// the same Results.
+func TestExecutorFamiliesMatchAggregates(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	_, m := runFaulty(t, 8, nil, reg)
+	if m.FaultsInjected == 0 || m.KilledOps == 0 {
+		t.Fatalf("the heavy fault plan injected %d faults and killed %d builds; the check needs both",
+			m.FaultsInjected, m.KilledOps)
+	}
+	text := scrape(t, reg)
+	for _, c := range []struct {
+		series string
+		want   float64
+	}{
+		{"idxflow_builds_killed_total", float64(m.KilledOps)},
+		{"idxflow_quanta_charged_total", m.VMQuanta},
+		{"idxflow_wasted_quanta_total", m.WastedQuanta},
+		{"idxflow_faults_injected_total", float64(m.FaultsInjected)},
+		{"idxflow_recoveries_total", float64(m.FaultsRecovered)},
+		{"idxflow_op_run_seconds_count", float64(m.TotalOps)},
+	} {
+		if got := seriesSum(t, text, c.series); math.Abs(got-c.want) > 1e-9*math.Max(1, c.want) {
+			t.Errorf("%s = %g, want %g", c.series, got, c.want)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"idxflow/internal/cloud"
 	"idxflow/internal/core"
-	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
 
@@ -69,7 +68,6 @@ func Ablations(seed int64, horizon float64) *Table {
 		cfg := core.DefaultConfig()
 		cfg.Sched.MaxSkyline = 4
 		cfg.RuntimeError = 0.1
-		cfg.Telemetry = telemetry.NewRegistry()
 		if cells[i].mutate != nil {
 			cells[i].mutate(&cfg)
 		}

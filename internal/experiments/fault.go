@@ -5,7 +5,6 @@ import (
 
 	"idxflow/internal/core"
 	"idxflow/internal/fault"
-	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
 
@@ -67,7 +66,6 @@ func Fault(seed, faultSeed int64, rates []float64, horizon float64) *FaultResult
 		cfg.Strategy = strat
 		cfg.Sched.MaxSkyline = 4
 		cfg.RuntimeError = 0.2
-		cfg.Telemetry = telemetry.NewRegistry()
 		if rate > 0 {
 			// The identical plan hits both strategies: the comparison
 			// isolates what indexing does under churn, not fault luck.

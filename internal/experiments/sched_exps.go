@@ -8,7 +8,6 @@ import (
 	"idxflow/internal/dataflow"
 	"idxflow/internal/sched"
 	"idxflow/internal/sim"
-	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
 
@@ -78,7 +77,6 @@ func Fig6(seed int64, trials int) *Table {
 		run := sim.New(sim.Config{
 			Pricing: opts.Pricing,
 			Spec:    opts.Spec,
-			Metrics: telemetry.NewRegistry(),
 			Actual: func(op *dataflow.Operator) float64 {
 				return op.Time * (1 + (rng.Float64()*2-1)*e)
 			},

@@ -8,7 +8,6 @@ import (
 
 	"idxflow/internal/cloud"
 	"idxflow/internal/dataflow"
-	"idxflow/internal/telemetry"
 )
 
 // Options configures the schedulers.
@@ -27,9 +26,6 @@ type Options struct {
 	// the skyline explores the choices (§3: "the scheduler can consider
 	// slots at different VM types").
 	Types []cloud.VMType
-	// Metrics, when non-nil, receives scheduler counters (skyline
-	// iterations, candidate schedules generated, frontier sizes).
-	Metrics *telemetry.Registry
 }
 
 // DefaultOptions returns the Table 3 experiment configuration with a
@@ -373,15 +369,15 @@ func preferMoreOps(a, b *candidate) bool {
 // goroutine at a time.
 type Skyline struct {
 	Opts Options
-	// Bound once from Opts.Metrics; nil-safe no-ops without a registry.
-	iterations, candidates, warmHits *telemetry.Counter
-	frontier                         *telemetry.Histogram
 
 	// The frontier memo: the last problem's signature, copies of its
 	// frontier (handed out cloned) and the lookup counts.
 	sig          []uint64
 	memo         []*Schedule
 	hits, misses uint64
+	// last is the search effort of the last run, Frontier reused from run
+	// to run.
+	last RunStats
 
 	// A cold run's scratch, grown by append and kept from run to run with
 	// no schedule left in it: the candidates, the Pareto filter's buffers,
@@ -392,25 +388,27 @@ type Skyline struct {
 	slots []Slot
 }
 
-// NewSkyline returns a skyline scheduler with the given options, its
-// instruments bound in opts.Metrics.
+// NewSkyline returns a skyline scheduler with the given options.
 func NewSkyline(opts Options) *Skyline {
 	if opts.MaxContainers <= 0 {
 		opts.MaxContainers = 1
 	}
-	return &Skyline{
-		Opts: opts,
-		iterations: opts.Metrics.Counter("idxflow_skyline_iterations_total",
-			"Skyline list-scheduler iterations (one per operator placed)."),
-		candidates: opts.Metrics.Counter("idxflow_skyline_candidates_total",
-			"Candidate partial schedules generated across skyline iterations."),
-		frontier: opts.Metrics.Histogram("idxflow_skyline_frontier_size",
-			"Pareto frontier size after each skyline iteration.",
-			telemetry.ExponentialBuckets(1, 2, 8)),
-		warmHits: opts.Metrics.Counter("idxflow_sched_warm_hits_total",
-			"Warm-frontier memo hits: submissions scheduled by replaying the carried Pareto frontier."),
-	}
+	return &Skyline{Opts: opts}
 }
+
+// RunStats is the search effort of one skyline run: the iterations it
+// started (one per operator step), the candidate schedules it generated
+// and the frontier size after each iteration that produced candidates. A
+// warm hit searches nothing and reports zero.
+type RunStats struct {
+	Iterations, Candidates int
+	Frontier               []int
+}
+
+// LastRun returns the search effort of the last Schedule or
+// ScheduleWithOptional call. Its Frontier is the skyline's buffer, valid
+// until the next run.
+func (sk *Skyline) LastRun() RunStats { return sk.last }
 
 // Schedule computes the skyline of execution schedules for the non-optional
 // operators of g, sorted fastest first. Optional operators in g are
@@ -432,6 +430,7 @@ func (sk *Skyline) ScheduleWithOptional(g *dataflow.Graph) []*Schedule {
 // order expands the frontier into candidates, scored by probing without
 // writing to any member, and advances it to their Pareto survivors.
 func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
+	sk.last = RunStats{Frontier: sk.last.Frontier[:0]}
 	sig := warmSig(g, &sk.Opts, withOptional)
 	if warm := sk.lookup(sig); warm != nil {
 		return warm
@@ -446,6 +445,9 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 	if err != nil {
 		return nil
 	}
+	if cap(sk.last.Frontier) < len(order) {
+		sk.last.Frontier = make([]int, 0, len(order))
+	}
 	prefer := preferSeqIdle
 	if withOptional {
 		prefer = preferMoreOps
@@ -459,14 +461,14 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 	}
 	sky := sk.origin(g)
 	for _, st := range order {
-		sk.iterations.Inc()
+		sk.last.Iterations++
 		cands := sk.expand(sky, st)
 		if len(cands) == 0 {
 			return nil
 		}
-		sk.candidates.Add(float64(len(cands)))
+		sk.last.Candidates += len(cands)
 		sky = sk.advance(sky, cands, prefer, &free)
-		sk.frontier.Observe(float64(len(sky)))
+		sk.last.Frontier = append(sk.last.Frontier, len(sky))
 	}
 
 	out := make([]*Schedule, len(sky))

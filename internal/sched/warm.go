@@ -43,7 +43,6 @@ func (sk *Skyline) lookup(sig []uint64) []*Schedule {
 		out[i] = s.Clone()
 	}
 	sk.hits++
-	sk.warmHits.Inc()
 	return out
 }
 
@@ -81,8 +80,7 @@ func strWord(s string) uint64 {
 // of every operator but its id, every edge, and every option that shapes the
 // frontier. Some hashed fields (Priority, Reads, BuildsIndex) shape no
 // placement; hashing them too keeps a hit from depending on which fields the
-// scheduler reads. Options.Metrics never influences placements and is
-// excluded.
+// scheduler reads.
 func warmSig(g *dataflow.Graph, o *Options, withOptional bool) []uint64 {
 	n := g.Len()
 	sig := make([]uint64, 0, 2*n+16)

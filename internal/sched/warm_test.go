@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"testing"
-
-	"idxflow/internal/telemetry"
-)
+import "testing"
 
 // TestWarmHitReplaysBitIdentical schedules the same graph twice on one
 // skyline: the first run misses and stores, the second hits, and the
@@ -139,19 +135,5 @@ func TestWarmMetamorphicSubmissionOrder(t *testing.T) {
 					order, gi, want[gi], got)
 			}
 		}
-	}
-}
-
-// TestWarmTelemetryCounters proves the exported counters move with the memo.
-func TestWarmTelemetryCounters(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	o := testOpts()
-	o.Metrics = reg
-	g := randomDAG(9, 20, 0)
-	sk := NewSkyline(o)
-	sk.Schedule(g)
-	sk.Schedule(g) // hit
-	if v := reg.Counter("idxflow_sched_warm_hits_total", "").Value(); v != 1 {
-		t.Errorf("idxflow_sched_warm_hits_total = %g, want 1", v)
 	}
 }

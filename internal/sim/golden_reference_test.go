@@ -5,11 +5,12 @@ package sim
 // runs — faulty and fault-free — through both executeReference and the
 // production Execute and requires identical Results, including fault
 // accounting. Do not "improve" this copy: its value is that it is the old
-// behavior, byte for byte. Only the provenance events the production
-// executor returns in Result.Events were added to it, so the suite pins
-// those too: kill events with their reasons, fault injections and
-// recoveries (a straggler's recoveries as one event per query, as
-// production reports them), containers resolved.
+// behavior, byte for byte. Only two facts the production executor returns
+// were added to it, so the suite pins those too: each dataflow operator's
+// Ready, and the provenance events in Result.Events — kill events with
+// their reasons, fault injections and recoveries (a straggler's recoveries
+// as one event per query, as production reports them), containers
+// resolved. Like the production executor it binds no metric.
 
 import (
 	"math"
@@ -131,7 +132,6 @@ func (fs *refFaultState) storageDelay(c int, t float64, mark func(fault.Event)) 
 // executeReference is the seed Execute: quadratic pending rescan, per-call
 // fault-list scans, per-call map-backed state.
 func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Result {
-	ins := newInstruments(cfg.Metrics)
 	actual := cfg.Actual
 	if actual == nil {
 		actual = func(op *dataflow.Operator) float64 { return op.Time }
@@ -146,7 +146,6 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 		if !fs.seenInjected[e.Seq] {
 			fs.seenInjected[e.Seq] = true
 			res.FaultsInjected++
-			ins.faultsInjected.With(e.Kind.String()).Inc()
 			res.Events = append(res.Events, provenance.Event{
 				Kind: provenance.KindFaultInjected, T: e.At, Name: e.Kind.String(),
 				Container: e.Container, Count: 1,
@@ -156,7 +155,6 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 	markRecovered := func(e fault.Event) {
 		fs.seenRecovered[e.Seq] = true
 		res.FaultsRecovered++
-		ins.recoveries.With(e.Kind.String()).Inc()
 		res.Events = append(res.Events, provenance.Event{
 			Kind: provenance.KindFaultRecovered, T: e.At, Name: e.Kind.String(),
 			Container: e.Container, Count: 1,
@@ -165,7 +163,6 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 	markBoth := func(e fault.Event) { markInjected(e); markRecovered(e) }
 	recoveredSlow := func(n int) {
 		res.FaultsRecovered += n
-		ins.recoveries.With(fault.Straggler.String()).Add(float64(n))
 		res.Events = append(res.Events, provenance.Event{
 			Kind: provenance.KindFaultRecovered, Name: fault.Straggler.String(), Count: n,
 		})
@@ -204,7 +201,6 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 					at := math.Min(r.Old.Start, f.at)
 					res.Ops[r.Op] = OpResult{Op: r.Op, Container: f.c, Start: at, End: at, Killed: true}
 					res.Killed++
-					ins.buildsKilled.Inc()
 					res.Events = append(res.Events, provenance.Event{
 						Kind: provenance.KindBuildKilled, T: at, Op: s.Graph.Op(r.Op).Name,
 						Container: f.c, Start: at, End: at, Reason: "fault",
@@ -325,7 +321,6 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 				continue
 			}
 		}
-		ins.opWait.Observe(start - ready)
 		dur := actual(op) / ctype.SpeedFactor
 		if fs != nil {
 			dur *= fs.slowFactor(c, start, markInjected, recoveredSlow)
@@ -345,8 +340,7 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 				continue
 			}
 		}
-		ins.opRun.With(op.Kind.String()).Observe(dur)
-		r := OpResult{Op: p.op, Container: c, Start: start, End: end, Completed: true}
+		r := OpResult{Op: p.op, Container: c, Start: start, End: end, Ready: ready, Completed: true}
 		if a, planned := s.Assignment(p.op); !planned || a.Container != c {
 			r.Replaced = true
 			arrivals[c] = append(arrivals[c], interval{start, end})
@@ -495,15 +489,11 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 				res.CompletedBuilds = append(res.CompletedBuilds, a.Op)
 			}
 			if r.Killed {
-				ins.buildsKilled.Inc()
 				res.Events = append(res.Events, provenance.Event{
 					Kind: provenance.KindBuildKilled, T: r.Start, Op: op.Name,
 					Container: c, Start: r.Start, End: r.End, Reason: reason,
 				})
-			} else {
-				ins.buildsCompleted.Inc()
 			}
-			ins.opRun.With(op.Kind.String()).Observe(r.End - r.Start)
 			res.Ops[a.Op] = r
 			clock = r.End
 		}
@@ -554,9 +544,5 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 		res.MoneyQuanta += float64(cfg.Pricing.Quanta(leaseEnd[c])) * w
 	}
 	res.Fragmentation = leased - busy
-
-	ins.quantaCharged.Add(res.MoneyQuanta)
-	ins.fragmentation.Add(res.Fragmentation)
-	ins.wastedQuanta.Add(res.WastedQuanta)
 	return res
 }

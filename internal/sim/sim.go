@@ -35,7 +35,6 @@ import (
 	"idxflow/internal/fault"
 	"idxflow/internal/provenance"
 	"idxflow/internal/sched"
-	"idxflow/internal/telemetry"
 )
 
 // timeEps is the shared tolerance for kill-time and boundary comparisons:
@@ -52,156 +51,31 @@ type Config struct {
 	// Actual returns the true runtime of an operator in seconds; nil means
 	// the estimates are exact (op.Time).
 	Actual func(op *dataflow.Operator) float64
-	// Metrics, when non-nil, receives executor counters and histograms
-	// (operator run/wait times, builds killed, quanta charged, faults
-	// injected and recovered).
-	Metrics *telemetry.Registry
 }
 
-// Executor replays schedules under one Config. It binds the instruments
-// once, caches the label handles of the op-kind and fault-kind series as
-// runs first touch them, and owns the scratch arena and the publication
-// buffers every run reuses. Like a sched.Skyline it is used by one
-// goroutine at a time; a service builds one per tenant.
+// Executor replays schedules under one Config. It owns the scratch arena
+// and the event buffer every run reuses, and binds no metric: its caller
+// reads what a run did off the Result. Like a sched.Skyline it is used by
+// one goroutine at a time; a service builds one per tenant.
 type Executor struct {
-	cfg         Config
-	ins         instruments
-	opRunByKind [int(dataflow.KindBuildIndex) + 1]*telemetry.Histogram
-	injByKind   [int(fault.Straggler) + 1]*telemetry.Counter
-	recByKind   [int(fault.Straggler) + 1]*telemetry.Counter
-	sc          scratch
-	// tallies buffers a run's instrument updates in the order they were
-	// produced; publish hands them to the registry once the run can no
-	// longer be cancelled, so a cancelled run leaves no trace there.
-	tallies []tally
+	cfg Config
+	sc  scratch
 	// events buffers the run's provenance events; a completed Result hands
-	// them out as its Events.
+	// them out as its Events, so a cancelled run hands out none.
 	events []provenance.Event
 }
 
-// New returns an executor for cfg. It registers the executor's metric
-// families in cfg.Metrics, so they appear in a scrape before the first run.
+// New returns an executor for cfg.
 func New(cfg Config) *Executor {
 	if cfg.Actual == nil {
 		cfg.Actual = func(op *dataflow.Operator) float64 { return op.Time }
 	}
-	return &Executor{cfg: cfg, ins: newInstruments(cfg.Metrics)}
+	return &Executor{cfg: cfg}
 }
 
 // Execute runs the planned schedule once, fault-free and uncancellable,
 // on a fresh executor.
 func Execute(s *sched.Schedule, cfg Config) Result { return New(cfg).Execute(nil, s, nil) }
-
-// instruments bundles the executor's metric handles; all fields are
-// nil-safe no-ops when Config.Metrics is nil.
-type instruments struct {
-	opRun           *telemetry.HistogramVec
-	opWait          *telemetry.Histogram
-	buildsKilled    *telemetry.Counter
-	buildsCompleted *telemetry.Counter
-	quantaCharged   *telemetry.Counter
-	fragmentation   *telemetry.Counter
-	faultsInjected  *telemetry.CounterVec
-	recoveries      *telemetry.CounterVec
-	wastedQuanta    *telemetry.Counter
-}
-
-func newInstruments(reg *telemetry.Registry) instruments {
-	return instruments{
-		opRun: reg.HistogramVec("idxflow_op_run_seconds",
-			"Realized operator occupancy per execution, by operator kind.",
-			telemetry.ExponentialBuckets(0.5, 2, 12), "kind"),
-		opWait: reg.Histogram("idxflow_op_wait_seconds",
-			"Time an operator's inputs sat ready while its container was busy.",
-			telemetry.ExponentialBuckets(0.5, 2, 12)),
-		buildsKilled: reg.Counter("idxflow_builds_killed_total",
-			"Index-build operators stopped by preemption, quantum expiry or container failure."),
-		buildsCompleted: reg.Counter("idxflow_builds_completed_total",
-			"Index-build operators that finished inside their idle slot."),
-		quantaCharged: reg.Counter("idxflow_quanta_charged_total",
-			"VM quanta charged for realized executions (price-weighted)."),
-		fragmentation: reg.Counter("idxflow_fragmentation_seconds_total",
-			"Paid-but-idle container seconds across executions."),
-		faultsInjected: reg.CounterVec("idxflow_faults_injected_total",
-			"Fault events that took effect during execution, by fault kind.", "kind"),
-		recoveries: reg.CounterVec("idxflow_recoveries_total",
-			"Fault effects absorbed: re-placed operators, retried transfers, stragglers ridden out.", "kind"),
-		wastedQuanta: reg.Counter("idxflow_wasted_quanta_total",
-			"Paid compute discarded because of faults (killed work and dead lease tails), in quanta."),
-	}
-}
-
-// family names the instrument a buffered tally updates.
-type family uint8
-
-const (
-	famOpRun family = iota
-	famOpWait
-	famBuildsKilled
-	famBuildsCompleted
-	famFaultsInjected
-	famRecoveries
-)
-
-// tally is one buffered instrument update of a run. kind is the label of
-// the labeled families: a dataflow.Kind for famOpRun, a fault.Kind for
-// famFaultsInjected and famRecoveries.
-type tally struct {
-	to   family
-	kind int
-	v    float64
-}
-
-// note buffers one instrument update; a run without a registry buffers none.
-func (ex *Executor) note(to family, kind int, v float64) {
-	if ex.cfg.Metrics != nil {
-		ex.tallies = append(ex.tallies, tally{to: to, kind: kind, v: v})
-	}
-}
-
-// publish hands the run's buffered updates to the registry in the order the
-// run produced them.
-func (ex *Executor) publish() {
-	for _, t := range ex.tallies {
-		switch t.to {
-		case famOpRun:
-			ex.opRunHist(dataflow.Kind(t.kind)).Observe(t.v)
-		case famOpWait:
-			ex.ins.opWait.Observe(t.v)
-		case famBuildsKilled:
-			ex.ins.buildsKilled.Add(t.v)
-		case famBuildsCompleted:
-			ex.ins.buildsCompleted.Add(t.v)
-		case famFaultsInjected:
-			faultCounter(&ex.injByKind, ex.ins.faultsInjected, fault.Kind(t.kind)).Add(t.v)
-		case famRecoveries:
-			faultCounter(&ex.recByKind, ex.ins.recoveries, fault.Kind(t.kind)).Add(t.v)
-		}
-	}
-}
-
-// opRunHist returns op kind k's run-time series, resolved on first use.
-func (ex *Executor) opRunHist(k dataflow.Kind) *telemetry.Histogram {
-	if k < 0 || int(k) >= len(ex.opRunByKind) {
-		return ex.ins.opRun.With(k.String())
-	}
-	if ex.opRunByKind[k] == nil {
-		ex.opRunByKind[k] = ex.ins.opRun.With(k.String())
-	}
-	return ex.opRunByKind[k]
-}
-
-// faultCounter returns fault kind k's series of vec, resolved on first use
-// and cached in byKind.
-func faultCounter(byKind *[int(fault.Straggler) + 1]*telemetry.Counter, vec *telemetry.CounterVec, k fault.Kind) *telemetry.Counter {
-	if k < 0 || int(k) >= len(byKind) {
-		return vec.With(k.String())
-	}
-	if byKind[k] == nil {
-		byKind[k] = vec.With(k.String())
-	}
-	return byKind[k]
-}
 
 // OpResult is the realized execution of one operator.
 type OpResult struct {
@@ -209,6 +83,10 @@ type OpResult struct {
 	Container int
 	Start     float64
 	End       float64
+	// Ready is when a dataflow operator's inputs had all arrived on its
+	// container; Start - Ready is how long they waited for it. Zero for a
+	// build operator.
+	Ready float64
 	// Killed reports an index-build operator stopped by preemption,
 	// quantum expiry or container failure before completing.
 	Killed bool
@@ -296,8 +174,8 @@ type faultState struct {
 	// is applied once.
 	slow    map[int]*timeline
 	storage map[int]*timeline
-	// seenInjected marks event Seqs already counted toward the injection
-	// metric, so an event affecting many operators is injected once.
+	// seenInjected marks event Seqs already counted in FaultsInjected, so
+	// an event affecting many operators is injected once.
 	seenInjected map[int]bool
 	// active lists containers holding at least one planned operator,
 	// ascending — the resolution domain for fault.AnyContainer.
@@ -595,8 +473,8 @@ func resized[T any](s []T, n int) []T {
 // service shifts its absolute fault.Plan via Plan.From); empty means a
 // fault-free run. A non-nil ctx lets the caller cancel the replay: the
 // event loops poll it and a cancelled run returns Result{Cancelled: true}
-// with no other fields populated, events included, and publishes no metric,
-// so a drained admission stops cleanly instead of running to completion.
+// with no other fields populated, events included, so a drained
+// admission stops cleanly instead of running to completion.
 func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fault.Event) Result {
 	cfg := &ex.cfg
 	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
@@ -605,7 +483,7 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 	}
 	actual, sc := cfg.Actual, &ex.sc
 	clear(ex.events) // the last run's events name its operators
-	ex.tallies, ex.events = ex.tallies[:0], ex.events[:0]
+	ex.events = ex.events[:0]
 
 	res := Result{Ops: make(map[dataflow.OpID]OpResult, s.Assigned())}
 	var fs *faultState
@@ -616,7 +494,6 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 		if !fs.seenInjected[e.Seq] {
 			fs.seenInjected[e.Seq] = true
 			res.FaultsInjected++
-			ex.note(famFaultsInjected, int(e.Kind), 1)
 			ex.events = append(ex.events, provenance.Event{
 				Kind: provenance.KindFaultInjected, T: e.At, Name: e.Kind.String(),
 				Container: e.Container, Count: 1,
@@ -627,7 +504,6 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 		// Unlike injection, recoveries count per absorbed effect: an event
 		// whose failure forces three operators to move is three recoveries.
 		res.FaultsRecovered++
-		ex.note(famRecoveries, int(e.Kind), 1)
 		ex.events = append(ex.events, provenance.Event{
 			Kind: provenance.KindFaultRecovered, T: e.At, Name: e.Kind.String(),
 			Container: e.Container, Count: 1,
@@ -636,7 +512,6 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 	markBoth := func(e fault.Event) { markInjected(e); markRecovered(e) }
 	recoveredSlow := func(n int) {
 		res.FaultsRecovered += n
-		ex.note(famRecoveries, int(fault.Straggler), float64(n))
 		ex.events = append(ex.events, provenance.Event{
 			Kind: provenance.KindFaultRecovered, Name: fault.Straggler.String(), Count: n,
 		})
@@ -681,7 +556,6 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 					at := math.Min(r.Old.Start, f.at)
 					res.Ops[r.Op] = OpResult{Op: r.Op, Container: f.c, Start: at, End: at, Killed: true}
 					res.Killed++
-					ex.note(famBuildsKilled, 0, 1)
 					ex.events = append(ex.events, provenance.Event{
 						Kind: provenance.KindBuildKilled, T: at, Op: s.Graph.Op(r.Op).Name,
 						Container: f.c, Start: at, End: at, Reason: "fault",
@@ -881,7 +755,6 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 				continue
 			}
 		}
-		ex.note(famOpWait, 0, start-ready)
 		dur := actual(op) / ctype.SpeedFactor
 		if fs != nil {
 			dur *= fs.slowFactor(c, start, markInjected, recoveredSlow)
@@ -903,8 +776,7 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 				continue
 			}
 		}
-		ex.note(famOpRun, int(op.Kind), dur)
-		r := OpResult{Op: p.op, Container: c, Start: start, End: end, Completed: true}
+		r := OpResult{Op: p.op, Container: c, Start: start, End: end, Ready: ready, Completed: true}
 		if a, planned := s.Assignment(p.op); !planned || a.Container != c {
 			r.Replaced = true
 			addArrival(c, interval{start, end})
@@ -1100,15 +972,11 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 				res.CompletedBuilds = append(res.CompletedBuilds, a.Op)
 			}
 			if r.Killed {
-				ex.note(famBuildsKilled, 0, 1)
 				ex.events = append(ex.events, provenance.Event{
 					Kind: provenance.KindBuildKilled, T: r.Start, Op: op.Name,
 					Container: c, Start: r.Start, End: r.End, Reason: killReason,
 				})
-			} else {
-				ex.note(famBuildsCompleted, 0, 1)
 			}
-			ex.note(famOpRun, int(op.Kind), r.End-r.Start)
 			res.Ops[a.Op] = r
 			clock = r.End
 		}
@@ -1158,11 +1026,8 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 	}
 	res.Fragmentation = leased - busy
 
-	// Past the last cancellation check: the run happened, so it publishes.
-	ex.publish()
-	ex.ins.quantaCharged.Add(res.MoneyQuanta)
-	ex.ins.fragmentation.Add(res.Fragmentation)
-	ex.ins.wastedQuanta.Add(res.WastedQuanta)
+	// Past the last cancellation check: the run happened, so it hands out
+	// its events.
 	if len(ex.events) > 0 {
 		res.Events = ex.events
 	}

@@ -70,15 +70,19 @@ stage_static() {
 	if grep -nE '\bs\.cfg\.[A-Za-z.]+ *=[^=]' $(ls internal/core/*.go | grep -v _test.go); then exit 1; fi
 
 	# The pass reports what its stages did: the stages return what they
-	# decided, and only internal/core opens spans and appends provenance
-	# events. The gain model, the storage meter and the interleaving
-	# algorithms bind no metric and record nothing.
+	# decided, and only internal/core opens spans, appends provenance events
+	# and updates metrics. The gain model, the storage meter, the
+	# interleaving algorithms, the scheduler and the executor bind no metric;
+	# the executor's provenance events travel in its Result.
 	echo "== spans and provenance events are recorded by the pass =="
 	if grep -rnE --include='*.go' --exclude='*_test.go' '\.StartSpan\(|Provenance\.Append\(' internal |
 		grep -vE '^internal/(core|telemetry|provenance)/'; then exit 1; fi
-	echo "== internal/gain, cloud and interleave import neither provenance nor telemetry =="
-	if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/gain ./internal/cloud ./internal/interleave |
+	echo "== internal/gain, cloud, interleave and sched import neither provenance nor telemetry =="
+	if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/gain ./internal/cloud ./internal/interleave ./internal/sched |
 		grep -E 'idxflow/internal/(provenance|telemetry)( |$)'; then exit 1; fi
+	echo "== internal/sim imports no telemetry =="
+	if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/sim |
+		grep -E 'idxflow/internal/telemetry( |$)'; then exit 1; fi
 }
 
 # driver: bench/ is a module of its own that `./...` does not reach; its vet
