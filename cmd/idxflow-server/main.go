@@ -18,7 +18,8 @@
 // immediately and in-flight requests get -drain to finish. With -trace or
 // -events, the span timeline and each tenant's decision-provenance event
 // log (<path>.<tenant>) are flushed to their files after the drain, so
-// decisions made by the last in-flight submissions are captured.
+// decisions made by the last in-flight submissions are captured. Concurrent
+// passes are traced on a tid each; a span's flow_id is its tenant's flow id.
 //
 // Usage:
 //
@@ -150,7 +151,7 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 				log.Printf("idxflow-server: writing trace: %v", err)
 				return
 			}
-			log.Printf("idxflow-server: %d spans -> %s", cfg.Tracer.Len(), *traceOut)
+			log.Printf("idxflow-server: %d spans -> %s", len(cfg.Tracer.Events()), *traceOut)
 		})
 	}
 	log.Printf("idxflow-server listening on %s (%d workers, queue %d, fleet %d, strategy %s)",

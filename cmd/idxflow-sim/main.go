@@ -10,7 +10,8 @@
 //
 // With -trace, the scheduler/executor span timeline of the run is written
 // as Chrome trace-event JSON, loadable in chrome://tracing or
-// https://ui.perfetto.dev.
+// https://ui.perfetto.dev. A span carries its id, its parent's and its
+// pass's flow_id, whose decisions -events and -explain hold.
 //
 // With -events, every tuner decision (admissions, skyline choices, index
 // adoptions/evictions with their Eq. 2–5 gain inputs, build placements,
@@ -171,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			code = fail(1, err)
 		} else {
 			fmt.Fprintf(stdout, "trace:             %d spans -> %s (open in chrome://tracing)\n",
-				cfg.Tracer.Len(), *traceOut)
+				len(cfg.Tracer.Events()), *traceOut)
 		}
 	}
 	if code != 0 {

@@ -99,7 +99,7 @@ func TestScenarioDeterministic(t *testing.T) {
 	if a.Opts.MaxContainers != b.Opts.MaxContainers || a.Opts.Pricing != b.Opts.Pricing {
 		t.Fatal("scenario options differ for the same seed")
 	}
-	if a.Plan.Len() != b.Plan.Len() {
+	if len(a.Plan.Events) != len(b.Plan.Events) {
 		t.Fatal("scenario fault plans differ for the same seed")
 	}
 }
@@ -132,7 +132,7 @@ func TestAuditFaultyExecutions(t *testing.T) {
 	audited := 0
 	for seed := int64(1); seed <= 25; seed++ {
 		sc := NewScenario(seed, 0.08)
-		if sc.Plan.Len() == 0 {
+		if len(sc.Plan.Events) == 0 {
 			continue
 		}
 		results, skyline := execScenario(t, sc)

@@ -33,7 +33,7 @@ func FuzzExecute(f *testing.F) {
 		}
 		for i, s := range skyline {
 			ac := AuditConfig{Exact: true}
-			if sc.Plan.Len() > 0 {
+			if sc.Plan != nil && len(sc.Plan.Events) > 0 {
 				ac = AuditConfig{Faults: sc.Plan.Events}
 			}
 			res := sim.New(sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}).Execute(nil, s, ac.Faults)

@@ -110,13 +110,12 @@ func (s *Service) SubmitCtx(ctx context.Context, flow *dataflow.Flow) FlowResult
 
 // admit assigns the flow its id, catches the clock up with its issue time,
 // which fixes the decision time, and applies the batch updates due by then.
-// Every event and span of the pass carries that id; the stages stamp them.
+// Every event of the pass carries that id, and so does its root span, whose
+// children inherit it; the stages stamp the events.
 func (s *Service) admit(flow *dataflow.Flow) *pass {
 	s.nextFlow++
 	p := &pass{id: s.nextFlow, flow: flow, recording: s.cfg.Provenance.Active()}
-	p.span = s.cfg.Tracer.StartSpan("service.submit").
-		SetAttr("flow", flow.Name).
-		SetAttr("flow_id", uint64(p.id))
+	p.span = s.cfg.Tracer.StartSpan("service.submit", uint64(p.id))
 	s.ins.flowsSubmitted.Inc()
 	if flow.IssuedAt > s.clock {
 		s.clock = flow.IssuedAt
@@ -250,10 +249,10 @@ func (s *Service) offer(p *pass) {
 	switch {
 	case s.cfg.Strategy.gainDriven():
 		s.recordGains(p)
-		span := s.cfg.Tracer.StartSpan("service.rank")
+		span := p.span.StartSpan("service.rank")
 		evals := s.evaluate(p)
 		ranked := gain.Rank(evals)
-		span.SetAttr("candidates", len(evals)).SetAttr("beneficial", len(ranked)).End()
+		span.End()
 		s.ins.gainEvaluated.Add(float64(len(evals)))
 		s.ins.gainBeneficial.Add(float64(len(ranked)))
 		s.offerRanked(p, ranked)
@@ -462,7 +461,7 @@ func (s *Service) evict(p *pass) {
 // schedule. It reports false when the flow cannot be scheduled.
 func (s *Service) schedule(p *pass) bool {
 	if s.cfg.Strategy == RandomIndex {
-		p.skyline = s.runSkyline(p, false)
+		p.skyline = s.runSkyline(p, p.span, false)
 		interleave.Random(p.skyline, p.g, s.rng)
 	} else {
 		s.interleave(p)
@@ -490,12 +489,10 @@ func (s *Service) schedule(p *pass) bool {
 }
 
 // runSkyline is the pass's one run of the tenant's skyline scheduler
-// (Alg. 4), with the optional operators of the rewritten graph or without.
-func (s *Service) runSkyline(p *pass, withOptional bool) []*sched.Schedule {
-	span := s.cfg.Tracer.StartSpan("sched.skyline").
-		SetAttr("ops", p.g.Len()).
-		SetAttr("with_optional", withOptional).
-		SetAttr("flow_id", uint64(p.id))
+// (Alg. 4), with the optional operators of the rewritten graph or without,
+// timed by a child of the stage span that encloses it.
+func (s *Service) runSkyline(p *pass, stage *telemetry.Span, withOptional bool) []*sched.Schedule {
+	span := stage.StartSpan("sched.skyline")
 	hits := s.skyline.WarmStats().Hits
 	var skyline []*sched.Schedule
 	if withOptional {
@@ -506,16 +503,12 @@ func (s *Service) runSkyline(p *pass, withOptional bool) []*sched.Schedule {
 	// A warm hit searched nothing; a cold run adds its search effort.
 	if s.skyline.WarmStats().Hits > hits {
 		s.ins.warmHits.Inc()
-		span.SetAttr("warm_hit", true)
 	}
 	effort := s.skyline.LastRun()
 	s.ins.skylineIterations.Add(float64(effort.Iterations))
 	s.ins.skylineCandidates.Add(float64(effort.Candidates))
 	for _, n := range effort.Frontier {
 		s.ins.skylineFrontier.Observe(float64(n))
-	}
-	if skyline != nil {
-		span.SetAttr("frontier", len(skyline))
 	}
 	span.End()
 	return skyline
@@ -531,8 +524,8 @@ func (s *Service) interleave(p *pass) {
 	if online {
 		name = "interleave.online"
 	}
-	span := s.cfg.Tracer.StartSpan(name).SetAttr("flow_id", uint64(p.id))
-	p.skyline = s.runSkyline(p, online)
+	span := p.span.StartSpan(name)
+	p.skyline = s.runSkyline(p, span, online)
 	placed := 0
 	if online {
 		for _, sc := range p.skyline {
@@ -562,9 +555,7 @@ func (s *Service) interleave(p *pass) {
 			Count: placed, Records: offered, Containers: len(p.skyline),
 		})
 	}
-	span.SetAttr("schedules", len(p.skyline)).
-		SetAttr("builds_offered", offered).
-		SetAttr("builds_placed", placed).End()
+	span.End()
 }
 
 // recordSchedule appends the skyline choice — with the Pareto alternatives
@@ -650,24 +641,10 @@ func (s *Service) execute(ctx context.Context, p *pass) bool {
 	if s.cfg.Reserve != nil {
 		release = s.cfg.Reserve(p.chosen.Containers())
 	}
-	span := s.cfg.Tracer.StartSpan("sim.execute").
-		SetAttr("ops", p.chosen.Assigned()).
-		SetAttr("flow_id", uint64(p.id))
+	span := p.span.StartSpan("sim.execute")
 	p.run = s.exec.Execute(ctx, p.chosen, s.cfg.Faults.From(p.now))
-	run := &p.run
-	if !run.Cancelled {
-		span.SetAttr("makespan_seconds", run.Makespan).
-			SetAttr("money_quanta", run.MoneyQuanta).
-			SetAttr("builds_killed", run.Killed).
-			SetAttr("builds_completed", len(run.CompletedBuilds))
-		if run.FaultsInjected > 0 {
-			span.SetAttr("faults_injected", run.FaultsInjected).
-				SetAttr("faults_recovered", run.FaultsRecovered).
-				SetAttr("ops_replaced", run.ReplacedOps).
-				SetAttr("wasted_quanta", run.WastedQuanta)
-		}
-	}
 	span.End()
+	run := &p.run
 	if release != nil {
 		release(run.Makespan) // zero for a cancelled run
 	}
@@ -732,7 +709,7 @@ func (s *Service) commit(p *pass) {
 }
 
 // settle advances the clock to this dataflow's completion, accrues storage
-// up to it and records the result in the metrics, instruments and span.
+// up to it and records the result in the metrics and instruments.
 func (s *Service) settle(p *pass) {
 	run, res := &p.run, &p.res
 	s.clock += run.Makespan
@@ -753,16 +730,6 @@ func (s *Service) settle(p *pass) {
 	s.ins.clockGauge.Set(s.clock)
 	available := s.db.Catalog.AvailableCount()
 	s.ins.indexesAvail.Set(float64(available))
-	p.span.SetAttr("makespan_seconds", run.Makespan).
-		SetAttr("money_quanta", run.MoneyQuanta).
-		SetAttr("builds_completed", res.BuildsCompleted).
-		SetAttr("builds_killed", res.BuildsKilled)
-	if run.FaultsInjected > 0 {
-		p.span.SetAttr("faults_injected", run.FaultsInjected).
-			SetAttr("faults_recovered", run.FaultsRecovered).
-			SetAttr("ops_replaced", run.ReplacedOps).
-			SetAttr("wasted_quanta", run.WastedQuanta)
-	}
 
 	s.metrics.Results = append(s.metrics.Results, *res)
 	s.metrics.TotalOps += res.TotalOps

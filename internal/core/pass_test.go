@@ -95,13 +95,13 @@ func TestEveryRecordCarriesItsPassFlowID(t *testing.T) {
 		case "sched.skyline", "sim.execute":
 			pending = append(pending, sp)
 		case "service.submit":
-			if want := uint64(spans["service.submit"] + 1); sp.Args["flow_id"] != want {
-				t.Errorf("submit span %d has flow_id %v", want, sp.Args["flow_id"])
+			if want := uint64(spans["service.submit"] + 1); sp.Args.FlowID != want || sp.Args.Parent != -1 {
+				t.Errorf("submit span %d has args %+v, want a root with flow_id %d", want, sp.Args, want)
 			}
 			spans[sp.Name]++
 			for _, inner := range pending {
-				if inner.Args["flow_id"] != sp.Args["flow_id"] {
-					t.Errorf("%s span flow_id %v inside the submit of flow %v", inner.Name, inner.Args["flow_id"], sp.Args["flow_id"])
+				if inner.Args.FlowID != sp.Args.FlowID {
+					t.Errorf("%s span flow_id %d inside the submit of flow %d", inner.Name, inner.Args.FlowID, sp.Args.FlowID)
 				}
 				spans[inner.Name]++
 			}

@@ -123,9 +123,9 @@ type Config struct {
 	// Telemetry receives every metric of a submit, all updated by the pass
 	// from what its stages return. Nil means none.
 	Telemetry *telemetry.Registry
-	// Tracer records nested spans (submit → rank → schedule → execute),
-	// all opened by the pass. Nil means none, so tracing costs one nil
-	// check per span.
+	// Tracer times each pass: a root service.submit span per flow and a
+	// child per stage (rank, interleave → skyline, execute), all opened by
+	// the pass. Nil means none, so tracing costs one nil check per span.
 	Tracer *telemetry.Tracer
 	// Provenance is the decision flight recorder: every consequential
 	// tuner decision (admission, skyline choice, index adoption/eviction,

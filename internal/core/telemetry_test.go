@@ -7,7 +7,10 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"idxflow/internal/dataflow"
 	"idxflow/internal/telemetry"
@@ -121,8 +124,9 @@ func TestServiceMetricsExposition(t *testing.T) {
 }
 
 // TestServiceTraceRoundTrip drives a traced submission, exports the Chrome
-// trace, parses it back and checks the executor span nests inside the
-// submit span — the shape chrome://tracing renders as a hierarchy.
+// trace, parses it back and checks the executor and skyline spans nest
+// inside the submit span on its lane — the shape chrome://tracing renders
+// as a hierarchy — and that their args name their parents and the flow.
 func TestServiceTraceRoundTrip(t *testing.T) {
 	cfg := quickConfig(Gain)
 	cfg.Telemetry = telemetry.NewRegistry()
@@ -154,21 +158,137 @@ func TestServiceTraceRoundTrip(t *testing.T) {
 	submit := find("service.submit")
 	execute := find("sim.execute")
 	skyline := find("sched.skyline")
-	if submit == nil || execute == nil || skyline == nil {
-		t.Fatalf("missing spans (submit=%v execute=%v skyline=%v) in %d events",
-			submit != nil, execute != nil, skyline != nil, len(events))
+	lp := find("interleave.lp")
+	if submit == nil || execute == nil || skyline == nil || lp == nil {
+		t.Fatalf("missing spans (submit=%v execute=%v skyline=%v lp=%v) in %d events",
+			submit != nil, execute != nil, skyline != nil, lp != nil, len(events))
 	}
 	for _, inner := range []*telemetry.Event{execute, skyline} {
-		if inner.TS < submit.TS || inner.TS+inner.Dur > submit.TS+submit.Dur {
-			t.Errorf("span %q [%g, %g] not nested in service.submit [%g, %g]",
-				inner.Name, inner.TS, inner.TS+inner.Dur, submit.TS, submit.TS+submit.Dur)
+		if inner.TS < submit.TS || inner.TS+inner.Dur > submit.TS+submit.Dur || inner.TID != submit.TID {
+			t.Errorf("span %q [%g, %g] on tid %d not nested in service.submit [%g, %g] on tid %d",
+				inner.Name, inner.TS, inner.TS+inner.Dur, inner.TID, submit.TS, submit.TS+submit.Dur, submit.TID)
 		}
 	}
-	if submit.Args["flow"] == nil {
-		t.Error("service.submit span lost its flow attribute")
+	if submit.Args.Parent != -1 || submit.Args.FlowID != 1 {
+		t.Errorf("service.submit args %+v, want a root of flow 1", submit.Args)
 	}
-	if submit.Phase != "X" || submit.PID != 1 {
+	for inner, parent := range map[*telemetry.Event]*telemetry.Event{execute: submit, lp: submit, skyline: lp} {
+		if inner.Args.Parent != parent.Args.ID || inner.Args.FlowID != 1 {
+			t.Errorf("%s args %+v, want parent %s (%d) of flow 1", inner.Name, inner.Args, parent.Name, parent.Args.ID)
+		}
+	}
+	if submit.Phase != "X" || submit.PID != 1 || submit.TID != 1 {
 		t.Errorf("unexpected event shape: %+v", submit)
+	}
+}
+
+// TestConcurrentPassesTraceOnTheirOwnLanes: two services share one tracer,
+// the way a server's tenants do, and a Reserve barrier holds both passes in
+// execute until the other has arrived, so both are in flight at once. Read
+// back from the written Chrome trace, every span names its id, parent and
+// flow; the two roots are on different lanes; every other span sits on its
+// parent's lane inside its parent's interval and times its root's flow; and
+// a third pass, run after both ended, is back on lane 1.
+func TestConcurrentPassesTraceOnTheirOwnLanes(t *testing.T) {
+	tracer := telemetry.NewTracer()
+	both := make(chan struct{})
+	var arrived atomic.Int32
+	barrier := func(int) func(float64) {
+		switch arrived.Add(1) {
+		case 1:
+			select {
+			case <-both:
+			case <-time.After(30 * time.Second):
+				t.Error("the second pass never reached execute")
+			}
+		case 2:
+			close(both)
+		}
+		return func(float64) {}
+	}
+	var svcs [2]*Service
+	var gens [2]*workload.Generator
+	for i := range svcs {
+		cfg := quickConfig(Gain)
+		cfg.Tracer = tracer
+		cfg.Reserve = barrier
+		db := testDB(t)
+		svcs[i], gens[i] = NewService(cfg, db), workload.NewGenerator(db, 2)
+	}
+	var wg sync.WaitGroup
+	for i := range svcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			svcs[i].SubmitCtx(context.Background(), gens[i].Flow(workload.Montage, i, 0))
+		}()
+	}
+	wg.Wait()
+	if res := svcs[0].SubmitCtx(context.Background(), gens[0].Flow(workload.Ligo, 2, svcs[0].Clock())); res.FlowID != 2 {
+		t.Fatalf("third submit got flow id %d, want 2", res.FlowID)
+	}
+
+	var buf bytes.Buffer
+	if err := tracer.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		Name    string
+		TS, Dur float64
+		TID     int
+		Args    struct {
+			ID     *int    `json:"id"`
+			Parent *int    `json:"parent"`
+			FlowID *uint64 `json:"flow_id"`
+		}
+	}
+	var trace struct {
+		TraceEvents []span `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	byID := map[int]span{}
+	for _, sp := range trace.TraceEvents {
+		if sp.Args.ID == nil || sp.Args.Parent == nil || sp.Args.FlowID == nil {
+			t.Fatalf("span %s lacks id, parent or flow_id: %+v", sp.Name, sp.Args)
+		}
+		byID[*sp.Args.ID] = sp
+	}
+	root := func(sp span) span {
+		for *sp.Args.Parent != -1 {
+			sp = byID[*sp.Args.Parent]
+		}
+		return sp
+	}
+	var roots []span
+	for _, sp := range trace.TraceEvents {
+		if *sp.Args.Parent == -1 {
+			roots = append(roots, sp)
+			continue
+		}
+		parent, ok := byID[*sp.Args.Parent]
+		if !ok || parent.TID != sp.TID || sp.TS < parent.TS || sp.TS+sp.Dur > parent.TS+parent.Dur {
+			t.Errorf("%s [%g, %g] on tid %d is not inside its parent %s [%g, %g] on tid %d",
+				sp.Name, sp.TS, sp.TS+sp.Dur, sp.TID, parent.Name, parent.TS, parent.TS+parent.Dur, parent.TID)
+		}
+		if r := root(sp); *sp.Args.FlowID != *r.Args.FlowID {
+			t.Errorf("%s has flow_id %d under the root of flow %d", sp.Name, *sp.Args.FlowID, *r.Args.FlowID)
+		}
+	}
+	if len(roots) != 3 {
+		t.Fatalf("%d root spans, want 3", len(roots))
+	}
+	a, b, third := roots[0], roots[1], roots[2]
+	if a.TID == b.TID || *a.Args.FlowID != 1 || *b.Args.FlowID != 1 {
+		t.Errorf("concurrent roots on tids %d and %d with flows %d and %d, want two lanes of flow 1",
+			a.TID, b.TID, *a.Args.FlowID, *b.Args.FlowID)
+	}
+	if a.TS+a.Dur < b.TS || b.TS+b.Dur < a.TS {
+		t.Error("the barrier did not hold both passes in flight at once")
+	}
+	if third.TID != 1 || *third.Args.FlowID != 2 {
+		t.Errorf("third root on tid %d with flow %d, want tid 1 and flow 2", third.TID, *third.Args.FlowID)
 	}
 }
 

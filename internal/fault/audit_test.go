@@ -35,7 +35,7 @@ func TestAuditPerKindReplay(t *testing.T) {
 	audited := map[fault.Kind]int{}
 	for seed := int64(1); seed <= 30; seed++ {
 		sc := check.NewScenario(seed, 0.2)
-		if sc.Plan.Len() == 0 {
+		if len(sc.Plan.Events) == 0 {
 			continue
 		}
 		byKind := map[fault.Kind][]fault.Event{}
@@ -77,10 +77,10 @@ func TestAuditPlanShiftInvariance(t *testing.T) {
 	audited := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		sc := check.NewScenario(seed, 0.15)
-		if sc.Plan.Len() < 2 {
+		if len(sc.Plan.Events) < 2 {
 			continue
 		}
-		mid := sc.Plan.Events[sc.Plan.Len()/2].At
+		mid := sc.Plan.Events[len(sc.Plan.Events)/2].At
 		suffix := sc.Plan.From(mid)
 		if len(suffix) == 0 {
 			continue

@@ -104,14 +104,6 @@ func New(events ...Event) *Plan {
 	return p
 }
 
-// Len returns the number of planned events.
-func (p *Plan) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.Events)
-}
-
 // From returns the events at or after absolute time t, shifted to be
 // relative to t — the executor's view for an execution starting at service
 // time t. The service hands each execution this window; events that fall

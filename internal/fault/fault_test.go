@@ -12,8 +12,8 @@ func TestNewSortsAndSequences(t *testing.T) {
 		Event{Kind: ContainerCrash, At: 10, Container: 0},
 		Event{Kind: Straggler, At: 20, Container: 2, SlowFactor: 2},
 	)
-	if p.Len() != 3 {
-		t.Fatalf("len = %d, want 3", p.Len())
+	if len(p.Events) != 3 {
+		t.Fatalf("len = %d, want 3", len(p.Events))
 	}
 	for i, e := range p.Events {
 		if e.Seq != i {
@@ -78,7 +78,7 @@ func TestFromShiftsAndFilters(t *testing.T) {
 		t.Errorf("From past the last event = %v, want nil", got)
 	}
 	var nilPlan *Plan
-	if nilPlan.From(0) != nil || nilPlan.Len() != 0 {
+	if nilPlan.From(0) != nil {
 		t.Error("nil plan must behave as empty")
 	}
 }
@@ -91,7 +91,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Error("same (rates, seed) produced different plans")
 	}
 	c := Generate(r, 8)
-	if reflect.DeepEqual(a, c) && a.Len() > 0 {
+	if reflect.DeepEqual(a, c) && len(a.Events) > 0 {
 		t.Error("different seeds produced identical non-empty plans")
 	}
 	if err := a.Validate(); err != nil {
@@ -105,7 +105,7 @@ func TestGenerateRateScaling(t *testing.T) {
 	// Poisson draw but reject order-of-magnitude errors.
 	r := DefaultRates(0.1, 60, 600*60)
 	p := Generate(r, 3)
-	if n := p.Len(); n < 20 || n > 150 {
+	if n := len(p.Events); n < 20 || n > 150 {
 		t.Errorf("generated %d events, expected around 60", n)
 	}
 	kinds := make(map[Kind]int)
@@ -136,7 +136,7 @@ func TestGenerateDefaults(t *testing.T) {
 			}
 		}
 	}
-	if p.Len() == 0 {
+	if len(p.Events) == 0 {
 		t.Error("no events despite positive rates")
 	}
 }

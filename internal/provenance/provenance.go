@@ -363,14 +363,3 @@ func (r *Recorder) Snapshot() []Event { return r.Select(Filter{}, -1) }
 func (r *Recorder) FlowEvents(id FlowID) []Event {
 	return r.Select(Filter{ByFlow: true, Flow: id}, -1)
 }
-
-// Reset discards all recorded events and restarts sequence numbering. The
-// chunks already allocated are kept for reuse.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.next = 0
-}

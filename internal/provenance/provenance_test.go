@@ -299,18 +299,3 @@ func TestExplainNarrative(t *testing.T) {
 		}
 	}
 }
-
-func TestReset(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 0; i < 6; i++ {
-		r.Append(Event{Kind: KindFlowAdmitted})
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 || r.Dropped() != 0 {
-		t.Fatalf("after reset: len=%d total=%d dropped=%d", r.Len(), r.Total(), r.Dropped())
-	}
-	r.Append(Event{Kind: KindFlowAdmitted})
-	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Seq != 0 {
-		t.Fatalf("post-reset snapshot %+v", snap)
-	}
-}

@@ -81,8 +81,8 @@ func checkAgainstModel(t *testing.T, r *Recorder, m *ringModel) {
 }
 
 // TestRingMatchesSliceModel drives rings whose capacity is below, at and
-// just past a chunk through fill, wrap and a second wrap, then Reset and
-// a refill, against the plain-slice model.
+// just past a chunk through fill, wrap, a second wrap and refills that
+// must not allocate, against the plain-slice model.
 func TestRingMatchesSliceModel(t *testing.T) {
 	for _, capacity := range []int{1, 5, chunkEvents, chunkEvents + 1, 10000} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
@@ -117,27 +117,29 @@ func TestRingMatchesSliceModel(t *testing.T) {
 			fill(capacity/2 + 1)       // wrap
 			fill(2*capacity + 3)       // wrap again, twice over
 
-			// Reset keeps the chunks: a refill writes into the same memory.
+			// An allocated ring keeps its chunks: wrapping it again writes
+			// into the same memory.
 			before := make([]*Event, len(r.chunks))
 			for i, c := range r.chunks {
 				before[i] = &c[0]
 			}
-			r.Reset()
-			m.all = nil
-			checkAgainstModel(t, r, m)
-			if allocs := testing.AllocsPerRun(1, func() {
+			refill := func() {
 				for i := 0; i < capacity+2; i++ {
 					r.Append(Event{Kind: KindFlowAdmitted})
 				}
-			}); allocs != 0 {
-				t.Errorf("refilling a reset ring allocated %v times", allocs)
+			}
+			if allocs := testing.AllocsPerRun(1, refill); allocs != 0 {
+				t.Errorf("refilling an allocated ring allocated %v times", allocs)
 			}
 			for i, c := range r.chunks {
 				if &c[0] != before[i] {
-					t.Errorf("chunk %d was reallocated after Reset", i)
+					t.Errorf("chunk %d was reallocated by a refill", i)
 				}
 			}
-			r.Reset()
+			for i := 0; i < 2*(capacity+2); i++ { // AllocsPerRun ran refill twice
+				m.append(Event{Kind: KindFlowAdmitted})
+			}
+			checkAgainstModel(t, r, m)
 			fill(capacity + 2)
 		})
 	}

@@ -55,7 +55,7 @@ func TestAuditFaultyReplay(t *testing.T) {
 	audited := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		sc := check.NewScenario(seed, 0.1)
-		if sc.Plan.Len() == 0 {
+		if len(sc.Plan.Events) == 0 {
 			continue
 		}
 		for i, s := range sched.NewSkyline(sc.Opts).Schedule(sc.Graph) {

@@ -87,7 +87,7 @@ func TestGoldenEquivalenceFaulty(t *testing.T) {
 		for _, fseed := range []int64{1, 42} {
 			s := goldenSchedule(t, 11, int(fseed)%3, true)
 			plan := fault.Generate(fault.DefaultRates(rate, 60, 4000), fseed)
-			if rate >= 0.5 && plan.Len() == 0 {
+			if rate >= 0.5 && len(plan.Events) == 0 {
 				t.Fatalf("rate %g produced an empty plan", rate)
 			}
 			name := fmt.Sprintf("rate=%g fseed=%d", rate, fseed)

@@ -37,7 +37,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // seriesView is a point-in-time copy of one labeled series for rendering.
 type seriesView struct {
-	labels string // rendered {k="v",...} block, "" when unlabeled
+	labels string // the series key: its {k="v",...} block, "" when unlabeled
 	metric any
 }
 
@@ -45,7 +45,7 @@ func (f *family) write(w io.Writer) error {
 	f.mu.Lock()
 	views := make([]seriesView, 0, len(f.series))
 	for key, m := range f.series {
-		views = append(views, seriesView{labels: f.renderLabels(key), metric: m})
+		views = append(views, seriesView{labels: key, metric: m})
 	}
 	f.mu.Unlock()
 	sort.Slice(views, func(i, j int) bool { return views[i].labels < views[j].labels })
@@ -102,50 +102,6 @@ func mergeLabel(labels, pair string) string {
 		return "{" + pair + "}"
 	}
 	return labels[:len(labels)-1] + "," + pair + "}"
-}
-
-// renderLabels decodes a series key back into a deterministic
-// {k="v",...} block.
-func (f *family) renderLabels(key string) string {
-	if len(f.labelKeys) == 0 {
-		return ""
-	}
-	values := decodeKey(key)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range f.labelKeys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		v := ""
-		if i < len(values) {
-			v = values[i]
-		}
-		b.WriteString(k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(v))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// decodeKey reverses family.encode's length-prefixed packing.
-func decodeKey(key string) []string {
-	var out []string
-	for len(key) > 0 {
-		colon := strings.IndexByte(key, ':')
-		if colon < 0 {
-			break
-		}
-		n, err := strconv.Atoi(key[:colon])
-		if err != nil || n < 0 || colon+1+n > len(key) {
-			break
-		}
-		out = append(out, key[colon+1:colon+1+n])
-		key = key[colon+1+n:]
-	}
-	return out
 }
 
 func escapeHelp(s string) string {

@@ -1,8 +1,9 @@
 // Package telemetry is the observability substrate of idxflow: a
 // thread-safe metrics registry (counters, gauges, fixed-bucket histograms,
 // with optional labels) that renders the Prometheus text exposition format,
-// and a lightweight tracer producing nested spans exportable as Chrome
-// trace-event JSON (chrome://tracing / Perfetto compatible) or JSONL.
+// and a lightweight tracer whose spans carry their time, flow, parent and
+// lane and are exported as Chrome trace-event JSON (chrome://tracing /
+// Perfetto compatible).
 //
 // Everything is stdlib-only and allocation-light: metric handles are
 // created once (get-or-create by name) and then updated lock-free
@@ -244,7 +245,7 @@ type family struct {
 	buckets    []float64 // histogram families only
 
 	mu     sync.Mutex
-	series map[string]any // encoded label values -> *Counter | *Gauge | *Histogram
+	series map[string]any // rendered label block -> *Counter | *Gauge | *Histogram
 }
 
 // Registry holds metric families. Use NewRegistry; a nil Registry hands
@@ -308,7 +309,7 @@ func (r *Registry) getFamily(name, help string, kind metricKind, labelKeys []str
 	return f
 }
 
-// get returns the series for the encoded label values, creating it when
+// get returns the series keyed by a rendered label block, creating it when
 // missing.
 func (f *family) get(key string) any {
 	f.mu.Lock()
@@ -415,8 +416,10 @@ func (v *HistogramVec) With(labelValues ...string) *Histogram {
 	return v.f.get(v.f.encode(labelValues)).(*Histogram)
 }
 
-// encode joins label values into a series key. Values are length-prefixed
-// so no pair of value lists collides.
+// encode renders label values as the series' {k="v",...} block, escaped the
+// way the exposition prints it. The block is also the series key: escaping
+// leaves every value's closing quote unambiguous, so no two value lists
+// share a key.
 func (f *family) encode(values []string) string {
 	if len(values) != len(f.labelKeys) {
 		panic(fmt.Sprintf("telemetry: metric %q wants %d label values, got %d", f.name, len(f.labelKeys), len(values)))
@@ -424,10 +427,23 @@ func (f *family) encode(values []string) string {
 	if len(values) == 0 {
 		return ""
 	}
-	var b strings.Builder
-	for _, v := range values {
-		fmt.Fprintf(&b, "%d:%s", len(v), v)
+	n := 1
+	for i, k := range f.labelKeys {
+		n += len(k) + len(values[i]) + 4
 	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteByte('{')
+	for i, k := range f.labelKeys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(k)
+		b.WriteString(`="`)
+		b.WriteString(escapeLabelValue(values[i]))
+		b.WriteByte('"')
+	}
+	b.WriteByte('}')
 	return b.String()
 }
 

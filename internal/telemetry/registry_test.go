@@ -144,7 +144,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	g := r.Gauge("x", "")
 	h := r.Histogram("x_seconds", "", nil)
 	var tr *Tracer // off
-	sp := tr.StartSpan("noop")
+	sp := tr.StartSpan("noop", 1)
 	if sp != nil {
 		t.Error("nil tracer returned a live span")
 	}
@@ -154,9 +154,9 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	g.Set(1)
 	g.Add(-1)
 	h.Observe(3)
-	sp.SetAttr("k", "v")
+	sp.StartSpan("child").End()
 	sp.End()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Len() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || len(tr.Events()) != 0 {
 		t.Error("nil handles reported non-zero values")
 	}
 	if err := r.WritePrometheus(nil); err != nil {

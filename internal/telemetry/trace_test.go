@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -30,8 +29,8 @@ func newFakeTracer(step time.Duration) *Tracer {
 
 func TestChromeTraceRoundTrip(t *testing.T) {
 	tr := newFakeTracer(time.Millisecond)
-	outer := tr.StartSpan("service.submit").SetAttr("flow", "f1")
-	inner := tr.StartSpan("sched.skyline").SetAttr("ops", 12)
+	outer := tr.StartSpan("service.submit", 7)
+	inner := outer.StartSpan("sched.skyline")
 	inner.End()
 	outer.End()
 
@@ -60,87 +59,94 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		t.Errorf("inner span [%g,%g] not inside outer [%g,%g]",
 			in.TS, in.TS+in.Dur, out.TS, out.TS+out.Dur)
 	}
-	if out.Args["flow"] != "f1" {
-		t.Errorf("outer args = %v", out.Args)
+	if want := (Args{ID: 0, Parent: -1, FlowID: 7}); out.Args != want || out.TID != 1 {
+		t.Errorf("outer args = %+v on tid %d, want %+v on tid 1", out.Args, out.TID, want)
 	}
-	if in.Args["ops"] != float64(12) { // JSON numbers decode as float64
-		t.Errorf("inner args = %v", in.Args)
+	if want := (Args{ID: 1, Parent: 0, FlowID: 7}); in.Args != want || in.TID != 1 {
+		t.Errorf("inner args = %+v on tid %d, want %+v on tid 1", in.Args, in.TID, want)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"args":{"id":0,"parent":-1,"flow_id":7}`)) {
+		t.Errorf("root args not rendered as {id, parent, flow_id}:\n%s", buf.Bytes())
 	}
 }
 
 func TestDisabledTracerRecordsNothing(t *testing.T) {
 	var tr *Tracer // off
-	sp := tr.StartSpan("x")
+	sp := tr.StartSpan("x", 1)
 	if sp != nil {
 		t.Error("disabled tracer returned a live span")
 	}
-	sp.SetAttr("k", 1)
+	if child := sp.StartSpan("y"); child != nil {
+		t.Error("nil span returned a live child")
+	}
 	sp.End()
-	if tr.Len() != 0 {
-		t.Errorf("events = %d, want 0", tr.Len())
+	if len(tr.Events()) != 0 {
+		t.Errorf("events = %d, want 0", len(tr.Events()))
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		root := tr.StartSpan("x", 1)
+		root.StartSpan("y").End()
+		root.End()
+	}); allocs != 0 {
+		t.Errorf("a nil tracer allocated %v times per pass", allocs)
 	}
 	tr = NewTracer()
-	tr.StartSpan("y").End()
-	if tr.Len() != 1 {
-		t.Errorf("events after enable = %d, want 1", tr.Len())
+	tr.StartSpan("y", 1).End()
+	if len(tr.Events()) != 1 {
+		t.Errorf("events after enable = %d, want 1", len(tr.Events()))
 	}
 }
 
 func TestEndTwiceIsNoOp(t *testing.T) {
 	tr := newFakeTracer(time.Millisecond)
-	sp := tr.StartSpan("once")
+	sp := tr.StartSpan("once", 1)
 	sp.End()
 	sp.End()
-	if tr.Len() != 1 {
-		t.Errorf("events = %d, want 1", tr.Len())
+	if len(tr.Events()) != 1 {
+		t.Errorf("events = %d, want 1", len(tr.Events()))
+	}
+	// The first End freed lane 1; the second did not free it again.
+	a, b := tr.StartSpan("a", 2), tr.StartSpan("b", 3)
+	if a.lane != 1 || b.lane != 2 {
+		t.Errorf("lanes after a double End = %d, %d, want 1, 2", a.lane, b.lane)
 	}
 }
 
-func TestTracerReset(t *testing.T) {
+// TestRootsTakeTheLowestFreeLane: concurrent roots get a lane each, a child
+// shares its root's lane and flow, and a root opened after others ended
+// takes the lowest lane free again.
+func TestRootsTakeTheLowestFreeLane(t *testing.T) {
 	tr := newFakeTracer(time.Millisecond)
-	tr.StartSpan("a").End()
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Errorf("events after reset = %d", tr.Len())
-	}
-}
-
-func TestSpanConcurrentSetAttr(t *testing.T) {
-	tr := NewTracer()
-	sp := tr.StartSpan("parallel")
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
+	roots := make([]*Span, 8)
+	for w := range roots {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				sp.SetAttr(fmt.Sprintf("k%d", w), i)
-			}
+			roots[w] = tr.StartSpan("root", uint64(w))
 		}()
 	}
 	wg.Wait()
-	sp.End()
-	events := tr.Events()
-	if len(events) != 1 {
-		t.Fatalf("events = %d, want 1", len(events))
+	lanes := map[int]bool{}
+	for _, r := range roots {
+		lanes[r.lane] = true
+		r.StartSpan("child").End()
 	}
-	if len(events[0].Args) != 8 {
-		t.Errorf("args = %d, want 8", len(events[0].Args))
+	if len(lanes) != len(roots) || lanes[0] || lanes[len(roots)+1] {
+		t.Fatalf("8 open roots hold lanes %v, want 1..8", lanes)
 	}
-}
-
-func TestSpanSetAttrAfterEndIsNoOp(t *testing.T) {
-	tr := NewTracer()
-	sp := tr.StartSpan("late")
-	sp.SetAttr("early", 1)
-	sp.End()
-	sp.SetAttr("late", 2) // must not race with the recorded event's Args
-	events := tr.Events()
-	if len(events) != 1 {
-		t.Fatalf("events = %d, want 1", len(events))
+	roots[5].End()
+	roots[2].End()
+	if got, want := tr.StartSpan("next", 99).lane, min(roots[5].lane, roots[2].lane); got != want {
+		t.Errorf("new root on lane %d, want the lowest free %d", got, want)
 	}
-	if _, ok := events[0].Args["late"]; ok {
-		t.Error("attribute set after End leaked into the recorded event")
+	for _, e := range tr.Events() {
+		if e.Name != "child" {
+			continue
+		}
+		r := roots[e.Args.FlowID]
+		if e.Args.Parent != r.args.ID || e.TID != r.lane {
+			t.Errorf("child %+v on tid %d, want parent %d on tid %d", e.Args, e.TID, r.args.ID, r.lane)
+		}
 	}
 }

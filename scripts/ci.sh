@@ -70,8 +70,9 @@ stage_static() {
 	if grep -nE '\bs\.cfg\.[A-Za-z.]+ *=[^=]' $(ls internal/core/*.go | grep -v _test.go); then exit 1; fi
 
 	# The pass reports what its stages did: the stages return what they
-	# decided, and only internal/core opens spans, appends provenance events
-	# and updates metrics. The gain model, the storage meter, the
+	# decided, and only internal/core opens spans (a root with
+	# Tracer.StartSpan, a child with Span.StartSpan: the grep matches both),
+	# appends provenance events and updates metrics. The gain model, the storage meter, the
 	# interleaving algorithms, the scheduler and the executor bind no metric;
 	# the executor's provenance events travel in its Result.
 	echo "== spans and provenance events are recorded by the pass =="

@@ -12,6 +12,19 @@
 # reason in scripts/reachability_allow.txt (scripts/unreached.go does the
 # matching). With `list` as the first argument the unreached functions are
 # printed, allowlisted or not, and nothing fails (`make unreached`).
+#
+# Blind spot: the linker keeps every exported method of a type that is
+# converted to an interface, in case a dynamic call reaches it, so such a
+# method is a symbol of the binary even when nothing calls it. These edges
+# show which methods are kept that way:
+#	go build -gcflags=all=-l -ldflags=-dumpdep ./cmd/idxflow-server 2>&1 |
+#		grep '<UsedInIface> -> idxflow/internal/'
+# Each method listed should implement an interface the program uses
+# (String, Error, MarshalJSON, Read, ...). Any other one, e.g.
+#	type:*idxflow/internal/provenance.Recorder <UsedInIface> ->
+#		idxflow/internal/provenance.(*Recorder).Reset
+# is reached only by that edge, is dead all the same, and this script
+# cannot tell.
 set -eu
 
 cd "$(dirname "$0")/.."
