@@ -66,12 +66,21 @@ func main() {
 		len(placed), beforeIdle, chosen.Fragmentation(), chosen.Makespan())
 
 	// Execute: the run is fault-free (nil faults) and cannot be cancelled
-	// (nil ctx). Its Result is the one record of what it did; a service
-	// derives every executor metric from it.
+	// (nil ctx). Its Result is the one record of what it did, with one
+	// entry per operator indexed by id; a service derives every executor
+	// metric from it.
 	exec := sim.New(sim.Config{Pricing: opts.Pricing, Spec: opts.Spec})
 	res := exec.Execute(nil, chosen, nil)
+	completed, killed := 0, 0
+	for id, r := range res.Ops {
+		if r.Killed {
+			killed++
+		} else if r.Completed && g.Op(dataflow.OpID(id)).Optional {
+			completed++
+		}
+	}
 	fmt.Printf("\nexecution: makespan %.1fs, %g quanta, %d build completed, %d killed\n",
-		res.Makespan, res.MoneyQuanta, len(res.CompletedBuilds), res.Killed)
+		res.Makespan, res.MoneyQuanta, completed, killed)
 	for _, a := range chosen.Assignments() {
 		r := res.Ops[a.Op]
 		status := "done"

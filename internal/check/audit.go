@@ -42,23 +42,22 @@ func Audit(res sim.Result, s *sched.Schedule, cfg AuditConfig) error {
 	p := s.Pricing
 	q := p.QuantumSeconds
 
-	// I1 result-domain: every reported operator exists, with a well-formed
-	// interval on a legal container.
-	ids := make([]dataflow.OpID, 0, len(res.Ops))
-	for id := range res.Ops {
-		ids = append(ids, id)
+	// I1 result-domain: the table has one entry per operator of the graph,
+	// and every reported operator (any entry but the zero one, which means
+	// never started) has a well-formed interval on a legal container.
+	if len(res.Ops) != g.Len() {
+		r.addf("result-domain", "table has %d entries for %d operators", len(res.Ops), g.Len())
+		return r.Err()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := make([]dataflow.OpID, 0, len(res.Ops))
+	for id, or := range res.Ops {
+		if or != (sim.OpResult{}) {
+			ids = append(ids, dataflow.OpID(id))
+		}
+	}
 	for _, id := range ids {
 		or := res.Ops[id]
 		op := g.Op(id)
-		if op == nil {
-			r.addf("result-domain", "result reports unknown op %d", id)
-			continue
-		}
-		if or.Op != id {
-			r.addf("result-domain", "op %d keyed under %d", or.Op, id)
-		}
 		if or.Container < 0 {
 			r.addf("result-domain", "op %d on negative container %d", id, or.Container)
 		}
@@ -85,14 +84,8 @@ func Audit(res sim.Result, s *sched.Schedule, cfg AuditConfig) error {
 
 	// I3 completeness: every mandatory assigned operator ran to completion.
 	for _, a := range s.Assignments() {
-		if g.Op(a.Op).Optional {
-			continue
-		}
-		or, ok := res.Ops[a.Op]
-		if !ok {
-			r.addf("completeness", "mandatory op %d missing from result", a.Op)
-		} else if !or.Completed {
-			r.addf("completeness", "mandatory op %d present but not completed", a.Op)
+		if !g.Op(a.Op).Optional && !res.Ops[a.Op].Completed {
+			r.addf("completeness", "mandatory op %d did not complete", a.Op)
 		}
 	}
 
@@ -101,14 +94,12 @@ func Audit(res sim.Result, s *sched.Schedule, cfg AuditConfig) error {
 	// time applies when the producer ran on a different container).
 	for _, id := range ids {
 		vr := res.Ops[id]
-		op := g.Op(id)
-		if op == nil || op.Optional || !vr.Completed {
+		if g.Op(id).Optional || !vr.Completed {
 			continue
 		}
 		for _, e := range g.In(id) {
-			uop := g.Op(e.From)
-			ur, ok := res.Ops[e.From]
-			if uop == nil || uop.Optional || !ok || !ur.Completed {
+			ur := res.Ops[e.From]
+			if g.Op(e.From).Optional || !ur.Completed {
 				continue
 			}
 			ready := ur.End
@@ -124,28 +115,24 @@ func Audit(res sim.Result, s *sched.Schedule, cfg AuditConfig) error {
 
 	// I5 no-double-booking: realized intervals on one container never
 	// overlap (single-CPU containers run one operator at a time).
-	byCont := map[int][]sim.OpResult{}
+	byCont := map[int][]dataflow.OpID{}
 	conts := []int{}
 	for _, id := range ids {
-		or := res.Ops[id]
-		if _, seen := byCont[or.Container]; !seen {
-			conts = append(conts, or.Container)
+		c := res.Ops[id].Container
+		if _, seen := byCont[c]; !seen {
+			conts = append(conts, c)
 		}
-		byCont[or.Container] = append(byCont[or.Container], or)
+		byCont[c] = append(byCont[c], id)
 	}
 	sort.Ints(conts)
 	for _, c := range conts {
-		ops := byCont[c]
-		sort.Slice(ops, func(i, j int) bool {
-			if ops[i].Start != ops[j].Start {
-				return ops[i].Start < ops[j].Start
-			}
-			return ops[i].Op < ops[j].Op
-		})
+		ops := byCont[c] // in id order, so the stable sort breaks ties by id
+		sort.SliceStable(ops, func(i, j int) bool { return res.Ops[ops[i]].Start < res.Ops[ops[j]].Start })
 		for i := 1; i < len(ops); i++ {
-			if ops[i].Start+looseEps < ops[i-1].End {
+			prev, cur := res.Ops[ops[i-1]], res.Ops[ops[i]]
+			if cur.Start+looseEps < prev.End {
 				r.addf("no-double-booking", "ops %d and %d overlap on container %d ([%g,%g] vs [%g,%g])",
-					ops[i-1].Op, ops[i].Op, c, ops[i-1].Start, ops[i-1].End, ops[i].Start, ops[i].End)
+					ops[i-1], ops[i], c, prev.Start, prev.End, cur.Start, cur.End)
 			}
 		}
 	}
@@ -158,7 +145,7 @@ func Audit(res sim.Result, s *sched.Schedule, cfg AuditConfig) error {
 	for _, id := range ids {
 		or := res.Ops[id]
 		busy += or.End - or.Start
-		if op := g.Op(id); op == nil || op.Optional {
+		if g.Op(id).Optional {
 			continue
 		}
 		anyFlow = true
@@ -221,19 +208,19 @@ func Audit(res sim.Result, s *sched.Schedule, cfg AuditConfig) error {
 		for _, c := range conts {
 			lastAct := 0.0
 			if assignFlow[c] {
-				for _, or := range byCont[c] {
-					if op := g.Op(or.Op); op != nil && !op.Optional {
-						lastAct = math.Max(lastAct, or.End)
+				for _, id := range byCont[c] {
+					if !g.Op(id).Optional {
+						lastAct = math.Max(lastAct, res.Ops[id].End)
 					}
 				}
 			} else {
 				lastAct = assignEnd[c] // dedicated build container: planned lease
 			}
 			leaseSec := float64(p.Quanta(lastAct)) * q
-			for _, or := range byCont[c] {
-				if or.End > leaseSec+looseEps {
+			for _, id := range byCont[c] {
+				if end := res.Ops[id].End; end > leaseSec+looseEps {
 					r.addf("lease-accounting", "op %d ends at %g past container %d's lease end %g",
-						or.Op, or.End, c, leaseSec)
+						id, end, c, leaseSec)
 				}
 			}
 			w := 1.0
@@ -252,44 +239,7 @@ func Audit(res sim.Result, s *sched.Schedule, cfg AuditConfig) error {
 		}
 	}
 
-	// I10 builds-ledger: CompletedBuilds is the sorted set of optional
-	// operators that completed, and Killed counts the killed flags.
-	killed := 0
-	completedBuilds := map[dataflow.OpID]bool{}
-	for _, id := range ids {
-		or := res.Ops[id]
-		if or.Killed {
-			killed++
-		}
-		if op := g.Op(id); op != nil && op.Optional && or.Completed {
-			completedBuilds[id] = true
-		}
-	}
-	if killed != res.Killed {
-		r.addf("builds-ledger", "Killed %d, but %d killed flags", res.Killed, killed)
-	}
-	if !sort.SliceIsSorted(res.CompletedBuilds, func(i, j int) bool {
-		return res.CompletedBuilds[i] < res.CompletedBuilds[j]
-	}) {
-		r.addf("builds-ledger", "CompletedBuilds not sorted: %v", res.CompletedBuilds)
-	}
-	seenCB := map[dataflow.OpID]bool{}
-	for _, id := range res.CompletedBuilds {
-		if seenCB[id] {
-			r.addf("builds-ledger", "CompletedBuilds lists %d twice", id)
-		}
-		seenCB[id] = true
-		if !completedBuilds[id] {
-			r.addf("builds-ledger", "CompletedBuilds lists %d, which did not complete as a build", id)
-		}
-	}
-	for id := range completedBuilds {
-		if !seenCB[id] {
-			r.addf("builds-ledger", "completed build %d missing from CompletedBuilds", id)
-		}
-	}
-
-	// I11 fault-conservation: a fault-free run reports zero fault traffic;
+	// I10 fault-conservation: a fault-free run reports zero fault traffic;
 	// a faulty run's counters respect the identity injected => recovered or
 	// wasted, every re-placement is a recovery, and injections never exceed
 	// the planned events.
@@ -334,21 +284,21 @@ func Audit(res sim.Result, s *sched.Schedule, cfg AuditConfig) error {
 			r.addf("fault-conservation", "re-placements without any kill-capable event")
 		}
 
-		// I12 dead-container-vacated: after a container's resolved failure
+		// I11 dead-container-vacated: after a container's resolved failure
 		// time, nothing runs on it. Resolution replicates the executor's
 		// deterministic AnyContainer rotation over the schedule's active
 		// containers.
 		for c, fa := range resolveKillTimes(cfg.Faults, s) {
-			for _, or := range byCont[c] {
-				if or.End > fa+looseEps {
+			for _, id := range byCont[c] {
+				if end := res.Ops[id].End; end > fa+looseEps {
 					r.addf("dead-container", "op %d ends at %g on container %d, failed at %g",
-						or.Op, or.End, c, fa)
+						id, end, c, fa)
 				}
 			}
 		}
 	}
 
-	// I13 exact-replay: with exact estimates and no faults, every mandatory
+	// I12 exact-replay: with exact estimates and no faults, every mandatory
 	// operator replays its planned interval and the realized aggregates
 	// equal the planned ones.
 	if cfg.Exact {

@@ -671,7 +671,6 @@ func (s *Service) commit(p *pass) {
 	run, res := &p.run, &p.res
 	res.Makespan = run.Makespan
 	res.MoneyQuanta = run.MoneyQuanta
-	res.BuildsKilled = run.Killed
 	res.TotalOps = p.chosen.Assigned()
 	res.FaultsInjected = run.FaultsInjected
 	res.FaultsRecovered = run.FaultsRecovered
@@ -683,9 +682,12 @@ func (s *Service) commit(p *pass) {
 	s.metrics.ReplacedOps += run.ReplacedOps
 	s.metrics.WastedQuanta += run.WastedQuanta
 
-	for _, opID := range run.CompletedBuilds {
-		b, ok := p.candidate(opID)
-		if !ok {
+	for id, r := range run.Ops {
+		if r.Killed {
+			res.BuildsKilled++
+		}
+		b, ok := p.candidate(dataflow.OpID(id))
+		if !r.Completed || !ok {
 			continue
 		}
 		st := s.db.Catalog.State(b.index)

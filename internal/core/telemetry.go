@@ -138,22 +138,25 @@ func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
 }
 
 // observeRun adds a completed run of g to the executor families: each
-// operator's occupancy by kind and each dataflow operator's wait, in id
-// order, the run's totals, and its fault events counted by fault kind.
+// operator's occupancy by kind, each dataflow operator's wait and each
+// build's outcome, in id order, the run's totals, and its fault events
+// counted by fault kind.
 func (ins *serviceInstruments) observeRun(g *dataflow.Graph, run *sim.Result) {
-	for id := range g.Len() {
-		r, ran := run.Ops[dataflow.OpID(id)]
-		if !ran {
+	for id, r := range run.Ops {
+		if !r.Ran() {
 			continue
 		}
-		op := g.Op(r.Op)
+		op := g.Op(dataflow.OpID(id))
 		ins.opRunOf(op.Kind).Observe(r.End - r.Start)
-		if !op.Optional {
+		switch {
+		case !op.Optional:
 			ins.opWait.Observe(r.Start - r.Ready)
+		case r.Killed:
+			ins.buildsKilled.Inc()
+		default:
+			ins.buildsCompleted.Inc()
 		}
 	}
-	ins.buildsKilled.Add(float64(run.Killed))
-	ins.buildsCompleted.Add(float64(len(run.CompletedBuilds)))
 	ins.quantaCharged.Add(run.MoneyQuanta)
 	ins.fragmentation.Add(run.Fragmentation)
 	ins.wastedQuanta.Add(run.WastedQuanta)

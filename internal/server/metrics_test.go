@@ -3,6 +3,8 @@ package server
 import (
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -133,5 +135,72 @@ func TestConcurrentSubmitAndScrape(t *testing.T) {
 	want := "idxflow_flows_finished_total 20"
 	if !strings.Contains(text, want) {
 		t.Errorf("after %d submissions, exposition missing %q", submitters*rounds, want)
+	}
+}
+
+// TestReadmeRouteTableIsTheServersMux: README's "Routes" table lists exactly
+// the patterns Handler mounts, and a request to each listed route is counted
+// under its own pattern, so a route added or removed shows here until the
+// table follows it.
+func TestReadmeRouteTableIsTheServersMux(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "**Routes**")
+	if !ok {
+		t.Fatal(`README has no "**Routes**" table`)
+	}
+	listed := map[string]bool{}
+	pattern := regexp.MustCompile("^`([^`]+)`$")
+	inTable := false
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		if m := pattern.FindStringSubmatch(strings.TrimSpace(strings.Split(line, "|")[1])); m != nil {
+			listed[m[1]] = true
+		}
+	}
+	mounted := map[string]bool{}
+	for _, rt := range routes {
+		mounted[rt.pattern] = true
+	}
+	for p := range mounted {
+		if !listed[p] {
+			t.Errorf("mounted but not in README's route table: %q", p)
+		}
+	}
+	for p := range listed {
+		if !mounted[p] {
+			t.Errorf("in README's route table but not mounted: %q", p)
+		}
+	}
+
+	_, ts := testServer(t, nil)
+	for p := range listed {
+		method, path, _ := strings.Cut(p, " ")
+		req, err := http.NewRequest(method, ts.URL+strings.ReplaceAll(path, "{id}", "1"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	_, text := get(t, ts.URL+"/metrics")
+	for p := range listed {
+		if !strings.Contains(text, `idxflow_http_requests_total{route="`+p+`"}`) {
+			t.Errorf("a request to %q is not counted under its pattern", p)
+		}
+	}
+	if len(listed) == 0 {
+		t.Fatal("README's route table lists no route")
 	}
 }

@@ -85,22 +85,30 @@ func NewQaaS(p *qaas.Pipeline, auditor *check.ExecAuditor) *Server {
 	return &Server{pipe: p, auditor: auditor}
 }
 
+// routes are the server's routes, one (pattern, handler) pair each; README's
+// route table lists exactly these patterns.
+var routes = []struct {
+	pattern string
+	handle  func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"POST /v1/dataflows", (*Server).handleSubmit},
+	{"GET /v1/indexes", (*Server).handleIndexes},
+	{"GET /v1/metrics", (*Server).handleMetrics},
+	{"GET /v1/tables", (*Server).handleTables},
+	{"GET /v1/qaas", (*Server).handleQaaSReport},
+	{"GET /debug/events", (*Server).handleEvents},
+	{"GET /debug/flows/{id}", (*Server).handleFlow},
+	{"GET /debug/audit", (*Server).handleAudit},
+	{"GET /metrics", (*Server).handlePrometheus},
+	{"GET /healthz", func(_ *Server, w http.ResponseWriter, _ *http.Request) { fmt.Fprintln(w, "ok") }},
+}
+
 // Handler returns the HTTP handler with all routes mounted.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/dataflows", s.handleSubmit)
-	mux.HandleFunc("GET /v1/indexes", s.handleIndexes)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/tables", s.handleTables)
-	mux.HandleFunc("GET /v1/qaas", s.handleQaaSReport)
-	mux.HandleFunc("GET /debug/events", s.handleEvents)
-	mux.HandleFunc("GET /debug/flows/{id}", s.handleFlow)
-	mux.HandleFunc("GET /debug/audit", s.handleAudit)
-	mux.HandleFunc("GET /metrics", s.handlePrometheus)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
+	for _, rt := range routes {
+		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
+	}
 	reqs := s.pipe.Telemetry().CounterVec("idxflow_http_requests_total",
 		"HTTP requests served, by route pattern.", "route")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

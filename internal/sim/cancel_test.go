@@ -99,7 +99,7 @@ func TestCancelledRunPublishesNothing(t *testing.T) {
 	}
 
 	res := ex.Execute(context.Background(), s, faults)
-	if res.Cancelled || res.Killed != 1 || res.FaultsInjected != 1 {
+	if _, killed := buildOutcomes(g, res); res.Cancelled || killed != 1 || res.FaultsInjected != 1 {
 		t.Fatalf("uncancelled rerun = %+v, want the dropped build killed and the crash injected", res)
 	}
 	var kinds []provenance.Kind

@@ -137,7 +137,7 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 		actual = func(op *dataflow.Operator) float64 { return op.Time }
 	}
 
-	res := Result{Ops: make(map[dataflow.OpID]OpResult, s.Assigned())}
+	res := Result{Ops: make([]OpResult, s.Graph.Len())}
 	var fs *refFaultState
 	if len(faults) > 0 {
 		fs = refResolveFaults(faults, s)
@@ -199,8 +199,7 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 				addWasted(r.WastedSeconds)
 				if r.Dropped {
 					at := math.Min(r.Old.Start, f.at)
-					res.Ops[r.Op] = OpResult{Op: r.Op, Container: f.c, Start: at, End: at, Killed: true}
-					res.Killed++
+					res.Ops[r.Op] = OpResult{Container: f.c, Start: at, End: at, Killed: true}
 					res.Events = append(res.Events, provenance.Event{
 						Kind: provenance.KindBuildKilled, T: at, Op: s.Graph.Op(r.Op).Name,
 						Container: f.c, Start: at, End: at, Reason: "fault",
@@ -273,7 +272,7 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 		for i, p := range pending {
 			ok := true
 			for _, e := range g.In(p.op) {
-				if _, done := res.Ops[e.From]; scheduled[e.From] && !done {
+				if scheduled[e.From] && !res.Ops[e.From].Ran() {
 					ok = false
 					break
 				}
@@ -297,8 +296,8 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 		ctype := s.ContainerType(c)
 		ready := 0.0
 		for _, e := range g.In(p.op) {
-			pr, done := res.Ops[e.From]
-			if !done || !pr.Completed {
+			pr := res.Ops[e.From]
+			if !pr.Completed {
 				continue
 			}
 			t := pr.End
@@ -340,7 +339,7 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 				continue
 			}
 		}
-		r := OpResult{Op: p.op, Container: c, Start: start, End: end, Ready: ready, Completed: true}
+		r := OpResult{Container: c, Start: start, End: end, Ready: ready, Completed: true}
 		if a, planned := s.Assignment(p.op); !planned || a.Container != c {
 			r.Replaced = true
 			arrivals[c] = append(arrivals[c], interval{start, end})
@@ -464,16 +463,14 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 				dur *= fs.slowFactor(c, start, markInjected, recoveredSlow)
 			}
 			end := start + dur
-			r := OpResult{Op: a.Op, Container: c, Start: start}
+			r := OpResult{Container: c, Start: start}
 			reason := "preempted"
 			if start >= kill-timeEps {
 				r.End = start
 				r.Killed = true
-				res.Killed++
 			} else if end > kill+timeEps {
 				r.End = kill
 				r.Killed = true
-				res.Killed++
 				if faultKill {
 					reason = "fault"
 				} else if kill >= buildKill[c]-timeEps {
@@ -486,7 +483,6 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 			} else {
 				r.End = end
 				r.Completed = true
-				res.CompletedBuilds = append(res.CompletedBuilds, a.Op)
 			}
 			if r.Killed {
 				res.Events = append(res.Events, provenance.Event{
@@ -498,22 +494,15 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 			clock = r.End
 		}
 	}
-	sort.Slice(res.CompletedBuilds, func(i, j int) bool {
-		return res.CompletedBuilds[i] < res.CompletedBuilds[j]
-	})
-
-	ids := make([]dataflow.OpID, 0, len(res.Ops))
-	for id := range res.Ops {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	first, last := math.Inf(1), 0.0
 	anyFlow := false
 	var busy float64
-	for _, id := range ids {
-		r := res.Ops[id]
+	for id, r := range res.Ops {
+		if !r.Ran() {
+			continue
+		}
 		busy += r.End - r.Start
-		if g.Op(id).Optional {
+		if g.Op(dataflow.OpID(id)).Optional {
 			continue
 		}
 		anyFlow = true

@@ -27,7 +27,6 @@ package sim
 import (
 	"context"
 	"math"
-	"slices"
 	"sort"
 
 	"idxflow/internal/cloud"
@@ -77,9 +76,10 @@ func New(cfg Config) *Executor {
 // on a fresh executor.
 func Execute(s *sched.Schedule, cfg Config) Result { return New(cfg).Execute(nil, s, nil) }
 
-// OpResult is the realized execution of one operator.
+// OpResult is the realized execution of one operator. The zero value is an
+// operator the run never started: in practice an optional operator the
+// schedule never placed.
 type OpResult struct {
-	Op        dataflow.OpID
 	Container int
 	Start     float64
 	End       float64
@@ -98,9 +98,15 @@ type OpResult struct {
 	Replaced bool
 }
 
+// Ran reports whether the run started the operator: every entry but the
+// zero one is Completed or Killed.
+func (r OpResult) Ran() bool { return r.Completed || r.Killed }
+
 // Result summarizes an execution.
 type Result struct {
-	Ops map[dataflow.OpID]OpResult
+	// Ops is the run's own table of operator outcomes, indexed by OpID and
+	// of length Graph.Len(); it shares nothing with the executor.
+	Ops []OpResult
 	// Makespan is the realized dataflow execution time td: first dataflow
 	// operator start to last dataflow operator finish.
 	Makespan float64
@@ -108,10 +114,6 @@ type Result struct {
 	MoneyQuanta float64
 	// Fragmentation is the paid-but-idle time in seconds.
 	Fragmentation float64
-	// Killed counts build operators stopped before completion.
-	Killed int
-	// CompletedBuilds lists the build operators that finished.
-	CompletedBuilds []dataflow.OpID
 	// FaultsInjected counts fault events that took effect: they killed or
 	// delayed work, cut a lease short, or slowed a container. Planned
 	// events that hit idle or unleased containers are not counted.
@@ -454,7 +456,6 @@ type scratch struct {
 	buildKill []float64
 	leased    []bool
 	points    []flowPoint
-	ids       []dataflow.OpID
 }
 
 // resized returns s with length n and every element zeroed, reusing the
@@ -485,7 +486,7 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 	clear(ex.events) // the last run's events name its operators
 	ex.events = ex.events[:0]
 
-	res := Result{Ops: make(map[dataflow.OpID]OpResult, s.Assigned())}
+	res := Result{Ops: make([]OpResult, s.Graph.Len())}
 	var fs *faultState
 	if len(faults) > 0 {
 		fs = resolveFaults(faults, s)
@@ -554,8 +555,7 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 					// The build never runs: record it as killed so no
 					// operator silently disappears from the result.
 					at := math.Min(r.Old.Start, f.at)
-					res.Ops[r.Op] = OpResult{Op: r.Op, Container: f.c, Start: at, End: at, Killed: true}
-					res.Killed++
+					res.Ops[r.Op] = OpResult{Container: f.c, Start: at, End: at, Killed: true}
 					ex.events = append(ex.events, provenance.Event{
 						Kind: provenance.KindBuildKilled, T: at, Op: s.Graph.Op(r.Op).Name,
 						Container: f.c, Start: at, End: at, Reason: "fault",
@@ -729,8 +729,8 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 		ctype := s.ContainerType(c)
 		ready := 0.0
 		for _, e := range g.In(p.op) {
-			pr, done := res.Ops[e.From]
-			if !done || !pr.Completed {
+			pr := res.Ops[e.From]
+			if !pr.Completed {
 				continue
 			}
 			t := pr.End
@@ -776,7 +776,7 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 				continue
 			}
 		}
-		r := OpResult{Op: p.op, Container: c, Start: start, End: end, Ready: ready, Completed: true}
+		r := OpResult{Container: c, Start: start, End: end, Ready: ready, Completed: true}
 		if a, planned := s.Assignment(p.op); !planned || a.Container != c {
 			r.Replaced = true
 			addArrival(c, interval{start, end})
@@ -943,17 +943,15 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 				dur *= fs.slowFactor(c, start, markInjected, recoveredSlow)
 			}
 			end := start + dur
-			r := OpResult{Op: a.Op, Container: c, Start: start}
+			r := OpResult{Container: c, Start: start}
 			killReason := ""
 			if start >= kill-timeEps {
 				r.End = start // preempted before it could run at all
 				r.Killed = true
-				res.Killed++
 				killReason = "preempted"
 			} else if end > kill+timeEps {
 				r.End = kill // stopped at preemption, expiry or failure
 				r.Killed = true
-				res.Killed++
 				switch {
 				case faultKill:
 					killReason = "fault"
@@ -969,7 +967,6 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 			} else {
 				r.End = end
 				r.Completed = true
-				res.CompletedBuilds = append(res.CompletedBuilds, a.Op)
 			}
 			if r.Killed {
 				ex.events = append(ex.events, provenance.Event{
@@ -981,22 +978,18 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 			clock = r.End
 		}
 	}
-	slices.Sort(res.CompletedBuilds)
 
-	// Aggregate metrics, iterating deterministically so a seeded faulty
-	// run reproduces byte-identical output.
-	sc.ids = sc.ids[:0]
-	for id := range res.Ops {
-		sc.ids = append(sc.ids, id)
-	}
-	slices.Sort(sc.ids)
+	// Aggregate metrics in id order, so a seeded faulty run reproduces
+	// byte-identical output.
 	first, last := math.Inf(1), 0.0
 	anyFlow := false
 	var busy float64
-	for _, id := range sc.ids {
-		r := res.Ops[id]
+	for id, r := range res.Ops {
+		if !r.Ran() {
+			continue
+		}
 		busy += r.End - r.Start
-		if g.Op(id).Optional {
+		if g.Op(dataflow.OpID(id)).Optional {
 			continue
 		}
 		anyFlow = true

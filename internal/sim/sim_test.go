@@ -19,6 +19,19 @@ func cfg() Config {
 	return Config{Pricing: cloud.DefaultPricing(), Spec: cloud.DefaultSpec()}
 }
 
+// buildOutcomes derives a run's build ledger from its table: the optional
+// operators that completed, in id order, and how many operators were killed.
+func buildOutcomes(g *dataflow.Graph, res Result) (completed []dataflow.OpID, killed int) {
+	for id, r := range res.Ops {
+		if r.Killed {
+			killed++
+		} else if r.Completed && g.Op(dataflow.OpID(id)).Optional {
+			completed = append(completed, dataflow.OpID(id))
+		}
+	}
+	return completed, killed
+}
+
 func schedOpts() sched.Options {
 	return sched.Options{
 		Pricing:       cloud.DefaultPricing(),
@@ -47,8 +60,8 @@ func TestExecuteExactEstimatesMatchPlan(t *testing.T) {
 	if math.Abs(res.MoneyQuanta-s.MoneyQuanta()) > 1e-9 {
 		t.Errorf("realized money %g != planned %g", res.MoneyQuanta, s.MoneyQuanta())
 	}
-	if res.Killed != 0 {
-		t.Errorf("killed = %d, want 0", res.Killed)
+	if _, killed := buildOutcomes(g, res); killed != 0 {
+		t.Errorf("killed = %d, want 0", killed)
 	}
 	rb := res.Ops[b]
 	if math.Abs(rb.Start-11) > 1e-9 {
@@ -87,8 +100,8 @@ func TestBuildOpCompletesInGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := Execute(s, cfg())
-	if res.Killed != 0 || len(res.CompletedBuilds) != 1 {
-		t.Errorf("killed=%d completed=%v, want build completed", res.Killed, res.CompletedBuilds)
+	if completed, killed := buildOutcomes(g, res); killed != 0 || len(completed) != 1 {
+		t.Errorf("killed=%d completed=%v, want build completed", killed, completed)
 	}
 	r := res.Ops[bi]
 	if r.Start != 10 || r.End != 30 {
@@ -115,8 +128,8 @@ func TestBuildOpKilledAtLeaseEnd(t *testing.T) {
 		return op.Time
 	}
 	res := Execute(s, c)
-	if res.Killed != 1 {
-		t.Fatalf("killed = %d, want 1", res.Killed)
+	if _, killed := buildOutcomes(g, res); killed != 1 {
+		t.Fatalf("killed = %d, want 1", killed)
 	}
 	r := res.Ops[bi]
 	if !r.Killed || math.Abs(r.End-60) > 1e-9 {
@@ -162,6 +175,56 @@ func TestBuildOpKilledByPreemption(t *testing.T) {
 	}
 }
 
+// TestOpsTableContract: a run's table has one entry per operator of the
+// graph; an optional operator the schedule never placed has the zero entry;
+// a build the planned repair drops is killed with a zero-length interval;
+// and the build outcomes read off the table are the ones the run had.
+func TestOpsTableContract(t *testing.T) {
+	g := dataflow.New()
+	a := g.Add(dataflow.Operator{Name: "a", Time: 10})
+	c := g.Add(dataflow.Operator{Name: "c", Time: 10})
+	build := func(name string) dataflow.OpID {
+		return g.Add(dataflow.Operator{Name: name, Time: 20, Optional: true, Priority: -1})
+	}
+	done, doomed, unplaced := build("done"), build("doomed"), build("unplaced")
+	o := schedOpts()
+	s := sched.NewSchedule(g, o.Pricing, o.Spec)
+	s.Append(a, 0)
+	s.Append(c, 1)
+	for _, pl := range []struct {
+		op   dataflow.OpID
+		cont int
+	}{{done, 0}, {doomed, 1}} {
+		if _, err := s.PlaceAt(pl.op, pl.cont, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Container 1 crashes while doomed is planned to run there: the planned
+	// repair drops it.
+	faults := []fault.Event{{Kind: fault.ContainerCrash, At: 20, Container: 1}}
+	assertGolden(t, "table-contract", s, faults, cfg)
+
+	res := New(cfg()).Execute(nil, s, faults)
+	if len(res.Ops) != g.Len() {
+		t.Fatalf("table has %d entries for %d operators", len(res.Ops), g.Len())
+	}
+	if r := res.Ops[unplaced]; r != (OpResult{}) || r.Ran() {
+		t.Errorf("unplaced build = %+v, want the zero entry", r)
+	}
+	if r := res.Ops[doomed]; !r.Killed || r.Completed || r.Start != r.End {
+		t.Errorf("dropped build = %+v, want killed with a zero-length interval", r)
+	}
+	for _, id := range []dataflow.OpID{a, c, done} {
+		if r := res.Ops[id]; !r.Completed || !r.Ran() {
+			t.Errorf("op %d = %+v, want completed", id, r)
+		}
+	}
+	completed, killed := buildOutcomes(g, res)
+	if !reflect.DeepEqual(completed, []dataflow.OpID{done}) || killed != 1 {
+		t.Errorf("builds completed %v, killed %d; want [%d] and 1", completed, killed, done)
+	}
+}
+
 // TestRealizedMatchesPlannedProperty: with exact estimates, realized
 // makespan and money never exceed the plan (work-conserving execution can
 // only shift ops earlier), and with no optional ops nothing is killed.
@@ -186,7 +249,7 @@ func TestRealizedMatchesPlannedProperty(t *testing.T) {
 		sky := sched.NewSkyline(schedOpts()).Schedule(g)
 		for _, s := range sky {
 			res := Execute(s, cfg())
-			if res.Killed != 0 {
+			if _, killed := buildOutcomes(g, res); killed != 0 {
 				return false
 			}
 			if res.Makespan > s.Makespan()+1e-6 {
@@ -241,9 +304,8 @@ func TestInterleavedExecution(t *testing.T) {
 			placed++
 		}
 	}
-	if placed > 0 && len(res.CompletedBuilds)+res.Killed != placed {
-		t.Errorf("placed %d builds but completed %d + killed %d",
-			placed, len(res.CompletedBuilds), res.Killed)
+	if completed, killed := buildOutcomes(g, res); placed > 0 && len(completed)+killed != placed {
+		t.Errorf("placed %d builds but completed %d + killed %d", placed, len(completed), killed)
 	}
 }
 
@@ -328,7 +390,7 @@ func TestBuildKillReasons(t *testing.T) {
 			t.Errorf("build %s: event %+v, want %+v", want.Op, ev, want)
 		}
 	}
-	if len(got) != 3 || res.Killed != 3 {
-		t.Errorf("%d kill events for %d killed builds, want 3", len(got), res.Killed)
+	if _, killed := buildOutcomes(g, res); len(got) != 3 || killed != 3 {
+		t.Errorf("%d kill events for %d killed builds, want 3", len(got), killed)
 	}
 }
