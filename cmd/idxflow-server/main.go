@@ -124,10 +124,9 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 		ProvenanceCapacity: *provCap,
 	}
 	if *audit {
-		// Exact replay holds whenever no runtime-error model or fault
-		// plan perturbs executions — true for every flag this command
-		// exposes.
-		auditor = &check.ExecAuditor{Exact: true}
+		// The auditor checks exact replay: no flag of this command adds a
+		// runtime-error model or a fault plan.
+		auditor = &check.ExecAuditor{}
 		pcfg.PostExec = auditor.Hook
 	}
 	pipe := qaas.New(pcfg)

@@ -109,12 +109,11 @@ const maxExecViolations = 64
 // ExecAuditor is a thread-safe core.Config.PostExec hook that runs the
 // full cross-layer Audit on every execution a QaaS worker completes, so
 // interleaved admissions get the same §3 scrutiny batch runs get in tests.
-// Wire Hook into qaas.Config.PostExec and read Err after draining.
+// Every execution is audited as an exact replay (planned equals realized),
+// so the pipeline it watches must run without a fault plan or a runtime
+// error model. Wire Hook into qaas.Config.PostExec and read Err after
+// draining.
 type ExecAuditor struct {
-	// Exact asserts planned-equals-realized for every execution; set it
-	// when the pipeline runs without faults and runtime error models.
-	Exact bool
-
 	mu         sync.Mutex
 	executions int
 	violations []Violation // the first maxExecViolations failures
@@ -124,7 +123,7 @@ type ExecAuditor struct {
 // Hook is the PostExec callback: it audits one completed execution
 // against the schedule it replayed and collects any violations.
 func (a *ExecAuditor) Hook(chosen *sched.Schedule, run sim.Result) {
-	err := Audit(run, chosen, AuditConfig{Exact: a.Exact})
+	err := Audit(run, chosen, AuditConfig{Exact: true})
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.executions++

@@ -93,7 +93,7 @@ func TestAuditQaaSTamperDetection(t *testing.T) {
 func TestExecAuditorHookAndTamper(t *testing.T) {
 	sc := NewScenario(1, 0)
 	results, skyline := execScenario(t, sc)
-	a := &ExecAuditor{Exact: true}
+	a := &ExecAuditor{}
 	for i, r := range results {
 		a.Hook(skyline[i], r)
 	}
@@ -127,7 +127,7 @@ func TestExecAuditorBoundsViolations(t *testing.T) {
 	results, skyline := execScenario(t, sc)
 	bad := results[0]
 	bad.MoneyQuanta += 7
-	a := &ExecAuditor{Exact: true}
+	a := &ExecAuditor{}
 	const fed = 1000
 	for i := 0; i < fed; i++ {
 		a.Hook(skyline[0], bad)

@@ -19,7 +19,7 @@ import (
 // across tenants, no fleet slot was double-booked, and every tenant's
 // provenance log agrees with its own aggregates.
 func TestConcurrentAdmissionsAuditClean(t *testing.T) {
-	auditor := &check.ExecAuditor{Exact: true}
+	auditor := &check.ExecAuditor{}
 	cc := core.DefaultConfig()
 	cc.Sched.MaxSkyline = 4
 	cc.Sched.MaxContainers = 8

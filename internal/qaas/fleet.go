@@ -55,11 +55,10 @@ func (f *fleet) reserve(n int) func(makespanSeconds float64) {
 	if f.inUse > f.peak {
 		f.peak = f.inUse
 	}
-	in := f.inUse
+	// The gauge is set under the lock, so two racing updates cannot leave
+	// it at a value inUse no longer holds.
+	f.inUseG.Set(float64(f.inUse))
 	f.mu.Unlock()
-	if f.inUseG != nil {
-		f.inUseG.Set(float64(in))
-	}
 	return func(makespanSeconds float64) {
 		if f.paceMS > 0 && makespanSeconds > 0 {
 			q := makespanSeconds / f.quantum
@@ -68,12 +67,9 @@ func (f *fleet) reserve(n int) func(makespanSeconds float64) {
 		f.mu.Lock()
 		f.inUse -= n
 		f.releases++
-		in := f.inUse
+		f.inUseG.Set(float64(f.inUse))
 		f.cond.Broadcast()
 		f.mu.Unlock()
-		if f.inUseG != nil {
-			f.inUseG.Set(float64(in))
-		}
 	}
 }
 

@@ -220,8 +220,11 @@ func TestDrainCompletesInflightAndRejectsNew(t *testing.T) {
 	cfg.QueueDepth = 8
 	p := New(cfg)
 	var executed atomic32
+	// No admission completes before the test has seen all n in flight and
+	// Drain has begun, so Drain is what waits for them.
+	release := make(chan struct{})
 	p.execOverride = func(ad *admission) admissionResult {
-		time.Sleep(5 * time.Millisecond)
+		<-release
 		executed.add(1)
 		return admissionResult{res: core.FlowResult{Makespan: 1}}
 	}
@@ -239,7 +242,15 @@ func TestDrainCompletesInflightAndRejectsNew(t *testing.T) {
 	}
 	waitFor(t, func() bool { return p.inFlight.Load() == n })
 
-	if err := p.Drain(context.Background()); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- p.Drain(context.Background()) }()
+	waitFor(t, func() bool {
+		p.drainMu.RLock()
+		defer p.drainMu.RUnlock()
+		return p.draining
+	})
+	close(release)
+	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	wg.Wait()
@@ -606,5 +617,28 @@ func TestCancelledAdmissionSettlesNothing(t *testing.T) {
 	}
 	if got := tn.inflight.Load(); got != 0 {
 		t.Errorf("tenant in-flight = %d, want 0", got)
+	}
+}
+
+// TestFleetGaugeMatchesStats: rounds of reserve/release pairs racing on one
+// fleet each leave the in-use gauge at what the fleet holds, zero.
+func TestFleetGaugeMatchesStats(t *testing.T) {
+	g := telemetry.NewRegistry().Gauge("idxflow_qaas_fleet_in_use", "")
+	f := newFleet(4, 0, 60, g)
+	for round := 0; round < 200; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				for j := 0; j < 10; j++ {
+					f.reserve(n)(0)
+				}
+			}(1 + i%2)
+		}
+		wg.Wait()
+		if st := f.stats(); st.InUse != 0 || g.Value() != float64(st.InUse) {
+			t.Fatalf("round %d: gauge %g, fleet holds %d, want both 0", round, g.Value(), st.InUse)
+		}
 	}
 }

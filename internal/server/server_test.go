@@ -33,7 +33,7 @@ func testServer(t *testing.T, mutate func(*qaas.Config)) (*Server, *httptest.Ser
 	// The server's own registry, as idxflow-server builds one: /metrics
 	// assertions read this test's counts only.
 	cc.Telemetry = telemetry.NewRegistry()
-	auditor := &check.ExecAuditor{Exact: true}
+	auditor := &check.ExecAuditor{}
 	cfg := qaas.Config{
 		Core:            cc,
 		Seed:            1,

@@ -136,6 +136,33 @@ func TestGoldenEquivalenceHandPlacedFaults(t *testing.T) {
 	assertGolden(t, "crash+straggler+storage", s, plan.From(0), cfg)
 }
 
+// FuzzExecuteEqualsReference replays a generated schedule under a generated
+// fault plan and perturbed runtimes through both executors. The seed corpus
+// holds a fault-free run and runs whose plans take effect as a crash, a
+// revocation with notice, a straggler and a storage error.
+func FuzzExecuteEqualsReference(f *testing.F) {
+	f.Add(int64(7), uint8(0), true, uint8(20), uint8(0), int64(1))
+	f.Add(int64(11), uint8(0), true, uint8(0), uint8(50), int64(2)) // crash
+	f.Add(int64(7), uint8(0), true, uint8(0), uint8(25), int64(7))  // revocation, 120 s notice
+	f.Add(int64(7), uint8(1), true, uint8(0), uint8(50), int64(12)) // straggler
+	f.Add(int64(7), uint8(2), false, uint8(0), uint8(25), int64(1)) // storage error
+	f.Fuzz(func(t *testing.T, seed int64, trial uint8, builds bool, errPct, rate uint8, fseed int64) {
+		s := goldenSchedule(t, seed, int(trial%3), builds)
+		plan := fault.Generate(fault.DefaultRates(float64(rate%200)/100, 60, 1200), fseed)
+		e := float64(errPct%100) / 100
+		name := fmt.Sprintf("seed=%d trial=%d builds=%t err=%g rate=%d fseed=%d", seed, trial%3, builds, e, rate%200, fseed)
+		assertGolden(t, name, s, plan.From(0), func() Config {
+			rng := rand.New(rand.NewSource(fseed))
+			return Config{
+				Pricing: cloud.DefaultPricing(), Spec: cloud.DefaultSpec(),
+				Actual: func(op *dataflow.Operator) float64 {
+					return op.Time * (1 + (rng.Float64()*2-1)*e)
+				},
+			}
+		})
+	})
+}
+
 // --- event-core edge semantics (same behavior as the seed, asserted on
 // --- both paths)
 

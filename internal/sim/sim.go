@@ -18,15 +18,17 @@
 // online tuning loop and the experiments issue thousands of Execute calls
 // per run, so the ready set is an indexed min-heap over (planned order,
 // topological rank) fed by per-operator unmet-predecessor counts, fault
-// plans are pre-resolved into per-container time-sorted timelines advanced
-// by binary search, and all per-replay working state lives in a scratch
-// arena the Executor owns and reuses, so steady-state replay allocates
-// little beyond the Result it returns.
+// plans are pre-resolved into the rows of a container table whose
+// time-sorted timelines advance by binary search, and all per-replay
+// working state lives in a scratch arena the Executor owns and reuses, so
+// steady-state replay allocates little beyond the Result it returns.
 package sim
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"idxflow/internal/cloud"
@@ -148,12 +150,15 @@ type timeline struct {
 	// prod is the compound slowdown of a straggler timeline's due prefix,
 	// folded in timeline order.
 	prod float64
+	// injected is a straggler timeline's high-water mark: pass 2 rewinds
+	// cur, but the due events always form a prefix, so the events below
+	// injected are the ones already counted in FaultsInjected.
+	injected int
 }
 
-// due moves the cursor past every event due by t and returns them; a nil
-// timeline has none.
+// due moves the cursor past every event due by t and returns them.
 func (tl *timeline) due(t float64) []fault.Event {
-	if tl == nil || tl.cur >= len(tl.events) || tl.events[tl.cur].At > t+timeEps {
+	if tl.cur >= len(tl.events) || tl.events[tl.cur].At > t+timeEps {
 		return nil
 	}
 	lo := tl.cur
@@ -163,151 +168,142 @@ func (tl *timeline) due(t float64) []fault.Event {
 	return tl.events[lo:tl.cur]
 }
 
-// faultState indexes a resolved fault plan for one execution.
-type faultState struct {
-	// failAt is the effective failure time per container (earliest crash
-	// or revocation); noStart is when the container stops accepting new
-	// operators (the revocation notice; equals failAt for crashes).
-	failAt  map[int]float64
-	noStart map[int]float64
-	killEv  map[int]fault.Event
-	// slow holds straggler timelines per container, storage the transient
-	// storage errors. A storage cursor never rewinds, so each storage error
-	// is applied once.
-	slow    map[int]*timeline
-	storage map[int]*timeline
-	// seenInjected marks event Seqs already counted in FaultsInjected, so
-	// an event affecting many operators is injected once.
-	seenInjected map[int]bool
-	// active lists containers holding at least one planned operator,
-	// ascending — the resolution domain for fault.AnyContainer.
-	active []int
+// interval is the realized run of an operator re-placed onto a container.
+type interval struct{ start, end float64 }
+
+// container is one row of a run's container table: a planned container, or
+// a fresh one recovery opened. The zero row is a healthy container, so a
+// fault-free run is a run whose rows carry no faults.
+type container struct {
+	// clock is when pass 1's last dataflow operator on the container ended.
+	clock float64
+	// leaseEnd is the realized lease and buildKill the point where pass 2
+	// stops the container's builds; leased marks a container the run pays
+	// for.
+	leaseEnd, buildKill float64
+	leased              bool
+	// failed marks a container the plan kills at failAt (its earliest crash
+	// or revocation); noStart is when it stops accepting new operators (the
+	// revocation notice; failAt for a crash). kill is that event with its
+	// container resolved, and killCounted whether it is already in
+	// FaultsInjected, so an event that affects many operators is injected
+	// once.
+	failed          bool
+	failAt, noStart float64
+	kill            fault.Event
+	killCounted     bool
+	// slow holds the straggler timeline, storage the transient storage
+	// errors. A storage cursor never rewinds, so each storage error is
+	// applied once.
+	slow, storage timeline
+	// arrivals are the realized intervals of operators re-placed onto the
+	// container, so pass 2 can preempt builds that planned for that idle
+	// time.
+	arrivals []interval
 }
 
-// resolveFaults maps plan events onto the schedule's active containers.
-// AnyContainer events rotate deterministically through the active set by
-// their sequence number, so a plan generated before the schedule exists
-// still lands on real containers.
-func resolveFaults(events []fault.Event, s *sched.Schedule) *faultState {
-	fs := &faultState{
-		failAt: make(map[int]float64), noStart: make(map[int]float64),
-		killEv: make(map[int]fault.Event),
-		slow:   make(map[int]*timeline), storage: make(map[int]*timeline),
-		seenInjected: make(map[int]bool),
-	}
-	for c := 0; c < s.NumSlots(); c++ {
-		if s.ContainerOps(c) > 0 {
-			fs.active = append(fs.active, c)
-		}
-	}
-	if len(fs.active) == 0 {
-		return fs
-	}
-	for _, e := range events {
-		c := e.Container
-		if c == fault.AnyContainer {
-			c = fs.active[e.Seq%len(fs.active)]
-		}
-		switch {
-		case e.KillsContainer():
-			if prev, dead := fs.failAt[c]; dead && prev <= e.At {
-				continue // container is already gone by then
-			}
-			fs.failAt[c] = e.At
-			// Store the resolved copy: downstream consumers (metrics,
-			// provenance events) see the concrete container, not
-			// AnyContainer.
-			ev := e
-			ev.Container = c
-			fs.killEv[c] = ev
-			fs.noStart[c] = e.At
-			if e.Kind == fault.SpotRevocation && e.NoticeSeconds > 0 {
-				fs.noStart[c] = e.At - e.NoticeSeconds
-			}
-		case e.Kind == fault.StorageError:
-			ev := e
-			ev.Container = c
-			tl := fs.storage[c]
-			if tl == nil {
-				tl = &timeline{}
-				fs.storage[c] = tl
-			}
-			tl.events = append(tl.events, ev)
-		case e.Kind == fault.Straggler:
-			ev := e
-			ev.Container = c
-			tl := fs.slow[c]
-			if tl == nil {
-				tl = &timeline{prod: 1}
-				fs.slow[c] = tl
-			}
-			tl.events = append(tl.events, ev)
-		}
-	}
-	// Plans are generated At-sorted, making the stable sort the identity;
-	// it only reorders hand-built unsorted configs.
-	for _, tl := range fs.slow {
-		ev := tl.events
-		sort.SliceStable(ev, func(i, j int) bool { return ev[i].At < ev[j].At })
-	}
-	for _, tl := range fs.storage {
-		ev := tl.events
-		sort.SliceStable(ev, func(i, j int) bool { return ev[i].At < ev[j].At })
-	}
-	return fs
-}
+// closed reports whether the container accepts no new operator at t: it
+// has failed or is inside its revocation notice.
+func (r *container) closed(t float64) bool { return r.failed && t >= r.noStart-timeEps }
 
-// deadAt reports whether container c has failed by (or at) time t.
-func (fs *faultState) deadAt(c int, t float64) bool {
-	if fs == nil {
-		return false
-	}
-	fa, ok := fs.failAt[c]
-	return ok && t >= fa-timeEps
-}
-
-// slowFactor returns the compound straggler slowdown active on c at t,
-// reporting each event to inject as it becomes due (injection counting
-// dedups by Seq anyway). Every active event counts as an absorbed effect on
-// every call (the operator rode it out), reported in bulk through recovered.
-func (fs *faultState) slowFactor(c int, t float64, inject func(fault.Event), recovered func(int)) float64 {
-	if fs == nil {
-		return 1
-	}
-	tl := fs.slow[c]
-	if tl == nil {
-		return 1
+// slowFactor returns the compound straggler slowdown active on the
+// container at t, reporting each event to inject once, when it first falls
+// due. Every due event counts as an absorbed effect on every call (the
+// operator rode it out), reported in bulk through recovered.
+func (r *container) slowFactor(t float64, inject func(fault.Event), recovered func(int)) float64 {
+	tl := &r.slow
+	if tl.cur == 0 {
+		tl.prod = 1
 	}
 	for _, e := range tl.due(t) {
 		tl.prod *= e.SlowFactor
-		inject(e)
 	}
-	if tl.cur > 0 {
-		recovered(tl.cur)
+	if tl.cur == 0 {
+		return 1
 	}
+	for ; tl.injected < tl.cur; tl.injected++ {
+		inject(tl.events[tl.injected])
+	}
+	recovered(tl.cur)
 	return tl.prod
 }
 
-// resetSlow rewinds c's straggler cursor; pass 2 restarts each
-// container's clock at zero, so its queries are non-decreasing again.
-func (fs *faultState) resetSlow(c int) {
-	if tl := fs.slow[c]; tl != nil {
-		tl.cur, tl.prod = 0, 1
-	}
-}
-
-// storageDelay consumes every storage-error event on c due by t and
-// returns the summed retry backoff under cloud.DefaultBackoff.
-func (fs *faultState) storageDelay(c int, t float64, mark func(fault.Event)) float64 {
-	if fs == nil {
-		return 0
-	}
+// storageDelay consumes every storage-error event on the container due by
+// t and returns the summed retry backoff under cloud.DefaultBackoff.
+func (r *container) storageDelay(t float64, mark func(fault.Event)) float64 {
 	var d float64
-	for _, e := range fs.storage[c].due(t) {
+	for _, e := range r.storage.due(t) {
 		d += cloud.DefaultBackoff().TotalDelay(e.Retries, int64(e.Seq))
 		mark(e)
 	}
 	return d
+}
+
+// resolveFaults makes the container table one healthy row per slot of s
+// and writes the plan's events into the rows they hit. AnyContainer events
+// rotate deterministically through the active containers (those holding a
+// planned operator) by their sequence number, so a plan generated before
+// the schedule exists still lands on real containers.
+func (sc *scratch) resolveFaults(events []fault.Event, s *sched.Schedule) {
+	sc.rows = resized(sc.rows, s.NumSlots())
+	if len(events) == 0 {
+		return
+	}
+	sc.active = sc.active[:0]
+	for c := range sc.rows {
+		if s.ContainerOps(c) > 0 {
+			sc.active = append(sc.active, c)
+		}
+	}
+	if len(sc.active) == 0 {
+		return
+	}
+	// Every fresh container a run opens answers a kill: repair opens at
+	// most one per failed container, and pass 1 one more than the kills on
+	// the fresh containers it opened. No run reaches a container past
+	// reach, so an event naming one hits nothing.
+	reach := len(sc.rows) + 2*len(events) + 1
+	for _, e := range events {
+		if e.Container == fault.AnyContainer {
+			e.Container = sc.active[e.Seq%len(sc.active)]
+		}
+		c := e.Container
+		if c < 0 || c >= reach {
+			continue
+		}
+		sc.grow(c + 1)
+		// The row keeps the resolved copy: provenance events name the
+		// concrete container, not AnyContainer.
+		r := &sc.rows[c]
+		switch {
+		case e.KillsContainer():
+			if r.failed && r.failAt <= e.At {
+				continue // the container is already gone by then
+			}
+			r.failed, r.failAt, r.noStart, r.kill = true, e.At, e.At, e
+			if e.Kind == fault.SpotRevocation && e.NoticeSeconds > 0 {
+				r.noStart = e.At - e.NoticeSeconds
+			}
+		case e.Kind == fault.StorageError:
+			r.storage.events = append(r.storage.events, e)
+		case e.Kind == fault.Straggler:
+			r.slow.events = append(r.slow.events, e)
+		}
+	}
+	// Plans are generated At-sorted, making the stable sort the identity;
+	// it only reorders hand-built unsorted configs.
+	byAt := func(a, b fault.Event) int { return cmp.Compare(a.At, b.At) }
+	for c := range sc.rows {
+		slices.SortStableFunc(sc.rows[c].slow.events, byAt)
+		slices.SortStableFunc(sc.rows[c].storage.events, byAt)
+	}
+}
+
+// grow appends healthy rows until the container table holds n.
+func (sc *scratch) grow(n int) {
+	for len(sc.rows) < n {
+		sc.rows = append(sc.rows, container{})
+	}
 }
 
 // pendingFlow is one dataflow operator awaiting execution in pass 1.
@@ -435,9 +431,10 @@ type contGroup struct{ c, lo, hi int }
 
 // scratch is the per-replay working state of Execute, owned by the
 // Executor and reused across the thousands of replays the experiments and
-// the tuning loop issue. Per-operator slices are indexed by the dense OpID,
-// per-container slices by container index (including recovery-opened
-// fresh containers). Nothing in scratch escapes into the returned Result.
+// the tuning loop issue. Per-operator slices are indexed by the dense OpID;
+// rows, the run's container table, by container index: the schedule's
+// slots, then the fresh containers recovery opens. Nothing in scratch
+// escapes into the returned Result.
 type scratch struct {
 	assigns   []sched.Assignment
 	groups    []contGroup
@@ -450,12 +447,11 @@ type scratch struct {
 	waitOrder []float64
 	heap      []pendingFlow
 	stack     []int
-	contClock []float64
 	cands     []int
-	leaseEnd  []float64
-	buildKill []float64
-	leased    []bool
 	points    []flowPoint
+	rows      []container
+	active    []int
+	failures  []int
 }
 
 // resized returns s with length n and every element zeroed, reusing the
@@ -487,18 +483,20 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 	ex.events = ex.events[:0]
 
 	res := Result{Ops: make([]OpResult, s.Graph.Len())}
-	var fs *faultState
-	if len(faults) > 0 {
-		fs = resolveFaults(faults, s)
-	}
+	sc.resolveFaults(faults, s)
 	markInjected := func(e fault.Event) {
-		if !fs.seenInjected[e.Seq] {
-			fs.seenInjected[e.Seq] = true
-			res.FaultsInjected++
-			ex.events = append(ex.events, provenance.Event{
-				Kind: provenance.KindFaultInjected, T: e.At, Name: e.Kind.String(),
-				Container: e.Container, Count: 1,
-			})
+		res.FaultsInjected++
+		ex.events = append(ex.events, provenance.Event{
+			Kind: provenance.KindFaultInjected, T: e.At, Name: e.Kind.String(),
+			Container: e.Container, Count: 1,
+		})
+	}
+	// A container's kill event is injected once, however many operators
+	// and passes it affects.
+	injectKill := func(r *container) {
+		if !r.killCounted {
+			r.killCounted = true
+			markInjected(r.kill)
 		}
 	}
 	markRecovered := func(e fault.Event) {
@@ -527,45 +525,43 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 	// container the plan kills, in failure order. Orphaned dataflow
 	// operators move to survivors (a recovery each); orphaned builds are
 	// dropped — their partitions re-enter the tuner's beneficial set.
-	if fs != nil && len(fs.failAt) > 0 {
+	sc.failures = sc.failures[:0]
+	for c := range sc.rows {
+		if sc.rows[c].failed {
+			sc.failures = append(sc.failures, c)
+		}
+	}
+	if len(sc.failures) > 0 {
 		s = s.Clone()
-		type failure struct {
-			c  int
-			at float64
-		}
-		var failures []failure
-		for c, at := range fs.failAt {
-			failures = append(failures, failure{c, at})
-		}
-		sort.Slice(failures, func(i, j int) bool {
-			if failures[i].at != failures[j].at {
-				return failures[i].at < failures[j].at
-			}
-			return failures[i].c < failures[j].c
+		// Stable over ascending containers: (failure time, container) order.
+		slices.SortStableFunc(sc.failures, func(a, b int) int {
+			return cmp.Compare(sc.rows[a].failAt, sc.rows[b].failAt)
 		})
-		for _, f := range failures {
-			repairs, err := s.Repair(f.c, f.at)
+		for _, c := range sc.failures {
+			dead := &sc.rows[c]
+			repairs, err := s.Repair(c, dead.failAt)
 			if err != nil {
 				continue // dynamic handling below still covers the failure
 			}
 			for _, r := range repairs {
-				markInjected(fs.killEv[f.c])
+				injectKill(dead)
 				addWasted(r.WastedSeconds)
 				if r.Dropped {
 					// The build never runs: record it as killed so no
 					// operator silently disappears from the result.
-					at := math.Min(r.Old.Start, f.at)
-					res.Ops[r.Op] = OpResult{Container: f.c, Start: at, End: at, Killed: true}
+					at := math.Min(r.Old.Start, dead.failAt)
+					res.Ops[r.Op] = OpResult{Container: c, Start: at, End: at, Killed: true}
 					ex.events = append(ex.events, provenance.Event{
 						Kind: provenance.KindBuildKilled, T: at, Op: s.Graph.Op(r.Op).Name,
-						Container: f.c, Start: at, End: at, Reason: "fault",
+						Container: c, Start: at, End: at, Reason: "fault",
 					})
 				} else {
-					markRecovered(fs.killEv[f.c])
+					markRecovered(dead.kill)
 					res.ReplacedOps++
 				}
 			}
 		}
+		sc.grow(s.NumSlots()) // a repair may have opened a container
 	}
 	g := s.Graph
 
@@ -657,45 +653,25 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 		}
 	}
 
-	nC := s.NumSlots()
-	sc.contClock = resized(sc.contClock, nC)
-	nextFresh := nC
+	nextFresh := s.NumSlots()
 	sc.cands = sc.cands[:0]
 	for _, gr := range sc.groups {
 		sc.cands = append(sc.cands, gr.c)
 	}
-	// arrivals records realized intervals of re-placed ops per container,
-	// so pass 2 can preempt builds that planned for that idle time. Only
-	// faulty replays populate it.
-	type interval struct{ start, end float64 }
-	var arrivals map[int][]interval
-	addArrival := func(c int, iv interval) {
-		if arrivals == nil {
-			arrivals = make(map[int][]interval)
-		}
-		arrivals[c] = append(arrivals[c], iv)
-	}
-
+	// chooseSurvivor may append a row: a *container taken before a call is
+	// stale after it.
 	chooseSurvivor := func(exclude int, t float64) int {
 		best, bestClock := -1, math.Inf(1)
 		for _, c := range sc.cands {
-			if c == exclude || (fs != nil && fs.deadAt(c, t)) {
-				continue
-			}
-			if fs != nil {
-				if ns, ok := fs.noStart[c]; ok && t >= ns-timeEps {
-					continue // inside a revocation notice window
-				}
-			}
-			if sc.contClock[c] < bestClock {
-				best, bestClock = c, sc.contClock[c]
+			if r := &sc.rows[c]; c != exclude && !r.closed(t) && r.clock < bestClock {
+				best, bestClock = c, r.clock
 			}
 		}
 		if best < 0 {
 			best = nextFresh
 			nextFresh++
+			sc.grow(nextFresh)
 			sc.cands = append(sc.cands, best)
-			sc.contClock = append(sc.contClock, 0)
 		}
 		return best
 	}
@@ -741,48 +717,45 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 				ready = t
 			}
 		}
-		start := math.Max(math.Max(sc.contClock[c], ready), p.minStart)
+		row := &sc.rows[c]
+		start := math.Max(math.Max(row.clock, ready), p.minStart)
 		// A failed (or notice-window) container accepts no new operators:
 		// re-place without losing work.
-		if fs != nil {
-			if ns, ok := fs.noStart[c]; ok && start >= ns-timeEps {
-				markBoth(fs.killEv[c])
-				res.ReplacedOps++
-				nc := chooseSurvivor(c, start)
-				sc.heap = heapPush(sc.heap, pendingFlow{
-					op: p.op, cont: nc, order: start, minStart: start, rank: p.rank,
-				})
-				continue
-			}
+		if row.closed(start) {
+			injectKill(row)
+			markRecovered(row.kill)
+			res.ReplacedOps++
+			nc := chooseSurvivor(c, start)
+			sc.heap = heapPush(sc.heap, pendingFlow{
+				op: p.op, cont: nc, order: start, minStart: start, rank: p.rank,
+			})
+			continue
 		}
 		dur := actual(op) / ctype.SpeedFactor
-		if fs != nil {
-			dur *= fs.slowFactor(c, start, markInjected, recoveredSlow)
-			dur += fs.storageDelay(c, start, markBoth)
-		}
+		dur *= row.slowFactor(start, markInjected, recoveredSlow)
+		dur += row.storageDelay(start, markBoth)
 		end := start + dur
 		// In-flight at the container's failure time: the work since start
 		// is lost; the operator restarts from scratch on a survivor.
-		if fs != nil {
-			if fa, dead := fs.failAt[c]; dead && end > fa+timeEps {
-				markBoth(fs.killEv[c])
-				addWasted(fa - start)
-				res.ReplacedOps++
-				sc.contClock[c] = fa
-				nc := chooseSurvivor(c, fa)
-				sc.heap = heapPush(sc.heap, pendingFlow{
-					op: p.op, cont: nc, order: fa, minStart: fa, rank: p.rank,
-				})
-				continue
-			}
+		if fa := row.failAt; row.failed && end > fa+timeEps {
+			injectKill(row)
+			markRecovered(row.kill)
+			addWasted(fa - start)
+			res.ReplacedOps++
+			row.clock = fa
+			nc := chooseSurvivor(c, fa)
+			sc.heap = heapPush(sc.heap, pendingFlow{
+				op: p.op, cont: nc, order: fa, minStart: fa, rank: p.rank,
+			})
+			continue
 		}
 		r := OpResult{Container: c, Start: start, End: end, Ready: ready, Completed: true}
 		if a, planned := s.Assignment(p.op); !planned || a.Container != c {
 			r.Replaced = true
-			addArrival(c, interval{start, end})
+			row.arrivals = append(row.arrivals, interval{start, end})
 		}
 		res.Ops[p.op] = r
-		sc.contClock[c] = end
+		row.clock = end
 		sc.state[p.op] = stDone
 		remaining--
 		for _, e := range g.Out(p.op) {
@@ -807,11 +780,9 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 	// builds running long are still cut at that boundary. A failed
 	// container is charged through the quantum containing the failure;
 	// the unusable remainder of that lease is fault waste.
-	sc.leaseEnd = resized(sc.leaseEnd, nextFresh)
-	sc.buildKill = resized(sc.buildKill, nextFresh)
-	sc.leased = resized(sc.leased, nextFresh)
 	for _, gr := range sc.groups {
 		c := gr.c
+		row := &sc.rows[c]
 		var last float64
 		anyFlowOp := false
 		for _, a := range assigns[gr.lo:gr.hi] {
@@ -822,18 +793,16 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 				}
 			}
 		}
-		if fs != nil && anyFlowOp {
-			// Killed partial runs occupy the container up to the failure.
-			if fa, dead := fs.failAt[c]; dead && sc.contClock[c] == fa && fa > last {
-				last = fa
-			}
+		// Killed partial runs occupy the container up to the failure.
+		if fa := row.failAt; anyFlowOp && row.failed && row.clock == fa && fa > last {
+			last = fa
 		}
-		for _, iv := range arrivals[c] {
+		for _, iv := range row.arrivals {
 			if iv.end > last {
 				last = iv.end
 			}
 		}
-		if !anyFlowOp && len(arrivals[c]) == 0 {
+		if !anyFlowOp && len(row.arrivals) == 0 {
 			for _, a := range assigns[gr.lo:gr.hi] {
 				if a.End > last {
 					last = a.End
@@ -841,37 +810,36 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 			}
 		}
 		lease := float64(cfg.Pricing.Quanta(last)) * cfg.Pricing.QuantumSeconds
-		sc.buildKill[c] = lease
-		if fs != nil {
-			if fa, dead := fs.failAt[c]; dead && fa < lease-timeEps {
-				markInjected(fs.killEv[c])
-				// Pay through the failure's quantum; its tail is waste.
-				charged := float64(cfg.Pricing.Quanta(fa)) * cfg.Pricing.QuantumSeconds
-				if charged > lease {
-					charged = lease
-				}
-				addWasted(charged - fa)
-				lease = charged
-				sc.buildKill[c] = math.Min(fa, lease)
+		row.buildKill = lease
+		if fa := row.failAt; row.failed && fa < lease-timeEps {
+			injectKill(row)
+			// Pay through the failure's quantum; its tail is waste.
+			charged := float64(cfg.Pricing.Quanta(fa)) * cfg.Pricing.QuantumSeconds
+			if charged > lease {
+				charged = lease
 			}
+			addWasted(charged - fa)
+			lease = charged
+			row.buildKill = math.Min(fa, lease)
 		}
-		sc.leaseEnd[c] = lease
-		sc.leased[c] = true
+		row.leaseEnd = lease
+		row.leased = true
 	}
-	for c, ivs := range arrivals {
-		if sc.leased[c] {
+	for c := range sc.rows {
+		row := &sc.rows[c]
+		if row.leased || len(row.arrivals) == 0 {
 			continue
 		}
 		// A fresh container opened by recovery: leased like any other.
 		var last float64
-		for _, iv := range ivs {
+		for _, iv := range row.arrivals {
 			if iv.end > last {
 				last = iv.end
 			}
 		}
-		sc.leaseEnd[c] = float64(cfg.Pricing.Quanta(last)) * cfg.Pricing.QuantumSeconds
-		sc.buildKill[c] = sc.leaseEnd[c]
-		sc.leased[c] = true
+		row.leaseEnd = float64(cfg.Pricing.Quanta(last)) * cfg.Pricing.QuantumSeconds
+		row.buildKill = row.leaseEnd
+		row.leased = true
 	}
 
 	// Pass 2: build operators run in the realized gaps, in planned order,
@@ -882,10 +850,11 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 			return Result{Cancelled: true}
 		}
 		c := gr.c
+		row := &sc.rows[c]
 		as := assigns[gr.lo:gr.hi]
-		if fs != nil {
-			fs.resetSlow(c)
-		}
+		// Pass 2 restarts the container's clock at zero, so its straggler
+		// queries are non-decreasing again.
+		row.slow.cur = 0
 		// Realized start of each resident dataflow op on this container,
 		// in planned order.
 		sc.points = sc.points[:0]
@@ -914,7 +883,7 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 			// Kill time: the next resident dataflow op's realized start,
 			// a re-placed arrival, the container failure, else the lease
 			// end.
-			kill := sc.buildKill[c]
+			kill := row.buildKill
 			for j := pi; j < len(points); j++ {
 				if points[j].idx > i {
 					if points[j].start < kill {
@@ -923,25 +892,18 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 					break
 				}
 			}
-			for _, iv := range arrivals[c] {
+			for _, iv := range row.arrivals {
 				if iv.end > clock+timeEps && iv.start < kill {
 					kill = math.Max(iv.start, clock)
 				}
 			}
 			start := clock
-			faultKill := false
-			if fs != nil {
-				if ns, ok := fs.noStart[c]; ok && math.Min(ns, kill) < kill {
-					kill = ns // no new work after the failure notice
-				}
-				if fa, dead := fs.failAt[c]; dead && fa <= kill+timeEps {
-					faultKill = true
-				}
+			if row.failed && row.noStart < kill {
+				kill = row.noStart // no new work after the failure notice
 			}
+			faultKill := row.failed && row.failAt <= kill+timeEps
 			dur := actual(op) / ctype.SpeedFactor
-			if fs != nil {
-				dur *= fs.slowFactor(c, start, markInjected, recoveredSlow)
-			}
+			dur *= row.slowFactor(start, markInjected, recoveredSlow)
 			end := start + dur
 			r := OpResult{Container: c, Start: start}
 			killReason := ""
@@ -955,13 +917,13 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 				switch {
 				case faultKill:
 					killReason = "fault"
-				case kill >= sc.buildKill[c]-timeEps:
+				case kill >= row.buildKill-timeEps:
 					killReason = "expired"
 				default:
 					killReason = "preempted"
 				}
 				if faultKill {
-					markInjected(fs.killEv[c])
+					injectKill(row)
 					addWasted(r.End - r.Start)
 				}
 			} else {
@@ -1004,18 +966,19 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 		res.Makespan = last - first
 	}
 	var leased float64
-	for c := 0; c < nextFresh; c++ {
-		if !sc.leased[c] {
+	for c := range sc.rows {
+		row := &sc.rows[c]
+		if !row.leased {
 			continue
 		}
-		leased += sc.leaseEnd[c]
+		leased += row.leaseEnd
 		w := 1.0
 		if cfg.Pricing.VMPerQuantum > 0 {
 			if t := s.ContainerType(c); t.PricePerQuantum > 0 {
 				w = t.PricePerQuantum / cfg.Pricing.VMPerQuantum
 			}
 		}
-		res.MoneyQuanta += float64(cfg.Pricing.Quanta(sc.leaseEnd[c])) * w
+		res.MoneyQuanta += float64(cfg.Pricing.Quanta(row.leaseEnd)) * w
 	}
 	res.Fragmentation = leased - busy
 

@@ -108,11 +108,14 @@ stage_test() {
 
 	# The skyline's exactness arguments (the read-only probe and the running
 	# books against make, the pre-filtered Pareto filter against the
-	# unfiltered one, audited frontiers) are fuzzed past their seed corpora.
+	# unfiltered one, audited frontiers) and the executor's equivalence with
+	# the preserved seed executor under generated faults are fuzzed past
+	# their seed corpora.
 	echo "== fuzz (5 s each) =="
 	go test ./internal/sched -run '^$' -fuzz '^FuzzProbeEqualsApply$' -fuzztime 5s
 	go test ./internal/sched -run '^$' -fuzz '^FuzzParetoPrefilter$' -fuzztime 5s
 	go test ./internal/check -run '^$' -fuzz '^FuzzSkyline$' -fuzztime 5s
+	go test ./internal/sim -run '^$' -fuzz '^FuzzExecuteEqualsReference$' -fuzztime 5s
 }
 
 # bench: every Benchmark* runs once, so none of them rots.
