@@ -45,8 +45,8 @@ func FuzzExecute(f *testing.F) {
 }
 
 // FuzzSkyline builds a graph directly from fuzzed shape parameters,
-// schedules it both without and with optional operators, and audits the
-// frontiers.
+// schedules it both without and with optional operators, audits the
+// frontiers and holds each to SkylineReference's, member by member.
 func FuzzSkyline(f *testing.F) {
 	f.Add(int64(1), uint64(12), uint64(4), uint64(80))
 	f.Add(int64(2), uint64(1), uint64(1), uint64(0))
@@ -70,13 +70,21 @@ func FuzzSkyline(f *testing.F) {
 			t.Fatalf("generator produced invalid graph: %v", err)
 		}
 		opts := Options(Pricing(seed+1), seed+2)
-		if err := AuditFrontier(sched.NewSkyline(opts).Schedule(g)); err != nil {
+		mandatory := sched.NewSkyline(opts).Schedule(g)
+		if err := AuditFrontier(mandatory); err != nil {
 			t.Fatalf("mandatory frontier: %v", err)
 		}
-		for i, s := range sched.NewSkyline(opts).ScheduleWithOptional(g) {
+		if err := DiffFrontiers(mandatory, SkylineReference(g, opts, false)); err != nil {
+			t.Fatalf("mandatory frontier against the reference: %v", err)
+		}
+		online := sched.NewSkyline(opts).ScheduleWithOptional(g)
+		for i, s := range online {
 			if err := AuditSchedule(s); err != nil {
 				t.Fatalf("optional-aware schedule %d: %v", i, err)
 			}
+		}
+		if err := DiffFrontiers(online, SkylineReference(g, opts, true)); err != nil {
+			t.Fatalf("optional-aware frontier against the reference: %v", err)
 		}
 	})
 }

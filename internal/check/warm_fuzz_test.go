@@ -1,8 +1,6 @@
 package check
 
 import (
-	"reflect"
-	"sort"
 	"testing"
 
 	"idxflow/internal/dataflow"
@@ -10,36 +8,11 @@ import (
 	"idxflow/internal/sim"
 )
 
-// schedView is the canonical exported view of one schedule: the objective
-// point, the container typing and every assignment sorted by operator.
-// Two schedules are observationally identical iff their views are
-// reflect.DeepEqual — float fields compare bit-exactly.
-type schedView struct {
-	Makespan    float64
-	MoneyQuanta float64
-	Types       []string
-	Assigns     []sched.Assignment
-}
-
-func viewOf(sky []*sched.Schedule) []schedView {
-	out := make([]schedView, len(sky))
-	for i, s := range sky {
-		v := schedView{Makespan: s.Makespan(), MoneyQuanta: s.MoneyQuanta()}
-		for c := 0; c < s.NumSlots(); c++ {
-			v.Types = append(v.Types, s.ContainerType(c).Name)
-		}
-		v.Assigns = s.Assignments()
-		sort.Slice(v.Assigns, func(a, b int) bool { return v.Assigns[a].Op < v.Assigns[b].Op })
-		out[i] = v
-	}
-	return out
-}
-
 // FuzzWarmFrontier drives one reused skyline through a fuzzed interleaving
 // of submissions, faulted executions, invalidations and caller-side
 // mutations of returned schedules, and checks after every submission that
-// its frontier is reflect.DeepEqual to a fresh skyline's and passes the
-// frontier audit.
+// its frontier equals, to the bit, a fresh skyline's and SkylineReference's
+// and passes the frontier audit.
 func FuzzWarmFrontier(f *testing.F) {
 	f.Add(int64(1), uint64(0), uint64(0))
 	f.Add(int64(4), uint64(1), uint64(0x2d))
@@ -80,10 +53,13 @@ func FuzzWarmFrontier(f *testing.F) {
 				return sk.Schedule(g)
 			}
 			wsky := run(warm)
-			csky := run(sched.NewSkyline(sc.Opts))
-			if !reflect.DeepEqual(viewOf(wsky), viewOf(csky)) {
-				t.Fatalf("seed %d step %d (withOpt=%v): warm frontier diverged from cold",
-					seed, step, withOpt)
+			if err := DiffFrontiers(wsky, run(sched.NewSkyline(sc.Opts))); err != nil {
+				t.Fatalf("seed %d step %d (withOpt=%v): warm frontier diverged from cold: %v",
+					seed, step, withOpt, err)
+			}
+			if err := DiffFrontiers(wsky, SkylineReference(g, sc.Opts, withOpt)); err != nil {
+				t.Fatalf("seed %d step %d (withOpt=%v): frontier against the reference: %v",
+					seed, step, withOpt, err)
 			}
 			if err := AuditFrontier(wsky); err != nil {
 				t.Fatalf("seed %d step %d: warm frontier: %v", seed, step, err)
