@@ -32,7 +32,8 @@ cover:
 # Short fuzzing pass: each target explores new inputs for FUZZ_SECONDS on
 # top of the committed corpora under testdata/fuzz (which replay as plain
 # tests in every `go test` run). Go allows one -fuzz pattern per
-# invocation, so each target runs separately. See README "Testing &
+# invocation, so each target runs separately, and `scripts/ci.sh static`
+# fails when a Fuzz function is missing here. See README "Testing &
 # verification" for the long-running variant.
 FUZZ_SECONDS ?= 5
 fuzz-short:
@@ -47,6 +48,7 @@ fuzz-short:
 	$(GO) test ./internal/pagestore -run '^$$' -fuzz '^FuzzColumnPage$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzProbeEqualsApply$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzParetoPrefilter$$' -fuzztime $(FUZZ_SECONDS)s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzExecuteEqualsReference$$' -fuzztime $(FUZZ_SECONDS)s
 
 # Re-record the golden experiment tables and the idxflow-sim -explain
 # transcript and -events log under cmd/*/testdata from the current tree. A refactor must pass

@@ -257,25 +257,21 @@ var ErrCycle = errors.New("dataflow: graph contains a cycle")
 // whose dependencies are equally satisfied, insertion order is preserved,
 // so the result is deterministic.
 func (g *Graph) TopoSort() ([]OpID, error) {
+	// sorted is also the FIFO of ready operators: those before i are
+	// emitted, the rest wait their turn.
 	indeg := make([]int, len(g.ops))
+	sorted := make([]OpID, 0, len(g.ops))
 	for id := range g.ops {
 		indeg[id] = len(g.in[id])
-	}
-	var ready []OpID
-	for id := range g.ops {
 		if indeg[id] == 0 {
-			ready = append(ready, OpID(id))
+			sorted = append(sorted, OpID(id))
 		}
 	}
-	sorted := make([]OpID, 0, len(g.ops))
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		sorted = append(sorted, id)
-		for _, e := range g.out[id] {
+	for i := 0; i < len(sorted); i++ {
+		for _, e := range g.out[sorted[i]] {
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
+				sorted = append(sorted, e.To)
 			}
 		}
 	}

@@ -16,11 +16,11 @@ import (
 // probeSchedule builds a random partial schedule from seed: a random DAG
 // with index-build ops, a pool (none, one of fractional prices, speeds and
 // network rates, one of integer weights 1 and 2, or cloud.DefaultVMTypes),
-// a prefix of the dataflow ops appended
-// in topological order onto random (sometimes fresh and typed)
-// containers, builds parked at random instants and just after containers'
-// last ops, where later appends evict them, and in one seed of four a
-// repair that leaves the makespan cache stale.
+// a prefix of the dataflow ops appended in topological order onto random
+// (sometimes fresh and typed) containers, builds parked at random instants
+// and just after containers' last ops, where later appends evict them, in
+// one seed of four a repair that leaves the makespan cache and the idle
+// books stale, and in one of three an unplaced op of no duration.
 func probeSchedule(seed int64) (*Schedule, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	g := randomDAG(seed, 3+rng.Intn(14), []int{0, 2, 3, 5}[rng.Intn(4)])
@@ -80,6 +80,16 @@ func probeSchedule(seed int64) (*Schedule, *rand.Rand) {
 	if rng.Intn(4) == 0 && s.NumSlots() > 0 {
 		s.Repair(rng.Intn(s.NumSlots()), 120*rng.Float64())
 	}
+	// Placed at a container's last start, an op of no duration goes before
+	// the last op.
+	if rng.Intn(3) == 0 {
+		for _, id := range topo {
+			if !s.isPlaced(id) {
+				g.Op(id).Time = 0
+				break
+			}
+		}
+	}
 	return s, rng
 }
 
@@ -90,13 +100,16 @@ func probeSchedule(seed int64) (*Schedule, *rand.Rand) {
 func probeEqualsMake(t *testing.T, s *Schedule, mv move) {
 	t.Helper()
 	before := s.Clone()
-	got, ok := s.probe(mv)
-	idle := s.seqIdleAfter(mv)
+	got, start, end, ok := s.probe(mv)
+	idle := 0.0
+	if ok {
+		idle = s.seqIdleAfter(mv, start, end)
+	}
 	if !reflect.DeepEqual(s.Clone(), before) {
 		t.Fatalf("probe or seqIdleAfter(%+v) wrote to the schedule", mv)
 	}
 	c := s.Clone()
-	_, err := c.make(mv)
+	a, err := c.make(mv)
 	if ok != (err == nil) {
 		t.Fatalf("probe(%+v) legal = %v, make error = %v", mv, ok, err)
 	}
@@ -105,6 +118,10 @@ func probeEqualsMake(t *testing.T, s *Schedule, mv move) {
 			t.Fatalf("refused make(%+v) changed the schedule", mv)
 		}
 		return
+	}
+	checkBooks(t, c, fmt.Sprintf("make(%+v) on a copy", mv))
+	if math.Float64bits(start) != math.Float64bits(a.Start) || math.Float64bits(end) != math.Float64bits(a.End) {
+		t.Fatalf("probe(%+v) planned [%v, %v), make placed %+v", mv, start, end, a)
 	}
 	want := c.point()
 	if math.Float64bits(got.time) != math.Float64bits(want.time) ||
@@ -119,13 +136,53 @@ func probeEqualsMake(t *testing.T, s *Schedule, mv move) {
 
 // checkBooks requires the books make, Repair and CopyFrom keep to equal a
 // recount from the schedule's ops: per container the leased quanta, the
-// latest dataflow end and the build count, the used containers, the
-// weighted quanta total, and, when every weight is an integer, that total
-// as MoneyQuanta's bits summed in container order.
+// latest dataflow end and the build count, and, unless stale, the idle
+// walk and its longest run; the used containers, the weighted quanta
+// total, and, when every weight is an integer, that total as MoneyQuanta's
+// bits summed in container order; and, unless stale, the largest run, a
+// container holding it and the largest run on any other container.
 func checkBooks(t *testing.T, s *Schedule, what string) {
 	t.Helper()
 	quanta, used := 0, 0
 	ordered := 0.0
+	bits := math.Float64bits
+	runs := make([]float64, len(s.conts)) // -1: no op
+	for c, k := range s.conts {
+		runs[c] = -1
+		if len(k.ops) > 0 {
+			w := s.contWalk(c, Assignment{Op: -1}, false)
+			runs[c] = w.total(s.Pricing)
+			switch {
+			case k.seqIdle < 0 && s.idleOK:
+				t.Fatalf("%s: container %d is stale under fresh top-two books", what, c)
+			case k.seqIdle < 0:
+			case bits(k.seqIdle) != bits(runs[c]) || !sameWalk(k.walk, w):
+				t.Fatalf("%s: container %d books run %v walk %+v, recount %v %+v", what, c, k.seqIdle, k.walk, runs[c], w)
+			}
+		}
+	}
+	if s.idleOK {
+		var max1 float64
+		for _, v := range runs {
+			if v > max1 {
+				max1 = v
+			}
+		}
+		var max2 float64
+		for c, v := range runs {
+			if c != s.idleTop && v > max2 {
+				max2 = v
+			}
+		}
+		top := 0.0
+		if s.idleTop >= 0 {
+			top = runs[s.idleTop]
+		}
+		if bits(s.idle1) != bits(max1) || bits(top) != bits(max1) || bits(s.idle2) != bits(max2) {
+			t.Fatalf("%s: top-two books %v on container %d and %v, recount %v (container's %v) and %v",
+				what, s.idle1, s.idleTop, s.idle2, max1, top, max2)
+		}
+	}
 	for c, k := range s.conts {
 		var flowEnd float64
 		builds := 0
@@ -157,25 +214,41 @@ func checkBooks(t *testing.T, s *Schedule, what string) {
 	}
 }
 
+// sameWalk reports whether two idle walks hold the same state, to the bit.
+func sameWalk(a, b idleWalk) bool {
+	bits := math.Float64bits
+	return bits(a.cursor) == bits(b.cursor) && bits(a.last) == bits(b.last) &&
+		bits(a.run) == bits(b.run) && bits(a.best) == bits(b.best) && bits(a.prevEnd) == bits(b.prevEnd)
+}
+
 // FuzzProbeEqualsApply checks the skyline's read-only probe and seq-idle
 // tie-break against make on a copy, over every append and placement of
 // every operator onto every container (fresh included) as every type
-// (untyped and out of range included), placements at the origin, the
-// lease end and a random instant, and placements at idle-run starts and
-// ends. Then it edits the schedule with random makes, repairs and copies
-// into recycled schedules, and recounts its books after every edit.
+// (untyped and out of range included), placements at the origin, the last
+// op's start, the lease end and a random instant, and placements at
+// idle-run starts and ends, and recounts the books after each make. Then it
+// copies the schedule into a recycled one and edits it with random makes,
+// repairs and copies, and recounts its books after every edit.
 func FuzzProbeEqualsApply(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 4, 7, 11, 42, -5, -471} {
 		f.Add(seed)
 	}
+	f.Add(int64(20)) // an op of no duration placed at a container's last start
+	f.Add(int64(8))  // appends after a repair
+	f.Add(int64(14)) // a repaired schedule's stale books copied into a recycled one
+	f.Add(int64(17)) // one container, so the second-largest run is 0
 	f.Fuzz(func(t *testing.T, seed int64) {
 		s, rng := probeSchedule(seed)
 		for id := 0; id < s.Graph.Len(); id++ {
 			op := dataflow.OpID(id)
 			for c := 0; c <= s.NumSlots(); c++ {
+				lastStart := 0.0
+				if ops := s.opsOn(c); len(ops) > 0 {
+					lastStart = s.assign[ops[len(ops)-1]].Start
+				}
 				for ti := -1; ti <= len(s.Types); ti++ {
 					probeEqualsMake(t, s, move{op: op, cont: c, typeIdx: ti})
-					for _, start := range []float64{0, s.lastEnd(c), 300 * rng.Float64()} {
+					for _, start := range []float64{0, lastStart, s.lastEnd(c), 300 * rng.Float64()} {
 						probeEqualsMake(t, s, move{op: op, cont: c, typeIdx: ti, start: start, place: true})
 					}
 				}
@@ -188,6 +261,9 @@ func FuzzProbeEqualsApply(f *testing.F) {
 		checkBooks(t, s, "built")
 		// A recycled schedule holds another problem's storage.
 		spare, _ := probeSchedule(seed + 1)
+		spare.CopyFrom(s)
+		s, spare = spare, s
+		checkBooks(t, s, "copy")
 		for i := 0; i < 24; i++ {
 			what := ""
 			switch c := rng.Intn(s.NumSlots() + 2); rng.Intn(5) {
@@ -231,7 +307,7 @@ func TestMaterializePanicsOnForgedMove(t *testing.T) {
 		{move{op: a, cont: 1, typeIdx: -1}, "probed append of op 0 on container 1"},                       // a is placed
 		{move{op: b, cont: 0, typeIdx: -1, start: 5, place: true}, "probed place of op 1 on container 0"}, // overlaps a
 	} {
-		if _, ok := src.probe(tc.mv); ok {
+		if _, _, _, ok := src.probe(tc.mv); ok {
 			t.Fatalf("probe accepted the forged move %+v", tc.mv)
 		}
 		func() {

@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"idxflow/internal/dataflow"
 )
@@ -47,9 +48,17 @@ func (s *Schedule) Repair(dead int, at float64) ([]RepairedOp, error) {
 	}
 	// Collect orphans: anything on the dead container still running or
 	// not yet started at the failure time.
-	var orphans []dataflow.OpID
+	n := 0
+	for _, id := range s.conts[dead].ops {
+		if s.assign[id].End > at+1e-9 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]RepairedOp, 0, n)
 	kept := s.conts[dead].ops[:0]
-	repairedAt := make(map[dataflow.OpID]RepairedOp)
 	for _, id := range s.conts[dead].ops {
 		a := s.assign[id]
 		if a.End <= at+1e-9 {
@@ -60,31 +69,26 @@ func (s *Schedule) Repair(dead int, at float64) ([]RepairedOp, error) {
 		if a.Start < at {
 			wasted = at - a.Start
 		}
-		repairedAt[id] = RepairedOp{Op: id, Old: a, WastedSeconds: wasted}
-		orphans = append(orphans, id)
+		out = append(out, RepairedOp{Op: id, Old: a, WastedSeconds: wasted})
 		s.clearAssign(id)
 	}
 	s.conts[dead].ops = kept
-	if len(orphans) == 0 {
-		return nil, nil
-	}
 	// Orphan deletion shrinks the dead container's extent and removes
 	// non-optional ops: recount its books and drop the makespan cache.
 	s.retally(dead)
 	s.msValid = false
 
-	// Survivors that already hold work; open a fresh container only if
-	// every used container is the dead one.
-	var survivors []int
+	// Survivors are the used containers but the dead one; a fresh container
+	// is opened only if there is none.
+	fresh := len(s.conts)
 	for c := range s.conts {
 		if c != dead && len(s.conts[c].ops) > 0 {
-			survivors = append(survivors, c)
+			fresh = -1
+			break
 		}
 	}
-	if len(survivors) == 0 {
-		fresh := len(s.conts)
+	if fresh >= 0 {
 		s.ensureContainer(fresh)
-		survivors = []int{fresh}
 	}
 
 	// Re-place non-optional orphans in topological order so predecessors
@@ -93,37 +97,37 @@ func (s *Schedule) Repair(dead int, at float64) ([]RepairedOp, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: repair: %w", err)
 	}
-	rank := make(map[dataflow.OpID]int, len(topo))
+	rank := make([]int32, len(topo))
 	for i, id := range topo {
-		rank[id] = i
+		rank[id] = int32(i)
 	}
-	sort.SliceStable(orphans, func(i, j int) bool { return rank[orphans[i]] < rank[orphans[j]] })
+	slices.SortFunc(out, func(a, b RepairedOp) int { return cmp.Compare(rank[a.Op], rank[b.Op]) })
 
-	out := make([]RepairedOp, 0, len(orphans))
-	for _, id := range orphans {
-		rop := repairedAt[id]
-		if s.Graph.Op(id).Optional {
+	for i := range out {
+		rop := &out[i]
+		if s.Graph.Op(rop.Op).Optional {
 			rop.Dropped = true
-			out = append(out, rop)
 			continue
 		}
 		bestC, bestStart := -1, math.Inf(1)
-		for _, c := range survivors {
-			ready, rerr := s.ReadyTime(id, c)
+		for c := range s.conts {
+			if c == dead || c != fresh && len(s.conts[c].ops) == 0 {
+				continue
+			}
+			ready, rerr := s.ReadyTime(rop.Op, c)
 			if rerr != nil {
-				return nil, fmt.Errorf("sched: repair op %d: %w", id, rerr)
+				return nil, fmt.Errorf("sched: repair op %d: %w", rop.Op, rerr)
 			}
 			start := math.Max(math.Max(ready, s.lastEnd(c)), at)
 			if start < bestStart-1e-9 {
 				bestC, bestStart = c, start
 			}
 		}
-		a, perr := s.PlaceAt(id, bestC, bestStart)
+		a, perr := s.PlaceAt(rop.Op, bestC, bestStart)
 		if perr != nil {
-			return nil, fmt.Errorf("sched: repair op %d: %w", id, perr)
+			return nil, fmt.Errorf("sched: repair op %d: %w", rop.Op, perr)
 		}
 		rop.New = a
-		out = append(out, rop)
 	}
 	return out, nil
 }

@@ -84,15 +84,17 @@ type move struct {
 
 // candidate pairs a schedule with its cached objective point. A candidate
 // is either materialized (s != nil, owning its schedule) or speculative
-// (src + mv describe the placement; p is src.probe(mv)). from is the index
-// in the previous frontier of the member it derives from, or that it is
-// when a gap step carries the member over.
+// (src + mv describe the placement; p is src.probe(mv), and start and end
+// the interval it planned for the op). from is the index in the previous
+// frontier of the member it derives from, or that it is when a gap step
+// carries the member over.
 type candidate struct {
-	s    *Schedule
-	src  *Schedule
-	mv   move
-	p    point
-	from int
+	s          *Schedule
+	src        *Schedule
+	mv         move
+	p          point
+	start, end float64
+	from       int
 }
 
 // freeList is one run's recycled schedules: the replaced memo entry and
@@ -137,9 +139,9 @@ func (c *candidate) materialize(free *freeList, own bool) {
 		panic(fmt.Sprintf("sched: probed %s of op %d on container %d does not apply: %v",
 			kind, c.mv.op, c.mv.cont, err))
 	}
-	// Fill the seq-idle memo of the one container the move changed, so the
-	// tie-break on the next step's moves reads every container but the
-	// moved one from it.
+	// Fill the seq-idle books (make keeps them through an op appended last),
+	// so the tie-break on the next step's moves reads every container but
+	// the moved one from them.
 	ns.MaxSequentialIdle()
 	c.s = ns
 }
@@ -151,7 +153,7 @@ func (c *candidate) seqIdle() float64 {
 		if c.s != nil {
 			c.p.seqIdle = c.s.MaxSequentialIdle()
 		} else {
-			c.p.seqIdle = c.src.seqIdleAfter(c.mv)
+			c.p.seqIdle = c.src.seqIdleAfter(c.mv, c.start, c.end)
 		}
 	}
 	return c.p.seqIdle
@@ -577,8 +579,8 @@ func (sk *Skyline) expand(sky []candidate, st step) []candidate {
 					continue
 				}
 				mv := move{op: st.id, cont: r.Container, typeIdx: -1, start: r.Start, place: true}
-				if p, ok := src.probe(mv); ok {
-					cands = append(cands, candidate{src: src, mv: mv, p: p, from: i})
+				if p, start, end, ok := src.probe(mv); ok {
+					cands = append(cands, candidate{src: src, mv: mv, p: p, start: start, end: end, from: i})
 				}
 			}
 		}
@@ -597,8 +599,8 @@ func (sk *Skyline) expand(sky []candidate, st step) []candidate {
 					if cont >= used && types > 0 {
 						mv.typeIdx = ti
 					}
-					if p, ok := src.probe(mv); ok {
-						cands = append(cands, candidate{src: src, mv: mv, p: p, from: i})
+					if p, start, end, ok := src.probe(mv); ok {
+						cands = append(cands, candidate{src: src, mv: mv, p: p, start: start, end: end, from: i})
 					}
 				}
 			}

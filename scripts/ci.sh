@@ -59,6 +59,18 @@ stage_static() {
 		exit 1
 	fi
 
+	# `make fuzz-short`, which the workflow's fuzz job runs, lists every
+	# fuzz target by hand: a new one must join it.
+	echo "== make fuzz-short runs every fuzz target =="
+	missing=""
+	for name in $(grep -rhoE --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' . | sed 's/^func //' | sort -u); do
+		grep -qF "'^$name\$\$'" Makefile || missing="$missing $name"
+	done
+	if [ -n "$missing" ]; then
+		echo "fuzz targets missing from make fuzz-short:$missing"
+		exit 1
+	fi
+
 	# One Algorithm-1 pass runs on one goroutine: the admission pipeline's
 	# -workers is the only concurrency of a submit.
 	echo "== Alg. 1 path starts no goroutine =="
@@ -108,13 +120,15 @@ stage_test() {
 
 	# The skyline's exactness arguments (the read-only probe and the running
 	# books against make, the pre-filtered Pareto filter against the
-	# unfiltered one, audited frontiers) and the executor's equivalence with
-	# the preserved seed executor under generated faults are fuzzed past
-	# their seed corpora.
+	# unfiltered one, cold and warm frontiers audited and held to the
+	# reference skyline) and the executor's equivalence with the preserved
+	# seed executor under generated faults are fuzzed past their seed
+	# corpora.
 	echo "== fuzz (5 s each) =="
 	go test ./internal/sched -run '^$' -fuzz '^FuzzProbeEqualsApply$' -fuzztime 5s
 	go test ./internal/sched -run '^$' -fuzz '^FuzzParetoPrefilter$' -fuzztime 5s
 	go test ./internal/check -run '^$' -fuzz '^FuzzSkyline$' -fuzztime 5s
+	go test ./internal/check -run '^$' -fuzz '^FuzzWarmFrontier$' -fuzztime 5s
 	go test ./internal/sim -run '^$' -fuzz '^FuzzExecuteEqualsReference$' -fuzztime 5s
 }
 
