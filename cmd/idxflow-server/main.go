@@ -9,10 +9,10 @@
 // pipeline: a request names its tenant with ?tenant= or X-Idxflow-Tenant
 // (one that names none is tenant "default"), each tenant gets isolated
 // tuning state over its own deterministic database
-// (workload.NewFileDB(qaas.TenantSeed(seed, tenant))), a worker pool
-// executes Algorithm-1 passes concurrently against a shared container
-// fleet that also clamps every schedule's width, and a full queue answers
-// HTTP 429 with Retry-After.
+// (workload.NewFileDB(qaas.TenantSeed(seed, tenant))), each request's
+// handler runs its Algorithm-1 pass once one of -workers slots is free,
+// against a shared container fleet that also clamps every schedule's
+// width, and a full queue answers HTTP 429 with Retry-After.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: the listener closes
 // immediately and in-flight requests get -drain to finish. With -trace or

@@ -180,17 +180,17 @@ func (s *Service) applyBatchUpdates(p *pass) {
 // partitions the flow touches (§3: "each operator can make use of those
 // [indexes] associated to partitions it accesses"): the accelerated part
 // runs at time/s and the rest at full speed, so s_eff = 1 / (f/s + (1-f)).
+// An operator with s_eff > 1 runs time/s_eff plus the read of one index
+// partition; indexes listed twice apply twice, in the flow's order.
 func (s *Service) rewrite(p *pass) {
+	p.g = p.flow.Graph.Clone()
 	if !s.cfg.Strategy.gainDriven() {
-		p.g = p.flow.Graph.Clone()
 		return
 	}
 	p.touched = make(map[string]bool, len(p.flow.Inputs))
 	for _, path := range p.flow.Inputs {
 		p.touched[path] = true
 	}
-	avail := make(map[string]bool)
-	var scaled []dataflow.IndexUse
 	for _, iu := range p.flow.Indexes {
 		st := s.db.Catalog.State(iu.Index)
 		var f float64
@@ -198,29 +198,32 @@ func (s *Service) rewrite(p *pass) {
 			f = touchedFraction(st, p.touched)
 		}
 		if f <= 0 {
-			continue // ApplyIndexes skips what is not in avail
+			continue
 		}
-		cp := dataflow.IndexUse{Index: iu.Index, Speedup: make(map[dataflow.OpID]float64, len(iu.Speedup))}
-		for id, sp := range iu.Speedup {
-			cp.Speedup[id] = 1 / (f/sp + (1 - f))
-		}
-		scaled = append(scaled, cp)
 		// The catalog's own string, not iu.Index: the result outlives the
 		// submitted flow and should hold nothing of it.
 		name := st.Name()
-		avail[name] = true
 		p.res.IndexesUsed = append(p.res.IndexesUsed, name)
+		read := s.indexPartitionRead(name)
+		for id, sp := range iu.Speedup {
+			op := p.g.Op(id)
+			if eff := 1 / (f/sp + (1 - f)); op != nil && eff > 1 {
+				op.Time /= eff
+				op.Time += read
+			}
+		}
 	}
 	sort.Strings(p.res.IndexesUsed)
-	rewritten := dataflow.Flow{Graph: p.flow.Graph, Indexes: scaled}
-	p.g = rewritten.ApplyIndexes(avail, func(name string) float64 {
-		// Reading one index partition from storage before the operator.
-		idx := s.db.IndexByName(name)
-		if idx == nil || len(idx.Table.Partitions) == 0 {
-			return 0
-		}
-		return s.cfg.Sched.Spec.TransferSeconds(idx.SizeMB() / float64(len(idx.Table.Partitions)))
-	})
+}
+
+// indexPartitionRead returns the seconds an accelerated operator spends
+// reading one partition of the named index from storage before it runs.
+func (s *Service) indexPartitionRead(name string) float64 {
+	idx := s.db.IndexByName(name)
+	if idx == nil || len(idx.Table.Partitions) == 0 {
+		return 0
+	}
+	return s.cfg.Sched.Spec.TransferSeconds(idx.SizeMB() / float64(len(idx.Table.Partitions)))
 }
 
 // touchedFraction returns the fraction of the flow's touched partitions of

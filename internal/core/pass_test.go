@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"reflect"
+	"sort"
 	"testing"
 
+	"idxflow/internal/data"
 	"idxflow/internal/dataflow"
 	"idxflow/internal/provenance"
 	"idxflow/internal/telemetry"
@@ -141,6 +143,82 @@ func TestCandidateLookupIsTheOfferOrder(t *testing.T) {
 	}
 	if _, ok := p.candidate(p.builds[len(p.builds)-1].op + 1); ok {
 		t.Error("an id past the last build resolved to a candidate")
+	}
+}
+
+// TestRewriteScalesSpeedupsAndAddsRead pins the runtimes rewrite gives an
+// operator (Alg. 2 lines 1-5): a fully built index divides by its speedup
+// and adds one index partition's read, a partly built one divides by the
+// s_eff of its touched fraction, and a speedup of at most 1 or an unbuilt
+// index leaves the operator alone. The submitted graph is never changed.
+func TestRewriteScalesSpeedupsAndAddsRead(t *testing.T) {
+	db := testDB(t)
+	var file workload.File
+	for _, f := range db.Files {
+		if len(f.Table.Partitions) >= 2 {
+			file = f
+			break
+		}
+	}
+	if file.Table == nil {
+		t.Fatal("no file with two partitions")
+	}
+	full, part, unbuilt := file.Indexes[0], file.Indexes[1], file.Indexes[2]
+	for _, p := range file.Table.Partitions {
+		if err := db.Catalog.State(full.Name()).MarkBuilt(p.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Catalog.State(part.Name()).MarkBuilt(file.Table.Partitions[0].ID); err != nil {
+		t.Fatal(err)
+	}
+
+	g := dataflow.New()
+	a := g.Add(dataflow.Operator{Name: "a", Time: 100})
+	b := g.Add(dataflow.Operator{Name: "b", Time: 50})
+	c := g.Add(dataflow.Operator{Name: "c", Time: 10})
+	d := g.Add(dataflow.Operator{Name: "d", Time: 20})
+	flow := &dataflow.Flow{Name: "rw", Graph: g, Indexes: []dataflow.IndexUse{
+		{Index: full.Name(), Speedup: map[dataflow.OpID]float64{a: 4, b: 0.5}},
+		{Index: part.Name(), Speedup: map[dataflow.OpID]float64{c: 3}},
+		{Index: unbuilt.Name(), Speedup: map[dataflow.OpID]float64{d: 2}},
+	}}
+	for _, p := range file.Table.Partitions {
+		flow.Inputs = append(flow.Inputs, p.Path)
+	}
+
+	svc := NewService(quickConfig(Gain), db)
+	p := svc.admit(flow)
+	svc.rewrite(p)
+
+	spec := svc.cfg.Sched.Spec
+	read := func(idx *data.Index) float64 {
+		return spec.TransferSeconds(idx.SizeMB() / float64(len(idx.Table.Partitions)))
+	}
+	if read(full) <= 0 {
+		t.Fatal("the index partition read is free; the test needs it charged")
+	}
+	f := 1 / float64(len(file.Table.Partitions))
+	for _, tc := range []struct {
+		op   dataflow.OpID
+		want float64
+	}{
+		{a, 100/4.0 + read(full)},
+		{b, 50},
+		{c, 10/(1/(f/3+(1-f))) + read(part)},
+		{d, 20},
+	} {
+		if got := p.g.Op(tc.op).Time; got != tc.want {
+			t.Errorf("op %s: rewritten time %g, want %g", p.g.Op(tc.op).Name, got, tc.want)
+		}
+	}
+	if got := flow.Graph.Op(a).Time; got != 100 {
+		t.Errorf("submitted graph changed: op a time %g, want 100", got)
+	}
+	want := []string{full.Name(), part.Name()}
+	sort.Strings(want)
+	if !reflect.DeepEqual(p.res.IndexesUsed, want) {
+		t.Errorf("IndexesUsed = %v, want %v", p.res.IndexesUsed, want)
 	}
 }
 

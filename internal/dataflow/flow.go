@@ -63,28 +63,3 @@ func (f *Flow) TimeSavedBy(name string) float64 {
 	}
 	return saved
 }
-
-// ApplyIndexes returns a copy of the flow's graph with operator runtimes
-// divided by the speedups of every index in available (the update step of
-// Algorithm 2, lines 1-5). Multiple indexes on the same operator compose
-// multiplicatively. extraRead, if positive, is added once per accelerated
-// operator to account for reading the index from the storage service.
-func (f *Flow) ApplyIndexes(available map[string]bool, extraRead func(index string) float64) *Graph {
-	g := f.Graph.Clone()
-	for _, iu := range f.Indexes {
-		if !available[iu.Index] {
-			continue
-		}
-		for id, s := range iu.Speedup {
-			op := g.Op(id)
-			if op == nil || s <= 1 {
-				continue
-			}
-			op.Time /= s
-			if extraRead != nil {
-				op.Time += extraRead(iu.Index)
-			}
-		}
-	}
-	return g
-}

@@ -5,7 +5,6 @@ import (
 
 	"idxflow/internal/cloud"
 	"idxflow/internal/core"
-	"idxflow/internal/workload"
 )
 
 // Ablations sweeps the design knobs DESIGN.md calls out — the time-money
@@ -59,19 +58,7 @@ func Ablations(seed int64, horizon float64) *Table {
 
 	results := make([]core.Metrics, len(cells))
 	runJobs(len(cells), func(i int) {
-		db, err := workload.NewFileDB(seed)
-		if err != nil {
-			panic(err)
-		}
-		gen := workload.NewGenerator(db, seed+1)
-		flows := gen.PhaseWorkload(workload.DefaultPhasesFor(horizon), 60)
-		cfg := core.DefaultConfig()
-		cfg.Sched.MaxSkyline = 4
-		cfg.RuntimeError = 0.1
-		if cells[i].mutate != nil {
-			cells[i].mutate(&cfg)
-		}
-		results[i] = core.NewService(cfg, db).Run(flows, horizon)
+		results[i] = runService(seed, horizon, 0.1, phaseFlows(horizon), cells[i].mutate)
 	})
 	for i, c := range cells {
 		m := results[i]

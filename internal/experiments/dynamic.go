@@ -62,23 +62,15 @@ func runDynamic(title string, seed int64, flowsFor func(gen *workload.Generator)
 	perStrat := make([]core.Metrics, len(strategies))
 	quantiles := make([][3]float64, len(strategies))
 	runJobs(len(strategies), func(i int) {
-		db, err := workload.NewFileDB(seed)
-		if err != nil {
-			panic(err)
-		}
-		gen := workload.NewGenerator(db, seed+1)
-		flows := flowsFor(gen)
-
-		cfg := core.DefaultConfig()
-		cfg.Strategy = strategies[i]
-		cfg.Sched.MaxSkyline = 4
-		cfg.RuntimeError = 0.2 // §6.1: estimates are never exact in practice
-		cfg.Telemetry = telemetry.NewRegistry()
-		svc := core.NewService(cfg, db)
-		perStrat[i] = svc.Run(flows, horizon)
+		reg := telemetry.NewRegistry()
+		// §6.1: estimates are never exact in practice.
+		perStrat[i] = runService(seed, horizon, 0.2, flowsFor, func(cfg *core.Config) {
+			cfg.Strategy = strategies[i]
+			cfg.Telemetry = reg
+		})
 		// The registry is discarded with the service; capture the makespan
 		// quantiles while it is still in reach.
-		h := cfg.Telemetry.Histogram("idxflow_flow_makespan_seconds", "", nil)
+		h := reg.Histogram("idxflow_flow_makespan_seconds", "", nil)
 		quantiles[i] = [3]float64{h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)}
 	})
 
@@ -113,13 +105,36 @@ func runDynamic(title string, seed int64, flowsFor func(gen *workload.Generator)
 	return res
 }
 
-// Phase runs the §6.5.1 experiment: the phase dataflow generator
-// (CyberShake, LIGO, Montage, CyberShake) over the given horizon in
-// seconds (use Horizon720 for the paper's setting).
-func Phase(seed int64, horizon float64) *DynamicResult {
-	return runDynamic("phase", seed, func(gen *workload.Generator) []*dataflow.Flow {
+// runService is one §6.5 run: a fresh file database at seed, the flows
+// flowsFor draws from a generator at seed+1, and DefaultConfig with a
+// skyline of 4, the given runtime error and mutate (nil for none) applied.
+func runService(seed int64, horizon, runtimeError float64, flowsFor func(gen *workload.Generator) []*dataflow.Flow, mutate func(cfg *core.Config)) core.Metrics {
+	db, err := workload.NewFileDB(seed)
+	if err != nil {
+		panic(err)
+	}
+	flows := flowsFor(workload.NewGenerator(db, seed+1))
+	cfg := core.DefaultConfig()
+	cfg.Sched.MaxSkyline = 4
+	cfg.RuntimeError = runtimeError
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return core.NewService(cfg, db).Run(flows, horizon)
+}
+
+// phaseFlows draws the phase workload (CyberShake, LIGO, Montage,
+// CyberShake) scaled to horizon seconds, one dataflow a minute.
+func phaseFlows(horizon float64) func(gen *workload.Generator) []*dataflow.Flow {
+	return func(gen *workload.Generator) []*dataflow.Flow {
 		return gen.PhaseWorkload(workload.DefaultPhasesFor(horizon), 60)
-	}, horizon)
+	}
+}
+
+// Phase runs the §6.5.1 experiment: the phase dataflow generator over the
+// given horizon in seconds (use Horizon720 for the paper's setting).
+func Phase(seed int64, horizon float64) *DynamicResult {
+	return runDynamic("phase", seed, phaseFlows(horizon), horizon)
 }
 
 // Random runs the §6.5.2 experiment: the uniform random dataflow generator

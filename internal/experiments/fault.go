@@ -5,7 +5,6 @@ import (
 
 	"idxflow/internal/core"
 	"idxflow/internal/fault"
-	"idxflow/internal/workload"
 )
 
 // DefaultFaultRates is the robustness sweep: combined fault events per
@@ -55,24 +54,15 @@ func Fault(seed, faultSeed int64, rates []float64, horizon float64) *FaultResult
 	grid := make([]core.Metrics, len(rates)*len(strats))
 	runJobs(len(grid), func(i int) {
 		rate, strat := rates[i/len(strats)], strats[i%len(strats)]
-		db, err := workload.NewFileDB(seed)
-		if err != nil {
-			panic(err)
-		}
-		gen := workload.NewGenerator(db, seed+1)
-		flows := gen.PhaseWorkload(workload.DefaultPhasesFor(horizon), 60)
-
-		cfg := core.DefaultConfig()
-		cfg.Strategy = strat
-		cfg.Sched.MaxSkyline = 4
-		cfg.RuntimeError = 0.2
-		if rate > 0 {
-			// The identical plan hits both strategies: the comparison
-			// isolates what indexing does under churn, not fault luck.
-			q := cfg.Sched.Pricing.QuantumSeconds
-			cfg.Faults = fault.Generate(fault.DefaultRates(rate, q, horizon), faultSeed)
-		}
-		grid[i] = core.NewService(cfg, db).Run(flows, horizon)
+		grid[i] = runService(seed, horizon, 0.2, phaseFlows(horizon), func(cfg *core.Config) {
+			cfg.Strategy = strat
+			if rate > 0 {
+				// The identical plan hits both strategies: the comparison
+				// isolates what indexing does under churn, not fault luck.
+				q := cfg.Sched.Pricing.QuantumSeconds
+				cfg.Faults = fault.Generate(fault.DefaultRates(rate, q, horizon), faultSeed)
+			}
+		})
 	})
 	for ri, rate := range rates {
 		byStrat := make(map[core.Strategy]core.Metrics)

@@ -13,16 +13,16 @@
 // admissions serialize on) and the money books (per-tenant settlements that
 // must sum to the global ledger, provable by check.AuditQaaS).
 //
-// Flow of an admission: Submit reserves the tenant's fair share, enqueues
-// into a bounded queue (backpressure: *BackpressureError carrying a
-// Retry-After hint, surfaced by cmd/idxflow-server as HTTP 429), a worker
-// dequeues one admission, takes its tenant's lock and runs the
-// Algorithm-1 pass via core.Service.SubmitCtx; the fleet semaphore books
-// the chosen schedule's containers for the execution's (paced) duration.
-// The worker pool is the only concurrency of a submit: Workers bounds the
-// passes running at once and QueueDepth bounds the admissions waiting.
-// Drain stops new admissions and completes the in-flight ones before
-// shutdown.
+// Flow of an admission: Submit runs on the submitter's goroutine. It
+// reserves the tenant's fair share, joins the waiting count bounded by
+// QueueDepth (backpressure: *BackpressureError carrying a Retry-After hint,
+// surfaced by cmd/idxflow-server as HTTP 429), waits for one of Workers
+// slot tokens, takes its tenant's lock and runs the Algorithm-1 pass via
+// core.Service.SubmitCtx; the fleet semaphore books the chosen schedule's
+// containers for the execution's (paced) duration. The pipeline starts no
+// goroutine: the slots bound the passes running at once and the waiting
+// count the submitters blocked for a slot. Drain stops new admissions and
+// waits for the admitted ones before shutdown.
 package qaas
 
 import (
@@ -101,14 +101,15 @@ type Config struct {
 	// file database workload.NewFileDB(TenantSeed(Seed, t)), which load
 	// generators reproduce client-side to craft valid dataflows.
 	Seed int64
-	// QueueDepth bounds the admission queue (default 128); a full queue
-	// rejects with reason "queue-full".
+	// QueueDepth bounds the submitters waiting for a slot (default 128);
+	// one more rejects with reason "queue-full".
 	QueueDepth int
-	// Workers is the number of concurrent Algorithm-1 executors
-	// (default 4). A worker blocks on its admission's tenant lock, so
-	// under paced load it should exceed the clients in flight per tenant.
+	// Workers is the number of slots, the Algorithm-1 passes that may run
+	// at once (default 4). A pass holds its slot while it waits on its
+	// tenant's lock, so under paced load it should exceed the clients in
+	// flight per tenant.
 	Workers int
-	// TenantInflight is the per-tenant fair-share cap on queued plus
+	// TenantInflight is the per-tenant fair-share cap on waiting plus
 	// executing admissions (default 32); exceeding it rejects with
 	// reason "tenant-limit". Negative disables the cap.
 	TenantInflight int
@@ -133,7 +134,7 @@ type Config struct {
 	ProvenanceCapacity int
 	// PostExec, when non-nil, is installed on every tenant service; the
 	// server's audit mode hooks check.Audit here. Must be safe for
-	// concurrent use across workers.
+	// concurrent use across passes.
 	PostExec func(chosen *sched.Schedule, run sim.Result)
 }
 
@@ -158,7 +159,7 @@ type Tenant struct {
 	svc  *core.Service
 	db   *workload.FileDB
 	prov *provenance.Recorder
-	// inflight counts queued + executing admissions for the fair-share
+	// inflight counts waiting + executing admissions for the fair-share
 	// cap; admitted counts completed ones.
 	inflight atomic.Int64
 	admitted atomic.Int64
@@ -174,24 +175,9 @@ type instruments struct {
 	tenantsGauge  *telemetry.Gauge
 }
 
-// admission is one queued submission.
-type admission struct {
-	t    *Tenant
-	flow *dataflow.Flow
-	ctx  context.Context
-	enq  time.Time
-	done chan admissionResult
-}
-
-type admissionResult struct {
-	res core.FlowResult
-	err error
-}
-
 // Pipeline is the concurrent admission pipeline.
 type Pipeline struct {
 	cfg    Config
-	queue  chan *admission
 	fleet  *fleet
 	ledger *ledger
 	ins    instruments
@@ -203,26 +189,30 @@ type Pipeline struct {
 	tenants   map[string]*Tenant
 
 	// drainMu gates admissions against drain: Submit holds the read
-	// side around the draining check and the enqueue, Drain takes the
+	// side around the draining check and pending.Add, Drain takes the
 	// write side to flip the flag — so once Drain proceeds, no further
 	// pending.Add can race its Wait.
 	drainMu  sync.RWMutex
 	draining bool
 	pending  sync.WaitGroup
-	workers  sync.WaitGroup
-	closeq   sync.Once
+
+	// slots holds one token per running pass (capacity Workers); waiting
+	// counts the submitters blocked for a token (at most QueueDepth).
+	// Blocked senders on a channel are served in arrival order.
+	slots   chan struct{}
+	waiting atomic.Int64
 
 	inFlight atomic.Int64
 	admitted atomic.Int64
 	rejected atomic.Int64
 
-	// execOverride replaces the worker's execution step in unit tests
-	// that need controllable timing without running the real tuner.
-	execOverride func(ad *admission) admissionResult
+	// execOverride replaces the pass in unit tests that need controllable
+	// timing without running the real tuner.
+	execOverride func(t *Tenant, ctx context.Context, flow *dataflow.Flow) (core.FlowResult, error)
 }
 
-// New validates the configuration, starts the worker pool and returns the
-// pipeline. The returned pipeline accepts submissions until Drain.
+// New validates the configuration and returns the pipeline; it starts no
+// goroutine. The returned pipeline accepts submissions until Drain.
 func New(cfg Config) *Pipeline {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
@@ -256,13 +246,13 @@ func New(cfg Config) *Pipeline {
 
 	p := &Pipeline{
 		cfg:     cfg,
-		queue:   make(chan *admission, cfg.QueueDepth),
+		slots:   make(chan struct{}, cfg.Workers),
 		ledger:  newLedger(),
 		tenants: make(map[string]*Tenant),
 	}
 	p.ins = instruments{
 		queueDepth: tel.Gauge("idxflow_qaas_queue_depth",
-			"Admissions currently waiting in the bounded queue."),
+			"Admissions currently waiting for a slot."),
 		admitted: tel.Counter("idxflow_qaas_admitted_total",
 			"Admissions that completed execution and settlement."),
 		rejected: tel.CounterVec("idxflow_qaas_rejected_total",
@@ -278,10 +268,6 @@ func New(cfg Config) *Pipeline {
 			"Tenants with instantiated service state."),
 	}
 	p.fleet = newFleet(cfg.FleetContainers, cfg.PaceMSPerQuantum, quantum, p.ins.fleetInUse)
-	p.workers.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go p.worker()
-	}
 	return p
 }
 
@@ -348,10 +334,12 @@ func (p *Pipeline) newTenant(name string) (*Tenant, error) {
 	return &Tenant{name: name, svc: core.NewService(cfg, db), db: db, prov: rec}, nil
 }
 
-// Submit admits one dataflow for tenantName and blocks until its
-// Algorithm-1 pass completes (or ctx is cancelled while waiting). A
+// Submit admits one dataflow for tenantName and runs its Algorithm-1 pass
+// on the caller's goroutine once a slot is free. It returns ctx's error if
+// ctx ends while it waits for the slot or during the pass. A
 // *BackpressureError is returned without blocking when the pipeline is
-// draining, the tenant is over its fair share, or the queue is full.
+// draining, the tenant is over its fair share, or QueueDepth submitters
+// already wait.
 func (p *Pipeline) Submit(ctx context.Context, tenantName string, flow *dataflow.Flow) (core.FlowResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -360,7 +348,7 @@ func (p *Pipeline) Submit(ctx context.Context, tenantName string, flow *dataflow
 	if err != nil {
 		return core.FlowResult{}, err
 	}
-	ad := &admission{t: t, flow: flow, ctx: ctx, enq: time.Now(), done: make(chan admissionResult, 1)}
+	enq := time.Now()
 
 	p.drainMu.RLock()
 	if p.draining {
@@ -378,33 +366,41 @@ func (p *Pipeline) Submit(ctx context.Context, tenantName string, flow *dataflow
 	} else {
 		t.inflight.Add(1)
 	}
-	// The counters must rise before the enqueue: a worker can dequeue and
-	// reach pending.Done the instant the send completes, and an Add that
-	// raced after it would drive the WaitGroup negative (a runtime panic)
-	// and let InFlight/queue-depth go transiently negative.
-	p.pending.Add(1)
-	p.inFlight.Add(1)
-	p.ins.queueDepth.Add(1)
-	select {
-	case p.queue <- ad:
-		p.drainMu.RUnlock()
-	default:
-		p.ins.queueDepth.Add(-1)
-		p.inFlight.Add(-1)
-		p.pending.Done()
+	if p.waiting.Add(1) > int64(p.cfg.QueueDepth) {
+		p.waiting.Add(-1)
 		t.inflight.Add(-1)
 		p.drainMu.RUnlock()
 		return core.FlowResult{}, p.reject("queue-full")
 	}
+	p.pending.Add(1)
+	p.drainMu.RUnlock()
+	p.inFlight.Add(1)
+	p.ins.queueDepth.Add(1)
+	defer func() {
+		t.inflight.Add(-1)
+		p.inFlight.Add(-1)
+		p.pending.Done()
+	}()
 
 	select {
-	case r := <-ad.done:
-		return r.res, r.err
+	case p.slots <- struct{}{}:
 	case <-ctx.Done():
-		// The worker will still drain the admission; SubmitCtx sees the
-		// cancelled context and abandons the execution uncharged.
-		return core.FlowResult{}, ctx.Err()
+		err = ctx.Err()
 	}
+	p.waiting.Add(-1)
+	p.ins.queueDepth.Add(-1)
+	if err != nil {
+		return core.FlowResult{}, err
+	}
+	res, err := p.execute(t, ctx, flow)
+	<-p.slots
+	if err == nil {
+		t.admitted.Add(1)
+		p.admitted.Add(1)
+		p.ins.admitted.Inc()
+		p.ins.latency.Observe(time.Since(enq).Seconds())
+	}
+	return res, err
 }
 
 func (p *Pipeline) reject(reason string) *BackpressureError {
@@ -413,31 +409,23 @@ func (p *Pipeline) reject(reason string) *BackpressureError {
 	return &BackpressureError{Reason: reason, RetryAfter: retryAfter}
 }
 
-func (p *Pipeline) worker() {
-	defer p.workers.Done()
-	for ad := range p.queue {
-		p.ins.queueDepth.Add(-1)
-		p.finish(ad, p.execute(ad))
-	}
-}
-
-// execute runs one admission: the tenant lock serializes Algorithm-1
-// passes within the tenant, the fleet hook (called inside SubmitCtx just
-// before execution) serializes the global slot booking.
-func (p *Pipeline) execute(ad *admission) admissionResult {
+// execute runs one pass: the tenant lock serializes Algorithm-1 passes
+// within the tenant, the fleet hook (called inside SubmitCtx just before
+// execution) serializes the global slot booking. A pass whose ctx ends
+// settles nothing and returns ctx's error.
+func (p *Pipeline) execute(t *Tenant, ctx context.Context, flow *dataflow.Flow) (core.FlowResult, error) {
 	if p.execOverride != nil {
-		return p.execOverride(ad)
+		return p.execOverride(t, ctx, flow)
 	}
-	t := ad.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	res := t.svc.SubmitCtx(ad.ctx, ad.flow)
+	res := t.svc.SubmitCtx(ctx, flow)
 	if res.Cancelled {
-		err := ad.ctx.Err()
+		err := ctx.Err()
 		if err == nil {
 			err = context.Canceled
 		}
-		return admissionResult{res: res, err: err}
+		return res, err
 	}
 	// Settle and publish the gauge while still holding the tenant lock:
 	// released earlier, two consecutive completions for the same tenant
@@ -446,26 +434,11 @@ func (p *Pipeline) execute(ad *admission) admissionResult {
 	// holds the ledger lock while taking a tenant's.
 	total := p.ledger.settle(t.name, res.MoneyQuanta)
 	p.ins.tenantSettled.With(t.name).Set(total)
-	return admissionResult{res: res}
+	return res, nil
 }
 
-// finish publishes one admission's result and retires its in-flight
-// accounting.
-func (p *Pipeline) finish(ad *admission, r admissionResult) {
-	if r.err == nil && !r.res.Cancelled {
-		ad.t.admitted.Add(1)
-		p.admitted.Add(1)
-		p.ins.admitted.Inc()
-		p.ins.latency.Observe(time.Since(ad.enq).Seconds())
-	}
-	ad.t.inflight.Add(-1)
-	p.inFlight.Add(-1)
-	ad.done <- r
-	p.pending.Done()
-}
-
-// QueueDepth reports the number of admissions currently queued.
-func (p *Pipeline) QueueDepth() int { return len(p.queue) }
+// QueueDepth reports the number of submitters waiting for a slot.
+func (p *Pipeline) QueueDepth() int { return int(p.waiting.Load()) }
 
 // Telemetry returns the registry shared by every tenant service and the
 // pipeline's own instrument families: Config.Core.Telemetry, nil for none.
@@ -491,14 +464,12 @@ func (t *Tenant) Do(fn func(svc *core.Service, db *workload.FileDB)) {
 	fn(t.svc, t.db)
 }
 
-// Drain stops new admissions (they reject with reason "draining"),
-// completes every queued and executing one, then stops the workers. It
-// returns early with ctx's error if the in-flight work does not finish in
-// time; the pipeline stays unusable either way. Even on timeout the queue
-// is closed, so the workers finish the admissions already dequeued-or-
-// queued and then exit — nothing keeps executing (or settling money)
-// indefinitely after Drain reported failure; the timeout only means Drain
-// stopped waiting for them.
+// Drain stops new admissions (they reject with reason "draining") and
+// waits for every admitted one to return from Submit. It returns early with
+// ctx's error if they do not finish in time; the pipeline stays unusable
+// either way. Every admission runs on its submitter's goroutine, so a
+// timeout only means Drain stopped waiting; its one waiting goroutine ends
+// when the last admission returns.
 func (p *Pipeline) Drain(ctx context.Context) error {
 	p.drainMu.Lock()
 	p.draining = true
@@ -514,12 +485,8 @@ func (p *Pipeline) Drain(ctx context.Context) error {
 	}
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
-		// Safe: draining is set, so no Submit can reach the send again.
-		p.closeq.Do(func() { close(p.queue) })
 		return ctx.Err()
 	}
-	p.closeq.Do(func() { close(p.queue) })
-	p.workers.Wait()
-	return nil
 }

@@ -3,6 +3,7 @@ package qaas
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -11,6 +12,8 @@ import (
 
 	"idxflow/internal/core"
 	"idxflow/internal/dataflow"
+	"idxflow/internal/sched"
+	"idxflow/internal/sim"
 	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
@@ -54,10 +57,10 @@ func TestQueueFullBackpressure(t *testing.T) {
 	p := New(cfg)
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
-	p.execOverride = func(ad *admission) admissionResult {
+	p.execOverride = func(_ *Tenant, ctx context.Context, _ *dataflow.Flow) (core.FlowResult, error) {
 		entered <- struct{}{}
 		<-release
-		return admissionResult{res: core.FlowResult{Makespan: 1}}
+		return core.FlowResult{Makespan: 1}, nil
 	}
 
 	var wg sync.WaitGroup
@@ -67,11 +70,11 @@ func TestQueueFullBackpressure(t *testing.T) {
 			t.Errorf("blocked submit failed: %v", err)
 		}
 	}
-	// One executing first: waiting for the worker to hold it guarantees
-	// the queue has room for exactly the next two.
+	// One executing first: waiting for it to hold the slot guarantees the
+	// queue has room for exactly the next two.
 	wg.Add(1)
 	go submit()
-	<-entered                // worker holds one admission
+	<-entered                // one admission holds the slot
 	for i := 0; i < 2; i++ { // 2 queued
 		wg.Add(1)
 		go submit()
@@ -103,7 +106,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 }
 
-// TestWorkersBoundConcurrentExecutions holds the single worker inside an
+// TestWorkersBoundConcurrentExecutions holds the single slot inside an
 // execution, queues one admission for each of six tenants and releases it:
 // Workers is the bound on concurrent executions, however many tenants wait.
 func TestWorkersBoundConcurrentExecutions(t *testing.T) {
@@ -114,7 +117,7 @@ func TestWorkersBoundConcurrentExecutions(t *testing.T) {
 	release := make(chan struct{})
 	var mu sync.Mutex
 	running, peak := 0, 0
-	p.execOverride = func(ad *admission) admissionResult {
+	p.execOverride = func(_ *Tenant, ctx context.Context, _ *dataflow.Flow) (core.FlowResult, error) {
 		mu.Lock()
 		running++
 		peak = max(peak, running)
@@ -126,7 +129,7 @@ func TestWorkersBoundConcurrentExecutions(t *testing.T) {
 		mu.Lock()
 		running--
 		mu.Unlock()
-		return admissionResult{res: core.FlowResult{Makespan: 1}}
+		return core.FlowResult{Makespan: 1}, nil
 	}
 
 	var wg sync.WaitGroup
@@ -140,7 +143,7 @@ func TestWorkersBoundConcurrentExecutions(t *testing.T) {
 		}()
 	}
 	submit("holder")
-	<-entered // the worker is inside the first execution
+	<-entered // the first execution holds the slot
 	for _, tenant := range []string{"a", "b", "c", "d", "e", "f"} {
 		submit(tenant)
 	}
@@ -165,10 +168,10 @@ func TestTenantFairShareIsolation(t *testing.T) {
 	p := New(cfg)
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
-	p.execOverride = func(ad *admission) admissionResult {
+	p.execOverride = func(_ *Tenant, ctx context.Context, _ *dataflow.Flow) (core.FlowResult, error) {
 		entered <- struct{}{}
 		<-release
-		return admissionResult{res: core.FlowResult{Makespan: 1}}
+		return core.FlowResult{Makespan: 1}, nil
 	}
 
 	var wg sync.WaitGroup
@@ -181,7 +184,7 @@ func TestTenantFairShareIsolation(t *testing.T) {
 			}
 		}()
 	}
-	submit("other") // occupies the single worker
+	submit("other") // occupies the single slot
 	<-entered
 	submit("a")
 	submit("a")
@@ -223,10 +226,10 @@ func TestDrainCompletesInflightAndRejectsNew(t *testing.T) {
 	// No admission completes before the test has seen all n in flight and
 	// Drain has begun, so Drain is what waits for them.
 	release := make(chan struct{})
-	p.execOverride = func(ad *admission) admissionResult {
+	p.execOverride = func(_ *Tenant, ctx context.Context, _ *dataflow.Flow) (core.FlowResult, error) {
 		<-release
 		executed.add(1)
-		return admissionResult{res: core.FlowResult{Makespan: 1}}
+		return core.FlowResult{Makespan: 1}, nil
 	}
 
 	const n = 5
@@ -264,24 +267,26 @@ func TestDrainCompletesInflightAndRejectsNew(t *testing.T) {
 	}
 }
 
+// TestSubmitReturnsOnContextCancelWhileQueued: a submitter whose context
+// ends while it waits for a slot returns at once and frees its place in the
+// queue and its share of the in-flight count, with no pass run for it.
 func TestSubmitReturnsOnContextCancelWhileQueued(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 4
 	p := New(cfg)
+	var calls atomic32
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
-	p.execOverride = func(ad *admission) admissionResult {
-		if ad.ctx.Err() != nil {
-			return admissionResult{res: core.FlowResult{Cancelled: true}, err: ad.ctx.Err()}
-		}
+	p.execOverride = func(_ *Tenant, ctx context.Context, _ *dataflow.Flow) (core.FlowResult, error) {
+		calls.add(1)
 		entered <- struct{}{}
 		<-release
-		return admissionResult{res: core.FlowResult{Makespan: 1}}
+		return core.FlowResult{Makespan: 1}, nil
 	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // occupies the single worker
+	go func() { // occupies the single slot
 		defer wg.Done()
 		if _, err := p.Submit(context.Background(), "t", dummyFlow()); err != nil {
 			t.Errorf("first submit failed: %v", err)
@@ -300,13 +305,18 @@ func TestSubmitReturnsOnContextCancelWhileQueued(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter: got %v, want context.Canceled", err)
 	}
+	if q, n := p.QueueDepth(), p.inFlight.Load(); q != 0 || n != 1 {
+		t.Errorf("after the waiter left: queue depth %d, in flight %d; want 0 and 1", q, n)
+	}
 
 	close(release)
 	wg.Wait()
 	if err := p.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	// The worker drained the abandoned admission without charging it.
+	if got := calls.load(); got != 1 {
+		t.Errorf("passes run = %d, want 1 (none for the cancelled waiter)", got)
+	}
 	if got := p.admitted.Load(); got != 1 {
 		t.Errorf("admitted = %d, want 1 (cancelled admission must not count)", got)
 	}
@@ -355,24 +365,24 @@ func TestTenantNameValidationAndCap(t *testing.T) {
 	}
 }
 
-// TestDrainTimeoutStillStopsWorkers proves a timed-out Drain does not
-// leak the worker pool: the queue is closed even on ctx expiry, so once
-// the in-flight work unblocks the workers finish what was queued and
-// exit, and a second Drain completes cleanly.
+// TestDrainTimeoutStillStopsWorkers proves a timed-out Drain leaves the
+// pipeline in order: once the in-flight work unblocks, the waiting
+// admission takes the freed slot and finishes, and a second Drain
+// completes cleanly.
 func TestDrainTimeoutStillStopsWorkers(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 4
 	p := New(cfg)
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
-	p.execOverride = func(ad *admission) admissionResult {
+	p.execOverride = func(_ *Tenant, ctx context.Context, _ *dataflow.Flow) (core.FlowResult, error) {
 		entered <- struct{}{}
 		<-release
-		return admissionResult{res: core.FlowResult{Makespan: 1}}
+		return core.FlowResult{Makespan: 1}, nil
 	}
 
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ { // one executing + one queued (single worker)
+	for i := 0; i < 2; i++ { // one executing + one queued (single slot)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -396,7 +406,64 @@ func TestDrainTimeoutStillStopsWorkers(t *testing.T) {
 		t.Fatalf("second drain after timeout: %v", err)
 	}
 	if got := p.inFlight.Load(); got != 0 {
-		t.Errorf("inFlight = %d after workers stopped, want 0", got)
+		t.Errorf("inFlight = %d after the second drain, want 0", got)
+	}
+}
+
+// TestDrainLeavesNoGoroutine: New starts no goroutine, and once the real
+// passes a pipeline admitted have returned, neither a clean Drain nor one
+// that timed out while they ran leaves a goroutine behind.
+func TestDrainLeavesNoGoroutine(t *testing.T) {
+	for _, timeout := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		cfg := testConfig()
+		cfg.Workers = 2
+		entered := make(chan struct{}, 2)
+		release := make(chan struct{})
+		// Both passes stop inside their execution until released.
+		cfg.PostExec = func(*sched.Schedule, sim.Result) {
+			entered <- struct{}{}
+			<-release
+		}
+		p := New(cfg)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("New started %d goroutines", n-base)
+		}
+
+		var wg sync.WaitGroup
+		for _, tn := range []string{"alpha", "beta"} {
+			flow := tenantGenerator(t, cfg, tn).Flow(workload.Montage, 0, 0)
+			tn := tn
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := p.Submit(context.Background(), tn, flow); err != nil {
+					t.Errorf("tenant %s: %v", tn, err)
+				}
+			}()
+		}
+		<-entered
+		<-entered
+		if timeout {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := p.Drain(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("drain with expired ctx: err = %v, want context.Canceled", err)
+			}
+			close(release)
+		} else {
+			drained := make(chan error, 1)
+			go func() { drained <- p.Drain(context.Background()) }()
+			close(release)
+			if err := <-drained; err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+		}
+		wg.Wait()
+		if got := p.admitted.Load(); got != 2 {
+			t.Errorf("timeout %v: admitted %d, want 2", timeout, got)
+		}
+		waitFor(t, func() bool { return runtime.NumGoroutine() <= base })
 	}
 }
 
@@ -532,7 +599,7 @@ func TestAccessorsAndBackpressureError(t *testing.T) {
 }
 
 // TestBatchPreservesSettlementAndIsolation submits a batch of real
-// executions for two tenants at once through a single worker and checks
+// executions for two tenants at once through a single slot and checks
 // every tenant's books, the global ledger and the fleet.
 func TestBatchPreservesSettlementAndIsolation(t *testing.T) {
 	cfg := testConfig()
@@ -585,9 +652,9 @@ func TestBatchPreservesSettlementAndIsolation(t *testing.T) {
 }
 
 // TestCancelledAdmissionSettlesNothing runs a real (not overridden)
-// execution whose context is already cancelled: the worker still drains
-// the admission, and it is neither counted, charged nor left holding a
-// fleet slot or a share of the tenant's in-flight cap.
+// execution whose context is already cancelled: the admission is neither
+// counted, charged nor left holding a fleet slot or a share of the
+// tenant's in-flight cap.
 func TestCancelledAdmissionSettlesNothing(t *testing.T) {
 	cfg := testConfig()
 	p := New(cfg)

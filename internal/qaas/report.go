@@ -70,12 +70,12 @@ type Report struct {
 	Tenants []TenantReport `json:"tenants"`
 	Fleet   FleetStats     `json:"fleet"`
 	Books   Books          `json:"books"`
-	// InFlight counts admissions queued or executing at snapshot time;
+	// InFlight counts admissions waiting or executing at snapshot time;
 	// the fleet/books invariants are only exact when it is zero.
 	InFlight int64 `json:"in_flight"`
 	Admitted int64 `json:"admitted"`
 	Rejected int64 `json:"rejected"`
-	// QueueDepth is the queued (not yet executing) admission count.
+	// QueueDepth is the count of submitters waiting for a slot.
 	QueueDepth int `json:"queue_depth"`
 	// Warm aggregates the tenants' warm-start scheduler counters.
 	Warm WarmSummary `json:"warm"`
@@ -115,7 +115,7 @@ func (p *Pipeline) snapshot(withEvents bool) Report {
 		InFlight:   p.inFlight.Load(),
 		Admitted:   p.admitted.Load(),
 		Rejected:   p.rejected.Load(),
-		QueueDepth: len(p.queue),
+		QueueDepth: p.QueueDepth(),
 	}
 	for _, t := range tenants {
 		n := t.name

@@ -71,10 +71,11 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 	if serr := <-errc; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
 		err = serr
 	}
-	// The HTTP drain only settles the request handlers; the admission
-	// pipeline may still hold queued work whose submitters disconnected.
-	// Complete it before flushing observers so the final books and event
-	// logs are quiescent. The pipeline drain gets its own deadline: the
+	// Every admission runs inside its request handler, so after a clean
+	// HTTP drain the pipeline holds nothing. Only when the HTTP deadline
+	// cut Shutdown off do handlers still run passes; wait for those before
+	// flushing observers so the final books and event logs are
+	// quiescent. The pipeline drain gets its own deadline: the
 	// HTTP drain may have consumed (or exhausted) dctx, and an
 	// already-expired context would cut the pipeline off before it
 	// finished work the HTTP drain just waited for.

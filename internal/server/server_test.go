@@ -387,7 +387,7 @@ func TestQaaSBackpressure429(t *testing.T) {
 		cfg.Workers = 1
 		cfg.QueueDepth = 1
 		cfg.TenantInflight = -1
-		// Pace executions so the worker is demonstrably busy while the
+		// Pace executions so the slot is demonstrably busy while the
 		// queue fills: ~60ms wall per quantum of makespan.
 		cfg.PaceMSPerQuantum = 60
 	})

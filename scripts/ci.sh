@@ -130,6 +130,12 @@ stage_test() {
 	go test ./internal/check -run '^$' -fuzz '^FuzzSkyline$' -fuzztime 5s
 	go test ./internal/check -run '^$' -fuzz '^FuzzWarmFrontier$' -fuzztime 5s
 	go test ./internal/sim -run '^$' -fuzz '^FuzzExecuteEqualsReference$' -fuzztime 5s
+
+	# The admission pipeline's ordering tests in testing/synctest bubbles
+	# (internal/qaas/bubble_test.go), which Go 1.24 builds only under the
+	# synctest experiment, so the plain suite above skips them.
+	echo "== synctest bubbles (1000 runs) =="
+	GOEXPERIMENT=synctest go test -run Bubble -count=1000 ./internal/qaas
 }
 
 # bench: every Benchmark* runs once, so none of them rots.
