@@ -107,7 +107,7 @@ func AuditQaaS(r qaas.Report) error {
 const maxExecViolations = 64
 
 // ExecAuditor is a thread-safe core.Config.PostExec hook that runs the
-// full cross-layer Audit on every execution a QaaS worker completes, so
+// full cross-layer Audit on every execution a QaaS pass completes, so
 // interleaved admissions get the same §3 scrutiny batch runs get in tests.
 // Every execution is audited as an exact replay (planned equals realized),
 // so the pipeline it watches must run without a fault plan or a runtime

@@ -13,7 +13,7 @@ import (
 )
 
 // TestConcurrentAdmissionsAuditClean is the tentpole integration test:
-// several tenants submit concurrently through the worker pool, every
+// several tenants submit concurrently through the pipeline's slots, every
 // execution is audited in-line (check.Audit via the PostExec hook), and
 // the drained pipeline's snapshot passes check.AuditQaaS — books balance
 // across tenants, no fleet slot was double-booked, and every tenant's

@@ -12,6 +12,9 @@
 // them with
 //
 //	GOEXPERIMENT=synctest go test -run Bubble -count=1000 ./internal/qaas
+//
+// synctest.Run calls its function on a goroutine of its own, where t.Fatal
+// must not be called, so the tests report with t.Errorf and go on.
 
 package qaas
 
@@ -65,19 +68,19 @@ func TestBubbleQueueFullBackpressure(t *testing.T) {
 		submit()
 		synctest.Wait() // both wait for the slot
 		if q, n := p.QueueDepth(), calls.load(); q != 2 || n != 1 {
-			t.Fatalf("queue depth %d with %d passes running, want 2 and 1", q, n)
+			t.Errorf("queue depth %d with %d passes running, want 2 and 1", q, n)
 		}
 
 		_, err := p.Submit(context.Background(), "t", dummyFlow())
 		var bp *BackpressureError
 		if !errors.As(err, &bp) || bp.Reason != "queue-full" || bp.RetryAfter <= 0 {
-			t.Fatalf("full queue: got err %v, want queue-full backpressure with a retry hint", err)
+			t.Errorf("full queue: got err %v, want queue-full backpressure with a retry hint", err)
 		}
 
 		close(release)
 		wg.Wait()
 		if err := p.Drain(context.Background()); err != nil {
-			t.Fatalf("drain: %v", err)
+			t.Errorf("drain: %v", err)
 		}
 		if r, n := p.rejected.Load(), calls.load(); r != 1 || n != 3 {
 			t.Errorf("rejected %d, passes run %d; want 1 and 3", r, n)
@@ -114,11 +117,11 @@ func TestBubbleSubmitReturnsOnContextCancelWhileQueued(t *testing.T) {
 		}()
 		synctest.Wait()
 		if q := p.QueueDepth(); q != 1 {
-			t.Fatalf("queue depth %d before the cancel, want 1", q)
+			t.Errorf("queue depth %d before the cancel, want 1", q)
 		}
 		cancel()
 		if err := <-errc; !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled waiter: got %v, want context.Canceled", err)
+			t.Errorf("cancelled waiter: got %v, want context.Canceled", err)
 		}
 		if q, n := p.QueueDepth(), p.inFlight.Load(); q != 0 || n != 1 {
 			t.Errorf("after the waiter left: queue depth %d, in flight %d; want 0 and 1", q, n)
@@ -127,7 +130,7 @@ func TestBubbleSubmitReturnsOnContextCancelWhileQueued(t *testing.T) {
 		close(release)
 		wg.Wait()
 		if err := p.Drain(context.Background()); err != nil {
-			t.Fatalf("drain: %v", err)
+			t.Errorf("drain: %v", err)
 		}
 		if a, n := p.admitted.Load(), calls.load(); a != 1 || n != 1 {
 			t.Errorf("admitted %d, passes run %d; want 1 and 1 (none for the cancelled waiter)", a, n)

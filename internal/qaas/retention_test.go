@@ -20,7 +20,7 @@ import (
 	"idxflow/internal/workload"
 )
 
-// soloPipeline is one worker serving tenant "solo" with the stock tuner
+// soloPipeline is one slot serving tenant "solo" with the stock tuner
 // configuration; flow(i) is that tenant's i-th distinct dataflow, parsed
 // from its flowlang text as the server parses a request body, so that what a
 // tenant retains of a flow includes what the parser's strings keep alive.
