@@ -204,14 +204,7 @@ func (s *Service) rewrite(p *pass) {
 		// submitted flow and should hold nothing of it.
 		name := st.Name()
 		p.res.IndexesUsed = append(p.res.IndexesUsed, name)
-		read := s.indexPartitionRead(name)
-		for id, sp := range iu.Speedup {
-			op := p.g.Op(id)
-			if eff := 1 / (f/sp + (1 - f)); op != nil && eff > 1 {
-				op.Time /= eff
-				op.Time += read
-			}
-		}
+		p.g.ApplyIndex(iu, f, s.indexPartitionRead(name))
 	}
 	sort.Strings(p.res.IndexesUsed)
 }

@@ -63,3 +63,20 @@ func (f *Flow) TimeSavedBy(name string) float64 {
 	}
 	return saved
 }
+
+// ApplyIndex applies one index use to g in place (the update step of
+// Algorithm 2, lines 1-5). The index covers fraction f of the partitions the
+// flow touches: an accelerated operator runs that part at time/s and the
+// rest at full speed, so it runs time/s_eff with s_eff = 1 / (f/s + (1-f)),
+// plus read seconds to fetch one index partition from storage. An operator
+// missing from g, or with s_eff <= 1, is left alone. Applying two uses
+// composes them multiplicatively.
+func (g *Graph) ApplyIndex(iu IndexUse, f, read float64) {
+	for id, s := range iu.Speedup {
+		op := g.Op(id)
+		if eff := 1 / (f/s + (1 - f)); op != nil && eff > 1 {
+			op.Time /= eff
+			op.Time += read
+		}
+	}
+}

@@ -49,3 +49,51 @@ func TestTimeSavedBy(t *testing.T) {
 		t.Errorf("TimeSavedBy(missing) = %g, want 0", got)
 	}
 }
+
+func TestApplyIndexes(t *testing.T) {
+	f, ids := sampleFlow(t)
+	g := f.Graph.Clone()
+	g.ApplyIndex(f.Indexes[0], 1, 0)
+	if got := g.Op(ids[0]).Time; math.Abs(got-25) > 1e-9 {
+		t.Errorf("scan time with index = %g, want 25", got)
+	}
+	if got := g.Op(ids[1]).Time; math.Abs(got-25) > 1e-9 {
+		t.Errorf("sort time with index = %g, want 25", got)
+	}
+	if got := g.Op(ids[2]).Time; got != 10 {
+		t.Errorf("agg time = %g, want unchanged 10", got)
+	}
+	// Original untouched.
+	if got := f.Graph.Op(ids[0]).Time; got != 100 {
+		t.Errorf("original scan time = %g, want 100", got)
+	}
+}
+
+// An index none of whose partitions the flow touches (f = 0) has s_eff = 1
+// and accelerates nothing.
+func TestApplyIndexesUnavailable(t *testing.T) {
+	f, ids := sampleFlow(t)
+	g := f.Graph.Clone()
+	g.ApplyIndex(f.Indexes[0], 0, 3)
+	if got := g.Op(ids[0]).Time; got != 100 {
+		t.Errorf("scan time without index = %g, want 100", got)
+	}
+}
+
+func TestApplyIndexesExtraRead(t *testing.T) {
+	f, ids := sampleFlow(t)
+	g := f.Graph.Clone()
+	g.ApplyIndex(f.Indexes[0], 1, 3)
+	if got := g.Op(ids[0]).Time; math.Abs(got-28) > 1e-9 {
+		t.Errorf("scan time with index+read = %g, want 28", got)
+	}
+}
+
+func TestApplyIndexesIgnoresSpeedupLEQ1(t *testing.T) {
+	g := New()
+	a := g.Add(Operator{Name: "a", Time: 10})
+	g.ApplyIndex(IndexUse{Index: "i", Speedup: map[OpID]float64{a: 0.5}}, 1, 3)
+	if got := g.Op(a).Time; got != 10 {
+		t.Errorf("speedup<=1 applied: time = %g, want 10", got)
+	}
+}
