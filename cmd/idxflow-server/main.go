@@ -85,8 +85,8 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON span timeline to this file on shutdown")
 		events   = fs.String("events", "", "write each tenant's decision-provenance event log (JSONL) to <path>.<tenant> on shutdown; /debug/events serves it live")
 
-		workers  = fs.Int("workers", 8, "concurrent Algorithm-1 executors")
-		queue    = fs.Int("queue", 256, "bounded admission queue depth")
+		workers  = fs.Int("workers", 8, "slots: the Algorithm-1 passes that may run at once")
+		queue    = fs.Int("queue", 256, "submitters that may wait for a slot")
 		tenantIn = fs.Int("tenant-inflight", 64, "per-tenant fair-share cap on in-flight admissions (-1 disables)")
 		maxTen   = fs.Int("max-tenants", qaas.DefaultMaxTenants, "cap on distinct tenants a server instantiates (-1 disables)")
 		fleet    = fs.Int("fleet", 64, "shared container fleet capacity; also the widest schedule")
@@ -127,7 +127,7 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 		// The auditor checks exact replay: no flag of this command adds a
 		// runtime-error model or a fault plan.
 		auditor = &check.ExecAuditor{}
-		pcfg.PostExec = auditor.Hook
+		pcfg.Core.PostExec = auditor.Hook
 	}
 	pipe := qaas.New(pcfg)
 	srv = server.NewQaaS(pipe, auditor)

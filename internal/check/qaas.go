@@ -111,7 +111,8 @@ const maxExecViolations = 64
 // interleaved admissions get the same §3 scrutiny batch runs get in tests.
 // Every execution is audited as an exact replay (planned equals realized),
 // so the pipeline it watches must run without a fault plan or a runtime
-// error model. Wire Hook into qaas.Config.PostExec and read Err after
+// error model. Wire Hook into the core.Config.PostExec a pipeline's
+// qaas.Config.Core carries (every tenant keeps it) and read Err after
 // draining.
 type ExecAuditor struct {
 	mu         sync.Mutex

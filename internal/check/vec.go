@@ -3,6 +3,7 @@ package check
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 
 	"idxflow/internal/exec"
 	"idxflow/internal/tpch"
@@ -43,11 +44,9 @@ func GenColumns(seed int64, n int) tpch.Columns {
 // genRow draws the non-key columns of one audit row.
 func genRow(rng *rand.Rand, key int64) tpch.Row {
 	return tpch.Row{
-		OrderKey:      key,
-		CommitDate:    int32(rng.Intn(2557)) - 128, // some negative dates too
-		ShipInstruct:  uint8(rng.Intn(4)),
-		Quantity:      int32(rng.Intn(50)) + 1,
-		ExtendedPrice: float64(rng.Intn(100000)) / 100,
+		OrderKey:   key,
+		CommitDate: int32(rng.Intn(2557)) - 128, // some negative dates too
+		Quantity:   int32(rng.Intn(50)) + 1,
 	}
 }
 
@@ -101,12 +100,12 @@ func summarize(v any) any {
 }
 
 // AuditVectorized proves the vectorized operators in internal/exec produce
-// results identical to their scalar golden references on the given batch:
-// all five §1 operator categories — lookup, range select, order by,
-// grouping, and the hash and sort-merge joins — plus the hash-build half. The
-// nested-loop reference is O(n²) and is compared on a bounded prefix; every
-// other pair runs over the full batch. Returns an error listing every
-// category that diverged.
+// results identical to their scalar references, exec's scalar operators
+// over the same key columns, on the given batch: all five §1 operator
+// categories — lookup, range select, order by, grouping, and the hash and
+// sort-merge joins — plus the hash-build half. The nested-loop reference
+// is O(n²) and is compared on a bounded prefix; every other pair runs over
+// the full batch. Returns an error listing every category that diverged.
 func AuditVectorized(cols tpch.Columns) error {
 	r := &Report{}
 	auditVectorized(r, cols)
@@ -114,56 +113,44 @@ func AuditVectorized(cols tpch.Columns) error {
 }
 
 func auditVectorized(r *Report, cols tpch.Columns) {
-	rows := cols.Rows()
-	n := len(rows)
+	n := cols.Len()
 	if n == 0 {
 		return
 	}
+	keys := cols.OrderKey
 
 	// Derive probe keys and range bounds from the data so every generated
 	// batch exercises hits, misses and boundary keys.
-	minK, maxK := cols.OrderKey[0], cols.OrderKey[0]
-	for _, k := range cols.OrderKey {
-		if k < minK {
-			minK = k
-		}
-		if k > maxK {
-			maxK = k
-		}
-	}
+	minK, maxK := slices.Min(keys), slices.Max(keys)
 	mid := minK/2 + maxK/2
 
 	// Range select, int64 and int32 instantiations.
 	for _, b := range [][2]int64{{minK, mid}, {mid, maxK}, {minK, maxK}, {mid, mid}, {maxK, maxK}} {
-		scalar := exec.ScanRange(rows, exec.OrderKey, b[0], b[1])
-		vec := exec.VecSelectRange(cols.OrderKey, b[0], b[1])
-		reportIfDiff(r, "vec-select-range", scalar, vec)
+		reportIfDiff(r, "vec-select-range",
+			exec.ScanRange(keys, b[0], b[1]),
+			exec.VecSelectRange(keys, b[0], b[1]))
 	}
 	reportIfDiff(r, "vec-select-range-int32",
-		exec.ScanRange(rows, exec.CommitDate, 0, 1000),
-		exec.VecSelectRange(cols.CommitDate, int32(0), int32(1000)))
+		exec.ScanRange(cols.CommitDate, 0, 1000),
+		exec.VecSelectRange(cols.CommitDate, 0, 1000))
 
 	// Lookup: first row's key, a middle key, and a guaranteed miss.
-	for _, k := range []int64{cols.OrderKey[0], cols.OrderKey[n/2], maxK} {
-		sp, sok := exec.ScanLookup(rows, exec.OrderKey, k)
-		vp, vok := exec.VecLookup(cols.OrderKey, k)
+	for _, k := range []int64{keys[0], keys[n/2], maxK} {
+		sp, sok := exec.ScanLookup(keys, k)
+		vp, vok := exec.VecLookup(keys, k)
 		reportIfDiff(r, "vec-lookup", []any{sp, sok}, []any{vp, vok})
 	}
 	if maxK < (1<<63)-1 {
-		_, sok := exec.ScanLookup(rows, exec.OrderKey, maxK+1)
-		_, vok := exec.VecLookup(cols.OrderKey, maxK+1)
+		_, sok := exec.ScanLookup(keys, maxK+1)
+		_, vok := exec.VecLookup(keys, maxK+1)
 		reportIfDiff(r, "vec-lookup-miss", sok, vok)
 	}
 
 	// Order by: the radix sort must reproduce the stable comparison sort
 	// exactly, on both key columns.
-	reportIfDiff(r, "vec-order-by",
-		exec.ScanOrderBy(rows, exec.OrderKey),
-		exec.VecSortPositions(cols.OrderKey))
 	cdKeys := exec.WidenInt32(nil, cols.CommitDate)
-	reportIfDiff(r, "vec-order-by-commitdate",
-		exec.ScanOrderBy(rows, exec.CommitDate),
-		exec.VecSortPositions(cdKeys))
+	reportIfDiff(r, "vec-order-by", exec.ScanOrderBy(keys), exec.VecSortPositions(keys))
+	reportIfDiff(r, "vec-order-by-commitdate", exec.ScanOrderBy(cdKeys), exec.VecSortPositions(cdKeys))
 
 	// Keys-only sort: both the counting fast path (narrow commitdate
 	// domain) and the radix fallback (full-range order keys) must agree
@@ -172,60 +159,29 @@ func auditVectorized(r *Report, cols tpch.Columns) {
 	for _, c := range []struct {
 		name string
 		src  []int64
-		fn   exec.KeyFunc
 	}{
-		{"vec-sort-keys", cols.OrderKey, exec.OrderKey},
-		{"vec-sort-keys-commitdate", cdKeys, exec.CommitDate},
+		{"vec-sort-keys", keys},
+		{"vec-sort-keys-commitdate", cdKeys},
 	} {
 		want := make([]int64, 0, n)
-		for _, p := range exec.ScanOrderBy(rows, c.fn) {
+		for _, p := range exec.ScanOrderBy(c.src) {
 			want = append(want, c.src[p])
 		}
 		got := exec.VecSortKeys(append([]int64(nil), c.src...))
 		reportIfDiff(r, c.name, want, got)
 	}
 
-	// Grouping.
-	reportIfDiff(r, "vec-group",
-		exec.ScanGroup(rows, exec.OrderKey),
-		exec.VecGroup(cols.OrderKey, cols.Quantity))
+	reportIfDiff(r, "vec-group", exec.ScanGroup(keys, cols.Quantity), exec.VecGroup(keys, cols.Quantity))
+	reportIfDiff(r, "vec-build-hash", exec.BuildHash(keys), exec.VecBuildHash(keys))
 
-	// Hash build.
-	reportIfDiff(r, "vec-build-hash",
-		exec.BuildHash(rows, exec.OrderKey),
-		exec.VecBuildHash(cols.OrderKey))
-
-	// Joins: split the batch into left/right halves.
-	half := n / 2
-	left, right := rows[:half], rows[half:]
-	lKeys, rKeys := cols.OrderKey[:half], cols.OrderKey[half:]
-
-	// Nested loop is O(n*m); bound its reference size.
-	bl, br := left, right
-	blk, brk := lKeys, rKeys
-	if len(bl) > nestedLoopCap {
-		bl, blk = bl[:nestedLoopCap], blk[:nestedLoopCap]
-	}
-	if len(br) > nestedLoopCap {
-		br, brk = br[:nestedLoopCap], brk[:nestedLoopCap]
-	}
+	// Joins: split the batch into left/right halves. Nested loop is
+	// O(n*m); bound its reference size.
+	lKeys, rKeys := keys[:n/2], keys[n/2:]
+	blk, brk := lKeys[:min(len(lKeys), nestedLoopCap)], rKeys[:min(len(rKeys), nestedLoopCap)]
 	reportIfDiff(r, "vec-hash-join",
-		exec.NestedLoopJoin(bl, br, exec.OrderKey, exec.OrderKey),
+		exec.NestedLoopJoin(blk, brk),
 		exec.VecHashJoin(blk, exec.VecBuildHash(brk)))
-
-	if half > 0 && len(right) > 0 {
-		ltree, err := exec.BuildBTree(left, exec.OrderKey)
-		if err != nil {
-			r.addf("vec-audit-setup", "BuildBTree(left): %v", err)
-			return
-		}
-		rtree, err := exec.BuildBTree(right, exec.OrderKey)
-		if err != nil {
-			r.addf("vec-audit-setup", "BuildBTree(right): %v", err)
-			return
-		}
-		reportIfDiff(r, "vec-sort-merge-join",
-			exec.SortMergeJoin(ltree, rtree),
-			exec.VecSortMergeJoin(lKeys, rKeys))
-	}
+	reportIfDiff(r, "vec-sort-merge-join",
+		exec.SortMergeJoin(lKeys, rKeys),
+		exec.VecSortMergeJoin(lKeys, rKeys))
 }

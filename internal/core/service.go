@@ -372,10 +372,11 @@ func (s *Service) derive(m Metrics, makespanSum float64) Metrics {
 }
 
 // Aggregates derives the run-level Metrics for callers that drive the
-// service through Submit/SubmitCtx directly (e.g. the QaaS worker pool)
-// instead of Run. Every completed submission appended a FlowResult to
-// Metrics.Results and added to the running tallies there, so this reads
-// them without walking the results: each flow counts as submitted and
+// service through Submit/SubmitCtx directly instead of Run (e.g. the QaaS
+// pipeline, which runs each pass on its submitter's goroutine). Every
+// completed submission appended a FlowResult to Metrics.Results and added
+// to the running tallies there, so this reads them without walking the
+// results: each flow counts as submitted and
 // finished, and the derived values (MeanMakespan, VMCost, CostPerFlow)
 // follow exactly as in Run. The caller must serialize this with concurrent
 // submissions to the same service.

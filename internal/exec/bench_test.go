@@ -7,42 +7,41 @@ import (
 	"idxflow/internal/tpch"
 )
 
-func benchRows(b *testing.B, n int) []tpch.Row {
+func benchCols(b *testing.B, n int) tpch.Columns {
 	b.Helper()
-	return tpch.Generate(float64(n)/tpch.RowsPerScale, 21)
+	return tpch.GenerateColumns(float64(n)/tpch.RowsPerScale, 21)
 }
 
 func BenchmarkScanOrderBy(b *testing.B) {
-	rows := benchRows(b, 50_000)
+	keys := benchCols(b, 50_000).OrderKey
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScanOrderBy(rows, OrderKey)
+		ScanOrderBy(keys)
 	}
 }
 
 func BenchmarkScanLookup(b *testing.B) {
-	rows := benchRows(b, 50_000)
-	key := rows[len(rows)-1].OrderKey
+	keys := benchCols(b, 50_000).OrderKey
+	key := keys[len(keys)-1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScanLookup(rows, OrderKey, key)
+		ScanLookup(keys, key)
 	}
 }
 
 func BenchmarkScanRange(b *testing.B) {
-	rows := benchRows(b, 50_000)
-	maxKey := rows[len(rows)-1].OrderKey
+	keys := benchCols(b, 50_000).OrderKey
+	maxKey := keys[len(keys)-1]
 	lo, hi := maxKey/3, maxKey/3+maxKey/50+1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScanRange(rows, OrderKey, lo, hi)
+		ScanRange(keys, lo, hi)
 	}
 }
 
 func BenchmarkVecSelectRange(b *testing.B) {
-	rows := benchRows(b, 50_000)
-	cols := tpch.ColumnsFromRows(rows)
-	maxKey := rows[len(rows)-1].OrderKey
+	cols := benchCols(b, 50_000)
+	maxKey := cols.OrderKey[cols.Len()-1]
 	lo, hi := maxKey/3, maxKey/3+maxKey/50+1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -55,16 +54,15 @@ func BenchmarkVecSelectRange(b *testing.B) {
 // comparison sort's best case and no sort's real workload; commit dates
 // are uniformly distributed.
 func BenchmarkScanOrderByCommitDate(b *testing.B) {
-	rows := benchRows(b, 50_000)
+	keys := WidenInt32(nil, benchCols(b, 50_000).CommitDate)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScanOrderBy(rows, CommitDate)
+		ScanOrderBy(keys)
 	}
 }
 
 func BenchmarkVecSortPositions(b *testing.B) {
-	rows := benchRows(b, 50_000)
-	cols := tpch.ColumnsFromRows(rows)
+	cols := benchCols(b, 50_000)
 	keys := WidenInt32(nil, cols.CommitDate)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,16 +71,16 @@ func BenchmarkVecSortPositions(b *testing.B) {
 }
 
 func BenchmarkScanGroup(b *testing.B) {
-	rows := benchRows(b, 50_000)
+	cols := benchCols(b, 50_000)
+	keys := WidenInt32(nil, cols.CommitDate)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScanGroup(rows, CommitDate)
+		ScanGroup(keys, cols.Quantity)
 	}
 }
 
 func BenchmarkVecGroup(b *testing.B) {
-	rows := benchRows(b, 50_000)
-	cols := tpch.ColumnsFromRows(rows)
+	cols := benchCols(b, 50_000)
 	keys := WidenInt32(nil, cols.CommitDate)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -115,10 +113,8 @@ func BenchmarkVecBuildHash(b *testing.B) {
 var benchHash HashIndex
 
 func BenchmarkVecHashJoin(b *testing.B) {
-	left := benchRows(b, 10_000)
-	right := benchRows(b, 10_000)
-	lcols := tpch.ColumnsFromRows(left)
-	rcols := tpch.ColumnsFromRows(right)
+	lcols := benchCols(b, 10_000)
+	rcols := benchCols(b, 10_000)
 	h := VecBuildHash(rcols.OrderKey)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -127,29 +123,21 @@ func BenchmarkVecHashJoin(b *testing.B) {
 }
 
 func BenchmarkVecSortMergeJoin(b *testing.B) {
-	left := benchRows(b, 10_000)
-	right := benchRows(b, 10_000)
-	lcols := tpch.ColumnsFromRows(left)
-	rcols := tpch.ColumnsFromRows(right)
+	lcols := benchCols(b, 10_000)
+	rcols := benchCols(b, 10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		VecSortMergeJoin(lcols.OrderKey, rcols.OrderKey)
 	}
 }
 
+// BenchmarkSortMergeJoin times the sort of both sides' positions and the
+// merge.
 func BenchmarkSortMergeJoin(b *testing.B) {
-	left := benchRows(b, 10_000)
-	right := benchRows(b, 10_000)
-	lt, err := BuildBTree(left, OrderKey)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt, err := BuildBTree(right, OrderKey)
-	if err != nil {
-		b.Fatal(err)
-	}
+	lcols := benchCols(b, 10_000)
+	rcols := benchCols(b, 10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SortMergeJoin(lt, rt)
+		SortMergeJoin(lcols.OrderKey, rcols.OrderKey)
 	}
 }

@@ -1,49 +1,27 @@
 // Package exec implements the five generic operator categories of §1 of the
-// paper — lookup, range select, sorting, grouping and join — as vectorized
-// operators over column slices (vector.go), which the Table 6 experiment
-// and the data-plane benchmark run. The row-at-a-time functions in this file
-// are their scalar references: check.AuditVectorized proves every
-// vectorized operator returns exactly what its reference returns. The index
-// paths of Table 6 walk bptree and pagestore directly.
+// paper — lookup, range select, sorting, grouping and join — over key
+// columns, once as the scalar operators in this file and once as the
+// vectorized operators of vector.go, which walk the same columns in blocks.
+// The scalar operators are the no-index side of the Table 6 experiment's
+// group-by and join cells and the reference of check.AuditVectorized, which
+// proves every vectorized operator returns exactly what its scalar
+// counterpart returns. The index paths of Table 6 walk bptree and pagestore
+// directly.
 package exec
 
 import (
-	"sort"
-
-	"idxflow/internal/bptree"
-	"idxflow/internal/tpch"
+	"cmp"
+	"slices"
 )
-
-// KeyFunc extracts an int64 sort/lookup key from a row.
-type KeyFunc func(r tpch.Row) int64
-
-// OrderKey returns the row's order key.
-func OrderKey(r tpch.Row) int64 { return r.OrderKey }
-
-// CommitDate returns the row's commit date as days.
-func CommitDate(r tpch.Row) int64 { return int64(r.CommitDate) }
-
-// BuildBTree bulk-loads a B+Tree index mapping key to row position.
-func BuildBTree(rows []tpch.Row, key KeyFunc) (*bptree.Tree, error) {
-	keys := make([]int64, len(rows))
-	vals := make([]int64, len(rows))
-	for i, r := range rows {
-		keys[i] = key(r)
-		vals[i] = int64(i)
-	}
-	bptree.SortByKey(keys, vals)
-	return bptree.BulkLoadSorted(bptree.DefaultOrder, keys, vals)
-}
 
 // HashIndex maps a key to the positions of the rows holding it — the O(1)
 // lookup structure of §1.
 type HashIndex map[int64][]int32
 
-// BuildHash builds a hash index on key.
-func BuildHash(rows []tpch.Row, key KeyFunc) HashIndex {
-	h := make(HashIndex, len(rows)/4)
-	for i, r := range rows {
-		k := key(r)
+// BuildHash builds a hash index over a key column, one insert per row.
+func BuildHash(keys []int64) HashIndex {
+	h := make(HashIndex, len(keys)/4)
+	for i, k := range keys {
 		h[k] = append(h[k], int32(i))
 	}
 	return h
@@ -52,52 +30,35 @@ func BuildHash(rows []tpch.Row, key KeyFunc) HashIndex {
 // Lookup returns the positions of rows with the given key.
 func (h HashIndex) Lookup(k int64) []int32 { return h[k] }
 
-// posSorter stable-sorts a position slice by its parallel key slice
-// without any comparison closure: keys are extracted once up front, so a
-// comparison costs two slice loads instead of two KeyFunc calls.
-type posSorter struct {
-	keys []int64
-	pos  []int32
-}
-
-func (s posSorter) Len() int           { return len(s.pos) }
-func (s posSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s posSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.pos[i], s.pos[j] = s.pos[j], s.pos[i]
-}
-
-// ScanOrderBy returns row positions sorted by key using an O(n log n) sort
-// over the raw rows ("Order by" without an index).
-func ScanOrderBy(rows []tpch.Row, key KeyFunc) []int32 {
-	keys := make([]int64, len(rows))
-	out := make([]int32, len(rows))
-	for i := range rows {
-		keys[i] = key(rows[i])
-		out[i] = int32(i)
+// ScanOrderBy returns the row positions stably sorted by key with an
+// O(n log n) comparison sort ("Order by" without an index).
+func ScanOrderBy(keys []int64) []int32 {
+	pos := make([]int32, len(keys))
+	for i := range pos {
+		pos[i] = int32(i)
 	}
-	sort.Stable(posSorter{keys, out})
-	return out
+	slices.SortStableFunc(pos, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	return pos
 }
 
-// ScanRange returns the positions of rows with lo <= key < hi via a full
-// scan ("Select range" without an index, O(n)). The result is presized for
-// a few percent selectivity so typical ranges append without reallocating.
-func ScanRange(rows []tpch.Row, key KeyFunc, lo, hi int64) []int32 {
-	out := make([]int32, 0, len(rows)/16+16)
-	for i, r := range rows {
-		if k := key(r); k >= lo && k < hi {
+// ScanRange returns the positions with lo <= key < hi via a full scan
+// ("Select range" without an index, O(n)). The result is presized for a few
+// percent selectivity so typical ranges append without reallocating.
+func ScanRange[T ColKey](keys []T, lo, hi T) []int32 {
+	out := make([]int32, 0, len(keys)/16+16)
+	for i, k := range keys {
+		if k >= lo && k < hi {
 			out = append(out, int32(i))
 		}
 	}
 	return out
 }
 
-// ScanLookup returns the position of the first row with the given key via a
-// full scan ("Lookup" without an index, O(n)).
-func ScanLookup(rows []tpch.Row, key KeyFunc, k int64) (int32, bool) {
-	for i, r := range rows {
-		if key(r) == k {
+// ScanLookup returns the position of the first key equal to k via a full
+// scan ("Lookup" without an index, O(n)).
+func ScanLookup[T ColKey](keys []T, k T) (int32, bool) {
+	for i, v := range keys {
+		if v == k {
 			return int32(i), true
 		}
 	}
@@ -112,21 +73,18 @@ type Group struct {
 	SumQuantity int64
 }
 
-// ScanGroup aggregates rows by key with a sort-based O(n log n) grouping
+// ScanGroup aggregates a key column with its quantity column by sorting
 // ("Grouping ... can be efficiently performed using sorting", §1): rows
-// arriving in key order are folded into groups.
-func ScanGroup(rows []tpch.Row, key KeyFunc) []Group {
+// taken in key order are folded into groups.
+func ScanGroup(keys []int64, quantity []int32) []Group {
 	var out []Group
-	var cur *Group
-	for _, pos := range ScanOrderBy(rows, key) {
-		r := rows[pos]
-		k := key(r)
-		if cur == nil || cur.Key != k {
-			out = append(out, Group{Key: k})
-			cur = &out[len(out)-1]
+	for _, p := range ScanOrderBy(keys) {
+		if len(out) == 0 || out[len(out)-1].Key != keys[p] {
+			out = append(out, Group{Key: keys[p]})
 		}
-		cur.Count++
-		cur.SumQuantity += int64(r.Quantity)
+		g := &out[len(out)-1]
+		g.Count++
+		g.SumQuantity += int64(quantity[p])
 	}
 	return out
 }
@@ -136,20 +94,15 @@ type JoinPair struct {
 	Left, Right int32
 }
 
-// NestedLoopJoin joins two row sets on equal keys in O(n*m) ("Join" without
-// an index). As with SortMergeJoin, a 1:1 join yields min(n, m) pairs, so
-// the result starts at that capacity and only true many-many key runs grow
-// it.
-func NestedLoopJoin(left, right []tpch.Row, lkey, rkey KeyFunc) []JoinPair {
-	hint := len(left)
-	if len(right) < hint {
-		hint = len(right)
-	}
-	out := make([]JoinPair, 0, hint)
-	for i, l := range left {
-		lk := lkey(l)
-		for j, r := range right {
-			if rkey(r) == lk {
+// NestedLoopJoin joins two key columns on equal keys in O(n*m) ("Join"
+// without an index), left position major, right position minor. A 1:1 join
+// yields min(n, m) pairs, so the result starts at that capacity and only
+// true many-many key runs grow it.
+func NestedLoopJoin(left, right []int64) []JoinPair {
+	out := make([]JoinPair, 0, min(len(left), len(right)))
+	for i, lk := range left {
+		for j, rk := range right {
+			if rk == lk {
 				out = append(out, JoinPair{int32(i), int32(j)})
 			}
 		}
@@ -157,45 +110,26 @@ func NestedLoopJoin(left, right []tpch.Row, lkey, rkey KeyFunc) []JoinPair {
 	return out
 }
 
-// SortMergeJoin joins two row sets whose sorted order is provided by
-// indexes, in O(n + m + matches) ("the complexity of sort-merge join is
-// O(n+m) if the inputs are sorted", §1).
-func SortMergeJoin(leftTree, rightTree *bptree.Tree) []JoinPair {
-	type entry struct {
-		k int64
-		v int32
-	}
-	collect := func(t *bptree.Tree) []entry {
-		out := make([]entry, 0, t.Len())
-		t.Scan(func(k, v int64) bool {
-			out = append(out, entry{k, int32(v)})
-			return true
-		})
-		return out
-	}
-	ls, rs := collect(leftTree), collect(rightTree)
-	// A 1:1 join yields min(n, m) pairs; start there and let true many-many
-	// key runs grow the slice.
-	hint := len(ls)
-	if len(rs) < hint {
-		hint = len(rs)
-	}
-	out := make([]JoinPair, 0, hint)
+// SortMergeJoin joins two key columns by stably sorting both position
+// arrays and merging the sorted runs ("the complexity of sort-merge join is
+// O(n+m) if the inputs are sorted", §1). Output is key major, then left
+// position, then right position.
+func SortMergeJoin(left, right []int64) []JoinPair {
+	ls, rs := ScanOrderBy(left), ScanOrderBy(right)
+	out := make([]JoinPair, 0, min(len(ls), len(rs)))
 	i, j := 0, 0
 	for i < len(ls) && j < len(rs) {
-		switch {
-		case ls[i].k < rs[j].k:
+		switch k := left[ls[i]]; {
+		case k < right[rs[j]]:
 			i++
-		case ls[i].k > rs[j].k:
+		case k > right[rs[j]]:
 			j++
 		default:
-			k := ls[i].k
 			jStart := j
-			for i < len(ls) && ls[i].k == k {
-				for j = jStart; j < len(rs) && rs[j].k == k; j++ {
-					out = append(out, JoinPair{ls[i].v, rs[j].v})
+			for ; i < len(ls) && left[ls[i]] == k; i++ {
+				for j = jStart; j < len(rs) && right[rs[j]] == k; j++ {
+					out = append(out, JoinPair{ls[i], rs[j]})
 				}
-				i++
 			}
 		}
 	}

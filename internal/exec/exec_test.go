@@ -6,51 +6,63 @@ import (
 	"testing"
 	"testing/quick"
 
+	"idxflow/internal/bptree"
 	"idxflow/internal/tpch"
 )
 
-func testRows(t *testing.T) []tpch.Row {
+func testCols(t *testing.T) tpch.Columns {
 	t.Helper()
-	return tpch.Generate(0.0005, 11) // ~3000 rows
+	return tpch.GenerateColumns(0.0005, 11) // ~3000 rows
 }
 
-func TestOrderByEquivalence(t *testing.T) {
-	rows := testRows(t)
-	tree, err := BuildBTree(rows, OrderKey)
+// buildTree bulk-loads a B+Tree index mapping each key to its position,
+// the index side the scalar operators are compared with.
+func buildTree(t *testing.T, keys []int64) *bptree.Tree {
+	t.Helper()
+	k := append([]int64(nil), keys...)
+	v := make([]int64, len(keys))
+	for i := range v {
+		v[i] = int64(i)
+	}
+	bptree.SortByKey(k, v)
+	tree, err := bptree.BulkLoadSorted(bptree.DefaultOrder, k, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := ScanOrderBy(rows, OrderKey)
+	return tree
+}
+
+func TestOrderByEquivalence(t *testing.T) {
+	keys := testCols(t).OrderKey
+	tree := buildTree(t, keys)
+	scan := ScanOrderBy(keys)
 	var idx []int32 // the index's leaf order
 	tree.Scan(func(k, v int64) bool { idx = append(idx, int32(v)); return true })
-	if len(scan) != len(idx) || len(scan) != len(rows) {
-		t.Fatalf("lengths: scan=%d idx=%d rows=%d", len(scan), len(idx), len(rows))
+	if len(scan) != len(idx) || len(scan) != len(keys) {
+		t.Fatalf("lengths: scan=%d idx=%d rows=%d", len(scan), len(idx), len(keys))
 	}
 	for i := range scan {
-		if rows[scan[i]].OrderKey != rows[idx[i]].OrderKey {
-			t.Fatalf("key mismatch at %d: %d vs %d", i, rows[scan[i]].OrderKey, rows[idx[i]].OrderKey)
+		if keys[scan[i]] != keys[idx[i]] {
+			t.Fatalf("key mismatch at %d: %d vs %d", i, keys[scan[i]], keys[idx[i]])
 		}
 	}
 	// Sorted output.
 	for i := 1; i < len(scan); i++ {
-		if rows[scan[i-1]].OrderKey > rows[scan[i]].OrderKey {
+		if keys[scan[i-1]] > keys[scan[i]] {
 			t.Fatal("ScanOrderBy output not sorted")
 		}
 	}
 }
 
 func TestRangeEquivalence(t *testing.T) {
-	rows := testRows(t)
-	tree, err := BuildBTree(rows, OrderKey)
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := testCols(t).OrderKey
+	tree := buildTree(t, keys)
 	lo, hi := int64(100), int64(300)
-	scan := ScanRange(rows, OrderKey, lo, hi)
+	scan := ScanRange(keys, lo, hi)
 	set := make(map[int32]bool, len(scan))
 	for _, p := range scan {
 		set[p] = true
-		if k := rows[p].OrderKey; k < lo || k >= hi {
+		if k := keys[p]; k < lo || k >= hi {
 			t.Fatalf("row key %d outside [%d,%d)", k, lo, hi)
 		}
 	}
@@ -68,19 +80,16 @@ func TestRangeEquivalence(t *testing.T) {
 }
 
 func TestLookupEquivalence(t *testing.T) {
-	rows := testRows(t)
-	tree, err := BuildBTree(rows, OrderKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash := BuildHash(rows, OrderKey)
+	keys := testCols(t).OrderKey
+	tree := buildTree(t, keys)
+	hash := BuildHash(keys)
 	for _, k := range []int64{1, 50, 200, 999999} {
-		sp, sok := ScanLookup(rows, OrderKey, k)
+		sp, sok := ScanLookup(keys, k)
 		ip, iok := tree.Get(k)
 		if sok != iok {
 			t.Fatalf("Lookup(%d): scan ok=%v, index ok=%v", k, sok, iok)
 		}
-		if sok && rows[sp].OrderKey != rows[ip].OrderKey {
+		if sok && keys[sp] != keys[ip] {
 			t.Fatalf("Lookup(%d): keys differ", k)
 		}
 		hps := hash.Lookup(k)
@@ -91,16 +100,16 @@ func TestLookupEquivalence(t *testing.T) {
 }
 
 func TestGroupEquivalence(t *testing.T) {
-	rows := testRows(t)
+	cols := testCols(t)
 	want := make(map[int64]Group)
-	for _, r := range rows {
-		g := want[r.OrderKey]
-		g.Key = r.OrderKey
+	for i, k := range cols.OrderKey {
+		g := want[k]
+		g.Key = k
 		g.Count++
-		g.SumQuantity += int64(r.Quantity)
-		want[r.OrderKey] = g
+		g.SumQuantity += int64(cols.Quantity[i])
+		want[k] = g
 	}
-	a := ScanGroup(rows, OrderKey)
+	a := ScanGroup(cols.OrderKey, cols.Quantity)
 	if len(a) != len(want) {
 		t.Fatalf("group counts differ: %d vs %d", len(a), len(want))
 	}
@@ -115,18 +124,10 @@ func TestGroupEquivalence(t *testing.T) {
 }
 
 func TestJoinEquivalence(t *testing.T) {
-	left := tpch.Generate(0.0002, 3)
-	right := tpch.Generate(0.0002, 4)
-	ltree, err := BuildBTree(left, OrderKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtree, err := BuildBTree(right, OrderKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl := NestedLoopJoin(left, right, OrderKey, OrderKey)
-	sm := SortMergeJoin(ltree, rtree)
+	left := tpch.GenerateColumns(0.0002, 3).OrderKey
+	right := tpch.GenerateColumns(0.0002, 4).OrderKey
+	nl := NestedLoopJoin(left, right)
+	sm := SortMergeJoin(left, right)
 	if len(nl) != len(sm) {
 		t.Fatalf("join sizes differ: nested=%d merge=%d", len(nl), len(sm))
 	}
@@ -153,14 +154,11 @@ func TestJoinEquivalence(t *testing.T) {
 func TestRangeEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rows := make([]tpch.Row, 500)
-		for i := range rows {
-			rows[i] = tpch.Row{OrderKey: rng.Int63n(100), CommitDate: int32(rng.Intn(100))}
+		keys := make([]int64, 500)
+		for i := range keys {
+			keys[i] = rng.Int63n(100)
 		}
-		tree, err := BuildBTree(rows, OrderKey)
-		if err != nil {
-			return false
-		}
+		tree := buildTree(t, keys)
 		for trial := 0; trial < 10; trial++ {
 			lo, hi := rng.Int63n(110), rng.Int63n(110)
 			if lo > hi {
@@ -168,7 +166,7 @@ func TestRangeEquivalenceProperty(t *testing.T) {
 			}
 			n := 0
 			tree.Range(lo, hi, func(int64, int64) bool { n++; return true })
-			if len(ScanRange(rows, OrderKey, lo, hi)) != n {
+			if len(ScanRange(keys, lo, hi)) != n {
 				return false
 			}
 		}
@@ -180,12 +178,9 @@ func TestRangeEquivalenceProperty(t *testing.T) {
 }
 
 func TestCommitDateKey(t *testing.T) {
-	rows := testRows(t)
-	tree, err := BuildBTree(rows, CommitDate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan := ScanRange(rows, CommitDate, 10, 50)
+	dates := testCols(t).CommitDate
+	tree := buildTree(t, WidenInt32(nil, dates))
+	scan := ScanRange(dates, 10, 50)
 	n := 0
 	tree.Range(10, 50, func(int64, int64) bool { n++; return true })
 	if len(scan) != n {

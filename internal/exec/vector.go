@@ -6,10 +6,10 @@ import (
 )
 
 // Vectorized operators: the same five §1 operator categories as the
-// row-at-a-time functions in exec.go, rewritten to process column slices
-// in blocks of BatchSize values per call. The scalar implementations are
-// the golden reference — check.AuditVectorized proves both paths produce
-// identical results on seed-reproducible workloads.
+// scalar operators in exec.go, over the same key columns, rewritten to
+// process them in blocks of BatchSize values per call. The scalar
+// operators are the golden reference — check.AuditVectorized proves both
+// paths produce identical results on seed-reproducible workloads.
 //
 // The batch contract: operators take struct-of-arrays inputs (tpch.Columns
 // slices, or int64 blocks decoded from pagestore column pages), walk them
@@ -85,13 +85,12 @@ func VecLookup[T ColKey](keys []T, k T) (int32, bool) {
 	return 0, false
 }
 
-// VecBuildHash builds a hash index over a key column without the per-row
-// KeyFunc indirection of BuildHash — the batched "build" half of the O(1)
-// lookup structure of §1. The build is by runs, not by rows: with the keys
-// in sorted order every distinct key is one contiguous run, so the map is
-// sized exactly and takes one insert per distinct key, and each posting
-// list is a sub-slice of one shared position arena instead of a slice grown
-// row by row. A column that is already non-decreasing (a fact table
+// VecBuildHash builds the hash index of BuildHash without its per-row map
+// insert — the batched "build" half of the O(1) lookup structure of §1.
+// The build is by runs, not by rows: with the keys in sorted order every
+// distinct key is one contiguous run, so the map is sized exactly and takes
+// one insert per distinct key, and each posting list is a sub-slice of one
+// shared position arena instead of a slice grown row by row. A column that is already non-decreasing (a fact table
 // clustered by its key) is its own sorted order and its arena is the
 // identity; any other column goes through the stable radix sort, which
 // keeps positions ascending within a run, as the per-row build leaves them.
@@ -395,8 +394,8 @@ func VecHashJoin(leftKeys []int64, right HashIndex) []JoinPair {
 
 // VecSortMergeJoin joins two key columns by radix-sorting both position
 // arrays and merging the sorted runs — the vectorized sort-merge join.
-// Output order matches the tree-based SortMergeJoin: key major, then left
-// insertion order, then right insertion order.
+// Output order matches SortMergeJoin: key major, then left position, then
+// right position.
 func VecSortMergeJoin(leftKeys, rightKeys []int64) []JoinPair {
 	// The merge walks the sorted key arrays sequentially; the position
 	// permutations are only dereferenced to emit matched pairs.

@@ -12,26 +12,24 @@ import (
 	"idxflow/internal/tpch"
 )
 
-// vecTestColumns returns a columnar dataset plus its row form for golden
-// comparisons.
-func vecTestColumns(t *testing.T) (tpch.Columns, []tpch.Row) {
+// vecTestColumns returns a columnar dataset for golden comparisons.
+func vecTestColumns(t *testing.T) tpch.Columns {
 	t.Helper()
-	rows := tpch.Generate(0.0008, 19) // ~4800 rows, several BatchSize blocks
-	return tpch.ColumnsFromRows(rows), rows
+	return tpch.GenerateColumns(0.0008, 19) // ~4800 rows, several BatchSize blocks
 }
 
 func TestVecSelectRangeGolden(t *testing.T) {
-	cols, rows := vecTestColumns(t)
+	cols := vecTestColumns(t)
 	for _, bounds := range [][2]int64{{100, 300}, {0, 1}, {-5, 5}, {1 << 40, 1 << 41}, {500, 500}} {
 		lo, hi := bounds[0], bounds[1]
-		scalar := ScanRange(rows, OrderKey, lo, hi)
+		scalar := ScanRange(cols.OrderKey, lo, hi)
 		vec := VecSelectRange(cols.OrderKey, lo, hi)
 		if !reflect.DeepEqual(scalar, vec) {
 			t.Fatalf("range [%d,%d): scalar %d positions, vec %d", lo, hi, len(scalar), len(vec))
 		}
 	}
 	// int32 column via the generic instantiation.
-	scalar := ScanRange(rows, CommitDate, 10, 50)
+	scalar := ScanRange(cols.CommitDate, 10, 50)
 	vec := VecSelectRange(cols.CommitDate, 10, 50)
 	if !reflect.DeepEqual(scalar, vec) {
 		t.Fatal("commitdate range differs")
@@ -39,9 +37,9 @@ func TestVecSelectRangeGolden(t *testing.T) {
 }
 
 func TestVecLookupGolden(t *testing.T) {
-	cols, rows := vecTestColumns(t)
-	for _, k := range []int64{1, 57, rows[len(rows)-1].OrderKey, 1 << 50} {
-		sp, sok := ScanLookup(rows, OrderKey, k)
+	cols := vecTestColumns(t)
+	for _, k := range []int64{1, 57, cols.OrderKey[cols.Len()-1], 1 << 50} {
+		sp, sok := ScanLookup(cols.OrderKey, k)
 		vp, vok := VecLookup(cols.OrderKey, k)
 		if sok != vok || sp != vp {
 			t.Fatalf("lookup %d: scalar (%d,%v) vec (%d,%v)", k, sp, sok, vp, vok)
@@ -50,8 +48,8 @@ func TestVecLookupGolden(t *testing.T) {
 }
 
 func TestVecSortPositionsGolden(t *testing.T) {
-	cols, rows := vecTestColumns(t)
-	scalar := ScanOrderBy(rows, OrderKey)
+	cols := vecTestColumns(t)
+	scalar := ScanOrderBy(cols.OrderKey)
 	vec := VecSortPositions(cols.OrderKey)
 	if !reflect.DeepEqual(scalar, vec) {
 		t.Fatal("sorted positions differ (stability or order)")
@@ -94,11 +92,7 @@ func adversarialKeys(rng *rand.Rand) []int64 {
 func TestVecSortPositionsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		keys := adversarialKeys(rand.New(rand.NewSource(seed)))
-		rows := make([]tpch.Row, len(keys))
-		for i, k := range keys {
-			rows[i] = tpch.Row{OrderKey: k}
-		}
-		return reflect.DeepEqual(ScanOrderBy(rows, OrderKey), VecSortPositions(keys))
+		return reflect.DeepEqual(ScanOrderBy(keys), VecSortPositions(keys))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -151,7 +145,7 @@ func TestVecSortKeysPositionsGolden(t *testing.T) {
 		}
 	}
 	// Larger generated batch: sorted must equal the gather through pos.
-	cols, _ := vecTestColumns(t)
+	cols := vecTestColumns(t)
 	keys := WidenInt32(nil, cols.CommitDate)
 	sorted, pos := VecSortKeysPositions(keys)
 	for i, p := range pos {
@@ -195,8 +189,8 @@ func TestVecSortKeysGolden(t *testing.T) {
 }
 
 func TestVecGroupGolden(t *testing.T) {
-	cols, rows := vecTestColumns(t)
-	scalar := ScanGroup(rows, OrderKey)
+	cols := vecTestColumns(t)
+	scalar := ScanGroup(cols.OrderKey, cols.Quantity)
 	vec := VecGroup(cols.OrderKey, cols.Quantity)
 	if !reflect.DeepEqual(scalar, vec) {
 		t.Fatal("groups differ")
@@ -204,29 +198,19 @@ func TestVecGroupGolden(t *testing.T) {
 }
 
 func TestVecJoinsGolden(t *testing.T) {
-	left := tpch.Generate(0.0002, 3)
-	right := tpch.Generate(0.0002, 4)
-	lcols := tpch.ColumnsFromRows(left)
-	rcols := tpch.ColumnsFromRows(right)
+	left := tpch.GenerateColumns(0.0002, 3).OrderKey
+	right := tpch.GenerateColumns(0.0002, 4).OrderKey
 
-	nested := NestedLoopJoin(left, right, OrderKey, OrderKey)
-	hash := VecHashJoin(lcols.OrderKey, VecBuildHash(rcols.OrderKey))
+	nested := NestedLoopJoin(left, right)
+	hash := VecHashJoin(left, VecBuildHash(right))
 	if !reflect.DeepEqual(nested, hash) {
 		t.Fatalf("hash join differs from nested loop: %d vs %d pairs", len(hash), len(nested))
 	}
 
-	ltree, err := BuildBTree(left, OrderKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtree, err := BuildBTree(right, OrderKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalarSM := SortMergeJoin(ltree, rtree)
-	vecSM := VecSortMergeJoin(lcols.OrderKey, rcols.OrderKey)
+	scalarSM := SortMergeJoin(left, right)
+	vecSM := VecSortMergeJoin(left, right)
 	if !reflect.DeepEqual(scalarSM, vecSM) {
-		t.Fatal("vectorized sort-merge join differs from tree-based")
+		t.Fatal("vectorized sort-merge join differs from the scalar one")
 	}
 }
 
@@ -234,7 +218,7 @@ func TestVecJoinsGolden(t *testing.T) {
 // build over every key order it branches on: already clustered (identity
 // arena), and the orders that must go through the sort.
 func TestVecBuildHashGolden(t *testing.T) {
-	cols, _ := vecTestColumns(t)
+	cols := vecTestColumns(t)
 	shuffled := append([]int64(nil), cols.OrderKey...)
 	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
@@ -259,16 +243,12 @@ func TestVecBuildHashGolden(t *testing.T) {
 		{"extremes unclustered", []int64{math.MaxInt64, 0, math.MinInt64, math.MaxInt64, -1, math.MinInt64}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			rows := make([]tpch.Row, len(c.keys))
-			for i, k := range c.keys {
-				rows[i].OrderKey = k
-			}
 			before := append([]int64(nil), c.keys...)
 			got := VecBuildHash(c.keys)
 			if !slices.Equal(c.keys, before) {
 				t.Fatal("VecBuildHash modified its input")
 			}
-			want := BuildHash(rows, OrderKey)
+			want := BuildHash(c.keys)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("hash indexes differ: scalar %d keys, vec %d keys", len(want), len(got))
 			}

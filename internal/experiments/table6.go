@@ -47,14 +47,17 @@ func fold(acc, v uint64) uint64 { return acc*1099511628211 ^ v }
 // table is streamed straight into disk-backed storage (both the row-major
 // paged table and the columnar table — []Row is never materialized), both
 // with a buffer pool of poolFrames frames, and every operator category is
-// timed three ways where applicable: the scalar row-at-a-time path, the
+// timed three ways where applicable: the scalar path over the row table, the
 // vectorized columnar path, and the index path over B+Trees bulk-loaded out
-// of core by extsort.BuildIndexStreaming. Each query's scalar, vectorized and
-// index answers are cross-checked (count plus checksum, and exact
-// group-by-group equality for the aggregation); any divergence is an error,
-// and the check.AuditVectorized auditor runs first on reduced-scale
-// adversarial and generated batches. Scale 2 is the paper's table; scale
-// 0.05 is ~300k rows.
+// of core by extsort.BuildIndexStreaming. The scalar range, lookup and
+// order-by cells stream the row table; the group-by and join cells scan it
+// into key slices and call exec's scalar operators, the references
+// check.AuditVectorized holds the vectorized operators to. Each query's
+// scalar, vectorized and index answers are cross-checked (count plus
+// checksum, and exact group-by-group equality for the aggregation); any
+// divergence is an error, and the check.AuditVectorized auditor runs first
+// on reduced-scale adversarial and generated batches. Scale 2 is the
+// paper's table; scale 0.05 is ~300k rows.
 func Table6(scale float64, seed int64, poolFrames int) (*Table6Result, error) {
 	// The equivalence auditor gates the experiment: if the vectorized
 	// operators diverge from the scalar references on adversarial input,
@@ -343,24 +346,8 @@ func Table6(scale float64, seed int64, poolFrames int) (*Table6Result, error) {
 				if err != nil {
 					return sig{}, err
 				}
-				pos := make([]int32, len(keys))
-				for i := range pos {
-					pos[i] = int32(i)
-				}
-				sort.SliceStable(pos, func(i, j int) bool { return keys[pos[i]] < keys[pos[j]] })
-				out := make([]exec.Group, 0, 256)
-				cur := -1
-				for _, p := range pos {
-					k := keys[p]
-					if cur < 0 || out[cur].Key != k {
-						out = append(out, exec.Group{Key: k})
-						cur = len(out) - 1
-					}
-					out[cur].Count++
-					out[cur].SumQuantity += int64(qty[p])
-				}
-				scalarGroups = out
-				return groupSig(out), nil
+				scalarGroups = exec.ScanGroup(keys, qty)
+				return groupSig(scalarGroups), nil
 			},
 			vec: func() (sig, error) {
 				keys := make([]int64, 0, n)
@@ -386,24 +373,22 @@ func Table6(scale float64, seed int64, poolFrames int) (*Table6Result, error) {
 			}},
 		{name: "Join (hash)",
 			scalar: func() (sig, error) {
-				h := make(exec.HashIndex, n/4)
-				pos := int32(0)
+				keys := make([]int64, 0, n)
 				err := rowTab.Scan(func(_ pagestore.RID, r tpch.Row) bool {
-					h[r.OrderKey] = append(h[r.OrderKey], pos)
-					pos++
+					keys = append(keys, r.OrderKey)
 					return true
 				})
 				if err != nil {
 					return sig{}, err
 				}
-				var s sig
+				h := exec.BuildHash(keys)
+				pairs := make([]exec.JoinPair, 0, len(leftKeys))
 				for i, k := range leftKeys {
 					for _, rp := range h[k] {
-						s.count++
-						s.sum = fold(s.sum, uint64(i)<<32|uint64(uint32(rp)))
+						pairs = append(pairs, exec.JoinPair{Left: int32(i), Right: rp})
 					}
 				}
-				return s, nil
+				return pairsSig(pairs), nil
 			},
 			vec: func() (sig, error) {
 				keys := make([]int64, 0, n)
@@ -414,28 +399,16 @@ func Table6(scale float64, seed int64, poolFrames int) (*Table6Result, error) {
 				if err != nil {
 					return sig{}, err
 				}
-				pairs := exec.VecHashJoin(leftKeys, exec.VecBuildHash(keys))
-				var s sig
-				for _, p := range pairs {
-					s.count++
-					s.sum = fold(s.sum, uint64(uint32(p.Left))<<32|uint64(uint32(p.Right)))
-				}
-				return s, nil
+				return pairsSig(exec.VecHashJoin(leftKeys, exec.VecBuildHash(keys))), nil
 			}},
 		{name: "Join (sort-merge)",
 			// Sampled key sets on both sides; positions are sample-relative
 			// in both engines, so the pair streams are directly comparable.
 			scalar: func() (sig, error) {
-				return scalarSortMergeSig(leftKeys, rightKeys), nil
+				return pairsSig(exec.SortMergeJoin(leftKeys, rightKeys)), nil
 			},
 			vec: func() (sig, error) {
-				pairs := exec.VecSortMergeJoin(leftKeys, rightKeys)
-				var s sig
-				for _, p := range pairs {
-					s.count++
-					s.sum = fold(s.sum, uint64(uint32(p.Left))<<32|uint64(uint32(p.Right)))
-				}
-				return s, nil
+				return pairsSig(exec.VecSortMergeJoin(leftKeys, rightKeys)), nil
 			}},
 	}
 
@@ -527,42 +500,11 @@ func groupSig(groups []exec.Group) sig {
 	return s
 }
 
-// scalarSortMergeSig is the row-era sort-merge join reference: stable
-// comparison sorts of (key, position) entries on both sides, then a run
-// merge. Mirrors exec.SortMergeJoin's output order.
-func scalarSortMergeSig(leftKeys, rightKeys []int64) sig {
-	type entry struct {
-		k int64
-		v int32
-	}
-	collect := func(keys []int64) []entry {
-		out := make([]entry, len(keys))
-		for i, k := range keys {
-			out[i] = entry{k, int32(i)}
-		}
-		sort.SliceStable(out, func(i, j int) bool { return out[i].k < out[j].k })
-		return out
-	}
-	ls, rs := collect(leftKeys), collect(rightKeys)
-	var s sig
-	i, j := 0, 0
-	for i < len(ls) && j < len(rs) {
-		switch {
-		case ls[i].k < rs[j].k:
-			i++
-		case ls[i].k > rs[j].k:
-			j++
-		default:
-			k := ls[i].k
-			jStart := j
-			for i < len(ls) && ls[i].k == k {
-				for j = jStart; j < len(rs) && rs[j].k == k; j++ {
-					s.count++
-					s.sum = fold(s.sum, uint64(uint32(ls[i].v))<<32|uint64(uint32(rs[j].v)))
-				}
-				i++
-			}
-		}
+// pairsSig fingerprints a join's pair stream order-sensitively.
+func pairsSig(pairs []exec.JoinPair) sig {
+	s := sig{count: int64(len(pairs))}
+	for _, p := range pairs {
+		s.sum = fold(s.sum, uint64(uint32(p.Left))<<32|uint64(uint32(p.Right)))
 	}
 	return s
 }

@@ -14,8 +14,8 @@ import (
 
 // TestConcurrentAdmissionsAuditClean is the tentpole integration test:
 // several tenants submit concurrently through the pipeline's slots, every
-// execution is audited in-line (check.Audit via the PostExec hook), and
-// the drained pipeline's snapshot passes check.AuditQaaS — books balance
+// execution is audited in-line (check.Audit via the core.Config.PostExec
+// hook), and the drained pipeline's snapshot passes check.AuditQaaS — books balance
 // across tenants, no fleet slot was double-booked, and every tenant's
 // provenance log agrees with its own aggregates.
 func TestConcurrentAdmissionsAuditClean(t *testing.T) {
@@ -25,13 +25,13 @@ func TestConcurrentAdmissionsAuditClean(t *testing.T) {
 	cc.Sched.MaxContainers = 8
 	cc.MaxBuildOps = 16
 	cc.Telemetry = telemetry.NewRegistry()
+	cc.PostExec = auditor.Hook
 	p := qaas.New(qaas.Config{
 		Core:            cc,
 		Seed:            1,
 		Workers:         4,
 		QueueDepth:      64,
 		FleetContainers: 16,
-		PostExec:        auditor.Hook,
 	})
 
 	tenants := []string{"t0", "t1", "t2", "t3"}

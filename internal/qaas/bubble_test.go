@@ -140,3 +140,124 @@ func TestBubbleSubmitReturnsOnContextCancelWhileQueued(t *testing.T) {
 		}
 	})
 }
+
+// TestBubbleTenantFairShareIsolation: with the single slot held, tenant a's
+// two waiting admissions fill its fair share, so a third is rejected as
+// tenant-limit while tenant b, at the same instant, is admitted.
+func TestBubbleTenantFairShareIsolation(t *testing.T) {
+	synctest.Run(func() {
+		cfg := testConfig()
+		cfg.QueueDepth = 16
+		cfg.TenantInflight = 2
+		p := New(cfg)
+		release := make(chan struct{})
+		calls := heldPasses(p, release)
+		inflight := func(name string) int64 {
+			if tn := p.Lookup(name); tn != nil {
+				return tn.inflight.Load()
+			}
+			return -1
+		}
+
+		var wg sync.WaitGroup
+		submit := func(tenant string) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := p.Submit(context.Background(), tenant, dummyFlow()); err != nil {
+					t.Errorf("tenant %s submit failed: %v", tenant, err)
+				}
+			}()
+		}
+		submit("other")
+		synctest.Wait() // other's pass holds the slot
+		submit("a")
+		submit("a")
+		synctest.Wait() // both wait for the slot
+		if a, n := inflight("a"), calls.load(); a != 2 || n != 1 {
+			t.Errorf("tenant a in flight %d with %d passes running, want 2 and 1", a, n)
+		}
+
+		_, err := p.Submit(context.Background(), "a", dummyFlow())
+		var bp *BackpressureError
+		if !errors.As(err, &bp) || bp.Reason != "tenant-limit" {
+			t.Errorf("over fair share: got %v, want tenant-limit backpressure", err)
+		}
+		// Tenant b has its own budget: same instant, same pipeline, admitted.
+		submit("b")
+		synctest.Wait()
+		if b, q := inflight("b"), p.QueueDepth(); b != 1 || q != 3 {
+			t.Errorf("tenant b in flight %d, queue depth %d; want 1 and 3", b, q)
+		}
+
+		close(release)
+		wg.Wait()
+		if err := p.Drain(context.Background()); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		if a, b := inflight("a"), inflight("b"); a != 0 || b != 0 {
+			t.Errorf("inflight not drained: a=%d b=%d", a, b)
+		}
+		if r, n := p.rejected.Load(), calls.load(); r != 1 || n != 4 {
+			t.Errorf("rejected %d, passes run %d; want 1 and 4", r, n)
+		}
+	})
+}
+
+// TestBubbleDrainCompletesInflightAndRejectsNew: Drain begun while n
+// admissions are in flight (two passes running, the rest waiting for a
+// slot) rejects new submits as draining and returns only once every one of
+// them has run.
+func TestBubbleDrainCompletesInflightAndRejectsNew(t *testing.T) {
+	synctest.Run(func() {
+		cfg := testConfig()
+		cfg.Workers = 2
+		cfg.QueueDepth = 8
+		p := New(cfg)
+		release := make(chan struct{})
+		calls := heldPasses(p, release)
+
+		const n = 5
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := p.Submit(context.Background(), "t", dummyFlow()); err != nil {
+					t.Errorf("submit before drain failed: %v", err)
+				}
+			}()
+		}
+		synctest.Wait()
+		if f, q, c := p.inFlight.Load(), p.QueueDepth(), calls.load(); f != n || q != n-2 || c != 2 {
+			t.Errorf("in flight %d, queue depth %d, passes running %d; want %d, %d and 2", f, q, c, n, n-2)
+		}
+
+		drained := make(chan error, 1)
+		go func() { drained <- p.Drain(context.Background()) }()
+		synctest.Wait() // Drain waits for the admissions
+		select {
+		case err := <-drained:
+			t.Errorf("Drain returned %v with %d admissions in flight", err, n)
+		default:
+		}
+		_, err := p.Submit(context.Background(), "t", dummyFlow())
+		var bp *BackpressureError
+		if !errors.As(err, &bp) || bp.Reason != "draining" {
+			t.Errorf("submit during drain: got %v, want draining backpressure", err)
+		}
+
+		close(release)
+		if err := <-drained; err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		wg.Wait()
+		if got := calls.load(); got != n {
+			t.Errorf("drain completed %d of %d in-flight admissions", got, n)
+		}
+		_, err = p.Submit(context.Background(), "t", dummyFlow())
+		if !errors.As(err, &bp) || bp.Reason != "draining" {
+			t.Errorf("submit after drain: got %v, want draining backpressure", err)
+		}
+	})
+}

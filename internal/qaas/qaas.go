@@ -37,8 +37,6 @@ import (
 	"idxflow/internal/core"
 	"idxflow/internal/dataflow"
 	"idxflow/internal/provenance"
-	"idxflow/internal/sched"
-	"idxflow/internal/sim"
 	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
@@ -95,7 +93,9 @@ type Config struct {
 	// hook. Sched.MaxContainers is clamped to FleetContainers so no
 	// single schedule can demand more slots than the fleet owns.
 	// Core.Telemetry is shared by every tenant and the pipeline's own
-	// families; nil means none.
+	// families; nil means none. Core.PostExec, when set, observes every
+	// tenant's executions (the server's audit mode hooks check.Audit
+	// there), so it must be safe for concurrent use across passes.
 	Core core.Config
 	// Seed is the base workload seed; tenant t serves the deterministic
 	// file database workload.NewFileDB(TenantSeed(Seed, t)), which load
@@ -132,10 +132,6 @@ type Config struct {
 	// grows towards as the tenant records events. Size it above the expected
 	// events-per-tenant: a wrapped ring is unsound for AuditProvenance.
 	ProvenanceCapacity int
-	// PostExec, when non-nil, is installed on every tenant service; the
-	// server's audit mode hooks check.Audit here. Must be safe for
-	// concurrent use across passes.
-	PostExec func(chosen *sched.Schedule, run sim.Result)
 }
 
 // BackpressureError reports a rejected admission and how long the client
@@ -330,7 +326,6 @@ func (p *Pipeline) newTenant(name string) (*Tenant, error) {
 	rec := provenance.NewRecorder(p.cfg.ProvenanceCapacity)
 	cfg.Provenance = rec
 	cfg.Reserve = p.fleet.reserve
-	cfg.PostExec = p.cfg.PostExec
 	return &Tenant{name: name, svc: core.NewService(cfg, db), db: db, prov: rec}, nil
 }
 

@@ -421,7 +421,7 @@ func TestDrainLeavesNoGoroutine(t *testing.T) {
 		entered := make(chan struct{}, 2)
 		release := make(chan struct{})
 		// Both passes stop inside their execution until released.
-		cfg.PostExec = func(*sched.Schedule, sim.Result) {
+		cfg.Core.PostExec = func(*sched.Schedule, sim.Result) {
 			entered <- struct{}{}
 			<-release
 		}

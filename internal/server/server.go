@@ -79,8 +79,8 @@ func (s *Server) runShutdownHooks() {
 }
 
 // NewQaaS returns a server over the given admission pipeline. auditor may
-// be nil; when set, every execution is audited via the pipeline's PostExec
-// hook and /debug/audit reports the verdict.
+// be nil; when set, its Hook is the PostExec of the pipeline's Core, so every
+// execution is audited, and /debug/audit reports the verdict.
 func NewQaaS(p *qaas.Pipeline, auditor *check.ExecAuditor) *Server {
 	return &Server{pipe: p, auditor: auditor}
 }

@@ -34,13 +34,13 @@ func testServer(t *testing.T, mutate func(*qaas.Config)) (*Server, *httptest.Ser
 	// assertions read this test's counts only.
 	cc.Telemetry = telemetry.NewRegistry()
 	auditor := &check.ExecAuditor{}
+	cc.PostExec = auditor.Hook
 	cfg := qaas.Config{
 		Core:            cc,
 		Seed:            1,
 		Workers:         2,
 		QueueDepth:      16,
 		FleetContainers: 16,
-		PostExec:        auditor.Hook,
 	}
 	if mutate != nil {
 		mutate(&cfg)

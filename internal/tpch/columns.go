@@ -1,18 +1,16 @@
 package tpch
 
-// Columns is the struct-of-arrays (columnar) form of a lineitem batch: one
+import "slices"
+
+// Columns is the struct-of-arrays (columnar) form of a lineitem batch's
+// fixed-width key columns — the three a pagestore.ColumnTable stores: one
 // slice per column, all the same length, where position i across the slices
-// is row i. Vectorized operators in internal/exec process these slices in
-// blocks instead of walking []Row one struct at a time, and the columnar
-// page layout in internal/pagestore persists the fixed-width columns as
-// packed value runs.
+// is row i. The operators in internal/exec process these slices instead of
+// walking []Row one struct at a time.
 type Columns struct {
-	OrderKey      []int64
-	CommitDate    []int32
-	ShipInstruct  []uint8
-	Comment       []string
-	Quantity      []int32
-	ExtendedPrice []float64
+	OrderKey   []int64
+	CommitDate []int32
+	Quantity   []int32
 }
 
 // Len returns the number of rows held.
@@ -20,72 +18,36 @@ func (c *Columns) Len() int { return len(c.OrderKey) }
 
 // Grow preallocates capacity for n more rows in every column.
 func (c *Columns) Grow(n int) {
-	grow := func(have, want int) bool { return want > have }
-	if grow(cap(c.OrderKey)-len(c.OrderKey), n) {
-		c.OrderKey = append(make([]int64, 0, len(c.OrderKey)+n), c.OrderKey...)
-		c.CommitDate = append(make([]int32, 0, len(c.CommitDate)+n), c.CommitDate...)
-		c.ShipInstruct = append(make([]uint8, 0, len(c.ShipInstruct)+n), c.ShipInstruct...)
-		c.Comment = append(make([]string, 0, len(c.Comment)+n), c.Comment...)
-		c.Quantity = append(make([]int32, 0, len(c.Quantity)+n), c.Quantity...)
-		c.ExtendedPrice = append(make([]float64, 0, len(c.ExtendedPrice)+n), c.ExtendedPrice...)
-	}
+	c.OrderKey = slices.Grow(c.OrderKey, n)
+	c.CommitDate = slices.Grow(c.CommitDate, n)
+	c.Quantity = slices.Grow(c.Quantity, n)
 }
 
-// Append adds one row to every column.
+// Append adds one row's key columns.
 func (c *Columns) Append(r Row) {
 	c.OrderKey = append(c.OrderKey, r.OrderKey)
 	c.CommitDate = append(c.CommitDate, r.CommitDate)
-	c.ShipInstruct = append(c.ShipInstruct, r.ShipInstruct)
-	c.Comment = append(c.Comment, r.Comment)
 	c.Quantity = append(c.Quantity, r.Quantity)
-	c.ExtendedPrice = append(c.ExtendedPrice, r.ExtendedPrice)
-}
-
-// Row reassembles row i from the column slices.
-func (c *Columns) Row(i int) Row {
-	return Row{
-		OrderKey:      c.OrderKey[i],
-		CommitDate:    c.CommitDate[i],
-		ShipInstruct:  c.ShipInstruct[i],
-		Comment:       c.Comment[i],
-		Quantity:      c.Quantity[i],
-		ExtendedPrice: c.ExtendedPrice[i],
-	}
-}
-
-// Rows converts the columnar batch back to row form.
-func (c *Columns) Rows() []Row {
-	out := make([]Row, c.Len())
-	for i := range out {
-		out[i] = c.Row(i)
-	}
-	return out
 }
 
 // ColumnsFromRows converts a row batch to columnar form with exactly-sized
 // column slices.
 func ColumnsFromRows(rows []Row) Columns {
 	c := Columns{
-		OrderKey:      make([]int64, len(rows)),
-		CommitDate:    make([]int32, len(rows)),
-		ShipInstruct:  make([]uint8, len(rows)),
-		Comment:       make([]string, len(rows)),
-		Quantity:      make([]int32, len(rows)),
-		ExtendedPrice: make([]float64, len(rows)),
+		OrderKey:   make([]int64, len(rows)),
+		CommitDate: make([]int32, len(rows)),
+		Quantity:   make([]int32, len(rows)),
 	}
 	for i, r := range rows {
 		c.OrderKey[i] = r.OrderKey
 		c.CommitDate[i] = r.CommitDate
-		c.ShipInstruct[i] = r.ShipInstruct
-		c.Comment[i] = r.Comment
 		c.Quantity[i] = r.Quantity
-		c.ExtendedPrice[i] = r.ExtendedPrice
 	}
 	return c
 }
 
-// GenerateColumns returns the same dataset as Generate for the given scale
-// and seed, already in columnar form, without materializing the []Row
+// GenerateColumns returns the key columns of the dataset Generate returns
+// for the given scale and seed, without materializing the []Row
 // intermediate.
 func GenerateColumns(scale float64, seed int64) Columns {
 	var c Columns

@@ -7,16 +7,27 @@ import (
 	"testing/quick"
 )
 
+// holdsRows reports whether each column of c holds its field of rows, in
+// row order.
+func holdsRows(c Columns, rows []Row) bool {
+	if c.Len() != len(rows) || len(c.CommitDate) != len(rows) || len(c.Quantity) != len(rows) {
+		return false
+	}
+	for i, r := range rows {
+		if c.OrderKey[i] != r.OrderKey || c.CommitDate[i] != r.CommitDate || c.Quantity[i] != r.Quantity {
+			return false
+		}
+	}
+	return true
+}
+
 // TestGenerateColumnsMatchesGenerate proves the streaming columnar
-// generator emits exactly the dataset of the row generator for the same
-// (scale, seed).
+// generator emits exactly the key columns of the row generator's dataset
+// for the same (scale, seed).
 func TestGenerateColumnsMatchesGenerate(t *testing.T) {
 	rows := Generate(0.001, 17)
 	cols := GenerateColumns(0.001, 17)
-	if cols.Len() != len(rows) {
-		t.Fatalf("columns len %d, rows len %d", cols.Len(), len(rows))
-	}
-	if !reflect.DeepEqual(cols.Rows(), rows) {
+	if !holdsRows(cols, rows) {
 		t.Fatal("GenerateColumns dataset differs from Generate")
 	}
 	if !reflect.DeepEqual(ColumnsFromRows(rows), cols) {
@@ -24,32 +35,28 @@ func TestGenerateColumnsMatchesGenerate(t *testing.T) {
 	}
 }
 
-// TestColumnsRoundTripProperty round-trips random row batches through the
-// columnar form exactly: Columns ↔ []Row must be lossless for every field.
+// TestColumnsRoundTripProperty checks that each column ColumnsFromRows
+// builds from a random row batch holds its rows' fields exactly.
 func TestColumnsRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows := make([]Row, int(n))
 		for i := range rows {
 			rows[i] = Row{
-				OrderKey:      rng.Int63() - rng.Int63(),
-				CommitDate:    int32(rng.Int31() - rng.Int31()),
-				ShipInstruct:  uint8(rng.Intn(256)),
-				Comment:       randComment(rng),
-				Quantity:      rng.Int31(),
-				ExtendedPrice: rng.NormFloat64() * 1e6,
+				OrderKey:   rng.Int63() - rng.Int63(),
+				CommitDate: int32(rng.Int31() - rng.Int31()),
+				Quantity:   rng.Int31(),
 			}
 		}
-		back := ColumnsFromRows(rows)
-		return reflect.DeepEqual(back.Rows(), rows)
+		return holdsRows(ColumnsFromRows(rows), rows)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestColumnsAppendRow checks the incremental Append/Row accessors agree
-// with the batch converters.
+// TestColumnsAppendRow checks the incremental Append agrees with the batch
+// converter.
 func TestColumnsAppendRow(t *testing.T) {
 	rows := Generate(0.0002, 5)
 	var c Columns
@@ -57,10 +64,8 @@ func TestColumnsAppendRow(t *testing.T) {
 	for _, r := range rows {
 		c.Append(r)
 	}
-	for i, r := range rows {
-		if c.Row(i) != r {
-			t.Fatalf("row %d differs after Append: %+v vs %+v", i, c.Row(i), r)
-		}
+	if !holdsRows(c, rows) {
+		t.Fatal("Append-built columns do not hold their rows' fields")
 	}
 	if !reflect.DeepEqual(c, ColumnsFromRows(rows)) {
 		t.Fatal("Append-built columns differ from ColumnsFromRows")

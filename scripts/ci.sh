@@ -121,14 +121,16 @@ stage_test() {
 	# The skyline's exactness arguments (the read-only probe and the running
 	# books against make, the pre-filtered Pareto filter against the
 	# unfiltered one, cold and warm frontiers audited and held to the
-	# reference skyline) and the executor's equivalence with the preserved
-	# seed executor under generated faults are fuzzed past their seed
+	# reference skyline), the executor's equivalence with the preserved
+	# seed executor under generated faults and the vectorized operators'
+	# equivalence with exec's scalar ones are fuzzed past their seed
 	# corpora.
 	echo "== fuzz (5 s each) =="
 	go test ./internal/sched -run '^$' -fuzz '^FuzzProbeEqualsApply$' -fuzztime 5s
 	go test ./internal/sched -run '^$' -fuzz '^FuzzParetoPrefilter$' -fuzztime 5s
 	go test ./internal/check -run '^$' -fuzz '^FuzzSkyline$' -fuzztime 5s
 	go test ./internal/check -run '^$' -fuzz '^FuzzWarmFrontier$' -fuzztime 5s
+	go test ./internal/check -run '^$' -fuzz '^FuzzVectorizedEqualsScalar$' -fuzztime 5s
 	go test ./internal/sim -run '^$' -fuzz '^FuzzExecuteEqualsReference$' -fuzztime 5s
 
 	# The admission pipeline's ordering tests in testing/synctest bubbles
