@@ -44,6 +44,7 @@ import (
 	"idxflow/internal/flowlang"
 	"idxflow/internal/profiling"
 	"idxflow/internal/qaas"
+	"idxflow/internal/server"
 	"idxflow/internal/telemetry"
 	"idxflow/internal/workload"
 )
@@ -116,7 +117,8 @@ func main() {
 		s.MeanSeconds = lg.hist.Sum() / float64(c)
 	}
 
-	if q, err := lg.fetchQaaS(); err != nil {
+	var q qaas.Report
+	if err := lg.getJSON("/v1/qaas", &q); err != nil {
 		log.Printf("idxflow-loadgen: /v1/qaas fetch failed (warm stats omitted): %v", err)
 	} else {
 		s.Warm = &q.Warm
@@ -124,12 +126,12 @@ func main() {
 
 	fail := false
 	if *audit {
-		verdict, err := lg.fetchAudit()
-		if err != nil {
+		var verdict server.AuditResponse
+		if err := lg.getJSON("/debug/audit", &verdict); err != nil {
 			log.Printf("idxflow-loadgen: audit fetch failed: %v", err)
 			fail = true
 		} else {
-			s.Audit = verdict
+			s.Audit = &verdict
 			if !verdict.Clean {
 				log.Printf("idxflow-loadgen: AUDIT VIOLATIONS:\n%s", strings.Join(verdict.Violations, "\n"))
 				fail = true
@@ -300,77 +302,36 @@ func (lg *loadgen) submitOnce(tenant, body string) (status int, retryAfter time.
 	}
 }
 
-// AuditVerdict mirrors the server's /debug/audit response.
-type AuditVerdict struct {
-	Clean      bool     `json:"clean"`
-	Violations []string `json:"violations"`
-	Executions int      `json:"executions"`
-	Admitted   int64    `json:"admitted"`
-	Rejected   int64    `json:"rejected"`
-	InFlight   int64    `json:"in_flight"`
-}
-
-// WarmStats mirrors the warm-start summary of the server's /v1/qaas
-// report.
-type WarmStats struct {
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	HitRate float64 `json:"hit_rate"`
-}
-
-type QaaSStats struct {
-	Warm WarmStats `json:"warm"`
-}
-
-func (lg *loadgen) fetchQaaS() (*QaaSStats, error) {
-	resp, err := lg.client.Get(lg.base + "/v1/qaas")
+// getJSON decodes the server's answer to GET path into v.
+func (lg *loadgen) getJSON(path string, v any) error {
+	resp, err := lg.client.Get(lg.base + path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
+		return fmt.Errorf("status %d", resp.StatusCode)
 	}
-	var q QaaSStats
-	if err := json.NewDecoder(resp.Body).Decode(&q); err != nil {
-		return nil, err
-	}
-	return &q, nil
-}
-
-func (lg *loadgen) fetchAudit() (*AuditVerdict, error) {
-	resp, err := lg.client.Get(lg.base + "/debug/audit")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var v AuditVerdict
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return nil, err
-	}
-	return &v, nil
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // Summary is the run report, printed human-readable and exported as JSON.
 type Summary struct {
-	Mode            string        `json:"mode"`
-	Tenants         int           `json:"tenants"`
-	Requested       int           `json:"requested"`
-	Admitted        int64         `json:"admitted"`
-	Rejected        int64         `json:"rejected_429"`
-	Retries         int64         `json:"retries_429"`
-	Errors          int64         `json:"errors"`
-	WallSeconds     float64       `json:"wall_seconds"`
-	DataflowsPerSec float64       `json:"dataflows_per_sec"`
-	P50Seconds      float64       `json:"p50_seconds"`
-	P95Seconds      float64       `json:"p95_seconds"`
-	P99Seconds      float64       `json:"p99_seconds"`
-	MeanSeconds     float64       `json:"mean_seconds"`
-	Warm            *WarmStats    `json:"warm,omitempty"`
-	Audit           *AuditVerdict `json:"audit,omitempty"`
+	Mode            string                `json:"mode"`
+	Tenants         int                   `json:"tenants"`
+	Requested       int                   `json:"requested"`
+	Admitted        int64                 `json:"admitted"`
+	Rejected        int64                 `json:"rejected_429"`
+	Retries         int64                 `json:"retries_429"`
+	Errors          int64                 `json:"errors"`
+	WallSeconds     float64               `json:"wall_seconds"`
+	DataflowsPerSec float64               `json:"dataflows_per_sec"`
+	P50Seconds      float64               `json:"p50_seconds"`
+	P95Seconds      float64               `json:"p95_seconds"`
+	P99Seconds      float64               `json:"p99_seconds"`
+	MeanSeconds     float64               `json:"mean_seconds"`
+	Warm            *qaas.WarmSummary     `json:"warm,omitempty"`
+	Audit           *server.AuditResponse `json:"audit,omitempty"`
 }
 
 func (s Summary) print(w io.Writer) {

@@ -75,7 +75,7 @@ func FuzzWarmFrontier(f *testing.F) {
 			case 0: // faulted execution of the chosen schedule
 				sim.New(sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}).Execute(nil, chosen, sc.Plan.From(0))
 			case 1: // caller repairs the chosen schedule in place
-				chosen.Repair(0, 0)
+				chosen.Repair(0, 0, topoRanks(chosen.Graph))
 			case 2: // caller wipes the returned clones outright
 				for _, s := range wsky {
 					s.CopyFrom(sched.NewSchedule(g, sc.Opts.Pricing, sc.Opts.Spec))
@@ -91,4 +91,18 @@ func FuzzWarmFrontier(f *testing.F) {
 			}
 		}
 	})
+}
+
+// topoRanks returns each operator's position in g's topological order,
+// indexed by OpID: the rank Schedule.Repair takes.
+func topoRanks(g *dataflow.Graph) []int32 {
+	topo, err := g.TopoSort()
+	if err != nil {
+		panic(err)
+	}
+	rank := make([]int32, len(topo))
+	for i, id := range topo {
+		rank[id] = int32(i)
+	}
+	return rank
 }

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"testing"
 	"testing/synctest"
+	"time"
 
 	"idxflow/internal/core"
 	"idxflow/internal/dataflow"
@@ -258,6 +259,103 @@ func TestBubbleDrainCompletesInflightAndRejectsNew(t *testing.T) {
 		_, err = p.Submit(context.Background(), "t", dummyFlow())
 		if !errors.As(err, &bp) || bp.Reason != "draining" {
 			t.Errorf("submit after drain: got %v, want draining backpressure", err)
+		}
+	})
+}
+
+// TestBubbleWorkersBoundConcurrentExecutions: with one slot, a pass holding
+// it leaves the six admissions submitted behind it waiting, exactly, and
+// no two passes ever run at once.
+func TestBubbleWorkersBoundConcurrentExecutions(t *testing.T) {
+	synctest.Run(func() {
+		cfg := testConfig()
+		cfg.QueueDepth = 8
+		p := New(cfg)
+		release := make(chan struct{})
+		var mu sync.Mutex
+		running, peak := 0, 0
+		p.execOverride = func(*Tenant, context.Context, *dataflow.Flow) (core.FlowResult, error) {
+			mu.Lock()
+			running++
+			peak = max(peak, running)
+			mu.Unlock()
+			<-release
+			// Long enough for a second pass, were one allowed, to overlap.
+			time.Sleep(2 * time.Millisecond)
+			mu.Lock()
+			running--
+			mu.Unlock()
+			return core.FlowResult{Makespan: 1}, nil
+		}
+
+		var wg sync.WaitGroup
+		submit := func(tenant string) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := p.Submit(context.Background(), tenant, dummyFlow()); err != nil {
+					t.Errorf("tenant %s submit failed: %v", tenant, err)
+				}
+			}()
+		}
+		submit("holder")
+		synctest.Wait() // the first pass holds the slot
+		for _, tenant := range []string{"a", "b", "c", "d", "e", "f"} {
+			submit(tenant)
+		}
+		synctest.Wait() // all six wait for the slot
+		if q := p.QueueDepth(); q != 6 {
+			t.Errorf("queue depth %d behind the held slot, want 6", q)
+		}
+
+		close(release)
+		wg.Wait()
+		if err := p.Drain(context.Background()); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		if got := p.admitted.Load(); got != 7 {
+			t.Errorf("admitted %d, want 7", got)
+		}
+		if peak != 1 {
+			t.Errorf("peak concurrent passes = %d, want 1 (Workers: 1)", peak)
+		}
+	})
+}
+
+// TestBubbleFleetReservePacing: with pacing on, a release holds its
+// containers for exactly paceMS per billing quantum of makespan of bubble
+// time, and a reserve blocked on the full fleet returns at that instant.
+func TestBubbleFleetReservePacing(t *testing.T) {
+	synctest.Run(func() {
+		const paceMS, quantum, makespan = 5.0, 60.0, 90.0
+		f := newFleet(4, paceMS, quantum, nil)
+		start := time.Now()
+		want := start.Add(time.Duration(paceMS * makespan / quantum * float64(time.Millisecond)))
+
+		release := f.reserve(4) // the whole fleet
+		reserved := make(chan time.Time, 1)
+		go func() {
+			f.reserve(1)(0) // a zero makespan releases at once
+			reserved <- time.Now()
+		}()
+		synctest.Wait() // the second reserve waits for capacity
+		if st := f.stats(); st.InUse != 4 || st.Reserves != 1 {
+			t.Errorf("blocked reserve: %d in use after %d reserves, want 4 after 1", st.InUse, st.Reserves)
+		}
+
+		released := make(chan time.Time, 1)
+		go func() {
+			release(makespan)
+			released <- time.Now()
+		}()
+		if at := <-released; !at.Equal(want) {
+			t.Errorf("release returned after %v, want %v", at.Sub(start), want.Sub(start))
+		}
+		if at := <-reserved; !at.Equal(want) {
+			t.Errorf("blocked reserve returned after %v, want %v", at.Sub(start), want.Sub(start))
+		}
+		if st := f.stats(); st.InUse != 0 || st.Peak != 4 || st.Reserves != 2 || st.Releases != 2 {
+			t.Errorf("fleet after both releases: %+v, want 0 in use, peak 4, 2 reserves and 2 releases", st)
 		}
 	})
 }

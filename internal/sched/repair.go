@@ -40,9 +40,12 @@ type RepairedOp struct {
 // Re-placement is deterministic list scheduling in topological order: each
 // orphan goes to the container giving the earliest feasible start, ties
 // broken by the lowest container index; a fresh container is opened only
-// when no survivor holds any operator. Repair mutates the schedule — clone
-// first if the planned placement must be preserved.
-func (s *Schedule) Repair(dead int, at float64) ([]RepairedOp, error) {
+// when no survivor holds any operator. rank gives every operator of
+// s.Graph its position in one topological order, indexed by OpID: the
+// caller computes it once, as the executor does before it repairs one
+// container after another. Repair mutates the schedule — copy it first if
+// the planned placement must be preserved.
+func (s *Schedule) Repair(dead int, at float64, rank []int32) ([]RepairedOp, error) {
 	if dead < 0 || dead >= len(s.conts) {
 		return nil, nil
 	}
@@ -93,14 +96,6 @@ func (s *Schedule) Repair(dead int, at float64) ([]RepairedOp, error) {
 
 	// Re-place non-optional orphans in topological order so predecessors
 	// are always assigned before their dependents are placed.
-	topo, err := s.Graph.TopoSort()
-	if err != nil {
-		return nil, fmt.Errorf("sched: repair: %w", err)
-	}
-	rank := make([]int32, len(topo))
-	for i, id := range topo {
-		rank[id] = int32(i)
-	}
 	slices.SortFunc(out, func(a, b RepairedOp) int { return cmp.Compare(rank[a.Op], rank[b.Op]) })
 
 	for i := range out {

@@ -12,8 +12,8 @@ var benchResult Result
 // BenchmarkExecute replays one Cybershake schedule with index builds packed
 // into its idle slots on one executor, as a tenant's service does on every
 // submit. After the first run the scratch arena and the event buffer are
-// the executor's, so what a run allocates is its Result and its
-// fault-handling closures, the same count at every -cpu.
+// the executor's, so what a run allocates is its Result's operator table
+// and the sort of its assignments, the same count at every -cpu.
 func BenchmarkExecute(b *testing.B) {
 	benchmarkExecute(b, nil)
 }
@@ -21,7 +21,9 @@ func BenchmarkExecute(b *testing.B) {
 // BenchmarkExecuteFaulty replays BenchmarkExecute's schedule under a
 // generated plan that crashes, revokes, slows and fails storage on its
 // containers, so what a faulty replay allocates beyond a fault-free one is
-// in the ledger too.
+// in the ledger too: the container rows' timelines and re-placed
+// intervals and Repair's results; the repaired copy of the schedule is the
+// executor's, reused across runs.
 func BenchmarkExecuteFaulty(b *testing.B) {
 	plan := fault.Generate(fault.DefaultRates(0.5, 60, 1200), 1)
 	benchmarkExecute(b, plan.From(0))

@@ -360,3 +360,17 @@ func TestFaultyRunDeterministic(t *testing.T) {
 		t.Error("faulty runs diverged")
 	}
 }
+
+// topoRanks returns each operator's position in g's topological order,
+// indexed by OpID: the rank Schedule.Repair takes.
+func topoRanks(g *dataflow.Graph) []int32 {
+	topo, err := g.TopoSort()
+	if err != nil {
+		panic(err)
+	}
+	rank := make([]int32, len(topo))
+	for i, id := range topo {
+		rank[id] = int32(i)
+	}
+	return rank
+}

@@ -64,6 +64,11 @@ type Executor struct {
 	// events buffers the run's provenance events; a completed Result hands
 	// them out as its Events, so a cancelled run hands out none.
 	events []provenance.Event
+	// repaired is the copy of the schedule a run replays once Repair has
+	// healed it for the plan's failed containers: CopyFrom refills it, so
+	// the caller's schedule stays as planned. It is valid until the next
+	// Execute, and no Result refers to it.
+	repaired sched.Schedule
 }
 
 // New returns an executor for cfg.
@@ -205,39 +210,6 @@ type container struct {
 // closed reports whether the container accepts no new operator at t: it
 // has failed or is inside its revocation notice.
 func (r *container) closed(t float64) bool { return r.failed && t >= r.noStart-timeEps }
-
-// slowFactor returns the compound straggler slowdown active on the
-// container at t, reporting each event to inject once, when it first falls
-// due. Every due event counts as an absorbed effect on every call (the
-// operator rode it out), reported in bulk through recovered.
-func (r *container) slowFactor(t float64, inject func(fault.Event), recovered func(int)) float64 {
-	tl := &r.slow
-	if tl.cur == 0 {
-		tl.prod = 1
-	}
-	for _, e := range tl.due(t) {
-		tl.prod *= e.SlowFactor
-	}
-	if tl.cur == 0 {
-		return 1
-	}
-	for ; tl.injected < tl.cur; tl.injected++ {
-		inject(tl.events[tl.injected])
-	}
-	recovered(tl.cur)
-	return tl.prod
-}
-
-// storageDelay consumes every storage-error event on the container due by
-// t and returns the summed retry backoff under cloud.DefaultBackoff.
-func (r *container) storageDelay(t float64, mark func(fault.Event)) float64 {
-	var d float64
-	for _, e := range r.storage.due(t) {
-		d += cloud.DefaultBackoff().TotalDelay(e.Retries, int64(e.Seq))
-		mark(e)
-	}
-	return d
-}
 
 // resolveFaults makes the container table one healthy row per slot of s
 // and writes the plan's events into the rows they hit. AnyContainer events
@@ -414,7 +386,7 @@ func heapPopCluster(h []pendingFlow, stack []int) ([]pendingFlow, pendingFlow, [
 const (
 	stNone    uint8 = iota // not a scheduled dataflow operator
 	stWaiting              // scheduled, has unmet scheduled predecessors
-	stQueued               // in the ready heap (or force-queued)
+	stQueued               // in the ready heap
 	stDone                 // completed, result recorded
 )
 
@@ -465,6 +437,18 @@ func resized[T any](s []T, n int) []T {
 	return s
 }
 
+// replay is one Execute call; the stages of the run are its methods. s is
+// the schedule being replayed: the caller's, or the executor's repaired
+// copy once the plan kills a container. res is the Result being filled.
+type replay struct {
+	ex  *Executor
+	ctx context.Context
+	s   *sched.Schedule
+	res Result
+	// nextFresh is the index of the next container recovery opens.
+	nextFresh int
+}
+
 // Execute runs the planned schedule and returns the realized execution.
 // faults lists fault events with times relative to this run's start (the
 // service shifts its absolute fault.Plan via Plan.From); empty means a
@@ -473,117 +457,116 @@ func resized[T any](s []T, n int) []T {
 // with no other fields populated, events included, so a drained
 // admission stops cleanly instead of running to completion.
 func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fault.Event) Result {
-	cfg := &ex.cfg
-	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
-	if cancelled() {
+	r := replay{ex: ex, ctx: ctx, s: s}
+	if r.cancelled() {
 		return Result{Cancelled: true}
 	}
-	actual, sc := cfg.Actual, &ex.sc
 	clear(ex.events) // the last run's events name its operators
 	ex.events = ex.events[:0]
+	r.res.Ops = make([]OpResult, s.Graph.Len())
+	ex.sc.resolveFaults(faults, s)
+	r.rank()
+	r.repair()
+	r.group()
+	if !r.runFlows() {
+		return Result{Cancelled: true}
+	}
+	r.lease()
+	if !r.runBuilds() {
+		return Result{Cancelled: true}
+	}
+	r.total()
+	// Past the last cancellation check: the run happened, so it hands out
+	// its events.
+	if len(ex.events) > 0 {
+		r.res.Events = ex.events
+	}
+	return r.res
+}
 
-	res := Result{Ops: make([]OpResult, s.Graph.Len())}
-	sc.resolveFaults(faults, s)
-	markInjected := func(e fault.Event) {
-		res.FaultsInjected++
-		ex.events = append(ex.events, provenance.Event{
-			Kind: provenance.KindFaultInjected, T: e.At, Name: e.Kind.String(),
-			Container: e.Container, Count: 1,
-		})
-	}
-	// A container's kill event is injected once, however many operators
-	// and passes it affects.
-	injectKill := func(r *container) {
-		if !r.killCounted {
-			r.killCounted = true
-			markInjected(r.kill)
-		}
-	}
-	markRecovered := func(e fault.Event) {
-		// Unlike injection, recoveries count per absorbed effect: an event
-		// whose failure forces three operators to move is three recoveries.
-		res.FaultsRecovered++
-		ex.events = append(ex.events, provenance.Event{
-			Kind: provenance.KindFaultRecovered, T: e.At, Name: e.Kind.String(),
-			Container: e.Container, Count: 1,
-		})
-	}
-	markBoth := func(e fault.Event) { markInjected(e); markRecovered(e) }
-	recoveredSlow := func(n int) {
-		res.FaultsRecovered += n
-		ex.events = append(ex.events, provenance.Event{
-			Kind: provenance.KindFaultRecovered, Name: fault.Straggler.String(), Count: n,
-		})
-	}
-	addWasted := func(seconds float64) {
-		if seconds > 0 {
-			res.WastedQuanta += seconds / cfg.Pricing.QuantumSeconds
-		}
-	}
+// cancelled reports whether the caller has cancelled the run.
+func (r *replay) cancelled() bool { return r.ctx != nil && r.ctx.Err() != nil }
 
-	// Planned repair: heal the schedule before execution for every
-	// container the plan kills, in failure order. Orphaned dataflow
-	// operators move to survivors (a recovery each); orphaned builds are
-	// dropped — their partitions re-enter the tuner's beneficial set.
-	sc.failures = sc.failures[:0]
-	for c := range sc.rows {
-		if sc.rows[c].failed {
-			sc.failures = append(sc.failures, c)
-		}
-	}
-	if len(sc.failures) > 0 {
-		s = s.Clone()
-		// Stable over ascending containers: (failure time, container) order.
-		slices.SortStableFunc(sc.failures, func(a, b int) int {
-			return cmp.Compare(sc.rows[a].failAt, sc.rows[b].failAt)
-		})
-		for _, c := range sc.failures {
-			dead := &sc.rows[c]
-			repairs, err := s.Repair(c, dead.failAt)
-			if err != nil {
-				continue // dynamic handling below still covers the failure
-			}
-			for _, r := range repairs {
-				injectKill(dead)
-				addWasted(r.WastedSeconds)
-				if r.Dropped {
-					// The build never runs: record it as killed so no
-					// operator silently disappears from the result.
-					at := math.Min(r.Old.Start, dead.failAt)
-					res.Ops[r.Op] = OpResult{Container: c, Start: at, End: at, Killed: true}
-					ex.events = append(ex.events, provenance.Event{
-						Kind: provenance.KindBuildKilled, T: at, Op: s.Graph.Op(r.Op).Name,
-						Container: c, Start: at, End: at, Reason: "fault",
-					})
-				} else {
-					markRecovered(dead.kill)
-					res.ReplacedOps++
-				}
-			}
-		}
-		sc.grow(s.NumSlots()) // a repair may have opened a container
-	}
-	g := s.Graph
+// logFault appends a provenance event of kind for n effects of fault e.
+func (r *replay) logFault(kind provenance.Kind, e fault.Event, n int) {
+	r.ex.events = append(r.ex.events, provenance.Event{
+		Kind: kind, T: e.At, Name: e.Kind.String(), Container: e.Container, Count: n,
+	})
+}
 
-	// One sorted assignment pass: contiguous ranges of the
-	// (container, start, op)-sorted slice are the per-container planned
-	// orders the seed kept in a map of slices.
-	sc.assigns = s.AssignmentsAppend(sc.assigns)
-	assigns := sc.assigns
-	sc.groups = sc.groups[:0]
-	for lo := 0; lo < len(assigns); {
-		c := assigns[lo].Container
-		hi := lo + 1
-		for hi < len(assigns) && assigns[hi].Container == c {
-			hi++
-		}
-		sc.groups = append(sc.groups, contGroup{c: c, lo: lo, hi: hi})
-		lo = hi
-	}
+// markInjected counts e as a fault that took effect.
+func (r *replay) markInjected(e fault.Event) {
+	r.res.FaultsInjected++
+	r.logFault(provenance.KindFaultInjected, e, 1)
+}
 
-	// Topological ranks break planned-start ties between dependent
-	// zero-length ops and order re-placements. FIFO Kahn over the dense
-	// op IDs, identical to Graph.TopoSort but on scratch storage.
+// markRecovered counts one absorbed effect of e. Unlike injection,
+// recoveries count per effect: an event whose failure forces three
+// operators to move is three recoveries.
+func (r *replay) markRecovered(e fault.Event) {
+	r.res.FaultsRecovered++
+	r.logFault(provenance.KindFaultRecovered, e, 1)
+}
+
+// injectKill injects the container's kill event once, however many
+// operators and passes it affects.
+func (r *replay) injectKill(row *container) {
+	if !row.killCounted {
+		row.killCounted = true
+		r.markInjected(row.kill)
+	}
+}
+
+// addWasted charges seconds of compute a fault discarded.
+func (r *replay) addWasted(seconds float64) {
+	if seconds > 0 {
+		r.res.WastedQuanta += seconds / r.ex.cfg.Pricing.QuantumSeconds
+	}
+}
+
+// slowFactor returns the compound straggler slowdown active on row at t,
+// injecting each event once, when it first falls due. Every due event
+// counts as an absorbed effect on every call (the operator rode it out),
+// logged as one event.
+func (r *replay) slowFactor(row *container, t float64) float64 {
+	tl := &row.slow
+	if tl.cur == 0 {
+		tl.prod = 1
+	}
+	for _, e := range tl.due(t) {
+		tl.prod *= e.SlowFactor
+	}
+	if tl.cur == 0 {
+		return 1
+	}
+	for ; tl.injected < tl.cur; tl.injected++ {
+		r.markInjected(tl.events[tl.injected])
+	}
+	r.res.FaultsRecovered += tl.cur
+	r.logFault(provenance.KindFaultRecovered, fault.Event{Kind: fault.Straggler}, tl.cur)
+	return tl.prod
+}
+
+// storageDelay consumes every storage-error event on row due by t, each a
+// fault injected and recovered, and returns the summed retry backoff under
+// cloud.DefaultBackoff.
+func (r *replay) storageDelay(row *container, t float64) float64 {
+	var d float64
+	for _, e := range row.storage.due(t) {
+		d += cloud.DefaultBackoff().TotalDelay(e.Retries, int64(e.Seq))
+		r.markInjected(e)
+		r.markRecovered(e)
+	}
+	return d
+}
+
+// rank computes every operator's topological rank: FIFO Kahn over the
+// dense op IDs, identical to Graph.TopoSort but on scratch storage. The
+// ranks order repair's re-placements and break pass 1's planned-start ties
+// between dependent zero-length ops. Repair moves operators, not edges, so
+// ranks taken before it hold for the repaired copy.
+func (r *replay) rank() {
+	sc, g := &r.ex.sc, r.s.Graph
 	n := g.Len()
 	sc.kahn = resized(sc.kahn, n)
 	sc.rank = resized(sc.rank, n)
@@ -604,26 +587,140 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 			}
 		}
 	}
+}
 
-	// Pass 1: dataflow operators. Work-conserving: each starts as soon as
-	// its predecessors' data has arrived and the previous dataflow
-	// operator on its container has finished. Build operators never delay
-	// them (priority -1 yields). Operators on failed containers are
-	// killed and re-queued onto survivors; survivors are chosen
-	// deterministically (least-loaded, lowest index), opening a fresh
-	// container only when every candidate is dead.
-	//
-	// The ready heap holds exactly the eligible operators — those whose
-	// scheduled predecessors have all completed — fed by per-op unmet
-	// predecessor counts, so each op is pushed once when its last
-	// predecessor finishes instead of rescanning the whole pending set
-	// per step.
+// repair heals the schedule before execution for every container the plan
+// kills, in failure order. Orphaned dataflow operators move to survivors
+// (a recovery each); orphaned builds are dropped — their partitions
+// re-enter the tuner's beneficial set. The repairs go to the executor's
+// copy, which the rest of the run replays; the caller's schedule is not
+// touched.
+func (r *replay) repair() {
+	sc := &r.ex.sc
+	sc.failures = sc.failures[:0]
+	for c := range sc.rows {
+		if sc.rows[c].failed {
+			sc.failures = append(sc.failures, c)
+		}
+	}
+	if len(sc.failures) == 0 {
+		return
+	}
+	r.ex.repaired.CopyFrom(r.s)
+	r.s = &r.ex.repaired
+	// Stable over ascending containers: (failure time, container) order.
+	slices.SortStableFunc(sc.failures, func(a, b int) int {
+		return cmp.Compare(sc.rows[a].failAt, sc.rows[b].failAt)
+	})
+	for _, c := range sc.failures {
+		dead := &sc.rows[c]
+		repairs, err := r.s.Repair(c, dead.failAt, sc.rank)
+		if err != nil {
+			continue // pass 1's dynamic handling still covers the failure
+		}
+		for _, rep := range repairs {
+			r.injectKill(dead)
+			r.addWasted(rep.WastedSeconds)
+			if !rep.Dropped {
+				r.markRecovered(dead.kill)
+				r.res.ReplacedOps++
+				continue
+			}
+			// The build never runs: record it as killed so no operator
+			// silently disappears from the result.
+			at := math.Min(rep.Old.Start, dead.failAt)
+			r.res.Ops[rep.Op] = OpResult{Container: c, Start: at, End: at, Killed: true}
+			r.ex.events = append(r.ex.events, provenance.Event{
+				Kind: provenance.KindBuildKilled, T: at, Op: r.s.Graph.Op(rep.Op).Name,
+				Container: c, Start: at, End: at, Reason: "fault",
+			})
+		}
+	}
+	sc.grow(r.s.NumSlots()) // a repair may have opened a container
+}
+
+// group sorts the replayed schedule's assignments by (container, start,
+// op) once: the sorted slice's contiguous ranges are the per-container
+// planned orders.
+func (r *replay) group() {
+	sc := &r.ex.sc
+	sc.assigns = r.s.AssignmentsAppend(sc.assigns)
+	sc.groups = sc.groups[:0]
+	for lo := 0; lo < len(sc.assigns); {
+		c := sc.assigns[lo].Container
+		hi := lo + 1
+		for hi < len(sc.assigns) && sc.assigns[hi].Container == c {
+			hi++
+		}
+		sc.groups = append(sc.groups, contGroup{c: c, lo: lo, hi: hi})
+		lo = hi
+	}
+}
+
+// queue makes a waiting operator eligible: it goes on the ready heap at its
+// planned container and start.
+func (r *replay) queue(id dataflow.OpID) {
+	sc := &r.ex.sc
+	sc.state[id] = stQueued
+	sc.heap = heapPush(sc.heap, pendingFlow{
+		op: id, cont: int(sc.waitCont[id]), order: sc.waitOrder[id], rank: int(sc.rank[id]),
+	})
+}
+
+// chooseSurvivor returns the candidate container other than exclude that
+// is open at t and whose clock is earliest (lowest index on ties), opening
+// a fresh container when there is none. It may append a row: a *container
+// taken before a call is stale after it.
+func (r *replay) chooseSurvivor(exclude int, t float64) int {
+	sc := &r.ex.sc
+	best, bestClock := -1, math.Inf(1)
+	for _, c := range sc.cands {
+		if row := &sc.rows[c]; c != exclude && !row.closed(t) && row.clock < bestClock {
+			best, bestClock = c, row.clock
+		}
+	}
+	if best < 0 {
+		best = r.nextFresh
+		r.nextFresh++
+		sc.grow(r.nextFresh)
+		sc.cands = append(sc.cands, best)
+	}
+	return best
+}
+
+// replace re-queues p, which container c cannot run, onto a survivor from
+// t on: c's kill takes effect and the move is one recovery.
+func (r *replay) replace(p pendingFlow, c int, t float64) {
+	sc := &r.ex.sc
+	row := &sc.rows[c]
+	r.injectKill(row)
+	r.markRecovered(row.kill)
+	r.res.ReplacedOps++
+	nc := r.chooseSurvivor(c, t)
+	sc.heap = heapPush(sc.heap, pendingFlow{op: p.op, cont: nc, order: t, minStart: t, rank: p.rank})
+}
+
+// runFlows is pass 1: dataflow operators. Work-conserving: each starts as
+// soon as its predecessors' data has arrived and the previous dataflow
+// operator on its container has finished. Build operators never delay
+// them (priority -1 yields). Operators on failed containers are killed and
+// re-queued onto survivors (replace).
+//
+// The ready heap holds exactly the eligible operators — those whose
+// scheduled predecessors have all completed — fed by per-op unmet
+// predecessor counts, so each op is pushed once when its last predecessor
+// finishes instead of rescanning the whole pending set per step. Connect
+// rejects cycles, so the heap is empty only once every operator has run.
+// runFlows reports false when the run was cancelled.
+func (r *replay) runFlows() bool {
+	sc, s, g := &r.ex.sc, r.s, r.s.Graph
+	n := g.Len()
 	sc.state = resized(sc.state, n)
 	sc.indeg = resized(sc.indeg, n)
 	sc.waitCont = resized(sc.waitCont, n)
 	sc.waitOrder = resized(sc.waitOrder, n)
 	remaining := 0
-	for _, a := range assigns {
+	for _, a := range sc.assigns {
 		if g.Op(a.Op).Optional {
 			continue
 		}
@@ -643,69 +740,28 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 		}
 	}
 	sc.heap = sc.heap[:0]
-	for _, a := range assigns {
-		id := a.Op
-		if sc.state[id] == stWaiting && sc.indeg[id] == 0 {
-			sc.state[id] = stQueued
-			sc.heap = heapPush(sc.heap, pendingFlow{
-				op: id, cont: int(sc.waitCont[id]), order: sc.waitOrder[id], rank: int(sc.rank[id]),
-			})
+	for _, a := range sc.assigns {
+		if sc.state[a.Op] == stWaiting && sc.indeg[a.Op] == 0 {
+			r.queue(a.Op)
 		}
 	}
-
-	nextFresh := s.NumSlots()
+	r.nextFresh = s.NumSlots()
 	sc.cands = sc.cands[:0]
 	for _, gr := range sc.groups {
 		sc.cands = append(sc.cands, gr.c)
 	}
-	// chooseSurvivor may append a row: a *container taken before a call is
-	// stale after it.
-	chooseSurvivor := func(exclude int, t float64) int {
-		best, bestClock := -1, math.Inf(1)
-		for _, c := range sc.cands {
-			if r := &sc.rows[c]; c != exclude && !r.closed(t) && r.clock < bestClock {
-				best, bestClock = c, r.clock
-			}
-		}
-		if best < 0 {
-			best = nextFresh
-			nextFresh++
-			sc.grow(nextFresh)
-			sc.cands = append(sc.cands, best)
-		}
-		return best
-	}
 
 	for remaining > 0 {
-		if cancelled() {
-			return Result{Cancelled: true}
-		}
-		if len(sc.heap) == 0 {
-			// Unreachable for DAGs (Connect rejects cycles); force the
-			// lowest-ID unfinished op so the loop cannot livelock.
-			for id := 0; id < n; id++ {
-				if sc.state[id] == stWaiting {
-					sc.state[id] = stQueued
-					sc.heap = heapPush(sc.heap, pendingFlow{
-						op: dataflow.OpID(id), cont: int(sc.waitCont[id]),
-						order: sc.waitOrder[id], rank: int(sc.rank[id]),
-					})
-					break
-				}
-			}
-			if len(sc.heap) == 0 {
-				break
-			}
+		if r.cancelled() {
+			return false
 		}
 		var p pendingFlow
 		sc.heap, p, sc.stack = heapPopCluster(sc.heap, sc.stack)
-
-		op := g.Op(p.op)
 		c := p.cont
 		ctype := s.ContainerType(c)
 		ready := 0.0
 		for _, e := range g.In(p.op) {
-			pr := res.Ops[e.From]
+			pr := r.res.Ops[e.From]
 			if !pr.Completed {
 				continue
 			}
@@ -722,39 +778,27 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 		// A failed (or notice-window) container accepts no new operators:
 		// re-place without losing work.
 		if row.closed(start) {
-			injectKill(row)
-			markRecovered(row.kill)
-			res.ReplacedOps++
-			nc := chooseSurvivor(c, start)
-			sc.heap = heapPush(sc.heap, pendingFlow{
-				op: p.op, cont: nc, order: start, minStart: start, rank: p.rank,
-			})
+			r.replace(p, c, start)
 			continue
 		}
-		dur := actual(op) / ctype.SpeedFactor
-		dur *= row.slowFactor(start, markInjected, recoveredSlow)
-		dur += row.storageDelay(start, markBoth)
+		dur := r.ex.cfg.Actual(g.Op(p.op)) / ctype.SpeedFactor
+		dur *= r.slowFactor(row, start)
+		dur += r.storageDelay(row, start)
 		end := start + dur
 		// In-flight at the container's failure time: the work since start
 		// is lost; the operator restarts from scratch on a survivor.
 		if fa := row.failAt; row.failed && end > fa+timeEps {
-			injectKill(row)
-			markRecovered(row.kill)
-			addWasted(fa - start)
-			res.ReplacedOps++
+			r.addWasted(fa - start)
 			row.clock = fa
-			nc := chooseSurvivor(c, fa)
-			sc.heap = heapPush(sc.heap, pendingFlow{
-				op: p.op, cont: nc, order: fa, minStart: fa, rank: p.rank,
-			})
+			r.replace(p, c, fa)
 			continue
 		}
-		r := OpResult{Container: c, Start: start, End: end, Ready: ready, Completed: true}
+		done := OpResult{Container: c, Start: start, End: end, Ready: ready, Completed: true}
 		if a, planned := s.Assignment(p.op); !planned || a.Container != c {
-			r.Replaced = true
+			done.Replaced = true
 			row.arrivals = append(row.arrivals, interval{start, end})
 		}
-		res.Ops[p.op] = r
+		r.res.Ops[p.op] = done
 		row.clock = end
 		sc.state[p.op] = stDone
 		remaining--
@@ -764,32 +808,42 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 			}
 			sc.indeg[e.To]--
 			if sc.indeg[e.To] == 0 {
-				sc.state[e.To] = stQueued
-				sc.heap = heapPush(sc.heap, pendingFlow{
-					op: e.To, cont: int(sc.waitCont[e.To]), order: sc.waitOrder[e.To], rank: int(sc.rank[e.To]),
-				})
+				r.queue(e.To)
 			}
 		}
 	}
+	return true
+}
 
-	// Realized lease per container: whole quanta covering the last
-	// dataflow activity (idle containers are deleted when their current
-	// quantum expires, §3). A container holding only build operators is a
-	// dedicated build container (the delayed-building extension): its
-	// lease is the planned quanta the service deliberately paid for, and
-	// builds running long are still cut at that boundary. A failed
-	// container is charged through the quantum containing the failure;
-	// the unusable remainder of that lease is fault waste.
-	for _, gr := range sc.groups {
-		c := gr.c
+// lease sets each leased container's realized lease in one walk over the
+// container table, with a cursor over the planned groups. A planned
+// container pays whole quanta covering its last dataflow activity (idle
+// containers are deleted when their current quantum expires, §3). One
+// holding only build operators is a dedicated build container (the
+// delayed-building extension): its lease is the planned quanta the service
+// deliberately paid for, and builds running long are still cut at that
+// boundary. A failed planned container is charged through the quantum
+// containing the failure; the unusable remainder of that lease is fault
+// waste. A fresh container recovery opened pays through its last arrival.
+func (r *replay) lease() {
+	sc, g, pr := &r.ex.sc, r.s.Graph, r.ex.cfg.Pricing
+	gi := 0
+	for c := range sc.rows {
 		row := &sc.rows[c]
+		var planned []sched.Assignment
+		if gi < len(sc.groups) && sc.groups[gi].c == c {
+			planned = sc.assigns[sc.groups[gi].lo:sc.groups[gi].hi]
+			gi++
+		} else if len(row.arrivals) == 0 {
+			continue
+		}
 		var last float64
 		anyFlowOp := false
-		for _, a := range assigns[gr.lo:gr.hi] {
+		for _, a := range planned {
 			if !g.Op(a.Op).Optional {
 				anyFlowOp = true
-				if r := res.Ops[a.Op]; r.Container == c && r.End > last {
-					last = r.End
+				if op := r.res.Ops[a.Op]; op.Container == c && op.End > last {
+					last = op.End
 				}
 			}
 		}
@@ -803,55 +857,42 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 			}
 		}
 		if !anyFlowOp && len(row.arrivals) == 0 {
-			for _, a := range assigns[gr.lo:gr.hi] {
+			for _, a := range planned {
 				if a.End > last {
 					last = a.End
 				}
 			}
 		}
-		lease := float64(cfg.Pricing.Quanta(last)) * cfg.Pricing.QuantumSeconds
+		lease := float64(pr.Quanta(last)) * pr.QuantumSeconds
 		row.buildKill = lease
-		if fa := row.failAt; row.failed && fa < lease-timeEps {
-			injectKill(row)
+		if fa := row.failAt; len(planned) > 0 && row.failed && fa < lease-timeEps {
+			r.injectKill(row)
 			// Pay through the failure's quantum; its tail is waste.
-			charged := float64(cfg.Pricing.Quanta(fa)) * cfg.Pricing.QuantumSeconds
+			charged := float64(pr.Quanta(fa)) * pr.QuantumSeconds
 			if charged > lease {
 				charged = lease
 			}
-			addWasted(charged - fa)
+			r.addWasted(charged - fa)
 			lease = charged
 			row.buildKill = math.Min(fa, lease)
 		}
-		row.leaseEnd = lease
-		row.leased = true
+		row.leaseEnd, row.leased = lease, true
 	}
-	for c := range sc.rows {
-		row := &sc.rows[c]
-		if row.leased || len(row.arrivals) == 0 {
-			continue
-		}
-		// A fresh container opened by recovery: leased like any other.
-		var last float64
-		for _, iv := range row.arrivals {
-			if iv.end > last {
-				last = iv.end
-			}
-		}
-		row.leaseEnd = float64(cfg.Pricing.Quanta(last)) * cfg.Pricing.QuantumSeconds
-		row.buildKill = row.leaseEnd
-		row.leased = true
-	}
+}
 
-	// Pass 2: build operators run in the realized gaps, in planned order,
-	// stopped by the next dataflow operator's realized start, a re-placed
-	// arrival, the container's failure, or the lease end.
+// runBuilds is pass 2: build operators run in the realized gaps, in planned
+// order, stopped by the next dataflow operator's realized start, a
+// re-placed arrival, the container's failure, or the lease end. It reports
+// false when the run was cancelled.
+func (r *replay) runBuilds() bool {
+	sc, s, g := &r.ex.sc, r.s, r.s.Graph
 	for _, gr := range sc.groups {
-		if cancelled() {
-			return Result{Cancelled: true}
+		if r.cancelled() {
+			return false
 		}
 		c := gr.c
 		row := &sc.rows[c]
-		as := assigns[gr.lo:gr.hi]
+		as := sc.assigns[gr.lo:gr.hi]
 		// Pass 2 restarts the container's clock at zero, so its straggler
 		// queries are non-decreasing again.
 		row.slow.cur = 0
@@ -860,8 +901,8 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 		sc.points = sc.points[:0]
 		for i, a := range as {
 			if !g.Op(a.Op).Optional {
-				if r := res.Ops[a.Op]; r.Container == c {
-					sc.points = append(sc.points, flowPoint{idx: i, start: r.Start})
+				if op := r.res.Ops[a.Op]; op.Container == c {
+					sc.points = append(sc.points, flowPoint{idx: i, start: op.Start})
 				}
 			}
 		}
@@ -872,8 +913,8 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 		for i, a := range as {
 			op := g.Op(a.Op)
 			if !op.Optional {
-				if r := res.Ops[a.Op]; r.Container == c && r.End > clock {
-					clock = r.End
+				if done := r.res.Ops[a.Op]; done.Container == c && done.End > clock {
+					clock = done.End
 				}
 				if pi < len(points) && points[pi].idx == i {
 					pi++
@@ -902,90 +943,79 @@ func (ex *Executor) Execute(ctx context.Context, s *sched.Schedule, faults []fau
 				kill = row.noStart // no new work after the failure notice
 			}
 			faultKill := row.failed && row.failAt <= kill+timeEps
-			dur := actual(op) / ctype.SpeedFactor
-			dur *= row.slowFactor(start, markInjected, recoveredSlow)
+			dur := r.ex.cfg.Actual(op) / ctype.SpeedFactor
+			dur *= r.slowFactor(row, start)
 			end := start + dur
-			r := OpResult{Container: c, Start: start}
-			killReason := ""
-			if start >= kill-timeEps {
-				r.End = start // preempted before it could run at all
-				r.Killed = true
-				killReason = "preempted"
-			} else if end > kill+timeEps {
-				r.End = kill // stopped at preemption, expiry or failure
-				r.Killed = true
-				switch {
-				case faultKill:
-					killReason = "fault"
-				case kill >= row.buildKill-timeEps:
-					killReason = "expired"
-				default:
-					killReason = "preempted"
-				}
-				if faultKill {
-					injectKill(row)
-					addWasted(r.End - r.Start)
-				}
-			} else {
-				r.End = end
-				r.Completed = true
+			// Stopped at preemption, expiry or failure unless it ends in time.
+			b := OpResult{Container: c, Start: start, End: kill}
+			reason := "preempted"
+			switch {
+			case start >= kill-timeEps:
+				b.End = start // preempted before it could run at all
+			case end <= kill+timeEps:
+				b.End, reason = end, ""
+			case faultKill:
+				reason = "fault"
+				r.injectKill(row)
+				r.addWasted(kill - start)
+			case kill >= row.buildKill-timeEps:
+				reason = "expired"
 			}
-			if r.Killed {
-				ex.events = append(ex.events, provenance.Event{
-					Kind: provenance.KindBuildKilled, T: r.Start, Op: op.Name,
-					Container: c, Start: r.Start, End: r.End, Reason: killReason,
+			b.Completed, b.Killed = reason == "", reason != ""
+			if b.Killed {
+				r.ex.events = append(r.ex.events, provenance.Event{
+					Kind: provenance.KindBuildKilled, T: b.Start, Op: op.Name,
+					Container: c, Start: b.Start, End: b.End, Reason: reason,
 				})
 			}
-			res.Ops[a.Op] = r
-			clock = r.End
+			r.res.Ops[a.Op] = b
+			clock = b.End
 		}
 	}
+	return true
+}
 
-	// Aggregate metrics in id order, so a seeded faulty run reproduces
-	// byte-identical output.
+// total aggregates the run's makespan, cost and fragmentation in id and
+// container order, so a seeded faulty run reproduces byte-identical
+// output.
+func (r *replay) total() {
+	g, pr, res := r.s.Graph, r.ex.cfg.Pricing, &r.res
 	first, last := math.Inf(1), 0.0
 	anyFlow := false
 	var busy float64
-	for id, r := range res.Ops {
-		if !r.Ran() {
+	for id, op := range res.Ops {
+		if !op.Ran() {
 			continue
 		}
-		busy += r.End - r.Start
+		busy += op.End - op.Start
 		if g.Op(dataflow.OpID(id)).Optional {
 			continue
 		}
 		anyFlow = true
-		if r.Start < first {
-			first = r.Start
+		if op.Start < first {
+			first = op.Start
 		}
-		if r.End > last {
-			last = r.End
+		if op.End > last {
+			last = op.End
 		}
 	}
 	if anyFlow {
 		res.Makespan = last - first
 	}
 	var leased float64
-	for c := range sc.rows {
-		row := &sc.rows[c]
+	for c := range r.ex.sc.rows {
+		row := &r.ex.sc.rows[c]
 		if !row.leased {
 			continue
 		}
 		leased += row.leaseEnd
 		w := 1.0
-		if cfg.Pricing.VMPerQuantum > 0 {
-			if t := s.ContainerType(c); t.PricePerQuantum > 0 {
-				w = t.PricePerQuantum / cfg.Pricing.VMPerQuantum
+		if pr.VMPerQuantum > 0 {
+			if t := r.s.ContainerType(c); t.PricePerQuantum > 0 {
+				w = t.PricePerQuantum / pr.VMPerQuantum
 			}
 		}
-		res.MoneyQuanta += float64(cfg.Pricing.Quanta(row.leaseEnd)) * w
+		res.MoneyQuanta += float64(pr.Quanta(row.leaseEnd)) * w
 	}
 	res.Fragmentation = leased - busy
-
-	// Past the last cancellation check: the run happened, so it hands out
-	// its events.
-	if len(ex.events) > 0 {
-		res.Events = ex.events
-	}
-	return res
 }
