@@ -35,6 +35,7 @@ type pass struct {
 	// schedule
 	skyline []*sched.Schedule
 	chosen  *sched.Schedule
+	assigns []sched.Assignment // chosen's assignments, sorted once for the stage
 	// execute
 	run sim.Result
 }
@@ -466,6 +467,7 @@ func (s *Service) schedule(p *pass) bool {
 	if p.chosen == nil {
 		return false
 	}
+	p.assigns = p.chosen.AssignmentsAppend(p.assigns)
 	if p.recording {
 		s.recordSchedule(p)
 	}
@@ -474,7 +476,7 @@ func (s *Service) schedule(p *pass) bool {
 	// operators left behind, and the remaining fragmentation is idle time
 	// discovered but not fillable.
 	var interleavedSecs float64
-	for _, a := range p.chosen.Assignments() {
+	for _, a := range p.assigns {
 		if p.chosen.Graph.Op(a.Op).Optional {
 			interleavedSecs += a.End - a.Start
 		}
@@ -557,7 +559,7 @@ func (s *Service) interleave(p *pass) {
 // recordSchedule appends the skyline choice — with the Pareto alternatives
 // the tuner passed over, so the choice is auditable against the skyline it
 // came from — and one placement event per interleaved build op that made
-// the chosen schedule, with its slot coordinates.
+// the chosen schedule, with its slot coordinates, in p.assigns' order.
 func (s *Service) recordSchedule(p *pass) {
 	ev := provenance.Event{
 		Kind: provenance.KindFlowScheduled, Flow: p.id, T: p.now,
@@ -576,7 +578,7 @@ func (s *Service) recordSchedule(p *pass) {
 		})
 	}
 	s.cfg.Provenance.Append(ev)
-	for _, a := range p.chosen.Assignments() {
+	for _, a := range p.assigns {
 		b, ok := p.candidate(a.Op)
 		if !ok {
 			continue

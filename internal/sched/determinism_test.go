@@ -219,19 +219,20 @@ func TestParetoDuplicateTieBreak(t *testing.T) {
 			oneCont.MaxSequentialIdle(), twoCont.MaxSequentialIdle())
 	}
 
+	sky := []member{{s: oneCont, p: pOne}, {s: twoCont, p: pTwo}}
 	orders := [][]candidate{
-		{{s: oneCont, p: pOne}, {s: twoCont, p: pTwo}},
-		{{s: twoCont, p: pTwo}, {s: oneCont, p: pOne}},
+		{{p: pOne, from: 0, kind: keep}, {p: pTwo, from: 1, kind: keep}},
+		{{p: pTwo, from: 1, kind: keep}, {p: pOne, from: 0, kind: keep}},
 	}
 	for i, cands := range orders {
 		var fb frontierBuf
-		out := fb.pareto(cands, preferSeqIdle)
+		out := fb.pareto(cands, &scope{sky: sky, rule: preferSeqIdle})
 		if len(out) != 1 {
 			t.Fatalf("order %d: pareto kept %d candidates, want 1", i, len(out))
 		}
-		if out[0].s != oneCont {
+		if s := sky[out[0].from].s; s != oneCont {
 			t.Errorf("order %d: survivor uses %d containers, want the 1-container schedule",
-				i, out[0].s.Containers())
+				i, s.Containers())
 		}
 	}
 
@@ -271,27 +272,28 @@ func TestSeqIdleTieBreakKeepsLongestRun(t *testing.T) {
 		if longProbed {
 			spec, mat = long, short
 		}
-		p, start, end, ok := src.probe(spec)
-		if !ok {
+		specC := candidateOf(0, spec)
+		if !src.probe(spec, inputsOf(src, build), &specC) {
 			t.Fatalf("probe(%+v) refused", spec)
 		}
 		s := src.Clone()
 		if _, err := s.make(mat); err != nil {
 			t.Fatal(err)
 		}
-		specC, matC := candidate{src: src, mv: spec, p: p, start: start, end: end}, candidate{s: s, p: s.point()}
+		sky := []member{{s: src, p: src.point()}, {s: s, p: s.point()}}
+		matC := candidate{p: s.point(), from: 1, kind: keep}
 		if !equalObjectives(specC.p, matC.p) || specC.p.ops != matC.p.ops || specC.p.conts != matC.p.conts {
 			t.Fatalf("test setup: %+v and %+v differ before the seq-idle tie-break", specC.p, matC.p)
 		}
 		for _, cands := range [][]candidate{{specC, matC}, {matC, specC}} {
 			var fb frontierBuf
-			out := fb.pareto(cands, preferSeqIdle)
+			out := fb.pareto(cands, &scope{sky: sky, op: build, rule: preferSeqIdle})
 			if len(out) != 1 {
 				t.Fatalf("pareto kept %d candidates, want 1", len(out))
 			}
-			if got := out[0].s != nil; got == longProbed || out[0].p.seqIdle != 40 {
+			if got := out[0].kind == keep; got == longProbed || out[0].p.seqIdle != 40 {
 				t.Errorf("long run speculative = %v, first = %+v: kept materialized = %v with seqIdle %g, want the 40 s run",
-					longProbed, cands[0].mv, got, out[0].p.seqIdle)
+					longProbed, cands[0], got, out[0].p.seqIdle)
 			}
 		}
 	}

@@ -56,7 +56,7 @@ func TestContainerTypeRefusals(t *testing.T) {
 		{"type out of range", s, move{op: b, cont: 1, typeIdx: 9}, "type 9 out of range"},
 		{"retype a used container", s, move{op: b, cont: 0, typeIdx: 0}, "container 0 already in use"},
 	} {
-		if _, _, _, ok := tc.s.probe(tc.mv); ok {
+		if tc.s.probe(tc.mv, inputsOf(tc.s, tc.mv.op), new(candidate)) {
 			t.Errorf("%s: probe accepted %+v", tc.name, tc.mv)
 		}
 		before := snapshot(tc.s)

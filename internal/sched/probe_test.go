@@ -93,14 +93,77 @@ func probeSchedule(seed int64) (*Schedule, *rand.Rand) {
 	return s, rng
 }
 
+// candidateOf returns the candidate of move mv on source from, unscored.
+func candidateOf(from int, mv move) candidate {
+	c := candidate{from: int32(from), cont: int32(mv.cont), typeIdx: int32(mv.typeIdx), kind: appendOp}
+	if mv.place {
+		c.start, c.kind = mv.start, placeOp
+	}
+	return c
+}
+
+// inputsOf returns op's inputs gathered on s into fresh storage: what a
+// probe of one move alone reads.
+func inputsOf(s *Schedule, op dataflow.OpID) *inputs {
+	in := s.gather(inputs{}, op)
+	return &in
+}
+
+// readyWalk is the ready time of op on container c, whose type has spec,
+// by the definition: the latest of each input's end, plus its transfer
+// when it ends on another container. It is the oracle for inputs.
+func readyWalk(s *Schedule, op dataflow.OpID, c int, spec cloud.Spec) float64 {
+	var ready float64
+	for _, e := range s.Graph.In(op) {
+		a := s.assign[e.From]
+		t := a.End
+		if a.Container != c {
+			t += spec.TransferSeconds(e.Size)
+		}
+		if t > ready {
+			ready = t
+		}
+	}
+	return ready
+}
+
+// checkArrivals requires the ready time in's arrivals give every container
+// of s, a fresh one included, as every type to equal readyWalk's, to the
+// bit.
+func checkArrivals(t *testing.T, s *Schedule, in *inputs) {
+	t.Helper()
+	if in.missing >= 0 {
+		return
+	}
+	for ti := range max(1, len(s.Types)) {
+		for c := 0; c <= s.NumSlots(); c++ {
+			got, want := in.arrive[ti].at(c), readyWalk(s, in.op, c, s.vmType(ti).Spec)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("op %d on container %d as type %d: arrival %+v reads %v, the walk %v",
+					in.op, c, ti, in.arrive[ti], got, want)
+			}
+		}
+	}
+}
+
 // probeEqualsMake requires probe(mv) and seqIdleAfter(mv) to write nothing
 // to s, memos included, and to agree, to the bit, with what point() and
 // MaxSequentialIdle read after make(mv) on a copy of s. A refused make
-// must leave its copy as it was.
-func probeEqualsMake(t *testing.T, s *Schedule, mv move) {
+// must leave its copy as it was. The move is probed twice, through shared,
+// the inputs gathered once for every move of mv.op on s as the skyline
+// gathers them per source, and alone, through inputs gathered for it:
+// both probes must read the same.
+func probeEqualsMake(t *testing.T, s *Schedule, mv move, shared *inputs) {
 	t.Helper()
 	before := s.Clone()
-	got, start, end, ok := s.probe(mv)
+	var shCand, alone candidate
+	ok := s.probe(mv, shared, &shCand)
+	aOK := s.probe(mv, inputsOf(s, mv.op), &alone)
+	got, start, end := shCand.p, shCand.start, shCand.end
+	if aOK != ok || alone.p != got || math.Float64bits(alone.start) != math.Float64bits(start) || math.Float64bits(alone.end) != math.Float64bits(end) {
+		t.Fatalf("probe(%+v) through the shared inputs = %+v [%v, %v) %v, alone %+v [%v, %v) %v",
+			mv, got, start, end, ok, alone.p, alone.start, alone.end, aOK)
+	}
 	idle := 0.0
 	if ok {
 		idle = s.seqIdleAfter(mv, start, end)
@@ -223,12 +286,15 @@ func sameWalk(a, b idleWalk) bool {
 
 // FuzzProbeEqualsApply checks the skyline's read-only probe and seq-idle
 // tie-break against make on a copy, over every append and placement of
-// every operator onto every container (fresh included) as every type
-// (untyped and out of range included), placements at the origin, the last
-// op's start, the lease end and a random instant, and placements at
-// idle-run starts and ends, and recounts the books after each make. Then it
-// copies the schedule into a recycled one and edits it with random makes,
-// repairs and copies, and recounts its books after every edit.
+// every operator onto every container (fresh included, holding its inputs
+// or not) as every type (untyped and out of range included), placements at
+// the origin, the last op's start, the lease end and a random instant, and
+// placements at idle-run starts and ends, each probed through the inputs
+// gathered once per operator and alone, and recounts the books after each
+// make; the gathered arrivals are held to the walk of the inputs on every
+// container as every type. Then it copies the schedule into a recycled one
+// and edits it with random makes, repairs and copies, and recounts its
+// books after every edit.
 func FuzzProbeEqualsApply(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 4, 7, 11, 42, -5, -471} {
 		f.Add(seed)
@@ -237,25 +303,28 @@ func FuzzProbeEqualsApply(f *testing.F) {
 	f.Add(int64(8))  // appends after a repair
 	f.Add(int64(14)) // a repaired schedule's stale books copied into a recycled one
 	f.Add(int64(17)) // one container, so the second-largest run is 0
+	f.Add(int64(40)) // two inputs on the probed container, in a pool of three network rates
 	f.Fuzz(func(t *testing.T, seed int64) {
 		s, rng := probeSchedule(seed)
 		for id := 0; id < s.Graph.Len(); id++ {
 			op := dataflow.OpID(id)
+			shared := inputsOf(s, op)
+			checkArrivals(t, s, shared)
 			for c := 0; c <= s.NumSlots(); c++ {
 				lastStart := 0.0
 				if ops := s.opsOn(c); len(ops) > 0 {
 					lastStart = s.assign[ops[len(ops)-1]].Start
 				}
 				for ti := -1; ti <= len(s.Types); ti++ {
-					probeEqualsMake(t, s, move{op: op, cont: c, typeIdx: ti})
+					probeEqualsMake(t, s, move{op: op, cont: c, typeIdx: ti}, shared)
 					for _, start := range []float64{0, lastStart, s.lastEnd(c), 300 * rng.Float64()} {
-						probeEqualsMake(t, s, move{op: op, cont: c, typeIdx: ti, start: start, place: true})
+						probeEqualsMake(t, s, move{op: op, cont: c, typeIdx: ti, start: start, place: true}, shared)
 					}
 				}
 			}
 			for _, run := range s.IdleRuns() {
-				probeEqualsMake(t, s, move{op: op, cont: run.Container, typeIdx: -1, start: run.Start, place: true})
-				probeEqualsMake(t, s, move{op: op, cont: run.Container, typeIdx: -1, start: run.End - s.Graph.Op(op).Time, place: true})
+				probeEqualsMake(t, s, move{op: op, cont: run.Container, typeIdx: -1, start: run.Start, place: true}, shared)
+				probeEqualsMake(t, s, move{op: op, cont: run.Container, typeIdx: -1, start: run.End - s.Graph.Op(op).Time, place: true}, shared)
 			}
 		}
 		checkBooks(t, s, "built")
@@ -279,7 +348,7 @@ func FuzzProbeEqualsApply(f *testing.F) {
 				if rng.Intn(2) == 0 {
 					mv.start, mv.place = 250*rng.Float64(), true
 				}
-				probeEqualsMake(t, s, mv)
+				probeEqualsMake(t, s, mv, inputsOf(s, mv.op))
 				s.make(mv) // a refused move is fine
 				what = fmt.Sprintf("make(%+v)", mv)
 			}
@@ -307,7 +376,8 @@ func TestMaterializePanicsOnForgedMove(t *testing.T) {
 		{move{op: a, cont: 1, typeIdx: -1}, "probed append of op 0 on container 1"},                       // a is placed
 		{move{op: b, cont: 0, typeIdx: -1, start: 5, place: true}, "probed place of op 1 on container 0"}, // overlaps a
 	} {
-		if _, _, _, ok := src.probe(tc.mv); ok {
+		c := candidateOf(0, tc.mv)
+		if src.probe(tc.mv, inputsOf(src, tc.mv.op), &c) {
 			t.Fatalf("probe accepted the forged move %+v", tc.mv)
 		}
 		func() {
@@ -316,9 +386,9 @@ func TestMaterializePanicsOnForgedMove(t *testing.T) {
 					t.Errorf("materialize(%+v) panicked with %q, want it to name %q", tc.mv, msg, tc.want)
 				}
 			}()
-			c := candidate{src: src, mv: tc.mv}
+			tb := scope{sky: []member{{s: src, p: src.point()}}, op: tc.mv.op}
 			var free freeList
-			c.materialize(&free, false)
+			tb.materialize(&c, &free, false)
 		}()
 	}
 }

@@ -5,8 +5,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"idxflow/internal/cloud"
@@ -228,12 +230,10 @@ func (s *Schedule) CopyFrom(src *Schedule) {
 	s.assign = append(s.assign[:0], src.assign...)
 	s.placed = append(s.placed[:0], src.placed...)
 	s.nPlaced = src.nPlaced
-	// Containers past len(s.conts) keep their op storage for reuse.
+	// Containers past len(s.conts) keep their op storage for reuse, and a
+	// growth copies them all into the new array at once.
 	s.conts = s.conts[:cap(s.conts)]
-	for len(s.conts) < len(src.conts) {
-		s.conts = append(s.conts, container{})
-	}
-	s.conts = s.conts[:len(src.conts)]
+	s.conts = slices.Grow(s.conts, max(0, len(src.conts)-len(s.conts)))[:len(src.conts)]
 	for i := range src.conts {
 		ops := append(s.conts[i].ops[:0], src.conts[i].ops...)
 		s.conts[i] = src.conts[i]
@@ -267,29 +267,103 @@ func (s *Schedule) NumSlots() int { return len(s.conts) }
 // (edge size / network bandwidth when the producer sits elsewhere).
 // It returns an error if a predecessor is unassigned.
 func (s *Schedule) ReadyTime(op dataflow.OpID, c int) (float64, error) {
-	vt := s.ContainerType(c)
-	return s.readyOn(op, c, &vt.Spec)
+	in := s.gather(newInputs(), op)
+	if in.missing >= 0 {
+		return 0, in.unassigned()
+	}
+	return in.arrive[s.typeIndex(c)].at(c), nil
 }
 
-// readyOn is ReadyTime with container c's spec given, so plan can ask as
-// if c were already leased as another type.
-func (s *Schedule) readyOn(op dataflow.OpID, c int, spec *cloud.Spec) (float64, error) {
-	var ready float64
-	for _, e := range s.Graph.In(op) {
-		if !s.isPlaced(e.From) {
-			return 0, fmt.Errorf("sched: predecessor %d of %d unassigned", e.From, op)
-		}
-		pa := s.assign[e.From]
-		t := pa.End
-		if pa.Container != c {
-			// The receiving container's network link paces the transfer.
-			t += spec.TransferSeconds(e.Size)
-		}
-		if t > ready {
-			ready = t
-		}
+// inputs is what plan reads of an operator's inputs on one schedule: the
+// first input not placed, if any, and when the placed ones have all arrived
+// on a container of each type of the pool. The skyline gathers it once per
+// frontier member and step, for every move it scores there; make gathers
+// its own.
+type inputs struct {
+	op dataflow.OpID
+	// missing is the first input in Graph.In order that is not placed, -1
+	// if none: plan refuses the move.
+	missing dataflow.OpID
+	// arrive[ti] is the arrival on a container of type ti (0 without a
+	// pool), whose spec paces the transfers into it.
+	arrive []arrival
+}
+
+// arrival is when an operator's inputs have all arrived on a container of
+// one type. An input arrives at its end on the container it ends on, and a
+// transfer later on any other. A transfer takes no negative time, so the
+// latest remote arrival, latest, is the ready time on every container but
+// last, the one that input ends on. On last it is the later of other, the
+// latest remote arrival of an input ending elsewhere, and local, the latest
+// end there. Each is an arrival of the full walk or its zero start, and a
+// max is exact in any order, so at reads the walk's bits.
+type arrival struct {
+	latest, other, local float64
+	last                 int
+}
+
+// at returns the ready time on container c.
+func (a *arrival) at(c int) float64 {
+	if c != a.last {
+		return a.latest
 	}
-	return ready, nil
+	if a.local > a.other {
+		return a.local
+	}
+	return a.other
+}
+
+// newInputs returns empty inputs whose storage, for a pool of at most four
+// types, does not escape its caller: make and ReadyTime gather into it
+// without allocating.
+func newInputs() inputs {
+	var arrive [4]arrival
+	return inputs{arrive: arrive[:0]}
+}
+
+// gather returns op's inputs on s, written over in's storage, in one walk
+// of the inputs per type.
+func (s *Schedule) gather(in inputs, op dataflow.OpID) inputs {
+	in.op, in.missing, in.arrive = op, -1, in.arrive[:0]
+	edges := s.Graph.In(op)
+	for ti := range max(1, len(s.Types)) {
+		spec := &s.Spec
+		if len(s.Types) > 0 {
+			spec = &s.Types[ti].Spec
+		}
+		a := arrival{last: -1}
+		for _, e := range edges {
+			if !s.isPlaced(e.From) {
+				in.missing = e.From
+				return in
+			}
+			p := &s.assign[e.From]
+			t := p.End + spec.TransferSeconds(e.Size)
+			switch {
+			case p.Container == a.last:
+				if t > a.latest {
+					a.latest = t
+				}
+				if p.End > a.local {
+					a.local = p.End
+				}
+			case t > a.latest:
+				// Every earlier input arrived by a.latest, and one did then on
+				// a.last, another container: that is other now. An earlier
+				// end on p's container is no later, so local starts here.
+				a.other, a.latest, a.last, a.local = a.latest, t, p.Container, p.End
+			case t > a.other:
+				a.other = t
+			}
+		}
+		in.arrive = append(in.arrive, a)
+	}
+	return in
+}
+
+// unassigned is plan's error for a move whose inputs are not all placed.
+func (in *inputs) unassigned() error {
+	return fmt.Errorf("sched: predecessor %d of %d unassigned", in.missing, in.op)
 }
 
 // lastEnd returns the finish time of the last op on container c (0 if none).
@@ -379,7 +453,8 @@ func (s *Schedule) opsOn(c int) []dataflow.OpID {
 // plan returns where mv puts its operator, without writing to s: the index
 // into Types the container runs it as and the interval it occupies, or why
 // the move is illegal. It is the one statement of the placement rule: make
-// applies a plan, probe prices one and seqIdleAfter measures one.
+// applies a plan, probe prices one and seqIdleAfter measures one. in holds
+// mv.op's inputs gathered on s.
 //
 // mv.typeIdx >= 0 leases the container as that type of the pool. That is
 // refused without a pool, for a type outside it, and for a container in use
@@ -391,7 +466,7 @@ func (s *Schedule) opsOn(c int) []dataflow.OpID {
 // (preempts), and a build queues behind every op. A placement starts at
 // mv.start, which must be no earlier than the ready time and must leave the
 // interval clear of the container's ops.
-func (s *Schedule) plan(mv move) (typeIdx int, start, end float64, err error) {
+func (s *Schedule) plan(mv move, in *inputs) (typeIdx int, start, end float64, err error) {
 	o := s.Graph.Op(mv.op)
 	c := mv.cont
 	switch {
@@ -415,14 +490,15 @@ func (s *Schedule) plan(mv move) (typeIdx int, start, end float64, err error) {
 		}
 		typeIdx = mv.typeIdx
 	}
-	spec, speed := &s.Spec, 1.0
+	speed := 1.0
 	if len(s.Types) > 0 {
-		spec, speed = &s.Types[typeIdx].Spec, s.Types[typeIdx].SpeedFactor
+		speed = s.Types[typeIdx].SpeedFactor
 	}
-	ready, err := s.readyOn(mv.op, c, spec)
-	if err != nil {
-		return 0, 0, 0, err
+	if in.missing >= 0 {
+		return 0, 0, 0, in.unassigned()
 	}
+	// The type's spec paces the transfers into the container.
+	ready := in.arrive[typeIdx].at(c)
 	dur := o.Time / speed
 	if mv.place {
 		start, end = mv.start, mv.start+dur
@@ -438,14 +514,14 @@ func (s *Schedule) plan(mv move) (typeIdx int, start, end float64, err error) {
 		}
 		return typeIdx, start, end, nil
 	}
-	tail := s.lastEnd(c)
-	if !o.Optional {
-		tail = 0
-		if c < len(s.conts) {
-			tail = s.conts[c].flowEnd
-		}
+	var tail float64
+	switch {
+	case o.Optional:
+		tail = s.lastEnd(c)
+	case c < len(s.conts):
+		tail = s.conts[c].flowEnd
 	}
-	start = math.Max(ready, tail)
+	start = max(ready, tail)
 	return typeIdx, start, start + dur, nil
 }
 
@@ -465,7 +541,8 @@ func (s *Schedule) preempts(id dataflow.OpID, start, end float64) bool {
 // a placement can put the new op before a later build). A refused move
 // leaves s as it was.
 func (s *Schedule) make(mv move) (Assignment, error) {
-	ti, start, end, err := s.plan(mv)
+	in := s.gather(newInputs(), mv.op)
+	ti, start, end, err := s.plan(mv, &in)
 	if err != nil {
 		return Assignment{}, err
 	}
@@ -540,15 +617,16 @@ func (s *Schedule) PlaceAt(op dataflow.OpID, c int, start float64) (Assignment, 
 	return s.make(move{op: op, cont: c, typeIdx: -1, start: start, place: true})
 }
 
-// probe returns the point make(mv) followed by point() would read, the
-// interval plan gives the op, and whether the move is legal, without
-// writing to s. The skyline scores every candidate this way; only a Pareto
-// survivor makes its move, on a copy (candidate.materialize).
-// FuzzProbeEqualsApply holds the two to the bit.
-func (s *Schedule) probe(mv move) (p point, start, end float64, ok bool) {
-	ti, start, end, err := s.plan(mv)
+// probe writes into cand the point make(mv) followed by point() would read
+// and the interval plan gives the op, and reports whether the move is
+// legal, without writing to s; in holds mv.op's inputs gathered on s. The
+// skyline scores every candidate this way, in its slot of the candidate
+// buffer; only a Pareto survivor makes its move, on its source or a copy
+// (scope.materialize). FuzzProbeEqualsApply holds the two to the bit.
+func (s *Schedule) probe(mv move, in *inputs, cand *candidate) bool {
+	ti, start, end, err := s.plan(mv, in)
 	if err != nil {
-		return point{}, 0, 0, false
+		return false
 	}
 	c := mv.cont
 	optional := s.Graph.Op(mv.op).Optional
@@ -575,10 +653,11 @@ func (s *Schedule) probe(mv move) (p point, start, end float64, ok bool) {
 	if last >= 0 && s.assign[last].Start >= start {
 		leaseEnd = s.assign[last].End
 	}
-	p = point{
+	p := &cand.p
+	*p = point{
 		money:   s.money(c, s.Pricing.Quanta(leaseEnd), ti),
-		ops:     s.nPlaced + 1 - evicted,
-		conts:   s.used,
+		ops:     int32(s.nPlaced + 1 - evicted),
+		conts:   int32(s.used),
 		seqIdle: -1,
 	}
 	if len(ops) == 0 {
@@ -600,7 +679,8 @@ func (s *Schedule) probe(mv move) (p point, start, end float64, ok bool) {
 		// Only optional ops are placed: Makespan falls back to TotalSpan.
 		p.time = end
 	}
-	return p, start, end, true
+	cand.start, cand.end = start, end
+	return true
 }
 
 // Makespan returns td(Sd): the time from the first non-optional operator's
@@ -998,16 +1078,20 @@ func (s *Schedule) AssignmentsAppend(buf []Assignment) []Assignment {
 			buf = append(buf, a)
 		}
 	}
-	sort.Slice(buf, func(i, j int) bool {
-		if buf[i].Container != buf[j].Container {
-			return buf[i].Container < buf[j].Container
-		}
-		if buf[i].Start != buf[j].Start {
-			return buf[i].Start < buf[j].Start
-		}
-		return buf[i].Op < buf[j].Op
-	})
+	slices.SortFunc(buf, cmpAssignment)
 	return buf
+}
+
+// cmpAssignment orders assignments by container, then start, then op: a
+// strict total order, as every op is placed once.
+func cmpAssignment(a, b Assignment) int {
+	if c := cmp.Compare(a.Container, b.Container); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Op, b.Op)
 }
 
 // ContainerOps returns the number of operators currently placed on

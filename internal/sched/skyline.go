@@ -44,10 +44,10 @@ type point struct {
 	time, money float64
 	// ops counts assigned operators: the §5.3.2 tie-break prefers more
 	// (optional) operators at equal time and money.
-	ops int
+	ops int32
 	// conts counts used containers: the deterministic duplicate tie-break
 	// prefers fewer containers at equal objectives.
-	conts int
+	conts int32
 	// seqIdle is the §5.3.1 tie-break: most sequential idle time.
 	seqIdle float64
 }
@@ -56,8 +56,8 @@ func (s *Schedule) point() point {
 	return point{
 		time:    s.Makespan(),
 		money:   s.MoneyQuanta(),
-		ops:     s.Assigned(),
-		conts:   s.Containers(),
+		ops:     int32(s.Assigned()),
+		conts:   int32(s.Containers()),
 		seqIdle: -1, // computed lazily only when needed for tie-breaks
 	}
 }
@@ -69,11 +69,10 @@ func equalObjectives(a, b point) bool {
 	return math.Abs(a.time-b.time) <= eps && math.Abs(a.money-b.money) <= eps
 }
 
-// move records how to derive a candidate from its source schedule: either
-// an append of op onto container cont, or a placement of op at start
-// (place == true); typeIdx >= 0 leases a fresh container as that type.
-// Schedule.plan says where it puts the op. Candidates stay unmaterialized —
-// src plus move — until they survive the Pareto filter.
+// move records how to derive a schedule from another: either an append of
+// op onto container cont, or a placement of op at start (place == true);
+// typeIdx >= 0 leases a fresh container as that type. Schedule.plan says
+// where it puts the op.
 type move struct {
 	op      dataflow.OpID
 	cont    int
@@ -82,20 +81,36 @@ type move struct {
 	place   bool
 }
 
-// candidate pairs a schedule with its cached objective point. A candidate
-// is either materialized (s != nil, owning its schedule) or speculative
-// (src + mv describe the placement; p is src.probe(mv), and start and end
-// the interval it planned for the op). from is the index in the previous
-// frontier of the member it derives from, or that it is when a gap step
-// carries the member over.
+// member is one schedule of a frontier and its point.
+type member struct {
+	s *Schedule
+	p point
+}
+
+// candidate is one schedule a step may keep, unmaterialized: a frontier
+// member kept as it is, or a move of the step's op scored on that member,
+// its source, with the interval plan gave the op. It holds no pointer and
+// fits a cache line (TestCandidateLayout): the source is its index in the
+// frontier, and the op is the step's, so the step's scope reads both.
 type candidate struct {
-	s          *Schedule
-	src        *Schedule
-	mv         move
 	p          point
 	start, end float64
-	from       int
+	// from is the source's index in the frontier.
+	from int32
+	// cont and typeIdx are the move's container and lease type (-1: the
+	// container's own).
+	cont, typeIdx int32
+	kind          candKind
 }
+
+// candKind says what a candidate does to its source.
+type candKind uint8
+
+const (
+	appendOp candKind = iota // appends the op onto cont
+	placeOp                  // places the op at start on cont
+	keep                     // keeps the source as it is
+)
 
 // freeList is one run's recycled schedules: the replaced memo entry and
 // dropped frontier members go in, and the survivors that copy their source
@@ -116,44 +131,68 @@ func (f *freeList) get() *Schedule {
 
 func (f *freeList) put(s *Schedule) { *f = append(*f, s) }
 
-// materialize turns a speculative candidate into an owning one by making
-// its move: on its source when the candidate takes the source over (own),
-// else on a copy of the source in a recycled schedule. The move was probed
-// legal on that source, so a failure is a probe that disagrees with make:
-// it panics here, naming the move, rather than leave a nil schedule on the
-// frontier for Fastest to trip over later.
-func (c *candidate) materialize(free *freeList, own bool) {
-	if c.s != nil {
-		return
+// scope is what one step's candidates are read against: the frontier they
+// derive from, the op the step moves and the rule (preferSeqIdle or
+// preferMoreOps) that folds candidates of equal objectives.
+type scope struct {
+	sky  []member
+	op   dataflow.OpID
+	rule func(sc *scope, a, b *candidate) bool
+}
+
+// prefer reports whether a should beat b by the step's rule.
+func (sc *scope) prefer(a, b *candidate) bool { return sc.rule(sc, a, b) }
+
+// move returns the move candidate c makes on its source.
+func (sc *scope) move(c *candidate) move {
+	mv := move{op: sc.op, cont: int(c.cont), typeIdx: int(c.typeIdx)}
+	if c.kind == placeOp {
+		mv.start, mv.place = c.start, true
 	}
-	ns := c.src
+	return mv
+}
+
+// materialize returns candidate c's schedule: its source when it keeps it;
+// else the source with c's move made on it when c takes the source over
+// (own), or on a copy of the source in a recycled schedule. The move was
+// probed legal on that source, so a failure is a probe that disagrees with
+// make: it panics here, naming the move, rather than leave a nil schedule
+// on the frontier for Fastest to trip over later.
+func (sc *scope) materialize(c *candidate, free *freeList, own bool) *Schedule {
+	src := sc.sky[c.from].s
+	if c.kind == keep {
+		return src
+	}
+	ns := src
 	if !own {
 		ns = free.get()
-		ns.CopyFrom(c.src)
+		ns.CopyFrom(src)
 	}
-	if _, err := ns.make(c.mv); err != nil {
+	mv := sc.move(c)
+	if _, err := ns.make(mv); err != nil {
 		kind := "append"
-		if c.mv.place {
+		if mv.place {
 			kind = "place"
 		}
 		panic(fmt.Sprintf("sched: probed %s of op %d on container %d does not apply: %v",
-			kind, c.mv.op, c.mv.cont, err))
+			kind, mv.op, mv.cont, err))
 	}
 	// Fill the seq-idle books (make keeps them through an op appended last),
 	// so the tie-break on the next step's moves reads every container but
 	// the moved one from them.
 	ns.MaxSequentialIdle()
-	c.s = ns
+	return ns
 }
 
-// seqIdle resolves and caches the candidate's §5.3.1 tie-break value,
-// read off the source without writing to it when unmaterialized.
-func (c *candidate) seqIdle() float64 {
+// seqIdle resolves and caches candidate c's §5.3.1 tie-break value, read
+// off its source, which a move does not write to.
+func (sc *scope) seqIdle(c *candidate) float64 {
 	if c.p.seqIdle < 0 {
-		if c.s != nil {
-			c.p.seqIdle = c.s.MaxSequentialIdle()
+		src := sc.sky[c.from].s
+		if c.kind == keep {
+			c.p.seqIdle = src.MaxSequentialIdle()
 		} else {
-			c.p.seqIdle = c.src.seqIdleAfter(c.mv, c.start, c.end)
+			c.p.seqIdle = src.seqIdleAfter(sc.move(c), c.start, c.end)
 		}
 	}
 	return c.p.seqIdle
@@ -177,38 +216,35 @@ func cmpParetoKey(a, b paretoKey) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
-// frontierBuf is the Pareto filter's scratch: the sort keys and two
-// survivor buffers the frontier alternates between, so the previous
-// frontier stays readable while the next one is written.
+// frontierBuf is the Pareto filter's scratch: the sort keys and the
+// survivor buffer.
 type frontierBuf struct {
 	keys []paretoKey
-	out  [2][]candidate
-	flip int
+	out  []candidate
 }
 
 // pareto filters cands down to the non-dominated frontier, fastest first,
-// written to the survivor buffer the previous call did not return. Among
-// candidates with equal objectives one survivor is kept, chosen by prefer
-// (return true if a should beat b). It sorts the keys prefilter leaves,
-// which walk gives the frontier of all of cands.
-func (b *frontierBuf) pareto(cands []candidate, prefer func(a, b *candidate) bool) []candidate {
-	b.keys = prefilter(b.keys[:0], cands, prefer)
+// written to the survivor buffer. Among candidates with equal objectives
+// one survivor is kept, chosen by sc's tie-break. It sorts the keys
+// prefilter leaves, which walk gives the frontier of all of cands.
+func (b *frontierBuf) pareto(cands []candidate, sc *scope) []candidate {
+	b.keys = prefilter(b.keys[:0], cands, sc)
 	slices.SortFunc(b.keys, cmpParetoKey)
-	return b.walk(cands, prefer)
+	return b.walk(cands, sc)
 }
 
 // walk is the filter over b.keys in key order: a candidate equal, within
-// eps, to the last survivor folds into it by prefer, one no cheaper than
-// the cheapest survivor so far by more than eps is dominated, and any
+// eps, to the last survivor folds into it by sc's tie-break, one no cheaper
+// than the cheapest survivor so far by more than eps is dominated, and any
 // other one is appended. cands is never reordered, so only survivors are
 // copied.
-func (b *frontierBuf) walk(cands []candidate, prefer func(a, b *candidate) bool) []candidate {
-	out := b.out[b.flip][:0]
+func (b *frontierBuf) walk(cands []candidate, sc *scope) []candidate {
+	out := b.out[:0]
 	bestMoney := math.Inf(1)
 	for _, k := range b.keys {
 		c := &cands[k.idx]
 		if n := len(out); n > 0 && equalObjectives(out[n-1].p, c.p) {
-			if prefer != nil && prefer(c, &out[n-1]) {
+			if sc.prefer(c, &out[n-1]) {
 				out[n-1] = *c
 			}
 			continue
@@ -219,8 +255,7 @@ func (b *frontierBuf) walk(cands []candidate, prefer func(a, b *candidate) bool)
 		out = append(out, *c)
 		bestMoney = c.p.money
 	}
-	b.out[b.flip] = out
-	b.flip = 1 - b.flip
+	b.out = out
 	return out
 }
 
@@ -252,7 +287,7 @@ func (b *frontierBuf) walk(cands []candidate, prefer func(a, b *candidate) bool)
 //
 // The candidates carrying f's and c's bits are kept, so each dropped one
 // keeps its dominator. FuzzParetoPrefilter holds pareto to walk over all.
-func prefilter(keys []paretoKey, cands []candidate, prefer func(a, b *candidate) bool) []paretoKey {
+func prefilter(keys []paretoKey, cands []candidate, sc *scope) []paretoKey {
 	n := len(cands)
 	integral := true
 	for i := range cands {
@@ -286,11 +321,11 @@ func prefilter(keys []paretoKey, cands []candidate, prefer func(a, b *candidate)
 			switch {
 			case i == fast || i == cheap:
 			case same(&c.p, fp):
-				if prefer != nil && prefer(c, &cands[keepF]) {
+				if sc.prefer(c, &cands[keepF]) {
 					keepF = i
 				}
 			case same(&c.p, cp):
-				if prefer != nil && prefer(c, &cands[keepC]) {
+				if sc.prefer(c, &cands[keepC]) {
 					keepC = i
 				}
 			case dominates(fp, &c.p) || dominates(cp, &c.p):
@@ -347,8 +382,8 @@ func preferCompact(a, b *candidate) bool {
 
 // preferSeqIdle is the §5.3.1 tie-break: among equal schedules keep the one
 // with the most sequential idle time.
-func preferSeqIdle(a, b *candidate) bool {
-	if va, vb := a.seqIdle(), b.seqIdle(); va != vb {
+func preferSeqIdle(sc *scope, a, b *candidate) bool {
+	if va, vb := sc.seqIdle(a), sc.seqIdle(b); va != vb {
 		return va > vb
 	}
 	return preferCompact(a, b)
@@ -356,11 +391,11 @@ func preferSeqIdle(a, b *candidate) bool {
 
 // preferMoreOps is the §5.3.2 tie-break: among equal schedules keep the one
 // with more (optional) operators assigned.
-func preferMoreOps(a, b *candidate) bool {
+func preferMoreOps(sc *scope, a, b *candidate) bool {
 	if a.p.ops != b.p.ops {
 		return a.p.ops > b.p.ops
 	}
-	return preferSeqIdle(a, b)
+	return preferSeqIdle(sc, a, b)
 }
 
 // Skyline is the skyline dataflow scheduler of Algorithm 4: an iterative
@@ -383,10 +418,14 @@ type Skyline struct {
 
 	// A cold run's scratch, grown by append and kept from run to run with
 	// no schedule left in it: the candidates, the Pareto filter's buffers,
-	// the survivors per source and a gap step's idle runs.
+	// the frontier a step reads (sky[0]) and the one it writes, the
+	// survivors per source, a source's inputs to the step's op and a gap
+	// step's idle runs.
 	cands []candidate
 	fb    frontierBuf
+	sky   [2][]member
 	held  []int
+	in    inputs
 	slots []Slot
 }
 
@@ -450,9 +489,9 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 	if cap(sk.last.Frontier) < len(order) {
 		sk.last.Frontier = make([]int, 0, len(order))
 	}
-	prefer := preferSeqIdle
+	sc := scope{rule: preferSeqIdle}
 	if withOptional {
-		prefer = preferMoreOps
+		sc.rule = preferMoreOps
 	}
 	if sk.cands == nil {
 		// The first run reserves the widest dataflow step, so a one-shot
@@ -469,13 +508,14 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 			return nil
 		}
 		sk.last.Candidates += len(cands)
-		sky = sk.advance(sky, cands, prefer, &free)
+		sc.sky, sc.op = sky, st.id
+		sky = sk.advance(&sc, cands, &free)
 		sk.last.Frontier = append(sk.last.Frontier, len(sky))
 	}
 
 	out := make([]*Schedule, len(sky))
-	for i, c := range sky {
-		out[i] = c.s
+	for i := range sky {
+		out[i] = sky[i].s
 	}
 	sk.store(sig, out, &free)
 	return out
@@ -483,18 +523,19 @@ func (sk *Skyline) run(g *dataflow.Graph, withOptional bool) []*Schedule {
 
 // origin returns the one-member frontier Alg. 4 starts from: g's empty
 // schedule over the options' pool.
-func (sk *Skyline) origin(g *dataflow.Graph) []candidate {
+func (sk *Skyline) origin(g *dataflow.Graph) []member {
 	base := NewSchedule(g, sk.Opts.Pricing, sk.Opts.Spec)
 	base.Types = sk.Opts.Types
-	return []candidate{{s: base, p: base.point()}}
+	sk.sky[0] = append(sk.sky[0][:0], member{s: base, p: base.point()})
+	return sk.sky[0]
 }
 
 // dropRefs clears the schedule pointers from the scratch, so that between
-// runs a tenant's scratch keeps no schedule alive.
+// runs a tenant's scratch keeps no schedule alive. Only the frontiers hold
+// any: a candidate names its source by index.
 func (sk *Skyline) dropRefs() {
-	clear(sk.cands[:cap(sk.cands)])
-	for i := range sk.fb.out {
-		clear(sk.fb.out[i][:cap(sk.fb.out[i])])
+	for i := range sk.sky {
+		clear(sk.sky[i][:cap(sk.sky[i])])
 	}
 }
 
@@ -562,25 +603,30 @@ func steps(g *dataflow.Graph, withOptional bool) ([]step, error) {
 // any pool type. A build is placed at the start of every idle run long
 // enough for it (never extending a lease), and the frontier itself is
 // kept (§5.3.2: "the previous skyline is kept and unioned with the set of
-// schedules S before computing the new skyline").
-func (sk *Skyline) expand(sky []candidate, st step) []candidate {
+// schedules S before computing the new skyline"). The op's inputs are
+// gathered once per member, for every move probed on it, and each move is
+// probed in its slot of the buffer, dropped when illegal.
+func (sk *Skyline) expand(sky []member, st step) []candidate {
 	cands := sk.cands[:0]
 	if st.optional {
 		for i := range sky {
-			cands = append(cands, sky[i])
-			cands[len(cands)-1].from = i
+			cands = append(cands, candidate{p: sky[i].p, from: int32(i), kind: keep})
 		}
 		for i := range sky {
 			src := sky[i].s
 			need := src.Graph.Op(st.id).Time
+			sk.in = src.gather(sk.in, st.id)
 			sk.slots = src.appendIdleSlots(sk.slots[:0])
 			for _, r := range mergeRuns(sk.slots) {
 				if r.Size() < need-1e-9 {
 					continue
 				}
+				cands = append(cands, candidate{})
+				c := &cands[len(cands)-1]
+				c.from, c.cont, c.typeIdx, c.kind = int32(i), int32(r.Container), -1, placeOp
 				mv := move{op: st.id, cont: r.Container, typeIdx: -1, start: r.Start, place: true}
-				if p, start, end, ok := src.probe(mv); ok {
-					cands = append(cands, candidate{src: src, mv: mv, p: p, start: start, end: end, from: i})
+				if !src.probe(mv, &sk.in, c) {
+					cands = cands[:len(cands)-1]
 				}
 			}
 		}
@@ -588,6 +634,7 @@ func (sk *Skyline) expand(sky []candidate, st step) []candidate {
 		types := len(sk.Opts.Types)
 		for i := range sky {
 			src := sky[i].s
+			sk.in = src.gather(sk.in, st.id)
 			used := src.NumSlots()
 			for cont := 0; cont < min(used+1, sk.Opts.MaxContainers); cont++ {
 				nTypes := 1
@@ -595,12 +642,18 @@ func (sk *Skyline) expand(sky []candidate, st step) []candidate {
 					nTypes = types
 				}
 				for ti := 0; ti < nTypes; ti++ {
-					mv := move{op: st.id, cont: cont, typeIdx: -1}
+					typeIdx := -1
 					if cont >= used && types > 0 {
-						mv.typeIdx = ti
+						typeIdx = ti
 					}
-					if p, start, end, ok := src.probe(mv); ok {
-						cands = append(cands, candidate{src: src, mv: mv, p: p, start: start, end: end, from: i})
+					// The slot's fields are written one by one, and the move
+					// built in the call: a struct built aside and copied in
+					// makes the copy's wide loads wait on narrow stores.
+					cands = append(cands, candidate{})
+					c := &cands[len(cands)-1]
+					c.from, c.cont, c.typeIdx = int32(i), int32(cont), int32(typeIdx)
+					if !src.probe(move{op: st.id, cont: cont, typeIdx: typeIdx}, &sk.in, c) {
+						cands = cands[:len(cands)-1]
 					}
 				}
 			}
@@ -610,39 +663,43 @@ func (sk *Skyline) expand(sky []candidate, st step) []candidate {
 	return cands
 }
 
-// advance runs the Pareto filter and frontier prune over the merged
-// candidate set and materializes the survivors. A survivor that is the
-// only one from its source takes the source over: it makes its move there
-// instead of on a copy. That is safe because nothing reads a source once
-// its survivors are chosen (pareto resolved every tie-break it needed),
-// and a source that survives as itself, or has a second survivor, is
-// copied from instead. The schedules of the dropped previous members go on
-// the run's free list.
-func (sk *Skyline) advance(prev, cands []candidate, prefer func(a, b *candidate) bool, free *freeList) []candidate {
-	next := prune(sk.fb.pareto(cands, prefer), sk.Opts.MaxSkyline)
+// advance runs the Pareto filter and frontier prune over the candidates
+// of frontier sc.sky and materializes the survivors as the next frontier. A
+// survivor that is the only one from its source takes the source over: it
+// makes its move there instead of on a copy. That is safe because nothing
+// reads a source once its survivors are chosen (pareto resolved every
+// tie-break it needed), and a source that survives as itself, or has a
+// second survivor, is copied from instead. The schedules of the dropped
+// previous members go on the run's free list.
+func (sk *Skyline) advance(sc *scope, cands []candidate, free *freeList) []member {
+	prev := sc.sky
+	next := prune(sk.fb.pareto(cands, sc), sk.Opts.MaxSkyline)
 	held := slices.Grow(sk.held[:0], len(prev))[:len(prev)]
 	clear(held)
 	for i := range next {
 		held[next[i].from]++
 	}
 	sk.held = held
+	out := sk.sky[1][:0]
 	for i := range next {
-		next[i].materialize(free, held[next[i].from] == 1)
+		c := &next[i]
+		out = append(out, member{s: sc.materialize(c, free, held[c.from] == 1), p: c.p})
 	}
 	// Release in reverse frontier order. The list is LIFO and the next
 	// iteration materializes fastest first, so the fastest survivor gets the
 	// fastest dropped member's storage, the nearest to its own size.
 	for i := len(prev) - 1; i >= 0; i-- {
-		if s := prev[i].s; s != nil && !holds(next, s) {
+		if s := prev[i].s; !holds(out, s) {
 			free.put(s)
 		}
 	}
-	return next
+	sk.sky[0], sk.sky[1] = out, prev
+	return out
 }
 
 // holds reports whether s is a member of frontier. A frontier has at most
 // MaxSkyline members, so a scan is cheaper than building a set.
-func holds(frontier []candidate, s *Schedule) bool {
+func holds(frontier []member, s *Schedule) bool {
 	for i := range frontier {
 		if frontier[i].s == s {
 			return true

@@ -3,8 +3,10 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"idxflow/internal/dataflow"
 )
@@ -252,4 +254,30 @@ func TestSkylineValidProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestCandidateLayout: a candidate is a cache line at most and holds no
+// pointer, so the candidate buffer is no work for the garbage collector and
+// a survivor's copy is a few word moves. The source and the op are read
+// through the step's scope.
+func TestCandidateLayout(t *testing.T) {
+	if n := unsafe.Sizeof(candidate{}); n > 64 {
+		t.Errorf("candidate is %d bytes, want at most 64", n)
+	}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("candidate%s is a %s, which holds a pointer", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(candidate{}), "")
 }

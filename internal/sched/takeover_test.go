@@ -7,8 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"idxflow/internal/dataflow"
 )
 
 // exact renders what a schedule is, to the bit: every container's type and
@@ -48,14 +46,15 @@ func TestTakeoverMatchesCopies(t *testing.T) {
 		for n, st := range order {
 			cands := sk.expand(sky, st)
 			var fb frontierBuf
-			survivors := prune(fb.pareto(slices.Clone(cands), preferMoreOps), sk.Opts.MaxSkyline)
-			perSource := make(map[int]int)
+			tb := scope{sky: sky, op: st.id, rule: preferMoreOps}
+			survivors := prune(fb.pareto(slices.Clone(cands), &tb), sk.Opts.MaxSkyline)
+			perSource := make(map[int32]int)
 			var want []string
 			for _, c := range survivors {
-				s := c.s
-				if s == nil {
-					s = c.src.Clone()
-					if _, err := s.make(c.mv); err != nil {
+				s := sky[c.from].s
+				if c.kind != keep {
+					s = s.Clone()
+					if _, err := s.make(tb.move(&c)); err != nil {
 						t.Fatal(err)
 					}
 					perSource[c.from]++
@@ -72,7 +71,7 @@ func TestTakeoverMatchesCopies(t *testing.T) {
 				}
 			}
 
-			sky = sk.advance(sky, cands, preferMoreOps, &free)
+			sky = sk.advance(&tb, cands, &free)
 			if len(sky) != len(want) {
 				t.Fatalf("seed %d step %d: frontier has %d members, the oracle %d", seed, n, len(sky), len(want))
 			}
@@ -99,13 +98,13 @@ func TestTakeoverMatchesCopies(t *testing.T) {
 
 // paretoAll is the unfiltered Pareto filter, the oracle prefilter is held
 // to: every candidate's key is sorted and walked.
-func (b *frontierBuf) paretoAll(cands []candidate, prefer func(a, b *candidate) bool) []candidate {
+func (b *frontierBuf) paretoAll(cands []candidate, sc *scope) []candidate {
 	b.keys = b.keys[:0]
 	for i := range cands {
 		b.keys = append(b.keys, paretoKey{cands[i].p.time, cands[i].p.money, i})
 	}
 	slices.SortFunc(b.keys, cmpParetoKey)
-	return b.walk(cands, prefer)
+	return b.walk(cands, sc)
 }
 
 // prefilterCands generates a candidate set in runs of one source each:
@@ -115,18 +114,18 @@ func (b *frontierBuf) paretoAll(cands []candidate, prefer func(a, b *candidate) 
 // (money not integral) dearer, by less and by more than the prefilter's
 // margins; points near earlier ones,
 // and tie-break values drawn from small sets so prefer meets ties. Each
-// candidate's mv.op is its index.
+// candidate's cont is its index.
 func prefilterCands(seed int64, integral bool) []candidate {
 	rng := rand.New(rand.NewSource(seed))
 	n := 1 + rng.Intn(120)
 	cands := make([]candidate, 0, n+8)
 	from, lo := 0, 0
 	add := func(p point) {
-		cands = append(cands, candidate{p: p, from: from, mv: move{op: dataflow.OpID(len(cands))}})
+		cands = append(cands, candidate{p: p, from: int32(from), cont: int32(len(cands))})
 	}
 	newRun := func() { from, lo = from+1, len(cands) }
 	tieBreaks := func(p *point) {
-		p.ops, p.conts = 1+rng.Intn(3), 1+rng.Intn(2)
+		p.ops, p.conts = int32(1+rng.Intn(3)), int32(1+rng.Intn(2))
 		p.seqIdle = float64(rng.Intn(3)) * 10
 	}
 	steps := []float64{0, eps / 2, eps, 1.5 * eps, 1e-7, 1e-6, 0.5, 1, 7}
@@ -196,18 +195,18 @@ func FuzzParetoPrefilter(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		for _, integral := range []bool{true, false} {
-			for _, prefer := range []func(a, b *candidate) bool{preferSeqIdle, preferMoreOps} {
+			for _, rule := range []func(sc *scope, a, b *candidate) bool{preferSeqIdle, preferMoreOps} {
 				cands := prefilterCands(seed, integral)
 				var fa, fb frontierBuf
-				got := fa.pareto(slices.Clone(cands), prefer)
-				want := fb.paretoAll(slices.Clone(cands), prefer)
+				got := fa.pareto(slices.Clone(cands), &scope{rule: rule})
+				want := fb.paretoAll(slices.Clone(cands), &scope{rule: rule})
 				if len(got) != len(want) {
 					t.Fatalf("integral %v: prefiltered frontier has %d members, unfiltered %d", integral, len(got), len(want))
 				}
 				for i := range got {
-					if got[i].mv.op != want[i].mv.op || got[i].p != want[i].p {
+					if got[i].cont != want[i].cont || got[i].p != want[i].p {
 						t.Fatalf("integral %v: member %d is candidate %d %+v, want %d %+v",
-							integral, i, got[i].mv.op, got[i].p, want[i].mv.op, want[i].p)
+							integral, i, got[i].cont, got[i].p, want[i].cont, want[i].p)
 					}
 				}
 			}

@@ -207,6 +207,16 @@ type container struct {
 	arrivals []interval
 }
 
+// reset makes r a healthy row, keeping the storage of its arrivals and of
+// both timelines' events for the run that reuses it.
+func (r *container) reset() {
+	*r = container{
+		slow:     timeline{events: r.slow.events[:0]},
+		storage:  timeline{events: r.storage.events[:0]},
+		arrivals: r.arrivals[:0],
+	}
+}
+
 // closed reports whether the container accepts no new operator at t: it
 // has failed or is inside its revocation notice.
 func (r *container) closed(t float64) bool { return r.failed && t >= r.noStart-timeEps }
@@ -217,7 +227,8 @@ func (r *container) closed(t float64) bool { return r.failed && t >= r.noStart-t
 // planned operator) by their sequence number, so a plan generated before
 // the schedule exists still lands on real containers.
 func (sc *scratch) resolveFaults(events []fault.Event, s *sched.Schedule) {
-	sc.rows = resized(sc.rows, s.NumSlots())
+	sc.rows = sc.rows[:0]
+	sc.grow(s.NumSlots())
 	if len(events) == 0 {
 		return
 	}
@@ -271,10 +282,16 @@ func (sc *scratch) resolveFaults(events []fault.Event, s *sched.Schedule) {
 	}
 }
 
-// grow appends healthy rows until the container table holds n.
+// grow appends healthy rows until the container table holds n, reusing
+// the storage of the rows an earlier run left past its end.
 func (sc *scratch) grow(n int) {
 	for len(sc.rows) < n {
-		sc.rows = append(sc.rows, container{})
+		if len(sc.rows) < cap(sc.rows) {
+			sc.rows = sc.rows[:len(sc.rows)+1]
+			sc.rows[len(sc.rows)-1].reset()
+		} else {
+			sc.rows = append(sc.rows, container{})
+		}
 	}
 }
 
