@@ -47,6 +47,7 @@ fuzz-short:
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzWarmFrontier$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzVectorizedEqualsScalar$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/pagestore -run '^$$' -fuzz '^FuzzColumnPage$$' -fuzztime $(FUZZ_SECONDS)s
+	$(GO) test ./internal/pagestore -run '^$$' -fuzz '^FuzzFileRuns$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzProbeEqualsApply$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzParetoPrefilter$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzExecuteEqualsReference$$' -fuzztime $(FUZZ_SECONDS)s

@@ -75,7 +75,7 @@ func FuzzWarmFrontier(f *testing.F) {
 			case 0: // faulted execution of the chosen schedule
 				sim.New(sim.Config{Pricing: sc.Opts.Pricing, Spec: sc.Opts.Spec}).Execute(nil, chosen, sc.Plan.From(0))
 			case 1: // caller repairs the chosen schedule in place
-				chosen.Repair(0, 0, topoRanks(chosen.Graph))
+				chosen.Repair(nil, 0, 0, topoRanks(chosen.Graph))
 			case 2: // caller wipes the returned clones outright
 				for _, s := range wsky {
 					s.CopyFrom(sched.NewSchedule(g, sc.Opts.Pricing, sc.Opts.Spec))

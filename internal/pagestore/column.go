@@ -164,7 +164,7 @@ func CreateColumnTable(path string, poolFrames int, specs ...ColSpec) (*ColumnTa
 	return t, nil
 }
 
-// Pages returns the number of flushed pages across all columns.
+// Pages returns the number of pages appended across all columns.
 func (t *ColumnTable) Pages() int { return t.file.Pages() }
 
 // PoolStats exposes the buffer pool counters.
@@ -222,7 +222,7 @@ func (t *ColumnTable) Flush() error {
 			}
 		}
 	}
-	return nil
+	return t.file.Flush()
 }
 
 // ScanColumn visits column ci's values in row order as decoded blocks (one

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"idxflow/internal/bptree"
@@ -42,23 +43,22 @@ func appendRow(dst []byte, r tpch.Row) []byte {
 	return append(dst, r.Comment...)
 }
 
-// decodeRow decodes a row encoded by appendRow, all but its comment, and
-// returns the comment's bytes, which alias b.
-func decodeRow(b []byte) (tpch.Row, []byte, error) {
+// decodeRow decodes a row encoded by appendRow into r, all but its
+// comment, and returns the comment's bytes, which alias b.
+func decodeRow(r *tpch.Row, b []byte) ([]byte, error) {
 	if len(b) < rowFixed {
-		return tpch.Row{}, nil, fmt.Errorf("pagestore: row too short (%d bytes)", len(b))
+		return nil, fmt.Errorf("pagestore: row too short (%d bytes)", len(b))
 	}
-	var r tpch.Row
+	n := int(binary.LittleEndian.Uint16(b[25:]))
+	if len(b) < rowFixed+n {
+		return nil, fmt.Errorf("pagestore: truncated comment (%d < %d)", len(b)-rowFixed, n)
+	}
 	r.OrderKey = int64(binary.LittleEndian.Uint64(b[0:]))
 	r.CommitDate = int32(binary.LittleEndian.Uint32(b[8:]))
 	r.ShipInstruct = b[12]
 	r.Quantity = int32(binary.LittleEndian.Uint32(b[13:]))
 	r.ExtendedPrice = math.Float64frombits(binary.LittleEndian.Uint64(b[17:]))
-	n := int(binary.LittleEndian.Uint16(b[25:]))
-	if len(b) < rowFixed+n {
-		return tpch.Row{}, nil, fmt.Errorf("pagestore: truncated comment (%d < %d)", len(b)-rowFixed, n)
-	}
-	return r, b[rowFixed : rowFixed+n], nil
+	return b[rowFixed : rowFixed+n], nil
 }
 
 // Table is a heap of rows in a page file, read through a buffer pool.
@@ -116,15 +116,17 @@ func (t *Table) flushCur() error {
 // before reading.
 func (t *Table) Flush() error {
 	if t.curUsed {
-		return t.flushCur()
+		if err := t.flushCur(); err != nil {
+			return err
+		}
 	}
-	return nil
+	return t.file.Flush()
 }
 
 // Rows returns the number of appended rows.
 func (t *Table) Rows() int64 { return t.rows }
 
-// Pages returns the number of flushed pages.
+// Pages returns the number of pages appended to the file.
 func (t *Table) Pages() int { return t.file.Pages() }
 
 // Fetch reads one row by RID through the buffer pool.
@@ -138,9 +140,13 @@ func (t *Table) Fetch(rid RID) (tpch.Row, error) {
 	if !ok || rec == nil {
 		return tpch.Row{}, fmt.Errorf("pagestore: no row at %+v", rid)
 	}
-	r, comment, err := decodeRow(rec)
+	var r tpch.Row
+	comment, err := decodeRow(&r, rec)
+	if err != nil {
+		return tpch.Row{}, err
+	}
 	r.Comment = string(comment)
-	return r, err
+	return r, nil
 }
 
 // Scan visits every row in storage order. Stops early if visit returns
@@ -206,14 +212,18 @@ func (t *Table) decodePage(pid int, rows []slotRow) ([]slotRow, error) {
 		if !ok || rec == nil {
 			continue
 		}
-		r, comment, err := decodeRow(rec)
+		// The new slot's fields are each written below, so it is not
+		// zeroed first.
+		rows = slices.Grow(rows, 1)[:len(rows)+1]
+		sr := &rows[len(rows)-1]
+		sr.slot = int32(s)
+		comment, err := decodeRow(&sr.row, rec)
 		if err != nil {
-			return rows, err
+			return rows[:len(rows)-1], err
 		}
 		start := comments.Len()
 		comments.Write(comment)
-		r.Comment = comments.String()[start:]
-		rows = append(rows, slotRow{slot: int32(s), row: r})
+		sr.row.Comment = comments.String()[start:]
 	}
 	return rows, nil
 }

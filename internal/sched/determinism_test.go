@@ -112,7 +112,7 @@ func TestCloneAndCopyFromAliasing(t *testing.T) {
 	if _, err := clone.Append(c, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clone.Repair(1, 0, topoRanks(clone.Graph)); err != nil {
+	if _, err := clone.Repair(nil, 1, 0, topoRanks(clone.Graph)); err != nil {
 		t.Fatal(err)
 	}
 	if got := snapshot(parent); got != before {
@@ -158,7 +158,7 @@ func TestCopiesEqualOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPlace(t, s, opt, 0, 10)
-	if _, err := s.Repair(0, 12, topoRanks(s.Graph)); err != nil {
+	if _, err := s.Repair(nil, 0, 12, topoRanks(s.Graph)); err != nil {
 		t.Fatal(err)
 	}
 	late := g.Add(dataflow.Operator{Name: "late", Time: 7})

@@ -78,7 +78,7 @@ func probeSchedule(seed int64) (*Schedule, *rand.Rand) {
 		}
 	}
 	if rng.Intn(4) == 0 && s.NumSlots() > 0 {
-		s.Repair(rng.Intn(s.NumSlots()), 120*rng.Float64(), topoRanks(s.Graph))
+		s.Repair(nil, rng.Intn(s.NumSlots()), 120*rng.Float64(), topoRanks(s.Graph))
 	}
 	// Placed at a container's last start, an op of no duration goes before
 	// the last op.
@@ -337,7 +337,7 @@ func FuzzProbeEqualsApply(f *testing.F) {
 			what := ""
 			switch c := rng.Intn(s.NumSlots() + 2); rng.Intn(5) {
 			case 0:
-				s.Repair(c, 150*rng.Float64(), topoRanks(s.Graph))
+				s.Repair(nil, c, 150*rng.Float64(), topoRanks(s.Graph))
 				what = fmt.Sprintf("repair of container %d", c)
 			case 1:
 				spare.CopyFrom(s)

@@ -45,22 +45,16 @@ type RepairedOp struct {
 // caller computes it once, as the executor does before it repairs one
 // container after another. Repair mutates the schedule — copy it first if
 // the planned placement must be preserved.
-func (s *Schedule) Repair(dead int, at float64, rank []int32) ([]RepairedOp, error) {
+//
+// The repaired operators are appended to buf[:0], as AssignmentsAppend
+// fills its buffer, so a caller that repairs many times allocates once.
+func (s *Schedule) Repair(buf []RepairedOp, dead int, at float64, rank []int32) ([]RepairedOp, error) {
+	out := buf[:0]
 	if dead < 0 || dead >= len(s.conts) {
-		return nil, nil
+		return out, nil
 	}
 	// Collect orphans: anything on the dead container still running or
 	// not yet started at the failure time.
-	n := 0
-	for _, id := range s.conts[dead].ops {
-		if s.assign[id].End > at+1e-9 {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]RepairedOp, 0, n)
 	kept := s.conts[dead].ops[:0]
 	for _, id := range s.conts[dead].ops {
 		a := s.assign[id]
@@ -74,6 +68,9 @@ func (s *Schedule) Repair(dead int, at float64, rank []int32) ([]RepairedOp, err
 		}
 		out = append(out, RepairedOp{Op: id, Old: a, WastedSeconds: wasted})
 		s.clearAssign(id)
+	}
+	if len(out) == 0 {
+		return out, nil
 	}
 	s.conts[dead].ops = kept
 	// Orphan deletion shrinks the dead container's extent and removes
@@ -111,7 +108,7 @@ func (s *Schedule) Repair(dead int, at float64, rank []int32) ([]RepairedOp, err
 			}
 			ready, rerr := s.ReadyTime(rop.Op, c)
 			if rerr != nil {
-				return nil, fmt.Errorf("sched: repair op %d: %w", rop.Op, rerr)
+				return out[:0], fmt.Errorf("sched: repair op %d: %w", rop.Op, rerr)
 			}
 			start := math.Max(math.Max(ready, s.lastEnd(c)), at)
 			if start < bestStart-1e-9 {
@@ -120,7 +117,7 @@ func (s *Schedule) Repair(dead int, at float64, rank []int32) ([]RepairedOp, err
 		}
 		a, perr := s.PlaceAt(rop.Op, bestC, bestStart)
 		if perr != nil {
-			return nil, fmt.Errorf("sched: repair op %d: %w", rop.Op, perr)
+			return out[:0], fmt.Errorf("sched: repair op %d: %w", rop.Op, perr)
 		}
 		rop.New = a
 	}

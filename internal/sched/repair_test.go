@@ -37,7 +37,7 @@ func repairFixture(t *testing.T) (*Schedule, dataflow.OpID, dataflow.OpID, dataf
 
 func TestRepairReplacesOrphansAndDropsBuilds(t *testing.T) {
 	s, a, b, c, bi := repairFixture(t)
-	reps, err := s.Repair(0, 5, topoRanks(s.Graph))
+	reps, err := s.Repair(nil, 0, 5, topoRanks(s.Graph))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRepairReplacesOrphansAndDropsBuilds(t *testing.T) {
 func TestRepairKeepsFinishedWork(t *testing.T) {
 	s, a, _, c, bi := repairFixture(t)
 	// Failure at 12: a [0,10] survives (durable output), c and build move.
-	reps, err := s.Repair(0, 12, topoRanks(s.Graph))
+	reps, err := s.Repair(nil, 0, 12, topoRanks(s.Graph))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestRepairKeepsFinishedWork(t *testing.T) {
 
 func TestRepairNoOrphans(t *testing.T) {
 	s, _, _, _, _ := repairFixture(t)
-	reps, err := s.Repair(0, 100, topoRanks(s.Graph))
+	reps, err := s.Repair(nil, 0, 100, topoRanks(s.Graph))
 	if err != nil || reps != nil {
 		t.Errorf("repair past all work = (%v, %v), want nothing to do", reps, err)
 	}
-	reps, err = s.Repair(7, 0, topoRanks(s.Graph)) // nonexistent container
+	reps, err = s.Repair(nil, 7, 0, topoRanks(s.Graph)) // nonexistent container
 	if err != nil || reps != nil {
 		t.Errorf("repair of unknown container = (%v, %v), want no-op", reps, err)
 	}
@@ -129,7 +129,7 @@ func TestRepairOpensFreshContainerWhenAllDead(t *testing.T) {
 	if _, err := s.PlaceAt(a, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	reps, err := s.Repair(0, 5, topoRanks(s.Graph))
+	reps, err := s.Repair(nil, 0, 5, topoRanks(s.Graph))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +147,8 @@ func TestRepairOpensFreshContainerWhenAllDead(t *testing.T) {
 func TestRepairDeterministic(t *testing.T) {
 	s1, _, _, _, _ := repairFixture(t)
 	s2, _, _, _, _ := repairFixture(t)
-	r1, err1 := s1.Repair(0, 5, topoRanks(s1.Graph))
-	r2, err2 := s2.Repair(0, 5, topoRanks(s2.Graph))
+	r1, err1 := s1.Repair(nil, 0, 5, topoRanks(s1.Graph))
+	r2, err2 := s2.Repair(nil, 0, 5, topoRanks(s2.Graph))
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}

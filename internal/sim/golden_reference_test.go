@@ -190,7 +190,7 @@ func executeReference(s *sched.Schedule, cfg Config, faults []fault.Event) Resul
 			return failures[i].c < failures[j].c
 		})
 		for _, f := range failures {
-			repairs, err := s.Repair(f.c, f.at, topoRanks(s.Graph))
+			repairs, err := s.Repair(nil, f.c, f.at, topoRanks(s.Graph))
 			if err != nil {
 				continue
 			}

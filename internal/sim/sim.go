@@ -441,6 +441,7 @@ type scratch struct {
 	rows      []container
 	active    []int
 	failures  []int
+	repairs   []sched.RepairedOp
 }
 
 // resized returns s with length n and every element zeroed, reusing the
@@ -631,11 +632,12 @@ func (r *replay) repair() {
 	})
 	for _, c := range sc.failures {
 		dead := &sc.rows[c]
-		repairs, err := r.s.Repair(c, dead.failAt, sc.rank)
+		var err error
+		sc.repairs, err = r.s.Repair(sc.repairs, c, dead.failAt, sc.rank)
 		if err != nil {
 			continue // pass 1's dynamic handling still covers the failure
 		}
-		for _, rep := range repairs {
+		for _, rep := range sc.repairs {
 			r.injectKill(dead)
 			r.addWasted(rep.WastedSeconds)
 			if !rep.Dropped {
