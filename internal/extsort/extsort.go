@@ -18,7 +18,9 @@ import (
 	"idxflow/internal/tpch"
 )
 
-// Key extracts the sort key from a row.
+// Key extracts the sort key from a row. It is given the rows
+// pagestore.Table.Scan returns, which carry no comment: a Key reads the
+// fixed-width fields.
 type Key func(r tpch.Row) int64
 
 // Options configures an out-of-core index build.

@@ -20,7 +20,8 @@ import (
 // streams sorted batches straight into bptree.BulkLoader. Peak memory is
 // O(Workers * MemRows), independent of the table size. The resulting tree
 // is identical to Table.BuildIndex's: run sorting is stable and the merge
-// tie-breaks equal keys by scan order, matching bptree.SortByKey.
+// tie-breaks equal keys by scan order, matching bptree.SortByKey. key sees
+// each row as Table.Scan returns it, with an empty Comment.
 func BuildIndexStreaming(in *pagestore.Table, key Key, opt Options) (*bptree.Tree, error) {
 	opt = opt.withDefaults()
 	runs, err := makeIndexRuns(in, key, opt)
@@ -53,8 +54,10 @@ type chunk struct {
 }
 
 // writeIndexRun sorts one chunk in place with the worker's sorter and
-// spills it as a columnar run file: two int64 columns, packed 512 values
-// per page.
+// spills it as a columnar run file: two int64 columns, ColCap(8) values
+// per page. The chunk is appended a page of pairs at a time, so key page
+// i and RID page i sit side by side in the file and the merge's two
+// cursors read it front to back, in runs.
 func writeIndexRun(ps *exec.PairSorter, c *chunk, tmpDir string) (indexRun, error) {
 	ps.Sort(c.keys, c.rids)
 	path := filepath.Join(tmpDir, fmt.Sprintf("idxrun-%04d.cols", c.idx))
@@ -69,8 +72,11 @@ func writeIndexRun(ps *exec.PairSorter, c *chunk, tmpDir string) (indexRun, erro
 		os.Remove(path)
 		return indexRun{}, err
 	}
-	if err := rt.AppendBatch(c.keys, c.rids); err != nil {
-		return fail(err)
+	for lo, step := 0, pagestore.ColCap(8); lo < len(c.keys); lo += step {
+		hi := min(lo+step, len(c.keys))
+		if err := rt.AppendBatch(c.keys[lo:hi], c.rids[lo:hi]); err != nil {
+			return fail(err)
+		}
 	}
 	if err := rt.Flush(); err != nil {
 		return fail(err)

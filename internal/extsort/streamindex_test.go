@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"idxflow/internal/exec"
 	"idxflow/internal/pagestore"
 	"idxflow/internal/tpch"
 )
@@ -204,5 +205,47 @@ func TestBuildIndexStreamingEmptyTable(t *testing.T) {
 	}
 	if _, ok := tree.Get(1); ok {
 		t.Fatal("lookup hit in empty tree")
+	}
+}
+
+// A run file holds key page i next to RID page i, so the merge's two
+// cursors read it front to back and the file's read-ahead serves both.
+func TestIndexRunPagesSideBySide(t *testing.T) {
+	step := pagestore.ColCap(8)
+	n := 3*step + step/2
+	c := &chunk{keys: make([]int64, n), rids: make([]int64, n)}
+	for i := range c.keys {
+		c.keys[i], c.rids[i] = int64((i*7919)%n), int64(i)
+	}
+	var ps exec.PairSorter
+	run, err := writeIndexRun(&ps, c, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.table.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := pagestore.Open(run.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if want := 2 * ((n + step - 1) / step); f.Pages() != want {
+		t.Fatalf("run file has %d pages, want %d", f.Pages(), want)
+	}
+	var p pagestore.Page
+	var got []int64
+	for id := 0; id < f.Pages(); id++ {
+		if err := f.ReadPage(id, &p); err != nil {
+			t.Fatal(err)
+		}
+		lo, col, want := id/2*step, "key", c.keys
+		if id%2 == 1 {
+			col, want = "rid", c.rids
+		}
+		want = want[lo:min(lo+step, n)]
+		if got = pagestore.ColDecode(&p, got[:0]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("page %d is not the %s values %d..%d", id, col, lo, lo+len(want))
+		}
 	}
 }

@@ -52,6 +52,79 @@ func TestFileMovesRunsOfPages(t *testing.T) {
 	}
 }
 
+// A two-column table appended a page of values at a time, as an index run
+// file is, holds page i of each column side by side, so two cursors that
+// read the columns in lockstep read the file front to back: one read call
+// per runPages pages, and one page read per page.
+func TestColumnPagesSideBySideReadInRuns(t *testing.T) {
+	ct, err := CreateColumnTable(filepath.Join(t.TempDir(), "run.cols"), 4,
+		ColSpec{Name: "key", Width: 8}, ColSpec{Name: "rid", Width: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ct.Close()
+	step := ColCap(8)
+	n := 64*step + step/3
+	keys := make([]int64, n)
+	rids := make([]int64, n)
+	for i := range keys {
+		keys[i], rids[i] = int64(i), -int64(i)
+	}
+	for lo := 0; lo < n; lo += step {
+		hi := min(lo+step, n)
+		if err := ct.AppendBatch(keys[lo:hi], rids[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ct.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	pages := ct.Pages()
+	if want := 2 * ((n + step - 1) / step); pages != want {
+		t.Fatalf("table has %d pages, want %d", pages, want)
+	}
+	kc, err := ct.NewColCursor(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := ct.NewColCursor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kb, rb []int64
+	row := 0
+	for {
+		var okK, okR bool
+		if kb, okK, err = kc.NextBlock(kb[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if rb, okR, err = rc.NextBlock(rb[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if okK != okR || len(kb) != len(rb) {
+			t.Fatalf("row %d: cursors out of step (%d keys, %d rids)", row, len(kb), len(rb))
+		}
+		if !okK {
+			break
+		}
+		for j := range kb {
+			if kb[j] != keys[row] || rb[j] != rids[row] {
+				t.Fatalf("row %d: got (%d, %d), want (%d, %d)", row, kb[j], rb[j], keys[row], rids[row])
+			}
+			row++
+		}
+	}
+	if row != n {
+		t.Fatalf("read %d rows, want %d", row, n)
+	}
+	if runs := int64((pages+runPages-1)/runPages + 1); ct.file.readCalls > runs {
+		t.Errorf("reading %d pages in lockstep made %d read calls, want at most %d", pages, ct.file.readCalls, runs)
+	}
+	if reads, _ := ct.IOStats(); reads != int64(pages) {
+		t.Errorf("IOStats = %d page reads, want %d", reads, pages)
+	}
+}
+
 // A run write that fails fails the Flush or Append that made it, and its
 // pages leave the file; the pages written before it stay readable.
 func TestFileFailedRunWrite(t *testing.T) {

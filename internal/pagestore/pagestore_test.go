@@ -2,7 +2,6 @@ package pagestore
 
 import (
 	"bytes"
-	"math/rand"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -162,6 +161,12 @@ func buildTable(t *testing.T, nRows int, frames int) (*Table, []tpch.Row) {
 	return tab, rows
 }
 
+// asScanned is what Scan returns for r: every field but the comment.
+func asScanned(r tpch.Row) tpch.Row {
+	r.Comment = ""
+	return r
+}
+
 func TestTableScanMatchesInput(t *testing.T) {
 	tab, rows := buildTable(t, 3000, 16)
 	if tab.Rows() != int64(len(rows)) {
@@ -169,7 +174,7 @@ func TestTableScanMatchesInput(t *testing.T) {
 	}
 	i := 0
 	err := tab.Scan(func(rid RID, r tpch.Row) bool {
-		if r != rows[i] {
+		if r != asScanned(rows[i]) {
 			t.Fatalf("row %d mismatch", i)
 		}
 		i++
@@ -190,15 +195,16 @@ func TestTableFetchByRID(t *testing.T) {
 		rids = append(rids, rid)
 		return true
 	})
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		i := rng.Intn(len(rids))
-		got, err := tab.Fetch(rids[i])
+	if len(rids) != len(rows) {
+		t.Fatalf("scanned %d RIDs, want %d", len(rids), len(rows))
+	}
+	for i, rid := range rids {
+		got, err := tab.Fetch(rid)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != rows[i] {
-			t.Fatalf("Fetch(%+v) mismatch", rids[i])
+			t.Fatalf("Fetch(%+v) = %+v, want %+v", rid, got, rows[i])
 		}
 	}
 	if _, err := tab.Fetch(RID{Page: 9999, Slot: 0}); err == nil {

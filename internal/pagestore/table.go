@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"idxflow/internal/bptree"
 	"idxflow/internal/tpch"
@@ -149,16 +148,13 @@ func (t *Table) Fetch(rid RID) (tpch.Row, error) {
 	return r, nil
 }
 
-// Scan visits every row in storage order. Stops early if visit returns
-// false.
+// Scan visits every row in storage order, each with its fixed-width
+// fields only: a scanned row's Comment is empty, and Fetch is the one
+// reader of a whole row. Stops early if visit returns false.
 //
-// Scan decodes a page at a time: the page is pinned only while its rows
-// are decoded, and all of its comments are copied into one string, of
-// which every row's Comment is a substring. A page thus costs one
-// allocation however many rows it holds, and a row stays valid after the
-// pool recycles the frame it was read from (a Comment that aliased the
-// frame would then read another page's bytes). A retained Comment keeps
-// its page's comment string alive.
+// Scan decodes a page at a time into a buffer on its stack: the page is
+// pinned only while its rows are decoded, a scan allocates nothing, and
+// no scanned row refers to the frame it was read from.
 func (t *Table) Scan(visit func(rid RID, r tpch.Row) bool) error {
 	var buf [maxRowsPerPage]slotRow
 	rows := buf[:0]
@@ -187,9 +183,9 @@ type slotRow struct {
 	row  tpch.Row
 }
 
-// decodePage appends the live rows of page pid to rows, their comments
-// copied into one string. On a corrupt record it returns the rows before
-// it with the error.
+// decodePage appends the live rows of page pid to rows, all but their
+// comments. On a corrupt record it returns the rows before it with the
+// error.
 func (t *Table) decodePage(pid int, rows []slotRow) ([]slotRow, error) {
 	p, err := t.pool.Get(pid)
 	if err != nil {
@@ -197,33 +193,19 @@ func (t *Table) decodePage(pid int, rows []slotRow) ([]slotRow, error) {
 	}
 	defer t.pool.Release(pid)
 	n := p.NumSlots()
-	size := 0
-	for s := 0; s < n; s++ {
-		if rec, _ := p.Get(s); len(rec) > rowFixed {
-			size += len(rec) - rowFixed
-		}
-	}
-	var comments strings.Builder
-	// Grow reserves room for every comment of the page, so the buffer never
-	// moves and each String() below is a prefix of the final string.
-	comments.Grow(size)
 	for s := 0; s < n; s++ {
 		rec, ok := p.Get(s)
 		if !ok || rec == nil {
 			continue
 		}
-		// The new slot's fields are each written below, so it is not
-		// zeroed first.
+		// decodeRow writes every field but Comment, which no slot is ever
+		// given, so the new slot is not zeroed first.
 		rows = slices.Grow(rows, 1)[:len(rows)+1]
 		sr := &rows[len(rows)-1]
 		sr.slot = int32(s)
-		comment, err := decodeRow(&sr.row, rec)
-		if err != nil {
+		if _, err := decodeRow(&sr.row, rec); err != nil {
 			return rows[:len(rows)-1], err
 		}
-		start := comments.Len()
-		comments.Write(comment)
-		sr.row.Comment = comments.String()[start:]
 	}
 	return rows, nil
 }
@@ -238,9 +220,9 @@ func (t *Table) IOStats() (reads, writes int64) { return t.file.Reads, t.file.Wr
 func (t *Table) Close() error { return t.file.Close() }
 
 // BuildIndex bulk-loads a B+Tree over key(r) -> packed RID by scanning the
-// table once. The key/RID columns are collected into exactly-sized
-// parallel slices (the row count is known up front), skipping the []Pair
-// materialization.
+// table once, so key sees rows without comments. The key/RID columns are
+// collected into exactly-sized parallel slices (the row count is known up
+// front), skipping the []Pair materialization.
 func (t *Table) BuildIndex(key func(r tpch.Row) int64) (*bptree.Tree, error) {
 	keys := make([]int64, 0, t.Rows())
 	vals := make([]int64, 0, t.Rows())
