@@ -13,7 +13,7 @@ func benchEntries(n int) (keys, vals []int64) {
 	for i := range keys {
 		keys[i], vals[i] = rng.Int63n(int64(n)), int64(i)
 	}
-	SortByKey(keys, vals)
+	sortByKey(keys, vals)
 	return keys, vals
 }
 

@@ -4,7 +4,8 @@
 // query-executor substrate used to measure the index speedups of Table 6
 // of the paper. A tree is built in one of two ways: BulkLoadSorted over
 // parallel key/value slices in memory, or BulkLoader from sorted batches
-// streamed out of an external sort.
+// streamed out of an external sort (extsort.BuildIndexStreaming). Both
+// take entries already sorted by key; the package sorts nothing.
 //
 // Duplicate keys are supported. To keep lookups and range scans exact, a
 // run of equal keys is never split across two leaves: a leaf boundary moves
@@ -137,21 +138,6 @@ func BulkLoadSorted(order int, keys, vals []int64) (*Tree, error) {
 	copy(vs, vals)
 	return bulkFromSorted(order, ks, vs), nil
 }
-
-// kvSorter stable-sorts parallel key/value slices by key.
-type kvSorter struct{ keys, vals []int64 }
-
-func (s kvSorter) Len() int           { return len(s.keys) }
-func (s kvSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s kvSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
-}
-
-// SortByKey stable-sorts the parallel key/value slices by key, preserving
-// the relative order of equal keys — the preparation step for
-// BulkLoadSorted when entries arrive unsorted.
-func SortByKey(keys, vals []int64) { sort.Stable(kvSorter{keys, vals}) }
 
 // bulkFromSorted builds the tree over already-sorted parallel slices,
 // taking ownership of them: each leaf is a full-capacity subslice of the

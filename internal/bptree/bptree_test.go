@@ -1,6 +1,7 @@
 package bptree
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sort"
@@ -8,13 +9,28 @@ import (
 	"testing/quick"
 )
 
+// sortByKey stable-sorts parallel key/value slices by key, the order
+// BulkLoadSorted takes: equal keys keep their arrival order.
+func sortByKey(keys, vals []int64) {
+	type kv struct{ k, v int64 }
+	s := make([]kv, len(keys))
+	for i := range s {
+		s[i] = kv{keys[i], vals[i]}
+	}
+	slices.SortStableFunc(s, func(a, b kv) int { return cmp.Compare(a.k, b.k) })
+	for i, e := range s {
+		keys[i], vals[i] = e.k, e.v
+	}
+}
+
 // load builds a tree of the given order from entries in arrival order the
-// way the data plane does: SortByKey, then BulkLoadSorted. Equal keys keep
-// their arrival order. The caller's slices are left as they were.
+// way the data plane does: a stable sort by key, then BulkLoadSorted.
+// Equal keys keep their arrival order. The caller's slices are left as
+// they were.
 func load(tb testing.TB, order int, keys, vals []int64) *Tree {
 	tb.Helper()
 	keys, vals = slices.Clone(keys), slices.Clone(vals)
-	SortByKey(keys, vals)
+	sortByKey(keys, vals)
 	tr, err := BulkLoadSorted(order, keys, vals)
 	if err != nil {
 		tb.Fatal(err)
@@ -366,19 +382,6 @@ func TestBulkLoadSortedErrors(t *testing.T) {
 	tr, err := BulkLoadSorted(8, nil, nil)
 	if err != nil || tr.Len() != 0 {
 		t.Errorf("empty load: %v len=%d", err, tr.Len())
-	}
-}
-
-func TestSortByKeyStable(t *testing.T) {
-	keys := []int64{3, 1, 3, 1, 2}
-	vals := []int64{0, 1, 2, 3, 4}
-	SortByKey(keys, vals)
-	wantK := []int64{1, 1, 2, 3, 3}
-	wantV := []int64{1, 3, 4, 0, 2}
-	for i := range keys {
-		if keys[i] != wantK[i] || vals[i] != wantV[i] {
-			t.Fatalf("SortByKey = %v/%v, want %v/%v", keys, vals, wantK, wantV)
-		}
 	}
 }
 

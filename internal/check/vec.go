@@ -1,6 +1,7 @@
 package check
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -54,7 +55,7 @@ func genRow(rng *rand.Rand, key int64) tpch.Row {
 // runs, the shape of a fact table clustered by its key. GenColumns picks a
 // generator per row, so two neighbouring rows almost never share a key;
 // here every key repeats for a drawn run length — mostly the 1-7 of
-// lineitem, now and then longer than a vectorized block — starting below
+// lineitem, now and then 1,024 to 2,047 rows — starting below
 // zero so runs cross the sign boundary. The other columns stay random, so
 // the group and join audits see non-trivial payloads. Deterministic in
 // (seed, n).
@@ -66,7 +67,7 @@ func GenClusteredColumns(seed int64, n int) tpch.Columns {
 	for c.Len() < n {
 		run := 1 + rng.Intn(7)
 		if rng.Intn(64) == 0 {
-			run = exec.BatchSize + rng.Intn(exec.BatchSize)
+			run = 1024 + rng.Intn(1024)
 		}
 		for ; run > 0 && c.Len() < n; run-- {
 			c.Append(genRow(rng, key))
@@ -79,6 +80,30 @@ func GenClusteredColumns(seed int64, n int) tpch.Columns {
 // nestedLoopCap bounds the O(n*m) scalar nested-loop reference inside the
 // audit; the vectorized hash join is compared against it on a prefix.
 const nestedLoopCap = 512
+
+// sortMergeCap bounds the pairs the sort-merge joins may emit over the full
+// halves of a batch: a duplicate-heavy batch makes their output quadratic
+// (4,096 equal keys give 4.2M pairs a join), so above the cap both are
+// compared on the nested loop's prefixes instead. The hash build of one
+// half counts the pairs.
+const sortMergeCap = 1 << 20
+
+// atLeast returns the index in order, a stable sort of keys, of the first
+// key not below k; binary search finds the first of a run of equal keys.
+func atLeast(keys []int64, order []int32, k int64) int {
+	i, _ := slices.BinarySearchFunc(order, k, func(p int32, k int64) int { return cmp.Compare(keys[p], k) })
+	return i
+}
+
+// sortedRange reads a range select off a stable sort's order of keys: the
+// positions of the keys in [lo, hi), returned ascending, as a scan returns
+// them.
+func sortedRange(keys []int64, order []int32, lo, hi int64) []int32 {
+	i, j := atLeast(keys, order, lo), atLeast(keys, order, hi)
+	out := append([]int32{}, order[i:max(i, j)]...)
+	slices.Sort(out)
+	return out
+}
 
 // reportIfDiff records a violation when the vectorized result differs from
 // the scalar golden reference.
@@ -100,12 +125,17 @@ func summarize(v any) any {
 }
 
 // AuditVectorized proves the vectorized operators in internal/exec produce
-// results identical to their scalar references, exec's scalar operators
-// over the same key columns, on the given batch: all five §1 operator
-// categories — lookup, range select, order by, grouping, and the hash and
-// sort-merge joins — plus the hash-build half. The nested-loop reference
-// is O(n²) and is compared on a bounded prefix; every other pair runs over
-// the full batch. Returns an error listing every category that diverged.
+// results identical to their scalar references on the given batch: all
+// five §1 operator categories — lookup, range select, order by, grouping,
+// and the hash and sort-merge joins — plus the hash-build half. Order by,
+// grouping, the hash build and the joins are held to exec's scalar
+// operators over the same key columns; range select and lookup, which
+// have one implementation, to the answer read off the stable comparison
+// sort by binary search. The nested-loop reference is O(n²) and is
+// compared on a bounded prefix, and so are the sort-merge joins when the
+// full halves would emit more than sortMergeCap pairs; every other pair
+// runs over the full batch. Returns an error listing every category that
+// diverged.
 func AuditVectorized(cols tpch.Columns) error {
 	r := &Report{}
 	auditVectorized(r, cols)
@@ -124,47 +154,56 @@ func auditVectorized(r *Report, cols tpch.Columns) {
 	minK, maxK := slices.Min(keys), slices.Max(keys)
 	mid := minK/2 + maxK/2
 
+	// The stable comparison sort of both key columns: the order-by
+	// reference, and the order range select and lookup are read off.
+	order := exec.ScanOrderBy(keys)
+	cdKeys := exec.WidenInt32(nil, cols.CommitDate)
+	cdOrder := exec.ScanOrderBy(cdKeys)
+
 	// Range select, int64 and int32 instantiations.
 	for _, b := range [][2]int64{{minK, mid}, {mid, maxK}, {minK, maxK}, {mid, mid}, {maxK, maxK}} {
 		reportIfDiff(r, "vec-select-range",
-			exec.ScanRange(keys, b[0], b[1]),
+			sortedRange(keys, order, b[0], b[1]),
 			exec.VecSelectRange(keys, b[0], b[1]))
 	}
 	reportIfDiff(r, "vec-select-range-int32",
-		exec.ScanRange(cols.CommitDate, 0, 1000),
+		sortedRange(cdKeys, cdOrder, 0, 1000),
 		exec.VecSelectRange(cols.CommitDate, 0, 1000))
 
-	// Lookup: first row's key, a middle key, and a guaranteed miss.
+	// Lookup: first row's key, a middle key, the largest key, and a
+	// guaranteed miss. The stable sort puts the lowest position holding
+	// a key first among its equals.
 	for _, k := range []int64{keys[0], keys[n/2], maxK} {
-		sp, sok := exec.ScanLookup(keys, k)
+		i := atLeast(keys, order, k)
 		vp, vok := exec.VecLookup(keys, k)
-		reportIfDiff(r, "vec-lookup", []any{sp, sok}, []any{vp, vok})
+		reportIfDiff(r, "vec-lookup", []any{order[i], true}, []any{vp, vok})
 	}
 	if maxK < (1<<63)-1 {
-		_, sok := exec.ScanLookup(keys, maxK+1)
 		_, vok := exec.VecLookup(keys, maxK+1)
-		reportIfDiff(r, "vec-lookup-miss", sok, vok)
+		reportIfDiff(r, "vec-lookup-miss", false, vok)
 	}
 
 	// Order by: the radix sort must reproduce the stable comparison sort
 	// exactly, on both key columns.
-	cdKeys := exec.WidenInt32(nil, cols.CommitDate)
-	reportIfDiff(r, "vec-order-by", exec.ScanOrderBy(keys), exec.VecSortPositions(keys))
-	reportIfDiff(r, "vec-order-by-commitdate", exec.ScanOrderBy(cdKeys), exec.VecSortPositions(cdKeys))
+	_, pos := exec.VecSortKeysPositions(keys)
+	reportIfDiff(r, "vec-order-by", order, pos)
+	_, pos = exec.VecSortKeysPositions(cdKeys)
+	reportIfDiff(r, "vec-order-by-commitdate", cdOrder, pos)
 
 	// Keys-only sort: both the counting fast path (narrow commitdate
 	// domain) and the radix fallback (full-range order keys) must agree
 	// with a gather of the keys through the scalar sort's positions.
 	// VecSortKeys mutates its input, so it gets a copy.
 	for _, c := range []struct {
-		name string
-		src  []int64
+		name  string
+		src   []int64
+		order []int32
 	}{
-		{"vec-sort-keys", keys},
-		{"vec-sort-keys-commitdate", cdKeys},
+		{"vec-sort-keys", keys, order},
+		{"vec-sort-keys-commitdate", cdKeys, cdOrder},
 	} {
 		want := make([]int64, 0, n)
-		for _, p := range exec.ScanOrderBy(c.src) {
+		for _, p := range c.order {
 			want = append(want, c.src[p])
 		}
 		got := exec.VecSortKeys(append([]int64(nil), c.src...))
@@ -175,12 +214,19 @@ func auditVectorized(r *Report, cols tpch.Columns) {
 	reportIfDiff(r, "vec-build-hash", exec.BuildHash(keys), exec.VecBuildHash(keys))
 
 	// Joins: split the batch into left/right halves. Nested loop is
-	// O(n*m); bound its reference size.
+	// O(n*m); bound its reference size, and the sort-merge joins' output.
 	lKeys, rKeys := keys[:n/2], keys[n/2:]
 	blk, brk := lKeys[:min(len(lKeys), nestedLoopCap)], rKeys[:min(len(rKeys), nestedLoopCap)]
 	reportIfDiff(r, "vec-hash-join",
 		exec.NestedLoopJoin(blk, brk),
 		exec.VecHashJoin(blk, exec.VecBuildHash(brk)))
+	lh, pairs := exec.VecBuildHash(lKeys), 0
+	for _, k := range rKeys {
+		pairs += len(lh[k])
+	}
+	if pairs > sortMergeCap {
+		lKeys, rKeys = blk, brk
+	}
 	reportIfDiff(r, "vec-sort-merge-join",
 		exec.SortMergeJoin(lKeys, rKeys),
 		exec.VecSortMergeJoin(lKeys, rKeys))

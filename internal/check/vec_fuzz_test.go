@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"idxflow/internal/exec"
 	"idxflow/internal/tpch"
 )
 
@@ -46,14 +45,24 @@ func encodeRows(rows ...[3]int64) []byte {
 	return out
 }
 
+// equalKeyRows is a full fuzzed batch whose rows all hold one order key,
+// so an equi-join of its halves emits 2,048² pairs.
+func equalKeyRows() []byte {
+	rows := make([][3]int64, fuzzMaxRows)
+	for i := range rows {
+		rows[i] = [3]int64{7, int64(i % 31), 1}
+	}
+	return encodeRows(rows...)
+}
+
 // FuzzVectorizedEqualsScalar holds every vectorized operator to its scalar
 // reference (AuditVectorized) on key columns the fuzzer writes directly,
 // unlike the drawn batches of GenColumns and GenClusteredColumns.
 func FuzzVectorizedEqualsScalar(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeRows([3]int64{42, 100, 7}))
-	run := make([][3]int64, 0, exec.BatchSize+100)
-	for i := 0; i < exec.BatchSize+90; i++ {
+	run := make([][3]int64, 0, 1024+100)
+	for i := 0; i < 1024+90; i++ {
 		run = append(run, [3]int64{5, int64(i % 31), int64(i)})
 	}
 	run = append(run, [3]int64{-5, 0, 1}, [3]int64{6, 1, 2}, [3]int64{5, -3, 3})
@@ -67,6 +76,7 @@ func FuzzVectorizedEqualsScalar(f *testing.F) {
 		[3]int64{math.MinInt64, -1, 1},
 		[3]int64{1, math.MinInt32, math.MaxInt32},
 	))
+	f.Add(equalKeyRows())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := AuditVectorized(decodeColumns(data)); err != nil {
 			t.Fatal(err)

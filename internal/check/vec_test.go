@@ -2,6 +2,7 @@ package check
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -42,6 +43,26 @@ func TestAuditVectorizedOnGeneratedLineitem(t *testing.T) {
 	cols := tpch.GenerateColumns(0.001, 7)
 	if err := AuditVectorized(cols); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditVectorizedEqualKeysBounded audits a full fuzzed batch of one
+// key. Compared over the full halves, its two sort-merge joins emit 4.2M
+// pairs each and the audit allocates some 370 MB; above sortMergeCap pairs
+// they are compared on the 512-row prefixes. Four joins of 512² pairs
+// remain (the hash join, the nested loop and the two sort-merge joins),
+// some 10 MB each with append's growth, so the audit stays under 48 MB.
+func TestAuditVectorizedEqualKeysBounded(t *testing.T) {
+	cols := decodeColumns(equalKeyRows())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := AuditVectorized(cols)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 48<<20 {
+		t.Fatalf("auditing %d equal keys allocated %d MB, want under 48 MB", cols.Len(), got>>20)
 	}
 }
 

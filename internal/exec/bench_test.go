@@ -20,25 +20,6 @@ func BenchmarkScanOrderBy(b *testing.B) {
 	}
 }
 
-func BenchmarkScanLookup(b *testing.B) {
-	keys := benchCols(b, 50_000).OrderKey
-	key := keys[len(keys)-1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ScanLookup(keys, key)
-	}
-}
-
-func BenchmarkScanRange(b *testing.B) {
-	keys := benchCols(b, 50_000).OrderKey
-	maxKey := keys[len(keys)-1]
-	lo, hi := maxKey/3, maxKey/3+maxKey/50+1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ScanRange(keys, lo, hi)
-	}
-}
-
 func BenchmarkVecSelectRange(b *testing.B) {
 	cols := benchCols(b, 50_000)
 	maxKey := cols.OrderKey[cols.Len()-1]
@@ -66,7 +47,7 @@ func BenchmarkVecSortPositions(b *testing.B) {
 	keys := WidenInt32(nil, cols.CommitDate)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		VecSortPositions(keys)
+		VecSortKeysPositions(keys)
 	}
 }
 

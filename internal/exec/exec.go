@@ -1,12 +1,17 @@
 // Package exec implements the five generic operator categories of §1 of the
 // paper — lookup, range select, sorting, grouping and join — over key
-// columns, once as the scalar operators in this file and once as the
-// vectorized operators of vector.go, which walk the same columns in blocks.
-// The scalar operators are the no-index side of the Table 6 experiment's
-// group-by and join cells and the reference of check.AuditVectorized, which
-// proves every vectorized operator returns exactly what its scalar
-// counterpart returns. The index paths of Table 6 walk bptree and pagestore
-// directly.
+// columns. Lookup and range select are one scan each (vector.go). Sorting,
+// grouping, the hash build and the sort-merge join have two algorithms: the
+// scalar ones in this file (comparison sort, sort-based grouping, per-row
+// hash inserts, nested-loop and comparison sort-merge joins) and the
+// vectorized ones of vector.go (radix and counting sorts, counting
+// grouping, a hash build by runs, radix sort-merge join). The scalar
+// operators are the no-index side of the Table 6 experiment's group-by and
+// join cells and the reference of check.AuditVectorized, which proves
+// every vectorized operator returns exactly what its scalar counterpart
+// returns; range select and lookup it holds to an answer read off the
+// stable comparison sort. The index paths of Table 6 walk bptree and
+// pagestore directly.
 package exec
 
 import (
@@ -30,39 +35,21 @@ func BuildHash(keys []int64) HashIndex {
 // Lookup returns the positions of rows with the given key.
 func (h HashIndex) Lookup(k int64) []int32 { return h[k] }
 
-// ScanOrderBy returns the row positions stably sorted by key with an
-// O(n log n) comparison sort ("Order by" without an index).
-func ScanOrderBy(keys []int64) []int32 {
-	pos := make([]int32, len(keys))
+// identity returns the positions 0..n-1, in order.
+func identity(n int) []int32 {
+	pos := make([]int32, n)
 	for i := range pos {
 		pos[i] = int32(i)
 	}
-	slices.SortStableFunc(pos, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
 	return pos
 }
 
-// ScanRange returns the positions with lo <= key < hi via a full scan
-// ("Select range" without an index, O(n)). The result is presized for a few
-// percent selectivity so typical ranges append without reallocating.
-func ScanRange[T ColKey](keys []T, lo, hi T) []int32 {
-	out := make([]int32, 0, len(keys)/16+16)
-	for i, k := range keys {
-		if k >= lo && k < hi {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
-// ScanLookup returns the position of the first key equal to k via a full
-// scan ("Lookup" without an index, O(n)).
-func ScanLookup[T ColKey](keys []T, k T) (int32, bool) {
-	for i, v := range keys {
-		if v == k {
-			return int32(i), true
-		}
-	}
-	return 0, false
+// ScanOrderBy returns the row positions stably sorted by key with an
+// O(n log n) comparison sort ("Order by" without an index).
+func ScanOrderBy(keys []int64) []int32 {
+	pos := identity(len(keys))
+	slices.SortStableFunc(pos, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	return pos
 }
 
 // Group is one group of an aggregation: a key, its row count and the sum of

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -16,20 +17,30 @@ func testCols(t *testing.T) tpch.Columns {
 }
 
 // buildTree bulk-loads a B+Tree index mapping each key to its position,
-// the index side the scalar operators are compared with.
+// the index side the scan operators are compared with: equal keys keep
+// their positions' order, as the stable ScanOrderBy leaves them.
 func buildTree(t *testing.T, keys []int64) *bptree.Tree {
 	t.Helper()
-	k := append([]int64(nil), keys...)
-	v := make([]int64, len(keys))
-	for i := range v {
-		v[i] = int64(i)
+	k := make([]int64, 0, len(keys))
+	v := make([]int64, 0, len(keys))
+	for _, p := range ScanOrderBy(keys) {
+		k = append(k, keys[p])
+		v = append(v, int64(p))
 	}
-	bptree.SortByKey(k, v)
 	tree, err := bptree.BulkLoadSorted(bptree.DefaultOrder, k, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tree
+}
+
+// treeRange returns the positions the tree holds for keys in [lo, hi), in
+// ascending position order, as a scan returns them.
+func treeRange(tree *bptree.Tree, lo, hi int64) []int32 {
+	out := []int32{}
+	tree.Range(lo, hi, func(_, v int64) bool { out = append(out, int32(v)); return true })
+	slices.Sort(out)
+	return out
 }
 
 func TestOrderByEquivalence(t *testing.T) {
@@ -58,7 +69,7 @@ func TestRangeEquivalence(t *testing.T) {
 	keys := testCols(t).OrderKey
 	tree := buildTree(t, keys)
 	lo, hi := int64(100), int64(300)
-	scan := ScanRange(keys, lo, hi)
+	scan := VecSelectRange(keys, lo, hi)
 	set := make(map[int32]bool, len(scan))
 	for _, p := range scan {
 		set[p] = true
@@ -84,7 +95,7 @@ func TestLookupEquivalence(t *testing.T) {
 	tree := buildTree(t, keys)
 	hash := BuildHash(keys)
 	for _, k := range []int64{1, 50, 200, 999999} {
-		sp, sok := ScanLookup(keys, k)
+		sp, sok := VecLookup(keys, k)
 		ip, iok := tree.Get(k)
 		if sok != iok {
 			t.Fatalf("Lookup(%d): scan ok=%v, index ok=%v", k, sok, iok)
@@ -166,7 +177,7 @@ func TestRangeEquivalenceProperty(t *testing.T) {
 			}
 			n := 0
 			tree.Range(lo, hi, func(int64, int64) bool { n++; return true })
-			if len(ScanRange(keys, lo, hi)) != n {
+			if len(VecSelectRange(keys, lo, hi)) != n {
 				return false
 			}
 		}
@@ -180,7 +191,7 @@ func TestRangeEquivalenceProperty(t *testing.T) {
 func TestCommitDateKey(t *testing.T) {
 	dates := testCols(t).CommitDate
 	tree := buildTree(t, WidenInt32(nil, dates))
-	scan := ScanRange(dates, 10, 50)
+	scan := VecSelectRange(dates, 10, 50)
 	n := 0
 	tree.Range(10, 50, func(int64, int64) bool { n++; return true })
 	if len(scan) != n {

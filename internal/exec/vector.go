@@ -5,22 +5,18 @@ import (
 	"slices"
 )
 
-// Vectorized operators: the same five §1 operator categories as the
-// scalar operators in exec.go, over the same key columns, rewritten to
-// process them in blocks of BatchSize values per call. The scalar
-// operators are the golden reference — check.AuditVectorized proves both
-// paths produce identical results on seed-reproducible workloads.
-//
-// The batch contract: operators take struct-of-arrays inputs (tpch.Columns
-// slices, or int64 blocks decoded from pagestore column pages), walk them
-// BatchSize values at a time, and communicate qualifying lanes through
-// selection vectors ([]int32 of block-relative positions) instead of
-// materializing intermediate rows.
-
-// BatchSize is the number of values a vectorized operator processes per
-// block: large enough to amortize per-block overhead, small enough that a
-// block of int64 keys (8 KB) stays in L1.
-const BatchSize = 1024
+// Vectorized operators: the §1 operator categories over struct-of-arrays
+// key columns (tpch.Columns slices, or int64 blocks decoded from
+// pagestore column pages). Range select and lookup have one
+// implementation each, a scan: SelectRangeBlock is the kernel, over a
+// whole column (VecSelectRange) or one page block at a time (Table 6), and
+// qualifying lanes come back as a selection vector ([]int32 of positions in
+// the block) instead of materialized rows. The other categories have a
+// second algorithm here beside the scalar one of exec.go — radix instead
+// of comparison sort, counting instead of sort-based grouping, a build by
+// runs instead of per-row inserts, radix instead of comparison sort-merge
+// join — and check.AuditVectorized proves each pair returns the same
+// result.
 
 // ColKey is a fixed-width integer column type.
 type ColKey interface {
@@ -48,41 +44,37 @@ func SelectRangeBlock[T ColKey](block []T, lo, hi T, sel []int32) []int32 {
 	return sel
 }
 
-// VecSelectRange returns the positions with lo <= key < hi — the
-// vectorized "Select range without an index": the column is walked in
-// BatchSize blocks, each producing a selection vector that is rebased and
-// appended to the result.
+// VecSelectRange returns the positions with lo <= key < hi ("Select range"
+// without an index, O(n)): SelectRangeBlock over the whole column. The
+// result is presized for a few percent selectivity so typical ranges
+// append without reallocating.
 func VecSelectRange[T ColKey](keys []T, lo, hi T) []int32 {
-	out := make([]int32, 0, len(keys)/16+16)
-	var selBuf [BatchSize]int32
-	for base := 0; base < len(keys); base += BatchSize {
-		end := base + BatchSize
-		if end > len(keys) {
-			end = len(keys)
-		}
-		sel := SelectRangeBlock(keys[base:end], lo, hi, selBuf[:0])
-		for _, lane := range sel {
-			out = append(out, int32(base)+lane)
-		}
-	}
-	return out
+	return SelectRangeBlock(keys, lo, hi, make([]int32, 0, len(keys)/16+16))
 }
 
-// VecLookup returns the position of the first value equal to k — the
-// vectorized "Lookup without an index" (block scan, early exit).
+// VecLookup returns the position of the first value equal to k ("Lookup"
+// without an index, O(n), early exit).
 func VecLookup[T ColKey](keys []T, k T) (int32, bool) {
-	for base := 0; base < len(keys); base += BatchSize {
-		end := base + BatchSize
-		if end > len(keys) {
-			end = len(keys)
-		}
-		for i, v := range keys[base:end] {
-			if v == k {
-				return int32(base + i), true
-			}
+	for i, v := range keys {
+		if v == k {
+			return int32(i), true
 		}
 	}
 	return 0, false
+}
+
+// minMax returns the smallest and the largest of keys; keys is not empty.
+func minMax(keys []int64) (lo, hi int64) {
+	lo, hi = keys[0], keys[0]
+	for _, k := range keys[1:] {
+		if k < lo {
+			lo = k
+		}
+		if k > hi {
+			hi = k
+		}
+	}
+	return lo, hi
 }
 
 // VecBuildHash builds the hash index of BuildHash without its per-row map
@@ -97,13 +89,9 @@ func VecLookup[T ColKey](keys []T, k T) (int32, bool) {
 // keys is not modified. Posting lists have cap == len, so appending to one
 // reallocates it rather than writing into its neighbour.
 func VecBuildHash(keys []int64) HashIndex {
-	sorted := keys
-	var pos []int32
+	sorted, pos := keys, []int32(nil)
 	if slices.IsSorted(keys) {
-		pos = make([]int32, len(keys))
-		for i := range pos {
-			pos[i] = int32(i)
-		}
+		pos = identity(len(keys))
 	} else {
 		sorted, pos = VecSortKeysPositions(keys)
 	}
@@ -149,15 +137,7 @@ func (s *radixScratch[P]) sort(keys []int64, pay []P) ([]int64, []P) {
 	if n < 2 {
 		return keys, pay
 	}
-	min, max := keys[0], keys[0]
-	for _, k := range keys[1:] {
-		if k < min {
-			min = k
-		}
-		if k > max {
-			max = k
-		}
-	}
+	min, max := minMax(keys)
 	if min == max {
 		return keys, pay // all keys equal; input order is the stable answer
 	}
@@ -225,38 +205,22 @@ func (s *radixScratch[P]) sort(keys []int64, pay []P) ([]int64, []P) {
 	return srcK, srcP
 }
 
-// sortPositions radix-sorts a copy of keys with the row positions as the
-// payload; keys is not modified.
-func sortPositions(keys []int64) ([]int64, []int32) {
+// VecSortKeysPositions returns the row positions stably sorted by key —
+// the vectorized "Order by without an index", replacing the comparison
+// sort of ScanOrderBy with the radix sort above — and the sorted key
+// sequence beside them. The sorted keys fall out of the radix sort's final
+// pass for free, so consumers that need key order (merges, grouping,
+// sorted output) read them sequentially instead of gathering keys[pos[i]]
+// through n random accesses. keys is not modified.
+func VecSortKeysPositions(keys []int64) ([]int64, []int32) {
 	sorted := make([]int64, len(keys))
 	copy(sorted, keys)
-	pos := make([]int32, len(keys))
-	for i := range pos {
-		pos[i] = int32(i)
-	}
 	var s radixScratch[int32]
-	return s.sort(sorted, pos)
-}
-
-// VecSortPositions returns the row positions stably sorted by key — the
-// vectorized "Order by without an index", replacing the comparison sort of
-// ScanOrderBy with the radix sort above.
-func VecSortPositions(keys []int64) []int32 {
-	_, pos := sortPositions(keys)
-	return pos
-}
-
-// VecSortKeysPositions returns the sorted key sequence alongside the
-// stable position permutation. The sorted keys fall out of the radix
-// sort's final pass for free, so consumers that need key order (merges,
-// grouping, sorted output) read them sequentially instead of gathering
-// keys[pos[i]] through n random accesses.
-func VecSortKeysPositions(keys []int64) ([]int64, []int32) {
-	return sortPositions(keys)
+	return s.sort(sorted, identity(len(keys)))
 }
 
 // PairSorter sorts (key, value) chunks in place with the radix sort of
-// VecSortPositions, the values riding along as its payload, and keeps the
+// VecSortKeysPositions, the values riding along as its payload, and keeps the
 // sort's buffers from one chunk to the next: the run sort of an out-of-core
 // index build, whose values are packed RIDs. A PairSorter is not safe for
 // concurrent use.
@@ -291,15 +255,7 @@ func VecSortKeys(keys []int64) []int64 {
 	if len(keys) < 2 {
 		return keys
 	}
-	min, max := keys[0], keys[0]
-	for _, k := range keys[1:] {
-		if k < min {
-			min = k
-		}
-		if k > max {
-			max = k
-		}
-	}
+	min, max := minMax(keys)
 	span := uint64(max) - uint64(min) // modular: correct even across the sign boundary
 	if span < countingMaxSpan {
 		counts := make([]int64, span+1)
@@ -331,15 +287,7 @@ func VecGroup(keys []int64, quantity []int32) []Group {
 	// counts and quantity sums into arrays indexed by key offset, then
 	// emit groups in key order. One pass, no permutation, no transient
 	// sort buffers.
-	min, max := keys[0], keys[0]
-	for _, k := range keys[1:] {
-		if k < min {
-			min = k
-		}
-		if k > max {
-			max = k
-		}
-	}
+	min, max := minMax(keys)
 	if span := uint64(max) - uint64(min); span < countingMaxSpan {
 		counts := make([]int64, span+1)
 		sums := make([]int64, span+1)
@@ -373,20 +321,14 @@ func VecGroup(keys []int64, quantity []int32) []Group {
 	return out
 }
 
-// VecHashJoin probes the right-side hash index with the left key column in
-// BatchSize blocks — the batched probe half of the hash join. Output
-// order matches NestedLoopJoin: left position major, right position minor.
+// VecHashJoin probes the right-side hash index with the left key column —
+// the probe half of the hash join. Output order matches NestedLoopJoin:
+// left position major, right position minor.
 func VecHashJoin(leftKeys []int64, right HashIndex) []JoinPair {
 	out := make([]JoinPair, 0, len(leftKeys))
-	for base := 0; base < len(leftKeys); base += BatchSize {
-		end := base + BatchSize
-		if end > len(leftKeys) {
-			end = len(leftKeys)
-		}
-		for i, k := range leftKeys[base:end] {
-			for _, rp := range right[k] {
-				out = append(out, JoinPair{int32(base + i), rp})
-			}
+	for i, k := range leftKeys {
+		for _, rp := range right[k] {
+			out = append(out, JoinPair{int32(i), rp})
 		}
 	}
 	return out
@@ -401,11 +343,7 @@ func VecSortMergeJoin(leftKeys, rightKeys []int64) []JoinPair {
 	// permutations are only dereferenced to emit matched pairs.
 	lk, ls := VecSortKeysPositions(leftKeys)
 	rk, rs := VecSortKeysPositions(rightKeys)
-	hint := len(ls)
-	if len(rs) < hint {
-		hint = len(rs)
-	}
-	out := make([]JoinPair, 0, hint)
+	out := make([]JoinPair, 0, min(len(ls), len(rs)))
 	i, j := 0, 0
 	for i < len(ls) && j < len(rs) {
 		switch {

@@ -15,34 +15,38 @@ import (
 // vecTestColumns returns a columnar dataset for golden comparisons.
 func vecTestColumns(t *testing.T) tpch.Columns {
 	t.Helper()
-	return tpch.GenerateColumns(0.0008, 19) // ~4800 rows, several BatchSize blocks
+	return tpch.GenerateColumns(0.0008, 19) // ~4800 rows
 }
 
+// TestVecSelectRangeGolden holds the range scan to the B+Tree's answer
+// over the same keys, on both key widths.
 func TestVecSelectRangeGolden(t *testing.T) {
 	cols := vecTestColumns(t)
+	tree := buildTree(t, cols.OrderKey)
 	for _, bounds := range [][2]int64{{100, 300}, {0, 1}, {-5, 5}, {1 << 40, 1 << 41}, {500, 500}} {
 		lo, hi := bounds[0], bounds[1]
-		scalar := ScanRange(cols.OrderKey, lo, hi)
-		vec := VecSelectRange(cols.OrderKey, lo, hi)
-		if !reflect.DeepEqual(scalar, vec) {
-			t.Fatalf("range [%d,%d): scalar %d positions, vec %d", lo, hi, len(scalar), len(vec))
+		want := treeRange(tree, lo, hi)
+		if got := VecSelectRange(cols.OrderKey, lo, hi); !reflect.DeepEqual(got, want) {
+			t.Fatalf("range [%d,%d): scan %d positions, index %d", lo, hi, len(got), len(want))
 		}
 	}
 	// int32 column via the generic instantiation.
-	scalar := ScanRange(cols.CommitDate, 10, 50)
-	vec := VecSelectRange(cols.CommitDate, 10, 50)
-	if !reflect.DeepEqual(scalar, vec) {
+	want := treeRange(buildTree(t, WidenInt32(nil, cols.CommitDate)), 10, 50)
+	if got := VecSelectRange(cols.CommitDate, 10, 50); !reflect.DeepEqual(got, want) {
 		t.Fatal("commitdate range differs")
 	}
 }
 
+// TestVecLookupGolden holds the lookup scan to the lowest position the
+// B+Tree holds for the key.
 func TestVecLookupGolden(t *testing.T) {
 	cols := vecTestColumns(t)
+	tree := buildTree(t, cols.OrderKey)
 	for _, k := range []int64{1, 57, cols.OrderKey[cols.Len()-1], 1 << 50} {
-		sp, sok := ScanLookup(cols.OrderKey, k)
-		vp, vok := VecLookup(cols.OrderKey, k)
-		if sok != vok || sp != vp {
-			t.Fatalf("lookup %d: scalar (%d,%v) vec (%d,%v)", k, sp, sok, vp, vok)
+		hits := treeRange(tree, k, k+1)
+		p, ok := VecLookup(cols.OrderKey, k)
+		if ok != (len(hits) > 0) || ok && p != hits[0] {
+			t.Fatalf("lookup %d: scan (%d,%v), index positions %v", k, p, ok, hits)
 		}
 	}
 }
@@ -50,7 +54,7 @@ func TestVecLookupGolden(t *testing.T) {
 func TestVecSortPositionsGolden(t *testing.T) {
 	cols := vecTestColumns(t)
 	scalar := ScanOrderBy(cols.OrderKey)
-	vec := VecSortPositions(cols.OrderKey)
+	_, vec := VecSortKeysPositions(cols.OrderKey)
 	if !reflect.DeepEqual(scalar, vec) {
 		t.Fatal("sorted positions differ (stability or order)")
 	}
@@ -92,7 +96,8 @@ func adversarialKeys(rng *rand.Rand) []int64 {
 func TestVecSortPositionsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		keys := adversarialKeys(rand.New(rand.NewSource(seed)))
-		return reflect.DeepEqual(ScanOrderBy(keys), VecSortPositions(keys))
+		_, pos := VecSortKeysPositions(keys)
+		return reflect.DeepEqual(ScanOrderBy(keys), pos)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -101,8 +106,8 @@ func TestVecSortPositionsProperty(t *testing.T) {
 
 // TestPairSorterMatchesPositions sorts adversarial chunks of growing and
 // shrinking size with one PairSorter, whose buffers every chunk reuses, and
-// requires the keys and values that the gather through VecSortPositions
-// gives.
+// requires the keys and values that the gather through
+// VecSortKeysPositions' positions gives.
 func TestPairSorterMatchesPositions(t *testing.T) {
 	var ps PairSorter
 	f := func(seed int64) bool {
@@ -113,7 +118,8 @@ func TestPairSorterMatchesPositions(t *testing.T) {
 		}
 		wantK := make([]int64, len(keys))
 		wantV := make([]int64, len(keys))
-		for i, p := range VecSortPositions(keys) {
+		_, pos := VecSortKeysPositions(keys)
+		for i, p := range pos {
 			wantK[i], wantV[i] = keys[p], vals[p]
 		}
 		ps.Sort(keys, vals)
@@ -132,7 +138,7 @@ func TestVecSortKeysPositionsGolden(t *testing.T) {
 		{2, 2, 2}, // all equal: identity permutation, nil-free sorted copy
 	} {
 		sorted, pos := VecSortKeysPositions(keys)
-		wantPos := VecSortPositions(keys)
+		wantPos := ScanOrderBy(keys)
 		if !reflect.DeepEqual(pos, wantPos) {
 			t.Fatalf("keys %v: pos %v, want %v", keys, pos, wantPos)
 		}
@@ -293,7 +299,7 @@ func TestVecEmptyInputs(t *testing.T) {
 	if _, ok := VecLookup([]int64{}, 1); ok {
 		t.Fatal("empty lookup hit")
 	}
-	if got := VecSortPositions(nil); len(got) != 0 {
+	if _, got := VecSortKeysPositions(nil); len(got) != 0 {
 		t.Fatal("empty sort returned positions")
 	}
 	if got := VecGroup(nil, nil); got != nil {

@@ -201,18 +201,12 @@ func Table6(scale float64, seed int64, poolFrames int) (*Table6Result, error) {
 	scanRangeVec := func(lo, hi int64) func() (sig, error) {
 		return func() (sig, error) {
 			var s sig
-			var selBuf [exec.BatchSize]int32
+			var sel []int32
 			err := colTab.ScanColumn(colOrderKey, func(_ int64, block []int64) bool {
-				for off := 0; off < len(block); off += exec.BatchSize {
-					end := off + exec.BatchSize
-					if end > len(block) {
-						end = len(block)
-					}
-					sel := exec.SelectRangeBlock(block[off:end], lo, hi, selBuf[:0])
-					for _, lane := range sel {
-						s.count++
-						s.sum += uint64(block[off+int(lane)])
-					}
+				sel = exec.SelectRangeBlock(block, lo, hi, sel[:0])
+				for _, lane := range sel {
+					s.count++
+					s.sum += uint64(block[lane])
 				}
 				return true
 			})

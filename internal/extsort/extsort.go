@@ -4,12 +4,13 @@
 // behind the index path the paper's Table 6 measures.
 //
 // Sorted runs are generated concurrently by a worker pool (each worker
-// sorts and writes its own run file while the reader fills the next
-// buffer, the buffers recycled through a free list), and the k-way merge
-// consumes a page block of pairs per run instead of single heap-popped
-// entries. BuildIndexStreaming chains that
+// sorts and writes its own run file, into the run's slot in scan order,
+// while the reader fills the next buffer, the buffers recycled through a
+// free list), and the k-way merge consumes a page block of pairs per run
+// instead of single heap-popped entries. BuildIndexStreaming chains that
 // into bptree.BulkLoader, so an index build never holds the full key
-// array in memory.
+// array in memory. Its tests hold it to the in-memory build — one scan, a
+// stable sort by key, bptree.BulkLoadSorted — entry for entry.
 package extsort
 
 import (

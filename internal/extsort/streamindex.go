@@ -1,10 +1,10 @@
 package extsort
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"idxflow/internal/bptree"
@@ -13,15 +13,15 @@ import (
 	"idxflow/internal/tpch"
 )
 
-// BuildIndexStreaming bulk-loads a B+Tree over key(r) -> packed RID like
-// Table.BuildIndex, but out of core: instead of materializing the full
-// key/RID arrays, (key, rid) pairs spill to sorted two-column run files
-// (written concurrently by opt.Workers sorters), and the k-way merge
-// streams sorted batches straight into bptree.BulkLoader. Peak memory is
-// O(Workers * MemRows), independent of the table size. The resulting tree
-// is identical to Table.BuildIndex's: run sorting is stable and the merge
-// tie-breaks equal keys by scan order, matching bptree.SortByKey. key sees
-// each row as Table.Scan returns it, with an empty Comment.
+// BuildIndexStreaming bulk-loads a B+Tree over key(r) -> packed RID out of
+// core: instead of materializing the full key/RID arrays, (key, rid) pairs
+// spill to sorted two-column run files (written concurrently by
+// opt.Workers sorters), and the k-way merge streams sorted batches
+// straight into bptree.BulkLoader. Peak memory is O(Workers * MemRows),
+// independent of the table size. The resulting tree is identical to the
+// in-memory build (one scan, a stable sort by key, BulkLoadSorted): run
+// sorting is stable and the merge tie-breaks equal keys by scan order. key
+// sees each row as Table.Scan returns it, with an empty Comment.
 func BuildIndexStreaming(in *pagestore.Table, key Key, opt Options) (*bptree.Tree, error) {
 	opt = opt.withDefaults()
 	runs, err := makeIndexRuns(in, key, opt)
@@ -36,18 +36,22 @@ func BuildIndexStreaming(in *pagestore.Table, key Key, opt Options) (*bptree.Tre
 type indexRun struct {
 	table *pagestore.ColumnTable
 	path  string
-	idx   int
 }
 
+// closeIndexRuns closes and removes every run written; a slot whose run
+// failed or was never written is zero.
 func closeIndexRuns(runs []indexRun) {
 	for _, r := range runs {
-		r.table.Close()
-		os.Remove(r.path)
+		if r.table != nil {
+			r.table.Close()
+			os.Remove(r.path)
+		}
 	}
 }
 
 // chunk is the buffer of one run's (key, rid) pairs: filled by the scan,
-// sorted in place and spilled by a worker, then recycled.
+// sorted in place and spilled by a worker, then recycled. idx is the run's
+// number, its slot in the build's runs.
 type chunk struct {
 	keys, rids []int64
 	idx        int
@@ -81,19 +85,21 @@ func writeIndexRun(ps *exec.PairSorter, c *chunk, tmpDir string) (indexRun, erro
 	if err := rt.Flush(); err != nil {
 		return fail(err)
 	}
-	return indexRun{table: rt, path: path, idx: c.idx}, nil
+	return indexRun{table: rt, path: path}, nil
 }
 
 // makeIndexRuns scans the table once (the pool is not concurrency-safe)
 // and hands MemRows-sized (key, rid) chunks to a worker pool for sorting
-// and spilling. Chunks cycle through a free list of Workers+1 buffers, one
-// filling while each worker sorts another, made on first need; each
-// worker keeps one sorter, so a build allocates its buffers once and not
-// once per run.
+// and spilling. Run i holds the i-th MemRows rows in scan order, and its
+// worker writes it into slot i of the result, sized from the table's row
+// count, so the runs come back in scan order with no collector. Chunks
+// cycle through a free list of Workers+1 buffers, one filling while each
+// worker sorts another, made on first need; each worker keeps one sorter,
+// so a build allocates its buffers once and not once per run.
 func makeIndexRuns(in *pagestore.Table, key Key, opt Options) ([]indexRun, error) {
+	runs := make([]indexRun, (int(in.Rows())+opt.MemRows-1)/opt.MemRows)
 	jobs := make(chan *chunk, opt.Workers)
 	free := make(chan *chunk, opt.Workers+1)
-	results := make(chan indexRun, opt.Workers)
 	errs := make(chan error, opt.Workers)
 
 	var wg sync.WaitGroup
@@ -104,25 +110,18 @@ func makeIndexRuns(in *pagestore.Table, key Key, opt Options) ([]indexRun, error
 			var ps exec.PairSorter
 			for c := range jobs {
 				r, err := writeIndexRun(&ps, c, opt.TmpDir)
+				// Fill the slot before the chunk is freed: the scanner
+				// renumbers a chunk it takes from the free list.
+				runs[c.idx] = r
 				c.keys, c.rids = c.keys[:0], c.rids[:0]
 				free <- c // never blocks: at most cap(free) chunks exist
 				if err != nil {
 					errs <- err
 					return
 				}
-				results <- r
 			}
 		}()
 	}
-
-	var runs []indexRun
-	collectDone := make(chan struct{})
-	go func() {
-		for r := range results {
-			runs = append(runs, r)
-		}
-		close(collectDone)
-	}()
 
 	// take returns an empty chunk: a free one, a new one while fewer than
 	// cap(free) exist, or else the next one a worker frees. A worker that
@@ -147,6 +146,9 @@ func makeIndexRuns(in *pagestore.Table, key Key, opt Options) ([]indexRun, error
 	}
 	nextIdx := 0
 	submit := func(c *chunk) error {
+		if nextIdx == len(runs) {
+			return fmt.Errorf("extsort: scan returned more than the table's %d rows", in.Rows())
+		}
 		c.idx = nextIdx
 		select {
 		case err := <-errs:
@@ -178,13 +180,8 @@ func makeIndexRuns(in *pagestore.Table, key Key, opt Options) ([]indexRun, error
 	}
 	close(jobs)
 	wg.Wait()
-	close(results)
-	<-collectDone
 
-	err := scanErr
-	if err == nil {
-		err = feedErr
-	}
+	err := cmp.Or(scanErr, feedErr)
 	if err == nil {
 		select {
 		case err = <-errs:
@@ -195,8 +192,7 @@ func makeIndexRuns(in *pagestore.Table, key Key, opt Options) ([]indexRun, error
 		closeIndexRuns(runs)
 		return nil, err
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].idx < runs[j].idx })
-	return runs, nil
+	return runs[:nextIdx], nil
 }
 
 // idxRunCursor streams one run's (key, rid) pairs block at a time. Both
@@ -225,8 +221,13 @@ func (rc *idxRunCursor) refill() error {
 	return nil
 }
 
+// mergeBatch is the number of entries the merge hands the loader per call:
+// large enough to amortize the call, small enough that a batch of keys
+// (8 KB) stays in L1.
+const mergeBatch = 1024
+
 // mergeIndexRuns k-way merges the sorted runs into a BulkLoader, feeding
-// it exec.BatchSize-entry batches so the full sorted arrays never exist.
+// it mergeBatch-entry batches so the full sorted arrays never exist.
 func mergeIndexRuns(runs []indexRun) (*bptree.Tree, error) {
 	cursors := make([]*idxRunCursor, len(runs))
 	h := make(mergeHeap, 0, len(runs))
@@ -252,7 +253,7 @@ func mergeIndexRuns(runs []indexRun) (*bptree.Tree, error) {
 	h.init()
 
 	loader := bptree.NewBulkLoader(bptree.DefaultOrder)
-	var batchK, batchV [exec.BatchSize]int64
+	var batchK, batchV [mergeBatch]int64
 	n := 0
 	flush := func() error {
 		if n == 0 {
@@ -268,7 +269,7 @@ func mergeIndexRuns(runs []indexRun) (*bptree.Tree, error) {
 		batchK[n] = it.key
 		batchV[n] = rc.vals[rc.pos-1]
 		n++
-		if n == exec.BatchSize {
+		if n == mergeBatch {
 			if err := flush(); err != nil {
 				return nil, err
 			}

@@ -1,12 +1,15 @@
 package extsort
 
 import (
+	"cmp"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"idxflow/internal/bptree"
 	"idxflow/internal/exec"
 	"idxflow/internal/pagestore"
 	"idxflow/internal/tpch"
@@ -34,6 +37,30 @@ func buildInput(t *testing.T, n int) (*pagestore.Table, []tpch.Row, string) {
 	return tab, rows, dir
 }
 
+// buildIndexInMemory is the oracle BuildIndexStreaming must equal entry
+// for entry and node for node: one scan, a stable sort by key (scan order
+// breaks ties), one bulk load.
+func buildIndexInMemory(t *testing.T, in *pagestore.Table, key Key) *bptree.Tree {
+	t.Helper()
+	var pairs []kv
+	if err := in.Scan(func(rid pagestore.RID, r tpch.Row) bool {
+		pairs = append(pairs, kv{key(r), rid.Pack()})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	slices.SortStableFunc(pairs, func(a, b kv) int { return cmp.Compare(a.k, b.k) })
+	keys, vals := make([]int64, len(pairs)), make([]int64, len(pairs))
+	for i, p := range pairs {
+		keys[i], vals[i] = p.k, p.v
+	}
+	tree, err := bptree.BulkLoadSorted(bptree.DefaultOrder, keys, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
 func collectTree(t *testing.T, tr interface {
 	Scan(func(k, v int64) bool)
 }) []kv {
@@ -50,10 +77,7 @@ func TestBuildIndexStreamingMatchesBuildIndex(t *testing.T) {
 	in, _, dir := buildInput(t, 8000)
 	commitDate := func(r tpch.Row) int64 { return int64(r.CommitDate) } // duplicate-heavy key
 
-	want, err := in.BuildIndex(commitDate)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := buildIndexInMemory(t, in, commitDate)
 	got, err := BuildIndexStreaming(in, commitDate, Options{MemRows: 1024, Workers: 3, TmpDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +108,7 @@ func TestBuildIndexStreamingMatchesBuildIndex(t *testing.T) {
 // at every worker count and run size of interest: runs of 1024 and 1500
 // rows cycle the Workers+1 chunk buffers and each worker's sort scratch
 // through several runs (1500 leaves a short last run), and MemRows >= n is
-// a single run. Every tree must equal Table.BuildIndex's entry for entry
+// a single run. Every tree must equal buildIndexInMemory's entry for entry
 // and node for node, and no run file may outlive the build.
 func TestBuildIndexStreamingRecycledBuffers(t *testing.T) {
 	const n = 8000
@@ -94,10 +118,7 @@ func TestBuildIndexStreamingRecycledBuffers(t *testing.T) {
 		"commitdate": func(r tpch.Row) int64 { return int64(r.CommitDate) },
 	}
 	for name, key := range keys {
-		want, err := in.BuildIndex(key)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := buildIndexInMemory(t, in, key)
 		wantKV := collectTree(t, want)
 		wn, wl := want.Stats()
 		for _, workers := range []int{1, 2, 4} {
@@ -153,7 +174,7 @@ func TestBuildIndexStreamingWorkerFailure(t *testing.T) {
 	if matches, _ := filepath.Glob(filepath.Join(dir, "idxrun-*")); len(matches) != 0 {
 		t.Fatalf("leftover run files: %v", matches)
 	}
-	// Workers and the run collector exit just after the build returns.
+	// Workers exit just after the build returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

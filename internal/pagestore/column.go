@@ -234,26 +234,20 @@ func (t *ColumnTable) ScanColumn(ci int, visit func(base int64, block []int64) b
 	if ci < 0 || ci >= len(t.specs) {
 		return fmt.Errorf("pagestore: no column %d", ci)
 	}
+	c := ColCursor{t: t, ci: ci}
 	buf := make([]int64, 0, ColCap(t.specs[ci].Width))
-	var base int64
-	for _, pid := range t.pageIDs[ci] {
-		p, err := t.pool.Get(int(pid))
-		if err != nil {
+	for base := int64(0); ; base += int64(len(buf)) {
+		var ok bool
+		var err error
+		if buf, ok, err = c.NextBlock(buf[:0]); err != nil || !ok || !visit(base, buf) {
 			return err
 		}
-		buf = ColDecode(p, buf[:0])
-		t.pool.Release(int(pid))
-		if !visit(base, buf) {
-			return nil
-		}
-		base += int64(len(buf))
 	}
-	return nil
 }
 
-// ColCursor streams one column's values in row order, block at a time —
-// the pull-style counterpart of ScanColumn for k-way consumers like the
-// external sorter's merge.
+// ColCursor streams one column's values in row order, block at a time:
+// ScanColumn's walk, and the pull-style reader of k-way consumers like
+// the external sorter's merge.
 type ColCursor struct {
 	t    *ColumnTable
 	ci   int

@@ -84,8 +84,7 @@ func TestColDecodeCorruptCount(t *testing.T) {
 
 func TestColumnTableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	rows := tpch.Generate(0.002, 13) // ~12k rows: several pages per column
-	cols := tpch.ColumnsFromRows(rows)
+	cols := tpch.GenerateColumns(0.002, 13) // ~12k rows: several pages per column
 
 	ct, err := CreateColumnTable(filepath.Join(dir, "lineitem.cols"), 8,
 		ColSpec{Name: "orderkey", Width: 8},
@@ -97,10 +96,10 @@ func TestColumnTableRoundTrip(t *testing.T) {
 	defer ct.Close()
 
 	// Append in uneven batches to exercise page-boundary splits.
-	for i := 0; i < len(rows); {
+	for i := 0; i < cols.Len(); {
 		end := i + 777
-		if end > len(rows) {
-			end = len(rows)
+		if end > cols.Len() {
+			end = cols.Len()
 		}
 		ok := make([]int64, 0, end-i)
 		cd := make([]int64, 0, end-i)
@@ -137,8 +136,8 @@ func TestColumnTableRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i != len(rows) {
-			t.Fatalf("column %d scanned %d values, want %d", ci, i, len(rows))
+		if i != cols.Len() {
+			t.Fatalf("column %d scanned %d values, want %d", ci, i, cols.Len())
 		}
 	}
 	check(0, func(i int) int64 { return cols.OrderKey[i] })

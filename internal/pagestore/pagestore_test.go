@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"idxflow/internal/bptree"
 	"idxflow/internal/tpch"
 )
 
@@ -214,7 +215,16 @@ func TestTableFetchByRID(t *testing.T) {
 
 func TestIndexedLookupOnPagedTable(t *testing.T) {
 	tab, rows := buildTable(t, 3000, 8)
-	tree, err := tab.BuildIndex(func(r tpch.Row) int64 { return r.OrderKey })
+	// The generator's order keys ascend in scan order, so the scan's
+	// (key, RID) pairs bulk-load as they come.
+	var keys, vals []int64
+	if err := tab.Scan(func(rid RID, r tpch.Row) bool {
+		keys, vals = append(keys, r.OrderKey), append(vals, rid.Pack())
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := bptree.BulkLoadSorted(bptree.DefaultOrder, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

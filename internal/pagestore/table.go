@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"idxflow/internal/bptree"
 	"idxflow/internal/tpch"
 )
 
@@ -218,23 +217,3 @@ func (t *Table) IOStats() (reads, writes int64) { return t.file.Reads, t.file.Wr
 
 // Close closes the underlying file.
 func (t *Table) Close() error { return t.file.Close() }
-
-// BuildIndex bulk-loads a B+Tree over key(r) -> packed RID by scanning the
-// table once, so key sees rows without comments. The key/RID columns are
-// collected into exactly-sized parallel slices (the row count is known up
-// front), skipping the []Pair materialization.
-func (t *Table) BuildIndex(key func(r tpch.Row) int64) (*bptree.Tree, error) {
-	keys := make([]int64, 0, t.Rows())
-	vals := make([]int64, 0, t.Rows())
-	err := t.Scan(func(rid RID, r tpch.Row) bool {
-		keys = append(keys, key(r))
-		vals = append(vals, rid.Pack())
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Stable sort by key; Scan order breaks ties.
-	bptree.SortByKey(keys, vals)
-	return bptree.BulkLoadSorted(bptree.DefaultOrder, keys, vals)
-}

@@ -30,22 +30,6 @@ func (c *Columns) Append(r Row) {
 	c.Quantity = append(c.Quantity, r.Quantity)
 }
 
-// ColumnsFromRows converts a row batch to columnar form with exactly-sized
-// column slices.
-func ColumnsFromRows(rows []Row) Columns {
-	c := Columns{
-		OrderKey:   make([]int64, len(rows)),
-		CommitDate: make([]int32, len(rows)),
-		Quantity:   make([]int32, len(rows)),
-	}
-	for i, r := range rows {
-		c.OrderKey[i] = r.OrderKey
-		c.CommitDate[i] = r.CommitDate
-		c.Quantity[i] = r.Quantity
-	}
-	return c
-}
-
 // GenerateColumns returns the key columns of the dataset Generate returns
 // for the given scale and seed, without materializing the []Row
 // intermediate.

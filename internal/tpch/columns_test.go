@@ -2,7 +2,6 @@ package tpch
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -30,13 +29,10 @@ func TestGenerateColumnsMatchesGenerate(t *testing.T) {
 	if !holdsRows(cols, rows) {
 		t.Fatal("GenerateColumns dataset differs from Generate")
 	}
-	if !reflect.DeepEqual(ColumnsFromRows(rows), cols) {
-		t.Fatal("ColumnsFromRows(Generate) differs from GenerateColumns")
-	}
 }
 
-// TestColumnsRoundTripProperty checks that each column ColumnsFromRows
-// builds from a random row batch holds its rows' fields exactly.
+// TestColumnsRoundTripProperty checks that each column Append builds from
+// a random row batch holds its rows' fields exactly.
 func TestColumnsRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -48,15 +44,19 @@ func TestColumnsRoundTripProperty(t *testing.T) {
 				Quantity:   rng.Int31(),
 			}
 		}
-		return holdsRows(ColumnsFromRows(rows), rows)
+		var c Columns
+		for _, r := range rows {
+			c.Append(r)
+		}
+		return holdsRows(c, rows)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestColumnsAppendRow checks the incremental Append agrees with the batch
-// converter.
+// TestColumnsAppendRow checks that Append into Grow's capacity holds the
+// generated rows' fields.
 func TestColumnsAppendRow(t *testing.T) {
 	rows := Generate(0.0002, 5)
 	var c Columns
@@ -66,9 +66,6 @@ func TestColumnsAppendRow(t *testing.T) {
 	}
 	if !holdsRows(c, rows) {
 		t.Fatal("Append-built columns do not hold their rows' fields")
-	}
-	if !reflect.DeepEqual(c, ColumnsFromRows(rows)) {
-		t.Fatal("Append-built columns differ from ColumnsFromRows")
 	}
 }
 

@@ -96,6 +96,9 @@ stage_static() {
 	echo "== internal/sim imports no telemetry =="
 	if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/sim |
 		grep -E 'idxflow/internal/telemetry( |$)'; then exit 1; fi
+	echo "== internal/pagestore imports no bptree =="
+	if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/pagestore |
+		grep -E 'idxflow/internal/bptree( |$)'; then exit 1; fi
 }
 
 # driver: bench/ is a module of its own that `./...` does not reach; its vet
