@@ -45,7 +45,7 @@ fuzz-short:
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzInterleave$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzGainWindow$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzWarmFrontier$$' -fuzztime $(FUZZ_SECONDS)s
-	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzVectorizedEqualsScalar$$' -fuzztime $(FUZZ_SECONDS)s
+	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzVectorizedEqualsScalar$$' -fuzztime $(FUZZ_SECONDS)s -fuzzminimizetime 50x
 	$(GO) test ./internal/pagestore -run '^$$' -fuzz '^FuzzColumnPage$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/pagestore -run '^$$' -fuzz '^FuzzFileRuns$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/sched -run '^$$' -fuzz '^FuzzProbeEqualsApply$$' -fuzztime $(FUZZ_SECONDS)s

@@ -122,7 +122,7 @@ func runGain(b *testing.B, mutate func(cfg *core.Config)) {
 			b.Fatal(err)
 		}
 		gen := workload.NewGenerator(db, 2)
-		flows := gen.PhaseWorkload(workload.DefaultPhasesFor(dynamicHorizon), 60)
+		flows := gen.PhaseWorkload(dynamicHorizon)
 		cfg := core.DefaultConfig()
 		cfg.Sched.MaxSkyline = 4
 		cfg.RuntimeError = 0.1

@@ -85,13 +85,13 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON span timeline to this file on shutdown")
 		events   = fs.String("events", "", "write each tenant's decision-provenance event log (JSONL) to <path>.<tenant> on shutdown; /debug/events serves it live")
 
-		workers  = fs.Int("workers", 8, "slots: the Algorithm-1 passes that may run at once")
-		queue    = fs.Int("queue", 256, "submitters that may wait for a slot")
-		tenantIn = fs.Int("tenant-inflight", 64, "per-tenant fair-share cap on in-flight admissions (-1 disables)")
+		workers  = fs.Int("workers", qaas.DefaultWorkers, "slots: the Algorithm-1 passes that may run at once")
+		queue    = fs.Int("queue", qaas.DefaultQueueDepth, "submitters that may wait for a slot")
+		tenantIn = fs.Int("tenant-inflight", qaas.DefaultTenantInflight, "per-tenant fair-share cap on in-flight admissions (-1 disables)")
 		maxTen   = fs.Int("max-tenants", qaas.DefaultMaxTenants, "cap on distinct tenants a server instantiates (-1 disables)")
-		fleet    = fs.Int("fleet", 64, "shared container fleet capacity; also the widest schedule")
+		fleet    = fs.Int("fleet", qaas.DefaultFleet, "shared container fleet capacity; also the widest schedule")
 		pace     = fs.Float64("pace", 0, "wall-clock ms of container occupancy per billing quantum of makespan")
-		provCap  = fs.Int("prov-cap", 262144, "per-tenant provenance ring capacity in events: an upper bound, allocated 4096 events at a time")
+		provCap  = fs.Int("prov-cap", qaas.DefaultProvenanceCapacity, "per-tenant provenance ring capacity in events: an upper bound, allocated 4096 events at a time")
 		audit    = fs.Bool("audit", true, "run check.Audit on every execution, verdict at /debug/audit")
 	)
 	fs.Bool("qaas", false, "ignored: the admission pipeline is the only mode")

@@ -2,16 +2,20 @@ package main
 
 import (
 	"context"
+	"errors"
+	"flag"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"idxflow/internal/qaas"
 	"idxflow/internal/server"
 )
 
@@ -145,6 +149,34 @@ func TestBuildRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{{"-strategy", "nope"}, {"-no-such-flag"}, {"-batch-window", "1ms"}} {
 		if _, _, _, err := build(args, io.Discard); err == nil {
 			t.Errorf("build %v succeeded, want an error", args)
+		}
+	}
+}
+
+// TestFlagDefaultsAreThePipelineDefaults: every pipeline flag defaults to
+// the qaas constant a zero Config field takes, so the server and a
+// qaas.New(Config{}) run with the same limits.
+func TestFlagDefaultsAreThePipelineDefaults(t *testing.T) {
+	var usage strings.Builder
+	if _, _, _, err := build([]string{"-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("build -h: %v, want flag.ErrHelp", err)
+	}
+	for name, want := range map[string]int{
+		"workers":         qaas.DefaultWorkers,
+		"queue":           qaas.DefaultQueueDepth,
+		"tenant-inflight": qaas.DefaultTenantInflight,
+		"max-tenants":     qaas.DefaultMaxTenants,
+		"fleet":           qaas.DefaultFleet,
+		"prov-cap":        qaas.DefaultProvenanceCapacity,
+	} {
+		re := regexp.MustCompile(`(?m)^  -` + regexp.QuoteMeta(name) + ` int\n.*\(default (\d+)\)$`)
+		m := re.FindStringSubmatch(usage.String())
+		if m == nil {
+			t.Errorf("-%s: no int flag with a default in the usage text", name)
+			continue
+		}
+		if got := m[1]; got != strconv.Itoa(want) {
+			t.Errorf("-%s defaults to %s, the pipeline to %d", name, got, want)
 		}
 	}
 }

@@ -129,9 +129,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		switch *generator {
 		case "phase":
-			flows = gen.PhaseWorkload(workload.DefaultPhasesFor(horizonSec), 60)
+			flows = gen.PhaseWorkload(horizonSec)
 		case "random":
-			flows = gen.RandomWorkload(horizonSec, 60)
+			flows = gen.RandomWorkload(horizonSec)
 		default:
 			return fail(2, fmt.Sprintf("unknown generator %q", *generator))
 		}
@@ -139,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *faults > 0 {
 		q := cfg.Sched.Pricing.QuantumSeconds
-		cfg.Faults = fault.Generate(fault.DefaultRates(*faults, q, horizonSec), *faultSeed)
+		cfg.Faults = fault.Generate(*faults, q, horizonSec, *faultSeed)
 	}
 	if *traceOut != "" {
 		cfg.Tracer = telemetry.NewTracer()

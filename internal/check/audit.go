@@ -522,8 +522,8 @@ func AuditFrontier(skyline []*sched.Schedule) error {
 func AuditGain(e *gain.Evaluator, cands []gain.Costs, now float64) error {
 	r := &Report{}
 	pp := e.Params
-	q := pp.Pricing.QuantumSeconds
-	mc := pp.Pricing.VMPerQuantum
+	q := e.Pricing.QuantumSeconds
+	mc := e.Pricing.VMPerQuantum
 
 	fade := func(name string, sinceQuanta float64) float64 {
 		if e.FadeOverride != nil {
@@ -580,7 +580,7 @@ func AuditGain(e *gain.Evaluator, cands []gain.Costs, now float64) error {
 			w = 1
 		}
 		wantGM := mc*fadedSum(c.Name, func(rec gain.Record) float64 { return rec.MoneyGain }) -
-			(mc*c.BuildMoneyQuanta + pp.Pricing.StorageCost(c.SizeMB, w))
+			(mc*c.BuildMoneyQuanta + e.Pricing.StorageCost(c.SizeMB, w))
 		gm := ev.MoneyGain
 		if math.Abs(gm-wantGM) > looseEps*math.Max(1, math.Abs(wantGM)) {
 			r.addf("eq4-money-gain", "%s: MoneyGain %g, recomputed %g", c.Name, gm, wantGM)

@@ -8,6 +8,7 @@ import (
 
 	"idxflow/internal/bptree"
 	"idxflow/internal/dataflow"
+	"idxflow/internal/fault"
 	"idxflow/internal/gain"
 	"idxflow/internal/sched"
 	"idxflow/internal/sim"
@@ -44,8 +45,8 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		if p1, p2 := Pricing(seed), Pricing(seed); p1 != p2 {
 			t.Fatalf("seed %d: pricing differs: %+v vs %+v", seed, p1, p2)
 		}
-		f1 := FaultPlan(0.05, 60, 3600, seed)
-		f2 := FaultPlan(0.05, 60, 3600, seed)
+		f1 := fault.Generate(0.05, 60, 3600, seed)
+		f2 := fault.Generate(0.05, 60, 3600, seed)
 		if len(f1.Events) != len(f2.Events) {
 			t.Fatalf("seed %d: fault plans differ in length", seed)
 		}
@@ -286,11 +287,11 @@ func TestAuditGainModel(t *testing.T) {
 			Alpha:   0.5,
 			FadeD:   1 + float64(seed%4),
 			WindowW: float64(seed % 6), // includes 0 = unwindowed
-			Pricing: Pricing(seed),
 		}
-		e := gain.NewEvaluator(p)
+		pricing := Pricing(seed)
+		e := gain.NewEvaluator(p, pricing)
 		cands := CostGrid(8, seed+50)
-		horizon := 40 * p.Pricing.QuantumSeconds
+		horizon := 40 * pricing.QuantumSeconds
 		for _, c := range cands {
 			for _, rec := range UpdateStream(12, horizon, seed+int64(len(c.Name))) {
 				e.History.Add(c.Name, rec)

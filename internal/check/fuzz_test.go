@@ -149,11 +149,11 @@ func FuzzGainWindow(f *testing.F) {
 			Alpha:   float64(alphaRaw%101) / 100,
 			FadeD:   float64(fade%64) / 4, // includes 0: hard cutoff fading
 			WindowW: float64(window % 32), // includes 0: unwindowed
-			Pricing: Pricing(seed),
 		}
-		e := gain.NewEvaluator(p)
+		pricing := Pricing(seed)
+		e := gain.NewEvaluator(p, pricing)
 		cands := CostGrid(1+int(seed%7+6)%7, seed+50)
-		horizon := 50 * p.Pricing.QuantumSeconds
+		horizon := 50 * pricing.QuantumSeconds
 		for i, c := range cands {
 			for _, rec := range UpdateStream(3+int(window%10), horizon, seed+int64(i)) {
 				e.History.Add(c.Name, rec)

@@ -228,13 +228,6 @@ func Options(p cloud.Pricing, seed int64) sched.Options {
 	return opts
 }
 
-// FaultPlan draws a seeded fault plan covering the horizon with the given
-// per-container-per-quantum total rate, split across the four kinds like
-// the -faults CLI knob.
-func FaultPlan(rate, quantumSeconds, horizonSeconds float64, seed int64) *fault.Plan {
-	return fault.Generate(fault.DefaultRates(rate, quantumSeconds, horizonSeconds), seed)
-}
-
 // UpdateStream draws n gain records over [0, horizon) with non-negative
 // per-dataflow gains, When-ascending — the history an index accumulates as
 // dataflows that would profit from it are issued (§4).
@@ -300,7 +293,7 @@ func NewScenario(seed int64, faultRate float64) Scenario {
 	}
 	if faultRate > 0 {
 		horizon := cfg.MaxTime * float64(cfg.Ops)
-		sc.Plan = FaultPlan(faultRate, p.QuantumSeconds, horizon, seed+4)
+		sc.Plan = fault.Generate(faultRate, p.QuantumSeconds, horizon, seed+4)
 	}
 	return sc
 }

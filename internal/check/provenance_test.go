@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"testing"
 
 	"idxflow/internal/core"
@@ -22,25 +23,26 @@ func provService(t *testing.T, cfg core.Config, seed int64) (*core.Service, *pro
 	cfg.Provenance = provenance.NewRecorder(0)
 	cfg.Sched.MaxSkyline = 4
 	cfg.Sched.MaxContainers = 20
-	cfg.MaxBuildOps = 24
 	return core.NewService(cfg, db), cfg.Provenance, workload.NewGenerator(db, seed+1)
 }
 
-// auditRun runs the flows through the service and audits the event log
-// against the realized metrics.
-func auditRun(t *testing.T, name string, cfg core.Config, seed int64, horizon float64) {
+// auditRun runs the flows through the service, audits the event log
+// against the realized metrics and returns the log.
+func auditRun(t *testing.T, name string, cfg core.Config, seed int64, horizon float64) []provenance.Event {
 	t.Helper()
 	svc, rec, gen := provService(t, cfg, seed)
-	m := svc.Run(gen.RandomWorkload(horizon/2, 60), horizon)
+	m := svc.Run(gen.RandomWorkload(horizon/2), horizon)
 	if len(m.Results) == 0 {
 		t.Fatalf("%s: no flows executed", name)
 	}
 	if rec.Dropped() > 0 {
 		t.Fatalf("%s: ring wrapped (%d dropped); grow the recorder", name, rec.Dropped())
 	}
-	if err := AuditProvenance(rec.Snapshot(), m); err != nil {
+	events := rec.Snapshot()
+	if err := AuditProvenance(events, m); err != nil {
 		t.Errorf("%s: %v", name, err)
 	}
+	return events
 }
 
 func TestAuditProvenanceStrategies(t *testing.T) {
@@ -63,9 +65,9 @@ func TestAuditProvenanceFaultedRuns(t *testing.T) {
 	for _, rate := range []float64{0.02, 0.1} {
 		cfg := core.DefaultConfig()
 		horizon := 4000.0
-		cfg.Faults = fault.Generate(fault.DefaultRates(rate, 60, horizon), 42)
+		cfg.Faults = fault.Generate(rate, 60, horizon, 42)
 		svc, rec, gen := provService(t, cfg, 2)
-		m := svc.Run(gen.RandomWorkload(horizon/2, 60), horizon)
+		m := svc.Run(gen.RandomWorkload(horizon/2), horizon)
 		if rec.Dropped() > 0 {
 			t.Fatalf("rate %g: ring wrapped", rate)
 		}
@@ -90,8 +92,10 @@ func TestAuditProvenanceFaultedRuns(t *testing.T) {
 func TestAuditProvenanceBatchUpdates(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.UpdateEveryQuanta = 5
-	cfg.UpdateFraction = 0.2
-	auditRun(t, "batch-updates", cfg, 4, 3000)
+	events := auditRun(t, "batch-updates", cfg, 4, 3000)
+	if !slices.ContainsFunc(events, func(e provenance.Event) bool { return e.Kind == provenance.KindIndexInvalidated }) {
+		t.Error("no batch update invalidated an index partition; the audit does not cover invalidations")
+	}
 }
 
 func TestAuditProvenanceRuntimeError(t *testing.T) {
@@ -103,7 +107,7 @@ func TestAuditProvenanceRuntimeError(t *testing.T) {
 func TestAuditProvenanceDetectsTampering(t *testing.T) {
 	cfg := core.DefaultConfig()
 	svc, rec, gen := provService(t, cfg, 1)
-	m := svc.Run(gen.RandomWorkload(1200, 60), 2400)
+	m := svc.Run(gen.RandomWorkload(1200), 2400)
 	events := rec.Snapshot()
 	if err := AuditProvenance(events, m); err != nil {
 		t.Fatalf("clean run should audit clean: %v", err)

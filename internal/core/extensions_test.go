@@ -90,17 +90,17 @@ func TestAdaptiveFadingRuns(t *testing.T) {
 	gen := workload.NewGenerator(db, 2)
 	cfg := quickConfig(Gain)
 	cfg.AdaptiveFading = true
-	cfg.DeletionGraceQuanta = 2
 	cfg.Gain.WindowW = 4
 	cfg.Gain.FadeD = 1
 	svc := NewService(cfg, db)
 	if svc.fader == nil {
 		t.Fatal("fader not installed")
 	}
-	// Alternate apps to provoke deletions and renewed requests.
+	// Alternate apps, each past the deletion grace, to provoke deletions
+	// and renewed requests.
 	for i := 0; i < 4; i++ {
-		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
-		svc.SubmitCtx(context.Background(), gen.Flow(workload.Ligo, 100+i, svc.Clock()))
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, pastGrace(svc)))
+		svc.SubmitCtx(context.Background(), gen.Flow(workload.Ligo, 100+i, pastGrace(svc)))
 	}
 	// At least some index should have a non-default controller by now.
 	changed := false
@@ -127,11 +127,12 @@ func TestBatchUpdatesInvalidateIndexes(t *testing.T) {
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
 	cfg := quickConfig(Gain)
-	cfg.UpdateEveryQuanta = 2
-	cfg.UpdateFraction = 0.5 // aggressive, to force invalidations
+	// A batch every quantum over a dozen flows: at updateFraction, fewer
+	// batches may miss every built index partition.
+	cfg.UpdateEveryQuanta = 1
 	cfg.Telemetry = telemetry.NewRegistry()
 	svc := NewService(cfg, db)
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 12; i++ {
 		svc.SubmitCtx(context.Background(), gen.Flow(workload.Montage, i, svc.Clock()))
 	}
 	if invalidatedTotal(cfg.Telemetry) == 0 {

@@ -15,7 +15,7 @@ import (
 // container during the first Montage flow, whose index builds are preempted
 // in flight and rebuilt by the next flow.
 func heavyFaultPlan() *fault.Plan {
-	return fault.Generate(fault.DefaultRates(0.05, 60, 20000), 32)
+	return fault.Generate(0.05, 60, 20000, 32)
 }
 
 func runFaulty(t *testing.T, n int, rec *provenance.Recorder, reg *telemetry.Registry) (*workload.FileDB, Metrics) {

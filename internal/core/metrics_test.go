@@ -16,7 +16,7 @@ func TestMetricsInvariants(t *testing.T) {
 			db := testDB(t)
 			gen := workload.NewGenerator(db, 2)
 			svc := NewService(quickConfig(strat), db)
-			m := svc.Run(gen.RandomWorkload(400, 60), 2400)
+			m := svc.Run(gen.RandomWorkload(400), 2400)
 			if m.FlowsFinished > m.FlowsSubmitted {
 				t.Errorf("finished %d > submitted %d", m.FlowsFinished, m.FlowsSubmitted)
 			}

@@ -141,16 +141,12 @@ func (s *Service) applyBatchUpdates(p *pass) {
 		return
 	}
 	period := s.cfg.UpdateEveryQuanta * s.cfg.Sched.Pricing.QuantumSeconds
-	frac := s.cfg.UpdateFraction
-	if frac <= 0 {
-		frac = 0.01
-	}
 	for s.clock-s.lastUpdate >= period {
 		s.lastUpdate += period
 		invalidated := 0
 		for _, f := range s.db.Files {
 			for _, part := range f.Table.Partitions {
-				if s.rng.Float64() >= frac {
+				if s.rng.Float64() >= updateFraction {
 					continue
 				}
 				n, err := s.db.Catalog.ApplyUpdate(f.Table.Name, part.ID)
@@ -342,7 +338,7 @@ func (s *Service) costsOf(name string, st *data.BuildState) gain.Costs {
 }
 
 // offerRanked offers build operators for the top-ranked beneficial indexes'
-// missing partitions, up to MaxBuildOps. Partitions the current flow touches
+// missing partitions, up to maxBuildOps. Partitions the current flow touches
 // come first: their index partitions pay off immediately when the same
 // inputs are read again.
 func (s *Service) offerRanked(p *pass, ranked []gain.Ranked) {
@@ -361,7 +357,7 @@ func (s *Service) offerRanked(p *pass, ranked []gain.Ranked) {
 		})
 		perPart := r.Gain / float64(len(missing))
 		for _, pid := range missing {
-			if len(p.builds) >= s.cfg.MaxBuildOps {
+			if len(p.builds) >= maxBuildOps {
 				return
 			}
 			p.offerBuild(s, st, r.Costs.Name, pid, perPart)
@@ -380,10 +376,7 @@ func (s *Service) offerRandom(p *pass) {
 	// The baseline attempts an eighth of the Gain strategy's build budget:
 	// its picks are blind, and appended builds mostly die at quantum
 	// expiry anyway.
-	budget := s.cfg.MaxBuildOps / 8
-	if budget < 1 {
-		budget = 1
-	}
+	const budget = maxBuildOps / 8
 	for attempts := 0; len(p.builds) < budget && attempts < 4*budget; attempts++ {
 		name := names[s.rng.Intn(len(names))]
 		st := s.db.Catalog.State(name)
@@ -402,22 +395,22 @@ func (s *Service) offerRandom(p *pass) {
 }
 
 // evict is Alg. 1 lines 13-19, at the ranking's decision time: every
-// available index whose time AND money gains are non-positive — and, when
-// DeletionGraceQuanta is set, that no dataflow listed as useful within the
-// grace period — is dropped and its storage freed. A built index pays no
-// further build cost in that judgement. Only the Gain strategy deletes.
+// available index whose time AND money gains are non-positive — and that no
+// dataflow listed as useful within the last deletionGraceQuanta — is
+// dropped and its storage freed. A built index pays no further build cost
+// in that judgement. Only the Gain strategy deletes.
 func (s *Service) evict(p *pass) {
 	if s.cfg.Strategy != Gain {
 		return
 	}
 	q := s.cfg.Sched.Pricing.QuantumSeconds
-	grace := s.cfg.DeletionGraceQuanta * q
+	grace := deletionGraceQuanta * q
 	var candidates []gain.Costs
 	for _, name := range s.db.Catalog.IndexNames() {
 		if !s.db.Catalog.Available(name) {
 			continue
 		}
-		if grace > 0 && p.now-s.eval.History.LastWhen(name) < grace {
+		if p.now-s.eval.History.LastWhen(name) < grace {
 			continue
 		}
 		candidates = append(candidates, gain.Costs{Name: name, SizeMB: s.db.Catalog.State(name).Index.SizeMB()})

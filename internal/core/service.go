@@ -80,9 +80,6 @@ type Config struct {
 	Gain     gain.Params
 	Strategy Strategy
 	Algo     Interleaving
-	// MaxBuildOps caps the index-build partition operators offered to the
-	// interleaver per dataflow; the gain ranking decides which survive.
-	MaxBuildOps int
 	// Seed drives the random baseline.
 	Seed int64
 	// RuntimeError, when non-zero, perturbs actual operator runtimes
@@ -95,13 +92,6 @@ type Config struct {
 	// Builds killed mid-flight are never committed, so their partitions
 	// stay missing and the tuner rebuilds them in later idle slots.
 	Faults *fault.Plan
-	// DeletionGraceQuanta adds hysteresis to Algorithm 1's deletion: a
-	// built index is only dropped if, besides having non-positive gains,
-	// it has not been used by any dataflow for this many quanta. Zero
-	// means delete as soon as the gains allow it. Hysteresis avoids
-	// rebuild churn when dataflow service times are long relative to the
-	// history window.
-	DeletionGraceQuanta float64
 	// AllowDedicatedBuilds enables the §7 delayed-building extension:
 	// beneficial index partitions that did not fit any idle slot may be
 	// built on a dedicated extra container — paying real money — when the
@@ -114,12 +104,9 @@ type Config struct {
 	AdaptiveFading bool
 	// UpdateEveryQuanta, when positive, applies a batch data update every
 	// that many quanta (§3: "Data updates are performed in batches
-	// periodically"): UpdateFraction of all partitions get a new version,
+	// periodically"): updateFraction of all partitions get a new version,
 	// invalidating the index partitions built on them.
 	UpdateEveryQuanta float64
-	// UpdateFraction is the fraction of partitions touched per batch
-	// update; zero means 1%.
-	UpdateFraction float64
 	// Telemetry receives every metric of a submit, all updated by the pass
 	// from what its stages return. Nil means none.
 	Telemetry *telemetry.Registry
@@ -161,15 +148,28 @@ func DefaultConfig() Config {
 	g.FadeD = 10
 	g.WindowW = 120
 	return Config{
-		Sched:               sched.DefaultOptions(),
-		Gain:                g,
-		Strategy:            Gain,
-		Algo:                LPInterleave,
-		MaxBuildOps:         64,
-		Seed:                1,
-		DeletionGraceQuanta: 240,
+		Sched:    sched.DefaultOptions(),
+		Gain:     g,
+		Strategy: Gain,
+		Algo:     LPInterleave,
+		Seed:     1,
 	}
 }
+
+const (
+	// maxBuildOps caps the index-build partition operators offered to the
+	// interleaver per dataflow; the gain ranking decides which survive.
+	maxBuildOps = 64
+	// deletionGraceQuanta adds hysteresis to Algorithm 1's deletion: a
+	// built index is only dropped if, besides having non-positive gains,
+	// no dataflow has listed it as useful for this many quanta. Hysteresis
+	// avoids rebuild churn when dataflow service times are long relative
+	// to the history window.
+	deletionGraceQuanta = 240
+	// updateFraction is the fraction of partitions a batch update
+	// (Config.UpdateEveryQuanta) gives a new version.
+	updateFraction = 0.02
+)
 
 // FlowResult is the outcome of one dataflow execution.
 type FlowResult struct {
@@ -278,13 +278,10 @@ type Service struct {
 
 // NewService returns a service over the given file database.
 func NewService(cfg Config, db *workload.FileDB) *Service {
-	if cfg.MaxBuildOps <= 0 {
-		cfg.MaxBuildOps = 64
-	}
 	s := &Service{
 		cfg:     cfg,
 		db:      db,
-		eval:    gain.NewEvaluator(cfg.Gain),
+		eval:    gain.NewEvaluator(cfg.Gain, cfg.Sched.Pricing),
 		storage: cloud.NewStorage(cfg.Sched.Pricing),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		skyline: sched.NewSkyline(cfg.Sched),

@@ -16,12 +16,19 @@ func quickConfig(strategy Strategy) Config {
 	cfg.Strategy = strategy
 	cfg.Sched.MaxSkyline = 4
 	cfg.Sched.MaxContainers = 20
-	cfg.MaxBuildOps = 24
 	// A wide window and slow fading keep indexes beneficial across the
 	// short test workloads.
 	cfg.Gain.WindowW = 30
 	cfg.Gain.FadeD = 30
 	return cfg
+}
+
+// pastGrace is a service time at which every index the service has seen
+// used is past deletionGraceQuanta: admit catches the clock up to a flow
+// issued then, so that flow's eviction judges those indexes on their gains
+// alone.
+func pastGrace(svc *Service) float64 {
+	return svc.Clock() + deletionGraceQuanta*svc.cfg.Sched.Pricing.QuantumSeconds
 }
 
 func testDB(t *testing.T) *workload.FileDB {
@@ -88,11 +95,9 @@ func TestGainStrategyDeletesWhenWorkloadMovesOn(t *testing.T) {
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
 	cfg := quickConfig(Gain)
-	// Tight window, fast fading and a short grace so abandonment is
-	// detected quickly.
+	// Tight window and fast fading so abandonment is detected quickly.
 	cfg.Gain.WindowW = 4
 	cfg.Gain.FadeD = 1
-	cfg.DeletionGraceQuanta = 8
 	svc := NewService(cfg, db)
 
 	for i := 0; i < 5; i++ {
@@ -101,10 +106,15 @@ func TestGainStrategyDeletesWhenWorkloadMovesOn(t *testing.T) {
 	if db.Catalog.AvailableCount() == 0 {
 		t.Skip("no montage indexes were built in this configuration")
 	}
-	// Switch to ligo; montage indexes should eventually be deleted.
+	// Switch to ligo past the deletion grace; montage indexes should
+	// eventually be deleted.
 	deleted := 0
 	for i := 0; i < 8; i++ {
-		res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Ligo, 100+i, svc.Clock()))
+		at := svc.Clock()
+		if i == 0 {
+			at = pastGrace(svc)
+		}
+		res := svc.SubmitCtx(context.Background(), gen.Flow(workload.Ligo, 100+i, at))
 		deleted += len(res.Deleted)
 	}
 	if deleted == 0 {
@@ -152,7 +162,7 @@ func TestRunCountsOnlyFinishedWithinHorizon(t *testing.T) {
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
 	svc := NewService(quickConfig(NoIndex), db)
-	fs := gen.RandomWorkload(600, 60)
+	fs := gen.RandomWorkload(600)
 	if len(fs) == 0 {
 		t.Skip("no flows generated")
 	}
@@ -201,7 +211,7 @@ func TestStorageAccounting(t *testing.T) {
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
 	svc := NewService(quickConfig(Gain), db)
-	m := svc.Run(gen.RandomWorkload(300, 60), 3000)
+	m := svc.Run(gen.RandomWorkload(300), 3000)
 	if m.FlowsFinished > 0 && db.Catalog.AvailableCount() > 0 && m.StorageCost <= 0 {
 		t.Error("indexes exist but no storage cost accrued")
 	}
@@ -221,7 +231,7 @@ func TestStorageTransfersTracked(t *testing.T) {
 	cfg.Telemetry = telemetry.NewRegistry()
 	cfg.Provenance = provenance.NewRecorder(1 << 16)
 	svc := NewService(cfg, db)
-	svc.Run(gen.RandomWorkload(300, 60), 3000)
+	svc.Run(gen.RandomWorkload(300), 3000)
 	var committed float64
 	for _, e := range cfg.Provenance.Snapshot() {
 		if e.Kind == provenance.KindBuildCommitted {
@@ -245,7 +255,6 @@ func TestStorageGaugesFollowSettle(t *testing.T) {
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
 	cfg := quickConfig(Gain)
-	cfg.DeletionGraceQuanta = 2
 	cfg.Gain.WindowW = 4
 	cfg.Gain.FadeD = 1
 	cfg.Telemetry = telemetry.NewRegistry()
@@ -255,7 +264,7 @@ func TestStorageGaugesFollowSettle(t *testing.T) {
 	prev := 0.0
 	for i := 0; i < 8; i++ {
 		for _, app := range []workload.App{workload.Montage, workload.Ligo} {
-			res := svc.SubmitCtx(context.Background(), gen.Flow(app, 100*i, svc.Clock()))
+			res := svc.SubmitCtx(context.Background(), gen.Flow(app, 100*i, pastGrace(svc)))
 			deleted += len(res.Deleted)
 			mb, parts := db.Catalog.Footprint()
 			if size.Value() != mb || files.Value() != float64(parts) {
@@ -277,14 +286,16 @@ func TestStorageGaugesMatchCatalog(t *testing.T) {
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
 	cfg := quickConfig(Gain)
-	cfg.DeletionGraceQuanta = 2
 	cfg.Gain.WindowW = 4
 	cfg.Gain.FadeD = 1
 	cfg.Telemetry = telemetry.NewRegistry()
 	svc := NewService(cfg, db)
+	// Consecutive flows arrive a deletion grace apart, so each may evict
+	// what the one before it built.
+	grace := deletionGraceQuanta * cfg.Sched.Pricing.QuantumSeconds
 	var flows []*dataflow.Flow
 	for i := 0; i < 4; i++ {
-		flows = append(flows, gen.Flow(workload.Montage, i, 0), gen.Flow(workload.Ligo, 100+i, 0))
+		flows = append(flows, gen.Flow(workload.Montage, i, float64(2*i)*grace), gen.Flow(workload.Ligo, 100+i, float64(2*i+1)*grace))
 	}
 	m := svc.Run(flows, 1e9)
 	deleted := 0

@@ -51,10 +51,7 @@ func Ablations(seed int64, horizon float64) *Table {
 	add("pool", "two-tier", func(cfg *core.Config) { cfg.Sched.Types = cloud.DefaultVMTypes() })
 	add("extension", "dedicated-builds", func(cfg *core.Config) { cfg.AllowDedicatedBuilds = true })
 	add("extension", "adaptive-fading", func(cfg *core.Config) { cfg.AdaptiveFading = true })
-	add("extension", "batch-updates", func(cfg *core.Config) {
-		cfg.UpdateEveryQuanta = 60
-		cfg.UpdateFraction = 0.02
-	})
+	add("extension", "batch-updates", func(cfg *core.Config) { cfg.UpdateEveryQuanta = 60 })
 
 	results := make([]core.Metrics, len(cells))
 	runJobs(len(cells), func(i int) {

@@ -64,7 +64,7 @@ func TestAuditProvenancePhaseWorkload(t *testing.T) {
 
 	gen := workload.NewGenerator(db, 3)
 	horizon := float64(Horizon720) / 8
-	m := svc.Run(gen.PhaseWorkload(workload.DefaultPhasesFor(horizon), 60), horizon)
+	m := svc.Run(gen.PhaseWorkload(horizon), horizon)
 	if len(m.Results) == 0 {
 		t.Fatal("phase workload executed no flows")
 	}

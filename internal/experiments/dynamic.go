@@ -127,7 +127,7 @@ func runService(seed int64, horizon, runtimeError float64, flowsFor func(gen *wo
 // CyberShake) scaled to horizon seconds, one dataflow a minute.
 func phaseFlows(horizon float64) func(gen *workload.Generator) []*dataflow.Flow {
 	return func(gen *workload.Generator) []*dataflow.Flow {
-		return gen.PhaseWorkload(workload.DefaultPhasesFor(horizon), 60)
+		return gen.PhaseWorkload(horizon)
 	}
 }
 
@@ -141,6 +141,6 @@ func Phase(seed int64, horizon float64) *DynamicResult {
 // over the given horizon in seconds.
 func Random(seed int64, horizon float64) *DynamicResult {
 	return runDynamic("random", seed, func(gen *workload.Generator) []*dataflow.Flow {
-		return gen.RandomWorkload(horizon, 60)
+		return gen.RandomWorkload(horizon)
 	}, horizon)
 }

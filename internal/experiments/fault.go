@@ -26,7 +26,7 @@ type FaultResult struct {
 
 // Fault runs the robustness experiment: for each fault rate, the same
 // seeded fault plan (crashes, spot revocations, transient storage errors
-// and stragglers mixed per fault.DefaultRates) is applied to a No-Index
+// and stragglers mixed per fault.Generate) is applied to a No-Index
 // and a Gain run over identical phase workloads. The expected shape is
 // graceful degradation — throughput falls and cost per dataflow rises
 // with the fault rate — with Gain staying ahead of No-Index at every
@@ -60,7 +60,7 @@ func Fault(seed, faultSeed int64, rates []float64, horizon float64) *FaultResult
 				// The identical plan hits both strategies: the comparison
 				// isolates what indexing does under churn, not fault luck.
 				q := cfg.Sched.Pricing.QuantumSeconds
-				cfg.Faults = fault.Generate(fault.DefaultRates(rate, q, horizon), faultSeed)
+				cfg.Faults = fault.Generate(rate, q, horizon, faultSeed)
 			}
 		})
 	})

@@ -7,6 +7,7 @@ import (
 	"idxflow/internal/data"
 	"idxflow/internal/dataflow"
 	"idxflow/internal/gain"
+	"idxflow/internal/sched"
 	"idxflow/internal/tpch"
 	"idxflow/internal/workload"
 )
@@ -21,12 +22,12 @@ func Params() *Table {
 	t.AddRow("Quantum size", fmt.Sprintf("%.0f seconds", p.QuantumSeconds))
 	t.AddRow("Quantum cost", fmt.Sprintf("$%.2f", p.VMPerQuantum))
 	t.AddRow("Storage cost", fmt.Sprintf("$%g per MB per quantum", p.StoragePerMBQuantum))
-	t.AddRow("Max containers", 100)
+	t.AddRow("Max containers", sched.DefaultOptions().MaxContainers)
 	t.AddRow("Dataflow", "Montage, Ligo, Cybershake")
 	t.AddRow("Operators / dataflow", 100)
 	t.AddRow("alpha", gain.DefaultParams().Alpha)
-	t.AddRow("Poisson lambda", "60 seconds (1 quantum)")
-	t.AddRow("Total time", "720 quanta")
+	t.AddRow("Poisson lambda", fmt.Sprintf("%d seconds (%g quantum)", workload.ArrivalGapSeconds, workload.ArrivalGapSeconds/p.QuantumSeconds))
+	t.AddRow("Total time", fmt.Sprintf("%.0f quanta", Horizon720/p.QuantumSeconds))
 	return t
 }
 
@@ -87,8 +88,9 @@ func Table5() *Table {
 // time of indexes A (100 MB) and B (500 MB) under alpha=0.5, D=60, given
 // the four dataflows of Table 2. One row per sampled time point.
 func Fig3() *Table {
-	p := gain.Params{Alpha: 0.5, FadeD: 60, WindowW: 0, Pricing: cloud.DefaultPricing()}
-	q := p.Pricing.QuantumSeconds
+	p := gain.Params{Alpha: 0.5, FadeD: 60, WindowW: 0}
+	pricing := cloud.DefaultPricing()
+	q := pricing.QuantumSeconds
 	// Table 2: dataflows d1(t=10, B), d2(t=30, B), d3(t=50, A+B), d4(t=100, A).
 	type rec struct {
 		index string
@@ -107,7 +109,7 @@ func Fig3() *Table {
 	// evalAt sees only the dataflows issued up to time now — the service
 	// cannot anticipate future arrivals.
 	evalAt := func(now float64) *gain.Evaluator {
-		e := gain.NewEvaluator(p)
+		e := gain.NewEvaluator(p, pricing)
 		for _, rc := range table2 {
 			if rc.r.When <= now {
 				e.History.Add(rc.index, rc.r)

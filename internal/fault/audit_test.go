@@ -18,7 +18,7 @@ import (
 func TestAuditGeneratedPlansValid(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		for _, rate := range []float64{0.01, 0.1, 0.5, 2} {
-			p := check.FaultPlan(rate, 60, 7200, seed)
+			p := fault.Generate(rate, 60, 7200, seed)
 			if err := p.Validate(); err != nil {
 				t.Errorf("seed %d rate %g: %v", seed, rate, err)
 			}

@@ -124,85 +124,54 @@ func (p *Plan) From(t float64) []Event {
 	return out
 }
 
-// Rates parameterizes the seeded plan generator. Each rate is the expected
-// number of events per container per quantum; events arrive as independent
-// Poisson processes per kind, targeted at AnyContainer so the rate scales
-// with the containers a schedule actually leases.
-type Rates struct {
-	// CrashPerQuantum, RevocationPerQuantum, StorageErrPerQuantum and
-	// StragglerPerQuantum are per-container-per-quantum event rates.
-	CrashPerQuantum      float64
-	RevocationPerQuantum float64
-	StorageErrPerQuantum float64
-	StragglerPerQuantum  float64
-	// QuantumSeconds converts rates to wall time (Table 3: 60 s).
-	QuantumSeconds float64
-	// HorizonSeconds is the service-time span the plan covers.
-	HorizonSeconds float64
-	// NoticeSeconds is the spot-revocation warning (default 120 s, the
-	// common cloud two-minute notice).
-	NoticeSeconds float64
-	// Retries is the failed attempts per storage error (default 3).
-	Retries int
-	// SlowFactor is the straggler runtime multiplier (default 2).
-	SlowFactor float64
-}
-
-// DefaultRates splits a combined per-container-per-quantum fault rate
+// The generated plan's kind split and per-kind parameters. A combined
+// per-container-per-quantum fault rate (the -faults CLI knob) is split
 // across the four kinds: 30% crashes, 20% revocations, 30% storage errors,
-// 20% stragglers. This is the -faults CLI knob.
-func DefaultRates(total, quantumSeconds, horizonSeconds float64) Rates {
-	return Rates{
-		CrashPerQuantum:      0.3 * total,
-		RevocationPerQuantum: 0.2 * total,
-		StorageErrPerQuantum: 0.3 * total,
-		StragglerPerQuantum:  0.2 * total,
-		QuantumSeconds:       quantumSeconds,
-		HorizonSeconds:       horizonSeconds,
-		NoticeSeconds:        120,
-		Retries:              3,
-		SlowFactor:           2,
-	}
-}
+// 20% stragglers.
+const (
+	crashShare      = 0.3
+	revocationShare = 0.2
+	storageErrShare = 0.3
+	stragglerShare  = 0.2
+	// noticeSeconds is the spot-revocation warning, the common cloud
+	// two-minute notice.
+	noticeSeconds = 120
+	// retries is the failed attempts per storage error.
+	retries = 3
+	// slowFactor is the straggler runtime multiplier.
+	slowFactor = 2
+)
 
-// Generate draws a plan from the rates using the seed: independent
-// exponential inter-arrival times per kind, merged and ordered by time.
-// The same (rates, seed) pair always yields the identical plan.
-func Generate(r Rates, seed int64) *Plan {
-	if r.QuantumSeconds <= 0 {
-		r.QuantumSeconds = 60
-	}
-	if r.NoticeSeconds <= 0 {
-		r.NoticeSeconds = 120
-	}
-	if r.Retries <= 0 {
-		r.Retries = 3
-	}
-	if r.SlowFactor <= 1 {
-		r.SlowFactor = 2
-	}
+// Generate draws a plan with the seed: each kind's share of the combined
+// rate total (expected events per container per quantum of quantumSeconds)
+// is an independent Poisson process over [0, horizonSeconds) targeted at
+// AnyContainer, so the rate scales with the containers a schedule actually
+// leases. The kinds' exponential inter-arrival times are merged and ordered
+// by time; the same arguments always yield the identical plan.
+func Generate(total, quantumSeconds, horizonSeconds float64, seed int64) *Plan {
 	rng := rand.New(rand.NewSource(seed))
 	var events []Event
-	arrivals := func(rate float64, make func(at float64) Event) {
-		if rate <= 0 || r.HorizonSeconds <= 0 {
+	arrivals := func(share float64, make func(at float64) Event) {
+		rate := share * total
+		if rate <= 0 || quantumSeconds <= 0 || horizonSeconds <= 0 {
 			return
 		}
-		mean := r.QuantumSeconds / rate // seconds between events per container
-		for t := rng.ExpFloat64() * mean; t < r.HorizonSeconds; t += rng.ExpFloat64() * mean {
+		mean := quantumSeconds / rate // seconds between events per container
+		for t := rng.ExpFloat64() * mean; t < horizonSeconds; t += rng.ExpFloat64() * mean {
 			events = append(events, make(t))
 		}
 	}
-	arrivals(r.CrashPerQuantum, func(at float64) Event {
+	arrivals(crashShare, func(at float64) Event {
 		return Event{Kind: ContainerCrash, At: at, Container: AnyContainer}
 	})
-	arrivals(r.RevocationPerQuantum, func(at float64) Event {
-		return Event{Kind: SpotRevocation, At: at, Container: AnyContainer, NoticeSeconds: r.NoticeSeconds}
+	arrivals(revocationShare, func(at float64) Event {
+		return Event{Kind: SpotRevocation, At: at, Container: AnyContainer, NoticeSeconds: noticeSeconds}
 	})
-	arrivals(r.StorageErrPerQuantum, func(at float64) Event {
-		return Event{Kind: StorageError, At: at, Container: AnyContainer, Retries: r.Retries}
+	arrivals(storageErrShare, func(at float64) Event {
+		return Event{Kind: StorageError, At: at, Container: AnyContainer, Retries: retries}
 	})
-	arrivals(r.StragglerPerQuantum, func(at float64) Event {
-		return Event{Kind: Straggler, At: at, Container: AnyContainer, SlowFactor: r.SlowFactor}
+	arrivals(stragglerShare, func(at float64) Event {
+		return Event{Kind: Straggler, At: at, Container: AnyContainer, SlowFactor: slowFactor}
 	})
 	return New(events...)
 }

@@ -84,13 +84,12 @@ func TestFromShiftsAndFilters(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	r := DefaultRates(0.05, 60, 7200)
-	a := Generate(r, 7)
-	b := Generate(r, 7)
+	a := Generate(0.05, 60, 7200, 7)
+	b := Generate(0.05, 60, 7200, 7)
 	if !reflect.DeepEqual(a, b) {
-		t.Error("same (rates, seed) produced different plans")
+		t.Error("same (rate, seed) produced different plans")
 	}
-	c := Generate(r, 8)
+	c := Generate(0.05, 60, 7200, 8)
 	if reflect.DeepEqual(a, c) && len(a.Events) > 0 {
 		t.Error("different seeds produced identical non-empty plans")
 	}
@@ -103,8 +102,7 @@ func TestGenerateRateScaling(t *testing.T) {
 	// Expected events over the horizon: total rate * quanta. With rate
 	// 0.1/quantum over 600 quanta, expect ~60; allow wide slack for the
 	// Poisson draw but reject order-of-magnitude errors.
-	r := DefaultRates(0.1, 60, 600*60)
-	p := Generate(r, 3)
+	p := Generate(0.1, 60, 600*60, 3)
 	if n := len(p.Events); n < 20 || n > 150 {
 		t.Errorf("generated %d events, expected around 60", n)
 	}
@@ -123,21 +121,23 @@ func TestGenerateRateScaling(t *testing.T) {
 }
 
 func TestGenerateDefaults(t *testing.T) {
-	p := Generate(Rates{StorageErrPerQuantum: 0.5, StragglerPerQuantum: 0.5, HorizonSeconds: 3600}, 1)
+	p := Generate(1, 60, 3600, 1)
 	for _, e := range p.Events {
+		want := Event{Seq: e.Seq, Kind: e.Kind, At: e.At, Container: AnyContainer}
 		switch e.Kind {
+		case SpotRevocation:
+			want.NoticeSeconds = noticeSeconds
 		case StorageError:
-			if e.Retries < 1 {
-				t.Errorf("storage error with Retries %d", e.Retries)
-			}
+			want.Retries = retries
 		case Straggler:
-			if e.SlowFactor <= 1 {
-				t.Errorf("straggler with SlowFactor %g", e.SlowFactor)
-			}
+			want.SlowFactor = slowFactor
+		}
+		if e != want {
+			t.Errorf("generated %+v, want %+v", e, want)
 		}
 	}
 	if len(p.Events) == 0 {
-		t.Error("no events despite positive rates")
+		t.Error("no events despite a positive rate")
 	}
 }
 
@@ -168,9 +168,8 @@ func TestValidate(t *testing.T) {
 }
 
 func TestDefaultRatesSplit(t *testing.T) {
-	r := DefaultRates(0.1, 60, 3600)
-	sum := r.CrashPerQuantum + r.RevocationPerQuantum + r.StorageErrPerQuantum + r.StragglerPerQuantum
-	if math.Abs(sum-0.1) > 1e-12 {
-		t.Errorf("kind rates sum to %g, want the combined rate 0.1", sum)
+	sum := crashShare + revocationShare + storageErrShare + stragglerShare
+	if math.Abs(sum-1) > 1e-12 {
+		t.Errorf("kind shares sum to %g, want 1", sum)
 	}
 }

@@ -27,10 +27,10 @@ func feed(e *gain.Evaluator, cands []gain.Costs, n int, horizon, seed int64) {
 func TestAuditDefaultEvaluator(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		p := gain.DefaultParams()
-		p.Pricing = check.Pricing(seed)
-		e := gain.NewEvaluator(p)
+		pricing := check.Pricing(seed)
+		e := gain.NewEvaluator(p, pricing)
 		cands := check.CostGrid(6, seed+30)
-		horizon := int64(60 * p.Pricing.QuantumSeconds)
+		horizon := int64(60 * pricing.QuantumSeconds)
 		feed(e, cands, 10, horizon, seed)
 		for _, now := range []float64{0, float64(horizon) / 4, float64(horizon)} {
 			if err := check.AuditGain(e, cands, now); err != nil {
@@ -55,10 +55,11 @@ func TestAuditParamSweep(t *testing.T) {
 		{"tight window", 0.5, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := gain.Params{Alpha: tc.alpha, FadeD: tc.d, WindowW: tc.w, Pricing: check.Pricing(5)}
-			e := gain.NewEvaluator(p)
+			p := gain.Params{Alpha: tc.alpha, FadeD: tc.d, WindowW: tc.w}
+			pricing := check.Pricing(5)
+			e := gain.NewEvaluator(p, pricing)
 			cands := check.CostGrid(5, 77)
-			horizon := int64(30 * p.Pricing.QuantumSeconds)
+			horizon := int64(30 * pricing.QuantumSeconds)
 			feed(e, cands, 8, horizon, 9)
 			if err := check.AuditGain(e, cands, float64(horizon)/2); err != nil {
 				t.Error(err)
@@ -73,10 +74,10 @@ func TestAuditParamSweep(t *testing.T) {
 // with its own dc(t), not the global one.
 func TestAuditAdaptiveFadeOverride(t *testing.T) {
 	p := gain.DefaultParams()
-	p.Pricing = check.Pricing(3)
-	e := gain.NewEvaluator(p)
+	pricing := check.Pricing(3)
+	e := gain.NewEvaluator(p, pricing)
 	cands := check.CostGrid(6, 41)
-	horizon := int64(50 * p.Pricing.QuantumSeconds)
+	horizon := int64(50 * pricing.QuantumSeconds)
 	feed(e, cands, 10, horizon, 13)
 
 	fader := gain.NewAdaptiveFader(p.FadeD)
@@ -103,10 +104,10 @@ func TestAuditAdaptiveFadeOverride(t *testing.T) {
 func TestAuditAfterTrim(t *testing.T) {
 	p := gain.DefaultParams()
 	p.WindowW = 4
-	p.Pricing = check.Pricing(8)
-	trimmed, full := gain.NewEvaluator(p), gain.NewEvaluator(p)
+	pricing := check.Pricing(8)
+	trimmed, full := gain.NewEvaluator(p, pricing), gain.NewEvaluator(p, pricing)
 	cands := check.CostGrid(4, 19)
-	horizon := 40 * p.Pricing.QuantumSeconds
+	horizon := 40 * pricing.QuantumSeconds
 	var now float64
 	kept, fed := 0, 0
 	for i, c := range cands {

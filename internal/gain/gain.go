@@ -24,8 +24,6 @@ type Params struct {
 	// within [t-W, t] contribute gain, and storage cost is charged for W
 	// quanta ahead. Zero or negative means unbounded history.
 	WindowW float64
-	// Pricing supplies Mc and Mst.
-	Pricing cloud.Pricing
 }
 
 // DefaultParams returns the Table 3 configuration.
@@ -34,7 +32,6 @@ func DefaultParams() Params {
 		Alpha:   0.5,
 		FadeD:   1,
 		WindowW: 2,
-		Pricing: cloud.DefaultPricing(),
 	}
 }
 
@@ -114,7 +111,9 @@ func (h *History) LastWhen(index string) float64 {
 
 // Evaluator computes index gains from history.
 type Evaluator struct {
-	Params  Params
+	Params Params
+	// Pricing supplies the quantum length, Mc and Mst.
+	Pricing cloud.Pricing
 	History *History
 	// FadeOverride, when non-nil, replaces Params.Fade with a per-index
 	// fading function — the hook for the learned controller of
@@ -122,9 +121,10 @@ type Evaluator struct {
 	FadeOverride func(index string, quantaSince float64) float64
 }
 
-// NewEvaluator returns an evaluator over a fresh history.
-func NewEvaluator(p Params) *Evaluator {
-	return &Evaluator{Params: p, History: NewHistory()}
+// NewEvaluator returns an evaluator over a fresh history that prices with
+// the given price list.
+func NewEvaluator(p Params, pricing cloud.Pricing) *Evaluator {
+	return &Evaluator{Params: p, Pricing: pricing, History: NewHistory()}
 }
 
 // Record appends one dataflow's gains for the index (the Hd update of
@@ -138,7 +138,7 @@ func NewEvaluator(p Params) *Evaluator {
 func (e *Evaluator) Record(index string, r Record) {
 	recs := e.History.recs[index]
 	if w := e.Params.WindowW; w > 0 {
-		q := e.Params.Pricing.QuantumSeconds
+		q := e.Pricing.QuantumSeconds
 		drop := 0
 		for drop < len(recs) && (r.When-recs[drop].When)/q > w {
 			drop++
@@ -151,7 +151,7 @@ func (e *Evaluator) Record(index string, r Record) {
 // fadedSums folds Σ δ(d,t)·dc(δT_d)·gain over the index's records for both
 // gain components, computing each record's fading weight once.
 func (e *Evaluator) fadedSums(index string, now float64) (sumT, sumM float64) {
-	q := e.Params.Pricing.QuantumSeconds
+	q := e.Pricing.QuantumSeconds
 	for _, r := range e.History.Records(index) {
 		sinceQuanta := (now - r.When) / q
 		if sinceQuanta < 0 {
@@ -191,13 +191,13 @@ type Ranked struct {
 //	g  = α·Mc·gt + (1−α)·gm.
 func (e *Evaluator) Evaluate(c Costs, now float64) Ranked {
 	sumT, sumM := e.fadedSums(c.Name, now)
-	mc := e.Params.Pricing.VMPerQuantum
+	mc := e.Pricing.VMPerQuantum
 	sum := sumM * mc
 	w := e.Params.WindowW
 	if w <= 0 {
 		w = 1
 	}
-	storage := e.Params.Pricing.StorageCost(c.SizeMB, w)
+	storage := e.Pricing.StorageCost(c.SizeMB, w)
 	gt, gm := sumT-c.BuildQuanta, sum-(mc*c.BuildMoneyQuanta+storage)
 	return Ranked{Costs: c, TimeGain: gt, MoneyGain: gm, Gain: e.Params.Alpha*mc*gt + (1-e.Params.Alpha)*gm}
 }

@@ -8,8 +8,10 @@ import (
 	"idxflow/internal/cloud"
 )
 
+var pricing = cloud.DefaultPricing()
+
 func params() Params {
-	return Params{Alpha: 0.5, FadeD: 60, WindowW: 0, Pricing: cloud.DefaultPricing()}
+	return Params{Alpha: 0.5, FadeD: 60, WindowW: 0}
 }
 
 func TestFade(t *testing.T) {
@@ -35,7 +37,7 @@ func TestFade(t *testing.T) {
 }
 
 func TestTimeGainSubtractsBuildTime(t *testing.T) {
-	e := NewEvaluator(params())
+	e := NewEvaluator(params(), pricing)
 	c := Costs{Name: "A", BuildQuanta: 2}
 	// No history: gt = -ti.
 	if got := e.Evaluate(c, 0).TimeGain; got != -2 {
@@ -49,7 +51,7 @@ func TestTimeGainSubtractsBuildTime(t *testing.T) {
 
 func TestTimeGainFadesWithAge(t *testing.T) {
 	p := params()
-	e := NewEvaluator(p)
+	e := NewEvaluator(p, pricing)
 	e.History.Add("A", Record{When: 0, TimeGain: 10})
 	c := Costs{Name: "A"}
 	// After 60 quanta (3600 s) with D=60: 10·e^-1.
@@ -59,7 +61,7 @@ func TestTimeGainFadesWithAge(t *testing.T) {
 		t.Errorf("TimeGain after 60q = %g, want %g", got, want)
 	}
 	// Records in the future (queued) are unfaded.
-	e2 := NewEvaluator(p)
+	e2 := NewEvaluator(p, pricing)
 	e2.History.Add("A", Record{When: 100, TimeGain: 10})
 	if got := e2.Evaluate(c, 0).TimeGain; got != 10 {
 		t.Errorf("queued record gain = %g, want 10", got)
@@ -69,7 +71,7 @@ func TestTimeGainFadesWithAge(t *testing.T) {
 func TestWindowExcludesOldRecords(t *testing.T) {
 	p := params()
 	p.WindowW = 2 // quanta
-	e := NewEvaluator(p)
+	e := NewEvaluator(p, pricing)
 	e.History.Add("A", Record{When: 0, TimeGain: 10})
 	c := Costs{Name: "A"}
 	if got := e.Evaluate(c, 60).TimeGain; got <= 0 {
@@ -83,7 +85,7 @@ func TestWindowExcludesOldRecords(t *testing.T) {
 func TestMoneyGainIncludesStorageAndBuild(t *testing.T) {
 	p := params()
 	p.WindowW = 2
-	e := NewEvaluator(p)
+	e := NewEvaluator(p, pricing)
 	c := Costs{Name: "B", BuildMoneyQuanta: 1, SizeMB: 500}
 	// No history: gm = -(Mc*1 + 500MB * 2q * 1e-4) = -(0.1 + 0.1) = -0.2.
 	got := e.Evaluate(c, 0).MoneyGain
@@ -101,15 +103,15 @@ func TestMoneyGainIncludesStorageAndBuild(t *testing.T) {
 func TestGainWeighting(t *testing.T) {
 	p := params()
 	p.Alpha = 1 // time only
-	e := NewEvaluator(p)
+	e := NewEvaluator(p, pricing)
 	e.History.Add("A", Record{When: 0, TimeGain: 4, MoneyGain: 100})
 	c := Costs{Name: "A"}
-	want := p.Pricing.VMPerQuantum * 4
+	want := pricing.VMPerQuantum * 4
 	if got := e.Gain(c, 0); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Gain with alpha=1 = %g, want %g", got, want)
 	}
 	p.Alpha = 0 // money only
-	e2 := NewEvaluator(p)
+	e2 := NewEvaluator(p, pricing)
 	e2.History.Add("A", Record{When: 0, TimeGain: 100, MoneyGain: 4})
 	if got := e2.Gain(c, 0); math.Abs(got-0.4) > 1e-12 {
 		t.Errorf("Gain with alpha=0 = %g, want 0.4", got)
@@ -117,7 +119,7 @@ func TestGainWeighting(t *testing.T) {
 }
 
 func TestBeneficialRequiresBothPositive(t *testing.T) {
-	e := NewEvaluator(params())
+	e := NewEvaluator(params(), pricing)
 	e.History.Add("A", Record{When: 0, TimeGain: 5, MoneyGain: -1})
 	if e.Evaluate(Costs{Name: "A"}, 0).Beneficial() {
 		t.Error("index with negative money gain reported beneficial")
@@ -129,7 +131,7 @@ func TestBeneficialRequiresBothPositive(t *testing.T) {
 }
 
 func TestRankFiltersAndSorts(t *testing.T) {
-	e := NewEvaluator(params())
+	e := NewEvaluator(params(), pricing)
 	e.History.Add("hi", Record{When: 0, TimeGain: 10, MoneyGain: 10})
 	e.History.Add("lo", Record{When: 0, TimeGain: 1, MoneyGain: 1})
 	e.History.Add("bad", Record{When: 0, TimeGain: -5, MoneyGain: 5})
@@ -153,7 +155,7 @@ func rankAt(e *Evaluator, candidates []Costs, now float64) []Ranked {
 }
 
 func TestNonBeneficial(t *testing.T) {
-	e := NewEvaluator(params())
+	e := NewEvaluator(params(), pricing)
 	e.History.Add("keep", Record{When: 0, TimeGain: 5, MoneyGain: 5})
 	// "mixed" has positive time gain but negative money gain: kept
 	// (deletion needs both <= 0 per Algorithm 1).
@@ -172,7 +174,7 @@ func TestNonBeneficial(t *testing.T) {
 // TestGainMonotoneDecayProperty: with no new dataflows, an index's gain
 // never increases over time (the decay of Fig. 3 after the last use).
 func TestGainMonotoneDecayProperty(t *testing.T) {
-	e := NewEvaluator(params())
+	e := NewEvaluator(params(), pricing)
 	e.History.Add("A", Record{When: 0, TimeGain: 7, MoneyGain: 9})
 	c := Costs{Name: "A", BuildQuanta: 0.5, BuildMoneyQuanta: 0.5, SizeMB: 100}
 	f := func(a, b float64) bool {
@@ -197,8 +199,8 @@ func TestGainMonotoneDecayProperty(t *testing.T) {
 func TestFig3Shape(t *testing.T) {
 	p := params() // alpha=0.5, D=60, like the example
 	p.WindowW = 0 // unbounded history, like the example
-	e := NewEvaluator(p)
-	q := p.Pricing.QuantumSeconds
+	e := NewEvaluator(p, pricing)
+	q := pricing.QuantumSeconds
 	// Table 2, index B (500 MB): dataflows at quanta 10, 30, 50.
 	e.History.Add("B", Record{When: 10 * q, TimeGain: 1, MoneyGain: 3})
 	e.History.Add("B", Record{When: 30 * q, TimeGain: 2, MoneyGain: 5})

@@ -53,8 +53,8 @@ func TestTrimmedMatchesUntrimmedRandom(t *testing.T) {
 	for _, w := range []float64{0, 2, 10} {
 		p := params()
 		p.WindowW = w
-		q := p.Pricing.QuantumSeconds
-		trimmed, full := NewEvaluator(p), NewEvaluator(p)
+		q := pricing.QuantumSeconds
+		trimmed, full := NewEvaluator(p, pricing), NewEvaluator(p, pricing)
 		rng := rand.New(rand.NewSource(int64(w*10 + 1)))
 		now, added := 0.0, 0
 		for step := 0; step < 600; step++ {
@@ -89,8 +89,8 @@ func TestTrimmedMatchesUntrimmedRandom(t *testing.T) {
 func TestRecordOutOfOrderTrimsLess(t *testing.T) {
 	p := params()
 	p.WindowW = 5
-	q := p.Pricing.QuantumSeconds
-	trimmed, full := NewEvaluator(p), NewEvaluator(p)
+	q := pricing.QuantumSeconds
+	trimmed, full := NewEvaluator(p, pricing), NewEvaluator(p, pricing)
 	for _, r := range []Record{
 		{When: 50 * q, TimeGain: 4, MoneyGain: 2},
 		{When: 1 * q, TimeGain: 9, MoneyGain: 9}, // out of order, long expired
@@ -119,7 +119,7 @@ func TestRecordUnboundedWindowKeepsAll(t *testing.T) {
 	for _, w := range []float64{0, -1} {
 		p := params()
 		p.WindowW = w
-		e := NewEvaluator(p)
+		e := NewEvaluator(p, pricing)
 		for i := 0; i < 50; i++ {
 			e.Record("A", Record{When: float64(i) * 1e6, TimeGain: 1})
 		}
@@ -134,9 +134,9 @@ func TestRecordUnboundedWindowKeepsAll(t *testing.T) {
 func TestRecordUnderFadeOverride(t *testing.T) {
 	p := params()
 	p.WindowW = 3
-	q := p.Pricing.QuantumSeconds
+	q := pricing.QuantumSeconds
 	override := func(_ string, since float64) float64 { return 1 / (1 + since) }
-	trimmed, full := NewEvaluator(p), NewEvaluator(p)
+	trimmed, full := NewEvaluator(p, pricing), NewEvaluator(p, pricing)
 	trimmed.FadeOverride, full.FadeOverride = override, override
 	for i, r := range []Record{
 		{When: 0, TimeGain: 8, MoneyGain: 8},
@@ -164,8 +164,8 @@ func TestRecordUnderFadeOverride(t *testing.T) {
 func TestEvaluationTimeContract(t *testing.T) {
 	p := params()
 	p.WindowW = 4
-	q := p.Pricing.QuantumSeconds
-	trimmed, full := NewEvaluator(p), NewEvaluator(p)
+	q := pricing.QuantumSeconds
+	trimmed, full := NewEvaluator(p, pricing), NewEvaluator(p, pricing)
 	for i := 0; i < 10; i++ {
 		r := Record{When: float64(i) * q, TimeGain: 1, MoneyGain: 1}
 		trimmed.Record("A", r)
@@ -173,7 +173,7 @@ func TestEvaluationTimeContract(t *testing.T) {
 	}
 	a := threeCosts[0]
 	for _, now := range []float64{15 * q, 5 * q, 20 * q, 5 * q} {
-		fresh := NewEvaluator(p)
+		fresh := NewEvaluator(p, pricing)
 		for _, r := range full.History.Records("A") {
 			fresh.History.Add("A", r)
 		}
@@ -200,8 +200,8 @@ func BenchmarkFadedSumsWindowed(b *testing.B) {
 		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
 			p := params()
 			p.FadeD, p.WindowW = 10, 120
-			e := NewEvaluator(p)
-			q := p.Pricing.QuantumSeconds
+			e := NewEvaluator(p, pricing)
+			q := pricing.QuantumSeconds
 			for i := 0; i < n; i++ {
 				e.Record("A", Record{When: float64(i) * 5 * q, TimeGain: 1, MoneyGain: 1})
 			}

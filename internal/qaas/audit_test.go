@@ -23,7 +23,6 @@ func TestConcurrentAdmissionsAuditClean(t *testing.T) {
 	cc := core.DefaultConfig()
 	cc.Sched.MaxSkyline = 4
 	cc.Sched.MaxContainers = 8
-	cc.MaxBuildOps = 16
 	cc.Telemetry = telemetry.NewRegistry()
 	cc.PostExec = auditor.Hook
 	p := qaas.New(qaas.Config{
@@ -83,7 +82,6 @@ func TestTenantIsolation(t *testing.T) {
 	cc := core.DefaultConfig()
 	cc.Sched.MaxSkyline = 4
 	cc.Sched.MaxContainers = 8
-	cc.MaxBuildOps = 16
 	// Wide window / slow fade so the repeated flows adopt indexes.
 	cc.Gain.WindowW = 30
 	cc.Gain.FadeD = 30

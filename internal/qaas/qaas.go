@@ -41,13 +41,17 @@ import (
 	"idxflow/internal/workload"
 )
 
-// Defaults for the zero Config fields.
+// Defaults for the zero Config fields, which are also idxflow-server's
+// flag defaults.
 const (
-	DefaultQueueDepth     = 128
-	DefaultWorkers        = 4
-	DefaultTenantInflight = 32
+	DefaultQueueDepth     = 256
+	DefaultWorkers        = 8
+	DefaultTenantInflight = 64
 	DefaultFleet          = 64
 	DefaultMaxTenants     = 256
+	// DefaultProvenanceCapacity bounds a tenant's provenance ring in
+	// events. The rings are most of a server's memory.
+	DefaultProvenanceCapacity = 262144
 )
 
 // retryAfter is the backpressure hint returned with every rejection.
@@ -101,26 +105,26 @@ type Config struct {
 	// file database workload.NewFileDB(TenantSeed(Seed, t)), which load
 	// generators reproduce client-side to craft valid dataflows.
 	Seed int64
-	// QueueDepth bounds the submitters waiting for a slot (default 128);
-	// one more rejects with reason "queue-full".
+	// QueueDepth bounds the submitters waiting for a slot (default
+	// DefaultQueueDepth); one more rejects with reason "queue-full".
 	QueueDepth int
 	// Workers is the number of slots, the Algorithm-1 passes that may run
-	// at once (default 4). A pass holds its slot while it waits on its
-	// tenant's lock, so under paced load it should exceed the clients in
-	// flight per tenant.
+	// at once (default DefaultWorkers). A pass holds its slot while it
+	// waits on its tenant's lock, so under paced load it should exceed the
+	// clients in flight per tenant.
 	Workers int
 	// TenantInflight is the per-tenant fair-share cap on waiting plus
-	// executing admissions (default 32); exceeding it rejects with
-	// reason "tenant-limit". Negative disables the cap.
+	// executing admissions (default DefaultTenantInflight); exceeding it
+	// rejects with reason "tenant-limit". Negative disables the cap.
 	TenantInflight int
 	// MaxTenants caps how many distinct tenants may be instantiated
-	// (default 256); Tenant fails with ErrTenantCapacity beyond it.
-	// Tenant names arrive from untrusted requests and each tenant holds a
+	// (default DefaultMaxTenants); Tenant fails with ErrTenantCapacity
+	// beyond it. Tenant names arrive from untrusted requests and each tenant holds a
 	// full file database, service and provenance ring, so the cap bounds
 	// the memory a hostile client can allocate. Negative disables it.
 	MaxTenants int
 	// FleetContainers is the global container fleet capacity shared by
-	// all tenants (default 64).
+	// all tenants (default DefaultFleet).
 	FleetContainers int
 	// PaceMSPerQuantum, when positive, makes each execution hold its
 	// fleet reservation for that many wall-clock milliseconds per billing
@@ -128,7 +132,7 @@ type Config struct {
 	// throughput experiments measure overlap, not just CPU time.
 	PaceMSPerQuantum float64
 	// ProvenanceCapacity is each tenant's flight-recorder ring size
-	// (default provenance.DefaultCapacity): an upper bound, which the ring
+	// (default DefaultProvenanceCapacity): an upper bound, which the ring
 	// grows towards as the tenant records events. Size it above the expected
 	// events-per-tenant: a wrapped ring is unsound for AuditProvenance.
 	ProvenanceCapacity int
@@ -226,7 +230,7 @@ func New(cfg Config) *Pipeline {
 		cfg.FleetContainers = DefaultFleet
 	}
 	if cfg.ProvenanceCapacity <= 0 {
-		cfg.ProvenanceCapacity = provenance.DefaultCapacity
+		cfg.ProvenanceCapacity = DefaultProvenanceCapacity
 	}
 	if cfg.Core.Sched.MaxContainers <= 0 ||
 		cfg.Core.Sched.MaxContainers > cfg.FleetContainers {

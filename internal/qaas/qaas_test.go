@@ -24,7 +24,6 @@ func testConfig() Config {
 	cc := core.DefaultConfig()
 	cc.Sched.MaxSkyline = 4
 	cc.Sched.MaxContainers = 8
-	cc.MaxBuildOps = 16
 	cc.Telemetry = telemetry.NewRegistry()
 	return Config{Core: cc, Seed: 1, QueueDepth: 4, Workers: 1,
 		FleetContainers: 8}

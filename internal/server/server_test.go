@@ -27,7 +27,6 @@ func testServer(t *testing.T, mutate func(*qaas.Config)) (*Server, *httptest.Ser
 	cc := core.DefaultConfig()
 	cc.Sched.MaxSkyline = 4
 	cc.Sched.MaxContainers = 8
-	cc.MaxBuildOps = 16
 	cc.Gain.WindowW = 30
 	cc.Gain.FadeD = 30
 	// The server's own registry, as idxflow-server builds one: /metrics

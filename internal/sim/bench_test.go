@@ -25,7 +25,7 @@ func BenchmarkExecute(b *testing.B) {
 // intervals and Repair's results; the repaired copy of the schedule is the
 // executor's, reused across runs.
 func BenchmarkExecuteFaulty(b *testing.B) {
-	plan := fault.Generate(fault.DefaultRates(0.5, 60, 1200), 1)
+	plan := fault.Generate(0.5, 60, 1200, 1)
 	benchmarkExecute(b, plan.From(0))
 }
 

@@ -86,7 +86,7 @@ func TestGoldenEquivalenceFaulty(t *testing.T) {
 	for _, rate := range []float64{0.1, 0.5, 2.0} {
 		for _, fseed := range []int64{1, 42} {
 			s := goldenSchedule(t, 11, int(fseed)%3, true)
-			plan := fault.Generate(fault.DefaultRates(rate, 60, 4000), fseed)
+			plan := fault.Generate(rate, 60, 4000, fseed)
 			if rate >= 0.5 && len(plan.Events) == 0 {
 				t.Fatalf("rate %g produced an empty plan", rate)
 			}
@@ -148,7 +148,7 @@ func FuzzExecuteEqualsReference(f *testing.F) {
 	f.Add(int64(7), uint8(2), false, uint8(0), uint8(25), int64(1)) // storage error
 	f.Fuzz(func(t *testing.T, seed int64, trial uint8, builds bool, errPct, rate uint8, fseed int64) {
 		s := goldenSchedule(t, seed, int(trial%3), builds)
-		plan := fault.Generate(fault.DefaultRates(float64(rate%200)/100, 60, 1200), fseed)
+		plan := fault.Generate(float64(rate%200)/100, 60, 1200, fseed)
 		e := float64(errPct%100) / 100
 		name := fmt.Sprintf("seed=%d trial=%d builds=%t err=%g rate=%d fseed=%d", seed, trial%3, builds, e, rate%200, fseed)
 		assertGolden(t, name, s, plan.From(0), func() Config {

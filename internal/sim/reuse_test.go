@@ -28,7 +28,7 @@ func TestExecutorReuseEqualsFresh(t *testing.T) {
 		s      *sched.Schedule
 		faults []fault.Event
 	}{
-		{"packed faulty", packed, fault.Generate(fault.DefaultRates(0.5, 60, 1200), 1).From(0)},
+		{"packed faulty", packed, fault.Generate(0.5, 60, 1200, 1).From(0)},
 		{"packed fault-free", packed, nil},
 		{"other revoked and crashed", other, []fault.Event{
 			{Kind: fault.SpotRevocation, At: mid, Container: 0, NoticeSeconds: 30, Seq: 0},

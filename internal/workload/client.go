@@ -100,15 +100,16 @@ func sortIndexUses(uses []dataflow.IndexUse) {
 	}
 }
 
-// PoissonNext samples a Poisson(lambda)-distributed inter-arrival gap (the
+// ArrivalGapSeconds is λ, the mean inter-arrival gap of the paper's
+// Dataflow Generator Client (Table 3: 60 s, one quantum).
+const ArrivalGapSeconds = 60
+
+// poissonNext samples a Poisson(λ)-distributed inter-arrival gap (the
 // paper's Dataflow Generator Client computes the arrival time of the next
-// dataflow as Pr(X=k) = λ^k e^-λ / k!, with λ = 60 seconds).
-func (gen *Generator) PoissonNext(lambda float64) float64 {
-	if lambda <= 0 {
-		return 0
-	}
+// dataflow as Pr(X=k) = λ^k e^-λ / k!, with λ = ArrivalGapSeconds).
+func (gen *Generator) poissonNext() float64 {
 	// Knuth's method; λ=60 keeps e^-λ (≈1e-27) comfortably in float64.
-	l := math.Exp(-lambda)
+	l := math.Exp(-ArrivalGapSeconds)
 	k := 0
 	p := 1.0
 	for {
@@ -120,19 +121,19 @@ func (gen *Generator) PoissonNext(lambda float64) float64 {
 	}
 }
 
-// Phase is one segment of the phase workload: dataflows of one application
+// phase is one segment of the phase workload: dataflows of one application
 // for a duration in seconds.
-type Phase struct {
-	App     App
-	Seconds float64
+type phase struct {
+	app     App
+	seconds float64
 }
 
-// DefaultPhasesFor returns the §6.1 phase schedule: CyberShake for 10000 s,
+// defaultPhasesFor returns the §6.1 phase schedule: CyberShake for 10000 s,
 // LIGO for 5000 s, Montage for 20000 s, CyberShake again for 8200 s — in
 // total 43200 s = 720 quanta — with every phase scaled by horizon/43200
 // when the horizon (in seconds) is shorter than that.
-func DefaultPhasesFor(horizon float64) []Phase {
-	phases := []Phase{
+func defaultPhasesFor(horizon float64) []phase {
+	phases := []phase{
 		{Cybershake, 10000},
 		{Ligo, 5000},
 		{Montage, 20000},
@@ -141,48 +142,49 @@ func DefaultPhasesFor(horizon float64) []Phase {
 	if horizon < 43200 {
 		f := horizon / 43200
 		for i := range phases {
-			phases[i].Seconds *= f
+			phases[i].seconds *= f
 		}
 	}
 	return phases
 }
 
-// PhaseWorkload generates Poisson arrivals over the phase schedule: each
-// arrival's application is determined by the phase containing its arrival
-// time. lambda is the mean inter-arrival gap in seconds.
-func (gen *Generator) PhaseWorkload(phases []Phase, lambda float64) []*dataflow.Flow {
+// PhaseWorkload generates Poisson arrivals over the §6.1 phase schedule
+// scaled to horizon seconds: each arrival's application is determined by
+// the phase containing its arrival time.
+func (gen *Generator) PhaseWorkload(horizon float64) []*dataflow.Flow {
+	phases := defaultPhasesFor(horizon)
 	var total float64
 	for _, p := range phases {
-		total += p.Seconds
+		total += p.seconds
 	}
 	appAt := func(t float64) App {
 		var acc float64
 		for _, p := range phases {
-			acc += p.Seconds
+			acc += p.seconds
 			if t < acc {
-				return p.App
+				return p.app
 			}
 		}
-		return phases[len(phases)-1].App
+		return phases[len(phases)-1].app
 	}
 	var flows []*dataflow.Flow
-	t := gen.PoissonNext(lambda)
+	t := gen.poissonNext()
 	for seq := 0; t < total; seq++ {
 		flows = append(flows, gen.Flow(appAt(t), seq, t))
-		t += gen.PoissonNext(lambda)
+		t += gen.poissonNext()
 	}
 	return flows
 }
 
 // RandomWorkload generates Poisson arrivals for total seconds, choosing the
 // application uniformly at random per dataflow (§6.5.2).
-func (gen *Generator) RandomWorkload(total, lambda float64) []*dataflow.Flow {
+func (gen *Generator) RandomWorkload(total float64) []*dataflow.Flow {
 	var flows []*dataflow.Flow
-	t := gen.PoissonNext(lambda)
+	t := gen.poissonNext()
 	for seq := 0; t < total; seq++ {
 		app := Apps[gen.rng.Intn(len(Apps))]
 		flows = append(flows, gen.Flow(app, seq, t))
-		t += gen.PoissonNext(lambda)
+		t += gen.poissonNext()
 	}
 	return flows
 }

@@ -164,7 +164,7 @@ func TestPoissonNextMean(t *testing.T) {
 	var sum float64
 	const n = 2000
 	for i := 0; i < n; i++ {
-		v := gen.PoissonNext(60)
+		v := gen.poissonNext()
 		if v < 0 {
 			t.Fatal("negative gap")
 		}
@@ -183,17 +183,17 @@ func TestPhaseWorkload(t *testing.T) {
 	// keeps the paper's 720 quanta.
 	for _, h := range []float64{7200, 43200, 86400} {
 		var total float64
-		for _, p := range DefaultPhasesFor(h) {
-			total += p.Seconds
+		for _, p := range defaultPhasesFor(h) {
+			total += p.seconds
 		}
 		if want := math.Min(h, 43200); math.Abs(total-want) > 1e-9 {
-			t.Errorf("DefaultPhasesFor(%g) spans %g s, want %g", h, total, want)
+			t.Errorf("defaultPhasesFor(%g) spans %g s, want %g", h, total, want)
 		}
 	}
-	if got := DefaultPhasesFor(7200)[0].Seconds; math.Abs(got-10000.0/6) > 1e-9 {
+	if got := defaultPhasesFor(7200)[0].seconds; math.Abs(got-10000.0/6) > 1e-9 {
 		t.Errorf("first phase at a 7200 s horizon = %g s, want 10000/6", got)
 	}
-	flows := gen.PhaseWorkload(DefaultPhasesFor(43200), 60)
+	flows := gen.PhaseWorkload(43200)
 	if len(flows) < 500 || len(flows) > 900 {
 		t.Errorf("phase workload = %d flows, want ~720", len(flows))
 	}
@@ -228,7 +228,7 @@ func TestPhaseWorkload(t *testing.T) {
 func TestRandomWorkloadMixesApps(t *testing.T) {
 	db := newDB(t)
 	gen := NewGenerator(db, 13)
-	flows := gen.RandomWorkload(10000, 60)
+	flows := gen.RandomWorkload(10000)
 	seen := map[string]bool{}
 	for _, f := range flows {
 		for _, a := range Apps {

@@ -133,7 +133,7 @@ stage_test() {
 	go test ./internal/sched -run '^$' -fuzz '^FuzzParetoPrefilter$' -fuzztime 5s
 	go test ./internal/check -run '^$' -fuzz '^FuzzSkyline$' -fuzztime 5s
 	go test ./internal/check -run '^$' -fuzz '^FuzzWarmFrontier$' -fuzztime 5s
-	go test ./internal/check -run '^$' -fuzz '^FuzzVectorizedEqualsScalar$' -fuzztime 5s
+	go test ./internal/check -run '^$' -fuzz '^FuzzVectorizedEqualsScalar$' -fuzztime 5s -fuzzminimizetime 50x
 	go test ./internal/sim -run '^$' -fuzz '^FuzzExecuteEqualsReference$' -fuzztime 5s
 	go test ./internal/pagestore -run '^$' -fuzz '^FuzzFileRuns$' -fuzztime 5s
 
