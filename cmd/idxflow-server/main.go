@@ -48,6 +48,7 @@ import (
 	"idxflow/internal/check"
 	"idxflow/internal/core"
 	"idxflow/internal/profiling"
+	"idxflow/internal/provenance"
 	"idxflow/internal/qaas"
 	"idxflow/internal/server"
 	"idxflow/internal/telemetry"
@@ -91,7 +92,7 @@ func build(args []string, stderr io.Writer) (srv *server.Server, addr string, dr
 		maxTen   = fs.Int("max-tenants", qaas.DefaultMaxTenants, "cap on distinct tenants a server instantiates (-1 disables)")
 		fleet    = fs.Int("fleet", qaas.DefaultFleet, "shared container fleet capacity; also the widest schedule")
 		pace     = fs.Float64("pace", 0, "wall-clock ms of container occupancy per billing quantum of makespan")
-		provCap  = fs.Int("prov-cap", qaas.DefaultProvenanceCapacity, "per-tenant provenance ring capacity in events: an upper bound, allocated 4096 events at a time")
+		provCap  = fs.Int("prov-cap", provenance.DefaultCapacity, "per-tenant provenance ring capacity in events: an upper bound, allocated 4096 events at a time")
 		audit    = fs.Bool("audit", true, "run check.Audit on every execution, verdict at /debug/audit")
 	)
 	fs.Bool("qaas", false, "ignored: the admission pipeline is the only mode")

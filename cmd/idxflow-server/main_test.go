@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"idxflow/internal/provenance"
 	"idxflow/internal/qaas"
 	"idxflow/internal/server"
 )
@@ -167,7 +168,7 @@ func TestFlagDefaultsAreThePipelineDefaults(t *testing.T) {
 		"tenant-inflight": qaas.DefaultTenantInflight,
 		"max-tenants":     qaas.DefaultMaxTenants,
 		"fleet":           qaas.DefaultFleet,
-		"prov-cap":        qaas.DefaultProvenanceCapacity,
+		"prov-cap":        provenance.DefaultCapacity,
 	} {
 		re := regexp.MustCompile(`(?m)^  -` + regexp.QuoteMeta(name) + ` int\n.*\(default (\d+)\)$`)
 		m := re.FindStringSubmatch(usage.String())

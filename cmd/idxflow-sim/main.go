@@ -18,8 +18,9 @@
 // faults, settlements) is written as a JSONL event log. -explain prints the
 // same decisions as a per-dataflow narrative instead.
 //
-// Exit status: 0 on success, 1 when the workload cannot be read or an output
-// file cannot be written, 2 for a bad flag value; the profile files are
+// Exit status: 0 on success, 1 when the workload cannot be read, an output
+// file cannot be written or the event log outgrew its ring
+// (provenance.DefaultCapacity events), 2 for a bad flag value; the profile files are
 // complete on every one. main_test.go drives run in-process against
 // testdata/explain_h120.golden (`make golden-update` re-records it).
 package main
@@ -149,6 +150,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	svc := core.NewService(cfg, db)
 	m := svc.Run(flows, horizonSec)
+	if err := complete(cfg.Provenance); err != nil {
+		return fail(1, err)
+	}
 
 	if *explain {
 		if err := provenance.Explain(stdout, cfg.Provenance.Snapshot()); err != nil {
@@ -211,6 +215,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "indexes available: %d (storage %.1f MB)\n",
 		svc.Catalog().AvailableCount(), storageMB)
 	return 0
+}
+
+// complete fails when rec's ring has wrapped, so -events and -explain never
+// emit a log missing its oldest events.
+func complete(rec *provenance.Recorder) error {
+	if d := rec.Dropped(); d > 0 {
+		return fmt.Errorf("provenance: the %d-event ring dropped %d of %d events", rec.Cap(), d, rec.Total())
+	}
+	return nil
 }
 
 func pct(a, b int) float64 {

@@ -177,6 +177,47 @@ func TestUnwritableEventsStillWritesTrace(t *testing.T) {
 	}
 }
 
+// TestRandomEventsLogIsComplete: the random generator's stock run records
+// about 35,000 events, and its -events log holds every one: the header's
+// total equals the event lines.
+func TestRandomEventsLogIsComplete(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-generator", "random", "-events", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, events, _ := bytes.Cut(log, []byte("\n"))
+	var header provenance.Header
+	if err := json.Unmarshal(first, &header); err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(events, []byte("\n")); header.Total == 0 || uint64(lines) != header.Total || header.Dropped != 0 {
+		t.Errorf("header total %d (dropped %d), %d event lines", header.Total, header.Dropped, lines)
+	}
+}
+
+// TestWrappedRingFails: a recorder that dropped events fails the command
+// with the dropped count, where -events or -explain would emit it.
+func TestWrappedRingFails(t *testing.T) {
+	rec := provenance.NewRecorder(4)
+	for i := 0; i < 10; i++ {
+		rec.Append(provenance.Event{Kind: provenance.KindFlowAdmitted})
+	}
+	if err := complete(rec); err == nil || !strings.Contains(err.Error(), "dropped 6 of 10") {
+		t.Errorf("complete(wrapped ring) = %v, want the dropped count", err)
+	}
+	if err := complete(provenance.NewRecorder(0)); err != nil {
+		t.Errorf("complete(empty ring) = %v", err)
+	}
+	if err := complete(nil); err != nil {
+		t.Errorf("complete(no recorder) = %v", err)
+	}
+}
+
 func TestBadFlagsReturnTwo(t *testing.T) {
 	for _, args := range [][]string{{"-no-such-flag"}, {"-strategy", "nope"}, {"-algo", "nope"}, {"-generator", "nope"}} {
 		var stdout, stderr bytes.Buffer

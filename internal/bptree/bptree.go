@@ -2,10 +2,11 @@
 // built once by bulk loading sorted entries and then read by point lookups
 // and sorted range scans. It is the physical index structure behind the
 // query-executor substrate used to measure the index speedups of Table 6
-// of the paper. A tree is built in one of two ways: BulkLoadSorted over
-// parallel key/value slices in memory, or BulkLoader from sorted batches
-// streamed out of an external sort (extsort.BuildIndexStreaming). Both
-// take entries already sorted by key; the package sorts nothing.
+// of the paper. A tree is built by one bulk loader, BulkLoader, from
+// sorted batches streamed out of an external sort
+// (extsort.BuildIndexStreaming); BulkLoadSorted feeds it parallel
+// key/value slices in memory as one batch. Entries arrive already sorted
+// by key; the package sorts nothing.
 //
 // Duplicate keys are supported. To keep lookups and range scans exact, a
 // run of equal keys is never split across two leaves: a leaf boundary moves
@@ -16,6 +17,7 @@ package bptree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -117,61 +119,15 @@ func (t *Tree) Scan(visit func(key, val int64) bool) {
 }
 
 // BulkLoadSorted builds a tree in O(n) from parallel key/value slices
-// sorted by key (ties in any order). The inputs are copied once into
-// exactly-sized backing arrays that the leaf level subslices in place, so
-// the whole load performs two data allocations regardless of tree size.
+// sorted by key (ties in any order): a BulkLoader fed the whole input as
+// one batch, into arrays sized to it, so the leaf level costs two data
+// allocations whatever the tree's size.
 func BulkLoadSorted(order int, keys, vals []int64) (*Tree, error) {
-	if order < 4 {
-		order = 4
+	b := newBulkLoader(order, len(keys))
+	if err := b.Append(keys, vals); err != nil {
+		return nil, err
 	}
-	if len(keys) != len(vals) {
-		return nil, fmt.Errorf("bptree: BulkLoadSorted length mismatch: %d keys, %d vals", len(keys), len(vals))
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] < keys[i-1] {
-			return nil, fmt.Errorf("bptree: BulkLoadSorted input not sorted at %d", i)
-		}
-	}
-	ks := make([]int64, len(keys))
-	copy(ks, keys)
-	vs := make([]int64, len(vals))
-	copy(vs, vals)
-	return bulkFromSorted(order, ks, vs), nil
-}
-
-// bulkFromSorted builds the tree over already-sorted parallel slices,
-// taking ownership of them: each leaf is a full-capacity subslice of the
-// inputs, which makes the leaf level allocation-free.
-func bulkFromSorted(order int, keys, vals []int64) *Tree {
-	t := &Tree{order: order, size: len(keys)}
-	if len(keys) == 0 {
-		t.root = &node{leaf: true}
-		return t
-	}
-
-	// Carve leaves in chunks of ~order entries, extending each chunk so a
-	// key run never crosses a boundary.
-	leaves := make([]*node, 0, (len(keys)+order-1)/order)
-	for i := 0; i < len(keys); {
-		end := i + order
-		if end > len(keys) {
-			end = len(keys)
-		}
-		for end < len(keys) && keys[end] == keys[end-1] {
-			end++
-		}
-		leaves = append(leaves, &node{
-			leaf: true,
-			keys: keys[i:end:end],
-			vals: vals[i:end:end],
-		})
-		i = end
-	}
-	for i := 0; i+1 < len(leaves); i++ {
-		leaves[i].next = leaves[i+1]
-	}
-	t.root = buildInternal(order, leaves)
-	return t
+	return b.Finish()
 }
 
 // buildInternal builds the internal levels bottom-up over the given leaf
@@ -207,36 +163,43 @@ func buildInternal(order int, leaves []*node) *node {
 	return level[0]
 }
 
-// BulkLoader builds a tree incrementally from sorted (key, value) batches,
-// sealing full leaves as the stream arrives — the streaming counterpart of
-// BulkLoadSorted for out-of-core builds (external-sort merges) where the
-// full key array never exists in memory. Keys must arrive in
+// blockLeaves is how many nominal leaves a streaming BulkLoader's key and
+// value arrays hold (4,096 entries at DefaultOrder), so a streamed tree
+// costs one pair of arrays per block of leaves, not one per leaf.
+const blockLeaves = 16
+
+// BulkLoader builds a tree from sorted (key, value) batches, sealing leaves
+// as the stream arrives, for out-of-core builds (external-sort merges)
+// where the full key array never exists in memory. Keys must arrive in
 // non-decreasing order across all Append calls; Finish assembles the
 // internal levels and returns the tree.
+//
+// Each batch is copied into shared key and value arrays, and each leaf is
+// a full-capacity subslice of them (cap == len). A leaf takes order
+// entries and then the rest of a run of equal keys, so a run is never
+// split across leaves.
 type BulkLoader struct {
-	order  int
-	leaves []*node
-	// curKeys and curVals stage the pending leaf. They are reused from leaf
-	// to leaf; seal copies them out at their exact length, so a run of
-	// equal keys that grows a leaf past order leaves no slack behind.
-	curKeys  []int64
-	curVals  []int64
-	lastKey  int64
-	any      bool
-	finished bool
+	order int
+	block int // entries per fresh pair of arrays
+	// keys and vals are the current arrays; keys[start:] is the pending
+	// leaf, whose end is not known yet.
+	keys, vals []int64
+	start      int
+	leaves     []*node
+	finished   bool
 }
 
 // NewBulkLoader returns a loader for a tree of the given order (orders
-// below 4 are raised to 4, matching BulkLoadSorted).
+// below 4 are raised to 4).
 func NewBulkLoader(order int) *BulkLoader {
-	if order < 4 {
-		order = 4
-	}
-	return &BulkLoader{
-		order:   order,
-		curKeys: make([]int64, 0, order),
-		curVals: make([]int64, 0, order),
-	}
+	b := newBulkLoader(order, blockLeaves*max(order, 4))
+	return &b
+}
+
+// newBulkLoader returns a loader whose arrays take block entries at a time.
+func newBulkLoader(order, block int) BulkLoader {
+	order = max(order, 4)
+	return BulkLoader{order: order, block: block, leaves: make([]*node, 0, (block+order-1)/order)}
 }
 
 // Append adds a sorted batch of entries. The slices are copied; callers
@@ -247,38 +210,79 @@ func (b *BulkLoader) Append(keys, vals []int64) error {
 		return errors.New("bptree: BulkLoader used after Finish")
 	}
 	if len(keys) != len(vals) {
-		return fmt.Errorf("bptree: BulkLoader.Append length mismatch: %d keys, %d vals", len(keys), len(vals))
+		return fmt.Errorf("bptree: bulk load length mismatch: %d keys, %d vals", len(keys), len(vals))
+	}
+	last := int64(math.MinInt64)
+	if n := len(b.keys); n > 0 {
+		last = b.keys[n-1]
 	}
 	for i, k := range keys {
-		if b.any && k < b.lastKey {
-			return fmt.Errorf("bptree: BulkLoader.Append key %d at %d regresses below %d", k, i, b.lastKey)
+		if k < last {
+			return fmt.Errorf("bptree: bulk load key %d at %d regresses below %d", k, i, last)
 		}
-		// Seal the pending leaf once it is full and the next key differs —
-		// the same boundary rule as bulkFromSorted: a run of equal keys is
-		// never split across leaves.
-		if len(b.curKeys) >= b.order && k != b.lastKey {
-			b.seal()
+		last = k
+	}
+	for len(keys) > 0 {
+		var n int
+		if from := len(b.keys); from < cap(b.keys) {
+			n = copy(b.keys[from:cap(b.keys)], keys)
+			copy(b.vals[from:from+n], vals)
+			b.keys, b.vals = b.keys[:from+n], b.vals[:from+n]
+		} else {
+			n = b.move(keys, vals)
 		}
-		b.curKeys = append(b.curKeys, k)
-		b.curVals = append(b.curVals, vals[i])
-		b.lastKey = k
-		b.any = true
+		keys, vals = keys[n:], vals[n:]
+		b.carve(len(b.keys) - n)
 	}
 	return nil
 }
 
-// seal turns the staged entries into a leaf whose arrays hold exactly
-// them (cap == len).
-func (b *BulkLoader) seal() {
-	leaf := &node{
-		leaf: true,
-		keys: make([]int64, len(b.curKeys)),
-		vals: make([]int64, len(b.curVals)),
+// carve seals every leaf whose end is now known: the first key change at
+// or past start+order. Entries below from were in the arrays at the last
+// carve, which found no such change among them.
+func (b *BulkLoader) carve(from int) {
+	for {
+		end := max(b.start+b.order, from)
+		for end < len(b.keys) && b.keys[end] == b.keys[end-1] {
+			end++
+		}
+		if end >= len(b.keys) {
+			return
+		}
+		b.seal(end)
 	}
-	copy(leaf.keys, b.curKeys)
-	copy(leaf.vals, b.curVals)
-	b.leaves = append(b.leaves, leaf)
-	b.curKeys, b.curVals = b.curKeys[:0], b.curVals[:0]
+}
+
+// seal makes keys[start:end] a leaf.
+func (b *BulkLoader) seal(end int) {
+	b.leaves = append(b.leaves, &node{
+		leaf: true,
+		keys: b.keys[b.start:end:end],
+		vals: b.vals[b.start:end:end],
+	})
+	b.start = end
+}
+
+// move starts a fresh pair of arrays once the current ones are full and
+// returns how many entries of the batch it took. The arrays start with the
+// pending leaf, or with the batch's head when none is pending (the first
+// batch): make+copy zeroes only what the copy leaves empty, so a one-batch
+// load zeroes nothing. A pending run longer than half a block doubles the
+// arrays, so a run is copied O(1) times per entry.
+func (b *BulkLoader) move(keys, vals []int64) (took int) {
+	size := max(b.block, 2*(len(b.keys)-b.start))
+	if b.start < len(b.keys) {
+		keys, vals = b.keys[b.start:], b.vals[b.start:]
+	} else {
+		took = min(len(keys), size)
+		keys, vals = keys[:took], vals[:took]
+	}
+	nk := make([]int64, size)
+	copy(nk, keys)
+	nv := make([]int64, size)
+	copy(nv, vals)
+	b.keys, b.vals, b.start = nk[:len(keys)], nv[:len(vals)], 0
+	return took
 }
 
 // Finish seals the pending leaf, links the leaf chain, builds the internal
@@ -288,21 +292,18 @@ func (b *BulkLoader) Finish() (*Tree, error) {
 		return nil, errors.New("bptree: BulkLoader.Finish called twice")
 	}
 	b.finished = true
-	if len(b.curKeys) > 0 {
-		b.seal()
+	if b.start < len(b.keys) || len(b.leaves) == 0 {
+		b.seal(len(b.keys)) // an empty load is one empty leaf
 	}
 	t := &Tree{order: b.order}
-	if len(b.leaves) == 0 {
-		t.root = &node{leaf: true}
-		return t, nil
+	for i, leaf := range b.leaves {
+		if i > 0 {
+			b.leaves[i-1].next = leaf
+		}
+		t.size += len(leaf.keys)
 	}
-	for i := 0; i+1 < len(b.leaves); i++ {
-		b.leaves[i].next = b.leaves[i+1]
-		t.size += len(b.leaves[i].keys)
-	}
-	t.size += len(b.leaves[len(b.leaves)-1].keys)
 	t.root = buildInternal(b.order, b.leaves)
-	b.leaves, b.curKeys, b.curVals = nil, nil, nil
+	b.leaves = nil
 	return t, nil
 }
 

@@ -4,66 +4,40 @@ import (
 	"math"
 )
 
-// Backoff is a capped exponential backoff policy with deterministic
-// jitter, used to retry transient storage-service errors (network blips,
-// throttling) without hammering the service or synchronizing retries
-// across containers. It is pure arithmetic: the jitter is derived from the
+// The storage-retry policy: a capped exponential backoff with
+// deterministic jitter, used to retry transient storage-service errors
+// (network blips, throttling) without hammering the service or
+// synchronizing retries across containers. The first retry waits about
+// 1 s, each later one twice the last, and none more than 30 s.
+const (
+	backoffBaseSeconds = 1.0
+	backoffFactor      = 2.0
+	backoffCapSeconds  = 30.0
+)
+
+// RetryBackoff returns the summed wait across `attempts` failed tries: the
+// extra seconds a transfer loses to a transient error that succeeds on the
+// attempt after. It is pure arithmetic: the jitter is derived from the
 // attempt number and a caller-supplied salt, so a retried execution is
 // reproducible bit for bit.
-type Backoff struct {
-	// BaseSeconds is the first retry delay (default 1 s).
-	BaseSeconds float64
-	// CapSeconds bounds any single delay (default 30 s).
-	CapSeconds float64
-	// Factor multiplies the delay per attempt (default 2).
-	Factor float64
-}
-
-// DefaultBackoff returns the storage-retry policy: 1 s base, doubling,
-// capped at 30 s.
-func DefaultBackoff() Backoff {
-	return Backoff{BaseSeconds: 1, CapSeconds: 30, Factor: 2}
-}
-
-// withDefaults fills zero fields so the zero value is usable.
-func (b Backoff) withDefaults() Backoff {
-	if b.BaseSeconds <= 0 {
-		b.BaseSeconds = 1
-	}
-	if b.CapSeconds <= 0 {
-		b.CapSeconds = 30
-	}
-	if b.Factor <= 1 {
-		b.Factor = 2
-	}
-	return b
-}
-
-// Delay returns the wait before retry attempt (0-based): the capped
-// exponential base*Factor^attempt, jittered to 50–100% of its value by a
-// deterministic hash of (attempt, salt) — "equal jitter", which keeps the
-// expected delay while decorrelating concurrent retriers.
-func (b Backoff) Delay(attempt int, salt int64) float64 {
-	b = b.withDefaults()
-	if attempt < 0 {
-		attempt = 0
-	}
-	d := b.BaseSeconds * math.Pow(b.Factor, float64(attempt))
-	if d > b.CapSeconds {
-		d = b.CapSeconds
-	}
-	return d/2 + d/2*jitter01(attempt, salt)
-}
-
-// TotalDelay returns the summed wait across `attempts` failed tries — the
-// extra seconds a transfer loses to a transient error that succeeds on the
-// attempt after.
-func (b Backoff) TotalDelay(attempts int, salt int64) float64 {
+func RetryBackoff(attempts int, salt int64) float64 {
 	var total float64
 	for i := 0; i < attempts; i++ {
-		total += b.Delay(i, salt)
+		total += backoffDelay(i, salt)
 	}
 	return total
+}
+
+// backoffDelay returns the wait before retry attempt (0-based): the capped
+// exponential base*factor^attempt, jittered to 50–100% of its value by a
+// deterministic hash of (attempt, salt) — "equal jitter", which keeps the
+// expected delay while decorrelating concurrent retriers.
+func backoffDelay(attempt int, salt int64) float64 {
+	d := backoffBaseSeconds * math.Pow(backoffFactor, float64(attempt))
+	if d > backoffCapSeconds {
+		d = backoffCapSeconds
+	}
+	return d/2 + d/2*jitter01(attempt, salt)
 }
 
 // jitter01 maps (attempt, salt) to [0, 1) with a splitmix64-style hash:

@@ -5,99 +5,68 @@ import (
 	"testing"
 )
 
+// full is the un-jittered delay of an attempt: 1 s doubling, capped at 30 s.
+func full(attempt int) float64 {
+	return math.Min(math.Pow(2, float64(attempt)), 30)
+}
+
+// TestBackoffDelayBoundsAndGrowth: each delay lies in [d/2, d) of the
+// capped exponential d, which doubles from 1 s per attempt.
 func TestBackoffDelayBoundsAndGrowth(t *testing.T) {
-	b := DefaultBackoff()
-	prevMax := 0.0
 	for attempt := 0; attempt < 10; attempt++ {
-		d := b.Delay(attempt, 1)
-		// Equal jitter keeps each delay within [half, full] of the capped
-		// exponential.
-		full := 1.0
-		for i := 0; i < attempt; i++ {
-			full *= 2
-		}
-		if full > b.CapSeconds {
-			full = b.CapSeconds
-		}
-		if d < full/2 || d >= full {
-			t.Errorf("attempt %d: delay %g outside [%g, %g)", attempt, d, full/2, full)
-		}
-		if full >= prevMax {
-			prevMax = full
+		d, f := backoffDelay(attempt, 1), full(attempt)
+		if d < f/2 || d >= f {
+			t.Errorf("attempt %d: delay %g outside [%g, %g)", attempt, d, f/2, f)
 		}
 	}
-	// The cap binds for late attempts.
-	if d := b.Delay(50, 1); d >= b.CapSeconds {
-		t.Errorf("capped delay %g >= cap %g", d, b.CapSeconds)
+	if full(4) != 16 || full(5) != 30 {
+		t.Fatalf("the policy's un-jittered delays are %g and %g at attempts 4 and 5", full(4), full(5))
 	}
 }
 
 func TestBackoffDeterministic(t *testing.T) {
-	b := Backoff{} // zero value usable via defaults
-	if b.Delay(3, 9) != b.Delay(3, 9) {
+	if backoffDelay(3, 9) != backoffDelay(3, 9) || RetryBackoff(3, 9) != RetryBackoff(3, 9) {
 		t.Error("same (attempt, salt) gave different delays")
 	}
-	if b.Delay(3, 9) == b.Delay(3, 10) {
+	if backoffDelay(3, 9) == backoffDelay(3, 10) {
 		t.Error("different salts gave identical jitter")
-	}
-	if b.Delay(-5, 1) != b.Delay(0, 1) {
-		t.Error("negative attempt should clamp to 0")
 	}
 }
 
 func TestBackoffTotalDelay(t *testing.T) {
-	b := DefaultBackoff()
 	var sum float64
 	for i := 0; i < 4; i++ {
-		sum += b.Delay(i, 77)
+		sum += backoffDelay(i, 77)
 	}
-	if got := b.TotalDelay(4, 77); got != sum {
-		t.Errorf("TotalDelay = %g, want the sum of per-attempt delays %g", got, sum)
+	if got := RetryBackoff(4, 77); got != sum {
+		t.Errorf("RetryBackoff = %g, want the sum of per-attempt delays %g", got, sum)
 	}
-	if b.TotalDelay(0, 1) != 0 {
+	if RetryBackoff(0, 1) != 0 {
 		t.Error("zero attempts should cost nothing")
 	}
 }
 
-// TestBackoffCapSaturation: once the exponential crosses the cap, every
-// later attempt draws from the same [cap/2, cap) band — the policy must
-// not keep growing, overflow, or collapse for very large attempt numbers.
+// TestBackoffCapSaturation: from attempt 5 on, where 2^5 crosses the 30 s
+// cap, every attempt draws from the same [15, 30) band: the policy must not
+// keep growing, overflow, or collapse for very large attempt numbers.
 func TestBackoffCapSaturation(t *testing.T) {
-	cases := []struct {
-		name string
-		b    Backoff
-		// firstCapped is the first attempt whose uncapped exponential
-		// reaches the cap.
-		firstCapped int
-	}{
-		{"default policy", Backoff{BaseSeconds: 1, CapSeconds: 30, Factor: 2}, 5},
-		{"tight cap", Backoff{BaseSeconds: 1, CapSeconds: 2, Factor: 2}, 1},
-		{"cap below base", Backoff{BaseSeconds: 8, CapSeconds: 4, Factor: 2}, 0},
-		{"slow growth", Backoff{BaseSeconds: 1, CapSeconds: 10, Factor: 1.5}, 6},
-		{"huge factor", Backoff{BaseSeconds: 0.5, CapSeconds: 30, Factor: 64}, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, attempt := range []int{tc.firstCapped, tc.firstCapped + 1, tc.firstCapped + 10, 63, 200, 1 << 20} {
-				if attempt < tc.firstCapped {
-					continue
-				}
-				d := tc.b.Delay(attempt, 42)
-				if math.IsNaN(d) || math.IsInf(d, 0) {
-					t.Fatalf("attempt %d: non-finite delay %g", attempt, d)
-				}
-				if d < tc.b.CapSeconds/2 || d >= tc.b.CapSeconds {
-					t.Errorf("attempt %d: saturated delay %g outside [%g, %g)",
-						attempt, d, tc.b.CapSeconds/2, tc.b.CapSeconds)
-				}
+	t.Run("default policy", func(t *testing.T) {
+		for _, attempt := range []int{5, 6, 15, 63, 200, 1 << 20} {
+			d := backoffDelay(attempt, 42)
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				t.Fatalf("attempt %d: non-finite delay %g", attempt, d)
 			}
-			// Saturation also bounds the total: n attempts never cost more
-			// than n caps.
-			if got, lim := tc.b.TotalDelay(50, 42), 50*tc.b.CapSeconds; got >= lim {
-				t.Errorf("TotalDelay(50) = %g, want < %g", got, lim)
+			if d < backoffCapSeconds/2 || d >= backoffCapSeconds {
+				t.Errorf("attempt %d: saturated delay %g outside [%g, %g)",
+					attempt, d, backoffCapSeconds/2, backoffCapSeconds)
 			}
-		})
-	}
+		}
+		// Saturation also bounds the total: n attempts never cost more
+		// than n caps.
+		if got, lim := RetryBackoff(50, 42), 50*backoffCapSeconds; got >= lim {
+			t.Errorf("RetryBackoff(50) = %g, want < %g", got, lim)
+		}
+	})
 }
 
 // TestBackoffJitterDeterminismAcrossSeeds: for a grid of (attempt, salt)
@@ -106,15 +75,14 @@ func TestBackoffCapSaturation(t *testing.T) {
 // the same attempt must not produce a constant, and the empirical mean
 // stays near the 75%-of-full "equal jitter" center.
 func TestBackoffJitterDeterminismAcrossSeeds(t *testing.T) {
-	b := DefaultBackoff()
 	for attempt := 0; attempt <= 6; attempt++ {
-		full := math.Min(b.BaseSeconds*math.Pow(b.Factor, float64(attempt)), b.CapSeconds)
+		f := full(attempt)
 		distinct := map[float64]bool{}
 		var sum float64
 		const salts = 512
 		for salt := int64(0); salt < salts; salt++ {
-			d1 := b.Delay(attempt, salt)
-			d2 := b.Delay(attempt, salt)
+			d1 := backoffDelay(attempt, salt)
+			d2 := backoffDelay(attempt, salt)
 			if d1 != d2 {
 				t.Fatalf("attempt %d salt %d: %g then %g — jitter not deterministic", attempt, salt, d1, d2)
 			}
@@ -125,45 +93,26 @@ func TestBackoffJitterDeterminismAcrossSeeds(t *testing.T) {
 			t.Errorf("attempt %d: only %d distinct delays across %d salts", attempt, len(distinct), salts)
 		}
 		mean := sum / salts
-		if mean < 0.70*full || mean > 0.80*full {
-			t.Errorf("attempt %d: mean delay %g not near the equal-jitter center %g", attempt, mean, 0.75*full)
+		if mean < 0.70*f || mean > 0.80*f {
+			t.Errorf("attempt %d: mean delay %g not near the equal-jitter center %g", attempt, mean, 0.75*f)
 		}
 	}
 }
 
 // TestBackoffZeroAttemptEdge pins the edge semantics at and below zero:
-// attempt 0 is the base delay band, negative attempts clamp to it, and a
-// zero-attempt retry sequence costs nothing regardless of policy.
+// attempt 0 is the 1 s base band, and a retry sequence of zero or fewer
+// attempts costs nothing.
 func TestBackoffZeroAttemptEdge(t *testing.T) {
-	cases := []struct {
-		name string
-		b    Backoff
-		base float64 // effective base after defaults
-	}{
-		{"default", DefaultBackoff(), 1},
-		{"zero value uses defaults", Backoff{}, 1},
-		{"custom base", Backoff{BaseSeconds: 4, CapSeconds: 100, Factor: 3}, 4},
-		{"base above cap", Backoff{BaseSeconds: 50, CapSeconds: 10, Factor: 2}, 10},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, salt := range []int64{0, 1, -9, 1 << 40} {
-				d0 := tc.b.Delay(0, salt)
-				if d0 < tc.base/2 || d0 >= tc.base {
-					t.Errorf("salt %d: attempt-0 delay %g outside [%g, %g)", salt, d0, tc.base/2, tc.base)
-				}
-				for _, neg := range []int{-1, -100} {
-					if got := tc.b.Delay(neg, salt); got != d0 {
-						t.Errorf("salt %d: Delay(%d) = %g, want clamp to attempt 0 (%g)", salt, neg, got, d0)
-					}
-				}
-				if got := tc.b.TotalDelay(0, salt); got != 0 {
-					t.Errorf("salt %d: TotalDelay(0) = %g, want 0", salt, got)
-				}
-				if got := tc.b.TotalDelay(-3, salt); got != 0 {
-					t.Errorf("salt %d: TotalDelay(-3) = %g, want 0", salt, got)
+	t.Run("default", func(t *testing.T) {
+		for _, salt := range []int64{0, 1, -9, 1 << 40} {
+			if d0 := backoffDelay(0, salt); d0 < 0.5 || d0 >= 1 {
+				t.Errorf("salt %d: attempt-0 delay %g outside [0.5, 1)", salt, d0)
+			}
+			for _, attempts := range []int{0, -3} {
+				if got := RetryBackoff(attempts, salt); got != 0 {
+					t.Errorf("salt %d: RetryBackoff(%d) = %g, want 0", salt, attempts, got)
 				}
 			}
-		})
-	}
+		}
+	})
 }

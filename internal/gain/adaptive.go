@@ -15,35 +15,31 @@ import "math"
 // per-index controller and feed the tuner's observations through
 // ObserveDeleted / ObserveRequested / ObserveIdle.
 type AdaptiveFader struct {
-	// Base is the starting controller for unseen indexes (quanta).
-	Base float64
-	// Min and Max clamp the learned values.
-	Min, Max float64
-	// GrowFactor (>1) is applied on a premature deletion; ShrinkFactor
-	// (<1) on prolonged idleness.
-	GrowFactor, ShrinkFactor float64
-	// RegretWindow is the number of quanta after a deletion within which a
-	// renewed request counts as premature.
-	RegretWindow float64
-
+	// base is the starting controller for unseen indexes (quanta); the
+	// learned values are clamped to [base/8, 16*base].
+	base      float64
 	perIndex  map[string]float64
 	deletedAt map[string]float64
 }
 
-// NewAdaptiveFader returns a fader with sensible defaults around base.
+// A premature deletion multiplies an index's controller by growFactor,
+// prolonged idleness by shrinkFactor. A request within regretWindows
+// base controllers of a deletion counts as premature.
+const (
+	growFactor    = 1.5
+	shrinkFactor  = 0.8
+	regretWindows = 4
+)
+
+// NewAdaptiveFader returns a fader around base (1 when base <= 0).
 func NewAdaptiveFader(base float64) *AdaptiveFader {
 	if base <= 0 {
 		base = 1
 	}
 	return &AdaptiveFader{
-		Base:         base,
-		Min:          base / 8,
-		Max:          base * 16,
-		GrowFactor:   1.5,
-		ShrinkFactor: 0.8,
-		RegretWindow: 4 * base,
-		perIndex:     make(map[string]float64),
-		deletedAt:    make(map[string]float64),
+		base:      base,
+		perIndex:  make(map[string]float64),
+		deletedAt: make(map[string]float64),
 	}
 }
 
@@ -52,17 +48,11 @@ func (a *AdaptiveFader) D(index string) float64 {
 	if d, ok := a.perIndex[index]; ok {
 		return d
 	}
-	return a.Base
+	return a.base
 }
 
 func (a *AdaptiveFader) set(index string, d float64) {
-	if d < a.Min {
-		d = a.Min
-	}
-	if d > a.Max {
-		d = a.Max
-	}
-	a.perIndex[index] = d
+	a.perIndex[index] = min(max(d, a.base/8), a.base*16)
 }
 
 // ObserveDeleted records that the tuner dropped the index at time
@@ -76,8 +66,8 @@ func (a *AdaptiveFader) ObserveDeleted(index string, nowQuanta float64) {
 // too aggressive: D grows.
 func (a *AdaptiveFader) ObserveRequested(index string, nowQuanta float64) {
 	if del, ok := a.deletedAt[index]; ok {
-		if nowQuanta-del <= a.RegretWindow {
-			a.set(index, a.D(index)*a.GrowFactor)
+		if nowQuanta-del <= regretWindows*a.base {
+			a.set(index, a.D(index)*growFactor)
 		}
 		delete(a.deletedAt, index)
 	}
@@ -88,7 +78,7 @@ func (a *AdaptiveFader) ObserveRequested(index string, nowQuanta float64) {
 // fading was too slow: D shrinks.
 func (a *AdaptiveFader) ObserveIdle(index string, idleQuanta float64) {
 	if idleQuanta > 3*a.D(index) {
-		a.set(index, a.D(index)*a.ShrinkFactor)
+		a.set(index, a.D(index)*shrinkFactor)
 	}
 }
 

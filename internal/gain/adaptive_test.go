@@ -10,8 +10,8 @@ func TestAdaptiveDefaults(t *testing.T) {
 	if got := a.D("x"); got != 10 {
 		t.Errorf("D(unseen) = %g, want base 10", got)
 	}
-	if a := NewAdaptiveFader(0); a.Base != 1 {
-		t.Errorf("zero base not defaulted: %g", a.Base)
+	if a := NewAdaptiveFader(0); a.base != 1 {
+		t.Errorf("zero base not defaulted: %g", a.base)
 	}
 }
 
@@ -52,14 +52,14 @@ func TestAdaptiveClamps(t *testing.T) {
 		a.ObserveDeleted("x", float64(i*10))
 		a.ObserveRequested("x", float64(i*10)+1)
 	}
-	if got := a.D("x"); got > a.Max {
-		t.Errorf("D = %g exceeds max %g", got, a.Max)
+	if got := a.D("x"); got != 160 {
+		t.Errorf("D = %g, want the max 16*base = 160", got)
 	}
 	for i := 0; i < 100; i++ {
 		a.ObserveIdle("y", 1e9)
 	}
-	if got := a.D("y"); got < a.Min {
-		t.Errorf("D = %g below min %g", got, a.Min)
+	if got := a.D("y"); got != 1.25 {
+		t.Errorf("D = %g, want the min base/8 = 1.25", got)
 	}
 }
 

@@ -178,9 +178,12 @@ type Event struct {
 	Alts         []ParetoPoint `json:"alts,omitempty"` // rejected Pareto alternatives
 }
 
-// DefaultCapacity is the ring size used by NewRecorder(0): large enough to
-// hold every event of the stock experiment scenarios without wrapping.
-const DefaultCapacity = 16384
+// DefaultCapacity is the ring size used by NewRecorder(0) and a server
+// tenant's default: 262,144 events, 60 MB when full, which makes the rings
+// most of a server's memory. A 720-quantum idxflow-sim run records about
+// 35,000 events with the random generator, and a 1,440-quantum one about
+// 130,000.
+const DefaultCapacity = 262144
 
 // chunkEvents is how many events one ring chunk holds (≈0.94 MB of
 // Events). The ring grows a chunk at a time rather than by append

@@ -49,9 +49,6 @@ const (
 	DefaultTenantInflight = 64
 	DefaultFleet          = 64
 	DefaultMaxTenants     = 256
-	// DefaultProvenanceCapacity bounds a tenant's provenance ring in
-	// events. The rings are most of a server's memory.
-	DefaultProvenanceCapacity = 262144
 )
 
 // retryAfter is the backpressure hint returned with every rejection.
@@ -132,7 +129,7 @@ type Config struct {
 	// throughput experiments measure overlap, not just CPU time.
 	PaceMSPerQuantum float64
 	// ProvenanceCapacity is each tenant's flight-recorder ring size
-	// (default DefaultProvenanceCapacity): an upper bound, which the ring
+	// (default provenance.DefaultCapacity): an upper bound, which the ring
 	// grows towards as the tenant records events. Size it above the expected
 	// events-per-tenant: a wrapped ring is unsound for AuditProvenance.
 	ProvenanceCapacity int
@@ -230,7 +227,7 @@ func New(cfg Config) *Pipeline {
 		cfg.FleetContainers = DefaultFleet
 	}
 	if cfg.ProvenanceCapacity <= 0 {
-		cfg.ProvenanceCapacity = DefaultProvenanceCapacity
+		cfg.ProvenanceCapacity = provenance.DefaultCapacity
 	}
 	if cfg.Core.Sched.MaxContainers <= 0 ||
 		cfg.Core.Sched.MaxContainers > cfg.FleetContainers {

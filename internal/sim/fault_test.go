@@ -160,7 +160,7 @@ func TestStorageErrorDelaysWithBackoff(t *testing.T) {
 	cf := cfg()
 	res := New(cf).Execute(nil, s, []fault.Event{{Seq: 0, Kind: fault.StorageError, At: 0, Container: 0, Retries: 3}})
 	r := res.Ops[a]
-	delay := cloud.DefaultBackoff().TotalDelay(3, 0)
+	delay := cloud.RetryBackoff(3, 0)
 	if delay <= 0 {
 		t.Fatal("expected a positive retry delay")
 	}

@@ -122,7 +122,7 @@ func (fs *refFaultState) storageDelay(c int, t float64, mark func(fault.Event)) 
 	for _, e := range fs.storage[c] {
 		if e.At <= t+timeEps && !fs.consumedStorage[e.Seq] {
 			fs.consumedStorage[e.Seq] = true
-			d += cloud.DefaultBackoff().TotalDelay(e.Retries, int64(e.Seq))
+			d += cloud.RetryBackoff(e.Retries, int64(e.Seq))
 			mark(e)
 		}
 	}

@@ -566,12 +566,12 @@ func (r *replay) slowFactor(row *container, t float64) float64 {
 }
 
 // storageDelay consumes every storage-error event on row due by t, each a
-// fault injected and recovered, and returns the summed retry backoff under
-// cloud.DefaultBackoff.
+// fault injected and recovered, and returns the summed retry backoff
+// (cloud.RetryBackoff).
 func (r *replay) storageDelay(row *container, t float64) float64 {
 	var d float64
 	for _, e := range row.storage.due(t) {
-		d += cloud.DefaultBackoff().TotalDelay(e.Retries, int64(e.Seq))
+		d += cloud.RetryBackoff(e.Retries, int64(e.Seq))
 		r.markInjected(e)
 		r.markRecovered(e)
 	}

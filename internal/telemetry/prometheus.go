@@ -61,9 +61,7 @@ func (f *family) write(w io.Writer) error {
 	for _, v := range views {
 		var err error
 		switch m := v.metric.(type) {
-		case *Counter:
-			_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, v.labels, formatFloat(m.Value()))
-		case *Gauge:
+		case interface{ Value() float64 }: // *Counter, *Gauge
 			_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, v.labels, formatFloat(m.Value()))
 		case *Histogram:
 			err = writeHistogram(w, f.name, v.labels, m)

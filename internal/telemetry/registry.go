@@ -45,42 +45,10 @@ func (k metricKind) String() string {
 	}
 }
 
-// Counter is a monotonically non-decreasing value. The zero value is ready
-// to use; a nil Counter is a no-op.
-type Counter struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add increases the counter by v; negative or NaN deltas are ignored (a
-// counter never goes down).
-func (c *Counter) Add(v float64) {
-	if c == nil || !(v > 0) {
-		return
-	}
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return math.Float64frombits(c.bits.Load())
-}
-
 // Gauge is a value that can go up and down. The zero value is ready to
 // use; a nil Gauge is a no-op.
 type Gauge struct {
-	bits atomic.Uint64
+	bits atomic.Uint64 // float64 bits
 }
 
 // Set replaces the gauge value.
@@ -112,6 +80,25 @@ func (g *Gauge) Value() float64 {
 	}
 	return math.Float64frombits(g.bits.Load())
 }
+
+// Counter is a monotonically non-decreasing value: a Gauge that takes only
+// positive deltas. The zero value is ready to use; a nil Counter is a
+// no-op.
+type Counter Gauge
+
+// Inc adds 1.
+func (c *Counter) Inc() { c.Add(1) }
+
+// Add increases the counter by v; negative or NaN deltas are ignored (a
+// counter never goes down).
+func (c *Counter) Add(v float64) {
+	if v > 0 {
+		(*Gauge)(c).Add(v)
+	}
+}
+
+// Value returns the current count.
+func (c *Counter) Value() float64 { return (*Gauge)(c).Value() }
 
 // Histogram counts observations into fixed buckets (cumulative on export,
 // like Prometheus). A nil Histogram is a no-op.
@@ -330,90 +317,63 @@ func (f *family) get(key string) any {
 	return m
 }
 
-// Counter returns the unlabeled counter with the given name, registering
-// it on first use.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
+// Vec is a metric family with label dimensions; a nil Vec hands out nil
+// metrics.
+type Vec[M Counter | Gauge | Histogram] struct{ f *family }
+
+// CounterVec, GaugeVec and HistogramVec are the labeled families.
+type (
+	CounterVec   = Vec[Counter]
+	GaugeVec     = Vec[Gauge]
+	HistogramVec = Vec[Histogram]
+)
+
+// With returns the metric for the given label values (one per label key,
+// in registration order), creating it on first use.
+func (v *Vec[M]) With(labelValues ...string) *M {
+	if v == nil {
 		return nil
 	}
-	return r.getFamily(name, help, kindCounter, nil, nil).get("").(*Counter)
+	return v.f.get(v.f.encode(labelValues)).(*M)
 }
 
-// Gauge returns the unlabeled gauge with the given name.
-func (r *Registry) Gauge(name, help string) *Gauge {
+// vec gets or creates the family and wraps it; a nil registry gives a nil
+// Vec.
+func vec[M Counter | Gauge | Histogram](r *Registry, name, help string, kind metricKind, buckets []float64, labelKeys []string) *Vec[M] {
 	if r == nil {
 		return nil
 	}
-	return r.getFamily(name, help, kindGauge, nil, nil).get("").(*Gauge)
+	return &Vec[M]{f: r.getFamily(name, help, kind, labelKeys, buckets)}
 }
+
+// Counter returns the unlabeled counter with the given name, registering
+// it on first use.
+func (r *Registry) Counter(name, help string) *Counter { return r.CounterVec(name, help).With() }
+
+// Gauge returns the unlabeled gauge with the given name.
+func (r *Registry) Gauge(name, help string) *Gauge { return r.GaugeVec(name, help).With() }
 
 // Histogram returns the unlabeled histogram with the given name. buckets
 // are the ascending upper bounds (the +Inf bucket is implicit); nil means
 // DefBuckets. Buckets are fixed by the first registration.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.getFamily(name, help, kindHistogram, nil, buckets).get("").(*Histogram)
+	return r.HistogramVec(name, help, buckets).With()
 }
-
-// CounterVec is a counter family with label dimensions.
-type CounterVec struct{ f *family }
 
 // CounterVec returns the labeled counter family with the given name.
 func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	return &CounterVec{f: r.getFamily(name, help, kindCounter, labelKeys, nil)}
+	return vec[Counter](r, name, help, kindCounter, nil, labelKeys)
 }
-
-// With returns the counter for the given label values (one per label key,
-// in registration order).
-func (v *CounterVec) With(labelValues ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(v.f.encode(labelValues)).(*Counter)
-}
-
-// GaugeVec is a gauge family with label dimensions.
-type GaugeVec struct{ f *family }
 
 // GaugeVec returns the labeled gauge family with the given name.
 func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.getFamily(name, help, kindGauge, labelKeys, nil)}
+	return vec[Gauge](r, name, help, kindGauge, nil, labelKeys)
 }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(v.f.encode(labelValues)).(*Gauge)
-}
-
-// HistogramVec is a histogram family with label dimensions.
-type HistogramVec struct{ f *family }
 
 // HistogramVec returns the labeled histogram family with the given name
 // and shared buckets (nil means DefBuckets).
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labelKeys ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	return &HistogramVec{f: r.getFamily(name, help, kindHistogram, labelKeys, buckets)}
-}
-
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(v.f.encode(labelValues)).(*Histogram)
+	return vec[Histogram](r, name, help, kindHistogram, buckets, labelKeys)
 }
 
 // encode renders label values as the series' {k="v",...} block, escaped the

@@ -163,8 +163,10 @@ stage_race() {
 }
 
 # provenance: the sim with the flight recorder on must succeed, explain
-# itself, and write a parseable provenance log. The log, the Chrome trace
-# and the transcript land in artifacts/ for CI upload.
+# itself, and write a parseable provenance log; the random generator's
+# stock run (about 35,000 events) must write a complete one, whose header
+# total is its number of event lines. The logs, the Chrome trace and the
+# transcript land in artifacts/ for CI upload.
 stage_provenance() {
 	echo "== provenance smoke run =="
 	mkdir -p artifacts
@@ -172,6 +174,14 @@ stage_provenance() {
 		-trace artifacts/trace.json -explain >artifacts/explain.txt
 	head -c 200 artifacts/events.jsonl | grep -q '"format":"idxflow-events/1"' || {
 		echo "events.jsonl missing the idxflow-events/1 header"
+		exit 1
+	}
+	echo "== the random generator's event log is complete =="
+	go run ./cmd/idxflow-sim -generator random -events artifacts/events_random.jsonl >/dev/null
+	total=$(head -n 1 artifacts/events_random.jsonl | sed -n 's/.*"total":\([0-9]*\).*/\1/p')
+	lines=$(tail -n +2 artifacts/events_random.jsonl | wc -l)
+	[ -n "$total" ] && [ "$total" -eq "$lines" ] || {
+		echo "events_random.jsonl: header total ${total:-missing}, $lines event lines"
 		exit 1
 	}
 }
