@@ -38,6 +38,7 @@ cover:
 FUZZ_SECONDS ?= 5
 fuzz-short:
 	$(GO) test ./internal/bptree -run '^$$' -fuzz '^FuzzTreeAgainstMap$$' -fuzztime $(FUZZ_SECONDS)s
+	$(GO) test ./internal/exec -run '^$$' -fuzz '^FuzzHashIndexMatchesMap$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/flowlang -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/flowlang -run '^$$' -fuzz '^FuzzParseEqualsReference$$' -fuzztime $(FUZZ_SECONDS)s
 	$(GO) test ./internal/check -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime $(FUZZ_SECONDS)s

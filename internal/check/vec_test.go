@@ -106,9 +106,9 @@ func TestReportIfDiffCatchesMismatch(t *testing.T) {
 	// A hash index whose keys all match but with one position moved between
 	// posting lists — the mistake a run boundary off by one would make.
 	planted := &Report{}
-	reportIfDiff(planted, "vec-build-hash",
-		exec.HashIndex{1: {0, 1}, 2: {2}},
-		exec.HashIndex{1: {0}, 2: {1, 2}})
+	moved := exec.VecBuildHash([]int64{1, 1, 2})
+	moved[0].Pos, moved[1].Pos = []int32{0}, []int32{1, 2}
+	reportHashDiff(planted, "vec-build-hash", map[int64][]int32{1: {0, 1}, 2: {2}}, moved)
 	if len(planted.Violations) != 1 {
 		t.Fatal("planted posting-list mismatch not recorded")
 	}

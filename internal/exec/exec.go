@@ -3,9 +3,11 @@
 // columns. Lookup and range select are one scan each (vector.go). Sorting,
 // grouping, the hash build and the sort-merge join have two algorithms: the
 // scalar ones in this file (comparison sort, sort-based grouping, per-row
-// hash inserts, nested-loop and comparison sort-merge joins) and the
-// vectorized ones of vector.go (radix and counting sorts, counting
-// grouping, a hash build by runs, radix sort-merge join). The scalar
+// inserts into a Go map, nested-loop and comparison sort-merge joins) and
+// the vectorized ones of vector.go (radix and counting sorts, counting
+// grouping, a HashIndex built by runs, radix sort-merge join). HashIndex is
+// the O(1) lookup structure of §1: one flat slice with an entry per
+// distinct key, chained into buckets by index, not a Go map. The scalar
 // operators are the no-index side of the Table 6 experiment's group-by and
 // join cells and the reference of check.AuditVectorized, which proves
 // every vectorized operator returns exactly what its scalar counterpart
@@ -19,21 +21,15 @@ import (
 	"slices"
 )
 
-// HashIndex maps a key to the positions of the rows holding it — the O(1)
-// lookup structure of §1.
-type HashIndex map[int64][]int32
-
-// BuildHash builds a hash index over a key column, one insert per row.
-func BuildHash(keys []int64) HashIndex {
-	h := make(HashIndex, len(keys)/4)
+// BuildHash builds the map from each key to the positions of the rows
+// holding it, one insert per row: the scalar reference of VecBuildHash.
+func BuildHash(keys []int64) map[int64][]int32 {
+	h := make(map[int64][]int32, len(keys)/4)
 	for i, k := range keys {
 		h[k] = append(h[k], int32(i))
 	}
 	return h
 }
-
-// Lookup returns the positions of rows with the given key.
-func (h HashIndex) Lookup(k int64) []int32 { return h[k] }
 
 // identity returns the positions 0..n-1, in order.
 func identity(n int) []int32 {

@@ -93,7 +93,7 @@ func TestRangeEquivalence(t *testing.T) {
 func TestLookupEquivalence(t *testing.T) {
 	keys := testCols(t).OrderKey
 	tree := buildTree(t, keys)
-	hash := BuildHash(keys)
+	hash := VecBuildHash(keys)
 	for _, k := range []int64{1, 50, 200, 999999} {
 		sp, sok := VecLookup(keys, k)
 		ip, iok := tree.Get(k)

@@ -77,17 +77,59 @@ func minMax(keys []int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// VecBuildHash builds the hash index of BuildHash without its per-row map
-// insert — the batched "build" half of the O(1) lookup structure of §1.
-// The build is by runs, not by rows: with the keys in sorted order every
-// distinct key is one contiguous run, so the map is sized exactly and takes
-// one insert per distinct key, and each posting list is a sub-slice of one
-// shared position arena instead of a slice grown row by row. A column that is already non-decreasing (a fact table
+// HashIndex is the O(1) key-to-positions lookup structure of §1: one entry
+// per distinct key, in ascending key order, and no Go map. It is a slice
+// so that len counts the distinct keys. The entries are also the buckets:
+// a key hashes to bucket b in [0, len(h)), entry b holds the head of that
+// bucket's chain, and each entry links to the next one in its chain. Build
+// one with VecBuildHash; a nil HashIndex holds no key.
+type HashIndex []HashEntry
+
+// HashEntry is one distinct key and the ascending positions of the rows
+// holding it. Pos is a sub-slice of the build's one position arena with
+// cap == len, so appending to it reallocates rather than writing into the
+// next key's list. head (the chain of the bucket this entry stands for)
+// and next (the entry after this one in its own chain) are 1-based entry
+// indexes, 0 ending the chain.
+type HashEntry struct {
+	Key        int64
+	Pos        []int32
+	head, next int32
+}
+
+// bucket maps k to [0, len(h)): a Fibonacci hash, whose high bits mix
+// every bit of k, narrowed by a multiply-high instead of a modulo.
+func (h HashIndex) bucket(k int64) int {
+	b, _ := bits.Mul64(uint64(k)*0x9E3779B97F4A7C15, uint64(len(h)))
+	return int(b)
+}
+
+// Lookup returns the positions of rows with the given key, nil if none.
+func (h HashIndex) Lookup(k int64) []int32 {
+	if len(h) == 0 {
+		return nil
+	}
+	for j := h[h.bucket(k)].head; j != 0; {
+		e := &h[j-1]
+		if e.Key == k {
+			return e.Pos
+		}
+		j = e.next
+	}
+	return nil
+}
+
+// VecBuildHash builds the hash index of the key column — the batched
+// "build" half of the O(1) lookup structure of §1, holding what the
+// per-row BuildHash map holds. The build is by runs, not by rows: with the
+// keys in sorted order every distinct key is one contiguous run, so the
+// index is sized exactly, each run becomes one entry, and each posting
+// list is a sub-slice of one shared position arena instead of a slice
+// grown row by row. A column that is already non-decreasing (a fact table
 // clustered by its key) is its own sorted order and its arena is the
-// identity; any other column goes through the stable radix sort, which
-// keeps positions ascending within a run, as the per-row build leaves them.
-// keys is not modified. Posting lists have cap == len, so appending to one
-// reallocates it rather than writing into its neighbour.
+// identity, so the build makes two allocations; any other column goes
+// through the stable radix sort, which keeps positions ascending within a
+// run, as the per-row build leaves them. keys is not modified.
 func VecBuildHash(keys []int64) HashIndex {
 	sorted, pos := keys, []int32(nil)
 	if slices.IsSorted(keys) {
@@ -102,12 +144,15 @@ func VecBuildHash(keys []int64) HashIndex {
 		}
 	}
 	h := make(HashIndex, runs)
-	for s := 0; s < len(sorted); {
+	for s, i := 0, 0; s < len(sorted); i++ {
 		e := s + 1
 		for e < len(sorted) && sorted[e] == sorted[s] {
 			e++
 		}
-		h[sorted[s]] = pos[s:e:e]
+		en := &h[i]
+		en.Key, en.Pos = sorted[s], pos[s:e:e]
+		b := &h[h.bucket(en.Key)]
+		en.next, b.head = b.head, int32(i+1)
 		s = e
 	}
 	return h
@@ -321,13 +366,13 @@ func VecGroup(keys []int64, quantity []int32) []Group {
 	return out
 }
 
-// VecHashJoin probes the right-side hash index with the left key column —
-// the probe half of the hash join. Output order matches NestedLoopJoin:
+// VecHashJoin probes the right-side hash index with the left key column,
+// one Lookup per left row — the probe half of the hash join. Output order matches NestedLoopJoin:
 // left position major, right position minor.
 func VecHashJoin(leftKeys []int64, right HashIndex) []JoinPair {
 	out := make([]JoinPair, 0, len(leftKeys))
 	for i, k := range leftKeys {
-		for _, rp := range right[k] {
+		for _, rp := range right.Lookup(k) {
 			out = append(out, JoinPair{int32(i), rp})
 		}
 	}

@@ -220,6 +220,31 @@ func TestVecJoinsGolden(t *testing.T) {
 	}
 }
 
+// requireHashEqualsMap fails t unless h holds exactly the scalar map: the
+// same number of keys, one entry each in strictly ascending key order,
+// every posting list equal to the map's with cap == len, and found again
+// by Lookup.
+func requireHashEqualsMap(t *testing.T, h HashIndex, want map[int64][]int32) {
+	t.Helper()
+	if len(h) != len(want) {
+		t.Fatalf("hash index holds %d keys, scalar map %d", len(h), len(want))
+	}
+	for i, e := range h {
+		if i > 0 && e.Key <= h[i-1].Key {
+			t.Fatalf("entry %d: key %d not above the previous key %d", i, e.Key, h[i-1].Key)
+		}
+		if !slices.Equal(e.Pos, want[e.Key]) || len(e.Pos) == 0 {
+			t.Fatalf("key %d: posting list %v, scalar map %v", e.Key, e.Pos, want[e.Key])
+		}
+		if cap(e.Pos) != len(e.Pos) {
+			t.Fatalf("key %d: posting list cap %d != len %d", e.Key, cap(e.Pos), len(e.Pos))
+		}
+		if got := h.Lookup(e.Key); !slices.Equal(got, e.Pos) {
+			t.Fatalf("Lookup(%d) = %v, entry holds %v", e.Key, got, e.Pos)
+		}
+	}
+}
+
 // TestVecBuildHashGolden holds the run-based build to the per-row scalar
 // build over every key order it branches on: already clustered (identity
 // arena), and the orders that must go through the sort.
@@ -255,24 +280,131 @@ func TestVecBuildHashGolden(t *testing.T) {
 				t.Fatal("VecBuildHash modified its input")
 			}
 			want := BuildHash(c.keys)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("hash indexes differ: scalar %d keys, vec %d keys", len(want), len(got))
-			}
+			requireHashEqualsMap(t, got, want)
 			// Posting lists share one arena: growing one must not write
 			// into the list that follows it.
-			for k, list := range got {
-				if cap(list) != len(list) {
-					t.Fatalf("key %d: posting list cap %d != len %d", k, cap(list), len(list))
-				}
-				got[k] = append(list, -1)
+			for i := range got {
+				got[i].Pos = append(got[i].Pos, -1)
 			}
-			for k, list := range got {
-				if !slices.Equal(list[:len(list)-1], want[k]) {
-					t.Fatalf("key %d: posting list changed when a neighbour grew", k)
+			for _, e := range got {
+				if !slices.Equal(e.Pos[:len(e.Pos)-1], want[e.Key]) {
+					t.Fatalf("key %d: posting list changed when a neighbour grew", e.Key)
 				}
 			}
 		})
 	}
+}
+
+// TestVecBuildHashAllocations pins the clustered build, dp_query's case, to
+// its two allocations: the identity position arena and the entry slice.
+// The Go map it replaced took 515 for these keys.
+func TestVecBuildHashAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	keys := make([]int64, 0, 600_000)
+	for k := int64(1); len(keys) < cap(keys); k += 1 + int64(rng.Intn(3)) {
+		for run := 1 + rng.Intn(7); run > 0 && len(keys) < cap(keys); run-- {
+			keys = append(keys, k)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { benchHash = VecBuildHash(keys) }); allocs > 2 {
+		t.Fatalf("VecBuildHash of %d clustered keys: %.0f allocations, want at most 2", len(keys), allocs)
+	}
+}
+
+// maxChainLen is the longest bucket chain TestHashIndexChains accepts. With
+// one bucket per key, random keys under a uniform hash leave chains of
+// Poisson(1) lengths, whose longest over ~8k buckets is about 7; the
+// Fibonacci hash spreads the test's evenly strided keys better than that
+// (3 at most when written).
+const maxChainLen = 8
+
+// TestHashIndexChains builds over keys that differ only in high bits,
+// strided by 2^20 and by 2^32 (a hash of the low bits would chain them all
+// in one bucket), with the int64 extremes, -1 and 0 mixed in or left out.
+// Every key must sit in the chain of its own bucket and be found, 0 must
+// miss when absent, and no chain may be longer than maxChainLen.
+func TestHashIndexChains(t *testing.T) {
+	for _, stride := range []int64{1 << 20, 1 << 32} {
+		for _, withZero := range []bool{false, true} {
+			keys := []int64{math.MinInt64, math.MaxInt64, -1}
+			for i := int64(-4096); i <= 4096; i++ {
+				if i != 0 || withZero {
+					keys = append(keys, i*stride)
+				}
+			}
+			h := VecBuildHash(keys)
+			requireHashEqualsMap(t, h, BuildHash(keys))
+			chained, longest := 0, 0
+			for b := range h {
+				n := 0
+				for j := h[b].head; j != 0; j = h[j-1].next {
+					if got := h.bucket(h[j-1].Key); got != b {
+						t.Fatalf("stride %d: key %d chained in bucket %d, hashes to %d", stride, h[j-1].Key, b, got)
+					}
+					n++
+				}
+				chained += n
+				longest = max(longest, n)
+			}
+			if chained != len(h) {
+				t.Fatalf("stride %d: %d of %d entries chained", stride, chained, len(h))
+			}
+			if longest > maxChainLen {
+				t.Fatalf("stride %d: longest chain %d, want at most %d", stride, longest, maxChainLen)
+			}
+			if got := h.Lookup(0); !withZero && got != nil {
+				t.Fatalf("stride %d: Lookup(0) = %v with 0 absent", stride, got)
+			}
+			if got := h.Lookup(stride / 2); got != nil {
+				t.Fatalf("stride %d: Lookup(%d) = %v, key absent", stride, stride/2, got)
+			}
+			t.Logf("stride %d, 0 present %v: %d keys, longest chain %d", stride, withZero, len(h), longest)
+		}
+	}
+	if got := HashIndex(nil).Lookup(0); got != nil {
+		t.Fatalf("nil index: Lookup(0) = %v", got)
+	}
+}
+
+// FuzzHashIndexMatchesMap holds VecBuildHash to the per-row map and
+// VecHashJoin to the nested loop on key columns decoded from fuzz bytes.
+// The first byte picks a stride; every other byte is one key, a multiple
+// of the stride in [-32, 32) or, for 0xfe and 0xff, an int64 extreme, so
+// duplicates and shared buckets are the common case. The first half of the
+// keys probes an index built over the second half.
+func FuzzHashIndexMatchesMap(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 2, 2, 1, 3, 1})
+	f.Add([]byte{1, 0xff, 0, 0xfe, 0xff, 31, 0xfe, 0, 5})
+	f.Add([]byte{2, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 63, 62})
+	f.Add([]byte{3, 40, 40, 40, 40, 40, 40, 40, 40, 40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 || len(data) > 4097 {
+			return
+		}
+		stride := []int64{1, 1 << 20, 1 << 32, 1 << 57}[data[0]%4]
+		keys := make([]int64, 0, len(data)-1)
+		for _, b := range data[1:] {
+			switch b {
+			case 0xff:
+				keys = append(keys, math.MaxInt64)
+			case 0xfe:
+				keys = append(keys, math.MinInt64)
+			default:
+				keys = append(keys, (int64(b%64)-32)*stride)
+			}
+		}
+		left, right := keys[:len(keys)/2], keys[len(keys)/2:]
+		for _, side := range [][]int64{left, right} {
+			h := VecBuildHash(side)
+			requireHashEqualsMap(t, h, BuildHash(side))
+			if got := h.Lookup(32 * stride); got != nil {
+				t.Fatalf("Lookup(%d) = %v, key absent", 32*stride, got)
+			}
+		}
+		if want, got := NestedLoopJoin(left, right), VecHashJoin(left, VecBuildHash(right)); !reflect.DeepEqual(want, got) {
+			t.Fatalf("hash join differs from nested loop: %d vs %d pairs", len(got), len(want))
+		}
+	})
 }
 
 func TestWidenInt32(t *testing.T) {

@@ -126,8 +126,9 @@ stage_test() {
 	# unfiltered one, cold and warm frontiers audited and held to the
 	# reference skyline), the executor's equivalence with the preserved
 	# seed executor under generated faults and the vectorized operators'
-	# equivalence with exec's scalar ones and the page file's run I/O
-	# against its model are fuzzed past their seed corpora.
+	# equivalence with exec's scalar ones, the hash index's with the Go
+	# map and the page file's run I/O against its model are fuzzed past
+	# their seed corpora.
 	echo "== fuzz (5 s each) =="
 	go test ./internal/sched -run '^$' -fuzz '^FuzzProbeEqualsApply$' -fuzztime 5s
 	go test ./internal/sched -run '^$' -fuzz '^FuzzParetoPrefilter$' -fuzztime 5s
@@ -135,6 +136,7 @@ stage_test() {
 	go test ./internal/check -run '^$' -fuzz '^FuzzWarmFrontier$' -fuzztime 5s
 	go test ./internal/check -run '^$' -fuzz '^FuzzVectorizedEqualsScalar$' -fuzztime 5s -fuzzminimizetime 50x
 	go test ./internal/sim -run '^$' -fuzz '^FuzzExecuteEqualsReference$' -fuzztime 5s
+	go test ./internal/exec -run '^$' -fuzz '^FuzzHashIndexMatchesMap$' -fuzztime 5s
 	go test ./internal/pagestore -run '^$' -fuzz '^FuzzFileRuns$' -fuzztime 5s
 
 	# The admission pipeline's ordering tests in testing/synctest bubbles
