@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-short vet fmt-check ci cover fuzz-short golden-update unreached bench bench-short bench-compare profile clean
+.PHONY: all build test race race-short vet ci cover fuzz-short golden-update unreached bench bench-short bench-compare profile clean
 
 all: build
 
@@ -20,14 +20,10 @@ vet:
 	$(GO) vet ./...
 
 # Run the test suite with a coverage profile and fail if total statement
-# coverage drops below the committed baseline (scripts/coverage_baseline.txt).
+# coverage drops below the committed baseline (scripts/coverage_baseline.txt):
+# the first half of CI's test stage, without its fuzzing.
 cover:
-	$(GO) test -coverprofile=coverage.out ./...
-	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ { sub(/%/, "", $$NF); print $$NF }'); \
-	baseline=$$(cat scripts/coverage_baseline.txt); \
-	echo "total coverage: $$total% (baseline $$baseline%)"; \
-	awk -v t="$$total" -v b="$$baseline" 'BEGIN { exit (t+0 >= b+0) ? 0 : 1 }' || \
-		{ echo "coverage $$total% fell below the $$baseline% baseline"; exit 1; }
+	scripts/ci.sh cover
 
 # Short fuzzing pass: each target explores new inputs for FUZZ_SECONDS on
 # top of the committed corpora under testdata/fuzz (which replay as plain
@@ -66,13 +62,10 @@ golden-update:
 unreached:
 	@scripts/reachability.sh list
 
-fmt-check:
-	@out="$$(gofmt -l .)"; \
-	if [ -n "$$out" ]; then \
-		echo "gofmt needed on:"; echo "$$out"; exit 1; \
-	fi
-
-ci: fmt-check vet build test race-short
+# Every check CI runs but the fuzz job (`make fuzz-short`): scripts/ci.sh
+# holds them, one stage per workflow job.
+ci:
+	scripts/ci.sh
 
 bench:
 	scripts/bench.sh

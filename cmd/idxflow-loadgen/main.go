@@ -8,13 +8,9 @@
 // qaas.TenantSeed derivation), so every submission references real
 // catalog partitions and potential indexes.
 //
-// Two loops:
-//
-//   - closed (default): -conns concurrent clients each submit, wait for
-//     completion, then submit the next flow; HTTP 429 responses honor the
-//     server's Retry-After before retrying the same flow.
-//   - open: submissions fire at a fixed aggregate -rate regardless of
-//     completions; 429 responses count as rejected, nothing is retried.
+// The loop is closed: -conns concurrent clients each submit, wait for
+// completion, then submit the next flow; an HTTP 429 response is honored
+// by sleeping the server's Retry-After and resubmitting the same flow.
 //
 // With -audit the run finishes by asking the server for its accounting
 // verdict (GET /debug/audit: check.AuditQaaS books/fleet balance plus the
@@ -23,8 +19,8 @@
 // Usage:
 //
 //	idxflow-loadgen [-addr http://127.0.0.1:8080] [-tenants 8] [-n 10000]
-//	                [-conns 64] [-mode closed] [-rate 200] [-seed 1]
-//	                [-audit] [-min-admitted 0] [-json summary.json]
+//	                [-conns 64] [-seed 1] [-audit] [-min-admitted 0]
+//	                [-json summary.json]
 package main
 
 import (
@@ -55,8 +51,6 @@ func main() {
 		tenants     = flag.Int("tenants", 8, "number of tenants to spread submissions across")
 		n           = flag.Int("n", 10000, "total submissions")
 		conns       = flag.Int("conns", 64, "closed-loop concurrent clients")
-		mode        = flag.String("mode", "closed", "closed | open")
-		rate        = flag.Float64("rate", 200, "open-loop aggregate submissions per second")
 		seed        = flag.Int64("seed", 1, "base workload seed (must match the server's -seed)")
 		timeout     = flag.Duration("timeout", 5*time.Minute, "per-request timeout")
 		audit       = flag.Bool("audit", false, "fetch /debug/audit after the run and fail on violations")
@@ -66,9 +60,6 @@ func main() {
 	flag.Parse()
 	if *tenants < 1 || *n < 1 || *conns < 1 {
 		log.Fatal("idxflow-loadgen: -tenants, -n and -conns must be positive")
-	}
-	if *mode != "closed" && *mode != "open" {
-		log.Fatalf("idxflow-loadgen: unknown mode %q", *mode)
 	}
 
 	log.Printf("idxflow-loadgen: generating %d dataflows for %d tenants (seed %d)", *n, *tenants, *seed)
@@ -81,30 +72,17 @@ func main() {
 			MaxIdleConnsPerHost: *conns * 2,
 		},
 	}
-	lg := &loadgen{
-		client: client,
-		base:   strings.TrimRight(*addr, "/"),
-		hist: telemetry.NewRegistry().Histogram("loadgen_latency_seconds",
-			"Admission-to-completion latency.",
-			telemetry.ExponentialBuckets(0.0005, 2, 26)),
-	}
+	lg := newLoadgen(client, *addr)
 
-	log.Printf("idxflow-loadgen: %s loop, %d conns against %s", *mode, *conns, lg.base)
+	log.Printf("idxflow-loadgen: closed loop, %d conns against %s", *conns, lg.base)
 	start := time.Now()
-	switch *mode {
-	case "closed":
-		lg.closedLoop(bodies, tenantOf, *conns)
-	case "open":
-		lg.openLoop(bodies, tenantOf, *rate)
-	}
+	lg.closedLoop(bodies, tenantOf, *conns)
 	wall := time.Since(start).Seconds()
 
 	s := Summary{
-		Mode:            *mode,
 		Tenants:         *tenants,
 		Requested:       *n,
 		Admitted:        lg.admitted.Load(),
-		Rejected:        lg.rejected.Load(),
 		Retries:         lg.retries.Load(),
 		Errors:          lg.errors.Load(),
 		WallSeconds:     wall,
@@ -197,9 +175,20 @@ type loadgen struct {
 	hist   *telemetry.Histogram
 
 	admitted atomic.Int64
-	rejected atomic.Int64
 	retries  atomic.Int64
 	errors   atomic.Int64
+}
+
+// newLoadgen returns a load generator that submits to the server at base
+// through client.
+func newLoadgen(client *http.Client, base string) *loadgen {
+	return &loadgen{
+		client: client,
+		base:   strings.TrimRight(base, "/"),
+		hist: telemetry.NewRegistry().Histogram("loadgen_latency_seconds",
+			"Admission-to-completion latency.",
+			telemetry.ExponentialBuckets(0.0005, 2, 26)),
+	}
 }
 
 // closedLoop runs conns workers over a shared cursor: each worker submits,
@@ -224,36 +213,8 @@ func (lg *loadgen) closedLoop(bodies, tenantOf []string, conns int) {
 	wg.Wait()
 }
 
-// openLoop fires submissions at the aggregate rate without waiting for
-// completions; each in-flight submission still measures its own latency.
-func (lg *loadgen) openLoop(bodies, tenantOf []string, rate float64) {
-	if rate <= 0 {
-		log.Fatal("idxflow-loadgen: open loop needs -rate > 0")
-	}
-	interval := time.Duration(float64(time.Second) / rate)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	var wg sync.WaitGroup
-	for i := range bodies {
-		<-ticker.C
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			status, _, err := lg.submitOnce(tenantOf[i], bodies[i])
-			switch {
-			case err != nil:
-				lg.errors.Add(1)
-			case status == http.StatusTooManyRequests:
-				lg.rejected.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// submitWithRetry is the closed-loop client step: on 429 it sleeps the
-// server's Retry-After and resubmits the same flow.
+// submitWithRetry is the client step: on 429 it sleeps the server's
+// Retry-After and resubmits the same flow.
 func (lg *loadgen) submitWithRetry(tenant, body string) {
 	for {
 		status, retryAfter, err := lg.submitOnce(tenant, body)
@@ -317,11 +278,9 @@ func (lg *loadgen) getJSON(path string, v any) error {
 
 // Summary is the run report, printed human-readable and exported as JSON.
 type Summary struct {
-	Mode            string                `json:"mode"`
 	Tenants         int                   `json:"tenants"`
 	Requested       int                   `json:"requested"`
 	Admitted        int64                 `json:"admitted"`
-	Rejected        int64                 `json:"rejected_429"`
 	Retries         int64                 `json:"retries_429"`
 	Errors          int64                 `json:"errors"`
 	WallSeconds     float64               `json:"wall_seconds"`
@@ -335,9 +294,9 @@ type Summary struct {
 }
 
 func (s Summary) print(w io.Writer) {
-	fmt.Fprintf(w, "\nidxflow-loadgen summary (%s loop, %d tenants)\n", s.Mode, s.Tenants)
-	fmt.Fprintf(w, "  submissions   %d requested, %d admitted, %d rejected, %d retries, %d errors\n",
-		s.Requested, s.Admitted, s.Rejected, s.Retries, s.Errors)
+	fmt.Fprintf(w, "\nidxflow-loadgen summary (closed loop, %d tenants)\n", s.Tenants)
+	fmt.Fprintf(w, "  submissions   %d requested, %d admitted, %d retries, %d errors\n",
+		s.Requested, s.Admitted, s.Retries, s.Errors)
 	fmt.Fprintf(w, "  wall          %.2fs\n", s.WallSeconds)
 	fmt.Fprintf(w, "  throughput    %.1f dataflows/sec\n", s.DataflowsPerSec)
 	fmt.Fprintf(w, "  latency       p50 %.1fms  p95 %.1fms  p99 %.1fms  mean %.1fms\n",

@@ -138,8 +138,8 @@ func TestServersDoNotShareMetrics(t *testing.T) {
 			samples[name] = value
 		}
 	}
-	if v, ok := samples["idxflow_qaas_admitted_total"]; !ok || v != "0" {
-		t.Errorf("second server: idxflow_qaas_admitted_total = %q (listed %v), want 0", v, ok)
+	if v, ok := samples["idxflow_qaas_admission_latency_seconds_count"]; !ok || v != "0" {
+		t.Errorf("second server: idxflow_qaas_admission_latency_seconds_count = %q (listed %v), want 0", v, ok)
 	}
 	if v, ok := samples["idxflow_flows_submitted_total"]; ok && v != "0" {
 		t.Errorf("second server: idxflow_flows_submitted_total = %s, want absent or 0", v)

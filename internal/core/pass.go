@@ -252,7 +252,6 @@ func (s *Service) offer(p *pass) {
 	case s.cfg.Strategy == RandomIndex:
 		s.offerRandom(p)
 	}
-	s.ins.buildOpsOffered.Add(float64(len(p.builds)))
 	for _, b := range p.builds {
 		s.ins.estGain.Observe(b.gain)
 	}
@@ -716,13 +715,9 @@ func (s *Service) settle(p *pass) {
 		})
 	}
 
-	s.ins.flowsFinished.Inc()
 	s.ins.flowMakespan.Observe(run.Makespan)
 	s.ins.flowQuanta.Observe(run.MoneyQuanta)
 	s.ins.partitionsBuilt.Add(float64(res.BuildsCompleted))
-	s.ins.clockGauge.Set(s.clock)
-	available := s.db.Catalog.AvailableCount()
-	s.ins.indexesAvail.Set(float64(available))
 
 	s.metrics.Results = append(s.metrics.Results, *res)
 	s.metrics.TotalOps += res.TotalOps
@@ -730,19 +725,16 @@ func (s *Service) settle(p *pass) {
 	s.resultsMakespan += res.Makespan
 	s.metrics.Timeline = append(s.metrics.Timeline, TimePoint{
 		T:            s.clock,
-		IndexesBuilt: available,
+		IndexesBuilt: s.db.Catalog.AvailableCount(),
 		StorageMB:    mb,
 		StorageCost:  s.storage.CostAccrued(),
 	})
 }
 
 // accrueStorage advances the storage meter to now at the catalog's current
-// footprint, counts the cost it accrued, sets the footprint gauges and
-// returns the footprint in MB.
+// footprint, counts the cost it accrued and returns the footprint in MB.
 func (s *Service) accrueStorage(now float64) float64 {
-	mb, parts := s.db.Catalog.Footprint()
+	mb, _ := s.db.Catalog.Footprint()
 	s.ins.storageCost.Add(s.storage.Advance(now, mb))
-	s.ins.storageMB.Set(mb)
-	s.ins.storageFiles.Set(float64(parts))
 	return mb
 }

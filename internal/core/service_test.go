@@ -249,26 +249,30 @@ func TestStorageTransfersTracked(t *testing.T) {
 	}
 }
 
-// TestStorageGaugesFollowSettle: every settle sets the footprint gauges to
-// the catalog's footprint at that point, evictions included.
-func TestStorageGaugesFollowSettle(t *testing.T) {
+// TestTimelineFollowsSettle: every settle records the catalog's footprint
+// and available-index count at that point in the timeline, evictions
+// included.
+func TestTimelineFollowsSettle(t *testing.T) {
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
 	cfg := quickConfig(Gain)
 	cfg.Gain.WindowW = 4
 	cfg.Gain.FadeD = 1
-	cfg.Telemetry = telemetry.NewRegistry()
 	svc := NewService(cfg, db)
-	size, files := cfg.Telemetry.Gauge("idxflow_storage_mb", ""), cfg.Telemetry.Gauge("idxflow_storage_files", "")
 	deleted, shrank := 0, false
 	prev := 0.0
 	for i := 0; i < 8; i++ {
 		for _, app := range []workload.App{workload.Montage, workload.Ligo} {
 			res := svc.SubmitCtx(context.Background(), gen.Flow(app, 100*i, pastGrace(svc)))
 			deleted += len(res.Deleted)
-			mb, parts := db.Catalog.Footprint()
-			if size.Value() != mb || files.Value() != float64(parts) {
-				t.Fatalf("after %s: gauges %g MB in %g files, catalog %g MB in %d", res.Name, size.Value(), files.Value(), mb, parts)
+			if n, want := len(svc.metrics.Timeline), len(svc.metrics.Results); n != want {
+				t.Fatalf("after %s: %d timeline points for %d settled flows", res.Name, n, want)
+			}
+			last := svc.metrics.Timeline[len(svc.metrics.Timeline)-1]
+			mb, _ := db.Catalog.Footprint()
+			if last.T != svc.Clock() || last.StorageMB != mb || last.IndexesBuilt != db.Catalog.AvailableCount() {
+				t.Fatalf("after %s: timeline point %+v, clock %g, catalog %g MB and %d indexes available",
+					res.Name, last, svc.Clock(), mb, db.Catalog.AvailableCount())
 			}
 			shrank = shrank || mb < prev
 			prev = mb
@@ -279,16 +283,16 @@ func TestStorageGaugesFollowSettle(t *testing.T) {
 	}
 }
 
-// TestStorageGaugesMatchCatalog: the catalog is the one record of built
-// partitions, and after Run the storage gauges read its footprint, with
-// partitions built, evicted and built again on the way.
-func TestStorageGaugesMatchCatalog(t *testing.T) {
+// TestFootprintMatchesCatalog: the catalog is the one record of built
+// partitions, and after Run its footprint, and the timeline's last point,
+// hold exactly the built partitions, with partitions built, evicted and
+// built again on the way.
+func TestFootprintMatchesCatalog(t *testing.T) {
 	db := testDB(t)
 	gen := workload.NewGenerator(db, 2)
 	cfg := quickConfig(Gain)
 	cfg.Gain.WindowW = 4
 	cfg.Gain.FadeD = 1
-	cfg.Telemetry = telemetry.NewRegistry()
 	svc := NewService(cfg, db)
 	// Consecutive flows arrive a deletion grace apart, so each may evict
 	// what the one before it built.
@@ -320,10 +324,10 @@ func TestStorageGaugesMatchCatalog(t *testing.T) {
 	if wantFiles == 0 {
 		t.Fatal("nothing is built at the end of the run")
 	}
-	if got := cfg.Telemetry.Gauge("idxflow_storage_mb", "").Value(); got != wantMB {
-		t.Errorf("idxflow_storage_mb = %g, the catalog's built partitions hold %g MB", got, wantMB)
+	if mb, files := db.Catalog.Footprint(); mb != wantMB || files != wantFiles {
+		t.Errorf("Footprint() = %g MB in %d files, the catalog's built partitions hold %g MB in %d", mb, files, wantMB, wantFiles)
 	}
-	if got := cfg.Telemetry.Gauge("idxflow_storage_files", "").Value(); got != float64(wantFiles) {
-		t.Errorf("idxflow_storage_files = %g, the catalog has %d built partitions", got, wantFiles)
+	if got := m.Timeline[len(m.Timeline)-1].StorageMB; got != wantMB {
+		t.Errorf("the last timeline point holds %g MB, the catalog's built partitions %g", got, wantMB)
 	}
 }

@@ -14,42 +14,42 @@ import (
 // the skyline's search effort, the executor's Result, the storage meter's
 // accrued cost. All handles are nil-safe no-ops when the service runs
 // without a registry.
+//
+// The registry is shared by every tenant of a server, so each family is a
+// count or distribution that adds up across services, never one service's
+// state (its clock, index count and footprint are served per tenant by
+// /v1/metrics), and none restates another: flows finished are
+// flowMakespan's count, quanta charged are flowQuanta's sum and build
+// operators offered are estGain's count.
 type serviceInstruments struct {
 	flowsSubmitted  *telemetry.Counter
-	flowsFinished   *telemetry.Counter
 	flowMakespan    *telemetry.Histogram
 	flowQuanta      *telemetry.Histogram
 	idleDiscovered  *telemetry.Counter
 	idleUsed        *telemetry.Counter
-	buildOpsOffered *telemetry.Counter
 	buildOpsPlaced  *telemetry.Counter
 	partitionsBuilt *telemetry.Counter
 	indexesDeleted  *telemetry.Counter
 	invalidated     *telemetry.Counter
 	estGain         *telemetry.Histogram
 	realGain        *telemetry.Histogram
-	clockGauge      *telemetry.Gauge
-	indexesAvail    *telemetry.Gauge
 	// The gain ranking's activity: candidates evaluated and how many
 	// passed the beneficial test.
 	gainEvaluated  *telemetry.Counter
 	gainBeneficial *telemetry.Counter
-	// The storage service: accrued cost, MB committed to it and the
-	// footprint as of the last settle.
+	// The storage service: accrued cost and MB committed to it.
 	storageCost        *telemetry.Counter
 	storageTransferred *telemetry.Counter
-	storageMB          *telemetry.Gauge
-	storageFiles       *telemetry.Gauge
 	// The skyline scheduler (Alg. 4): warm-memo hits and a cold run's
 	// search effort.
 	warmHits, skylineIterations, skylineCandidates *telemetry.Counter
 	skylineFrontier                                *telemetry.Histogram
-	// The executor (§6.1): build outcomes, the money charged, the faults'
-	// effects and realized operator times.
-	buildsKilled, buildsCompleted              *telemetry.Counter
-	quantaCharged, fragmentation, wastedQuanta *telemetry.Counter
-	faultsInjected, recoveries                 *telemetry.CounterVec
-	opWait                                     *telemetry.Histogram
+	// The executor (§6.1): build outcomes, paid-but-idle time, the
+	// faults' effects and realized operator times.
+	buildsKilled, buildsCompleted *telemetry.Counter
+	fragmentation, wastedQuanta   *telemetry.Counter
+	faultsInjected, recoveries    *telemetry.CounterVec
+	opWait                        *telemetry.Histogram
 
 	// opRunByKind caches opRun's series as runs first touch them, so a
 	// series appears with its first sample.
@@ -64,19 +64,15 @@ func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
 	return serviceInstruments{
 		flowsSubmitted: reg.Counter("idxflow_flows_submitted_total",
 			"Dataflows submitted to the service."),
-		flowsFinished: reg.Counter("idxflow_flows_finished_total",
-			"Dataflows executed to completion by the service."),
 		flowMakespan: reg.Histogram("idxflow_flow_makespan_seconds",
 			"Realized dataflow execution time in seconds.",
 			telemetry.ExponentialBuckets(15, 2, 12)),
 		flowQuanta: reg.Histogram("idxflow_flow_quanta",
-			"Realized VM quanta charged per dataflow.", quanta),
+			"Realized VM quanta (price-weighted) charged per dataflow.", quanta),
 		idleDiscovered: reg.Counter("idxflow_idle_slot_seconds_total",
 			"Idle-slot seconds discovered in chosen schedules (paid-but-idle time available for index builds)."),
 		idleUsed: reg.Counter("idxflow_idle_slot_seconds_used_total",
 			"Idle-slot seconds filled with interleaved index-build operators."),
-		buildOpsOffered: reg.Counter("idxflow_build_ops_offered_total",
-			"Index-build partition operators offered to the interleaver."),
 		buildOpsPlaced: reg.Counter("idxflow_interleave_build_ops_placed_total",
 			"Index-build operators packed into idle slots across skyline schedules."),
 		partitionsBuilt: reg.Counter("idxflow_index_partitions_built_total",
@@ -86,13 +82,9 @@ func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
 		invalidated: reg.Counter("idxflow_index_partitions_invalidated_total",
 			"Index partitions invalidated by batch data updates."),
 		estGain: reg.Histogram("idxflow_index_estimated_gain",
-			"Per-partition weighted gain estimate (Eq. 3) at build-decision time.", gains),
+			"Per-partition weighted gain estimate (Eq. 3) of each index-build operator offered to the interleaver.", gains),
 		realGain: reg.Histogram("idxflow_index_realized_gain_quanta",
 			"Realized per-dataflow time gain of a used index, in quanta.", gains),
-		clockGauge: reg.Gauge("idxflow_service_clock_seconds",
-			"Service time: completion point of the last executed dataflow."),
-		indexesAvail: reg.Gauge("idxflow_indexes_available",
-			"Indexes with at least one built partition."),
 		gainEvaluated: reg.Counter("idxflow_gain_candidates_evaluated_total",
 			"Index candidates evaluated by the gain ranking."),
 		gainBeneficial: reg.Counter("idxflow_gain_beneficial_total",
@@ -101,10 +93,6 @@ func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
 			"Cumulative storage-service cost accrued, in dollars."),
 		storageTransferred: reg.Counter("idxflow_storage_transferred_mb_total",
 			"Cumulative MB moved in and out of the storage service."),
-		storageMB: reg.Gauge("idxflow_storage_mb",
-			"Bytes currently held in the storage service, in MB."),
-		storageFiles: reg.Gauge("idxflow_storage_files",
-			"Files currently held in the storage service."),
 		warmHits: reg.Counter("idxflow_sched_warm_hits_total",
 			"Warm-frontier memo hits: submissions scheduled by replaying the carried Pareto frontier."),
 		skylineIterations: reg.Counter("idxflow_skyline_iterations_total",
@@ -124,8 +112,6 @@ func newServiceInstruments(reg *telemetry.Registry) serviceInstruments {
 			"Index-build operators stopped by preemption, quantum expiry or container failure."),
 		buildsCompleted: reg.Counter("idxflow_builds_completed_total",
 			"Index-build operators that finished inside their idle slot."),
-		quantaCharged: reg.Counter("idxflow_quanta_charged_total",
-			"VM quanta charged for realized executions (price-weighted)."),
 		fragmentation: reg.Counter("idxflow_fragmentation_seconds_total",
 			"Paid-but-idle container seconds across executions."),
 		faultsInjected: reg.CounterVec("idxflow_faults_injected_total",
@@ -157,7 +143,6 @@ func (ins *serviceInstruments) observeRun(g *dataflow.Graph, run *sim.Result) {
 			ins.buildsCompleted.Inc()
 		}
 	}
-	ins.quantaCharged.Add(run.MoneyQuanta)
 	ins.fragmentation.Add(run.Fragmentation)
 	ins.wastedQuanta.Add(run.WastedQuanta)
 	for _, ev := range run.Events {

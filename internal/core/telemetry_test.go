@@ -93,13 +93,12 @@ func TestServiceMetricsExposition(t *testing.T) {
 	}
 	text := buf.String()
 	for _, want := range []string{
-		"idxflow_flows_finished_total 4",
 		"# TYPE idxflow_flow_makespan_seconds histogram",
 		"idxflow_flow_makespan_seconds_count 4",
 		"idxflow_idle_slot_seconds_total",
 		"idxflow_skyline_iterations_total",
-		"idxflow_quanta_charged_total",
-		"idxflow_build_ops_offered_total",
+		"idxflow_flow_quanta_sum",
+		"idxflow_index_estimated_gain_count",
 		"idxflow_storage_cost_dollars_total",
 		"idxflow_gain_candidates_evaluated_total",
 		// Fault families are pre-registered so a scrape sees them even on
@@ -382,8 +381,8 @@ func TestWarmHitCountsNoSearch(t *testing.T) {
 }
 
 // TestExecutorFamiliesMatchAggregates: after a run under heavy faults, each
-// executor family equals the service aggregate it mirrors, both read off
-// the same Results.
+// executor family, and the quanta charged (flow_quanta's sum), equals the
+// service aggregate it mirrors, both read off the same Results.
 func TestExecutorFamiliesMatchAggregates(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	_, m := runFaulty(t, 8, nil, reg)
@@ -397,7 +396,7 @@ func TestExecutorFamiliesMatchAggregates(t *testing.T) {
 		want   float64
 	}{
 		{"idxflow_builds_killed_total", float64(m.KilledOps)},
-		{"idxflow_quanta_charged_total", m.VMQuanta},
+		{"idxflow_flow_quanta_sum", m.VMQuanta},
 		{"idxflow_wasted_quanta_total", m.WastedQuanta},
 		{"idxflow_faults_injected_total", float64(m.FaultsInjected)},
 		{"idxflow_recoveries_total", float64(m.FaultsRecovered)},

@@ -49,6 +49,16 @@ func (t *Table) AddPartition(numRecords int64, path string) Partition {
 	return p
 }
 
+// AddPartitions appends partitions that hold rows records in all, each of
+// at most maxPartMB of data but at least one record: full partitions
+// first, then the remainder.
+func (t *Table) AddPartitions(rows int64, maxPartMB float64) {
+	perPart := max(int64(maxPartMB*1e6/t.RecordSize()), 1)
+	for remaining := rows; remaining > 0; remaining -= perPart {
+		t.AddPartition(min(perPart, remaining), "")
+	}
+}
+
 // Column returns the named column and whether it exists.
 func (t *Table) Column(name string) (Column, bool) {
 	for _, c := range t.Columns {

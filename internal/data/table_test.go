@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -47,5 +48,36 @@ func TestAddPartition(t *testing.T) {
 	wantMB := 3000 * 59.0 / 1e6
 	if got := tab.SizeMB(); math.Abs(got-wantMB) > 1e-12 {
 		t.Errorf("SizeMB = %g, want %g", got, wantMB)
+	}
+}
+
+// TestAddPartitions: a row count is cut into full partitions of at most
+// maxPartMB and one remainder, and a partition smaller than one record
+// still holds one.
+func TestAddPartitions(t *testing.T) {
+	for _, c := range []struct {
+		rows      int64
+		maxPartMB float64
+		want      []int64
+	}{
+		// 59-byte records: 0.059 MB is 1,000 of them.
+		{2500, 0.059, []int64{1000, 1000, 500}},
+		{2000, 0.059, []int64{1000, 1000}},
+		{10, 1, []int64{10}},
+		{3, 1e-9, []int64{1, 1, 1}},
+		{0, 1, nil},
+	} {
+		tab := lineitemLike()
+		tab.AddPartitions(c.rows, c.maxPartMB)
+		var got []int64
+		for i, p := range tab.Partitions {
+			if p.ID != i {
+				t.Errorf("%d rows at %g MB: partition %d has ID %d", c.rows, c.maxPartMB, i, p.ID)
+			}
+			got = append(got, p.NumRecords)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%d rows at %g MB: partitions of %v records, want %v", c.rows, c.maxPartMB, got, c.want)
+		}
 	}
 }

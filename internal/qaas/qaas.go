@@ -164,7 +164,6 @@ type Tenant struct {
 
 type instruments struct {
 	queueDepth    *telemetry.Gauge
-	admitted      *telemetry.Counter
 	rejected      *telemetry.CounterVec
 	tenantSettled *telemetry.GaugeVec
 	latency       *telemetry.Histogram
@@ -250,14 +249,12 @@ func New(cfg Config) *Pipeline {
 	p.ins = instruments{
 		queueDepth: tel.Gauge("idxflow_qaas_queue_depth",
 			"Admissions currently waiting for a slot."),
-		admitted: tel.Counter("idxflow_qaas_admitted_total",
-			"Admissions that completed execution and settlement."),
 		rejected: tel.CounterVec("idxflow_qaas_rejected_total",
 			"Admissions rejected with backpressure, by reason.", "reason"),
 		tenantSettled: tel.GaugeVec("idxflow_qaas_tenant_settled_quanta",
 			"Cumulative settled VM quanta per tenant.", "tenant"),
 		latency: tel.Histogram("idxflow_qaas_admission_latency_seconds",
-			"Wall-clock admission-to-completion latency.",
+			"Wall-clock admission-to-completion latency of each admission that completed execution and settlement.",
 			telemetry.ExponentialBuckets(0.0005, 2, 22)),
 		fleetInUse: tel.Gauge("idxflow_qaas_fleet_in_use",
 			"Container-fleet slots currently reserved by executions."),
@@ -393,7 +390,6 @@ func (p *Pipeline) Submit(ctx context.Context, tenantName string, flow *dataflow
 	if err == nil {
 		t.admitted.Add(1)
 		p.admitted.Add(1)
-		p.ins.admitted.Inc()
 		p.ins.latency.Observe(time.Since(enq).Seconds())
 	}
 	return res, err

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"idxflow/internal/core"
+	"idxflow/internal/workload"
 )
 
 func get(t *testing.T, url string) (int, string) {
@@ -46,7 +49,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		"idxflow_flows_finished_total 1",
+		"idxflow_flow_makespan_seconds_count 1",
 		"# TYPE idxflow_flow_makespan_seconds histogram",
 		"idxflow_flow_makespan_seconds_bucket{le=\"+Inf\"} 1",
 		"idxflow_idle_slot_seconds_total",
@@ -132,9 +135,78 @@ func TestConcurrentSubmitAndScrape(t *testing.T) {
 		_, body := get(t, ts.URL+"/metrics")
 		return body
 	}()
-	want := "idxflow_flows_finished_total 20"
+	want := "idxflow_flow_makespan_seconds_count 20"
 	if !strings.Contains(text, want) {
 		t.Errorf("after %d submissions, exposition missing %q", submitters*rounds, want)
+	}
+}
+
+// TestTenantStateIsServedPerTenant: the registry behind /metrics is shared
+// by every tenant, so it holds no one tenant's state and no family that
+// restates another. Two tenants settle with different index footprints,
+// /metrics lists none of the retired families, and each tenant's
+// /v1/metrics reports its own service's clock, available indexes and
+// footprint.
+func TestTenantStateIsServedPerTenant(t *testing.T) {
+	s, ts := testServer(t, nil)
+	for tenant, n := range map[string]int{"a": 4, "b": 1} {
+		for _, body := range tenantFlows(t, 1, tenant, n) {
+			resp, err := postFlow(ts, tenant, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("tenant %s: submit status = %d", tenant, resp.StatusCode)
+			}
+		}
+	}
+
+	_, text := get(t, ts.URL+"/metrics")
+	for _, family := range []string{
+		// The tenant's state: served by /v1/metrics.
+		"idxflow_service_clock_seconds",
+		"idxflow_indexes_available",
+		"idxflow_storage_mb",
+		"idxflow_storage_files",
+		// Re-counts of idxflow_flow_makespan_seconds_count,
+		// idxflow_flow_quanta_sum,
+		// idxflow_index_estimated_gain_count and
+		// idxflow_qaas_admission_latency_seconds_count.
+		"idxflow_flows_finished_total",
+		"idxflow_quanta_charged_total",
+		"idxflow_build_ops_offered_total",
+		"idxflow_qaas_admitted_total",
+	} {
+		if regexp.MustCompile(`(?m)^(# (HELP|TYPE) )?` + family + `[ {]`).MatchString(text) {
+			t.Errorf("/metrics lists %s", family)
+		}
+	}
+
+	footprints := map[float64]bool{}
+	for _, tenant := range []string{"a", "b"} {
+		var got MetricsResponse
+		getJSON(t, ts.URL+"/v1/metrics?tenant="+tenant, &got)
+		tn, err := s.pipe.Tenant(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want MetricsResponse
+		tn.Do(func(svc *core.Service, _ *workload.FileDB) {
+			want.ClockSeconds = svc.Clock()
+			want.IndexesAvailable = svc.Catalog().AvailableCount()
+			want.IndexStorageMB, want.IndexStorageFiles = svc.Catalog().Footprint()
+		})
+		if got.ClockSeconds != want.ClockSeconds || got.IndexesAvailable != want.IndexesAvailable ||
+			got.IndexStorageMB != want.IndexStorageMB || got.IndexStorageFiles != want.IndexStorageFiles {
+			t.Errorf("tenant %s: /v1/metrics reports clock %g, %d indexes, %g MB in %d files; its service holds %g, %d, %g MB in %d",
+				tenant, got.ClockSeconds, got.IndexesAvailable, got.IndexStorageMB, got.IndexStorageFiles,
+				want.ClockSeconds, want.IndexesAvailable, want.IndexStorageMB, want.IndexStorageFiles)
+		}
+		footprints[want.IndexStorageMB] = true
+	}
+	if len(footprints) != 2 {
+		t.Errorf("tenants a and b hold the same footprint %v; the check cannot tell them apart", footprints)
 	}
 }
 

@@ -309,14 +309,17 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// MetricsResponse is the tenant-scoped /v1/metrics view.
+// MetricsResponse is the tenant-scoped /v1/metrics view: the tenant's
+// service state, which /metrics does not carry because its registry is
+// shared by every tenant.
 type MetricsResponse struct {
-	Tenant           string  `json:"tenant"`
-	ClockSeconds     float64 `json:"clock_seconds"`
-	Admitted         int64   `json:"dataflows_admitted"`
-	IndexesAvailable int     `json:"indexes_available"`
-	IndexStorageMB   float64 `json:"index_storage_mb"`
-	VMQuanta         float64 `json:"vm_quanta"`
+	Tenant            string  `json:"tenant"`
+	ClockSeconds      float64 `json:"clock_seconds"`
+	Admitted          int64   `json:"dataflows_admitted"`
+	IndexesAvailable  int     `json:"indexes_available"`
+	IndexStorageMB    float64 `json:"index_storage_mb"`
+	IndexStorageFiles int     `json:"index_storage_files"`
+	VMQuanta          float64 `json:"vm_quanta"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -326,7 +329,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		t.Do(func(svc *core.Service, db *workload.FileDB) {
 			resp.ClockSeconds = svc.Clock()
 			resp.IndexesAvailable = svc.Catalog().AvailableCount()
-			resp.IndexStorageMB, _ = svc.Catalog().Footprint()
+			resp.IndexStorageMB, resp.IndexStorageFiles = svc.Catalog().Footprint()
 			resp.VMQuanta = svc.Aggregates().VMQuanta
 		})
 	}

@@ -130,17 +130,6 @@ func TableDescriptor(scale float64, maxPartMB float64) *data.Table {
 	if maxPartMB <= 0 {
 		maxPartMB = 128
 	}
-	rowsPerPart := int64(maxPartMB * 1e6 / t.RecordSize())
-	if rowsPerPart < 1 {
-		rowsPerPart = 1
-	}
-	for remaining := totalRows; remaining > 0; {
-		n := rowsPerPart
-		if remaining < n {
-			n = remaining
-		}
-		t.AddPartition(n, "")
-		remaining -= n
-	}
+	t.AddPartitions(totalRows, maxPartMB)
 	return t
 }

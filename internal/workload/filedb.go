@@ -89,20 +89,7 @@ func (db *FileDB) addFile(app App, i int, sizeMB float64) (int, error) {
 	}
 	name := app.String() + "/f" + num
 	t := data.NewTable(name, fileColumns()...)
-	recSize := t.RecordSize()
-	totalRows := int64(sizeMB * 1e6 / recSize)
-	if totalRows < 1 {
-		totalRows = 1
-	}
-	rowsPerPart := int64(MaxPartitionMB * 1e6 / recSize)
-	for remaining := totalRows; remaining > 0; {
-		n := rowsPerPart
-		if remaining < n {
-			n = remaining
-		}
-		t.AddPartition(n, "")
-		remaining -= n
-	}
+	t.AddPartitions(max(int64(sizeMB*1e6/t.RecordSize()), 1), MaxPartitionMB)
 	if err := db.Catalog.AddTable(t); err != nil {
 		return 0, err
 	}
